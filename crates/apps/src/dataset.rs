@@ -110,7 +110,7 @@ impl Dataset {
     }
 
     /// Order-independent checksum over all chunk-aligned pieces of the
-    /// dataset: wrapping sum of per-chunk FNV hashes keyed by offset.
+    /// dataset: wrapping sum of per-chunk hashes keyed by offset.
     /// Receivers can accumulate the same value chunk by chunk, in any
     /// arrival order; `n` repeated transfers accumulate `n × checksum`.
     #[must_use]
@@ -149,21 +149,33 @@ fn climate_record(seed: u64, rec: usize) -> [u8; 16] {
     out
 }
 
-/// Per-chunk hash used by the order-independent [`Dataset::checksum`].
+/// Per-chunk hash used by the order-independent [`Dataset::checksum`]:
+/// a multiply-rotate mix over little-endian 8-byte words, keyed by the
+/// chunk's offset, closed by the zero-padded tail and the length. Every
+/// step is a bijection of the state for a given word, so chunks of one
+/// length that differ anywhere hash differently. The value never travels:
+/// sender and receiver both compute it locally.
 #[must_use]
 pub fn chunk_hash(offset: u64, data: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h = 0xcbf2_9ce4_8422_2325 ^ offset.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mix = |h: u64, word: u64| (h ^ word).wrapping_mul(K).rotate_left(29);
+    let mut h = 0xcbf2_9ce4_8422_2325 ^ offset.wrapping_mul(K);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        h = mix(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
     }
-    h
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    h = mix(h, u64::from_le_bytes(tail));
+    h = mix(h, data.len() as u64);
+    h ^ (h >> 32)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kmsg_netsim::rng::RngStream;
+    use kmsg_netsim::testutil::PropRunner;
 
     #[test]
     fn chunks_are_deterministic() {
@@ -250,6 +262,108 @@ mod tests {
             acc = acc.wrapping_add(chunk_hash(off as u64, &data));
         }
         assert_ne!(acc, good);
+    }
+
+    /// `Dataset::checksum`-style accumulation over explicit pieces.
+    fn accumulate<'a>(pieces: impl IntoIterator<Item = (usize, &'a [u8])>) -> u64 {
+        pieces
+            .into_iter()
+            .fold(0u64, |acc, (off, data)| acc.wrapping_add(chunk_hash(off as u64, data)))
+    }
+
+    fn gen_chunks(rng: &mut RngStream) -> (Dataset, usize) {
+        let chunk = rng.gen_range(16usize..2_000);
+        let size = rng.gen_range(1usize..6 * chunk);
+        let ds = if rng.gen_bool(0.5) {
+            Dataset::climate(size, rng.gen())
+        } else {
+            Dataset::random(size, rng.gen())
+        };
+        (ds, chunk)
+    }
+
+    fn pieces(ds: &Dataset, chunk: usize) -> Vec<(usize, Vec<u8>)> {
+        (0..ds.chunk_count(chunk))
+            .map(|i| (i * chunk, ds.chunk(i * chunk, chunk).to_vec()))
+            .collect()
+    }
+
+    fn borrowed(pieces: &[(usize, Vec<u8>)]) -> impl Iterator<Item = (usize, &[u8])> {
+        pieces.iter().map(|(off, data)| (*off, data.as_slice()))
+    }
+
+    #[test]
+    fn checksum_sees_any_single_byte_change() {
+        PropRunner::new("chunk-hash-byte-change").cases(64).run(
+            |rng| {
+                let (ds, chunk) = gen_chunks(rng);
+                (ds, chunk, rng.gen_range(0..ds.size), rng.gen_range(1u8..=255))
+            },
+            |&(ds, chunk, at, flip)| {
+                let mut parts = pieces(&ds, chunk);
+                assert_eq!(accumulate(borrowed(&parts)), ds.checksum(chunk));
+                parts[at / chunk].1[at % chunk] ^= flip;
+                assert_ne!(accumulate(borrowed(&parts)), ds.checksum(chunk));
+            },
+        );
+    }
+
+    #[test]
+    fn checksum_sees_truncation_and_extension() {
+        PropRunner::new("chunk-hash-length-change").cases(64).run(
+            |rng| {
+                let (ds, chunk) = gen_chunks(rng);
+                (ds, chunk, rng.gen_range(1usize..=8), rng.gen_bool(0.5))
+            },
+            |&(ds, chunk, by, zeros)| {
+                let mut parts = pieces(&ds, chunk);
+                let last = parts.pop().expect("one chunk");
+                let padding = (0..by).map(|i| if zeros { 0 } else { i as u8 + 1 });
+                let longer: Vec<u8> = last.1.iter().copied().chain(padding).collect();
+                let shorter = last.1[..last.1.len().saturating_sub(by)].to_vec();
+                for changed in [longer, shorter] {
+                    let all = borrowed(&parts).chain([(last.0, changed.as_slice())]);
+                    assert_ne!(accumulate(all), ds.checksum(chunk));
+                }
+            },
+        );
+    }
+
+    #[test]
+    fn every_tail_length_is_hashed() {
+        // 0..=40 bytes: tails of 0..=7 after zero to five whole words.
+        for len in 0..=40usize {
+            let data: Vec<u8> = (0..len).map(|i| (i * 29 + 3) as u8).collect();
+            let h = chunk_hash(5, &data);
+            for at in 0..len {
+                let mut flipped = data.clone();
+                flipped[at] ^= 0x80;
+                assert_ne!(chunk_hash(5, &flipped), h, "len {len}, byte {at}");
+            }
+            assert_ne!(chunk_hash(5, &[&data[..], &[0]].concat()), h, "len {len} + a zero");
+            assert_ne!(chunk_hash(6, &data), h, "len {len} at another offset");
+        }
+    }
+
+    #[test]
+    fn checksum_sees_swapped_offsets() {
+        PropRunner::new("chunk-hash-offset-swap").cases(64).run(
+            |rng| {
+                let (ds, chunk) = gen_chunks(rng);
+                let n = ds.chunk_count(chunk);
+                (ds, chunk, rng.gen_range(0..n), rng.gen_range(0..n))
+            },
+            |&(ds, chunk, i, j)| {
+                let mut parts = pieces(&ds, chunk);
+                if parts[i].1 == parts[j].1 {
+                    return;
+                }
+                let (a, b) = (parts[i].0, parts[j].0);
+                parts[i].0 = b;
+                parts[j].0 = a;
+                assert_ne!(accumulate(borrowed(&parts)), ds.checksum(chunk));
+            },
+        );
     }
 
     #[test]

@@ -40,34 +40,47 @@ pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 ///
 /// # Errors
 ///
-/// Propagates payload serialiser failures.
+/// Propagates payload serialiser failures; a payload or frame longer than
+/// [`MAX_FRAME`] is [`SerError::Invalid`].
 pub fn encode_frame(msg: &NetMessage, compression: Compression) -> Result<Bytes, SerError> {
+    const TOO_LONG: SerError = SerError::Invalid { context: "frame length" };
     let (ser_id, payload) = msg.payload_to_bytes()?;
-    let (flags, body): (u8, Bytes) = match compression {
-        Compression::Threshold(min) if payload.len() >= min => {
-            let compressed = codec::compress(&payload);
-            if compressed.len() < payload.len() {
-                let mut b = BytesMut::with_capacity(compressed.len() + 4);
-                b.put_u32(u32::try_from(payload.len()).expect("payload too large"));
-                b.put_slice(&compressed);
-                (FLAG_COMPRESSED, b.freeze())
-            } else {
-                (0, payload)
-            }
-        }
-        _ => (0, payload),
-    };
-
-    let mut frame = BytesMut::with_capacity(4 + 1 + msg.header().encoded_len() + 8 + body.len());
+    if payload.len() > MAX_FRAME {
+        return Err(TOO_LONG);
+    }
+    let compress = matches!(compression, Compression::Threshold(min) if payload.len() >= min);
+    let head = 4 + 1 + msg.header().encoded_len() + 8;
+    let mut frame = BytesMut::with_capacity(head + if compress { 4 } else { 0 } + payload.len());
     frame.put_u32(0); // length placeholder
-    frame.put_u8(flags);
+    frame.put_u8(0); // flags placeholder
     msg.header().serialise(&mut frame);
     frame.put_u64(ser_id.0);
-    frame.put_slice(&body);
-    let len = frame.len() - 4;
-    assert!(len <= MAX_FRAME, "frame exceeds MAX_FRAME");
-    frame[0..4].copy_from_slice(&u32::try_from(len).expect("frame length").to_be_bytes());
-    Ok(frame.freeze())
+    let body = frame.len();
+    let mut end = body + payload.len();
+    if compress {
+        // `[raw_len][block]`, the block written over a scratch copy of the
+        // payload; if that saves nothing, the raw payload goes back at
+        // `body` and the four spare bytes are cut off below. A compressed
+        // frame keeps the buffer: the footprint of its uncompressed form.
+        frame.put_u32(u32::try_from(payload.len()).map_err(|_| TOO_LONG)?);
+        frame.put_slice(&payload);
+        match codec::compress_into(&payload, &mut frame[body + 4..]) {
+            Some(n) if n < payload.len() => {
+                frame[4] = FLAG_COMPRESSED;
+                end = body + 4 + n;
+            }
+            _ => frame[body..end].copy_from_slice(&payload),
+        }
+    } else {
+        frame.put_slice(&payload);
+    }
+    let len = end - 4;
+    if len > MAX_FRAME {
+        return Err(TOO_LONG);
+    }
+    frame[0..4].copy_from_slice(&u32::try_from(len).map_err(|_| TOO_LONG)?.to_be_bytes());
+    let frame = frame.freeze();
+    Ok(if end < frame.len() { frame.slice(..end) } else { frame })
 }
 
 /// Decodes the body of one frame (everything *after* the length prefix).
@@ -217,8 +230,10 @@ mod tests {
         let random = Bytes::from((0..10_000).map(|_| rng.gen()).collect::<Vec<u8>>());
         let msg = sample_msg(random.clone());
         let framed = encode_frame(&msg, Compression::Threshold(512)).expect("encode");
-        // flags byte must say uncompressed (offset 4 after the length).
+        // flags byte must say uncompressed (offset 4 after the length) —
+        // the frame is what `Compression::Off` would have produced.
         assert_eq!(framed[4] & FLAG_COMPRESSED, 0);
+        assert_eq!(framed, encode_frame(&msg, Compression::Off).expect("encode"));
         let mut dec = FrameDecoder::new();
         dec.feed(&framed);
         let out = decode_frame_body(dec.next_frame().expect("ok").expect("frame")).expect("decode");
@@ -258,6 +273,17 @@ mod tests {
         dec.feed(&u32::try_from(MAX_FRAME + 1).expect("fits").to_be_bytes());
         dec.feed(&[0u8; 16]);
         assert!(dec.next_frame().is_err());
+    }
+
+    #[test]
+    fn oversized_payload_is_an_error() {
+        let msg = sample_msg(Bytes::from(vec![0u8; MAX_FRAME + 1]));
+        for compression in [Compression::Off, Compression::default()] {
+            assert_eq!(
+                encode_frame(&msg, compression).expect_err("too long"),
+                SerError::Invalid { context: "frame length" }
+            );
+        }
     }
 
     #[test]

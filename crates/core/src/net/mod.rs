@@ -329,8 +329,6 @@ struct ChannelKey {
     transport: Transport,
 }
 
-/// Span close key: the covered work completed normally.
-const SPAN_OK: u64 = 0;
 /// Span close key: the covered work failed (send error, channel death,
 /// retry budget exhausted).
 const SPAN_FAILED: u64 = 1;

@@ -200,6 +200,32 @@ fn udp_message_round_trip_and_size_limit() {
 }
 
 #[test]
+fn oversized_payload_fails_the_send_not_the_world() {
+    let (w, nodes) = world(default_link(), 2);
+    let a = stack(&w, nodes[0], 7000);
+    let b = stack(&w, nodes[1], 7000);
+    let too_long = Bytes::from(vec![0u8; kmsg_core::net::frame::MAX_FRAME + 1]);
+    a.send.push(NetRequest::NotifyReq(
+        NotifyToken::new(1),
+        NetMessage::new(a.addr, b.addr, Transport::Tcp, too_long),
+    ));
+    a.send.push(NetRequest::NotifyReq(
+        NotifyToken::new(2),
+        NetMessage::new(a.addr, b.addr, Transport::Tcp, "after".to_string()),
+    ));
+    w.sim.run_for(Duration::from_secs(2));
+    let notifies = a.app.on_definition(|h| h.notifies.clone());
+    assert_eq!(
+        notifies,
+        vec![
+            (NotifyToken::new(1), DeliveryStatus::Failed(SendError::Serialisation)),
+            (NotifyToken::new(2), DeliveryStatus::Sent),
+        ]
+    );
+    assert_eq!(b.app.on_definition(|h| h.received.len()), 1);
+}
+
+#[test]
 fn notify_sent_for_stream_transports() {
     let (w, nodes) = world(default_link(), 2);
     let a = stack(&w, nodes[0], 7000);

@@ -234,3 +234,63 @@ fn patterns_hit_ratio_exactly_and_bound_deviation() {
         },
     );
 }
+
+/// Arbitrary bytes, or a valid block/frame with a few bits flipped.
+fn gen_hostile(rng: &mut RngStream, valid: impl FnOnce(&mut RngStream) -> Vec<u8>) -> Vec<u8> {
+    if rng.gen_bool(0.5) {
+        let n = rng.gen_range(0usize..512);
+        return (0..n).map(|_| rng.gen()).collect();
+    }
+    let mut bytes = valid(rng);
+    for _ in 0..rng.gen_range(1usize..4) {
+        let at = rng.gen_range(0..bytes.len());
+        bytes[at] ^= 1 << rng.gen_range(0u32..8);
+    }
+    bytes
+}
+
+fn gen_frame(rng: &mut RngStream) -> Vec<u8> {
+    let msg = NetMessage::with_header(gen_header(rng), Bytes::from(gen_payload(rng)));
+    let compression = if rng.gen_bool(0.5) {
+        Compression::Threshold(64)
+    } else {
+        Compression::Off
+    };
+    encode_frame(&msg, compression).expect("encode").to_vec()
+}
+
+#[test]
+fn decompress_survives_hostile_input() {
+    PropRunner::new("codec-hostile-input").cases(512).run(
+        |rng| {
+            let block = gen_hostile(rng, |rng| codec::compress(&gen_payload(rng)));
+            (block, rng.gen_range(0usize..8192))
+        },
+        |(block, max_len)| {
+            if let Ok(out) = codec::decompress(block, *max_len) {
+                assert!(out.len() <= *max_len && out.capacity() <= *max_len);
+            }
+        },
+    );
+}
+
+#[test]
+fn frame_decoding_survives_hostile_input() {
+    PropRunner::new("frame-hostile-input").cases(512).run(
+        |rng| gen_hostile(rng, gen_frame),
+        |wire| {
+            // As a frame body (everything after a length prefix) ...
+            if let Ok(msg) = decode_frame_body(Bytes::from(wire.clone())) {
+                let _ = msg.try_deserialise::<Bytes, Bytes>();
+            }
+            // ... and as a stream, which also reads the prefix.
+            let mut dec = FrameDecoder::new();
+            dec.feed(wire);
+            while let Ok(Some(body)) = dec.next_frame() {
+                assert!(body.len() <= wire.len());
+                let _ = decode_frame_body(body);
+            }
+            assert!(dec.buffered() <= wire.len());
+        },
+    );
+}
