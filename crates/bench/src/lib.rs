@@ -1,9 +1,10 @@
 //! # kmsg-bench — the experiment harness
 //!
 //! One binary per figure of the paper's evaluation (run with
-//! `cargo run --release -p kmsg-bench --bin figN`), shared table-printing
-//! and repetition helpers here, and Criterion micro-benchmarks under
-//! `benches/`.
+//! `cargo run --release -p kmsg-bench --bin figN`) and shared
+//! table-printing and repetition helpers here. Micro-benchmark rows live
+//! in `timing_probe` (`BENCH_engine.json`) and the per-layer catalogue of
+//! `benchmark/`.
 //!
 //! Common flags understood by the figure binaries:
 //!

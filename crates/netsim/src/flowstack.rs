@@ -1,0 +1,1038 @@
+//! The flow-stack core: everything a reliable stream transport needs that is
+//! not protocol logic, written once and shared by [`crate::tcp`] and
+//! [`crate::udt`].
+//!
+//! All per-connection state of one protocol on one network lives in a single
+//! [`Slab`] inside a [`FlowStack`]; applications, packet demux and timers
+//! address flows by 8-byte generation-checked [`Handle`]s instead of `Arc`s.
+//! The stack is the [`PacketSink`] for every port of its protocol and the
+//! [`EventTarget`] of its timers, so neither path allocates or touches a
+//! reference count per flow. A [`Protocol`] supplies the rest: config, wire
+//! type, the flow state machine, its timer kinds, how an open starts and
+//! what dying clears. See `DESIGN.md` §12.
+
+// `Conn` and `Listener` are public through the `TcpConn`/`UdtConn` aliases
+// while `Protocol` stays crate-private: outside the crate the type parameter
+// can only ever be one of our own config types.
+#![allow(private_bounds)]
+
+use std::collections::VecDeque;
+use std::fmt;
+use std::sync::{Arc, Weak};
+use std::time::Duration;
+
+use bytes::Bytes;
+use kmsg_telemetry::Recorder;
+use parking_lot::Mutex;
+
+use crate::engine::{EventTarget, Sim};
+use crate::iface::{CloseReason, Connection, ConnectionId, StreamAccept, StreamEvents};
+use crate::memscope;
+use crate::network::{BindError, Network, PacketSink, Stacks, WeakNetwork};
+use crate::packet::{Endpoint, NodeId, Packet, PacketBody, WireProtocol};
+use crate::slab::{FxHashMap, Handle, Slab};
+use crate::time::SimTime;
+use crate::timerwheel::StackTimerWheel;
+
+/// What a stream transport supplies to run on a [`FlowStack`], implemented
+/// by the transport's config type — which so doubles as the protocol's name
+/// in `FlowStack<P>` and `Conn<P>`, and is interned per stack (flows store a
+/// `u16` id). Dispatch is static: each protocol monomorphises its own copy
+/// of the core.
+pub(crate) trait Protocol: PartialEq + Send + Sized + 'static {
+    /// Full per-flow state: one slab slot embedding a [`FlowHeader`].
+    type Flow: Send;
+    /// The packet body this protocol puts on the wire.
+    type Wire;
+
+    /// Wire protocol of every packet and port binding of this stack.
+    const WIRE: WireProtocol;
+    /// [`memscope`] tag for allocations made inside the stack.
+    const SCOPE: usize;
+    /// `Debug` names of the connection and listener handles.
+    const CONN_NAME: &'static str;
+    const LISTENER_NAME: &'static str;
+
+    /// This protocol's lazily created stack in the network's table.
+    fn slot(stacks: &mut Stacks) -> &mut Option<Arc<FlowStack<Self>>>;
+    /// A fresh flow in its opening state (`active`: this side dials).
+    fn new_flow(hdr: FlowHeader, cfg: &Self, now: SimTime, active: bool) -> Self::Flow;
+    fn hdr(flow: &Self::Flow) -> &FlowHeader;
+    fn hdr_mut(flow: &mut Self::Flow) -> &mut FlowHeader;
+    /// Wraps a handle in this protocol's [`Connection`] variant.
+    fn connection(conn: Conn<Self>) -> Connection;
+    /// Payload length (for the wire size) and packet body of `wire`.
+    fn into_body(wire: Self::Wire) -> (usize, PacketBody);
+    fn from_body(body: PacketBody) -> Option<Self::Wire>;
+    /// Whether `wire`, arriving for an unknown endpoint pair, asks a
+    /// listener for a passive open (anything else is a stray and ignored).
+    fn opens(wire: &Self::Wire) -> bool;
+    /// Starts an active open on a freshly registered flow.
+    fn start_active(stack: &Arc<FlowStack<Self>>, h: Handle<Self::Flow>);
+    /// Starts a passive open with the packet that asked for it.
+    fn start_passive(stack: &Arc<FlowStack<Self>>, h: Handle<Self::Flow>, wire: Self::Wire);
+    /// A packet for an existing flow.
+    fn on_wire(stack: &Arc<FlowStack<Self>>, h: Handle<Self::Flow>, wire: Self::Wire);
+    /// A per-flow timer of `kind` (with the `aux` word it was armed with)
+    /// came due. Handlers re-check their own armed-state/deadline
+    /// discipline: the wheel never cancels, so stale firings are normal.
+    fn on_timer(stack: &Arc<FlowStack<Self>>, h: Handle<Self::Flow>, kind: u64, aux: u32);
+    /// The flow is abandoned (its last application handle dropped, or its
+    /// peer dialled again): close it in place and free its buffers (the
+    /// slot itself lingers in the slab).
+    fn kill(flow: &mut Self::Flow, rec: &Recorder, now: SimTime);
+    /// Runs under the lock after every [`FlowStack::process`] closure.
+    fn after_step(_flow: &mut Self::Flow, _rec: &Recorder, _now: SimTime) {}
+    /// Appends the protocol's fields to a connection handle's `Debug`.
+    fn debug_state(flow: Option<&Self::Flow>, out: &mut fmt::DebugStruct<'_, '_>);
+}
+
+/// Packs an endpoint into a dense map key: node index in the high bits,
+/// port in the low 16.
+fn ep_key(e: Endpoint) -> u64 {
+    (u64::from(e.node.index()) << 16) | u64::from(e.port)
+}
+
+/// Demux key for an established flow: (local, peer) endpoint pair.
+fn pair_key(local: Endpoint, peer: Endpoint) -> u128 {
+    (u128::from(ep_key(local)) << 64) | u128::from(ep_key(peer))
+}
+
+/// Releases a drained queue's retained ring storage so a long-lived idle
+/// flow doesn't pin its peak-burst capacity; small rings are kept to avoid
+/// realloc thrash on steady-state flows.
+pub(crate) fn release_drained<T>(q: &mut VecDeque<T>) {
+    if q.is_empty() && q.capacity() >= 32 {
+        *q = VecDeque::new();
+    }
+}
+
+/// Timer-token layout: `kind(3) | slot-index(29) | aux(32)`. Kinds below
+/// [`KIND_WHEEL`] and the meaning of `aux` belong to the protocol; the slot
+/// index alone names the flow, because flow slots are never removed.
+///
+/// Per-flow tokens never reach the engine: they wait in the stack's
+/// [`StackTimerWheel`] and the only engine-facing events are `KIND_WHEEL`
+/// ticks, whose low 61 bits carry the tick's nanosecond timestamp (≈ 73
+/// simulated years) instead of a slot/aux pair.
+const TOKEN_KIND_SHIFT: u32 = 61;
+const TOKEN_IDX_SHIFT: u32 = 32;
+const TOKEN_IDX_MASK: u64 = (1 << 29) - 1;
+/// A coalesced wheel tick servicing every flow timer due at that instant.
+const KIND_WHEEL: u64 = 7;
+const WHEEL_TICK_MASK: u64 = (1 << TOKEN_KIND_SHIFT) - 1;
+
+fn token<F>(kind: u64, h: Handle<F>, aux: u32) -> u64 {
+    debug_assert!(kind < KIND_WHEEL, "timer kind collides with the wheel tick");
+    (kind << TOKEN_KIND_SHIFT)
+        | ((h.index() as u64 & TOKEN_IDX_MASK) << TOKEN_IDX_SHIFT)
+        | u64::from(aux)
+}
+
+/// The part of every flow the core itself reads and writes.
+pub(crate) struct FlowHeader {
+    /// Index into the stack's interned config table.
+    cfg_id: u16,
+    local: Endpoint,
+    peer: Endpoint,
+    /// Raw [`ConnectionId`] used to tag flight-recorder events.
+    pub(crate) conn_id: u64,
+    /// The application's event handler (absent until `on_accept` returns).
+    events: Option<Arc<dyn StreamEvents>>,
+    /// Connect-created flows die in place when the application drops its
+    /// last handle; accepted flows are owned by their listener entry.
+    app_owned: bool,
+    /// Live [`Conn`] wrappers referring to this slot.
+    app_handles: u32,
+    /// The owner has been told the flow closed (at most once per flow).
+    pub(crate) closed_notified: bool,
+}
+
+/// What a [`FlowStack::process`] closure asks the stack to do once the lock
+/// is released.
+pub(crate) enum Action<W> {
+    Send(W),
+    Deliver(Bytes),
+    Connected,
+    Writable,
+    Closed(CloseReason),
+    /// Arm the flow's timer of `kind` to come due after `delay`.
+    Arm { kind: u64, delay: Duration, aux: u32 },
+}
+
+/// A port with a registered [`StreamAccept`] handler plus the flows it has
+/// accepted (each kept until its peer port dials again).
+struct ListenerEntry<P: Protocol> {
+    cfg_id: u16,
+    handler: Arc<dyn StreamAccept>,
+    /// Accepted flows keyed by peer endpoint.
+    conns: FxHashMap<u64, Handle<P::Flow>>,
+}
+
+/// Dense state tables behind the stack mutex.
+struct StackInner<P: Protocol> {
+    flows: Slab<P::Flow>,
+    /// Worlds use a handful of distinct configs across thousands of flows.
+    configs: Vec<P>,
+    /// `(local, peer)` pair → flow, for per-packet demux.
+    conn_index: FxHashMap<u128, Handle<P::Flow>>,
+    /// Listening ports keyed by [`ep_key`].
+    listeners: FxHashMap<u64, ListenerEntry<P>>,
+    /// Coalesced flow timers: one engine event per distinct deadline tick,
+    /// serving every token due at that instant.
+    timers: StackTimerWheel,
+}
+
+/// Per-network state of one stream protocol: every flow on the network
+/// lives in this one slab. Created lazily by [`Network::flow_stack`]; the
+/// back-reference to the fabric is weak to avoid a retain cycle through the
+/// sink table.
+pub(crate) struct FlowStack<P: Protocol> {
+    sim: Sim,
+    rec: Recorder,
+    net: WeakNetwork,
+    self_weak: Weak<FlowStack<P>>,
+    inner: Mutex<StackInner<P>>,
+}
+
+impl<P: Protocol> FlowStack<P> {
+    pub(crate) fn new(sim: Sim, net: WeakNetwork) -> Arc<Self> {
+        let rec = sim.recorder().clone();
+        Arc::new_cyclic(|weak| FlowStack {
+            sim,
+            rec,
+            net,
+            self_weak: weak.clone(),
+            inner: Mutex::new(StackInner {
+                flows: Slab::new(),
+                configs: Vec::new(),
+                conn_index: FxHashMap::default(),
+                listeners: FxHashMap::default(),
+                timers: StackTimerWheel::new(),
+            }),
+        })
+    }
+
+    /// Registers a per-flow timer token on the stack wheel. Only the first
+    /// token for a tick schedules an engine event — the wheel batches every
+    /// same-tick deadline into that one dispatch.
+    fn arm_timer(self: &Arc<Self>, at: SimTime, tok: u64) {
+        debug_assert_eq!(at.as_nanos() >> TOKEN_KIND_SHIFT, 0, "sim time overflows wheel token");
+        let fresh = self.inner.lock().timers.register(at, tok);
+        if fresh {
+            self.sim.schedule_target_at(
+                at,
+                self.clone(),
+                (KIND_WHEEL << TOKEN_KIND_SHIFT) | (at.as_nanos() & WHEEL_TICK_MASK),
+            );
+        }
+    }
+
+    /// Interns `cfg`, returning its table id.
+    fn intern(configs: &mut Vec<P>, cfg: P) -> u16 {
+        if let Some(i) = configs.iter().position(|c| *c == cfg) {
+            return i as u16;
+        }
+        let id = u16::try_from(configs.len()).expect("too many distinct configs");
+        configs.push(cfg);
+        id
+    }
+
+    /// Bumps the app-handle count for `h` (wrapper clone/construction).
+    fn retain_handle(&self, h: Handle<P::Flow>) {
+        let mut inner = self.inner.lock();
+        if let Some(flow) = inner.flows.get_mut(h) {
+            P::hdr_mut(flow).app_handles += 1;
+        }
+    }
+
+    /// Drops one app handle; the last handle of a connect-created flow kills
+    /// it in place (the slot is never reused, so outstanding timer tokens
+    /// resolve to a dead flow and no-op) and gives its ephemeral port back.
+    /// An orderly close alone frees nothing: a closed flow may still have to
+    /// answer its peer.
+    fn release_handle(&self, h: Handle<P::Flow>) {
+        // The handler Arc is dropped outside the lock: its destructor may
+        // release other connection handles and re-enter this mutex.
+        let (_events, local) = {
+            let mut inner = self.inner.lock();
+            let Some(flow) = inner.flows.get_mut(h) else {
+                return;
+            };
+            let hdr = P::hdr_mut(flow);
+            hdr.app_handles = hdr.app_handles.saturating_sub(1);
+            if hdr.app_handles > 0 || !hdr.app_owned {
+                return;
+            }
+            P::kill(flow, &self.rec, self.sim.now());
+            let hdr = P::hdr_mut(flow);
+            let (local, peer) = (hdr.local, hdr.peer);
+            let events = hdr.events.take();
+            inner.conn_index.remove(&pair_key(local, peer));
+            (events, local)
+        };
+        if let Some(net) = self.net.upgrade() {
+            net.unbind(local.node, P::WIRE, local.port);
+        }
+    }
+
+    /// Builds an application-facing wrapper for `h`, bumping the handle
+    /// count. Must not be called with the stack lock held.
+    fn make_conn(self: &Arc<Self>, h: Handle<P::Flow>, id: u64, local: Endpoint, peer: Endpoint) -> Conn<P> {
+        self.retain_handle(h);
+        Conn {
+            stack: self.clone(),
+            h,
+            id: ConnectionId::from_raw(id),
+            local,
+            peer,
+        }
+    }
+
+    /// Runs `f` on the flow under the stack lock, then performs the
+    /// produced actions without holding it.
+    pub(crate) fn process<F>(self: &Arc<Self>, h: Handle<P::Flow>, f: F)
+    where
+        F: FnOnce(&mut P::Flow, &P, &Recorder, SimTime, &mut Vec<Action<P::Wire>>),
+    {
+        let _scope = memscope::enter(P::SCOPE);
+        let now = self.sim.now();
+        let mut actions = Vec::new();
+        let (local, peer, id, events) = {
+            let mut guard = self.inner.lock();
+            let inner = &mut *guard;
+            let Some(flow) = inner.flows.get_mut(h) else {
+                return;
+            };
+            let cfg = &inner.configs[P::hdr(flow).cfg_id as usize];
+            f(flow, cfg, &self.rec, now, &mut actions);
+            P::after_step(flow, &self.rec, now);
+            // Only clone the handler out when an action will actually
+            // notify the application.
+            let needs_events = actions
+                .iter()
+                .any(|a| !matches!(a, Action::Send(_) | Action::Arm { .. }));
+            let hdr = P::hdr(flow);
+            (
+                hdr.local,
+                hdr.peer,
+                hdr.conn_id,
+                if needs_events { hdr.events.clone() } else { None },
+            )
+        };
+        if actions.is_empty() {
+            return;
+        }
+        // The wrapper exists only for callback scope; it is built and
+        // dropped outside the lock (its Drop re-enters the stack).
+        let app = events
+            .as_ref()
+            .map(|ev| (ev, P::connection(self.make_conn(h, id, local, peer))));
+        let mut net = None;
+        for action in actions {
+            match (action, &app) {
+                (Action::Send(wire), _) => {
+                    if net.is_none() {
+                        net = self.net.upgrade();
+                    }
+                    if let Some(net) = &net {
+                        let (payload_len, body) = P::into_body(wire);
+                        net.send_packet(Packet::new(local, peer, P::WIRE, payload_len, body));
+                    }
+                }
+                (Action::Arm { kind, delay, aux }, _) => {
+                    self.arm_timer(self.sim.now() + delay, token(kind, h, aux));
+                }
+                (Action::Deliver(data), Some((ev, conn))) => ev.on_data(conn, data),
+                (Action::Connected, Some((ev, conn))) => ev.on_connected(conn),
+                (Action::Writable, Some((ev, conn))) => ev.on_writable(conn),
+                (Action::Closed(reason), Some((ev, conn))) => ev.on_closed(conn, reason),
+                // No handler yet: `on_accept` has not returned.
+                (_, None) => {}
+            }
+        }
+    }
+
+    /// Registers a new flow in the slab and the demux index. A dialled flow
+    /// arrives with its handler and is owned by the application; an accepted
+    /// one gets its handler from `on_accept` and is owned by its listener.
+    fn insert_flow(
+        &self,
+        inner: &mut StackInner<P>,
+        cfg_id: u16,
+        local: Endpoint,
+        peer: Endpoint,
+        conn_id: u64,
+        events: Option<Arc<dyn StreamEvents>>,
+    ) -> Handle<P::Flow> {
+        let active = events.is_some();
+        let hdr = FlowHeader {
+            cfg_id,
+            local,
+            peer,
+            conn_id,
+            events,
+            app_owned: active,
+            app_handles: 1,
+            closed_notified: false,
+        };
+        let flow = P::new_flow(hdr, &inner.configs[cfg_id as usize], self.sim.now(), active);
+        let h = inner.flows.insert(flow);
+        inner.conn_index.insert(pair_key(local, peer), h);
+        h
+    }
+
+    /// Whether an opening packet from `src` for the known flow `h` is a new
+    /// dial from a reused port rather than a repeat of the open that created
+    /// `h`; if so `h` is reset in place for [`Self::dispatch`] to accept
+    /// afresh. Opens carry no initial sequence number to tell incarnations
+    /// apart, so the stack reads them off its own connection ids: an
+    /// accepted flow is younger than the dial it answers and older than any
+    /// later one from that port.
+    fn superseded(self: &Arc<Self>, h: Handle<P::Flow>, src: Endpoint, dst: Endpoint) -> bool {
+        {
+            let inner = self.inner.lock();
+            let dial = inner.conn_index.get(&pair_key(src, dst));
+            let dial = dial.and_then(|&d| inner.flows.get(d));
+            let (Some(dial), Some(flow)) = (dial, inner.flows.get(h)) else {
+                return false;
+            };
+            if P::hdr(flow).app_owned || P::hdr(dial).conn_id < P::hdr(flow).conn_id {
+                return false;
+            }
+        }
+        self.process(h, |flow, _cfg, rec, now, out| {
+            P::kill(flow, rec, now);
+            if !std::mem::replace(&mut P::hdr_mut(flow).closed_notified, true) {
+                out.push(Action::Closed(CloseReason::Reset));
+            }
+        });
+        // Dropped outside the lock, as in `release_handle`.
+        let _events = {
+            let mut inner = self.inner.lock();
+            inner.flows.get_mut(h).and_then(|flow| P::hdr_mut(flow).events.take())
+        };
+        true
+    }
+
+    /// Demuxes an incoming packet: known flows by endpoint pair, otherwise
+    /// a listener performs a passive open.
+    fn dispatch(self: &Arc<Self>, src: Endpoint, dst: Endpoint, wire: P::Wire) {
+        let _scope = memscope::enter(P::SCOPE);
+        let known = self.inner.lock().conn_index.get(&pair_key(dst, src)).copied();
+        match known {
+            Some(h) if !(P::opens(&wire) && self.superseded(h, src, dst)) => {
+                P::on_wire(self, h, wire);
+                return;
+            }
+            None if !P::opens(&wire) => return,
+            _ => {}
+        }
+        // Passive open. The flow is fully registered (slab + demux index +
+        // listener table, replacing a superseded flow's entries) before
+        // `on_accept` runs, but no packet or timer can observe it until
+        // `start_passive` below.
+        let (handler, h, id) = {
+            let mut guard = self.inner.lock();
+            let inner = &mut *guard;
+            let Some(entry) = inner.listeners.get(&ep_key(dst)) else {
+                return;
+            };
+            let (handler, cfg_id) = (entry.handler.clone(), entry.cfg_id);
+            let id = ConnectionId::fresh(&self.sim);
+            let h = self.insert_flow(inner, cfg_id, dst, src, id.raw(), None);
+            inner
+                .listeners
+                .get_mut(&ep_key(dst))
+                .expect("listener entry just looked up")
+                .conns
+                .insert(ep_key(src), h);
+            (handler, h, id)
+        };
+        let conn = P::connection(self.make_conn(h, id.raw(), dst, src));
+        let events = handler.on_accept(&conn);
+        {
+            let mut inner = self.inner.lock();
+            if let Some(flow) = inner.flows.get_mut(h) {
+                P::hdr_mut(flow).events = Some(events);
+            }
+        }
+        P::start_passive(self, h, wire);
+    }
+
+    /// Services one per-flow timer token drained from the wheel. Tokens of
+    /// unknown slots no-op here, stale ones in the protocol's handler.
+    fn service_timer(self: &Arc<Self>, token: u64) {
+        let kind = token >> TOKEN_KIND_SHIFT;
+        let idx = ((token >> TOKEN_IDX_SHIFT) & TOKEN_IDX_MASK) as u32;
+        let h = self.inner.lock().flows.handle_at(idx);
+        let Some(h) = h else { return };
+        P::on_timer(self, h, kind, token as u32);
+    }
+}
+
+impl<P: Protocol> PacketSink for FlowStack<P> {
+    fn on_packet(&self, _net: &Network, pkt: Packet) {
+        let Some(stack) = self.self_weak.upgrade() else {
+            return;
+        };
+        let Some(wire) = P::from_body(pkt.body) else {
+            return;
+        };
+        stack.dispatch(pkt.src, pkt.dst, wire);
+    }
+}
+
+impl<P: Protocol> EventTarget for FlowStack<P> {
+    /// A coalesced tick: drain the whole bucket and service every
+    /// registered flow timer in arming order.
+    fn fire(self: Arc<Self>, _sim: &Sim, token: u64) {
+        let _scope = memscope::enter(P::SCOPE);
+        debug_assert_eq!(token >> TOKEN_KIND_SHIFT, KIND_WHEEL);
+        let tick = SimTime::from_nanos(token & WHEEL_TICK_MASK);
+        let Some(batch) = self.inner.lock().timers.take(tick) else {
+            return;
+        };
+        for &tok in &batch {
+            self.service_timer(tok);
+        }
+        self.inner.lock().timers.recycle(batch);
+    }
+}
+
+/// A simulated stream connection handle ([`crate::tcp::TcpConn`],
+/// [`crate::udt::UdtConn`]).
+///
+/// Internally an 8-byte slab handle plus cached immutable endpoints; clones
+/// refer to the same flow. The last application handle of a connect-created
+/// flow kills the flow in place when dropped.
+pub struct Conn<P: Protocol> {
+    pub(crate) stack: Arc<FlowStack<P>>,
+    pub(crate) h: Handle<P::Flow>,
+    id: ConnectionId,
+    local: Endpoint,
+    peer: Endpoint,
+}
+
+impl<P: Protocol> Clone for Conn<P> {
+    fn clone(&self) -> Self {
+        self.stack.make_conn(self.h, self.id.raw(), self.local, self.peer)
+    }
+}
+
+impl<P: Protocol> Drop for Conn<P> {
+    fn drop(&mut self) {
+        self.stack.release_handle(self.h);
+    }
+}
+
+impl<P: Protocol> fmt::Debug for Conn<P> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = f.debug_struct(P::CONN_NAME);
+        out.field("id", &self.id)
+            .field("local", &self.local)
+            .field("peer", &self.peer);
+        P::debug_state(self.stack.inner.lock().flows.get(self.h), &mut out);
+        out.finish()
+    }
+}
+
+impl<P: Protocol> Conn<P> {
+    /// Opens a connection from an ephemeral port on `node` to `dst`.
+    ///
+    /// The opening packet (TCP SYN, UDT handshake) is sent immediately;
+    /// [`StreamEvents::on_connected`] fires when the handshake completes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BindError`] if no local port could be bound (exhausted
+    /// ephemeral range).
+    pub fn connect(
+        net: &Network,
+        node: NodeId,
+        dst: Endpoint,
+        cfg: P,
+        events: Arc<dyn StreamEvents>,
+    ) -> Result<Self, BindError> {
+        let stack = net.flow_stack::<P>();
+        let Some(port) = net.alloc_ephemeral_port(node, P::WIRE) else {
+            return Err(BindError {
+                endpoint: Endpoint::new(node, 0),
+                protocol: P::WIRE,
+            });
+        };
+        let local = Endpoint::new(node, port);
+        let id = ConnectionId::fresh(net.sim());
+        net.bind(node, P::WIRE, port, stack.clone())?;
+        let h = {
+            let mut guard = stack.inner.lock();
+            let inner = &mut *guard;
+            let cfg_id = FlowStack::<P>::intern(&mut inner.configs, cfg);
+            stack.insert_flow(inner, cfg_id, local, dst, id.raw(), Some(events))
+        };
+        P::start_active(&stack, h);
+        Ok(Conn {
+            stack,
+            h,
+            id,
+            local,
+            peer: dst,
+        })
+    }
+
+    /// The connection id.
+    #[must_use]
+    pub fn id(&self) -> ConnectionId {
+        self.id
+    }
+
+    /// Local endpoint.
+    #[must_use]
+    pub fn local(&self) -> Endpoint {
+        self.local
+    }
+
+    /// Remote endpoint.
+    #[must_use]
+    pub fn peer(&self) -> Endpoint {
+        self.peer
+    }
+
+    /// Reads from the flow and its config under the stack lock; `None` once
+    /// the slot is gone.
+    pub(crate) fn peek<R>(&self, f: impl FnOnce(&P::Flow, &P) -> R) -> Option<R> {
+        let inner = self.stack.inner.lock();
+        let flow = inner.flows.get(self.h)?;
+        Some(f(flow, &inner.configs[P::hdr(flow).cfg_id as usize]))
+    }
+}
+
+/// A listening socket that accepts incoming connections
+/// ([`crate::tcp::TcpListener`], [`crate::udt::UdtListener`]).
+pub struct Listener<P: Protocol> {
+    stack: Arc<FlowStack<P>>,
+    local: Endpoint,
+}
+
+impl<P: Protocol> Clone for Listener<P> {
+    fn clone(&self) -> Self {
+        Listener {
+            stack: self.stack.clone(),
+            local: self.local,
+        }
+    }
+}
+
+impl<P: Protocol> fmt::Debug for Listener<P> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct(P::LISTENER_NAME)
+            .field("local", &self.local)
+            .finish()
+    }
+}
+
+impl<P: Protocol> Listener<P> {
+    /// Binds a listener on `node`/`port`; `handler.on_accept` is invoked for
+    /// every new peer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BindError`] if the port is taken.
+    pub fn bind(
+        net: &Network,
+        node: NodeId,
+        port: u16,
+        cfg: P,
+        handler: Arc<dyn StreamAccept>,
+    ) -> Result<Self, BindError> {
+        let stack = net.flow_stack::<P>();
+        net.bind(node, P::WIRE, port, stack.clone())?;
+        let local = Endpoint::new(node, port);
+        {
+            let mut guard = stack.inner.lock();
+            let inner = &mut *guard;
+            let cfg_id = FlowStack::<P>::intern(&mut inner.configs, cfg);
+            inner.listeners.insert(
+                ep_key(local),
+                ListenerEntry {
+                    cfg_id,
+                    handler,
+                    conns: FxHashMap::default(),
+                },
+            );
+        }
+        Ok(Listener { stack, local })
+    }
+
+    /// The listening endpoint.
+    #[must_use]
+    pub fn local(&self) -> Endpoint {
+        self.local
+    }
+
+    /// Number of connections this listener has accepted (and not forgotten).
+    #[must_use]
+    pub fn connection_count(&self) -> usize {
+        self.stack
+            .inner
+            .lock()
+            .listeners
+            .get(&ep_key(self.local))
+            .map_or(0, |e| e.conns.len())
+    }
+}
+
+/// One body per behaviour of the core, instantiated for every protocol at
+/// the bottom: what is shared is tested once and run for both.
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    use super::*;
+    use crate::link::LinkConfig;
+    use crate::network::EPHEMERAL_SPAN;
+    use crate::testutil::{pattern_bytes, Recorder, SinkEvents};
+    use crate::trace::{PacketEvent, RingTracer};
+
+    /// Port the world's listener is bound to on `b`.
+    const LISTEN: u16 = 80;
+    /// A port on `b` nobody listens on.
+    const BLACK_HOLE: u16 = 81;
+
+    struct Accept(Arc<Recorder>);
+    impl StreamAccept for Accept {
+        fn on_accept(&self, _conn: &Connection) -> Arc<dyn StreamEvents> {
+            self.0.clone()
+        }
+    }
+
+    /// Two hosts on a clean link, a listener on `b`.
+    struct World<P: Protocol> {
+        sim: Sim,
+        net: Network,
+        a: NodeId,
+        b: NodeId,
+        tracer: Arc<RingTracer>,
+        server: Arc<Recorder>,
+        listener: Listener<P>,
+    }
+
+    impl<P: Protocol + Default> World<P> {
+        fn new() -> Self {
+            Self::with_delay(Duration::from_millis(5))
+        }
+
+        fn with_delay(one_way: Duration) -> Self {
+            let sim = Sim::new(31);
+            let net = Network::new(&sim);
+            let a = net.add_node("a");
+            let b = net.add_node("b");
+            net.connect_duplex(a, b, LinkConfig::new(10e6, one_way));
+            let tracer = RingTracer::new(4096);
+            net.set_tracer(tracer.clone());
+            let server = Arc::new(Recorder::default());
+            let listener =
+                Listener::bind(&net, b, LISTEN, P::default(), Arc::new(Accept(server.clone())))
+                    .expect("bind");
+            World { sim, net, a, b, tracer, server, listener }
+        }
+
+        fn dial(&self, port: u16, events: Arc<dyn StreamEvents>) -> Conn<P> {
+            Conn::connect(&self.net, self.a, Endpoint::new(self.b, port), P::default(), events)
+                .expect("dial")
+        }
+
+        /// What a no-op must leave unchanged: packets sent, timers waiting.
+        fn activity(&self) -> (u64, usize) {
+            let stack = self.net.flow_stack::<P>();
+            let tokens = stack.inner.lock().timers.pending_tokens();
+            (self.net.stats().sent, tokens)
+        }
+    }
+
+    /// An event handler that notes, when it is dropped, whether the stack
+    /// lock was free at that moment.
+    struct DropProbe<P: Protocol> {
+        stack: Arc<FlowStack<P>>,
+        dropped_unlocked: Arc<AtomicBool>,
+    }
+    impl<P: Protocol> StreamEvents for DropProbe<P> {}
+    impl<P: Protocol> Drop for DropProbe<P> {
+        fn drop(&mut self) {
+            let unlocked = self.stack.inner.try_lock().is_some();
+            self.dropped_unlocked.store(unlocked, Ordering::SeqCst);
+        }
+    }
+
+    fn last_handle_drop_kills_flow_in_place<P: Protocol + Default>(is_dead: fn(&P::Flow) -> bool) {
+        let w = World::<P>::new();
+        let stack = w.net.flow_stack::<P>();
+        let dropped_unlocked = Arc::new(AtomicBool::new(false));
+        let conn = w.dial(
+            LISTEN,
+            Arc::new(DropProbe { stack: stack.clone(), dropped_unlocked: dropped_unlocked.clone() }),
+        );
+        w.sim.run_for(Duration::from_secs(1));
+        assert!(format!("{conn:?}").contains("state: Some(Established)"), "{conn:?}");
+        let (h, key) = (conn.h, pair_key(conn.local, conn.peer));
+
+        let clone = conn.clone();
+        drop(conn);
+        {
+            let inner = stack.inner.lock();
+            let flow = inner.flows.get(h).expect("slot");
+            assert!(!is_dead(flow), "a clone keeps the flow alive");
+            assert!(inner.conn_index.contains_key(&key));
+        }
+
+        drop(clone);
+        let inner = stack.inner.lock();
+        let flow = inner.flows.get(h).expect("the slot is kept, never reused");
+        assert!(is_dead(flow), "closed, nothing armed, every buffer freed");
+        assert_eq!(P::hdr(flow).app_handles, 0);
+        assert!(P::hdr(flow).events.is_none());
+        assert!(!inner.conn_index.contains_key(&key));
+        assert!(
+            dropped_unlocked.load(Ordering::SeqCst),
+            "the handler is released, and outside the stack lock"
+        );
+    }
+
+    fn accepted_flow_outlives_its_callback_wrapper<P: Protocol + Default>() {
+        let w = World::<P>::new();
+        let conn = w.dial(LISTEN, Arc::new(SinkEvents));
+        w.sim.run_for(Duration::from_secs(1));
+        assert_eq!(w.listener.connection_count(), 1);
+        assert_eq!(w.server.connected(), 1);
+        {
+            // Every wrapper built for a server-side callback is gone by now.
+            let stack = w.net.flow_stack::<P>();
+            let inner = stack.inner.lock();
+            let h = inner.conn_index[&pair_key(conn.peer, conn.local)];
+            let hdr = P::hdr(inner.flows.get(h).expect("accepted flow"));
+            assert!(!hdr.app_owned);
+            assert!(hdr.events.is_some(), "still owned by its listener entry");
+        }
+        P::connection(conn.clone()).send(pattern_bytes(0, 5_000));
+        w.sim.run_for(Duration::from_secs(2));
+        assert_eq!(w.server.data_len(), 5_000);
+        assert!(w.server.in_order());
+    }
+
+    /// `stale` is a `(kind, aux)` the protocol armed and has since
+    /// superseded on a flow with data in flight.
+    fn dead_and_stale_timer_tokens_are_noops<P: Protocol + Default>(stale: (u64, u32)) {
+        let w = World::<P>::new();
+        let conn = w.dial(LISTEN, Arc::new(SinkEvents));
+        w.sim.run_for(Duration::from_secs(1));
+        P::connection(conn.clone()).send(pattern_bytes(0, 100));
+        let (stack, h) = (conn.stack.clone(), conn.h);
+
+        let before = w.activity();
+        stack.service_timer(token(stale.0, h, stale.1));
+        let unknown_slot = 9_999 << TOKEN_IDX_SHIFT;
+        stack.service_timer(unknown_slot);
+        assert_eq!(w.activity(), before, "superseded deadline, unknown slot");
+
+        drop(conn);
+        let before = w.activity();
+        for kind in 0..KIND_WHEEL {
+            stack.service_timer(token(kind, h, 0));
+            stack.service_timer(token(kind, h, u32::MAX));
+        }
+        assert_eq!(w.activity(), before, "every timer of a killed flow");
+    }
+
+    fn same_tick_timers_share_one_engine_event_and_fire_in_arming_order<P: Protocol + Default>() {
+        let w = World::<P>::new();
+        let stack = w.net.flow_stack::<P>();
+        // Two dials at the same instant: every timer of the second lands on
+        // a tick the first already opened.
+        let e0 = w.sim.events_pending();
+        let first = w.dial(BLACK_HOLE, Arc::new(SinkEvents));
+        let e1 = w.sim.events_pending();
+        let (ticks, tokens) = {
+            let inner = stack.inner.lock();
+            (inner.timers.pending_ticks(), inner.timers.pending_tokens())
+        };
+        assert!(ticks > 0);
+        let second = w.dial(BLACK_HOLE, Arc::new(SinkEvents));
+        let e2 = w.sim.events_pending();
+        {
+            let inner = stack.inner.lock();
+            assert_eq!(inner.timers.pending_ticks(), ticks);
+            assert_eq!(inner.timers.pending_tokens(), 2 * tokens);
+        }
+        assert_eq!(
+            (e1 - e0) - (e2 - e1),
+            ticks,
+            "the second dial's timers ride the first's engine events"
+        );
+
+        // Nothing answers, so what follows the opening packets are timer
+        // firings: at every shared tick the first dial's retry goes first.
+        w.sim.run_for(Duration::from_secs(2));
+        let mut retries: Vec<(SimTime, Vec<u16>)> = Vec::new();
+        for r in w.tracer.records() {
+            if r.event != PacketEvent::Sent || r.time == SimTime::ZERO {
+                continue;
+            }
+            match retries.last_mut() {
+                Some((at, ports)) if *at == r.time => ports.push(r.src.port),
+                _ => retries.push((r.time, vec![r.src.port])),
+            }
+        }
+        assert!(!retries.is_empty(), "no retry within 2 s");
+        for (at, ports) in retries {
+            assert_eq!(ports, [first.local.port, second.local.port], "at {at:?}");
+        }
+    }
+
+    fn stray_packet_for_unknown_pair_is_ignored<P: Protocol + Default>(stray: P::Wire) {
+        let w = World::<P>::new();
+        assert!(!P::opens(&stray));
+        let stack = w.net.flow_stack::<P>();
+        let before = w.activity();
+        stack.dispatch(Endpoint::new(w.a, 50_000), w.listener.local(), stray);
+        assert_eq!(w.activity(), before);
+        assert_eq!(w.listener.connection_count(), 0);
+        assert!(stack.inner.lock().flows.is_empty());
+    }
+
+    fn killed_flows_give_their_ports_back_and_redials_work<P: Protocol + Default>() {
+        let w = World::<P>::new();
+        let first = w.dial(LISTEN, Arc::new(SinkEvents));
+        w.sim.run_for(Duration::from_secs(1));
+        P::connection(first.clone()).send(pattern_bytes(0, 1_000));
+        w.sim.run_for(Duration::from_secs(1));
+        let port = first.local.port;
+        drop(first);
+        // Twice round the ephemeral range, one dial at a time, so that the
+        // next port handed out is the first dial's again.
+        for i in 1..2 * EPHEMERAL_SPAN {
+            let conn = Conn::<P>::connect(
+                &w.net,
+                w.a,
+                Endpoint::new(w.b, BLACK_HOLE),
+                P::default(),
+                Arc::new(SinkEvents),
+            );
+            assert!(conn.is_ok(), "dial {i}: {conn:?}");
+            if i % 1_000 == 0 {
+                w.sim.run_for(Duration::from_millis(50));
+            }
+        }
+        // The listener still holds the flow it accepted from that port; the
+        // new dial must reach a fresh accept, and the old flow's owner hear
+        // of the reset.
+        assert_eq!((w.server.connected(), w.server.closed()), (1, 0));
+        let client = Arc::new(Recorder::default());
+        let again = w.dial(LISTEN, client.clone());
+        assert_eq!(again.local.port, port);
+        w.sim.run_for(Duration::from_secs(1));
+        assert_eq!(client.connected(), 1, "{again:?}");
+        assert_eq!(w.server.connected(), 2);
+        assert_eq!(w.server.close_reasons(), [CloseReason::Reset]);
+        assert_eq!(w.listener.connection_count(), 1, "the old flow is forgotten");
+        P::connection(again.clone()).send(pattern_bytes(1_000, 5_000));
+        w.sim.run_for(Duration::from_secs(2));
+        assert_eq!(w.server.data_len(), 6_000);
+        assert!(w.server.in_order());
+        assert_eq!(w.server.closed(), 1);
+    }
+
+    fn repeated_open_of_one_dial_keeps_its_accepted_flow<P: Protocol + Default>() {
+        // The answer takes longer than any open retry interval, so repeats
+        // of the open reach a flow that already accepted it.
+        let w = World::<P>::with_delay(Duration::from_millis(600));
+        let client = Arc::new(Recorder::default());
+        let conn = w.dial(LISTEN, client.clone());
+        w.sim.run_for(Duration::from_secs(5));
+        assert!(w.net.stats().sent > 3, "no open was repeated");
+        assert_eq!((client.connected(), w.server.connected()), (1, 1));
+        assert_eq!((w.server.closed(), w.listener.connection_count()), (0, 1));
+        P::connection(conn.clone()).send(pattern_bytes(0, 5_000));
+        w.sim.run_for(Duration::from_secs(5));
+        assert_eq!(w.server.data_len(), 5_000);
+        assert!(w.server.in_order());
+    }
+
+    fn only_a_kill_unbinds_and_only_the_dialled_port<P: Protocol + Default>() {
+        let w = World::<P>::new();
+        let bound = |node, port| {
+            let taken = w.net.bind(node, P::WIRE, port, w.net.flow_stack::<P>()).is_err();
+            if !taken {
+                w.net.unbind(node, P::WIRE, port);
+            }
+            taken
+        };
+        let client = Arc::new(Recorder::default());
+        let conn = w.dial(LISTEN, client.clone());
+        w.sim.run_for(Duration::from_secs(1));
+        let port = conn.local.port;
+        P::connection(conn.clone()).close();
+        w.sim.run_for(Duration::from_secs(5));
+        assert_eq!(client.closed(), 1);
+        assert!(bound(w.a, port), "an orderly close keeps the port");
+        drop(conn);
+        assert!(!bound(w.a, port), "the kill releases it");
+        assert!(bound(w.b, LISTEN), "the accepted flow's port is its listener's");
+        let _again = w.dial(LISTEN, Arc::new(SinkEvents));
+        w.sim.run_for(Duration::from_secs(1));
+        assert_eq!(w.listener.connection_count(), 2);
+    }
+
+    macro_rules! protocol_suite {
+        ($name:ident, $proto:ty, is_dead: $is_dead:expr, stale: $stale:expr, stray: $stray:expr) => {
+            mod $name {
+                #[test]
+                fn last_handle_drop_kills_flow_in_place() {
+                    super::last_handle_drop_kills_flow_in_place::<$proto>($is_dead);
+                }
+                #[test]
+                fn accepted_flow_outlives_its_callback_wrapper() {
+                    super::accepted_flow_outlives_its_callback_wrapper::<$proto>();
+                }
+                #[test]
+                fn dead_and_stale_timer_tokens_are_noops() {
+                    super::dead_and_stale_timer_tokens_are_noops::<$proto>($stale);
+                }
+                #[test]
+                fn same_tick_timers_share_one_engine_event_and_fire_in_arming_order() {
+                    super::same_tick_timers_share_one_engine_event_and_fire_in_arming_order::<$proto>();
+                }
+                #[test]
+                fn stray_packet_for_unknown_pair_is_ignored() {
+                    super::stray_packet_for_unknown_pair_is_ignored::<$proto>($stray);
+                }
+                #[test]
+                fn killed_flows_give_their_ports_back_and_redials_work() {
+                    super::killed_flows_give_their_ports_back_and_redials_work::<$proto>();
+                }
+                #[test]
+                fn repeated_open_of_one_dial_keeps_its_accepted_flow() {
+                    super::repeated_open_of_one_dial_keeps_its_accepted_flow::<$proto>();
+                }
+                #[test]
+                fn only_a_kill_unbinds_and_only_the_dialled_port() {
+                    super::only_a_kill_unbinds_and_only_the_dialled_port::<$proto>();
+                }
+            }
+        };
+    }
+
+    protocol_suite!(
+        tcp,
+        crate::tcp::TcpConfig,
+        is_dead: crate::tcp::Flow::is_dead,
+        stale: crate::tcp::STALE_TIMER,
+        stray: crate::tcp::stray_segment()
+    );
+    protocol_suite!(
+        udt,
+        crate::udt::UdtConfig,
+        is_dead: crate::udt::Flow::is_dead,
+        stale: crate::udt::STALE_TIMER,
+        stray: crate::udt::UdtPacket::FinAck
+    );
+}

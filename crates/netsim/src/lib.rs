@@ -38,6 +38,7 @@
 pub mod cc;
 pub mod engine;
 pub mod faults;
+pub(crate) mod flowstack;
 pub mod iface;
 pub mod link;
 pub mod memscope;

@@ -27,6 +27,7 @@ use kmsg_telemetry::{EventKind, SpanId, SpanKind};
 use parking_lot::Mutex;
 
 use crate::engine::Sim;
+use crate::flowstack::{FlowStack, Protocol};
 use crate::link::{DropReason, Link, LinkConfig, LinkId, Verdict};
 use crate::memscope;
 use crate::packet::{Endpoint, NodeId, Packet, WireProtocol};
@@ -92,7 +93,7 @@ fn flight_key(src: Endpoint, dst: Endpoint) -> u64 {
 /// First ephemeral port (IANA dynamic range).
 const EPHEMERAL_LO: u16 = 49152;
 /// Number of ports in the ephemeral range (49152..=65535).
-const EPHEMERAL_SPAN: u32 = (u16::MAX - EPHEMERAL_LO) as u32 + 1;
+pub(crate) const EPHEMERAL_SPAN: u32 = (u16::MAX - EPHEMERAL_LO) as u32 + 1;
 
 /// Receives packets addressed to a bound `(node, protocol, port)`.
 pub trait PacketSink: Send + Sync {
@@ -139,11 +140,16 @@ struct NetInner {
     tracer: Option<Arc<dyn PacketTracer>>,
     /// Delay applied to node-local (same-node) deliveries with no route.
     local_delay: std::time::Duration,
-    /// Per-network TCP flow table, created lazily on first TCP use. Holds a
-    /// [`WeakNetwork`] back-reference, so this is not a cycle.
-    tcp_stack: Option<Arc<crate::tcp::TcpStack>>,
-    /// Per-network UDT flow table (same ownership shape as `tcp_stack`).
-    udt_stack: Option<Arc<crate::udt::UdtStack>>,
+    stacks: Stacks,
+}
+
+/// Per-network flow tables of the stream transports, each created lazily on
+/// first use of its protocol. A stack holds a [`WeakNetwork`]
+/// back-reference, so this is not a cycle.
+#[derive(Default)]
+pub(crate) struct Stacks {
+    pub(crate) tcp: Option<Arc<FlowStack<crate::tcp::TcpConfig>>>,
+    pub(crate) udt: Option<Arc<FlowStack<crate::udt::UdtConfig>>>,
 }
 
 impl NetInner {
@@ -236,8 +242,7 @@ impl Network {
                 stats: NetworkStats::default(),
                 tracer: None,
                 local_delay: std::time::Duration::from_micros(5),
-                tcp_stack: None,
-                udt_stack: None,
+                stacks: Stacks::default(),
             })),
             has_tracer: Arc::new(AtomicBool::new(false)),
         }
@@ -259,26 +264,11 @@ impl Network {
         }
     }
 
-    /// The per-network TCP flow table, created on first use.
-    pub(crate) fn tcp_stack(&self) -> Arc<crate::tcp::TcpStack> {
-        let mut inner = self.inner.lock();
-        if let Some(stack) = &inner.tcp_stack {
-            return stack.clone();
-        }
-        let stack = crate::tcp::TcpStack::new(self.sim.clone(), self.downgrade());
-        inner.tcp_stack = Some(stack.clone());
-        stack
-    }
-
-    /// The per-network UDT flow table, created on first use.
-    pub(crate) fn udt_stack(&self) -> Arc<crate::udt::UdtStack> {
-        let mut inner = self.inner.lock();
-        if let Some(stack) = &inner.udt_stack {
-            return stack.clone();
-        }
-        let stack = crate::udt::UdtStack::new(self.sim.clone(), self.downgrade());
-        inner.udt_stack = Some(stack.clone());
-        stack
+    /// The per-network flow table of protocol `P`, created on first use.
+    pub(crate) fn flow_stack<P: Protocol>(&self) -> Arc<FlowStack<P>> {
+        P::slot(&mut self.inner.lock().stacks)
+            .get_or_insert_with(|| FlowStack::new(self.sim.clone(), self.downgrade()))
+            .clone()
     }
 
     /// Adds a named host.

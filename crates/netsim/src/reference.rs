@@ -10,8 +10,8 @@
 //! * the property tests in `crates/netsim/tests/engine_determinism.rs` run
 //!   randomized schedules through both engines and require identical
 //!   execution traces;
-//! * the `engine` criterion benchmark in `crates/bench` measures the wheel
-//!   engine's speedup against this implementation.
+//! * `timing_probe` in `crates/bench` measures the wheel engine's speedup
+//!   against this implementation (`BENCH_engine.json`).
 //!
 //! It intentionally has no RNG plumbing — only the scheduling surface the
 //! comparison needs.

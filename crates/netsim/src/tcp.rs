@@ -19,31 +19,26 @@
 //!
 //! # Flow storage
 //!
-//! All per-connection state lives in one [`Slab`] inside the per-network
-//! [`TcpStack`]; applications, packet demux, and timers address flows by
-//! 8-byte generation-checked [`Handle`]s instead of `Arc`s. Timer events
-//! carry a packed `kind | slot | generation` token and fire on the stack
-//! itself through [`EventTarget`], so neither path allocates or touches a
-//! reference count. See `DESIGN.md` §12 for the rationale.
+//! Slab, demux, listeners, timer wheel and handle lifetime are the shared
+//! [`crate::flowstack`] core; this file is what is actually TCP: config,
+//! segment format, the [`Flow`] state machine and its three timers.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use kmsg_telemetry::{EventKind, Recorder, SpanKind};
-use parking_lot::Mutex;
 
 use crate::cc::{self, CcConfig, CcCtx, CongestionController};
-use crate::engine::{EventTarget, Sim};
-use crate::iface::{CloseReason, Connection, ConnectionId, StreamAccept, StreamEvents};
+use crate::flowstack::{self, release_drained, Conn, FlowHeader, FlowStack, Listener, Protocol};
+use crate::iface::{CloseReason, Connection};
 use crate::memscope;
-use crate::network::{BindError, Network, PacketSink, WeakNetwork};
-use crate::packet::{Endpoint, NodeId, Packet, PacketBody, WireProtocol};
-use crate::slab::{FxHashMap, Handle, Slab};
+use crate::network::Stacks;
+use crate::packet::{PacketBody, WireProtocol};
+use crate::slab::Handle;
 use crate::time::SimTime;
-use crate::timerwheel::StackTimerWheel;
 
 /// TCP tuning parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -228,58 +223,15 @@ fn close_all_seg_spans(flow: &mut Flow, rec: &Recorder, now: SimTime) {
     }
 }
 
-/// Packs an endpoint into a dense map key: node index in the high bits,
-/// port in the low 16.
-fn ep_key(e: Endpoint) -> u64 {
-    (u64::from(e.node.index()) << 16) | u64::from(e.port)
-}
-
-/// Demux key for an established flow: (local, peer) endpoint pair.
-fn pair_key(local: Endpoint, peer: Endpoint) -> u128 {
-    (u128::from(ep_key(local)) << 64) | u128::from(ep_key(peer))
-}
-
-/// Releases a drained queue's retained ring storage so a long-lived idle
-/// flow doesn't pin its peak-burst capacity; small rings are kept to avoid
-/// realloc thrash on steady-state flows.
-fn release_drained<T>(q: &mut VecDeque<T>) {
-    if q.is_empty() && q.capacity() >= 32 {
-        *q = VecDeque::new();
-    }
-}
-
-/// Timer-token layout: `kind(3) | slot-index(29) | aux(32)`. The aux word
-/// carries the slab generation so a token can never resurrect a reused slot.
-///
-/// Per-flow tokens (`KIND_RTO`/`KIND_DELACK`/`KIND_PACER`) no longer reach
-/// the engine directly: they wait in the stack's [`StackTimerWheel`] and
-/// the only engine-facing events are `KIND_WHEEL` ticks, whose low 61 bits
-/// carry the tick's nanosecond timestamp instead of a slot/generation pair.
-const TOKEN_KIND_SHIFT: u32 = 61;
-const TOKEN_IDX_SHIFT: u32 = 32;
-const TOKEN_IDX_MASK: u64 = (1 << 29) - 1;
+/// Per-flow timer kinds (see the token layout in [`crate::flowstack`]).
 const KIND_RTO: u64 = 0;
 const KIND_DELACK: u64 = 1;
 const KIND_PACER: u64 = 2;
-/// A coalesced wheel tick servicing every flow timer due at that instant.
-const KIND_WHEEL: u64 = 3;
-/// Mask for the tick timestamp carried by a `KIND_WHEEL` token (61 bits of
-/// nanoseconds ≈ 73 simulated years).
-const WHEEL_TICK_MASK: u64 = (1 << TOKEN_KIND_SHIFT) - 1;
-
-fn token(kind: u64, h: Handle<Flow>) -> u64 {
-    (kind << TOKEN_KIND_SHIFT)
-        | ((h.index() as u64 & TOKEN_IDX_MASK) << TOKEN_IDX_SHIFT)
-        | u64::from(h.generation())
-}
 
 /// Full per-flow TCP state: one slab slot, no interior `Arc`s.
-struct Flow {
-    /// Index into the stack's interned [`TcpConfig`] table.
-    cfg_id: u16,
+pub(crate) struct Flow {
+    hdr: FlowHeader,
     state: State,
-    local: Endpoint,
-    peer: Endpoint,
 
     // --- send side ---
     snd_una: u64,
@@ -334,37 +286,16 @@ struct Flow {
     // --- notifications ---
     app_blocked: bool,
     connected_notified: bool,
-    closed_notified: bool,
 
     stats: TcpConnStats,
-
-    /// Raw [`ConnectionId`] used to tag flight-recorder events.
-    conn_id: u64,
-    /// The application's event handler (absent until `on_accept` returns).
-    events: Option<Arc<dyn StreamEvents>>,
-    /// Connect-created flows die in place when the application drops its
-    /// last [`TcpConn`]; accepted flows are owned by their listener entry.
-    app_owned: bool,
-    /// Live [`TcpConn`] wrappers referring to this slot.
-    app_handles: u32,
 }
 
 impl Flow {
-    fn new(
-        cfg_id: u16,
-        cfg: &TcpConfig,
-        state: State,
-        local: Endpoint,
-        peer: Endpoint,
-        conn_id: u64,
-        app_owned: bool,
-    ) -> Flow {
+    fn new(hdr: FlowHeader, cfg: &TcpConfig, state: State) -> Flow {
         let cwnd = (cfg.initial_cwnd * cfg.mss) as f64;
         Flow {
-            cfg_id,
+            hdr,
             state,
-            local,
-            peer,
             snd_una: 0,
             snd_nxt: 0,
             send_q: VecDeque::new(),
@@ -402,12 +333,7 @@ impl Flow {
             fin_received: false,
             app_blocked: false,
             connected_notified: false,
-            closed_notified: false,
             stats: TcpConnStats::default(),
-            conn_id,
-            events: None,
-            app_owned,
-            app_handles: 1,
         }
     }
 
@@ -424,246 +350,16 @@ fn my_wnd(flow: &Flow, cfg: &TcpConfig) -> u64 {
     (cfg.recv_buf.saturating_sub(flow.ooo_bytes)) as u64
 }
 
-enum Action {
-    Send(TcpSegment),
-    Deliver(Bytes),
-    Connected,
-    Writable,
-    Closed(CloseReason),
-    ArmRto(Duration),
-    ArmDelack(Duration),
-    ArmPacer(Duration),
+type Action = flowstack::Action<TcpSegment>;
+
+fn arm(kind: u64, delay: Duration) -> Action {
+    Action::Arm { kind, delay, aux: 0 }
 }
 
-/// A port with a registered [`StreamAccept`] handler plus the flows it has
-/// accepted (kept for the life of the stack, mirroring the previous
-/// listener-owned connection table).
-struct ListenerEntry {
-    cfg_id: u16,
-    handler: Arc<dyn StreamAccept>,
-    /// Accepted flows keyed by peer endpoint.
-    conns: FxHashMap<u64, Handle<Flow>>,
-}
-
-/// Dense state tables behind the stack mutex.
-struct StackInner {
-    flows: Slab<Flow>,
-    /// Interned configs: flows store a `u16` id instead of a 96-byte copy.
-    configs: Vec<TcpConfig>,
-    /// `(local, peer)` pair → flow, for per-packet demux.
-    conn_index: FxHashMap<u128, Handle<Flow>>,
-    /// Listening ports keyed by [`ep_key`].
-    listeners: FxHashMap<u64, ListenerEntry>,
-    /// Coalesced flow timers: one engine event per distinct deadline tick,
-    /// serving every RTO/delack/pacer token due at that instant.
-    timers: StackTimerWheel,
-}
-
-/// Per-network TCP state: every flow on the network lives in this one slab.
-///
-/// The stack is the [`PacketSink`] for every TCP port and the
-/// [`EventTarget`] for every TCP timer, so packets and timer events address
-/// flows through 8-byte handles/tokens — no per-flow `Arc`, no per-event
-/// allocation. Created lazily by [`Network::tcp_stack`]; the back-reference
-/// to the fabric is weak to avoid a retain cycle through the sink table.
-pub(crate) struct TcpStack {
-    sim: Sim,
-    rec: Recorder,
-    net: WeakNetwork,
-    self_weak: Weak<TcpStack>,
-    inner: Mutex<StackInner>,
-}
+/// Every TCP flow on a network (see [`FlowStack`]).
+type TcpStack = FlowStack<TcpConfig>;
 
 impl TcpStack {
-    pub(crate) fn new(sim: Sim, net: WeakNetwork) -> Arc<TcpStack> {
-        let rec = sim.recorder().clone();
-        Arc::new_cyclic(|weak| TcpStack {
-            sim,
-            rec,
-            net,
-            self_weak: weak.clone(),
-            inner: Mutex::new(StackInner {
-                flows: Slab::new(),
-                configs: Vec::new(),
-                conn_index: FxHashMap::default(),
-                listeners: FxHashMap::default(),
-                timers: StackTimerWheel::new(),
-            }),
-        })
-    }
-
-    /// Registers a per-flow timer token on the stack wheel. Only the first
-    /// token for a tick schedules an engine event — the wheel batches every
-    /// same-tick deadline into that one dispatch.
-    fn arm_timer(self: &Arc<Self>, delay: Duration, tok: u64) {
-        let at = self.sim.now() + delay;
-        debug_assert_eq!(at.as_nanos() >> TOKEN_KIND_SHIFT, 0, "sim time overflows wheel token");
-        let fresh = self.inner.lock().timers.register(at, tok);
-        if fresh {
-            self.sim.schedule_target_at(
-                at,
-                self.clone(),
-                (KIND_WHEEL << TOKEN_KIND_SHIFT) | (at.as_nanos() & WHEEL_TICK_MASK),
-            );
-        }
-    }
-
-    /// Interns `cfg`, returning its table id (worlds use a handful of
-    /// distinct configs across thousands of flows).
-    fn intern(configs: &mut Vec<TcpConfig>, cfg: TcpConfig) -> u16 {
-        if let Some(i) = configs.iter().position(|c| *c == cfg) {
-            return i as u16;
-        }
-        let id = u16::try_from(configs.len()).expect("too many distinct TcpConfigs");
-        configs.push(cfg);
-        id
-    }
-
-    /// Bumps the app-handle count for `h` (wrapper clone/construction).
-    fn retain_handle(&self, h: Handle<Flow>) {
-        let mut inner = self.inner.lock();
-        if let Some(flow) = inner.flows.get_mut(h) {
-            flow.app_handles += 1;
-        }
-    }
-
-    /// Drops one app handle; the last handle of a connect-created flow kills
-    /// it in place (the slot is never reused, so outstanding timer tokens
-    /// and stray packets resolve to a dead `Closed` flow and no-op — this
-    /// mirrors the silent death of dropped client connections in the old
-    /// `Arc`-per-connection representation).
-    fn release_handle(&self, h: Handle<Flow>) {
-        // The handler Arc is dropped outside the lock: its destructor may
-        // release other connection handles and re-enter this mutex.
-        let _events = {
-            let mut inner = self.inner.lock();
-            let Some(flow) = inner.flows.get_mut(h) else {
-                return;
-            };
-            flow.app_handles = flow.app_handles.saturating_sub(1);
-            if flow.app_handles > 0 || !flow.app_owned {
-                return;
-            }
-            flow.state = State::Closed;
-            flow.rto_armed = false;
-            flow.pacer_armed = false;
-            flow.delack_pending = 0;
-            // Fresh containers rather than clear(): a killed flow's slot
-            // lingers in the slab, and VecDeque::clear keeps its ring
-            // buffer allocated (the B-tree containers free on clear).
-            flow.send_q = VecDeque::new();
-            flow.send_q_bytes = 0;
-            close_all_seg_spans(flow, &self.rec, self.sim.now());
-            flow.sent.clear();
-            flow.lost.clear();
-            flow.ooo.clear();
-            flow.ooo_bytes = 0;
-            let key = pair_key(flow.local, flow.peer);
-            let events = flow.events.take();
-            inner.conn_index.remove(&key);
-            events
-        };
-    }
-
-    /// Builds an application-facing wrapper for `h`, bumping the handle
-    /// count. Must not be called with the stack lock held.
-    fn make_conn(self: &Arc<Self>, h: Handle<Flow>, id: u64, local: Endpoint, peer: Endpoint) -> TcpConn {
-        self.retain_handle(h);
-        TcpConn {
-            stack: self.clone(),
-            h,
-            id: ConnectionId::from_raw(id),
-            local,
-            peer,
-        }
-    }
-
-    /// Runs `f` on the flow under the stack lock, then performs the
-    /// produced actions without holding it.
-    fn process<F>(self: &Arc<Self>, h: Handle<Flow>, f: F)
-    where
-        F: FnOnce(&mut Flow, &TcpConfig, &Recorder, SimTime, &mut Vec<Action>),
-    {
-        let _scope = memscope::enter(memscope::SCOPE_TCP);
-        let now = self.sim.now();
-        let mut actions = Vec::new();
-        let (local, peer, id, events) = {
-            let mut guard = self.inner.lock();
-            let inner = &mut *guard;
-            let Some(flow) = inner.flows.get_mut(h) else {
-                return;
-            };
-            let cfg = &inner.configs[flow.cfg_id as usize];
-            f(flow, cfg, &self.rec, now, &mut actions);
-            // Only clone the handler out when an action will actually
-            // notify the application.
-            let needs_events = actions.iter().any(|a| {
-                matches!(
-                    a,
-                    Action::Deliver(_) | Action::Connected | Action::Writable | Action::Closed(_)
-                )
-            });
-            (
-                flow.local,
-                flow.peer,
-                flow.conn_id,
-                if needs_events { flow.events.clone() } else { None },
-            )
-        };
-        if actions.is_empty() {
-            return;
-        }
-        // The wrapper exists only for callback scope; it is built and
-        // dropped outside the lock (its Drop re-enters the stack).
-        let conn = events
-            .as_ref()
-            .map(|_| Connection::Tcp(self.make_conn(h, id, local, peer)));
-        let mut net = None;
-        for action in actions {
-            match action {
-                Action::Send(seg) => {
-                    if net.is_none() {
-                        net = self.net.upgrade();
-                    }
-                    if let Some(net) = &net {
-                        let payload_len = seg.payload.len();
-                        let pkt = Packet::new(
-                            local,
-                            peer,
-                            WireProtocol::Tcp,
-                            payload_len,
-                            PacketBody::Tcp(seg),
-                        );
-                        net.send_packet(pkt);
-                    }
-                }
-                Action::Deliver(data) => {
-                    if let (Some(ev), Some(conn)) = (&events, &conn) {
-                        ev.on_data(conn, data);
-                    }
-                }
-                Action::Connected => {
-                    if let (Some(ev), Some(conn)) = (&events, &conn) {
-                        ev.on_connected(conn);
-                    }
-                }
-                Action::Writable => {
-                    if let (Some(ev), Some(conn)) = (&events, &conn) {
-                        ev.on_writable(conn);
-                    }
-                }
-                Action::Closed(reason) => {
-                    if let (Some(ev), Some(conn)) = (&events, &conn) {
-                        ev.on_closed(conn, reason);
-                    }
-                }
-                Action::ArmRto(delay) => self.arm_timer(delay, token(KIND_RTO, h)),
-                Action::ArmDelack(delay) => self.arm_timer(delay, token(KIND_DELACK, h)),
-                Action::ArmPacer(delay) => self.arm_timer(delay, token(KIND_PACER, h)),
-            }
-        }
-    }
-
     fn on_rto_fired(self: &Arc<Self>, h: Handle<Flow>) {
         self.process(h, |flow, cfg, rec, now, out| {
             // Deadline check replaces the old generation counter: every
@@ -682,8 +378,8 @@ impl TcpStack {
                 if flow.syn_retries_left == 0 {
                     flow.state = State::Closed;
                     close_all_seg_spans(flow, rec, now);
-                    if !flow.closed_notified {
-                        flow.closed_notified = true;
+                    if !flow.hdr.closed_notified {
+                        flow.hdr.closed_notified = true;
                         out.push(Action::Closed(CloseReason::Timeout));
                     }
                     return;
@@ -693,8 +389,8 @@ impl TcpStack {
                 // The peer is unreachable; give up like a real stack would.
                 flow.state = State::Closed;
                 close_all_seg_spans(flow, rec, now);
-                if !flow.closed_notified {
-                    flow.closed_notified = true;
+                if !flow.hdr.closed_notified {
+                    flow.hdr.closed_notified = true;
                     out.push(Action::Closed(CloseReason::Timeout));
                 }
                 return;
@@ -707,7 +403,7 @@ impl TcpStack {
             rec.record(
                 now.as_nanos(),
                 EventKind::TcpRto {
-                    conn: flow.conn_id,
+                    conn: flow.hdr.conn_id,
                     rto_us: flow.rto.as_micros() as u64,
                     consecutive: u64::from(flow.consecutive_timeouts),
                 },
@@ -802,53 +498,77 @@ impl TcpStack {
             }
         });
     }
+}
 
-    /// Demuxes an incoming segment: established flows by endpoint pair,
-    /// otherwise a listener performs a passive open.
-    fn dispatch(self: &Arc<Self>, src: Endpoint, dst: Endpoint, seg: TcpSegment) {
-        let _scope = memscope::enter(memscope::SCOPE_TCP);
-        let known = self.inner.lock().conn_index.get(&pair_key(dst, src)).copied();
-        if let Some(h) = known {
-            self.handle_segment(h, seg);
-            return;
+/// What is TCP about a [`FlowStack`]; the config type names the protocol.
+impl Protocol for TcpConfig {
+    type Flow = Flow;
+    type Wire = TcpSegment;
+
+    const WIRE: WireProtocol = WireProtocol::Tcp;
+    const SCOPE: usize = memscope::SCOPE_TCP;
+    const CONN_NAME: &'static str = "TcpConn";
+    const LISTENER_NAME: &'static str = "TcpListener";
+
+    fn slot(stacks: &mut Stacks) -> &mut Option<Arc<TcpStack>> {
+        &mut stacks.tcp
+    }
+
+    fn new_flow(hdr: FlowHeader, cfg: &TcpConfig, _now: SimTime, active: bool) -> Flow {
+        Flow::new(hdr, cfg, if active { State::SynSent } else { State::SynRcvd })
+    }
+
+    fn hdr(flow: &Flow) -> &FlowHeader {
+        &flow.hdr
+    }
+
+    fn hdr_mut(flow: &mut Flow) -> &mut FlowHeader {
+        &mut flow.hdr
+    }
+
+    fn connection(conn: TcpConn) -> Connection {
+        Connection::Tcp(conn)
+    }
+
+    fn into_body(seg: TcpSegment) -> (usize, PacketBody) {
+        (seg.payload.len(), PacketBody::Tcp(seg))
+    }
+
+    fn from_body(body: PacketBody) -> Option<TcpSegment> {
+        match body {
+            PacketBody::Tcp(seg) => Some(seg),
+            _ => None,
         }
-        if !seg.flags.syn || seg.flags.ack {
-            return; // stray non-SYN for an unknown connection
-        }
-        // Passive open. The flow is fully registered (slab + demux index +
-        // listener table) before `on_accept` runs, but no packet or timer
-        // can observe it until the SYN-ACK below is processed.
-        let accepted = {
-            let mut guard = self.inner.lock();
-            let inner = &mut *guard;
-            let Some(entry) = inner.listeners.get(&ep_key(dst)) else {
-                return;
+    }
+
+    fn opens(seg: &TcpSegment) -> bool {
+        seg.flags.syn && !seg.flags.ack
+    }
+
+    /// Sends the SYN.
+    fn start_active(stack: &Arc<TcpStack>, h: Handle<Flow>) {
+        stack.process(h, |flow, cfg, _rec, now, out| {
+            let seg = TcpSegment {
+                seq: 0,
+                ack: 0,
+                flags: SegFlags {
+                    syn: true,
+                    ack: false,
+                    fin: false,
+                },
+                wnd: my_wnd(flow, cfg),
+                ts: now,
+                ts_echo: None,
+                holes: Vec::new(),
+                payload: Bytes::new(),
             };
-            let handler = entry.handler.clone();
-            let cfg_id = entry.cfg_id;
-            let id = ConnectionId::fresh(&self.sim);
-            let cfg = &inner.configs[cfg_id as usize];
-            let flow = Flow::new(cfg_id, cfg, State::SynRcvd, dst, src, id.raw(), false);
-            let h = inner.flows.insert(flow);
-            inner.conn_index.insert(pair_key(dst, src), h);
-            inner
-                .listeners
-                .get_mut(&ep_key(dst))
-                .expect("listener entry just looked up")
-                .conns
-                .insert(ep_key(src), h);
-            (handler, h, id)
-        };
-        let (handler, h, id) = accepted;
-        let conn = Connection::Tcp(self.make_conn(h, id.raw(), dst, src));
-        let events = handler.on_accept(&conn);
-        {
-            let mut inner = self.inner.lock();
-            if let Some(flow) = inner.flows.get_mut(h) {
-                flow.events = Some(events);
-            }
-        }
-        self.process(h, move |flow, cfg, _rec, now, out| {
+            queue_syn(flow, seg, now, out);
+        });
+    }
+
+    /// Answers the SYN with a SYN-ACK.
+    fn start_passive(stack: &Arc<TcpStack>, h: Handle<Flow>, seg: TcpSegment) {
+        stack.process(h, move |flow, cfg, _rec, now, out| {
             flow.rcv_nxt = seg.seq + 1;
             flow.ts_recent = Some(seg.ts);
             flow.peer_wnd = seg.wnd;
@@ -866,75 +586,62 @@ impl TcpStack {
                 holes: Vec::new(),
                 payload: Bytes::new(),
             };
-            flow.sent.insert(
-                0,
-                SentSeg {
-                    payload: Bytes::new(),
-                    syn: true,
-                    fin: false,
-                    retransmitted: false,
-                    last_rexmit: None,
-                    span: 0,
-                },
-            );
-            flow.snd_nxt = 1;
-            out.push(Action::Send(synack));
-            arm_rto(flow, now, out);
+            queue_syn(flow, synack, now, out);
         });
     }
-}
 
-impl PacketSink for TcpStack {
-    fn on_packet(&self, _net: &Network, pkt: Packet) {
-        let Some(stack) = self.self_weak.upgrade() else {
-            return;
-        };
-        let PacketBody::Tcp(seg) = pkt.body else {
-            return;
-        };
-        stack.dispatch(pkt.src, pkt.dst, seg);
+    fn on_wire(stack: &Arc<TcpStack>, h: Handle<Flow>, seg: TcpSegment) {
+        stack.handle_segment(h, seg);
     }
-}
 
-impl EventTarget for TcpStack {
-    fn fire(self: Arc<Self>, _sim: &Sim, token: u64) {
-        let _scope = memscope::enter(memscope::SCOPE_TCP);
-        if token >> TOKEN_KIND_SHIFT == KIND_WHEEL {
-            // A coalesced tick: drain the whole bucket and service every
-            // registered flow timer in arming order. Stale tokens (re-armed
-            // or dead flows) no-op in `service_timer`.
-            let tick = SimTime::from_nanos(token & WHEEL_TICK_MASK);
-            let Some(batch) = self.inner.lock().timers.take(tick) else {
-                return;
-            };
-            for &tok in &batch {
-                self.service_timer(tok);
-            }
-            self.inner.lock().timers.recycle(batch);
-        } else {
-            self.service_timer(token);
-        }
-    }
-}
-
-impl TcpStack {
-    /// Services one per-flow timer token (see the token layout above).
-    fn service_timer(self: &Arc<Self>, token: u64) {
-        let kind = token >> TOKEN_KIND_SHIFT;
-        let idx = ((token >> TOKEN_IDX_SHIFT) & TOKEN_IDX_MASK) as u32;
-        let gen = token as u32;
-        let h = self.inner.lock().flows.handle_at(idx);
-        let Some(h) = h else { return };
-        if h.generation() != gen {
-            return;
-        }
+    fn on_timer(stack: &Arc<TcpStack>, h: Handle<Flow>, kind: u64, _aux: u32) {
         match kind {
-            KIND_RTO => self.on_rto_fired(h),
-            KIND_DELACK => self.on_delack_fired(h),
-            KIND_PACER => self.on_pacer_fired(h),
+            KIND_RTO => stack.on_rto_fired(h),
+            KIND_DELACK => stack.on_delack_fired(h),
+            KIND_PACER => stack.on_pacer_fired(h),
             _ => {}
         }
     }
+
+    fn kill(flow: &mut Flow, rec: &Recorder, now: SimTime) {
+        flow.state = State::Closed;
+        flow.rto_armed = false;
+        flow.pacer_armed = false;
+        flow.delack_pending = 0;
+        // Fresh containers rather than clear(): a killed flow's slot
+        // lingers in the slab, and VecDeque::clear keeps its ring
+        // buffer allocated (the B-tree containers free on clear).
+        flow.send_q = VecDeque::new();
+        flow.send_q_bytes = 0;
+        close_all_seg_spans(flow, rec, now);
+        flow.sent.clear();
+        flow.lost.clear();
+        flow.ooo.clear();
+        flow.ooo_bytes = 0;
+    }
+
+    fn debug_state(flow: Option<&Flow>, out: &mut fmt::DebugStruct<'_, '_>) {
+        out.field("state", &flow.map(|fl| fl.state));
+    }
+}
+
+/// Puts the opening SYN or SYN-ACK in flight: sequence number 0, covered by
+/// the retransmission timer like any other unacknowledged segment.
+fn queue_syn(flow: &mut Flow, seg: TcpSegment, now: SimTime, out: &mut Vec<Action>) {
+    flow.sent.insert(
+        0,
+        SentSeg {
+            payload: Bytes::new(),
+            syn: true,
+            fin: false,
+            retransmitted: false,
+            last_rexmit: None,
+            span: 0,
+        },
+    );
+    flow.snd_nxt = 1;
+    out.push(Action::Send(seg));
+    arm_rto(flow, now, out);
 }
 
 fn complete_handshake_active(
@@ -974,7 +681,7 @@ fn with_cc(
     f: impl FnOnce(&mut dyn CongestionController, &mut CcCtx<'_>),
 ) {
     let flight = flow.flight() as f64;
-    let conn = flow.conn_id;
+    let conn = flow.hdr.conn_id;
     let Flow { cwnd, ssthresh, cc, .. } = flow;
     let mut ctx = CcCtx {
         cwnd,
@@ -1044,7 +751,7 @@ fn compute_holes(flow: &Flow) -> Vec<(u64, u64)> {
 fn arm_rto(flow: &mut Flow, now: SimTime, out: &mut Vec<Action>) {
     flow.rto_armed = true;
     flow.rto_deadline = now + flow.rto;
-    out.push(Action::ArmRto(flow.rto));
+    out.push(arm(KIND_RTO, flow.rto));
 }
 
 /// Schedules a pacer wake-up at the flow's next pacing gate (rate-based
@@ -1056,7 +763,7 @@ fn arm_pacer(flow: &mut Flow, now: SimTime, out: &mut Vec<Action>) {
     }
     flow.pacer_armed = true;
     flow.pacer_deadline = flow.pacer_next;
-    out.push(Action::ArmPacer(flow.pacer_next.duration_since(now)));
+    out.push(arm(KIND_PACER, flow.pacer_next.duration_since(now)));
 }
 
 fn disarm_rto(flow: &mut Flow) {
@@ -1074,7 +781,7 @@ fn retransmit_first(
     let rcv_nxt = flow.rcv_nxt;
     let ts_echo = flow.ts_recent;
     let is_syn_sent = flow.state == State::SynSent;
-    let conn_id = flow.conn_id;
+    let conn_id = flow.hdr.conn_id;
     let Some((&seq, seg)) = flow.sent.iter_mut().next() else {
         return;
     };
@@ -1225,7 +932,7 @@ fn resend_lost(
         let wnd = my_wnd(flow, cfg);
         let rcv_nxt = flow.rcv_nxt;
         let ts_echo = flow.ts_recent;
-        let conn_id = flow.conn_id;
+        let conn_id = flow.hdr.conn_id;
         let Some(seg) = flow.sent.get_mut(&seq) else {
             continue;
         };
@@ -1328,7 +1035,7 @@ fn schedule_ack(
     } else {
         flow.delack_pending += 1;
         flow.delack_deadline = now + cfg.delack_timeout;
-        out.push(Action::ArmDelack(cfg.delack_timeout));
+        out.push(arm(KIND_DELACK, cfg.delack_timeout));
     }
 }
 
@@ -1418,7 +1125,7 @@ fn try_send(
                 fin: false,
                 retransmitted: false,
                 last_rexmit: None,
-                span: open_seg_span(rec, now, flow.conn_id, flow.snd_nxt),
+                span: open_seg_span(rec, now, flow.hdr.conn_id, flow.snd_nxt),
             },
         );
         flow.snd_nxt += take as u64;
@@ -1447,13 +1154,13 @@ fn maybe_writable(flow: &mut Flow, cfg: &TcpConfig, out: &mut Vec<Action>) {
 }
 
 fn maybe_close(flow: &mut Flow, rec: &Recorder, now: SimTime, out: &mut Vec<Action>) {
-    if flow.closed_notified || flow.state == State::Closed {
+    if flow.hdr.closed_notified || flow.state == State::Closed {
         return;
     }
     let local_done = !flow.fin_queued || flow.fin_acked;
     if flow.fin_received && local_done {
         flow.state = State::Closed;
-        flow.closed_notified = true;
+        flow.hdr.closed_notified = true;
         close_all_seg_spans(flow, rec, now);
         disarm_rto(flow);
         out.push(Action::Closed(CloseReason::Normal));
@@ -1461,7 +1168,7 @@ fn maybe_close(flow: &mut Flow, rec: &Recorder, now: SimTime, out: &mut Vec<Acti
         // We initiated and the peer acknowledged; linger until the peer's
         // FIN or just report closure (simplified half-close).
         flow.state = State::Closed;
-        flow.closed_notified = true;
+        flow.hdr.closed_notified = true;
         close_all_seg_spans(flow, rec, now);
         disarm_rto(flow);
         out.push(Action::Closed(CloseReason::Normal));
@@ -1469,154 +1176,14 @@ fn maybe_close(flow: &mut Flow, rec: &Recorder, now: SimTime, out: &mut Vec<Acti
 }
 
 /// A simulated TCP connection handle.
-///
-/// Internally an 8-byte slab handle plus cached immutable endpoints; clones
-/// refer to the same flow. The last application handle of a connect-created
-/// flow kills the flow in place when dropped.
-pub struct TcpConn {
-    stack: Arc<TcpStack>,
-    h: Handle<Flow>,
-    id: ConnectionId,
-    local: Endpoint,
-    peer: Endpoint,
-}
-
-impl Clone for TcpConn {
-    fn clone(&self) -> Self {
-        self.stack.retain_handle(self.h);
-        TcpConn {
-            stack: self.stack.clone(),
-            h: self.h,
-            id: self.id,
-            local: self.local,
-            peer: self.peer,
-        }
-    }
-}
-
-impl Drop for TcpConn {
-    fn drop(&mut self) {
-        self.stack.release_handle(self.h);
-    }
-}
-
-impl fmt::Debug for TcpConn {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let state = self.stack.inner.lock().flows.get(self.h).map(|fl| fl.state);
-        f.debug_struct("TcpConn")
-            .field("id", &self.id)
-            .field("local", &self.local)
-            .field("peer", &self.peer)
-            .field("state", &state)
-            .finish()
-    }
-}
+pub type TcpConn = Conn<TcpConfig>;
 
 impl TcpConn {
-    /// Opens a connection from an ephemeral port on `node` to `dst`.
-    ///
-    /// The SYN is sent immediately; [`StreamEvents::on_connected`] fires
-    /// when the handshake completes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BindError`] if no local port could be bound (exhausted
-    /// ephemeral range).
-    pub fn connect(
-        net: &Network,
-        node: NodeId,
-        dst: Endpoint,
-        cfg: TcpConfig,
-        events: Arc<dyn StreamEvents>,
-    ) -> Result<TcpConn, BindError> {
-        let stack = net.tcp_stack();
-        let Some(port) = net.alloc_ephemeral_port(node, WireProtocol::Tcp) else {
-            return Err(BindError {
-                endpoint: Endpoint::new(node, 0),
-                protocol: WireProtocol::Tcp,
-            });
-        };
-        let local = Endpoint::new(node, port);
-        let id = ConnectionId::fresh(net.sim());
-        net.bind(node, WireProtocol::Tcp, port, stack.clone())?;
-        let h = {
-            let mut guard = stack.inner.lock();
-            let inner = &mut *guard;
-            let cfg_id = TcpStack::intern(&mut inner.configs, cfg);
-            let cfg = &inner.configs[cfg_id as usize];
-            let mut flow = Flow::new(cfg_id, cfg, State::SynSent, local, dst, id.raw(), true);
-            flow.events = Some(events);
-            let h = inner.flows.insert(flow);
-            inner.conn_index.insert(pair_key(local, dst), h);
-            h
-        };
-        // Send SYN.
-        stack.process(h, |flow, cfg, _rec, now, out| {
-            let seg = TcpSegment {
-                seq: 0,
-                ack: 0,
-                flags: SegFlags {
-                    syn: true,
-                    ack: false,
-                    fin: false,
-                },
-                wnd: my_wnd(flow, cfg),
-                ts: now,
-                ts_echo: None,
-                holes: Vec::new(),
-                payload: Bytes::new(),
-            };
-            flow.sent.insert(
-                0,
-                SentSeg {
-                    payload: Bytes::new(),
-                    syn: true,
-                    fin: false,
-                    retransmitted: false,
-                    last_rexmit: None,
-                    span: 0,
-                },
-            );
-            flow.snd_nxt = 1;
-            out.push(Action::Send(seg));
-            arm_rto(flow, now, out);
-        });
-        Ok(TcpConn {
-            stack,
-            h,
-            id,
-            local,
-            peer: dst,
-        })
-    }
-
-    /// The connection id.
-    #[must_use]
-    pub fn id(&self) -> ConnectionId {
-        self.id
-    }
-
-    /// Local endpoint.
-    #[must_use]
-    pub fn local(&self) -> Endpoint {
-        self.local
-    }
-
-    /// Remote endpoint.
-    #[must_use]
-    pub fn peer(&self) -> Endpoint {
-        self.peer
-    }
-
     /// Whether the handshake completed and the connection is open.
     #[must_use]
     pub fn is_established(&self) -> bool {
-        self.stack
-            .inner
-            .lock()
-            .flows
-            .get(self.h)
-            .is_some_and(|f| f.state == State::Established)
+        self.peek(|f, _| f.state == State::Established)
+            .unwrap_or(false)
     }
 
     /// Appends bytes to the send buffer; returns how many were accepted.
@@ -1647,50 +1214,27 @@ impl TcpConn {
     /// Free space in the send buffer.
     #[must_use]
     pub fn free_send_buffer(&self) -> usize {
-        let mut guard = self.stack.inner.lock();
-        let inner = &mut *guard;
-        match inner.flows.get(self.h) {
-            Some(flow) => {
-                let cfg = &inner.configs[flow.cfg_id as usize];
-                cfg.send_buf.saturating_sub(flow.unacked_bytes)
-            }
-            None => 0,
-        }
+        self.peek(|f, cfg| cfg.send_buf.saturating_sub(f.unacked_bytes))
+            .unwrap_or(0)
     }
 
     /// Bytes accepted but not yet acknowledged by the peer (queued + in
     /// flight).
     #[must_use]
     pub fn unacked_bytes(&self) -> usize {
-        self.stack
-            .inner
-            .lock()
-            .flows
-            .get(self.h)
-            .map_or(0, |f| f.unacked_bytes)
+        self.peek(|f, _| f.unacked_bytes).unwrap_or(0)
     }
 
     /// Cumulative payload bytes acknowledged by the peer.
     #[must_use]
     pub fn acked_bytes(&self) -> u64 {
-        self.stack
-            .inner
-            .lock()
-            .flows
-            .get(self.h)
-            .map_or(0, |f| f.stats.bytes_acked)
+        self.peek(|f, _| f.stats.bytes_acked).unwrap_or(0)
     }
 
     /// Smoothed RTT estimate, if any ACK carried a timestamp echo yet.
     #[must_use]
     pub fn rtt_estimate(&self) -> Option<Duration> {
-        self.stack
-            .inner
-            .lock()
-            .flows
-            .get(self.h)
-            .and_then(|f| f.srtt)
-            .map(Duration::from_secs_f64)
+        self.peek(|f, _| f.srtt)?.map(Duration::from_secs_f64)
     }
 
     /// Orderly close: a FIN is sent after all buffered data.
@@ -1707,89 +1251,58 @@ impl TcpConn {
     /// Per-connection counters.
     #[must_use]
     pub fn stats(&self) -> TcpConnStats {
-        self.stack
-            .inner
-            .lock()
-            .flows
-            .get(self.h)
-            .map_or_else(TcpConnStats::default, |f| f.stats)
+        self.peek(|f, _| f.stats).unwrap_or_default()
     }
 
     /// Current congestion window in bytes (diagnostics).
     #[must_use]
     pub fn cwnd(&self) -> f64 {
-        self.stack
-            .inner
-            .lock()
-            .flows
-            .get(self.h)
-            .map_or(0.0, |f| f.cwnd)
+        self.peek(|f, _| f.cwnd).unwrap_or(0.0)
     }
 }
 
 /// A TCP listening socket that accepts incoming connections.
-#[derive(Clone)]
-pub struct TcpListener {
-    stack: Arc<TcpStack>,
-    local: Endpoint,
-}
+pub type TcpListener = Listener<TcpConfig>;
 
-impl fmt::Debug for TcpListener {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TcpListener")
-            .field("local", &self.local)
-            .finish()
+/// What the shared handle-lifecycle tests in [`crate::flowstack`] need to
+/// know about TCP.
+#[cfg(test)]
+impl Flow {
+    /// Killed in place: closed, nothing armed, every buffer released.
+    pub(crate) fn is_dead(&self) -> bool {
+        self.state == State::Closed
+            && !self.rto_armed
+            && !self.pacer_armed
+            && self.delack_pending == 0
+            && self.send_q.capacity() == 0
+            && self.send_q_bytes == 0
+            && self.sent.is_empty()
+            && self.lost.is_empty()
+            && self.ooo.is_empty()
+            && self.ooo_bytes == 0
     }
 }
 
-impl TcpListener {
-    /// Binds a listener on `node`/`port`; `handler.on_accept` is invoked for
-    /// every new peer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BindError`] if the port is taken.
-    pub fn bind(
-        net: &Network,
-        node: NodeId,
-        port: u16,
-        cfg: TcpConfig,
-        handler: Arc<dyn StreamAccept>,
-    ) -> Result<TcpListener, BindError> {
-        let stack = net.tcp_stack();
-        net.bind(node, WireProtocol::Tcp, port, stack.clone())?;
-        let local = Endpoint::new(node, port);
-        {
-            let mut guard = stack.inner.lock();
-            let inner = &mut *guard;
-            let cfg_id = TcpStack::intern(&mut inner.configs, cfg);
-            inner.listeners.insert(
-                ep_key(local),
-                ListenerEntry {
-                    cfg_id,
-                    handler,
-                    conns: FxHashMap::default(),
-                },
-            );
-        }
-        Ok(TcpListener { stack, local })
-    }
+/// An RTO firing while its deadline has moved on (data in flight re-arms it).
+#[cfg(test)]
+pub(crate) const STALE_TIMER: (u64, u32) = (KIND_RTO, 0);
 
-    /// The listening endpoint.
-    #[must_use]
-    pub fn local(&self) -> Endpoint {
-        self.local
-    }
-
-    /// Number of connections this listener has accepted (and not forgotten).
-    #[must_use]
-    pub fn connection_count(&self) -> usize {
-        self.stack
-            .inner
-            .lock()
-            .listeners
-            .get(&ep_key(self.local))
-            .map_or(0, |e| e.conns.len())
+/// A pure ACK: cannot open a connection.
+#[cfg(test)]
+pub(crate) fn stray_segment() -> TcpSegment {
+    TcpSegment {
+        seq: 7,
+        ack: 7,
+        flags: SegFlags {
+            syn: false,
+            ack: true,
+            fin: false,
+        },
+        wnd: 65_535,
+        ts: SimTime::ZERO,
+        ts_echo: None,
+        holes: Vec::new(),
+        payload: Bytes::new(),
     }
 }
 
@@ -1797,6 +1310,9 @@ impl TcpListener {
 mod tests {
     use super::*;
     use crate::engine::Sim;
+    use crate::iface::{StreamAccept, StreamEvents};
+    use crate::network::Network;
+    use crate::packet::{Endpoint, NodeId};
     use crate::link::LinkConfig;
     use crate::testutil::{PatternSender, Recorder, SinkEvents};
 
@@ -2061,43 +1577,5 @@ mod tests {
         // Connection enum works through the shared StreamEvents trait.
         let ev: Arc<dyn StreamEvents> = Arc::new(SinkEvents);
         let _ = ev;
-    }
-
-    #[test]
-    fn dropping_last_client_handle_kills_flow_in_place() {
-        let (sim, net, a, b) = setup(LinkConfig::new(10e6, Duration::from_millis(5)));
-        let server = Arc::new(Recorder::default());
-        let _l = TcpListener::bind(
-            &net,
-            b,
-            80,
-            TcpConfig::default(),
-            Arc::new(AcceptRecorder { rec: server.clone() }),
-        )
-        .unwrap();
-        let client = Arc::new(Recorder::default());
-        let conn = TcpConn::connect(
-            &net,
-            a,
-            Endpoint::new(b, 80),
-            TcpConfig::default(),
-            client.clone(),
-        )
-        .unwrap();
-        sim.run_for(Duration::from_secs(1));
-        assert!(conn.is_established());
-        let stack = conn.stack.clone();
-        let h = conn.h;
-        drop(conn);
-        // The slot still exists (never reused), but the flow is dead and its
-        // buffers are gone.
-        let inner = stack.inner.lock();
-        let flow = inner.flows.get(h).expect("slot is never removed");
-        assert_eq!(flow.state, State::Closed);
-        assert_eq!(flow.app_handles, 0);
-        assert!(flow.events.is_none());
-        assert!(inner.conn_index.is_empty() || !inner
-            .conn_index
-            .contains_key(&pair_key(flow.local, flow.peer)));
     }
 }

@@ -12,8 +12,8 @@
 //!
 //! Cancellation is implicit: stacks never unregister a token. The per-flow
 //! staleness discipline (a firing earlier than the flow's current deadline
-//! is ignored, and slab generations kill tokens of dead flows) already
-//! makes spurious firings no-ops, so a bucket may contain stale tokens and
+//! is ignored, and a killed flow stays closed in its never-reused slot)
+//! already makes spurious firings no-ops, so a bucket may contain stale tokens and
 //! servicing them is harmless. This mirrors how the stacks already treated
 //! per-timer engine events before coalescing — the wheel changes *where*
 //! tokens wait, not how they are validated.

@@ -25,29 +25,27 @@
 //!
 //! # Flow storage
 //!
-//! Like TCP, all per-connection state lives in one [`Slab`] inside the
-//! per-network [`UdtStack`]; packets and the five periodic/one-shot timers
-//! (pacer, `SYN` tick, expiration tick, receive-processing completion,
-//! handshake retry) address flows through 8-byte handles and packed
-//! `kind | slot | aux` tokens. See `DESIGN.md` §12.
+//! Slab, demux, listeners, timer wheel and handle lifetime are the shared
+//! [`crate::flowstack`] core; this file is what is actually UDT: config,
+//! packet format, the [`Flow`] state machine and its five timers (pacer,
+//! `SYN` tick, expiration tick, receive-processing completion, handshake
+//! retry).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use kmsg_telemetry::{EventKind, Recorder, SpanKind};
-use parking_lot::Mutex;
 
-use crate::engine::{EventTarget, Sim};
-use crate::iface::{CloseReason, Connection, ConnectionId, StreamAccept, StreamEvents};
+use crate::flowstack::{self, release_drained, Conn, FlowHeader, FlowStack, Listener, Protocol};
+use crate::iface::{CloseReason, Connection};
 use crate::memscope;
-use crate::network::{BindError, Network, PacketSink, WeakNetwork};
-use crate::packet::{Endpoint, NodeId, Packet, PacketBody, WireProtocol};
-use crate::slab::{FxHashMap, Handle, Slab};
+use crate::network::Stacks;
+use crate::packet::{PacketBody, WireProtocol};
+use crate::slab::Handle;
 use crate::time::SimTime;
-use crate::timerwheel::StackTimerWheel;
 
 /// UDT tuning parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -194,60 +192,23 @@ enum State {
     Closed,
 }
 
-/// Packs an endpoint into a dense map key (mirrors `tcp::ep_key`).
-fn ep_key(e: Endpoint) -> u64 {
-    (u64::from(e.node.index()) << 16) | u64::from(e.port)
-}
-
-fn pair_key(local: Endpoint, peer: Endpoint) -> u128 {
-    (u128::from(ep_key(local)) << 64) | u128::from(ep_key(peer))
-}
-
-/// Releases a drained queue's retained ring storage so a long-lived idle
-/// flow doesn't pin its peak-burst capacity; small rings are kept to avoid
-/// realloc thrash on steady-state flows.
-fn release_drained<T>(q: &mut VecDeque<T>) {
-    if q.is_empty() && q.capacity() >= 32 {
-        *q = VecDeque::new();
-    }
-}
-
-/// Timer-token layout: `kind(3) | slot-index(29) | aux(32)`.
+/// Per-flow timer kinds (see the token layout in [`crate::flowstack`]).
 ///
-/// `aux` carries the pacer generation (truncated to 32 bits and compared
-/// truncated on both sides) for `KIND_PACER`, and the attempt counter for
-/// `KIND_HS_RETRY`; the periodic ticks and the receive-processing queue
-/// don't need it (flow slots are never reused, and processing completions
-/// are consumed strictly in FIFO order from the flow's own queue).
-///
-/// Per-flow tokens wait in the stack's [`StackTimerWheel`]; the only
-/// engine-facing events are `KIND_WHEEL` ticks whose low 61 bits carry the
-/// tick's nanosecond timestamp (same scheme as the TCP stack).
-const TOKEN_KIND_SHIFT: u32 = 61;
-const TOKEN_IDX_SHIFT: u32 = 32;
-const TOKEN_IDX_MASK: u64 = (1 << 29) - 1;
+/// The token's `aux` word carries the pacer generation (truncated to 32
+/// bits and compared truncated on both sides) for `KIND_PACER`, and the
+/// attempt counter for `KIND_HS_RETRY`; the periodic ticks and the
+/// receive-processing queue don't need it (processing completions are
+/// consumed strictly in FIFO order from the flow's own queue).
 const KIND_PACER: u64 = 0;
 const KIND_SYN_TICK: u64 = 1;
 const KIND_EXP_TICK: u64 = 2;
 const KIND_PROC: u64 = 3;
 const KIND_HS_RETRY: u64 = 4;
-/// A coalesced wheel tick servicing every flow timer due at that instant.
-const KIND_WHEEL: u64 = 5;
-/// Mask for the tick timestamp carried by a `KIND_WHEEL` token.
-const WHEEL_TICK_MASK: u64 = (1 << TOKEN_KIND_SHIFT) - 1;
-
-fn token(kind: u64, h: Handle<Flow>, aux: u32) -> u64 {
-    (kind << TOKEN_KIND_SHIFT)
-        | ((h.index() as u64 & TOKEN_IDX_MASK) << TOKEN_IDX_SHIFT)
-        | u64::from(aux)
-}
 
 /// Full per-flow UDT state: one slab slot, no interior `Arc`s.
-struct Flow {
-    cfg_id: u16,
+pub(crate) struct Flow {
+    hdr: FlowHeader,
     state: State,
-    local: Endpoint,
-    peer: Endpoint,
     /// Whether this side sent the initial handshake (diagnostics / Debug).
     is_initiator: bool,
     handshake_sent_at: SimTime,
@@ -301,40 +262,16 @@ struct Flow {
     // --- notifications ---
     app_blocked: bool,
     connected_notified: bool,
-    closed_notified: bool,
 
     stats: UdtConnStats,
-
-    /// Raw [`ConnectionId`] used to tag flight-recorder events.
-    conn_id: u64,
-    /// The application's event handler (absent until `on_accept` returns).
-    events: Option<Arc<dyn StreamEvents>>,
-    /// Connect-created flows die in place when the application drops its
-    /// last [`UdtConn`]; accepted flows are owned by their listener entry.
-    app_owned: bool,
-    /// Live [`UdtConn`] wrappers referring to this slot.
-    app_handles: u32,
 }
 
 impl Flow {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        cfg_id: u16,
-        cfg: &UdtConfig,
-        state: State,
-        local: Endpoint,
-        peer: Endpoint,
-        is_initiator: bool,
-        now: SimTime,
-        conn_id: u64,
-        app_owned: bool,
-    ) -> Flow {
+    fn new(hdr: FlowHeader, cfg: &UdtConfig, now: SimTime, is_initiator: bool) -> Flow {
         let snd_period_us = 1e6 / cfg.initial_rate_pps;
         Flow {
-            cfg_id,
-            state,
-            local,
-            peer,
+            hdr,
+            state: State::Connecting,
             is_initiator,
             handshake_sent_at: now,
             rtt: None,
@@ -375,12 +312,7 @@ impl Flow {
             peer_fin_seq: None,
             app_blocked: false,
             connected_notified: false,
-            closed_notified: false,
             stats: UdtConnStats::default(),
-            conn_id,
-            events: None,
-            app_owned,
-            app_handles: 1,
         }
     }
 
@@ -407,278 +339,16 @@ fn flow_window_pkts(flow: &Flow, cfg: &UdtConfig) -> u64 {
     (bytes / cfg.mss as u64).max(2)
 }
 
-enum Action {
-    Send(UdtPacket),
-    Deliver(Bytes),
-    Connected,
-    Writable,
-    Closed(CloseReason),
-    /// Re-arm the pacing clock after `delay` with the given generation.
-    ArmPacer(Duration, u64),
-    /// Next periodic rate-control / ACK-emission tick.
-    ArmSynTick(Duration),
-    /// Next periodic expiration check.
-    ArmExpTick(Duration),
-    /// Receive-processing completion at an absolute time (the matching
-    /// `(seq, probe)` rides the flow's `proc_fifo`).
-    ArmProc(SimTime),
-    /// Handshake retransmission with its attempt counter.
-    ArmHsRetry(Duration, u32),
+type Action = flowstack::Action<UdtPacket>;
+
+fn arm(kind: u64, delay: Duration, aux: u32) -> Action {
+    Action::Arm { kind, delay, aux }
 }
 
-/// A port with a registered [`StreamAccept`] handler plus its accepted
-/// flows (kept for the life of the stack, mirroring the previous
-/// listener-owned connection table).
-struct ListenerEntry {
-    cfg_id: u16,
-    handler: Arc<dyn StreamAccept>,
-    conns: FxHashMap<u64, Handle<Flow>>,
-}
-
-struct StackInner {
-    flows: Slab<Flow>,
-    configs: Vec<UdtConfig>,
-    conn_index: FxHashMap<u128, Handle<Flow>>,
-    listeners: FxHashMap<u64, ListenerEntry>,
-    timers: StackTimerWheel,
-}
-
-/// Per-network UDT state: every flow on the network lives in this one slab.
-///
-/// The stack is the [`PacketSink`] for every UDT port and the
-/// [`EventTarget`] for every UDT timer (see the token layout above).
-/// Created lazily by [`Network::udt_stack`]; the fabric back-reference is
-/// weak to avoid a retain cycle through the sink table.
-pub(crate) struct UdtStack {
-    sim: Sim,
-    rec: Recorder,
-    net: WeakNetwork,
-    self_weak: Weak<UdtStack>,
-    inner: Mutex<StackInner>,
-}
+/// Every UDT flow on a network (see [`FlowStack`]).
+type UdtStack = FlowStack<UdtConfig>;
 
 impl UdtStack {
-    pub(crate) fn new(sim: Sim, net: WeakNetwork) -> Arc<UdtStack> {
-        let rec = sim.recorder().clone();
-        Arc::new_cyclic(|weak| UdtStack {
-            sim,
-            rec,
-            net,
-            self_weak: weak.clone(),
-            inner: Mutex::new(StackInner {
-                flows: Slab::new(),
-                configs: Vec::new(),
-                conn_index: FxHashMap::default(),
-                listeners: FxHashMap::default(),
-                timers: StackTimerWheel::new(),
-            }),
-        })
-    }
-
-    fn intern(configs: &mut Vec<UdtConfig>, cfg: UdtConfig) -> u16 {
-        if let Some(i) = configs.iter().position(|c| *c == cfg) {
-            return i as u16;
-        }
-        let id = u16::try_from(configs.len()).expect("too many distinct UdtConfigs");
-        configs.push(cfg);
-        id
-    }
-
-    fn retain_handle(&self, h: Handle<Flow>) {
-        let mut inner = self.inner.lock();
-        if let Some(flow) = inner.flows.get_mut(h) {
-            flow.app_handles += 1;
-        }
-    }
-
-    /// Drops one app handle; the last handle of a connect-created flow
-    /// kills it in place (see `tcp::TcpStack::release_handle`).
-    fn release_handle(&self, h: Handle<Flow>) {
-        let _events = {
-            let mut inner = self.inner.lock();
-            let Some(flow) = inner.flows.get_mut(h) else {
-                return;
-            };
-            flow.app_handles = flow.app_handles.saturating_sub(1);
-            if flow.app_handles > 0 || !flow.app_owned {
-                return;
-            }
-            flow.state = State::Closed;
-            flow.pacer_active = false;
-            // Fresh containers rather than clear(): a killed flow's slot
-            // lingers in the slab, and VecDeque::clear keeps its ring
-            // buffer allocated (the B-tree containers free on clear).
-            flow.send_q = VecDeque::new();
-            flow.send_q_bytes = 0;
-            flow.packets.clear();
-            flow.loss_list.clear();
-            if flow.nak_span != 0 {
-                self.rec.record(
-                    self.sim.now().as_nanos(),
-                    EventKind::SpanClose {
-                        span: flow.nak_span,
-                        key: 1,
-                    },
-                );
-                flow.nak_span = 0;
-            }
-            flow.ooo.clear();
-            flow.ooo_bytes = 0;
-            flow.missing.clear();
-            flow.proc_fifo = VecDeque::new();
-            flow.pair_samples = VecDeque::new();
-            let key = pair_key(flow.local, flow.peer);
-            let events = flow.events.take();
-            inner.conn_index.remove(&key);
-            events
-        };
-    }
-
-    fn make_conn(self: &Arc<Self>, h: Handle<Flow>, id: u64, local: Endpoint, peer: Endpoint) -> UdtConn {
-        self.retain_handle(h);
-        UdtConn {
-            stack: self.clone(),
-            h,
-            id: ConnectionId::from_raw(id),
-            local,
-            peer,
-        }
-    }
-
-    /// Registers a per-flow timer token in the stack's wheel; the first
-    /// registration for a given tick schedules the single engine event that
-    /// will service every token due then (see the TCP stack's twin).
-    fn arm_timer(self: &Arc<Self>, at: SimTime, tok: u64) {
-        debug_assert_eq!(at.as_nanos() >> TOKEN_KIND_SHIFT, 0, "sim time overflows wheel token");
-        let fresh = self.inner.lock().timers.register(at, tok);
-        if fresh {
-            self.sim.schedule_target_at(
-                at,
-                self.clone(),
-                (KIND_WHEEL << TOKEN_KIND_SHIFT) | (at.as_nanos() & WHEEL_TICK_MASK),
-            );
-        }
-    }
-
-    /// Runs `f` on the flow under the stack lock, then performs the
-    /// produced actions without holding it.
-    fn process<F>(self: &Arc<Self>, h: Handle<Flow>, f: F)
-    where
-        F: FnOnce(&mut Flow, &UdtConfig, &Recorder, SimTime, &mut Vec<Action>),
-    {
-        let _scope = memscope::enter(memscope::SCOPE_UDT);
-        let now = self.sim.now();
-        let mut actions = Vec::new();
-        let (local, peer, id, events) = {
-            let mut guard = self.inner.lock();
-            let inner = &mut *guard;
-            let Some(flow) = inner.flows.get_mut(h) else {
-                return;
-            };
-            let cfg = &inner.configs[flow.cfg_id as usize];
-            f(flow, cfg, &self.rec, now, &mut actions);
-            // `nak_recovery` span maintenance: every state transition runs
-            // through this wrapper, so the loss list's empty/non-empty
-            // edges are all observable here — open on the first loss of an
-            // episode, close when recovery drains it (or the flow dies).
-            let in_loss = !flow.loss_list.is_empty() && flow.state != State::Closed;
-            if flow.nak_span == 0 && in_loss && self.rec.is_enabled() {
-                flow.nak_span = self
-                    .rec
-                    .tracer()
-                    .open_root(now.as_nanos(), SpanKind::NakRecovery, flow.conn_id)
-                    .raw();
-            } else if flow.nak_span != 0 && !in_loss {
-                self.rec.record(
-                    now.as_nanos(),
-                    EventKind::SpanClose {
-                        span: flow.nak_span,
-                        key: u64::from(flow.state == State::Closed),
-                    },
-                );
-                flow.nak_span = 0;
-            }
-            let needs_events = actions.iter().any(|a| {
-                matches!(
-                    a,
-                    Action::Deliver(_) | Action::Connected | Action::Writable | Action::Closed(_)
-                )
-            });
-            (
-                flow.local,
-                flow.peer,
-                flow.conn_id,
-                if needs_events { flow.events.clone() } else { None },
-            )
-        };
-        if actions.is_empty() {
-            return;
-        }
-        let conn = events
-            .as_ref()
-            .map(|_| Connection::Udt(self.make_conn(h, id, local, peer)));
-        let mut net = None;
-        for action in actions {
-            match action {
-                Action::Send(pkt) => {
-                    if net.is_none() {
-                        net = self.net.upgrade();
-                    }
-                    if let Some(net) = &net {
-                        let len = pkt.payload_len();
-                        let wire = Packet::new(
-                            local,
-                            peer,
-                            WireProtocol::Udt,
-                            len,
-                            PacketBody::Udt(pkt),
-                        );
-                        net.send_packet(wire);
-                    }
-                }
-                Action::Deliver(data) => {
-                    if let (Some(ev), Some(conn)) = (&events, &conn) {
-                        ev.on_data(conn, data);
-                    }
-                }
-                Action::Connected => {
-                    if let (Some(ev), Some(conn)) = (&events, &conn) {
-                        ev.on_connected(conn);
-                    }
-                }
-                Action::Writable => {
-                    if let (Some(ev), Some(conn)) = (&events, &conn) {
-                        ev.on_writable(conn);
-                    }
-                }
-                Action::Closed(reason) => {
-                    if let (Some(ev), Some(conn)) = (&events, &conn) {
-                        ev.on_closed(conn, reason);
-                    }
-                }
-                Action::ArmPacer(delay, gen) => {
-                    let at = self.sim.now() + delay;
-                    self.arm_timer(at, token(KIND_PACER, h, gen as u32));
-                }
-                Action::ArmSynTick(delay) => {
-                    let at = self.sim.now() + delay;
-                    self.arm_timer(at, token(KIND_SYN_TICK, h, 0));
-                }
-                Action::ArmExpTick(delay) => {
-                    let at = self.sim.now() + delay;
-                    self.arm_timer(at, token(KIND_EXP_TICK, h, 0));
-                }
-                Action::ArmProc(at) => {
-                    self.arm_timer(at.max(self.sim.now()), token(KIND_PROC, h, 0));
-                }
-                Action::ArmHsRetry(delay, attempt) => {
-                    let at = self.sim.now() + delay;
-                    self.arm_timer(at, token(KIND_HS_RETRY, h, attempt));
-                }
-            }
-        }
-    }
-
     /// Rate control + receiver-side ACK emission, every `SYN`. The tick
     /// chain re-arms itself until the flow closes.
     fn on_syn_tick(self: &Arc<Self>, h: Handle<Flow>) {
@@ -687,7 +357,7 @@ impl UdtStack {
                 return;
             }
             if flow.state != State::Established {
-                out.push(Action::ArmSynTick(cfg.syn));
+                out.push(arm(KIND_SYN_TICK, cfg.syn, 0));
                 return;
             }
             // --- receiver duties: emit cumulative ACK with rate estimates.
@@ -711,7 +381,7 @@ impl UdtStack {
                 rec.record(
                     now.as_nanos(),
                     EventKind::UdtNak {
-                        conn: flow.conn_id,
+                        conn: flow.hdr.conn_id,
                         sent: true,
                         losses,
                     },
@@ -738,7 +408,7 @@ impl UdtStack {
                 rec.record(
                     now.as_nanos(),
                     EventKind::UdtRate {
-                        conn: flow.conn_id,
+                        conn: flow.hdr.conn_id,
                         period_us: flow.snd_period_us,
                         rate_pps: flow.current_rate_pps(),
                         cause: "syn_increase",
@@ -770,7 +440,7 @@ impl UdtStack {
                 }
             }
             restart_pacer(flow, cfg, out);
-            out.push(Action::ArmSynTick(cfg.syn));
+            out.push(arm(KIND_SYN_TICK, cfg.syn, 0));
         });
     }
 
@@ -782,7 +452,7 @@ impl UdtStack {
                 return;
             }
             if flow.state != State::Established {
-                out.push(Action::ArmExpTick(cfg.exp_timeout));
+                out.push(arm(KIND_EXP_TICK, cfg.exp_timeout, 0));
                 return;
             }
             let idle = now.duration_since(flow.last_feedback_at);
@@ -792,21 +462,21 @@ impl UdtStack {
             let threshold = cfg.exp_timeout.max(Duration::from_secs_f64(3.0 * rtt));
             if idle < threshold {
                 flow.expirations_in_row = 0;
-                out.push(Action::ArmExpTick(cfg.exp_timeout));
+                out.push(arm(KIND_EXP_TICK, cfg.exp_timeout, 0));
                 return;
             }
             let has_unacked = flow.flight_pkts() > 0 || (flow.fin_sent && !flow.fin_acked);
             if !has_unacked {
                 flow.expirations_in_row = 0;
-                out.push(Action::ArmExpTick(cfg.exp_timeout));
+                out.push(arm(KIND_EXP_TICK, cfg.exp_timeout, 0));
                 return;
             }
             flow.stats.expirations += 1;
             flow.expirations_in_row += 1;
             if flow.expirations_in_row > cfg.max_expirations {
                 flow.state = State::Closed;
-                if !flow.closed_notified {
-                    flow.closed_notified = true;
+                if !flow.hdr.closed_notified {
+                    flow.hdr.closed_notified = true;
                     out.push(Action::Closed(CloseReason::Timeout));
                 }
                 return;
@@ -822,7 +492,7 @@ impl UdtStack {
                 out.push(Action::Send(UdtPacket::Fin { final_seq }));
             }
             restart_pacer(flow, cfg, out);
-            out.push(Action::ArmExpTick(cfg.exp_timeout));
+            out.push(arm(KIND_EXP_TICK, cfg.exp_timeout, 0));
         });
     }
 
@@ -843,7 +513,7 @@ impl UdtStack {
                         Duration::from_secs_f64(flow.snd_period_us / 1e6)
                     };
                     flow.pacer_gen += 1;
-                    out.push(Action::ArmPacer(delay, flow.pacer_gen));
+                    out.push(arm(KIND_PACER, delay, flow.pacer_gen as u32));
                 }
                 None => {
                     flow.pacer_active = false;
@@ -875,9 +545,9 @@ impl UdtStack {
                 return;
             }
             if attempt > 12 {
-                if !flow.closed_notified {
+                if !flow.hdr.closed_notified {
                     flow.state = State::Closed;
-                    flow.closed_notified = true;
+                    flow.hdr.closed_notified = true;
                     out.push(Action::Closed(CloseReason::Timeout));
                 }
                 return;
@@ -885,7 +555,7 @@ impl UdtStack {
             out.push(Action::Send(UdtPacket::Handshake {
                 flow_window: cfg.rcv_buf as u64,
             }));
-            out.push(Action::ArmHsRetry(Duration::from_millis(250), attempt + 1));
+            out.push(arm(KIND_HS_RETRY, Duration::from_millis(250), attempt + 1));
         });
     }
 
@@ -938,7 +608,9 @@ impl UdtStack {
                     store_incoming(flow, cfg, seq, payload);
                     flow.proc_busy_until = flow.proc_busy_until.max(now) + cfg.rx_proc_delay;
                     flow.proc_fifo.push_back((seq, probe));
-                    out.push(Action::ArmProc(flow.proc_busy_until));
+                    // The matching `(seq, probe)` rides `proc_fifo`.
+                    let wait = flow.proc_busy_until.duration_since(now);
+                    out.push(arm(KIND_PROC, wait, 0));
                 }
             }
             UdtPacket::Ack {
@@ -1000,7 +672,7 @@ impl UdtStack {
                 rec.record(
                     now.as_nanos(),
                     EventKind::UdtNak {
-                        conn: flow.conn_id,
+                        conn: flow.hdr.conn_id,
                         sent: false,
                         losses: reported,
                     },
@@ -1024,7 +696,7 @@ impl UdtStack {
                         rec.record(
                             now.as_nanos(),
                             EventKind::UdtRate {
-                                conn: flow.conn_id,
+                                conn: flow.hdr.conn_id,
                                 period_us: flow.snd_period_us,
                                 rate_pps: flow.current_rate_pps(),
                                 cause: "nak_decrease",
@@ -1040,131 +712,148 @@ impl UdtStack {
             }
             UdtPacket::FinAck => {
                 flow.fin_acked = true;
-                if !flow.closed_notified {
-                    flow.closed_notified = true;
+                if !flow.hdr.closed_notified {
+                    flow.hdr.closed_notified = true;
                     flow.state = State::Closed;
                     out.push(Action::Closed(CloseReason::Normal));
                 }
             }
         });
     }
+}
 
-    /// Demuxes an incoming packet: established flows by endpoint pair,
-    /// otherwise a listener performs a passive open on a Handshake.
-    fn dispatch(self: &Arc<Self>, src: Endpoint, dst: Endpoint, pkt: UdtPacket) {
-        let _scope = memscope::enter(memscope::SCOPE_UDT);
-        let known = self.inner.lock().conn_index.get(&pair_key(dst, src)).copied();
-        if let Some(h) = known {
-            self.handle_packet(h, pkt);
-            return;
+/// What is UDT about a [`FlowStack`]; the config type names the protocol.
+impl Protocol for UdtConfig {
+    type Flow = Flow;
+    type Wire = UdtPacket;
+
+    const WIRE: WireProtocol = WireProtocol::Udt;
+    const SCOPE: usize = memscope::SCOPE_UDT;
+    const CONN_NAME: &'static str = "UdtConn";
+    const LISTENER_NAME: &'static str = "UdtListener";
+
+    fn slot(stacks: &mut Stacks) -> &mut Option<Arc<UdtStack>> {
+        &mut stacks.udt
+    }
+
+    fn new_flow(hdr: FlowHeader, cfg: &UdtConfig, now: SimTime, active: bool) -> Flow {
+        Flow::new(hdr, cfg, now, active)
+    }
+
+    fn hdr(flow: &Flow) -> &FlowHeader {
+        &flow.hdr
+    }
+
+    fn hdr_mut(flow: &mut Flow) -> &mut FlowHeader {
+        &mut flow.hdr
+    }
+
+    fn connection(conn: UdtConn) -> Connection {
+        Connection::Udt(conn)
+    }
+
+    fn into_body(pkt: UdtPacket) -> (usize, PacketBody) {
+        (pkt.payload_len(), PacketBody::Udt(pkt))
+    }
+
+    fn from_body(body: PacketBody) -> Option<UdtPacket> {
+        match body {
+            PacketBody::Udt(pkt) => Some(pkt),
+            _ => None,
         }
-        let UdtPacket::Handshake { .. } = pkt else {
-            return; // stray packet for an unknown connection
-        };
-        let accepted = {
-            let mut guard = self.inner.lock();
-            let inner = &mut *guard;
-            let Some(entry) = inner.listeners.get(&ep_key(dst)) else {
-                return;
-            };
-            let handler = entry.handler.clone();
-            let cfg_id = entry.cfg_id;
-            let now = self.sim.now();
-            let id = ConnectionId::fresh(&self.sim);
-            let cfg = &inner.configs[cfg_id as usize];
-            let flow = Flow::new(
-                cfg_id,
-                cfg,
-                State::Connecting,
-                dst,
-                src,
-                false,
-                now,
-                id.raw(),
-                false,
-            );
-            let h = inner.flows.insert(flow);
-            inner.conn_index.insert(pair_key(dst, src), h);
-            inner
-                .listeners
-                .get_mut(&ep_key(dst))
-                .expect("listener entry just looked up")
-                .conns
-                .insert(ep_key(src), h);
-            (handler, h, id)
-        };
-        let (handler, h, id) = accepted;
-        let conn = Connection::Udt(self.make_conn(h, id.raw(), dst, src));
-        let events = handler.on_accept(&conn);
-        {
-            let mut inner = self.inner.lock();
-            if let Some(flow) = inner.flows.get_mut(h) {
-                flow.events = Some(events);
-            }
-        }
-        // Start the periodic tick chains, then process the handshake (which
-        // flips the flow to Established and answers with a HandshakeAck) —
-        // same order as the previous per-connection timer setup.
-        self.process(h, |_flow, cfg, _rec, _now, out| {
-            out.push(Action::ArmSynTick(cfg.syn));
-            out.push(Action::ArmExpTick(cfg.exp_timeout));
+    }
+
+    fn opens(pkt: &UdtPacket) -> bool {
+        matches!(pkt, UdtPacket::Handshake { .. })
+    }
+
+    /// Starts the periodic tick chains, sends the first handshake and arms
+    /// its retry.
+    fn start_active(stack: &Arc<UdtStack>, h: Handle<Flow>) {
+        stack.process(h, |_flow, cfg, _rec, _now, out| {
+            out.push(arm(KIND_SYN_TICK, cfg.syn, 0));
+            out.push(arm(KIND_EXP_TICK, cfg.exp_timeout, 0));
+            out.push(Action::Send(UdtPacket::Handshake {
+                flow_window: cfg.rcv_buf as u64,
+            }));
+            out.push(arm(KIND_HS_RETRY, Duration::from_millis(250), 1));
         });
-        self.handle_packet(h, pkt);
     }
-}
 
-impl PacketSink for UdtStack {
-    fn on_packet(&self, _net: &Network, pkt: Packet) {
-        let Some(stack) = self.self_weak.upgrade() else {
-            return;
-        };
-        let PacketBody::Udt(p) = pkt.body else {
-            return;
-        };
-        stack.dispatch(pkt.src, pkt.dst, p);
+    /// Starts the periodic tick chains, then processes the handshake (which
+    /// flips the flow to Established and answers with a HandshakeAck).
+    fn start_passive(stack: &Arc<UdtStack>, h: Handle<Flow>, pkt: UdtPacket) {
+        stack.process(h, |_flow, cfg, _rec, _now, out| {
+            out.push(arm(KIND_SYN_TICK, cfg.syn, 0));
+            out.push(arm(KIND_EXP_TICK, cfg.exp_timeout, 0));
+        });
+        stack.handle_packet(h, pkt);
     }
-}
 
-impl EventTarget for UdtStack {
-    fn fire(self: Arc<Self>, _sim: &Sim, token: u64) {
-        let _scope = memscope::enter(memscope::SCOPE_UDT);
-        if token >> TOKEN_KIND_SHIFT == KIND_WHEEL {
-            let tick = SimTime::from_nanos(token & WHEEL_TICK_MASK);
-            let Some(batch) = ({
-                let mut inner = self.inner.lock();
-                inner.timers.take(tick)
-            }) else {
-                return;
-            };
-            for tok in &batch {
-                self.service_timer(*tok);
-            }
-            self.inner.lock().timers.recycle(batch);
-        } else {
-            self.service_timer(token);
-        }
+    fn on_wire(stack: &Arc<UdtStack>, h: Handle<Flow>, pkt: UdtPacket) {
+        stack.handle_packet(h, pkt);
     }
-}
 
-impl UdtStack {
-    /// Services one per-flow timer token drained from the wheel (the body
-    /// of the pre-wheel per-timer `fire`). Stale tokens no-op: dead flow
-    /// slots resolve to `None`, and each handler re-checks its own
-    /// armed-state/generation discipline.
-    fn service_timer(self: &Arc<Self>, token: u64) {
-        let kind = token >> TOKEN_KIND_SHIFT;
-        let idx = ((token >> TOKEN_IDX_SHIFT) & TOKEN_IDX_MASK) as u32;
-        let aux = token as u32;
-        let h = self.inner.lock().flows.handle_at(idx);
-        let Some(h) = h else { return };
+    fn on_timer(stack: &Arc<UdtStack>, h: Handle<Flow>, kind: u64, aux: u32) {
         match kind {
-            KIND_PACER => self.on_pacer(h, aux),
-            KIND_SYN_TICK => self.on_syn_tick(h),
-            KIND_EXP_TICK => self.on_exp_tick(h),
-            KIND_PROC => self.on_data_processed(h),
-            KIND_HS_RETRY => self.on_hs_retry(h, aux),
+            KIND_PACER => stack.on_pacer(h, aux),
+            KIND_SYN_TICK => stack.on_syn_tick(h),
+            KIND_EXP_TICK => stack.on_exp_tick(h),
+            KIND_PROC => stack.on_data_processed(h),
+            KIND_HS_RETRY => stack.on_hs_retry(h, aux),
             _ => {}
         }
+    }
+
+    fn kill(flow: &mut Flow, rec: &Recorder, now: SimTime) {
+        flow.state = State::Closed;
+        flow.pacer_active = false;
+        // Fresh containers rather than clear(): a killed flow's slot
+        // lingers in the slab, and VecDeque::clear keeps its ring
+        // buffer allocated (the B-tree containers free on clear).
+        flow.send_q = VecDeque::new();
+        flow.send_q_bytes = 0;
+        flow.packets.clear();
+        flow.loss_list.clear();
+        Self::after_step(flow, rec, now);
+        flow.ooo.clear();
+        flow.ooo_bytes = 0;
+        flow.missing.clear();
+        flow.proc_fifo = VecDeque::new();
+        flow.pair_samples = VecDeque::new();
+    }
+
+    /// `nak_recovery` span maintenance: every state transition runs through
+    /// [`FlowStack::process`], so the loss list's empty/non-empty edges are
+    /// all observable here — open on the first loss of an episode, close
+    /// when recovery drains it (or the flow dies).
+    fn after_step(flow: &mut Flow, rec: &Recorder, now: SimTime) {
+        let in_loss = !flow.loss_list.is_empty() && flow.state != State::Closed;
+        if flow.nak_span == 0 && in_loss && rec.is_enabled() {
+            flow.nak_span = rec
+                .tracer()
+                .open_root(now.as_nanos(), SpanKind::NakRecovery, flow.hdr.conn_id)
+                .raw();
+        } else if flow.nak_span != 0 && !in_loss {
+            rec.record(
+                now.as_nanos(),
+                EventKind::SpanClose {
+                    span: flow.nak_span,
+                    key: u64::from(flow.state == State::Closed),
+                },
+            );
+            flow.nak_span = 0;
+        }
+    }
+
+    fn debug_state(flow: Option<&Flow>, out: &mut fmt::DebugStruct<'_, '_>) {
+        let (state, initiator, rate) = match flow {
+            Some(fl) => (Some(fl.state), fl.is_initiator, fl.current_rate_pps()),
+            None => (None, false, 0.0),
+        };
+        out.field("state", &state)
+            .field("initiator", &initiator)
+            .field("rate_pps", &rate);
     }
 }
 
@@ -1218,7 +907,7 @@ fn receive_data_packet(
             rec.record(
                 now.as_nanos(),
                 EventKind::UdtNak {
-                    conn: flow.conn_id,
+                    conn: flow.hdr.conn_id,
                     sent: true,
                     losses: to - from + 1,
                 },
@@ -1248,8 +937,8 @@ fn try_finish_receive(flow: &mut Flow, out: &mut Vec<Action>) {
     if let Some(final_seq) = flow.peer_fin_seq {
         if flow.rcv_nxt >= final_seq {
             out.push(Action::Send(UdtPacket::FinAck));
-            if !flow.closed_notified {
-                flow.closed_notified = true;
+            if !flow.hdr.closed_notified {
+                flow.hdr.closed_notified = true;
                 flow.state = State::Closed;
                 out.push(Action::Closed(CloseReason::Normal));
             }
@@ -1337,7 +1026,7 @@ fn restart_pacer(flow: &mut Flow, cfg: &UdtConfig, out: &mut Vec<Action>) {
     if work {
         flow.pacer_active = true;
         flow.pacer_gen += 1;
-        out.push(Action::ArmPacer(Duration::ZERO, flow.pacer_gen));
+        out.push(arm(KIND_PACER, Duration::ZERO, flow.pacer_gen as u32));
     }
 }
 
@@ -1349,140 +1038,14 @@ fn maybe_writable(flow: &mut Flow, cfg: &UdtConfig, out: &mut Vec<Action>) {
 }
 
 /// A simulated UDT connection handle.
-///
-/// Internally an 8-byte slab handle plus cached immutable endpoints; clones
-/// refer to the same flow. The last application handle of a connect-created
-/// flow kills the flow in place when dropped.
-pub struct UdtConn {
-    stack: Arc<UdtStack>,
-    h: Handle<Flow>,
-    id: ConnectionId,
-    local: Endpoint,
-    peer: Endpoint,
-}
-
-impl Clone for UdtConn {
-    fn clone(&self) -> Self {
-        self.stack.retain_handle(self.h);
-        UdtConn {
-            stack: self.stack.clone(),
-            h: self.h,
-            id: self.id,
-            local: self.local,
-            peer: self.peer,
-        }
-    }
-}
-
-impl Drop for UdtConn {
-    fn drop(&mut self) {
-        self.stack.release_handle(self.h);
-    }
-}
-
-impl fmt::Debug for UdtConn {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (state, initiator, rate) = {
-            let inner = self.stack.inner.lock();
-            match inner.flows.get(self.h) {
-                Some(fl) => (Some(fl.state), fl.is_initiator, fl.current_rate_pps()),
-                None => (None, false, 0.0),
-            }
-        };
-        f.debug_struct("UdtConn")
-            .field("id", &self.id)
-            .field("local", &self.local)
-            .field("peer", &self.peer)
-            .field("state", &state)
-            .field("initiator", &initiator)
-            .field("rate_pps", &rate)
-            .finish()
-    }
-}
+pub type UdtConn = Conn<UdtConfig>;
 
 impl UdtConn {
-    /// Opens a UDT connection from an ephemeral port on `node` to `dst`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BindError`] if no local port could be bound.
-    pub fn connect(
-        net: &Network,
-        node: NodeId,
-        dst: Endpoint,
-        cfg: UdtConfig,
-        events: Arc<dyn StreamEvents>,
-    ) -> Result<UdtConn, BindError> {
-        let stack = net.udt_stack();
-        let Some(port) = net.alloc_ephemeral_port(node, WireProtocol::Udt) else {
-            return Err(BindError {
-                endpoint: Endpoint::new(node, 0),
-                protocol: WireProtocol::Udt,
-            });
-        };
-        let local = Endpoint::new(node, port);
-        let now = net.sim().now();
-        let id = ConnectionId::fresh(net.sim());
-        net.bind(node, WireProtocol::Udt, port, stack.clone())?;
-        let h = {
-            let mut guard = stack.inner.lock();
-            let inner = &mut *guard;
-            let cfg_id = UdtStack::intern(&mut inner.configs, cfg);
-            let cfg = &inner.configs[cfg_id as usize];
-            let mut flow =
-                Flow::new(cfg_id, cfg, State::Connecting, local, dst, true, now, id.raw(), true);
-            flow.events = Some(events);
-            let h = inner.flows.insert(flow);
-            inner.conn_index.insert(pair_key(local, dst), h);
-            h
-        };
-        // Start the periodic tick chains, send the first handshake, and arm
-        // its retry — in the same order the previous representation
-        // scheduled them.
-        stack.process(h, |_flow, cfg, _rec, _now, out| {
-            out.push(Action::ArmSynTick(cfg.syn));
-            out.push(Action::ArmExpTick(cfg.exp_timeout));
-            out.push(Action::Send(UdtPacket::Handshake {
-                flow_window: cfg.rcv_buf as u64,
-            }));
-            out.push(Action::ArmHsRetry(Duration::from_millis(250), 1));
-        });
-        Ok(UdtConn {
-            stack,
-            h,
-            id,
-            local,
-            peer: dst,
-        })
-    }
-
-    /// The connection id.
-    #[must_use]
-    pub fn id(&self) -> ConnectionId {
-        self.id
-    }
-
-    /// Local endpoint.
-    #[must_use]
-    pub fn local(&self) -> Endpoint {
-        self.local
-    }
-
-    /// Remote endpoint.
-    #[must_use]
-    pub fn peer(&self) -> Endpoint {
-        self.peer
-    }
-
     /// Whether the handshake completed and the connection is open.
     #[must_use]
     pub fn is_established(&self) -> bool {
-        self.stack
-            .inner
-            .lock()
-            .flows
-            .get(self.h)
-            .is_some_and(|f| f.state == State::Established)
+        self.peek(|f, _| f.state == State::Established)
+            .unwrap_or(false)
     }
 
     /// Appends bytes to the send buffer; returns how many were accepted.
@@ -1512,49 +1075,26 @@ impl UdtConn {
     /// Free space in the send buffer.
     #[must_use]
     pub fn free_send_buffer(&self) -> usize {
-        let mut guard = self.stack.inner.lock();
-        let inner = &mut *guard;
-        match inner.flows.get(self.h) {
-            Some(flow) => {
-                let cfg = &inner.configs[flow.cfg_id as usize];
-                cfg.snd_buf.saturating_sub(flow.unacked_bytes)
-            }
-            None => 0,
-        }
+        self.peek(|f, cfg| cfg.snd_buf.saturating_sub(f.unacked_bytes))
+            .unwrap_or(0)
     }
 
     /// Bytes accepted but not yet acknowledged (queued + in flight).
     #[must_use]
     pub fn unacked_bytes(&self) -> usize {
-        self.stack
-            .inner
-            .lock()
-            .flows
-            .get(self.h)
-            .map_or(0, |f| f.unacked_bytes)
+        self.peek(|f, _| f.unacked_bytes).unwrap_or(0)
     }
 
     /// Cumulative payload bytes acknowledged by the receiver.
     #[must_use]
     pub fn acked_bytes(&self) -> u64 {
-        self.stack
-            .inner
-            .lock()
-            .flows
-            .get(self.h)
-            .map_or(0, |f| f.stats.bytes_acked)
+        self.peek(|f, _| f.stats.bytes_acked).unwrap_or(0)
     }
 
     /// RTT measured during the handshake (initiator side only).
     #[must_use]
     pub fn rtt_estimate(&self) -> Option<Duration> {
-        self.stack
-            .inner
-            .lock()
-            .flows
-            .get(self.h)
-            .and_then(|f| f.rtt)
-            .map(Duration::from_secs_f64)
+        self.peek(|f, _| f.rtt)?.map(Duration::from_secs_f64)
     }
 
     /// Orderly close: a FIN follows the last buffered byte.
@@ -1571,95 +1111,51 @@ impl UdtConn {
     /// Per-connection counters.
     #[must_use]
     pub fn stats(&self) -> UdtConnStats {
-        self.stack
-            .inner
-            .lock()
-            .flows
-            .get(self.h)
-            .map_or_else(UdtConnStats::default, |f| f.stats)
+        self.peek(|f, _| f.stats).unwrap_or_default()
     }
 
     /// Current pacing rate in packets per second (diagnostics).
     #[must_use]
     pub fn rate_pps(&self) -> f64 {
-        self.stack
-            .inner
-            .lock()
-            .flows
-            .get(self.h)
-            .map_or(0.0, Flow::current_rate_pps)
+        self.peek(|f, _| f.current_rate_pps()).unwrap_or(0.0)
     }
 }
 
 /// A UDT listening socket that accepts incoming connections.
-#[derive(Clone)]
-pub struct UdtListener {
-    stack: Arc<UdtStack>,
-    local: Endpoint,
-}
+pub type UdtListener = Listener<UdtConfig>;
 
-impl fmt::Debug for UdtListener {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("UdtListener")
-            .field("local", &self.local)
-            .finish()
+/// What the shared handle-lifecycle tests in [`crate::flowstack`] need to
+/// know about UDT.
+#[cfg(test)]
+impl Flow {
+    /// Killed in place: closed, pacer stopped, every buffer released.
+    pub(crate) fn is_dead(&self) -> bool {
+        self.state == State::Closed
+            && !self.pacer_active
+            && self.nak_span == 0
+            && self.send_q.capacity() == 0
+            && self.send_q_bytes == 0
+            && self.packets.is_empty()
+            && self.loss_list.is_empty()
+            && self.ooo.is_empty()
+            && self.ooo_bytes == 0
+            && self.missing.is_empty()
+            && self.proc_fifo.capacity() == 0
+            && self.pair_samples.capacity() == 0
     }
 }
 
-impl UdtListener {
-    /// Binds a UDT listener on `node`/`port`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BindError`] if the port is taken.
-    pub fn bind(
-        net: &Network,
-        node: NodeId,
-        port: u16,
-        cfg: UdtConfig,
-        handler: Arc<dyn StreamAccept>,
-    ) -> Result<UdtListener, BindError> {
-        let stack = net.udt_stack();
-        net.bind(node, WireProtocol::Udt, port, stack.clone())?;
-        let local = Endpoint::new(node, port);
-        {
-            let mut guard = stack.inner.lock();
-            let inner = &mut *guard;
-            let cfg_id = UdtStack::intern(&mut inner.configs, cfg);
-            inner.listeners.insert(
-                ep_key(local),
-                ListenerEntry {
-                    cfg_id,
-                    handler,
-                    conns: FxHashMap::default(),
-                },
-            );
-        }
-        Ok(UdtListener { stack, local })
-    }
-
-    /// The listening endpoint.
-    #[must_use]
-    pub fn local(&self) -> Endpoint {
-        self.local
-    }
-
-    /// Number of accepted connections.
-    #[must_use]
-    pub fn connection_count(&self) -> usize {
-        self.stack
-            .inner
-            .lock()
-            .listeners
-            .get(&ep_key(self.local))
-            .map_or(0, |e| e.conns.len())
-    }
-}
+/// A pacer firing of a generation the flow never reaches.
+#[cfg(test)]
+pub(crate) const STALE_TIMER: (u64, u32) = (KIND_PACER, u32::MAX);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::Sim;
+    use crate::iface::{StreamAccept, StreamEvents};
+    use crate::network::Network;
+    use crate::packet::{Endpoint, NodeId};
     use crate::link::{LinkConfig, PolicerConfig};
     use crate::testutil::{PatternSender, Recorder};
 

@@ -6,90 +6,86 @@
 //! in high wheel levels or the overflow heap, and re-entrant scheduling
 //! from inside executing events — through both engines and require
 //! identical traces: same `(fire time, label)` sequence, same per-phase
-//! executed counts, same final clock and counters.
+//! executed counts, same final clock and counters. Sampled schedules run on
+//! the crate's own deterministic [`PropRunner`].
 
-use proptest::prelude::*;
+use rand::Rng;
 
 use kmsg_netsim::engine::Sim;
 use kmsg_netsim::reference::ReferenceSim;
-use kmsg_netsim::testutil::{run_churn, ChurnEvent, ChurnPhase};
+use kmsg_netsim::rng::RngStream;
+use kmsg_netsim::testutil::{run_churn, ChurnEvent, ChurnPhase, PropRunner};
+
+/// Randomized schedules per property.
+const CASES: u64 = 256;
 
 /// Child delays relative to the parent's fire time; heavily weighted toward
 /// the zero-delay now lane (the simulation hot path).
-fn child_delay() -> impl Strategy<Value = u64> {
-    prop_oneof![
-        3 => Just(0u64),
-        2 => 1u64..2_000,
-        2 => 1u64..5_000_000,
-        1 => (20u32..=40u32).prop_map(|s| 1u64 << s),
-    ]
+fn child_delay(rng: &mut RngStream) -> u64 {
+    match rng.gen_range(0u32..8) {
+        0..=2 => 0,
+        3..=4 => rng.gen_range(1u64..2_000),
+        5..=6 => rng.gen_range(1u64..5_000_000),
+        _ => 1u64 << rng.gen_range(20u32..=40),
+    }
 }
 
 /// Absolute due times for top-level events: some in the (likely) past, some
 /// near phase horizons, some far enough out to exercise the coarsest wheel
 /// levels and the overflow heap.
-fn root_time() -> impl Strategy<Value = u64> {
-    prop_oneof![
-        3 => 0u64..1 << 22,
-        3 => 0u64..30_000_000,
-        1 => (30u32..=44u32).prop_map(|s| 1u64 << s),
-    ]
+fn root_time(rng: &mut RngStream) -> u64 {
+    match rng.gen_range(0u32..7) {
+        0..=2 => rng.gen_range(0u64..1 << 22),
+        3..=5 => rng.gen_range(0u64..30_000_000),
+        _ => 1u64 << rng.gen_range(30u32..=44),
+    }
 }
 
-fn churn_event() -> impl Strategy<Value = ChurnEvent> {
-    let leaf = (child_delay(), any::<u32>()).prop_map(|(time, label)| ChurnEvent {
-        time,
-        label,
-        children: Vec::new(),
-    });
-    leaf.prop_recursive(2, 8, 3, |inner| {
-        (
-            child_delay(),
-            any::<u32>(),
-            prop::collection::vec(inner, 0..3),
-        )
-            .prop_map(|(time, label, children)| ChurnEvent {
-                time,
-                label,
-                children,
-            })
-    })
+fn children(rng: &mut RngStream, depth: u32) -> Vec<ChurnEvent> {
+    (0..rng.gen_range(0usize..3))
+        .map(|_| churn_event(rng, depth))
+        .collect()
 }
 
-fn root_event() -> impl Strategy<Value = ChurnEvent> {
-    (
-        root_time(),
-        any::<u32>(),
-        prop::collection::vec(churn_event(), 0..3),
-    )
-        .prop_map(|(time, label, children)| ChurnEvent {
-            time,
-            label,
-            children,
+/// An event that re-schedules up to `depth` further generations from inside
+/// its own execution (half of the non-bottom events are leaves).
+fn churn_event(rng: &mut RngStream, depth: u32) -> ChurnEvent {
+    ChurnEvent {
+        time: child_delay(rng),
+        label: rng.gen(),
+        children: if depth == 0 || rng.gen_bool(0.5) {
+            Vec::new()
+        } else {
+            children(rng, depth - 1)
+        },
+    }
+}
+
+fn root_event(rng: &mut RngStream) -> ChurnEvent {
+    ChurnEvent {
+        time: root_time(rng),
+        label: rng.gen(),
+        children: children(rng, 2),
+    }
+}
+
+fn phases(rng: &mut RngStream) -> Vec<ChurnPhase> {
+    let mut horizon = 0u64;
+    let mut phases: Vec<ChurnPhase> = (0..rng.gen_range(1usize..5))
+        .map(|_| {
+            horizon += rng.gen_range(1u64..10_000_000);
+            let ops = (0..rng.gen_range(0usize..12))
+                .map(|_| root_event(rng))
+                .collect();
+            ChurnPhase { horizon, ops }
         })
-}
-
-fn phases() -> impl Strategy<Value = Vec<ChurnPhase>> {
-    prop::collection::vec(
-        (1u64..10_000_000, prop::collection::vec(root_event(), 0..12)),
-        1..5,
-    )
-    .prop_map(|raw| {
-        let mut horizon = 0u64;
-        let mut phases: Vec<ChurnPhase> = raw
-            .into_iter()
-            .map(|(step, ops)| {
-                horizon += step;
-                ChurnPhase { horizon, ops }
-            })
-            .collect();
-        // Final drain phase: far past every possible far-future event.
-        phases.push(ChurnPhase {
-            horizon: 1 << 46,
-            ops: Vec::new(),
-        });
-        phases
-    })
+        .collect();
+    // Final drain phase: far past every possible far-future event.
+    phases.push(ChurnPhase {
+        horizon: 1 << 46,
+        ops: Vec::new(),
+    });
+    phases
 }
 
 /// Two same-seed runs with enabled flight recorders emit byte-identical
@@ -153,23 +149,28 @@ fn same_seed_runs_emit_byte_identical_jsonl() {
     assert!(jsonl_a.lines().all(|l| l.contains("\"kind\":\"mark\"")));
 }
 
-proptest! {
-    /// The wheel engine and the heap oracle execute any schedule
-    /// identically.
-    #[test]
-    fn wheel_engine_matches_heap_oracle(phases in phases()) {
-        let wheel = run_churn(&Sim::new(1), &phases);
-        let heap = run_churn(&ReferenceSim::new(), &phases);
-        prop_assert_eq!(&wheel, &heap);
-        // The drain phase must have flushed everything.
-        prop_assert_eq!(wheel.events_pending, 0);
-    }
+/// The wheel engine and the heap oracle execute any schedule identically.
+#[test]
+fn wheel_engine_matches_heap_oracle() {
+    PropRunner::new("engine-wheel-matches-heap")
+        .cases(CASES)
+        .run(phases, |phases| {
+            let wheel = run_churn(&Sim::new(1), phases);
+            let heap = run_churn(&ReferenceSim::new(), phases);
+            assert_eq!(wheel, heap);
+            // The drain phase must have flushed everything.
+            assert_eq!(wheel.events_pending, 0);
+        });
+}
 
-    /// Two runs of the same schedule on the wheel engine are identical.
-    #[test]
-    fn wheel_engine_is_deterministic(phases in phases()) {
-        let a = run_churn(&Sim::new(7), &phases);
-        let b = run_churn(&Sim::new(7), &phases);
-        prop_assert_eq!(a, b);
-    }
+/// Two runs of the same schedule on the wheel engine are identical.
+#[test]
+fn wheel_engine_is_deterministic() {
+    PropRunner::new("engine-wheel-deterministic")
+        .cases(CASES)
+        .run(phases, |phases| {
+            let a = run_churn(&Sim::new(7), phases);
+            let b = run_churn(&Sim::new(7), phases);
+            assert_eq!(a, b);
+        });
 }
