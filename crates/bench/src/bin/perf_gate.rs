@@ -31,6 +31,9 @@
 //!   `bytes_per_flow` and `allocs_per_event` (both lower is better —
 //!   allocation accounting is deterministic per seed, so a real increase
 //!   always means a real regression);
+//! * scale shape: inside the fresh file alone, set-up time per host and run
+//!   time per event at the largest row against the 10³-host row — a cost
+//!   that grows with the world cannot hide behind a faster runner;
 //! * reroute: `gap_ms` per variant row (lower is better — virtual-time
 //!   outage gaps, deterministic per seed).
 
@@ -215,6 +218,37 @@ fn scale_checks(baseline: &Json, fresh: &Json, out: &mut Vec<Check>) {
     }
 }
 
+/// Most a host may cost to set up, or an event to run, in the largest world
+/// of one scale file relative to its 10³-host world. Both come from one run,
+/// so the machine cancels. Twice the ×1.9 measured at 10⁵ hosts after PR 15;
+/// the hash-collision chains it removed measured ×27 and ×13.
+const SCALE_SHAPE_LIMIT: f64 = 4.0;
+
+/// How many unit costs of `fresh` outgrew [`SCALE_SHAPE_LIMIT`].
+fn scale_shape_failures(fresh: &Json) -> usize {
+    let rows = fresh.get("rows").and_then(Json::as_arr).unwrap_or(&[]);
+    let hosts = |r: &&Json| r.get("hosts").and_then(Json::as_u64);
+    let reference = rows.iter().find(|r| hosts(r) == Some(1000));
+    let (Some(reference), Some(largest)) = (reference, rows.iter().max_by_key(hosts)) else {
+        return 0;
+    };
+    let mut failures = 0;
+    for (cost, per) in [("setup_secs", "hosts"), ("run_secs", "events")] {
+        let unit = |row| Some(num(fresh, row, cost, "scale")? / num(fresh, row, per, "scale")?);
+        let (Some(small), Some(large)) = (unit(reference), unit(largest)) else {
+            continue;
+        };
+        let bad = large > small * SCALE_SHAPE_LIMIT;
+        failures += usize::from(bad);
+        kmsg_telemetry::log_info!(
+            "scale shape: {cost} per {per}, largest row vs 1000 hosts: x{:.2} of x{SCALE_SHAPE_LIMIT}  {}",
+            large / small,
+            if bad { "GREW" } else { "ok" }
+        );
+    }
+    failures
+}
+
 fn main() -> ExitCode {
     let mut baseline_dir = ".".to_string();
     let mut fresh_dir = ".".to_string();
@@ -248,9 +282,10 @@ fn main() -> ExitCode {
         &load(&fresh_dir, "BENCH_engine.json"),
         &mut checks,
     );
+    let fresh_scale = load(&fresh_dir, "BENCH_scale.json");
     scale_checks(
         &load(&baseline_dir, "BENCH_scale.json"),
-        &load(&fresh_dir, "BENCH_scale.json"),
+        &fresh_scale,
         &mut checks,
     );
     reroute_checks(
@@ -299,6 +334,7 @@ fn main() -> ExitCode {
             if bad { "REGRESSED" } else { "ok" }
         );
     }
+    regressed += scale_shape_failures(&fresh_scale);
 
     if regressed > 0 {
         kmsg_telemetry::log_info!(

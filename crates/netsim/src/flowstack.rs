@@ -23,7 +23,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use kmsg_telemetry::Recorder;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::engine::{EventTarget, Sim};
 use crate::iface::{CloseReason, Connection, ConnectionId, StreamAccept, StreamEvents};
@@ -43,7 +43,7 @@ pub(crate) trait Protocol: PartialEq + Send + Sized + 'static {
     /// Full per-flow state: one slab slot embedding a [`FlowHeader`].
     type Flow: Send;
     /// The packet body this protocol puts on the wire.
-    type Wire;
+    type Wire: Send;
 
     /// Wire protocol of every packet and port binding of this stack.
     const WIRE: WireProtocol;
@@ -89,12 +89,12 @@ pub(crate) trait Protocol: PartialEq + Send + Sized + 'static {
 
 /// Packs an endpoint into a dense map key: node index in the high bits,
 /// port in the low 16.
-fn ep_key(e: Endpoint) -> u64 {
+pub(crate) fn ep_key(e: Endpoint) -> u64 {
     (u64::from(e.node.index()) << 16) | u64::from(e.port)
 }
 
 /// Demux key for an established flow: (local, peer) endpoint pair.
-fn pair_key(local: Endpoint, peer: Endpoint) -> u128 {
+pub(crate) fn pair_key(local: Endpoint, peer: Endpoint) -> u128 {
     (u128::from(ep_key(local)) << 64) | u128::from(ep_key(peer))
 }
 
@@ -181,7 +181,17 @@ struct StackInner<P: Protocol> {
     /// Coalesced flow timers: one engine event per distinct deadline tick,
     /// serving every token due at that instant.
     timers: StackTimerWheel,
+    /// Where a [`FlowStack::process`] closure pushes its actions: kept for
+    /// its capacity, and empty whenever the lock is free.
+    actions: Vec<Action<P::Wire>>,
 }
+
+/// Up to this many actions leave the lock in an array on the stack: every
+/// steady-state step, and a dial's first window.
+const INLINE_ACTIONS: usize = 8;
+/// Most capacity `actions` keeps after a longer burst (a 64 KiB write is 45
+/// segments and a timer).
+const KEPT_ACTIONS: usize = 64;
 
 /// Per-network state of one stream protocol: every flow on the network
 /// lives in this one slab. Created lazily by [`Network::flow_stack`]; the
@@ -209,6 +219,7 @@ impl<P: Protocol> FlowStack<P> {
                 conn_index: FxHashMap::default(),
                 listeners: FxHashMap::default(),
                 timers: StackTimerWheel::new(),
+                actions: Vec::new(),
             }),
         })
     }
@@ -290,46 +301,61 @@ impl<P: Protocol> FlowStack<P> {
     }
 
     /// Runs `f` on the flow under the stack lock, then performs the
-    /// produced actions without holding it.
+    /// produced actions, in the order pushed, without holding it — so a
+    /// callback may re-enter `process`.
     pub(crate) fn process<F>(self: &Arc<Self>, h: Handle<P::Flow>, f: F)
     where
         F: FnOnce(&mut P::Flow, &P, &Recorder, SimTime, &mut Vec<Action<P::Wire>>),
     {
         let _scope = memscope::enter(P::SCOPE);
         let now = self.sim.now();
-        let mut actions = Vec::new();
-        let (local, peer, id, events) = {
-            let mut guard = self.inner.lock();
-            let inner = &mut *guard;
-            let Some(flow) = inner.flows.get_mut(h) else {
-                return;
-            };
-            let cfg = &inner.configs[P::hdr(flow).cfg_id as usize];
-            f(flow, cfg, &self.rec, now, &mut actions);
-            P::after_step(flow, &self.rec, now);
-            // Only clone the handler out when an action will actually
-            // notify the application.
-            let needs_events = actions
-                .iter()
-                .any(|a| !matches!(a, Action::Send(_) | Action::Arm { .. }));
-            let hdr = P::hdr(flow);
-            (
-                hdr.local,
-                hdr.peer,
-                hdr.conn_id,
-                if needs_events { hdr.events.clone() } else { None },
-            )
-        };
-        if actions.is_empty() {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let Some(flow) = inner.flows.get_mut(h) else {
             return;
+        };
+        let cfg = &inner.configs[P::hdr(flow).cfg_id as usize];
+        f(flow, cfg, &self.rec, now, &mut inner.actions);
+        P::after_step(flow, &self.rec, now);
+        if !inner.actions.is_empty() {
+            self.perform(h, guard);
         }
+    }
+
+    /// The half of [`Self::process`] that does not depend on the closure,
+    /// kept out of line so it exists once per protocol, not once per call
+    /// site: empties `actions`, unlocks, and carries the actions out.
+    #[inline(never)]
+    fn perform(self: &Arc<Self>, h: Handle<P::Flow>, mut guard: MutexGuard<'_, StackInner<P>>) {
+        let inner = &mut *guard;
+        let actions = &mut inner.actions;
+        // Only clone the handler out when an action will actually notify
+        // the application.
+        let needs_events = actions
+            .iter()
+            .any(|a| !matches!(a, Action::Send(_) | Action::Arm { .. }));
+        let mut few: [Option<Action<P::Wire>>; INLINE_ACTIONS] = [const { None }; INLINE_ACTIONS];
+        let mut many = Vec::new();
+        if actions.len() <= INLINE_ACTIONS {
+            for (slot, action) in few.iter_mut().zip(actions.drain(..)) {
+                *slot = Some(action);
+            }
+        } else {
+            // A burst leaves with its buffer; the next one finds room.
+            let fresh = Vec::with_capacity(actions.capacity().min(KEPT_ACTIONS));
+            many = std::mem::replace(actions, fresh);
+        }
+        let hdr = P::hdr(inner.flows.get(h).expect("flow looked up by the caller"));
+        let (local, peer, id) = (hdr.local, hdr.peer, hdr.conn_id);
+        let events = if needs_events { hdr.events.clone() } else { None };
+        drop(guard);
         // The wrapper exists only for callback scope; it is built and
         // dropped outside the lock (its Drop re-enters the stack).
         let app = events
             .as_ref()
             .map(|ev| (ev, P::connection(self.make_conn(h, id, local, peer))));
         let mut net = None;
-        for action in actions {
+        for action in few.iter_mut().map_while(Option::take).chain(many) {
             match (action, &app) {
                 (Action::Send(wire), _) => {
                     if net.is_none() {
@@ -982,8 +1008,37 @@ mod tests {
         assert_eq!(w.listener.connection_count(), 2);
     }
 
+    /// `forged` acknowledges far more than any test here sends.
+    fn acknowledgement_of_unsent_data_is_ignored<P: Protocol + Default>(
+        forged: P::Wire,
+        unacked: fn(&P::Flow) -> (u64, u64),
+    ) {
+        let w = World::<P>::new();
+        let conn = w.dial(LISTEN, Arc::new(SinkEvents));
+        w.sim.run_for(Duration::from_secs(1));
+        P::connection(conn.clone()).send(pattern_bytes(0, 50_000));
+        w.sim.run_for(Duration::from_millis(15));
+        let window = |conn: &Conn<P>| conn.peek(|flow, _| unacked(flow)).expect("live flow");
+        let (una, nxt) = window(&conn);
+        assert!(
+            una < nxt && w.server.data_len() < 50_000,
+            "nothing in flight: {una}..{nxt}"
+        );
+
+        P::on_wire(&conn.stack, conn.h, forged);
+        assert_eq!(window(&conn), (una, nxt));
+        w.sim.run_for(Duration::from_secs(5));
+        assert_eq!(w.server.data_len(), 50_000);
+        assert!(w.server.in_order());
+        let (una, nxt) = window(&conn);
+        assert_eq!(una, nxt, "everything sent was acknowledged, nothing more");
+    }
+
     macro_rules! protocol_suite {
-        ($name:ident, $proto:ty, is_dead: $is_dead:expr, stale: $stale:expr, stray: $stray:expr) => {
+        (
+            $name:ident, $proto:ty,
+            is_dead: $is_dead:expr, stale: $stale:expr, stray: $stray:expr, forged_ack: $forged:expr
+        ) => {
             mod $name {
                 #[test]
                 fn last_handle_drop_kills_flow_in_place() {
@@ -1017,6 +1072,13 @@ mod tests {
                 fn only_a_kill_unbinds_and_only_the_dialled_port() {
                     super::only_a_kill_unbinds_and_only_the_dialled_port::<$proto>();
                 }
+                #[test]
+                fn acknowledgement_of_unsent_data_is_ignored() {
+                    super::acknowledgement_of_unsent_data_is_ignored::<$proto>(
+                        $forged,
+                        <$proto as super::Protocol>::Flow::unacked,
+                    );
+                }
             }
         };
     }
@@ -1026,13 +1088,15 @@ mod tests {
         crate::tcp::TcpConfig,
         is_dead: crate::tcp::Flow::is_dead,
         stale: crate::tcp::STALE_TIMER,
-        stray: crate::tcp::stray_segment()
+        stray: crate::tcp::stray_segment(),
+        forged_ack: crate::tcp::TcpSegment { ack: 1 << 40, ..crate::tcp::stray_segment() }
     );
     protocol_suite!(
         udt,
         crate::udt::UdtConfig,
         is_dead: crate::udt::Flow::is_dead,
         stale: crate::udt::STALE_TIMER,
-        stray: crate::udt::UdtPacket::FinAck
+        stray: crate::udt::UdtPacket::FinAck,
+        forged_ack: crate::udt::UdtPacket::Ack { ack_seq: 1 << 40, rcv_rate_pps: 0.0, capacity_pps: 0.0 }
     );
 }

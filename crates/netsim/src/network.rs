@@ -15,7 +15,9 @@
 //! flattened in one append-only link arena and per-hop events carry an
 //! 8-byte [`RouteRef`] span handle instead of a refcounted `Arc<Vec<_>>`;
 //! the hot-path lookups (route table, sink demux) use packed `u64` keys in
-//! [`FxHashMap`]s rather than tuple keys under SipHash. No `Arc` is cloned
+//! [`FxHashMap`]s rather than tuple keys under SipHash (both keys differ
+//! between hosts in their *high* half only, which [`crate::slab::FxHasher`]
+//! finishes for). No `Arc` is cloned
 //! on the per-hop path — links are borrowed in place from the dense link
 //! table while the fabric lock is held.
 
@@ -55,13 +57,13 @@ impl RouteRef {
 
 /// Packs a `(node, protocol, port)` binding into one 8-byte map key.
 #[inline]
-fn sink_key(node: NodeId, protocol: WireProtocol, port: u16) -> u64 {
+pub(crate) fn sink_key(node: NodeId, protocol: WireProtocol, port: u16) -> u64 {
     (u64::from(node.index() as u32) << 32) | ((protocol as u64) << 16) | u64::from(port)
 }
 
 /// Packs an ordered `(src, dst)` node pair into one 8-byte map key.
 #[inline]
-fn route_key(src: NodeId, dst: NodeId) -> u64 {
+pub(crate) fn route_key(src: NodeId, dst: NodeId) -> u64 {
     (u64::from(src.index() as u32) << 32) | u64::from(dst.index() as u32)
 }
 
@@ -91,7 +93,7 @@ fn flight_key(src: Endpoint, dst: Endpoint) -> u64 {
 }
 
 /// First ephemeral port (IANA dynamic range).
-const EPHEMERAL_LO: u16 = 49152;
+pub(crate) const EPHEMERAL_LO: u16 = 49152;
 /// Number of ports in the ephemeral range (49152..=65535).
 pub(crate) const EPHEMERAL_SPAN: u32 = (u16::MAX - EPHEMERAL_LO) as u32 + 1;
 

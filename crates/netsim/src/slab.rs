@@ -15,10 +15,10 @@
 //!   torn down) resolves to `None` instead of aliasing an unrelated flow
 //!   that happens to reuse the slot.
 //! * [`FxHasher`] — a dependency-free port of the Firefox/rustc hash used
-//!   for the hot-path maps the dense tables don't subsume (sink demux,
-//!   listener connection tables). The default `SipHash` is DoS-resistant
-//!   but ~4x slower for the short fixed-width keys the simulator uses, and
-//!   the simulator is not an open network service.
+//!   for the hot-path maps the dense tables don't subsume (routes, sink and
+//!   flow demux, listener connection tables). The default `SipHash` is
+//!   DoS-resistant but ~4x slower for the short fixed-width keys the
+//!   simulator uses, and the simulator is not an open network service.
 //!
 //! Memory accounting: [`Slab::mem_bytes`] reports the retained capacity in
 //! bytes, which is what the scaling benchmark and the memory-regression
@@ -294,8 +294,15 @@ impl<T: std::fmt::Debug> std::fmt::Debug for Slab<T> {
 
 /// The Firefox/rustc "Fx" hash: a single multiply-rotate per word. Not
 /// DoS-resistant — fine for a simulator whose keys come from its own node
-/// and port allocators, and measurably faster than SipHash on the 8-byte
-/// keys used by the sink demux and listener tables.
+/// and port allocators, and measurably faster than SipHash on the 8- and
+/// 16-byte keys of the route, sink and flow demux tables.
+///
+/// Bit *j* of a product depends only on bits ≤ *j* of its factors, `HashMap`
+/// takes the bucket from the *low* bits of the hash (and a 7-bit tag from
+/// the top), and those keys differ *high* (`src << 32 | dst`, `node << 32 |
+/// proto << 16 | port`): so `finish` rotates state bits 44.. down to the
+/// bucket index and bits 37..44 up to the tag. Without it every route to one
+/// sink shares a bucket; under rustc-hash's 26 the tag would see six key bits.
 #[derive(Default, Clone, Debug)]
 pub struct FxHasher {
     state: u64,
@@ -313,7 +320,7 @@ impl FxHasher {
 impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.state
+        self.state.rotate_left(20)
     }
 
     #[inline]
@@ -347,12 +354,18 @@ impl Hasher for FxHasher {
         self.mix(v);
     }
     #[inline]
+    fn write_u128(&mut self, v: u128) {
+        self.mix(v as u64);
+        self.mix((v >> 64) as u64);
+    }
+    #[inline]
     fn write_usize(&mut self, v: usize) {
         self.mix(v as u64);
     }
 }
 
-/// `HashMap` keyed with [`FxHasher`].
+/// `HashMap` keyed with [`FxHasher`]. Nothing in this crate iterates one, so
+/// no simulated outcome depends on the hash; where an order is needed, sort.
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// `HashSet` keyed with [`FxHasher`].
 pub type FxHashSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
@@ -488,6 +501,82 @@ mod tests {
             seen.insert(h.finish());
         }
         assert_eq!(seen.len(), 1000);
+    }
+
+    fn fx<K: std::hash::Hash>(key: K) -> u64 {
+        use std::hash::BuildHasher;
+        BuildHasherDefault::<FxHasher>::default().hash_one(key)
+    }
+
+    /// Holds the hashes of one map's keys to what `std`'s `HashMap` needs
+    /// of them: it reads the bucket from the low bits of a table sized to
+    /// 8/7 of the entries, probes 16 buckets at a time, and tells the
+    /// entries of a probe apart by the top 7 bits.
+    fn assert_spreads(what: &str, hashes: &[u64]) {
+        let buckets = (hashes.len() * 8 / 7).next_power_of_two();
+        let mut load = vec![0u32; buckets];
+        let mut tag_seen = [false; 128];
+        for &h in hashes {
+            load[h as usize & (buckets - 1)] += 1;
+            tag_seen[(h >> 57) as usize] = true;
+        }
+        let fullest = load.iter().max().expect("at least one bucket");
+        assert!(
+            *fullest <= 8,
+            "{what}: {fullest} of {} keys share one of {buckets} buckets",
+            hashes.len()
+        );
+        let tags = tag_seen.iter().filter(|&&seen| seen).count();
+        assert!(tags >= 100, "{what}: only {tags} of 128 tag values in use");
+    }
+
+    /// The keys of the four hot tables as `star_fanin` fills them: the sink
+    /// is the first node added, the hub the second, and every sender dials
+    /// the sink's listener from its first ephemeral port. All of the
+    /// difference between two keys of a table then sits above bit 16, or
+    /// above bit 32.
+    #[test]
+    fn fx_spreads_the_keys_of_a_fanin_world() {
+        use crate::flowstack::{ep_key, pair_key};
+        use crate::network::{route_key, sink_key, EPHEMERAL_LO};
+        use crate::packet::{Endpoint, NodeId, WireProtocol};
+
+        let sink = NodeId::from_index(0);
+        let listener = Endpoint::new(sink, 7001);
+        for n in [10_000u32, 100_000] {
+            let senders = || (2..n + 2).map(NodeId::from_index);
+            let dials = || senders().map(|s| Endpoint::new(s, EPHEMERAL_LO));
+
+            let routes: Vec<u64> = senders()
+                .flat_map(|s| [route_key(s, sink), route_key(sink, s)])
+                .map(fx)
+                .collect();
+            assert_spreads(&format!("routes, {n} senders"), &routes);
+            let to_sink: Vec<u64> = senders().map(|s| fx(route_key(s, sink))).collect();
+            assert_spreads(&format!("routes to the sink, {n} senders"), &to_sink);
+
+            let ports: Vec<u64> = senders()
+                .map(|s| fx(sink_key(s, WireProtocol::Tcp, EPHEMERAL_LO)))
+                .collect();
+            assert_spreads(&format!("port bindings, {n} senders"), &ports);
+
+            let accepted: Vec<u64> = dials().map(|d| fx(ep_key(d))).collect();
+            assert_spreads(&format!("a listener's peers, {n} senders"), &accepted);
+
+            let flows: Vec<u64> = dials()
+                .flat_map(|d| [pair_key(d, listener), pair_key(listener, d)])
+                .map(fx)
+                .collect();
+            assert_spreads(&format!("flow demux, {n} senders"), &flows);
+            let at_sink: Vec<u64> = dials().map(|d| fx(pair_key(listener, d))).collect();
+            assert_spreads(&format!("flow demux at the sink, {n} senders"), &at_sink);
+
+            // What the multiply alone was already good at.
+            let indices: Vec<u64> = (0..u64::from(n)).map(fx).collect();
+            assert_spreads(&format!("slab indices below {n}"), &indices);
+            let nodes: Vec<u64> = senders().map(fx).collect();
+            assert_spreads(&format!("{n} node ids"), &nodes);
+        }
     }
 
     #[test]

@@ -820,6 +820,10 @@ fn process_ack(
     now: SimTime,
     out: &mut Vec<Action>,
 ) {
+    // An acknowledgement of what was never sent is not acceptable (RFC 793).
+    if seg.ack > flow.snd_nxt {
+        return;
+    }
     flow.peer_wnd = seg.wnd;
     note_holes(flow, cfg, rec, &seg.holes, now);
     if seg.ack > flow.snd_una {
@@ -1280,6 +1284,11 @@ impl Flow {
             && self.lost.is_empty()
             && self.ooo.is_empty()
             && self.ooo_bytes == 0
+    }
+
+    /// `(snd_una, snd_nxt)`.
+    pub(crate) fn unacked(&self) -> (u64, u64) {
+        (self.snd_una, self.snd_nxt)
     }
 }
 

@@ -618,7 +618,8 @@ impl UdtStack {
                 rcv_rate_pps: _,
                 capacity_pps,
             } => {
-                if flow.state != State::Established {
+                // Nor does an acknowledgement of what was never sent count.
+                if flow.state != State::Established || ack_seq > flow.snd_nxt {
                     return;
                 }
                 flow.last_feedback_at = now;
@@ -1142,6 +1143,11 @@ impl Flow {
             && self.missing.is_empty()
             && self.proc_fifo.capacity() == 0
             && self.pair_samples.capacity() == 0
+    }
+
+    /// `(snd_una, snd_nxt)`.
+    pub(crate) fn unacked(&self) -> (u64, u64) {
+        (self.snd_una, self.snd_nxt)
     }
 }
 
