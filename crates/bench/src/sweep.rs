@@ -169,7 +169,7 @@ where
         }
     });
 
-    result_slots.into_iter().map(|s| s.into_inner()).collect()
+    result_slots.iter().map(|s| s.lock().take()).collect()
 }
 
 #[cfg(test)]

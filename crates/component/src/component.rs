@@ -1,7 +1,7 @@
 //! Component definitions, cores, lifecycle, and execution context.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
@@ -112,10 +112,10 @@ pub struct ComponentCore {
     /// Lazily-created shared receiver for one-shot timeouts, so scheduling
     /// a timer never allocates per event.
     timeout_sink: OnceLock<Arc<crate::timer::TimeoutSink>>,
-    /// Telemetry probe installed by the first
+    /// The queue-depth gauge of the first
     /// [`SimulationScheduler`](crate::scheduler::SimulationScheduler) that
     /// schedules this core; absent under the thread-pool scheduler.
-    pub(crate) probe: OnceLock<crate::scheduler::SchedProbe>,
+    pub(crate) depth: OnceLock<Arc<AtomicU64>>,
 }
 
 impl std::fmt::Debug for ComponentCore {
@@ -140,7 +140,7 @@ impl ComponentCore {
             cancelled_timeouts: Mutex::new(HashSet::new()),
             runner: OnceLock::new(),
             timeout_sink: OnceLock::new(),
-            probe: OnceLock::new(),
+            depth: OnceLock::new(),
         })
     }
 
@@ -204,27 +204,12 @@ impl ComponentCore {
     /// work arrived during execution or the batch limit was hit. Returns
     /// how many events the batch handled.
     pub fn run(self: &Arc<Self>) -> usize {
-        if let Some(probe) = self.probe.get() {
+        if let Some(depth) = self.depth.get() {
             // The engine has dequeued this execution; a reschedule below
             // counts as a fresh queue entry.
-            let _ = probe
-                .depth
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| d.checked_sub(1));
+            let _ = depth.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| d.checked_sub(1));
         }
-        let handled = self.run_batch();
-        if let Some(probe) = self.probe.get() {
-            let rec = probe.sim.recorder();
-            if rec.is_enabled() {
-                rec.record(
-                    probe.sim.now().as_nanos(),
-                    kmsg_telemetry::EventKind::ComponentExec {
-                        component: self.id.0,
-                        handled: handled as u64,
-                    },
-                );
-            }
-        }
-        handled
+        self.run_batch()
     }
 
     fn run_batch(self: &Arc<Self>) -> usize {
@@ -257,8 +242,18 @@ impl ComponentCore {
 /// The simulation scheduler schedules a core's execution as an engine event
 /// with the core itself as the target — no per-execution allocation.
 impl kmsg_netsim::engine::EventTarget for ComponentCore {
-    fn fire(self: Arc<Self>, _sim: &kmsg_netsim::engine::Sim, _token: u64) {
-        self.run();
+    fn fire(self: Arc<Self>, sim: &kmsg_netsim::engine::Sim, _token: u64) {
+        let handled = self.run();
+        let rec = sim.recorder();
+        if rec.is_enabled() {
+            rec.record(
+                sim.now().as_nanos(),
+                kmsg_telemetry::EventKind::ComponentExec {
+                    component: self.id.0,
+                    handled: handled as u64,
+                },
+            );
+        }
     }
 }
 

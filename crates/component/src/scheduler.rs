@@ -29,15 +29,6 @@ pub trait Scheduler: Send + Sync {
     fn shutdown(&self) {}
 }
 
-/// Telemetry hook a [`SimulationScheduler`] installs on every core it
-/// schedules: the scheduler's shared queue-depth gauge plus the simulation
-/// handle (clock + recorder) used to stamp events from `run`.
-#[derive(Debug, Clone)]
-pub(crate) struct SchedProbe {
-    pub(crate) sim: Sim,
-    pub(crate) depth: Arc<AtomicU64>,
-}
-
 /// Executes components as simulation events (deterministic virtual time).
 #[derive(Debug, Clone)]
 pub struct SimulationScheduler {
@@ -60,13 +51,11 @@ impl SimulationScheduler {
 
 impl Scheduler for SimulationScheduler {
     fn schedule(&self, core: Arc<ComponentCore>) {
-        // First schedule wires the core to this scheduler's telemetry; the
-        // core uses it from `run` to report its execution.
-        let probe = core.probe.get_or_init(|| SchedProbe {
-            sim: self.sim.clone(),
-            depth: self.depth.clone(),
-        });
-        let depth = probe.depth.fetch_add(1, Ordering::Relaxed) + 1;
+        // First schedule wires the core to this scheduler's gauge, which
+        // the core counts down from `run`. A core holds no `Sim`: it waits
+        // in the engine's event store, and would keep the engine alive.
+        let depth = core.depth.get_or_init(|| self.depth.clone());
+        let depth = depth.fetch_add(1, Ordering::Relaxed) + 1;
         let rec = self.sim.recorder();
         if rec.is_enabled() {
             rec.record(

@@ -69,7 +69,7 @@ use kmsg_telemetry::Recorder;
 use parking_lot::Mutex;
 
 use crate::memscope;
-use crate::network::{Network, RouteRef};
+use crate::network::{RouteRef, WeakNetwork};
 use crate::pool::PacketHandle;
 use crate::rng::{RngStream, SeedSource};
 use crate::time::SimTime;
@@ -107,9 +107,10 @@ enum EventKind {
     /// carries an 8-byte generation-checked handle, the slot is claimed at
     /// `send_packet` time and recycled at delivery or drop. Hop events stay
     /// small (the event store holds thousands of them inline in wheel
-    /// slots) and hops themselves never allocate.
+    /// slots) and hops themselves never allocate. The fabric is held weakly:
+    /// an event still pending when a world is dropped must not keep it.
     PacketHop {
-        net: Network,
+        net: WeakNetwork,
         pkt: PacketHandle,
         route: RouteRef,
         idx: u32,
@@ -272,7 +273,7 @@ impl Sim {
     pub(crate) fn schedule_packet_hop(
         &self,
         at: SimTime,
-        net: Network,
+        net: WeakNetwork,
         pkt: PacketHandle,
         route: RouteRef,
         idx: u32,
@@ -297,7 +298,11 @@ impl Sim {
                 pkt,
                 route,
                 idx,
-            } => net.packet_hop(pkt, route, idx),
+            } => {
+                if let Some(net) = net.upgrade(self) {
+                    net.packet_hop(pkt, route, idx);
+                }
+            }
         }
     }
 
@@ -571,5 +576,46 @@ mod tests {
         // Targets saw even tokens in order, closures odd — both FIFO.
         assert_eq!(*target.1.lock(), vec![0, 2, 4]);
         assert_eq!(*log.lock(), vec![1, 3, 5]);
+    }
+
+    /// Logs when each timer token fired, and each packet arrived as token 0.
+    #[derive(Default)]
+    struct Arrivals(Mutex<Vec<(SimTime, u64)>>);
+    impl EventTarget for Arrivals {
+        fn fire(self: Arc<Self>, sim: &Sim, token: u64) {
+            self.0.lock().push((sim.now(), token));
+        }
+    }
+    impl crate::network::PacketSink for Arrivals {
+        fn on_packet(&self, net: &crate::network::Network, _pkt: crate::packet::Packet) {
+            self.0.lock().push((net.now(), 0));
+        }
+    }
+
+    #[test]
+    fn timers_and_packet_hops_of_one_nanosecond_run_in_insertion_order() {
+        use crate::packet::{Endpoint, Packet, PacketBody, WireProtocol};
+        // A flow timer is a target event and a packet in flight a hop event;
+        // both wait in the one store, so only (timestamp, insertion) orders
+        // them. Loop-back packets make the hop's timestamp exact.
+        let sim = Sim::new(0);
+        let net = crate::network::Network::new(&sim);
+        let a = net.add_node("a");
+        let log = Arc::new(Arrivals::default());
+        net.bind(a, WireProtocol::Udp, 9, log.clone()).expect("bind");
+        let here = Endpoint::new(a, 9);
+        let probe = || Packet::new(here, here, WireProtocol::Udp, 1, PacketBody::Udp(bytes::Bytes::new()));
+        net.send_packet(probe());
+        sim.run_for(Duration::from_secs(1));
+        let (arrived, _) = log.0.lock().pop().expect("loop-back delivery");
+
+        let at = sim.now() + arrived.duration_since(SimTime::ZERO);
+        sim.schedule_target_at(at, log.clone(), 1);
+        net.send_packet(probe());
+        sim.schedule_target_at(at, log.clone(), 2);
+        net.send_packet(probe());
+        sim.schedule_target_at(at, log.clone(), 3);
+        sim.run_for(Duration::from_secs(1));
+        assert_eq!(*log.0.lock(), [1, 0, 2, 0, 3].map(|token| (at, token)));
     }
 }

@@ -5,8 +5,8 @@
 //! All per-connection state of one protocol on one network lives in a single
 //! [`Slab`] inside a [`FlowStack`]; applications, packet demux and timers
 //! address flows by 8-byte generation-checked [`Handle`]s instead of `Arc`s.
-//! The stack is the [`PacketSink`] for every port of its protocol and the
-//! [`EventTarget`] of its timers, so neither path allocates or touches a
+//! The stack is the [`PacketSink`] for every port of its protocol and its
+//! timers share one [`EventTarget`], so neither path allocates or touches a
 //! reference count per flow. A [`Protocol`] supplies the rest: config, wire
 //! type, the flow state machine, its timer kinds, how an open starts and
 //! what dying clears. See `DESIGN.md` §12.
@@ -32,7 +32,6 @@ use crate::network::{BindError, Network, PacketSink, Stacks, WeakNetwork};
 use crate::packet::{Endpoint, NodeId, Packet, PacketBody, WireProtocol};
 use crate::slab::{FxHashMap, Handle, Slab};
 use crate::time::SimTime;
-use crate::timerwheel::StackTimerWheel;
 
 /// What a stream transport supplies to run on a [`FlowStack`], implemented
 /// by the transport's config type — which so doubles as the protocol's name
@@ -75,7 +74,8 @@ pub(crate) trait Protocol: PartialEq + Send + Sized + 'static {
     fn on_wire(stack: &Arc<FlowStack<Self>>, h: Handle<Self::Flow>, wire: Self::Wire);
     /// A per-flow timer of `kind` (with the `aux` word it was armed with)
     /// came due. Handlers re-check their own armed-state/deadline
-    /// discipline: the wheel never cancels, so stale firings are normal.
+    /// discipline: an armed timer is never cancelled, so stale firings are
+    /// normal.
     fn on_timer(stack: &Arc<FlowStack<Self>>, h: Handle<Self::Flow>, kind: u64, aux: u32);
     /// The flow is abandoned (its last application handle dropped, or its
     /// peer dialled again): close it in place and free its buffers (the
@@ -107,23 +107,18 @@ pub(crate) fn release_drained<T>(q: &mut VecDeque<T>) {
     }
 }
 
-/// Timer-token layout: `kind(3) | slot-index(29) | aux(32)`. Kinds below
-/// [`KIND_WHEEL`] and the meaning of `aux` belong to the protocol; the slot
-/// index alone names the flow, because flow slots are never removed.
-///
-/// Per-flow tokens never reach the engine: they wait in the stack's
-/// [`StackTimerWheel`] and the only engine-facing events are `KIND_WHEEL`
-/// ticks, whose low 61 bits carry the tick's nanosecond timestamp (≈ 73
-/// simulated years) instead of a slot/aux pair.
+/// Timer-token layout: `kind(3) | slot-index(29) | aux(32)`. The kinds and
+/// the meaning of `aux` belong to the protocol; the slot index alone names
+/// the flow, because flow slots are never removed. Every armed timer is one
+/// engine event carrying its token.
 const TOKEN_KIND_SHIFT: u32 = 61;
 const TOKEN_IDX_SHIFT: u32 = 32;
 const TOKEN_IDX_MASK: u64 = (1 << 29) - 1;
-/// A coalesced wheel tick servicing every flow timer due at that instant.
-const KIND_WHEEL: u64 = 7;
-const WHEEL_TICK_MASK: u64 = (1 << TOKEN_KIND_SHIFT) - 1;
+/// How many timer kinds the layout has room for.
+const TOKEN_KINDS: u64 = 1 << (64 - TOKEN_KIND_SHIFT);
 
 fn token<F>(kind: u64, h: Handle<F>, aux: u32) -> u64 {
-    debug_assert!(kind < KIND_WHEEL, "timer kind collides with the wheel tick");
+    debug_assert!(kind < TOKEN_KINDS, "timer kind overflows its field");
     (kind << TOKEN_KIND_SHIFT)
         | ((h.index() as u64 & TOKEN_IDX_MASK) << TOKEN_IDX_SHIFT)
         | u64::from(aux)
@@ -178,9 +173,6 @@ struct StackInner<P: Protocol> {
     conn_index: FxHashMap<u128, Handle<P::Flow>>,
     /// Listening ports keyed by [`ep_key`].
     listeners: FxHashMap<u64, ListenerEntry<P>>,
-    /// Coalesced flow timers: one engine event per distinct deadline tick,
-    /// serving every token due at that instant.
-    timers: StackTimerWheel,
     /// Where a [`FlowStack::process`] closure pushes its actions: kept for
     /// its capacity, and empty whenever the lock is free.
     actions: Vec<Action<P::Wire>>,
@@ -202,8 +194,15 @@ pub(crate) struct FlowStack<P: Protocol> {
     rec: Recorder,
     net: WeakNetwork,
     self_weak: Weak<FlowStack<P>>,
+    /// What the engine holds for every armed timer.
+    timers: Arc<FlowTimers<P>>,
     inner: Mutex<StackInner<P>>,
 }
+
+/// The [`EventTarget`] of a stack's timers. The stack owns the engine its
+/// timers wait in, so the engine must not own the stack: a world dropped
+/// with timers armed — there always are some — would never be freed.
+struct FlowTimers<P: Protocol>(Weak<FlowStack<P>>);
 
 impl<P: Protocol> FlowStack<P> {
     pub(crate) fn new(sim: Sim, net: WeakNetwork) -> Arc<Self> {
@@ -213,30 +212,21 @@ impl<P: Protocol> FlowStack<P> {
             rec,
             net,
             self_weak: weak.clone(),
+            timers: Arc::new(FlowTimers(weak.clone())),
             inner: Mutex::new(StackInner {
                 flows: Slab::new(),
                 configs: Vec::new(),
                 conn_index: FxHashMap::default(),
                 listeners: FxHashMap::default(),
-                timers: StackTimerWheel::new(),
                 actions: Vec::new(),
             }),
         })
     }
 
-    /// Registers a per-flow timer token on the stack wheel. Only the first
-    /// token for a tick schedules an engine event — the wheel batches every
-    /// same-tick deadline into that one dispatch.
-    fn arm_timer(self: &Arc<Self>, at: SimTime, tok: u64) {
-        debug_assert_eq!(at.as_nanos() >> TOKEN_KIND_SHIFT, 0, "sim time overflows wheel token");
-        let fresh = self.inner.lock().timers.register(at, tok);
-        if fresh {
-            self.sim.schedule_target_at(
-                at,
-                self.clone(),
-                (KIND_WHEEL << TOKEN_KIND_SHIFT) | (at.as_nanos() & WHEEL_TICK_MASK),
-            );
-        }
+    /// Arms a per-flow timer: one engine event, never cancelled — a firing
+    /// the flow has since superseded is told apart by the protocol.
+    fn arm_timer(&self, at: SimTime, tok: u64) {
+        self.sim.schedule_target_at(at, self.timers.clone(), tok);
     }
 
     /// Interns `cfg`, returning its table id.
@@ -282,7 +272,7 @@ impl<P: Protocol> FlowStack<P> {
             inner.conn_index.remove(&pair_key(local, peer));
             (events, local)
         };
-        if let Some(net) = self.net.upgrade() {
+        if let Some(net) = self.net.upgrade(&self.sim) {
             net.unbind(local.node, P::WIRE, local.port);
         }
     }
@@ -359,7 +349,7 @@ impl<P: Protocol> FlowStack<P> {
             match (action, &app) {
                 (Action::Send(wire), _) => {
                     if net.is_none() {
-                        net = self.net.upgrade();
+                        net = self.net.upgrade(&self.sim);
                     }
                     if let Some(net) = &net {
                         let (payload_len, body) = P::into_body(wire);
@@ -486,8 +476,8 @@ impl<P: Protocol> FlowStack<P> {
         P::start_passive(self, h, wire);
     }
 
-    /// Services one per-flow timer token drained from the wheel. Tokens of
-    /// unknown slots no-op here, stale ones in the protocol's handler.
+    /// Services one per-flow timer token. Tokens of unknown slots no-op
+    /// here, stale ones in the protocol's handler.
     fn service_timer(self: &Arc<Self>, token: u64) {
         let kind = token >> TOKEN_KIND_SHIFT;
         let idx = ((token >> TOKEN_IDX_SHIFT) & TOKEN_IDX_MASK) as u32;
@@ -509,20 +499,12 @@ impl<P: Protocol> PacketSink for FlowStack<P> {
     }
 }
 
-impl<P: Protocol> EventTarget for FlowStack<P> {
-    /// A coalesced tick: drain the whole bucket and service every
-    /// registered flow timer in arming order.
+impl<P: Protocol> EventTarget for FlowTimers<P> {
     fn fire(self: Arc<Self>, _sim: &Sim, token: u64) {
         let _scope = memscope::enter(P::SCOPE);
-        debug_assert_eq!(token >> TOKEN_KIND_SHIFT, KIND_WHEEL);
-        let tick = SimTime::from_nanos(token & WHEEL_TICK_MASK);
-        let Some(batch) = self.inner.lock().timers.take(tick) else {
-            return;
-        };
-        for &tok in &batch {
-            self.service_timer(tok);
+        if let Some(stack) = self.0.upgrade() {
+            stack.service_timer(token);
         }
-        self.inner.lock().timers.recycle(batch);
     }
 }
 
@@ -768,11 +750,10 @@ mod tests {
                 .expect("dial")
         }
 
-        /// What a no-op must leave unchanged: packets sent, timers waiting.
+        /// What a no-op must leave unchanged: packets sent, events (so
+        /// timers) waiting.
         fn activity(&self) -> (u64, usize) {
-            let stack = self.net.flow_stack::<P>();
-            let tokens = stack.inner.lock().timers.pending_tokens();
-            (self.net.stats().sent, tokens)
+            (self.net.stats().sent, self.sim.events_pending())
         }
     }
 
@@ -862,41 +843,28 @@ mod tests {
 
         drop(conn);
         let before = w.activity();
-        for kind in 0..KIND_WHEEL {
+        for kind in 0..TOKEN_KINDS {
             stack.service_timer(token(kind, h, 0));
             stack.service_timer(token(kind, h, u32::MAX));
         }
         assert_eq!(w.activity(), before, "every timer of a killed flow");
     }
 
-    fn same_tick_timers_share_one_engine_event_and_fire_in_arming_order<P: Protocol + Default>() {
+    fn same_tick_timers_fire_in_arming_order<P: Protocol + Default>() {
         let w = World::<P>::new();
-        let stack = w.net.flow_stack::<P>();
-        // Two dials at the same instant: every timer of the second lands on
-        // a tick the first already opened.
+        // Two dials at the same instant: every timer of the second comes due
+        // in the same nanosecond as one of the first's, and is an engine
+        // event of its own all the same.
         let e0 = w.sim.events_pending();
         let first = w.dial(BLACK_HOLE, Arc::new(SinkEvents));
         let e1 = w.sim.events_pending();
-        let (ticks, tokens) = {
-            let inner = stack.inner.lock();
-            (inner.timers.pending_ticks(), inner.timers.pending_tokens())
-        };
-        assert!(ticks > 0);
         let second = w.dial(BLACK_HOLE, Arc::new(SinkEvents));
         let e2 = w.sim.events_pending();
-        {
-            let inner = stack.inner.lock();
-            assert_eq!(inner.timers.pending_ticks(), ticks);
-            assert_eq!(inner.timers.pending_tokens(), 2 * tokens);
-        }
-        assert_eq!(
-            (e1 - e0) - (e2 - e1),
-            ticks,
-            "the second dial's timers ride the first's engine events"
-        );
+        assert!(e1 - e0 > 1, "an opening packet and at least one timer");
+        assert_eq!(e2 - e1, e1 - e0, "exactly one engine event per arm");
 
         // Nothing answers, so what follows the opening packets are timer
-        // firings: at every shared tick the first dial's retry goes first.
+        // firings: at every shared instant the first dial's retry goes first.
         w.sim.run_for(Duration::from_secs(2));
         let mut retries: Vec<(SimTime, Vec<u16>)> = Vec::new();
         for r in w.tracer.records() {
@@ -1034,10 +1002,45 @@ mod tests {
         assert_eq!(una, nxt, "everything sent was acknowledged, nothing more");
     }
 
+    /// `to_dialler` would answer an open and `to_acceptor` complete one,
+    /// did they not acknowledge far more than an open sends.
+    fn open_ignores_acknowledgement_of_unsent_data<P: Protocol + Default>(
+        to_dialler: P::Wire,
+        to_acceptor: P::Wire,
+        unacked: fn(&P::Flow) -> (u64, u64),
+    ) {
+        let w = World::<P>::new();
+        let client = Arc::new(Recorder::default());
+        let conn = w.dial(LISTEN, client.clone());
+        // The open has arrived, its answer is still on the 5 ms link.
+        w.sim.run_for(Duration::from_millis(7));
+        let stack = conn.stack.clone();
+        let accepted = stack.inner.lock().conn_index[&pair_key(conn.peer, conn.local)];
+        let snapshot = || {
+            let inner = stack.inner.lock();
+            let window = |h| unacked(inner.flows.get(h).expect("live flow"));
+            (window(conn.h), window(accepted), client.connected(), w.server.connected(), w.activity())
+        };
+        let before = snapshot();
+        assert_eq!(before.2, 0, "the dialler is still opening");
+
+        P::on_wire(&stack, conn.h, to_dialler);
+        P::on_wire(&stack, accepted, to_acceptor);
+        assert_eq!(snapshot(), before, "nothing adopted, nothing sent, nobody told");
+
+        w.sim.run_for(Duration::from_secs(1));
+        assert_eq!((client.connected(), w.server.connected()), (1, 1));
+        P::connection(conn.clone()).send(pattern_bytes(0, 5_000));
+        w.sim.run_for(Duration::from_secs(2));
+        assert_eq!(w.server.data_len(), 5_000);
+        assert!(w.server.in_order());
+    }
+
     macro_rules! protocol_suite {
         (
             $name:ident, $proto:ty,
-            is_dead: $is_dead:expr, stale: $stale:expr, stray: $stray:expr, forged_ack: $forged:expr
+            is_dead: $is_dead:expr, stale: $stale:expr, stray: $stray:expr, forged_ack: $forged:expr,
+            forged_open_answer: $forged_answer:expr
         ) => {
             mod $name {
                 #[test]
@@ -1053,8 +1056,8 @@ mod tests {
                     super::dead_and_stale_timer_tokens_are_noops::<$proto>($stale);
                 }
                 #[test]
-                fn same_tick_timers_share_one_engine_event_and_fire_in_arming_order() {
-                    super::same_tick_timers_share_one_engine_event_and_fire_in_arming_order::<$proto>();
+                fn same_tick_timers_fire_in_arming_order() {
+                    super::same_tick_timers_fire_in_arming_order::<$proto>();
                 }
                 #[test]
                 fn stray_packet_for_unknown_pair_is_ignored() {
@@ -1079,6 +1082,14 @@ mod tests {
                         <$proto as super::Protocol>::Flow::unacked,
                     );
                 }
+                #[test]
+                fn open_ignores_acknowledgement_of_unsent_data() {
+                    super::open_ignores_acknowledgement_of_unsent_data::<$proto>(
+                        $forged_answer,
+                        $forged,
+                        <$proto as super::Protocol>::Flow::unacked,
+                    );
+                }
             }
         };
     }
@@ -1089,7 +1100,12 @@ mod tests {
         is_dead: crate::tcp::Flow::is_dead,
         stale: crate::tcp::STALE_TIMER,
         stray: crate::tcp::stray_segment(),
-        forged_ack: crate::tcp::TcpSegment { ack: 1 << 40, ..crate::tcp::stray_segment() }
+        forged_ack: crate::tcp::TcpSegment { ack: 1 << 40, ..crate::tcp::stray_segment() },
+        forged_open_answer: crate::tcp::TcpSegment {
+            ack: 1_000,
+            flags: crate::tcp::SegFlags { syn: true, ack: true, fin: false },
+            ..crate::tcp::stray_segment()
+        }
     );
     protocol_suite!(
         udt,
@@ -1097,6 +1113,9 @@ mod tests {
         is_dead: crate::udt::Flow::is_dead,
         stale: crate::udt::STALE_TIMER,
         stray: crate::udt::UdtPacket::FinAck,
-        forged_ack: crate::udt::UdtPacket::Ack { ack_seq: 1 << 40, rcv_rate_pps: 0.0, capacity_pps: 0.0 }
+        forged_ack: crate::udt::UdtPacket::Ack { ack_seq: 1 << 40, rcv_rate_pps: 0.0, capacity_pps: 0.0 },
+        // UDT's handshake carries no acknowledgement number; a `Connecting`
+        // flow takes no `Ack` at all.
+        forged_open_answer: crate::udt::UdtPacket::Ack { ack_seq: 1_000, rcv_rate_pps: 0.0, capacity_pps: 0.0 }
     );
 }

@@ -52,7 +52,6 @@ pub mod stats;
 pub mod tcp;
 pub mod testutil;
 pub mod time;
-pub mod timerwheel;
 pub mod trace;
 pub mod udp;
 pub mod udt;
@@ -68,7 +67,6 @@ pub use network::{BindError, Network, NetworkStats, PacketSink};
 pub use packet::{Endpoint, NodeId, WireProtocol};
 pub use pool::{PacketHandle, PacketPool};
 pub use slab::{FxHashMap, FxHashSet, FxHasher, Handle, Slab};
-pub use timerwheel::StackTimerWheel;
 pub use time::SimTime;
 pub use trace::{PacketEvent, PacketRecord, PacketTracer, RecorderTracer, RingTracer};
 

@@ -162,24 +162,30 @@ impl NetInner {
     }
 }
 
-/// Weak counterpart of [`Network`], held by the per-network transport
-/// stacks. The stacks are reachable from the fabric (they are registered as
-/// packet sinks), so a strong back-reference would leak whole worlds; the
-/// `Sim` handle stays strong because the engine is the root owner anyway.
-#[derive(Clone)]
-pub(crate) struct WeakNetwork {
-    sim: Sim,
-    inner: Weak<Mutex<NetInner>>,
-    has_tracer: Weak<AtomicBool>,
+/// What every handle to one fabric shares.
+struct Fabric {
+    state: Mutex<NetInner>,
+    /// Mirrors `state.tracer.is_some()` so the per-packet trace path can
+    /// skip the fabric lock entirely when no tracer is installed (the
+    /// common case outside debugging runs).
+    has_tracer: AtomicBool,
 }
 
+/// Weak counterpart of [`Network`], held by what the fabric or the engine's
+/// event store can reach: the transport stacks (registered as packet sinks)
+/// and packet-hop events. A strong reference from either would close a
+/// cycle and leak whole worlds. It carries no `Sim` for the same reason: a
+/// pending hop event must not own the engine it waits in.
+#[derive(Clone)]
+pub(crate) struct WeakNetwork(Weak<Fabric>);
+
 impl WeakNetwork {
-    /// Rebuilds a full fabric handle, or `None` mid-teardown.
-    pub(crate) fn upgrade(&self) -> Option<Network> {
+    /// Rebuilds a full handle to the fabric on `sim`, or `None` once the
+    /// fabric is gone.
+    pub(crate) fn upgrade(&self, sim: &Sim) -> Option<Network> {
         Some(Network {
-            sim: self.sim.clone(),
-            inner: self.inner.upgrade()?,
-            has_tracer: self.has_tracer.upgrade()?,
+            sim: sim.clone(),
+            inner: self.0.upgrade()?,
         })
     }
 }
@@ -188,16 +194,12 @@ impl WeakNetwork {
 #[derive(Clone)]
 pub struct Network {
     sim: Sim,
-    inner: Arc<Mutex<NetInner>>,
-    /// Mirrors `inner.tracer.is_some()` so the per-packet trace path can
-    /// skip the fabric lock entirely when no tracer is installed (the
-    /// common case outside debugging runs).
-    has_tracer: Arc<AtomicBool>,
+    inner: Arc<Fabric>,
 }
 
 impl fmt::Debug for Network {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.lock();
+        let inner = self.inner.state.lock();
         f.debug_struct("Network")
             .field("nodes", &inner.node_names.len())
             .field("links", &inner.links.len())
@@ -233,20 +235,22 @@ impl Network {
     pub fn new(sim: &Sim) -> Self {
         Network {
             sim: sim.clone(),
-            inner: Arc::new(Mutex::new(NetInner {
-                node_names: Vec::new(),
-                links: Vec::new(),
-                routes: FxHashMap::default(),
-                route_arena: Vec::new(),
-                sinks: FxHashMap::default(),
-                next_ephemeral: FxHashMap::default(),
-                pool: PacketPool::new(),
-                stats: NetworkStats::default(),
-                tracer: None,
-                local_delay: std::time::Duration::from_micros(5),
-                stacks: Stacks::default(),
-            })),
-            has_tracer: Arc::new(AtomicBool::new(false)),
+            inner: Arc::new(Fabric {
+                state: Mutex::new(NetInner {
+                    node_names: Vec::new(),
+                    links: Vec::new(),
+                    routes: FxHashMap::default(),
+                    route_arena: Vec::new(),
+                    sinks: FxHashMap::default(),
+                    next_ephemeral: FxHashMap::default(),
+                    pool: PacketPool::new(),
+                    stats: NetworkStats::default(),
+                    tracer: None,
+                    local_delay: std::time::Duration::from_micros(5),
+                    stacks: Stacks::default(),
+                }),
+                has_tracer: AtomicBool::new(false),
+            }),
         }
     }
 
@@ -256,26 +260,21 @@ impl Network {
         &self.sim
     }
 
-    /// A weak handle for long-lived subsystems (transport stacks) that must
-    /// not keep the fabric alive.
+    /// A weak handle for what must not keep the fabric alive.
     pub(crate) fn downgrade(&self) -> WeakNetwork {
-        WeakNetwork {
-            sim: self.sim.clone(),
-            inner: Arc::downgrade(&self.inner),
-            has_tracer: Arc::downgrade(&self.has_tracer),
-        }
+        WeakNetwork(Arc::downgrade(&self.inner))
     }
 
     /// The per-network flow table of protocol `P`, created on first use.
     pub(crate) fn flow_stack<P: Protocol>(&self) -> Arc<FlowStack<P>> {
-        P::slot(&mut self.inner.lock().stacks)
+        P::slot(&mut self.inner.state.lock().stacks)
             .get_or_insert_with(|| FlowStack::new(self.sim.clone(), self.downgrade()))
             .clone()
     }
 
     /// Adds a named host.
     pub fn add_node(&self, name: impl Into<String>) -> NodeId {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.state.lock();
         let id = NodeId(u32::try_from(inner.node_names.len()).expect("too many nodes"));
         inner.node_names.push(name.into());
         id
@@ -288,12 +287,12 @@ impl Network {
     /// Panics if the node does not exist.
     #[must_use]
     pub fn node_name(&self, node: NodeId) -> String {
-        self.inner.lock().node_names[node.0 as usize].clone()
+        self.inner.state.lock().node_names[node.0 as usize].clone()
     }
 
     /// Adds a directed link and returns its id.
     pub fn add_link(&self, cfg: LinkConfig) -> LinkId {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.state.lock();
         let id = LinkId(u32::try_from(inner.links.len()).expect("too many links"));
         let rng = self.sim.seeds().stream(&format!("link-{}", id.0));
         inner.links.push(Arc::new(Link::new(cfg, rng)));
@@ -307,7 +306,7 @@ impl Network {
     /// Panics if the link does not exist.
     #[must_use]
     pub fn link(&self, id: LinkId) -> Arc<Link> {
-        self.inner.lock().links[id.0 as usize].clone()
+        self.inner.state.lock().links[id.0 as usize].clone()
     }
 
     /// Installs the route for packets from `src` to `dst` as an ordered
@@ -317,7 +316,7 @@ impl Network {
     /// span stays in place so in-flight packets finish on the path they
     /// started on (the old `Arc<Vec<LinkId>>` behaviour).
     pub fn set_route(&self, src: NodeId, dst: NodeId, links: Vec<LinkId>) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.state.lock();
         let off = u32::try_from(inner.route_arena.len()).expect("route arena overflow");
         let len = u32::try_from(links.len()).expect("route too long");
         inner.route_arena.extend_from_slice(&links);
@@ -327,7 +326,7 @@ impl Network {
     /// Returns the currently installed route, if any.
     #[must_use]
     pub fn route(&self, src: NodeId, dst: NodeId) -> Option<Vec<LinkId>> {
-        let inner = self.inner.lock();
+        let inner = self.inner.state.lock();
         inner
             .routes
             .get(&route_key(src, dst))
@@ -357,7 +356,7 @@ impl Network {
         port: u16,
         sink: Arc<dyn PacketSink>,
     ) -> Result<(), BindError> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.state.lock();
         let key = sink_key(node, protocol, port);
         if inner.sinks.contains_key(&key) {
             return Err(BindError {
@@ -371,7 +370,7 @@ impl Network {
 
     /// Removes a binding if present.
     pub fn unbind(&self, node: NodeId, protocol: WireProtocol, port: u16) {
-        self.inner.lock().sinks.remove(&sink_key(node, protocol, port));
+        self.inner.state.lock().sinks.remove(&sink_key(node, protocol, port));
     }
 
     /// Allocates a fresh ephemeral port on `node` for `protocol`
@@ -382,7 +381,7 @@ impl Network {
     /// Returns `None` when every port in the ephemeral range is bound.
     #[must_use]
     pub fn alloc_ephemeral_port(&self, node: NodeId, protocol: WireProtocol) -> Option<u16> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.state.lock();
         let start = *inner.next_ephemeral.get(&node).unwrap_or(&EPHEMERAL_LO);
         for i in 0..EPHEMERAL_SPAN {
             let off = (u32::from(start - EPHEMERAL_LO) + i) % EPHEMERAL_SPAN;
@@ -398,17 +397,17 @@ impl Network {
 
     /// Installs a packet tracer observing every send, drop and delivery.
     pub fn set_tracer(&self, tracer: Arc<dyn PacketTracer>) {
-        self.inner.lock().tracer = Some(tracer);
-        self.has_tracer.store(true, Ordering::Release);
+        self.inner.state.lock().tracer = Some(tracer);
+        self.inner.has_tracer.store(true, Ordering::Release);
     }
 
     fn trace(&self, pkt: &Packet, event: PacketEvent) {
         // Fast path: no tracer installed — one relaxed-ish atomic load,
         // no fabric lock, no Arc refcount traffic.
-        if !self.has_tracer.load(Ordering::Acquire) {
+        if !self.inner.has_tracer.load(Ordering::Acquire) {
             return;
         }
-        let tracer = self.inner.lock().tracer.clone();
+        let tracer = self.inner.state.lock().tracer.clone();
         if let Some(tracer) = tracer {
             tracer.record(PacketRecord {
                 time: self.sim.now(),
@@ -484,7 +483,7 @@ impl Network {
         }
         // One lock for the stats bump, the route lookup, and the pool claim.
         let outcome = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.state.lock();
             inner.stats.sent += 1;
             let route = inner.routes.get(&route_key(pkt.src.node, pkt.dst.node)).copied();
             match route {
@@ -507,7 +506,7 @@ impl Network {
                 // A hop event past the (empty) route's end is a delivery.
                 let at = self.sim.now() + delay;
                 self.sim
-                    .schedule_packet_hop(at, self.clone(), h, RouteRef::EMPTY, 0);
+                    .schedule_packet_hop(at, self.downgrade(), h, RouteRef::EMPTY, 0);
             }
             Inject::NoRoute(pkt) => {
                 self.close_flight(&pkt, FLIGHT_NO_ROUTE);
@@ -525,7 +524,7 @@ impl Network {
     /// engine code never calls back into the fabric, so this cannot deadlock.
     fn forward(&self, h: PacketHandle, route: RouteRef, idx: u32) {
         let dropped = {
-            let mut guard = self.inner.lock();
+            let mut guard = self.inner.state.lock();
             let inner = &mut *guard;
             let link_id = inner.route_arena[route.off as usize + idx as usize];
             let link = &inner.links[link_id.index() as usize];
@@ -563,7 +562,7 @@ impl Network {
                             .raw();
                     }
                     self.sim
-                        .schedule_packet_hop(at, self.clone(), h, route, idx + 1);
+                        .schedule_packet_hop(at, self.downgrade(), h, route, idx + 1);
                     None
                 }
                 Verdict::Dropped(reason) => {
@@ -599,7 +598,7 @@ impl Network {
         // uplink — see `Link::sever`), returning the pool slot.
         if idx >= 1 {
             let severed = {
-                let mut guard = self.inner.lock();
+                let mut guard = self.inner.state.lock();
                 let inner = &mut *guard;
                 let link_id = inner.route_arena[route.off as usize + idx as usize - 1];
                 let link = &inner.links[link_id.index() as usize];
@@ -635,7 +634,7 @@ impl Network {
             // Close the crossed hop's span without re-locking: take the raw
             // span id out of the pooled packet under the same lock scope.
             let hop_span = {
-                let mut inner = self.inner.lock();
+                let mut inner = self.inner.state.lock();
                 let pkt = inner
                     .pool
                     .get_mut(h)
@@ -658,7 +657,7 @@ impl Network {
 
     fn deliver(&self, h: PacketHandle) {
         let (pkt, sink) = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.state.lock();
             // The slot is recycled here: the sink gets the packet by value.
             let pkt = inner
                 .pool
@@ -690,26 +689,26 @@ impl Network {
     /// the fault-path leak tests and the fuzz conservation oracle reject.
     #[must_use]
     pub fn packets_in_flight(&self) -> usize {
-        self.inner.lock().pool.live()
+        self.inner.state.lock().pool.live()
     }
 
     /// Packet-pool lifetime counters: `(total_allocated, high_water)`.
     #[must_use]
     pub fn packet_pool_stats(&self) -> (u64, usize) {
-        let inner = self.inner.lock();
+        let inner = self.inner.state.lock();
         (inner.pool.total_allocated(), inner.pool.high_water())
     }
 
     /// Retained packet-pool slot storage in bytes (scaling-probe RSS term).
     #[must_use]
     pub fn packet_pool_mem_bytes(&self) -> usize {
-        self.inner.lock().pool.mem_bytes()
+        self.inner.state.lock().pool.mem_bytes()
     }
 
     /// Snapshot of fabric-wide counters.
     #[must_use]
     pub fn stats(&self) -> NetworkStats {
-        self.inner.lock().stats
+        self.inner.state.lock().stats
     }
 
     /// Current simulation time (convenience).
@@ -850,14 +849,14 @@ mod tests {
         // ports already bound.
         net.bind(a, WireProtocol::Tcp, 65534, sink.clone()).unwrap();
         net.bind(a, WireProtocol::Tcp, 65535, sink.clone()).unwrap();
-        net.inner.lock().next_ephemeral.insert(a, 65534);
+        net.inner.state.lock().next_ephemeral.insert(a, 65534);
         // Bound ports are skipped and the cursor wraps to the bottom.
         let p = net.alloc_ephemeral_port(a, WireProtocol::Tcp).unwrap();
         assert_eq!(p, 49152);
         // A different protocol has its own namespace: 65534 is free there.
         let q = net.alloc_ephemeral_port(a, WireProtocol::Udt);
         assert_eq!(q, Some(49153));
-        net.inner.lock().next_ephemeral.insert(a, 65534);
+        net.inner.state.lock().next_ephemeral.insert(a, 65534);
         let q = net.alloc_ephemeral_port(a, WireProtocol::Udt).unwrap();
         assert_eq!(q, 65534);
     }

@@ -19,7 +19,7 @@
 //!
 //! # Flow storage
 //!
-//! Slab, demux, listeners, timer wheel and handle lifetime are the shared
+//! Slab, demux, listeners, timer arming and handle lifetime are the shared
 //! [`crate::flowstack`] core; this file is what is actually TCP: config,
 //! segment format, the [`Flow`] state machine and its three timers.
 
@@ -453,13 +453,15 @@ impl TcpStack {
                     out.push(Action::Send(pure_ack(flow, cfg, now)));
                 }
             }
+            // Either handshake state drops an acknowledgement of anything
+            // but the open it sent, as `process_ack` does once established.
             State::SynSent => {
-                if seg.flags.syn && seg.flags.ack && seg.ack >= 1 {
+                if seg.flags.syn && seg.flags.ack && (1..=flow.snd_nxt).contains(&seg.ack) {
                     complete_handshake_active(flow, cfg, rec, &seg, now, out);
                 }
             }
             State::SynRcvd => {
-                if seg.flags.ack && seg.ack >= 1 {
+                if seg.flags.ack && (1..=flow.snd_nxt).contains(&seg.ack) {
                     flow.state = State::Established;
                     flow.snd_una = seg.ack.max(flow.snd_una);
                     flow.sent.retain(|seq, _| *seq >= flow.snd_una);

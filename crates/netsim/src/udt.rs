@@ -25,7 +25,7 @@
 //!
 //! # Flow storage
 //!
-//! Slab, demux, listeners, timer wheel and handle lifetime are the shared
+//! Slab, demux, listeners, timer arming and handle lifetime are the shared
 //! [`crate::flowstack`] core; this file is what is actually UDT: config,
 //! packet format, the [`Flow`] state machine and its five timers (pacer,
 //! `SYN` tick, expiration tick, receive-processing completion, handshake
