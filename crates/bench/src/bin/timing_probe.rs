@@ -4,12 +4,12 @@
 //! oracle), then one full-size transfer per (setup, transport) pair of
 //! interest, with simulated time, throughput and event counts.
 //!
-//! Emits everything machine-readable to `BENCH_engine.json`, a
-//! sweep-throughput section (fuzz-scenario worlds/sec at several `--jobs`
-//! levels through `kmsg_bench::sweep`) to `BENCH_sweep.json`, and a
+//! Emits the machine-readable part to `BENCH_engine.json` and a
 //! datacenter-scaling section (star fan-in worlds at increasing host
 //! counts: setup time, events/sec, per-flow heap bytes) to
-//! `BENCH_scale.json`.
+//! `BENCH_scale.json`; prints a sweep-throughput table (fuzz-scenario
+//! worlds/sec at several `--jobs` levels through `kmsg_bench::sweep`) and
+//! asserts that the sweep's outcome is the same at every level.
 //!
 //! ```text
 //! cargo run --release -p kmsg-bench --bin timing_probe [--quick]
@@ -229,7 +229,6 @@ fn write_json(engine_events: u64, engines: &[EngineProbe], transfers: &[Transfer
 
 struct SweepProbe {
     jobs: usize,
-    worlds: u64,
     wall_secs: f64,
     worlds_per_sec: f64,
 }
@@ -260,39 +259,11 @@ fn sweep_probes(worlds: u64) -> Vec<SweepProbe> {
         }
         out.push(SweepProbe {
             jobs,
-            worlds,
             wall_secs,
             worlds_per_sec: worlds as f64 / wall_secs,
         });
     }
     out
-}
-
-fn write_sweep_json(probes: &[SweepProbe]) {
-    let base = probes
-        .first()
-        .map_or(f64::NAN, |p| p.worlds_per_sec);
-    let mut out = String::from("{\n");
-    out.push_str("  \"benchmark\": \"sweep\",\n");
-    out.push_str("  \"world\": \"fuzz-scenario\",\n");
-    out.push_str(&format!(
-        "  \"available_parallelism\": {},\n",
-        kmsg_bench::sweep::default_jobs()
-    ));
-    out.push_str("  \"levels\": [\n");
-    for (i, p) in probes.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"jobs\": {}, \"worlds\": {}, \"wall_secs\": {:.6}, \"worlds_per_sec\": {:.2}, \"speedup_vs_jobs1\": {:.2}}}{}\n",
-            p.jobs,
-            p.worlds,
-            p.wall_secs,
-            p.worlds_per_sec,
-            p.worlds_per_sec / base,
-            if i + 1 < probes.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write("BENCH_sweep.json", out).expect("write BENCH_sweep.json");
 }
 
 /// The pre-slab per-flow heap cost (bytes) measured with this same idle
@@ -560,7 +531,6 @@ fn main() {
             p.worlds_per_sec / base
         );
     }
-    write_sweep_json(&sweeps);
 
     // Datacenter scaling: star fan-in worlds at increasing host counts.
     // Each row pairs an idle-flow heap measurement with a full converging
@@ -617,7 +587,7 @@ fn main() {
         .write_jsonl("telemetry.jsonl")
         .expect("write telemetry.jsonl");
     kmsg_telemetry::log_info!(
-        "\nWrote BENCH_engine.json, BENCH_sweep.json, BENCH_scale.json, telemetry.json, \
+        "\nWrote BENCH_engine.json, BENCH_scale.json, telemetry.json, \
          telemetry.jsonl ({} events recorded, {} retained)",
         r.recorder.recorded_total(),
         r.recorder.event_count()

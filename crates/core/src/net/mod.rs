@@ -810,7 +810,7 @@ impl NetworkComponent {
         let Some(channel) = self.channels.get_mut(&key) else {
             return;
         };
-        let Some(conn) = channel.conn.clone() else {
+        let Some(conn) = channel.conn.as_ref() else {
             return;
         };
         let mut bytes_out = 0u64;
@@ -864,10 +864,9 @@ impl NetworkComponent {
         let Some(channel) = self.channels.get_mut(&key) else {
             return;
         };
-        let Some(conn) = channel.conn.clone() else {
+        let Some(delivered) = channel.conn.as_ref().map(Connection::acked_bytes) else {
             return;
         };
-        let delivered = conn.acked_bytes();
         let mut done = Vec::new();
         while let Some(front) = channel.awaiting_ack.front() {
             if front.end <= delivered {

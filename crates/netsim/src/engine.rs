@@ -24,6 +24,12 @@
 //! handlers is always safe. (Re-entrant `run_*` calls from inside an event
 //! are not supported.)
 //!
+//! The clock itself is one atomic word beside that mutex: [`Sim::now`] —
+//! half of all the engine's lock acquisitions when it took the lock — reads
+//! it without locking. Only `run_until` writes it, with the store lock held,
+//! so whoever holds the lock reads the exact value; the word publishes no
+//! other data, hence `Relaxed`.
+//!
 //! # Zero-allocation scheduling
 //!
 //! Beyond boxed closures ([`Sim::schedule_at`] / [`Sim::schedule_in`]), the
@@ -62,6 +68,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::mem;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -118,7 +125,6 @@ enum EventKind {
 }
 
 struct SimInner {
-    now: SimTime,
     seq: u64,
     executed: u64,
     /// Next per-simulation connection id (deterministic per seed).
@@ -133,25 +139,30 @@ struct SimInner {
     spare: VecDeque<EventKind>,
 }
 
+/// What every handle to one engine shares.
+struct Engine {
+    /// The clock, in nanoseconds (see the module documentation).
+    now: AtomicU64,
+    store: Mutex<SimInner>,
+    seeds: SeedSource,
+    recorder: Recorder,
+}
+
 /// Handle to the discrete-event simulation engine.
 ///
 /// Cloning is cheap (an [`Arc`] bump); all clones refer to the same clock and
 /// event store. See the [module documentation](self) for an example.
 #[derive(Clone)]
-pub struct Sim {
-    inner: Arc<Mutex<SimInner>>,
-    seeds: SeedSource,
-    recorder: Recorder,
-}
+pub struct Sim(Arc<Engine>);
 
 impl fmt::Debug for Sim {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.lock();
+        let inner = self.0.store.lock();
         f.debug_struct("Sim")
-            .field("now", &inner.now)
+            .field("now", &self.now())
             .field("pending", &(inner.now_lane.len() + inner.wheel.len()))
             .field("executed", &inner.executed)
-            .field("seed", &self.seeds.root())
+            .field("seed", &self.0.seeds.root())
             .finish()
     }
 }
@@ -160,9 +171,9 @@ impl Sim {
     /// Creates a new simulation with the given experiment seed.
     #[must_use]
     pub fn new(seed: u64) -> Self {
-        Sim {
-            inner: Arc::new(Mutex::new(SimInner {
-                now: SimTime::ZERO,
+        Sim(Arc::new(Engine {
+            now: AtomicU64::new(SimTime::ZERO.as_nanos()),
+            store: Mutex::new(SimInner {
                 seq: 0,
                 executed: 0,
                 next_conn_id: 1,
@@ -170,10 +181,10 @@ impl Sim {
                 wheel: TimingWheel::new(),
                 cohort: Vec::new(),
                 spare: VecDeque::new(),
-            })),
+            }),
             seeds: SeedSource::new(seed),
             recorder: Recorder::new(),
-        }
+        }))
     }
 
     /// The telemetry recorder attached to this simulation.
@@ -183,13 +194,18 @@ impl Sim {
     /// `Sim` shares the same recorder.
     #[must_use]
     pub fn recorder(&self) -> &Recorder {
-        &self.recorder
+        &self.0.recorder
     }
 
-    /// The current virtual time.
+    /// The current virtual time. Takes no lock.
     #[must_use]
     pub fn now(&self) -> SimTime {
-        self.inner.lock().now
+        SimTime::from_nanos(self.0.now.load(Ordering::Relaxed))
+    }
+
+    /// Advances the clock; `run_until` alone, with the store lock held.
+    fn set_now(&self, now: SimTime) {
+        self.0.now.store(now.as_nanos(), Ordering::Relaxed);
     }
 
     /// Allocates the next connection id for this simulation.
@@ -198,7 +214,7 @@ impl Sim {
     /// so two same-seed runs label their connections — and hence their
     /// telemetry events — identically.
     pub(crate) fn fresh_conn_id(&self) -> u64 {
-        let mut inner = self.inner.lock();
+        let mut inner = self.0.store.lock();
         let id = inner.next_conn_id;
         inner.next_conn_id += 1;
         id
@@ -207,24 +223,25 @@ impl Sim {
     /// The seed source for deriving named deterministic random streams.
     #[must_use]
     pub fn seeds(&self) -> SeedSource {
-        self.seeds
+        self.0.seeds
     }
 
     /// Derives the named deterministic random stream (see [`SeedSource`]).
     #[must_use]
     pub fn rng(&self, name: &str) -> RngStream {
-        self.seeds.stream(name)
+        self.0.seeds.stream(name)
     }
 
     /// Stamps and stores one event: the now lane if due immediately, the
     /// wheel otherwise. Past times clamp to the current clock.
     fn schedule_event(&self, at: SimTime, event: EventKind) {
         let _scope = memscope::enter(memscope::SCOPE_ENGINE);
-        let mut inner = self.inner.lock();
-        let at = at.max(inner.now);
+        let mut inner = self.0.store.lock();
+        let now = self.now();
+        let at = at.max(now);
         let seq = inner.seq;
         inner.seq += 1;
-        if at == inner.now {
+        if at == now {
             inner.now_lane.push_back(event);
         } else {
             inner.wheel.insert(at, seq, event);
@@ -299,7 +316,7 @@ impl Sim {
                 route,
                 idx,
             } => {
-                if let Some(net) = net.upgrade(self) {
+                if let Some(net) = net.upgrade() {
                     net.packet_hop(pkt, route, idx);
                 }
             }
@@ -316,28 +333,28 @@ impl Sim {
     /// called re-entrantly from inside an event.
     pub fn run_until(&self, horizon: SimTime) -> u64 {
         let mut count: u64 = 0;
-        let mut batch = mem::take(&mut self.inner.lock().spare);
+        let mut batch = mem::take(&mut self.0.store.lock().spare);
         loop {
             {
                 let _scope = memscope::enter(memscope::SCOPE_ENGINE);
-                let mut inner = self.inner.lock();
+                let mut inner = self.0.store.lock();
                 if inner.now_lane.is_empty() {
                     match inner.wheel.next_at() {
                         Some(t) if t <= horizon => {
-                            inner.now = t;
+                            self.set_now(t);
                             let mut cohort = mem::take(&mut inner.cohort);
                             inner.wheel.pop_cohort(t, &mut cohort);
                             inner.now_lane.extend(cohort.drain(..).map(|e| e.value));
                             inner.cohort = cohort;
                         }
                         _ => {
-                            inner.now = inner.now.max(horizon);
+                            self.set_now(self.now().max(horizon));
                             inner.wheel.advance_to(horizon);
                             break;
                         }
                     }
                 }
-                if inner.now > horizon {
+                if self.now() > horizon {
                     // Lane events are stamped `now`, already past the
                     // horizon: leave them for a later run.
                     break;
@@ -351,7 +368,7 @@ impl Sim {
                 self.dispatch(event);
             }
         }
-        self.inner.lock().spare = batch;
+        self.0.store.lock().spare = batch;
         count
     }
 
@@ -382,13 +399,13 @@ impl Sim {
     /// their batch is claimed for dispatch.
     #[must_use]
     pub fn events_executed(&self) -> u64 {
-        self.inner.lock().executed
+        self.0.store.lock().executed
     }
 
     /// Number of events currently pending in the store.
     #[must_use]
     pub fn events_pending(&self) -> usize {
-        let inner = self.inner.lock();
+        let inner = self.0.store.lock();
         inner.now_lane.len() + inner.wheel.len()
     }
 }
@@ -464,6 +481,24 @@ mod tests {
         sim.schedule_at(SimTime::ZERO, move |sim| *f.lock() = sim.now());
         sim.run_until(SimTime::from_secs(2));
         assert_eq!(*fired_at.lock(), SimTime::from_secs(1));
+    }
+
+    #[test]
+    fn now_is_the_event_timestamp_then_the_horizon_on_every_clone() {
+        let sim = Sim::new(0);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let stamps = [SimTime::from_millis(3), SimTime::from_millis(7)];
+        for at in stamps {
+            let seen = seen.clone();
+            sim.schedule_at(at, move |sim| seen.lock().push(sim.now()));
+        }
+        let horizon = SimTime::from_secs(1);
+        sim.run_until(horizon);
+        assert_eq!(*seen.lock(), stamps);
+        assert_eq!(sim.now(), horizon);
+        let clone = sim.clone();
+        let elsewhere = std::thread::spawn(move || clone.now()).join().expect("reader thread");
+        assert_eq!(elsewhere, horizon);
     }
 
     #[test]

@@ -272,7 +272,7 @@ impl<P: Protocol> FlowStack<P> {
             inner.conn_index.remove(&pair_key(local, peer));
             (events, local)
         };
-        if let Some(net) = self.net.upgrade(&self.sim) {
+        if let Some(net) = self.net.upgrade() {
             net.unbind(local.node, P::WIRE, local.port);
         }
     }
@@ -335,21 +335,24 @@ impl<P: Protocol> FlowStack<P> {
             let fresh = Vec::with_capacity(actions.capacity().min(KEPT_ACTIONS));
             many = std::mem::replace(actions, fresh);
         }
-        let hdr = P::hdr(inner.flows.get(h).expect("flow looked up by the caller"));
-        let (local, peer, id) = (hdr.local, hdr.peer, hdr.conn_id);
+        let hdr = P::hdr_mut(inner.flows.get_mut(h).expect("flow looked up by the caller"));
+        let (local, peer, id) = (hdr.local, hdr.peer, ConnectionId::from_raw(hdr.conn_id));
         let events = if needs_events { hdr.events.clone() } else { None };
+        // The wrapper exists only for callback scope: counted here, under
+        // the lock already held, and dropped outside it (its Drop re-enters
+        // the stack).
+        hdr.app_handles += u32::from(events.is_some());
         drop(guard);
-        // The wrapper exists only for callback scope; it is built and
-        // dropped outside the lock (its Drop re-enters the stack).
-        let app = events
-            .as_ref()
-            .map(|ev| (ev, P::connection(self.make_conn(h, id, local, peer))));
+        let app = events.as_ref().map(|ev| {
+            let stack = self.clone();
+            (ev, P::connection(Conn { stack, h, id, local, peer }))
+        });
         let mut net = None;
         for action in few.iter_mut().map_while(Option::take).chain(many) {
             match (action, &app) {
                 (Action::Send(wire), _) => {
                     if net.is_none() {
-                        net = self.net.upgrade(&self.sim);
+                        net = self.net.upgrade();
                     }
                     if let Some(net) = &net {
                         let (payload_len, body) = P::into_body(wire);

@@ -10,13 +10,17 @@
 //! The policer models Amazon EC2's UDP rate limiting (~10 MB/s), which the
 //! paper identifies as the reason UDT plateaus near 10 MB/s in all of its
 //! wide-area experiments.
+//!
+//! A link has no lock of its own: its state is a row of the fabric's link
+//! table, offered packets by the fabric with an explicit `now`, and the
+//! public [`Link`] is a view of that row through the fabric lock.
 
+use std::fmt;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use rand::Rng;
 
-use crate::engine::Sim;
+use crate::network::Network;
 use crate::rng::RngStream;
 use crate::time::SimTime;
 
@@ -301,8 +305,10 @@ impl LinkStats {
     }
 }
 
+/// Everything a link is: plain state in the fabric's dense link table,
+/// reached only with the fabric lock held.
 #[derive(Debug)]
-struct LinkInner {
+pub(crate) struct LinkState {
     cfg: LinkConfig,
     up: bool,
     busy_until: SimTime,
@@ -318,52 +324,40 @@ struct LinkInner {
     extra_delay: Duration,
 }
 
-/// A directed link. Construct through
-/// [`Network::add_link`](crate::network::Network::add_link).
-#[derive(Debug)]
-pub struct Link {
-    inner: Mutex<LinkInner>,
-}
-
-impl Link {
+impl LinkState {
     pub(crate) fn new(cfg: LinkConfig, rng: RngStream) -> Self {
         let policer = cfg.udp_policer.map(|p| TokenBucket {
             cfg: p,
             tokens: p.burst,
             last: SimTime::ZERO,
         });
-        Link {
-            inner: Mutex::new(LinkInner {
-                cfg,
-                up: true,
-                busy_until: SimTime::ZERO,
-                policer,
-                rng,
-                stats: LinkStats::default(),
-                ge_bad: false,
-                epoch: 0,
-                extra_delay: Duration::ZERO,
-            }),
+        LinkState {
+            cfg,
+            up: true,
+            busy_until: SimTime::ZERO,
+            policer,
+            rng,
+            stats: LinkStats::default(),
+            ge_bad: false,
+            epoch: 0,
+            extra_delay: Duration::ZERO,
         }
     }
 
-    /// Offers a packet of `wire_size` bytes to the link at the current
-    /// simulation time and returns when (and whether) it arrives at the far
-    /// end.
-    pub fn transmit(&self, sim: &Sim, wire_size: usize, udp_family: bool) -> Verdict {
-        let now = sim.now();
-        let mut inner = self.inner.lock();
+    /// Offers a packet of `wire_size` bytes to the link at `now` and returns
+    /// when (and whether) it arrives at the far end.
+    pub(crate) fn transmit(&mut self, now: SimTime, wire_size: usize, udp_family: bool) -> Verdict {
         let size = wire_size as f64;
 
-        if !inner.up {
-            inner.stats.dropped_down += 1;
+        if !self.up {
+            self.stats.dropped_down += 1;
             return Verdict::Dropped(DropReason::LinkDown);
         }
 
         if udp_family {
-            if let Some(bucket) = inner.policer.as_mut() {
+            if let Some(bucket) = self.policer.as_mut() {
                 if !bucket.allow(now, size) {
-                    inner.stats.dropped_policer += 1;
+                    self.stats.dropped_policer += 1;
                     return Verdict::Dropped(DropReason::Policed);
                 }
             }
@@ -371,91 +365,147 @@ impl Link {
 
         // Analytic drop-tail queue: occupancy is the backlog still to be
         // serialized.
-        let backlog_secs = inner.busy_until.duration_since(now).as_secs_f64();
-        let backlog_bytes = backlog_secs * inner.cfg.bandwidth;
-        if backlog_bytes + size > inner.cfg.queue_capacity as f64 {
-            inner.stats.dropped_queue += 1;
+        if self.backlog_bytes(now) + size > self.cfg.queue_capacity as f64 {
+            self.stats.dropped_queue += 1;
             return Verdict::Dropped(DropReason::QueueOverflow);
         }
 
-        if inner.cfg.random_loss > 0.0 {
-            let roll: f64 = inner.rng.gen();
-            if roll < inner.cfg.random_loss {
+        if self.cfg.random_loss > 0.0 {
+            let roll: f64 = self.rng.gen();
+            if roll < self.cfg.random_loss {
                 // The packet still occupies the wire before being corrupted.
-                let tx = Duration::from_secs_f64(size / inner.cfg.bandwidth);
-                inner.busy_until = inner.busy_until.max(now) + tx;
-                inner.stats.dropped_loss += 1;
+                let tx = Duration::from_secs_f64(size / self.cfg.bandwidth);
+                self.busy_until = self.busy_until.max(now) + tx;
+                self.stats.dropped_loss += 1;
                 return Verdict::Dropped(DropReason::RandomLoss);
             }
         }
 
-        if let Some(ge) = inner.cfg.burst_loss {
+        if let Some(ge) = self.cfg.burst_loss {
             // Advance the two-state machine, then roll against the loss
             // probability of the state we landed in.
-            let flip: f64 = inner.rng.gen();
-            if inner.ge_bad {
+            let flip: f64 = self.rng.gen();
+            if self.ge_bad {
                 if flip < ge.p_exit_bad {
-                    inner.ge_bad = false;
+                    self.ge_bad = false;
                 }
             } else if flip < ge.p_enter_bad {
-                inner.ge_bad = true;
+                self.ge_bad = true;
             }
-            let loss = if inner.ge_bad { ge.loss_bad } else { ge.loss_good };
+            let loss = if self.ge_bad { ge.loss_bad } else { ge.loss_good };
             if loss > 0.0 {
-                let roll: f64 = inner.rng.gen();
+                let roll: f64 = self.rng.gen();
                 if roll < loss {
                     // Like random loss, a burst-lost packet occupies the wire.
-                    let tx = Duration::from_secs_f64(size / inner.cfg.bandwidth);
-                    inner.busy_until = inner.busy_until.max(now) + tx;
-                    inner.stats.dropped_burst += 1;
+                    let tx = Duration::from_secs_f64(size / self.cfg.bandwidth);
+                    self.busy_until = self.busy_until.max(now) + tx;
+                    self.stats.dropped_burst += 1;
                     return Verdict::Dropped(DropReason::BurstLoss);
                 }
             }
         }
 
-        let tx = Duration::from_secs_f64(size / inner.cfg.bandwidth);
-        let start = inner.busy_until.max(now);
-        inner.busy_until = start + tx;
-        let mut arrival = inner.busy_until + inner.cfg.delay + inner.extra_delay;
-        if !inner.cfg.jitter.is_zero() {
-            let j: f64 = inner.rng.gen();
-            arrival += Duration::from_secs_f64(j * inner.cfg.jitter.as_secs_f64());
+        let tx = Duration::from_secs_f64(size / self.cfg.bandwidth);
+        let start = self.busy_until.max(now);
+        self.busy_until = start + tx;
+        let mut arrival = self.busy_until + self.cfg.delay + self.extra_delay;
+        if !self.cfg.jitter.is_zero() {
+            let j: f64 = self.rng.gen();
+            arrival += Duration::from_secs_f64(j * self.cfg.jitter.as_secs_f64());
         }
-        inner.stats.delivered += 1;
-        inner.stats.delivered_bytes += wire_size as u64;
+        self.stats.delivered += 1;
+        self.stats.delivered_bytes += wire_size as u64;
         Verdict::DeliverAt(arrival)
+    }
+
+    pub(crate) fn queue_capacity(&self) -> usize {
+        self.cfg.queue_capacity
+    }
+
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Counts a packet killed in flight by a sever (called by the network
+    /// on arrival when the epoch check fails).
+    pub(crate) fn note_severed(&mut self) {
+        self.stats.dropped_severed += 1;
+    }
+
+    pub(crate) fn backlog_bytes(&self, now: SimTime) -> f64 {
+        self.busy_until.duration_since(now).as_secs_f64() * self.cfg.bandwidth
+    }
+
+    fn sever(&mut self) {
+        self.up = false;
+        self.busy_until = SimTime::ZERO;
+        self.epoch += 1;
+    }
+
+    fn set_burst_loss(&mut self, cfg: Option<GeConfig>) {
+        self.cfg.burst_loss = cfg;
+        if cfg.is_none() {
+            self.ge_bad = false;
+        }
+    }
+}
+
+/// A view of one directed link of a [`Network`], from
+/// [`Network::link`]: every method reads or writes the link's state in the
+/// fabric, under the fabric lock, so a view is never a snapshot. Links are
+/// added with [`Network::add_link`].
+pub struct Link {
+    net: Network,
+    id: LinkId,
+}
+
+impl fmt::Debug for Link {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = f.debug_struct("Link");
+        out.field("id", &self.id);
+        self.with(|state| out.field("state", state).finish())
+    }
+}
+
+impl Link {
+    pub(crate) fn new(net: Network, id: LinkId) -> Self {
+        Link { net, id }
+    }
+
+    fn with<R>(&self, f: impl FnOnce(&mut LinkState) -> R) -> R {
+        self.net.with_link(self.id, f)
     }
 
     /// Snapshot of the link's counters.
     #[must_use]
     pub fn stats(&self) -> LinkStats {
-        self.inner.lock().stats
+        self.with(|l| l.stats)
     }
 
     /// The link's configuration.
     #[must_use]
     pub fn config(&self) -> LinkConfig {
-        self.inner.lock().cfg.clone()
+        self.with(|l| l.cfg.clone())
     }
 
     /// The configured queue capacity in bytes, without cloning the whole
-    /// [`LinkConfig`] (the per-packet telemetry path reads only this field).
+    /// [`LinkConfig`].
     #[must_use]
     pub fn queue_capacity(&self) -> usize {
-        self.inner.lock().cfg.queue_capacity
+        self.with(|l| l.queue_capacity())
     }
 
     /// Injects or clears an outage: while down, every offered packet is
     /// dropped. Packets already serialized onto the wire still arrive
     /// (the failure is at the link entry, like an unplugged uplink).
     pub fn set_up(&self, up: bool) {
-        self.inner.lock().up = up;
+        self.with(|l| l.up = up);
     }
 
     /// Whether the link is currently up.
     #[must_use]
     pub fn is_up(&self) -> bool {
-        self.inner.lock().up
+        self.with(|l| l.up)
     }
 
     /// Severs the link: carrier loss rather than an unplugged uplink.
@@ -466,28 +516,19 @@ impl Link {
     /// stamped with an older epoch on arrival, counting it under
     /// [`DropReason::Severed`]. Restore with `set_up(true)`.
     pub fn sever(&self) {
-        let mut inner = self.inner.lock();
-        inner.up = false;
-        inner.busy_until = SimTime::ZERO;
-        inner.epoch += 1;
+        self.with(LinkState::sever);
     }
 
     /// The current sever epoch (see [`Link::sever`]).
     #[must_use]
     pub fn epoch(&self) -> u64 {
-        self.inner.lock().epoch
-    }
-
-    /// Counts a packet killed in flight by a sever (called by the network
-    /// on arrival when the epoch check fails).
-    pub(crate) fn note_severed(&self) {
-        self.inner.lock().stats.dropped_severed += 1;
+        self.with(|l| l.epoch())
     }
 
     /// Installs or clears a transient extra propagation delay (latency
     /// spike). Applies to packets transmitted from now on.
     pub fn set_extra_delay(&self, extra: Duration) {
-        self.inner.lock().extra_delay = extra;
+        self.with(|l| l.extra_delay = extra);
     }
 
     /// Installs or clears the Gilbert–Elliott burst-loss model at runtime.
@@ -500,18 +541,13 @@ impl Link {
         if let Some(ge) = cfg {
             ge.validate();
         }
-        let mut inner = self.inner.lock();
-        inner.cfg.burst_loss = cfg;
-        if cfg.is_none() {
-            inner.ge_bad = false;
-        }
+        self.with(|l| l.set_burst_loss(cfg));
     }
 
     /// Current queue backlog in bytes (bytes not yet serialized).
     #[must_use]
     pub fn backlog_bytes(&self, now: SimTime) -> f64 {
-        let inner = self.inner.lock();
-        inner.busy_until.duration_since(now).as_secs_f64() * inner.cfg.bandwidth
+        self.with(|l| l.backlog_bytes(now))
     }
 }
 
@@ -520,17 +556,18 @@ mod tests {
     use super::*;
     use crate::rng::SeedSource;
 
-    fn mk(cfg: LinkConfig) -> (Sim, Link) {
-        let sim = Sim::new(1);
-        let link = Link::new(cfg, SeedSource::new(1).stream("test-link"));
-        (sim, link)
+    /// Where every test starts its clock.
+    const T0: SimTime = SimTime::ZERO;
+
+    fn mk(cfg: LinkConfig) -> LinkState {
+        LinkState::new(cfg, SeedSource::new(1).stream("test-link"))
     }
 
     #[test]
     fn serialization_plus_propagation() {
-        let (sim, link) = mk(LinkConfig::new(1e6, Duration::from_millis(10)));
+        let mut link = mk(LinkConfig::new(1e6, Duration::from_millis(10)));
         // 1000 B at 1 MB/s = 1 ms serialization + 10 ms propagation.
-        match link.transmit(&sim, 1000, false) {
+        match link.transmit(T0, 1000, false) {
             Verdict::DeliverAt(t) => {
                 assert_eq!(t, SimTime::from_nanos(11_000_000));
             }
@@ -540,54 +577,54 @@ mod tests {
 
     #[test]
     fn fifo_backlog_accumulates() {
-        let (sim, link) = mk(LinkConfig::new(1e6, Duration::ZERO).queue_capacity(10_000));
-        let t1 = match link.transmit(&sim, 1000, false) {
+        let mut link = mk(LinkConfig::new(1e6, Duration::ZERO).queue_capacity(10_000));
+        let t1 = match link.transmit(T0, 1000, false) {
             Verdict::DeliverAt(t) => t,
             v => panic!("{v:?}"),
         };
-        let t2 = match link.transmit(&sim, 1000, false) {
+        let t2 = match link.transmit(T0, 1000, false) {
             Verdict::DeliverAt(t) => t,
             v => panic!("{v:?}"),
         };
         assert!(t2 > t1);
         assert_eq!(t2.duration_since(t1), Duration::from_millis(1));
-        assert!(link.backlog_bytes(sim.now()) > 0.0);
+        assert!(link.backlog_bytes(T0) > 0.0);
     }
 
     #[test]
     fn queue_overflow_drops() {
-        let (sim, link) = mk(LinkConfig::new(1e6, Duration::ZERO).queue_capacity(2500));
-        assert!(matches!(link.transmit(&sim, 1000, false), Verdict::DeliverAt(_)));
-        assert!(matches!(link.transmit(&sim, 1000, false), Verdict::DeliverAt(_)));
+        let mut link = mk(LinkConfig::new(1e6, Duration::ZERO).queue_capacity(2500));
+        assert!(matches!(link.transmit(T0, 1000, false), Verdict::DeliverAt(_)));
+        assert!(matches!(link.transmit(T0, 1000, false), Verdict::DeliverAt(_)));
         // Third packet exceeds the 2500 B queue.
         assert_eq!(
-            link.transmit(&sim, 1000, false),
+            link.transmit(T0, 1000, false),
             Verdict::Dropped(DropReason::QueueOverflow)
         );
-        assert_eq!(link.stats().dropped_queue, 1);
-        assert_eq!(link.stats().delivered, 2);
+        assert_eq!(link.stats.dropped_queue, 1);
+        assert_eq!(link.stats.delivered, 2);
     }
 
     #[test]
     fn queue_drains_over_time() {
-        let (sim, link) = mk(LinkConfig::new(1e6, Duration::ZERO).queue_capacity(1500));
-        assert!(matches!(link.transmit(&sim, 1000, false), Verdict::DeliverAt(_)));
+        let mut link = mk(LinkConfig::new(1e6, Duration::ZERO).queue_capacity(1500));
+        assert!(matches!(link.transmit(T0, 1000, false), Verdict::DeliverAt(_)));
         assert!(matches!(
-            link.transmit(&sim, 1000, false),
+            link.transmit(T0, 1000, false),
             Verdict::Dropped(DropReason::QueueOverflow)
         ));
-        sim.run_until(SimTime::from_secs(1)); // queue empties
-        assert!(matches!(link.transmit(&sim, 1000, false), Verdict::DeliverAt(_)));
+        // A second later the queue has emptied.
+        assert!(matches!(link.transmit(SimTime::from_secs(1), 1000, false), Verdict::DeliverAt(_)));
     }
 
     #[test]
     fn random_loss_rate_approximate() {
-        let (sim, link) = mk(LinkConfig::new(1e12, Duration::ZERO)
+        let mut link = mk(LinkConfig::new(1e12, Duration::ZERO)
             .queue_capacity(usize::MAX / 2)
             .random_loss(0.1));
         let mut dropped = 0;
         for _ in 0..10_000 {
-            if matches!(link.transmit(&sim, 100, false), Verdict::Dropped(_)) {
+            if matches!(link.transmit(T0, 100, false), Verdict::Dropped(_)) {
                 dropped += 1;
             }
         }
@@ -602,16 +639,16 @@ mod tests {
                 rate: 1000.0,
                 burst: 1000.0,
             });
-        let (sim, link) = mk(cfg);
+        let mut link = mk(cfg);
         // Two 600 B UDP packets: first drains the bucket, second is policed.
-        assert!(matches!(link.transmit(&sim, 600, true), Verdict::DeliverAt(_)));
+        assert!(matches!(link.transmit(T0, 600, true), Verdict::DeliverAt(_)));
         assert_eq!(
-            link.transmit(&sim, 600, true),
+            link.transmit(T0, 600, true),
             Verdict::Dropped(DropReason::Policed)
         );
         // TCP is unaffected.
-        assert!(matches!(link.transmit(&sim, 600, false), Verdict::DeliverAt(_)));
-        assert_eq!(link.stats().dropped_policer, 1);
+        assert!(matches!(link.transmit(T0, 600, false), Verdict::DeliverAt(_)));
+        assert_eq!(link.stats.dropped_policer, 1);
     }
 
     #[test]
@@ -622,11 +659,10 @@ mod tests {
                 rate: 1000.0,
                 burst: 1000.0,
             });
-        let (sim, link) = mk(cfg);
-        assert!(matches!(link.transmit(&sim, 1000, true), Verdict::DeliverAt(_)));
-        assert!(matches!(link.transmit(&sim, 1000, true), Verdict::Dropped(_)));
-        sim.run_until(SimTime::from_secs(2));
-        assert!(matches!(link.transmit(&sim, 1000, true), Verdict::DeliverAt(_)));
+        let mut link = mk(cfg);
+        assert!(matches!(link.transmit(T0, 1000, true), Verdict::DeliverAt(_)));
+        assert!(matches!(link.transmit(T0, 1000, true), Verdict::Dropped(_)));
+        assert!(matches!(link.transmit(SimTime::from_secs(2), 1000, true), Verdict::DeliverAt(_)));
     }
 
     #[test]
@@ -645,11 +681,11 @@ mod tests {
 
     #[test]
     fn jitter_spreads_arrivals() {
-        let (sim, link) = mk(LinkConfig::new(1e9, Duration::from_millis(10))
+        let mut link = mk(LinkConfig::new(1e9, Duration::from_millis(10))
             .jitter(Duration::from_millis(5)));
         let mut times = Vec::new();
         for _ in 0..50 {
-            match link.transmit(&sim, 100, true) {
+            match link.transmit(T0, 100, true) {
                 Verdict::DeliverAt(t) => times.push(t),
                 v => panic!("{v:?}"),
             }
@@ -665,34 +701,33 @@ mod tests {
 
     #[test]
     fn outage_drops_everything_until_restored() {
-        let (sim, link) = mk(LinkConfig::new(1e6, Duration::ZERO));
-        assert!(link.is_up());
-        link.set_up(false);
-        assert!(!link.is_up());
+        let mut link = mk(LinkConfig::new(1e6, Duration::ZERO));
+        assert!(link.up);
+        link.up = false;
         for _ in 0..5 {
             assert_eq!(
-                link.transmit(&sim, 100, false),
+                link.transmit(T0, 100, false),
                 Verdict::Dropped(DropReason::LinkDown)
             );
         }
-        assert_eq!(link.stats().dropped_down, 5);
-        link.set_up(true);
-        assert!(matches!(link.transmit(&sim, 100, false), Verdict::DeliverAt(_)));
+        assert_eq!(link.stats.dropped_down, 5);
+        link.up = true;
+        assert!(matches!(link.transmit(T0, 100, false), Verdict::DeliverAt(_)));
     }
 
     #[test]
     fn sever_clears_backlog_and_bumps_epoch() {
-        let (sim, link) = mk(LinkConfig::new(1e6, Duration::ZERO).queue_capacity(10_000));
-        assert!(matches!(link.transmit(&sim, 5000, false), Verdict::DeliverAt(_)));
-        assert!(link.backlog_bytes(sim.now()) > 0.0);
+        let mut link = mk(LinkConfig::new(1e6, Duration::ZERO).queue_capacity(10_000));
+        assert!(matches!(link.transmit(T0, 5000, false), Verdict::DeliverAt(_)));
+        assert!(link.backlog_bytes(T0) > 0.0);
         let before = link.epoch();
         link.sever();
-        assert!(!link.is_up());
+        assert!(!link.up);
         assert_eq!(link.epoch(), before + 1);
-        assert_eq!(link.backlog_bytes(sim.now()), 0.0);
-        link.set_up(true);
+        assert_eq!(link.backlog_bytes(T0), 0.0);
+        link.up = true;
         // Backlog was discarded: the next packet serializes immediately.
-        match link.transmit(&sim, 1000, false) {
+        match link.transmit(T0, 1000, false) {
             Verdict::DeliverAt(t) => assert_eq!(t, SimTime::from_millis(1)),
             v => panic!("{v:?}"),
         }
@@ -700,7 +735,7 @@ mod tests {
 
     #[test]
     fn burst_loss_drops_in_bursts() {
-        let (sim, link) = mk(LinkConfig::new(1e12, Duration::ZERO)
+        let mut link = mk(LinkConfig::new(1e12, Duration::ZERO)
             .queue_capacity(usize::MAX / 2)
             .burst_loss(GeConfig {
                 p_enter_bad: 0.02,
@@ -711,7 +746,7 @@ mod tests {
         let mut outcomes = Vec::new();
         for _ in 0..20_000 {
             outcomes.push(matches!(
-                link.transmit(&sim, 100, false),
+                link.transmit(T0, 100, false),
                 Verdict::Dropped(DropReason::BurstLoss)
             ));
         }
@@ -725,23 +760,22 @@ mod tests {
         let cond = both as f64 / pairs as f64;
         let uncond = dropped as f64 / outcomes.len() as f64;
         assert!(cond > 2.0 * uncond, "cond={cond:.3} uncond={uncond:.3}");
-        assert_eq!(link.stats().dropped_burst as usize, dropped);
+        assert_eq!(link.stats.dropped_burst as usize, dropped);
         // Clearing resets to the good state.
         link.set_burst_loss(None);
-        assert!(matches!(link.transmit(&sim, 100, false), Verdict::DeliverAt(_)));
+        assert!(matches!(link.transmit(T0, 100, false), Verdict::DeliverAt(_)));
     }
 
     #[test]
     fn extra_delay_shifts_arrivals() {
-        let (sim, link) = mk(LinkConfig::new(1e6, Duration::from_millis(10)));
-        link.set_extra_delay(Duration::from_millis(40));
-        match link.transmit(&sim, 1000, false) {
+        let mut link = mk(LinkConfig::new(1e6, Duration::from_millis(10)));
+        link.extra_delay = Duration::from_millis(40);
+        match link.transmit(T0, 1000, false) {
             Verdict::DeliverAt(t) => assert_eq!(t, SimTime::from_millis(51)),
             v => panic!("{v:?}"),
         }
-        link.set_extra_delay(Duration::ZERO);
-        sim.run_until(SimTime::from_secs(1));
-        match link.transmit(&sim, 1000, false) {
+        link.extra_delay = Duration::ZERO;
+        match link.transmit(SimTime::from_secs(1), 1000, false) {
             Verdict::DeliverAt(t) => {
                 assert_eq!(t, SimTime::from_secs(1) + Duration::from_millis(11));
             }

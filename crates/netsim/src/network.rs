@@ -17,20 +17,28 @@
 //! the hot-path lookups (route table, sink demux) use packed `u64` keys in
 //! [`FxHashMap`]s rather than tuple keys under SipHash (both keys differ
 //! between hosts in their *high* half only, which [`crate::slab::FxHasher`]
-//! finishes for). No `Arc` is cloned
-//! on the per-hop path — links are borrowed in place from the dense link
-//! table while the fabric lock is held.
+//! finishes for). Links are plain state in the same table: a [`Link`] is a
+//! view that reaches its link through the fabric lock.
+//!
+//! # One lock, once per packet event
+//!
+//! All of it sits behind one mutex, and [`Network::send_packet`] and every
+//! hop event take it exactly once: route, pool slot, sever check, transmit
+//! and sink lookup are decided in that scope, and what calls out of the
+//! fabric — the [`PacketTracer`], the sink — runs after it is released. The
+//! next hop is scheduled from inside the scope, so the one lock-order rule
+//! is fabric → engine; the engine never calls the fabric with its own lock
+//! held. A [`Network`] is one `Arc` to the fabric, which owns its [`Sim`].
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 
 use kmsg_telemetry::{EventKind, SpanId, SpanKind};
 use parking_lot::Mutex;
 
 use crate::engine::Sim;
 use crate::flowstack::{FlowStack, Protocol};
-use crate::link::{DropReason, Link, LinkConfig, LinkId, Verdict};
+use crate::link::{DropReason, Link, LinkConfig, LinkId, LinkState, Verdict};
 use crate::memscope;
 use crate::packet::{Endpoint, NodeId, Packet, WireProtocol};
 use crate::pool::{PacketHandle, PacketPool};
@@ -122,10 +130,8 @@ pub struct NetworkStats {
 struct NetInner {
     node_names: Vec<String>,
     /// Dense link table. Append-only: a `LinkId` is a plain index with an
-    /// implicit generation of zero. The `Arc` exists only for the
-    /// control-plane accessor ([`Network::link`]); the per-hop path borrows
-    /// the link in place and never touches the refcount.
-    links: Vec<Arc<Link>>,
+    /// implicit generation of zero.
+    links: Vec<LinkState>,
     /// Route index: packed `(src, dst)` pair → span into `route_arena`.
     routes: FxHashMap<u64, RouteRef>,
     /// Flattened, append-only storage for every installed route's links.
@@ -139,7 +145,6 @@ struct NetInner {
     /// and terminal outcomes (deliver/drop/sever) recycle the slot.
     pool: PacketPool,
     stats: NetworkStats,
-    tracer: Option<Arc<dyn PacketTracer>>,
     /// Delay applied to node-local (same-node) deliveries with no route.
     local_delay: std::time::Duration,
     stacks: Stacks,
@@ -164,42 +169,34 @@ impl NetInner {
 
 /// What every handle to one fabric shares.
 struct Fabric {
+    sim: Sim,
     state: Mutex<NetInner>,
-    /// Mirrors `state.tracer.is_some()` so the per-packet trace path can
-    /// skip the fabric lock entirely when no tracer is installed (the
-    /// common case outside debugging runs).
-    has_tracer: AtomicBool,
+    /// Read on every packet event, with no lock.
+    tracer: OnceLock<Arc<dyn PacketTracer>>,
 }
 
 /// Weak counterpart of [`Network`], held by what the fabric or the engine's
 /// event store can reach: the transport stacks (registered as packet sinks)
 /// and packet-hop events. A strong reference from either would close a
-/// cycle and leak whole worlds. It carries no `Sim` for the same reason: a
-/// pending hop event must not own the engine it waits in.
+/// cycle and leak whole worlds — the fabric owns the engine a pending hop
+/// event waits in.
 #[derive(Clone)]
 pub(crate) struct WeakNetwork(Weak<Fabric>);
 
 impl WeakNetwork {
-    /// Rebuilds a full handle to the fabric on `sim`, or `None` once the
-    /// fabric is gone.
-    pub(crate) fn upgrade(&self, sim: &Sim) -> Option<Network> {
-        Some(Network {
-            sim: sim.clone(),
-            inner: self.0.upgrade()?,
-        })
+    /// A full handle to the fabric, or `None` once it is gone.
+    pub(crate) fn upgrade(&self) -> Option<Network> {
+        self.0.upgrade().map(Network)
     }
 }
 
 /// Handle to the simulated network fabric. Cheaply cloneable.
 #[derive(Clone)]
-pub struct Network {
-    sim: Sim,
-    inner: Arc<Fabric>,
-}
+pub struct Network(Arc<Fabric>);
 
 impl fmt::Debug for Network {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.state.lock();
+        let inner = self.0.state.lock();
         f.debug_struct("Network")
             .field("nodes", &inner.node_names.len())
             .field("links", &inner.links.len())
@@ -229,52 +226,60 @@ impl fmt::Display for BindError {
 
 impl std::error::Error for BindError {}
 
+/// How a packet's journey ended, decided under the fabric lock (its pool
+/// slot is already recycled) and reported once the lock is released.
+enum Ended {
+    /// Refused by the link it was offered to, or severed while crossing it.
+    Dropped(LinkId, DropReason, Packet),
+    /// Past the last hop, for the sink bound to its port — if there is one.
+    Arrived(Packet, Option<Arc<dyn PacketSink>>),
+    /// No route between distinct nodes.
+    NoRoute(Packet),
+}
+
 impl Network {
     /// Creates an empty network on the given simulation.
     #[must_use]
     pub fn new(sim: &Sim) -> Self {
-        Network {
+        Network(Arc::new(Fabric {
             sim: sim.clone(),
-            inner: Arc::new(Fabric {
-                state: Mutex::new(NetInner {
-                    node_names: Vec::new(),
-                    links: Vec::new(),
-                    routes: FxHashMap::default(),
-                    route_arena: Vec::new(),
-                    sinks: FxHashMap::default(),
-                    next_ephemeral: FxHashMap::default(),
-                    pool: PacketPool::new(),
-                    stats: NetworkStats::default(),
-                    tracer: None,
-                    local_delay: std::time::Duration::from_micros(5),
-                    stacks: Stacks::default(),
-                }),
-                has_tracer: AtomicBool::new(false),
+            state: Mutex::new(NetInner {
+                node_names: Vec::new(),
+                links: Vec::new(),
+                routes: FxHashMap::default(),
+                route_arena: Vec::new(),
+                sinks: FxHashMap::default(),
+                next_ephemeral: FxHashMap::default(),
+                pool: PacketPool::new(),
+                stats: NetworkStats::default(),
+                local_delay: std::time::Duration::from_micros(5),
+                stacks: Stacks::default(),
             }),
-        }
+            tracer: OnceLock::new(),
+        }))
     }
 
     /// The simulation this network runs on.
     #[must_use]
     pub fn sim(&self) -> &Sim {
-        &self.sim
+        &self.0.sim
     }
 
     /// A weak handle for what must not keep the fabric alive.
     pub(crate) fn downgrade(&self) -> WeakNetwork {
-        WeakNetwork(Arc::downgrade(&self.inner))
+        WeakNetwork(Arc::downgrade(&self.0))
     }
 
     /// The per-network flow table of protocol `P`, created on first use.
     pub(crate) fn flow_stack<P: Protocol>(&self) -> Arc<FlowStack<P>> {
-        P::slot(&mut self.inner.state.lock().stacks)
-            .get_or_insert_with(|| FlowStack::new(self.sim.clone(), self.downgrade()))
+        P::slot(&mut self.0.state.lock().stacks)
+            .get_or_insert_with(|| FlowStack::new(self.0.sim.clone(), self.downgrade()))
             .clone()
     }
 
     /// Adds a named host.
     pub fn add_node(&self, name: impl Into<String>) -> NodeId {
-        let mut inner = self.inner.state.lock();
+        let mut inner = self.0.state.lock();
         let id = NodeId(u32::try_from(inner.node_names.len()).expect("too many nodes"));
         inner.node_names.push(name.into());
         id
@@ -287,15 +292,21 @@ impl Network {
     /// Panics if the node does not exist.
     #[must_use]
     pub fn node_name(&self, node: NodeId) -> String {
-        self.inner.state.lock().node_names[node.0 as usize].clone()
+        self.0.state.lock().node_names[node.0 as usize].clone()
     }
 
     /// Adds a directed link and returns its id.
     pub fn add_link(&self, cfg: LinkConfig) -> LinkId {
-        let mut inner = self.inner.state.lock();
+        let mut inner = self.0.state.lock();
         let id = LinkId(u32::try_from(inner.links.len()).expect("too many links"));
-        let rng = self.sim.seeds().stream(&format!("link-{}", id.0));
-        inner.links.push(Arc::new(Link::new(cfg, rng)));
+        let rng = self.0.sim.seeds().stream(&format!("link-{}", id.0));
+        // Grown by a quarter at a time, like the slab: a row is 568 bytes,
+        // and `Vec`'s doubling stranded 7 MB of them in a 10⁴-host world.
+        if inner.links.len() == inner.links.capacity() {
+            let extra = (inner.links.len() / 4).max(1);
+            inner.links.reserve_exact(extra);
+        }
+        inner.links.push(LinkState::new(cfg, rng));
         id
     }
 
@@ -305,8 +316,15 @@ impl Network {
     ///
     /// Panics if the link does not exist.
     #[must_use]
-    pub fn link(&self, id: LinkId) -> Arc<Link> {
-        self.inner.state.lock().links[id.0 as usize].clone()
+    pub fn link(&self, id: LinkId) -> Link {
+        let links = self.0.state.lock().links.len();
+        assert!((id.0 as usize) < links, "no link {} among {links}", id.0);
+        Link::new(self.clone(), id)
+    }
+
+    /// Runs `f` on a link's state with the fabric lock held.
+    pub(crate) fn with_link<R>(&self, id: LinkId, f: impl FnOnce(&mut LinkState) -> R) -> R {
+        f(&mut self.0.state.lock().links[id.0 as usize])
     }
 
     /// Installs the route for packets from `src` to `dst` as an ordered
@@ -316,7 +334,7 @@ impl Network {
     /// span stays in place so in-flight packets finish on the path they
     /// started on (the old `Arc<Vec<LinkId>>` behaviour).
     pub fn set_route(&self, src: NodeId, dst: NodeId, links: Vec<LinkId>) {
-        let mut inner = self.inner.state.lock();
+        let mut inner = self.0.state.lock();
         let off = u32::try_from(inner.route_arena.len()).expect("route arena overflow");
         let len = u32::try_from(links.len()).expect("route too long");
         inner.route_arena.extend_from_slice(&links);
@@ -326,7 +344,7 @@ impl Network {
     /// Returns the currently installed route, if any.
     #[must_use]
     pub fn route(&self, src: NodeId, dst: NodeId) -> Option<Vec<LinkId>> {
-        let inner = self.inner.state.lock();
+        let inner = self.0.state.lock();
         inner
             .routes
             .get(&route_key(src, dst))
@@ -356,7 +374,7 @@ impl Network {
         port: u16,
         sink: Arc<dyn PacketSink>,
     ) -> Result<(), BindError> {
-        let mut inner = self.inner.state.lock();
+        let mut inner = self.0.state.lock();
         let key = sink_key(node, protocol, port);
         if inner.sinks.contains_key(&key) {
             return Err(BindError {
@@ -370,7 +388,7 @@ impl Network {
 
     /// Removes a binding if present.
     pub fn unbind(&self, node: NodeId, protocol: WireProtocol, port: u16) {
-        self.inner.state.lock().sinks.remove(&sink_key(node, protocol, port));
+        self.0.state.lock().sinks.remove(&sink_key(node, protocol, port));
     }
 
     /// Allocates a fresh ephemeral port on `node` for `protocol`
@@ -381,7 +399,7 @@ impl Network {
     /// Returns `None` when every port in the ephemeral range is bound.
     #[must_use]
     pub fn alloc_ephemeral_port(&self, node: NodeId, protocol: WireProtocol) -> Option<u16> {
-        let mut inner = self.inner.state.lock();
+        let mut inner = self.0.state.lock();
         let start = *inner.next_ephemeral.get(&node).unwrap_or(&EPHEMERAL_LO);
         for i in 0..EPHEMERAL_SPAN {
             let off = (u32::from(start - EPHEMERAL_LO) + i) % EPHEMERAL_SPAN;
@@ -395,22 +413,20 @@ impl Network {
         None
     }
 
-    /// Installs a packet tracer observing every send, drop and delivery.
+    /// Installs the packet tracer, which observes every send, drop and
+    /// delivery from then on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network already has a tracer.
     pub fn set_tracer(&self, tracer: Arc<dyn PacketTracer>) {
-        self.inner.state.lock().tracer = Some(tracer);
-        self.inner.has_tracer.store(true, Ordering::Release);
+        assert!(self.0.tracer.set(tracer).is_ok(), "the network already has a tracer");
     }
 
-    fn trace(&self, pkt: &Packet, event: PacketEvent) {
-        // Fast path: no tracer installed — one relaxed-ish atomic load,
-        // no fabric lock, no Arc refcount traffic.
-        if !self.inner.has_tracer.load(Ordering::Acquire) {
-            return;
-        }
-        let tracer = self.inner.state.lock().tracer.clone();
-        if let Some(tracer) = tracer {
+    fn trace(&self, pkt: &Packet, event: PacketEvent, now: SimTime) {
+        if let Some(tracer) = self.0.tracer.get() {
             tracer.record(PacketRecord {
-                time: self.sim.now(),
+                time: now,
                 src: pkt.src,
                 dst: pkt.dst,
                 protocol: pkt.protocol,
@@ -420,29 +436,14 @@ impl Network {
         }
     }
 
-    /// Closes the packet's `flight` span with an outcome key; no-op when
-    /// tracing was off at injection time (the span was never opened).
-    fn close_flight(&self, pkt: &Packet, key: u64) {
-        if pkt.span != 0 {
-            self.sim.recorder().record(
-                self.sim.now().as_nanos(),
-                EventKind::SpanClose { span: pkt.span, key },
-            );
-        }
-    }
-
     /// Closes the packet's current `hop` span (arrival at the far end of a
-    /// link, or death mid-hop).
-    fn close_hop(&self, pkt: &mut Packet, key: u64) {
-        if pkt.hop_span != 0 {
-            self.sim.recorder().record(
-                self.sim.now().as_nanos(),
-                EventKind::SpanClose {
-                    span: pkt.hop_span,
-                    key,
-                },
-            );
-            pkt.hop_span = 0;
+    /// link, or death mid-hop); no-op between hops and when tracing was off
+    /// at transmit time.
+    fn close_hop(&self, pkt: &mut Packet, key: u64, now: SimTime) {
+        let span = std::mem::take(&mut pkt.hop_span);
+        if span != 0 {
+            let close = EventKind::SpanClose { span, key };
+            self.0.sim.recorder().record(now.as_nanos(), close);
         }
     }
 
@@ -451,141 +452,99 @@ impl Network {
     /// The packet follows the installed route hop by hop; a missing route is
     /// tolerated only for same-node traffic, which is delivered after a
     /// small loopback delay.
-    pub fn send_packet(&self, pkt: Packet) {
+    pub fn send_packet(&self, mut pkt: Packet) {
         // The packet claims one pool slot here and releases it at delivery
         // (or drop); every hop event carries the same 8-byte handle, keeping
         // the inline event-store entries small and the per-send heap cost at
         // zero once the pool is warm.
         let _scope = memscope::enter(memscope::SCOPE_FABRIC);
-        let mut pkt = pkt;
-        {
-            let rec = self.sim.recorder();
-            if rec.is_enabled() {
-                pkt.span = rec
-                    .tracer()
-                    .open_root(
-                        self.sim.now().as_nanos(),
-                        SpanKind::Flight,
-                        flight_key(pkt.src, pkt.dst),
-                    )
-                    .raw();
-            }
+        let sim = &self.0.sim;
+        let now = sim.now();
+        let rec = sim.recorder();
+        if rec.is_enabled() {
+            let key = flight_key(pkt.src, pkt.dst);
+            pkt.span = rec.tracer().open_root(now.as_nanos(), SpanKind::Flight, key).raw();
         }
-        // Lock-free when no tracer is installed (the common case).
-        self.trace(&pkt, PacketEvent::Sent);
-        // What `send_packet` decided under the fabric lock; acted on after
-        // the lock drops (the no-route arm keeps the packet by value — it
-        // never enters the pool).
-        enum Inject {
-            Forward(PacketHandle, RouteRef),
-            Loopback(PacketHandle, std::time::Duration),
-            NoRoute(Packet),
-        }
-        // One lock for the stats bump, the route lookup, and the pool claim.
-        let outcome = {
-            let mut inner = self.inner.state.lock();
+        self.trace(&pkt, PacketEvent::Sent, now);
+        // One lock for the stats bump, the route lookup, the pool claim and
+        // the first link.
+        let ended = {
+            let mut guard = self.0.state.lock();
+            let inner = &mut *guard;
             inner.stats.sent += 1;
-            let route = inner.routes.get(&route_key(pkt.src.node, pkt.dst.node)).copied();
-            match route {
-                Some(r) if r.len > 0 => Inject::Forward(inner.pool.alloc(pkt), r),
+            match inner.routes.get(&route_key(pkt.src.node, pkt.dst.node)).copied() {
+                Some(route) if route.len > 0 => {
+                    let h = inner.pool.alloc(pkt);
+                    self.transmit(inner, h, route, 0, now)
+                }
                 // An empty or missing route is tolerated only for same-node
                 // traffic (loopback); between distinct nodes it is unrouted.
+                // A hop event past the (empty) route's end is a delivery.
                 _ if pkt.src.node == pkt.dst.node => {
-                    let delay = inner.local_delay;
-                    Inject::Loopback(inner.pool.alloc(pkt), delay)
+                    let at = now + inner.local_delay;
+                    let h = inner.pool.alloc(pkt);
+                    sim.schedule_packet_hop(at, self.downgrade(), h, RouteRef::EMPTY, 0);
+                    None
                 }
+                // The packet never enters the pool.
                 _ => {
                     inner.stats.dropped_no_route += 1;
-                    Inject::NoRoute(pkt)
+                    Some(Ended::NoRoute(pkt))
                 }
             }
         };
-        match outcome {
-            Inject::Forward(h, r) => self.forward(h, r, 0),
-            Inject::Loopback(h, delay) => {
-                // A hop event past the (empty) route's end is a delivery.
-                let at = self.sim.now() + delay;
-                self.sim
-                    .schedule_packet_hop(at, self.downgrade(), h, RouteRef::EMPTY, 0);
-            }
-            Inject::NoRoute(pkt) => {
-                self.close_flight(&pkt, FLIGHT_NO_ROUTE);
-                self.trace(&pkt, PacketEvent::NoRoute);
-            }
+        if let Some(ended) = ended {
+            self.report(ended, now);
         }
     }
 
-    /// Transmits `pkt` over hop `idx` of its route, scheduling the next hop
-    /// event at the link's computed arrival time.
-    ///
-    /// Runs under the fabric lock: the link is borrowed from the dense table
-    /// (no `Arc` clone per hop) and the next hop event is scheduled before
-    /// the lock drops. Lock order is always fabric → link → engine; link and
-    /// engine code never calls back into the fabric, so this cannot deadlock.
-    fn forward(&self, h: PacketHandle, route: RouteRef, idx: u32) {
-        let dropped = {
-            let mut guard = self.inner.state.lock();
-            let inner = &mut *guard;
-            let link_id = inner.route_arena[route.off as usize + idx as usize];
-            let link = &inner.links[link_id.index() as usize];
-            let pkt = inner
-                .pool
-                .get_mut(h)
-                .expect("in-flight packet vanished from pool");
-            match link.transmit(&self.sim, pkt.wire_size, pkt.protocol.is_udp_family()) {
-                Verdict::DeliverAt(at) => {
-                    // Stamp the sever epoch: if the link is severed before
-                    // the arrival event fires, the packet dies at the far
-                    // end.
-                    pkt.sever_epoch = link.epoch();
-                    let rec = self.sim.recorder();
-                    if rec.is_enabled() {
-                        let now = self.sim.now();
-                        rec.record_with(now.as_nanos(), || EventKind::LinkQueue {
-                            link: u64::from(link_id.0),
+    /// Offers the pooled packet to hop `idx` of its route and schedules its
+    /// arrival at the far end, or takes it back out of the pool if the link
+    /// refuses it. The caller holds the fabric lock (`inner`).
+    fn transmit(
+        &self,
+        inner: &mut NetInner,
+        h: PacketHandle,
+        route: RouteRef,
+        idx: u32,
+        now: SimTime,
+    ) -> Option<Ended> {
+        let link_id = inner.route_arena[route.off as usize + idx as usize];
+        let link = &mut inner.links[link_id.index() as usize];
+        let pkt = inner.pool.get_mut(h).expect("in-flight packet vanished from pool");
+        match link.transmit(now, pkt.wire_size, pkt.protocol.is_udp_family()) {
+            Verdict::DeliverAt(at) => {
+                // Stamp the sever epoch: if the link is severed before the
+                // arrival event fires, the packet dies at the far end.
+                pkt.sever_epoch = link.epoch();
+                let rec = self.0.sim.recorder();
+                if rec.is_enabled() {
+                    let link_key = u64::from(link_id.0);
+                    rec.record(
+                        now.as_nanos(),
+                        EventKind::LinkQueue {
+                            link: link_key,
                             backlog_bytes: link.backlog_bytes(now) as u64,
                             capacity_bytes: link.queue_capacity() as u64,
-                        });
-                        // One `hop` child span per link traversal: opened at
-                        // the transmit decision, closed when the arrival
-                        // event fires at the far end.
-                        let flight = SpanId::from_raw(pkt.span);
-                        pkt.hop_span = rec
-                            .tracer()
-                            .open(
-                                now.as_nanos(),
-                                SpanKind::Hop,
-                                flight,
-                                flight,
-                                u64::from(link_id.0),
-                            )
-                            .raw();
-                    }
-                    self.sim
-                        .schedule_packet_hop(at, self.downgrade(), h, route, idx + 1);
-                    None
+                        },
+                    );
+                    // One `hop` child span per link traversal: opened at the
+                    // transmit decision, closed when the arrival event fires
+                    // at the far end.
+                    let flight = SpanId::from_raw(pkt.span);
+                    pkt.hop_span = rec
+                        .tracer()
+                        .open(now.as_nanos(), SpanKind::Hop, flight, flight, link_key)
+                        .raw();
                 }
-                Verdict::Dropped(reason) => {
-                    inner.stats.dropped_link += 1;
-                    // The slot is recycled right here on the fault path.
-                    let pkt = inner
-                        .pool
-                        .free(h)
-                        .expect("dropped packet vanished from pool");
-                    Some((link_id, reason, pkt))
-                }
+                self.0.sim.schedule_packet_hop(at, self.downgrade(), h, route, idx + 1);
+                None
             }
-        };
-        if let Some((link_id, reason, pkt)) = dropped {
-            self.sim
-                .recorder()
-                .record_with(self.sim.now().as_nanos(), || EventKind::LinkDrop {
-                    link: u64::from(link_id.0),
-                    reason: reason.label(),
-                    wire_size: pkt.wire_size as u64,
-                });
-            self.close_flight(&pkt, FLIGHT_DROPPED);
-            self.trace(&pkt, PacketEvent::Dropped(reason));
+            Verdict::Dropped(reason) => {
+                inner.stats.dropped_link += 1;
+                let pkt = inner.pool.free(h).expect("dropped packet vanished from pool");
+                Some(Ended::Dropped(link_id, reason, pkt))
+            }
         }
     }
 
@@ -593,94 +552,80 @@ impl Network {
     /// at `idx`, or deliver once past its end.
     pub(crate) fn packet_hop(&self, h: PacketHandle, route: RouteRef, idx: u32) {
         let _scope = memscope::enter(memscope::SCOPE_FABRIC);
-        // Arrival check for the hop just crossed: a sever while the packet
-        // was in flight kills it here (carrier loss, not an unplugged
-        // uplink — see `Link::sever`), returning the pool slot.
-        if idx >= 1 {
-            let severed = {
-                let mut guard = self.inner.state.lock();
-                let inner = &mut *guard;
-                let link_id = inner.route_arena[route.off as usize + idx as usize - 1];
-                let link = &inner.links[link_id.index() as usize];
-                let pkt = inner
-                    .pool
-                    .get_mut(h)
-                    .expect("in-flight packet vanished from pool");
-                if link.epoch() != pkt.sever_epoch {
-                    link.note_severed();
-                    inner.stats.dropped_link += 1;
-                    let pkt = inner
-                        .pool
-                        .free(h)
-                        .expect("severed packet vanished from pool");
-                    Some((link_id, pkt))
-                } else {
-                    None
-                }
-            };
-            if let Some((link_id, mut pkt)) = severed {
-                self.sim
-                    .recorder()
-                    .record_with(self.sim.now().as_nanos(), || EventKind::LinkDrop {
-                        link: u64::from(link_id.0),
-                        reason: DropReason::Severed.label(),
-                        wire_size: pkt.wire_size as u64,
-                    });
-                self.close_hop(&mut pkt, HOP_SEVERED);
-                self.close_flight(&pkt, FLIGHT_SEVERED);
-                self.trace(&pkt, PacketEvent::Dropped(DropReason::Severed));
-                return;
-            }
-            // Close the crossed hop's span without re-locking: take the raw
-            // span id out of the pooled packet under the same lock scope.
-            let hop_span = {
-                let mut inner = self.inner.state.lock();
-                let pkt = inner
-                    .pool
-                    .get_mut(h)
-                    .expect("in-flight packet vanished from pool");
-                std::mem::take(&mut pkt.hop_span)
-            };
-            if hop_span != 0 {
-                self.sim.recorder().record(
-                    self.sim.now().as_nanos(),
-                    EventKind::SpanClose { span: hop_span, key: 0 },
-                );
-            }
-        }
-        if idx < route.len {
-            self.forward(h, route, idx);
-        } else {
-            self.deliver(h);
+        let now = self.0.sim.now();
+        let ended = self.hop(&mut self.0.state.lock(), h, route, idx, now);
+        if let Some(ended) = ended {
+            self.report(ended, now);
         }
     }
 
-    fn deliver(&self, h: PacketHandle) {
-        let (pkt, sink) = {
-            let mut inner = self.inner.state.lock();
-            // The slot is recycled here: the sink gets the packet by value.
-            let pkt = inner
-                .pool
-                .free(h)
-                .expect("delivered packet vanished from pool");
-            let key = sink_key(pkt.dst.node, pkt.protocol, pkt.dst.port);
-            let found = inner.sinks.get(&key).cloned();
-            match &found {
-                Some(_) => inner.stats.delivered += 1,
-                None => inner.stats.dropped_no_sink += 1,
+    /// What a hop event does with the fabric lock held (`inner`).
+    fn hop(
+        &self,
+        inner: &mut NetInner,
+        h: PacketHandle,
+        route: RouteRef,
+        idx: u32,
+        now: SimTime,
+    ) -> Option<Ended> {
+        // Arrival check for the hop just crossed: a sever while the packet
+        // was in flight kills it here (carrier loss, not an unplugged
+        // uplink — see `Link::sever`).
+        if idx >= 1 {
+            let link_id = inner.route_arena[route.off as usize + idx as usize - 1];
+            let link = &mut inner.links[link_id.index() as usize];
+            let pkt = inner.pool.get_mut(h).expect("in-flight packet vanished from pool");
+            if link.epoch() != pkt.sever_epoch {
+                link.note_severed();
+                inner.stats.dropped_link += 1;
+                let pkt = inner.pool.free(h).expect("severed packet vanished from pool");
+                return Some(Ended::Dropped(link_id, DropReason::Severed, pkt));
             }
-            (pkt, found)
-        };
+            self.close_hop(pkt, 0, now);
+        }
+        if idx < route.len {
+            return self.transmit(inner, h, route, idx, now);
+        }
+        // Past the last hop: the sink gets the packet by value.
+        let pkt = inner.pool.free(h).expect("delivered packet vanished from pool");
+        let sink = inner.sinks.get(&sink_key(pkt.dst.node, pkt.protocol, pkt.dst.port)).cloned();
         match sink {
-            Some(sink) => {
-                self.close_flight(&pkt, FLIGHT_DELIVERED);
-                self.trace(&pkt, PacketEvent::Delivered);
-                sink.on_packet(self, pkt);
+            Some(_) => inner.stats.delivered += 1,
+            None => inner.stats.dropped_no_sink += 1,
+        }
+        Some(Ended::Arrived(pkt, sink))
+    }
+
+    /// Tells the recorder, the tracer and the sink how a packet's journey
+    /// ended. Runs with the fabric lock released: the sink sends packets.
+    fn report(&self, ended: Ended, now: SimTime) {
+        let rec = self.0.sim.recorder();
+        let (pkt, key, event, sink) = match ended {
+            Ended::Dropped(link_id, reason, mut pkt) => {
+                rec.record_with(now.as_nanos(), || EventKind::LinkDrop {
+                    link: u64::from(link_id.0),
+                    reason: reason.label(),
+                    wire_size: pkt.wire_size as u64,
+                });
+                // Still open only if the packet died mid-hop, to a sever.
+                self.close_hop(&mut pkt, HOP_SEVERED, now);
+                let severed = reason == DropReason::Severed;
+                let key = if severed { FLIGHT_SEVERED } else { FLIGHT_DROPPED };
+                (pkt, key, PacketEvent::Dropped(reason), None)
             }
-            None => {
-                self.close_flight(&pkt, FLIGHT_NO_SINK);
-                self.trace(&pkt, PacketEvent::NoSink);
+            Ended::Arrived(pkt, Some(sink)) => {
+                (pkt, FLIGHT_DELIVERED, PacketEvent::Delivered, Some(sink))
             }
+            Ended::Arrived(pkt, None) => (pkt, FLIGHT_NO_SINK, PacketEvent::NoSink, None),
+            Ended::NoRoute(pkt) => (pkt, FLIGHT_NO_ROUTE, PacketEvent::NoRoute, None),
+        };
+        // The `flight` span was never opened if tracing was off at injection.
+        if pkt.span != 0 {
+            rec.record(now.as_nanos(), EventKind::SpanClose { span: pkt.span, key });
+        }
+        self.trace(&pkt, event, now);
+        if let Some(sink) = sink {
+            sink.on_packet(self, pkt);
         }
     }
 
@@ -689,32 +634,32 @@ impl Network {
     /// the fault-path leak tests and the fuzz conservation oracle reject.
     #[must_use]
     pub fn packets_in_flight(&self) -> usize {
-        self.inner.state.lock().pool.live()
+        self.0.state.lock().pool.live()
     }
 
     /// Packet-pool lifetime counters: `(total_allocated, high_water)`.
     #[must_use]
     pub fn packet_pool_stats(&self) -> (u64, usize) {
-        let inner = self.inner.state.lock();
+        let inner = self.0.state.lock();
         (inner.pool.total_allocated(), inner.pool.high_water())
     }
 
     /// Retained packet-pool slot storage in bytes (scaling-probe RSS term).
     #[must_use]
     pub fn packet_pool_mem_bytes(&self) -> usize {
-        self.inner.state.lock().pool.mem_bytes()
+        self.0.state.lock().pool.mem_bytes()
     }
 
     /// Snapshot of fabric-wide counters.
     #[must_use]
     pub fn stats(&self) -> NetworkStats {
-        self.inner.state.lock().stats
+        self.0.state.lock().stats
     }
 
     /// Current simulation time (convenience).
     #[must_use]
     pub fn now(&self) -> SimTime {
-        self.sim.now()
+        self.0.sim.now()
     }
 }
 
@@ -849,14 +794,14 @@ mod tests {
         // ports already bound.
         net.bind(a, WireProtocol::Tcp, 65534, sink.clone()).unwrap();
         net.bind(a, WireProtocol::Tcp, 65535, sink.clone()).unwrap();
-        net.inner.state.lock().next_ephemeral.insert(a, 65534);
+        net.0.state.lock().next_ephemeral.insert(a, 65534);
         // Bound ports are skipped and the cursor wraps to the bottom.
         let p = net.alloc_ephemeral_port(a, WireProtocol::Tcp).unwrap();
         assert_eq!(p, 49152);
         // A different protocol has its own namespace: 65534 is free there.
         let q = net.alloc_ephemeral_port(a, WireProtocol::Udt);
         assert_eq!(q, Some(49153));
-        net.inner.state.lock().next_ephemeral.insert(a, 65534);
+        net.0.state.lock().next_ephemeral.insert(a, 65534);
         let q = net.alloc_ephemeral_port(a, WireProtocol::Udt).unwrap();
         assert_eq!(q, 65534);
     }
@@ -922,6 +867,108 @@ mod tests {
                 assert_eq!(net.stats().dropped_link, 1);
             }
         }
+    }
+
+    /// One recorded event as a short label: span events by span kind and
+    /// key, fabric events by link and reason, tracer events by outcome.
+    fn label(kind: &EventKind) -> String {
+        let span_kind = |raw| SpanId::from_raw(raw).kind().map_or("?", SpanKind::label);
+        match kind {
+            EventKind::SpanOpen { kind, key, .. } => format!("open {kind} {key}"),
+            EventKind::SpanClose { span, key } => format!("close {} {key}", span_kind(*span)),
+            EventKind::LinkQueue { link, .. } => format!("queue {link}"),
+            EventKind::LinkDrop { link, reason, .. } => format!("drop {link} {reason}"),
+            EventKind::Packet { outcome, .. } => format!("packet {outcome}"),
+            other => format!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn telemetry_of_a_two_link_route_keeps_its_order() {
+        // Recorder events and tracer records of one packet event come from
+        // several places in `send_packet`/`packet_hop`; the sequence below
+        // is what analysers and byte-compared artifacts rest on.
+        let sim = Sim::new(3);
+        sim.recorder().enable();
+        let net = Network::new(&sim);
+        net.set_tracer(crate::trace::RecorderTracer::new(sim.recorder().clone()));
+        let a = net.add_node("a");
+        let b = net.add_node("b");
+        let l0 = net.add_link(LinkConfig::new(1e9, Duration::from_millis(1)));
+        // 140 B of wire take 140 µs here, and only one such packet fits.
+        let l1 = net.add_link(LinkConfig::new(1e6, Duration::from_millis(10)).queue_capacity(200));
+        net.set_route(a, b, vec![l0, l1]);
+        let sink = Arc::new(Counter(AtomicUsize::new(0)));
+        net.bind(b, WireProtocol::Udp, 80, sink.clone()).unwrap();
+        let send = || net.send_packet(udp_packet(Endpoint::new(a, 1000), Endpoint::new(b, 80)));
+
+        // Two back to back: the second overflows the second link's queue.
+        send();
+        send();
+        sim.run_until(SimTime::from_millis(20));
+        // A third is severed while it crosses the second link.
+        send();
+        sim.run_until(SimTime::from_millis(25));
+        net.link(l1).sever();
+        sim.run_until(SimTime::from_millis(50));
+
+        let (hop_sev, dropped, severed) = (HOP_SEVERED, FLIGHT_DROPPED, FLIGHT_SEVERED);
+        let flight = flight_key(Endpoint::new(a, 1000), Endpoint::new(b, 80));
+        let inject =
+            [format!("open flight {flight}"), "packet sent".into(), "queue 0".into(), "open hop 0".into()];
+        let second_hop = ["close hop 0".to_string(), "queue 1".into(), "open hop 1".into()];
+        let mut expected = Vec::new();
+        expected.extend(inject.clone());
+        expected.extend(inject.clone());
+        expected.extend(second_hop.clone());
+        expected.extend([
+            "close hop 0".to_string(),
+            "drop 1 queue_overflow".into(),
+            format!("close flight {dropped}"),
+            "packet dropped:queue_overflow".into(),
+            "close hop 0".into(),
+            format!("close flight {FLIGHT_DELIVERED}"),
+            "packet delivered".into(),
+        ]);
+        expected.extend(inject);
+        expected.extend(second_hop);
+        expected.extend([
+            "drop 1 severed".to_string(),
+            format!("close hop {hop_sev}"),
+            format!("close flight {severed}"),
+            "packet dropped:severed".into(),
+        ]);
+        let recorded: Vec<String> = sim.recorder().events().iter().map(|e| label(&e.kind)).collect();
+        assert_eq!(recorded, expected);
+        assert_eq!(sink.0.load(Ordering::SeqCst), 1);
+        assert_eq!(net.packets_in_flight(), 0);
+    }
+
+    #[test]
+    fn link_view_is_live() {
+        let (sim, net, a, b) = two_nodes();
+        let ab = net.route(a, b).unwrap()[0];
+        // Taken before anything happens, and read only afterwards.
+        let early = net.link(ab);
+        assert!(early.is_up());
+        assert_eq!((early.epoch(), early.stats()), (0, crate::link::LinkStats::default()));
+
+        net.link(ab).sever();
+        assert!(!early.is_up());
+        assert_eq!(early.epoch(), 1);
+        net.link(ab).set_up(true);
+        assert!(early.is_up());
+
+        let sink = Arc::new(Counter(AtomicUsize::new(0)));
+        net.bind(b, WireProtocol::Udp, 80, sink).unwrap();
+        net.send_packet(udp_packet(Endpoint::new(a, 1000), Endpoint::new(b, 80)));
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(early.stats().delivered, 1);
+        assert_eq!(early.stats(), net.link(ab).stats());
+
+        let unknown = LinkId::from_index(99);
+        let lookup = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.link(unknown)));
+        assert!(lookup.is_err(), "an unknown id is refused at `Network::link`");
     }
 
     #[test]

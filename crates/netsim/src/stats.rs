@@ -1,14 +1,9 @@
 //! Statistics utilities shared by the simulator and the experiment harness.
 //!
 //! Provides Welford online mean/variance ([`OnlineStats`]), five-number
-//! summaries with percentiles ([`Summary`]), 95% confidence intervals for the
-//! sample mean (as used for the paper's Figure 9 error bars), and a windowed
-//! [`ThroughputMeter`] / [`TimeSeries`] recorder for the time-resolved plots
-//! (Figures 2 and 4–6).
-
-use std::time::Duration;
-
-use crate::time::SimTime;
+//! summaries with percentiles ([`Summary`], [`percentile_sorted`]) and 95%
+//! confidence intervals for the sample mean (as used for the paper's
+//! Figure 9 error bars).
 
 /// Online mean / variance accumulator (Welford's algorithm).
 ///
@@ -242,133 +237,6 @@ pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Measures throughput by accumulating byte counts and reporting windowed
-/// rates at sampling instants.
-#[derive(Debug, Clone)]
-pub struct ThroughputMeter {
-    window_start: SimTime,
-    bytes_in_window: u64,
-    total_bytes: u64,
-    start: SimTime,
-}
-
-impl ThroughputMeter {
-    /// Creates a meter whose first window starts at `now`.
-    #[must_use]
-    pub fn new(now: SimTime) -> Self {
-        ThroughputMeter {
-            window_start: now,
-            bytes_in_window: 0,
-            total_bytes: 0,
-            start: now,
-        }
-    }
-
-    /// Records `bytes` delivered.
-    pub fn record(&mut self, bytes: u64) {
-        self.bytes_in_window += bytes;
-        self.total_bytes += bytes;
-    }
-
-    /// Closes the current window at `now`, returning its throughput in
-    /// bytes/second, and starts a new window.
-    pub fn sample_window(&mut self, now: SimTime) -> f64 {
-        let dt = now.duration_since(self.window_start).as_secs_f64();
-        let rate = if dt > 0.0 {
-            self.bytes_in_window as f64 / dt
-        } else {
-            0.0
-        };
-        self.window_start = now;
-        self.bytes_in_window = 0;
-        rate
-    }
-
-    /// Total bytes recorded since creation.
-    #[must_use]
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
-    }
-
-    /// Average throughput since creation, in bytes/second.
-    #[must_use]
-    pub fn average(&self, now: SimTime) -> f64 {
-        let dt = now.duration_since(self.start).as_secs_f64();
-        if dt > 0.0 {
-            self.total_bytes as f64 / dt
-        } else {
-            0.0
-        }
-    }
-}
-
-/// A recorded time series of (time, value) points, e.g. throughput per
-/// second for the Figure 2/4/5/6 plots.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series.
-    #[must_use]
-    pub fn new() -> Self {
-        TimeSeries::default()
-    }
-
-    /// Appends a point. Times should be non-decreasing.
-    pub fn push(&mut self, t: SimTime, v: f64) {
-        self.points.push((t, v));
-    }
-
-    /// The recorded points in insertion order.
-    #[must_use]
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Number of points.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the series is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Mean of the values in the half-open time interval `[from, to)`.
-    /// Returns `None` if no points fall in the interval.
-    #[must_use]
-    pub fn mean_in(&self, from: SimTime, to: SimTime) -> Option<f64> {
-        let mut stats = OnlineStats::new();
-        for &(t, v) in &self.points {
-            if t >= from && t < to {
-                stats.push(v);
-            }
-        }
-        if stats.count() == 0 {
-            None
-        } else {
-            Some(stats.mean())
-        }
-    }
-}
-
-/// Formats a rate in bytes/second as a human-readable MB/s string.
-#[must_use]
-pub fn fmt_rate(bytes_per_sec: f64) -> String {
-    format!("{:8.3} MB/s", bytes_per_sec / 1e6)
-}
-
-/// Formats a duration as milliseconds with three decimals.
-#[must_use]
-pub fn fmt_millis(d: Duration) -> String {
-    format!("{:9.3} ms", d.as_secs_f64() * 1e3)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,66 +346,5 @@ mod tests {
         assert_eq!(percentile_sorted(&v, 1.0), 10.0);
         assert_eq!(percentile_sorted(&[7.0], 0.3), 7.0);
         assert_eq!(percentile_sorted(&[], 0.9), 0.0, "empty-slice sentinel");
-    }
-
-    #[test]
-    fn throughput_meter_windows() {
-        let t0 = SimTime::ZERO;
-        let mut m = ThroughputMeter::new(t0);
-        m.record(1_000_000);
-        let t1 = SimTime::from_secs(1);
-        assert!((m.sample_window(t1) - 1e6).abs() < 1.0);
-        // New window starts empty.
-        let t2 = SimTime::from_secs(2);
-        assert_eq!(m.sample_window(t2), 0.0);
-        assert_eq!(m.total_bytes(), 1_000_000);
-        assert!((m.average(t2) - 5e5).abs() < 1.0);
-    }
-
-    #[test]
-    fn throughput_meter_window_edge_accounting() {
-        // Bytes recorded at exactly the sampling instant belong to the
-        // window being closed; bytes recorded immediately after belong to
-        // the next one. Nothing is double-counted or lost at the edge.
-        let t0 = SimTime::ZERO;
-        let t1 = SimTime::from_secs(1);
-        let t2 = SimTime::from_secs(2);
-        let mut m = ThroughputMeter::new(t0);
-        m.record(600);
-        // Landing exactly on the t1 edge, before the sample closes it:
-        m.record(400);
-        assert!((m.sample_window(t1) - 1000.0).abs() < 1e-9);
-        // After the close, the same instant feeds the next window.
-        m.record(250);
-        assert!((m.sample_window(t2) - 250.0).abs() < 1e-9);
-        assert_eq!(m.total_bytes(), 1250);
-
-        // A zero-width window (two samples at the same instant) reports a
-        // 0.0 rate but must not lose its bytes from the running total.
-        let mut z = ThroughputMeter::new(t0);
-        z.record(77);
-        assert_eq!(z.sample_window(t0), 0.0);
-        assert_eq!(z.total_bytes(), 77);
-    }
-
-    #[test]
-    fn time_series_mean_in() {
-        let mut ts = TimeSeries::new();
-        ts.push(SimTime::from_secs(1), 10.0);
-        ts.push(SimTime::from_secs(2), 20.0);
-        ts.push(SimTime::from_secs(3), 30.0);
-        assert_eq!(ts.len(), 3);
-        assert!(!ts.is_empty());
-        assert_eq!(
-            ts.mean_in(SimTime::from_secs(1), SimTime::from_secs(3)),
-            Some(15.0)
-        );
-        assert_eq!(ts.mean_in(SimTime::from_secs(10), SimTime::from_secs(20)), None);
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        assert!(fmt_rate(10e6).contains("10.000 MB/s"));
-        assert!(fmt_millis(Duration::from_millis(3)).contains("3.000 ms"));
     }
 }
