@@ -143,7 +143,7 @@ pub fn star_fanin(net: &Network, senders: usize) -> Topology {
 /// Panics if `k` is odd or less than 2.
 #[must_use]
 pub fn fat_tree(net: &Network, k: usize) -> Topology {
-    assert!(k >= 2 && k % 2 == 0, "fat-tree arity must be even, got {k}");
+    assert!(k >= 2 && k.is_multiple_of(2), "fat-tree arity must be even, got {k}");
     let half = k / 2;
 
     // Switch fabric.
@@ -185,11 +185,11 @@ pub fn fat_tree(net: &Network, k: usize) -> Topology {
     // Hosts: half per edge switch; (pod, edge, slot) → global index.
     let mut hosts = Vec::with_capacity(k * half * half);
     let mut host_up_down = Vec::with_capacity(k * half * half);
-    for pod in 0..k {
-        for e in 0..half {
+    for (pod, pod_edges) in edges.iter().enumerate() {
+        for (e, &edge) in pod_edges.iter().enumerate() {
             for slot in 0..half {
                 let h = net.add_node(format!("h{pod}-{e}-{slot}"));
-                let (up, down) = raw_duplex(net, h, edges[pod][e], edge_link());
+                let (up, down) = raw_duplex(net, h, edge, edge_link());
                 links += 2;
                 hosts.push(h);
                 host_up_down.push((up, down));
@@ -294,10 +294,10 @@ pub fn wan_mesh(net: &Network, sites: usize, hosts_per_site: usize) -> Topology 
     }
     let mut hosts = Vec::with_capacity(sites * hosts_per_site);
     let mut host_up_down = Vec::with_capacity(sites * hosts_per_site);
-    for s in 0..sites {
+    for (s, &router) in routers.iter().enumerate() {
         for h in 0..hosts_per_site {
             let n = net.add_node(format!("w{s}-{h}"));
-            let (up, down) = raw_duplex(net, n, routers[s], edge_link());
+            let (up, down) = raw_duplex(net, n, router, edge_link());
             links += 2;
             hosts.push(n);
             host_up_down.push((up, down));

@@ -246,7 +246,7 @@ fn sweep_probes(worlds: u64) -> Vec<SweepProbe> {
         let wall = Instant::now();
         let verdicts = kmsg_bench::fuzzer::sweep_seeds(0, worlds, jobs, None, |seed| {
             let v = kmsg_bench::fuzzer::check_seed(seed);
-            (!v.is_empty()).then(|| v.len())
+            (!v.is_empty()).then_some(v.len())
         });
         let wall_secs = wall.elapsed().as_secs_f64();
         let summary = vec![

@@ -430,7 +430,7 @@ mod tests {
                 let mut out = Vec::with_capacity(len);
                 while out.len() < len {
                     let run = rng.gen_range(1usize..5_000).min(len - out.len());
-                    out.extend(std::iter::repeat(rng.gen::<u8>()).take(run));
+                    out.extend(std::iter::repeat_n(rng.gen::<u8>(), run));
                 }
                 out
             }

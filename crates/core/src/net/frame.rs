@@ -139,13 +139,16 @@ impl FrameDecoder {
     /// # Errors
     ///
     /// Returns [`SerError::Invalid`] if the stream announces an oversized
-    /// frame (stream corruption).
+    /// frame (stream corruption). Framing cannot resynchronise after that,
+    /// so everything buffered is dropped and the caller should close the
+    /// stream.
     pub fn next_frame(&mut self) -> Result<Option<Bytes>, SerError> {
         if self.buf.len() < 4 {
             return Ok(None);
         }
         let len = u32::from_be_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
         if len > MAX_FRAME {
+            self.buf = BytesMut::new();
             return Err(SerError::Invalid { context: "frame length" });
         }
         if self.buf.len() < 4 + len {
@@ -273,6 +276,7 @@ mod tests {
         dec.feed(&u32::try_from(MAX_FRAME + 1).expect("fits").to_be_bytes());
         dec.feed(&[0u8; 16]);
         assert!(dec.next_frame().is_err());
+        assert_eq!(dec.buffered(), 0, "a poisoned stream must not stay buffered");
     }
 
     #[test]

@@ -20,10 +20,22 @@
 //! * multi-hop forwarding for [`RoutingHeader`](crate::header::RoutingHeader)
 //!   messages;
 //! * delivery notifications (`MessageNotify`).
+//!
+//! Mechanism and policy live apart. The mechanism is written once: the
+//! wire format ([`frame`]), each channel's send queue with its write
+//! cursor (`channel.rs` — queue, write, acknowledge, rewind, give up),
+//! the counters (`stats.rs`) and, here, the one `dial`. The rest of this
+//! file is the channel table, the inbound path and the policy over them:
+//! the supervision phase machine with its backoff and probes, `DATA`
+//! failover, the idle sweep and the controller swap.
 
+mod channel;
 pub mod frame;
+mod stats;
 
-use std::collections::{HashMap, VecDeque};
+pub use stats::{MiddlewareStats, StatsHandle, SupervisionSummary};
+
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -48,6 +60,7 @@ use crate::msg::{
     NetworkPort, NotifyToken, SendError,
 };
 use crate::transport::Transport;
+use channel::{ChannelState, Frame, Phase, SPAN_FAILED};
 use frame::{decode_frame_body, encode_frame, Compression, FrameDecoder};
 
 /// Channel supervision tuning: reconnect with exponential backoff and
@@ -141,124 +154,6 @@ impl NetworkConfig {
     }
 }
 
-/// Counters exposed by the network component (shared handle, updated
-/// inside the component).
-#[derive(Debug, Clone, Default)]
-pub struct MiddlewareStats {
-    /// Messages sent per transport (indexed by `Transport::to_byte`).
-    pub sent: [u64; 4],
-    /// Messages received from the wire per transport.
-    pub received: [u64; 4],
-    /// Messages delivered locally without serialisation (vnode reflection).
-    pub local_reflections: u64,
-    /// Multi-hop messages forwarded through this host.
-    pub forwarded: u64,
-    /// Multi-hop messages dropped because their routing TTL hit zero
-    /// (malformed or stale route — e.g. a cycle).
-    pub ttl_drops: u64,
-    /// Bytes written to transports (after framing/compression).
-    pub bytes_out: u64,
-    /// Bytes received from transports (before decompression).
-    pub bytes_in: u64,
-    /// Failed sends (all kinds; see `send_failures_by` for the breakdown).
-    pub send_failures: u64,
-    /// Failed sends broken out by [`SendError`] kind (indexed by
-    /// [`SendError::index`]).
-    pub send_failures_by: [u64; SendError::COUNT],
-    /// Frames that failed to decode.
-    pub decode_failures: u64,
-    /// Messages that reached the network layer with an unresolved `DATA`
-    /// protocol.
-    pub unresolved_data: u64,
-    /// Channels opened (outbound connects + inbound accepts).
-    pub channels_opened: u64,
-    /// Channels closed.
-    pub channels_closed: u64,
-    /// Redial attempts made by channel supervision.
-    pub reconnect_attempts: u64,
-    /// Channels successfully re-established by supervision.
-    pub reconnects: u64,
-    /// Channels whose reconnect budget was exhausted.
-    pub channels_dropped: u64,
-    /// `DATA` messages rerouted to the surviving transport because the
-    /// selected transport's channel was dropped.
-    pub failovers: u64,
-    /// Live TCP channels recycled onto a different congestion controller
-    /// by [`NetworkComponent::swap_controller`].
-    pub controller_swaps: u64,
-}
-
-impl MiddlewareStats {
-    /// Total messages sent over any transport.
-    #[must_use]
-    pub fn total_sent(&self) -> u64 {
-        self.sent.iter().sum()
-    }
-
-    /// Total messages received from the wire.
-    #[must_use]
-    pub fn total_received(&self) -> u64 {
-        self.received.iter().sum()
-    }
-
-    /// The failure counter for one [`SendError`] kind.
-    #[must_use]
-    pub fn send_failures_of(&self, kind: SendError) -> u64 {
-        self.send_failures_by[kind.index()]
-    }
-
-    /// The supervision counters bundled for invariant oracles (see
-    /// `kmsg-oracle`): how often channels were re-established, how many
-    /// redials that took, how many channels exhausted their budget, and
-    /// how many `DATA` frames failed over.
-    #[must_use]
-    pub fn supervision(&self) -> SupervisionSummary {
-        SupervisionSummary {
-            reconnect_attempts: self.reconnect_attempts,
-            reconnects: self.reconnects,
-            channels_dropped: self.channels_dropped,
-            failovers: self.failovers,
-            controller_swaps: self.controller_swaps,
-        }
-    }
-}
-
-/// Supervision counters extracted from [`MiddlewareStats`].
-///
-/// `episodes()` is the number of at-least-once redelivery opportunities —
-/// the bound the delivery oracle multiplies by its per-episode duplicate
-/// window.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SupervisionSummary {
-    /// Redial attempts made by channel supervision.
-    pub reconnect_attempts: u64,
-    /// Channels successfully re-established.
-    pub reconnects: u64,
-    /// Channels whose reconnect budget was exhausted.
-    pub channels_dropped: u64,
-    /// `DATA` messages rerouted to the surviving transport.
-    pub failovers: u64,
-    /// Live channels recycled onto a different congestion controller.
-    pub controller_swaps: u64,
-}
-
-impl SupervisionSummary {
-    /// Supervision episodes that may each re-deliver in-flight frames.
-    #[must_use]
-    pub fn episodes(&self) -> u64 {
-        self.reconnects + self.channels_dropped + self.failovers + self.controller_swaps
-    }
-
-    /// Whether the run saw any supervision activity at all.
-    #[must_use]
-    pub fn calm(&self) -> bool {
-        self.episodes() == 0 && self.reconnect_attempts == 0
-    }
-}
-
-/// A cloneable handle to a component's live statistics.
-pub type StatsHandle = Arc<Mutex<MiddlewareStats>>;
-
 /// Events flowing from the transport callbacks into the component.
 #[derive(Debug, Clone)]
 pub enum NetEvent {
@@ -276,12 +171,13 @@ pub enum NetEvent {
     Datagram(Endpoint, Bytes),
 }
 
-/// Forwards transport callbacks into the component's self-port.
-struct ConnForwarder {
+/// Forwards transport callbacks into the component's self-port: as the
+/// handler of a connection, of a stream listener and of the UDP socket.
+struct Forwarder {
     events: SelfRef<NetEvent>,
 }
 
-impl StreamEvents for ConnForwarder {
+impl StreamEvents for Forwarder {
     fn on_connected(&self, conn: &Connection) {
         self.events.push(NetEvent::Connected(conn.id()));
     }
@@ -299,24 +195,16 @@ impl StreamEvents for ConnForwarder {
     }
 }
 
-struct AcceptForwarder {
-    events: SelfRef<NetEvent>,
-}
-
-impl StreamAccept for AcceptForwarder {
+impl StreamAccept for Forwarder {
     fn on_accept(&self, conn: &Connection) -> Arc<dyn StreamEvents> {
         self.events.push(NetEvent::Accepted(conn.clone()));
-        Arc::new(ConnForwarder {
+        Arc::new(Forwarder {
             events: self.events.clone(),
         })
     }
 }
 
-struct UdpForwarder {
-    events: SelfRef<NetEvent>,
-}
-
-impl UdpEvents for UdpForwarder {
+impl UdpEvents for Forwarder {
     fn on_datagram(&self, _socket: &UdpSocket, src: Endpoint, data: Bytes) {
         self.events.push(NetEvent::Datagram(src, data));
     }
@@ -329,10 +217,6 @@ struct ChannelKey {
     transport: Transport,
 }
 
-/// Span close key: the covered work failed (send error, channel death,
-/// retry budget exhausted).
-const SPAN_FAILED: u64 = 1;
-
 /// Packs an endpoint into a span correlation key — the same
 /// `node_index << 16 | port` encoding `ConnStatus` events use for `peer`.
 fn peer_key(ep: Endpoint) -> u64 {
@@ -344,104 +228,15 @@ fn channel_span_key(key: ChannelKey) -> u64 {
     (u64::from(key.transport.to_byte()) << 48) | peer_key(key.remote)
 }
 
-struct OutFrame {
-    bytes: Bytes,
-    written: usize,
-    notify: Option<NotifyToken>,
-    /// Raw id of the message's `msg` root span (0 when tracing is off).
-    msg_span: u64,
-    /// Raw id of the open `enqueue` span covering this frame's wait in the
-    /// pending queue.
-    enq_span: u64,
-}
-
-/// A fully written frame waiting for the transport to acknowledge its last
-/// byte. The frame bytes are retained so supervision can requeue unacked
-/// frames onto a fresh connection (at-least-once within the retry budget).
-struct AckFrame {
-    /// `written_total` at the frame's end.
-    end: u64,
-    bytes: Bytes,
-    notify: Option<NotifyToken>,
-    /// Raw id of the message's `msg` root span (0 when tracing is off).
-    msg_span: u64,
-    /// Raw id of the open `xmit` span: first byte written → last byte
-    /// acknowledged by the transport.
-    xmit_span: u64,
-}
-
-/// Lifecycle of a supervised channel (DESIGN.md §9).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Initial dial in progress.
-    Connecting,
-    /// Handshake complete; frames flow.
-    Established,
-    /// Unexpected close observed; `attempts` redials made so far.
-    Reconnecting {
-        /// Redial attempts made so far (1-based once the first is due).
-        attempts: u32,
-    },
-    /// Retry budget exhausted; queued frames were failed. Probe redials
-    /// may still restore the channel.
-    Dropped,
-}
-
-struct ChannelState {
-    conn: Option<Connection>,
-    phase: Phase,
-    /// Whether this side dialled the channel. Only originated channels are
-    /// supervised — for accepted channels the peer's supervisor redials.
-    originated: bool,
-    pending: VecDeque<OutFrame>,
-    /// Payload bytes fully handed to the transport so far.
-    written_total: u64,
-    /// Fully written frames whose final byte the transport has not yet
-    /// acknowledged, oldest first.
-    awaiting_ack: VecDeque<AckFrame>,
-    decoder: FrameDecoder,
-    last_activity: kmsg_netsim::time::SimTime,
-    /// Raw id of the open `outage` supervision span (0 while healthy).
-    /// Opened at the `ConnectionLost` transition, closed at
-    /// `ConnectionRestored` (key 0) or `ConnectionDropped` (key 1) — the
-    /// same code points and timestamps as the status events, so the span
-    /// window equals the observed recovery latency exactly.
-    outage_span: u64,
-    /// Raw id of the open `backoff` span (retry timer armed → fired).
-    backoff_span: u64,
-    /// Raw id of the open `redial` span (connect issued → Connected or the
-    /// attempt's Closed event).
-    redial_span: u64,
-}
-
-impl ChannelState {
-    fn new() -> Self {
-        ChannelState {
-            conn: None,
-            phase: Phase::Connecting,
-            originated: true,
-            pending: VecDeque::new(),
-            written_total: 0,
-            awaiting_ack: VecDeque::new(),
-            decoder: FrameDecoder::new(),
-            last_activity: kmsg_netsim::time::SimTime::ZERO,
-            outage_span: 0,
-            backoff_span: 0,
-            redial_span: 0,
-        }
-    }
-
-    fn established(&self) -> bool {
-        self.phase == Phase::Established
-    }
-}
-
 /// The network component. Create with [`create_network`].
 pub struct NetworkComponent {
     /// Kompics' network port.
     pub port: ProvidedPort<NetworkPort>,
     /// Transport callback events.
     pub events: SelfPort<NetEvent>,
+    /// The world's span tracer; every call on it early-outs on one relaxed
+    /// load while tracing is off.
+    tracer: Tracer,
     net: Network,
     cfg: NetworkConfig,
     self_events: Option<SelfRef<NetEvent>>,
@@ -478,6 +273,7 @@ impl NetworkComponent {
         NetworkComponent {
             port: ProvidedPort::new(),
             events: SelfPort::new(),
+            tracer: net.sim().recorder().tracer(),
             net,
             cfg,
             self_events: None,
@@ -519,6 +315,18 @@ impl NetworkComponent {
         self.notify(token, DeliveryStatus::Failed(error));
     }
 
+    /// Gives up on the frames of a dead queue, in the order given: the one
+    /// place a frame's spans close as failed. Only a frame with a notify
+    /// token counts as a failed send.
+    fn fail_frames(&self, frames: impl Iterator<Item = Frame>, error: SendError) {
+        let now_ns = self.now_ns();
+        for frame in frames {
+            if let Some(token) = frame.finish(&self.tracer, now_ns, SPAN_FAILED) {
+                self.fail(Some(token), error);
+            }
+        }
+    }
+
     /// Surfaces a channel status transition on the network port and in the
     /// flight recorder (the latter is how the learner's telemetry stream
     /// observes outages alongside its `Decision` events).
@@ -533,8 +341,7 @@ impl NetworkComponent {
             rec.record(
                 sim.now().as_nanos(),
                 EventKind::ConnStatus {
-                    peer: (u64::from(key.remote.node.index()) << 16)
-                        | u64::from(key.remote.port),
+                    peer: peer_key(key.remote),
                     transport: key.transport.label(),
                     status: status.label(),
                     attempts,
@@ -548,13 +355,6 @@ impl NetworkComponent {
         }));
     }
 
-    /// The component's span tracer. Owned (it clones the recorder handle),
-    /// so holding one never extends a borrow of the component; every call
-    /// on it early-outs on one relaxed load while tracing is off.
-    fn tracer(&self) -> Tracer {
-        self.net.sim().recorder().tracer()
-    }
-
     /// Current virtual time in nanoseconds.
     fn now_ns(&self) -> u64 {
         self.net.sim().now().as_nanos()
@@ -562,47 +362,55 @@ impl NetworkComponent {
 
     // --- outbound -------------------------------------------------------
 
-    fn handle_send(&mut self, token: Option<NotifyToken>, mut msg: NetMessage) {
+    fn handle_send(&mut self, token: Option<NotifyToken>, msg: NetMessage) {
         let dst = *msg.header().destination();
         // Every message gets a `msg` root span at the send edge; its id
         // doubles as the trace id for all downstream spans (enqueue, xmit,
         // channel pick). Forwarded multi-hop messages re-enter here and get
         // a fresh per-relay root, so each middleware hop is attributable.
-        let tr = self.tracer();
         let now_ns = self.now_ns();
-        let msg_span = tr.open_root(now_ns, SpanKind::Msg, peer_key(dst.as_socket()));
+        let msg_span = self
+            .tracer
+            .open_root(now_ns, SpanKind::Msg, peer_key(dst.as_socket()));
         // Same-socket delivery: virtual nodes (or self-sends) are reflected
         // without serialisation (§III-B).
         if dst.as_socket() == self.cfg.addr.as_socket() {
             self.stats.lock().local_reflections += 1;
-            tr.instant(
+            self.tracer.instant(
                 now_ns,
                 SpanKind::Deliver,
                 msg_span,
                 msg_span,
                 peer_key(dst.as_socket()),
             );
-            tr.close(now_ns, msg_span);
+            self.tracer.close(now_ns, msg_span);
             self.port.trigger(NetIndication::Msg(msg));
             self.notify(token, DeliveryStatus::DeliveredLocally);
-            return;
+        } else if let Err(error) = self.send_remote(token, dst, msg, msg_span) {
+            self.tracer.close_with(now_ns, msg_span, SPAN_FAILED);
+            self.fail(token, error);
         }
+    }
+
+    /// Resolves the transport of a message for another socket, encodes it
+    /// and hands it to that transport. On success the `msg` span and the
+    /// notification belong to the transport path; on `Err` nothing has been
+    /// sent and both are still the caller's to end.
+    fn send_remote(
+        &mut self,
+        token: Option<NotifyToken>,
+        dst: NetAddress,
+        mut msg: NetMessage,
+        msg_span: SpanId,
+    ) -> Result<(), SendError> {
+        let now_ns = self.now_ns();
         let mut proto = msg.header().protocol();
         if proto == Transport::Data {
             self.stats.lock().unresolved_data += 1;
-            match self.cfg.data_fallback {
-                Some(fallback) => {
-                    proto = fallback;
-                    if let NetHeader::Data(h) = msg.header_mut() {
-                        h.selected = Some(fallback);
-                    }
-                }
-                None => {
-                    tr.close_with(now_ns, msg_span, SPAN_FAILED);
-                    self.fail(token, SendError::UnresolvedDataProtocol);
-                    return;
-                }
-            }
+            proto = self
+                .cfg
+                .data_fallback
+                .ok_or(SendError::UnresolvedDataProtocol)?;
         }
         // Graceful degradation: DATA-addressed traffic whose selected
         // stream transport has exhausted its reconnect budget fails over to
@@ -627,11 +435,8 @@ impl NetworkComponent {
             };
             if dropped(proto) && !dropped(alt) {
                 proto = alt;
-                if let NetHeader::Data(h) = msg.header_mut() {
-                    h.selected = Some(alt);
-                }
                 self.stats.lock().failovers += 1;
-                tr.instant(
+                self.tracer.instant(
                     now_ns,
                     SpanKind::Failover,
                     msg_span,
@@ -641,27 +446,23 @@ impl NetworkComponent {
             }
         }
         // The transport the message will actually travel over, after DATA
-        // fallback and failover resolution.
-        tr.instant(
+        // fallback and failover resolution; a DATA header says so on the
+        // wire.
+        if let NetHeader::Data(h) = msg.header_mut() {
+            h.selected = Some(proto);
+        }
+        self.tracer.instant(
             now_ns,
             SpanKind::ChannelPick,
             msg_span,
             msg_span,
             u64::from(proto.to_byte()),
         );
-        let encoded = match encode_frame(&msg, self.cfg.compression) {
-            Ok(f) => f,
-            Err(_) => {
-                tr.close_with(now_ns, msg_span, SPAN_FAILED);
-                self.fail(token, SendError::Serialisation);
-                return;
-            }
-        };
+        let frame =
+            encode_frame(&msg, self.cfg.compression).map_err(|_| SendError::Serialisation)?;
         match proto {
-            Transport::Udp => self.send_udp(token, dst, encoded, msg_span),
-            Transport::Tcp | Transport::Udt => {
-                self.send_stream(token, proto, dst, encoded, msg_span);
-            }
+            Transport::Udp => self.send_udp(token, dst, frame, msg_span),
+            Transport::Tcp | Transport::Udt => self.send_stream(token, proto, dst, frame, msg_span),
             Transport::Data => unreachable!("resolved above"),
         }
     }
@@ -672,36 +473,23 @@ impl NetworkComponent {
         dst: NetAddress,
         frame: Bytes,
         msg_span: SpanId,
-    ) {
-        let tr = self.tracer();
-        let now_ns = self.now_ns();
+    ) -> Result<(), SendError> {
         if frame.len() > MAX_DATAGRAM {
-            tr.close_with(now_ns, msg_span, SPAN_FAILED);
-            self.fail(token, SendError::TooLargeForUdp);
-            return;
+            return Err(SendError::TooLargeForUdp);
         }
-        let Some(udp) = &self.udp else {
-            tr.close_with(now_ns, msg_span, SPAN_FAILED);
-            self.fail(token, SendError::Unreachable);
-            return;
-        };
+        let udp = self.udp.as_ref().ok_or(SendError::Unreachable)?;
         let len = frame.len() as u64;
-        match udp.send_to(dst.as_socket(), frame) {
-            Ok(()) => {
-                let mut stats = self.stats.lock();
-                stats.sent[Transport::Udp.to_byte() as usize] += 1;
-                stats.bytes_out += len;
-                drop(stats);
-                // Fire-and-forget: the datagram is on the wire, which is
-                // as far as the middleware can attribute UDP.
-                tr.close(now_ns, msg_span);
-                self.notify(token, DeliveryStatus::Sent);
-            }
-            Err(_) => {
-                tr.close_with(now_ns, msg_span, SPAN_FAILED);
-                self.fail(token, SendError::TooLargeForUdp);
-            }
-        }
+        udp.send_to(dst.as_socket(), frame)
+            .map_err(|_| SendError::TooLargeForUdp)?;
+        let mut stats = self.stats.lock();
+        stats.sent[Transport::Udp.to_byte() as usize] += 1;
+        stats.bytes_out += len;
+        drop(stats);
+        // Fire-and-forget: the datagram is on the wire, which is as far as
+        // the middleware can attribute UDP.
+        self.tracer.close(self.now_ns(), msg_span);
+        self.notify(token, DeliveryStatus::Sent);
+        Ok(())
     }
 
     fn send_stream(
@@ -711,80 +499,58 @@ impl NetworkComponent {
         dst: NetAddress,
         frame: Bytes,
         msg_span: SpanId,
-    ) {
-        let tr = self.tracer();
-        let now_ns = self.now_ns();
+    ) -> Result<(), SendError> {
         let key = ChannelKey {
             remote: dst.as_socket(),
             transport: proto,
         };
-        if let Some(channel) = self.channels.get(&key) {
+        match self.channels.get(&key) {
             // The supervisor gave up on this channel; don't queue behind a
             // dead connection. (DATA traffic fails over before reaching
             // here; explicit sends fail fast until a probe restores it.)
-            if channel.phase == Phase::Dropped {
-                tr.close_with(now_ns, msg_span, SPAN_FAILED);
-                self.fail(token, SendError::RetryBudgetExhausted);
-                return;
+            Some(channel) if channel.phase == Phase::Dropped => {
+                return Err(SendError::RetryBudgetExhausted);
             }
-        } else if let Err(e) = self.open_channel(key) {
-            let _ = e;
-            tr.close_with(now_ns, msg_span, SPAN_FAILED);
-            self.fail(token, SendError::Unreachable);
-            return;
+            Some(_) => {}
+            None => self.open_channel(key).map_err(|_| SendError::Unreachable)?,
         }
         let now = self.net.sim().now();
         let channel = self.channels.get_mut(&key).expect("channel just ensured");
-        channel.pending.push_back(OutFrame {
-            bytes: frame,
-            written: 0,
-            notify: token,
-            msg_span: msg_span.raw(),
-            // `enqueue` covers the frame's wait in the pending queue: from
-            // here until its last byte is handed to the transport.
-            enq_span: tr
-                .open(
-                    now_ns,
-                    SpanKind::Enqueue,
-                    msg_span,
-                    msg_span,
-                    channel_span_key(key),
-                )
-                .raw(),
-        });
+        channel.queue.push(
+            &self.tracer,
+            now.as_nanos(),
+            channel_span_key(key),
+            frame,
+            token,
+            msg_span,
+        );
         channel.last_activity = now;
-        if channel.established() {
+        if channel.phase == Phase::Established {
             self.drain_channel(key);
         }
+        Ok(())
     }
 
-    /// The TCP configuration a dial to `remote` should use: the base
-    /// config with the stack policy's per-destination controller override
-    /// applied. Consulted at dial time, so a swap takes effect on the
-    /// next (re)connect even without an explicit recycle.
-    fn tcp_config_for(&self, remote: Endpoint) -> TcpConfig {
-        let mut cfg = self.cfg.tcp.clone();
-        if let Some(algo) = self.cfg.stack.lookup(remote) {
-            cfg.cc.algorithm = algo;
-        }
-        cfg
-    }
-
-    fn open_channel(&mut self, key: ChannelKey) -> Result<(), BindError> {
+    /// Starts a connection for `key` and indexes it; the handshake's
+    /// outcome arrives as a `Connected` or `Closed` event.
+    fn dial(&mut self, key: ChannelKey) -> Result<Connection, BindError> {
         let events = self
             .self_events
             .clone()
             .expect("NetworkComponent used before create_network() wiring");
-        let handler = Arc::new(ConnForwarder { events });
+        let handler = Arc::new(Forwarder { events });
         let node = self.cfg.addr.node();
         let conn = match key.transport {
-            Transport::Tcp => Connection::Tcp(TcpConn::connect(
-                &self.net,
-                node,
-                key.remote,
-                self.tcp_config_for(key.remote),
-                handler,
-            )?),
+            Transport::Tcp => {
+                // The stack policy's per-destination controller override
+                // is consulted at dial time, so a swap takes effect on the
+                // next (re)connect even without an explicit recycle.
+                let mut cfg = self.cfg.tcp.clone();
+                if let Some(algo) = self.cfg.stack.lookup(key.remote) {
+                    cfg.cc.algorithm = algo;
+                }
+                Connection::Tcp(TcpConn::connect(&self.net, node, key.remote, cfg, handler)?)
+            }
             Transport::Udt => Connection::Udt(UdtConn::connect(
                 &self.net,
                 node,
@@ -794,18 +560,22 @@ impl NetworkComponent {
             )?),
             _ => unreachable!("stream channels are TCP or UDT"),
         };
-        let mut state = ChannelState::new();
-        state.last_activity = self.net.sim().now();
         self.conn_index.insert(conn.id(), key);
-        state.conn = Some(conn);
+        Ok(conn)
+    }
+
+    fn open_channel(&mut self, key: ChannelKey) -> Result<(), BindError> {
+        let conn = self.dial(key)?;
+        let state = ChannelState::new(conn, Phase::Connecting, true, self.net.sim().now());
         self.channels.insert(key, state);
         self.stats.lock().channels_opened += 1;
         Ok(())
     }
 
+    /// Writes what the transport will take, then completes the frames
+    /// whose bytes it has acknowledged.
     fn drain_channel(&mut self, key: ChannelKey) {
         let now = self.net.sim().now();
-        let tr = self.tracer();
         let now_ns = now.as_nanos();
         let Some(channel) = self.channels.get_mut(&key) else {
             return;
@@ -813,78 +583,22 @@ impl NetworkComponent {
         let Some(conn) = channel.conn.as_ref() else {
             return;
         };
-        let mut bytes_out = 0u64;
-        let mut msgs_out = 0u64;
-        while let Some(front) = channel.pending.front_mut() {
-            let remaining = front.bytes.slice(front.written..);
-            let accepted = conn.send(remaining);
-            front.written += accepted;
-            channel.written_total += accepted as u64;
-            bytes_out += accepted as u64;
-            if front.written == front.bytes.len() {
-                let done = channel.pending.pop_front().expect("front exists");
-                msgs_out += 1;
-                // Queue wait over; the frame is now the transport's
-                // problem — `xmit` covers it until its last byte is acked.
-                tr.close(now_ns, SpanId::from_raw(done.enq_span));
-                let msg_span = SpanId::from_raw(done.msg_span);
-                let xmit = tr.open(
-                    now_ns,
-                    SpanKind::Xmit,
-                    msg_span,
-                    msg_span,
-                    channel.written_total,
-                );
-                // Retained until the transport acknowledges the frame's
-                // last byte: notifications fire then, and supervision can
-                // requeue the frame if the connection dies first.
-                channel.awaiting_ack.push_back(AckFrame {
-                    end: channel.written_total,
-                    bytes: done.bytes,
-                    notify: done.notify,
-                    msg_span: done.msg_span,
-                    xmit_span: xmit.raw(),
-                });
-            } else {
-                break; // transport buffer full; resume on Writable
-            }
-        }
+        let (bytes_out, msgs_out) = channel
+            .queue
+            .drain(&self.tracer, now_ns, |bytes| conn.send(bytes));
         channel.last_activity = now;
         {
             let mut stats = self.stats.lock();
             stats.bytes_out += bytes_out;
             stats.sent[key.transport.to_byte() as usize] += msgs_out;
         }
-        self.flush_acked(key);
-    }
-
-    /// Completes notification requests whose bytes the transport has
-    /// acknowledged.
-    fn flush_acked(&mut self, key: ChannelKey) {
-        let Some(channel) = self.channels.get_mut(&key) else {
-            return;
-        };
-        let Some(delivered) = channel.conn.as_ref().map(Connection::acked_bytes) else {
-            return;
-        };
-        let mut done = Vec::new();
-        while let Some(front) = channel.awaiting_ack.front() {
-            if front.end <= delivered {
-                let frame = channel.awaiting_ack.pop_front().expect("front exists");
-                done.push((frame.notify, frame.xmit_span, frame.msg_span));
-            } else {
-                break;
-            }
-        }
-        let tr = self.tracer();
-        let now_ns = self.now_ns();
-        for (notify, xmit_span, msg_span) in done {
+        let acked = conn.acked_bytes();
+        while let Some(frame) = channel.queue.pop_acked(acked) {
             // The transport acked the frame's last byte: transmission and
             // the whole message lifecycle complete here.
-            tr.close(now_ns, SpanId::from_raw(xmit_span));
-            tr.close(now_ns, SpanId::from_raw(msg_span));
-            if let Some(t) = notify {
-                self.notify(Some(t), DeliveryStatus::Sent);
+            if let Some(token) = frame.finish(&self.tracer, now_ns, 0) {
+                self.port
+                    .trigger(NetIndication::NotifyResp(token, DeliveryStatus::Sent));
             }
         }
     }
@@ -895,38 +609,26 @@ impl NetworkComponent {
         match event {
             NetEvent::Connected(id) => {
                 if let Some(&key) = self.conn_index.get(&id) {
-                    let tr = self.tracer();
                     let now_ns = self.now_ns();
                     if let Some(channel) = self.channels.get_mut(&key) {
-                        let prev = channel.phase;
+                        let attempts = match channel.phase {
+                            Phase::Reconnecting { attempts } => Some(attempts),
+                            // A post-budget probe got through (the outage
+                            // span already closed at the drop).
+                            Phase::Dropped => Some(0),
+                            Phase::Connecting | Phase::Established => None,
+                        };
                         channel.phase = Phase::Established;
                         // The redial that produced this handshake — and the
                         // outage it belongs to — end here, at the same
                         // instant the `restored` status is stamped.
                         let redial = std::mem::take(&mut channel.redial_span);
                         let outage = std::mem::take(&mut channel.outage_span);
-                        match prev {
-                            Phase::Reconnecting { attempts } => {
-                                tr.close(now_ns, SpanId::from_raw(redial));
-                                tr.close(now_ns, SpanId::from_raw(outage));
-                                self.stats.lock().reconnects += 1;
-                                self.emit_status(
-                                    key,
-                                    ConnStatus::ConnectionRestored { attempts },
-                                );
-                            }
-                            Phase::Dropped => {
-                                // A post-budget probe got through (the
-                                // outage span already closed at the drop).
-                                tr.close(now_ns, SpanId::from_raw(redial));
-                                tr.close(now_ns, SpanId::from_raw(outage));
-                                self.stats.lock().reconnects += 1;
-                                self.emit_status(
-                                    key,
-                                    ConnStatus::ConnectionRestored { attempts: 0 },
-                                );
-                            }
-                            Phase::Connecting | Phase::Established => {}
+                        if let Some(attempts) = attempts {
+                            self.tracer.close(now_ns, redial);
+                            self.tracer.close(now_ns, outage);
+                            self.stats.lock().reconnects += 1;
+                            self.emit_status(key, ConnStatus::ConnectionRestored { attempts });
                         }
                     }
                     self.drain_channel(key);
@@ -943,14 +645,11 @@ impl NetworkComponent {
                         Connection::Udt(_) => Transport::Udt,
                     },
                 };
-                let mut state = ChannelState::new();
-                state.phase = Phase::Established;
+                self.conn_index.insert(conn.id(), key);
                 // The dialling side supervises; if this channel dies we
                 // fall back to failing its queued replies.
-                state.originated = false;
-                state.last_activity = self.net.sim().now();
-                self.conn_index.insert(conn.id(), key);
-                state.conn = Some(conn);
+                let state =
+                    ChannelState::new(conn, Phase::Established, false, self.net.sim().now());
                 self.channels.insert(key, state);
                 self.stats.lock().channels_opened += 1;
             }
@@ -959,26 +658,34 @@ impl NetworkComponent {
                 let Some(&key) = self.conn_index.get(&id) else {
                     return;
                 };
+                let Some(channel) = self.channels.get_mut(&key) else {
+                    return;
+                };
+                channel.decoder.feed(&data);
+                channel.last_activity = self.net.sim().now();
                 let mut frames = Vec::new();
-                {
-                    let Some(channel) = self.channels.get_mut(&key) else {
-                        return;
-                    };
-                    channel.decoder.feed(&data);
-                    channel.last_activity = self.net.sim().now();
-                    loop {
-                        match channel.decoder.next_frame() {
-                            Ok(Some(frame)) => frames.push(frame),
-                            Ok(None) => break,
-                            Err(_) => {
-                                self.stats.lock().decode_failures += 1;
-                                break;
-                            }
-                        }
+                let poisoned = loop {
+                    match channel.decoder.next_frame() {
+                        Ok(Some(frame)) => frames.push(frame),
+                        Ok(None) => break false,
+                        Err(_) => break true,
+                    }
+                };
+                if poisoned {
+                    // Framing cannot resynchronise after a bad length
+                    // prefix: one failure, and once the frames before it
+                    // are delivered the connection ends like any other
+                    // that closes under its channel.
+                    self.stats.lock().decode_failures += 1;
+                    if let Some(conn) = &channel.conn {
+                        conn.close();
                     }
                 }
                 for body in frames {
                     self.handle_frame(body, Some((id, key)));
+                }
+                if poisoned {
+                    self.on_conn_closed(ctx, id);
                 }
             }
             NetEvent::Writable(id) => {
@@ -986,14 +693,7 @@ impl NetworkComponent {
                     self.drain_channel(key);
                 }
             }
-            NetEvent::Closed(id, _reason) => {
-                if let Some(key) = self.conn_index.remove(&id) {
-                    if self.channels.contains_key(&key) {
-                        self.stats.lock().channels_closed += 1;
-                        self.on_channel_down(ctx, key);
-                    }
-                }
-            }
+            NetEvent::Closed(id, _reason) => self.on_conn_closed(ctx, id),
             NetEvent::Datagram(_src, data) => {
                 self.stats.lock().bytes_in += data.len() as u64;
                 // Datagrams carry exactly one frame (with length prefix).
@@ -1047,18 +747,13 @@ impl NetworkComponent {
                     }
                 }
             }
-            let proto = msg.header().protocol();
-            {
-                let mut stats = self.stats.lock();
-                let idx = proto.to_byte() as usize;
-                stats.received[idx.min(3)] += 1;
-            }
+            let idx = msg.header().protocol().to_byte() as usize;
+            self.stats.lock().received[idx.min(3)] += 1;
             // Receiver-side delivery edge. Trace ids never cross the wire
             // (that would perturb frame sizes and thus all timings), so
             // this is a root instant; offline analysis joins it to the
             // sender's `msg` span by source key and time window.
-            let tr = self.tracer();
-            tr.instant(
+            self.tracer.instant(
                 self.now_ns(),
                 SpanKind::Deliver,
                 SpanId::NONE,
@@ -1106,90 +801,57 @@ impl NetworkComponent {
 
     // --- supervision ----------------------------------------------------
 
+    /// A connection ended under its channel — the transport said so, or the
+    /// inbound path gave up on it.
+    fn on_conn_closed(&mut self, ctx: &mut ComponentContext, id: ConnectionId) {
+        if let Some(key) = self.conn_index.remove(&id) {
+            if self.channels.contains_key(&key) {
+                self.stats.lock().channels_closed += 1;
+                self.on_channel_down(ctx, key);
+            }
+        }
+    }
+
     /// Reacts to an unexpected connection loss on a known channel: either
-    /// supervises (requeue + backoff redial) or, when supervision is off or
+    /// supervises (rewind + backoff redial) or, when supervision is off or
     /// the channel was accepted rather than dialled, fails everything
     /// (legacy at-most-once behaviour).
     fn on_channel_down(&mut self, ctx: &mut ComponentContext, key: ChannelKey) {
-        let supervised = self.cfg.reconnect.is_some()
-            && self.channels.get(&key).is_some_and(|c| c.originated);
-        let tr = self.tracer();
+        let tr = &self.tracer;
         let now_ns = self.now_ns();
-        if !supervised {
-            if let Some(mut channel) = self.channels.remove(&key) {
+        let (rc, channel) = match (&self.cfg.reconnect, self.channels.get_mut(&key)) {
+            (Some(rc), Some(channel)) if channel.originated => (rc, channel),
+            _ => {
                 // At-most-once: queued and unacknowledged messages are
                 // lost; notify requesters.
-                for frame in channel.pending.drain(..) {
-                    tr.close_with(now_ns, SpanId::from_raw(frame.enq_span), SPAN_FAILED);
-                    tr.close_with(now_ns, SpanId::from_raw(frame.msg_span), SPAN_FAILED);
-                    if let Some(t) = frame.notify {
-                        self.fail(Some(t), SendError::ChannelClosed);
-                    }
+                if let Some(mut channel) = self.channels.remove(&key) {
+                    self.fail_frames(channel.queue.take_all(), SendError::ChannelClosed);
                 }
-                for frame in channel.awaiting_ack.drain(..) {
-                    tr.close_with(now_ns, SpanId::from_raw(frame.xmit_span), SPAN_FAILED);
-                    tr.close_with(now_ns, SpanId::from_raw(frame.msg_span), SPAN_FAILED);
-                    if let Some(t) = frame.notify {
-                        self.fail(Some(t), SendError::ChannelClosed);
-                    }
-                }
+                return;
             }
-            return;
-        }
-        let rc = self.cfg.reconnect.clone().expect("supervised implies config");
-        let channel = self.channels.get_mut(&key).expect("supervised implies entry");
+        };
         channel.conn = None;
         // A redial attempt that ends in another Closed event failed.
         let failed_redial = std::mem::take(&mut channel.redial_span);
-        tr.close_with(now_ns, SpanId::from_raw(failed_redial), SPAN_FAILED);
+        tr.close_with(now_ns, failed_redial, SPAN_FAILED);
         // First loss on a healthy channel opens the `outage` span, at the
         // same instant the `ConnectionLost` status below is stamped — the
         // span's window therefore equals the reported recovery latency,
         // and its children (requeue, backoff, redial) partition it.
         if matches!(channel.phase, Phase::Connecting | Phase::Established)
-            && channel.outage_span == 0
+            && channel.outage_span.is_none()
         {
-            channel.outage_span = tr
-                .open_root(now_ns, SpanKind::Outage, channel_span_key(key))
-                .raw();
+            channel.outage_span = tr.open_root(now_ns, SpanKind::Outage, channel_span_key(key));
         }
-        let outage = SpanId::from_raw(channel.outage_span);
-        // At-least-once: requeue unacknowledged frames *ahead* of pending
-        // ones (they are older), rewinding write progress for the fresh
-        // connection. Exactly-once stays at the session layer.
-        for frame in channel.pending.iter_mut() {
-            frame.written = 0;
-        }
-        let requeued = channel.awaiting_ack.len() as u64;
-        while let Some(acked) = channel.awaiting_ack.pop_back() {
-            // The interrupted transmission is over; the frame re-enters
-            // the queue under a fresh `enqueue` span on the same trace.
-            tr.close_with(now_ns, SpanId::from_raw(acked.xmit_span), SPAN_FAILED);
-            let msg_span = SpanId::from_raw(acked.msg_span);
-            channel.pending.push_front(OutFrame {
-                bytes: acked.bytes,
-                written: 0,
-                notify: acked.notify,
-                msg_span: acked.msg_span,
-                enq_span: tr
-                    .open(
-                        now_ns,
-                        SpanKind::Enqueue,
-                        msg_span,
-                        msg_span,
-                        channel_span_key(key),
-                    )
-                    .raw(),
-            });
-        }
+        let outage = channel.outage_span;
+        let requeued = channel.queue.rewind(tr, now_ns, channel_span_key(key));
         if requeued > 0 {
             tr.instant(now_ns, SpanKind::Requeue, outage, outage, requeued);
         }
-        channel.written_total = 0;
         match channel.phase {
             Phase::Dropped => {
                 // A probe redial failed; keep probing.
-                self.schedule_probe(ctx, key, &rc);
+                self.schedule_probe(ctx, key);
             }
             Phase::Reconnecting { attempts } if attempts >= rc.max_retries => {
                 // Budget exhausted: fail queued frames, report, keep the
@@ -1197,50 +859,40 @@ impl NetworkComponent {
                 // restore it.
                 channel.phase = Phase::Dropped;
                 let ended_outage = std::mem::take(&mut channel.outage_span);
-                let failed: Vec<(Option<NotifyToken>, u64, u64)> = channel
-                    .pending
-                    .drain(..)
-                    .map(|f| (f.notify, f.enq_span, f.msg_span))
-                    .collect();
-                tr.close_with(now_ns, SpanId::from_raw(ended_outage), SPAN_FAILED);
-                for (notify, enq_span, msg_span) in failed {
-                    tr.close_with(now_ns, SpanId::from_raw(enq_span), SPAN_FAILED);
-                    tr.close_with(now_ns, SpanId::from_raw(msg_span), SPAN_FAILED);
-                    if let Some(t) = notify {
-                        self.fail(Some(t), SendError::RetryBudgetExhausted);
-                    }
-                }
+                let failed = channel.queue.take_all();
+                tr.close_with(now_ns, ended_outage, SPAN_FAILED);
+                self.fail_frames(failed, SendError::RetryBudgetExhausted);
                 self.stats.lock().channels_dropped += 1;
                 self.emit_status(key, ConnStatus::ConnectionDropped);
-                self.schedule_probe(ctx, key, &rc);
+                self.schedule_probe(ctx, key);
             }
             phase => {
                 let attempts = match phase {
                     Phase::Reconnecting { attempts } => attempts + 1,
                     _ => 1,
                 };
+                channel.phase = Phase::Reconnecting { attempts };
                 if matches!(phase, Phase::Connecting | Phase::Established) {
                     self.emit_status(key, ConnStatus::ConnectionLost);
-                }
-                if let Some(channel) = self.channels.get_mut(&key) {
-                    channel.phase = Phase::Reconnecting { attempts };
                 }
                 let delay = rc.backoff(attempts, &mut self.jitter_rng);
                 let timer = ctx.schedule_once(delay);
                 self.retry_timers.insert(timer, key);
                 // `backoff` covers timer armed → fired (closed in
                 // `redial`); one per attempt, keyed by the attempt number.
+                let backoff =
+                    tr.open(now_ns, SpanKind::Backoff, outage, outage, u64::from(attempts));
                 if let Some(channel) = self.channels.get_mut(&key) {
-                    channel.backoff_span = tr
-                        .open(now_ns, SpanKind::Backoff, outage, outage, u64::from(attempts))
-                        .raw();
+                    channel.backoff_span = backoff;
                 }
             }
         }
     }
 
-    fn schedule_probe(&mut self, ctx: &mut ComponentContext, key: ChannelKey, rc: &ReconnectConfig) {
-        if let Some(interval) = rc.probe_interval {
+    /// After the budget is spent, a slow probe keeps testing the peer.
+    fn schedule_probe(&mut self, ctx: &mut ComponentContext, key: ChannelKey) {
+        let probe = self.cfg.reconnect.as_ref().and_then(|rc| rc.probe_interval);
+        if let Some(interval) = probe {
             let timer = ctx.schedule_once(interval);
             self.retry_timers.insert(timer, key);
         }
@@ -1248,67 +900,33 @@ impl NetworkComponent {
 
     /// Dials the channel again (retry-timer and probe-timer handler).
     fn redial(&mut self, ctx: &mut ComponentContext, key: ChannelKey) {
-        match self.channels.get(&key) {
-            // Channel torn down, or a concurrent path already restored it.
-            Some(c) if c.conn.is_none() => {}
-            _ => return,
-        }
-        let tr = self.tracer();
         let now_ns = self.now_ns();
-        let outage = if let Some(channel) = self.channels.get_mut(&key) {
-            // The backoff wait is over the moment the timer fires.
-            let backoff = std::mem::take(&mut channel.backoff_span);
-            tr.close(now_ns, SpanId::from_raw(backoff));
-            SpanId::from_raw(channel.outage_span)
-        } else {
-            SpanId::NONE
+        let outage = match self.channels.get_mut(&key) {
+            Some(channel) if channel.conn.is_none() => {
+                // The backoff wait is over the moment the timer fires.
+                let backoff = std::mem::take(&mut channel.backoff_span);
+                self.tracer.close(now_ns, backoff);
+                channel.outage_span
+            }
+            // Channel torn down, or a concurrent path already restored it.
+            _ => return,
         };
-        let events = self
-            .self_events
-            .clone()
-            .expect("NetworkComponent used before create_network() wiring");
-        let handler = Arc::new(ConnForwarder { events });
-        let node = self.cfg.addr.node();
         self.stats.lock().reconnect_attempts += 1;
-        let conn = match key.transport {
-            Transport::Tcp => TcpConn::connect(
-                &self.net,
-                node,
-                key.remote,
-                self.tcp_config_for(key.remote),
-                handler,
-            )
-            .map(Connection::Tcp),
-            Transport::Udt => UdtConn::connect(
-                &self.net,
-                node,
-                key.remote,
-                self.cfg.udt.clone(),
-                handler,
-            )
-            .map(Connection::Udt),
-            _ => unreachable!("stream channels are TCP or UDT"),
-        };
-        match conn {
+        match self.dial(key) {
             Ok(conn) => {
-                self.conn_index.insert(conn.id(), key);
-                if let Some(channel) = self.channels.get_mut(&key) {
-                    channel.conn = Some(conn);
-                    // `redial` spans the dial attempt: closed on the
-                    // Connected event (success) or the next Closed event
-                    // (failure, SPAN_FAILED).
-                    channel.redial_span = tr
-                        .open(
-                            now_ns,
-                            SpanKind::Redial,
-                            outage,
-                            outage,
-                            channel_span_key(key),
-                        )
-                        .raw();
-                }
-                // Establishment (or the next failure) arrives as a
-                // Connected/Closed event.
+                // `redial` spans the dial attempt: closed on the Connected
+                // event (success) or the next Closed event (failure,
+                // SPAN_FAILED).
+                let redial = self.tracer.open(
+                    now_ns,
+                    SpanKind::Redial,
+                    outage,
+                    outage,
+                    channel_span_key(key),
+                );
+                let channel = self.channels.get_mut(&key).expect("checked above");
+                channel.conn = Some(conn);
+                channel.redial_span = redial;
             }
             Err(_) => {
                 // Local dial failure (port space exhausted): treat it like
@@ -1322,31 +940,24 @@ impl NetworkComponent {
         let Some(idle) = self.cfg.idle_timeout else {
             return;
         };
-        // Idle eligibility requires a fully drained channel: nothing
-        // pending *and* nothing awaiting transport acknowledgement —
-        // tearing down a channel with unacked frames would lose them. Only
-        // established channels are swept; reconnecting ones own retry
-        // timers that must stay valid.
-        let expired: Vec<ChannelKey> = self
-            .channels
-            .iter()
-            .filter(|(_, c)| {
-                c.phase == Phase::Established
-                    && c.pending.is_empty()
-                    && c.awaiting_ack.is_empty()
-                    && now.duration_since(c.last_activity) >= idle
-            })
-            .map(|(k, _)| *k)
-            .collect();
-        for key in expired {
-            if let Some(channel) = self.channels.remove(&key) {
-                if let Some(conn) = channel.conn {
+        // Idle eligibility requires an empty queue — nothing waiting *and*
+        // nothing awaiting transport acknowledgement: tearing down a
+        // channel with unacked frames would lose them. Only established
+        // channels are swept; reconnecting ones own retry timers that must
+        // stay valid.
+        self.channels.retain(|_, c| {
+            let expired = c.phase == Phase::Established
+                && c.queue.is_empty()
+                && now.duration_since(c.last_activity) >= idle;
+            if expired {
+                if let Some(conn) = c.conn.take() {
                     self.conn_index.remove(&conn.id());
                     conn.close();
                 }
                 self.stats.lock().channels_closed += 1;
             }
-        }
+            !expired
+        });
     }
 
     // --- controller stack policy ----------------------------------------
@@ -1359,10 +970,10 @@ impl NetworkComponent {
     /// immediately. Returns `true` if the effective selection changed.
     ///
     /// Recycling is at-least-once, like supervision: frames the old
-    /// transport had not acknowledged are requeued ahead of pending ones
-    /// on the fresh connection, and the swap counts as a supervision
-    /// episode ([`MiddlewareStats::controller_swaps`]) for the delivery
-    /// oracle's duplicate budget.
+    /// transport had not acknowledged are written again on the fresh
+    /// connection, ahead of the waiting ones, and the swap counts as a
+    /// supervision episode ([`MiddlewareStats::controller_swaps`]) for the
+    /// delivery oracle's duplicate budget.
     pub fn swap_controller(
         &mut self,
         remote: Endpoint,
@@ -1401,68 +1012,30 @@ impl NetworkComponent {
     /// send queue over. The old connection is closed gracefully and
     /// unlinked first, so its Closed event is not mistaken for an outage.
     fn recycle_channel(&mut self, key: ChannelKey) {
-        let old_conn = match self.channels.get_mut(&key) {
-            Some(c) => match c.conn.take() {
-                Some(conn) => conn,
-                None => return,
-            },
-            None => return,
+        let now_ns = self.now_ns();
+        let Some(channel) = self.channels.get_mut(&key) else {
+            return;
+        };
+        // Held to the end: its port is not free for the replacement.
+        let Some(old_conn) = channel.conn.take() else {
+            return;
         };
         self.conn_index.remove(&old_conn.id());
         old_conn.close();
-        let tr = self.tracer();
-        let now_ns = self.now_ns();
-        let channel = self.channels.get_mut(&key).expect("checked above");
         channel.phase = Phase::Connecting;
         // We dial the replacement, so this side supervises it from now on.
         channel.originated = true;
-        // At-least-once carry-over, exactly like supervision: rewind
-        // write progress and requeue unacknowledged frames ahead of
-        // pending ones (they are older).
-        for frame in channel.pending.iter_mut() {
-            frame.written = 0;
-        }
-        while let Some(acked) = channel.awaiting_ack.pop_back() {
-            tr.close_with(now_ns, SpanId::from_raw(acked.xmit_span), SPAN_FAILED);
-            let msg_span = SpanId::from_raw(acked.msg_span);
-            channel.pending.push_front(OutFrame {
-                bytes: acked.bytes,
-                written: 0,
-                notify: acked.notify,
-                msg_span: acked.msg_span,
-                enq_span: tr
-                    .open(
-                        now_ns,
-                        SpanKind::Enqueue,
-                        msg_span,
-                        msg_span,
-                        channel_span_key(key),
-                    )
-                    .raw(),
-            });
-        }
-        channel.written_total = 0;
+        // At-least-once carry-over, exactly like supervision.
+        channel
+            .queue
+            .rewind(&self.tracer, now_ns, channel_span_key(key));
         {
             let mut stats = self.stats.lock();
             stats.controller_swaps += 1;
             stats.channels_closed += 1;
         }
-        let events = self
-            .self_events
-            .clone()
-            .expect("NetworkComponent used before create_network() wiring");
-        let handler = Arc::new(ConnForwarder { events });
-        let node = self.cfg.addr.node();
-        match TcpConn::connect(
-            &self.net,
-            node,
-            key.remote,
-            self.tcp_config_for(key.remote),
-            handler,
-        ) {
+        match self.dial(key) {
             Ok(conn) => {
-                let conn = Connection::Tcp(conn);
-                self.conn_index.insert(conn.id(), key);
                 if let Some(channel) = self.channels.get_mut(&key) {
                     channel.conn = Some(conn);
                 }
@@ -1473,13 +1046,7 @@ impl NetworkComponent {
                 // Local dial failure (port space exhausted): fail queued
                 // frames, the at-most-once fallback.
                 if let Some(mut channel) = self.channels.remove(&key) {
-                    for frame in channel.pending.drain(..) {
-                        tr.close_with(now_ns, SpanId::from_raw(frame.enq_span), SPAN_FAILED);
-                        tr.close_with(now_ns, SpanId::from_raw(frame.msg_span), SPAN_FAILED);
-                        if let Some(t) = frame.notify {
-                            self.fail(Some(t), SendError::ChannelClosed);
-                        }
-                    }
+                    self.fail_frames(channel.queue.take_all(), SendError::ChannelClosed);
                 }
             }
         }
@@ -1553,32 +1120,14 @@ pub fn create_network(
     let comp = system.create(|| NetworkComponent::new(net.clone(), cfg));
     let events = comp.self_ref(|c| &mut c.events);
 
-    let tcp_listener = TcpListener::bind(
-        net,
-        addr.node(),
-        addr.port(),
-        tcp_cfg,
-        Arc::new(AcceptForwarder {
-            events: events.clone(),
-        }),
-    )?;
-    let udt_listener = UdtListener::bind(
-        net,
-        addr.node(),
-        addr.port(),
-        udt_cfg,
-        Arc::new(AcceptForwarder {
-            events: events.clone(),
-        }),
-    )?;
-    let udp_socket = UdpSocket::bind(
-        net,
-        addr.node(),
-        addr.port(),
-        Arc::new(UdpForwarder {
-            events: events.clone(),
-        }),
-    )?;
+    let forwarder = Arc::new(Forwarder {
+        events: events.clone(),
+    });
+    let tcp_listener =
+        TcpListener::bind(net, addr.node(), addr.port(), tcp_cfg, forwarder.clone())?;
+    let udt_listener =
+        UdtListener::bind(net, addr.node(), addr.port(), udt_cfg, forwarder.clone())?;
+    let udp_socket = UdpSocket::bind(net, addr.node(), addr.port(), forwarder)?;
 
     comp.on_definition(|c| {
         c.self_events = Some(events.clone());

@@ -123,6 +123,13 @@ fn default_link() -> LinkConfig {
     LinkConfig::new(10e6, Duration::from_millis(5))
 }
 
+/// `len` bytes the Snappy stand-in cannot shrink.
+fn incompressible(seed: u64, len: usize) -> Bytes {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(seed);
+    (0..len).map(|_| rng.gen::<u8>()).collect()
+}
+
 #[test]
 fn tcp_message_round_trip() {
     let (w, nodes) = world(default_link(), 2);
@@ -178,14 +185,9 @@ fn udp_message_round_trip_and_size_limit() {
     ));
     // Oversized datagram must fail cleanly. Use incompressible data so the
     // Snappy stand-in cannot shrink it below the limit.
-    let big: Vec<u8> = {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(3);
-        (0..70_000).map(|_| rng.gen()).collect()
-    };
     a.send.push(NetRequest::NotifyReq(
         NotifyToken::new(2),
-        NetMessage::new(a.addr, b.addr, Transport::Udp, Bytes::from(big)),
+        NetMessage::new(a.addr, b.addr, Transport::Udp, incompressible(3, 70_000)),
     ));
     w.sim.run_for(Duration::from_secs(2));
     let got = b.app.on_definition(|h| h.received.len());
@@ -566,6 +568,7 @@ fn permanent_outage_fails_notifies_at_most_once() {
     // Supervision off: this pins the legacy at-most-once contract.
     let mut cfg = NetworkConfig::new(NetAddress::new(nodes[0], 7000));
     cfg.reconnect = None;
+    cfg.tcp.send_buf = 16 * 1024;
     let a = stack_cfg(&w, cfg);
     let b = stack(&w, nodes[1], 7000);
     a.send.push(NetRequest::NotifyReq(
@@ -579,11 +582,16 @@ fn permanent_outage_fails_notifies_at_most_once() {
         let l = w.net.route(x, y).expect("route")[0];
         w.net.link(l).set_up(false);
     }
+    // 2 and 3 fit the send buffer (written, never acknowledged); 4 is
+    // longer than it and incompressible, so it stays part-written with 5
+    // waiting behind it.
     for i in 2..=5u64 {
-        a.send.push(NetRequest::NotifyReq(
-            NotifyToken::new(i),
-            NetMessage::new(a.addr, b.addr, Transport::Tcp, i),
-        ));
+        let msg = if i == 4 {
+            NetMessage::new(a.addr, b.addr, Transport::Tcp, incompressible(4, 40_000))
+        } else {
+            NetMessage::new(a.addr, b.addr, Transport::Tcp, i)
+        };
+        a.send.push(NetRequest::NotifyReq(NotifyToken::new(i), msg));
     }
     // Long enough for TCP to give up (15 backoffs capped at 60 s would be
     // huge; consecutive-timeout abort kicks in much earlier with min RTO).
@@ -594,7 +602,10 @@ fn permanent_outage_fails_notifies_at_most_once() {
         .filter(|(_, s)| matches!(s, DeliveryStatus::Failed(SendError::ChannelClosed)))
         .map(|(t, _)| t.id)
         .collect();
-    assert_eq!(failed, vec![2, 3, 4, 5], "queued messages fail on channel death");
+    // Each token fails once; the order is the component's as it stands —
+    // frames still waiting to be written first, written-but-unacknowledged
+    // ones after — pinned so that changing it is a decision.
+    assert_eq!(failed, vec![4, 5, 2, 3], "queued messages fail on channel death");
     assert_eq!(
         b.app.on_definition(|h| h.received.len()),
         1,
@@ -895,6 +906,118 @@ fn supervision_reconnects_and_redelivers_after_outage() {
     assert!(stats.reconnect_attempts >= 1);
     assert!(stats.reconnects >= 1, "supervision must re-establish the channel");
     assert_eq!(stats.channels_dropped, 0, "budget must not be exhausted");
+}
+
+/// Three notified TCP sends, the second an incompressible payload several
+/// send buffers long, driven until that frame is part-written; `interrupt`
+/// then takes the connection from under it and runs the world until the
+/// channel is back. However the connection was replaced, the receiver must
+/// never see a torn frame: every message decodes, first arrivals are in
+/// send order with byte-equal payloads, and each token gets one `Sent`.
+fn part_written_frame_survives(interrupt: impl FnOnce(&World, &[NodeId], &Stack, &Stack)) {
+    let (w, nodes) = world(default_link(), 2);
+    let mut cfg = NetworkConfig::new(NetAddress::new(nodes[0], 7000));
+    cfg.tcp.send_buf = 16 * 1024;
+    // Impatient TCP so a channel death is observable within an outage.
+    cfg.tcp.min_rto = Duration::from_millis(100);
+    cfg.tcp.max_rto = Duration::from_millis(400);
+    cfg.tcp.max_consecutive_timeouts = 2;
+    cfg.tcp.syn_retries = 1;
+    cfg.reconnect = Some(ReconnectConfig {
+        max_retries: 30,
+        base_backoff: Duration::from_millis(100),
+        max_backoff: Duration::from_millis(400),
+        probe_interval: Some(Duration::from_secs(2)),
+    });
+    let a = stack_cfg(&w, cfg);
+    let b = stack(&w, nodes[1], 7000);
+    let payloads = vec![
+        Bytes::from(&b"first"[..]),
+        incompressible(5, 80_000),
+        Bytes::from(&b"third"[..]),
+    ];
+    for (token, payload) in (1..).zip(&payloads) {
+        a.send.push(NetRequest::NotifyReq(
+            NotifyToken::new(token),
+            NetMessage::new(a.addr, b.addr, Transport::Tcp, payload.clone()),
+        ));
+    }
+    w.sim.run_for(Duration::from_millis(30));
+    {
+        let stats = a.stats.lock();
+        assert_eq!(stats.sent[Transport::Tcp.to_byte() as usize], 1, "only the first frame is fully written");
+        assert!(
+            (1024..70_000).contains(&stats.bytes_out),
+            "the second frame must be part-written, {} bytes out",
+            stats.bytes_out
+        );
+    }
+    interrupt(&w, &nodes, &a, &b);
+    assert_eq!(b.stats.lock().decode_failures, 0, "no torn frame may reach the receiver");
+    let mut first_arrivals: Vec<Bytes> = Vec::new();
+    for payload in b.app.on_definition(|h| {
+        h.received
+            .iter()
+            .map(|m| m.try_deserialise::<Bytes, Bytes>().expect("bytes"))
+            .collect::<Vec<_>>()
+    }) {
+        if !first_arrivals.contains(&payload) {
+            first_arrivals.push(payload);
+        }
+    }
+    assert!(
+        first_arrivals == payloads,
+        "every message arrives intact and in send order, got lengths {:?}",
+        first_arrivals.iter().map(Bytes::len).collect::<Vec<_>>()
+    );
+    let notifies = a.app.on_definition(|h| h.notifies.clone());
+    assert_eq!(
+        notifies,
+        (1..=3)
+            .map(|t| (NotifyToken::new(t), DeliveryStatus::Sent))
+            .collect::<Vec<_>>(),
+        "one Sent per token, in send order"
+    );
+}
+
+/// The first rewind site: both link directions go down while a frame is
+/// part-written, the transport gives up, supervision redials after the heal
+/// and the frame restarts at byte 0 on the fresh connection.
+#[test]
+fn outage_in_the_middle_of_a_frame() {
+    part_written_frame_survives(|w, nodes, a, _b| {
+        let links: Vec<_> = [(nodes[0], nodes[1]), (nodes[1], nodes[0])]
+            .iter()
+            .map(|&(x, y)| w.net.route(x, y).expect("route")[0])
+            .collect();
+        for &l in &links {
+            w.net.link(l).set_up(false);
+        }
+        w.sim.run_for(Duration::from_secs(4));
+        for &l in &links {
+            w.net.link(l).set_up(true);
+        }
+        w.sim.run_for(Duration::from_secs(15));
+        let stats = a.stats.lock();
+        assert!(stats.reconnects >= 1, "supervision must re-establish the channel");
+        assert_eq!(stats.channels_dropped, 0, "budget must not be exhausted");
+    });
+}
+
+/// The second rewind site: a controller swap recycles the connection while
+/// a frame is part-written.
+#[test]
+fn controller_swap_in_the_middle_of_a_frame() {
+    part_written_frame_survives(|w, _nodes, a, b| {
+        let changed = a
+            .network
+            .on_definition(|n| n.swap_controller(b.addr.as_socket(), CcAlgorithm::Cubic));
+        assert!(changed, "reno -> cubic is an effective change");
+        w.sim.run_for(Duration::from_secs(5));
+        let stats = a.stats.lock();
+        assert_eq!(stats.controller_swaps, 1);
+        assert_eq!(stats.reconnect_attempts, 0, "a swap is not an outage");
+    });
 }
 
 /// Regression: the idle sweeper must not tear down a channel that still
@@ -1349,4 +1472,66 @@ fn garbage_datagrams_are_counted_not_fatal() {
     )));
     w.sim.run_for(Duration::from_secs(1));
     assert_eq!(b.app.on_definition(|h| h.received.len()), 1);
+}
+
+/// A stream that announces an oversized frame cannot be resynchronised: the
+/// failure is counted once and the connection closed, rather than every
+/// later write being buffered and counted again. Other connections are
+/// served throughout.
+#[test]
+fn poisoned_stream_is_closed_not_buffered() {
+    use kmsg_netsim::iface::{CloseReason, Connection, StreamEvents};
+    use kmsg_netsim::tcp::{TcpConfig, TcpConn};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[derive(Default)]
+    struct Closes(AtomicUsize);
+    impl StreamEvents for Closes {
+        fn on_closed(&self, _conn: &Connection, _reason: CloseReason) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    let (w, nodes) = world(default_link(), 2);
+    let a = stack(&w, nodes[0], 7000);
+    let b = stack(&w, nodes[1], 7000);
+    let mut next = 0u64;
+    let mut well_formed = |settle: Duration| {
+        a.send.push(NetRequest::Msg(NetMessage::new(a.addr, b.addr, Transport::Tcp, next)));
+        next += 1;
+        w.sim.run_for(settle);
+    };
+    well_formed(Duration::from_millis(200));
+    // A raw connection to B's middleware port: a length prefix above
+    // `MAX_FRAME`, then 1 MiB in eight writes.
+    let closes = Arc::new(Closes::default());
+    let rogue = TcpConn::connect(
+        &w.net,
+        nodes[0],
+        b.addr.as_socket(),
+        TcpConfig::default(),
+        closes.clone(),
+    )
+    .expect("dial");
+    w.sim.run_for(Duration::from_millis(100));
+    assert_eq!(rogue.send(Bytes::from(vec![0xff; 4])), 4);
+    for _ in 0..8 {
+        // Accepted while the connection is open, refused once B closed it.
+        rogue.send(Bytes::from(vec![0u8; 128 * 1024]));
+        well_formed(Duration::from_millis(200));
+    }
+    well_formed(Duration::from_secs(2));
+    {
+        let stats = b.stats.lock();
+        assert_eq!(stats.decode_failures, 1, "one poisoned stream is one failure");
+        assert_eq!(stats.channels_closed, 1, "the poisoned channel is closed");
+    }
+    assert_eq!(closes.0.load(Ordering::SeqCst), 1, "the dialler sees the close");
+    let got: Vec<u64> = b.app.on_definition(|h| {
+        h.received
+            .iter()
+            .map(|m| m.try_deserialise::<u64, u64>().expect("u64"))
+            .collect()
+    });
+    assert_eq!(got, (0..10).collect::<Vec<_>>(), "the well-formed peer is served throughout");
 }

@@ -786,7 +786,7 @@ mod tests {
         cc.w_max = 60_000.0;
         let mut now = SimTime::ZERO;
         for _ in 0..10_000 {
-            now = now + std::time::Duration::from_millis(10);
+            now += std::time::Duration::from_millis(10);
             cc.on_ack(&mut ctx(&mut cwnd, &mut ssthresh, &rec), 1000, now);
         }
         // After 100 s the curve is far past W_max; the window must have
@@ -812,7 +812,7 @@ mod tests {
         cc.on_rtt_sample(0.05, now);
         // Steady 1 MB/s delivery: bandwidth plateaus, startup must exit.
         for _ in 0..400 {
-            now = now + std::time::Duration::from_millis(10);
+            now += std::time::Duration::from_millis(10);
             let mut c = ctx(&mut cwnd, &mut ssthresh, &rec);
             c.flight = 10_000.0;
             cc.on_ack(&mut c, 10_000, now);
@@ -845,7 +845,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         cc.on_rtt_sample(0.05, now);
         for _ in 0..400 {
-            now = now + std::time::Duration::from_millis(10);
+            now += std::time::Duration::from_millis(10);
             let mut c = ctx(&mut cwnd, &mut ssthresh, &rec);
             c.flight = 10_000.0;
             cc.on_ack(&mut c, 10_000, now);

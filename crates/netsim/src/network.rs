@@ -66,13 +66,13 @@ impl RouteRef {
 /// Packs a `(node, protocol, port)` binding into one 8-byte map key.
 #[inline]
 pub(crate) fn sink_key(node: NodeId, protocol: WireProtocol, port: u16) -> u64 {
-    (u64::from(node.index() as u32) << 32) | ((protocol as u64) << 16) | u64::from(port)
+    (u64::from(node.index()) << 32) | ((protocol as u64) << 16) | u64::from(port)
 }
 
 /// Packs an ordered `(src, dst)` node pair into one 8-byte map key.
 #[inline]
 pub(crate) fn route_key(src: NodeId, dst: NodeId) -> u64 {
-    (u64::from(src.index() as u32) << 32) | u64::from(dst.index() as u32)
+    (u64::from(src.index()) << 32) | u64::from(dst.index())
 }
 
 /// `flight` span close keys: how the packet's journey through the fabric

@@ -67,8 +67,8 @@ impl Oracle for BbrOracle {
         let mut phases: std::collections::BTreeMap<u64, &'static str> =
             std::collections::BTreeMap::new();
         for ev in events {
-            match &ev.kind {
-                &EventKind::BbrState {
+            match ev.kind {
+                EventKind::BbrState {
                     conn,
                     phase,
                     pacing_rate_bps,
@@ -161,24 +161,22 @@ impl Oracle for BbrOracle {
                         }
                     }
                 }
-                &EventKind::CcWindow {
+                EventKind::CcWindow {
                     conn,
                     controller: "bbr",
                     cause: "rto",
                     cwnd,
                     ..
-                } => {
-                    if !approx_eq(cwnd, mss, tol) {
-                        out.push(Violation {
-                            oracle: "bbr",
-                            rule: "rto_collapse",
-                            time_ns: ev.time_ns,
-                            detail: format!(
-                                "conn {conn}: RTO must collapse cwnd to one MSS \
-                                 ({mss}), got {cwnd}"
-                            ),
-                        });
-                    }
+                } if !approx_eq(cwnd, mss, tol) => {
+                    out.push(Violation {
+                        oracle: "bbr",
+                        rule: "rto_collapse",
+                        time_ns: ev.time_ns,
+                        detail: format!(
+                            "conn {conn}: RTO must collapse cwnd to one MSS \
+                             ({mss}), got {cwnd}"
+                        ),
+                    });
                 }
                 _ => {}
             }

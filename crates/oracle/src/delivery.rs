@@ -118,12 +118,12 @@ impl Oracle for DeliveryOracle {
                 };
                 let key = (*peer, *transport);
                 let prev = last.get(&key).copied();
-                let legal = match (*status, prev) {
-                    ("lost", None | Some("restored") | Some("dropped")) => true,
-                    ("restored", Some("lost") | Some("dropped")) => true,
-                    ("dropped", Some("lost")) => true,
-                    _ => false,
-                };
+                let legal = matches!(
+                    (*status, prev),
+                    ("lost", None | Some("restored") | Some("dropped"))
+                        | ("restored", Some("lost") | Some("dropped"))
+                        | ("dropped", Some("lost"))
+                );
                 if !legal {
                     out.push(Violation {
                         oracle: "delivery",

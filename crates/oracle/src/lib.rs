@@ -319,7 +319,7 @@ mod tests {
             time_ns: 42,
             detail: "rto went down".to_string(),
         };
-        let a = render_verdict(&[v.clone()]);
+        let a = render_verdict(std::slice::from_ref(&v));
         let b = render_verdict(&[v]);
         assert_eq!(a, b);
         assert!(a.contains("[tcp/rto_backoff] t=42ns"));

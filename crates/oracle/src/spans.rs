@@ -81,21 +81,16 @@ impl Oracle for SpanOracle {
                     kind,
                     key,
                 } => {
-                    if spans
-                        .insert(
-                            span,
-                            SpanInfo {
-                                open_ns: ev.time_ns,
-                                close_ns: None,
-                                close_key: 0,
-                                parent,
-                                trace,
-                                kind,
-                                key,
-                            },
-                        )
-                        .is_some()
-                    {
+                    let info = SpanInfo {
+                        open_ns: ev.time_ns,
+                        close_ns: None,
+                        close_key: 0,
+                        parent,
+                        trace,
+                        kind,
+                        key,
+                    };
+                    if spans.insert(span, info).is_some() {
                         out.push(Violation {
                             oracle: "spans",
                             rule: "double_open",
@@ -242,7 +237,7 @@ impl Oracle for SpanOracle {
                 continue;
             }
             let inside = covering.iter().any(|(_, s)| {
-                time_ns >= s.open_ns && s.close_ns.map_or(true, |c| time_ns <= c)
+                time_ns >= s.open_ns && s.close_ns.is_none_or(|c| time_ns <= c)
             });
             if !inside {
                 out.push(Violation {

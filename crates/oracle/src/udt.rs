@@ -79,18 +79,16 @@ impl Oracle for UdtOracle {
             }
             if let Some(prev) = last_period.get(conn) {
                 match *cause {
-                    "syn_increase" => {
-                        if *period_us > prev * (1.0 + tol) {
-                            out.push(Violation {
-                                oracle: "udt",
-                                rule: "increase_monotone",
-                                time_ns: ev.time_ns,
-                                detail: format!(
-                                    "conn {conn}: SYN increase grew the period \
+                    "syn_increase" if *period_us > prev * (1.0 + tol) => {
+                        out.push(Violation {
+                            oracle: "udt",
+                            rule: "increase_monotone",
+                            time_ns: ev.time_ns,
+                            detail: format!(
+                                "conn {conn}: SYN increase grew the period \
                                      {prev}us -> {period_us}us"
-                                ),
-                            });
-                        }
+                            ),
+                        });
                     }
                     "nak_decrease" => {
                         let expect = prev * NAK_DECREASE_FACTOR;

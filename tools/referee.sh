@@ -1,0 +1,66 @@
+#!/bin/sh
+# Same-behaviour referee: runs the deterministic kmsg-bench binaries of two
+# builds and compares what they write, byte for byte.
+#
+#   tools/referee.sh <parent-target-dir> <change-target-dir> [work-dir]
+#
+# Each target dir is a CARGO_TARGET_DIR holding release/{chaos,reroute,
+# cc_compare,timing_probe,fuzz} (cargo build --release --workspace). The
+# binaries write into their working directory, so each side runs in its own
+# directory under work-dir (default: a fresh directory under $TMPDIR) —
+# nothing else is written. Prints one verdict line per artifact, and the
+# first differing line where one differs; exits non-zero on any difference.
+set -u
+
+if [ $# -lt 2 ] || [ $# -gt 3 ]; then
+    echo "usage: $0 <parent-target-dir> <change-target-dir> [work-dir]" >&2
+    exit 2
+fi
+parent_bin=$(cd "$1/release" && pwd) || exit 2
+change_bin=$(cd "$2/release" && pwd) || exit 2
+work=${3:-${TMPDIR:-/tmp}/referee.$$}
+mkdir -p "$work/parent" "$work/change" || exit 2
+work=$(cd "$work" && pwd) || exit 2
+
+# run <side> <bin-dir>: every binary in <work>/<side>; output kept per binary.
+run() {
+    cd "$work/$1" || exit 2
+    for cmd in "chaos" "reroute" "cc_compare" "timing_probe --quick" \
+        "fuzz --selftest --seeds 0..200 --overlay-seeds 0..12"; do
+        name=${cmd%% *}
+        # $cmd is split into the binary's arguments on purpose.
+        # shellcheck disable=SC2086
+        if ! "$2"/$cmd >"$name.out" 2>"$name.err"; then
+            echo "FAILED    $1: $cmd (see $work/$1/$name.err)"
+            failed=1
+        fi
+    done
+    # The fuzz summary without its wall-clock figures.
+    sed 's/ in [0-9.]*s / /' fuzz.out >fuzz.summary
+}
+
+failed=0
+run parent "$parent_bin"
+run change "$change_bin"
+
+cd "$work" || exit 2
+for f in chaos.json chaos.jsonl reroute.json reroute.jsonl BENCH_reroute.json \
+    BENCH_cc.json telemetry.json telemetry.jsonl fuzz.summary; do
+    if [ ! -f "parent/$f" ] || [ ! -f "change/$f" ]; then
+        echo "MISSING   $f"
+        failed=1
+    elif cmp -s "parent/$f" "change/$f"; then
+        echo "identical $f"
+    else
+        echo "DIFFERS   $f"
+        line=$(cmp "parent/$f" "change/$f" | sed -n 's/.* line \([0-9]*\)$/\1/p')
+        if [ -n "$line" ]; then
+            echo "  first differing line: $line"
+            echo "  parent: $(sed -n "${line}p" "parent/$f" | cut -c1-400)"
+            echo "  change: $(sed -n "${line}p" "change/$f" | cut -c1-400)"
+        fi
+        failed=1
+    fi
+done
+grep -h "oracle-clean" change/fuzz.summary
+exit "$failed"
