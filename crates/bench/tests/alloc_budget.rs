@@ -1,0 +1,143 @@
+//! Per-message allocation regression guard.
+//!
+//! A 64-byte round trip through two full middleware stacks used to make
+//! eighteen allocator calls of the stacks' own (EXPERIMENTS.md
+//! "Allocations per message"). What is left is six: per direction, the
+//! frame's buffer, the box that makes it shareable, and the `Arc` inside
+//! `NetMessage::new`. This test re-counts them with a counting allocator —
+//! the payload is static and echoed as received, so the test itself
+//! allocates nothing per message — and fails if a seventh call per
+//! direction's worth creeps back in.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
+use std::time::Duration;
+
+use bytes::Bytes;
+use kmsg_apps::scenario::{two_host_world, Setup};
+use kmsg_component::prelude::*;
+use kmsg_core::prelude::*;
+
+struct CountingAlloc;
+
+static CALLS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Relaxed);
+        System.alloc(l)
+    }
+    unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Relaxed);
+        System.alloc_zeroed(l)
+    }
+    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
+        System.dealloc(p, l)
+    }
+    unsafe fn realloc(&self, p: *mut u8, l: Layout, new: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Relaxed);
+        System.realloc(p, l, new)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// The floor is 6; one call of slack.
+const CALLS_PER_ROUND_TRIP_BUDGET: f64 = 7.0;
+const WARM_UP: u64 = 200;
+const MEASURED: u64 = 1_000;
+
+static PAYLOAD: [u8; 64] = [7; 64];
+
+/// Sends whatever arrives back to where it came from; on `Start`, if it
+/// has a peer, opens the exchange.
+struct Echo {
+    net: RequiredPort<NetworkPort>,
+    addr: NetAddress,
+    opens_to: Option<NetAddress>,
+    round_trips: Arc<AtomicU64>,
+}
+
+impl Echo {
+    fn send(&mut self, to: NetAddress, payload: Bytes) {
+        let msg = NetMessage::new(self.addr, to, Transport::Tcp, payload);
+        self.net.trigger(NetRequest::Msg(msg));
+    }
+}
+
+impl ComponentDefinition for Echo {
+    fn execute(&mut self, ctx: &mut ComponentContext, max: usize) -> usize {
+        execute_ports!(self, ctx, max, [required net: NetworkPort])
+    }
+
+    fn handle_control(&mut self, _ctx: &mut ComponentContext, event: ControlEvent) {
+        if let (ControlEvent::Start, Some(peer)) = (event, self.opens_to) {
+            self.send(peer, Bytes::from_static(&PAYLOAD));
+        }
+    }
+}
+
+impl Require<NetworkPort> for Echo {
+    fn handle(&mut self, _ctx: &mut ComponentContext, ev: NetIndication) {
+        let NetIndication::Msg(msg) = ev else {
+            return;
+        };
+        let payload = msg.try_deserialise::<Bytes, Bytes>().expect("bytes");
+        assert_eq!(payload[..], PAYLOAD);
+        if self.opens_to.is_some() {
+            self.round_trips.fetch_add(1, Relaxed);
+        }
+        self.send(*msg.header().source(), payload);
+    }
+}
+
+impl RequireRef<NetworkPort> for Echo {
+    fn required_port(&mut self) -> &mut RequiredPort<NetworkPort> {
+        &mut self.net
+    }
+}
+
+#[test]
+fn small_round_trip_stays_under_allocation_budget() {
+    let world = two_host_world(42, &Setup::EuVpc);
+    let a_addr = NetAddress::new(world.host_a, 7000);
+    let b_addr = NetAddress::new(world.host_b, 7000);
+    let round_trips = Arc::new(AtomicU64::new(0));
+    for (addr, opens_to) in [(b_addr, None), (a_addr, Some(b_addr))] {
+        let net =
+            create_network(&world.system, &world.net, NetworkConfig::new(addr)).expect("bind");
+        let echo = world.system.create(|| Echo {
+            net: RequiredPort::new(),
+            addr,
+            opens_to,
+            round_trips: round_trips.clone(),
+        });
+        world.system.connect::<NetworkPort, _, _>(&net, &echo);
+        world.system.start(&net);
+        world.system.start(&echo);
+    }
+
+    // One round trip is 3 ms of simulated time.
+    let run_until = |target: u64| {
+        while round_trips.load(Relaxed) < target {
+            assert!(
+                world.sim.now().as_nanos() < 60_000_000_000,
+                "the exchange stalled"
+            );
+            world.sim.run_for(Duration::from_millis(3));
+        }
+        (round_trips.load(Relaxed), CALLS.load(Relaxed))
+    };
+    let (trips_before, calls_before) = run_until(WARM_UP);
+    let (trips_after, calls_after) = run_until(WARM_UP + MEASURED);
+    let per_trip = (calls_after - calls_before) as f64 / (trips_after - trips_before) as f64;
+    assert!(
+        per_trip <= CALLS_PER_ROUND_TRIP_BUDGET,
+        "a 64-byte round trip costs {per_trip:.2} allocator calls \
+         (budget {CALLS_PER_ROUND_TRIP_BUDGET}, measured 6.12; 18.12 before the retransmission \
+         queue became a deque and frames were written and sliced in place)"
+    );
+    world.system.shutdown();
+}

@@ -166,6 +166,18 @@ impl NetMessage {
         }
     }
 
+    /// Serialises the payload onto the end of `buf` — a frame is written
+    /// straight into its own buffer.
+    pub(crate) fn serialise_payload(&self, buf: &mut bytes::BytesMut) -> Result<(), SerError> {
+        match &self.data {
+            MsgData::Typed(v) => v.serialise(buf),
+            MsgData::Ser(_, bytes) => {
+                buf.extend_from_slice(bytes);
+                Ok(())
+            }
+        }
+    }
+
     /// Approximate payload size in bytes (for queue accounting before
     /// serialisation happens).
     #[must_use]

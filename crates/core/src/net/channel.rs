@@ -216,6 +216,14 @@ impl ChannelState {
             redial_span: SpanId::NONE,
         }
     }
+
+    /// Gives the channel the connection that replaces the one it lost. The
+    /// new stream starts at a frame boundary: whatever part of a frame the
+    /// old one left behind ended with it.
+    pub(super) fn attach(&mut self, conn: Connection) {
+        self.conn = Some(conn);
+        self.decoder = FrameDecoder::new();
+    }
 }
 
 #[cfg(test)]

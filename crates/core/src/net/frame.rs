@@ -6,6 +6,8 @@
 //! when it actually shrinks the payload, so incompressible data pays one
 //! flag byte and nothing else.
 
+use std::cell::RefCell;
+
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::codec;
@@ -36,7 +38,15 @@ const FLAG_COMPRESSED: u8 = 0b0000_0001;
 /// Maximum frame size accepted by the decoder (defensive bound).
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
-/// Encodes a message into one length-prefixed frame.
+thread_local! {
+    /// Where [`encode_frame`] has a payload's block written before it is
+    /// known to be worth keeping. Kept between frames; as long as the
+    /// longest payload the thread has compressed, which [`MAX_FRAME`] bounds.
+    static BLOCK: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Encodes a message into one length-prefixed frame, written once: the
+/// payload is serialised straight into the frame's own buffer.
 ///
 /// # Errors
 ///
@@ -44,35 +54,40 @@ pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 /// [`MAX_FRAME`] is [`SerError::Invalid`].
 pub fn encode_frame(msg: &NetMessage, compression: Compression) -> Result<Bytes, SerError> {
     const TOO_LONG: SerError = SerError::Invalid { context: "frame length" };
-    let (ser_id, payload) = msg.payload_to_bytes()?;
-    if payload.len() > MAX_FRAME {
-        return Err(TOO_LONG);
-    }
-    let compress = matches!(compression, Compression::Threshold(min) if payload.len() >= min);
     let head = 4 + 1 + msg.header().encoded_len() + 8;
-    let mut frame = BytesMut::with_capacity(head + if compress { 4 } else { 0 } + payload.len());
+    let mut frame = BytesMut::with_capacity(head + msg.payload_size_estimate());
     frame.put_u32(0); // length placeholder
     frame.put_u8(0); // flags placeholder
     msg.header().serialise(&mut frame);
-    frame.put_u64(ser_id.0);
+    frame.put_u64(msg.ser_id().0);
     let body = frame.len();
-    let mut end = body + payload.len();
-    if compress {
-        // `[raw_len][block]`, the block written over a scratch copy of the
-        // payload; if that saves nothing, the raw payload goes back at
-        // `body` and the four spare bytes are cut off below. A compressed
-        // frame keeps the buffer: the footprint of its uncompressed form.
-        frame.put_u32(u32::try_from(payload.len()).map_err(|_| TOO_LONG)?);
-        frame.put_slice(&payload);
-        match codec::compress_into(&payload, &mut frame[body + 4..]) {
-            Some(n) if n < payload.len() => {
-                frame[4] = FLAG_COMPRESSED;
-                end = body + 4 + n;
+    msg.serialise_payload(&mut frame)?;
+    let raw = frame.len() - body;
+    if raw > MAX_FRAME {
+        return Err(TOO_LONG);
+    }
+    let mut end = frame.len();
+    if matches!(compression, Compression::Threshold(min) if raw >= min) {
+        // `[raw_len][block]` goes over the raw payload if the block is the
+        // shorter of the two. A compressed frame keeps the buffer: the
+        // footprint of its uncompressed form.
+        let raw_len = u32::try_from(raw).map_err(|_| TOO_LONG)?.to_be_bytes();
+        BLOCK.with_borrow_mut(|block| {
+            if block.len() < raw {
+                block.resize(raw, 0);
             }
-            _ => frame[body..end].copy_from_slice(&payload),
-        }
-    } else {
-        frame.put_slice(&payload);
+            let Some(n) = codec::compress_into(&frame[body..], &mut block[..raw]) else {
+                return;
+            };
+            if n < raw {
+                end = body + 4 + n;
+                // A block that saves under four bytes outgrows the payload.
+                frame.put_slice(&[0; 3][..end.saturating_sub(frame.len())]);
+                frame[4] = FLAG_COMPRESSED;
+                frame[body..body + 4].copy_from_slice(&raw_len);
+                frame[body + 4..end].copy_from_slice(&block[..n]);
+            }
+        });
     }
     let len = end - 4;
     if len > MAX_FRAME {
@@ -117,8 +132,14 @@ pub fn decode_frame_body(mut body: Bytes) -> Result<NetMessage, SerError> {
 }
 
 /// Incremental frame extractor for stream transports.
+///
+/// Stream bytes are held in one of two places, never both: the chunk they
+/// arrived in, out of which whole frames are sliced without a copy, or —
+/// from the moment a frame turns out to straddle chunks until the bytes
+/// copied for it are used up — a reassembly buffer.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
+    chunk: Bytes,
     buf: BytesMut,
 }
 
@@ -129,9 +150,26 @@ impl FrameDecoder {
         FrameDecoder::default()
     }
 
-    /// Appends stream bytes.
+    /// Takes the next chunk of the stream as it arrived: a frame that lies
+    /// whole inside it will share its allocation.
+    pub fn push(&mut self, data: Bytes) {
+        if self.buffered() == 0 {
+            self.chunk = data;
+        } else {
+            self.feed(&data);
+        }
+    }
+
+    /// Appends a copy of stream bytes.
     pub fn feed(&mut self, data: &[u8]) {
+        self.spill();
         self.buf.extend_from_slice(data);
+    }
+
+    /// Copies what is left of the chunk into the reassembly buffer and lets
+    /// the chunk go.
+    fn spill(&mut self) {
+        self.buf.extend_from_slice(&std::mem::take(&mut self.chunk));
     }
 
     /// Extracts the next complete frame body, if available.
@@ -140,28 +178,37 @@ impl FrameDecoder {
     ///
     /// Returns [`SerError::Invalid`] if the stream announces an oversized
     /// frame (stream corruption). Framing cannot resynchronise after that,
-    /// so everything buffered is dropped and the caller should close the
+    /// so everything held is dropped and the caller should close the
     /// stream.
     pub fn next_frame(&mut self) -> Result<Option<Bytes>, SerError> {
-        if self.buf.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_be_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
-        if len > MAX_FRAME {
-            self.buf = BytesMut::new();
+        let sliced = self.buf.is_empty();
+        let held: &[u8] = if sliced { &self.chunk } else { &self.buf };
+        // The length the next frame announces, once its prefix is here.
+        let len = held
+            .first_chunk()
+            .map(|prefix| u32::from_be_bytes(*prefix) as usize);
+        if len.is_some_and(|len| len > MAX_FRAME) {
+            *self = FrameDecoder::new();
             return Err(SerError::Invalid { context: "frame length" });
         }
-        if self.buf.len() < 4 + len {
+        let Some(len) = len.filter(|len| held.len() >= 4 + len) else {
+            // The rest of the frame is in a later chunk.
+            self.spill();
             return Ok(None);
-        }
-        self.buf.advance(4);
-        Ok(Some(self.buf.split_to(len).freeze()))
+        };
+        Ok(Some(if sliced {
+            self.chunk.advance(4);
+            self.chunk.split_to(len)
+        } else {
+            self.buf.advance(4);
+            self.buf.split_to(len).freeze()
+        }))
     }
 
-    /// Bytes buffered but not yet framed.
+    /// Bytes held but not yet framed.
     #[must_use]
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.chunk.len() + self.buf.len()
     }
 }
 
@@ -228,9 +275,7 @@ mod tests {
 
     #[test]
     fn incompressible_payload_not_compressed() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(2);
-        let random = Bytes::from((0..10_000).map(|_| rng.gen()).collect::<Vec<u8>>());
+        let random = Bytes::from(random_bytes(2, 10_000));
         let msg = sample_msg(random.clone());
         let framed = encode_frame(&msg, Compression::Threshold(512)).expect("encode");
         // flags byte must say uncompressed (offset 4 after the length) —
@@ -241,6 +286,82 @@ mod tests {
         dec.feed(&framed);
         let out = decode_frame_body(dec.next_frame().expect("ok").expect("frame")).expect("decode");
         assert_eq!(out.try_deserialise::<Bytes, Bytes>().expect("p"), random);
+    }
+
+    /// The frame `encode_frame` must produce, put together the long way
+    /// round: the payload serialised into a buffer of its own, compressed
+    /// into another, and the parts appended.
+    fn long_way(msg: &NetMessage, compression: Compression) -> Vec<u8> {
+        let (ser_id, payload) = msg.payload_to_bytes().expect("serialise");
+        let block = match compression {
+            Compression::Threshold(min) if payload.len() >= min => {
+                Some(codec::compress(&payload)).filter(|block| block.len() < payload.len())
+            }
+            _ => None,
+        };
+        let mut body = BytesMut::new();
+        body.put_u8(if block.is_some() { FLAG_COMPRESSED } else { 0 });
+        msg.header().serialise(&mut body);
+        body.put_u64(ser_id.0);
+        match block {
+            Some(block) => {
+                body.put_u32(payload.len() as u32);
+                body.put_slice(&block);
+            }
+            None => body.put_slice(&payload),
+        }
+        [&(body.len() as u32).to_be_bytes()[..], &body[..]].concat()
+    }
+
+    fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(seed);
+        (0..len).map(|_| rng.gen()).collect()
+    }
+
+    #[test]
+    fn encode_frame_matches_the_frame_assembled_the_long_way() {
+        let both_ways = |msg: &NetMessage| {
+            for compression in [Compression::default(), Compression::Off] {
+                let frame = encode_frame(msg, compression).expect("encode");
+                assert_eq!(frame, long_way(msg, compression), "{compression:?}");
+            }
+            let (_, payload) = msg.payload_to_bytes().expect("serialise");
+            payload.len() as i64 - codec::compress(&payload).len() as i64
+        };
+        // Serialised payloads of 511, 512 and 513 bytes (a `Bytes` carries a
+        // four-byte length), around the default threshold of 512; all
+        // compressible, so the threshold alone decides.
+        for len in [507, 508, 509] {
+            let msg = sample_msg(Bytes::from(vec![42u8; len]));
+            assert!(both_ways(&msg) > 4);
+            let frame = encode_frame(&msg, Compression::default()).expect("encode");
+            assert_eq!(frame[4] & FLAG_COMPRESSED != 0, len + 4 >= 512);
+        }
+        // A block that saves nothing.
+        assert!(both_ways(&sample_msg(Bytes::from(random_bytes(3, 2_000)))) <= 0);
+        // Blocks within a few bytes of the raw length, either side: noise
+        // followed by a repeat of its first few bytes, which buys one short
+        // match. A saving of one to three bytes leaves `[raw_len][block]`
+        // longer than the raw payload, and the block is still what goes out.
+        let mut savings = std::collections::BTreeSet::new();
+        for repeat in 4..=20 {
+            let mut noise = random_bytes(4, 600);
+            noise.extend_from_within(..repeat);
+            savings.insert(both_ways(&sample_msg(Bytes::from(noise))));
+        }
+        for saved in -1..=4 {
+            assert!(
+                savings.contains(&saved),
+                "no block saving {saved} B among {savings:?}"
+            );
+        }
+        // Forwarded messages carry wire bytes, not a value to serialise.
+        let origin = sample_msg("unused".to_string());
+        for payload in [vec![42u8; 4_000], random_bytes(5, 4_000), vec![]] {
+            let msg = NetMessage::from_wire(origin.header().clone(), SerId(77), payload.into());
+            both_ways(&msg);
+        }
     }
 
     #[test]
@@ -277,6 +398,72 @@ mod tests {
         dec.feed(&[0u8; 16]);
         assert!(dec.next_frame().is_err());
         assert_eq!(dec.buffered(), 0, "a poisoned stream must not stay buffered");
+        // Likewise held as the chunk it arrived in, behind a good frame.
+        let good = encode_frame(&sample_msg(7u64), Compression::Off).expect("encode");
+        let bad = u32::try_from(MAX_FRAME + 1).expect("fits").to_be_bytes();
+        dec.push([&good[..], &bad[..], &[0u8; 16][..]].concat().into());
+        assert_eq!(dec.next_frame(), Ok(Some(good.slice(4..))));
+        assert!(dec.next_frame().is_err());
+        assert_eq!(dec.buffered(), 0, "a poisoned stream must not stay held");
+    }
+
+    /// The same stream framed through both entries — `push` with each chunk
+    /// as it arrived, `feed` with a borrowed copy — for frames of every size
+    /// up to three segments, compressed and not, cut at random points.
+    #[test]
+    fn push_and_feed_frame_a_stream_alike() {
+        use rand::{Rng, SeedableRng};
+        const MSS: usize = 1448;
+        let mut sliced = 0;
+        for seed in 0..24 {
+            let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(seed);
+            let mut stream = Vec::new();
+            let mut bodies = Vec::new();
+            for _ in 0..rng.gen_range(1..10) {
+                let len = rng.gen_range(0..=3 * MSS);
+                let payload = if rng.gen() {
+                    vec![rng.gen(); len]
+                } else {
+                    random_bytes(rng.gen(), len)
+                };
+                let frame = encode_frame(&sample_msg(Bytes::from(payload)), Compression::default())
+                    .expect("encode");
+                stream.extend_from_slice(&frame);
+                bodies.push(frame.slice(4..));
+            }
+            let (mut pushed, mut fed) = (FrameDecoder::new(), FrameDecoder::new());
+            let mut framed = Vec::new();
+            let mut rest = &stream[..];
+            while !rest.is_empty() {
+                let (chunk, later) = rest.split_at(rng.gen_range(1..=rest.len().min(2 * MSS)));
+                let chunk = Bytes::copy_from_slice(chunk);
+                rest = later;
+                let on_a_boundary = pushed.buffered() == 0;
+                pushed.push(chunk.clone());
+                fed.feed(&chunk);
+                loop {
+                    assert_eq!(pushed.buffered(), fed.buffered());
+                    let body = pushed.next_frame().expect("well-formed");
+                    assert_eq!(body, fed.next_frame().expect("well-formed"));
+                    assert_eq!(pushed.buffered(), fed.buffered());
+                    let Some(body) = body else { break };
+                    if on_a_boundary {
+                        // The frame lay whole inside the chunk: it is a
+                        // slice of the chunk's memory, not a copy.
+                        let (body, chunk) = (body.as_ptr_range(), chunk.as_ptr_range());
+                        assert!(chunk.start <= body.start && body.end <= chunk.end);
+                        sliced += 1;
+                    }
+                    framed.push(body);
+                }
+            }
+            assert_eq!(pushed.buffered(), 0);
+            assert_eq!(framed, bodies, "seed {seed}");
+        }
+        assert!(
+            sliced > 20,
+            "only {sliced} frames arrived whole on a boundary"
+        );
     }
 
     #[test]

@@ -251,6 +251,9 @@ pub struct NetworkComponent {
     idle_timer: Option<TimeoutId>,
     /// Seeded stream for deterministic backoff jitter.
     jitter_rng: RngStream,
+    /// The frames of the `Data` event in hand, between decoding and
+    /// handling; empty otherwise, kept for its capacity.
+    inbound: Vec<Bytes>,
 }
 
 impl std::fmt::Debug for NetworkComponent {
@@ -285,6 +288,7 @@ impl NetworkComponent {
             retry_timers: HashMap::new(),
             idle_timer: None,
             jitter_rng,
+            inbound: Vec::new(),
         }
     }
 
@@ -661,9 +665,9 @@ impl NetworkComponent {
                 let Some(channel) = self.channels.get_mut(&key) else {
                     return;
                 };
-                channel.decoder.feed(&data);
+                channel.decoder.push(data);
                 channel.last_activity = self.net.sim().now();
-                let mut frames = Vec::new();
+                let mut frames = std::mem::take(&mut self.inbound);
                 let poisoned = loop {
                     match channel.decoder.next_frame() {
                         Ok(Some(frame)) => frames.push(frame),
@@ -681,9 +685,10 @@ impl NetworkComponent {
                         conn.close();
                     }
                 }
-                for body in frames {
+                for body in frames.drain(..) {
                     self.handle_frame(body, Some((id, key)));
                 }
+                self.inbound = frames;
                 if poisoned {
                     self.on_conn_closed(ctx, id);
                 }
@@ -698,7 +703,7 @@ impl NetworkComponent {
                 self.stats.lock().bytes_in += data.len() as u64;
                 // Datagrams carry exactly one frame (with length prefix).
                 let mut dec = FrameDecoder::new();
-                dec.feed(&data);
+                dec.push(data);
                 match dec.next_frame() {
                     Ok(Some(body)) => self.handle_frame(body, None),
                     Ok(None) | Err(_) => {
@@ -925,7 +930,7 @@ impl NetworkComponent {
                     channel_span_key(key),
                 );
                 let channel = self.channels.get_mut(&key).expect("checked above");
-                channel.conn = Some(conn);
+                channel.attach(conn);
                 channel.redial_span = redial;
             }
             Err(_) => {
@@ -1037,7 +1042,7 @@ impl NetworkComponent {
         match self.dial(key) {
             Ok(conn) => {
                 if let Some(channel) = self.channels.get_mut(&key) {
-                    channel.conn = Some(conn);
+                    channel.attach(conn);
                 }
                 self.stats.lock().channels_opened += 1;
                 // The handshake's Connected event drains the queue.

@@ -908,17 +908,11 @@ fn supervision_reconnects_and_redelivers_after_outage() {
     assert_eq!(stats.channels_dropped, 0, "budget must not be exhausted");
 }
 
-/// Three notified TCP sends, the second an incompressible payload several
-/// send buffers long, driven until that frame is part-written; `interrupt`
-/// then takes the connection from under it and runs the world until the
-/// channel is back. However the connection was replaced, the receiver must
-/// never see a torn frame: every message decodes, first arrivals are in
-/// send order with byte-equal payloads, and each token gets one `Sent`.
-fn part_written_frame_survives(interrupt: impl FnOnce(&World, &[NodeId], &Stack, &Stack)) {
-    let (w, nodes) = world(default_link(), 2);
-    let mut cfg = NetworkConfig::new(NetAddress::new(nodes[0], 7000));
-    cfg.tcp.send_buf = 16 * 1024;
-    // Impatient TCP so a channel death is observable within an outage.
+/// The configuration of a stack whose TCP gives up on a silent peer within
+/// a second, so a channel death is observable within an outage, and whose
+/// supervisor keeps redialling for longer than the outages below last.
+fn impatient(node: NodeId) -> NetworkConfig {
+    let mut cfg = NetworkConfig::new(NetAddress::new(node, 7000));
     cfg.tcp.min_rto = Duration::from_millis(100);
     cfg.tcp.max_rto = Duration::from_millis(400);
     cfg.tcp.max_consecutive_timeouts = 2;
@@ -929,6 +923,36 @@ fn part_written_frame_survives(interrupt: impl FnOnce(&World, &[NodeId], &Stack,
         max_backoff: Duration::from_millis(400),
         probe_interval: Some(Duration::from_secs(2)),
     });
+    cfg
+}
+
+/// Both directions between the first two nodes go down for four seconds;
+/// the world then gets fifteen to recover.
+fn two_way_outage(w: &World, nodes: &[NodeId]) {
+    let links: Vec<_> = [(nodes[0], nodes[1]), (nodes[1], nodes[0])]
+        .iter()
+        .map(|&(x, y)| w.net.route(x, y).expect("route")[0])
+        .collect();
+    for &l in &links {
+        w.net.link(l).set_up(false);
+    }
+    w.sim.run_for(Duration::from_secs(4));
+    for &l in &links {
+        w.net.link(l).set_up(true);
+    }
+    w.sim.run_for(Duration::from_secs(15));
+}
+
+/// Three notified TCP sends, the second an incompressible payload several
+/// send buffers long, driven until that frame is part-written; `interrupt`
+/// then takes the connection from under it and runs the world until the
+/// channel is back. However the connection was replaced, the receiver must
+/// never see a torn frame: every message decodes, first arrivals are in
+/// send order with byte-equal payloads, and each token gets one `Sent`.
+fn part_written_frame_survives(interrupt: impl FnOnce(&World, &[NodeId], &Stack, &Stack)) {
+    let (w, nodes) = world(default_link(), 2);
+    let mut cfg = impatient(nodes[0]);
+    cfg.tcp.send_buf = 16 * 1024;
     let a = stack_cfg(&w, cfg);
     let b = stack(&w, nodes[1], 7000);
     let payloads = vec![
@@ -986,18 +1010,7 @@ fn part_written_frame_survives(interrupt: impl FnOnce(&World, &[NodeId], &Stack,
 #[test]
 fn outage_in_the_middle_of_a_frame() {
     part_written_frame_survives(|w, nodes, a, _b| {
-        let links: Vec<_> = [(nodes[0], nodes[1]), (nodes[1], nodes[0])]
-            .iter()
-            .map(|&(x, y)| w.net.route(x, y).expect("route")[0])
-            .collect();
-        for &l in &links {
-            w.net.link(l).set_up(false);
-        }
-        w.sim.run_for(Duration::from_secs(4));
-        for &l in &links {
-            w.net.link(l).set_up(true);
-        }
-        w.sim.run_for(Duration::from_secs(15));
+        two_way_outage(w, nodes);
         let stats = a.stats.lock();
         assert!(stats.reconnects >= 1, "supervision must re-establish the channel");
         assert_eq!(stats.channels_dropped, 0, "budget must not be exhausted");
@@ -1018,6 +1031,67 @@ fn controller_swap_in_the_middle_of_a_frame() {
         assert_eq!(stats.controller_swaps, 1);
         assert_eq!(stats.reconnect_attempts, 0, "a swap is not an outage");
     });
+}
+
+/// The inbound direction of the same outage: A's dialled connection dies
+/// with the first kilobytes of a reply buffered in its decoder. The
+/// connection that replaces it starts at a frame boundary, so what the dead
+/// one left half-framed must not be waiting in front of the new stream —
+/// the next reply would be swallowed into a torn frame, and every one after
+/// it misframed.
+#[test]
+fn outage_in_the_middle_of_an_inbound_frame() {
+    let (w, nodes) = world(default_link(), 2);
+    // Impatient on both sides: each gives up on the connection within the
+    // outage, so B's next reply travels over the one A dials afterwards.
+    let a = stack_cfg(&w, impatient(nodes[0]));
+    let b = stack_cfg(&w, impatient(nodes[1]));
+    let say = |from: &Stack, to: &Stack, payload: Bytes| {
+        let msg = NetMessage::new(from.addr, to.addr, Transport::Tcp, payload);
+        from.send.push(NetRequest::Msg(msg));
+    };
+    let received = |at: &Stack| {
+        at.app.on_definition(|h| {
+            let payloads = h.received.iter();
+            payloads
+                .map(|m| m.try_deserialise::<Bytes, Bytes>().expect("bytes"))
+                .collect::<Vec<_>>()
+        })
+    };
+
+    say(&a, &b, Bytes::from(&b"request"[..]));
+    w.sim.run_for(Duration::from_millis(50));
+    assert_eq!(received(&b), [&b"request"[..]]);
+    // B answers over the connection A dialled; the outage begins with the
+    // reply's first window at A and the rest still to come.
+    say(&b, &a, incompressible(6, 80_000));
+    w.sim.run_for(Duration::from_millis(8));
+    let reply_bytes_in = a.stats.lock().bytes_in;
+    assert!(
+        (1024..70_000).contains(&reply_bytes_in),
+        "the reply must be part-received, {reply_bytes_in} bytes in"
+    );
+    assert!(received(&a).is_empty());
+    // Something for A's TCP to give up on.
+    say(&a, &b, Bytes::from(&b"again"[..]));
+    two_way_outage(&w, &nodes);
+    assert!(
+        a.stats.lock().reconnects >= 1,
+        "supervision must re-establish the channel"
+    );
+    assert_eq!(received(&b).last().expect("requests"), &b"again"[..]);
+
+    say(&b, &a, Bytes::from(&b"fresh reply"[..]));
+    w.sim.run_for(Duration::from_secs(1));
+    let stats = a.stats.lock();
+    assert_eq!(
+        stats.channels_opened, 1,
+        "B must have answered over A's redialled channel"
+    );
+    assert_eq!(stats.decode_failures, 0);
+    // The long reply went down with the accepted side's connection
+    // (at-most-once there); the fresh one is whole.
+    assert_eq!(received(&a), [&b"fresh reply"[..]]);
 }
 
 /// Regression: the idle sweeper must not tear down a channel that still

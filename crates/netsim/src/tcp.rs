@@ -171,6 +171,8 @@ enum State {
 
 #[derive(Debug)]
 struct SentSeg {
+    /// First sequence number the segment covers.
+    seq: u64,
     payload: Bytes,
     syn: bool,
     fin: bool,
@@ -216,7 +218,7 @@ fn close_seg_span(rec: &Recorder, now: SimTime, span: u64, key: u64) {
 /// Closes every outstanding `seg` span on a dying flow (timeout death,
 /// peer-initiated close with data in flight, app dropping the handle).
 fn close_all_seg_spans(flow: &mut Flow, rec: &Recorder, now: SimTime) {
-    for seg in flow.sent.values_mut() {
+    for seg in &mut flow.sent {
         let span = seg.span;
         seg.span = 0;
         close_seg_span(rec, now, span, SEG_ABORTED);
@@ -239,7 +241,10 @@ pub(crate) struct Flow {
     send_q: VecDeque<Bytes>,
     send_q_bytes: usize,
     unacked_bytes: usize,
-    sent: BTreeMap<u64, SentSeg>,
+    /// The retransmission queue: every segment in `[snd_una, snd_nxt)`,
+    /// ordered by `seq` by construction — a segment is only ever appended,
+    /// at `snd_nxt`, and only ever released from the front.
+    sent: VecDeque<SentSeg>,
     lost: BTreeSet<u64>,
     cwnd: f64,
     ssthresh: f64,
@@ -301,7 +306,7 @@ impl Flow {
             send_q: VecDeque::new(),
             send_q_bytes: 0,
             unacked_bytes: 0,
-            sent: BTreeMap::new(),
+            sent: VecDeque::new(),
             lost: BTreeSet::new(),
             cwnd,
             ssthresh: f64::INFINITY,
@@ -412,8 +417,7 @@ impl TcpStack {
             if flow.state == State::Established {
                 // Go-back-N style: everything unacknowledged is presumed
                 // lost; retransmission is paced by returning ACKs.
-                let unacked: Vec<u64> = flow.sent.keys().copied().collect();
-                flow.lost.extend(unacked);
+                flow.lost.extend(flow.sent.iter().map(|s| s.seq));
                 resend_lost(flow, cfg, rec, now, out);
             } else {
                 retransmit_first(flow, cfg, rec, now, out);
@@ -464,7 +468,7 @@ impl TcpStack {
                 if seg.flags.ack && (1..=flow.snd_nxt).contains(&seg.ack) {
                     flow.state = State::Established;
                     flow.snd_una = seg.ack.max(flow.snd_una);
-                    flow.sent.retain(|seq, _| *seq >= flow.snd_una);
+                    flow.sent.retain(|s| s.seq >= flow.snd_una);
                     flow.peer_wnd = seg.wnd;
                     // A completed handshake breaks any SYN timeout streak;
                     // without this reset the first post-handshake RTO would
@@ -616,7 +620,7 @@ impl Protocol for TcpConfig {
         flow.send_q = VecDeque::new();
         flow.send_q_bytes = 0;
         close_all_seg_spans(flow, rec, now);
-        flow.sent.clear();
+        flow.sent = VecDeque::new();
         flow.lost.clear();
         flow.ooo.clear();
         flow.ooo_bytes = 0;
@@ -630,17 +634,15 @@ impl Protocol for TcpConfig {
 /// Puts the opening SYN or SYN-ACK in flight: sequence number 0, covered by
 /// the retransmission timer like any other unacknowledged segment.
 fn queue_syn(flow: &mut Flow, seg: TcpSegment, now: SimTime, out: &mut Vec<Action>) {
-    flow.sent.insert(
-        0,
-        SentSeg {
-            payload: Bytes::new(),
-            syn: true,
-            fin: false,
-            retransmitted: false,
-            last_rexmit: None,
-            span: 0,
-        },
-    );
+    flow.sent.push_back(SentSeg {
+        seq: 0,
+        payload: Bytes::new(),
+        syn: true,
+        fin: false,
+        retransmitted: false,
+        last_rexmit: None,
+        span: 0,
+    });
     flow.snd_nxt = 1;
     out.push(Action::Send(seg));
     arm_rto(flow, now, out);
@@ -784,10 +786,11 @@ fn retransmit_first(
     let ts_echo = flow.ts_recent;
     let is_syn_sent = flow.state == State::SynSent;
     let conn_id = flow.hdr.conn_id;
-    let Some((&seq, seg)) = flow.sent.iter_mut().next() else {
+    let Some(seg) = flow.sent.front_mut() else {
         return;
     };
     seg.retransmitted = true;
+    let seq = seg.seq;
     let segment = TcpSegment {
         seq,
         ack: rcv_nxt,
@@ -832,16 +835,20 @@ fn process_ack(
         let newly = seg.ack - flow.snd_una;
         flow.snd_una = seg.ack;
         flow.consecutive_timeouts = 0;
-        // Remove fully acknowledged segments, closing their `seg` spans
-        // (close key records whether the segment needed retransmission).
-        let still_unacked = flow.sent.split_off(&seg.ack);
+        // Release every segment that starts below the acknowledgement,
+        // closing their `seg` spans in sequence order (close key records
+        // whether the segment needed retransmission).
         let mut acked: u64 = 0;
-        for s in flow.sent.values() {
+        while let Some(s) = flow.sent.front() {
+            if s.seq >= seg.ack {
+                break;
+            }
             acked += s.payload.len() as u64;
             let key = if s.retransmitted { SEG_REXMIT } else { SEG_ACKED };
             close_seg_span(rec, now, s.span, key);
+            flow.sent.pop_front();
         }
-        flow.sent = still_unacked;
+        release_drained(&mut flow.sent);
         flow.unacked_bytes = flow.unacked_bytes.saturating_sub(acked as usize);
         flow.stats.bytes_acked += acked;
         if let Some(echo) = seg.ts_echo {
@@ -851,9 +858,8 @@ fn process_ack(
             flow.fin_acked = true;
         }
         // Drop stale loss markers.
-        let cleared: Vec<u64> = flow.lost.range(..seg.ack).copied().collect();
-        for s in cleared {
-            flow.lost.remove(&s);
+        while flow.lost.first().is_some_and(|&s| s < seg.ack) {
+            flow.lost.pop_first();
         }
         if flow.in_recovery && flow.snd_una >= flow.recover {
             flow.in_recovery = false;
@@ -890,17 +896,19 @@ fn note_holes(
     let reinsert_after = Duration::from_secs_f64((srtt * 1.2).max(0.005));
     let mut fresh_loss = false;
     for &(from, to) in holes {
-        let seqs: Vec<u64> = flow.sent.range(from..to).map(|(s, _)| *s).collect();
-        for seq in seqs {
-            if seq < flow.snd_una || flow.lost.contains(&seq) {
+        // The segments that start in `[from, to)`.
+        let starts = flow.sent.partition_point(|s| s.seq < from);
+        let ends = flow.sent.partition_point(|s| s.seq < to);
+        for i in starts..ends {
+            let seg = &flow.sent[i];
+            if seg.seq < flow.snd_una || flow.lost.contains(&seg.seq) {
                 continue;
             }
-            let seg = flow.sent.get(&seq).expect("seq from range");
             let eligible = seg
                 .last_rexmit
                 .is_none_or(|t| now.duration_since(t) >= reinsert_after);
             if eligible {
-                flow.lost.insert(seq);
+                flow.lost.insert(seg.seq);
                 if seg.last_rexmit.is_none() {
                     fresh_loss = true;
                 }
@@ -928,10 +936,9 @@ fn resend_lost(
     let budget = ((flow.cwnd / cfg.mss as f64 / 4.0) as usize).max(1);
     let mut sent = 0;
     while sent < budget {
-        let Some(&seq) = flow.lost.iter().next() else {
+        let Some(seq) = flow.lost.pop_first() else {
             break;
         };
-        flow.lost.remove(&seq);
         if seq < flow.snd_una {
             continue;
         }
@@ -939,9 +946,10 @@ fn resend_lost(
         let rcv_nxt = flow.rcv_nxt;
         let ts_echo = flow.ts_recent;
         let conn_id = flow.hdr.conn_id;
-        let Some(seg) = flow.sent.get_mut(&seq) else {
+        let Ok(at) = flow.sent.binary_search_by_key(&seq, |s| s.seq) else {
             continue;
         };
+        let seg = &mut flow.sent[at];
         seg.retransmitted = true;
         seg.last_rexmit = Some(now);
         let segment = TcpSegment {
@@ -1078,17 +1086,15 @@ fn try_send(
                 };
                 flow.fin_seq = flow.snd_nxt;
                 flow.fin_sent = true;
-                flow.sent.insert(
-                    flow.snd_nxt,
-                    SentSeg {
-                        payload: Bytes::new(),
-                        syn: false,
-                        fin: true,
-                        retransmitted: false,
-                        last_rexmit: None,
-                        span: 0,
-                    },
-                );
+                flow.sent.push_back(SentSeg {
+                    seq: flow.snd_nxt,
+                    payload: Bytes::new(),
+                    syn: false,
+                    fin: true,
+                    retransmitted: false,
+                    last_rexmit: None,
+                    span: 0,
+                });
                 flow.snd_nxt += 1;
                 out.push(Action::Send(seg));
             }
@@ -1123,17 +1129,15 @@ fn try_send(
             holes: Vec::new(),
             payload: payload.clone(),
         };
-        flow.sent.insert(
-            flow.snd_nxt,
-            SentSeg {
-                payload,
-                syn: false,
-                fin: false,
-                retransmitted: false,
-                last_rexmit: None,
-                span: open_seg_span(rec, now, flow.hdr.conn_id, flow.snd_nxt),
-            },
-        );
+        flow.sent.push_back(SentSeg {
+            seq: flow.snd_nxt,
+            payload,
+            syn: false,
+            fin: false,
+            retransmitted: false,
+            last_rexmit: None,
+            span: open_seg_span(rec, now, flow.hdr.conn_id, flow.snd_nxt),
+        });
         flow.snd_nxt += take as u64;
         out.push(Action::Send(seg));
         // Advance the pacing gate by this segment's serialization time at
@@ -1282,7 +1286,7 @@ impl Flow {
             && self.delack_pending == 0
             && self.send_q.capacity() == 0
             && self.send_q_bytes == 0
-            && self.sent.is_empty()
+            && self.sent.capacity() == 0
             && self.lost.is_empty()
             && self.ooo.is_empty()
             && self.ooo_bytes == 0
@@ -1291,6 +1295,23 @@ impl Flow {
     /// `(snd_una, snd_nxt)`.
     pub(crate) fn unacked(&self) -> (u64, u64) {
         (self.snd_una, self.snd_nxt)
+    }
+
+    /// First sequence number of every segment in the retransmission queue,
+    /// in queue order.
+    fn sent_seqs(&self) -> Vec<u64> {
+        self.sent.iter().map(|s| s.seq).collect()
+    }
+
+    /// The queued segments that have been retransmitted, likewise.
+    fn rexmit_seqs(&self) -> Vec<u64> {
+        let rexmit = self.sent.iter().filter(|s| s.retransmitted);
+        rexmit.map(|s| s.seq).collect()
+    }
+
+    /// The loss markers, ascending.
+    fn lost_seqs(&self) -> Vec<u64> {
+        self.lost.iter().copied().collect()
     }
 }
 
@@ -1580,6 +1601,104 @@ mod tests {
         assert!(
             (0.04..0.2).contains(&rtt),
             "srtt should be near 50 ms (+delack), got {rtt}"
+        );
+    }
+
+    const MSS: u64 = 1448;
+
+    /// An established connection whose path has then gone dark, with
+    /// `segments` full segments written into it: they sit unacknowledged at
+    /// sequence numbers 1, 1 + MSS, … for the tests below to acknowledge,
+    /// report missing or time out by hand.
+    fn dark_flow(segments: u64) -> (Sim, TcpListener, TcpConn) {
+        let sim = Sim::new(11);
+        let net = Network::new(&sim);
+        let a = net.add_node("a");
+        let b = net.add_node("b");
+        let (ab, ba) = net.connect_duplex(a, b, LinkConfig::new(10e6, Duration::from_millis(5)));
+        let accept = Arc::new(AcceptRecorder {
+            rec: Arc::new(Recorder::default()),
+        });
+        let listener = TcpListener::bind(&net, b, 80, TcpConfig::default(), accept).unwrap();
+        let client = Arc::new(Recorder::default());
+        let conn =
+            TcpConn::connect(&net, a, Endpoint::new(b, 80), TcpConfig::default(), client).unwrap();
+        sim.run_for(Duration::from_millis(100));
+        assert!(conn.is_established());
+        net.link(ab).set_up(false);
+        net.link(ba).set_up(false);
+        let len = (segments * MSS) as usize;
+        assert_eq!(conn.send(Bytes::from(vec![7u8; len])), len);
+        let seqs: Vec<u64> = (0..segments).map(|i| 1 + i * MSS).collect();
+        assert_eq!(conn.peek(|f, _| f.sent_seqs()), Some(seqs));
+        (sim, listener, conn)
+    }
+
+    /// What the silent peer would have said: a pure ACK.
+    fn forged_ack(ack: u64) -> TcpSegment {
+        TcpSegment {
+            seq: 1,
+            ack,
+            ..stray_segment()
+        }
+    }
+
+    #[test]
+    fn ack_inside_a_segment_releases_it() {
+        let (_sim, _listener, conn) = dark_flow(3);
+        conn.stack.handle_segment(conn.h, forged_ack(1 + MSS + 10));
+        // Every segment that starts below the ACK goes, the second with
+        // only ten of its bytes acknowledged; release is counted in whole
+        // segments.
+        assert_eq!(conn.peek(|f, _| f.sent_seqs()), Some(vec![1 + 2 * MSS]));
+        assert_eq!(
+            conn.peek(|f, _| f.unacked()),
+            Some((1 + MSS + 10, 1 + 3 * MSS))
+        );
+        assert_eq!(conn.stats().bytes_acked, 2 * MSS);
+        assert_eq!(conn.unacked_bytes() as u64, MSS);
+    }
+
+    #[test]
+    fn holes_mark_exactly_the_segments_starting_in_range() {
+        let (_sim, _listener, conn) = dark_flow(5);
+        let lost_after = |holes: &[(u64, u64)]| {
+            conn.stack.process(conn.h, |flow, cfg, rec, now, _out| {
+                note_holes(flow, cfg, rec, holes, now);
+            });
+            conn.peek(|f, _| f.lost_seqs()).unwrap()
+        };
+        // `to` is exclusive.
+        assert_eq!(
+            lost_after(&[(1 + MSS, 1 + 3 * MSS)]),
+            [1 + MSS, 1 + 2 * MSS]
+        );
+        // A segment the range only cuts into (the fourth) is not marked.
+        assert_eq!(
+            lost_after(&[(2 + 3 * MSS, 1 + 5 * MSS)]),
+            [1 + MSS, 1 + 2 * MSS, 1 + 4 * MSS]
+        );
+        assert_eq!(conn.stats().fast_recoveries, 1, "one loss episode");
+    }
+
+    #[test]
+    fn rto_marks_every_unacknowledged_segment_lost_in_ascending_order() {
+        let (sim, _listener, conn) = dark_flow(4);
+        // The first timeout (200 ms after the write) and not yet the second.
+        sim.run_for(Duration::from_millis(250));
+        assert_eq!(conn.stats().timeouts, 1);
+        // All four were marked; the collapsed window resent the oldest.
+        assert_eq!(conn.peek(|f, _| f.rexmit_seqs()), Some(vec![1]));
+        assert_eq!(
+            conn.peek(|f, _| f.lost_seqs()),
+            Some(vec![1 + MSS, 1 + 2 * MSS, 1 + 3 * MSS])
+        );
+        // Each returning ACK clocks out the next one up.
+        conn.stack.handle_segment(conn.h, forged_ack(1));
+        assert_eq!(conn.peek(|f, _| f.rexmit_seqs()), Some(vec![1, 1 + MSS]));
+        assert_eq!(
+            conn.peek(|f, _| f.lost_seqs()),
+            Some(vec![1 + 2 * MSS, 1 + 3 * MSS])
         );
     }
 

@@ -218,7 +218,10 @@ pub(crate) struct Flow {
     send_q: VecDeque<Bytes>,
     send_q_bytes: usize,
     unacked_bytes: usize,
-    packets: BTreeMap<u64, Bytes>,
+    /// The send buffer: packet `snd_una + i` at index `i`. Sequence numbers
+    /// are consecutive, so a packet is appended at `snd_nxt` and released
+    /// from the front.
+    packets: VecDeque<Bytes>,
     snd_nxt: u64,
     snd_una: u64,
     loss_list: BTreeSet<u64>,
@@ -278,7 +281,7 @@ impl Flow {
             send_q: VecDeque::new(),
             send_q_bytes: 0,
             unacked_bytes: 0,
-            packets: BTreeMap::new(),
+            packets: VecDeque::new(),
             snd_nxt: 0,
             snd_una: 0,
             loss_list: BTreeSet::new(),
@@ -318,6 +321,12 @@ impl Flow {
 
     fn flight_pkts(&self) -> u64 {
         self.snd_nxt - self.snd_una
+    }
+
+    /// The payload of packet `seq`, while it is unacknowledged.
+    fn packet(&self, seq: u64) -> Option<&Bytes> {
+        let at = seq.checked_sub(self.snd_una)?;
+        self.packets.get(usize::try_from(at).ok()?)
     }
 
     fn current_rate_pps(&self) -> f64 {
@@ -482,11 +491,8 @@ impl UdtStack {
                 return;
             }
             // Schedule all in-flight packets for retransmission.
-            for seq in flow.snd_una..flow.snd_nxt {
-                if flow.packets.contains_key(&seq) {
-                    flow.loss_list.insert(seq);
-                }
-            }
+            let in_flight = flow.snd_una..flow.snd_una + flow.packets.len() as u64;
+            flow.loss_list.extend(in_flight);
             if flow.fin_sent && !flow.fin_acked {
                 let final_seq = flow.snd_nxt;
                 out.push(Action::Send(UdtPacket::Fin { final_seq }));
@@ -628,9 +634,9 @@ impl UdtStack {
                     flow.capacity_est_pps = capacity_pps;
                 }
                 if ack_seq > flow.snd_una {
-                    let still_unacked = flow.packets.split_off(&ack_seq);
-                    let acked_bytes: usize = flow.packets.values().map(Bytes::len).sum();
-                    flow.packets = still_unacked;
+                    let acked = (ack_seq - flow.snd_una) as usize;
+                    let acked_bytes: usize = flow.packets.drain(..acked).map(|p| p.len()).sum();
+                    release_drained(&mut flow.packets);
                     flow.unacked_bytes = flow.unacked_bytes.saturating_sub(acked_bytes);
                     flow.stats.bytes_acked += acked_bytes as u64;
                     flow.snd_una = ack_seq;
@@ -639,10 +645,8 @@ impl UdtStack {
                         flow.app_blocked = false;
                         out.push(Action::Writable);
                     }
-                    let lost_below: Vec<u64> =
-                        flow.loss_list.range(..ack_seq).copied().collect();
-                    for s in lost_below {
-                        flow.loss_list.remove(&s);
+                    while flow.loss_list.first().is_some_and(|&s| s < ack_seq) {
+                        flow.loss_list.pop_first();
                     }
                     maybe_writable(flow, cfg, out);
                     restart_pacer(flow, cfg, out);
@@ -663,7 +667,7 @@ impl UdtStack {
                 for (from, to) in ranges {
                     let to = to.min(flow.snd_nxt.saturating_sub(1));
                     for seq in from..=to {
-                        if seq >= flow.snd_una && flow.packets.contains_key(&seq) {
+                        if flow.packet(seq).is_some() {
                             flow.loss_list.insert(seq);
                             first_lost = first_lost.min(seq);
                             reported += 1;
@@ -814,7 +818,7 @@ impl Protocol for UdtConfig {
         // buffer allocated (the B-tree containers free on clear).
         flow.send_q = VecDeque::new();
         flow.send_q_bytes = 0;
-        flow.packets.clear();
+        flow.packets = VecDeque::new();
         flow.loss_list.clear();
         Self::after_step(flow, rec, now);
         flow.ooo.clear();
@@ -968,19 +972,16 @@ fn collect_ranges(set: &BTreeSet<u64>, cap: usize) -> Vec<(u64, u64)> {
 /// then a pending FIN. Returns the sequence sent (for pair scheduling).
 fn send_one(flow: &mut Flow, cfg: &UdtConfig, _now: SimTime, out: &mut Vec<Action>) -> Option<u64> {
     // 1. Retransmission.
-    while let Some(&seq) = flow.loss_list.iter().next() {
-        flow.loss_list.remove(&seq);
-        if seq < flow.snd_una {
-            continue;
-        }
-        if let Some(payload) = flow.packets.get(&seq) {
+    while let Some(seq) = flow.loss_list.pop_first() {
+        // A marker the cumulative ACK has since passed names no packet.
+        if let Some(payload) = flow.packet(seq).cloned() {
             flow.stats.retransmits += 1;
             flow.stats.packets_sent += 1;
             flow.sent_in_syn += 1;
             out.push(Action::Send(UdtPacket::Data {
                 seq,
                 probe: false,
-                payload: payload.clone(),
+                payload,
             }));
             return Some(seq);
         }
@@ -997,7 +998,7 @@ fn send_one(flow: &mut Flow, cfg: &UdtConfig, _now: SimTime, out: &mut Vec<Actio
         flow.send_q_bytes -= take;
         let seq = flow.snd_nxt;
         flow.snd_nxt += 1;
-        flow.packets.insert(seq, payload.clone());
+        flow.packets.push_back(payload.clone());
         flow.stats.packets_sent += 1;
         flow.sent_in_syn += 1;
         out.push(Action::Send(UdtPacket::Data {
@@ -1136,7 +1137,7 @@ impl Flow {
             && self.nak_span == 0
             && self.send_q.capacity() == 0
             && self.send_q_bytes == 0
-            && self.packets.is_empty()
+            && self.packets.capacity() == 0
             && self.loss_list.is_empty()
             && self.ooo.is_empty()
             && self.ooo_bytes == 0
