@@ -22,7 +22,8 @@ use kmsg_netsim::link::{GeConfig, LinkConfig, LinkId};
 use kmsg_netsim::network::Network;
 use kmsg_netsim::rng::SeedSource;
 use kmsg_netsim::time::SimTime;
-use kmsg_oracle::{Json, OracleConfig, RunFacts, Shrinkable};
+use kmsg_oracle::{OracleConfig, RunFacts, Shrinkable};
+use kmsg_telemetry::json::Json;
 use rand::Rng;
 
 use kmsg_netsim::cc::CcAlgorithm;

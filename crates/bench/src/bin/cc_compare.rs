@@ -23,7 +23,7 @@ use kmsg_apps::{run_experiment, Dataset, ExperimentConfig, ExperimentResult, Set
 use kmsg_core::prelude::*;
 use kmsg_netsim::cc::CcAlgorithm;
 use kmsg_netsim::packet::NodeId;
-use kmsg_oracle::Json;
+use kmsg_telemetry::json::Json;
 
 /// Transfer size: large enough that every controller reaches its steady
 /// state on a 155 ms RTT pipe, small enough to execute in seconds.

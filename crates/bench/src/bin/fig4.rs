@@ -8,47 +8,19 @@
 //! ```
 
 use kmsg_bench::learner_env;
-use kmsg_core::data::{PatternKind, PspKind, ValueBackend};
-use kmsg_core::Transport;
+use kmsg_core::data::ValueBackend;
 
 fn main() {
-    let args = kmsg_bench::BenchArgs::parse();
-    let secs = if args.quick { 30 } else { 120 };
-    kmsg_telemetry::log_info!("Figure 4 — TD learner, dense matrix Q(s,a) ({secs} s, analysis link)");
-    let tcp_ref = learner_env::reference_throughput(Transport::Tcp, 20, args.seed);
-    let udt_ref = learner_env::reference_throughput(Transport::Udt, 20, args.seed);
-    let cfg = learner_env::td_data_cfg(
+    learner_env::figure(
+        "Figure 4 — TD learner, dense matrix Q(s,a)",
+        "matrix Q(s,a)",
         ValueBackend::Matrix,
-        0.8, // the paper's eps_max for the matrix run
-        PspKind::Pattern(PatternKind::MinimalRest),
-        args.seed,
-    );
-    let result = learner_env::run_timed(Transport::Data, Some(cfg), secs, args.seed);
-    learner_env::print_learner_table("matrix Q(s,a)", &result, (tcp_ref, udt_ref));
-        // Single traces are seed-noisy; summarise a few seeds for context.
-    kmsg_telemetry::log_info!("\nmulti-seed tails (final quarter):");
-    for extra in 1..4 {
-        let seed = args.seed + extra;
-        let cfg = learner_env::td_data_cfg(
-            ValueBackend::Matrix,
-            0.8,
-            PspKind::Pattern(PatternKind::MinimalRest),
-            seed,
-        );
-        let r = learner_env::run_timed(Transport::Data, Some(cfg), secs, seed);
-        let (thr, ratio) = kmsg_bench::learner_summary::tail(&r);
-        kmsg_telemetry::log_info!(
-            "  seed {seed}: mean tail throughput {} MB/s, mean tail ratio {}",
-            kmsg_bench::fmt_mbps(thr),
-            kmsg_bench::fmt_ratio(ratio)
-        );
-    }
-    kmsg_telemetry::log_info!(
-        "\nExpected shape (paper): the 55-entry table stays under-explored; the\n\
+        0.8,
+        "the 55-entry table stays under-explored; the\n\
          ratio keeps wandering and throughput settles late, if at all. Note:\n\
          this implementation adopts the full TD target on first visits\n\
          (DESIGN.md §6.6), which softens the paper's worst case — the matrix\n\
          backend here converges late/noisily rather than never. The robust\n\
-         multi-seed comparison across backends is `ablation_learners`."
+         multi-seed comparison across backends is `ablation_learners`.",
     );
 }

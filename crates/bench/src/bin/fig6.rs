@@ -9,43 +9,15 @@
 //! ```
 
 use kmsg_bench::learner_env;
-use kmsg_core::data::{PatternKind, PspKind, ValueBackend};
-use kmsg_core::Transport;
+use kmsg_core::data::ValueBackend;
 
 fn main() {
-    let args = kmsg_bench::BenchArgs::parse();
-    let secs = if args.quick { 30 } else { 120 };
-    kmsg_telemetry::log_info!("Figure 6 — TD learner, V(s) + quadratic approximation ({secs} s, analysis link)");
-    let tcp_ref = learner_env::reference_throughput(Transport::Tcp, 20, args.seed);
-    let udt_ref = learner_env::reference_throughput(Transport::Udt, 20, args.seed);
-    let cfg = learner_env::td_data_cfg(
+    learner_env::figure(
+        "Figure 6 — TD learner, V(s) + quadratic approximation",
+        "V(s) + quadratic fit",
         ValueBackend::Approx,
         0.3,
-        PspKind::Pattern(PatternKind::MinimalRest),
-        args.seed,
-    );
-    let result = learner_env::run_timed(Transport::Data, Some(cfg), secs, args.seed);
-    learner_env::print_learner_table("V(s) + quadratic fit", &result, (tcp_ref, udt_ref));
-        // Single traces are seed-noisy; summarise a few seeds for context.
-    kmsg_telemetry::log_info!("\nmulti-seed tails (final quarter):");
-    for extra in 1..4 {
-        let seed = args.seed + extra;
-        let cfg = learner_env::td_data_cfg(
-            ValueBackend::Approx,
-            0.3,
-            PspKind::Pattern(PatternKind::MinimalRest),
-            seed,
-        );
-        let r = learner_env::run_timed(Transport::Data, Some(cfg), secs, seed);
-        let (thr, ratio) = kmsg_bench::learner_summary::tail(&r);
-        kmsg_telemetry::log_info!(
-            "  seed {seed}: mean tail throughput {} MB/s, mean tail ratio {}",
-            kmsg_bench::fmt_mbps(thr),
-            kmsg_bench::fmt_ratio(ratio)
-        );
-    }
-    kmsg_telemetry::log_info!(
-        "\nExpected shape (paper): reasonable performance after a few seconds\n\
-         and no significant backtracking late in the run."
+        "reasonable performance after a few seconds\n\
+         and no significant backtracking late in the run.",
     );
 }

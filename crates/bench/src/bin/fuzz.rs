@@ -40,7 +40,8 @@ use std::time::{Duration, Instant};
 use kmsg_apps::fuzz::ScenarioSpec;
 use kmsg_apps::OverlaySpec;
 use kmsg_bench::fuzzer::{check_overlay_spec, check_spec, sweep_seeds};
-use kmsg_oracle::{minimize, render_verdict, Json, Violation};
+use kmsg_oracle::{minimize, render_verdict, Violation};
+use kmsg_telemetry::json::Json;
 
 /// Parsed command line.
 struct FuzzArgs {

@@ -1,12 +1,14 @@
 //! **perf_gate** — CI guard against engine performance regressions.
 //!
 //! Compares a freshly produced `BENCH_engine.json` / `BENCH_scale.json`
-//! (written by the `timing_probe` binary) and `BENCH_reroute.json`
-//! (written by the `reroute` binary) against the committed baselines
-//! at the repository root and exits nonzero when any tracked metric
-//! regressed beyond the tolerance. Rows are matched by key (engine name,
-//! host count, reroute variant), so a `--quick` probe that covers only a
-//! subset of the committed rows gates exactly that subset.
+//! (written by the `timing_probe` binary), `BENCH_reroute.json` (the
+//! `reroute` binary) and `BENCH_cc.json` (the `cc_compare` binary) against
+//! the committed baselines at the repository root and exits nonzero when
+//! any tracked metric regressed beyond the tolerance, or when one of the
+//! eight files cannot be read (the message names it). Rows are matched by
+//! key (engine name, host count, reroute variant, controller), so a
+//! `--quick` probe that covers only a subset of the committed rows gates
+//! exactly that subset.
 //!
 //! ```text
 //! cargo run --release -p kmsg-bench --bin perf_gate -- \
@@ -35,11 +37,13 @@
 //!   time per event at the largest row against the 10³-host row — a cost
 //!   that grows with the world cannot hide behind a faster runner;
 //! * reroute: `gap_ms` per variant row (lower is better — virtual-time
-//!   outage gaps, deterministic per seed).
+//!   outage gaps, deterministic per seed);
+//! * cc: `goodput_mbps` per controller row on the fixed lossy-WAN scenario
+//!   (higher is better — virtual time again).
 
 use std::process::ExitCode;
 
-use kmsg_oracle::Json;
+use kmsg_telemetry::json::Json;
 
 /// One gated comparison: a labelled metric with its direction.
 struct Check {
@@ -51,25 +55,30 @@ struct Check {
 }
 
 impl Check {
-    /// Relative change in the "worse" direction (positive = regressed).
-    fn regression(&self) -> f64 {
+    /// Relative change from the baseline (`0` where there is none to
+    /// divide by).
+    fn change(&self) -> f64 {
         if self.baseline == 0.0 {
             return 0.0;
         }
-        let delta = (self.fresh - self.baseline) / self.baseline;
+        (self.fresh - self.baseline) / self.baseline
+    }
+
+    /// Relative change in the "worse" direction (positive = regressed).
+    fn regression(&self) -> f64 {
         if self.higher_is_better {
-            -delta
+            -self.change()
         } else {
-            delta
+            self.change()
         }
     }
 }
 
-fn load(dir: &str, file: &str) -> Json {
+/// Reads one row file; the error names it.
+fn load(dir: &str, file: &str) -> Result<Json, String> {
     let path = format!("{dir}/{file}");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("perf_gate: cannot read {path}: {e}"));
-    Json::parse(&text).unwrap_or_else(|e| panic!("perf_gate: {path} is not valid JSON: {e}"))
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    Json::parse(&text).map_err(|e| format!("{path} is not valid JSON: {e}"))
 }
 
 fn num(doc: &Json, row: &Json, field: &str, what: &str) -> Option<f64> {
@@ -85,130 +94,72 @@ fn num(doc: &Json, row: &Json, field: &str, what: &str) -> Option<f64> {
     v
 }
 
-/// Engine probe: rows keyed by `name`, gated on `events_per_sec`.
-fn engine_checks(baseline: &Json, fresh: &Json, out: &mut Vec<Check>) {
-    let base_rows = baseline.get("engines").and_then(Json::as_arr).unwrap_or(&[]);
-    let fresh_rows = fresh.get("engines").and_then(Json::as_arr).unwrap_or(&[]);
-    for b in base_rows {
-        let Some(name) = b.get("name").and_then(Json::as_str) else {
-            continue;
-        };
-        let Some(f) = fresh_rows
-            .iter()
-            .find(|r| r.get("name").and_then(Json::as_str) == Some(name))
-        else {
-            kmsg_telemetry::log_info!("perf_gate: note: engine '{name}' absent from fresh run");
-            continue;
-        };
-        if let (Some(bv), Some(fv)) = (
-            num(baseline, b, "events_per_sec", "engine"),
-            num(fresh, f, "events_per_sec", "engine"),
-        ) {
-            out.push(Check {
-                label: format!("engine/{name}/events_per_sec"),
-                baseline: bv,
-                fresh: fv,
-                higher_is_better: true,
-            });
-        }
-    }
+/// One gated row file, `BENCH_<what>.json`: where its rows are, what names
+/// a row, and which fields are compared (`true` = higher is better).
+struct Gate {
+    what: &'static str,
+    rows: &'static str,
+    key: &'static str,
+    fields: &'static [(&'static str, bool)],
 }
 
-/// Reroute bench: rows keyed by `name`, gated on `gap_ms` (lower is
-/// better). Outage gaps are virtual-time and deterministic per seed, so
-/// any change past the tolerance is a genuine behaviour change in
-/// overlay rerouting or channel supervision, not runner noise.
-fn reroute_checks(baseline: &Json, fresh: &Json, out: &mut Vec<Check>) {
-    let base_rows = baseline.get("rows").and_then(Json::as_arr).unwrap_or(&[]);
-    let fresh_rows = fresh.get("rows").and_then(Json::as_arr).unwrap_or(&[]);
-    for b in base_rows {
-        let Some(name) = b.get("name").and_then(Json::as_str) else {
-            continue;
-        };
-        let Some(f) = fresh_rows
-            .iter()
-            .find(|r| r.get("name").and_then(Json::as_str) == Some(name))
-        else {
-            kmsg_telemetry::log_info!("perf_gate: note: reroute '{name}' absent from fresh run");
-            continue;
-        };
-        if let (Some(bv), Some(fv)) = (
-            num(baseline, b, "gap_ms", "reroute"),
-            num(fresh, f, "gap_ms", "reroute"),
-        ) {
-            out.push(Check {
-                label: format!("reroute/{name}/gap_ms"),
-                baseline: bv,
-                fresh: fv,
-                higher_is_better: false,
-            });
-        }
-    }
-}
+/// The four gates, in the order their rows print. `events_per_sec` is a
+/// wall-clock rate; everything else is deterministic per seed — virtual-time
+/// outage gaps and goodput, allocator accounting — so a move past the
+/// tolerance there is a behaviour change, not runner noise. A row written
+/// before a field existed lacks it and skips that check (`num` logs a note).
+const GATES: [Gate; 4] = [
+    Gate {
+        what: "engine",
+        rows: "engines",
+        key: "name",
+        fields: &[("events_per_sec", true)],
+    },
+    Gate {
+        what: "scale",
+        rows: "rows",
+        key: "hosts",
+        fields: &[("events_per_sec", true), ("bytes_per_flow", false), ("allocs_per_event", false)],
+    },
+    Gate {
+        what: "reroute",
+        rows: "rows",
+        key: "name",
+        fields: &[("gap_ms", false)],
+    },
+    Gate {
+        what: "cc",
+        rows: "rows",
+        key: "name",
+        fields: &[("goodput_mbps", true)],
+    },
+];
 
-/// Congestion-controller comparison: rows keyed by `name` (controller
-/// label), gated on `goodput_mbps` (higher is better). Goodput on the
-/// fixed lossy-WAN scenario is virtual-time and deterministic per seed,
-/// so a drop past tolerance is a genuine controller behaviour change.
-fn cc_checks(baseline: &Json, fresh: &Json, out: &mut Vec<Check>) {
-    let base_rows = baseline.get("rows").and_then(Json::as_arr).unwrap_or(&[]);
-    let fresh_rows = fresh.get("rows").and_then(Json::as_arr).unwrap_or(&[]);
-    for b in base_rows {
-        let Some(name) = b.get("name").and_then(Json::as_str) else {
-            continue;
+/// Pairs each baseline row with the fresh row of the same key and compares
+/// the gate's fields. A row is labelled by its key: a name as it stands, a
+/// number with the key's name (`1000-hosts`).
+fn row_checks(gate: &Gate, baseline: &Json, fresh: &Json, out: &mut Vec<Check>) {
+    let rows = |doc| Json::get(doc, gate.rows).and_then(Json::as_arr).unwrap_or(&[]);
+    for b in rows(baseline) {
+        let id = match b.get(gate.key) {
+            Some(Json::Str(name)) => name.clone(),
+            Some(Json::Num(n)) => format!("{n}-{}", gate.key),
+            _ => continue,
         };
-        let Some(f) = fresh_rows
-            .iter()
-            .find(|r| r.get("name").and_then(Json::as_str) == Some(name))
-        else {
-            kmsg_telemetry::log_info!("perf_gate: note: cc '{name}' absent from fresh run");
-            continue;
-        };
-        if let (Some(bv), Some(fv)) = (
-            num(baseline, b, "goodput_mbps", "cc"),
-            num(fresh, f, "goodput_mbps", "cc"),
-        ) {
-            out.push(Check {
-                label: format!("cc/{name}/goodput_mbps"),
-                baseline: bv,
-                fresh: fv,
-                higher_is_better: true,
-            });
-        }
-    }
-}
-
-/// Scale probe: rows keyed by `hosts`, gated on `events_per_sec`,
-/// `bytes_per_flow` and `allocs_per_event`. Rows written before the
-/// allocator counters existed simply lack the field and skip that check
-/// (the `num` helper logs a note).
-fn scale_checks(baseline: &Json, fresh: &Json, out: &mut Vec<Check>) {
-    let base_rows = baseline.get("rows").and_then(Json::as_arr).unwrap_or(&[]);
-    let fresh_rows = fresh.get("rows").and_then(Json::as_arr).unwrap_or(&[]);
-    for b in base_rows {
-        let Some(hosts) = b.get("hosts").and_then(Json::as_u64) else {
-            continue;
-        };
-        let Some(f) = fresh_rows
-            .iter()
-            .find(|r| r.get("hosts").and_then(Json::as_u64) == Some(hosts))
-        else {
+        let Some(f) = rows(fresh).iter().find(|r| r.get(gate.key) == b.get(gate.key)) else {
             kmsg_telemetry::log_info!(
-                "perf_gate: note: {hosts}-host row absent from fresh run (quick probe)"
+                "perf_gate: note: {} '{id}' absent from fresh run",
+                gate.what
             );
             continue;
         };
-        for (field, higher_is_better) in [
-            ("events_per_sec", true),
-            ("bytes_per_flow", false),
-            ("allocs_per_event", false),
-        ] {
+        for &(field, higher_is_better) in gate.fields {
             if let (Some(bv), Some(fv)) = (
-                num(baseline, b, field, "scale"),
-                num(fresh, f, field, "scale"),
+                num(baseline, b, field, gate.what),
+                num(fresh, f, field, gate.what),
             ) {
                 out.push(Check {
-                    label: format!("scale/{hosts}-hosts/{field}"),
+                    label: format!("{}/{id}/{field}", gate.what),
                     baseline: bv,
                     fresh: fv,
                     higher_is_better,
@@ -249,6 +200,48 @@ fn scale_shape_failures(fresh: &Json) -> usize {
     failures
 }
 
+/// Runs the four gates and the shape check and prints the table. `Ok` is
+/// the number of metrics that regressed; `Err` names what could not be read.
+fn run(baseline_dir: &str, fresh_dir: &str, tolerance: f64) -> Result<usize, String> {
+    let mut checks = Vec::new();
+    for gate in &GATES {
+        let file = format!("BENCH_{}.json", gate.what);
+        let (baseline, fresh) = (load(baseline_dir, &file)?, load(fresh_dir, &file)?);
+        row_checks(gate, &baseline, &fresh, &mut checks);
+    }
+    if checks.is_empty() {
+        return Err("no comparable rows between baseline and fresh output".to_string());
+    }
+
+    kmsg_telemetry::log_info!(
+        "perf gate — tolerance {:.0}% ({} comparable metrics)\n",
+        tolerance * 100.0,
+        checks.len()
+    );
+    kmsg_telemetry::log_info!(
+        "{:<36} {:>14} {:>14} {:>9}  verdict",
+        "metric", "baseline", "fresh", "change"
+    );
+    kmsg_bench::rule(88);
+
+    let mut regressed = 0usize;
+    for c in &checks {
+        let bad = c.regression() > tolerance;
+        if bad {
+            regressed += 1;
+        }
+        kmsg_telemetry::log_info!(
+            "{:<36} {:>14.1} {:>14.1} {:>+8.1}%  {}",
+            c.label,
+            c.baseline,
+            c.fresh,
+            c.change() * 100.0,
+            if bad { "REGRESSED" } else { "ok" }
+        );
+    }
+    Ok(regressed + scale_shape_failures(&load(fresh_dir, "BENCH_scale.json")?))
+}
+
 fn main() -> ExitCode {
     let mut baseline_dir = ".".to_string();
     let mut fresh_dir = ".".to_string();
@@ -276,73 +269,91 @@ fn main() -> ExitCode {
         "--tolerance must be a non-negative fraction"
     );
 
-    let mut checks = Vec::new();
-    engine_checks(
-        &load(&baseline_dir, "BENCH_engine.json"),
-        &load(&fresh_dir, "BENCH_engine.json"),
-        &mut checks,
-    );
-    let fresh_scale = load(&fresh_dir, "BENCH_scale.json");
-    scale_checks(
-        &load(&baseline_dir, "BENCH_scale.json"),
-        &fresh_scale,
-        &mut checks,
-    );
-    reroute_checks(
-        &load(&baseline_dir, "BENCH_reroute.json"),
-        &load(&fresh_dir, "BENCH_reroute.json"),
-        &mut checks,
-    );
-    cc_checks(
-        &load(&baseline_dir, "BENCH_cc.json"),
-        &load(&fresh_dir, "BENCH_cc.json"),
-        &mut checks,
-    );
-    assert!(
-        !checks.is_empty(),
-        "perf_gate: no comparable rows between baseline and fresh output"
-    );
-
-    kmsg_telemetry::log_info!(
-        "perf gate — tolerance {:.0}% ({} comparable metrics)\n",
-        tolerance * 100.0,
-        checks.len()
-    );
-    kmsg_telemetry::log_info!(
-        "{:<36} {:>14} {:>14} {:>9}  verdict",
-        "metric", "baseline", "fresh", "change"
-    );
-    kmsg_bench::rule(88);
-
-    let mut regressed = 0usize;
-    for c in &checks {
-        let delta = if c.baseline == 0.0 {
-            0.0
-        } else {
-            (c.fresh - c.baseline) / c.baseline
-        };
-        let bad = c.regression() > tolerance;
-        if bad {
-            regressed += 1;
+    match run(&baseline_dir, &fresh_dir, tolerance) {
+        Ok(0) => {
+            kmsg_telemetry::log_info!("\nperf gate passed: no metric regressed beyond the tolerance");
+            ExitCode::SUCCESS
         }
-        kmsg_telemetry::log_info!(
-            "{:<36} {:>14.1} {:>14.1} {:>+8.1}%  {}",
-            c.label,
-            c.baseline,
-            c.fresh,
-            delta * 100.0,
-            if bad { "REGRESSED" } else { "ok" }
-        );
+        Ok(regressed) => {
+            kmsg_telemetry::log_info!(
+                "\nperf gate FAILED: {regressed} metric(s) regressed beyond {:.0}%",
+                tolerance * 100.0
+            );
+            ExitCode::FAILURE
+        }
+        Err(e) => {
+            kmsg_telemetry::log_info!("perf gate FAILED: {e}");
+            ExitCode::FAILURE
+        }
     }
-    regressed += scale_shape_failures(&fresh_scale);
+}
 
-    if regressed > 0 {
-        kmsg_telemetry::log_info!(
-            "\nperf gate FAILED: {regressed} metric(s) regressed beyond {:.0}%",
-            tolerance * 100.0
-        );
-        return ExitCode::FAILURE;
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Label and verdict (at a 10 % tolerance) of every check the `what` gate
+    /// makes between two documents.
+    fn verdicts(what: &str, baseline: &str, fresh: &str) -> Vec<(String, bool)> {
+        let baseline = Json::parse(baseline).expect("baseline parses");
+        let fresh = Json::parse(fresh).expect("fresh parses");
+        let mut checks = Vec::new();
+        let gate = GATES.iter().find(|g| g.what == what).expect("a gate of that name");
+        row_checks(gate, &baseline, &fresh, &mut checks);
+        checks.iter().map(|c| (c.label.clone(), c.regression() > 0.1)).collect()
     }
-    kmsg_telemetry::log_info!("\nperf gate passed: no metric regressed beyond the tolerance");
-    ExitCode::SUCCESS
+
+    /// Rows `worse` and `better` move 20 % each way; `gone` is missing from
+    /// the fresh side, `new` from the baseline, `bare` loses its field on one
+    /// side: only the first two are compared, and only `worse` trips.
+    #[test]
+    fn name_keyed_gates_compare_matching_rows_in_their_direction() {
+        for (what, rows, field, worse, better) in [
+            ("engine", "engines", "events_per_sec", 80, 120),
+            ("reroute", "rows", "gap_ms", 120, 80),
+            ("cc", "rows", "goodput_mbps", 80, 120),
+        ] {
+            let baseline = format!(
+                r#"{{"benchmark":"{what}","{rows}":[{{"name":"worse","{field}":100}},
+                {{"name":"better","{field}":100}},{{"name":"gone","{field}":100}},
+                {{"name":"bare","{field}":100}},{{"{field}":100}}]}}"#
+            );
+            let fresh = format!(
+                r#"{{"{rows}":[{{"name":"better","{field}":{better}}},{{"name":"bare"}},
+                {{"name":"new","{field}":1}},{{"name":"worse","{field}":{worse}}}]}}"#
+            );
+            assert_eq!(
+                verdicts(what, &baseline, &fresh),
+                [(format!("{what}/worse/{field}"), true), (format!("{what}/better/{field}"), false)]
+            );
+            // Read the other way round, the rows keep their names and trade
+            // their fates; order follows the baseline document.
+            assert_eq!(
+                verdicts(what, &fresh, &baseline),
+                [(format!("{what}/better/{field}"), true), (format!("{what}/worse/{field}"), false)]
+            );
+        }
+    }
+
+    #[test]
+    fn scale_gate_keys_on_hosts_and_compares_three_fields() {
+        let baseline = r#"{"benchmark":"scale","rows":[
+            {"hosts":100,"events_per_sec":100,"bytes_per_flow":100,"allocs_per_event":1.0},
+            {"hosts":1000,"events_per_sec":100,"bytes_per_flow":100},
+            {"hosts":100000,"events_per_sec":100,"bytes_per_flow":100,"allocs_per_event":1.0}]}"#;
+        let fresh = r#"{"rows":[
+            {"hosts":1000,"events_per_sec":120,"bytes_per_flow":80,"allocs_per_event":0.5},
+            {"hosts":10,"events_per_sec":1,"bytes_per_flow":1,"allocs_per_event":1},
+            {"hosts":100,"events_per_sec":80,"bytes_per_flow":120,"allocs_per_event":1.2}]}"#;
+        assert_eq!(
+            verdicts("scale", baseline, fresh),
+            [
+                ("scale/100-hosts/events_per_sec".to_string(), true),
+                ("scale/100-hosts/bytes_per_flow".to_string(), true),
+                ("scale/100-hosts/allocs_per_event".to_string(), true),
+                ("scale/1000-hosts/events_per_sec".to_string(), false),
+                ("scale/1000-hosts/bytes_per_flow".to_string(), false),
+            ]
+        );
+    }
 }

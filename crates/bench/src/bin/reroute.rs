@@ -26,7 +26,7 @@
 //! ```
 
 use kmsg_apps::{run_overlay_spec, OverlayReport, OverlaySpec, PartitionWindow, PublishSpec};
-use kmsg_oracle::Json;
+use kmsg_telemetry::json::Json;
 use kmsg_telemetry::critical_path::{reroute_attribution, SpanForest};
 use kmsg_telemetry::EventKind;
 

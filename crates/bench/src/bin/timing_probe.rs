@@ -33,6 +33,7 @@ use kmsg_netsim::reference::ReferenceSim;
 use kmsg_netsim::rng::SeedSource;
 use kmsg_netsim::tcp::{TcpConfig, TcpConn, TcpListener};
 use kmsg_netsim::time::SimTime;
+use kmsg_telemetry::json::Json;
 
 /// Counting allocator so the scaling section can report live heap bytes
 /// per flow (the same measurement the pre-slab baseline in EXPERIMENTS.md
@@ -182,10 +183,6 @@ fn speedup(probes: &[EngineProbe], new: &str, old: &str) -> f64 {
     rate(new) / rate(old)
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Hand-rolled JSON (the workspace has no serde_json).
 fn write_json(engine_events: u64, engines: &[EngineProbe], transfers: &[TransferProbe]) {
     let mut out = String::from("{\n");
@@ -194,8 +191,8 @@ fn write_json(engine_events: u64, engines: &[EngineProbe], transfers: &[Transfer
     out.push_str("  \"engines\": [\n");
     for (i, p) in engines.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"events\": {}, \"wall_secs\": {:.6}, \"events_per_sec\": {:.1}}}{}\n",
-            json_escape(p.name),
+            "    {{\"name\": {}, \"events\": {}, \"wall_secs\": {:.6}, \"events_per_sec\": {:.1}}}{}\n",
+            Json::Str(p.name.to_string()).render(),
             p.events,
             p.wall_secs,
             p.events_per_sec,
@@ -212,9 +209,9 @@ fn write_json(engine_events: u64, engines: &[EngineProbe], transfers: &[Transfer
     out.push_str("  \"transfers\": [\n");
     for (i, t) in transfers.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"setup\": \"{}\", \"transport\": \"{}\", \"sim_secs\": {:.3}, \"throughput_mbps\": {:.3}, \"events\": {}, \"wall_secs\": {:.3}, \"events_per_wall_sec\": {:.1}}}{}\n",
-            json_escape(&t.setup),
-            json_escape(&t.proto),
+            "    {{\"setup\": {}, \"transport\": {}, \"sim_secs\": {:.3}, \"throughput_mbps\": {:.3}, \"events\": {}, \"wall_secs\": {:.3}, \"events_per_wall_sec\": {:.1}}}{}\n",
+            Json::Str(t.setup.clone()).render(),
+            Json::Str(t.proto.clone()).render(),
             t.sim_secs,
             t.throughput_mbps,
             t.events,

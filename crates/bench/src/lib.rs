@@ -208,7 +208,9 @@ pub mod learner_env {
     use std::time::Duration;
 
     use kmsg_apps::{run_experiment, Dataset, ExperimentConfig, ExperimentResult, Setup};
-    use kmsg_core::data::{DataNetworkConfig, PrpKind, PspKind, TdConfig, ValueBackend};
+    use kmsg_core::data::{
+        DataNetworkConfig, PatternKind, PrpKind, PspKind, TdConfig, ValueBackend,
+    };
     use kmsg_core::Transport;
     use kmsg_learning::{EpsilonGreedyConfig, SarsaConfig};
     use kmsg_netsim::rng::SeedSource;
@@ -300,6 +302,35 @@ pub mod learner_env {
                 s.wire_ratio().map_or("-".to_string(), crate::fmt_ratio),
             );
         }
+    }
+
+    /// A learner figure (4, 5 or 6), whole: the TCP and UDT reference runs,
+    /// the traced run of `backend` exploring from `eps_max` with its
+    /// per-second table under `label`, three more seeds' tails for context,
+    /// and the paper's `expected` shape to read them against. The figures
+    /// differ in exactly these arguments.
+    pub fn figure(title: &str, label: &str, backend: ValueBackend, eps_max: f64, expected: &str) {
+        let args = crate::BenchArgs::parse();
+        let secs = if args.quick { 30 } else { 120 };
+        kmsg_telemetry::log_info!("{title} ({secs} s, analysis link)");
+        let tcp_ref = reference_throughput(Transport::Tcp, 20, args.seed);
+        let udt_ref = reference_throughput(Transport::Udt, 20, args.seed);
+        let run = |seed| {
+            let psp = PspKind::Pattern(PatternKind::MinimalRest);
+            run_timed(Transport::Data, Some(td_data_cfg(backend, eps_max, psp, seed)), secs, seed)
+        };
+        print_learner_table(label, &run(args.seed), (tcp_ref, udt_ref));
+        // Single traces are seed-noisy; summarise a few seeds for context.
+        kmsg_telemetry::log_info!("\nmulti-seed tails (final quarter):");
+        for seed in args.seed + 1..args.seed + 4 {
+            let (thr, ratio) = crate::learner_summary::tail(&run(seed));
+            kmsg_telemetry::log_info!(
+                "  seed {seed}: mean tail throughput {} MB/s, mean tail ratio {}",
+                crate::fmt_mbps(thr),
+                crate::fmt_ratio(ratio)
+            );
+        }
+        kmsg_telemetry::log_info!("\nExpected shape (paper): {expected}");
     }
 
     /// Mean receiver throughput of a reference (plain-transport) run,

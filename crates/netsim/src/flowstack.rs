@@ -702,8 +702,8 @@ mod tests {
     use super::*;
     use crate::link::LinkConfig;
     use crate::network::EPHEMERAL_SPAN;
-    use crate::testutil::{pattern_bytes, Recorder, SinkEvents};
-    use crate::trace::{PacketEvent, RingTracer};
+    use crate::testutil::{pattern_bytes, CollectingTracer, Recorder, SinkEvents};
+    use crate::trace::PacketEvent;
 
     /// Port the world's listener is bound to on `b`.
     const LISTEN: u16 = 80;
@@ -723,7 +723,7 @@ mod tests {
         net: Network,
         a: NodeId,
         b: NodeId,
-        tracer: Arc<RingTracer>,
+        tracer: Arc<CollectingTracer>,
         server: Arc<Recorder>,
         listener: Listener<P>,
     }
@@ -739,7 +739,7 @@ mod tests {
             let a = net.add_node("a");
             let b = net.add_node("b");
             net.connect_duplex(a, b, LinkConfig::new(10e6, one_way));
-            let tracer = RingTracer::new(4096);
+            let tracer = Arc::new(CollectingTracer::default());
             net.set_tracer(tracer.clone());
             let server = Arc::new(Recorder::default());
             let listener =

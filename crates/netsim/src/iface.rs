@@ -234,7 +234,7 @@ mod send_sync_tests {
         assert_send::<crate::udt::UdtConn>();
         assert_send::<crate::udp::UdpSocket>();
         assert_send_sync::<crate::link::Link>();
-        assert_send_sync::<crate::trace::RingTracer>();
+        assert_send_sync::<crate::trace::RecorderTracer>();
         assert_send_sync::<ConnectionId>();
         assert_send_sync::<crate::time::SimTime>();
     }

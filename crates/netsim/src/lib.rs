@@ -68,7 +68,7 @@ pub use packet::{Endpoint, NodeId, WireProtocol};
 pub use pool::{PacketHandle, PacketPool};
 pub use slab::{FxHashMap, FxHashSet, FxHasher, Handle, Slab};
 pub use time::SimTime;
-pub use trace::{PacketEvent, PacketRecord, PacketTracer, RecorderTracer, RingTracer};
+pub use trace::{PacketEvent, PacketRecord, PacketTracer, RecorderTracer};
 
 // Telemetry is part of the simulator's public surface: `Sim::recorder()`
 // returns a handle and instrumented code records `EventKind` values.

@@ -12,6 +12,25 @@ use parking_lot::Mutex;
 use crate::engine::Sim;
 use crate::iface::{CloseReason, Connection, StreamEvents};
 use crate::time::SimTime;
+use crate::trace::{PacketRecord, PacketTracer};
+
+/// A [`PacketTracer`] that keeps every record, in order.
+#[derive(Debug, Default)]
+pub struct CollectingTracer(Mutex<Vec<PacketRecord>>);
+
+impl CollectingTracer {
+    /// Everything recorded so far, oldest first.
+    #[must_use]
+    pub fn records(&self) -> Vec<PacketRecord> {
+        self.0.lock().clone()
+    }
+}
+
+impl PacketTracer for CollectingTracer {
+    fn record(&self, record: PacketRecord) {
+        self.0.lock().push(record);
+    }
+}
 
 /// A no-op [`StreamEvents`] implementation.
 #[derive(Debug, Clone, Copy, Default)]

@@ -3,15 +3,15 @@
 //!
 //! Install a [`PacketTracer`] with
 //! [`Network::set_tracer`](crate::network::Network::set_tracer). The
-//! bundled [`RingTracer`] keeps the last *N* records in memory and can
-//! summarise drop reasons; custom tracers (e.g. writing a log) just
-//! implement the trait.
+//! bundled [`RecorderTracer`] folds every record into the flight recorder;
+//! custom tracers (e.g. writing a log) just implement the trait. Counts by
+//! outcome and drop reason need no tracer: the fabric keeps them
+//! ([`Network::stats`](crate::network::Network::stats),
+//! [`Link::stats`](crate::link::Link::stats)).
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use kmsg_telemetry::{EventKind, Recorder};
-use parking_lot::Mutex;
 
 use crate::link::DropReason;
 use crate::packet::{Endpoint, WireProtocol};
@@ -71,85 +71,6 @@ pub trait PacketTracer: Send + Sync {
     fn record(&self, record: PacketRecord);
 }
 
-/// A bounded in-memory tracer keeping the most recent records.
-#[derive(Debug)]
-pub struct RingTracer {
-    capacity: usize,
-    records: Mutex<VecDeque<PacketRecord>>,
-    counts: Mutex<TraceCounts>,
-}
-
-/// Aggregate counters kept by [`RingTracer`] (never evicted).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TraceCounts {
-    /// Packets accepted at sources.
-    pub sent: u64,
-    /// Packets delivered to sinks.
-    pub delivered: u64,
-    /// Packets dropped by queue overflow.
-    pub dropped_queue: u64,
-    /// Packets dropped by random loss.
-    pub dropped_loss: u64,
-    /// Packets dropped by the UDP policer.
-    pub dropped_policer: u64,
-    /// Packets dropped by downed links.
-    pub dropped_down: u64,
-    /// Packets killed in flight by a sever.
-    pub dropped_severed: u64,
-    /// Packets lost in a Gilbert–Elliott burst.
-    pub dropped_burst: u64,
-    /// Packets without a route or sink.
-    pub unroutable: u64,
-}
-
-impl RingTracer {
-    /// Creates a tracer retaining the last `capacity` records.
-    #[must_use]
-    pub fn new(capacity: usize) -> Arc<Self> {
-        Arc::new(RingTracer {
-            capacity: capacity.max(1),
-            records: Mutex::new(VecDeque::with_capacity(capacity.clamp(1, 4096))),
-            counts: Mutex::new(TraceCounts::default()),
-        })
-    }
-
-    /// A snapshot of the retained records, oldest first.
-    #[must_use]
-    pub fn records(&self) -> Vec<PacketRecord> {
-        self.records.lock().iter().copied().collect()
-    }
-
-    /// The aggregate counters.
-    #[must_use]
-    pub fn counts(&self) -> TraceCounts {
-        *self.counts.lock()
-    }
-}
-
-impl PacketTracer for RingTracer {
-    fn record(&self, record: PacketRecord) {
-        {
-            let mut counts = self.counts.lock();
-            match record.event {
-                PacketEvent::Sent => counts.sent += 1,
-                PacketEvent::Delivered => counts.delivered += 1,
-                PacketEvent::Dropped(DropReason::QueueOverflow) => counts.dropped_queue += 1,
-                PacketEvent::Dropped(DropReason::RandomLoss) => counts.dropped_loss += 1,
-                PacketEvent::Dropped(DropReason::Policed) => counts.dropped_policer += 1,
-                PacketEvent::Dropped(DropReason::LinkDown) => counts.dropped_down += 1,
-                PacketEvent::Dropped(DropReason::Severed) => counts.dropped_severed += 1,
-                PacketEvent::Dropped(DropReason::BurstLoss) => counts.dropped_burst += 1,
-                PacketEvent::NoRoute | PacketEvent::NoSink => counts.unroutable += 1,
-            }
-        }
-        let mut records = self.records.lock();
-        if records.len() == self.capacity {
-            records.pop_front();
-        }
-        records.push_back(record);
-    }
-}
-
 /// Folds packet events into a telemetry [`Recorder`] as
 /// [`EventKind::Packet`] flight-recorder events, so the packet tracer
 /// becomes one event source in the unified telemetry stream.
@@ -196,73 +117,6 @@ mod tests {
             wire_size: 100,
             event,
         }
-    }
-
-    #[test]
-    fn ring_evicts_oldest() {
-        let tracer = RingTracer::new(3);
-        for i in 0..5 {
-            let mut r = rec(PacketEvent::Sent);
-            r.wire_size = i;
-            tracer.record(r);
-        }
-        let records = tracer.records();
-        assert_eq!(records.len(), 3);
-        assert_eq!(records[0].wire_size, 2);
-        assert_eq!(tracer.counts().sent, 5, "counters never evicted");
-    }
-
-    #[test]
-    fn counts_split_by_reason() {
-        let tracer = RingTracer::new(10);
-        tracer.record(rec(PacketEvent::Dropped(DropReason::Policed)));
-        tracer.record(rec(PacketEvent::Dropped(DropReason::RandomLoss)));
-        tracer.record(rec(PacketEvent::NoRoute));
-        tracer.record(rec(PacketEvent::Delivered));
-        let c = tracer.counts();
-        assert_eq!(c.dropped_policer, 1);
-        assert_eq!(c.dropped_loss, 1);
-        assert_eq!(c.unroutable, 1);
-        assert_eq!(c.delivered, 1);
-    }
-
-    #[test]
-    fn ring_wraps_repeatedly_keeping_exactly_capacity() {
-        // Push several full capacities worth of records; the ring must hold
-        // exactly the last `capacity`, in order, with counters unaffected.
-        let tracer = RingTracer::new(4);
-        for i in 0..11 {
-            let mut r = rec(PacketEvent::Sent);
-            r.wire_size = i;
-            tracer.record(r);
-        }
-        let records = tracer.records();
-        assert_eq!(records.len(), 4);
-        let sizes: Vec<usize> = records.iter().map(|r| r.wire_size).collect();
-        assert_eq!(sizes, vec![7, 8, 9, 10]);
-        assert_eq!(tracer.counts().sent, 11);
-    }
-
-    #[test]
-    fn drop_reasons_summarise_after_eviction() {
-        // Drop-reason counters survive even when the records that produced
-        // them have been evicted from the ring.
-        let tracer = RingTracer::new(2);
-        for reason in [
-            DropReason::QueueOverflow,
-            DropReason::QueueOverflow,
-            DropReason::RandomLoss,
-            DropReason::Policed,
-            DropReason::LinkDown,
-        ] {
-            tracer.record(rec(PacketEvent::Dropped(reason)));
-        }
-        assert_eq!(tracer.records().len(), 2);
-        let c = tracer.counts();
-        assert_eq!(c.dropped_queue, 2);
-        assert_eq!(c.dropped_loss, 1);
-        assert_eq!(c.dropped_policer, 1);
-        assert_eq!(c.dropped_down, 1);
     }
 
     #[test]

@@ -57,7 +57,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod artifact;
 pub mod bbr;
 pub mod conservation;
 pub mod cubic;
@@ -69,7 +68,6 @@ pub mod spans;
 pub mod tcp;
 pub mod udt;
 
-pub use artifact::Json;
 pub use bbr::BbrOracle;
 pub use conservation::ConservationOracle;
 pub use cubic::CubicOracle;

@@ -4,13 +4,13 @@
 //! recorded values intact — including metric names and string fields that
 //! need escaping.
 //!
-//! The [`kmsg_oracle::Json`] value is `f64`-backed, so numbers above 2^53
+//! The [`kmsg_telemetry::json::Json`] value is `f64`-backed, so numbers above 2^53
 //! (real span ids carry the kind tag in the top byte) parse with precision
 //! loss. The exact-fixed-point assertions therefore use hand-built events
 //! with small ids; the recorder-driven test asserts validity and field
 //! round-trips on values the parser represents exactly.
 
-use kmsg_oracle::Json;
+use kmsg_telemetry::json::Json;
 use kmsg_telemetry::{Event, EventKind, Recorder, SpanKind};
 
 /// A recorder exercised across event kinds, spans, and metrics whose

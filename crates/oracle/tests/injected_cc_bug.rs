@@ -25,8 +25,9 @@ use kmsg_netsim::packet::Endpoint;
 use kmsg_netsim::tcp::{TcpConfig, TcpConn, TcpListener};
 use kmsg_netsim::testutil::{PatternSender, Recorder};
 use kmsg_oracle::{
-    check_all, minimize, render_verdict, Json, OracleConfig, RunFacts, Shrinkable, Violation,
+    check_all, minimize, render_verdict, OracleConfig, RunFacts, Shrinkable, Violation,
 };
+use kmsg_telemetry::json::Json;
 
 struct AcceptRecorder(Arc<Recorder>);
 impl StreamAccept for AcceptRecorder {

@@ -1,73 +1,55 @@
-//! Hand-rolled JSON encoding for telemetry output.
+//! The flight recorder's exporters: JSONL event lines and the Chrome trace.
 //!
-//! The workspace carries no JSON dependency, so the exporters build their
-//! output with plain string pushes, exactly like the bench harness does
-//! for `BENCH_engine.json`. Key order is fixed per event kind and metric
-//! maps are iterated in `BTreeMap` order, so two runs that record the same
-//! data emit byte-identical text — the property the determinism tests
-//! assert.
+//! Both build their output with plain string pushes over [`crate::json`]'s
+//! two primitives. Key order is fixed per event kind (the order of the
+//! schema table in [`crate::event`]) and tracks are numbered in label order,
+//! so two runs that record the same data emit byte-identical text — the
+//! property the determinism tests assert.
 
 use crate::event::{Event, EventKind};
+use crate::json::{push_f64, push_str};
 
-/// Appends `s` as a JSON string literal (quotes + backslash escaping, plus
-/// control-character escapes).
-pub fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// A type an event field can have, and how its values are written.
+pub(crate) trait JsonField {
+    fn push_json(&self, out: &mut String);
 }
 
-/// Appends an `f64` as a JSON number.
-///
-/// Uses Rust's shortest-round-trip `Display`, which is a pure function of
-/// the bits — deterministic across runs. Non-finite values (which JSON
-/// cannot represent) encode as `null`.
-pub fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v}"));
-    } else {
-        out.push_str("null");
+impl JsonField for u64 {
+    fn push_json(&self, out: &mut String) {
+        out.push_str(&self.to_string());
     }
 }
 
-fn field_u64(out: &mut String, key: &str, v: u64) {
-    out.push(',');
-    push_json_str(out, key);
-    out.push(':');
-    out.push_str(&format!("{v}"));
+impl JsonField for f64 {
+    fn push_json(&self, out: &mut String) {
+        push_f64(out, *self);
+    }
 }
 
-fn field_f64(out: &mut String, key: &str, v: f64) {
-    out.push(',');
-    push_json_str(out, key);
-    out.push(':');
-    push_json_f64(out, v);
+impl JsonField for bool {
+    fn push_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
 }
 
-fn field_str(out: &mut String, key: &str, v: &str) {
-    out.push(',');
-    push_json_str(out, key);
-    out.push(':');
-    push_json_str(out, v);
+impl JsonField for &'static str {
+    fn push_json(&self, out: &mut String) {
+        push_str(out, self);
+    }
 }
 
-fn field_bool(out: &mut String, key: &str, v: bool) {
+impl JsonField for String {
+    fn push_json(&self, out: &mut String) {
+        push_str(out, self);
+    }
+}
+
+/// Appends `,"key":value`.
+pub(crate) fn push_field(out: &mut String, key: &str, value: &impl JsonField) {
     out.push(',');
-    push_json_str(out, key);
+    push_str(out, key);
     out.push(':');
-    out.push_str(if v { "true" } else { "false" });
+    value.push_json(out);
 }
 
 /// Appends one event as a single-line JSON object (no trailing newline).
@@ -76,207 +58,10 @@ fn field_bool(out: &mut String, key: &str, v: bool) {
 /// followed by the variant's fields in declaration order.
 pub fn push_event_json(out: &mut String, ev: &Event) {
     out.push_str("{\"t\":");
-    out.push_str(&format!("{}", ev.time_ns));
+    out.push_str(&ev.time_ns.to_string());
     out.push_str(",\"kind\":");
-    push_json_str(out, ev.kind.label());
-    match &ev.kind {
-        EventKind::TcpCwnd {
-            conn,
-            cwnd,
-            ssthresh,
-            cause,
-        } => {
-            field_u64(out, "conn", *conn);
-            field_f64(out, "cwnd", *cwnd);
-            field_f64(out, "ssthresh", *ssthresh);
-            field_str(out, "cause", cause);
-        }
-        EventKind::TcpRto {
-            conn,
-            rto_us,
-            consecutive,
-        } => {
-            field_u64(out, "conn", *conn);
-            field_u64(out, "rto_us", *rto_us);
-            field_u64(out, "consecutive", *consecutive);
-        }
-        EventKind::TcpRetransmit { conn, seq, fast } => {
-            field_u64(out, "conn", *conn);
-            field_u64(out, "seq", *seq);
-            field_bool(out, "fast", *fast);
-        }
-        EventKind::UdtRate {
-            conn,
-            period_us,
-            rate_pps,
-            cause,
-        } => {
-            field_u64(out, "conn", *conn);
-            field_f64(out, "period_us", *period_us);
-            field_f64(out, "rate_pps", *rate_pps);
-            field_str(out, "cause", cause);
-        }
-        EventKind::UdtNak { conn, sent, losses } => {
-            field_u64(out, "conn", *conn);
-            field_bool(out, "sent", *sent);
-            field_u64(out, "losses", *losses);
-        }
-        EventKind::LinkQueue {
-            link,
-            backlog_bytes,
-            capacity_bytes,
-        } => {
-            field_u64(out, "link", *link);
-            field_u64(out, "backlog_bytes", *backlog_bytes);
-            field_u64(out, "capacity_bytes", *capacity_bytes);
-        }
-        EventKind::LinkDrop {
-            link,
-            reason,
-            wire_size,
-        } => {
-            field_u64(out, "link", *link);
-            field_str(out, "reason", reason);
-            field_u64(out, "wire_size", *wire_size);
-        }
-        EventKind::Packet {
-            src,
-            dst,
-            proto,
-            wire_size,
-            outcome,
-        } => {
-            field_str(out, "src", src);
-            field_str(out, "dst", dst);
-            field_str(out, "proto", proto);
-            field_u64(out, "wire_size", *wire_size);
-            field_str(out, "outcome", outcome);
-        }
-        EventKind::SchedulerQueue { depth } => {
-            field_u64(out, "depth", *depth);
-        }
-        EventKind::ComponentExec { component, handled } => {
-            field_u64(out, "component", *component);
-            field_u64(out, "handled", *handled);
-        }
-        EventKind::Decision {
-            flow,
-            step,
-            state,
-            action,
-            reward,
-            epsilon,
-            greedy,
-        } => {
-            field_u64(out, "flow", *flow);
-            field_u64(out, "step", *step);
-            field_u64(out, "state", *state);
-            field_u64(out, "action", *action);
-            field_f64(out, "reward", *reward);
-            field_f64(out, "epsilon", *epsilon);
-            field_bool(out, "greedy", *greedy);
-        }
-        EventKind::Fault { action, link } => {
-            field_str(out, "action", action);
-            field_u64(out, "link", *link);
-        }
-        EventKind::ConnStatus {
-            peer,
-            transport,
-            status,
-            attempts,
-        } => {
-            field_u64(out, "peer", *peer);
-            field_str(out, "transport", transport);
-            field_str(out, "status", status);
-            field_u64(out, "attempts", *attempts);
-        }
-        EventKind::Overflow { evicted } => {
-            field_u64(out, "evicted", *evicted);
-        }
-        EventKind::Mark { id, value } => {
-            field_u64(out, "id", *id);
-            field_u64(out, "value", *value);
-        }
-        EventKind::SpanOpen {
-            span,
-            parent,
-            trace,
-            kind,
-            key,
-        } => {
-            field_u64(out, "span", *span);
-            field_u64(out, "parent", *parent);
-            field_u64(out, "trace", *trace);
-            field_str(out, "span_kind", kind);
-            field_u64(out, "key", *key);
-        }
-        EventKind::SpanClose { span, key } => {
-            field_u64(out, "span", *span);
-            field_u64(out, "key", *key);
-        }
-        EventKind::Overlay {
-            action,
-            msg,
-            node,
-            aux,
-        } => {
-            field_str(out, "action", action);
-            field_u64(out, "msg", *msg);
-            field_u64(out, "node", *node);
-            field_u64(out, "aux", *aux);
-        }
-        EventKind::Gossip {
-            node,
-            peer,
-            entries,
-        } => {
-            field_u64(out, "node", *node);
-            field_u64(out, "peer", *peer);
-            field_u64(out, "entries", *entries);
-        }
-        EventKind::CcWindow {
-            conn,
-            controller,
-            cause,
-            prev_cwnd,
-            cwnd,
-            ssthresh,
-            w_max,
-        } => {
-            field_u64(out, "conn", *conn);
-            field_str(out, "controller", controller);
-            field_str(out, "cause", cause);
-            field_f64(out, "prev_cwnd", *prev_cwnd);
-            field_f64(out, "cwnd", *cwnd);
-            field_f64(out, "ssthresh", *ssthresh);
-            field_f64(out, "w_max", *w_max);
-        }
-        EventKind::BbrState {
-            conn,
-            phase,
-            pacing_rate_bps,
-            btl_bw_bps,
-            min_rtt_us,
-            cwnd,
-        } => {
-            field_u64(out, "conn", *conn);
-            field_str(out, "phase", phase);
-            field_f64(out, "pacing_rate_bps", *pacing_rate_bps);
-            field_f64(out, "btl_bw_bps", *btl_bw_bps);
-            field_u64(out, "min_rtt_us", *min_rtt_us);
-            field_f64(out, "cwnd", *cwnd);
-        }
-        EventKind::CcSwap {
-            peer,
-            controller,
-            recycled,
-        } => {
-            field_u64(out, "peer", *peer);
-            field_str(out, "controller", controller);
-            field_bool(out, "recycled", *recycled);
-        }
-    }
+    push_str(out, ev.kind.label());
+    ev.kind.push_json_fields(out);
     out.push('}');
 }
 
@@ -315,14 +100,32 @@ pub fn to_chrome_trace(events: &[Event]) -> String {
 
     let us = |ns: u64| ns as f64 / 1000.0;
     let mut entries: Vec<String> = Vec::new();
-    // span raw id -> (open index, emitted?) for duration pairing.
+    // span raw id -> open index, for duration pairing.
     let mut open: BTreeMap<u64, usize> = BTreeMap::new();
 
     let push_common = |s: &mut String, name: &str, ph: &str, ts_ns: u64, tid: u64| {
         s.push_str("{\"name\":");
-        push_json_str(s, name);
+        push_str(s, name);
         s.push_str(&format!(",\"ph\":\"{ph}\",\"pid\":0,\"tid\":{tid},\"ts\":"));
-        push_json_f64(s, us(ts_ns));
+        push_f64(s, us(ts_ns));
+    };
+    // The `"ph":"X"` entry of the span opened at `events[open_idx]`; `last`
+    // is the member that ends its `args`.
+    let span_entry = |open_idx: usize, dur_ns: u64, last: &str| {
+        let open_ev = &events[open_idx];
+        let EventKind::SpanOpen { span, parent, trace, kind, key } = &open_ev.kind else {
+            return None;
+        };
+        let tid = tracks.get(*kind).copied().unwrap_or(0);
+        let mut s = String::new();
+        push_common(&mut s, kind, "X", open_ev.time_ns, tid);
+        s.push_str(",\"dur\":");
+        push_f64(&mut s, us(dur_ns));
+        s.push_str(&format!(
+            ",\"args\":{{\"span\":{span},\"parent\":{parent},\"trace\":{trace},\
+             \"key\":{key},{last}}}}}"
+        ));
+        Some(s)
     };
 
     for (i, ev) in events.iter().enumerate() {
@@ -334,27 +137,8 @@ pub fn to_chrome_trace(events: &[Event]) -> String {
                 let Some(open_idx) = open.remove(span) else {
                     continue;
                 };
-                let open_ev = &events[open_idx];
-                let EventKind::SpanOpen {
-                    parent,
-                    trace,
-                    kind,
-                    key: open_key,
-                    ..
-                } = &open_ev.kind
-                else {
-                    continue;
-                };
-                let tid = tracks.get(*kind).copied().unwrap_or(0);
-                let mut s = String::new();
-                push_common(&mut s, kind, "X", open_ev.time_ns, tid);
-                s.push_str(",\"dur\":");
-                push_json_f64(&mut s, us(ev.time_ns.saturating_sub(open_ev.time_ns)));
-                s.push_str(&format!(
-                    ",\"args\":{{\"span\":{span},\"parent\":{parent},\"trace\":{trace},\
-                     \"key\":{open_key},\"close_key\":{key}}}}}"
-                ));
-                entries.push(s);
+                let dur_ns = ev.time_ns.saturating_sub(events[open_idx].time_ns);
+                entries.extend(span_entry(open_idx, dur_ns, &format!("\"close_key\":{key}")));
             }
             other => {
                 let label = format!("ev:{}", other.label());
@@ -367,26 +151,8 @@ pub fn to_chrome_trace(events: &[Event]) -> String {
         }
     }
     // Unclosed spans: keep them visible instead of silently dropping.
-    for (span, open_idx) in open {
-        let open_ev = &events[open_idx];
-        if let EventKind::SpanOpen {
-            parent,
-            trace,
-            kind,
-            key,
-            ..
-        } = &open_ev.kind
-        {
-            let tid = tracks.get(*kind).copied().unwrap_or(0);
-            let mut s = String::new();
-            push_common(&mut s, kind, "X", open_ev.time_ns, tid);
-            s.push_str(",\"dur\":0");
-            s.push_str(&format!(
-                ",\"args\":{{\"span\":{span},\"parent\":{parent},\"trace\":{trace},\
-                 \"key\":{key},\"unclosed\":1}}}}"
-            ));
-            entries.push(s);
-        }
+    for open_idx in open.into_values() {
+        entries.extend(span_entry(open_idx, 0, "\"unclosed\":1"));
     }
 
     let mut out = String::with_capacity(entries.len() * 96 + 256);
@@ -403,9 +169,9 @@ pub fn to_chrome_trace(events: &[Event]) -> String {
         if i > 0 {
             out.push(',');
         }
-        push_json_str(&mut out, &format!("track_{tid}"));
+        push_str(&mut out, &format!("track_{tid}"));
         out.push(':');
-        push_json_str(&mut out, label);
+        push_str(&mut out, label);
     }
     out.push_str("}}\n");
     out
@@ -415,74 +181,41 @@ pub fn to_chrome_trace(events: &[Event]) -> String {
 mod tests {
     use super::*;
 
+    /// The wire schema, byte for byte: one event of every kind, awkward
+    /// values included. A new kind extends `one_of_every_kind` and this list.
     #[test]
-    fn event_lines_are_stable() {
-        let mut out = String::new();
-        push_event_json(
-            &mut out,
-            &Event {
-                time_ns: 42,
-                kind: EventKind::TcpCwnd {
-                    conn: 7,
-                    cwnd: 2920.0,
-                    ssthresh: 64000.5,
-                    cause: "rto",
-                },
-            },
-        );
-        assert_eq!(
-            out,
-            "{\"t\":42,\"kind\":\"tcp_cwnd\",\"conn\":7,\"cwnd\":2920,\
-             \"ssthresh\":64000.5,\"cause\":\"rto\"}"
-        );
-    }
-
-    #[test]
-    fn strings_are_escaped() {
-        let mut out = String::new();
-        push_json_str(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
-    }
-
-    #[test]
-    fn non_finite_floats_become_null() {
-        let mut out = String::new();
-        push_json_f64(&mut out, f64::NAN);
-        out.push(' ');
-        push_json_f64(&mut out, f64::INFINITY);
-        assert_eq!(out, "null null");
-    }
-
-    #[test]
-    fn span_events_serialize_with_fixed_fields() {
-        let mut out = String::new();
-        push_event_json(
-            &mut out,
-            &Event {
-                time_ns: 9,
-                kind: EventKind::SpanOpen {
-                    span: 0x0c00_0000_0000_0001,
-                    parent: 0,
-                    trace: 0x0c00_0000_0000_0001,
-                    kind: "seg",
-                    key: 42,
-                },
-            },
-        );
-        assert_eq!(
-            out,
-            "{\"t\":9,\"kind\":\"span_open\",\"span\":864691128455135233,\
-             \"parent\":0,\"trace\":864691128455135233,\"span_kind\":\"seg\",\"key\":42}"
-        );
-        let mut out = String::new();
-        push_event_json(
-            &mut out,
-            &Event {
-                time_ns: 10,
-                kind: EventKind::SpanClose { span: 3, key: 1 },
-            },
-        );
-        assert_eq!(out, "{\"t\":10,\"kind\":\"span_close\",\"span\":3,\"key\":1}");
+    fn every_kind_serialises_to_its_golden_line() {
+        let golden = [
+            r#"{"t":0,"kind":"tcp_cwnd","conn":18446744073709551615,"cwnd":null,"ssthresh":null,"cause":"r\"t\\o"}"#,
+            r#"{"t":1,"kind":"tcp_rto","conn":1,"rto_us":18446744073709551615,"consecutive":0}"#,
+            r#"{"t":2,"kind":"tcp_retransmit","conn":2,"seq":3,"fast":true}"#,
+            r#"{"t":3,"kind":"udt_rate","conn":4,"period_us":-0,"rate_pps":1000000000000000000000,"cause":"syn\nincrease"}"#,
+            r#"{"t":4,"kind":"udt_nak","conn":5,"sent":false,"losses":6}"#,
+            r#"{"t":5,"kind":"link_queue","link":7,"backlog_bytes":0,"capacity_bytes":18446744073709551615}"#,
+            r#"{"t":6,"kind":"link_drop","link":8,"reason":"queue\u0001overflow","wire_size":1500}"#,
+            r#"{"t":7,"kind":"packet","src":"a\"0\":1","dst":"b\\1:2","proto":"udp","wire_size":9,"outcome":"dropped:\tpoliced\r"}"#,
+            r#"{"t":8,"kind":"scheduler_queue","depth":10}"#,
+            r#"{"t":9,"kind":"component_exec","component":11,"handled":12}"#,
+            r#"{"t":10,"kind":"decision","flow":13,"step":14,"state":15,"action":16,"reward":null,"epsilon":0.0000001,"greedy":false}"#,
+            r#"{"t":11,"kind":"fault","action":"sever","link":17}"#,
+            r#"{"t":12,"kind":"conn_status","peer":18,"transport":"tcp","status":"lost","attempts":19}"#,
+            r#"{"t":13,"kind":"overflow","evicted":20}"#,
+            r#"{"t":14,"kind":"mark","id":21,"value":22}"#,
+            r#"{"t":15,"kind":"span_open","span":23,"parent":0,"trace":23,"span_kind":"seg","key":18446744073709551615}"#,
+            r#"{"t":16,"kind":"span_close","span":23,"key":1}"#,
+            r#"{"t":17,"kind":"overlay","action":"route","msg":24,"node":25,"aux":18446744073709551615}"#,
+            r#"{"t":18,"kind":"gossip","node":26,"peer":27,"entries":28}"#,
+            r#"{"t":19,"kind":"cc_window","conn":29,"controller":"cubic","cause":"loss","prev_cwnd":2920,"cwnd":0.5,"ssthresh":-1.25,"w_max":10000000000000000}"#,
+            r#"{"t":20,"kind":"bbr_state","conn":30,"phase":"probe_bw","pacing_rate_bps":1500000,"btl_bw_bps":null,"min_rtt_us":31,"cwnd":0}"#,
+            r#"{"t":21,"kind":"cc_swap","peer":32,"controller":"bbr","recycled":true}"#,
+        ];
+        let kinds = crate::event::tests::one_of_every_kind();
+        assert_eq!(kinds.len(), golden.len());
+        for (i, (kind, want)) in kinds.into_iter().zip(golden).enumerate() {
+            let mut out = String::new();
+            push_event_json(&mut out, &Event { time_ns: i as u64, kind });
+            assert_eq!(out, want, "line {i}");
+        }
     }
 
     #[test]

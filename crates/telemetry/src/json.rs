@@ -1,14 +1,49 @@
-//! Replayable failing-scenario artifacts.
+//! The one place JSON is written or parsed under `crates/`.
 //!
-//! The workspace deliberately carries no JSON dependency (see
-//! `kmsg-telemetry::export`), so the fuzz artifacts — `failing_seed.json`
-//! and friends — are built on a tiny order-preserving [`Json`] value with
-//! a hand-rolled parser and renderer. Rendering is deterministic: object
-//! keys keep insertion order, numbers use Rust's shortest round-trip
-//! `Display` (integers render without a fraction), so the same scenario
-//! always serializes to the same bytes — the property the byte-identity
-//! tests assert. The parser accepts exactly what the renderer emits plus
-//! ordinary interchange JSON (whitespace, escapes, nested values).
+//! The workspace carries no JSON dependency, so everything that emits
+//! JSON — the flight recorder's JSONL and snapshot, the Chrome trace, the
+//! `BENCH_*.json` baselines, the fuzz artifacts (`failing_seed.json` and
+//! friends) — builds on the two append primitives here, [`push_str`] and
+//! [`push_f64`], and everything that reads it back on the order-preserving
+//! [`Json`] value. Rendering is deterministic: object keys keep insertion
+//! order and numbers use Rust's shortest round-trip `Display` (integral
+//! values render without a fraction), so the same data always serializes
+//! to the same bytes — the property the byte-identity tests assert. The
+//! parser accepts exactly what the renderer emits plus ordinary
+//! interchange JSON (whitespace, escapes, nested values).
+
+/// Appends `s` as a JSON string literal (quotes + backslash escaping, plus
+/// control-character escapes).
+pub fn push_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Appends an `f64` as a JSON number.
+///
+/// Uses Rust's shortest-round-trip `Display`, which is a pure function of
+/// the bits — deterministic across runs. Non-finite values (which JSON
+/// cannot represent) encode as `null`.
+pub fn push_f64(out: &mut String, v: f64) {
+    if v.is_finite() {
+        out.push_str(&format!("{v}"));
+    } else {
+        out.push_str("null");
+    }
+}
 
 /// An order-preserving JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,8 +137,8 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(v) => push_num(out, *v),
-            Json::Str(s) => kmsg_telemetry::export::push_json_str(out, s),
+            Json::Num(v) => push_f64(out, *v),
+            Json::Str(s) => push_str(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -120,7 +155,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    kmsg_telemetry::export::push_json_str(out, k);
+                    push_str(out, k);
                     out.push(':');
                     v.render_into(out);
                 }
@@ -134,28 +169,23 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a description with the byte offset on malformed input.
+    /// Returns a description with the byte offset on malformed input, and
+    /// on input nested deeper than 128 arrays and objects.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(text, &mut pos, 0)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(format!("trailing garbage at byte {pos}"));
         }
         Ok(value)
     }
 }
 
-fn push_num(out: &mut String, v: f64) {
-    if !v.is_finite() {
-        out.push_str("null");
-    } else if v.fract() == 0.0 && v.abs() <= 2f64.powi(53) {
-        out.push_str(&format!("{}", v as i64));
-    } else {
-        out.push_str(&format!("{v}"));
-    }
-}
+/// Deepest nesting [`Json::parse`] accepts: it recurses once per `[` or `{`
+/// and reads files from disk, so an unbounded depth is a stack overflow
+/// waiting for a corrupt file. The deepest artifact the repo writes nests 4.
+const MAX_DEPTH: usize = 128;
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
     while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
@@ -172,14 +202,18 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
+        Some(b'"') => Ok(Json::Str(parse_string(text, pos)?)),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
+        }
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -189,7 +223,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -211,10 +245,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -227,7 +261,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 }
             }
         }
-        Some(_) => parse_number(bytes, pos),
+        Some(_) => parse_number(text, pos),
     }
 }
 
@@ -240,67 +274,66 @@ fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Js
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_number(text: &str, pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
+    while matches!(text.as_bytes().get(*pos), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
         *pos += 1;
     }
-    while matches!(
-        bytes.get(*pos),
-        Some(b'0'..=b'9') | Some(b'.') | Some(b'e') | Some(b'E') | Some(b'+') | Some(b'-')
-    ) {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
+    let digits = &text[start..*pos];
+    digits
+        .parse::<f64>()
         .map(Json::Num)
-        .map_err(|_| format!("malformed number '{text}' at byte {start}"))
+        .map_err(|_| format!("malformed number '{digits}' at byte {start}"))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+/// The four hex digits of a `\u` escape, as their code unit.
+fn parse_hex4(text: &str, pos: &mut usize) -> Result<u32, String> {
+    let hex = text.get(*pos..*pos + 4).filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()));
+    let hex = hex.ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
+    *pos += 4;
+    Ok(u32::from_str_radix(hex, 16).expect("four hex digits"))
+}
+
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multibyte sequences pass
-                // through unchanged).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+        // `"` and `\` are ASCII and `text` is a `&str`, so the run up to the
+        // next one is whole characters: copied as a slice, never re-validated.
+        let run = bytes[*pos..].iter().position(|b| matches!(b, b'"' | b'\\'));
+        let end = *pos + run.ok_or("unterminated string")?;
+        out.push_str(&text[*pos..end]);
+        *pos = end + 1;
+        if bytes[end] == b'"' {
+            return Ok(out);
         }
+        let escape = bytes.get(*pos).ok_or("unterminated string")?;
+        *pos += 1;
+        out.push(match escape {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'u' => {
+                let mut code = parse_hex4(text, pos)?;
+                // An escaped high surrogate and the escaped low one after it
+                // are one scalar; a half on its own decodes to U+FFFD.
+                let mut ahead = *pos + 2;
+                if (0xd800..0xdc00).contains(&code) && text[*pos..].starts_with("\\u") {
+                    if let Ok(low @ 0xdc00..=0xdfff) = parse_hex4(text, &mut ahead) {
+                        code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                        *pos = ahead;
+                    }
+                }
+                char::from_u32(code).unwrap_or('\u{fffd}')
+            }
+            _ => return Err(format!("bad escape at byte {}", *pos - 1)),
+        });
     }
 }
 
@@ -366,5 +399,54 @@ mod tests {
     fn object_key_order_is_preserved() {
         let v = Json::parse(r#"{"z":1,"a":2}"#).expect("parse");
         assert_eq!(v.render(), r#"{"z":1,"a":2}"#);
+    }
+
+    #[test]
+    fn strings_are_escaped() {
+        let mut out = String::new();
+        push_str(&mut out, "a\"b\\c\nd\u{1}");
+        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
+    }
+
+    #[test]
+    fn non_finite_floats_become_null() {
+        let mut out = String::new();
+        push_f64(&mut out, f64::NAN);
+        out.push(' ');
+        push_f64(&mut out, f64::INFINITY);
+        assert_eq!(out, "null null");
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(127)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(129)).expect_err("129 deep");
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        // Unclosed, as a truncated or hostile file would be; objects too.
+        assert!(Json::parse(&"[".repeat(1_000_000)).is_err());
+        assert!(Json::parse(&"{\"k\":".repeat(1_000_000)).is_err());
+    }
+
+    #[test]
+    fn a_two_mebibyte_string_round_trips_in_linear_time() {
+        let unit = "naïve — \"quoted\" \\ 😀\n";
+        let big = Json::Str(unit.repeat((2 << 20) / unit.len() + 1));
+        let started = std::time::Instant::now();
+        assert_eq!(Json::parse(&big.render()).expect("parses"), big);
+        let took = started.elapsed();
+        assert!(took.as_secs() < 5, "{took:?}: quadratic again? (linear is tens of ms)");
+    }
+
+    #[test]
+    fn escaped_surrogate_pairs_decode_to_one_scalar() {
+        let parsed = |text: &str| Json::parse(text).map(|v| v.as_str().map(str::to_string));
+        assert_eq!(parsed(r#""\ud83d\ude00""#), Ok(Some("😀".to_string())));
+        assert_eq!(parsed(r#""\ud83dx""#), Ok(Some("\u{fffd}x".to_string())), "lone high");
+        assert_eq!(parsed(r#""\ude00""#), Ok(Some("\u{fffd}".to_string())), "lone low");
+        assert_eq!(parsed(r#""\ud83d\u0041""#), Ok(Some("\u{fffd}A".to_string())), "high, then a scalar");
+        assert!(parsed(r#""\u+041""#).is_err(), "a sign is not a hex digit");
+        assert!(parsed(r#""\u00é""#).is_err(), "nor is half a character");
     }
 }

@@ -3,7 +3,8 @@
 //! Observability substrate for the KompicsMessaging reproduction: a
 //! metrics registry (counters, gauges, log-linear histograms), a **flight
 //! recorder** capturing structured protocol events to a bounded in-memory
-//! ring, JSON/JSONL exporters, and leveled logging for binaries.
+//! ring, JSON/JSONL exporters over the workspace's one JSON module
+//! ([`json`]), and leveled logging for binaries.
 //!
 //! Three properties drive the design:
 //!
@@ -48,6 +49,7 @@
 pub mod critical_path;
 pub mod event;
 pub mod export;
+pub mod json;
 pub mod log;
 pub mod metrics;
 pub mod trace;
@@ -62,7 +64,7 @@ pub use log::Level;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use trace::{SpanId, SpanKind, Tracer};
 
-use export::{push_event_json, push_json_f64, push_json_str};
+use export::push_event_json;
 use metrics::HistogramCells;
 
 /// Default flight-recorder capacity (events retained before the oldest are
@@ -480,87 +482,34 @@ impl Recorder {
             retained,
             self.evicted()
         ));
-        out.push_str("    \"by_kind\": {");
-        for (i, (kind, n)) in by_kind.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n      ");
-            push_json_str(&mut out, kind);
-            out.push_str(&format!(": {n}"));
-        }
-        if !by_kind.is_empty() {
-            out.push_str("\n    ");
-        }
-        out.push_str("},\n");
-        out.push_str("    \"evicted_by_kind\": {");
-        let dropped = self.evicted_by_kind();
-        for (i, (kind, n)) in dropped.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n      ");
-            push_json_str(&mut out, kind);
-            out.push_str(&format!(": {n}"));
-        }
-        if !dropped.is_empty() {
-            out.push_str("\n    ");
-        }
-        out.push_str("}\n  },\n");
+        let count = |out: &mut String, n: u64| out.push_str(&n.to_string());
+        push_map(&mut out, "    ", "by_kind", by_kind, count);
+        out.push_str(",\n");
+        push_map(&mut out, "    ", "evicted_by_kind", self.evicted_by_kind(), count);
+        out.push_str("\n  },\n");
 
         let reg = self.inner.registry.lock().expect("telemetry registry poisoned");
-
-        out.push_str("  \"counters\": {");
-        for (i, (name, cell)) in reg.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            push_json_str(&mut out, name);
-            out.push_str(&format!(": {}", cell.load(Ordering::Relaxed)));
-        }
-        if !reg.counters.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n");
-
-        out.push_str("  \"gauges\": {");
-        for (i, (name, cell)) in reg.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            push_json_str(&mut out, name);
-            out.push_str(": ");
-            push_json_f64(&mut out, f64::from_bits(cell.load(Ordering::Relaxed)));
-        }
-        if !reg.gauges.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n");
-
-        out.push_str("  \"histograms\": {");
-        for (i, (name, cells)) in reg.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            push_json_str(&mut out, name);
+        push_map(&mut out, "  ", "counters", &reg.counters, |out, cell| {
+            count(out, cell.load(Ordering::Relaxed));
+        });
+        out.push_str(",\n");
+        push_map(&mut out, "  ", "gauges", &reg.gauges, |out, cell| {
+            json::push_f64(out, f64::from_bits(cell.load(Ordering::Relaxed)));
+        });
+        out.push_str(",\n");
+        push_map(&mut out, "  ", "histograms", &reg.histograms, |out, cells| {
             let s = Histogram {
                 enabled: self.inner.enabled.clone(),
                 cells: cells.clone(),
             }
             .snapshot();
             out.push_str(&format!(
-                ": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
+                "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
                  \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
                 s.count, s.sum, s.min, s.max, s.p50, s.p90, s.p99
             ));
-        }
-        if !reg.histograms.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("}\n}\n");
+        });
+        out.push_str("\n}\n");
         out
     }
 
@@ -581,6 +530,31 @@ impl Recorder {
     pub fn write_jsonl(&self, path: &str) -> std::io::Result<()> {
         std::fs::write(path, self.to_jsonl())
     }
+}
+
+/// Appends `"name": {`, one `"key": value` line per entry two spaces
+/// further in, and the closing `}` — on the opening line when the map is
+/// empty. The separator after it is the caller's.
+fn push_map<K: AsRef<str>, V>(
+    out: &mut String,
+    indent: &str,
+    name: &str,
+    entries: impl IntoIterator<Item = (K, V)>,
+    mut push_value: impl FnMut(&mut String, V),
+) {
+    out.push_str(&format!("{indent}\"{name}\": {{"));
+    let mut separator = "";
+    for (key, value) in entries {
+        out.push_str(&format!("{separator}\n{indent}  "));
+        json::push_str(out, key.as_ref());
+        out.push_str(": ");
+        push_value(out, value);
+        separator = ",";
+    }
+    if !separator.is_empty() {
+        out.push_str(&format!("\n{indent}"));
+    }
+    out.push('}');
 }
 
 #[cfg(test)]
@@ -795,17 +769,62 @@ mod tests {
         assert!(js_a.contains("\"decision\": 1"));
     }
 
+    /// The snapshot's layout, byte for byte, at the edges of its map
+    /// sections: none empty-handed (`{}` on one line), one entry, two.
     #[test]
-    fn snapshot_is_valid_enough_json() {
-        // Cheap structural check: balanced braces, no trailing commas.
-        let rec = Recorder::new();
+    fn snapshot_matches_its_literal_layout() {
+        assert_eq!(
+            Recorder::new().snapshot_json(),
+            r#"{
+  "version": 1,
+  "events": {
+    "recorded": 0,
+    "retained": 0,
+    "evicted": 0,
+    "by_kind": {},
+    "evicted_by_kind": {}
+  },
+  "counters": {},
+  "gauges": {},
+  "histograms": {}
+}
+"#
+        );
+        let rec = Recorder::with_capacity(1);
         rec.enable();
-        rec.counter("a").inc();
-        let js = rec.snapshot_json();
-        let opens = js.matches('{').count();
-        let closes = js.matches('}').count();
-        assert_eq!(opens, closes);
-        assert!(!js.contains(",\n}"));
-        assert!(!js.contains(",}"));
+        rec.counter("c\"x").add(3);
+        let _ = rec.counter("d");
+        rec.gauge("g").set(-0.25);
+        rec.histogram("h").record(150);
+        rec.record(1, EventKind::SchedulerQueue { depth: 1 });
+        rec.record(2, EventKind::Mark { id: 0, value: 0 });
+        assert_eq!(
+            rec.snapshot_json(),
+            r#"{
+  "version": 1,
+  "events": {
+    "recorded": 2,
+    "retained": 1,
+    "evicted": 1,
+    "by_kind": {
+      "mark": 1
+    },
+    "evicted_by_kind": {
+      "scheduler_queue": 1
+    }
+  },
+  "counters": {
+    "c\"x": 3,
+    "d": 0
+  },
+  "gauges": {
+    "g": -0.25
+  },
+  "histograms": {
+    "h": {"count": 1, "sum": 150, "min": 150, "max": 150, "p50": 144, "p90": 144, "p99": 144}
+  }
+}
+"#
+        );
     }
 }
