@@ -28,7 +28,8 @@
 //! half of all the engine's lock acquisitions when it took the lock — reads
 //! it without locking. Only `run_until` writes it, with the store lock held,
 //! so whoever holds the lock reads the exact value; the word publishes no
-//! other data, hence `Relaxed`.
+//! other data, hence `Relaxed`. So is the insertion sequence number, which
+//! [`Sim::reserve_seq`] takes without the lock for [`Sim::file_target`].
 //!
 //! # Zero-allocation scheduling
 //!
@@ -125,7 +126,6 @@ enum EventKind {
 }
 
 struct SimInner {
-    seq: u64,
     executed: u64,
     /// Next per-simulation connection id (deterministic per seed).
     next_conn_id: u64,
@@ -143,6 +143,8 @@ struct SimInner {
 struct Engine {
     /// The clock, in nanoseconds (see the module documentation).
     now: AtomicU64,
+    /// The next insertion sequence number (see the module documentation).
+    seq: AtomicU64,
     store: Mutex<SimInner>,
     seeds: SeedSource,
     recorder: Recorder,
@@ -173,8 +175,8 @@ impl Sim {
     pub fn new(seed: u64) -> Self {
         Sim(Arc::new(Engine {
             now: AtomicU64::new(SimTime::ZERO.as_nanos()),
+            seq: AtomicU64::new(0),
             store: Mutex::new(SimInner {
-                seq: 0,
                 executed: 0,
                 next_conn_id: 1,
                 now_lane: VecDeque::new(),
@@ -232,20 +234,38 @@ impl Sim {
         self.0.seeds.stream(name)
     }
 
-    /// Stamps and stores one event: the now lane if due immediately, the
-    /// wheel otherwise. Past times clamp to the current clock.
-    fn schedule_event(&self, at: SimTime, event: EventKind) {
+    /// Stamps and stores one event under `seq` (the next number if `None`): the
+    /// now lane if due immediately, the wheel otherwise. Past times clamp.
+    fn schedule_event(&self, at: SimTime, seq: Option<u64>, event: EventKind) {
         let _scope = memscope::enter(memscope::SCOPE_ENGINE);
         let mut inner = self.0.store.lock();
         let now = self.now();
         let at = at.max(now);
-        let seq = inner.seq;
-        inner.seq += 1;
+        let seq = seq.unwrap_or_else(|| self.0.seq.fetch_add(1, Ordering::Relaxed));
         if at == now {
             inner.now_lane.push_back(event);
         } else {
             inner.wheel.insert(at, seq, event);
         }
+    }
+
+    /// Takes the next sequence number as scheduling would: no store, no lock.
+    pub(crate) fn reserve_seq(&self) -> u64 {
+        self.0.seq.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// [`Self::schedule_target_at`] under `seq`, [reserved](Self::reserve_seq)
+    /// earlier, consuming none. `at` must lie ahead: the now lane is ordered
+    /// by arrival, not by number.
+    pub(crate) fn file_target(
+        &self,
+        at: SimTime,
+        seq: u64,
+        target: Arc<dyn EventTarget>,
+        token: u64,
+    ) {
+        debug_assert!(at > self.now(), "a reserved number filed for now");
+        self.schedule_event(at, Some(seq), EventKind::Target { target, token });
     }
 
     /// Schedules `f` to run at absolute time `at`.
@@ -257,7 +277,7 @@ impl Sim {
     where
         F: FnOnce(&Sim) + Send + 'static,
     {
-        self.schedule_event(at, EventKind::Closure(Box::new(f)));
+        self.schedule_event(at, None, EventKind::Closure(Box::new(f)));
     }
 
     /// Schedules `f` to run after `delay` of virtual time.
@@ -274,7 +294,7 @@ impl Sim {
     /// [`Sim::schedule_at`] — but without allocating: the only per-event
     /// cost is an `Arc` clone held inline in the event store.
     pub fn schedule_target_at(&self, at: SimTime, target: Arc<dyn EventTarget>, token: u64) {
-        self.schedule_event(at, EventKind::Target { target, token });
+        self.schedule_event(at, None, EventKind::Target { target, token });
     }
 
     /// Schedules `target` to [`fire`](EventTarget::fire) with `token` after
@@ -297,6 +317,7 @@ impl Sim {
     ) {
         self.schedule_event(
             at,
+            None,
             EventKind::PacketHop {
                 net,
                 pkt,
@@ -625,6 +646,67 @@ mod tests {
         fn on_packet(&self, net: &crate::network::Network, _pkt: crate::packet::Packet) {
             self.0.lock().push((net.now(), 0));
         }
+    }
+
+    /// Token 1 filed at `at` under a number reserved at time zero, token 2
+    /// scheduled for `at` after the reservation; the clock runs to `midway`
+    /// between storing the one stored first (`filed_first` picks which) and
+    /// the other.
+    fn reserved_and_later(at: SimTime, midway: SimTime, filed_first: bool) -> Vec<(SimTime, u64)> {
+        let sim = Sim::new(0);
+        let log = Arc::new(Arrivals::default());
+        let seq = sim.reserve_seq();
+        let store = |filed: bool| {
+            if filed {
+                sim.file_target(at, seq, log.clone(), 1);
+            } else {
+                sim.schedule_target_at(at, log.clone(), 2);
+            }
+        };
+        store(filed_first);
+        sim.run_until(midway);
+        store(!filed_first);
+        sim.run_until(SimTime::MAX);
+        let arrivals = log.0.lock().clone();
+        arrivals
+    }
+
+    #[test]
+    fn a_reserved_number_runs_before_later_events_of_its_nanosecond() {
+        let near = SimTime::from_micros(5);
+        // 50 ms is a coarse wheel slot from time zero, one tick from there.
+        let far = SimTime::from_millis(50);
+        let just_before_far = SimTime::from_nanos(far.as_nanos() - 10_000);
+        // Past the wheel's span: the overflow heap.
+        let beyond = SimTime::from_nanos(1 << 47);
+        for (at, midway, filed_first) in [
+            (near, SimTime::ZERO, true),
+            (near, SimTime::ZERO, false),
+            // Whichever was stored first cascades into the slot the other
+            // went to directly.
+            (far, just_before_far, true),
+            (far, just_before_far, false),
+            (beyond, SimTime::ZERO, true),
+            (beyond, SimTime::ZERO, false),
+        ] {
+            let got = reserved_and_later(at, midway, filed_first);
+            assert_eq!(got, [(at, 1), (at, 2)], "at {at:?}, filed first: {filed_first}");
+        }
+    }
+
+    #[test]
+    fn reserving_consumes_a_number_and_stores_nothing() {
+        let sim = Sim::new(0);
+        let log = Arc::new(Arrivals::default());
+        let at = SimTime::from_millis(1);
+        sim.schedule_target_at(at, log.clone(), 1);
+        let skipped = sim.reserve_seq();
+        sim.schedule_target_at(at, log.clone(), 3);
+        assert_eq!(sim.events_pending(), 2);
+        sim.file_target(at, skipped, log.clone(), 2);
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(*log.0.lock(), [1, 2, 3].map(|token| (at, token)));
+        assert_eq!(sim.events_executed(), 3);
     }
 
     #[test]

@@ -77,6 +77,10 @@ pub(crate) trait Protocol: PartialEq + Send + Sized + 'static {
     /// discipline: an armed timer is never cancelled, so stale firings are
     /// normal.
     fn on_timer(stack: &Arc<FlowStack<Self>>, h: Handle<Self::Flow>, kind: u64, aux: u32);
+    /// The flow's [`FlowTimer`] of `kind`, for a protocol that keeps any.
+    fn timer(_flow: &mut Self::Flow, _kind: u64) -> &mut FlowTimer {
+        unreachable!("no timer of this protocol reserves")
+    }
     /// The flow is abandoned (its last application handle dropped, or its
     /// peer dialled again): close it in place and free its buffers (the
     /// slot itself lingers in the slab).
@@ -109,8 +113,9 @@ pub(crate) fn release_drained<T>(q: &mut VecDeque<T>) {
 
 /// Timer-token layout: `kind(3) | slot-index(29) | aux(32)`. The kinds and
 /// the meaning of `aux` belong to the protocol; the slot index alone names
-/// the flow, because flow slots are never removed. Every armed timer is one
-/// engine event carrying its token.
+/// the flow, because flow slots are never removed. A pending timer is an
+/// engine event carrying its token: one per [`Action::Arm`], at most one
+/// per [`FlowTimer`] however often it is re-armed.
 const TOKEN_KIND_SHIFT: u32 = 61;
 const TOKEN_IDX_SHIFT: u32 = 32;
 const TOKEN_IDX_MASK: u64 = (1 << 29) - 1;
@@ -151,8 +156,68 @@ pub(crate) enum Action<W> {
     Connected,
     Writable,
     Closed(CloseReason),
-    /// Arm the flow's timer of `kind` to come due after `delay`.
+    /// Arm the flow's timer of `kind` to come due after `delay`: one event.
     Arm { kind: u64, delay: Duration, aux: u32 },
+    /// A [`FlowTimer`] moved its deadline to `at` behind a pending event:
+    /// take the number an `Arm` would have taken, and report it.
+    Reserve { kind: u64, at: SimTime },
+    /// File a [`FlowTimer`]'s event at `at` under `seq`, reserved earlier.
+    Refile { kind: u64, at: SimTime, seq: u64 },
+}
+
+/// A per-flow timer that keeps one pending engine event however often it is
+/// re-armed, yet comes due where one event per arm would have: at
+/// `(deadline, n)`, `n` the sequence number of the first arm that set the
+/// deadline. An arm to a later deadline files nothing and only takes its
+/// number ([`Action::Reserve`]); the event pending before the deadline,
+/// firing early, files the deadline's under that number ([`Action::Refile`]).
+/// Nothing is cancelled: the handler's own checks make surplus firings no-ops.
+pub(crate) struct FlowTimer {
+    deadline: SimTime,
+    /// `COVERED` while an event is pending at exactly `deadline`, else the
+    /// number of the first arm that set it (`UNREPORTED` until reported).
+    seq: u64,
+}
+
+const COVERED: u64 = u64::MAX;
+const UNREPORTED: u64 = u64::MAX - 1;
+
+impl FlowTimer {
+    pub(crate) const IDLE: FlowTimer = FlowTimer { deadline: SimTime::ZERO, seq: COVERED };
+
+    /// Arms the timer of `kind` for `delay` after `now`: the action to perform.
+    pub(crate) fn arm<W>(&mut self, kind: u64, now: SimTime, delay: Duration) -> Action<W> {
+        let at = now + delay;
+        // A deadline still ahead has an event pending at or before it.
+        let file = at < self.deadline || self.deadline <= now;
+        if at != self.deadline {
+            (self.deadline, self.seq) = (at, UNREPORTED);
+        }
+        if file {
+            self.seq = COVERED;
+            Action::Arm { kind, delay, aux: 0 }
+        } else {
+            Action::Reserve { kind, at }
+        }
+    }
+
+    /// The number an arm for `at` took; dropped if the deadline moved on.
+    fn reserved(&mut self, at: SimTime, seq: u64) {
+        if at == self.deadline && self.seq != COVERED {
+            self.seq = self.seq.min(seq);
+        }
+    }
+
+    /// An event of this timer fired at `now`: whether the deadline is
+    /// reached. An early one files the deadline's event if none is there.
+    pub(crate) fn fired<W>(&mut self, kind: u64, now: SimTime, out: &mut Vec<Action<W>>) -> bool {
+        if now < self.deadline && self.seq != COVERED {
+            debug_assert!(self.seq != UNREPORTED, "the deadline's number was never reported");
+            out.push(Action::Refile { kind, at: self.deadline, seq: self.seq });
+            self.seq = COVERED;
+        }
+        now >= self.deadline
+    }
 }
 
 /// A port with a registered [`StreamAccept`] handler plus the flows it has
@@ -221,12 +286,6 @@ impl<P: Protocol> FlowStack<P> {
                 actions: Vec::new(),
             }),
         })
-    }
-
-    /// Arms a per-flow timer: one engine event, never cancelled — a firing
-    /// the flow has since superseded is told apart by the protocol.
-    fn arm_timer(&self, at: SimTime, tok: u64) {
-        self.sim.schedule_target_at(at, self.timers.clone(), tok);
     }
 
     /// Interns `cfg`, returning its table id.
@@ -321,9 +380,9 @@ impl<P: Protocol> FlowStack<P> {
         let actions = &mut inner.actions;
         // Only clone the handler out when an action will actually notify
         // the application.
-        let needs_events = actions
-            .iter()
-            .any(|a| !matches!(a, Action::Send(_) | Action::Arm { .. }));
+        let needs_events = actions.iter().any(|a| {
+            matches!(a, Action::Deliver(_) | Action::Connected | Action::Writable | Action::Closed(_))
+        });
         let mut few: [Option<Action<P::Wire>>; INLINE_ACTIONS] = [const { None }; INLINE_ACTIONS];
         let mut many = Vec::new();
         if actions.len() <= INLINE_ACTIONS {
@@ -360,7 +419,17 @@ impl<P: Protocol> FlowStack<P> {
                     }
                 }
                 (Action::Arm { kind, delay, aux }, _) => {
-                    self.arm_timer(self.sim.now() + delay, token(kind, h, aux));
+                    let at = self.sim.now() + delay;
+                    self.sim.schedule_target_at(at, self.timers.clone(), token(kind, h, aux));
+                }
+                (Action::Reserve { kind, at }, _) => {
+                    let seq = self.sim.reserve_seq();
+                    let mut inner = self.inner.lock();
+                    let flow = inner.flows.get_mut(h).expect("flow slots are never removed");
+                    P::timer(flow, kind).reserved(at, seq);
+                }
+                (Action::Refile { kind, at, seq }, _) => {
+                    self.sim.file_target(at, seq, self.timers.clone(), token(kind, h, 0));
                 }
                 (Action::Deliver(data), Some((ev, conn))) => ev.on_data(conn, data),
                 (Action::Connected, Some((ev, conn))) => ev.on_connected(conn),
@@ -857,14 +926,15 @@ mod tests {
         let w = World::<P>::new();
         // Two dials at the same instant: every timer of the second comes due
         // in the same nanosecond as one of the first's, and is an engine
-        // event of its own all the same.
+        // event of its own all the same (a flow's first arm of a timer
+        // always files one; only re-arms behind a pending event do not).
         let e0 = w.sim.events_pending();
         let first = w.dial(BLACK_HOLE, Arc::new(SinkEvents));
         let e1 = w.sim.events_pending();
         let second = w.dial(BLACK_HOLE, Arc::new(SinkEvents));
         let e2 = w.sim.events_pending();
         assert!(e1 - e0 > 1, "an opening packet and at least one timer");
-        assert_eq!(e2 - e1, e1 - e0, "exactly one engine event per arm");
+        assert_eq!(e2 - e1, e1 - e0, "the same engine events for each dial");
 
         // Nothing answers, so what follows the opening packets are timer
         // firings: at every shared instant the first dial's retry goes first.

@@ -254,12 +254,12 @@ pub(crate) struct Flow {
     srtt: Option<f64>,
     rttvar: f64,
     rto: Duration,
-    /// An RTO timer is outstanding. Re-arming moves `rto_deadline` forward;
-    /// a firing older than the deadline is stale and ignored (every arm also
-    /// schedules an event at exactly the new deadline, so the live deadline
-    /// is always covered).
+    /// An RTO timer is outstanding. Re-arming moves `rto_timer`'s deadline;
+    /// a firing before the deadline is stale and ignored (the timer keeps
+    /// an event pending at or before the deadline, so the live deadline is
+    /// always covered).
     rto_armed: bool,
-    rto_deadline: SimTime,
+    rto_timer: flowstack::FlowTimer,
     /// The flow's congestion controller (built from `cfg.cc`); owns all
     /// algorithm-private state, while `cwnd`/`ssthresh` stay here for the
     /// send path.
@@ -284,8 +284,10 @@ pub(crate) struct Flow {
     ooo_bytes: usize,
     ts_recent: Option<SimTime>,
     delack_pending: u32,
-    delack_deadline: SimTime,
-    peer_fin_seq: Option<u64>,
+    delack_timer: flowstack::FlowTimer,
+    /// Where the peer's FIN sits in its sequence space; `u64::MAX` until one
+    /// arrives.
+    peer_fin_seq: u64,
     fin_received: bool,
 
     // --- notifications ---
@@ -317,7 +319,7 @@ impl Flow {
             rttvar: 0.0,
             rto: Duration::from_secs(1),
             rto_armed: false,
-            rto_deadline: SimTime::ZERO,
+            rto_timer: flowstack::FlowTimer::IDLE,
             cc: cc::build(&cfg.cc),
             pacer_armed: false,
             pacer_deadline: SimTime::ZERO,
@@ -333,8 +335,8 @@ impl Flow {
             ooo_bytes: 0,
             ts_recent: None,
             delack_pending: 0,
-            delack_deadline: SimTime::ZERO,
-            peer_fin_seq: None,
+            delack_timer: flowstack::FlowTimer::IDLE,
+            peer_fin_seq: u64::MAX,
             fin_received: false,
             app_blocked: false,
             connected_notified: false,
@@ -357,10 +359,6 @@ fn my_wnd(flow: &Flow, cfg: &TcpConfig) -> u64 {
 
 type Action = flowstack::Action<TcpSegment>;
 
-fn arm(kind: u64, delay: Duration) -> Action {
-    Action::Arm { kind, delay, aux: 0 }
-}
-
 /// Every TCP flow on a network (see [`FlowStack`]).
 type TcpStack = FlowStack<TcpConfig>;
 
@@ -368,9 +366,10 @@ impl TcpStack {
     fn on_rto_fired(self: &Arc<Self>, h: Handle<Flow>) {
         self.process(h, |flow, cfg, rec, now, out| {
             // Deadline check replaces the old generation counter: every
-            // re-arm moves the deadline forward and schedules an event at
-            // exactly the new deadline, so an early firing is always stale.
-            if !flow.rto_armed || now < flow.rto_deadline || flow.state == State::Closed {
+            // re-arm moves the deadline and the timer keeps an event pending
+            // at or before it, so an early firing is always stale.
+            let due = flow.state != State::Closed && flow.rto_timer.fired(KIND_RTO, now, out);
+            if !due || !flow.rto_armed {
                 return;
             }
             flow.rto_armed = false;
@@ -438,10 +437,8 @@ impl TcpStack {
 
     fn on_delack_fired(self: &Arc<Self>, h: Handle<Flow>) {
         self.process(h, |flow, cfg, _rec, now, out| {
-            if flow.delack_pending == 0
-                || now < flow.delack_deadline
-                || flow.state == State::Closed
-            {
+            let due = flow.state != State::Closed && flow.delack_timer.fired(KIND_DELACK, now, out);
+            if !due || flow.delack_pending == 0 {
                 return;
             }
             flow.delack_pending = 0;
@@ -609,6 +606,14 @@ impl Protocol for TcpConfig {
         }
     }
 
+    fn timer(flow: &mut Flow, kind: u64) -> &mut flowstack::FlowTimer {
+        match kind {
+            KIND_RTO => &mut flow.rto_timer,
+            KIND_DELACK => &mut flow.delack_timer,
+            _ => unreachable!("only the RTO and the delayed ACK reserve"),
+        }
+    }
+
     fn kill(flow: &mut Flow, rec: &Recorder, now: SimTime) {
         flow.state = State::Closed;
         flow.rto_armed = false;
@@ -754,8 +759,7 @@ fn compute_holes(flow: &Flow) -> Vec<(u64, u64)> {
 
 fn arm_rto(flow: &mut Flow, now: SimTime, out: &mut Vec<Action>) {
     flow.rto_armed = true;
-    flow.rto_deadline = now + flow.rto;
-    out.push(arm(KIND_RTO, flow.rto));
+    out.push(flow.rto_timer.arm(KIND_RTO, now, flow.rto));
 }
 
 /// Schedules a pacer wake-up at the flow's next pacing gate (rate-based
@@ -767,7 +771,8 @@ fn arm_pacer(flow: &mut Flow, now: SimTime, out: &mut Vec<Action>) {
     }
     flow.pacer_armed = true;
     flow.pacer_deadline = flow.pacer_next;
-    out.push(arm(KIND_PACER, flow.pacer_next.duration_since(now)));
+    let delay = flow.pacer_next.duration_since(now);
+    out.push(Action::Arm { kind: KIND_PACER, delay, aux: 0 });
 }
 
 fn disarm_rto(flow: &mut Flow) {
@@ -989,7 +994,7 @@ fn receive_data(
 ) {
     let plen = seg.payload.len();
     if seg.flags.fin {
-        flow.peer_fin_seq = Some(seg.seq + plen as u64);
+        flow.peer_fin_seq = seg.seq + plen as u64;
     }
     let seq = seg.seq;
     if plen > 0 {
@@ -1025,12 +1030,10 @@ fn receive_data(
             schedule_ack(flow, cfg, now, out, true);
         }
     }
-    if let Some(fin_seq) = flow.peer_fin_seq {
-        if flow.rcv_nxt == fin_seq && !flow.fin_received {
-            flow.fin_received = true;
-            flow.rcv_nxt += 1;
-            schedule_ack(flow, cfg, now, out, true);
-        }
+    if flow.rcv_nxt == flow.peer_fin_seq && !flow.fin_received {
+        flow.fin_received = true;
+        flow.rcv_nxt += 1;
+        schedule_ack(flow, cfg, now, out, true);
     }
 }
 
@@ -1048,8 +1051,7 @@ fn schedule_ack(
         out.push(Action::Send(pure_ack(flow, cfg, now)));
     } else {
         flow.delack_pending += 1;
-        flow.delack_deadline = now + cfg.delack_timeout;
-        out.push(arm(KIND_DELACK, cfg.delack_timeout));
+        out.push(flow.delack_timer.arm(KIND_DELACK, now, cfg.delack_timeout));
     }
 }
 
@@ -1346,7 +1348,8 @@ mod tests {
     use crate::network::Network;
     use crate::packet::{Endpoint, NodeId};
     use crate::link::LinkConfig;
-    use crate::testutil::{PatternSender, Recorder, SinkEvents};
+    use crate::testutil::{CollectingTracer, PatternSender, Recorder, SinkEvents};
+    use crate::trace::PacketEvent;
 
     fn setup(link: LinkConfig) -> (Sim, Network, NodeId, NodeId) {
         let sim = Sim::new(11);
@@ -1610,7 +1613,7 @@ mod tests {
     /// `segments` full segments written into it: they sit unacknowledged at
     /// sequence numbers 1, 1 + MSS, … for the tests below to acknowledge,
     /// report missing or time out by hand.
-    fn dark_flow(segments: u64) -> (Sim, TcpListener, TcpConn) {
+    fn dark_flow(segments: u64) -> (Sim, Network, TcpConn) {
         let sim = Sim::new(11);
         let net = Network::new(&sim);
         let a = net.add_node("a");
@@ -1619,7 +1622,7 @@ mod tests {
         let accept = Arc::new(AcceptRecorder {
             rec: Arc::new(Recorder::default()),
         });
-        let listener = TcpListener::bind(&net, b, 80, TcpConfig::default(), accept).unwrap();
+        TcpListener::bind(&net, b, 80, TcpConfig::default(), accept).unwrap();
         let client = Arc::new(Recorder::default());
         let conn =
             TcpConn::connect(&net, a, Endpoint::new(b, 80), TcpConfig::default(), client).unwrap();
@@ -1631,7 +1634,7 @@ mod tests {
         assert_eq!(conn.send(Bytes::from(vec![7u8; len])), len);
         let seqs: Vec<u64> = (0..segments).map(|i| 1 + i * MSS).collect();
         assert_eq!(conn.peek(|f, _| f.sent_seqs()), Some(seqs));
-        (sim, listener, conn)
+        (sim, net, conn)
     }
 
     /// What the silent peer would have said: a pure ACK.
@@ -1645,7 +1648,7 @@ mod tests {
 
     #[test]
     fn ack_inside_a_segment_releases_it() {
-        let (_sim, _listener, conn) = dark_flow(3);
+        let (_sim, _net, conn) = dark_flow(3);
         conn.stack.handle_segment(conn.h, forged_ack(1 + MSS + 10));
         // Every segment that starts below the ACK goes, the second with
         // only ten of its bytes acknowledged; release is counted in whole
@@ -1661,7 +1664,7 @@ mod tests {
 
     #[test]
     fn holes_mark_exactly_the_segments_starting_in_range() {
-        let (_sim, _listener, conn) = dark_flow(5);
+        let (_sim, _net, conn) = dark_flow(5);
         let lost_after = |holes: &[(u64, u64)]| {
             conn.stack.process(conn.h, |flow, cfg, rec, now, _out| {
                 note_holes(flow, cfg, rec, holes, now);
@@ -1683,7 +1686,7 @@ mod tests {
 
     #[test]
     fn rto_marks_every_unacknowledged_segment_lost_in_ascending_order() {
-        let (sim, _listener, conn) = dark_flow(4);
+        let (sim, _net, conn) = dark_flow(4);
         // The first timeout (200 ms after the write) and not yet the second.
         sim.run_for(Duration::from_millis(250));
         assert_eq!(conn.stats().timeouts, 1);
@@ -1700,6 +1703,111 @@ mod tests {
             conn.peek(|f, _| f.lost_seqs()),
             Some(vec![1 + 2 * MSS, 1 + 3 * MSS])
         );
+    }
+
+    /// Re-arms the RTO from now, as an acknowledgement of new data would.
+    fn rearm_rto(conn: &TcpConn) {
+        conn.stack.process(conn.h, |flow, _cfg, _rec, now, out| arm_rto(flow, now, out));
+    }
+
+    #[test]
+    fn rearming_a_pending_timer_later_adds_no_event_and_earlier_adds_one() {
+        let (sim, _net, conn) = dark_flow(1);
+        sim.run_for(Duration::from_millis(10));
+        let before = sim.events_pending();
+        rearm_rto(&conn);
+        assert_eq!(sim.events_pending(), before, "only the deadline moves");
+        conn.stack.process(conn.h, |flow, _cfg, _rec, now, out| {
+            flow.rto = Duration::from_millis(50);
+            arm_rto(flow, now, out);
+        });
+        assert_eq!(sim.events_pending(), before + 1, "an earlier deadline files one event");
+        sim.run_for(Duration::from_millis(50));
+        assert_eq!(conn.stats().timeouts, 1);
+    }
+
+    #[test]
+    fn rto_fires_exactly_at_the_last_deadline_of_a_silent_peer() {
+        let (sim, _net, conn) = dark_flow(1);
+        // Each re-arm pushes the deadline past the event already pending.
+        for _ in 0..3 {
+            sim.run_for(Duration::from_millis(70));
+            rearm_rto(&conn);
+        }
+        let rto = conn.peek(|f, _| f.rto).expect("live flow");
+        let deadline = (sim.now() + rto).as_nanos();
+        sim.run_until(SimTime::from_nanos(deadline - 1));
+        assert_eq!(conn.stats().timeouts, 0);
+        sim.run_until(SimTime::from_nanos(deadline));
+        assert_eq!(conn.stats().timeouts, 1);
+    }
+
+    #[test]
+    fn a_cancelled_delayed_ack_stays_silent() {
+        let (sim, net, conn) = dark_flow(0);
+        let data = |seq| TcpSegment {
+            payload: Bytes::from_static(&[1; 10]),
+            ..forged_ack(seq)
+        };
+        let sent = net.stats().sent;
+        conn.stack.handle_segment(conn.h, data(1));
+        sim.run_for(Duration::from_millis(100));
+        assert_eq!(net.stats().sent, sent + 1, "the delayed ACK of a lone segment");
+        // The second segment is acknowledged at once, cancelling the
+        // delayed ACK the first armed.
+        conn.stack.handle_segment(conn.h, data(11));
+        conn.stack.handle_segment(conn.h, data(21));
+        let sent = net.stats().sent;
+        sim.run_for(Duration::from_millis(100));
+        assert_eq!(net.stats().sent, sent);
+    }
+
+    #[test]
+    fn same_instant_rearms_retransmit_in_arming_order() {
+        let sim = Sim::new(11);
+        let net = Network::new(&sim);
+        let a = net.add_node("a");
+        let b = net.add_node("b");
+        let (ab, ba) = net.connect_duplex(a, b, LinkConfig::new(10e6, Duration::from_millis(5)));
+        let tracer = Arc::new(CollectingTracer::default());
+        net.set_tracer(tracer.clone());
+        let accept = Arc::new(AcceptRecorder { rec: Arc::new(Recorder::default()) });
+        let _listener = TcpListener::bind(&net, b, 80, TcpConfig::default(), accept).unwrap();
+        let dial = || {
+            let events = Arc::new(SinkEvents);
+            TcpConn::connect(&net, a, Endpoint::new(b, 80), TcpConfig::default(), events).unwrap()
+        };
+        let (x, y) = (dial(), dial());
+        sim.run_for(Duration::from_millis(100));
+        assert!(x.is_established() && y.is_established());
+        net.link(ab).set_up(false);
+        net.link(ba).set_up(false);
+        // Both RTOs armed at one instant with one RTO, `x`'s first; then
+        // re-armed at the same instants, `y`'s first.
+        for conn in [&x, &y] {
+            assert_eq!(conn.send(Bytes::from(vec![7u8; MSS as usize])), MSS as usize);
+        }
+        for _ in 0..3 {
+            sim.run_for(Duration::from_millis(30));
+            rearm_rto(&y);
+            rearm_rto(&x);
+        }
+        let quiet = sim.now();
+        sim.run_for(Duration::from_secs(5));
+        let mut retransmits: Vec<(SimTime, Vec<u16>)> = Vec::new();
+        for r in tracer.records() {
+            if r.event != PacketEvent::Sent || r.time <= quiet {
+                continue;
+            }
+            match retransmits.last_mut() {
+                Some((at, ports)) if *at == r.time => ports.push(r.src.port),
+                _ => retransmits.push((r.time, vec![r.src.port])),
+            }
+        }
+        assert!(retransmits.len() > 2, "{retransmits:?}");
+        for (at, ports) in retransmits {
+            assert_eq!(ports, [y.local().port, x.local().port], "at {at:?}");
+        }
     }
 
     #[test]

@@ -17,15 +17,19 @@
 //! "find the next deadline" a handful of bit operations; entries in slots
 //! that become current *cascade* down to finer levels.
 //!
-//! Slot storage is plain `Vec`s whose allocations are recycled through a
-//! scratch buffer, so steady-state operation performs no allocation.
+//! Slot storage is plain `Vec`s, each keeping its own allocation (a
+//! cascade drains a slot in place), so steady-state operation performs no
+//! allocation and no slot inherits another's peak capacity.
 //!
 //! # Ordering contract
 //!
-//! Entries inserted with ascending `seq` are returned in ascending
-//! `(time, seq)` order by repeated [`TimingWheel::next_at`] /
-//! [`TimingWheel::pop_cohort`] calls, exactly matching a binary heap with a
-//! `(time, seq)` key. This is the determinism contract the simulation engine
+//! Entries with unique `seq`s are returned in ascending `(time, seq)` order
+//! by repeated [`TimingWheel::next_at`] / [`TimingWheel::pop_cohort`] calls,
+//! exactly matching a binary heap with a `(time, seq)` key — whatever order
+//! they were inserted in: an entry may arrive carrying a `seq` older than
+//! entries already held (the engine files a coalesced flow timer under a
+//! number reserved at its arm), and `pop_cohort` sorts each cohort by `seq`.
+//! This is the determinism contract the simulation engine
 //! relies on; `crates/netsim/tests/engine_determinism.rs` property-tests it
 //! against the heap-based [`reference`](crate::reference) implementation.
 //!
@@ -127,8 +131,6 @@ pub struct TimingWheel<T> {
     /// Current position, in ticks.
     elapsed: u64,
     len: usize,
-    /// Scratch buffer recycled across cascades and cohort pops.
-    scratch: Vec<WheelEntry<T>>,
 }
 
 impl<T> Default for TimingWheel<T> {
@@ -168,7 +170,6 @@ impl<T> TimingWheel<T> {
             overflow: BinaryHeap::new(),
             elapsed: 0,
             len: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -186,10 +187,11 @@ impl<T> TimingWheel<T> {
 
     /// Inserts an entry due at `at`.
     ///
-    /// `seq` must be strictly increasing across inserts for the `(time,
-    /// seq)` ordering contract to hold. Times at or before the wheel's
-    /// current position are treated as due at the earliest representable
-    /// future point (the engine clamps to "now" before inserting).
+    /// `seq` must be unique among pending entries for the `(time, seq)`
+    /// ordering contract to hold; it need not exceed theirs. Times at or
+    /// before the wheel's current position are treated as due at the
+    /// earliest representable future point (the engine clamps to "now"
+    /// before inserting).
     pub fn insert(&mut self, at: SimTime, seq: u64, value: T) {
         self.len += 1;
         self.place(WheelEntry { at, seq, value });
@@ -287,17 +289,17 @@ impl<T> TimingWheel<T> {
         }
     }
 
-    /// Redistributes one coarse slot's entries to finer levels. Strictly
-    /// decreases each entry's level, so cascading terminates.
+    /// Redistributes one coarse slot's entries to finer levels, then gives
+    /// the slot its emptied buffer back. Strictly decreases each entry's
+    /// level, so cascading terminates.
     fn cascade(&mut self, level: usize, slot: usize) {
         let lv = &mut self.levels[level];
         lv.occupied &= !(1 << slot);
-        std::mem::swap(&mut lv.slots[slot], &mut self.scratch);
-        let mut buf = std::mem::take(&mut self.scratch);
+        let mut buf = std::mem::take(&mut lv.slots[slot]);
         for entry in buf.drain(..) {
             self.place(entry);
         }
-        self.scratch = buf;
+        self.levels[level].slots[slot] = buf;
     }
 
     /// Removes every entry due exactly at `at` and appends them to `out` in
@@ -332,7 +334,8 @@ impl<T> TimingWheel<T> {
         }
         self.len -= out.len() - start;
         // Entries may arrive out of seq order when a cascade interleaved
-        // older entries with directly-inserted ones; seqs are unique.
+        // older entries with directly-inserted ones, or one was filed under
+        // a reserved number; seqs are unique.
         out[start..].sort_unstable_by_key(|e| e.seq);
     }
 
@@ -480,11 +483,13 @@ mod tests {
     fn matches_sorted_model_on_random_workload() {
         // Model-based check: interleave inserts and pops against a sorted
         // vector oracle, across a spread of magnitudes that exercises every
-        // level and the overflow heap.
+        // level and the overflow heap. Some numbers are reserved and used
+        // rounds later, so entries also arrive older than ones already held.
         let mut rng = crate::rng::SeedSource::new(0x77ee1).stream("wheel-model");
         let mut w = TimingWheel::new();
         let mut model: Vec<(u64, u64)> = Vec::new(); // (at, seq), kept sorted
         let mut seq = 0u64;
+        let mut reserved: Vec<u64> = Vec::new();
         let mut now = 0u64;
         let mut cohort = Vec::new();
         for round in 0..2_000 {
@@ -493,9 +498,21 @@ mod tests {
                 let exp = rng.gen_range(0..40u32);
                 let delta = rng.gen_range(1..=(1u64 << exp).max(1));
                 let at = now + delta;
-                w.insert(SimTime::from_nanos(at), seq, ());
-                model.push((at, seq));
+                let fresh = seq;
                 seq += 1;
+                let use_seq = match rng.gen_range(0..4) {
+                    0 => {
+                        reserved.push(fresh);
+                        continue;
+                    }
+                    1 if !reserved.is_empty() => {
+                        let i = rng.gen_range(0..reserved.len());
+                        reserved.swap_remove(i)
+                    }
+                    _ => fresh,
+                };
+                w.insert(SimTime::from_nanos(at), use_seq, ());
+                model.push((at, use_seq));
             }
             if round % 3 != 0 {
                 continue;

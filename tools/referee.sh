@@ -11,9 +11,12 @@
 # directory under work-dir (default: a fresh directory under $TMPDIR) —
 # nothing else is written. Given the two sides' kmsg-benchmark binaries
 # (benchmark/target/release/kmsg-benchmark of each checkout) as well, every
-# benchmark workload's per-repetition fingerprint is one more artifact
-# (+15 s). Prints one verdict line per artifact, and the first differing
-# line where one differs; exits non-zero on any difference.
+# benchmark workload's simulated figures and per-repetition fingerprints
+# are two more artifacts (+15 s): benchmark.sim holds only what is
+# simulated, so a change that moves nothing but the engine's event count
+# differs in benchmark.fingerprints alone. Prints one verdict line per
+# artifact, and the first differing line where one differs; exits non-zero
+# on any difference.
 set -u
 
 if [ $# -lt 2 ] || [ $# -eq 4 ] || [ $# -gt 5 ]; then
@@ -56,6 +59,22 @@ run() {
     sed -n -e 's/^== \([^ ]*\) ==.*/\1/p' \
         -e 's/^  [a-z].* fingerprint \([0-9a-f]*\)$/  \1/p' \
         benchmark.out >benchmark.fingerprints
+    # What is simulated, host time left out: per workload, each repetition's
+    # msgs/failed/verified/sim columns, then the JSON line's attempted and
+    # failed counts and simulated figures. The fingerprint also hashes the
+    # engine's event count; this does not.
+    while IFS= read -r line; do
+        case $line in
+        "== "*) echo "$line" | sed 's/^== \([^ ]*\) ==.*/\1/' ;;
+        "  warm-up "* | "  timed "*)
+            echo "$line" | sed -e 's/  setup .*  sim / sim /' -e 's/  fingerprint .*//' \
+                -e 's/^  \([a-z0-9 -]*[a-z0-9]\)  *msgs/  \1: msgs/' -e 's/\([^ ]\)  */\1 /g' ;;
+        "{"*)
+            echo "$line" | grep -oE -e '"(attempted|failed)": [0-9]+' \
+                -e '"(sim_[A-Za-z0-9_]+|wire_bytes_per_payload_byte)": \{"value": [^,}]+' |
+                sed -e 's/{"value": //' -e 's/^/  /' ;;
+        esac
+    done <benchmark.out >benchmark.sim
 }
 
 failed=0
@@ -65,7 +84,7 @@ run change "$change_bin" "${change_bench:-}"
 cd "$work" || exit 2
 for f in chaos.json chaos.jsonl reroute.json reroute.jsonl BENCH_reroute.json \
     BENCH_cc.json telemetry.json telemetry.jsonl fuzz.summary \
-    ${parent_bench:+benchmark.fingerprints}; do
+    ${parent_bench:+benchmark.sim benchmark.fingerprints}; do
     if [ ! -f "parent/$f" ] || [ ! -f "change/$f" ]; then
         echo "MISSING   $f"
         failed=1
