@@ -1,15 +1,20 @@
-//! The flow-stack core: everything a reliable stream transport needs that is
-//! not protocol logic, written once and shared by [`crate::tcp`] and
+//! The flow core: everything a reliable stream transport needs that is not
+//! protocol logic, written once and shared by [`crate::tcp`] and
 //! [`crate::udt`].
 //!
-//! All per-connection state of one protocol on one network lives in a single
-//! [`Slab`] inside a [`FlowStack`]; applications, packet demux and timers
-//! address flows by 8-byte generation-checked [`Handle`]s instead of `Arc`s.
-//! The stack is the [`PacketSink`] for every port of its protocol and its
-//! timers share one [`EventTarget`], so neither path allocates or touches a
-//! reference count per flow. A [`Protocol`] supplies the rest: config, wire
-//! type, the flow state machine, its timer kinds, how an open starts and
-//! what dying clears. See `DESIGN.md` §12.
+//! All per-connection state of one protocol on one network lives in a
+//! [`FlowTable`], a plain field of the fabric's state: the fabric's one lock
+//! guards links, routes, the packet pool, the port bindings and every flow.
+//! Applications, packet demux and timers address flows by 8-byte
+//! generation-checked [`Handle`]s instead of `Arc`s. A packet for a port
+//! bound to a table is demuxed and its flow stepped inside the hop event's
+//! lock scope ([`dispatch`]), a timer firing finds its slot and steps under one
+//! acquisition, and what a step asks for — packets, timers, callbacks — is
+//! carried out in order once the lock is released. A [`Protocol`] supplies
+//! the rest: config, wire type, the flow state machine as step functions that
+//! see one flow and never a lock, its timer kinds, how an open starts and
+//! what dying clears. Besides `network.rs` and `engine.rs`, this is the one
+//! netsim file that locks. See `DESIGN.md` §12.
 
 // `Conn` and `Listener` are public through the `TcpConn`/`UdtConn` aliases
 // while `Protocol` stays crate-private: outside the crate the type parameter
@@ -18,42 +23,47 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Weak};
+use std::marker::PhantomData;
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use kmsg_telemetry::Recorder;
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::MutexGuard;
 
 use crate::engine::{EventTarget, Sim};
 use crate::iface::{CloseReason, Connection, ConnectionId, StreamAccept, StreamEvents};
 use crate::memscope;
-use crate::network::{BindError, Network, PacketSink, Stacks, WeakNetwork};
+use crate::network::{BindError, Binding, NetInner, Network, WeakNetwork};
 use crate::packet::{Endpoint, NodeId, Packet, PacketBody, WireProtocol};
 use crate::slab::{FxHashMap, Handle, Slab};
 use crate::time::SimTime;
 
-/// What a stream transport supplies to run on a [`FlowStack`], implemented
-/// by the transport's config type — which so doubles as the protocol's name
-/// in `FlowStack<P>` and `Conn<P>`, and is interned per stack (flows store a
+/// What a stream transport supplies to run on the core, implemented by the
+/// transport's config type — which so doubles as the protocol's name in
+/// `FlowTable<P>` and `Conn<P>`, and is interned per table (flows store a
 /// `u16` id). Dispatch is static: each protocol monomorphises its own copy
 /// of the core.
+///
+/// The steps — `start_active`, `start_passive`, `on_wire`, `on_timer` — see
+/// one flow, its config, the recorder and the clock, and push what is to
+/// happen next onto `out`.
 pub(crate) trait Protocol: PartialEq + Send + Sized + 'static {
     /// Full per-flow state: one slab slot embedding a [`FlowHeader`].
     type Flow: Send;
     /// The packet body this protocol puts on the wire.
     type Wire: Send;
 
-    /// Wire protocol of every packet and port binding of this stack.
+    /// Wire protocol of every packet and port binding of this protocol.
     const WIRE: WireProtocol;
-    /// [`memscope`] tag for allocations made inside the stack.
+    /// [`memscope`] tag for allocations made by the protocol's steps.
     const SCOPE: usize;
     /// `Debug` names of the connection and listener handles.
     const CONN_NAME: &'static str;
     const LISTENER_NAME: &'static str;
 
-    /// This protocol's lazily created stack in the network's table.
-    fn slot(stacks: &mut Stacks) -> &mut Option<Arc<FlowStack<Self>>>;
+    /// This protocol's flow table in the fabric's state.
+    fn table(net: &mut NetInner) -> &mut FlowTable<Self>;
     /// A fresh flow in its opening state (`active`: this side dials).
     fn new_flow(hdr: FlowHeader, cfg: &Self, now: SimTime, active: bool) -> Self::Flow;
     fn hdr(flow: &Self::Flow) -> &FlowHeader;
@@ -67,16 +77,38 @@ pub(crate) trait Protocol: PartialEq + Send + Sized + 'static {
     /// listener for a passive open (anything else is a stray and ignored).
     fn opens(wire: &Self::Wire) -> bool;
     /// Starts an active open on a freshly registered flow.
-    fn start_active(stack: &Arc<FlowStack<Self>>, h: Handle<Self::Flow>);
+    fn start_active(flow: &mut Self::Flow, cfg: &Self, rec: &Recorder, now: SimTime, out: &mut Out<Self>);
     /// Starts a passive open with the packet that asked for it.
-    fn start_passive(stack: &Arc<FlowStack<Self>>, h: Handle<Self::Flow>, wire: Self::Wire);
+    fn start_passive(
+        flow: &mut Self::Flow,
+        cfg: &Self,
+        rec: &Recorder,
+        now: SimTime,
+        out: &mut Out<Self>,
+        wire: Self::Wire,
+    );
     /// A packet for an existing flow.
-    fn on_wire(stack: &Arc<FlowStack<Self>>, h: Handle<Self::Flow>, wire: Self::Wire);
+    fn on_wire(
+        flow: &mut Self::Flow,
+        cfg: &Self,
+        rec: &Recorder,
+        now: SimTime,
+        out: &mut Out<Self>,
+        wire: Self::Wire,
+    );
     /// A per-flow timer of `kind` (with the `aux` word it was armed with)
     /// came due. Handlers re-check their own armed-state/deadline
     /// discipline: an armed timer is never cancelled, so stale firings are
     /// normal.
-    fn on_timer(stack: &Arc<FlowStack<Self>>, h: Handle<Self::Flow>, kind: u64, aux: u32);
+    fn on_timer(
+        flow: &mut Self::Flow,
+        cfg: &Self,
+        rec: &Recorder,
+        now: SimTime,
+        out: &mut Out<Self>,
+        kind: u64,
+        aux: u32,
+    );
     /// The flow's [`FlowTimer`] of `kind`, for a protocol that keeps any.
     fn timer(_flow: &mut Self::Flow, _kind: u64) -> &mut FlowTimer {
         unreachable!("no timer of this protocol reserves")
@@ -85,11 +117,14 @@ pub(crate) trait Protocol: PartialEq + Send + Sized + 'static {
     /// peer dialled again): close it in place and free its buffers (the
     /// slot itself lingers in the slab).
     fn kill(flow: &mut Self::Flow, rec: &Recorder, now: SimTime);
-    /// Runs under the lock after every [`FlowStack::process`] closure.
+    /// Runs under the lock after every step.
     fn after_step(_flow: &mut Self::Flow, _rec: &Recorder, _now: SimTime) {}
     /// Appends the protocol's fields to a connection handle's `Debug`.
     fn debug_state(flow: Option<&Self::Flow>, out: &mut fmt::DebugStruct<'_, '_>);
 }
+
+/// Where a step of a `P` flow pushes its actions.
+pub(crate) type Out<P> = Vec<Action<<P as Protocol>::Wire>>;
 
 /// Packs an endpoint into a dense map key: node index in the high bits,
 /// port in the low 16.
@@ -131,7 +166,7 @@ fn token<F>(kind: u64, h: Handle<F>, aux: u32) -> u64 {
 
 /// The part of every flow the core itself reads and writes.
 pub(crate) struct FlowHeader {
-    /// Index into the stack's interned config table.
+    /// Index into the table's interned config list.
     cfg_id: u16,
     local: Endpoint,
     peer: Endpoint,
@@ -148,8 +183,7 @@ pub(crate) struct FlowHeader {
     pub(crate) closed_notified: bool,
 }
 
-/// What a [`FlowStack::process`] closure asks the stack to do once the lock
-/// is released.
+/// What a step asks the core to do once the fabric lock is released.
 pub(crate) enum Action<W> {
     Send(W),
     Deliver(Bytes),
@@ -229,8 +263,9 @@ struct ListenerEntry<P: Protocol> {
     conns: FxHashMap<u64, Handle<P::Flow>>,
 }
 
-/// Dense state tables behind the stack mutex.
-struct StackInner<P: Protocol> {
+/// Every flow of one stream protocol on a network, in one slab: plain
+/// fabric state, behind the fabric's lock like its links and routes.
+pub(crate) struct FlowTable<P: Protocol> {
     flows: Slab<P::Flow>,
     /// Worlds use a handful of distinct configs across thousands of flows.
     configs: Vec<P>,
@@ -238,9 +273,11 @@ struct StackInner<P: Protocol> {
     conn_index: FxHashMap<u128, Handle<P::Flow>>,
     /// Listening ports keyed by [`ep_key`].
     listeners: FxHashMap<u64, ListenerEntry<P>>,
-    /// Where a [`FlowStack::process`] closure pushes its actions: kept for
-    /// its capacity, and empty whenever the lock is free.
-    actions: Vec<Action<P::Wire>>,
+    /// Where a step pushes its actions: kept for its capacity, and empty
+    /// whenever the lock is free.
+    actions: Out<P>,
+    /// What the engine holds for every armed timer of the table.
+    timers: Arc<FlowTimers<P>>,
 }
 
 /// Up to this many actions leave the lock in an array on the stack: every
@@ -250,208 +287,46 @@ const INLINE_ACTIONS: usize = 8;
 /// segments and a timer).
 const KEPT_ACTIONS: usize = 64;
 
-/// Per-network state of one stream protocol: every flow on the network
-/// lives in this one slab. Created lazily by [`Network::flow_stack`]; the
-/// back-reference to the fabric is weak to avoid a retain cycle through the
-/// sink table.
-pub(crate) struct FlowStack<P: Protocol> {
-    sim: Sim,
-    rec: Recorder,
-    net: WeakNetwork,
-    self_weak: Weak<FlowStack<P>>,
-    /// What the engine holds for every armed timer.
-    timers: Arc<FlowTimers<P>>,
-    inner: Mutex<StackInner<P>>,
-}
-
-/// The [`EventTarget`] of a stack's timers. The stack owns the engine its
-/// timers wait in, so the engine must not own the stack: a world dropped
+/// The [`EventTarget`] of a table's timers. The fabric owns the engine its
+/// timers wait in, so the engine must not own the fabric: a world dropped
 /// with timers armed — there always are some — would never be freed.
-struct FlowTimers<P: Protocol>(Weak<FlowStack<P>>);
+struct FlowTimers<P: Protocol>(WeakNetwork, PhantomData<fn() -> P>);
 
-impl<P: Protocol> FlowStack<P> {
-    pub(crate) fn new(sim: Sim, net: WeakNetwork) -> Arc<Self> {
-        let rec = sim.recorder().clone();
-        Arc::new_cyclic(|weak| FlowStack {
-            sim,
-            rec,
-            net,
-            self_weak: weak.clone(),
-            timers: Arc::new(FlowTimers(weak.clone())),
-            inner: Mutex::new(StackInner {
-                flows: Slab::new(),
-                configs: Vec::new(),
-                conn_index: FxHashMap::default(),
-                listeners: FxHashMap::default(),
-                actions: Vec::new(),
-            }),
-        })
+impl<P: Protocol> FlowTable<P> {
+    /// An empty table whose timers reach the fabric through `net`.
+    pub(crate) fn new(net: WeakNetwork) -> Self {
+        FlowTable {
+            flows: Slab::new(),
+            configs: Vec::new(),
+            conn_index: FxHashMap::default(),
+            listeners: FxHashMap::default(),
+            actions: Vec::new(),
+            timers: Arc::new(FlowTimers(net, PhantomData)),
+        }
     }
 
     /// Interns `cfg`, returning its table id.
-    fn intern(configs: &mut Vec<P>, cfg: P) -> u16 {
-        if let Some(i) = configs.iter().position(|c| *c == cfg) {
+    fn intern(&mut self, cfg: P) -> u16 {
+        if let Some(i) = self.configs.iter().position(|c| *c == cfg) {
             return i as u16;
         }
-        let id = u16::try_from(configs.len()).expect("too many distinct configs");
-        configs.push(cfg);
+        let id = u16::try_from(self.configs.len()).expect("too many distinct configs");
+        self.configs.push(cfg);
         id
     }
 
-    /// Bumps the app-handle count for `h` (wrapper clone/construction).
-    fn retain_handle(&self, h: Handle<P::Flow>) {
-        let mut inner = self.inner.lock();
-        if let Some(flow) = inner.flows.get_mut(h) {
-            P::hdr_mut(flow).app_handles += 1;
-        }
-    }
-
-    /// Drops one app handle; the last handle of a connect-created flow kills
-    /// it in place (the slot is never reused, so outstanding timer tokens
-    /// resolve to a dead flow and no-op) and gives its ephemeral port back.
-    /// An orderly close alone frees nothing: a closed flow may still have to
-    /// answer its peer.
-    fn release_handle(&self, h: Handle<P::Flow>) {
-        // The handler Arc is dropped outside the lock: its destructor may
-        // release other connection handles and re-enter this mutex.
-        let (_events, local) = {
-            let mut inner = self.inner.lock();
-            let Some(flow) = inner.flows.get_mut(h) else {
-                return;
-            };
-            let hdr = P::hdr_mut(flow);
-            hdr.app_handles = hdr.app_handles.saturating_sub(1);
-            if hdr.app_handles > 0 || !hdr.app_owned {
-                return;
-            }
-            P::kill(flow, &self.rec, self.sim.now());
-            let hdr = P::hdr_mut(flow);
-            let (local, peer) = (hdr.local, hdr.peer);
-            let events = hdr.events.take();
-            inner.conn_index.remove(&pair_key(local, peer));
-            (events, local)
-        };
-        if let Some(net) = self.net.upgrade() {
-            net.unbind(local.node, P::WIRE, local.port);
-        }
-    }
-
-    /// Builds an application-facing wrapper for `h`, bumping the handle
-    /// count. Must not be called with the stack lock held.
-    fn make_conn(self: &Arc<Self>, h: Handle<P::Flow>, id: u64, local: Endpoint, peer: Endpoint) -> Conn<P> {
-        self.retain_handle(h);
-        Conn {
-            stack: self.clone(),
-            h,
-            id: ConnectionId::from_raw(id),
-            local,
-            peer,
-        }
-    }
-
-    /// Runs `f` on the flow under the stack lock, then performs the
-    /// produced actions, in the order pushed, without holding it — so a
-    /// callback may re-enter `process`.
-    pub(crate) fn process<F>(self: &Arc<Self>, h: Handle<P::Flow>, f: F)
-    where
-        F: FnOnce(&mut P::Flow, &P, &Recorder, SimTime, &mut Vec<Action<P::Wire>>),
-    {
-        let _scope = memscope::enter(P::SCOPE);
-        let now = self.sim.now();
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
-        let Some(flow) = inner.flows.get_mut(h) else {
-            return;
-        };
-        let cfg = &inner.configs[P::hdr(flow).cfg_id as usize];
-        f(flow, cfg, &self.rec, now, &mut inner.actions);
-        P::after_step(flow, &self.rec, now);
-        if !inner.actions.is_empty() {
-            self.perform(h, guard);
-        }
-    }
-
-    /// The half of [`Self::process`] that does not depend on the closure,
-    /// kept out of line so it exists once per protocol, not once per call
-    /// site: empties `actions`, unlocks, and carries the actions out.
-    #[inline(never)]
-    fn perform(self: &Arc<Self>, h: Handle<P::Flow>, mut guard: MutexGuard<'_, StackInner<P>>) {
-        let inner = &mut *guard;
-        let actions = &mut inner.actions;
-        // Only clone the handler out when an action will actually notify
-        // the application.
-        let needs_events = actions.iter().any(|a| {
-            matches!(a, Action::Deliver(_) | Action::Connected | Action::Writable | Action::Closed(_))
-        });
-        let mut few: [Option<Action<P::Wire>>; INLINE_ACTIONS] = [const { None }; INLINE_ACTIONS];
-        let mut many = Vec::new();
-        if actions.len() <= INLINE_ACTIONS {
-            for (slot, action) in few.iter_mut().zip(actions.drain(..)) {
-                *slot = Some(action);
-            }
-        } else {
-            // A burst leaves with its buffer; the next one finds room.
-            let fresh = Vec::with_capacity(actions.capacity().min(KEPT_ACTIONS));
-            many = std::mem::replace(actions, fresh);
-        }
-        let hdr = P::hdr_mut(inner.flows.get_mut(h).expect("flow looked up by the caller"));
-        let (local, peer, id) = (hdr.local, hdr.peer, ConnectionId::from_raw(hdr.conn_id));
-        let events = if needs_events { hdr.events.clone() } else { None };
-        // The wrapper exists only for callback scope: counted here, under
-        // the lock already held, and dropped outside it (its Drop re-enters
-        // the stack).
-        hdr.app_handles += u32::from(events.is_some());
-        drop(guard);
-        let app = events.as_ref().map(|ev| {
-            let stack = self.clone();
-            (ev, P::connection(Conn { stack, h, id, local, peer }))
-        });
-        let mut net = None;
-        for action in few.iter_mut().map_while(Option::take).chain(many) {
-            match (action, &app) {
-                (Action::Send(wire), _) => {
-                    if net.is_none() {
-                        net = self.net.upgrade();
-                    }
-                    if let Some(net) = &net {
-                        let (payload_len, body) = P::into_body(wire);
-                        net.send_packet(Packet::new(local, peer, P::WIRE, payload_len, body));
-                    }
-                }
-                (Action::Arm { kind, delay, aux }, _) => {
-                    let at = self.sim.now() + delay;
-                    self.sim.schedule_target_at(at, self.timers.clone(), token(kind, h, aux));
-                }
-                (Action::Reserve { kind, at }, _) => {
-                    let seq = self.sim.reserve_seq();
-                    let mut inner = self.inner.lock();
-                    let flow = inner.flows.get_mut(h).expect("flow slots are never removed");
-                    P::timer(flow, kind).reserved(at, seq);
-                }
-                (Action::Refile { kind, at, seq }, _) => {
-                    self.sim.file_target(at, seq, self.timers.clone(), token(kind, h, 0));
-                }
-                (Action::Deliver(data), Some((ev, conn))) => ev.on_data(conn, data),
-                (Action::Connected, Some((ev, conn))) => ev.on_connected(conn),
-                (Action::Writable, Some((ev, conn))) => ev.on_writable(conn),
-                (Action::Closed(reason), Some((ev, conn))) => ev.on_closed(conn, reason),
-                // No handler yet: `on_accept` has not returned.
-                (_, None) => {}
-            }
-        }
-    }
-
-    /// Registers a new flow in the slab and the demux index. A dialled flow
-    /// arrives with its handler and is owned by the application; an accepted
-    /// one gets its handler from `on_accept` and is owned by its listener.
+    /// Registers a new flow in the slab and the demux index, with one
+    /// application handle counted. A dialled flow arrives with its handler
+    /// and is owned by the application; an accepted one gets its handler
+    /// from `on_accept` (whose wrapper is the counted handle) and is owned by
+    /// its listener.
     fn insert_flow(
-        &self,
-        inner: &mut StackInner<P>,
+        &mut self,
         cfg_id: u16,
-        local: Endpoint,
-        peer: Endpoint,
+        (local, peer): (Endpoint, Endpoint),
         conn_id: u64,
         events: Option<Arc<dyn StreamEvents>>,
+        now: SimTime,
     ) -> Handle<P::Flow> {
         let active = events.is_some();
         let hdr = FlowHeader {
@@ -464,130 +339,195 @@ impl<P: Protocol> FlowStack<P> {
             app_handles: 1,
             closed_notified: false,
         };
-        let flow = P::new_flow(hdr, &inner.configs[cfg_id as usize], self.sim.now(), active);
-        let h = inner.flows.insert(flow);
-        inner.conn_index.insert(pair_key(local, peer), h);
+        let flow = P::new_flow(hdr, &self.configs[cfg_id as usize], now, active);
+        let h = self.flows.insert(flow);
+        self.conn_index.insert(pair_key(local, peer), h);
         h
     }
 
     /// Whether an opening packet from `src` for the known flow `h` is a new
     /// dial from a reused port rather than a repeat of the open that created
-    /// `h`; if so `h` is reset in place for [`Self::dispatch`] to accept
-    /// afresh. Opens carry no initial sequence number to tell incarnations
-    /// apart, so the stack reads them off its own connection ids: an
+    /// `h`. Opens carry no initial sequence number to tell incarnations
+    /// apart, so the core reads them off its own connection ids: an
     /// accepted flow is younger than the dial it answers and older than any
     /// later one from that port.
-    fn superseded(self: &Arc<Self>, h: Handle<P::Flow>, src: Endpoint, dst: Endpoint) -> bool {
-        {
-            let inner = self.inner.lock();
-            let dial = inner.conn_index.get(&pair_key(src, dst));
-            let dial = dial.and_then(|&d| inner.flows.get(d));
-            let (Some(dial), Some(flow)) = (dial, inner.flows.get(h)) else {
-                return false;
-            };
-            if P::hdr(flow).app_owned || P::hdr(dial).conn_id < P::hdr(flow).conn_id {
-                return false;
-            }
-        }
-        self.process(h, |flow, _cfg, rec, now, out| {
-            P::kill(flow, rec, now);
-            if !std::mem::replace(&mut P::hdr_mut(flow).closed_notified, true) {
-                out.push(Action::Closed(CloseReason::Reset));
-            }
-        });
-        // Dropped outside the lock, as in `release_handle`.
-        let _events = {
-            let mut inner = self.inner.lock();
-            inner.flows.get_mut(h).and_then(|flow| P::hdr_mut(flow).events.take())
+    fn superseded(&self, h: Handle<P::Flow>, src: Endpoint, dst: Endpoint) -> bool {
+        let dial = self.conn_index.get(&pair_key(src, dst));
+        let dial = dial.and_then(|&d| self.flows.get(d));
+        let (Some(dial), Some(flow)) = (dial, self.flows.get(h)) else {
+            return false;
         };
-        true
-    }
-
-    /// Demuxes an incoming packet: known flows by endpoint pair, otherwise
-    /// a listener performs a passive open.
-    fn dispatch(self: &Arc<Self>, src: Endpoint, dst: Endpoint, wire: P::Wire) {
-        let _scope = memscope::enter(P::SCOPE);
-        let known = self.inner.lock().conn_index.get(&pair_key(dst, src)).copied();
-        match known {
-            Some(h) if !(P::opens(&wire) && self.superseded(h, src, dst)) => {
-                P::on_wire(self, h, wire);
-                return;
-            }
-            None if !P::opens(&wire) => return,
-            _ => {}
-        }
-        // Passive open. The flow is fully registered (slab + demux index +
-        // listener table, replacing a superseded flow's entries) before
-        // `on_accept` runs, but no packet or timer can observe it until
-        // `start_passive` below.
-        let (handler, h, id) = {
-            let mut guard = self.inner.lock();
-            let inner = &mut *guard;
-            let Some(entry) = inner.listeners.get(&ep_key(dst)) else {
-                return;
-            };
-            let (handler, cfg_id) = (entry.handler.clone(), entry.cfg_id);
-            let id = ConnectionId::fresh(&self.sim);
-            let h = self.insert_flow(inner, cfg_id, dst, src, id.raw(), None);
-            inner
-                .listeners
-                .get_mut(&ep_key(dst))
-                .expect("listener entry just looked up")
-                .conns
-                .insert(ep_key(src), h);
-            (handler, h, id)
-        };
-        let conn = P::connection(self.make_conn(h, id.raw(), dst, src));
-        let events = handler.on_accept(&conn);
-        {
-            let mut inner = self.inner.lock();
-            if let Some(flow) = inner.flows.get_mut(h) {
-                P::hdr_mut(flow).events = Some(events);
-            }
-        }
-        P::start_passive(self, h, wire);
-    }
-
-    /// Services one per-flow timer token. Tokens of unknown slots no-op
-    /// here, stale ones in the protocol's handler.
-    fn service_timer(self: &Arc<Self>, token: u64) {
-        let kind = token >> TOKEN_KIND_SHIFT;
-        let idx = ((token >> TOKEN_IDX_SHIFT) & TOKEN_IDX_MASK) as u32;
-        let h = self.inner.lock().flows.handle_at(idx);
-        let Some(h) = h else { return };
-        P::on_timer(self, h, kind, token as u32);
+        !P::hdr(flow).app_owned && P::hdr(dial).conn_id >= P::hdr(flow).conn_id
     }
 }
 
-impl<P: Protocol> PacketSink for FlowStack<P> {
-    fn on_packet(&self, _net: &Network, pkt: Packet) {
-        let Some(stack) = self.self_weak.upgrade() else {
-            return;
-        };
-        let Some(wire) = P::from_body(pkt.body) else {
-            return;
-        };
-        stack.dispatch(pkt.src, pkt.dst, wire);
+/// Runs the step `f` on flow `h` with the fabric lock held (`inner`), then
+/// [`Protocol::after_step`]; releases the lock and performs the actions the
+/// step pushed, in order, so a callback may step this flow or any other.
+fn step<P: Protocol, F>(net: &Network, mut inner: MutexGuard<'_, NetInner>, h: Handle<P::Flow>, f: F)
+where
+    F: FnOnce(&mut P::Flow, &P, &Recorder, SimTime, &mut Out<P>),
+{
+    let (rec, now) = (net.sim().recorder(), net.now());
+    let table = P::table(&mut inner);
+    let Some(flow) = table.flows.get_mut(h) else {
+        return;
+    };
+    f(flow, &table.configs[P::hdr(flow).cfg_id as usize], rec, now, &mut table.actions);
+    P::after_step(flow, rec, now);
+    if !table.actions.is_empty() {
+        perform::<P>(net, h, inner);
     }
+}
+
+/// The half of [`step`] that does not depend on the step, kept out of line
+/// so it exists once per protocol, not once per call site: empties
+/// `actions`, unlocks, and carries the actions out.
+#[inline(never)]
+fn perform<P: Protocol>(net: &Network, h: Handle<P::Flow>, mut inner: MutexGuard<'_, NetInner>) {
+    let table = P::table(&mut inner);
+    let actions = &mut table.actions;
+    // Only clone the handler out when an action will actually notify the
+    // application, and the timer target when one files an event.
+    let needs_events = actions.iter().any(|a| {
+        matches!(a, Action::Deliver(_) | Action::Connected | Action::Writable | Action::Closed(_))
+    });
+    let needs_timers = actions.iter().any(|a| matches!(a, Action::Arm { .. } | Action::Refile { .. }));
+    let mut few: [Option<Action<P::Wire>>; INLINE_ACTIONS] = [const { None }; INLINE_ACTIONS];
+    let mut many = Vec::new();
+    if actions.len() <= INLINE_ACTIONS {
+        for (slot, action) in few.iter_mut().zip(actions.drain(..)) {
+            *slot = Some(action);
+        }
+    } else {
+        // A burst leaves with its buffer; the next one finds room.
+        let fresh = Vec::with_capacity(actions.capacity().min(KEPT_ACTIONS));
+        many = std::mem::replace(actions, fresh);
+    }
+    let timers = needs_timers.then(|| table.timers.clone());
+    let hdr = P::hdr_mut(table.flows.get_mut(h).expect("flow looked up by the step"));
+    let (local, peer, id) = (hdr.local, hdr.peer, ConnectionId::from_raw(hdr.conn_id));
+    let events = if needs_events { hdr.events.clone() } else { None };
+    // The wrapper exists only for callback scope: counted here, under the
+    // lock already held, and dropped outside it (its Drop re-enters the
+    // fabric).
+    hdr.app_handles += u32::from(events.is_some());
+    drop(inner);
+    let app = events.as_ref().map(|ev| (ev, P::connection(Conn { net: net.clone(), h, id, local, peer })));
+    let target = || timers.clone().expect("cloned for every timer action");
+    let sim = net.sim();
+    for action in few.iter_mut().map_while(Option::take).chain(many) {
+        match (action, &app) {
+            (Action::Send(wire), _) => {
+                let (payload_len, body) = P::into_body(wire);
+                net.send_packet(Packet::new(local, peer, P::WIRE, payload_len, body));
+            }
+            (Action::Arm { kind, delay, aux }, _) => {
+                sim.schedule_target_at(sim.now() + delay, target(), token(kind, h, aux));
+            }
+            (Action::Reserve { kind, at }, _) => {
+                let seq = sim.reserve_seq();
+                let mut inner = net.lock();
+                let flow = P::table(&mut inner).flows.get_mut(h).expect("flow slots are never removed");
+                P::timer(flow, kind).reserved(at, seq);
+            }
+            (Action::Refile { kind, at, seq }, _) => sim.file_target(at, seq, target(), token(kind, h, 0)),
+            (Action::Deliver(data), Some((ev, conn))) => ev.on_data(conn, data),
+            (Action::Connected, Some((ev, conn))) => ev.on_connected(conn),
+            (Action::Writable, Some((ev, conn))) => ev.on_writable(conn),
+            (Action::Closed(reason), Some((ev, conn))) => ev.on_closed(conn, reason),
+            // No handler yet: `on_accept` has not returned.
+            (_, None) => {}
+        }
+    }
+}
+
+/// Demuxes a packet for a port bound to `P`'s flows, handed over with the
+/// hop event's lock scope (`inner`) still open: a known flow by endpoint
+/// pair is stepped in that scope, otherwise a listener performs a passive
+/// open, registered in that scope. `on_accept`, and the drop of the handler
+/// of a flow a new dial supersedes, run with the lock released.
+pub(crate) fn dispatch<'a, P: Protocol>(net: &'a Network, mut inner: MutexGuard<'a, NetInner>, pkt: Packet) {
+    let _scope = memscope::enter(P::SCOPE);
+    let (src, dst) = (pkt.src, pkt.dst);
+    let Some(wire) = P::from_body(pkt.body) else {
+        return;
+    };
+    let table = P::table(&mut inner);
+    match table.conn_index.get(&pair_key(dst, src)).copied() {
+        Some(h) if !(P::opens(&wire) && table.superseded(h, src, dst)) => {
+            return step(net, inner, h, |flow, cfg, rec, now, out| P::on_wire(flow, cfg, rec, now, out, wire));
+        }
+        Some(h) => {
+            // A new dial from a reused port: the old flow dies in place, and
+            // its owner hears of the reset and loses its handler (dropped
+            // outside the lock, as in `Conn::drop`) before the dial is
+            // accepted afresh.
+            step::<P, _>(net, inner, h, |flow, _cfg, rec, now, out| {
+                P::kill(flow, rec, now);
+                if !std::mem::replace(&mut P::hdr_mut(flow).closed_notified, true) {
+                    out.push(Action::Closed(CloseReason::Reset));
+                }
+            });
+            let events = P::table(&mut net.lock()).flows.get_mut(h).and_then(|f| P::hdr_mut(f).events.take());
+            drop(events);
+            inner = net.lock();
+        }
+        None if !P::opens(&wire) => return,
+        None => {}
+    }
+    // Passive open. The flow is fully registered (slab + demux index +
+    // listener table, replacing a superseded flow's entries) before
+    // `on_accept` runs, but no packet or timer can observe it until
+    // `start_passive` below.
+    let table = P::table(&mut inner);
+    let Some(entry) = table.listeners.get(&ep_key(dst)) else {
+        return;
+    };
+    let (handler, cfg_id) = (entry.handler.clone(), entry.cfg_id);
+    let id = ConnectionId::fresh(net.sim());
+    let h = table.insert_flow(cfg_id, (dst, src), id.raw(), None, net.now());
+    let entry = table.listeners.get_mut(&ep_key(dst)).expect("listener entry just looked up");
+    entry.conns.insert(ep_key(src), h);
+    drop(inner);
+    let conn = P::connection(Conn { net: net.clone(), h, id, local: dst, peer: src });
+    let events = handler.on_accept(&conn);
+    let mut inner = net.lock();
+    if let Some(flow) = P::table(&mut inner).flows.get_mut(h) {
+        P::hdr_mut(flow).events = Some(events);
+    }
+    step(net, inner, h, |flow, cfg, rec, now, out| P::start_passive(flow, cfg, rec, now, out, wire));
 }
 
 impl<P: Protocol> EventTarget for FlowTimers<P> {
     fn fire(self: Arc<Self>, _sim: &Sim, token: u64) {
         let _scope = memscope::enter(P::SCOPE);
-        if let Some(stack) = self.0.upgrade() {
-            stack.service_timer(token);
+        if let Some(net) = self.0.upgrade() {
+            service_timer::<P>(&net, token);
         }
+    }
+}
+
+/// Services one per-flow timer token: finds its slot and steps it under one
+/// acquisition. Tokens of unknown slots no-op here, stale ones in the
+/// protocol's handler.
+fn service_timer<P: Protocol>(net: &Network, token: u64) {
+    let (kind, aux) = (token >> TOKEN_KIND_SHIFT, token as u32);
+    let mut inner = net.lock();
+    let idx = ((token >> TOKEN_IDX_SHIFT) & TOKEN_IDX_MASK) as u32;
+    if let Some(h) = P::table(&mut inner).flows.handle_at(idx) {
+        step(net, inner, h, |flow, cfg, rec, now, out| P::on_timer(flow, cfg, rec, now, out, kind, aux));
     }
 }
 
 /// A simulated stream connection handle ([`crate::tcp::TcpConn`],
 /// [`crate::udt::UdtConn`]).
 ///
-/// Internally an 8-byte slab handle plus cached immutable endpoints; clones
-/// refer to the same flow. The last application handle of a connect-created
-/// flow kills the flow in place when dropped.
+/// Internally the network plus an 8-byte slab handle and cached immutable
+/// endpoints; clones refer to the same flow. The last application handle of
+/// a connect-created flow kills the flow in place when dropped.
 pub struct Conn<P: Protocol> {
-    pub(crate) stack: Arc<FlowStack<P>>,
+    net: Network,
     pub(crate) h: Handle<P::Flow>,
     id: ConnectionId,
     local: Endpoint,
@@ -596,13 +536,41 @@ pub struct Conn<P: Protocol> {
 
 impl<P: Protocol> Clone for Conn<P> {
     fn clone(&self) -> Self {
-        self.stack.make_conn(self.h, self.id.raw(), self.local, self.peer)
+        if let Some(flow) = P::table(&mut self.net.lock()).flows.get_mut(self.h) {
+            P::hdr_mut(flow).app_handles += 1;
+        }
+        Conn { net: self.net.clone(), ..*self }
     }
 }
 
+/// Drops one app handle; the last handle of a connect-created flow kills it
+/// in place (the slot is never reused, so outstanding timer tokens resolve
+/// to a dead flow and no-op) and gives its ephemeral port back. An orderly
+/// close alone frees nothing: a closed flow may still have to answer its
+/// peer.
 impl<P: Protocol> Drop for Conn<P> {
     fn drop(&mut self) {
-        self.stack.release_handle(self.h);
+        // The handler Arc is dropped outside the lock: its destructor may
+        // release other connection handles and re-enter the fabric.
+        let _events = {
+            let mut inner = self.net.lock();
+            let table = P::table(&mut inner);
+            let Some(flow) = table.flows.get_mut(self.h) else {
+                return;
+            };
+            let hdr = P::hdr_mut(flow);
+            hdr.app_handles = hdr.app_handles.saturating_sub(1);
+            if hdr.app_handles > 0 || !hdr.app_owned {
+                return;
+            }
+            P::kill(flow, self.net.sim().recorder(), self.net.now());
+            let hdr = P::hdr_mut(flow);
+            let (local, peer) = (hdr.local, hdr.peer);
+            let events = hdr.events.take();
+            table.conn_index.remove(&pair_key(local, peer));
+            inner.unbind(local.node, P::WIRE, local.port);
+            events
+        };
     }
 }
 
@@ -612,7 +580,7 @@ impl<P: Protocol> fmt::Debug for Conn<P> {
         out.field("id", &self.id)
             .field("local", &self.local)
             .field("peer", &self.peer);
-        P::debug_state(self.stack.inner.lock().flows.get(self.h), &mut out);
+        P::debug_state(P::table(&mut self.net.lock()).flows.get(self.h), &mut out);
         out.finish()
     }
 }
@@ -634,8 +602,8 @@ impl<P: Protocol> Conn<P> {
         cfg: P,
         events: Arc<dyn StreamEvents>,
     ) -> Result<Self, BindError> {
-        let stack = net.flow_stack::<P>();
-        let Some(port) = net.alloc_ephemeral_port(node, P::WIRE) else {
+        let mut inner = net.lock();
+        let Some(port) = inner.alloc_ephemeral_port(node, P::WIRE) else {
             return Err(BindError {
                 endpoint: Endpoint::new(node, 0),
                 protocol: P::WIRE,
@@ -643,21 +611,13 @@ impl<P: Protocol> Conn<P> {
         };
         let local = Endpoint::new(node, port);
         let id = ConnectionId::fresh(net.sim());
-        net.bind(node, P::WIRE, port, stack.clone())?;
-        let h = {
-            let mut guard = stack.inner.lock();
-            let inner = &mut *guard;
-            let cfg_id = FlowStack::<P>::intern(&mut inner.configs, cfg);
-            stack.insert_flow(inner, cfg_id, local, dst, id.raw(), Some(events))
-        };
-        P::start_active(&stack, h);
-        Ok(Conn {
-            stack,
-            h,
-            id,
-            local,
-            peer: dst,
-        })
+        inner.bind(node, P::WIRE, port, Binding::Flows)?;
+        let table = P::table(&mut inner);
+        let cfg_id = table.intern(cfg);
+        let h = table.insert_flow(cfg_id, (local, dst), id.raw(), Some(events), net.now());
+        let _scope = memscope::enter(P::SCOPE);
+        step(net, inner, h, P::start_active);
+        Ok(Conn { net: net.clone(), h, id, local, peer: dst })
     }
 
     /// The connection id.
@@ -678,29 +638,32 @@ impl<P: Protocol> Conn<P> {
         self.peer
     }
 
-    /// Reads from the flow and its config under the stack lock; `None` once
-    /// the slot is gone.
+    /// Runs `f` as one [`step`] of this flow.
+    pub(crate) fn process<F>(&self, f: F)
+    where
+        F: FnOnce(&mut P::Flow, &P, &Recorder, SimTime, &mut Out<P>),
+    {
+        let _scope = memscope::enter(P::SCOPE);
+        step(&self.net, self.net.lock(), self.h, f);
+    }
+
+    /// Reads from the flow and its config under the fabric lock; `None`
+    /// once the slot is gone.
     pub(crate) fn peek<R>(&self, f: impl FnOnce(&P::Flow, &P) -> R) -> Option<R> {
-        let inner = self.stack.inner.lock();
-        let flow = inner.flows.get(self.h)?;
-        Some(f(flow, &inner.configs[P::hdr(flow).cfg_id as usize]))
+        let mut inner = self.net.lock();
+        let table = P::table(&mut inner);
+        let flow = table.flows.get(self.h)?;
+        Some(f(flow, &table.configs[P::hdr(flow).cfg_id as usize]))
     }
 }
 
 /// A listening socket that accepts incoming connections
 /// ([`crate::tcp::TcpListener`], [`crate::udt::UdtListener`]).
+#[derive(Clone)]
 pub struct Listener<P: Protocol> {
-    stack: Arc<FlowStack<P>>,
+    net: Network,
     local: Endpoint,
-}
-
-impl<P: Protocol> Clone for Listener<P> {
-    fn clone(&self) -> Self {
-        Listener {
-            stack: self.stack.clone(),
-            local: self.local,
-        }
-    }
+    protocol: PhantomData<fn() -> P>,
 }
 
 impl<P: Protocol> fmt::Debug for Listener<P> {
@@ -725,23 +688,14 @@ impl<P: Protocol> Listener<P> {
         cfg: P,
         handler: Arc<dyn StreamAccept>,
     ) -> Result<Self, BindError> {
-        let stack = net.flow_stack::<P>();
-        net.bind(node, P::WIRE, port, stack.clone())?;
         let local = Endpoint::new(node, port);
-        {
-            let mut guard = stack.inner.lock();
-            let inner = &mut *guard;
-            let cfg_id = FlowStack::<P>::intern(&mut inner.configs, cfg);
-            inner.listeners.insert(
-                ep_key(local),
-                ListenerEntry {
-                    cfg_id,
-                    handler,
-                    conns: FxHashMap::default(),
-                },
-            );
-        }
-        Ok(Listener { stack, local })
+        let mut inner = net.lock();
+        inner.bind(node, P::WIRE, port, Binding::Flows)?;
+        let table = P::table(&mut inner);
+        let cfg_id = table.intern(cfg);
+        let entry = ListenerEntry { cfg_id, handler, conns: FxHashMap::default() };
+        table.listeners.insert(ep_key(local), entry);
+        Ok(Listener { net: net.clone(), local, protocol: PhantomData })
     }
 
     /// The listening endpoint.
@@ -753,9 +707,8 @@ impl<P: Protocol> Listener<P> {
     /// Number of connections this listener has accepted (and not forgotten).
     #[must_use]
     pub fn connection_count(&self) -> usize {
-        self.stack
-            .inner
-            .lock()
+        let mut inner = self.net.lock();
+        P::table(&mut inner)
             .listeners
             .get(&ep_key(self.local))
             .map_or(0, |e| e.conns.len())
@@ -766,7 +719,7 @@ impl<P: Protocol> Listener<P> {
 /// the bottom: what is shared is tested once and run for both.
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     use super::*;
     use crate::link::LinkConfig;
@@ -786,6 +739,39 @@ mod tests {
         }
     }
 
+    /// Hands every accepted flow a [`Probed`] handler over one recorder.
+    struct ProbedAccept {
+        rec: Arc<Recorder>,
+        net: WeakNetwork,
+        drops: Arc<Drops>,
+    }
+    impl StreamAccept for ProbedAccept {
+        fn on_accept(&self, _conn: &Connection) -> Arc<dyn StreamEvents> {
+            let probe = DropProbe { net: self.net.clone(), drops: self.drops.clone() };
+            Arc::new(Probed { rec: self.rec.clone(), _probe: probe })
+        }
+    }
+
+    /// A recorder's events, with a [`DropProbe`] riding along.
+    struct Probed {
+        rec: Arc<Recorder>,
+        _probe: DropProbe,
+    }
+    impl StreamEvents for Probed {
+        fn on_connected(&self, conn: &Connection) {
+            self.rec.on_connected(conn);
+        }
+        fn on_data(&self, conn: &Connection, data: Bytes) {
+            self.rec.on_data(conn, data);
+        }
+        fn on_writable(&self, conn: &Connection) {
+            self.rec.on_writable(conn);
+        }
+        fn on_closed(&self, conn: &Connection, reason: CloseReason) {
+            self.rec.on_closed(conn, reason);
+        }
+    }
+
     /// Two hosts on a clean link, a listener on `b`.
     struct World<P: Protocol> {
         sim: Sim,
@@ -794,6 +780,8 @@ mod tests {
         b: NodeId,
         tracer: Arc<CollectingTracer>,
         server: Arc<Recorder>,
+        /// Drops of the handlers the listener handed out.
+        server_drops: Arc<Drops>,
         listener: Listener<P>,
     }
 
@@ -811,10 +799,14 @@ mod tests {
             let tracer = Arc::new(CollectingTracer::default());
             net.set_tracer(tracer.clone());
             let server = Arc::new(Recorder::default());
-            let listener =
-                Listener::bind(&net, b, LISTEN, P::default(), Arc::new(Accept(server.clone())))
-                    .expect("bind");
-            World { sim, net, a, b, tracer, server, listener }
+            let server_drops = Arc::new(Drops::default());
+            let accept = ProbedAccept {
+                rec: server.clone(),
+                net: net.downgrade(),
+                drops: server_drops.clone(),
+            };
+            let listener = Listener::bind(&net, b, LISTEN, P::default(), Arc::new(accept)).expect("bind");
+            World { sim, net, a, b, tracer, server, server_drops, listener }
         }
 
         fn dial(&self, port: u16, events: Arc<dyn StreamEvents>) -> Conn<P> {
@@ -829,28 +821,38 @@ mod tests {
         }
     }
 
-    /// An event handler that notes, when it is dropped, whether the stack
-    /// lock was free at that moment.
-    struct DropProbe<P: Protocol> {
-        stack: Arc<FlowStack<P>>,
-        dropped_unlocked: Arc<AtomicBool>,
+    /// How many probed handlers were dropped, and how many of those with
+    /// the lock held.
+    #[derive(Default)]
+    struct Drops {
+        total: AtomicUsize,
+        locked: AtomicUsize,
     }
-    impl<P: Protocol> StreamEvents for DropProbe<P> {}
-    impl<P: Protocol> Drop for DropProbe<P> {
+    impl Drops {
+        fn counts(&self) -> (usize, usize) {
+            (self.total.load(Ordering::SeqCst), self.locked.load(Ordering::SeqCst))
+        }
+    }
+
+    /// An event handler that notes, when it is dropped, whether the fabric
+    /// lock was free at that moment.
+    struct DropProbe {
+        net: WeakNetwork,
+        drops: Arc<Drops>,
+    }
+    impl StreamEvents for DropProbe {}
+    impl Drop for DropProbe {
         fn drop(&mut self) {
-            let unlocked = self.stack.inner.try_lock().is_some();
-            self.dropped_unlocked.store(unlocked, Ordering::SeqCst);
+            let locked = self.net.upgrade().is_some_and(|net| net.try_lock().is_none());
+            self.drops.total.fetch_add(1, Ordering::SeqCst);
+            self.drops.locked.fetch_add(usize::from(locked), Ordering::SeqCst);
         }
     }
 
     fn last_handle_drop_kills_flow_in_place<P: Protocol + Default>(is_dead: fn(&P::Flow) -> bool) {
         let w = World::<P>::new();
-        let stack = w.net.flow_stack::<P>();
-        let dropped_unlocked = Arc::new(AtomicBool::new(false));
-        let conn = w.dial(
-            LISTEN,
-            Arc::new(DropProbe { stack: stack.clone(), dropped_unlocked: dropped_unlocked.clone() }),
-        );
+        let drops = Arc::new(Drops::default());
+        let conn = w.dial(LISTEN, Arc::new(DropProbe { net: w.net.downgrade(), drops: drops.clone() }));
         w.sim.run_for(Duration::from_secs(1));
         assert!(format!("{conn:?}").contains("state: Some(Established)"), "{conn:?}");
         let (h, key) = (conn.h, pair_key(conn.local, conn.peer));
@@ -858,23 +860,22 @@ mod tests {
         let clone = conn.clone();
         drop(conn);
         {
-            let inner = stack.inner.lock();
-            let flow = inner.flows.get(h).expect("slot");
+            let mut inner = w.net.lock();
+            let table = P::table(&mut inner);
+            let flow = table.flows.get(h).expect("slot");
             assert!(!is_dead(flow), "a clone keeps the flow alive");
-            assert!(inner.conn_index.contains_key(&key));
+            assert!(table.conn_index.contains_key(&key));
         }
 
         drop(clone);
-        let inner = stack.inner.lock();
-        let flow = inner.flows.get(h).expect("the slot is kept, never reused");
+        let mut inner = w.net.lock();
+        let table = P::table(&mut inner);
+        let flow = table.flows.get(h).expect("the slot is kept, never reused");
         assert!(is_dead(flow), "closed, nothing armed, every buffer freed");
         assert_eq!(P::hdr(flow).app_handles, 0);
         assert!(P::hdr(flow).events.is_none());
-        assert!(!inner.conn_index.contains_key(&key));
-        assert!(
-            dropped_unlocked.load(Ordering::SeqCst),
-            "the handler is released, and outside the stack lock"
-        );
+        assert!(!table.conn_index.contains_key(&key));
+        assert_eq!(drops.counts(), (1, 0), "the handler is released, and outside the fabric lock");
     }
 
     fn accepted_flow_outlives_its_callback_wrapper<P: Protocol + Default>() {
@@ -885,11 +886,12 @@ mod tests {
         assert_eq!(w.server.connected(), 1);
         {
             // Every wrapper built for a server-side callback is gone by now.
-            let stack = w.net.flow_stack::<P>();
-            let inner = stack.inner.lock();
-            let h = inner.conn_index[&pair_key(conn.peer, conn.local)];
-            let hdr = P::hdr(inner.flows.get(h).expect("accepted flow"));
+            let mut inner = w.net.lock();
+            let table = P::table(&mut inner);
+            let h = table.conn_index[&pair_key(conn.peer, conn.local)];
+            let hdr = P::hdr(table.flows.get(h).expect("accepted flow"));
             assert!(!hdr.app_owned);
+            assert_eq!(hdr.app_handles, 0);
             assert!(hdr.events.is_some(), "still owned by its listener entry");
         }
         P::connection(conn.clone()).send(pattern_bytes(0, 5_000));
@@ -905,19 +907,19 @@ mod tests {
         let conn = w.dial(LISTEN, Arc::new(SinkEvents));
         w.sim.run_for(Duration::from_secs(1));
         P::connection(conn.clone()).send(pattern_bytes(0, 100));
-        let (stack, h) = (conn.stack.clone(), conn.h);
+        let h = conn.h;
 
         let before = w.activity();
-        stack.service_timer(token(stale.0, h, stale.1));
+        service_timer::<P>(&w.net, token(stale.0, h, stale.1));
         let unknown_slot = 9_999 << TOKEN_IDX_SHIFT;
-        stack.service_timer(unknown_slot);
+        service_timer::<P>(&w.net, unknown_slot);
         assert_eq!(w.activity(), before, "superseded deadline, unknown slot");
 
         drop(conn);
         let before = w.activity();
         for kind in 0..TOKEN_KINDS {
-            stack.service_timer(token(kind, h, 0));
-            stack.service_timer(token(kind, h, u32::MAX));
+            service_timer::<P>(&w.net, token(kind, h, 0));
+            service_timer::<P>(&w.net, token(kind, h, u32::MAX));
         }
         assert_eq!(w.activity(), before, "every timer of a killed flow");
     }
@@ -958,12 +960,13 @@ mod tests {
     fn stray_packet_for_unknown_pair_is_ignored<P: Protocol + Default>(stray: P::Wire) {
         let w = World::<P>::new();
         assert!(!P::opens(&stray));
-        let stack = w.net.flow_stack::<P>();
         let before = w.activity();
-        stack.dispatch(Endpoint::new(w.a, 50_000), w.listener.local(), stray);
+        let (len, body) = P::into_body(stray);
+        let pkt = Packet::new(Endpoint::new(w.a, 50_000), w.listener.local(), P::WIRE, len, body);
+        dispatch::<P>(&w.net, w.net.lock(), pkt);
         assert_eq!(w.activity(), before);
         assert_eq!(w.listener.connection_count(), 0);
-        assert!(stack.inner.lock().flows.is_empty());
+        assert!(P::table(&mut w.net.lock()).flows.is_empty());
     }
 
     fn killed_flows_give_their_ports_back_and_redials_work<P: Protocol + Default>() {
@@ -1000,6 +1003,11 @@ mod tests {
         assert_eq!(client.connected(), 1, "{again:?}");
         assert_eq!(w.server.connected(), 2);
         assert_eq!(w.server.close_reasons(), [CloseReason::Reset]);
+        assert_eq!(
+            w.server_drops.counts(),
+            (1, 0),
+            "the superseded flow's handler is released, and outside the lock"
+        );
         assert_eq!(w.listener.connection_count(), 1, "the old flow is forgotten");
         P::connection(again.clone()).send(pattern_bytes(1_000, 5_000));
         w.sim.run_for(Duration::from_secs(2));
@@ -1027,7 +1035,7 @@ mod tests {
     fn only_a_kill_unbinds_and_only_the_dialled_port<P: Protocol + Default>() {
         let w = World::<P>::new();
         let bound = |node, port| {
-            let taken = w.net.bind(node, P::WIRE, port, w.net.flow_stack::<P>()).is_err();
+            let taken = w.net.lock().bind(node, P::WIRE, port, Binding::Flows).is_err();
             if !taken {
                 w.net.unbind(node, P::WIRE, port);
             }
@@ -1066,7 +1074,7 @@ mod tests {
             "nothing in flight: {una}..{nxt}"
         );
 
-        P::on_wire(&conn.stack, conn.h, forged);
+        conn.process(|flow, cfg, rec, now, out| P::on_wire(flow, cfg, rec, now, out, forged));
         assert_eq!(window(&conn), (una, nxt));
         w.sim.run_for(Duration::from_secs(5));
         assert_eq!(w.server.data_len(), 50_000);
@@ -1087,19 +1095,21 @@ mod tests {
         let conn = w.dial(LISTEN, client.clone());
         // The open has arrived, its answer is still on the 5 ms link.
         w.sim.run_for(Duration::from_millis(7));
-        let stack = conn.stack.clone();
-        let accepted = stack.inner.lock().conn_index[&pair_key(conn.peer, conn.local)];
+        let accepted = P::table(&mut w.net.lock()).conn_index[&pair_key(conn.peer, conn.local)];
         let snapshot = || {
-            let inner = stack.inner.lock();
-            let window = |h| unacked(inner.flows.get(h).expect("live flow"));
-            (window(conn.h), window(accepted), client.connected(), w.server.connected(), w.activity())
+            let mut inner = w.net.lock();
+            let table = P::table(&mut inner);
+            let window = |h| unacked(table.flows.get(h).expect("live flow"));
+            (window(conn.h), window(accepted), client.connected(), w.server.connected())
         };
-        let before = snapshot();
-        assert_eq!(before.2, 0, "the dialler is still opening");
+        let before = (snapshot(), w.activity());
+        assert_eq!(before.0 .2, 0, "the dialler is still opening");
 
-        P::on_wire(&stack, conn.h, to_dialler);
-        P::on_wire(&stack, accepted, to_acceptor);
-        assert_eq!(snapshot(), before, "nothing adopted, nothing sent, nobody told");
+        conn.process(|flow, cfg, rec, now, out| P::on_wire(flow, cfg, rec, now, out, to_dialler));
+        step::<P, _>(&w.net, w.net.lock(), accepted, |flow, cfg, rec, now, out| {
+            P::on_wire(flow, cfg, rec, now, out, to_acceptor);
+        });
+        assert_eq!((snapshot(), w.activity()), before, "nothing adopted, nothing sent, nobody told");
 
         w.sim.run_for(Duration::from_secs(1));
         assert_eq!((client.connected(), w.server.connected()), (1, 1));
@@ -1107,6 +1117,61 @@ mod tests {
         w.sim.run_for(Duration::from_secs(2));
         assert_eq!(w.server.data_len(), 5_000);
         assert!(w.server.in_order());
+    }
+
+    #[test]
+    fn an_arriving_segment_is_recorded_before_the_step_it_causes() {
+        use crate::tcp::TcpConfig;
+        use kmsg_telemetry::{EventKind, SpanId, SpanKind};
+        // The fabric's record of an arrival and the transport step it feeds
+        // are written by two layers; analysers and byte-compared artifacts
+        // rest on the order below. The arrival is the acknowledgement that
+        // ends an RTO recovery, so its step both closes a `seg` span and
+        // records a window change.
+        let sim = Sim::new(5);
+        sim.recorder().enable();
+        let net = Network::new(&sim);
+        net.set_tracer(crate::trace::RecorderTracer::new(sim.recorder().clone()));
+        let a = net.add_node("a");
+        let b = net.add_node("b");
+        let (ab, _) = net.connect_duplex(a, b, LinkConfig::new(10e6, Duration::from_millis(5)));
+        let accept = Arc::new(Accept(Arc::new(Recorder::default())));
+        let _listener = Listener::bind(&net, b, LISTEN, TcpConfig::default(), accept).expect("bind");
+        let dst = Endpoint::new(b, LISTEN);
+        let conn = Conn::connect(&net, a, dst, TcpConfig::default(), Arc::new(SinkEvents)).expect("dial");
+        sim.run_for(Duration::from_millis(100));
+        assert!(conn.is_established());
+        // The first transmission and the first retransmission (one RTO of
+        // 200 ms later) die on the dark link; the second gets through.
+        net.link(ab).set_up(false);
+        assert_eq!(conn.send(pattern_bytes(0, 100)), 100);
+        sim.run_for(Duration::from_millis(250));
+        net.link(ab).set_up(true);
+        sim.run_for(Duration::from_secs(2));
+        assert_eq!(conn.stats().timeouts, 2);
+
+        let label = |kind: &EventKind| match kind {
+            EventKind::SpanClose { span, key } => {
+                let span_kind = SpanId::from_raw(*span).kind().map_or("?", SpanKind::label);
+                format!("close {span_kind} {key}")
+            }
+            EventKind::Packet { outcome, .. } => format!("packet {outcome}"),
+            EventKind::TcpCwnd { cause, .. } => format!("cwnd {cause}"),
+            other => format!("{other:?}"),
+        };
+        let events = sim.recorder().events();
+        let arrived = events
+            .iter()
+            .rev()
+            .find(|e| matches!(&e.kind, EventKind::Packet { outcome, .. } if outcome == "delivered"))
+            .expect("a delivery")
+            .time_ns;
+        let at_arrival: Vec<String> =
+            events.iter().filter(|e| e.time_ns == arrived).map(|e| label(&e.kind)).collect();
+        assert_eq!(
+            at_arrival,
+            ["close hop 0", "close flight 0", "packet delivered", "close seg 1", "cwnd recovery_exit"]
+        );
     }
 
     macro_rules! protocol_suite {

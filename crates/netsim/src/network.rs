@@ -5,9 +5,9 @@
 //! both for multi-hop topologies and to chain per-endpoint processing links,
 //! e.g. the UDT receive-processing bottleneck).
 //!
-//! Transport endpoints register [`PacketSink`]s under a
-//! `(node, protocol, port)` binding; arriving packets are dispatched to the
-//! matching sink.
+//! A `(node, protocol, port)` binding names who gets the packets arriving
+//! there: the fabric's own TCP or UDT flow table, or a foreign
+//! [`PacketSink`] (UDP sockets, tests, probes).
 //!
 //! # Dense fabric state
 //!
@@ -20,31 +20,36 @@
 //! finishes for). Links are plain state in the same table: a [`Link`] is a
 //! view that reaches its link through the fabric lock.
 //!
-//! # One lock, once per packet event
+//! # One lock for packet and flow work
 //!
-//! All of it sits behind one mutex, and [`Network::send_packet`] and every
-//! hop event take it exactly once: route, pool slot, sever check, transmit
-//! and sink lookup are decided in that scope, and what calls out of the
-//! fabric — the [`PacketTracer`], the sink — runs after it is released. The
-//! next hop is scheduled from inside the scope, so the one lock-order rule
-//! is fabric → engine; the engine never calls the fabric with its own lock
-//! held. A [`Network`] is one `Arc` to the fabric, which owns its [`Sim`].
+//! All of it, and every TCP and UDT flow ([`crate::flowstack`]), sits
+//! behind one mutex, and [`Network::send_packet`] and every hop event take
+//! it exactly once: route, pool slot, sever check, transmit, the binding
+//! lookup, the recorder and [`PacketTracer`] calls for the packet's outcome
+//! and — for a port bound to a flow table — the demux and the flow's step
+//! are done in that scope. What calls out of the fabric — a foreign sink,
+//! the actions a step left — runs after it is released. The next hop is
+//! scheduled from inside the scope, so the one lock-order rule is fabric →
+//! engine; the engine never calls the fabric with its own lock held. A
+//! [`Network`] is one `Arc` to the fabric, which owns its [`Sim`].
 
 use std::fmt;
 use std::sync::{Arc, OnceLock, Weak};
 
 use kmsg_telemetry::{EventKind, SpanId, SpanKind};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::engine::Sim;
-use crate::flowstack::{FlowStack, Protocol};
+use crate::flowstack::{self, FlowTable};
 use crate::link::{DropReason, Link, LinkConfig, LinkId, LinkState, Verdict};
 use crate::memscope;
 use crate::packet::{Endpoint, NodeId, Packet, WireProtocol};
 use crate::pool::{PacketHandle, PacketPool};
 use crate::slab::FxHashMap;
+use crate::tcp::TcpConfig;
 use crate::time::SimTime;
 use crate::trace::{PacketEvent, PacketRecord, PacketTracer};
+use crate::udt::UdtConfig;
 
 /// A handle to an installed route: a `(offset, len)` span into the
 /// network's flattened link arena. 8 bytes and `Copy`, so packet-hop events
@@ -107,9 +112,19 @@ pub(crate) const EPHEMERAL_SPAN: u32 = (u16::MAX - EPHEMERAL_LO) as u32 + 1;
 
 /// Receives packets addressed to a bound `(node, protocol, port)`.
 pub trait PacketSink: Send + Sync {
-    /// Called when a packet arrives. Runs inside a simulation event; the
-    /// implementation may send packets and schedule further events.
+    /// Called when a packet arrives. Runs inside a simulation event, with
+    /// the fabric lock released; the implementation may send packets and
+    /// schedule further events.
     fn on_packet(&self, net: &Network, pkt: Packet);
+}
+
+/// Who the packets arriving at a bound port are for.
+#[derive(Clone)]
+pub(crate) enum Binding {
+    /// The fabric's own flow table of the port's protocol (TCP or UDT).
+    Flows,
+    /// A sink of the caller's, run once the fabric lock is released.
+    Foreign(Arc<dyn PacketSink>),
 }
 
 /// Cumulative network-wide packet counters.
@@ -127,7 +142,8 @@ pub struct NetworkStats {
     pub dropped_no_sink: u64,
 }
 
-struct NetInner {
+/// Everything behind the fabric lock.
+pub(crate) struct NetInner {
     node_names: Vec<String>,
     /// Dense link table. Append-only: a `LinkId` is a plain index with an
     /// implicit generation of zero.
@@ -136,8 +152,8 @@ struct NetInner {
     routes: FxHashMap<u64, RouteRef>,
     /// Flattened, append-only storage for every installed route's links.
     route_arena: Vec<LinkId>,
-    /// Sink demux: packed `(node, protocol, port)` → sink.
-    sinks: FxHashMap<u64, Arc<dyn PacketSink>>,
+    /// Port demux: packed `(node, protocol, port)` → binding.
+    sinks: FxHashMap<u64, Binding>,
     /// Per-node cursor into the ephemeral port range.
     next_ephemeral: FxHashMap<NodeId, u16>,
     /// Pooled storage for in-flight packets: hop events carry 8-byte
@@ -147,16 +163,10 @@ struct NetInner {
     stats: NetworkStats,
     /// Delay applied to node-local (same-node) deliveries with no route.
     local_delay: std::time::Duration,
-    stacks: Stacks,
-}
-
-/// Per-network flow tables of the stream transports, each created lazily on
-/// first use of its protocol. A stack holds a [`WeakNetwork`]
-/// back-reference, so this is not a cycle.
-#[derive(Default)]
-pub(crate) struct Stacks {
-    pub(crate) tcp: Option<Arc<FlowStack<crate::tcp::TcpConfig>>>,
-    pub(crate) udt: Option<Arc<FlowStack<crate::udt::UdtConfig>>>,
+    /// Every TCP flow on the network.
+    pub(crate) tcp: FlowTable<TcpConfig>,
+    /// Every UDT flow on the network.
+    pub(crate) udt: FlowTable<UdtConfig>,
 }
 
 impl NetInner {
@@ -164,6 +174,49 @@ impl NetInner {
     #[inline]
     fn route_links(&self, r: RouteRef) -> &[LinkId] {
         &self.route_arena[r.off as usize..(r.off + r.len) as usize]
+    }
+
+    /// Binds `(node, protocol, port)` to `binding`, unless it is taken.
+    pub(crate) fn bind(
+        &mut self,
+        node: NodeId,
+        protocol: WireProtocol,
+        port: u16,
+        binding: Binding,
+    ) -> Result<(), BindError> {
+        let key = sink_key(node, protocol, port);
+        if self.sinks.contains_key(&key) {
+            return Err(BindError {
+                endpoint: Endpoint::new(node, port),
+                protocol,
+            });
+        }
+        self.sinks.insert(key, binding);
+        Ok(())
+    }
+
+    /// Removes a binding if present.
+    pub(crate) fn unbind(&mut self, node: NodeId, protocol: WireProtocol, port: u16) {
+        self.sinks.remove(&sink_key(node, protocol, port));
+    }
+
+    /// A free ephemeral port on `node` for `protocol` (49152..=65535), to be
+    /// bound under the same lock. The cursor wraps around at the top of the
+    /// range and ports already bound for `protocol` are skipped, so
+    /// long-lived worlds with connection churn keep allocating successfully.
+    /// `None` when every port in the range is bound.
+    pub(crate) fn alloc_ephemeral_port(&mut self, node: NodeId, protocol: WireProtocol) -> Option<u16> {
+        let start = *self.next_ephemeral.get(&node).unwrap_or(&EPHEMERAL_LO);
+        for i in 0..EPHEMERAL_SPAN {
+            let off = (u32::from(start - EPHEMERAL_LO) + i) % EPHEMERAL_SPAN;
+            let port = EPHEMERAL_LO + off as u16;
+            if !self.sinks.contains_key(&sink_key(node, protocol, port)) {
+                let next = EPHEMERAL_LO + ((off + 1) % EPHEMERAL_SPAN) as u16;
+                self.next_ephemeral.insert(node, next);
+                return Some(port);
+            }
+        }
+        None
     }
 }
 
@@ -175,11 +228,10 @@ struct Fabric {
     tracer: OnceLock<Arc<dyn PacketTracer>>,
 }
 
-/// Weak counterpart of [`Network`], held by what the fabric or the engine's
-/// event store can reach: the transport stacks (registered as packet sinks)
-/// and packet-hop events. A strong reference from either would close a
-/// cycle and leak whole worlds — the fabric owns the engine a pending hop
-/// event waits in.
+/// Weak counterpart of [`Network`], held by what the engine's event store
+/// can reach: packet-hop events and the flow tables' timer targets. A
+/// strong reference from either would close a cycle and leak whole worlds —
+/// the fabric owns the engine a pending event waits in.
 #[derive(Clone)]
 pub(crate) struct WeakNetwork(Weak<Fabric>);
 
@@ -227,12 +279,12 @@ impl fmt::Display for BindError {
 impl std::error::Error for BindError {}
 
 /// How a packet's journey ended, decided under the fabric lock (its pool
-/// slot is already recycled) and reported once the lock is released.
+/// slot is already recycled) and reported in the same scope.
 enum Ended {
     /// Refused by the link it was offered to, or severed while crossing it.
     Dropped(LinkId, DropReason, Packet),
-    /// Past the last hop, for the sink bound to its port — if there is one.
-    Arrived(Packet, Option<Arc<dyn PacketSink>>),
+    /// Past the last hop, for whoever is bound to its port — if anyone.
+    Arrived(Packet, Option<Binding>),
     /// No route between distinct nodes.
     NoRoute(Packet),
 }
@@ -241,7 +293,7 @@ impl Network {
     /// Creates an empty network on the given simulation.
     #[must_use]
     pub fn new(sim: &Sim) -> Self {
-        Network(Arc::new(Fabric {
+        Network(Arc::new_cyclic(|fabric| Fabric {
             sim: sim.clone(),
             state: Mutex::new(NetInner {
                 node_names: Vec::new(),
@@ -253,7 +305,8 @@ impl Network {
                 pool: PacketPool::new(),
                 stats: NetworkStats::default(),
                 local_delay: std::time::Duration::from_micros(5),
-                stacks: Stacks::default(),
+                tcp: FlowTable::new(WeakNetwork(fabric.clone())),
+                udt: FlowTable::new(WeakNetwork(fabric.clone())),
             }),
             tracer: OnceLock::new(),
         }))
@@ -270,11 +323,9 @@ impl Network {
         WeakNetwork(Arc::downgrade(&self.0))
     }
 
-    /// The per-network flow table of protocol `P`, created on first use.
-    pub(crate) fn flow_stack<P: Protocol>(&self) -> Arc<FlowStack<P>> {
-        P::slot(&mut self.0.state.lock().stacks)
-            .get_or_insert_with(|| FlowStack::new(self.0.sim.clone(), self.downgrade()))
-            .clone()
+    /// Takes the fabric lock.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, NetInner> {
+        self.0.state.lock()
     }
 
     /// Adds a named host.
@@ -374,47 +425,17 @@ impl Network {
         port: u16,
         sink: Arc<dyn PacketSink>,
     ) -> Result<(), BindError> {
-        let mut inner = self.0.state.lock();
-        let key = sink_key(node, protocol, port);
-        if inner.sinks.contains_key(&key) {
-            return Err(BindError {
-                endpoint: Endpoint::new(node, port),
-                protocol,
-            });
-        }
-        inner.sinks.insert(key, sink);
-        Ok(())
+        self.lock().bind(node, protocol, port, Binding::Foreign(sink))
     }
 
     /// Removes a binding if present.
     pub fn unbind(&self, node: NodeId, protocol: WireProtocol, port: u16) {
-        self.0.state.lock().sinks.remove(&sink_key(node, protocol, port));
-    }
-
-    /// Allocates a fresh ephemeral port on `node` for `protocol`
-    /// (49152..=65535). The cursor wraps around at the top of the range and
-    /// ports already bound for `protocol` are skipped, so long-lived worlds
-    /// with connection churn keep allocating successfully.
-    ///
-    /// Returns `None` when every port in the ephemeral range is bound.
-    #[must_use]
-    pub fn alloc_ephemeral_port(&self, node: NodeId, protocol: WireProtocol) -> Option<u16> {
-        let mut inner = self.0.state.lock();
-        let start = *inner.next_ephemeral.get(&node).unwrap_or(&EPHEMERAL_LO);
-        for i in 0..EPHEMERAL_SPAN {
-            let off = (u32::from(start - EPHEMERAL_LO) + i) % EPHEMERAL_SPAN;
-            let port = EPHEMERAL_LO + off as u16;
-            if !inner.sinks.contains_key(&sink_key(node, protocol, port)) {
-                let next = EPHEMERAL_LO + ((off + 1) % EPHEMERAL_SPAN) as u16;
-                inner.next_ephemeral.insert(node, next);
-                return Some(port);
-            }
-        }
-        None
+        self.lock().unbind(node, protocol, port);
     }
 
     /// Installs the packet tracer, which observes every send, drop and
-    /// delivery from then on.
+    /// delivery from then on. It is called with the fabric lock held, so it
+    /// must not call back into the network.
     ///
     /// # Panics
     ///
@@ -466,35 +487,33 @@ impl Network {
             pkt.span = rec.tracer().open_root(now.as_nanos(), SpanKind::Flight, key).raw();
         }
         self.trace(&pkt, PacketEvent::Sent, now);
-        // One lock for the stats bump, the route lookup, the pool claim and
-        // the first link.
-        let ended = {
-            let mut guard = self.0.state.lock();
-            let inner = &mut *guard;
-            inner.stats.sent += 1;
-            match inner.routes.get(&route_key(pkt.src.node, pkt.dst.node)).copied() {
-                Some(route) if route.len > 0 => {
-                    let h = inner.pool.alloc(pkt);
-                    self.transmit(inner, h, route, 0, now)
-                }
-                // An empty or missing route is tolerated only for same-node
-                // traffic (loopback); between distinct nodes it is unrouted.
-                // A hop event past the (empty) route's end is a delivery.
-                _ if pkt.src.node == pkt.dst.node => {
-                    let at = now + inner.local_delay;
-                    let h = inner.pool.alloc(pkt);
-                    sim.schedule_packet_hop(at, self.downgrade(), h, RouteRef::EMPTY, 0);
-                    None
-                }
-                // The packet never enters the pool.
-                _ => {
-                    inner.stats.dropped_no_route += 1;
-                    Some(Ended::NoRoute(pkt))
-                }
+        // One lock for the stats bump, the route lookup, the pool claim, the
+        // first link and the report of a packet that goes no further.
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        inner.stats.sent += 1;
+        let ended = match inner.routes.get(&route_key(pkt.src.node, pkt.dst.node)).copied() {
+            Some(route) if route.len > 0 => {
+                let h = inner.pool.alloc(pkt);
+                self.transmit(inner, h, route, 0, now)
+            }
+            // An empty or missing route is tolerated only for same-node
+            // traffic (loopback); between distinct nodes it is unrouted.
+            // A hop event past the (empty) route's end is a delivery.
+            _ if pkt.src.node == pkt.dst.node => {
+                let at = now + inner.local_delay;
+                let h = inner.pool.alloc(pkt);
+                sim.schedule_packet_hop(at, self.downgrade(), h, RouteRef::EMPTY, 0);
+                None
+            }
+            // The packet never enters the pool.
+            _ => {
+                inner.stats.dropped_no_route += 1;
+                Some(Ended::NoRoute(pkt))
             }
         };
         if let Some(ended) = ended {
-            self.report(ended, now);
+            self.report(guard, ended, now);
         }
     }
 
@@ -553,9 +572,9 @@ impl Network {
     pub(crate) fn packet_hop(&self, h: PacketHandle, route: RouteRef, idx: u32) {
         let _scope = memscope::enter(memscope::SCOPE_FABRIC);
         let now = self.0.sim.now();
-        let ended = self.hop(&mut self.0.state.lock(), h, route, idx, now);
-        if let Some(ended) = ended {
-            self.report(ended, now);
+        let mut guard = self.lock();
+        if let Some(ended) = self.hop(&mut guard, h, route, idx, now) {
+            self.report(guard, ended, now);
         }
     }
 
@@ -586,21 +605,23 @@ impl Network {
         if idx < route.len {
             return self.transmit(inner, h, route, idx, now);
         }
-        // Past the last hop: the sink gets the packet by value.
+        // Past the last hop: whoever is bound gets the packet by value.
         let pkt = inner.pool.free(h).expect("delivered packet vanished from pool");
-        let sink = inner.sinks.get(&sink_key(pkt.dst.node, pkt.protocol, pkt.dst.port)).cloned();
-        match sink {
+        let binding = inner.sinks.get(&sink_key(pkt.dst.node, pkt.protocol, pkt.dst.port)).cloned();
+        match binding {
             Some(_) => inner.stats.delivered += 1,
             None => inner.stats.dropped_no_sink += 1,
         }
-        Some(Ended::Arrived(pkt, sink))
+        Some(Ended::Arrived(pkt, binding))
     }
 
-    /// Tells the recorder, the tracer and the sink how a packet's journey
-    /// ended. Runs with the fabric lock released: the sink sends packets.
-    fn report(&self, ended: Ended, now: SimTime) {
+    /// Tells the recorder and the tracer how a packet's journey ended, with
+    /// the fabric lock (`guard`) still held, then hands an arrival over: to
+    /// its flow table in the same scope, to a foreign sink once the lock is
+    /// released.
+    fn report(&self, guard: MutexGuard<'_, NetInner>, ended: Ended, now: SimTime) {
         let rec = self.0.sim.recorder();
-        let (pkt, key, event, sink) = match ended {
+        let (pkt, key, event, binding) = match ended {
             Ended::Dropped(link_id, reason, mut pkt) => {
                 rec.record_with(now.as_nanos(), || EventKind::LinkDrop {
                     link: u64::from(link_id.0),
@@ -613,8 +634,8 @@ impl Network {
                 let key = if severed { FLIGHT_SEVERED } else { FLIGHT_DROPPED };
                 (pkt, key, PacketEvent::Dropped(reason), None)
             }
-            Ended::Arrived(pkt, Some(sink)) => {
-                (pkt, FLIGHT_DELIVERED, PacketEvent::Delivered, Some(sink))
+            Ended::Arrived(pkt, Some(binding)) => {
+                (pkt, FLIGHT_DELIVERED, PacketEvent::Delivered, Some(binding))
             }
             Ended::Arrived(pkt, None) => (pkt, FLIGHT_NO_SINK, PacketEvent::NoSink, None),
             Ended::NoRoute(pkt) => (pkt, FLIGHT_NO_ROUTE, PacketEvent::NoRoute, None),
@@ -624,8 +645,15 @@ impl Network {
             rec.record(now.as_nanos(), EventKind::SpanClose { span: pkt.span, key });
         }
         self.trace(&pkt, event, now);
-        if let Some(sink) = sink {
-            sink.on_packet(self, pkt);
+        match (binding, pkt.protocol) {
+            (Some(Binding::Foreign(sink)), _) => {
+                drop(guard);
+                sink.on_packet(self, pkt);
+            }
+            (Some(Binding::Flows), WireProtocol::Tcp) => flowstack::dispatch::<TcpConfig>(self, guard, pkt),
+            (Some(Binding::Flows), WireProtocol::Udt) => flowstack::dispatch::<UdtConfig>(self, guard, pkt),
+            // No flow table serves UDP.
+            (Some(Binding::Flows), WireProtocol::Udp) | (None, _) => {}
         }
     }
 
@@ -670,6 +698,13 @@ mod tests {
     use bytes::Bytes;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
+
+    impl Network {
+        /// The fabric lock, if it is free.
+        pub(crate) fn try_lock(&self) -> Option<MutexGuard<'_, NetInner>> {
+            self.0.state.try_lock()
+        }
+    }
 
     struct Counter(AtomicUsize);
     impl PacketSink for Counter {
@@ -778,9 +813,9 @@ mod tests {
     #[test]
     fn ephemeral_ports_unique_per_node() {
         let (_sim, net, a, b) = two_nodes();
-        let p1 = net.alloc_ephemeral_port(a, WireProtocol::Tcp).unwrap();
-        let p2 = net.alloc_ephemeral_port(a, WireProtocol::Tcp).unwrap();
-        let p3 = net.alloc_ephemeral_port(b, WireProtocol::Tcp).unwrap();
+        let p1 = net.lock().alloc_ephemeral_port(a, WireProtocol::Tcp).unwrap();
+        let p2 = net.lock().alloc_ephemeral_port(a, WireProtocol::Tcp).unwrap();
+        let p3 = net.lock().alloc_ephemeral_port(b, WireProtocol::Tcp).unwrap();
         assert_ne!(p1, p2);
         assert_eq!(p1, 49152);
         assert_eq!(p3, 49152);
@@ -796,13 +831,13 @@ mod tests {
         net.bind(a, WireProtocol::Tcp, 65535, sink.clone()).unwrap();
         net.0.state.lock().next_ephemeral.insert(a, 65534);
         // Bound ports are skipped and the cursor wraps to the bottom.
-        let p = net.alloc_ephemeral_port(a, WireProtocol::Tcp).unwrap();
+        let p = net.lock().alloc_ephemeral_port(a, WireProtocol::Tcp).unwrap();
         assert_eq!(p, 49152);
         // A different protocol has its own namespace: 65534 is free there.
-        let q = net.alloc_ephemeral_port(a, WireProtocol::Udt);
+        let q = net.lock().alloc_ephemeral_port(a, WireProtocol::Udt);
         assert_eq!(q, Some(49153));
         net.0.state.lock().next_ephemeral.insert(a, 65534);
-        let q = net.alloc_ephemeral_port(a, WireProtocol::Udt).unwrap();
+        let q = net.lock().alloc_ephemeral_port(a, WireProtocol::Udt).unwrap();
         assert_eq!(q, 65534);
     }
 
@@ -813,10 +848,10 @@ mod tests {
         for port in 49152..=u16::MAX {
             net.bind(a, WireProtocol::Tcp, port, sink.clone()).unwrap();
         }
-        assert_eq!(net.alloc_ephemeral_port(a, WireProtocol::Tcp), None);
+        assert_eq!(net.lock().alloc_ephemeral_port(a, WireProtocol::Tcp), None);
         // Freeing one port makes allocation succeed again.
         net.unbind(a, WireProtocol::Tcp, 50_000);
-        assert_eq!(net.alloc_ephemeral_port(a, WireProtocol::Tcp), Some(50_000));
+        assert_eq!(net.lock().alloc_ephemeral_port(a, WireProtocol::Tcp), Some(50_000));
     }
 
     #[test]

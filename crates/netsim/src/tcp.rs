@@ -21,23 +21,22 @@
 //!
 //! Slab, demux, listeners, timer arming and handle lifetime are the shared
 //! [`crate::flowstack`] core; this file is what is actually TCP: config,
-//! segment format, the [`Flow`] state machine and its three timers.
+//! segment format, the [`Flow`] state machine — steps of one flow, which
+//! never see a lock — and its three timers.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use kmsg_telemetry::{EventKind, Recorder, SpanKind};
 
 use crate::cc::{self, CcConfig, CcCtx, CongestionController};
-use crate::flowstack::{self, release_drained, Conn, FlowHeader, FlowStack, Listener, Protocol};
+use crate::flowstack::{self, release_drained, Conn, FlowHeader, FlowTable, Listener, Protocol};
 use crate::iface::{CloseReason, Connection};
 use crate::memscope;
-use crate::network::Stacks;
+use crate::network::NetInner;
 use crate::packet::{PacketBody, WireProtocol};
-use crate::slab::Handle;
 use crate::time::SimTime;
 
 /// TCP tuning parameters.
@@ -359,95 +358,185 @@ fn my_wnd(flow: &Flow, cfg: &TcpConfig) -> u64 {
 
 type Action = flowstack::Action<TcpSegment>;
 
-/// Every TCP flow on a network (see [`FlowStack`]).
-type TcpStack = FlowStack<TcpConfig>;
+fn on_rto_fired(flow: &mut Flow, cfg: &TcpConfig, rec: &Recorder, now: SimTime, out: &mut Vec<Action>) {
+    // Deadline check replaces the old generation counter: every re-arm
+    // moves the deadline and the timer keeps an event pending at or before
+    // it, so an early firing is always stale.
+    let due = flow.state != State::Closed && flow.rto_timer.fired(KIND_RTO, now, out);
+    if !due || !flow.rto_armed {
+        return;
+    }
+    flow.rto_armed = false;
+    if flow.flight() == 0 {
+        return;
+    }
+    flow.stats.timeouts += 1;
+    flow.consecutive_timeouts += 1;
+    if flow.state == State::SynSent || flow.state == State::SynRcvd {
+        if flow.syn_retries_left == 0 {
+            flow.state = State::Closed;
+            close_all_seg_spans(flow, rec, now);
+            if !flow.hdr.closed_notified {
+                flow.hdr.closed_notified = true;
+                out.push(Action::Closed(CloseReason::Timeout));
+            }
+            return;
+        }
+        flow.syn_retries_left -= 1;
+    } else if flow.consecutive_timeouts > cfg.max_consecutive_timeouts {
+        // The peer is unreachable; give up like a real stack would.
+        flow.state = State::Closed;
+        close_all_seg_spans(flow, rec, now);
+        if !flow.hdr.closed_notified {
+            flow.hdr.closed_notified = true;
+            out.push(Action::Closed(CloseReason::Timeout));
+        }
+        return;
+    }
+    // Timeout response is the controller's call (Reno: RFC 5681 collapse
+    // to one MSS); episode bookkeeping stays here.
+    flow.in_recovery = true;
+    flow.recover = flow.snd_nxt;
+    flow.rto = (flow.rto * 2).min(cfg.max_rto);
+    rec.record(
+        now.as_nanos(),
+        EventKind::TcpRto {
+            conn: flow.hdr.conn_id,
+            rto_us: flow.rto.as_micros() as u64,
+            consecutive: u64::from(flow.consecutive_timeouts),
+        },
+    );
+    with_cc(flow, cfg, rec, |cc, ctx| cc.on_rto(ctx, now));
+    if flow.state == State::Established {
+        // Go-back-N style: everything unacknowledged is presumed lost;
+        // retransmission is paced by returning ACKs.
+        flow.lost.extend(flow.sent.iter().map(|s| s.seq));
+        resend_lost(flow, cfg, rec, now, out);
+    } else {
+        retransmit_first(flow, cfg, rec, now, out);
+    }
+    arm_rto(flow, now, out);
+}
 
-impl TcpStack {
-    fn on_rto_fired(self: &Arc<Self>, h: Handle<Flow>) {
-        self.process(h, |flow, cfg, rec, now, out| {
-            // Deadline check replaces the old generation counter: every
-            // re-arm moves the deadline and the timer keeps an event pending
-            // at or before it, so an early firing is always stale.
-            let due = flow.state != State::Closed && flow.rto_timer.fired(KIND_RTO, now, out);
-            if !due || !flow.rto_armed {
-                return;
-            }
-            flow.rto_armed = false;
-            if flow.flight() == 0 {
-                return;
-            }
-            flow.stats.timeouts += 1;
-            flow.consecutive_timeouts += 1;
-            if flow.state == State::SynSent || flow.state == State::SynRcvd {
-                if flow.syn_retries_left == 0 {
-                    flow.state = State::Closed;
-                    close_all_seg_spans(flow, rec, now);
-                    if !flow.hdr.closed_notified {
-                        flow.hdr.closed_notified = true;
-                        out.push(Action::Closed(CloseReason::Timeout));
-                    }
-                    return;
-                }
-                flow.syn_retries_left -= 1;
-            } else if flow.consecutive_timeouts > cfg.max_consecutive_timeouts {
-                // The peer is unreachable; give up like a real stack would.
-                flow.state = State::Closed;
-                close_all_seg_spans(flow, rec, now);
-                if !flow.hdr.closed_notified {
-                    flow.hdr.closed_notified = true;
-                    out.push(Action::Closed(CloseReason::Timeout));
-                }
-                return;
-            }
-            // Timeout response is the controller's call (Reno: RFC 5681
-            // collapse to one MSS); episode bookkeeping stays here.
-            flow.in_recovery = true;
-            flow.recover = flow.snd_nxt;
-            flow.rto = (flow.rto * 2).min(cfg.max_rto);
-            rec.record(
-                now.as_nanos(),
-                EventKind::TcpRto {
-                    conn: flow.hdr.conn_id,
-                    rto_us: flow.rto.as_micros() as u64,
-                    consecutive: u64::from(flow.consecutive_timeouts),
-                },
-            );
-            with_cc(flow, cfg, rec, |cc, ctx| cc.on_rto(ctx, now));
-            if flow.state == State::Established {
-                // Go-back-N style: everything unacknowledged is presumed
-                // lost; retransmission is paced by returning ACKs.
-                flow.lost.extend(flow.sent.iter().map(|s| s.seq));
-                resend_lost(flow, cfg, rec, now, out);
-            } else {
-                retransmit_first(flow, cfg, rec, now, out);
-            }
-            arm_rto(flow, now, out);
-        });
+fn on_pacer_fired(flow: &mut Flow, cfg: &TcpConfig, rec: &Recorder, now: SimTime, out: &mut Vec<Action>) {
+    if !flow.pacer_armed || now < flow.pacer_deadline || flow.state == State::Closed {
+        return;
+    }
+    flow.pacer_armed = false;
+    try_send(flow, cfg, rec, now, out);
+}
+
+fn on_delack_fired(flow: &mut Flow, cfg: &TcpConfig, now: SimTime, out: &mut Vec<Action>) {
+    let due = flow.state != State::Closed && flow.delack_timer.fired(KIND_DELACK, now, out);
+    if !due || flow.delack_pending == 0 {
+        return;
+    }
+    flow.delack_pending = 0;
+    out.push(Action::Send(pure_ack(flow, cfg, now)));
+}
+
+/// What is TCP about the flow core; the config type names the protocol.
+impl Protocol for TcpConfig {
+    type Flow = Flow;
+    type Wire = TcpSegment;
+
+    const WIRE: WireProtocol = WireProtocol::Tcp;
+    const SCOPE: usize = memscope::SCOPE_TCP;
+    const CONN_NAME: &'static str = "TcpConn";
+    const LISTENER_NAME: &'static str = "TcpListener";
+
+    fn table(net: &mut NetInner) -> &mut FlowTable<TcpConfig> {
+        &mut net.tcp
     }
 
-    fn on_pacer_fired(self: &Arc<Self>, h: Handle<Flow>) {
-        self.process(h, |flow, cfg, rec, now, out| {
-            if !flow.pacer_armed || now < flow.pacer_deadline || flow.state == State::Closed {
-                return;
-            }
-            flow.pacer_armed = false;
-            try_send(flow, cfg, rec, now, out);
-        });
+    fn new_flow(hdr: FlowHeader, cfg: &TcpConfig, _now: SimTime, active: bool) -> Flow {
+        Flow::new(hdr, cfg, if active { State::SynSent } else { State::SynRcvd })
     }
 
-    fn on_delack_fired(self: &Arc<Self>, h: Handle<Flow>) {
-        self.process(h, |flow, cfg, _rec, now, out| {
-            let due = flow.state != State::Closed && flow.delack_timer.fired(KIND_DELACK, now, out);
-            if !due || flow.delack_pending == 0 {
-                return;
-            }
-            flow.delack_pending = 0;
-            out.push(Action::Send(pure_ack(flow, cfg, now)));
-        });
+    fn hdr(flow: &Flow) -> &FlowHeader {
+        &flow.hdr
     }
 
-    fn handle_segment(self: &Arc<Self>, h: Handle<Flow>, seg: TcpSegment) {
-        self.process(h, move |flow, cfg, rec, now, out| match flow.state {
+    fn hdr_mut(flow: &mut Flow) -> &mut FlowHeader {
+        &mut flow.hdr
+    }
+
+    fn connection(conn: TcpConn) -> Connection {
+        Connection::Tcp(conn)
+    }
+
+    fn into_body(seg: TcpSegment) -> (usize, PacketBody) {
+        (seg.payload.len(), PacketBody::Tcp(seg))
+    }
+
+    fn from_body(body: PacketBody) -> Option<TcpSegment> {
+        match body {
+            PacketBody::Tcp(seg) => Some(seg),
+            _ => None,
+        }
+    }
+
+    fn opens(seg: &TcpSegment) -> bool {
+        seg.flags.syn && !seg.flags.ack
+    }
+
+    /// Sends the SYN.
+    fn start_active(flow: &mut Flow, cfg: &TcpConfig, _rec: &Recorder, now: SimTime, out: &mut Vec<Action>) {
+        let seg = TcpSegment {
+            seq: 0,
+            ack: 0,
+            flags: SegFlags {
+                syn: true,
+                ack: false,
+                fin: false,
+            },
+            wnd: my_wnd(flow, cfg),
+            ts: now,
+            ts_echo: None,
+            holes: Vec::new(),
+            payload: Bytes::new(),
+        };
+        queue_syn(flow, seg, now, out);
+    }
+
+    /// Answers the SYN with a SYN-ACK.
+    fn start_passive(
+        flow: &mut Flow,
+        cfg: &TcpConfig,
+        _rec: &Recorder,
+        now: SimTime,
+        out: &mut Vec<Action>,
+        seg: TcpSegment,
+    ) {
+        flow.rcv_nxt = seg.seq + 1;
+        flow.ts_recent = Some(seg.ts);
+        flow.peer_wnd = seg.wnd;
+        let synack = TcpSegment {
+            seq: 0,
+            ack: flow.rcv_nxt,
+            flags: SegFlags {
+                syn: true,
+                ack: true,
+                fin: false,
+            },
+            wnd: my_wnd(flow, cfg),
+            ts: now,
+            ts_echo: flow.ts_recent,
+            holes: Vec::new(),
+            payload: Bytes::new(),
+        };
+        queue_syn(flow, synack, now, out);
+    }
+
+    fn on_wire(
+        flow: &mut Flow,
+        cfg: &TcpConfig,
+        rec: &Recorder,
+        now: SimTime,
+        out: &mut Vec<Action>,
+        seg: TcpSegment,
+    ) {
+        match flow.state {
             State::Closed => {
                 // Re-acknowledge a retransmitted FIN so the peer can finish.
                 if seg.flags.fin {
@@ -499,109 +588,22 @@ impl TcpStack {
                 try_send(flow, cfg, rec, now, out);
                 maybe_close(flow, rec, now, out);
             }
-        });
-    }
-}
-
-/// What is TCP about a [`FlowStack`]; the config type names the protocol.
-impl Protocol for TcpConfig {
-    type Flow = Flow;
-    type Wire = TcpSegment;
-
-    const WIRE: WireProtocol = WireProtocol::Tcp;
-    const SCOPE: usize = memscope::SCOPE_TCP;
-    const CONN_NAME: &'static str = "TcpConn";
-    const LISTENER_NAME: &'static str = "TcpListener";
-
-    fn slot(stacks: &mut Stacks) -> &mut Option<Arc<TcpStack>> {
-        &mut stacks.tcp
-    }
-
-    fn new_flow(hdr: FlowHeader, cfg: &TcpConfig, _now: SimTime, active: bool) -> Flow {
-        Flow::new(hdr, cfg, if active { State::SynSent } else { State::SynRcvd })
-    }
-
-    fn hdr(flow: &Flow) -> &FlowHeader {
-        &flow.hdr
-    }
-
-    fn hdr_mut(flow: &mut Flow) -> &mut FlowHeader {
-        &mut flow.hdr
-    }
-
-    fn connection(conn: TcpConn) -> Connection {
-        Connection::Tcp(conn)
-    }
-
-    fn into_body(seg: TcpSegment) -> (usize, PacketBody) {
-        (seg.payload.len(), PacketBody::Tcp(seg))
-    }
-
-    fn from_body(body: PacketBody) -> Option<TcpSegment> {
-        match body {
-            PacketBody::Tcp(seg) => Some(seg),
-            _ => None,
         }
     }
 
-    fn opens(seg: &TcpSegment) -> bool {
-        seg.flags.syn && !seg.flags.ack
-    }
-
-    /// Sends the SYN.
-    fn start_active(stack: &Arc<TcpStack>, h: Handle<Flow>) {
-        stack.process(h, |flow, cfg, _rec, now, out| {
-            let seg = TcpSegment {
-                seq: 0,
-                ack: 0,
-                flags: SegFlags {
-                    syn: true,
-                    ack: false,
-                    fin: false,
-                },
-                wnd: my_wnd(flow, cfg),
-                ts: now,
-                ts_echo: None,
-                holes: Vec::new(),
-                payload: Bytes::new(),
-            };
-            queue_syn(flow, seg, now, out);
-        });
-    }
-
-    /// Answers the SYN with a SYN-ACK.
-    fn start_passive(stack: &Arc<TcpStack>, h: Handle<Flow>, seg: TcpSegment) {
-        stack.process(h, move |flow, cfg, _rec, now, out| {
-            flow.rcv_nxt = seg.seq + 1;
-            flow.ts_recent = Some(seg.ts);
-            flow.peer_wnd = seg.wnd;
-            let synack = TcpSegment {
-                seq: 0,
-                ack: flow.rcv_nxt,
-                flags: SegFlags {
-                    syn: true,
-                    ack: true,
-                    fin: false,
-                },
-                wnd: my_wnd(flow, cfg),
-                ts: now,
-                ts_echo: flow.ts_recent,
-                holes: Vec::new(),
-                payload: Bytes::new(),
-            };
-            queue_syn(flow, synack, now, out);
-        });
-    }
-
-    fn on_wire(stack: &Arc<TcpStack>, h: Handle<Flow>, seg: TcpSegment) {
-        stack.handle_segment(h, seg);
-    }
-
-    fn on_timer(stack: &Arc<TcpStack>, h: Handle<Flow>, kind: u64, _aux: u32) {
+    fn on_timer(
+        flow: &mut Flow,
+        cfg: &TcpConfig,
+        rec: &Recorder,
+        now: SimTime,
+        out: &mut Vec<Action>,
+        kind: u64,
+        _aux: u32,
+    ) {
         match kind {
-            KIND_RTO => stack.on_rto_fired(h),
-            KIND_DELACK => stack.on_delack_fired(h),
-            KIND_PACER => stack.on_pacer_fired(h),
+            KIND_RTO => on_rto_fired(flow, cfg, rec, now, out),
+            KIND_DELACK => on_delack_fired(flow, cfg, now, out),
+            KIND_PACER => on_pacer_fired(flow, cfg, rec, now, out),
             _ => {}
         }
     }
@@ -1201,7 +1203,7 @@ impl TcpConn {
     /// Appends bytes to the send buffer; returns how many were accepted.
     pub fn send(&self, data: Bytes) -> usize {
         let mut accepted = 0;
-        self.stack.process(self.h, |flow, cfg, rec, now, out| {
+        self.process(|flow, cfg, rec, now, out| {
             if flow.state == State::Closed || flow.fin_queued {
                 return;
             }
@@ -1251,7 +1253,7 @@ impl TcpConn {
 
     /// Orderly close: a FIN is sent after all buffered data.
     pub fn close(&self) {
-        self.stack.process(self.h, |flow, cfg, rec, now, out| {
+        self.process(|flow, cfg, rec, now, out| {
             if flow.fin_queued || flow.state == State::Closed {
                 return;
             }
@@ -1342,6 +1344,8 @@ pub(crate) fn stray_segment() -> TcpSegment {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::engine::Sim;
     use crate::iface::{StreamAccept, StreamEvents};
@@ -1646,10 +1650,15 @@ mod tests {
         }
     }
 
+    /// Steps the flow with `seg` as if it had just arrived.
+    fn arrive(conn: &TcpConn, seg: TcpSegment) {
+        conn.process(|flow, cfg, rec, now, out| TcpConfig::on_wire(flow, cfg, rec, now, out, seg));
+    }
+
     #[test]
     fn ack_inside_a_segment_releases_it() {
         let (_sim, _net, conn) = dark_flow(3);
-        conn.stack.handle_segment(conn.h, forged_ack(1 + MSS + 10));
+        arrive(&conn, forged_ack(1 + MSS + 10));
         // Every segment that starts below the ACK goes, the second with
         // only ten of its bytes acknowledged; release is counted in whole
         // segments.
@@ -1666,7 +1675,7 @@ mod tests {
     fn holes_mark_exactly_the_segments_starting_in_range() {
         let (_sim, _net, conn) = dark_flow(5);
         let lost_after = |holes: &[(u64, u64)]| {
-            conn.stack.process(conn.h, |flow, cfg, rec, now, _out| {
+            conn.process(|flow, cfg, rec, now, _out| {
                 note_holes(flow, cfg, rec, holes, now);
             });
             conn.peek(|f, _| f.lost_seqs()).unwrap()
@@ -1697,7 +1706,7 @@ mod tests {
             Some(vec![1 + MSS, 1 + 2 * MSS, 1 + 3 * MSS])
         );
         // Each returning ACK clocks out the next one up.
-        conn.stack.handle_segment(conn.h, forged_ack(1));
+        arrive(&conn, forged_ack(1));
         assert_eq!(conn.peek(|f, _| f.rexmit_seqs()), Some(vec![1, 1 + MSS]));
         assert_eq!(
             conn.peek(|f, _| f.lost_seqs()),
@@ -1707,7 +1716,7 @@ mod tests {
 
     /// Re-arms the RTO from now, as an acknowledgement of new data would.
     fn rearm_rto(conn: &TcpConn) {
-        conn.stack.process(conn.h, |flow, _cfg, _rec, now, out| arm_rto(flow, now, out));
+        conn.process(|flow, _cfg, _rec, now, out| arm_rto(flow, now, out));
     }
 
     #[test]
@@ -1717,7 +1726,7 @@ mod tests {
         let before = sim.events_pending();
         rearm_rto(&conn);
         assert_eq!(sim.events_pending(), before, "only the deadline moves");
-        conn.stack.process(conn.h, |flow, _cfg, _rec, now, out| {
+        conn.process(|flow, _cfg, _rec, now, out| {
             flow.rto = Duration::from_millis(50);
             arm_rto(flow, now, out);
         });
@@ -1742,6 +1751,46 @@ mod tests {
         assert_eq!(conn.stats().timeouts, 1);
     }
 
+    /// Arms the RTO for the deadline `at`.
+    fn arm_rto_for(conn: &TcpConn, at: SimTime) {
+        conn.process(|flow, _cfg, _rec, now, out| {
+            flow.rto = at.duration_since(now);
+            arm_rto(flow, now, out);
+        });
+    }
+
+    #[test]
+    fn a_deadline_moved_away_and_back_comes_due_under_its_last_arm() {
+        // DESIGN.md §16's one inexact case of the sequence rule. One event
+        // per arm would act at (D, first arm for D), ahead of anything
+        // scheduled for D after that arm; the timer acts there only while
+        // the deadline stays put. Moved to D' > D and back, it files its
+        // event under the last arm's number, behind such an event.
+        for away in [false, true] {
+            // The RTO armed by the write is pending at `pending`.
+            let (sim, _net, conn) = dark_flow(1);
+            let pending = sim.now() + conn.peek(|f, _| f.rto).expect("live flow");
+            sim.run_for(Duration::from_millis(10));
+            let d = pending + Duration::from_millis(50);
+            arm_rto_for(&conn, d);
+            let seen = Arc::new(std::sync::atomic::AtomicU64::new(u64::MAX));
+            let (probe, timeouts) = (conn.clone(), seen.clone());
+            sim.schedule_at(d, move |_| {
+                timeouts.store(probe.stats().timeouts, std::sync::atomic::Ordering::SeqCst);
+            });
+            if away {
+                arm_rto_for(&conn, d + Duration::from_millis(60));
+                arm_rto_for(&conn, d);
+            }
+            sim.run_until(SimTime::from_nanos(d.as_nanos() - 1));
+            assert_eq!(conn.stats().timeouts, 0, "away: {away}");
+            sim.run_until(d);
+            assert_eq!(conn.stats().timeouts, 1, "away: {away}");
+            let at_probe = seen.load(std::sync::atomic::Ordering::SeqCst);
+            assert_eq!(at_probe, u64::from(!away), "timeouts when the probe ran, away: {away}");
+        }
+    }
+
     #[test]
     fn a_cancelled_delayed_ack_stays_silent() {
         let (sim, net, conn) = dark_flow(0);
@@ -1750,13 +1799,13 @@ mod tests {
             ..forged_ack(seq)
         };
         let sent = net.stats().sent;
-        conn.stack.handle_segment(conn.h, data(1));
+        arrive(&conn, data(1));
         sim.run_for(Duration::from_millis(100));
         assert_eq!(net.stats().sent, sent + 1, "the delayed ACK of a lone segment");
         // The second segment is acknowledged at once, cancelling the
         // delayed ACK the first armed.
-        conn.stack.handle_segment(conn.h, data(11));
-        conn.stack.handle_segment(conn.h, data(21));
+        arrive(&conn, data(11));
+        arrive(&conn, data(21));
         let sent = net.stats().sent;
         sim.run_for(Duration::from_millis(100));
         assert_eq!(net.stats().sent, sent);

@@ -27,24 +27,22 @@
 //!
 //! Slab, demux, listeners, timer arming and handle lifetime are the shared
 //! [`crate::flowstack`] core; this file is what is actually UDT: config,
-//! packet format, the [`Flow`] state machine and its five timers (pacer,
-//! `SYN` tick, expiration tick, receive-processing completion, handshake
-//! retry).
+//! packet format, the [`Flow`] state machine — steps of one flow, which
+//! never see a lock — and its five timers (pacer, `SYN` tick, expiration
+//! tick, receive-processing completion, handshake retry).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use kmsg_telemetry::{EventKind, Recorder, SpanKind};
 
-use crate::flowstack::{self, release_drained, Conn, FlowHeader, FlowStack, Listener, Protocol};
+use crate::flowstack::{self, release_drained, Conn, FlowHeader, FlowTable, Listener, Protocol};
 use crate::iface::{CloseReason, Connection};
 use crate::memscope;
-use crate::network::Stacks;
+use crate::network::NetInner;
 use crate::packet::{PacketBody, WireProtocol};
-use crate::slab::Handle;
 use crate::time::SimTime;
 
 /// UDT tuning parameters.
@@ -354,219 +352,281 @@ fn arm(kind: u64, delay: Duration, aux: u32) -> Action {
     Action::Arm { kind, delay, aux }
 }
 
-/// Every UDT flow on a network (see [`FlowStack`]).
-type UdtStack = FlowStack<UdtConfig>;
+/// Rate control + receiver-side ACK emission, every `SYN`. The tick chain
+/// re-arms itself until the flow closes.
+fn on_syn_tick(flow: &mut Flow, cfg: &UdtConfig, rec: &Recorder, now: SimTime, out: &mut Vec<Action>) {
+    if flow.state == State::Closed {
+        return;
+    }
+    if flow.state != State::Established {
+        out.push(arm(KIND_SYN_TICK, cfg.syn, 0));
+        return;
+    }
+    // --- receiver duties: emit cumulative ACK with rate estimates.
+    let interval = cfg.syn.as_secs_f64();
+    let cur_rate = flow.pkts_since_ack as f64 / interval;
+    flow.rate_ewma_pps = if flow.rate_ewma_pps == 0.0 {
+        cur_rate
+    } else {
+        0.875 * flow.rate_ewma_pps + 0.125 * cur_rate
+    };
+    flow.pkts_since_ack = 0;
+    out.push(Action::Send(UdtPacket::Ack {
+        ack_seq: flow.rcv_nxt,
+        rcv_rate_pps: flow.rate_ewma_pps,
+        capacity_pps: flow.capacity_median_pps(),
+    }));
+    // Re-request persistently missing packets.
+    if !flow.missing.is_empty() {
+        let ranges = collect_ranges(&flow.missing, 64);
+        let losses = ranges.iter().map(|(f, t)| t - f + 1).sum();
+        rec.record(
+            now.as_nanos(),
+            EventKind::UdtNak {
+                conn: flow.hdr.conn_id,
+                sent: true,
+                losses,
+            },
+        );
+        out.push(Action::Send(UdtPacket::Nak { ranges }));
+    }
 
-impl UdtStack {
-    /// Rate control + receiver-side ACK emission, every `SYN`. The tick
-    /// chain re-arms itself until the flow closes.
-    fn on_syn_tick(self: &Arc<Self>, h: Handle<Flow>) {
-        self.process(h, |flow, cfg, rec, now, out| {
-            if flow.state == State::Closed {
-                return;
-            }
-            if flow.state != State::Established {
-                out.push(arm(KIND_SYN_TICK, cfg.syn, 0));
-                return;
-            }
-            // --- receiver duties: emit cumulative ACK with rate estimates.
-            let interval = cfg.syn.as_secs_f64();
-            let cur_rate = flow.pkts_since_ack as f64 / interval;
-            flow.rate_ewma_pps = if flow.rate_ewma_pps == 0.0 {
-                cur_rate
+    // --- sender duties: DAIMD rate increase (UDT4 formula).
+    if !flow.nak_in_syn && flow.sent_in_syn > 0 {
+        let mss = cfg.mss as f64;
+        let c_pps = flow.current_rate_pps();
+        let l_pps = flow.capacity_est_pps;
+        let b = l_pps - c_pps;
+        let inc = if b <= 0.0 {
+            1.0 / mss
+        } else {
+            let bits = b * mss * 8.0;
+            (10f64.powf(bits.log10().ceil()) * 1.5e-6 / mss).max(1.0 / mss)
+        };
+        let syn_us = cfg.syn.as_secs_f64() * 1e6;
+        flow.snd_period_us = (flow.snd_period_us * syn_us) / (flow.snd_period_us * inc + syn_us);
+        flow.snd_period_us = flow.snd_period_us.max(1.0);
+        rec.record(
+            now.as_nanos(),
+            EventKind::UdtRate {
+                conn: flow.hdr.conn_id,
+                period_us: flow.snd_period_us,
+                rate_pps: flow.current_rate_pps(),
+                cause: "syn_increase",
+            },
+        );
+    }
+    flow.nak_in_syn = false;
+    flow.sent_in_syn = 0;
+    // Tail-loss probe: the receiver cannot NAK a loss at the very end of
+    // the stream (no later packet exposes the gap), and its periodic ACKs
+    // keep resetting the expiration timer. If the cumulative ACK has not
+    // advanced for a couple of RTTs while data is in flight, retransmit the
+    // first unacknowledged packet.
+    if flow.flight_pkts() > 0 {
+        let rtt = flow.rtt.unwrap_or(0.1);
+        let stale = Duration::from_secs_f64((2.5 * rtt).max(0.05));
+        if now.duration_since(flow.last_progress_at) > stale {
+            flow.loss_list.insert(flow.snd_una);
+            flow.last_progress_at = now;
+        }
+    } else if flow.fin_sent && !flow.fin_acked {
+        let rtt = flow.rtt.unwrap_or(0.1);
+        let stale = Duration::from_secs_f64((2.5 * rtt).max(0.05));
+        if now.duration_since(flow.last_progress_at) > stale {
+            out.push(Action::Send(UdtPacket::Fin {
+                final_seq: flow.snd_nxt,
+            }));
+            flow.last_progress_at = now;
+        }
+    }
+    restart_pacer(flow, cfg, out);
+    out.push(arm(KIND_SYN_TICK, cfg.syn, 0));
+}
+
+/// Expiration: no feedback while data is in flight. Re-arms itself until
+/// the flow closes.
+fn on_exp_tick(flow: &mut Flow, cfg: &UdtConfig, now: SimTime, out: &mut Vec<Action>) {
+    if flow.state == State::Closed {
+        return;
+    }
+    if flow.state != State::Established {
+        out.push(arm(KIND_EXP_TICK, cfg.exp_timeout, 0));
+        return;
+    }
+    let idle = now.duration_since(flow.last_feedback_at);
+    // Scale the expiration threshold with the measured RTT so a long path
+    // does not trigger spurious go-back-N floods.
+    let rtt = flow.rtt.unwrap_or(0.2);
+    let threshold = cfg.exp_timeout.max(Duration::from_secs_f64(3.0 * rtt));
+    if idle < threshold {
+        flow.expirations_in_row = 0;
+        out.push(arm(KIND_EXP_TICK, cfg.exp_timeout, 0));
+        return;
+    }
+    let has_unacked = flow.flight_pkts() > 0 || (flow.fin_sent && !flow.fin_acked);
+    if !has_unacked {
+        flow.expirations_in_row = 0;
+        out.push(arm(KIND_EXP_TICK, cfg.exp_timeout, 0));
+        return;
+    }
+    flow.stats.expirations += 1;
+    flow.expirations_in_row += 1;
+    if flow.expirations_in_row > cfg.max_expirations {
+        flow.state = State::Closed;
+        if !flow.hdr.closed_notified {
+            flow.hdr.closed_notified = true;
+            out.push(Action::Closed(CloseReason::Timeout));
+        }
+        return;
+    }
+    // Schedule all in-flight packets for retransmission.
+    let in_flight = flow.snd_una..flow.snd_una + flow.packets.len() as u64;
+    flow.loss_list.extend(in_flight);
+    if flow.fin_sent && !flow.fin_acked {
+        let final_seq = flow.snd_nxt;
+        out.push(Action::Send(UdtPacket::Fin { final_seq }));
+    }
+    restart_pacer(flow, cfg, out);
+    out.push(arm(KIND_EXP_TICK, cfg.exp_timeout, 0));
+}
+
+/// The pacing clock: transmit one packet, reschedule.
+fn on_pacer(flow: &mut Flow, cfg: &UdtConfig, now: SimTime, out: &mut Vec<Action>, gen: u32) {
+    if gen != flow.pacer_gen as u32 || flow.state != State::Established {
+        return;
+    }
+    match send_one(flow, cfg, now, out) {
+        Some(seq) => {
+            // Packet pairs: the packet after every 16th is sent back to
+            // back as a bandwidth probe.
+            let delay = if seq % 16 == 15 {
+                Duration::ZERO
             } else {
-                0.875 * flow.rate_ewma_pps + 0.125 * cur_rate
+                Duration::from_secs_f64(flow.snd_period_us / 1e6)
             };
-            flow.pkts_since_ack = 0;
-            out.push(Action::Send(UdtPacket::Ack {
-                ack_seq: flow.rcv_nxt,
-                rcv_rate_pps: flow.rate_ewma_pps,
-                capacity_pps: flow.capacity_median_pps(),
-            }));
-            // Re-request persistently missing packets.
-            if !flow.missing.is_empty() {
-                let ranges = collect_ranges(&flow.missing, 64);
-                let losses = ranges.iter().map(|(f, t)| t - f + 1).sum();
-                rec.record(
-                    now.as_nanos(),
-                    EventKind::UdtNak {
-                        conn: flow.hdr.conn_id,
-                        sent: true,
-                        losses,
-                    },
-                );
-                out.push(Action::Send(UdtPacket::Nak { ranges }));
-            }
+            flow.pacer_gen += 1;
+            out.push(arm(KIND_PACER, delay, flow.pacer_gen as u32));
+        }
+        None => {
+            flow.pacer_active = false;
+        }
+    }
+}
 
-            // --- sender duties: DAIMD rate increase (UDT4 formula).
-            if !flow.nak_in_syn && flow.sent_in_syn > 0 {
-                let mss = cfg.mss as f64;
-                let c_pps = flow.current_rate_pps();
-                let l_pps = flow.capacity_est_pps;
-                let b = l_pps - c_pps;
-                let inc = if b <= 0.0 {
-                    1.0 / mss
-                } else {
-                    let bits = b * mss * 8.0;
-                    (10f64.powf(bits.log10().ceil()) * 1.5e-6 / mss).max(1.0 / mss)
-                };
-                let syn_us = cfg.syn.as_secs_f64() * 1e6;
-                flow.snd_period_us =
-                    (flow.snd_period_us * syn_us) / (flow.snd_period_us * inc + syn_us);
-                flow.snd_period_us = flow.snd_period_us.max(1.0);
-                rec.record(
-                    now.as_nanos(),
-                    EventKind::UdtRate {
-                        conn: flow.hdr.conn_id,
-                        period_us: flow.snd_period_us,
-                        rate_pps: flow.current_rate_pps(),
-                        cause: "syn_increase",
-                    },
-                );
-            }
-            flow.nak_in_syn = false;
-            flow.sent_in_syn = 0;
-            // Tail-loss probe: the receiver cannot NAK a loss at the very
-            // end of the stream (no later packet exposes the gap), and its
-            // periodic ACKs keep resetting the expiration timer. If the
-            // cumulative ACK has not advanced for a couple of RTTs while
-            // data is in flight, retransmit the first unacknowledged packet.
-            if flow.flight_pkts() > 0 {
-                let rtt = flow.rtt.unwrap_or(0.1);
-                let stale = Duration::from_secs_f64((2.5 * rtt).max(0.05));
-                if now.duration_since(flow.last_progress_at) > stale {
-                    flow.loss_list.insert(flow.snd_una);
-                    flow.last_progress_at = now;
-                }
-            } else if flow.fin_sent && !flow.fin_acked {
-                let rtt = flow.rtt.unwrap_or(0.1);
-                let stale = Duration::from_secs_f64((2.5 * rtt).max(0.05));
-                if now.duration_since(flow.last_progress_at) > stale {
-                    out.push(Action::Send(UdtPacket::Fin {
-                        final_seq: flow.snd_nxt,
-                    }));
-                    flow.last_progress_at = now;
-                }
-            }
-            restart_pacer(flow, cfg, out);
-            out.push(arm(KIND_SYN_TICK, cfg.syn, 0));
-        });
+/// A data packet cleared the receive-processing queue.
+fn on_data_processed(flow: &mut Flow, rec: &Recorder, now: SimTime, out: &mut Vec<Action>) {
+    // Pop unconditionally: the completion event consumed its queue entry
+    // even if the flow died in the meantime.
+    let Some((seq, probe)) = flow.proc_fifo.pop_front() else {
+        return;
+    };
+    release_drained(&mut flow.proc_fifo);
+    if flow.state == State::Closed {
+        return;
+    }
+    receive_data_packet(flow, rec, seq, probe, now, out);
+}
+
+/// Handshake (re)transmission. `attempt` rides the timer token.
+fn on_hs_retry(flow: &mut Flow, cfg: &UdtConfig, out: &mut Vec<Action>, attempt: u32) {
+    if flow.state != State::Connecting {
+        return;
+    }
+    if attempt > 12 {
+        if !flow.hdr.closed_notified {
+            flow.state = State::Closed;
+            flow.hdr.closed_notified = true;
+            out.push(Action::Closed(CloseReason::Timeout));
+        }
+        return;
+    }
+    out.push(Action::Send(UdtPacket::Handshake {
+        flow_window: cfg.rcv_buf as u64,
+    }));
+    out.push(arm(KIND_HS_RETRY, Duration::from_millis(250), attempt + 1));
+}
+
+/// What is UDT about the flow core; the config type names the protocol.
+impl Protocol for UdtConfig {
+    type Flow = Flow;
+    type Wire = UdtPacket;
+
+    const WIRE: WireProtocol = WireProtocol::Udt;
+    const SCOPE: usize = memscope::SCOPE_UDT;
+    const CONN_NAME: &'static str = "UdtConn";
+    const LISTENER_NAME: &'static str = "UdtListener";
+
+    fn table(net: &mut NetInner) -> &mut FlowTable<UdtConfig> {
+        &mut net.udt
     }
 
-    /// Expiration: no feedback while data is in flight. Re-arms itself
-    /// until the flow closes.
-    fn on_exp_tick(self: &Arc<Self>, h: Handle<Flow>) {
-        self.process(h, |flow, cfg, _rec, now, out| {
-            if flow.state == State::Closed {
-                return;
-            }
-            if flow.state != State::Established {
-                out.push(arm(KIND_EXP_TICK, cfg.exp_timeout, 0));
-                return;
-            }
-            let idle = now.duration_since(flow.last_feedback_at);
-            // Scale the expiration threshold with the measured RTT so a
-            // long path does not trigger spurious go-back-N floods.
-            let rtt = flow.rtt.unwrap_or(0.2);
-            let threshold = cfg.exp_timeout.max(Duration::from_secs_f64(3.0 * rtt));
-            if idle < threshold {
-                flow.expirations_in_row = 0;
-                out.push(arm(KIND_EXP_TICK, cfg.exp_timeout, 0));
-                return;
-            }
-            let has_unacked = flow.flight_pkts() > 0 || (flow.fin_sent && !flow.fin_acked);
-            if !has_unacked {
-                flow.expirations_in_row = 0;
-                out.push(arm(KIND_EXP_TICK, cfg.exp_timeout, 0));
-                return;
-            }
-            flow.stats.expirations += 1;
-            flow.expirations_in_row += 1;
-            if flow.expirations_in_row > cfg.max_expirations {
-                flow.state = State::Closed;
-                if !flow.hdr.closed_notified {
-                    flow.hdr.closed_notified = true;
-                    out.push(Action::Closed(CloseReason::Timeout));
-                }
-                return;
-            }
-            // Schedule all in-flight packets for retransmission.
-            let in_flight = flow.snd_una..flow.snd_una + flow.packets.len() as u64;
-            flow.loss_list.extend(in_flight);
-            if flow.fin_sent && !flow.fin_acked {
-                let final_seq = flow.snd_nxt;
-                out.push(Action::Send(UdtPacket::Fin { final_seq }));
-            }
-            restart_pacer(flow, cfg, out);
-            out.push(arm(KIND_EXP_TICK, cfg.exp_timeout, 0));
-        });
+    fn new_flow(hdr: FlowHeader, cfg: &UdtConfig, now: SimTime, active: bool) -> Flow {
+        Flow::new(hdr, cfg, now, active)
     }
 
-    /// The pacing clock: transmit one packet, reschedule.
-    fn on_pacer(self: &Arc<Self>, h: Handle<Flow>, gen: u32) {
-        self.process(h, |flow, cfg, _rec, now, out| {
-            if gen != flow.pacer_gen as u32 || flow.state != State::Established {
-                return;
-            }
-            let sent_seq = send_one(flow, cfg, now, out);
-            match sent_seq {
-                Some(seq) => {
-                    // Packet pairs: the packet after every 16th is sent
-                    // back to back as a bandwidth probe.
-                    let delay = if seq % 16 == 15 {
-                        Duration::ZERO
-                    } else {
-                        Duration::from_secs_f64(flow.snd_period_us / 1e6)
-                    };
-                    flow.pacer_gen += 1;
-                    out.push(arm(KIND_PACER, delay, flow.pacer_gen as u32));
-                }
-                None => {
-                    flow.pacer_active = false;
-                }
-            }
-        });
+    fn hdr(flow: &Flow) -> &FlowHeader {
+        &flow.hdr
     }
 
-    /// A data packet cleared the receive-processing queue.
-    fn on_data_processed(self: &Arc<Self>, h: Handle<Flow>) {
-        self.process(h, |flow, _cfg, rec, now, out| {
-            // Pop unconditionally: the completion event consumed its queue
-            // entry even if the flow died in the meantime.
-            let Some((seq, probe)) = flow.proc_fifo.pop_front() else {
-                return;
-            };
-            release_drained(&mut flow.proc_fifo);
-            if flow.state == State::Closed {
-                return;
-            }
-            receive_data_packet(flow, rec, seq, probe, now, out);
-        });
+    fn hdr_mut(flow: &mut Flow) -> &mut FlowHeader {
+        &mut flow.hdr
     }
 
-    /// Handshake (re)transmission. `attempt` rides the timer token.
-    fn on_hs_retry(self: &Arc<Self>, h: Handle<Flow>, attempt: u32) {
-        self.process(h, move |flow, cfg, _rec, _now, out| {
-            if flow.state != State::Connecting {
-                return;
-            }
-            if attempt > 12 {
-                if !flow.hdr.closed_notified {
-                    flow.state = State::Closed;
-                    flow.hdr.closed_notified = true;
-                    out.push(Action::Closed(CloseReason::Timeout));
-                }
-                return;
-            }
-            out.push(Action::Send(UdtPacket::Handshake {
-                flow_window: cfg.rcv_buf as u64,
-            }));
-            out.push(arm(KIND_HS_RETRY, Duration::from_millis(250), attempt + 1));
-        });
+    fn connection(conn: UdtConn) -> Connection {
+        Connection::Udt(conn)
     }
 
-    fn handle_packet(self: &Arc<Self>, h: Handle<Flow>, pkt: UdtPacket) {
-        self.process(h, move |flow, cfg, rec, now, out| match pkt {
+    fn into_body(pkt: UdtPacket) -> (usize, PacketBody) {
+        (pkt.payload_len(), PacketBody::Udt(pkt))
+    }
+
+    fn from_body(body: PacketBody) -> Option<UdtPacket> {
+        match body {
+            PacketBody::Udt(pkt) => Some(pkt),
+            _ => None,
+        }
+    }
+
+    fn opens(pkt: &UdtPacket) -> bool {
+        matches!(pkt, UdtPacket::Handshake { .. })
+    }
+
+    /// Starts the periodic tick chains, sends the first handshake and arms
+    /// its retry.
+    fn start_active(_flow: &mut Flow, cfg: &UdtConfig, _rec: &Recorder, _now: SimTime, out: &mut Vec<Action>) {
+        out.push(arm(KIND_SYN_TICK, cfg.syn, 0));
+        out.push(arm(KIND_EXP_TICK, cfg.exp_timeout, 0));
+        out.push(Action::Send(UdtPacket::Handshake {
+            flow_window: cfg.rcv_buf as u64,
+        }));
+        out.push(arm(KIND_HS_RETRY, Duration::from_millis(250), 1));
+    }
+
+    /// Starts the periodic tick chains, then processes the handshake (which
+    /// flips the flow to Established and answers with a HandshakeAck).
+    fn start_passive(
+        flow: &mut Flow,
+        cfg: &UdtConfig,
+        rec: &Recorder,
+        now: SimTime,
+        out: &mut Vec<Action>,
+        pkt: UdtPacket,
+    ) {
+        out.push(arm(KIND_SYN_TICK, cfg.syn, 0));
+        out.push(arm(KIND_EXP_TICK, cfg.exp_timeout, 0));
+        Self::on_wire(flow, cfg, rec, now, out, pkt);
+    }
+
+    fn on_wire(
+        flow: &mut Flow,
+        cfg: &UdtConfig,
+        rec: &Recorder,
+        now: SimTime,
+        out: &mut Vec<Action>,
+        pkt: UdtPacket,
+    ) {
+        match pkt {
             UdtPacket::Handshake { flow_window } => {
                 flow.peer_flow_window = flow_window;
                 out.push(Action::Send(UdtPacket::HandshakeAck {
@@ -723,89 +783,24 @@ impl UdtStack {
                     out.push(Action::Closed(CloseReason::Normal));
                 }
             }
-        });
-    }
-}
-
-/// What is UDT about a [`FlowStack`]; the config type names the protocol.
-impl Protocol for UdtConfig {
-    type Flow = Flow;
-    type Wire = UdtPacket;
-
-    const WIRE: WireProtocol = WireProtocol::Udt;
-    const SCOPE: usize = memscope::SCOPE_UDT;
-    const CONN_NAME: &'static str = "UdtConn";
-    const LISTENER_NAME: &'static str = "UdtListener";
-
-    fn slot(stacks: &mut Stacks) -> &mut Option<Arc<UdtStack>> {
-        &mut stacks.udt
-    }
-
-    fn new_flow(hdr: FlowHeader, cfg: &UdtConfig, now: SimTime, active: bool) -> Flow {
-        Flow::new(hdr, cfg, now, active)
-    }
-
-    fn hdr(flow: &Flow) -> &FlowHeader {
-        &flow.hdr
-    }
-
-    fn hdr_mut(flow: &mut Flow) -> &mut FlowHeader {
-        &mut flow.hdr
-    }
-
-    fn connection(conn: UdtConn) -> Connection {
-        Connection::Udt(conn)
-    }
-
-    fn into_body(pkt: UdtPacket) -> (usize, PacketBody) {
-        (pkt.payload_len(), PacketBody::Udt(pkt))
-    }
-
-    fn from_body(body: PacketBody) -> Option<UdtPacket> {
-        match body {
-            PacketBody::Udt(pkt) => Some(pkt),
-            _ => None,
         }
     }
 
-    fn opens(pkt: &UdtPacket) -> bool {
-        matches!(pkt, UdtPacket::Handshake { .. })
-    }
-
-    /// Starts the periodic tick chains, sends the first handshake and arms
-    /// its retry.
-    fn start_active(stack: &Arc<UdtStack>, h: Handle<Flow>) {
-        stack.process(h, |_flow, cfg, _rec, _now, out| {
-            out.push(arm(KIND_SYN_TICK, cfg.syn, 0));
-            out.push(arm(KIND_EXP_TICK, cfg.exp_timeout, 0));
-            out.push(Action::Send(UdtPacket::Handshake {
-                flow_window: cfg.rcv_buf as u64,
-            }));
-            out.push(arm(KIND_HS_RETRY, Duration::from_millis(250), 1));
-        });
-    }
-
-    /// Starts the periodic tick chains, then processes the handshake (which
-    /// flips the flow to Established and answers with a HandshakeAck).
-    fn start_passive(stack: &Arc<UdtStack>, h: Handle<Flow>, pkt: UdtPacket) {
-        stack.process(h, |_flow, cfg, _rec, _now, out| {
-            out.push(arm(KIND_SYN_TICK, cfg.syn, 0));
-            out.push(arm(KIND_EXP_TICK, cfg.exp_timeout, 0));
-        });
-        stack.handle_packet(h, pkt);
-    }
-
-    fn on_wire(stack: &Arc<UdtStack>, h: Handle<Flow>, pkt: UdtPacket) {
-        stack.handle_packet(h, pkt);
-    }
-
-    fn on_timer(stack: &Arc<UdtStack>, h: Handle<Flow>, kind: u64, aux: u32) {
+    fn on_timer(
+        flow: &mut Flow,
+        cfg: &UdtConfig,
+        rec: &Recorder,
+        now: SimTime,
+        out: &mut Vec<Action>,
+        kind: u64,
+        aux: u32,
+    ) {
         match kind {
-            KIND_PACER => stack.on_pacer(h, aux),
-            KIND_SYN_TICK => stack.on_syn_tick(h),
-            KIND_EXP_TICK => stack.on_exp_tick(h),
-            KIND_PROC => stack.on_data_processed(h),
-            KIND_HS_RETRY => stack.on_hs_retry(h, aux),
+            KIND_PACER => on_pacer(flow, cfg, now, out, aux),
+            KIND_SYN_TICK => on_syn_tick(flow, cfg, rec, now, out),
+            KIND_EXP_TICK => on_exp_tick(flow, cfg, now, out),
+            KIND_PROC => on_data_processed(flow, rec, now, out),
+            KIND_HS_RETRY => on_hs_retry(flow, cfg, out, aux),
             _ => {}
         }
     }
@@ -829,7 +824,7 @@ impl Protocol for UdtConfig {
     }
 
     /// `nak_recovery` span maintenance: every state transition runs through
-    /// [`FlowStack::process`], so the loss list's empty/non-empty edges are
+    /// a step of the core, so the loss list's empty/non-empty edges are
     /// all observable here — open on the first loss of an episode, close
     /// when recovery drains it (or the flow dies).
     fn after_step(flow: &mut Flow, rec: &Recorder, now: SimTime) {
@@ -1053,7 +1048,7 @@ impl UdtConn {
     /// Appends bytes to the send buffer; returns how many were accepted.
     pub fn send(&self, data: Bytes) -> usize {
         let mut accepted = 0;
-        self.stack.process(self.h, |flow, cfg, _rec, _now, out| {
+        self.process(|flow, cfg, _rec, _now, out| {
             if flow.state == State::Closed || flow.fin_queued {
                 return;
             }
@@ -1101,7 +1096,7 @@ impl UdtConn {
 
     /// Orderly close: a FIN follows the last buffered byte.
     pub fn close(&self) {
-        self.stack.process(self.h, |flow, cfg, _rec, _now, out| {
+        self.process(|flow, cfg, _rec, _now, out| {
             if flow.fin_queued || flow.state == State::Closed {
                 return;
             }
@@ -1158,6 +1153,8 @@ pub(crate) const STALE_TIMER: (u64, u32) = (KIND_PACER, u32::MAX);
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::engine::Sim;
     use crate::iface::{StreamAccept, StreamEvents};
