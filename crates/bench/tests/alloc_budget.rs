@@ -1,42 +1,61 @@
-//! Per-message allocation regression guard.
+//! Per-message allocation regression guards.
 //!
 //! A 64-byte round trip through two full middleware stacks used to make
 //! eighteen allocator calls of the stacks' own (EXPERIMENTS.md
 //! "Allocations per message"). What is left is six: per direction, the
 //! frame's buffer, the box that makes it shareable, and the `Arc` inside
-//! `NetMessage::new`. This test re-counts them with a counting allocator —
-//! the payload is static and echoed as received, so the test itself
-//! allocates nothing per message — and fails if a seventh call per
+//! `NetMessage::new`. The first test re-counts them with a counting
+//! allocator — the payload is static and echoed as received, so the test
+//! itself allocates nothing per message — and fails if a seventh call per
 //! direction's worth creeps back in.
+//!
+//! The second counts a bulk transfer's 65 kB chunks: compressed, so every
+//! frame straddles some 45 segments and is reassembled before it is
+//! decoded (EXPERIMENTS.md "A bulk chunk received in place").
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
+use kmsg_apps::dataset::{Dataset, PAPER_CHUNK_SIZE};
 use kmsg_apps::scenario::{two_host_world, Setup};
+use kmsg_apps::transfer::{FileReceiver, FileSender, ReceiverConfig, SenderConfig};
 use kmsg_component::prelude::*;
 use kmsg_core::prelude::*;
 
 struct CountingAlloc;
 
-static CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocator calls made by this thread: a world runs on the thread
+    /// that drives it, and the tests of this file run side by side.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    CALLS.with(|calls| calls.set(calls.get() + 1));
+}
+
+fn calls() -> u64 {
+    CALLS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Relaxed);
+        count();
         System.alloc(l)
     }
     unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Relaxed);
+        count();
         System.alloc_zeroed(l)
     }
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
         System.dealloc(p, l)
     }
     unsafe fn realloc(&self, p: *mut u8, l: Layout, new: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Relaxed);
+        count();
         System.realloc(p, l, new)
     }
 }
@@ -128,7 +147,7 @@ fn small_round_trip_stays_under_allocation_budget() {
             );
             world.sim.run_for(Duration::from_millis(3));
         }
-        (round_trips.load(Relaxed), CALLS.load(Relaxed))
+        (round_trips.load(Relaxed), calls())
     };
     let (trips_before, calls_before) = run_until(WARM_UP);
     let (trips_after, calls_after) = run_until(WARM_UP + MEASURED);
@@ -138,6 +157,60 @@ fn small_round_trip_stays_under_allocation_budget() {
         "a 64-byte round trip costs {per_trip:.2} allocator calls \
          (budget {CALLS_PER_ROUND_TRIP_BUDGET}, measured 6.12; 18.12 before the retransmission \
          queue became a deque and frames were written and sliced in place)"
+    );
+    world.system.shutdown();
+}
+
+/// The floor is seven calls per chunk — the dataset's chunk and its box,
+/// `NetMessage::new`'s `Arc`, the frame's buffer and box, the decompressed
+/// payload and its box — plus the timing wheel's slots still growing
+/// (0.31): measured 7.31. It was 9.31 while a frame that straddled
+/// segments was copied out of the reassembly buffer and boxed before it
+/// was decompressed.
+const CALLS_PER_CHUNK_BUDGET: f64 = 7.8;
+const WARM_UP_CHUNKS: u64 = 300;
+const MEASURED_CHUNKS: u64 = 200;
+
+#[test]
+fn bulk_chunk_stays_under_allocation_budget() {
+    let world = two_host_world(42, &Setup::EuVpc);
+    let a_addr = NetAddress::new(world.host_a, 7000);
+    let b_addr = NetAddress::new(world.host_b, 7000);
+    // The sender runs up to a pipeline (96 chunks) ahead of the receiver:
+    // the dataset outlasts the measured window by more, so both ends send
+    // and receive through all of it.
+    let chunks = WARM_UP_CHUNKS + MEASURED_CHUNKS + 200;
+    let dataset = Dataset::climate(chunks as usize * PAPER_CHUNK_SIZE, 1);
+    let a_net = create_network(&world.system, &world.net, NetworkConfig::new(a_addr)).expect("bind");
+    let b_net = create_network(&world.system, &world.net, NetworkConfig::new(b_addr)).expect("bind");
+    let sender = world
+        .system
+        .create(|| FileSender::new(SenderConfig::new(dataset, a_addr, b_addr, Transport::Tcp)));
+    let receiver = world.system.create(|| FileReceiver::new(ReceiverConfig::new(dataset)));
+    world.system.connect::<NetworkPort, _, _>(&a_net, &sender);
+    world.system.connect::<NetworkPort, _, _>(&b_net, &receiver);
+    let received = receiver.on_definition(|r| r.stats());
+    world.system.start(&a_net);
+    world.system.start(&b_net);
+    world.system.start(&receiver);
+    world.system.start(&sender);
+
+    // A chunk reaches the receiver's disk every ~0.6 ms.
+    let run_until = |target: u64| {
+        while received.lock().chunks < target {
+            assert!(world.sim.now().as_nanos() < 60_000_000_000, "the transfer stalled");
+            world.sim.run_for(Duration::from_millis(1));
+        }
+        (received.lock().chunks, calls())
+    };
+    let (chunks_before, calls_before) = run_until(WARM_UP_CHUNKS);
+    let (chunks_after, calls_after) = run_until(WARM_UP_CHUNKS + MEASURED_CHUNKS);
+    let per_chunk = (calls_after - calls_before) as f64 / (chunks_after - chunks_before) as f64;
+    assert!(
+        per_chunk <= CALLS_PER_CHUNK_BUDGET,
+        "a compressed 65 kB chunk costs {per_chunk:.2} allocator calls \
+         (budget {CALLS_PER_CHUNK_BUDGET}, measured 7.31; 9.31 before a straddling frame \
+         was decoded where it lay)"
     );
     world.system.shutdown();
 }

@@ -182,9 +182,30 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
     out
 }
 
+/// How many bytes a short literal run or match is copied in: one
+/// fixed-width copy, whatever its length up to this.
+const WIDE: usize = 16;
+
+/// Zero-fills `out` up to `need` bytes plus [`WIDE`] of room for a
+/// fixed-width copy to overrun into, but never past `max_len`. Each fill
+/// at least doubles what is there, so the bytes filled stay within about
+/// twice what is written: a block that claims a huge raw length and ends
+/// early touches no more than it wrote.
+fn make_room(out: &mut Vec<u8>, need: usize, max_len: usize) {
+    if out.len() < need + WIDE && out.len() < max_len {
+        out.resize((need + WIDE).max(2 * out.len()).min(max_len), 0);
+    }
+}
+
 /// Decompresses a block produced by [`compress`]. Room for `max_len` bytes
 /// is reserved up front and never grown, so pass the raw length when it is
 /// known.
+///
+/// The output is written by index. A literal run or a match of up to
+/// [`WIDE`] bytes is copied [`WIDE`] bytes at a time wherever source and
+/// destination both have that much room — the match only if it does not
+/// overlap itself — and the bytes beyond its end are overwritten by what
+/// follows, or cut off at the end.
 ///
 /// # Errors
 ///
@@ -193,48 +214,115 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 pub fn decompress(data: &[u8], max_len: usize) -> Result<Vec<u8>, CodecError> {
     let mut out = Vec::new();
     out.try_reserve_exact(max_len).map_err(|_| CodecError::TooLarge)?;
+    // `out[..len]` is the output so far; the rest of `out` is room that
+    // fixed-width copies may overrun into.
+    let mut len = 0;
     let mut pos = 0;
     loop {
         let lit_len = get_varint(data, &mut pos)? as usize;
         if lit_len > data.len() - pos {
             return Err(CodecError::Truncated);
         }
-        if lit_len > max_len - out.len() {
+        if lit_len > max_len - len {
             return Err(CodecError::TooLarge);
         }
-        out.extend_from_slice(&data[pos..pos + lit_len]);
+        make_room(&mut out, len + lit_len, max_len);
+        if lit_len <= WIDE && data.len() - pos >= WIDE && out.len() - len >= WIDE {
+            out[len..len + WIDE].copy_from_slice(&data[pos..pos + WIDE]);
+        } else {
+            out[len..len + lit_len].copy_from_slice(&data[pos..pos + lit_len]);
+        }
+        len += lit_len;
         pos += lit_len;
         let offset = data.get(pos..pos + 2).ok_or(CodecError::Truncated)?;
         let offset = usize::from(u16::from_le_bytes([offset[0], offset[1]]));
         pos += 2;
         if offset == 0 {
+            out.truncate(len);
             return Ok(out);
         }
         let mut remaining = (get_varint(data, &mut pos)? as usize).saturating_add(MIN_MATCH);
-        if offset > out.len() {
+        if offset > len {
             return Err(CodecError::BadOffset);
         }
-        if remaining > max_len - out.len() {
+        if remaining > max_len - len {
             return Err(CodecError::TooLarge);
+        }
+        make_room(&mut out, len + remaining, max_len);
+        let start = len - offset;
+        if remaining <= WIDE && offset >= WIDE && out.len() - len >= WIDE {
+            // The source ends at or before `len`: only output is read.
+            out.copy_within(start..start + WIDE, len);
+            len += remaining;
+            continue;
         }
         // An overlapping reference (offset < length) repeats its `offset`
         // bytes: each pass copies everything written since `start`, so the
         // span doubles.
-        let start = out.len() - offset;
         while remaining > 0 {
-            let span = remaining.min(out.len() - start);
-            out.extend_from_within(start..start + span);
+            let span = remaining.min(len - start);
+            out.copy_within(start..start + span, len);
+            len += span;
             remaining -= span;
         }
     }
 }
 
-/// `compress` as it stood before the word-at-a-time rewrite, verbatim. The
-/// format is frozen and byte identity with this is what "same behaviour"
-/// means for the matcher, so the differential tests hold [`compress`] to it.
+/// `compress` as it stood before the word-at-a-time rewrite, and
+/// `decompress` as it stood before it wrote by index, verbatim. The format
+/// is frozen and identity with these is what "same behaviour" means, so the
+/// differential tests hold [`compress`] to the first's bytes and
+/// [`decompress`] to the second's `Result` on any input.
 #[cfg(test)]
 mod reference {
-    use super::{HASH_BITS, MIN_MATCH, WINDOW};
+    use super::{get_varint, CodecError, HASH_BITS, MIN_MATCH, WINDOW};
+
+    /// Decompresses a block produced by [`compress`]. Room for `max_len` bytes
+    /// is reserved up front and never grown, so pass the raw length when it is
+    /// known.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodecError`] on malformed input or if the output would exceed
+    /// `max_len` (or `max_len` itself cannot be reserved).
+    pub fn decompress(data: &[u8], max_len: usize) -> Result<Vec<u8>, CodecError> {
+        let mut out = Vec::new();
+        out.try_reserve_exact(max_len).map_err(|_| CodecError::TooLarge)?;
+        let mut pos = 0;
+        loop {
+            let lit_len = get_varint(data, &mut pos)? as usize;
+            if lit_len > data.len() - pos {
+                return Err(CodecError::Truncated);
+            }
+            if lit_len > max_len - out.len() {
+                return Err(CodecError::TooLarge);
+            }
+            out.extend_from_slice(&data[pos..pos + lit_len]);
+            pos += lit_len;
+            let offset = data.get(pos..pos + 2).ok_or(CodecError::Truncated)?;
+            let offset = usize::from(u16::from_le_bytes([offset[0], offset[1]]));
+            pos += 2;
+            if offset == 0 {
+                return Ok(out);
+            }
+            let mut remaining = (get_varint(data, &mut pos)? as usize).saturating_add(MIN_MATCH);
+            if offset > out.len() {
+                return Err(CodecError::BadOffset);
+            }
+            if remaining > max_len - out.len() {
+                return Err(CodecError::TooLarge);
+            }
+            // An overlapping reference (offset < length) repeats its `offset`
+            // bytes: each pass copies everything written since `start`, so the
+            // span doubles.
+            let start = out.len() - offset;
+            while remaining > 0 {
+                let span = remaining.min(out.len() - start);
+                out.extend_from_within(start..start + span);
+                remaining -= span;
+            }
+        }
+    }
 
     fn hash4(data: &[u8]) -> usize {
         let v = u32::from_le_bytes([data[0], data[1], data[2], data[3]]);
@@ -445,12 +533,27 @@ mod tests {
         }
     }
 
-    /// `compress` against the reference, then back through `decompress`.
+    /// `decompress` and the reference give the same `Result`: the same
+    /// bytes, or the same error.
+    fn same_as_reference(block: &[u8], max_len: usize) {
+        assert!(
+            decompress(block, max_len) == reference::decompress(block, max_len),
+            "decompress differs from reference: block of {} B, limit {max_len}",
+            block.len()
+        );
+    }
+
+    /// `compress` against the reference, then back through `decompress`,
+    /// which must agree with its reference one byte short of the raw
+    /// length, at it, and with room to spare.
     fn check(input: &[u8]) -> Vec<u8> {
         let packed = compress(input);
         assert!(packed == reference::compress(input), "differs from reference, len {}", input.len());
         assert!(packed.len() <= max_compressed_len(input.len()));
         assert!(decompress(&packed, input.len()).expect("decompress") == input);
+        for limit in [input.len().wrapping_sub(1), input.len(), input.len() + 17] {
+            same_as_reference(&packed, limit);
+        }
         packed
     }
 
@@ -521,13 +624,86 @@ mod tests {
                 let expected: Vec<u8> = pattern.iter().copied().cycle().take(total).collect();
                 assert_eq!(decompress(&block, total).expect("valid block"), expected);
                 assert_eq!(decompress(&block, total - 1), Err(CodecError::TooLarge));
+                for limit in [total - 1, total, total + 17] {
+                    same_as_reference(&block, limit);
+                }
             }
         }
     }
 
     #[test]
+    fn every_prefix_of_a_block_decodes_as_the_reference_does() {
+        let noise: Vec<u8> = (0..300u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        let inputs = [
+            climate_like(3, 700),
+            b"abcab".iter().copied().cycle().take(500).collect(),
+            vec![7u8; 1_000],
+            noise,
+            // Matches at offsets 16 and up, short and long, between short
+            // literal runs: the fixed-width copies' own cases.
+            b"0123456789abcdefXY0123456789abcdefZ0123456789ab".repeat(12),
+        ];
+        for input in inputs {
+            let packed = check(&input);
+            for cut in 0..=packed.len() {
+                same_as_reference(&packed[..cut], input.len());
+                same_as_reference(&packed[..cut], input.len() + 17);
+            }
+        }
+    }
+
+    /// Random bytes and random well-shaped sequences (literals, offsets that
+    /// may reach before the output, matches that may outrun the limit),
+    /// cut anywhere, under random limits.
+    #[test]
+    fn arbitrary_blocks_decode_as_the_reference_does() {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(27);
+        for _ in 0..12_000 {
+            let mut block = Vec::new();
+            if rng.gen() {
+                let len = rng.gen_range(0usize..64);
+                block.extend((0..len).map(|_| rng.gen::<u8>()));
+            } else {
+                let mut varint = [0u8; 5];
+                for _ in 0..rng.gen_range(1usize..12) {
+                    let lit_len = rng.gen_range(0u32..40);
+                    let n = put_varint(&mut varint, 0, lit_len).expect("fits");
+                    block.extend_from_slice(&varint[..n]);
+                    block.extend((0..lit_len).map(|_| rng.gen::<u8>()));
+                    let offset = rng.gen_range(0u16..64);
+                    block.extend_from_slice(&offset.to_le_bytes());
+                    if offset != 0 {
+                        let n = put_varint(&mut varint, 0, rng.gen_range(0u32..200)).expect("fits");
+                        block.extend_from_slice(&varint[..n]);
+                    }
+                }
+                block.truncate(rng.gen_range(0..=block.len()));
+            }
+            let limit = rng.gen_range(0usize..2_500);
+            same_as_reference(&block, limit);
+        }
+    }
+
+    /// A frame may claim up to 16 MiB of raw payload in a block a few
+    /// bytes long. The reference reserved that room and left it untouched;
+    /// the room `decompress` fills grows with what it writes.
+    #[test]
+    fn a_huge_claimed_length_with_a_tiny_block_decodes_as_the_reference_does() {
+        let max_frame = crate::net::frame::MAX_FRAME;
+        // An empty literal run, then the terminator: ends after three bytes.
+        same_as_reference(&[0, 0, 0], max_frame);
+        assert_eq!(decompress(&[0, 0, 0], max_frame), Ok(Vec::new()));
+        same_as_reference(&compress(b"abcabcabcabc"), max_frame);
+        same_as_reference(&[5, b'a'], max_frame);
+    }
+
+    #[test]
     fn unreservable_limit_is_an_error() {
         assert_eq!(decompress(&compress(b"abc"), usize::MAX), Err(CodecError::TooLarge));
+        same_as_reference(&compress(b"abc"), usize::MAX);
     }
 
     #[test]

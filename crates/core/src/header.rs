@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 
 use crate::address::{Address, NetAddress, VnodeId};
 use crate::ser::SerError;
@@ -264,7 +264,7 @@ fn put_addr(buf: &mut BytesMut, addr: &NetAddress) {
     }
 }
 
-fn get_addr(buf: &mut Bytes) -> Result<NetAddress, SerError> {
+fn get_addr(buf: &mut impl Buf) -> Result<NetAddress, SerError> {
     const CTX: &str = "NetAddress";
     if buf.remaining() < 7 {
         return Err(SerError::Truncated { context: CTX });
@@ -327,12 +327,13 @@ impl NetHeader {
         }
     }
 
-    /// Reads a header.
+    /// Reads a header from any cursor: a frame decoded where it lies is read
+    /// through one bounded by its length prefix.
     ///
     /// # Errors
     ///
     /// Returns [`SerError`] on truncated or invalid input.
-    pub fn deserialise(buf: &mut Bytes) -> Result<NetHeader, SerError> {
+    pub fn deserialise(buf: &mut impl Buf) -> Result<NetHeader, SerError> {
         const CTX: &str = "NetHeader";
         if buf.remaining() < 1 {
             return Err(SerError::Truncated { context: CTX });

@@ -104,12 +104,22 @@ pub fn encode_frame(msg: &NetMessage, compression: Compression) -> Result<Bytes,
 ///
 /// Returns [`SerError`] on malformed frames.
 pub fn decode_frame_body(mut body: Bytes) -> Result<NetMessage, SerError> {
+    decode_body(&mut body, std::mem::take)
+}
+
+/// Reads a frame body through `body`: flags, header and `ser_id`, then the
+/// payload — decompressed straight out of `body` if compressed, otherwise
+/// taken from it by `uncompressed`.
+fn decode_body<B: Buf>(
+    body: &mut B,
+    uncompressed: impl FnOnce(&mut B) -> Bytes,
+) -> Result<NetMessage, SerError> {
     const CTX: &str = "frame";
     if body.remaining() < 1 {
         return Err(SerError::Truncated { context: CTX });
     }
     let flags = body.get_u8();
-    let header = NetHeader::deserialise(&mut body)?;
+    let header = NetHeader::deserialise(body)?;
     if body.remaining() < 8 {
         return Err(SerError::Truncated { context: CTX });
     }
@@ -122,13 +132,32 @@ pub fn decode_frame_body(mut body: Bytes) -> Result<NetMessage, SerError> {
         if raw_len > MAX_FRAME {
             return Err(SerError::Invalid { context: CTX });
         }
-        let raw = codec::decompress(&body, raw_len)
-            .map_err(|_| SerError::Invalid { context: "compressed payload" })?;
+        let raw = codec::decompress(body.chunk(), raw_len).map_err(|_| SerError::Invalid {
+            context: "compressed payload",
+        })?;
         Bytes::from(raw)
     } else {
-        body
+        uncompressed(body)
     };
     Ok(NetMessage::from_wire(header, ser_id, payload))
+}
+
+/// A frame body where it lies in the reassembly buffer, read through a
+/// cursor that ends where the frame's length prefix says it does.
+struct InPlace<'a>(&'a [u8]);
+
+impl Buf for InPlace<'_> {
+    fn remaining(&self) -> usize {
+        self.0.len()
+    }
+
+    fn chunk(&self) -> &[u8] {
+        self.0
+    }
+
+    fn advance(&mut self, cnt: usize) {
+        self.0 = &self.0[cnt..];
+    }
 }
 
 /// Incremental frame extractor for stream transports.
@@ -136,7 +165,8 @@ pub fn decode_frame_body(mut body: Bytes) -> Result<NetMessage, SerError> {
 /// Stream bytes are held in one of two places, never both: the chunk they
 /// arrived in, out of which whole frames are sliced without a copy, or —
 /// from the moment a frame turns out to straddle chunks until the bytes
-/// copied for it are used up — a reassembly buffer.
+/// copied for it are used up — a reassembly buffer, in which
+/// [`FrameDecoder::next_message`] decodes a frame where it lies.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     chunk: Bytes,
@@ -172,17 +202,17 @@ impl FrameDecoder {
         self.buf.extend_from_slice(&std::mem::take(&mut self.chunk));
     }
 
-    /// Extracts the next complete frame body, if available.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SerError::Invalid`] if the stream announces an oversized
-    /// frame (stream corruption). Framing cannot resynchronise after that,
-    /// so everything held is dropped and the caller should close the
-    /// stream.
-    pub fn next_frame(&mut self) -> Result<Option<Bytes>, SerError> {
-        let sliced = self.buf.is_empty();
-        let held: &[u8] = if sliced { &self.chunk } else { &self.buf };
+    /// The length of the next frame, once all of it is held (`None`, with
+    /// the chunk spilled, until then). The frame lies whole in the chunk if
+    /// the reassembly buffer is empty, and in the buffer otherwise. The one
+    /// length-prefix check of both entries: an oversized frame poisons the
+    /// stream, and everything held is dropped.
+    fn whole_frame(&mut self) -> Result<Option<usize>, SerError> {
+        let held: &[u8] = if self.buf.is_empty() {
+            &self.chunk
+        } else {
+            &self.buf
+        };
         // The length the next frame announces, once its prefix is here.
         let len = held
             .first_chunk()
@@ -191,18 +221,58 @@ impl FrameDecoder {
             *self = FrameDecoder::new();
             return Err(SerError::Invalid { context: "frame length" });
         }
-        let Some(len) = len.filter(|len| held.len() >= 4 + len) else {
+        let len = len.filter(|len| held.len() >= 4 + len);
+        if len.is_none() {
             // The rest of the frame is in a later chunk.
             self.spill();
+        }
+        Ok(len)
+    }
+
+    /// Extracts the next complete frame body, if available.
+    ///
+    /// # Errors
+    ///
+    /// As [`FrameDecoder::next_message`]'s outer error.
+    pub fn next_frame(&mut self) -> Result<Option<Bytes>, SerError> {
+        let Some(len) = self.whole_frame()? else {
             return Ok(None);
         };
-        Ok(Some(if sliced {
+        Ok(Some(if self.buf.is_empty() {
             self.chunk.advance(4);
             self.chunk.split_to(len)
         } else {
             self.buf.advance(4);
             self.buf.split_to(len).freeze()
         }))
+    }
+
+    /// Decodes the next complete frame, if available: what
+    /// [`FrameDecoder::next_frame`] and [`decode_frame_body`] give, without
+    /// copying a frame that straddled chunks out of the reassembly buffer.
+    /// A frame whole in its chunk is sliced out of it, as `next_frame` does.
+    /// One that straddled is read where it lies and passed over; only its
+    /// payload leaves the buffer — decompressed, or copied if uncompressed.
+    ///
+    /// # Errors
+    ///
+    /// The outer error: the stream announced an oversized frame. Framing
+    /// cannot resynchronise after that, so everything held is dropped and
+    /// the caller should close the stream. The inner error: this one frame
+    /// is malformed, and it has been passed over; the frames after it
+    /// decode as usual.
+    pub fn next_message(&mut self) -> Result<Option<Result<NetMessage, SerError>>, SerError> {
+        let Some(len) = self.whole_frame()? else {
+            return Ok(None);
+        };
+        if self.buf.is_empty() {
+            self.chunk.advance(4);
+            return Ok(Some(decode_frame_body(self.chunk.split_to(len))));
+        }
+        let frame = &self.buf[4..4 + len];
+        let msg = decode_body(&mut InPlace(frame), |rest| Bytes::copy_from_slice(rest.0));
+        self.buf.advance(4 + len);
+        Ok(Some(msg))
     }
 
     /// Bytes held but not yet framed.
@@ -407,19 +477,64 @@ mod tests {
         assert_eq!(dec.buffered(), 0, "a poisoned stream must not stay held");
     }
 
-    /// The same stream framed through both entries — `push` with each chunk
-    /// as it arrived, `feed` with a borrowed copy — for frames of every size
-    /// up to three segments, compressed and not, cut at random points.
+    /// What a decoder made of one frame: its header, serialiser id and
+    /// payload bytes, or the error.
+    fn parts(msg: Result<NetMessage, SerError>) -> Result<(NetHeader, SerId, Bytes), SerError> {
+        msg.map(|msg| {
+            let (ser_id, payload) = msg.payload_to_bytes().expect("a wire payload");
+            (msg.header().clone(), ser_id, payload)
+        })
+    }
+
+    /// Frame bodies that are well framed but malformed inside: an unknown
+    /// header kind, a header cut short, a `ser_id` cut short, a corrupt
+    /// compressed block, and a raw length over [`MAX_FRAME`].
+    fn malformed_bodies() -> [Bytes; 5] {
+        let msg = sample_msg(Bytes::from(random_bytes(6, 3_000)));
+        let body = encode_frame(&msg, Compression::Off)
+            .expect("encode")
+            .slice(4..);
+        let mut head = BytesMut::new();
+        head.put_u8(FLAG_COMPRESSED);
+        msg.header().serialise(&mut head);
+        let header_end = head.len();
+        head.put_u64(msg.ser_id().0);
+        let raw = &body[header_end + 8..];
+        let block = codec::compress(raw);
+        let compressed = |raw_len: usize, block: &[u8]| {
+            let raw_len = u32::try_from(raw_len).expect("fits").to_be_bytes();
+            Bytes::from([&head[..], &raw_len, block].concat())
+        };
+        let mut unknown_kind = body.to_vec();
+        unknown_kind[1] = 9;
+        [
+            Bytes::from(unknown_kind),
+            body.slice(..header_end - 1),
+            body.slice(..header_end + 4),
+            compressed(raw.len(), &block[..block.len() - 3]),
+            compressed(MAX_FRAME + 1, &block),
+        ]
+    }
+
+    /// The same stream framed through all three entries — `push` with each
+    /// chunk as it arrived, `feed` with a borrowed copy, and `push` decoded
+    /// by `next_message` — for frames of every size up to three segments,
+    /// compressed and not, with malformed frames among them, cut at random
+    /// points. `next_message` gives frame for frame what `next_frame` and
+    /// `decode_frame_body` give, whether it sliced the frame or decoded it
+    /// where it lay: a malformed frame is one error, and never costs the
+    /// frame after it a byte.
     #[test]
     fn push_and_feed_frame_a_stream_alike() {
         use rand::{Rng, SeedableRng};
         const MSS: usize = 1448;
-        let mut sliced = 0;
+        let malformed = malformed_bodies();
+        let (mut sliced, mut in_place) = (0, [0; 5]);
         for seed in 0..24 {
             let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(seed);
             let mut stream = Vec::new();
             let mut bodies = Vec::new();
-            for _ in 0..rng.gen_range(1..10) {
+            for i in 0..rng.gen_range(1..10) {
                 let len = rng.gen_range(0..=3 * MSS);
                 let payload = if rng.gen() {
                     vec![rng.gen(); len]
@@ -430,8 +545,15 @@ mod tests {
                     .expect("encode");
                 stream.extend_from_slice(&frame);
                 bodies.push(frame.slice(4..));
+                if (seed + i) % 2 == 0 {
+                    let bad = malformed[((seed + i) / 2 % 5) as usize].clone();
+                    stream.extend_from_slice(&(bad.len() as u32).to_be_bytes());
+                    stream.extend_from_slice(&bad);
+                    bodies.push(bad);
+                }
             }
             let (mut pushed, mut fed) = (FrameDecoder::new(), FrameDecoder::new());
+            let mut decoded = FrameDecoder::new();
             let mut framed = Vec::new();
             let mut rest = &stream[..];
             while !rest.is_empty() {
@@ -441,11 +563,19 @@ mod tests {
                 let on_a_boundary = pushed.buffered() == 0;
                 pushed.push(chunk.clone());
                 fed.feed(&chunk);
+                decoded.push(chunk.clone());
                 loop {
                     assert_eq!(pushed.buffered(), fed.buffered());
-                    let body = pushed.next_frame().expect("well-formed");
-                    assert_eq!(body, fed.next_frame().expect("well-formed"));
+                    let where_it_lies = !decoded.buf.is_empty();
+                    let body = pushed.next_frame().expect("well-framed");
+                    assert_eq!(body, fed.next_frame().expect("well-framed"));
+                    let msg = decoded.next_message().expect("well-framed");
+                    assert_eq!(
+                        msg.map(parts),
+                        body.clone().map(|body| parts(decode_frame_body(body)))
+                    );
                     assert_eq!(pushed.buffered(), fed.buffered());
+                    assert_eq!(pushed.buffered(), decoded.buffered());
                     let Some(body) = body else { break };
                     if on_a_boundary {
                         // The frame lay whole inside the chunk: it is a
@@ -453,6 +583,9 @@ mod tests {
                         let (body, chunk) = (body.as_ptr_range(), chunk.as_ptr_range());
                         assert!(chunk.start <= body.start && body.end <= chunk.end);
                         sliced += 1;
+                    }
+                    if let Some(kind) = malformed.iter().position(|bad| *bad == body) {
+                        in_place[kind] += usize::from(where_it_lies);
                     }
                     framed.push(body);
                 }
@@ -464,6 +597,47 @@ mod tests {
             sliced > 20,
             "only {sliced} frames arrived whole on a boundary"
         );
+        assert!(
+            in_place.iter().all(|&n| n >= 2),
+            "malformed frames decoded where they lay, by kind: {in_place:?}"
+        );
+    }
+
+    /// Each malformed body gives its own one error — the same whether it is
+    /// sliced or decoded where it lies — and the frame after it arrives
+    /// intact, wherever the stream is cut.
+    #[test]
+    fn a_malformed_frame_is_one_error_at_every_cut() {
+        let good = encode_frame(&sample_msg(7u64), Compression::Off).expect("encode");
+        let expected = [
+            SerError::Invalid {
+                context: "NetHeader",
+            },
+            SerError::Truncated {
+                context: "NetHeader",
+            },
+            SerError::Truncated { context: "frame" },
+            SerError::Invalid {
+                context: "compressed payload",
+            },
+            SerError::Invalid { context: "frame" },
+        ];
+        for (bad, error) in malformed_bodies().into_iter().zip(expected) {
+            let stream = [&(bad.len() as u32).to_be_bytes()[..], &bad, &good].concat();
+            for cut in 0..=stream.len() {
+                let mut dec = FrameDecoder::new();
+                let mut got = Vec::new();
+                for chunk in [&stream[..cut], &stream[cut..]] {
+                    dec.push(Bytes::copy_from_slice(chunk));
+                    while let Some(msg) = dec.next_message().expect("well-framed") {
+                        got.push(parts(msg));
+                    }
+                }
+                assert_eq!(dec.buffered(), 0);
+                let want = parts(decode_frame_body(good.slice(4..)));
+                assert_eq!(got, [Err(error.clone()), want], "cut at {cut}");
+            }
+        }
     }
 
     #[test]

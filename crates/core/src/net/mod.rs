@@ -59,9 +59,10 @@ use crate::msg::{
     ChannelStatus, ConnStatus, DeliveryStatus, NetIndication, NetMessage, NetRequest,
     NetworkPort, NotifyToken, SendError,
 };
+use crate::ser::SerError;
 use crate::transport::Transport;
 use channel::{ChannelState, Frame, Phase, SPAN_FAILED};
-use frame::{decode_frame_body, encode_frame, Compression, FrameDecoder};
+use frame::{encode_frame, Compression, FrameDecoder};
 
 /// Channel supervision tuning: reconnect with exponential backoff and
 /// deterministic jitter, within a bounded retry budget (DESIGN.md §9).
@@ -251,9 +252,9 @@ pub struct NetworkComponent {
     idle_timer: Option<TimeoutId>,
     /// Seeded stream for deterministic backoff jitter.
     jitter_rng: RngStream,
-    /// The frames of the `Data` event in hand, between decoding and
-    /// handling; empty otherwise, kept for its capacity.
-    inbound: Vec<Bytes>,
+    /// The frames of the `Data` event in hand, decoded and not yet
+    /// handled; empty otherwise, kept for its capacity.
+    inbound: Vec<Result<NetMessage, SerError>>,
 }
 
 impl std::fmt::Debug for NetworkComponent {
@@ -669,7 +670,7 @@ impl NetworkComponent {
                 channel.last_activity = self.net.sim().now();
                 let mut frames = std::mem::take(&mut self.inbound);
                 let poisoned = loop {
-                    match channel.decoder.next_frame() {
+                    match channel.decoder.next_message() {
                         Ok(Some(frame)) => frames.push(frame),
                         Ok(None) => break false,
                         Err(_) => break true,
@@ -685,8 +686,8 @@ impl NetworkComponent {
                         conn.close();
                     }
                 }
-                for body in frames.drain(..) {
-                    self.handle_frame(body, Some((id, key)));
+                for frame in frames.drain(..) {
+                    self.handle_frame(frame, Some((id, key)));
                 }
                 self.inbound = frames;
                 if poisoned {
@@ -704,8 +705,8 @@ impl NetworkComponent {
                 // Datagrams carry exactly one frame (with length prefix).
                 let mut dec = FrameDecoder::new();
                 dec.push(data);
-                match dec.next_frame() {
-                    Ok(Some(body)) => self.handle_frame(body, None),
+                match dec.next_message() {
+                    Ok(Some(frame)) => self.handle_frame(frame, None),
                     Ok(None) | Err(_) => {
                         self.stats.lock().decode_failures += 1;
                     }
@@ -714,13 +715,14 @@ impl NetworkComponent {
         }
     }
 
-    fn handle_frame(&mut self, body: Bytes, via: Option<(ConnectionId, ChannelKey)>) {
-        let mut msg = match decode_frame_body(body) {
-            Ok(m) => m,
-            Err(_) => {
-                self.stats.lock().decode_failures += 1;
-                return;
-            }
+    fn handle_frame(
+        &mut self,
+        frame: Result<NetMessage, SerError>,
+        via: Option<(ConnectionId, ChannelKey)>,
+    ) {
+        let Ok(mut msg) = frame else {
+            self.stats.lock().decode_failures += 1;
+            return;
         };
         // Re-key inbound channels by the peer's listen address so that
         // replies reuse the existing connection.

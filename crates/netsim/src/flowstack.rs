@@ -276,6 +276,9 @@ pub(crate) struct FlowTable<P: Protocol> {
     /// Where a step pushes its actions: kept for its capacity, and empty
     /// whenever the lock is free.
     actions: Out<P>,
+    /// An empty buffer that takes `actions`' place when a burst leaves
+    /// with it, given back by the burst before.
+    spare: Out<P>,
     /// What the engine holds for every armed timer of the table.
     timers: Arc<FlowTimers<P>>,
 }
@@ -283,8 +286,8 @@ pub(crate) struct FlowTable<P: Protocol> {
 /// Up to this many actions leave the lock in an array on the stack: every
 /// steady-state step, and a dial's first window.
 const INLINE_ACTIONS: usize = 8;
-/// Most capacity `actions` keeps after a longer burst (a 64 KiB write is 45
-/// segments and a timer).
+/// Most capacity `actions` and `spare` keep after a longer burst (a 64 KiB
+/// write is 45 segments and a timer).
 const KEPT_ACTIONS: usize = 64;
 
 /// The [`EventTarget`] of a table's timers. The fabric owns the engine its
@@ -301,6 +304,7 @@ impl<P: Protocol> FlowTable<P> {
             conn_index: FxHashMap::default(),
             listeners: FxHashMap::default(),
             actions: Vec::new(),
+            spare: Vec::new(),
             timers: Arc::new(FlowTimers(net, PhantomData)),
         }
     }
@@ -400,8 +404,12 @@ fn perform<P: Protocol>(net: &Network, h: Handle<P::Flow>, mut inner: MutexGuard
             *slot = Some(action);
         }
     } else {
-        // A burst leaves with its buffer; the next one finds room.
-        let fresh = Vec::with_capacity(actions.capacity().min(KEPT_ACTIONS));
+        // A burst leaves with its buffer and the spare takes its place, so
+        // the next one finds room.
+        let mut fresh = std::mem::take(&mut table.spare);
+        if fresh.capacity() == 0 {
+            fresh = Vec::with_capacity(actions.capacity().min(KEPT_ACTIONS));
+        }
         many = std::mem::replace(actions, fresh);
     }
     let timers = needs_timers.then(|| table.timers.clone());
@@ -416,7 +424,7 @@ fn perform<P: Protocol>(net: &Network, h: Handle<P::Flow>, mut inner: MutexGuard
     let app = events.as_ref().map(|ev| (ev, P::connection(Conn { net: net.clone(), h, id, local, peer })));
     let target = || timers.clone().expect("cloned for every timer action");
     let sim = net.sim();
-    for action in few.iter_mut().map_while(Option::take).chain(many) {
+    for action in few.iter_mut().map_while(Option::take).chain(many.drain(..)) {
         match (action, &app) {
             (Action::Send(wire), _) => {
                 let (payload_len, body) = P::into_body(wire);
@@ -439,6 +447,12 @@ fn perform<P: Protocol>(net: &Network, h: Handle<P::Flow>, mut inner: MutexGuard
             // No handler yet: `on_accept` has not returned.
             (_, None) => {}
         }
+    }
+    // The burst's buffer, emptied, is the next burst's spare: one more
+    // acquisition per burst, and no allocation. One grown past what
+    // `actions` keeps is let go.
+    if (1..=KEPT_ACTIONS).contains(&many.capacity()) {
+        P::table(&mut net.lock()).spare = many;
     }
 }
 
