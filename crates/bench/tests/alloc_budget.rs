@@ -12,19 +12,28 @@
 //! The second counts a bulk transfer's 65 kB chunks: compressed, so every
 //! frame straddles some 45 segments and is reassembled before it is
 //! decoded (EXPERIMENTS.md "A bulk chunk received in place").
+//!
+//! The third counts a raw-simulator incast, whose ACKs report holes
+//! (EXPERIMENTS.md "A loss report is a value").
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use bytes::Bytes;
 use kmsg_apps::dataset::{Dataset, PAPER_CHUNK_SIZE};
 use kmsg_apps::scenario::{two_host_world, Setup};
+use kmsg_apps::topology::star_fanin;
 use kmsg_apps::transfer::{FileReceiver, FileSender, ReceiverConfig, SenderConfig};
 use kmsg_component::prelude::*;
 use kmsg_core::prelude::*;
+use kmsg_netsim::engine::Sim;
+use kmsg_netsim::iface::{CloseReason, Connection, StreamAccept, StreamEvents};
+use kmsg_netsim::network::Network;
+use kmsg_netsim::packet::Endpoint;
+use kmsg_netsim::tcp::{TcpConfig, TcpConn, TcpListener};
 
 struct CountingAlloc;
 
@@ -213,4 +222,88 @@ fn bulk_chunk_stays_under_allocation_budget() {
          was decoded where it lay)"
     );
     world.system.shutdown();
+}
+
+/// Measured 13.82 calls per flow; 22.48 while every hole-bearing ACK
+/// built its report in a `Vec` of its own (four in five carry one hole).
+const CALLS_PER_INCAST_FLOW_BUDGET: f64 = 15.0;
+const INCAST_FLOWS: usize = 400;
+const INCAST_BYTES_PER_FLOW: usize = 96 * 1024;
+const INCAST_STAGGER: Duration = Duration::from_micros(20);
+
+/// Client side of one incast flow: write the quota, close, count the
+/// orderly close.
+struct Pump {
+    payload: Bytes,
+    closed: Arc<AtomicU64>,
+}
+
+impl StreamEvents for Pump {
+    fn on_connected(&self, conn: &Connection) {
+        assert_eq!(conn.send(self.payload.clone()), self.payload.len());
+        conn.close();
+    }
+
+    fn on_closed(&self, _conn: &Connection, reason: CloseReason) {
+        assert_eq!(reason, CloseReason::Normal);
+        self.closed.fetch_add(1, Relaxed);
+    }
+}
+
+struct Discard;
+impl StreamEvents for Discard {}
+impl StreamAccept for Discard {
+    fn on_accept(&self, _conn: &Connection) -> Arc<dyn StreamEvents> {
+        Arc::new(Discard)
+    }
+}
+
+#[test]
+fn incast_flow_stays_under_allocation_budget() {
+    let sim = Sim::new(7);
+    let net = Network::new(&sim);
+    let topo = star_fanin(&net, INCAST_FLOWS);
+    let sink = Endpoint::new(topo.sink, 7001);
+    let _listener = TcpListener::bind(
+        &net,
+        topo.sink,
+        sink.port,
+        TcpConfig::default(),
+        Arc::new(Discard),
+    )
+    .expect("bind the sink");
+    let closed = Arc::new(AtomicU64::new(0));
+    let pump = Arc::new(Pump {
+        payload: vec![0xC5; INCAST_BYTES_PER_FLOW].into(),
+        closed: closed.clone(),
+    });
+    // Client handles must outlive the run: dropping one tears its flow down.
+    let conns = Arc::new(Mutex::new(Vec::with_capacity(INCAST_FLOWS)));
+    for (i, &from) in topo.senders.iter().enumerate() {
+        let (net, pump, conns) = (net.clone(), pump.clone(), conns.clone());
+        sim.schedule_in(INCAST_STAGGER * i as u32, move |_| {
+            let conn =
+                TcpConn::connect(&net, from, sink, TcpConfig::default(), pump).expect("dial");
+            conns.lock().expect("no dial panicked").push(conn);
+        });
+    }
+
+    let calls_before = calls();
+    while closed.load(Relaxed) < INCAST_FLOWS as u64 {
+        assert!(sim.now().as_nanos() < 60_000_000_000, "the incast stalled");
+        sim.run_for(Duration::from_millis(1));
+    }
+    let per_flow = (calls() - calls_before) as f64 / INCAST_FLOWS as f64;
+    let conns = conns.lock().expect("no dial panicked");
+    let recoveries: u64 = conns.iter().map(|c| c.stats().fast_recoveries).sum();
+    assert!(
+        net.stats().dropped_link > 0 && recoveries > 0,
+        "the sink's queue must drop, so that ACKs report holes"
+    );
+    assert!(
+        per_flow <= CALLS_PER_INCAST_FLOW_BUDGET,
+        "an incast flow of {INCAST_BYTES_PER_FLOW} B costs {per_flow:.2} allocator calls \
+         (budget {CALLS_PER_INCAST_FLOW_BUDGET}, measured 13.82; 22.48 while a loss report \
+         was a `Vec`)"
+    );
 }

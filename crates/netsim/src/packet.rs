@@ -1,5 +1,9 @@
 //! Packet representation shared by all simulated transports.
 
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
+
 use bytes::Bytes;
 
 /// Identifies a simulated host within a [`Network`](crate::network::Network).
@@ -81,6 +85,57 @@ impl WireProtocol {
     #[must_use]
     pub const fn is_udp_family(self) -> bool {
         matches!(self, WireProtocol::Udp | WireProtocol::Udt)
+    }
+}
+
+/// A loss report's `(from, to)` sequence ranges (TCP's holes, UDT's NAK
+/// list), read-only once built. None or one is held inline, as most reports
+/// carry one; two or more share one allocation, so a clone allocates nothing.
+#[derive(Clone, Default)]
+pub struct SeqRanges(Ranges);
+
+#[derive(Clone, Default)]
+enum Ranges {
+    #[default]
+    Empty,
+    One([(u64, u64); 1]),
+    Many(Arc<[(u64, u64)]>),
+}
+
+impl SeqRanges {
+    /// A report of the single range `(from, to)`.
+    #[must_use]
+    pub const fn one(from: u64, to: u64) -> Self {
+        SeqRanges(Ranges::One([(from, to)]))
+    }
+}
+
+impl From<&[(u64, u64)]> for SeqRanges {
+    /// Copies `ranges`: one allocator call when there are two or more.
+    fn from(ranges: &[(u64, u64)]) -> Self {
+        SeqRanges(match *ranges {
+            [] => Ranges::Empty,
+            [only] => Ranges::One([only]),
+            _ => Ranges::Many(Arc::from(ranges)),
+        })
+    }
+}
+
+impl Deref for SeqRanges {
+    type Target = [(u64, u64)];
+
+    fn deref(&self) -> &[(u64, u64)] {
+        match &self.0 {
+            Ranges::Empty => &[],
+            Ranges::One(one) => one,
+            Ranges::Many(many) => many,
+        }
+    }
+}
+
+impl fmt::Debug for SeqRanges {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
     }
 }
 
@@ -166,6 +221,32 @@ mod tests {
         let b = Endpoint::new(NodeId(1), 2);
         let p = Packet::new(a, b, WireProtocol::Udp, 100, PacketBody::Udp(Bytes::new()));
         assert_eq!(p.wire_size, 100 + HEADER_OVERHEAD);
+    }
+
+    #[test]
+    fn seq_ranges_round_trip_and_print_as_a_vec() {
+        for len in [0, 1, 2, 16, 64] {
+            let ranges: Vec<(u64, u64)> = (0..len).map(|i| (3 * i, 3 * i + 1)).collect();
+            let report = SeqRanges::from(&ranges[..]);
+            let copy = report.clone();
+            assert_eq!(*report, ranges[..]);
+            assert_eq!(*copy, ranges[..]);
+            assert_eq!(format!("{report:?}"), format!("{ranges:?}"));
+            if len >= 2 {
+                assert_eq!(copy.as_ptr(), report.as_ptr(), "a clone shares the ranges");
+            }
+        }
+        assert_eq!(*SeqRanges::one(4, 9), [(4, 9)]);
+        assert_eq!(format!("{:?}", SeqRanges::default()), "[]");
+    }
+
+    #[test]
+    fn seq_ranges_do_not_grow_packets() {
+        use std::mem::size_of;
+        assert!(size_of::<SeqRanges>() <= size_of::<Vec<(u64, u64)>>());
+        // The sizes while loss reports were `Vec<(u64, u64)>`s.
+        assert!(size_of::<crate::tcp::TcpSegment>() <= 112);
+        assert!(size_of::<crate::udt::UdtPacket>() <= 48);
     }
 
     #[test]

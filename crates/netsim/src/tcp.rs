@@ -36,7 +36,7 @@ use crate::flowstack::{self, release_drained, Conn, FlowHeader, FlowTable, Liste
 use crate::iface::{CloseReason, Connection};
 use crate::memscope;
 use crate::network::NetInner;
-use crate::packet::{PacketBody, WireProtocol};
+use crate::packet::{PacketBody, SeqRanges, WireProtocol};
 use crate::time::SimTime;
 
 /// TCP tuning parameters.
@@ -128,7 +128,7 @@ pub struct TcpSegment {
     pub ts_echo: Option<SimTime>,
     /// SACK-style hole report: `[from, to)` byte ranges the receiver is
     /// missing below its highest out-of-order data (capped at 16 ranges).
-    pub holes: Vec<(u64, u64)>,
+    pub holes: SeqRanges,
     /// Payload bytes.
     pub payload: Bytes,
 }
@@ -493,7 +493,7 @@ impl Protocol for TcpConfig {
             wnd: my_wnd(flow, cfg),
             ts: now,
             ts_echo: None,
-            holes: Vec::new(),
+            holes: SeqRanges::default(),
             payload: Bytes::new(),
         };
         queue_syn(flow, seg, now, out);
@@ -522,7 +522,7 @@ impl Protocol for TcpConfig {
             wnd: my_wnd(flow, cfg),
             ts: now,
             ts_echo: flow.ts_recent,
-            holes: Vec::new(),
+            holes: SeqRanges::default(),
             payload: Bytes::new(),
         };
         queue_syn(flow, synack, now, out);
@@ -744,19 +744,24 @@ fn pure_ack(flow: &Flow, cfg: &TcpConfig, now: SimTime) -> TcpSegment {
 
 /// The receiver's missing `[from, to)` byte ranges below its highest
 /// buffered out-of-order segment (capped at 16).
-fn compute_holes(flow: &Flow) -> Vec<(u64, u64)> {
-    let mut holes = Vec::new();
+fn compute_holes(flow: &Flow) -> SeqRanges {
+    if flow.ooo.is_empty() {
+        return SeqRanges::default();
+    }
+    let mut holes = [(0, 0); 16];
+    let mut n = 0;
     let mut expect = flow.rcv_nxt;
     for (&seq, data) in &flow.ooo {
         if seq > expect {
-            holes.push((expect, seq));
-            if holes.len() == 16 {
+            holes[n] = (expect, seq);
+            n += 1;
+            if n == holes.len() {
                 break;
             }
         }
         expect = expect.max(seq + data.len() as u64);
     }
-    holes
+    SeqRanges::from(&holes[..n])
 }
 
 fn arm_rto(flow: &mut Flow, now: SimTime, out: &mut Vec<Action>) {
@@ -809,7 +814,7 @@ fn retransmit_first(
         wnd,
         ts: now,
         ts_echo,
-        holes: Vec::new(),
+        holes: SeqRanges::default(),
         payload: seg.payload.clone(),
     };
     flow.stats.retransmits += 1;
@@ -970,7 +975,7 @@ fn resend_lost(
             wnd,
             ts: now,
             ts_echo,
-            holes: Vec::new(),
+            holes: SeqRanges::default(),
             payload: seg.payload.clone(),
         };
         flow.stats.retransmits += 1;
@@ -1085,7 +1090,7 @@ fn try_send(
                     wnd: my_wnd(flow, cfg),
                     ts: now,
                     ts_echo: flow.ts_recent,
-                    holes: Vec::new(),
+                    holes: SeqRanges::default(),
                     payload: Bytes::new(),
                 };
                 flow.fin_seq = flow.snd_nxt;
@@ -1130,7 +1135,7 @@ fn try_send(
             wnd: my_wnd(flow, cfg),
             ts: now,
             ts_echo: flow.ts_recent,
-            holes: Vec::new(),
+            holes: SeqRanges::default(),
             payload: payload.clone(),
         };
         flow.sent.push_back(SentSeg {
@@ -1337,7 +1342,7 @@ pub(crate) fn stray_segment() -> TcpSegment {
         wnd: 65_535,
         ts: SimTime::ZERO,
         ts_echo: None,
-        holes: Vec::new(),
+        holes: SeqRanges::default(),
         payload: Bytes::new(),
     }
 }

@@ -42,7 +42,7 @@ use crate::flowstack::{self, release_drained, Conn, FlowHeader, FlowTable, Liste
 use crate::iface::{CloseReason, Connection};
 use crate::memscope;
 use crate::network::NetInner;
-use crate::packet::{PacketBody, WireProtocol};
+use crate::packet::{PacketBody, SeqRanges, WireProtocol};
 use crate::time::SimTime;
 
 /// UDT tuning parameters.
@@ -139,7 +139,7 @@ pub enum UdtPacket {
     /// Negative acknowledgement listing lost packet ranges (inclusive).
     Nak {
         /// Lost `(from, to)` ranges, inclusive.
-        ranges: Vec<(u64, u64)>,
+        ranges: SeqRanges,
     },
     /// Orderly shutdown after `final_seq` packets.
     Fin {
@@ -202,6 +202,9 @@ const KIND_SYN_TICK: u64 = 1;
 const KIND_EXP_TICK: u64 = 2;
 const KIND_PROC: u64 = 3;
 const KIND_HS_RETRY: u64 = 4;
+
+/// Packet-pair capacity samples kept for the median.
+const PAIR_SAMPLES: usize = 16;
 
 /// Full per-flow UDT state: one slab slot, no interior `Arc`s.
 pub(crate) struct Flow {
@@ -307,7 +310,7 @@ impl Flow {
             pkts_since_ack: 0,
             rate_ewma_pps: 0.0,
             prev_arrival: None,
-            pair_samples: VecDeque::with_capacity(16),
+            pair_samples: VecDeque::with_capacity(PAIR_SAMPLES),
             proc_busy_until: now,
             proc_fifo: VecDeque::new(),
             peer_fin_seq: None,
@@ -332,12 +335,14 @@ impl Flow {
     }
 
     fn capacity_median_pps(&self) -> f64 {
-        if self.pair_samples.is_empty() {
+        let n = self.pair_samples.len();
+        if n == 0 {
             return 0.0;
         }
-        let mut v: Vec<f64> = self.pair_samples.iter().copied().collect();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("NaN capacity sample"));
-        v[v.len() / 2]
+        let mut v: [f64; PAIR_SAMPLES] =
+            std::array::from_fn(|i| self.pair_samples.get(i).copied().unwrap_or_default());
+        v[..n].sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN capacity sample"));
+        v[n / 2]
     }
 }
 
@@ -724,9 +729,11 @@ impl Protocol for UdtConfig {
                 flow.nak_in_syn = true;
                 let mut first_lost = u64::MAX;
                 let mut reported = 0u64;
-                for (from, to) in ranges {
+                for &(from, to) in ranges.iter() {
+                    // Nothing below `snd_una` is resent: a forged range
+                    // costs the window, not the sequence space below it.
                     let to = to.min(flow.snd_nxt.saturating_sub(1));
-                    for seq in from..=to {
+                    for seq in from.max(flow.snd_una)..=to {
                         if flow.packet(seq).is_some() {
                             flow.loss_list.insert(seq);
                             first_lost = first_lost.min(seq);
@@ -888,7 +895,7 @@ fn receive_data_packet(
             let d = now.duration_since(prev_at).as_secs_f64();
             if d > 0.0 {
                 let pps = 1.0 / d;
-                if flow.pair_samples.len() == 16 {
+                if flow.pair_samples.len() == PAIR_SAMPLES {
                     flow.pair_samples.pop_front();
                 }
                 flow.pair_samples.push_back(pps);
@@ -913,7 +920,7 @@ fn receive_data_packet(
                 },
             );
             out.push(Action::Send(UdtPacket::Nak {
-                ranges: vec![(from, to)],
+                ranges: SeqRanges::one(from, to),
             }));
         }
         flow.expected_max = seq + 1;
@@ -946,21 +953,23 @@ fn try_finish_receive(flow: &mut Flow, out: &mut Vec<Action>) {
     }
 }
 
-/// Collects up to `cap` inclusive ranges from a sorted set.
-fn collect_ranges(set: &BTreeSet<u64>, cap: usize) -> Vec<(u64, u64)> {
-    let mut ranges: Vec<(u64, u64)> = Vec::new();
+/// Collects up to `cap` (at most 64) inclusive ranges from a sorted set.
+fn collect_ranges(set: &BTreeSet<u64>, cap: usize) -> SeqRanges {
+    let mut ranges = [(0, 0); 64];
+    let mut n = 0;
     for &s in set {
-        match ranges.last_mut() {
+        match ranges[..n].last_mut() {
             Some((_, to)) if *to + 1 == s => *to = s,
             _ => {
-                if ranges.len() == cap {
+                if n == cap {
                     break;
                 }
-                ranges.push((s, s));
+                ranges[n] = (s, s);
+                n += 1;
             }
         }
     }
-    ranges
+    SeqRanges::from(&ranges[..n])
 }
 
 /// Transmits one packet if allowed: retransmissions first, then new data,
@@ -1350,10 +1359,42 @@ mod tests {
     }
 
     #[test]
+    fn a_forged_nak_costs_the_window_not_the_sequence_space() {
+        let (sim, net, a, b) = setup(LinkConfig::new(10e6, Duration::from_millis(5)));
+        let server = Arc::new(Recorder::default());
+        let _l = listen(&net, b, &server, UdtConfig::default());
+        let client = Arc::new(Recorder::default());
+        let conn =
+            UdtConn::connect(&net, a, Endpoint::new(b, 90), UdtConfig::default(), client).unwrap();
+        sim.run_for(Duration::from_secs(1));
+        assert!(conn.is_established());
+        sim.recorder().enable();
+        // Far into a long transfer, eight packets unacknowledged; the NAK
+        // claims everything from 0 up to the second, and from the sixth on.
+        let una = 1 << 40;
+        conn.process(|flow, cfg, rec, now, out| {
+            flow.snd_una = una;
+            flow.snd_nxt = una + 8;
+            flow.packets = (0..8).map(|_| Bytes::from_static(b"x")).collect();
+            let ranges = SeqRanges::from(&[(0, una + 1), (una + 5, u64::MAX)][..]);
+            UdtConfig::on_wire(flow, cfg, rec, now, out, UdtPacket::Nak { ranges });
+        });
+        let lost = conn.peek(|f, _| f.loss_list.iter().copied().collect::<Vec<_>>());
+        assert_eq!(lost.unwrap(), [una, una + 1, una + 5, una + 6, una + 7]);
+        let losses: Vec<u64> = (sim.recorder().events().iter())
+            .filter_map(|e| match e.kind {
+                EventKind::UdtNak { sent, losses, .. } if !sent => Some(losses),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(losses, [5]);
+    }
+
+    #[test]
     fn collect_ranges_merges_runs() {
         let set: BTreeSet<u64> = [1, 2, 3, 7, 9, 10].into_iter().collect();
-        assert_eq!(collect_ranges(&set, 64), vec![(1, 3), (7, 7), (9, 10)]);
-        assert_eq!(collect_ranges(&set, 2), vec![(1, 3), (7, 7)]);
+        assert_eq!(*collect_ranges(&set, 64), [(1, 3), (7, 7), (9, 10)]);
+        assert_eq!(*collect_ranges(&set, 2), [(1, 3), (7, 7)]);
         assert!(collect_ranges(&BTreeSet::new(), 4).is_empty());
     }
 }
