@@ -108,8 +108,13 @@ impl std::fmt::Debug for FileSender {
 
 impl FileSender {
     /// Creates the sender.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.chunk_size` is zero.
     #[must_use]
     pub fn new(cfg: SenderConfig) -> Self {
+        assert!(cfg.chunk_size > 0, "chunk size must be positive");
         let disk = cfg.disk_rate.map(DiskModel::new);
         FileSender {
             net: RequiredPort::new(),
@@ -340,8 +345,13 @@ impl std::fmt::Debug for FileReceiver {
 
 impl FileReceiver {
     /// Creates the receiver.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.chunk_size` is zero.
     #[must_use]
     pub fn new(cfg: ReceiverConfig) -> Self {
+        assert!(cfg.chunk_size > 0, "chunk size must be positive");
         let disk = cfg.disk_rate.map(DiskModel::new);
         FileReceiver {
             net: RequiredPort::new(),
@@ -482,5 +492,32 @@ impl Require<NetworkPort> for FileReceiver {
 impl RequireRef<NetworkPort> for FileReceiver {
     fn required_port(&mut self) -> &mut RequiredPort<NetworkPort> {
         &mut self.net
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kmsg_netsim::NodeId;
+
+    #[test]
+    #[should_panic(expected = "chunk size must be positive")]
+    fn sender_rejects_a_zero_chunk_size() {
+        let addr = NetAddress::new(NodeId::from_index(0), 1);
+        let cfg = SenderConfig::new(Dataset::climate(1000, 1), addr, addr, Transport::Tcp);
+        let _ = FileSender::new(SenderConfig {
+            chunk_size: 0,
+            ..cfg
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk size must be positive")]
+    fn receiver_rejects_a_zero_chunk_size() {
+        let cfg = ReceiverConfig::new(Dataset::climate(1000, 1));
+        let _ = FileReceiver::new(ReceiverConfig {
+            chunk_size: 0,
+            ..cfg
+        });
     }
 }
