@@ -1,11 +1,11 @@
-//! Library core of the `fig1` binary: the per-cell computation of the
-//! selection-ratio distribution table.
+//! Figure 1's per-cell computation: the selection-ratio distribution
+//! table of `paper_gate fig1`.
 //!
 //! Figure 1 is a 16-cell sweep (4 target ratios × 2 windows × 2
 //! policies); each cell is independent — the policy stream is derived
 //! from a stateless named RNG stream — so the cells parallelise through
-//! [`crate::sweep`]. Factored out of `bin/fig1.rs` so the
-//! parallel-vs-sequential byte-identity test can drive it directly.
+//! [`crate::sweep`]. A library module so the parallel-vs-sequential
+//! byte-identity test can drive it directly.
 
 use kmsg_core::data::{
     PatternKind, PatternSelection, ProtocolSelectionPolicy, RandomSelection, Ratio,
@@ -13,6 +13,7 @@ use kmsg_core::data::{
 use kmsg_core::Transport;
 use kmsg_netsim::rng::SeedSource;
 use kmsg_netsim::stats::Summary;
+use kmsg_telemetry::json::Json;
 
 /// Sliding window matching one 1 s learning episode (~1600 messages).
 pub const EPISODE_WINDOW: usize = 1600;
@@ -26,7 +27,7 @@ pub const TARGETS: [(f64, &str); 4] =
     [(0.0, "0"), (0.03, "3/100"), (1.0 / 3.0, "1/3"), (0.8, "4/5")];
 
 /// One cell of the figure: a (target, window, policy) combination.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cell {
     /// Probability of selecting UDT.
     pub prob: f64,
@@ -40,20 +41,40 @@ pub struct Cell {
     pub pattern: bool,
 }
 
-/// A computed cell: the telemetry gauge values plus the rendered table
-/// row, in the exact format the sequential binary printed.
+/// A computed cell: its box-plot summary plus the rendered table row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellResult {
-    /// Gauge-name prefix, `fig1/<target>/<window>/<policy>`.
-    pub metric: String,
-    /// Median observed ratio.
-    pub median: f64,
-    /// Mean observed ratio.
-    pub mean: f64,
-    /// Inter-quartile range.
-    pub iqr: f64,
+    /// The cell computed.
+    pub cell: Cell,
+    /// Summary of the observed signed ratios.
+    pub summary: Summary,
     /// The formatted table row.
     pub row: String,
+}
+
+impl Cell {
+    /// The table's dataset column, e.g. `"Wire/Random"`.
+    #[must_use]
+    pub fn dataset(&self) -> String {
+        let policy = if self.pattern { "Pattern" } else { "Random" };
+        format!("{}/{policy}", self.window_label)
+    }
+}
+
+impl CellResult {
+    /// The cell's row of `BENCH_paper.json`: median, mean and IQR.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        let s = &self.summary;
+        let cell = format!("{} {}", self.cell.label, self.cell.dataset());
+        Json::obj(vec![
+            ("claim", Json::Str("fig1".into())),
+            ("cell", Json::Str(cell)),
+            ("median", Json::Num(s.median)),
+            ("mean", Json::Num(s.mean)),
+            ("iqr", Json::Num(s.p75 - s.p25)),
+        ])
+    }
 }
 
 /// All 16 cells in the sequential print order: targets outermost, then
@@ -114,7 +135,6 @@ fn stream_of(policy: &mut dyn ProtocolSelectionPolicy, n: usize) -> Vec<Transpor
 #[must_use]
 pub fn run_cell(cell: &Cell, seeds: SeedSource, entries: usize) -> CellResult {
     let ratio = Ratio::from_prob_udt(cell.prob);
-    let name = if cell.pattern { "Pattern" } else { "Random" };
     let mut policy: Box<dyn ProtocolSelectionPolicy> = if cell.pattern {
         Box::new(PatternSelection::new(ratio, PatternKind::MinimalRest, 100))
     } else {
@@ -130,7 +150,7 @@ pub fn run_cell(cell: &Cell, seeds: SeedSource, entries: usize) -> CellResult {
         "{:>7} {:>8} {:<16} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3}",
         cell.label,
         crate::fmt_ratio(ratio.signed()),
-        format!("{}/{}", cell.window_label, name),
+        cell.dataset(),
         s.min,
         s.p25,
         s.median,
@@ -139,10 +159,8 @@ pub fn run_cell(cell: &Cell, seeds: SeedSource, entries: usize) -> CellResult {
         s.mean,
     );
     CellResult {
-        metric: format!("fig1/{}/{}/{}", cell.label, cell.window_label, name),
-        median: s.median,
-        mean: s.mean,
-        iqr: s.p75 - s.p25,
+        cell: *cell,
+        summary: s,
         row,
     }
 }

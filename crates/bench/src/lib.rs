@@ -1,12 +1,13 @@
 //! # kmsg-bench — the experiment harness
 //!
-//! One binary per figure of the paper's evaluation (run with
-//! `cargo run --release -p kmsg-bench --bin figN`) and shared
-//! table-printing and repetition helpers here. Micro-benchmark rows live
-//! in `timing_probe` (`BENCH_engine.json`) and the per-layer catalogue of
-//! `benchmark/`.
+//! Every figure and ablation of the paper's evaluation is a row of the
+//! `paper_gate` binary (`cargo run --release -p kmsg-bench --bin
+//! paper_gate -- fig1 fig8`; no row names runs them all), whose claims are
+//! the predicates of [`paper`]. Shared table-printing and repetition
+//! helpers live here. Micro-benchmark rows live in `timing_probe`
+//! (`BENCH_engine.json`) and the per-layer catalogue of `benchmark/`.
 //!
-//! Common flags understood by the figure binaries:
+//! Common flags understood by the binaries:
 //!
 //! * `--size-mb N` — dataset size in MiB (default: the paper's 395);
 //! * `--reps N` — maximum repetitions per data point (default 10);
@@ -14,13 +15,15 @@
 //! * `--jobs N` — worker threads for sweep parallelism (default: all
 //!   cores; `--jobs 1` reproduces the sequential runner exactly — see
 //!   [`sweep`] for the byte-identity guarantee);
-//! * `--quick` — shorthand for a small dataset and few reps (CI-speed);
+//! * `--quick` — shorthand for a small dataset and few reps (CI-speed;
+//!   `paper_gate` refuses it);
 //! * `--verbose` — raise the log level to `Debug` (extra diagnostics).
 
 #![warn(missing_docs)]
 
 pub mod fig1_core;
 pub mod fuzzer;
+pub mod paper;
 pub mod sweep;
 
 use kmsg_netsim::stats::OnlineStats;
@@ -65,14 +68,31 @@ impl Default for BenchArgs {
 
 impl BenchArgs {
     /// Parses `std::env::args` and applies the logging flags (so every
-    /// figure binary honours `--verbose` without extra wiring).
+    /// binary honours `--verbose` without extra wiring).
+    ///
+    /// # Panics
+    ///
+    /// Panics with a usage message on malformed flags and on positional
+    /// arguments.
+    #[must_use]
+    pub fn parse() -> Self {
+        let (out, names) = Self::parse_with_names();
+        if let Some(name) = names.first() {
+            panic!("unexpected argument {name}; see kmsg-bench docs");
+        }
+        out
+    }
+
+    /// [`BenchArgs::parse`] that also returns the positional arguments
+    /// (`paper_gate`'s row names), in order.
     ///
     /// # Panics
     ///
     /// Panics with a usage message on malformed flags.
     #[must_use]
-    pub fn parse() -> Self {
+    pub fn parse_with_names() -> (Self, Vec<String>) {
         let mut out = BenchArgs::default();
+        let mut names = Vec::new();
         let mut args = std::env::args().skip(1);
         while let Some(arg) = args.next() {
             match arg.as_str() {
@@ -112,11 +132,14 @@ impl BenchArgs {
                 "--trace-out" => {
                     out.trace_out = Some(args.next().expect("--trace-out takes a file path"));
                 }
-                other => panic!("unknown flag {other}; see kmsg-bench docs"),
+                other if other.starts_with('-') => {
+                    panic!("unknown flag {other}; see kmsg-bench docs")
+                }
+                name => names.push(name.to_string()),
             }
         }
         kmsg_telemetry::log::set_verbose(out.verbose);
-        out
+        (out, names)
     }
 }
 
@@ -309,9 +332,15 @@ pub mod learner_env {
     /// per-second table under `label`, three more seeds' tails for context,
     /// and the paper's `expected` shape to read them against. The figures
     /// differ in exactly these arguments.
-    pub fn figure(title: &str, label: &str, backend: ValueBackend, eps_max: f64, expected: &str) {
-        let args = crate::BenchArgs::parse();
-        let secs = if args.quick { 30 } else { 120 };
+    pub fn figure(
+        args: &crate::BenchArgs,
+        title: &str,
+        label: &str,
+        backend: ValueBackend,
+        eps_max: f64,
+        expected: &str,
+    ) {
+        let secs = 120;
         kmsg_telemetry::log_info!("{title} ({secs} s, analysis link)");
         let tcp_ref = reference_throughput(Transport::Tcp, 20, args.seed);
         let udt_ref = reference_throughput(Transport::Udt, 20, args.seed);

@@ -3,16 +3,17 @@
 //! The sweep runner's contract (see `kmsg_bench::sweep`) is that
 //! `--jobs N` changes wall-clock time only: every artifact a sweep
 //! produces — fuzz verdicts and flight-recorder traces, figure tables
-//! and telemetry snapshots — must be byte-identical to the sequential
+//! and `BENCH_paper.json` rows — must be byte-identical to the sequential
 //! run. These tests execute real worlds at `jobs = 1` and `jobs = 4`
 //! and compare the artifacts byte for byte.
 
 use kmsg_apps::fuzz::ScenarioSpec;
-use kmsg_bench::fig1_core::{cells, run_cell};
+use kmsg_bench::fig1_core::{cells, run_cell, CellResult};
 use kmsg_bench::fuzzer::check_spec;
 use kmsg_bench::sweep;
 use kmsg_netsim::rng::SeedSource;
 use kmsg_oracle::render_verdict;
+use kmsg_telemetry::json::Json;
 
 /// Runs the fuzz sweep at a given parallelism, returning per-seed
 /// (verdict text, flight-recorder JSONL) artifacts in submission order.
@@ -76,32 +77,26 @@ fn chrome_trace_byte_identical_at_jobs_1_and_4() {
 }
 
 /// Runs the Figure 1 sweep at a given parallelism, returning the table
-/// rows and the rendered telemetry snapshot.
+/// rows and the rendered `BENCH_paper.json` cell rows.
 fn fig1_artifacts(jobs: usize, entries: usize) -> (Vec<String>, String) {
     let seeds = SeedSource::new(1);
     let results = sweep::map(jobs, cells(), |_idx, cell| run_cell(&cell, seeds, entries));
-    let rec = kmsg_telemetry::Recorder::new();
-    rec.enable();
-    for r in &results {
-        rec.gauge(&format!("{}/median", r.metric)).set(r.median);
-        rec.gauge(&format!("{}/mean", r.metric)).set(r.mean);
-        rec.gauge(&format!("{}/iqr", r.metric)).set(r.iqr);
-    }
+    let json = Json::Arr(results.iter().map(CellResult::to_json).collect()).render();
     let rows = results.into_iter().map(|r| r.row).collect();
-    (rows, rec.snapshot_json())
+    (rows, json)
 }
 
 #[test]
 fn fig1_sweep_byte_identical_at_jobs_1_and_4() {
     let entries = 5_000; // CI-scale stream; identity must hold at any size
-    let (rows_seq, snap_seq) = fig1_artifacts(1, entries);
-    let (rows_par, snap_par) = fig1_artifacts(4, entries);
+    let (rows_seq, json_seq) = fig1_artifacts(1, entries);
+    let (rows_par, json_par) = fig1_artifacts(4, entries);
     assert_eq!(rows_seq, rows_par, "table rows diverged");
     assert!(
-        snap_seq == snap_par,
-        "telemetry snapshots diverged ({} vs {} bytes)",
-        snap_seq.len(),
-        snap_par.len()
+        json_seq == json_par,
+        "BENCH_paper.json cell rows diverged ({} vs {} bytes)",
+        json_seq.len(),
+        json_par.len()
     );
 }
 

@@ -39,8 +39,9 @@
 //! assert_eq!(stats.lock().total_sent(), 0);
 //! ```
 //!
-//! See `examples/` for runnable end-to-end scenarios and `kmsg-bench` for
-//! the binaries regenerating every figure of the paper's evaluation.
+//! See `examples/` for runnable end-to-end scenarios and `kmsg-bench`'s
+//! `paper_gate` binary, whose rows regenerate every figure of the paper's
+//! evaluation and check its claims.
 
 pub use kmsg_apps as apps;
 pub use kmsg_component as component;
