@@ -1,8 +1,7 @@
 //! Calibration probe: prints the baseline behaviours the experiment
 //! environments are calibrated to (see DESIGN.md §3) — a raw event-engine
-//! throughput probe (timing-wheel engine vs the heap-based reference
-//! oracle), then one full-size transfer per (setup, transport) pair of
-//! interest, with simulated time, throughput and event counts.
+//! throughput probe, then one full-size transfer per (setup, transport)
+//! pair of interest, with simulated time, throughput and event counts.
 //!
 //! Emits the machine-readable part to `BENCH_engine.json` and a
 //! datacenter-scaling section (star fan-in worlds at increasing host
@@ -29,7 +28,6 @@ use kmsg_netsim::iface::{Connection, StreamAccept, StreamEvents};
 use kmsg_netsim::memscope;
 use kmsg_netsim::network::Network;
 use kmsg_netsim::packet::Endpoint;
-use kmsg_netsim::reference::ReferenceSim;
 use kmsg_netsim::rng::SeedSource;
 use kmsg_netsim::tcp::{TcpConfig, TcpConn, TcpListener};
 use kmsg_netsim::time::SimTime;
@@ -132,28 +130,8 @@ fn engine_probes(events: u64) -> Vec<EngineProbe> {
             sim.run_until(SimTime::ZERO);
             sim.events_executed()
         }),
-        probe("heap/zero_delay", events, || {
-            let sim = ReferenceSim::new();
-            let hits = Arc::new(AtomicU64::new(0));
-            for _ in 0..events {
-                let h = hits.clone();
-                sim.schedule_in(Duration::ZERO, move |_| {
-                    h.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            sim.run_until(SimTime::ZERO);
-            sim.events_executed()
-        }),
         probe("wheel/jittered", events, || {
             let sim = Sim::new(1);
-            for &d in &delays {
-                sim.schedule_at(SimTime::from_nanos(d), |_| {});
-            }
-            sim.run_to_completion();
-            sim.events_executed()
-        }),
-        probe("heap/jittered", events, || {
-            let sim = ReferenceSim::new();
             for &d in &delays {
                 sim.schedule_at(SimTime::from_nanos(d), |_| {});
             }
@@ -172,56 +150,42 @@ fn engine_probes(events: u64) -> Vec<EngineProbe> {
     ]
 }
 
-fn speedup(probes: &[EngineProbe], new: &str, old: &str) -> f64 {
-    let rate = |name: &str| {
-        probes
-            .iter()
-            .find(|p| p.name == name)
-            .map(|p| p.events_per_sec)
-            .unwrap_or(f64::NAN)
-    };
-    rate(new) / rate(old)
-}
-
-/// Hand-rolled JSON (the workspace has no serde_json).
 fn write_json(engine_events: u64, engines: &[EngineProbe], transfers: &[TransferProbe]) {
-    let mut out = String::from("{\n");
-    out.push_str("  \"benchmark\": \"engine\",\n");
-    out.push_str(&format!("  \"events_per_run\": {engine_events},\n"));
-    out.push_str("  \"engines\": [\n");
-    for (i, p) in engines.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": {}, \"events\": {}, \"wall_secs\": {:.6}, \"events_per_sec\": {:.1}}}{}\n",
-            Json::Str(p.name.to_string()).render(),
-            p.events,
-            p.wall_secs,
-            p.events_per_sec,
-            if i + 1 < engines.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"speedup\": {{\"zero_delay\": {:.2}, \"jittered\": {:.2}, \"zero_delay_targets_vs_heap\": {:.2}}},\n",
-        speedup(engines, "wheel/zero_delay", "heap/zero_delay"),
-        speedup(engines, "wheel/jittered", "heap/jittered"),
-        speedup(engines, "wheel/zero_delay_targets", "heap/zero_delay"),
-    ));
-    out.push_str("  \"transfers\": [\n");
-    for (i, t) in transfers.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"setup\": {}, \"transport\": {}, \"sim_secs\": {:.3}, \"throughput_mbps\": {:.3}, \"events\": {}, \"wall_secs\": {:.3}, \"events_per_wall_sec\": {:.1}}}{}\n",
-            Json::Str(t.setup.clone()).render(),
-            Json::Str(t.proto.clone()).render(),
-            t.sim_secs,
-            t.throughput_mbps,
-            t.events,
-            t.wall_secs,
-            t.events as f64 / t.wall_secs,
-            if i + 1 < transfers.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write("BENCH_engine.json", out).expect("write BENCH_engine.json");
+    let engines = engines
+        .iter()
+        .map(|p| {
+            Json::obj(vec![
+                ("name", Json::Str(p.name.to_string())),
+                ("events", Json::Num(p.events as f64)),
+                ("wall_secs", Json::Num(p.wall_secs)),
+                ("events_per_sec", Json::Num(p.events_per_sec)),
+            ])
+        })
+        .collect();
+    let transfers = transfers
+        .iter()
+        .map(|t| {
+            Json::obj(vec![
+                ("setup", Json::Str(t.setup.clone())),
+                ("transport", Json::Str(t.proto.clone())),
+                ("sim_secs", Json::Num(t.sim_secs)),
+                ("throughput_mbps", Json::Num(t.throughput_mbps)),
+                ("events", Json::Num(t.events as f64)),
+                ("wall_secs", Json::Num(t.wall_secs)),
+                (
+                    "events_per_wall_sec",
+                    Json::Num(t.events as f64 / t.wall_secs),
+                ),
+            ])
+        })
+        .collect();
+    let doc = Json::obj(vec![
+        ("benchmark", Json::Str("engine".into())),
+        ("events_per_run", Json::Num(engine_events as f64)),
+        ("engines", Json::Arr(engines)),
+        ("transfers", Json::Arr(transfers)),
+    ]);
+    std::fs::write("BENCH_engine.json", doc.render() + "\n").expect("write BENCH_engine.json");
 }
 
 struct SweepProbe {
@@ -379,45 +343,45 @@ fn scale_probes(host_counts: &[usize], seed: u64) -> Vec<ScaleRow> {
 }
 
 fn write_scale_json(rows: &[ScaleRow]) {
-    let mut out = String::from("{\n");
-    out.push_str("  \"benchmark\": \"scale\",\n");
-    out.push_str("  \"topology\": \"star-fanin\",\n");
-    out.push_str("  \"bytes_per_sender\": 65536,\n");
-    out.push_str(&format!(
-        "  \"baseline_bytes_per_flow\": {BASELINE_BYTES_PER_FLOW},\n"
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let by_scope = memscope::SCOPE_LABELS
-            .iter()
-            .zip(r.allocs_by_scope.iter())
-            .map(|(label, n)| format!("\"{label}\": {n}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!(
-            "    {{\"hosts\": {}, \"flows\": {}, \"setup_secs\": {:.4}, \"events\": {}, \
-             \"run_secs\": {:.3}, \"events_per_sec\": {:.1}, \"sim_secs\": {:.3}, \
-             \"delivered_bytes\": {}, \"bytes_per_flow\": {:.1}, \
-             \"reduction_vs_baseline\": {:.3}, \"established\": {}, \
-             \"allocs_per_event\": {:.3}, \"allocs_by_scope\": {{{}}}}}{}\n",
-            r.hosts,
-            r.hosts,
-            r.setup_secs,
-            r.events,
-            r.run_secs,
-            r.events_per_sec,
-            r.sim_secs,
-            r.delivered_bytes,
-            r.bytes_per_flow,
-            1.0 - r.bytes_per_flow / BASELINE_BYTES_PER_FLOW,
-            r.established,
-            r.allocs_per_event,
-            by_scope,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write("BENCH_scale.json", out).expect("write BENCH_scale.json");
+    let rows = rows
+        .iter()
+        .map(|r| {
+            let by_scope = memscope::SCOPE_LABELS
+                .iter()
+                .zip(r.allocs_by_scope.iter())
+                .map(|(label, &n)| (*label, Json::Num(n as f64)))
+                .collect();
+            Json::obj(vec![
+                ("hosts", Json::Num(r.hosts as f64)),
+                ("flows", Json::Num(r.hosts as f64)),
+                ("setup_secs", Json::Num(r.setup_secs)),
+                ("events", Json::Num(r.events as f64)),
+                ("run_secs", Json::Num(r.run_secs)),
+                ("events_per_sec", Json::Num(r.events_per_sec)),
+                ("sim_secs", Json::Num(r.sim_secs)),
+                ("delivered_bytes", Json::Num(r.delivered_bytes as f64)),
+                ("bytes_per_flow", Json::Num(r.bytes_per_flow)),
+                (
+                    "reduction_vs_baseline",
+                    Json::Num(1.0 - r.bytes_per_flow / BASELINE_BYTES_PER_FLOW),
+                ),
+                ("established", Json::Num(r.established as f64)),
+                ("allocs_per_event", Json::Num(r.allocs_per_event)),
+                ("allocs_by_scope", Json::obj(by_scope)),
+            ])
+        })
+        .collect();
+    let doc = Json::obj(vec![
+        ("benchmark", Json::Str("scale".into())),
+        ("topology", Json::Str("star-fanin".into())),
+        ("bytes_per_sender", Json::Num(65536.0)),
+        (
+            "baseline_bytes_per_flow",
+            Json::Num(BASELINE_BYTES_PER_FLOW),
+        ),
+        ("rows", Json::Arr(rows)),
+    ]);
+    std::fs::write("BENCH_scale.json", doc.render() + "\n").expect("write BENCH_scale.json");
 }
 
 fn main() {
@@ -437,13 +401,6 @@ fn main() {
             p.name, p.events, p.wall_secs, p.events_per_sec
         );
     }
-    kmsg_telemetry::log_info!(
-        "\nwheel vs heap speedup: zero-delay {:.2}x, jittered {:.2}x, \
-         zero-delay targets {:.2}x\n",
-        speedup(&engines, "wheel/zero_delay", "heap/zero_delay"),
-        speedup(&engines, "wheel/jittered", "heap/jittered"),
-        speedup(&engines, "wheel/zero_delay_targets", "heap/zero_delay"),
-    );
 
     let dataset_size = if args.quick {
         args.size
@@ -451,7 +408,7 @@ fn main() {
         PAPER_DATASET_SIZE
     };
     kmsg_telemetry::log_info!(
-        "Calibration probe ({} MB dataset):\n",
+        "\nCalibration probe ({} MB dataset):\n",
         dataset_size / (1024 * 1024)
     );
     kmsg_telemetry::log_info!(

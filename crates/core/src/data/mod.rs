@@ -3,8 +3,7 @@
 //! * [`ratio`] — the target TCP/UDT mix and its representations;
 //! * [`psp`] — per-message protocol selection policies (random, pattern);
 //! * [`prp`] — per-episode protocol ratio policies (static, TD(λ) learner);
-//! * [`stack`] — per-destination congestion-controller selection (the
-//!   transports × controllers surface);
+//! * [`stack`] — per-destination congestion-controller selection;
 //! * [`interceptor`] — the `data-network-interceptor` component wiring the
 //!   policies into the message path.
 
@@ -27,7 +26,7 @@ pub use psp::{
     RandomSelection,
 };
 pub use ratio::{ProtocolFraction, Ratio};
-pub use stack::{controller_space, variant_algorithm, StackPolicy};
+pub use stack::StackPolicy;
 
 use kmsg_component::prelude::*;
 use kmsg_netsim::network::{BindError, Network};

@@ -1,5 +1,4 @@
-//! Per-destination congestion-controller stack policy — the DATA surface
-//! for the transports × controllers action space.
+//! Per-destination congestion-controller stack policy.
 //!
 //! The paper's `DATA` meta-protocol picks a *transport* per message; this
 //! module widens the choice to the transport **stack**: which congestion
@@ -8,18 +7,13 @@
 //! overrides consulted by the network component every time it dials (or
 //! redials) a TCP channel, and
 //! [`NetworkComponent::swap_controller`](crate::net::NetworkComponent::swap_controller)
-//! applies a change at runtime by recycling the live channel.
-//!
-//! The learner side of the surface lives in `kmsg-learning`:
-//! [`StackSpace`] crosses the ratio dimension with one variant per
-//! [`CcAlgorithm`]; [`controller_space`] and [`variant_algorithm`] are
-//! the bridge between variant indices and concrete controllers.
+//! applies a change at runtime by recycling the live channel. Today an
+//! experiment's scheduled [`CcAlgorithm`] swap drives it; no learner does.
 
 use std::collections::HashMap;
 
 use parking_lot::Mutex;
 
-use kmsg_learning::{RatioSpace, StackSpace};
 use kmsg_netsim::cc::CcAlgorithm;
 use kmsg_netsim::packet::Endpoint;
 
@@ -71,29 +65,9 @@ impl StackPolicy {
     }
 }
 
-/// The learner space matching the available controller variants: the
-/// paper's ratio space × one variant per [`CcAlgorithm`] (Reno, CUBIC,
-/// BBR) — the action space grown from {TCP, UDT} to transports ×
-/// controllers.
-#[must_use]
-pub fn controller_space() -> StackSpace {
-    StackSpace::new(RatioSpace::default(), CcAlgorithm::all().len())
-}
-
-/// Maps a [`StackSpace`] variant index to its concrete controller.
-///
-/// # Panics
-///
-/// Panics if `variant` is out of range for [`CcAlgorithm::all`].
-#[must_use]
-pub fn variant_algorithm(variant: usize) -> CcAlgorithm {
-    CcAlgorithm::all()[variant]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kmsg_learning::Space;
     use kmsg_netsim::packet::NodeId;
 
     fn ep(port: u16) -> Endpoint {
@@ -134,15 +108,5 @@ mod tests {
         assert_eq!(p.lookup(ep(80)), Some(CcAlgorithm::Cubic));
         assert_eq!(p.lookup(ep(81)), Some(CcAlgorithm::Bbr));
         assert_eq!(p.lookup(ep(82)), None);
-    }
-
-    #[test]
-    fn controller_space_matches_the_algorithm_set() {
-        let space = controller_space();
-        assert_eq!(space.num_variants(), CcAlgorithm::all().len());
-        assert_eq!(space.num_states(), 11 * 3);
-        for (i, algo) in CcAlgorithm::all().into_iter().enumerate() {
-            assert_eq!(variant_algorithm(i), algo);
-        }
     }
 }

@@ -132,9 +132,9 @@ pub struct NetworkConfig {
     /// frames fail immediately with [`SendError::ChannelClosed`]).
     pub reconnect: Option<ReconnectConfig>,
     /// Per-destination congestion-controller overrides, consulted on
-    /// every TCP dial (and redial). Shared: the experiment driver or a
-    /// learner holds the same [`StackPolicy`] and steers controllers at
-    /// runtime via [`NetworkComponent::swap_controller`].
+    /// every TCP dial (and redial). Shared: the experiment driver holds
+    /// the same [`StackPolicy`](crate::data::StackPolicy) and steers
+    /// controllers at runtime via [`NetworkComponent::swap_controller`].
     pub stack: Arc<crate::data::stack::StackPolicy>,
 }
 

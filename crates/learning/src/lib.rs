@@ -52,13 +52,13 @@ pub mod value;
 
 pub use policy::{EpsilonGreedy, EpsilonGreedyConfig};
 pub use sarsa::{ControlAlgo, DecisionProbe, DecisionRecord, Sarsa, SarsaConfig, TraceKind};
-pub use space::{ActionIdx, RatioSpace, Space, StackSpace, StateIdx};
+pub use space::{ActionIdx, RatioSpace, StateIdx};
 pub use value::{ActionValue, ApproxV, MatrixQ, ModelV};
 
 /// Common imports for learner users.
 pub mod prelude {
     pub use crate::policy::{EpsilonGreedy, EpsilonGreedyConfig};
     pub use crate::sarsa::{ControlAlgo, DecisionProbe, DecisionRecord, Sarsa, SarsaConfig, TraceKind};
-    pub use crate::space::{ActionIdx, RatioSpace, Space, StackSpace, StateIdx};
+    pub use crate::space::{ActionIdx, RatioSpace, StateIdx};
     pub use crate::value::{ActionValue, ApproxV, MatrixQ, ModelV};
 }

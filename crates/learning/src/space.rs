@@ -1,4 +1,4 @@
-//! Discretised state and action spaces for the protocol-ratio learner.
+//! The discretised state and action space of the protocol-ratio learner.
 //!
 //! The paper (§IV-C3) discretises the protocol ratio `r ∈ [-1, 1]` with a
 //! fixed step `κ = 1/5`, giving `2/κ + 1 = 11` states, and allows actions
@@ -11,60 +11,16 @@
 //!           max(s + a, min(S))  for s + a <  0
 //! ```
 //!
-//! The learner itself is agnostic to the space's shape: everything it
-//! needs is captured by the [`Space`] trait, implemented both by the
-//! paper's [`RatioSpace`] and by [`StackSpace`], which crosses the ratio
-//! dimension with a congestion-controller variant per TCP stack
-//! (Reno/CUBIC/BBR), widening the action space from {TCP, UDT} to
-//! transports × controllers.
+//! [`RatioSpace`] is that space; the learner and the value backends take
+//! it directly.
 
-/// Index of a state in a [`Space`].
+/// Index of a state in a [`RatioSpace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StateIdx(pub usize);
 
-/// Index of an action in a [`Space`].
+/// Index of an action in a [`RatioSpace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ActionIdx(pub usize);
-
-/// Iterator over the dense index range of a space's states or actions.
-type IdxIter<T> = std::iter::Map<std::ops::Range<usize>, fn(usize) -> T>;
-
-/// A finite, discretised state/action space with a deterministic
-/// environment model, as consumed by the Sarsa(λ) learner and the
-/// value-function backends.
-///
-/// States and actions are dense indices `0..num_states()` /
-/// `0..num_actions()`; [`Space::transition`] is the environment model
-/// `M(s, a)`, and [`Space::state_value`] maps a state to the scalar the
-/// quadratic approximation ([`crate::value::ApproxV`]) fits over — for
-/// composite spaces this is the *ratio component*, so the paper's
-/// unimodal-reward assumption keeps holding along that axis.
-pub trait Space: Copy + Send + std::fmt::Debug + 'static {
-    /// Number of states.
-    fn num_states(&self) -> usize;
-
-    /// Number of actions.
-    fn num_actions(&self) -> usize;
-
-    /// The scalar value of a state (the protocol ratio in `[-1, 1]`).
-    fn state_value(&self, s: StateIdx) -> f64;
-
-    /// The environment model `M(s, a)`: the successor state.
-    fn transition(&self, s: StateIdx, a: ActionIdx) -> StateIdx;
-
-    /// The index of the "do nothing" action.
-    fn noop_action(&self) -> ActionIdx;
-
-    /// Iterates over all states.
-    fn states(&self) -> IdxIter<StateIdx> {
-        (0..self.num_states()).map(StateIdx as fn(usize) -> StateIdx)
-    }
-
-    /// Iterates over all actions.
-    fn actions(&self) -> IdxIter<ActionIdx> {
-        (0..self.num_actions()).map(ActionIdx as fn(usize) -> ActionIdx)
-    }
-}
 
 /// The discretised ratio space `[-1, 1]` with step `κ = 1/steps_per_side`,
 /// and actions of up to `max_step` steps in either direction.
@@ -178,167 +134,6 @@ impl RatioSpace {
     }
 }
 
-impl Space for RatioSpace {
-    fn num_states(&self) -> usize {
-        RatioSpace::num_states(self)
-    }
-
-    fn num_actions(&self) -> usize {
-        RatioSpace::num_actions(self)
-    }
-
-    fn state_value(&self, s: StateIdx) -> f64 {
-        RatioSpace::state_value(self, s)
-    }
-
-    fn transition(&self, s: StateIdx, a: ActionIdx) -> StateIdx {
-        RatioSpace::transition(self, s, a)
-    }
-
-    fn noop_action(&self) -> ActionIdx {
-        RatioSpace::noop_action(self)
-    }
-}
-
-/// The ratio space crossed with a per-stack congestion-controller
-/// variant: state = (ratio state, variant), action = (ratio action,
-/// variant move ∈ {prev, keep, next}).
-///
-/// The default pairs the paper's 11-state ratio space with three TCP
-/// controller variants (Reno, CUBIC, BBR) — 33 states × 15 actions. The
-/// variant axis wraps around, so any controller is reachable from any
-/// other in at most ⌈N/2⌉ moves; the "keep" move composed with the ratio
-/// no-op is the space's global no-op. [`Space::state_value`] exposes only
-/// the ratio component, so the quadratic value approximation still fits a
-/// single unimodal curve per controller sweep.
-///
-/// Layout: state `s = variant · ratio_states + ratio_state`, action
-/// `a = (move + 1) · ratio_actions + ratio_action` with `move ∈ {-1, 0, 1}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StackSpace {
-    ratio: RatioSpace,
-    num_variants: usize,
-}
-
-impl Default for StackSpace {
-    /// The paper's ratio space × {Reno, CUBIC, BBR}: 33 states, 15 actions.
-    fn default() -> Self {
-        StackSpace::new(RatioSpace::default(), 3)
-    }
-}
-
-impl StackSpace {
-    /// Number of variant moves per action: previous, keep, next.
-    const MOVES: usize = 3;
-
-    /// Creates a stack space over `ratio` with `num_variants` controller
-    /// variants.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_variants` is zero.
-    #[must_use]
-    pub fn new(ratio: RatioSpace, num_variants: usize) -> Self {
-        assert!(num_variants > 0, "num_variants must be positive");
-        StackSpace { ratio, num_variants }
-    }
-
-    /// The underlying ratio space.
-    #[must_use]
-    pub fn ratio_space(&self) -> RatioSpace {
-        self.ratio
-    }
-
-    /// Number of congestion-controller variants.
-    #[must_use]
-    pub fn num_variants(&self) -> usize {
-        self.num_variants
-    }
-
-    /// Decomposes a state into (ratio state, variant index).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is out of range.
-    #[must_use]
-    pub fn split_state(&self, s: StateIdx) -> (StateIdx, usize) {
-        assert!(s.0 < Space::num_states(self), "state index out of range");
-        let per = self.ratio.num_states();
-        (StateIdx(s.0 % per), s.0 / per)
-    }
-
-    /// Composes a state from a ratio state and a variant index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either component is out of range.
-    #[must_use]
-    pub fn join_state(&self, ratio: StateIdx, variant: usize) -> StateIdx {
-        assert!(ratio.0 < self.ratio.num_states(), "ratio state out of range");
-        assert!(variant < self.num_variants, "variant out of range");
-        StateIdx(variant * self.ratio.num_states() + ratio.0)
-    }
-
-    /// Decomposes an action into (ratio action, variant move ∈ -1..=1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is out of range.
-    #[must_use]
-    pub fn split_action(&self, a: ActionIdx) -> (ActionIdx, isize) {
-        assert!(a.0 < Space::num_actions(self), "action index out of range");
-        let per = self.ratio.num_actions();
-        (ActionIdx(a.0 % per), (a.0 / per) as isize - 1)
-    }
-
-    /// Composes an action from a ratio action and a variant move.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either component is out of range.
-    #[must_use]
-    pub fn join_action(&self, ratio: ActionIdx, variant_move: isize) -> ActionIdx {
-        assert!(ratio.0 < self.ratio.num_actions(), "ratio action out of range");
-        assert!(
-            (-1..=1).contains(&variant_move),
-            "variant move must be -1, 0 or 1"
-        );
-        ActionIdx(((variant_move + 1) as usize) * self.ratio.num_actions() + ratio.0)
-    }
-
-    /// The state nearest `ratio` within the given variant.
-    #[must_use]
-    pub fn nearest_state(&self, ratio: f64, variant: usize) -> StateIdx {
-        self.join_state(self.ratio.nearest_state(ratio), variant)
-    }
-}
-
-impl Space for StackSpace {
-    fn num_states(&self) -> usize {
-        self.ratio.num_states() * self.num_variants
-    }
-
-    fn num_actions(&self) -> usize {
-        self.ratio.num_actions() * Self::MOVES
-    }
-
-    fn state_value(&self, s: StateIdx) -> f64 {
-        let (rs, _) = self.split_state(s);
-        self.ratio.state_value(rs)
-    }
-
-    fn transition(&self, s: StateIdx, a: ActionIdx) -> StateIdx {
-        let (rs, v) = self.split_state(s);
-        let (ra, dv) = self.split_action(a);
-        let next_v = (v as isize + dv).rem_euclid(self.num_variants as isize) as usize;
-        self.join_state(self.ratio.transition(rs, ra), next_v)
-    }
-
-    fn noop_action(&self) -> ActionIdx {
-        self.join_action(self.ratio.noop_action(), 0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -397,83 +192,5 @@ mod tests {
     fn state_value_bounds_checked() {
         let space = RatioSpace::default();
         let _ = space.state_value(StateIdx(11));
-    }
-
-    #[test]
-    fn stack_space_dimensions() {
-        let space = StackSpace::default();
-        assert_eq!(Space::num_states(&space), 33);
-        assert_eq!(Space::num_actions(&space), 15);
-        assert_eq!(space.num_variants(), 3);
-        assert_eq!(Space::states(&space).count(), 33);
-        assert_eq!(Space::actions(&space).count(), 15);
-    }
-
-    #[test]
-    fn stack_state_round_trip() {
-        let space = StackSpace::default();
-        for s in Space::states(&space) {
-            let (rs, v) = space.split_state(s);
-            assert_eq!(space.join_state(rs, v), s);
-        }
-        for a in Space::actions(&space) {
-            let (ra, dv) = space.split_action(a);
-            assert_eq!(space.join_action(ra, dv), a);
-        }
-    }
-
-    #[test]
-    fn stack_state_value_is_the_ratio_component() {
-        let space = StackSpace::default();
-        let ratio = space.ratio_space();
-        for v in 0..space.num_variants() {
-            for rs in ratio.states() {
-                let s = space.join_state(rs, v);
-                assert_eq!(Space::state_value(&space, s), ratio.state_value(rs));
-            }
-        }
-    }
-
-    #[test]
-    fn stack_transition_moves_both_axes() {
-        let space = StackSpace::default();
-        let ratio = space.ratio_space();
-        // Keep the controller, move the ratio.
-        let s = space.join_state(StateIdx(5), 1);
-        let a = space.join_action(ActionIdx(4), 0);
-        assert_eq!(Space::transition(&space, s, a), space.join_state(StateIdx(7), 1));
-        // Keep the ratio, cycle the controller (wrapping both ways).
-        let noop_ratio = ratio.noop_action();
-        let up = space.join_action(noop_ratio, 1);
-        let down = space.join_action(noop_ratio, -1);
-        let s2 = space.join_state(StateIdx(5), 2);
-        assert_eq!(Space::transition(&space, s2, up), space.join_state(StateIdx(5), 0));
-        let s0 = space.join_state(StateIdx(5), 0);
-        assert_eq!(Space::transition(&space, s0, down), space.join_state(StateIdx(5), 2));
-    }
-
-    #[test]
-    fn stack_noop_keeps_everything() {
-        let space = StackSpace::default();
-        let noop = Space::noop_action(&space);
-        for s in Space::states(&space) {
-            assert_eq!(Space::transition(&space, s, noop), s);
-        }
-    }
-
-    #[test]
-    fn stack_nearest_state_lands_in_variant() {
-        let space = StackSpace::default();
-        let s = space.nearest_state(-1.0, 2);
-        let (rs, v) = space.split_state(s);
-        assert_eq!(v, 2);
-        assert_eq!(rs, StateIdx(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "variant out of range")]
-    fn stack_join_state_bounds_checked() {
-        let space = StackSpace::default();
-        let _ = space.join_state(StateIdx(0), 3);
     }
 }

@@ -14,9 +14,9 @@
 //!    only two observations; converges within seconds and avoids late
 //!    backtracking (Figure 6).
 
-use crate::space::{ActionIdx, RatioSpace, Space, StateIdx};
+use crate::space::{ActionIdx, RatioSpace, StateIdx};
 
-/// An action-value estimator `Q(s, a)` over a [`Space`].
+/// An action-value estimator `Q(s, a)` over a [`RatioSpace`].
 pub trait ActionValue: Send {
     /// The learned estimate for `(s, a)`, or `None` if that entry has never
     /// been updated (and cannot be extrapolated).
@@ -45,15 +45,15 @@ impl ActionValue for Box<dyn ActionValue> {
 
 /// Dense `Q(s, a)` matrix (the paper's default, Figure 4).
 #[derive(Debug, Clone)]
-pub struct MatrixQ<S: Space = RatioSpace> {
-    space: S,
+pub struct MatrixQ {
+    space: RatioSpace,
     q: Vec<Option<f64>>,
 }
 
-impl<S: Space> MatrixQ<S> {
+impl MatrixQ {
     /// Creates an all-uninitialised matrix.
     #[must_use]
-    pub fn new(space: S) -> Self {
+    pub fn new(space: RatioSpace) -> Self {
         MatrixQ {
             space,
             q: vec![None; space.num_states() * space.num_actions()],
@@ -71,7 +71,7 @@ impl<S: Space> MatrixQ<S> {
     }
 }
 
-impl<S: Space> ActionValue for MatrixQ<S> {
+impl ActionValue for MatrixQ {
     fn q(&self, s: StateIdx, a: ActionIdx) -> Option<f64> {
         self.q[self.idx(s, a)]
     }
@@ -90,15 +90,15 @@ impl<S: Space> ActionValue for MatrixQ<S> {
 /// Model-collapsed state-value function: `Q(s, a) = V(M(s, a))`
 /// (Figure 5).
 #[derive(Debug, Clone)]
-pub struct ModelV<S: Space = RatioSpace> {
-    space: S,
+pub struct ModelV {
+    space: RatioSpace,
     v: Vec<Option<f64>>,
 }
 
-impl<S: Space> ModelV<S> {
+impl ModelV {
     /// Creates an all-uninitialised state-value vector.
     #[must_use]
-    pub fn new(space: S) -> Self {
+    pub fn new(space: RatioSpace) -> Self {
         ModelV {
             space,
             v: vec![None; space.num_states()],
@@ -112,7 +112,7 @@ impl<S: Space> ModelV<S> {
     }
 }
 
-impl<S: Space> ActionValue for ModelV<S> {
+impl ActionValue for ModelV {
     fn q(&self, s: StateIdx, a: ActionIdx) -> Option<f64> {
         self.v[self.space.transition(s, a).0]
     }
@@ -135,18 +135,16 @@ impl<S: Space> ActionValue for ModelV<S> {
 /// least two observations exist (two points: linear fit; three or more:
 /// quadratic fit).
 #[derive(Debug, Clone)]
-pub struct ApproxV<S: Space = RatioSpace> {
-    inner: ModelV<S>,
-    space: S,
+pub struct ApproxV {
+    inner: ModelV,
 }
 
-impl<S: Space> ApproxV<S> {
+impl ApproxV {
     /// Creates an empty approximated value function.
     #[must_use]
-    pub fn new(space: S) -> Self {
+    pub fn new(space: RatioSpace) -> Self {
         ApproxV {
             inner: ModelV::new(space),
-            space,
         }
     }
 
@@ -158,7 +156,7 @@ impl<S: Space> ApproxV<S> {
             .values()
             .iter()
             .enumerate()
-            .filter_map(|(i, v)| v.map(|y| (self.space.state_value(StateIdx(i)), y)))
+            .filter_map(|(i, v)| v.map(|y| (self.inner.space.state_value(StateIdx(i)), y)))
             .collect();
         match pts.len() {
             0 | 1 => None,
@@ -182,20 +180,19 @@ impl<S: Space> ApproxV<S> {
     }
 }
 
-impl<S: Space> ActionValue for ApproxV<S> {
+impl ActionValue for ApproxV {
     fn q(&self, s: StateIdx, a: ActionIdx) -> Option<f64> {
-        let target = self.space.transition(s, a);
+        let target = self.inner.space.transition(s, a);
         // Never use an approximated value when a learned one exists.
-        self.inner.v[target.0]
-            .or_else(|| self.fitted(self.space.state_value(target)))
+        self.inner.v[target.0].or_else(|| self.fitted(self.inner.space.state_value(target)))
     }
 
     fn update(&mut self, s: StateIdx, a: ActionIdx, increment: f64) {
         // The fit acts as a prior: a state's first real update starts from
         // its extrapolated value rather than zero.
-        let target = self.space.transition(s, a);
+        let target = self.inner.space.transition(s, a);
         if self.inner.v[target.0].is_none() {
-            if let Some(prior) = self.fitted(self.space.state_value(target)) {
+            if let Some(prior) = self.fitted(self.inner.space.state_value(target)) {
                 self.inner.v[target.0] = Some(prior);
             }
         }

@@ -45,7 +45,6 @@ pub mod memscope;
 pub mod network;
 pub mod packet;
 pub mod pool;
-pub mod reference;
 pub mod rng;
 pub mod slab;
 pub mod stats;
@@ -60,7 +59,6 @@ pub mod wheel;
 pub use cc::{CcAlgorithm, CcConfig, CongestionController};
 pub use engine::{EventTarget, Sim};
 pub use faults::{FaultAction, FaultController, FaultEvent, FaultPlan};
-pub use reference::ReferenceSim;
 pub use iface::{CloseReason, Connection, ConnectionId, StreamAccept, StreamEvents};
 pub use link::{DropReason, GeConfig, LinkConfig, LinkId, PolicerConfig};
 pub use network::{BindError, Network, NetworkStats, PacketSink};

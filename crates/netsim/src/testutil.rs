@@ -338,8 +338,8 @@ pub struct ChurnPhase {
     pub ops: Vec<ChurnEvent>,
 }
 
-/// Everything observable about one churn run; two engines implementing the
-/// same `(time, seq)` contract must produce equal traces.
+/// Everything observable about one churn run; any engine implementing the
+/// `(time, seq)` contract produces the same trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChurnTrace {
     /// `(fire time ns, label)` for every executed event, in execution order.
@@ -354,111 +354,46 @@ pub struct ChurnTrace {
     pub final_now: u64,
 }
 
-/// Minimal scheduling surface shared by the production and reference
-/// engines, so differential tests and benchmarks can drive both with the
-/// same workload.
-pub trait ChurnEngine: Clone + Send + Sync + 'static {
-    /// Schedules a boxed closure at an absolute time in nanoseconds.
-    fn schedule_at_ns(&self, at: u64, f: Box<dyn FnOnce(&Self) + Send>);
-    /// Runs events up to an absolute horizon in ns; returns events executed.
-    fn run_until_ns(&self, horizon: u64) -> u64;
-    /// Current clock in ns.
-    fn now_ns(&self) -> u64;
-    /// Cumulative executed-events counter.
-    fn events_executed(&self) -> u64;
-    /// Currently pending events.
-    fn events_pending(&self) -> usize;
-    /// Records a flight-recorder marker for an executed churn event, if the
-    /// engine carries a telemetry recorder. Default: no-op (the reference
-    /// oracle has no recorder).
-    fn record_mark(&self, _label: u32) {}
-}
-
-impl ChurnEngine for Sim {
-    fn schedule_at_ns(&self, at: u64, f: Box<dyn FnOnce(&Self) + Send>) {
-        self.schedule_at(SimTime::from_nanos(at), f);
-    }
-    fn run_until_ns(&self, horizon: u64) -> u64 {
-        self.run_until(SimTime::from_nanos(horizon))
-    }
-    fn now_ns(&self) -> u64 {
-        self.now().as_nanos()
-    }
-    fn events_executed(&self) -> u64 {
-        Sim::events_executed(self)
-    }
-    fn events_pending(&self) -> usize {
-        Sim::events_pending(self)
-    }
-    fn record_mark(&self, label: u32) {
-        self.recorder().record(
-            self.now().as_nanos(),
+fn schedule_churn(sim: &Sim, log: Arc<Mutex<Vec<(u64, u32)>>>, at: u64, event: ChurnEvent) {
+    sim.schedule_at(SimTime::from_nanos(at), move |sim: &Sim| {
+        let now = sim.now().as_nanos();
+        log.lock().push((now, event.label));
+        sim.recorder().record(
+            now,
             kmsg_telemetry::EventKind::Mark {
-                id: u64::from(label),
-                value: Sim::events_executed(self),
+                id: u64::from(event.label),
+                value: sim.events_executed(),
             },
         );
-    }
+        for child in event.children {
+            schedule_churn(sim, log.clone(), now.saturating_add(child.time), child);
+        }
+    });
 }
 
-impl ChurnEngine for crate::reference::ReferenceSim {
-    fn schedule_at_ns(&self, at: u64, f: Box<dyn FnOnce(&Self) + Send>) {
-        self.schedule_at(SimTime::from_nanos(at), f);
-    }
-    fn run_until_ns(&self, horizon: u64) -> u64 {
-        self.run_until(SimTime::from_nanos(horizon))
-    }
-    fn now_ns(&self) -> u64 {
-        self.now().as_nanos()
-    }
-    fn events_executed(&self) -> u64 {
-        crate::reference::ReferenceSim::events_executed(self)
-    }
-    fn events_pending(&self) -> usize {
-        crate::reference::ReferenceSim::events_pending(self)
-    }
-}
-
-fn schedule_churn<E: ChurnEngine>(
-    engine: &E,
-    log: Arc<Mutex<Vec<(u64, u32)>>>,
-    at: u64,
-    event: ChurnEvent,
-) {
-    engine.schedule_at_ns(
-        at,
-        Box::new(move |e: &E| {
-            let now = e.now_ns();
-            log.lock().push((now, event.label));
-            e.record_mark(event.label);
-            for child in event.children {
-                let child_at = now.saturating_add(child.time);
-                schedule_churn(e, log.clone(), child_at, child);
-            }
-        }),
-    );
-}
-
-/// Runs a churn workload and returns its execution trace.
+/// Runs a churn workload on `sim` and returns its execution trace. Every
+/// executed event also records a flight-recorder `mark` (its label, and
+/// the executed-events counter) at its fire time.
 ///
 /// Used by the engine determinism tests to compare the timing-wheel engine
-/// against the heap-based reference oracle on randomized schedules.
-pub fn run_churn<E: ChurnEngine>(engine: &E, phases: &[ChurnPhase]) -> ChurnTrace {
+/// against a heap model of the `(time, seq)` contract on randomized
+/// schedules.
+pub fn run_churn(sim: &Sim, phases: &[ChurnPhase]) -> ChurnTrace {
     let log = Arc::new(Mutex::new(Vec::new()));
     let mut executed_per_phase = Vec::with_capacity(phases.len());
     for phase in phases {
         for op in &phase.ops {
-            schedule_churn(engine, log.clone(), op.time, op.clone());
+            schedule_churn(sim, log.clone(), op.time, op.clone());
         }
-        executed_per_phase.push(engine.run_until_ns(phase.horizon));
+        executed_per_phase.push(sim.run_until(SimTime::from_nanos(phase.horizon)));
     }
     let firings = log.lock().clone();
     ChurnTrace {
         firings,
         executed_per_phase,
-        events_executed: engine.events_executed(),
-        events_pending: engine.events_pending(),
-        final_now: engine.now_ns(),
+        events_executed: sim.events_executed(),
+        events_pending: sim.events_pending(),
+        final_now: sim.now().as_nanos(),
     }
 }
 

@@ -31,7 +31,7 @@
 //! number reserved at its arm), and `pop_cohort` sorts each cohort by `seq`.
 //! This is the determinism contract the simulation engine
 //! relies on; `crates/netsim/tests/engine_determinism.rs` property-tests it
-//! against the heap-based [`reference`](crate::reference) implementation.
+//! against a binary-heap model of the schedule.
 //!
 //! # Examples
 //!

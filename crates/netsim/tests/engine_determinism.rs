@@ -1,20 +1,23 @@
 //! Differential determinism tests for the timing-wheel engine.
 //!
-//! The heap-based [`ReferenceSim`] defines the `(time, seq)` execution
-//! contract. These properties run randomized schedules — past events that
-//! clamp to "now", zero-delay now-lane events, far-future events that land
-//! in high wheel levels or the overflow heap, and re-entrant scheduling
-//! from inside executing events — through both engines and require
-//! identical traces: same `(fire time, label)` sequence, same per-phase
-//! executed counts, same final clock and counters. Sampled schedules run on
-//! the crate's own deterministic [`PropRunner`].
+//! The `(time, seq)` execution contract is defined by [`heap_model`], a
+//! pure binary-heap model of the schedule. These properties run randomized
+//! schedules — past events that clamp to "now", zero-delay now-lane
+//! events, far-future events that land in high wheel levels or the
+//! overflow heap, and re-entrant scheduling from inside executing events —
+//! through the engine and the model and require identical traces: same
+//! `(fire time, label)` sequence, same per-phase executed counts, same
+//! final clock and counters. Sampled schedules run on the crate's own
+//! deterministic [`PropRunner`].
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use rand::Rng;
 
 use kmsg_netsim::engine::Sim;
-use kmsg_netsim::reference::ReferenceSim;
 use kmsg_netsim::rng::RngStream;
-use kmsg_netsim::testutil::{run_churn, ChurnEvent, ChurnPhase, PropRunner};
+use kmsg_netsim::testutil::{run_churn, ChurnEvent, ChurnPhase, ChurnTrace, PropRunner};
 
 /// Randomized schedules per property.
 const CASES: u64 = 256;
@@ -88,12 +91,64 @@ fn phases(rng: &mut RngStream) -> Vec<ChurnPhase> {
     phases
 }
 
+/// The trace any engine honouring the `(time, seq)` contract produces for
+/// `phases`: a min-heap keyed on `(due time, seq)`, where `seq` numbers
+/// schedulings in order, so events due at the same time run in the order
+/// they were scheduled. A due time in the past clamps to the clock, and
+/// each phase's run leaves the clock at its horizon.
+fn heap_model(phases: &[ChurnPhase]) -> ChurnTrace {
+    // `scheduled[seq]` is the event scheduled with sequence number `seq`.
+    let mut scheduled: Vec<&ChurnEvent> = Vec::new();
+    let mut queue = BinaryHeap::new();
+    let mut now = 0u64;
+    let mut trace = ChurnTrace {
+        firings: Vec::new(),
+        executed_per_phase: Vec::new(),
+        events_executed: 0,
+        events_pending: 0,
+        final_now: 0,
+    };
+    for phase in phases {
+        for op in &phase.ops {
+            queue.push(Reverse((op.time.max(now), scheduled.len())));
+            scheduled.push(op);
+        }
+        let mut executed = 0;
+        while let Some(&Reverse((at, seq))) = queue.peek() {
+            if at > phase.horizon {
+                break;
+            }
+            queue.pop();
+            now = at;
+            executed += 1;
+            let event = scheduled[seq];
+            trace.firings.push((at, event.label));
+            for child in &event.children {
+                queue.push(Reverse((at.saturating_add(child.time), scheduled.len())));
+                scheduled.push(child);
+            }
+        }
+        now = now.max(phase.horizon);
+        trace.executed_per_phase.push(executed);
+        trace.events_executed += executed;
+    }
+    trace.events_pending = queue.len();
+    trace.final_now = now;
+    trace
+}
+
+fn leaf(time: u64, label: u32) -> ChurnEvent {
+    ChurnEvent {
+        time,
+        label,
+        children: Vec::new(),
+    }
+}
+
 /// Two same-seed runs with enabled flight recorders emit byte-identical
-/// JSONL: every churn event records a `mark` via [`ChurnEngine::record_mark`]
-/// at its virtual fire time, so equality here covers event order,
-/// timestamps and serialisation.
-///
-/// [`ChurnEngine::record_mark`]: kmsg_netsim::testutil::ChurnEngine::record_mark
+/// JSONL: [`run_churn`] records a `mark` for every churn event at its
+/// virtual fire time, so equality here covers event order, timestamps and
+/// serialisation.
 #[test]
 fn same_seed_runs_emit_byte_identical_jsonl() {
     let phases = vec![
@@ -103,33 +158,14 @@ fn same_seed_runs_emit_byte_identical_jsonl() {
                 ChurnEvent {
                     time: 1_000,
                     label: 1,
-                    children: vec![
-                        ChurnEvent {
-                            time: 0,
-                            label: 2,
-                            children: Vec::new(),
-                        },
-                        ChurnEvent {
-                            time: 2_500,
-                            label: 3,
-                            children: Vec::new(),
-                        },
-                    ],
+                    children: vec![leaf(0, 2), leaf(2_500, 3)],
                 },
-                ChurnEvent {
-                    time: 4_000_000,
-                    label: 4,
-                    children: Vec::new(),
-                },
+                leaf(4_000_000, 4),
             ],
         },
         ChurnPhase {
             horizon: 1 << 40,
-            ops: vec![ChurnEvent {
-                time: 1 << 35,
-                label: 5,
-                children: Vec::new(),
-            }],
+            ops: vec![leaf(1 << 35, 5)],
         },
     ];
     let run = || {
@@ -149,18 +185,67 @@ fn same_seed_runs_emit_byte_identical_jsonl() {
     assert!(jsonl_a.lines().all(|l| l.contains("\"kind\":\"mark\"")));
 }
 
-/// The wheel engine and the heap oracle execute any schedule identically.
+/// The wheel engine executes any schedule as the heap model does, and both
+/// produce the exact traces of two fixed schedules.
 #[test]
 fn wheel_engine_matches_heap_oracle() {
     PropRunner::new("engine-wheel-matches-heap")
         .cases(CASES)
         .run(phases, |phases| {
             let wheel = run_churn(&Sim::new(1), phases);
-            let heap = run_churn(&ReferenceSim::new(), phases);
-            assert_eq!(wheel, heap);
+            assert_eq!(wheel, heap_model(phases));
             // The drain phase must have flushed everything.
             assert_eq!(wheel.events_pending, 0);
         });
+
+    const SEC: u64 = 1_000_000_000;
+    let fixed = [
+        // Time order first, insertion order among events due together.
+        (
+            vec![ChurnPhase {
+                horizon: SEC,
+                ops: vec![
+                    leaf(30_000, 0),
+                    leaf(10_000, 1),
+                    leaf(10_000, 2),
+                    leaf(20_000, 3),
+                ],
+            }],
+            ChurnTrace {
+                firings: vec![(10_000, 1), (10_000, 2), (20_000, 3), (30_000, 0)],
+                executed_per_phase: vec![4],
+                events_executed: 4,
+                events_pending: 0,
+                final_now: SEC,
+            },
+        ),
+        // A horizon with nothing due before it still advances the clock
+        // (the past-due event of the second phase fires at 1 s), and a
+        // far horizon drains what is left.
+        (
+            vec![
+                ChurnPhase {
+                    horizon: SEC,
+                    ops: vec![leaf(5 * SEC, 0)],
+                },
+                ChurnPhase {
+                    horizon: 1 << 46,
+                    ops: vec![leaf(0, 1)],
+                },
+            ],
+            ChurnTrace {
+                firings: vec![(SEC, 1), (5 * SEC, 0)],
+                executed_per_phase: vec![0, 2],
+                events_executed: 2,
+                events_pending: 0,
+                final_now: 1 << 46,
+            },
+        ),
+    ];
+    for (phases, expected) in fixed {
+        assert_eq!(heap_model(&phases), expected);
+        assert_eq!(run_churn(&Sim::new(1), &phases), expected);
+    }
 }
 
 /// Two runs of the same schedule on the wheel engine are identical.

@@ -8,9 +8,9 @@
 //! after every partition heals the gossiped link-state tables
 //! **reconverge**. The first three are checked directly against the
 //! recorded [`EventKind::Overlay`] stream; liveness and convergence come
-//! from the end-of-run [`OverlayFacts`] that the scenario runner captures
-//! after its settle window (the trace alone cannot show what *should*
-//! have been delivered).
+//! from the end-of-run [`OverlayFacts`](crate::OverlayFacts) that the
+//! scenario runner captures after its settle window (the trace alone
+//! cannot show what *should* have been delivered).
 
 use std::collections::{BTreeMap, BTreeSet};
 
