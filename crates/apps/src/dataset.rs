@@ -13,10 +13,10 @@
 //! Chunks are a pure function of `(seed, offset)`, so sender and receiver
 //! can independently verify content without sharing the data.
 
-use bytes::Bytes;
+use kmsg_telemetry::bytes::Bytes;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// The paper's transfer size: ~395 MB.
 pub const PAPER_DATASET_SIZE: usize = 395 * 1024 * 1024;
@@ -72,8 +72,9 @@ impl Dataset {
         if offset >= end {
             return Bytes::new();
         }
-        let mut out = vec![0; end - offset];
-        self.fill(offset, &mut out);
+        // Zeroed and filled in place: one allocation, which the `Bytes` takes.
+        let mut out: Arc<[u8]> = std::iter::repeat_n(0, end - offset).collect();
+        self.fill(offset, Arc::get_mut(&mut out).expect("not shared yet"));
         Bytes::from(out)
     }
 
@@ -234,7 +235,7 @@ pub fn chunk_hash(offset: u64, data: &[u8]) -> u64 {
 #[cfg(test)]
 mod reference {
     use super::{Dataset, DatasetKind};
-    use bytes::Bytes;
+    use kmsg_telemetry::bytes::Bytes;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha12Rng;
 

@@ -1,6 +1,6 @@
 //! Application message types and their serialisers.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use kmsg_telemetry::bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use kmsg_core::ser::{get_bytes, Deserialiser, SerError, SerId, Serialisable};
 

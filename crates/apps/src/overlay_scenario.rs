@@ -16,7 +16,6 @@
 
 use std::time::Duration;
 
-use bytes::Bytes;
 use kmsg_component::prelude::*;
 use kmsg_core::prelude::*;
 use kmsg_netsim::engine::Sim;
@@ -27,6 +26,7 @@ use kmsg_netsim::rng::SeedSource;
 use kmsg_netsim::time::SimTime;
 use kmsg_netsim::{FaultController, FaultPlan, Recorder, RecorderTracer};
 use kmsg_oracle::OverlayFacts;
+use kmsg_telemetry::bytes::Bytes;
 use rand::Rng;
 
 /// Listen port of every overlay node's middleware stack.

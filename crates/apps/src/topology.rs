@@ -24,13 +24,13 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use kmsg_netsim::engine::Sim;
 use kmsg_netsim::iface::{CloseReason, Connection, StreamAccept, StreamEvents};
 use kmsg_netsim::link::{LinkConfig, LinkId};
 use kmsg_netsim::network::Network;
 use kmsg_netsim::packet::{Endpoint, NodeId};
 use kmsg_netsim::tcp::{TcpConfig, TcpConn, TcpListener};
+use kmsg_telemetry::bytes::Bytes;
 use parking_lot::Mutex;
 use rand::Rng;
 

@@ -135,7 +135,7 @@ impl FileSender {
         self.stats.clone()
     }
 
-    fn build_message(&self, offset: u64, data: bytes::Bytes) -> NetMessage {
+    fn build_message(&self, offset: u64, data: kmsg_telemetry::bytes::Bytes) -> NetMessage {
         let chunk = ChunkMsg { offset, data };
         match self.cfg.transport {
             Transport::Data => NetMessage::with_header(

@@ -2,12 +2,12 @@
 //!
 //! A 64-byte round trip through two full middleware stacks used to make
 //! eighteen allocator calls of the stacks' own (EXPERIMENTS.md
-//! "Allocations per message"). What is left is six: per direction, the
-//! frame's buffer, the box that makes it shareable, and the `Arc` inside
+//! "Allocations per message"). What is left is four: per direction, the
+//! frame, written in one shared buffer, and the `Arc` inside
 //! `NetMessage::new`. The first test re-counts them with a counting
-//! allocator — the payload is static and echoed as received, so the test
-//! itself allocates nothing per message — and fails if a seventh call per
-//! direction's worth creeps back in.
+//! allocator — the payload is echoed as received, so the test itself
+//! allocates nothing per message — and fails if a fifth call per round
+//! trip creeps back in.
 //!
 //! The second counts a bulk transfer's 65 kB chunks: compressed, so every
 //! frame straddles some 45 segments and is reassembled before it is
@@ -15,6 +15,11 @@
 //!
 //! The third counts a raw-simulator incast, whose ACKs report holes
 //! (EXPERIMENTS.md "A loss report is a value").
+//!
+//! The rest hold the pieces to one allocator call each: a shared buffer
+//! (`kmsg_telemetry::bytes`), and the three writers that make one per
+//! message — a dataset chunk, a frame, a decompressed payload — and bound
+//! what a frame that claims far more than it holds leaves behind.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -22,7 +27,6 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use bytes::Bytes;
 use kmsg_apps::dataset::{Dataset, PAPER_CHUNK_SIZE};
 use kmsg_apps::scenario::{two_host_world, Setup};
 use kmsg_apps::topology::star_fanin;
@@ -34,6 +38,7 @@ use kmsg_netsim::iface::{CloseReason, Connection, StreamAccept, StreamEvents};
 use kmsg_netsim::network::Network;
 use kmsg_netsim::packet::Endpoint;
 use kmsg_netsim::tcp::{TcpConfig, TcpConn, TcpListener};
+use kmsg_telemetry::bytes::Bytes;
 
 struct CountingAlloc;
 
@@ -41,30 +46,38 @@ thread_local! {
     /// Allocator calls made by this thread: a world runs on the thread
     /// that drives it, and the tests of this file run side by side.
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has allocated less those it has freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(grown: usize, freed: usize) {
     CALLS.with(|calls| calls.set(calls.get() + 1));
+    LIVE.with(|live| live.set(live.get() + grown as i64 - freed as i64));
 }
 
 fn calls() -> u64 {
     CALLS.with(Cell::get)
 }
 
+fn live() -> i64 {
+    LIVE.with(Cell::get)
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        count();
+        count(l.size(), 0);
         System.alloc(l)
     }
     unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        count();
+        count(l.size(), 0);
         System.alloc_zeroed(l)
     }
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
+        LIVE.with(|live| live.set(live.get() - l.size() as i64));
         System.dealloc(p, l)
     }
     unsafe fn realloc(&self, p: *mut u8, l: Layout, new: usize) -> *mut u8 {
-        count();
+        count(new, l.size());
         System.realloc(p, l, new)
     }
 }
@@ -72,8 +85,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// The floor is 6; one call of slack.
-const CALLS_PER_ROUND_TRIP_BUDGET: f64 = 7.0;
+/// The floor is 4; one call of slack.
+const CALLS_PER_ROUND_TRIP_BUDGET: f64 = 5.0;
 const WARM_UP: u64 = 200;
 const MEASURED: u64 = 1_000;
 
@@ -164,19 +177,20 @@ fn small_round_trip_stays_under_allocation_budget() {
     assert!(
         per_trip <= CALLS_PER_ROUND_TRIP_BUDGET,
         "a 64-byte round trip costs {per_trip:.2} allocator calls \
-         (budget {CALLS_PER_ROUND_TRIP_BUDGET}, measured 6.12; 18.12 before the retransmission \
-         queue became a deque and frames were written and sliced in place)"
+         (budget {CALLS_PER_ROUND_TRIP_BUDGET}, measured 4.03; 6.03 while a shared buffer was \
+         a box around a `Vec`, 18.12 before the retransmission queue became a deque and frames \
+         were written and sliced in place)"
     );
     world.system.shutdown();
 }
 
-/// The floor is seven calls per chunk — the dataset's chunk and its box,
-/// `NetMessage::new`'s `Arc`, the frame's buffer and box, the decompressed
-/// payload and its box — plus the timing wheel's slots still growing
-/// (0.31): measured 7.31. It was 9.31 while a frame that straddled
-/// segments was copied out of the reassembly buffer and boxed before it
-/// was decompressed.
-const CALLS_PER_CHUNK_BUDGET: f64 = 7.8;
+/// The floor is four calls per chunk — the dataset's chunk,
+/// `NetMessage::new`'s `Arc`, the frame and the decompressed payload, each
+/// one shared buffer — plus the timing wheel's slots still growing (0.32):
+/// measured 4.32. It was 7.31 while a shared buffer was a box around a
+/// `Vec`, and 9.31 while a frame that straddled segments was copied out of
+/// the reassembly buffer and boxed before it was decompressed.
+const CALLS_PER_CHUNK_BUDGET: f64 = 4.8;
 const WARM_UP_CHUNKS: u64 = 300;
 const MEASURED_CHUNKS: u64 = 200;
 
@@ -218,8 +232,8 @@ fn bulk_chunk_stays_under_allocation_budget() {
     assert!(
         per_chunk <= CALLS_PER_CHUNK_BUDGET,
         "a compressed 65 kB chunk costs {per_chunk:.2} allocator calls \
-         (budget {CALLS_PER_CHUNK_BUDGET}, measured 7.31; 9.31 before a straddling frame \
-         was decoded where it lay)"
+         (budget {CALLS_PER_CHUNK_BUDGET}, measured 4.32; 7.31 while a shared buffer was a box \
+         around a `Vec`, 9.31 before a straddling frame was decoded where it lay)"
     );
     world.system.shutdown();
 }
@@ -306,4 +320,111 @@ fn incast_flow_stays_under_allocation_budget() {
          (budget {CALLS_PER_INCAST_FLOW_BUDGET}, measured 13.82; 22.48 while a loss report \
          was a `Vec`)"
     );
+}
+
+/// Allocator calls `f` makes, and what it returns.
+fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = calls();
+    let out = f();
+    (calls() - before, out)
+}
+
+#[test]
+fn a_shared_buffer_is_one_allocator_call() {
+    use kmsg_telemetry::bytes::{BufMut, BytesMut};
+    let data = vec![5u8; 4096];
+    let (n, copied) = counted(|| Bytes::copy_from_slice(&data));
+    assert_eq!((n, &copied[..]), (1, &data[..]), "copy_from_slice");
+    let (n, frozen) = counted(|| {
+        let mut buf = BytesMut::with_capacity(data.len() + 4);
+        buf.put_u32(7);
+        buf.put_slice(&data);
+        buf.freeze()
+    });
+    assert_eq!((n, frozen.len()), (1, data.len() + 4), "written, then frozen");
+    let (n, _) = counted(|| (frozen.clone(), frozen.slice(4..), copied.clone().split_to(9)));
+    assert_eq!(n, 0, "clone, slice and split_to share the buffer");
+    let (n, zeroed) = counted(|| std::iter::repeat_n(0u8, 65_000).collect::<Arc<[u8]>>());
+    assert_eq!((n, zeroed.len()), (1, 65_000), "repeat_n collected into an Arc");
+    let (n, _) = counted(|| (Bytes::new(), Bytes::copy_from_slice(&[]), BytesMut::new()));
+    assert_eq!(n, 0, "the empty buffer");
+}
+
+/// A 65 kB chunk, its frame and its payload decompressed: one allocator
+/// call each, once the thread's scratch has grown.
+#[test]
+fn the_writers_of_a_bulk_chunk_are_one_allocator_call_each() {
+    use kmsg_core::net::frame::{decode_frame_body, encode_frame, Compression};
+    let dataset = Dataset::climate(4 * PAPER_CHUNK_SIZE, 1);
+    let (n, chunk) = counted(|| dataset.chunk(PAPER_CHUNK_SIZE, PAPER_CHUNK_SIZE));
+    assert_eq!((n, chunk.len()), (1, PAPER_CHUNK_SIZE), "Dataset::chunk");
+    let world = two_host_world(42, &Setup::EuVpc);
+    let msg = NetMessage::new(
+        NetAddress::new(world.host_a, 7000),
+        NetAddress::new(world.host_b, 7000),
+        Transport::Tcp,
+        chunk.clone(),
+    );
+    for compression in [Compression::default(), Compression::Off] {
+        let warm = encode_frame(&msg, compression).expect("encode");
+        drop(decode_frame_body(warm.slice(4..)).expect("decode"));
+        let (n, frame) = counted(|| encode_frame(&msg, compression).expect("encode"));
+        assert_eq!((n, frame.len()), (1, warm.len()), "encode_frame, {compression:?}");
+        let (n, out) = counted(|| decode_frame_body(frame.slice(4..)).expect("decode"));
+        let payload = out.try_deserialise::<Bytes, Bytes>().expect("payload");
+        assert_eq!(payload, chunk);
+        let decompressed = u64::from(compression != Compression::Off);
+        assert_eq!(n, decompressed, "decode_frame_body, {compression:?}");
+    }
+    world.system.shutdown();
+}
+
+/// A frame whose few-byte block claims the largest raw length a frame may
+/// have decodes into scratch that grows with what it writes, not with
+/// what it claims: the thread keeps at most about twice the payload, plus
+/// the codec's 16-byte fixed-width copies.
+#[test]
+fn a_hostile_claimed_length_leaves_scratch_sized_to_what_was_decoded() {
+    use kmsg_core::codec;
+    use kmsg_core::net::frame::{decode_frame_body, encode_frame, Compression, MAX_FRAME};
+    const WIDE: i64 = 16;
+    let world = two_host_world(42, &Setup::EuVpc);
+    let msg = |payload: Vec<u8>| {
+        NetMessage::new(
+            NetAddress::new(world.host_a, 7000),
+            NetAddress::new(world.host_b, 7000),
+            Transport::Tcp,
+            Bytes::from(payload),
+        )
+    };
+    for payload in [vec![7u8; 1_000], b"abcabc".repeat(100), vec![0u8; 508]] {
+        let msg = msg(payload);
+        let (_, raw) = msg.payload_to_bytes().expect("serialise");
+        let block = codec::compress(&raw);
+        assert!(block.len() <= 16, "a tiny block: {} B", block.len());
+        let mut frame = encode_frame(&msg, Compression::Threshold(1)).expect("encode").to_vec();
+        let claim = frame.len() - block.len() - 4;
+        assert_eq!(frame[claim..claim + 4], (raw.len() as u32).to_be_bytes());
+        frame[claim..claim + 4].copy_from_slice(&(MAX_FRAME as u32).to_be_bytes());
+        let frame = Bytes::from(frame);
+        // A thread of its own, so the decoder's scratch starts empty.
+        let (decoded, kept) = std::thread::scope(|s| {
+            s.spawn(|| {
+                let before = live();
+                let out = decode_frame_body(frame.slice(4..)).expect("decode");
+                let (_, payload) = out.payload_to_bytes().expect("a wire payload");
+                assert_eq!(payload, raw);
+                let decoded = payload.len() as i64;
+                drop((out, payload));
+                (decoded, live() - before)
+            })
+            .join()
+            .expect("decoder thread")
+        });
+        assert!(
+            kept <= 2 * (decoded + WIDE),
+            "decoding {decoded} B of a claimed {MAX_FRAME} left {kept} B behind"
+        );
+    }
+    world.system.shutdown();
 }

@@ -15,10 +15,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use kmsg_apps::scenario::{two_host_world, Setup};
 use kmsg_component::prelude::*;
 use kmsg_core::prelude::*;
+use kmsg_telemetry::bytes::Bytes;
 
 struct CountingAlloc;
 

@@ -188,12 +188,14 @@ const WIDE: usize = 16;
 
 /// Zero-fills `out` up to `need` bytes plus [`WIDE`] of room for a
 /// fixed-width copy to overrun into, but never past `max_len`. Each fill
-/// at least doubles what is there, so the bytes filled stay within about
-/// twice what is written: a block that claims a huge raw length and ends
-/// early touches no more than it wrote.
+/// at least doubles what is there, and reserves exactly that, so the bytes
+/// filled and held stay within about twice what is written: a block that
+/// claims a huge raw length and ends early touches no more than it wrote.
 fn make_room(out: &mut Vec<u8>, need: usize, max_len: usize) {
     if out.len() < need + WIDE && out.len() < max_len {
-        out.resize((need + WIDE).max(2 * out.len()).min(max_len), 0);
+        let room = (need + WIDE).max(2 * out.len()).min(max_len);
+        out.reserve_exact(room - out.len());
+        out.resize(room, 0);
     }
 }
 
@@ -214,6 +216,24 @@ fn make_room(out: &mut Vec<u8>, need: usize, max_len: usize) {
 pub fn decompress(data: &[u8], max_len: usize) -> Result<Vec<u8>, CodecError> {
     let mut out = Vec::new();
     out.try_reserve_exact(max_len).map_err(|_| CodecError::TooLarge)?;
+    let len = decompress_into(data, max_len, &mut out)?;
+    out.truncate(len);
+    Ok(out)
+}
+
+/// Decompresses a block as [`decompress`] does, into `out[..len]`, and
+/// returns `len`. `out` is scratch the caller keeps between blocks: what it
+/// holds is overwritten, it grows only as far as the writes reach (it is
+/// never sized to `max_len` up front), and the bytes past `len` are room.
+///
+/// # Errors
+///
+/// As [`decompress`], except that `max_len` is never reserved.
+pub(crate) fn decompress_into(
+    data: &[u8],
+    max_len: usize,
+    out: &mut Vec<u8>,
+) -> Result<usize, CodecError> {
     // `out[..len]` is the output so far; the rest of `out` is room that
     // fixed-width copies may overrun into.
     let mut len = 0;
@@ -226,7 +246,7 @@ pub fn decompress(data: &[u8], max_len: usize) -> Result<Vec<u8>, CodecError> {
         if lit_len > max_len - len {
             return Err(CodecError::TooLarge);
         }
-        make_room(&mut out, len + lit_len, max_len);
+        make_room(out, len + lit_len, max_len);
         if lit_len <= WIDE && data.len() - pos >= WIDE && out.len() - len >= WIDE {
             out[len..len + WIDE].copy_from_slice(&data[pos..pos + WIDE]);
         } else {
@@ -238,8 +258,7 @@ pub fn decompress(data: &[u8], max_len: usize) -> Result<Vec<u8>, CodecError> {
         let offset = usize::from(u16::from_le_bytes([offset[0], offset[1]]));
         pos += 2;
         if offset == 0 {
-            out.truncate(len);
-            return Ok(out);
+            return Ok(len);
         }
         let mut remaining = (get_varint(data, &mut pos)? as usize).saturating_add(MIN_MATCH);
         if offset > len {
@@ -248,7 +267,7 @@ pub fn decompress(data: &[u8], max_len: usize) -> Result<Vec<u8>, CodecError> {
         if remaining > max_len - len {
             return Err(CodecError::TooLarge);
         }
-        make_room(&mut out, len + remaining, max_len);
+        make_room(out, len + remaining, max_len);
         let start = len - offset;
         if remaining <= WIDE && offset >= WIDE && out.len() - len >= WIDE {
             // The source ends at or before `len`: only output is read.
@@ -403,6 +422,7 @@ mod tests {
     use kmsg_netsim::rng::RngStream;
     use kmsg_netsim::testutil::PropRunner;
     use rand::Rng;
+    use std::cell::RefCell;
 
     fn round_trip(data: &[u8]) {
         let c = compress(data);
@@ -533,14 +553,34 @@ mod tests {
         }
     }
 
+    thread_local! {
+        static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    }
+
     /// `decompress` and the reference give the same `Result`: the same
-    /// bytes, or the same error.
+    /// bytes, or the same error. So does `decompress_into` on scratch that
+    /// earlier blocks left longer or shorter than this one needs, and full
+    /// of other bytes — as frame decoding reuses it — under any limit a
+    /// frame can claim (it reserves nothing, so an unreservable limit is
+    /// not an error there).
     fn same_as_reference(block: &[u8], max_len: usize) {
+        let want = reference::decompress(block, max_len);
         assert!(
-            decompress(block, max_len) == reference::decompress(block, max_len),
+            decompress(block, max_len) == want,
             "decompress differs from reference: block of {} B, limit {max_len}",
             block.len()
         );
+        if max_len <= crate::net::frame::MAX_FRAME {
+            let got = SCRATCH.with_borrow_mut(|scratch| {
+                scratch.fill(0xA5);
+                decompress_into(block, max_len, scratch).map(|len| scratch[..len].to_vec())
+            });
+            assert!(
+                got == want,
+                "decompress_into differs from reference: block of {} B, limit {max_len}",
+                block.len()
+            );
+        }
     }
 
     /// `compress` against the reference, then back through `decompress`,

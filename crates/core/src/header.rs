@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use bytes::{Buf, BufMut, BytesMut};
+use kmsg_telemetry::bytes::{Buf, BufMut, BytesMut};
 
 use crate::address::{Address, NetAddress, VnodeId};
 use crate::ser::SerError;

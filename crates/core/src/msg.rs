@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use bytes::Bytes;
+use kmsg_telemetry::bytes::{Bytes, BytesMut};
 
 use kmsg_component::port::Port;
 
@@ -158,7 +158,7 @@ impl NetMessage {
     pub fn payload_to_bytes(&self) -> Result<(SerId, Bytes), SerError> {
         match &self.data {
             MsgData::Typed(v) => {
-                let mut buf = bytes::BytesMut::with_capacity(v.size_hint().unwrap_or(64));
+                let mut buf = BytesMut::with_capacity(v.size_hint().unwrap_or(64));
                 v.serialise(&mut buf)?;
                 Ok((v.ser_id(), buf.freeze()))
             }
@@ -168,7 +168,7 @@ impl NetMessage {
 
     /// Serialises the payload onto the end of `buf` — a frame is written
     /// straight into its own buffer.
-    pub(crate) fn serialise_payload(&self, buf: &mut bytes::BytesMut) -> Result<(), SerError> {
+    pub(crate) fn serialise_payload(&self, buf: &mut BytesMut) -> Result<(), SerError> {
         match &self.data {
             MsgData::Typed(v) => v.serialise(buf),
             MsgData::Ser(_, bytes) => {

@@ -12,9 +12,9 @@
 
 use std::collections::VecDeque;
 
-use bytes::Bytes;
 use kmsg_netsim::iface::Connection;
 use kmsg_netsim::time::SimTime;
+use kmsg_telemetry::bytes::Bytes;
 use kmsg_telemetry::{SpanId, SpanKind, Tracer};
 
 use super::frame::FrameDecoder;

@@ -8,7 +8,7 @@
 
 use std::cell::RefCell;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use kmsg_telemetry::bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::codec;
 use crate::header::NetHeader;
@@ -38,64 +38,86 @@ const FLAG_COMPRESSED: u8 = 0b0000_0001;
 /// Maximum frame size accepted by the decoder (defensive bound).
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
+const TOO_LONG: SerError = SerError::Invalid { context: "frame length" };
+
 thread_local! {
-    /// Where [`encode_frame`] has a payload's block written before it is
-    /// known to be worth keeping. Kept between frames; as long as the
-    /// longest payload the thread has compressed, which [`MAX_FRAME`] bounds.
+    /// Where [`encode_frame`] writes a frame before it knows what goes on
+    /// the wire: the raw payload, or a block compressed from it. As long as
+    /// the longest frame the thread has written, which [`MAX_FRAME`] bounds.
+    static FRAME: RefCell<BytesMut> = const { RefCell::new(BytesMut::new()) };
+    /// Where [`encode_frame`] has a payload's block written, behind a copy
+    /// of its frame's head, before it is known to be worth keeping.
     static BLOCK: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    /// Where a compressed payload is decoded before it is copied out. It
+    /// grows with what is written, never to the length a frame claims:
+    /// about twice the longest payload the thread has decompressed.
+    static RAW: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Encodes a message into one length-prefixed frame, written once: the
-/// payload is serialised straight into the frame's own buffer.
+/// Encodes a message into one length-prefixed frame of exactly its wire
+/// length, in one allocation: the frame is written in scratch the thread
+/// keeps, the payload serialised straight into it, and then copied out —
+/// the head and the raw payload, or the head and the payload's block if
+/// that is the shorter.
 ///
 /// # Errors
 ///
 /// Propagates payload serialiser failures; a payload or frame longer than
 /// [`MAX_FRAME`] is [`SerError::Invalid`].
 pub fn encode_frame(msg: &NetMessage, compression: Compression) -> Result<Bytes, SerError> {
-    const TOO_LONG: SerError = SerError::Invalid { context: "frame length" };
-    let head = 4 + 1 + msg.header().encoded_len() + 8;
-    let mut frame = BytesMut::with_capacity(head + msg.payload_size_estimate());
+    FRAME.with(|frame| match frame.try_borrow_mut() {
+        Ok(mut frame) => encode(&mut frame, msg, compression),
+        // A payload that encodes a frame while it serialises itself.
+        Err(_) => encode(&mut BytesMut::new(), msg, compression),
+    })
+}
+
+fn encode(
+    frame: &mut BytesMut,
+    msg: &NetMessage,
+    compression: Compression,
+) -> Result<Bytes, SerError> {
+    frame.clear();
     frame.put_u32(0); // length placeholder
     frame.put_u8(0); // flags placeholder
-    msg.header().serialise(&mut frame);
+    msg.header().serialise(frame);
     frame.put_u64(msg.ser_id().0);
     let body = frame.len();
-    msg.serialise_payload(&mut frame)?;
+    msg.serialise_payload(frame)?;
     let raw = frame.len() - body;
     if raw > MAX_FRAME {
         return Err(TOO_LONG);
     }
-    let mut end = frame.len();
     if matches!(compression, Compression::Threshold(min) if raw >= min) {
-        // `[raw_len][block]` goes over the raw payload if the block is the
-        // shorter of the two. A compressed frame keeps the buffer: the
-        // footprint of its uncompressed form.
-        let raw_len = u32::try_from(raw).map_err(|_| TOO_LONG)?.to_be_bytes();
-        BLOCK.with_borrow_mut(|block| {
-            if block.len() < raw {
-                block.resize(raw, 0);
+        // `[raw_len][block]` replaces the raw payload if the block is the
+        // shorter of the two.
+        let compressed = BLOCK.with_borrow_mut(|block| {
+            if block.len() < body + 4 + raw {
+                block.resize(body + 4 + raw, 0);
             }
-            let Some(n) = codec::compress_into(&frame[body..], &mut block[..raw]) else {
-                return;
-            };
-            if n < raw {
-                end = body + 4 + n;
-                // A block that saves under four bytes outgrows the payload.
-                frame.put_slice(&[0; 3][..end.saturating_sub(frame.len())]);
-                frame[4] = FLAG_COMPRESSED;
-                frame[body..body + 4].copy_from_slice(&raw_len);
-                frame[body + 4..end].copy_from_slice(&block[..n]);
-            }
+            let n = codec::compress_into(&frame[body..], &mut block[body + 4..][..raw])
+                .filter(|&n| n < raw)?;
+            block[..body].copy_from_slice(&frame[..body]);
+            block[4] = FLAG_COMPRESSED;
+            block[body..body + 4].copy_from_slice(&(raw as u32).to_be_bytes());
+            // A block that saves under four bytes outgrows the payload.
+            Some(seal(&mut block[..body + 4 + n]))
         });
+        if let Some(frame) = compressed {
+            return frame;
+        }
     }
-    let len = end - 4;
+    seal(frame)
+}
+
+/// Writes a frame's length prefix and copies the frame out.
+fn seal(frame: &mut [u8]) -> Result<Bytes, SerError> {
+    let len = frame.len() - 4;
     if len > MAX_FRAME {
         return Err(TOO_LONG);
     }
-    frame[0..4].copy_from_slice(&u32::try_from(len).map_err(|_| TOO_LONG)?.to_be_bytes());
-    let frame = frame.freeze();
-    Ok(if end < frame.len() { frame.slice(..end) } else { frame })
+    frame[..4].copy_from_slice(&(len as u32).to_be_bytes());
+    Ok(Bytes::copy_from_slice(frame))
 }
 
 /// Decodes the body of one frame (everything *after* the length prefix).
@@ -132,10 +154,14 @@ fn decode_body<B: Buf>(
         if raw_len > MAX_FRAME {
             return Err(SerError::Invalid { context: CTX });
         }
-        let raw = codec::decompress(body.chunk(), raw_len).map_err(|_| SerError::Invalid {
-            context: "compressed payload",
-        })?;
-        Bytes::from(raw)
+        RAW.with_borrow_mut(|raw| {
+            let len = codec::decompress_into(body.chunk(), raw_len, raw).map_err(|_| {
+                SerError::Invalid {
+                    context: "compressed payload",
+                }
+            })?;
+            Ok(Bytes::copy_from_slice(&raw[..len]))
+        })?
     } else {
         uncompressed(body)
     };
@@ -637,6 +663,42 @@ mod tests {
                 let want = parts(decode_frame_body(good.slice(4..)));
                 assert_eq!(got, [Err(error.clone()), want], "cut at {cut}");
             }
+        }
+    }
+
+    /// A payload that frames a message of its own while it serialises
+    /// itself, as an envelope might.
+    #[derive(Debug)]
+    struct Envelope(NetMessage);
+
+    impl crate::ser::Serialisable for Envelope {
+        fn ser_id(&self) -> SerId {
+            SerId(90)
+        }
+
+        fn serialise(&self, buf: &mut BytesMut) -> Result<(), SerError> {
+            buf.put_slice(&encode_frame(&self.0, Compression::default())?);
+            Ok(())
+        }
+
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+
+    /// The inner frame is written in a buffer of its own while the outer
+    /// one holds the thread's, and both come out whole.
+    #[test]
+    fn a_frame_encoded_while_a_payload_serialises_is_whole() {
+        let inner = sample_msg(Bytes::from(vec![42u8; 4_000]));
+        let inner_frame = encode_frame(&inner, Compression::default()).expect("encode");
+        let outer = sample_msg(Envelope(inner.clone()));
+        for compression in [Compression::default(), Compression::Off] {
+            let frame = encode_frame(&outer, compression).expect("encode");
+            assert_eq!(frame, long_way(&outer, compression), "{compression:?}");
+            let out = decode_frame_body(frame.slice(4..)).expect("decode");
+            let (_, payload) = out.payload_to_bytes().expect("a wire payload");
+            assert_eq!(payload, inner_frame);
         }
     }
 

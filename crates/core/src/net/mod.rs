@@ -38,7 +38,7 @@ pub use stats::{MiddlewareStats, StatsHandle, SupervisionSummary};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use bytes::Bytes;
+use kmsg_telemetry::bytes::Bytes;
 use parking_lot::Mutex;
 
 use kmsg_component::prelude::*;

@@ -41,7 +41,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use kmsg_telemetry::bytes::{Buf, BufMut, Bytes, BytesMut};
 use parking_lot::Mutex;
 use rand::Rng;
 

@@ -10,7 +10,7 @@
 //! Built-in serialisers cover [`Bytes`], [`String`] and [`u64`]; user
 //! types should use ids at or above [`SerId::USER_START`].
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use kmsg_telemetry::bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Numeric identifier of a serialiser, carried on the wire with every
 /// message payload.
@@ -308,7 +308,7 @@ type RegisteredDeserialiser =
 ///
 /// ```
 /// use kmsg_core::ser::{SerRegistry, Deserialiser, SerId};
-/// use bytes::{Bytes, BytesMut};
+/// use kmsg_telemetry::bytes::{Bytes, BytesMut};
 ///
 /// let mut registry = SerRegistry::new();
 /// registry.register::<String, String>();

@@ -6,7 +6,6 @@ use std::sync::Arc;
 
 use std::time::Duration;
 
-use bytes::Bytes;
 use kmsg_component::prelude::*;
 use kmsg_core::prelude::*;
 use kmsg_netsim::cc::CcAlgorithm;
@@ -14,6 +13,7 @@ use kmsg_netsim::engine::Sim;
 use kmsg_netsim::link::LinkConfig;
 use kmsg_netsim::network::Network;
 use kmsg_netsim::packet::NodeId;
+use kmsg_telemetry::bytes::Bytes;
 
 /// Test application: records everything, sends on command.
 struct Harness {

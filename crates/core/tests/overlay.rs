@@ -4,7 +4,6 @@
 
 use std::time::Duration;
 
-use bytes::Bytes;
 use kmsg_component::prelude::*;
 use kmsg_core::prelude::*;
 use kmsg_netsim::engine::Sim;
@@ -12,6 +11,7 @@ use kmsg_netsim::link::LinkConfig;
 use kmsg_netsim::network::Network;
 use kmsg_netsim::packet::NodeId;
 use kmsg_netsim::rng::SeedSource;
+use kmsg_telemetry::bytes::Bytes;
 
 /// Test subscriber: records deliveries, publishes on command.
 struct SubApp {

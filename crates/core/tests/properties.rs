@@ -3,7 +3,7 @@
 //! selection patterns. Sampled by the deterministic [`PropRunner`], so
 //! any failing case replays from its seeded stream.
 
-use bytes::Bytes;
+use kmsg_telemetry::bytes::Bytes;
 use rand::Rng;
 
 use kmsg_core::codec;
@@ -114,7 +114,7 @@ fn codec_rejects_truncation_or_differs() {
 #[test]
 fn header_round_trips() {
     PropRunner::new("header-round-trip").cases(96).run(gen_header, |header| {
-        let mut buf = bytes::BytesMut::new();
+        let mut buf = kmsg_telemetry::bytes::BytesMut::new();
         header.serialise(&mut buf);
         let mut wire = buf.freeze();
         let out = NetHeader::deserialise(&mut wire).expect("header");

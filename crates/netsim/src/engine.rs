@@ -753,6 +753,7 @@ pub(crate) mod tests {
     #[test]
     fn timers_and_packet_hops_of_one_nanosecond_run_in_insertion_order() {
         use crate::packet::{Endpoint, Packet, PacketBody, WireProtocol};
+        use kmsg_telemetry::bytes::Bytes;
         // A flow timer is a target event and a packet in flight a hop event;
         // both wait in the one store, so only (timestamp, insertion) orders
         // them. Loop-back packets make the hop's timestamp exact.
@@ -762,7 +763,7 @@ pub(crate) mod tests {
         let log = Arc::new(Arrivals::default());
         net.bind(a, WireProtocol::Udp, 9, log.clone()).expect("bind");
         let here = Endpoint::new(a, 9);
-        let probe = || Packet::new(here, here, WireProtocol::Udp, 1, PacketBody::Udp(bytes::Bytes::new()));
+        let probe = || Packet::new(here, here, WireProtocol::Udp, 1, PacketBody::Udp(Bytes::new()));
         net.send_packet(probe());
         sim.run_for(Duration::from_secs(1));
         let (arrived, _) = log.0.lock().pop().expect("loop-back delivery");

@@ -28,7 +28,7 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
+use kmsg_telemetry::bytes::Bytes;
 use kmsg_telemetry::Recorder;
 use parking_lot::MutexGuard;
 

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use bytes::Bytes;
+use kmsg_telemetry::bytes::Bytes;
 
 use crate::packet::{Endpoint, WireProtocol};
 

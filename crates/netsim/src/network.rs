@@ -680,7 +680,7 @@ impl Network {
 mod tests {
     use super::*;
     use crate::packet::PacketBody;
-    use bytes::Bytes;
+    use kmsg_telemetry::bytes::Bytes;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 

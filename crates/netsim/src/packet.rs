@@ -4,7 +4,7 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
-use bytes::Bytes;
+use kmsg_telemetry::bytes::Bytes;
 
 /// Identifies a simulated host within a [`Network`](crate::network::Network).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -10,7 +10,7 @@
 //! events and in-flight sets carry an 8-byte generation-checked
 //! [`PacketHandle`] instead of an owning pointer, and the slot storage is
 //! recycled across packets (LIFO, so the hot slots stay cache-warm). The
-//! [`Bytes`](bytes::Bytes) payload inside the packet is refcounted
+//! [`Bytes`](kmsg_telemetry::bytes::Bytes) payload inside the packet is refcounted
 //! separately and is unaffected — pooling recycles the ~160-byte packet
 //! header/body shell, which is the part that was churning the allocator.
 //!
@@ -135,7 +135,7 @@ impl std::fmt::Debug for PacketPool {
 mod tests {
     use super::*;
     use crate::packet::{Endpoint, NodeId, PacketBody, WireProtocol};
-    use bytes::Bytes;
+    use kmsg_telemetry::bytes::Bytes;
 
     fn pkt(tag: u16) -> Packet {
         Packet::new(

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
+use kmsg_telemetry::bytes::Bytes;
 use parking_lot::Mutex;
 
 use crate::engine::Sim;

@@ -7,7 +7,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use bytes::Bytes;
+use kmsg_telemetry::bytes::Bytes;
 
 use crate::network::{BindError, Network, PacketSink};
 use crate::packet::{Endpoint, NodeId, Packet, PacketBody, WireProtocol};

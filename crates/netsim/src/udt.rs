@@ -35,7 +35,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::time::Duration;
 
-use bytes::Bytes;
+use kmsg_telemetry::bytes::Bytes;
 use kmsg_telemetry::{EventKind, Recorder, SpanKind};
 
 use crate::flowstack::{self, release_drained, Conn, FlowHeader, FlowTable, Listener, Protocol};

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
+use kmsg_telemetry::bytes::Bytes;
 use parking_lot::Mutex;
 
 use kmsg_netsim::engine::Sim;

@@ -28,7 +28,7 @@ fn tagged_packet(tag: u16) -> Packet {
         Endpoint::new(NodeId::from_index(1), 80),
         WireProtocol::Udp,
         100,
-        PacketBody::Udp(bytes::Bytes::new()),
+        PacketBody::Udp(kmsg_telemetry::bytes::Bytes::new()),
     )
 }
 

@@ -168,7 +168,7 @@ fn tracer_observes_policer_drops() {
     use kmsg_netsim::testutil::CollectingTracer;
     use kmsg_netsim::trace::PacketEvent;
     use kmsg_netsim::udp::UdpSocket;
-    use bytes::Bytes;
+    use kmsg_telemetry::bytes::Bytes;
 
     struct Ignore;
     impl kmsg_netsim::udp::UdpEvents for Ignore {
@@ -215,7 +215,7 @@ fn tracer_observes_policer_drops() {
 #[test]
 fn jitter_reorders_udp_but_not_tcp() {
     use kmsg_netsim::udp::UdpSocket;
-    use bytes::Bytes;
+    use kmsg_telemetry::bytes::Bytes;
     use parking_lot::Mutex as PMutex;
 
     struct Order(PMutex<Vec<u8>>);

@@ -46,6 +46,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod bytes;
 pub mod critical_path;
 pub mod event;
 pub mod export;

@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use kmsg_telemetry::bytes::{Buf, BufMut, Bytes, BytesMut};
 use kompics_messaging::prelude::*;
 
 /// A domain message: a sensor reading with a station name.
