@@ -1,5 +1,5 @@
-//! The per-channel mechanism: the row a channel has in the component's
-//! table, and its send queue — one queue with a write cursor.
+//! The per-channel mechanism: a channel's send queue — one queue with a
+//! write cursor.
 //!
 //! A channel's frames sit in one queue in send order from the send request
 //! until the transport has acknowledged their last byte. The cursor
@@ -7,17 +7,14 @@
 //! transport (`frames[..sent]`, retained so a fresh connection can carry
 //! them again), the frame being written (`frames[sent]`, `written` bytes
 //! taken so far) and the frames waiting behind it. Everything that moves
-//! the cursor lives here; *when* to redial, fail or swap is the
-//! component's policy (`net/mod.rs`).
+//! the cursor lives here; *when* to redial, fail or swap is the channel
+//! table's policy (`net/machine.rs`).
 
 use std::collections::VecDeque;
 
-use kmsg_netsim::iface::Connection;
-use kmsg_netsim::time::SimTime;
 use kmsg_telemetry::bytes::Bytes;
 use kmsg_telemetry::{SpanId, SpanKind, Tracer};
 
-use super::frame::FrameDecoder;
 use crate::msg::NotifyToken;
 
 /// Span close key: the covered work failed (send error, channel death,
@@ -158,71 +155,6 @@ impl SendQueue {
         self.sent = 0;
         self.written = 0;
         waiting.into_iter().chain(std::mem::take(&mut self.frames))
-    }
-}
-
-/// Lifecycle of a supervised channel (DESIGN.md §9); the transitions are
-/// the component's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum Phase {
-    /// Initial dial in progress.
-    Connecting,
-    /// Handshake complete; frames flow.
-    Established,
-    /// Unexpected close observed; `attempts` redials made so far.
-    Reconnecting {
-        /// Redial attempts made so far (1-based once the first is due).
-        attempts: u32,
-    },
-    /// Retry budget exhausted; queued frames were failed. Probe redials
-    /// may still restore the channel.
-    Dropped,
-}
-
-/// One row of the component's channel table.
-pub(super) struct ChannelState {
-    pub(super) conn: Option<Connection>,
-    pub(super) phase: Phase,
-    /// Whether this side dialled the channel. Only originated channels are
-    /// supervised — for accepted channels the peer's supervisor redials.
-    pub(super) originated: bool,
-    pub(super) queue: SendQueue,
-    pub(super) decoder: FrameDecoder,
-    pub(super) last_activity: SimTime,
-    /// The open `outage` supervision span (`NONE` while healthy). Opened
-    /// at the `ConnectionLost` transition, closed at `ConnectionRestored`
-    /// (key 0) or `ConnectionDropped` (key 1) — the same code points and
-    /// timestamps as the status events, so the span window equals the
-    /// observed recovery latency exactly.
-    pub(super) outage_span: SpanId,
-    /// The open `backoff` span (retry timer armed → fired).
-    pub(super) backoff_span: SpanId,
-    /// The open `redial` span (connect issued → Connected or the attempt's
-    /// Closed event).
-    pub(super) redial_span: SpanId,
-}
-
-impl ChannelState {
-    pub(super) fn new(conn: Connection, phase: Phase, originated: bool, now: SimTime) -> Self {
-        ChannelState {
-            conn: Some(conn),
-            phase,
-            originated,
-            queue: SendQueue::default(),
-            decoder: FrameDecoder::new(),
-            last_activity: now,
-            outage_span: SpanId::NONE,
-            backoff_span: SpanId::NONE,
-            redial_span: SpanId::NONE,
-        }
-    }
-
-    /// Gives the channel the connection that replaces the one it lost. The
-    /// new stream starts at a frame boundary: whatever part of a frame the
-    /// old one left behind ended with it.
-    pub(super) fn attach(&mut self, conn: Connection) {
-        self.conn = Some(conn);
-        self.decoder = FrameDecoder::new();
     }
 }
 

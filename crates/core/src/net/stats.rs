@@ -75,6 +75,12 @@ impl MiddlewareStats {
         self.send_failures_by[kind.index()]
     }
 
+    /// Counts one failed send of kind `error`.
+    pub(super) fn count_failure(&mut self, error: SendError) {
+        self.send_failures += 1;
+        self.send_failures_by[error.index()] += 1;
+    }
+
     /// The supervision counters bundled for invariant oracles (see
     /// `kmsg-oracle`): how often channels were re-established, how many
     /// redials that took, how many channels exhausted their budget, and

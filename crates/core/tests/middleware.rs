@@ -1250,158 +1250,6 @@ fn cyclic_route_is_killed_by_ttl() {
     assert_eq!(drops, 1, "the drop is recorded with a reason");
 }
 
-/// Supervision edge case: link flaps arriving while the channel is
-/// already `Reconnecting` must neither double-supervise nor wedge the
-/// state machine — every `restored` pairs with a preceding `lost`, and
-/// all queued traffic still arrives after the final heal.
-#[test]
-fn flap_while_reconnecting_keeps_supervision_consistent() {
-    let (w, nodes) = world(default_link(), 2);
-    let mut cfg = NetworkConfig::new(NetAddress::new(nodes[0], 7000));
-    cfg.tcp.min_rto = Duration::from_millis(100);
-    cfg.tcp.max_rto = Duration::from_millis(400);
-    cfg.tcp.max_consecutive_timeouts = 2;
-    cfg.tcp.syn_retries = 1;
-    cfg.reconnect = Some(ReconnectConfig {
-        max_retries: 60,
-        base_backoff: Duration::from_millis(100),
-        max_backoff: Duration::from_millis(400),
-        probe_interval: Some(Duration::from_secs(2)),
-    });
-    let a = stack_cfg(&w, cfg);
-    let b = stack(&w, nodes[1], 7000);
-    a.send.push(NetRequest::Msg(NetMessage::new(a.addr, b.addr, Transport::Tcp, 0u64)));
-    w.sim.run_for(Duration::from_millis(500));
-    let links: Vec<_> = [(nodes[0], nodes[1]), (nodes[1], nodes[0])]
-        .iter()
-        .map(|&(x, y)| w.net.route(x, y).expect("route")[0])
-        .collect();
-    let mut next = 1u64;
-    // Three flaps: cut, queue traffic, briefly heal mid-backoff, cut again
-    // while redials are in flight.
-    for _ in 0..3 {
-        for &l in &links {
-            w.net.link(l).set_up(false);
-        }
-        for _ in 0..2 {
-            a.send.push(NetRequest::NotifyReq(
-                NotifyToken::new(next),
-                NetMessage::new(a.addr, b.addr, Transport::Tcp, next),
-            ));
-            next += 1;
-        }
-        w.sim.run_for(Duration::from_millis(1_700));
-        for &l in &links {
-            w.net.link(l).set_up(true);
-        }
-        w.sim.run_for(Duration::from_millis(300));
-    }
-    w.sim.run_for(Duration::from_secs(15));
-    // Status stream must alternate: no restored without a preceding lost,
-    // never two losses without a heal in between.
-    let statuses = a.app.on_definition(|h| h.statuses.clone());
-    let mut down = false;
-    for s in statuses.iter().filter(|s| s.transport == Transport::Tcp) {
-        match s.status {
-            ConnStatus::ConnectionLost => {
-                assert!(!down, "double ConnectionLost without a heal: {statuses:?}");
-                down = true;
-            }
-            ConnStatus::ConnectionRestored { .. } => {
-                assert!(down, "ConnectionRestored without a loss: {statuses:?}");
-                down = false;
-            }
-            ConnStatus::ConnectionDropped => panic!("budget exhausted: {statuses:?}"),
-        }
-    }
-    assert!(!down, "the final heal must be observed");
-    let got: Vec<u64> = b.app.on_definition(|h| {
-        h.received
-            .iter()
-            .map(|m| m.try_deserialise::<u64, u64>().expect("u64"))
-            .collect()
-    });
-    for i in 1..next {
-        assert!(got.contains(&i), "message {i} must survive the flaps, got {got:?}");
-    }
-    let stats = a.stats.lock();
-    assert!(stats.reconnects >= 1, "supervision must re-establish the channel");
-    assert_eq!(stats.channels_dropped, 0);
-}
-
-/// Supervision edge case: once exponential backoff saturates at
-/// `max_backoff`, every further wait stays within the deterministic
-/// ±25% jitter band around the cap — and the whole schedule replays
-/// byte-identically for the same seed.
-#[test]
-fn backoff_saturates_at_max_with_bounded_jitter() {
-    let run = || {
-        let (w, nodes) = world(default_link(), 2);
-        w.sim.recorder().enable();
-        let mut cfg = NetworkConfig::new(NetAddress::new(nodes[0], 7000));
-        cfg.tcp.min_rto = Duration::from_millis(100);
-        cfg.tcp.max_rto = Duration::from_millis(400);
-        cfg.tcp.max_consecutive_timeouts = 2;
-        cfg.tcp.syn_retries = 1;
-        cfg.reconnect = Some(ReconnectConfig {
-            max_retries: 100,
-            base_backoff: Duration::from_millis(100),
-            max_backoff: Duration::from_millis(400),
-            probe_interval: None,
-        });
-        let a = stack_cfg(&w, cfg);
-        let b = stack(&w, nodes[1], 7000);
-        a.send.push(NetRequest::Msg(NetMessage::new(a.addr, b.addr, Transport::Tcp, 0u64)));
-        w.sim.run_for(Duration::from_millis(500));
-        let links: Vec<_> = [(nodes[0], nodes[1]), (nodes[1], nodes[0])]
-            .iter()
-            .map(|&(x, y)| w.net.route(x, y).expect("route")[0])
-            .collect();
-        for &l in &links {
-            w.net.link(l).set_up(false);
-        }
-        a.send.push(NetRequest::Msg(NetMessage::new(a.addr, b.addr, Transport::Tcp, 1u64)));
-        // Long outage: backoff doubles 100 -> 200 -> 400 and then sits at
-        // the 400 ms cap for many rounds.
-        w.sim.run_for(Duration::from_secs(20));
-        for &l in &links {
-            w.net.link(l).set_up(true);
-        }
-        w.sim.run_for(Duration::from_secs(10));
-        assert!(a.stats.lock().reconnects >= 1);
-        let forest = kmsg_telemetry::critical_path::SpanForest::build(
-            &w.sim.recorder().events(),
-        );
-        let waits: Vec<u64> = forest
-            .of_kind("backoff")
-            .iter()
-            .filter_map(|s| s.close_ns.map(|c| c - s.open_ns))
-            .collect();
-        assert!(
-            waits.len() >= 6,
-            "the outage must produce a saturated backoff schedule, got {waits:?}"
-        );
-        for &w_ns in &waits {
-            assert!(
-                w_ns <= 500_000_000,
-                "backoff may never exceed max_backoff + 25% jitter, got {w_ns} ns"
-            );
-        }
-        // Everything past the doubling ramp sits in the ±25% band around
-        // the 400 ms cap.
-        for &w_ns in &waits[3..] {
-            assert!(
-                (300_000_000..=500_000_000).contains(&w_ns),
-                "saturated backoff must stay within the jitter band, got {w_ns} ns"
-            );
-        }
-        waits
-    };
-    let first = run();
-    let second = run();
-    assert_eq!(first, second, "the jittered schedule must replay exactly");
-}
-
 /// Runtime controller swap (the DATA stack-policy surface): swapping a
 /// live TCP channel onto CUBIC recycles the connection in place — no
 /// ConnectionLost surfaces, traffic keeps flowing, the swap is counted

@@ -122,6 +122,39 @@ pub(crate) trait Protocol: PartialEq + Send + Sized + 'static {
     fn after_step(_flow: &mut Self::Flow, _rec: &Recorder, _now: SimTime) {}
     /// Appends the protocol's fields to a connection handle's `Debug`.
     fn debug_state(flow: Option<&Self::Flow>, out: &mut fmt::DebugStruct<'_, '_>);
+
+    /// The send side the handle methods of [`Conn`] read and write.
+    fn send_side<'a>(flow: &'a mut Self::Flow, cfg: &Self) -> SendSide<'a>;
+    /// Moves bytes or a FIN just queued along (TCP tries to send, UDT
+    /// restarts its pacer).
+    fn kick(flow: &mut Self::Flow, cfg: &Self, rec: &Recorder, now: SimTime, out: &mut Out<Self>);
+    /// The RTT estimate in seconds, if there is one yet.
+    fn rtt(flow: &Self::Flow) -> Option<f64>;
+}
+
+/// A stream flow's send side: the application's queue and its accounting.
+pub(crate) struct SendSide<'a> {
+    /// The send buffer's size in bytes.
+    pub(crate) send_buf: usize,
+    /// The handshake is complete and the flow not closed.
+    pub(crate) established: bool,
+    pub(crate) closed: bool,
+    pub(crate) fin_queued: &'a mut bool,
+    /// The application was refused bytes; it is told when room frees up.
+    pub(crate) app_blocked: &'a mut bool,
+    pub(crate) send_q: &'a mut VecDeque<Bytes>,
+    pub(crate) send_q_bytes: &'a mut usize,
+    /// Accepted and not yet acknowledged (queued + in flight).
+    pub(crate) unacked_bytes: &'a mut usize,
+    pub(crate) bytes_sent: &'a mut u64,
+    pub(crate) bytes_acked: u64,
+}
+
+impl SendSide<'_> {
+    /// Free space in the send buffer.
+    fn free(&self) -> usize {
+        self.send_buf.saturating_sub(*self.unacked_bytes)
+    }
 }
 
 /// Where a step of a `P` flow pushes its actions.
@@ -647,13 +680,86 @@ impl<P: Protocol> Conn<P> {
         step(&self.net, self.net.sim().lock(), self.h, f);
     }
 
-    /// Reads from the flow and its config under the world lock; `None`
-    /// once the slot is gone.
-    pub(crate) fn peek<R>(&self, f: impl FnOnce(&P::Flow, &P) -> R) -> Option<R> {
+    /// Reads the flow and its config under the world lock (the flow
+    /// mutably, as [`Protocol::send_side`] borrows it); `None` once the
+    /// slot is gone.
+    pub(crate) fn peek<R>(&self, f: impl FnOnce(&mut P::Flow, &P) -> R) -> Option<R> {
         let mut world = self.net.sim().lock();
         let table = P::table(&mut world.net);
-        let flow = table.flows.get(self.h)?;
-        Some(f(flow, &table.configs[P::hdr(flow).cfg_id as usize]))
+        let flow = table.flows.get_mut(self.h)?;
+        let cfg = &table.configs[P::hdr(flow).cfg_id as usize];
+        Some(f(flow, cfg))
+    }
+
+    /// Whether the handshake completed and the connection is open.
+    #[must_use]
+    pub fn is_established(&self) -> bool {
+        self.peek(|f, cfg| P::send_side(f, cfg).established)
+            .unwrap_or(false)
+    }
+
+    /// Appends bytes to the send buffer; returns how many were accepted.
+    pub fn send(&self, data: Bytes) -> usize {
+        let mut accepted = 0;
+        self.process(|flow, cfg, rec, now, out| {
+            let side = P::send_side(flow, cfg);
+            if side.closed || *side.fin_queued {
+                return;
+            }
+            let take = side.free().min(data.len());
+            if take < data.len() {
+                *side.app_blocked = true;
+            }
+            if take > 0 {
+                side.send_q.push_back(data.slice(0..take));
+                *side.send_q_bytes += take;
+                *side.unacked_bytes += take;
+                *side.bytes_sent += take as u64;
+                P::kick(flow, cfg, rec, now, out);
+            }
+            accepted = take;
+        });
+        accepted
+    }
+
+    /// Free space in the send buffer.
+    #[must_use]
+    pub fn free_send_buffer(&self) -> usize {
+        self.peek(|f, cfg| P::send_side(f, cfg).free()).unwrap_or(0)
+    }
+
+    /// Bytes accepted but not yet acknowledged by the peer (queued + in
+    /// flight).
+    #[must_use]
+    pub fn unacked_bytes(&self) -> usize {
+        self.peek(|f, cfg| *P::send_side(f, cfg).unacked_bytes)
+            .unwrap_or(0)
+    }
+
+    /// Cumulative payload bytes acknowledged by the peer.
+    #[must_use]
+    pub fn acked_bytes(&self) -> u64 {
+        self.peek(|f, cfg| P::send_side(f, cfg).bytes_acked)
+            .unwrap_or(0)
+    }
+
+    /// The RTT estimate: TCP's smoothed RTT once an ACK has echoed a
+    /// timestamp, UDT's handshake RTT (initiator side only).
+    #[must_use]
+    pub fn rtt_estimate(&self) -> Option<Duration> {
+        self.peek(|f, _| P::rtt(f))?.map(Duration::from_secs_f64)
+    }
+
+    /// Orderly close: a FIN follows the last buffered byte.
+    pub fn close(&self) {
+        self.process(|flow, cfg, rec, now, out| {
+            let side = P::send_side(flow, cfg);
+            if *side.fin_queued || side.closed {
+                return;
+            }
+            *side.fin_queued = true;
+            P::kick(flow, cfg, rec, now, out);
+        });
     }
 }
 

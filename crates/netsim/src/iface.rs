@@ -98,14 +98,22 @@ pub enum Connection {
     Udt(crate::udt::UdtConn),
 }
 
+/// Evaluates `$body` with `$c` bound to the connection's handle, whichever
+/// transport it is.
+macro_rules! on_handle {
+    ($conn:expr, $c:ident => $body:expr) => {
+        match $conn {
+            Connection::Tcp($c) => $body,
+            Connection::Udt($c) => $body,
+        }
+    };
+}
+
 impl Connection {
     /// The connection's globally unique id.
     #[must_use]
     pub fn id(&self) -> ConnectionId {
-        match self {
-            Connection::Tcp(c) => c.id(),
-            Connection::Udt(c) => c.id(),
-        }
+        on_handle!(self, c => c.id())
     }
 
     /// The wire protocol of this connection.
@@ -120,19 +128,13 @@ impl Connection {
     /// The local endpoint.
     #[must_use]
     pub fn local(&self) -> Endpoint {
-        match self {
-            Connection::Tcp(c) => c.local(),
-            Connection::Udt(c) => c.local(),
-        }
+        on_handle!(self, c => c.local())
     }
 
     /// The remote endpoint.
     #[must_use]
     pub fn peer(&self) -> Endpoint {
-        match self {
-            Connection::Tcp(c) => c.peer(),
-            Connection::Udt(c) => c.peer(),
-        }
+        on_handle!(self, c => c.peer())
     }
 
     /// Appends bytes to the send buffer, returning how many were accepted.
@@ -140,64 +142,43 @@ impl Connection {
     /// A short (or zero) return means the buffer is full; the owner will get
     /// [`StreamEvents::on_writable`] once space frees up.
     pub fn send(&self, data: Bytes) -> usize {
-        match self {
-            Connection::Tcp(c) => c.send(data),
-            Connection::Udt(c) => c.send(data),
-        }
+        on_handle!(self, c => c.send(data))
     }
 
     /// Free space in the send buffer, in bytes.
     #[must_use]
     pub fn free_send_buffer(&self) -> usize {
-        match self {
-            Connection::Tcp(c) => c.free_send_buffer(),
-            Connection::Udt(c) => c.free_send_buffer(),
-        }
+        on_handle!(self, c => c.free_send_buffer())
     }
 
     /// Bytes accepted into the send buffer but not yet acknowledged by the
     /// peer (buffered + in flight).
     #[must_use]
     pub fn unacked_bytes(&self) -> usize {
-        match self {
-            Connection::Tcp(c) => c.unacked_bytes(),
-            Connection::Udt(c) => c.unacked_bytes(),
-        }
+        on_handle!(self, c => c.unacked_bytes())
     }
 
     /// Cumulative payload bytes acknowledged by the peer.
     #[must_use]
     pub fn acked_bytes(&self) -> u64 {
-        match self {
-            Connection::Tcp(c) => c.acked_bytes(),
-            Connection::Udt(c) => c.acked_bytes(),
-        }
+        on_handle!(self, c => c.acked_bytes())
     }
 
     /// Initiates an orderly close after all buffered data is delivered.
     pub fn close(&self) {
-        match self {
-            Connection::Tcp(c) => c.close(),
-            Connection::Udt(c) => c.close(),
-        }
+        on_handle!(self, c => c.close())
     }
 
     /// Whether the connection has completed its handshake and not closed.
     #[must_use]
     pub fn is_established(&self) -> bool {
-        match self {
-            Connection::Tcp(c) => c.is_established(),
-            Connection::Udt(c) => c.is_established(),
-        }
+        on_handle!(self, c => c.is_established())
     }
 
     /// The transport's current smoothed RTT estimate, if one exists.
     #[must_use]
     pub fn rtt_estimate(&self) -> Option<std::time::Duration> {
-        match self {
-            Connection::Tcp(c) => c.rtt_estimate(),
-            Connection::Udt(c) => c.rtt_estimate(),
-        }
+        on_handle!(self, c => c.rtt_estimate())
     }
 }
 

@@ -32,7 +32,7 @@ use kmsg_telemetry::bytes::Bytes;
 use kmsg_telemetry::{EventKind, Recorder, SpanKind};
 
 use crate::cc::{self, CcConfig, CcCtx, CongestionController};
-use crate::flowstack::{self, release_drained, Conn, FlowHeader, FlowTable, Listener, Protocol};
+use crate::flowstack::{self, release_drained, Conn, FlowHeader, FlowTable, Listener, Protocol, SendSide};
 use crate::iface::{CloseReason, Connection};
 use crate::memscope;
 use crate::network::NetInner;
@@ -636,6 +636,29 @@ impl Protocol for TcpConfig {
     fn debug_state(flow: Option<&Flow>, out: &mut fmt::DebugStruct<'_, '_>) {
         out.field("state", &flow.map(|fl| fl.state));
     }
+
+    fn send_side<'a>(flow: &'a mut Flow, cfg: &TcpConfig) -> SendSide<'a> {
+        SendSide {
+            send_buf: cfg.send_buf,
+            established: flow.state == State::Established,
+            closed: flow.state == State::Closed,
+            fin_queued: &mut flow.fin_queued,
+            app_blocked: &mut flow.app_blocked,
+            send_q: &mut flow.send_q,
+            send_q_bytes: &mut flow.send_q_bytes,
+            unacked_bytes: &mut flow.unacked_bytes,
+            bytes_sent: &mut flow.stats.bytes_sent,
+            bytes_acked: flow.stats.bytes_acked,
+        }
+    }
+
+    fn kick(flow: &mut Flow, cfg: &TcpConfig, rec: &Recorder, now: SimTime, out: &mut Vec<Action>) {
+        try_send(flow, cfg, rec, now, out);
+    }
+
+    fn rtt(flow: &Flow) -> Option<f64> {
+        flow.srtt
+    }
 }
 
 /// Puts the opening SYN or SYN-ACK in flight: sequence number 0, covered by
@@ -1198,75 +1221,6 @@ fn maybe_close(flow: &mut Flow, rec: &Recorder, now: SimTime, out: &mut Vec<Acti
 pub type TcpConn = Conn<TcpConfig>;
 
 impl TcpConn {
-    /// Whether the handshake completed and the connection is open.
-    #[must_use]
-    pub fn is_established(&self) -> bool {
-        self.peek(|f, _| f.state == State::Established)
-            .unwrap_or(false)
-    }
-
-    /// Appends bytes to the send buffer; returns how many were accepted.
-    pub fn send(&self, data: Bytes) -> usize {
-        let mut accepted = 0;
-        self.process(|flow, cfg, rec, now, out| {
-            if flow.state == State::Closed || flow.fin_queued {
-                return;
-            }
-            let space = cfg.send_buf.saturating_sub(flow.unacked_bytes);
-            let take = space.min(data.len());
-            if take < data.len() {
-                flow.app_blocked = true;
-            }
-            if take > 0 {
-                let chunk = data.slice(0..take);
-                flow.send_q_bytes += take;
-                flow.unacked_bytes += take;
-                flow.stats.bytes_sent += take as u64;
-                flow.send_q.push_back(chunk);
-                try_send(flow, cfg, rec, now, out);
-            }
-            accepted = take;
-        });
-        accepted
-    }
-
-    /// Free space in the send buffer.
-    #[must_use]
-    pub fn free_send_buffer(&self) -> usize {
-        self.peek(|f, cfg| cfg.send_buf.saturating_sub(f.unacked_bytes))
-            .unwrap_or(0)
-    }
-
-    /// Bytes accepted but not yet acknowledged by the peer (queued + in
-    /// flight).
-    #[must_use]
-    pub fn unacked_bytes(&self) -> usize {
-        self.peek(|f, _| f.unacked_bytes).unwrap_or(0)
-    }
-
-    /// Cumulative payload bytes acknowledged by the peer.
-    #[must_use]
-    pub fn acked_bytes(&self) -> u64 {
-        self.peek(|f, _| f.stats.bytes_acked).unwrap_or(0)
-    }
-
-    /// Smoothed RTT estimate, if any ACK carried a timestamp echo yet.
-    #[must_use]
-    pub fn rtt_estimate(&self) -> Option<Duration> {
-        self.peek(|f, _| f.srtt)?.map(Duration::from_secs_f64)
-    }
-
-    /// Orderly close: a FIN is sent after all buffered data.
-    pub fn close(&self) {
-        self.process(|flow, cfg, rec, now, out| {
-            if flow.fin_queued || flow.state == State::Closed {
-                return;
-            }
-            flow.fin_queued = true;
-            try_send(flow, cfg, rec, now, out);
-        });
-    }
-
     /// Per-connection counters.
     #[must_use]
     pub fn stats(&self) -> TcpConnStats {

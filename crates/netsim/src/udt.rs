@@ -38,7 +38,7 @@ use std::time::Duration;
 use kmsg_telemetry::bytes::Bytes;
 use kmsg_telemetry::{EventKind, Recorder, SpanKind};
 
-use crate::flowstack::{self, release_drained, Conn, FlowHeader, FlowTable, Listener, Protocol};
+use crate::flowstack::{self, release_drained, Conn, FlowHeader, FlowTable, Listener, Protocol, SendSide};
 use crate::iface::{CloseReason, Connection};
 use crate::memscope;
 use crate::network::NetInner;
@@ -862,6 +862,29 @@ impl Protocol for UdtConfig {
             .field("initiator", &initiator)
             .field("rate_pps", &rate);
     }
+
+    fn send_side<'a>(flow: &'a mut Flow, cfg: &UdtConfig) -> SendSide<'a> {
+        SendSide {
+            send_buf: cfg.snd_buf,
+            established: flow.state == State::Established,
+            closed: flow.state == State::Closed,
+            fin_queued: &mut flow.fin_queued,
+            app_blocked: &mut flow.app_blocked,
+            send_q: &mut flow.send_q,
+            send_q_bytes: &mut flow.send_q_bytes,
+            unacked_bytes: &mut flow.unacked_bytes,
+            bytes_sent: &mut flow.stats.bytes_sent,
+            bytes_acked: flow.stats.bytes_acked,
+        }
+    }
+
+    fn kick(flow: &mut Flow, cfg: &UdtConfig, _rec: &Recorder, _now: SimTime, out: &mut Vec<Action>) {
+        restart_pacer(flow, cfg, out);
+    }
+
+    fn rtt(flow: &Flow) -> Option<f64> {
+        flow.rtt
+    }
 }
 
 /// Stores an arriving payload for ordered delivery (bounded by `rcv_buf`).
@@ -1047,73 +1070,6 @@ fn maybe_writable(flow: &mut Flow, cfg: &UdtConfig, out: &mut Vec<Action>) {
 pub type UdtConn = Conn<UdtConfig>;
 
 impl UdtConn {
-    /// Whether the handshake completed and the connection is open.
-    #[must_use]
-    pub fn is_established(&self) -> bool {
-        self.peek(|f, _| f.state == State::Established)
-            .unwrap_or(false)
-    }
-
-    /// Appends bytes to the send buffer; returns how many were accepted.
-    pub fn send(&self, data: Bytes) -> usize {
-        let mut accepted = 0;
-        self.process(|flow, cfg, _rec, _now, out| {
-            if flow.state == State::Closed || flow.fin_queued {
-                return;
-            }
-            let space = cfg.snd_buf.saturating_sub(flow.unacked_bytes);
-            let take = space.min(data.len());
-            if take < data.len() {
-                flow.app_blocked = true;
-            }
-            if take > 0 {
-                flow.send_q.push_back(data.slice(0..take));
-                flow.send_q_bytes += take;
-                flow.unacked_bytes += take;
-                flow.stats.bytes_sent += take as u64;
-                restart_pacer(flow, cfg, out);
-            }
-            accepted = take;
-        });
-        accepted
-    }
-
-    /// Free space in the send buffer.
-    #[must_use]
-    pub fn free_send_buffer(&self) -> usize {
-        self.peek(|f, cfg| cfg.snd_buf.saturating_sub(f.unacked_bytes))
-            .unwrap_or(0)
-    }
-
-    /// Bytes accepted but not yet acknowledged (queued + in flight).
-    #[must_use]
-    pub fn unacked_bytes(&self) -> usize {
-        self.peek(|f, _| f.unacked_bytes).unwrap_or(0)
-    }
-
-    /// Cumulative payload bytes acknowledged by the receiver.
-    #[must_use]
-    pub fn acked_bytes(&self) -> u64 {
-        self.peek(|f, _| f.stats.bytes_acked).unwrap_or(0)
-    }
-
-    /// RTT measured during the handshake (initiator side only).
-    #[must_use]
-    pub fn rtt_estimate(&self) -> Option<Duration> {
-        self.peek(|f, _| f.rtt)?.map(Duration::from_secs_f64)
-    }
-
-    /// Orderly close: a FIN follows the last buffered byte.
-    pub fn close(&self) {
-        self.process(|flow, cfg, _rec, _now, out| {
-            if flow.fin_queued || flow.state == State::Closed {
-                return;
-            }
-            flow.fin_queued = true;
-            restart_pacer(flow, cfg, out);
-        });
-    }
-
     /// Per-connection counters.
     #[must_use]
     pub fn stats(&self) -> UdtConnStats {

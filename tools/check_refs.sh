@@ -1,9 +1,11 @@
 #!/bin/sh
 # Fails on a doc reference that names nothing, or nothing in particular.
-# Two forms are checked, wherever they are written in a Markdown file or in
-# a `//` comment of a Rust file:
+# Three forms are checked, wherever they are written in a Markdown file or
+# in a `//` comment of a Rust file:
 #
 #   DESIGN.md §N       DESIGN.md must have a `## N.` heading;
+#   ROADMAP item N     ROADMAP.md must have a numbered item `N. ` under
+#                      `## Open items`;
 #   <path>.rs::<name>  the one .rs file under crates/, src/, tests/,
 #                      examples/ or benchmark/src whose path ends in
 #                      <path>.rs must define <name>: a line that starts
@@ -39,12 +41,16 @@ refs=$( {
                 if (at == 0) next
                 text = substr(text, at)
             }
-            while (match(text, /DESIGN\.md §[0-9]+|([A-Za-z0-9_-]+\/)*[A-Za-z0-9_]+\.rs::[A-Za-z0-9_]+/)) {
+            while (match(text, /DESIGN\.md §[0-9]+|ROADMAP item [0-9]+|([A-Za-z0-9_-]+\/)*[A-Za-z0-9_]+\.rs::[A-Za-z0-9_]+/)) {
                 print file ":" FNR ": " substr(text, RSTART, RLENGTH)
                 text = substr(text, RSTART + RLENGTH)
             }
         }' "$file"
 done )
+
+# The numbers of ROADMAP.md's open items, one a line.
+open_items=$(awk '/^## / { open = ($0 == "## Open items") }
+    open && /^[0-9]+\. / { sub(/\..*/, ""); print }' ROADMAP.md)
 
 # The start of an item's line, up to its name.
 item='^[[:space:]]*(pub(\([^)]*\))?[[:space:]]+)?((const|async|unsafe|extern "[^"]*")[[:space:]]+)*(fn|struct|enum|trait|type|const|static([[:space:]]+mut)?|mod|union)'
@@ -59,6 +65,11 @@ while read -r where ref; do
         n=${ref#"DESIGN.md §"}
         grep -q "^## $n\. " DESIGN.md && { checked=$((checked + 1)); continue; }
         echo "${where} $ref: DESIGN.md has no \"## $n.\" heading"
+        ;;
+    "ROADMAP item "*)
+        n=${ref#"ROADMAP item "}
+        echo "$open_items" | grep -qx "$n" && { checked=$((checked + 1)); continue; }
+        echo "${where} $ref: ROADMAP.md has no open item $n"
         ;;
     *)
         path=${ref%%::*}
