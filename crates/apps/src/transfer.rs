@@ -36,8 +36,6 @@ pub struct SenderConfig {
     pub transport: Transport,
     /// Chunk payload size (the paper: 65 kB).
     pub chunk_size: usize,
-    /// Maximum chunks awaiting a `Sent` notification.
-    pub pipeline_depth: usize,
     /// How many times to send the dataset back to back. The middleware
     /// (and any learner in it) stays up between rounds, modelling the
     /// paper's repeated runs against a long-lived deployment.
@@ -57,15 +55,17 @@ impl SenderConfig {
             dst,
             transport,
             chunk_size: crate::dataset::PAPER_CHUNK_SIZE,
-            // `Sent` notifications fire on transport acknowledgement, so
-            // the pipeline must cover the largest bandwidth-delay product
-            // (UDT at ~10 MB/s over 320 ms needs ~3.2 MB in flight).
-            pipeline_depth: 96,
             rounds: 1,
             disk_rate: Some(crate::disk::DISK_RATE),
         }
     }
 }
+
+/// Maximum chunks awaiting a `Sent` notification. `Sent` notifications
+/// fire on transport acknowledgement, so the pipeline must cover the
+/// largest bandwidth-delay product (UDT at ~10 MB/s over 320 ms needs
+/// ~3.2 MB in flight).
+const PIPELINE_DEPTH: usize = 96;
 
 /// Live sender-side counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -152,7 +152,7 @@ impl FileSender {
 
     fn pump(&mut self, ctx: &mut ComponentContext) {
         let now = ctx.now();
-        while self.outstanding.len() < self.cfg.pipeline_depth {
+        while self.outstanding.len() < PIPELINE_DEPTH {
             if self.next_offset >= self.cfg.dataset.size {
                 if self.round + 1 >= self.cfg.rounds.max(1) {
                     return;

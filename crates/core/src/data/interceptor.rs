@@ -15,7 +15,7 @@
 //!
 //! All other messages pass through unchanged, in both directions.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -59,28 +59,33 @@ pub enum PrpKind {
     Td(TdConfig),
 }
 
+/// Learning episode length (the paper uses 1 s).
+const EPISODE: Duration = Duration::from_secs(1);
+
+/// Minimum per-protocol window of outstanding bytes per flow.
+const MIN_WINDOW: usize = 128 * 1024;
+
+/// Window slack beyond the bandwidth-delay product, as a time depth:
+/// outstanding ≈ throughput × (2·RTT + this). Keeps transport queues
+/// shallow so control messages interleave well.
+const WINDOW_TIME: Duration = Duration::from_millis(40);
+
+/// Maximum pattern length (finest representable ratio).
+const PATTERN_MAX: u64 = 100;
+
+/// Episodes to skip before feeding rewards to the ratio policy: the
+/// first episodes of a flow are dominated by transport ramp-up
+/// (slow start, rate probing, window growth) and would poison the
+/// learner's early value estimates.
+const WARMUP_EPISODES: u32 = 2;
+
 /// Configuration of the [`DataNetworkComponent`].
 #[derive(Debug, Clone)]
 pub struct DataNetworkConfig {
-    /// Learning episode length (the paper uses 1 s).
-    pub episode: Duration,
-    /// Minimum per-protocol window of outstanding bytes per flow.
-    pub min_window: usize,
-    /// Window slack beyond the bandwidth-delay product, as a time depth:
-    /// outstanding ≈ throughput × (2·RTT + this). Keeps transport queues
-    /// shallow so control messages interleave well.
-    pub window_time: Duration,
     /// Selection policy.
     pub psp: PspKind,
-    /// Maximum pattern length (finest representable ratio).
-    pub pattern_max: u64,
     /// Ratio policy.
     pub prp: PrpKind,
-    /// Episodes to skip before feeding rewards to the ratio policy: the
-    /// first episodes of a flow are dominated by transport ramp-up
-    /// (slow start, rate probing, window growth) and would poison the
-    /// learner's early value estimates.
-    pub warmup_episodes: u32,
     /// Seed source for per-flow random streams.
     pub seeds: SeedSource,
     /// Telemetry recorder that learner decisions are reported to — usually
@@ -92,13 +97,8 @@ pub struct DataNetworkConfig {
 impl Default for DataNetworkConfig {
     fn default() -> Self {
         DataNetworkConfig {
-            episode: Duration::from_secs(1),
-            min_window: 128 * 1024,
-            window_time: Duration::from_millis(40),
             psp: PspKind::Pattern(PatternKind::MinimalRest),
-            pattern_max: 100,
             prp: PrpKind::Td(TdConfig::default()),
-            warmup_episodes: 2,
             seeds: SeedSource::new(0),
             recorder: Recorder::new(),
         }
@@ -118,9 +118,7 @@ impl DataNetworkConfig {
                 initial,
                 self.seeds.stream(&format!("data-psp-{dst}")),
             )),
-            PspKind::Pattern(kind) => {
-                Box::new(PatternSelection::new(initial, kind, self.pattern_max))
-            }
+            PspKind::Pattern(kind) => Box::new(PatternSelection::new(initial, kind, PATTERN_MAX)),
         }
     }
 
@@ -177,10 +175,10 @@ struct ProtoWindow {
 }
 
 impl ProtoWindow {
-    fn new(min_window: usize) -> Self {
+    fn new() -> Self {
         ProtoWindow {
             outstanding: 0,
-            window: min_window,
+            window: MIN_WINDOW,
             episode_bytes: 0,
             rtt_min: None,
             throughput_ewma: 0.0,
@@ -225,7 +223,9 @@ pub struct DataNetworkComponent {
     /// Network-facing port.
     pub net_port: RequiredPort<NetworkPort>,
     cfg: DataNetworkConfig,
-    flows: HashMap<Endpoint, Flow>,
+    /// Ordered by destination, so an episode end updates and releases its
+    /// flows in the same order on every run of a seed.
+    flows: BTreeMap<Endpoint, Flow>,
     inflight: HashMap<u64, (Endpoint, usize, Option<NotifyToken>, SimTime, Transport)>,
     next_internal: u64,
     stats: DataStatsHandle,
@@ -249,7 +249,7 @@ impl DataNetworkComponent {
             app_port: ProvidedPort::new(),
             net_port: RequiredPort::new(),
             cfg,
-            flows: HashMap::new(),
+            flows: BTreeMap::new(),
             inflight: HashMap::new(),
             next_internal: INTERNAL_NOTIFY_BASE,
             stats: Arc::new(Mutex::new(HashMap::new())),
@@ -298,8 +298,8 @@ impl DataNetworkComponent {
                     target,
                     queue: VecDeque::new(),
                     queued_bytes: 0,
-                    tcp: ProtoWindow::new(self.cfg.min_window),
-                    udt: ProtoWindow::new(self.cfg.min_window),
+                    tcp: ProtoWindow::new(),
+                    udt: ProtoWindow::new(),
                     episode_bytes: 0,
                     episode_msgs: 0,
                     sent_tcp: 0,
@@ -401,7 +401,7 @@ impl DataNetworkComponent {
     }
 
     fn end_episode(&mut self, now: SimTime) {
-        let dt = self.cfg.episode.as_secs_f64();
+        let dt = EPISODE.as_secs_f64();
         for (dst, flow) in &mut self.flows {
             let throughput = flow.episode_bytes as f64 / dt;
             let sent = flow.sent_tcp + flow.sent_udt;
@@ -411,7 +411,7 @@ impl DataNetworkComponent {
                 Ratio::from_prob_udt(flow.sent_udt as f64 / sent as f64)
             };
             flow.episodes_seen += 1;
-            let next = if flow.episodes_seen <= self.cfg.warmup_episodes {
+            let next = if flow.episodes_seen <= WARMUP_EPISODES {
                 // Transport ramp-up: keep the initial target, learn nothing.
                 flow.target
             } else {
@@ -436,8 +436,7 @@ impl DataNetworkComponent {
             // (notifications return one RTT after release) plus a small
             // time-depth of slack; anything deeper only sits in transport
             // queues and delays control messages (Figure 8).
-            let slack = self.cfg.window_time.as_secs_f64();
-            let min_window = self.cfg.min_window;
+            let slack = WINDOW_TIME.as_secs_f64();
             for win in [&mut flow.tcp, &mut flow.udt] {
                 let ep_thr = win.episode_bytes as f64 / dt;
                 win.throughput_ewma = if win.throughput_ewma == 0.0 {
@@ -451,7 +450,7 @@ impl DataNetworkComponent {
                     // first samples set the scale.
                     None => 0,
                 };
-                win.window = depth.max(min_window);
+                win.window = depth.max(MIN_WINDOW);
                 win.episode_bytes = 0;
             }
             self.stats.lock().entry(*dst).or_default().push(FlowPoint {
@@ -486,7 +485,7 @@ impl ComponentDefinition for DataNetworkComponent {
 
     fn handle_control(&mut self, ctx: &mut ComponentContext, event: ControlEvent) {
         if event == ControlEvent::Start && self.episode_timer.is_none() {
-            self.episode_timer = Some(ctx.schedule_periodic(self.cfg.episode, self.cfg.episode));
+            self.episode_timer = Some(ctx.schedule_periodic(EPISODE, EPISODE));
         }
     }
 
@@ -523,15 +522,21 @@ impl RequireRef<NetworkPort> for DataNetworkComponent {
 
 #[cfg(test)]
 mod tests {
+    use kmsg_netsim::packet::NodeId;
+    use kmsg_telemetry::bytes::Bytes;
+
     use super::*;
+    use crate::address::NetAddress;
+    use crate::header::DataHeader;
+    use crate::msg::DeliveryStatus;
 
     #[test]
     fn default_config_is_papers() {
         let cfg = DataNetworkConfig::default();
-        assert_eq!(cfg.episode, Duration::from_secs(1));
+        assert_eq!(EPISODE, Duration::from_secs(1));
         assert!(matches!(cfg.psp, PspKind::Pattern(PatternKind::MinimalRest)));
         assert!(matches!(cfg.prp, PrpKind::Td(_)));
-        assert_eq!(cfg.warmup_episodes, 2);
+        assert_eq!(WARMUP_EPISODES, 2);
     }
 
     #[test]
@@ -543,9 +548,49 @@ mod tests {
     }
 
     #[test]
+    fn episode_end_releases_flows_in_destination_order() {
+        let cfg = DataNetworkConfig {
+            prp: PrpKind::Static(Ratio::TCP_ONLY),
+            ..DataNetworkConfig::default()
+        };
+        let mut c = DataNetworkComponent::new(cfg);
+        let node = |i| NetAddress::new(NodeId::from_index(i), 1);
+        // Opened in the reverse of their key order.
+        let (far, near) = (node(2), node(1));
+        let chunk = Bytes::from(vec![0; 64 * 1024]);
+        for dst in [far, near] {
+            for _ in 0..8 {
+                let header = NetHeader::Data(DataHeader::new(node(0), dst));
+                let msg = NetMessage::with_header(header, chunk.clone());
+                c.handle_app_request(SimTime::ZERO, NetRequest::Msg(msg));
+            }
+        }
+        // Two chunks fill each flow's minimum window. Confirming them a
+        // second later gives each flow an RTT and a throughput, and
+        // releases two more chunks per flow.
+        let one_second = SimTime::from_millis(1_000);
+        let mut first: Vec<u64> = c.inflight.keys().copied().collect();
+        first.sort_unstable();
+        assert_eq!(first.len(), 4);
+        for id in first {
+            let resp = NetIndication::NotifyResp(NotifyToken::new(id), DeliveryStatus::Sent);
+            c.handle_net_indication(one_second, resp);
+        }
+        // The episode end widens both windows past the minimum; each flow
+        // then releases three chunks, the nearer destination's first.
+        let from = c.next_internal;
+        c.end_episode(one_second);
+        let released: Vec<Endpoint> = (from..c.next_internal)
+            .map(|id| c.inflight[&id].0)
+            .collect();
+        let (far, near) = (far.as_socket(), near.as_socket());
+        assert_eq!(released, [near, near, near, far, far, far]);
+    }
+
+    #[test]
     fn proto_window_starts_at_minimum() {
-        let w = ProtoWindow::new(4096);
-        assert_eq!(w.window, 4096);
+        let w = ProtoWindow::new();
+        assert_eq!(w.window, MIN_WINDOW);
         assert_eq!(w.outstanding, 0);
         assert!(w.rtt_min.is_none());
     }

@@ -84,12 +84,8 @@ pub struct TdConfig {
     pub sarsa: SarsaConfig,
     /// Discretised ratio space (the paper: κ=1/5, two-step actions).
     pub space: RatioSpace,
-    /// Reward = throughput / `reward_scale` (bytes/s): 10 MB/s ⇒ reward 1.
-    pub reward_scale: f64,
     /// Additional reward penalty per second of mean control latency.
     pub latency_weight: f64,
-    /// The ratio to start exploring from.
-    pub initial_ratio: Ratio,
 }
 
 impl Default for TdConfig {
@@ -98,12 +94,16 @@ impl Default for TdConfig {
             backend: ValueBackend::Approx,
             sarsa: SarsaConfig::default(),
             space: RatioSpace::default(),
-            reward_scale: 10e6,
             latency_weight: 0.0,
-            initial_ratio: Ratio::BALANCED,
         }
     }
 }
+
+/// Reward = throughput / `REWARD_SCALE` (bytes/s): 10 MB/s ⇒ reward 1.
+const REWARD_SCALE: f64 = 10e6;
+
+/// The ratio to start exploring from.
+const INITIAL_RATIO: Ratio = Ratio::BALANCED;
 
 /// The TD(λ) ratio learner (§IV-C2).
 pub struct TdRatioLearner {
@@ -138,7 +138,7 @@ impl TdRatioLearner {
             ValueBackend::Model => Box::new(ModelV::new(space)),
             ValueBackend::Approx => Box::new(ApproxV::new(space)),
         };
-        let current = space.nearest_state(cfg.initial_ratio.signed());
+        let current = space.nearest_state(INITIAL_RATIO.signed());
         TdRatioLearner {
             sarsa: Sarsa::new(space, cfg.sarsa, value, rng),
             cfg,
@@ -185,7 +185,7 @@ impl TdRatioLearner {
         let latency_penalty = obs
             .mean_latency
             .map_or(0.0, |l| l.as_secs_f64() * self.cfg.latency_weight);
-        obs.throughput / self.cfg.reward_scale - latency_penalty
+        obs.throughput / REWARD_SCALE - latency_penalty
     }
 
     /// Current exploration probability (diagnostics).
@@ -204,7 +204,7 @@ impl TdRatioLearner {
 impl ProtocolRatioPolicy for TdRatioLearner {
     fn initial_ratio(&mut self) -> Ratio {
         let space = self.cfg.space;
-        self.current = space.nearest_state(self.cfg.initial_ratio.signed());
+        self.current = space.nearest_state(INITIAL_RATIO.signed());
         let action = self.sarsa.begin(self.current);
         self.current = space.transition(self.current, action);
         self.started = true;

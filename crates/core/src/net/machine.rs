@@ -374,7 +374,8 @@ impl<W: Wire> Machine<W> {
         true
     }
 
-    /// Closes the channels idle for the configured timeout.
+    /// Closes the channels idle for the configured timeout, in key order,
+    /// so their FINs leave in the same order on every run of a seed.
     pub(super) fn sweep(&mut self, now: SimTime) {
         let Some(idle) = self.idle_timeout else {
             return;
@@ -384,19 +385,24 @@ impl<W: Wire> Machine<W> {
         // channel with unacked frames would lose them. Only established
         // channels are swept; reconnecting ones own retry timers that must
         // stay valid.
-        self.channels.retain(|_, c| {
-            let expired = c.phase == Phase::Established
-                && c.queue.is_empty()
-                && now.duration_since(c.last_activity) >= idle;
-            if expired {
-                if let Some(conn) = c.conn.take() {
-                    self.conn_index.remove(&conn.id());
-                    conn.close();
-                }
-                self.stats.lock().channels_closed += 1;
+        let mut expired: Vec<ChannelKey> = self
+            .channels
+            .iter()
+            .filter(|(_, c)| {
+                c.phase == Phase::Established
+                    && c.queue.is_empty()
+                    && now.duration_since(c.last_activity) >= idle
+            })
+            .map(|(&key, _)| key)
+            .collect();
+        expired.sort_unstable_by_key(|key| (key.remote, key.transport.to_byte()));
+        for key in expired {
+            if let Some(conn) = self.channels.remove(&key).and_then(|c| c.conn) {
+                self.conn_index.remove(&conn.id());
+                conn.close();
             }
-            !expired
-        });
+            self.stats.lock().channels_closed += 1;
+        }
     }
 
     /// The controller for `key` changed: replaces a live channel's
@@ -642,7 +648,8 @@ mod tests {
     use crate::data::stack::StackPolicy;
 
     /// A scripted connection: takes at most `room` bytes in all, keeps what
-    /// it took, and reports `acked` as the peer's acknowledgement.
+    /// it took, reports `acked` as the peer's acknowledgement, and logs its
+    /// close into the script's `closes`.
     #[derive(Clone)]
     struct Fake(Rc<FakeConn>);
 
@@ -651,6 +658,7 @@ mod tests {
         room: Cell<usize>,
         wire: RefCell<Vec<u8>>,
         acked: Cell<u64>,
+        closes: Rc<RefCell<Vec<u64>>>,
     }
 
     impl Wire for Fake {
@@ -671,7 +679,9 @@ mod tests {
             self.0.acked.get()
         }
 
-        fn close(&self) {}
+        fn close(&self) {
+            self.0.closes.borrow_mut().push(self.0.id);
+        }
     }
 
     impl Fake {
@@ -690,17 +700,21 @@ mod tests {
         timers: Vec<(TimeoutId, Duration)>,
         statuses: Vec<ConnStatus>,
         notifies: Vec<(u64, DeliveryStatus)>,
+        /// Ids of the connections closed, in close order.
+        closes: Rc<RefCell<Vec<u64>>>,
     }
 
     impl Io<Fake> for Script {
         fn dial(&mut self, key: ChannelKey) -> Result<Fake, BindError> {
             let id = self.dials.len() as u64 + 1;
             let (room, wire, acked) = (Cell::new(self.room), RefCell::default(), Cell::new(0));
+            let closes = self.closes.clone();
             let conn = Fake(Rc::new(FakeConn {
                 id,
                 room,
                 wire,
                 acked,
+                closes,
             }));
             self.dials
                 .push((conn.clone(), self.stack.lookup(key.remote)));
@@ -763,7 +777,7 @@ mod tests {
             let rng = SeedSource::new(7).stream("net-supervisor");
             let m = Machine::new(Some(rc), None, rng, Recorder::new().tracer());
             let stats = m.stats.clone();
-            let (dials, timers, statuses, notifies) = Default::default();
+            let (dials, timers, statuses, notifies, closes) = Default::default();
             let io = Script {
                 stack: StackPolicy::new(),
                 room,
@@ -771,6 +785,7 @@ mod tests {
                 timers,
                 statuses,
                 notifies,
+                closes,
             };
             Rig { m, io, stats }
         }
@@ -929,6 +944,37 @@ mod tests {
             (s.reconnects, s.reconnect_attempts, s.channels_dropped),
             (3, 6, 0)
         );
+    }
+
+    #[test]
+    fn idle_sweep_closes_channels_in_key_order() {
+        let key = |node, port, transport| ChannelKey {
+            remote: Endpoint {
+                node: NodeId::from_index(node),
+                port,
+            },
+            transport,
+        };
+        // Dialled out of order: connection ids 1..=5 in this order.
+        let keys = [
+            key(3, 7000, Transport::Tcp),
+            key(1, 7001, Transport::Udt),
+            key(1, 7000, Transport::Udt),
+            key(2, 7000, Transport::Tcp),
+            key(1, 7000, Transport::Tcp),
+        ];
+        let mut r = Rig::new(8, None, usize::MAX);
+        r.m.idle_timeout = Some(ms(500));
+        for (i, &key) in keys.iter().enumerate() {
+            let frame = Bytes::from(vec![i as u8; 10]);
+            r.m.send(at(0), &mut r.io, key, frame, None, SpanId::NONE)
+                .unwrap();
+            r.connected(1);
+            r.acked(2);
+        }
+        r.m.sweep(at(502));
+        assert_eq!(*r.io.closes.borrow(), [5, 3, 2, 4, 1], "key order");
+        assert_eq!(r.stats.lock().channels_closed, 5);
     }
 
     #[test]

@@ -697,14 +697,11 @@ impl ComponentDefinition for NetworkComponent {
 
     fn on_timeout(&mut self, ctx: &mut ComponentContext, id: TimeoutId) {
         let now = self.net.now();
-        // Idleness is judged on the system's clock (wall time under a
-        // thread pool).
-        let sweep_at = (self.idle_timer == Some(id)).then(|| ctx.now());
-        let (machine, mut io) = self.split(ctx);
-        if !machine.timeout(now, &mut io, id) {
-            if let Some(at) = sweep_at {
-                machine.sweep(at);
-            }
+        if self.idle_timer == Some(id) {
+            self.machine.sweep(now);
+        } else {
+            let (machine, mut io) = self.split(ctx);
+            machine.timeout(now, &mut io, id);
         }
     }
 }

@@ -163,6 +163,10 @@ impl Port for OverlayPort {
 
 // --- configuration -----------------------------------------------------
 
+/// How many recent publications a node keeps for re-sending along new
+/// routes when a neighbour link dies.
+const RESEND_BUFFER: usize = 32;
+
 /// Configuration of an [`OverlayComponent`].
 #[derive(Debug, Clone)]
 pub struct OverlayConfig {
@@ -184,9 +188,6 @@ pub struct OverlayConfig {
     /// Receiver-side dedup window: how many recently seen message ids
     /// each node remembers per-subscriber at-most-once delivery over.
     pub dedup_window: usize,
-    /// How many recent publications the node keeps for re-sending along
-    /// new routes when a neighbour link dies.
-    pub resend_buffer: usize,
     /// Subjects this node subscribes to from the start.
     pub subscriptions: Vec<String>,
 }
@@ -203,7 +204,6 @@ impl OverlayConfig {
             gossip_interval: Duration::from_millis(500),
             hop_limit: 8,
             dedup_window: 1024,
-            resend_buffer: 32,
             subscriptions: Vec::new(),
         }
     }
@@ -850,7 +850,7 @@ impl OverlayComponent {
             payload,
             routes,
         });
-        while self.recent.len() > self.cfg.resend_buffer {
+        while self.recent.len() > RESEND_BUFFER {
             self.recent.pop_front();
         }
     }

@@ -79,20 +79,8 @@ impl CcAlgorithm {
 pub struct CcConfig {
     /// Which controller to run.
     pub algorithm: CcAlgorithm,
-    /// CUBIC scaling constant `C`, in MSS/s³ (RFC 8312 default 0.4).
-    pub cubic_c: f64,
-    /// CUBIC multiplicative-decrease factor `β` (RFC 8312 default 0.7).
-    pub cubic_beta: f64,
-    /// CUBIC fast convergence: a loss below the previous `W_max` sets the
-    /// new `W_max` to `cwnd·(2−β)/2` instead of `cwnd`, releasing
-    /// bandwidth to newer flows faster.
-    pub cubic_fast_convergence: bool,
-    /// BBR startup pacing/cwnd gain (2/ln 2 ≈ 2.885).
-    pub bbr_startup_gain: f64,
-    /// BBR inflight cap gain outside startup (`cwnd = gain × BDP`).
-    pub bbr_cwnd_gain: f64,
     /// Test-only fault: disable the fast-convergence `W_max` reduction
-    /// while still claiming `cubic_fast_convergence` semantics. Breaks
+    /// while still claiming fast-convergence semantics. Breaks
     /// CUBIC legality — `CubicOracle` must catch it. Never enable outside
     /// tests.
     #[doc(hidden)]
@@ -109,11 +97,6 @@ impl Default for CcConfig {
     fn default() -> Self {
         CcConfig {
             algorithm: CcAlgorithm::Reno,
-            cubic_c: 0.4,
-            cubic_beta: 0.7,
-            cubic_fast_convergence: true,
-            bbr_startup_gain: 2.885,
-            bbr_cwnd_gain: 2.0,
             buggy_no_fast_convergence: false,
             buggy_skip_drain: false,
         }
@@ -251,6 +234,12 @@ impl CongestionController for Reno {
     }
 }
 
+/// CUBIC scaling constant `C`, in MSS/s³ (RFC 8312 default 0.4).
+pub const CUBIC_C: f64 = 0.4;
+
+/// CUBIC multiplicative-decrease factor `β` (RFC 8312 default 0.7).
+pub const CUBIC_BETA: f64 = 0.7;
+
 /// CUBIC-style congestion avoidance (RFC 8312, without the TCP-friendly
 /// region): after each loss the window converges back to `W_max` along
 /// `W(t) = C·(t−K)³ + W_max` with `K = ∛((W_max − W_epoch)/C)`.
@@ -263,9 +252,6 @@ impl CongestionController for Reno {
 /// `"rto"` collapses to one MSS.
 #[derive(Debug, Clone)]
 pub struct Cubic {
-    c: f64,
-    beta: f64,
-    fast_convergence: bool,
     buggy_no_fast_convergence: bool,
     /// Window size before the last reduction, bytes.
     w_max: f64,
@@ -282,9 +268,6 @@ impl Cubic {
     #[must_use]
     pub fn new(cfg: &CcConfig) -> Cubic {
         Cubic {
-            c: cfg.cubic_c,
-            beta: cfg.cubic_beta,
-            fast_convergence: cfg.cubic_fast_convergence,
             buggy_no_fast_convergence: cfg.buggy_no_fast_convergence,
             w_max: 0.0,
             epoch_start: None,
@@ -297,15 +280,18 @@ impl Cubic {
     /// `W_max` (with fast convergence), set `ssthresh = β·cwnd`, reset
     /// the epoch, and record the transition. Loss keeps `cwnd` at the β
     /// target; RTO collapses it to one MSS.
+    ///
+    /// Fast convergence: a loss below the previous `W_max` sets the new
+    /// `W_max` to `cwnd·(2−β)/2` instead of `cwnd`, releasing bandwidth to
+    /// newer flows faster.
     fn reduce(&mut self, ctx: &mut CcCtx<'_>, now: SimTime, collapse: bool, cause: &'static str) {
         let prev = *ctx.cwnd;
-        let fast_path = self.fast_convergence && prev < self.w_max;
-        self.w_max = if fast_path && !self.buggy_no_fast_convergence {
-            prev * (2.0 - self.beta) / 2.0
+        self.w_max = if prev < self.w_max && !self.buggy_no_fast_convergence {
+            prev * (2.0 - CUBIC_BETA) / 2.0
         } else {
             prev
         };
-        *ctx.ssthresh = (prev * self.beta).max(2.0 * ctx.mss);
+        *ctx.ssthresh = (prev * CUBIC_BETA).max(2.0 * ctx.mss);
         *ctx.cwnd = if collapse { ctx.mss } else { *ctx.ssthresh };
         self.epoch_start = None;
         ctx.rec.record(
@@ -343,7 +329,7 @@ impl CongestionController for Cubic {
                 if self.w_max < *ctx.cwnd {
                     self.w_max = *ctx.cwnd;
                 }
-                self.k = ((self.w_max - *ctx.cwnd) / (self.c * ctx.mss)).cbrt();
+                self.k = ((self.w_max - *ctx.cwnd) / (CUBIC_C * ctx.mss)).cbrt();
                 self.epoch_start = Some(now);
                 self.last_growth_mss = (*ctx.cwnd / ctx.mss) as u64;
                 ctx.rec.record(
@@ -362,7 +348,7 @@ impl CongestionController for Cubic {
             }
         };
         let t = now.duration_since(t0).as_secs_f64();
-        let target = self.w_max + self.c * ctx.mss * (t - self.k).powi(3);
+        let target = self.w_max + CUBIC_C * ctx.mss * (t - self.k).powi(3);
         if target > *ctx.cwnd {
             let prev = *ctx.cwnd;
             // Close a cwnd-proportional fraction of the gap per ACK (the
@@ -432,6 +418,12 @@ impl BbrPhase {
     }
 }
 
+/// BBR startup pacing/cwnd gain (2/ln 2 ≈ 2.885).
+pub const BBR_STARTUP_GAIN: f64 = 2.885;
+
+/// BBR inflight cap gain outside startup (`cwnd = gain × BDP`).
+pub const BBR_CWND_GAIN: f64 = 2.0;
+
 /// BBR-style model-based congestion control: estimate the bottleneck
 /// bandwidth (windowed max of per-round average delivery-rate samples)
 /// and the round-trip propagation delay (windowed min), pace at
@@ -446,8 +438,6 @@ impl BbrPhase {
 /// estimates carried in those events.
 #[derive(Debug, Clone)]
 pub struct Bbr {
-    startup_gain: f64,
-    cwnd_gain: f64,
     skip_drain: bool,
     phase: BbrPhase,
     started: bool,
@@ -479,8 +469,6 @@ impl Bbr {
     #[must_use]
     pub fn new(cfg: &CcConfig) -> Bbr {
         Bbr {
-            startup_gain: cfg.bbr_startup_gain,
-            cwnd_gain: cfg.bbr_cwnd_gain,
             skip_drain: cfg.buggy_skip_drain,
             phase: BbrPhase::Startup,
             started: false,
@@ -502,16 +490,16 @@ impl Bbr {
 
     fn pacing_gain(&self) -> f64 {
         match self.phase {
-            BbrPhase::Startup => self.startup_gain,
-            BbrPhase::Drain => 1.0 / self.startup_gain,
+            BbrPhase::Startup => BBR_STARTUP_GAIN,
+            BbrPhase::Drain => 1.0 / BBR_STARTUP_GAIN,
             BbrPhase::ProbeBw(i) => BBR_GAIN_CYCLE[i % BBR_GAIN_CYCLE.len()],
         }
     }
 
     fn cwnd_gain_now(&self) -> f64 {
         match self.phase {
-            BbrPhase::Startup => self.startup_gain,
-            _ => self.cwnd_gain,
+            BbrPhase::Startup => BBR_STARTUP_GAIN,
+            _ => BBR_CWND_GAIN,
         }
     }
 

@@ -48,8 +48,6 @@ pub struct TcpConfig {
     pub send_buf: usize,
     /// Receive buffer capacity; bounds the advertised window.
     pub recv_buf: usize,
-    /// Initial congestion window, in segments.
-    pub initial_cwnd: usize,
     /// Lower bound on the retransmission timeout.
     pub min_rto: Duration,
     /// Upper bound on the retransmission timeout.
@@ -61,12 +59,6 @@ pub struct TcpConfig {
     /// (Linux `tcp_retries2` analog). Lower values make channel death — and
     /// thus middleware supervision — observable within short outages.
     pub max_consecutive_timeouts: u32,
-    /// Delayed-ACK timer.
-    pub delack_timeout: Duration,
-    /// Fire `on_writable` on every acknowledgement that frees send-buffer
-    /// space (not just when a blocked writer can resume). Lets middleware
-    /// track delivery progress for acked-based notifications.
-    pub ack_progress_events: bool,
     /// Congestion-controller selection and tuning (Reno, CUBIC, or BBR);
     /// part of config interning, so flows sharing a controller variant
     /// share one table entry.
@@ -87,13 +79,10 @@ impl Default for TcpConfig {
             mss: 1448,
             send_buf: 4 * 1024 * 1024,
             recv_buf: 4 * 1024 * 1024,
-            initial_cwnd: 10,
             min_rto: Duration::from_millis(200),
             max_rto: Duration::from_secs(60),
             syn_retries: 6,
             max_consecutive_timeouts: 15,
-            delack_timeout: Duration::from_millis(40),
-            ack_progress_events: true,
             cc: CcConfig::default(),
             buggy_no_fast_recovery: false,
         }
@@ -296,9 +285,12 @@ pub(crate) struct Flow {
     stats: TcpConnStats,
 }
 
+/// Initial congestion window, in segments.
+const INITIAL_CWND: usize = 10;
+
 impl Flow {
     fn new(hdr: FlowHeader, cfg: &TcpConfig, state: State) -> Flow {
-        let cwnd = (cfg.initial_cwnd * cfg.mss) as f64;
+        let cwnd = (INITIAL_CWND * cfg.mss) as f64;
         Flow {
             hdr,
             state,
@@ -906,7 +898,11 @@ fn process_ack(
         } else {
             disarm_rto(flow);
         }
-        if cfg.ack_progress_events && acked > 0 {
+        // Every acknowledgement that frees send-buffer space fires
+        // `on_writable` (not just when a blocked writer can resume), so the
+        // middleware can track delivery progress for acked-based
+        // notifications.
+        if acked > 0 {
             flow.app_blocked = false;
             out.push(Action::Writable);
         } else {
@@ -1067,6 +1063,9 @@ fn receive_data(
     }
 }
 
+/// Delayed-ACK timer.
+const DELACK_TIMEOUT: Duration = Duration::from_millis(40);
+
 fn schedule_ack(
     flow: &mut Flow,
     cfg: &TcpConfig,
@@ -1081,7 +1080,7 @@ fn schedule_ack(
         out.push(Action::Send(pure_ack(flow, cfg, now)));
     } else {
         flow.delack_pending += 1;
-        out.push(flow.delack_timer.arm(KIND_DELACK, now, cfg.delack_timeout));
+        out.push(flow.delack_timer.arm(KIND_DELACK, now, DELACK_TIMEOUT));
     }
 }
 

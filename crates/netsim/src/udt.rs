@@ -57,22 +57,12 @@ pub struct UdtConfig {
     pub rcv_buf: usize,
     /// Rate-control interval (UDT's `SYN`).
     pub syn: Duration,
-    /// Initial sending rate in packets per second.
-    pub initial_rate_pps: f64,
-    /// Per-packet receive processing time (implementation overhead).
-    /// `Duration::ZERO` disables the bottleneck.
-    pub rx_proc_delay: Duration,
-    /// Receive processing queue depth in packets; overflow drops packets.
-    pub rx_proc_backlog: usize,
     /// Expiration timeout: with in-flight data and no feedback for this
     /// long, everything unacknowledged is scheduled for retransmission.
     pub exp_timeout: Duration,
     /// How many consecutive expirations before the connection is declared
     /// dead.
     pub max_expirations: u32,
-    /// Fire `on_writable` on every acknowledgement that frees send-buffer
-    /// space (delivery-progress tracking for middleware).
-    pub ack_progress_events: bool,
 }
 
 impl Default for UdtConfig {
@@ -82,12 +72,8 @@ impl Default for UdtConfig {
             snd_buf: 12 * 1024 * 1024,
             rcv_buf: 12 * 1024 * 1024,
             syn: Duration::from_millis(10),
-            initial_rate_pps: 1000.0,
-            rx_proc_delay: Duration::from_micros(130),
-            rx_proc_backlog: 2048,
             exp_timeout: Duration::from_millis(300),
             max_expirations: 30,
-            ack_progress_events: true,
         }
     }
 }
@@ -270,9 +256,12 @@ pub(crate) struct Flow {
     stats: UdtConnStats,
 }
 
+/// Initial sending rate in packets per second.
+const INITIAL_RATE_PPS: f64 = 1000.0;
+
 impl Flow {
     fn new(hdr: FlowHeader, cfg: &UdtConfig, now: SimTime, is_initiator: bool) -> Flow {
-        let snd_period_us = 1e6 / cfg.initial_rate_pps;
+        let snd_period_us = 1e6 / INITIAL_RATE_PPS;
         Flow {
             hdr,
             state: State::Connecting,
@@ -552,6 +541,12 @@ fn on_hs_retry(flow: &mut Flow, cfg: &UdtConfig, out: &mut Vec<Action>, attempt:
     out.push(arm(KIND_HS_RETRY, Duration::from_millis(250), attempt + 1));
 }
 
+/// Per-packet receive processing time (implementation overhead).
+const RX_PROC_DELAY: Duration = Duration::from_micros(130);
+
+/// Receive processing queue depth in packets; overflow drops packets.
+const RX_PROC_BACKLOG: usize = 2048;
+
 /// What is UDT about the flow core; the config type names the protocol.
 impl Protocol for UdtConfig {
     type Flow = Flow;
@@ -663,26 +658,18 @@ impl Protocol for UdtConfig {
                     return;
                 }
                 flow.pkts_since_ack += 1;
-                if cfg.rx_proc_delay.is_zero() {
-                    store_incoming(flow, cfg, seq, payload);
-                    receive_data_packet(flow, rec, seq, probe, now, out);
-                } else {
-                    let backlog = flow
-                        .proc_busy_until
-                        .duration_since(now)
-                        .as_secs_f64()
-                        / cfg.rx_proc_delay.as_secs_f64();
-                    if backlog as usize >= cfg.rx_proc_backlog {
-                        flow.stats.rx_proc_drops += 1;
-                        return; // overload drop: will be NAKed
-                    }
-                    store_incoming(flow, cfg, seq, payload);
-                    flow.proc_busy_until = flow.proc_busy_until.max(now) + cfg.rx_proc_delay;
-                    flow.proc_fifo.push_back((seq, probe));
-                    // The matching `(seq, probe)` rides `proc_fifo`.
-                    let wait = flow.proc_busy_until.duration_since(now);
-                    out.push(arm(KIND_PROC, wait, 0));
+                let backlog = flow.proc_busy_until.duration_since(now).as_secs_f64()
+                    / RX_PROC_DELAY.as_secs_f64();
+                if backlog as usize >= RX_PROC_BACKLOG {
+                    flow.stats.rx_proc_drops += 1;
+                    return; // overload drop: will be NAKed
                 }
+                store_incoming(flow, cfg, seq, payload);
+                flow.proc_busy_until = flow.proc_busy_until.max(now) + RX_PROC_DELAY;
+                flow.proc_fifo.push_back((seq, probe));
+                // The matching `(seq, probe)` rides `proc_fifo`.
+                let wait = flow.proc_busy_until.duration_since(now);
+                out.push(arm(KIND_PROC, wait, 0));
             }
             UdtPacket::Ack {
                 ack_seq,
@@ -706,7 +693,10 @@ impl Protocol for UdtConfig {
                     flow.stats.bytes_acked += acked_bytes as u64;
                     flow.snd_una = ack_seq;
                     flow.last_progress_at = now;
-                    if cfg.ack_progress_events && acked_bytes > 0 {
+                    // Every acknowledgement that frees send-buffer space
+                    // fires `on_writable` (delivery-progress tracking for
+                    // middleware).
+                    if acked_bytes > 0 {
                         flow.app_blocked = false;
                         out.push(Action::Writable);
                     }

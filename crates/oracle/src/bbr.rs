@@ -18,12 +18,19 @@
 //! * **RTO collapse** — an `"rto"` `CcWindow` record collapses the window
 //!   to one MSS (the estimators survive, the window does not).
 //!
-//! Gains come from [`OracleConfig::bbr_startup_gain`] /
-//! [`OracleConfig::bbr_cwnd_gain`] and must match the run's `CcConfig`.
+//! Gains are the simulator's `kmsg_netsim::cc::BBR_STARTUP_GAIN` and
+//! `BBR_CWND_GAIN`, restated here (this crate does not depend on the
+//! simulator); a unit test checks that the two agree.
 
 use kmsg_telemetry::{Event, EventKind};
 
-use crate::{trace_truncated, Oracle, OracleConfig, RunFacts, Violation};
+use crate::{approx_eq, approx_le, trace_truncated, Oracle, OracleConfig, RunFacts, Violation};
+
+/// BBR startup pacing/cwnd gain.
+const BBR_STARTUP_GAIN: f64 = 2.885;
+
+/// BBR steady-state inflight-cap gain.
+const BBR_CWND_GAIN: f64 = 2.0;
 
 /// See the [module docs](self).
 #[derive(Debug, Clone, Copy, Default)]
@@ -31,14 +38,6 @@ pub struct BbrOracle;
 
 /// The highest pacing gain BBR's probe-bandwidth cycle uses.
 const PROBE_BW_MAX_GAIN: f64 = 1.25;
-
-fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
-    (a - b).abs() <= tol * a.abs().max(b.abs()).max(1.0)
-}
-
-fn approx_le(a: f64, b: f64, tol: f64) -> bool {
-    a <= b + tol * a.abs().max(b.abs()).max(1.0)
-}
 
 /// Phase ordinal for the legality check: a connection may only move
 /// forward (or stay) in `startup(0) → drain(1) → probe_bw(2)`.
@@ -63,7 +62,6 @@ impl Oracle for BbrOracle {
             return out;
         }
         let mss = cfg.mss as f64;
-        let tol = cfg.rel_tol;
         let mut phases: std::collections::BTreeMap<u64, &'static str> =
             std::collections::BTreeMap::new();
         for ev in events {
@@ -118,11 +116,11 @@ impl Oracle for BbrOracle {
                     phases.insert(conn, phase);
                     if btl_bw_bps > 0.0 {
                         let max_gain = match phase {
-                            "startup" => cfg.bbr_startup_gain,
+                            "startup" => BBR_STARTUP_GAIN,
                             "drain" => 1.0,
                             _ => PROBE_BW_MAX_GAIN,
                         };
-                        if !approx_le(pacing_rate_bps, max_gain * btl_bw_bps, tol) {
+                        if !approx_le(pacing_rate_bps, max_gain * btl_bw_bps) {
                             out.push(Violation {
                                 oracle: "bbr",
                                 rule: "pacing_gain_bound",
@@ -141,12 +139,12 @@ impl Oracle for BbrOracle {
                             // bound against the ceiling.
                             let bdp = btl_bw_bps * ((min_rtt_us + 1) as f64 / 1e6);
                             let cwnd_gain = if phase == "startup" {
-                                cfg.bbr_startup_gain
+                                BBR_STARTUP_GAIN
                             } else {
-                                cfg.bbr_cwnd_gain
+                                BBR_CWND_GAIN
                             };
                             let bound = (cwnd_gain * bdp).max(4.0 * mss);
-                            if !approx_le(cwnd, bound, tol) {
+                            if !approx_le(cwnd, bound) {
                                 out.push(Violation {
                                     oracle: "bbr",
                                     rule: "cwnd_bdp_bound",
@@ -167,7 +165,7 @@ impl Oracle for BbrOracle {
                     cause: "rto",
                     cwnd,
                     ..
-                } if !approx_eq(cwnd, mss, tol) => {
+                } if !approx_eq(cwnd, mss) => {
                     out.push(Violation {
                         oracle: "bbr",
                         rule: "rto_collapse",
@@ -188,6 +186,12 @@ impl Oracle for BbrOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn constants_match_the_simulator() {
+        assert_eq!(BBR_STARTUP_GAIN, kmsg_netsim::cc::BBR_STARTUP_GAIN);
+        assert_eq!(BBR_CWND_GAIN, kmsg_netsim::cc::BBR_CWND_GAIN);
+    }
 
     fn state(
         time_ns: u64,

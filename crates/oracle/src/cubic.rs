@@ -17,12 +17,19 @@
 //!   `W(t) = W_max + C·MSS·(t−K)³` (with `K = ∛((W_max−W_epoch)/(C·MSS))`
 //!   recomputed from the anchor), up to one MSS of slack.
 //!
-//! Parameters (`C`, `β`) come from [`OracleConfig::cubic_c`] /
-//! [`OracleConfig::cubic_beta`] and must match the run's `CcConfig`.
+//! Parameters (`C`, `β`) are the simulator's `kmsg_netsim::cc::CUBIC_C`
+//! and `CUBIC_BETA`, restated here (this crate does not depend on the
+//! simulator); a unit test checks that the two agree.
 
 use kmsg_telemetry::{Event, EventKind};
 
-use crate::{trace_truncated, Oracle, OracleConfig, RunFacts, Violation};
+use crate::{approx_eq, approx_le, trace_truncated, Oracle, OracleConfig, RunFacts, Violation};
+
+/// CUBIC scaling constant `C` the run's controllers used, in MSS/s³.
+const CUBIC_C: f64 = 0.4;
+
+/// CUBIC multiplicative-decrease factor `β`.
+const CUBIC_BETA: f64 = 0.7;
 
 /// See the [module docs](self).
 #[derive(Debug, Clone, Copy, Default)]
@@ -38,14 +45,6 @@ struct ConnState {
     last_growth: f64,
 }
 
-fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
-    (a - b).abs() <= tol * a.abs().max(b.abs()).max(1.0)
-}
-
-fn approx_le(a: f64, b: f64, tol: f64) -> bool {
-    a <= b + tol * a.abs().max(b.abs()).max(1.0)
-}
-
 impl Oracle for CubicOracle {
     fn name(&self) -> &'static str {
         "cubic"
@@ -58,9 +57,6 @@ impl Oracle for CubicOracle {
             return out;
         }
         let mss = cfg.mss as f64;
-        let c = cfg.cubic_c;
-        let beta = cfg.cubic_beta;
-        let tol = cfg.rel_tol;
         let mut conns: std::collections::BTreeMap<u64, ConnState> =
             std::collections::BTreeMap::new();
         for ev in events {
@@ -82,7 +78,7 @@ impl Oracle for CubicOracle {
                     // The curve anchor can only sit at or above the window
                     // it anchors (W_max is bumped to cwnd when the window
                     // already grew past the old maximum).
-                    if !approx_le(cwnd, w_max, tol) {
+                    if !approx_le(cwnd, w_max) {
                         out.push(Violation {
                             oracle: "cubic",
                             rule: "epoch_anchor",
@@ -110,7 +106,7 @@ impl Oracle for CubicOracle {
                         });
                         continue;
                     };
-                    if !approx_le(st.last_growth, cwnd, tol) {
+                    if !approx_le(st.last_growth, cwnd) {
                         out.push(Violation {
                             oracle: "cubic",
                             rule: "growth_monotone",
@@ -126,11 +122,11 @@ impl Oracle for CubicOracle {
                     // checkpoint by it (one MSS of slack: the controller
                     // clamps each step at the target, but the checkpoint
                     // fires after the step).
-                    let k = ((epoch_w_max - w_epoch) / (c * mss)).cbrt();
+                    let k = ((epoch_w_max - w_epoch) / (CUBIC_C * mss)).cbrt();
                     let t = (ev.time_ns - t0) as f64 / 1e9;
-                    let target = epoch_w_max + c * mss * (t - k).powi(3);
+                    let target = epoch_w_max + CUBIC_C * mss * (t - k).powi(3);
                     let bound = target.max(w_epoch) + mss;
-                    if !approx_le(cwnd, bound, tol) {
+                    if !approx_le(cwnd, bound) {
                         out.push(Violation {
                             oracle: "cubic",
                             rule: "growth_bound",
@@ -144,8 +140,8 @@ impl Oracle for CubicOracle {
                     st.last_growth = cwnd;
                 }
                 "loss" | "rto" => {
-                    let expect_ssthresh = (beta * prev_cwnd).max(2.0 * mss);
-                    if !approx_eq(ssthresh, expect_ssthresh, tol) {
+                    let expect_ssthresh = (CUBIC_BETA * prev_cwnd).max(2.0 * mss);
+                    if !approx_eq(ssthresh, expect_ssthresh) {
                         out.push(Violation {
                             oracle: "cubic",
                             rule: "beta_on_loss",
@@ -158,7 +154,7 @@ impl Oracle for CubicOracle {
                         });
                     }
                     let expect_cwnd = if cause == "rto" { mss } else { expect_ssthresh };
-                    if !approx_eq(cwnd, expect_cwnd, tol) {
+                    if !approx_eq(cwnd, expect_cwnd) {
                         out.push(Violation {
                             oracle: "cubic",
                             rule: if cause == "rto" {
@@ -177,20 +173,18 @@ impl Oracle for CubicOracle {
                     // (prev_cwnd ≈ W_max) the controller's strict float
                     // compare could go either way, so accept both values
                     // inside a narrow band.
-                    let fast = prev_cwnd * (2.0 - beta) / 2.0;
+                    let fast = prev_cwnd * (2.0 - CUBIC_BETA) / 2.0;
                     let expected_ok = match st.last_w_max {
                         Some(prev_max) if prev_cwnd < prev_max * (1.0 - 1e-9) => {
-                            approx_eq(w_max, fast, tol)
+                            approx_eq(w_max, fast)
                         }
                         Some(prev_max) if prev_cwnd > prev_max * (1.0 + 1e-9) => {
-                            approx_eq(w_max, prev_cwnd, tol)
+                            approx_eq(w_max, prev_cwnd)
                         }
-                        Some(_) => {
-                            approx_eq(w_max, fast, tol) || approx_eq(w_max, prev_cwnd, tol)
-                        }
+                        Some(_) => approx_eq(w_max, fast) || approx_eq(w_max, prev_cwnd),
                         // First reduction ever: W_max starts at the lost
                         // window.
-                        None => approx_eq(w_max, prev_cwnd, tol),
+                        None => approx_eq(w_max, prev_cwnd),
                     };
                     if !expected_ok {
                         out.push(Violation {
@@ -218,6 +212,12 @@ impl Oracle for CubicOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn constants_match_the_simulator() {
+        assert_eq!(CUBIC_C, kmsg_netsim::cc::CUBIC_C);
+        assert_eq!(CUBIC_BETA, kmsg_netsim::cc::CUBIC_BETA);
+    }
 
     fn ev(time_ns: u64, kind: EventKind) -> Event {
         Event { time_ns, kind }

@@ -104,6 +104,19 @@ impl std::fmt::Display for Violation {
     }
 }
 
+/// Relative tolerance for floating-point comparisons.
+const REL_TOL: f64 = 1e-6;
+
+/// `a == b` up to [`REL_TOL`] of the larger magnitude (or of 1).
+fn approx_eq(a: f64, b: f64) -> bool {
+    (a - b).abs() <= REL_TOL * a.abs().max(b.abs()).max(1.0)
+}
+
+/// `a <= b` up to [`REL_TOL`] of the larger magnitude (or of 1).
+fn approx_le(a: f64, b: f64) -> bool {
+    a <= b + REL_TOL * a.abs().max(b.abs()).max(1.0)
+}
+
 /// Static knowledge an oracle needs about the run's configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OracleConfig {
@@ -111,8 +124,6 @@ pub struct OracleConfig {
     pub mss: u64,
     /// TCP RTO upper bound in microseconds (`TcpConfig::max_rto`).
     pub max_rto_us: u64,
-    /// Relative tolerance for floating-point comparisons.
-    pub rel_tol: f64,
     /// How long after its `sent` trace a packet may legitimately still be
     /// in flight when the trace ends (queue drain + propagation + spikes).
     pub drain_grace_ns: u64,
@@ -126,15 +137,6 @@ pub struct OracleConfig {
     /// Every fault action in the trace must be healed before it ends
     /// (fuzz scenarios script paired heals; hand-written plans may not).
     pub faults_must_heal: bool,
-    /// CUBIC scaling constant `C` the run's controllers used
-    /// (`CcConfig::cubic_c`), in MSS/s³.
-    pub cubic_c: f64,
-    /// CUBIC multiplicative-decrease factor `β` (`CcConfig::cubic_beta`).
-    pub cubic_beta: f64,
-    /// BBR startup pacing/cwnd gain (`CcConfig::bbr_startup_gain`).
-    pub bbr_startup_gain: f64,
-    /// BBR steady-state inflight-cap gain (`CcConfig::bbr_cwnd_gain`).
-    pub bbr_cwnd_gain: f64,
 }
 
 impl Default for OracleConfig {
@@ -142,15 +144,10 @@ impl Default for OracleConfig {
         OracleConfig {
             mss: 1448,
             max_rto_us: 60_000_000,
-            rel_tol: 1e-6,
             drain_grace_ns: 5_000_000_000,
             dedup_window: 4096,
             expect_completion: false,
             faults_must_heal: false,
-            cubic_c: 0.4,
-            cubic_beta: 0.7,
-            bbr_startup_gain: 2.885,
-            bbr_cwnd_gain: 2.0,
         }
     }
 }

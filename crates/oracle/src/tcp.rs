@@ -19,7 +19,9 @@
 
 use kmsg_telemetry::{Event, EventKind};
 
-use crate::{trace_truncated, Oracle, OracleConfig, RunFacts, Violation};
+use crate::{
+    approx_eq, approx_le, trace_truncated, Oracle, OracleConfig, RunFacts, Violation, REL_TOL,
+};
 
 /// See the [module docs](self).
 #[derive(Debug, Clone, Copy, Default)]
@@ -32,14 +34,6 @@ struct ConnState {
     /// The connection has a recorded loss signal (timeout or recovery
     /// entry) at or before the current event.
     loss_signal_seen: bool,
-}
-
-fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
-    (a - b).abs() <= tol * a.abs().max(b.abs()).max(1.0)
-}
-
-fn approx_le(a: f64, b: f64, tol: f64) -> bool {
-    a <= b + tol * a.abs().max(b.abs()).max(1.0)
 }
 
 impl Oracle for TcpOracle {
@@ -56,7 +50,6 @@ impl Oracle for TcpOracle {
         }
         let mut conns: std::collections::BTreeMap<u64, ConnState> = std::collections::BTreeMap::new();
         let mss = cfg.mss as f64;
-        let tol = cfg.rel_tol;
         for ev in events {
             match &ev.kind {
                 EventKind::TcpCwnd {
@@ -69,7 +62,7 @@ impl Oracle for TcpOracle {
                     match *cause {
                         "rto" => {
                             st.loss_signal_seen = true;
-                            if !approx_eq(*cwnd, mss, tol) {
+                            if !approx_eq(*cwnd, mss) {
                                 out.push(Violation {
                                     oracle: "tcp",
                                     rule: "cwnd_rto_collapse",
@@ -80,7 +73,7 @@ impl Oracle for TcpOracle {
                                     ),
                                 });
                             }
-                            if !approx_le(2.0 * mss, *ssthresh, tol) {
+                            if !approx_le(2.0 * mss, *ssthresh) {
                                 out.push(Violation {
                                     oracle: "tcp",
                                     rule: "ssthresh_floor",
@@ -95,7 +88,7 @@ impl Oracle for TcpOracle {
                         }
                         "fast_recovery" => {
                             st.loss_signal_seen = true;
-                            if !approx_eq(*cwnd, *ssthresh, tol) {
+                            if !approx_eq(*cwnd, *ssthresh) {
                                 out.push(Violation {
                                     oracle: "tcp",
                                     rule: "cwnd_halving",
@@ -106,7 +99,7 @@ impl Oracle for TcpOracle {
                                     ),
                                 });
                             }
-                            if !approx_le(2.0 * mss, *ssthresh, tol) {
+                            if !approx_le(2.0 * mss, *ssthresh) {
                                 out.push(Violation {
                                     oracle: "tcp",
                                     rule: "ssthresh_floor",
@@ -121,7 +114,7 @@ impl Oracle for TcpOracle {
                         }
                         "recovery_exit" => {
                             let cap = ssthresh.max(2.0 * mss);
-                            if !approx_le(*cwnd, cap, tol) {
+                            if !approx_le(*cwnd, cap) {
                                 out.push(Violation {
                                     oracle: "tcp",
                                     rule: "recovery_exit_deflate",
@@ -143,7 +136,7 @@ impl Oracle for TcpOracle {
                 } => {
                     let st = conns.entry(*conn).or_default();
                     st.loss_signal_seen = true;
-                    if *rto_us as f64 > cfg.max_rto_us as f64 * (1.0 + tol) {
+                    if *rto_us as f64 > cfg.max_rto_us as f64 * (1.0 + REL_TOL) {
                         out.push(Violation {
                             oracle: "tcp",
                             rule: "rto_cap",
@@ -168,7 +161,7 @@ impl Oracle for TcpOracle {
                             // the recorded one by 1us: allow that slack on
                             // top of the relative tolerance.
                             if (*rto_us as f64 - expect).abs() > 1.0
-                                && !approx_eq(*rto_us as f64, expect, tol)
+                                && !approx_eq(*rto_us as f64, expect)
                             {
                                 out.push(Violation {
                                     oracle: "tcp",

@@ -14,12 +14,12 @@
 //! * `"nak_decrease"` multiplies the previous period by 1.125.
 //!
 //! The first event of a connection has no recorded predecessor (the
-//! initial period comes from `UdtConfig::initial_rate_pps`), so relational
+//! initial period comes from the stack's initial rate), so relational
 //! checks start from the second event.
 
 use kmsg_telemetry::{Event, EventKind};
 
-use crate::{trace_truncated, Oracle, OracleConfig, RunFacts, Violation};
+use crate::{trace_truncated, Oracle, OracleConfig, RunFacts, Violation, REL_TOL};
 
 /// See the [module docs](self).
 #[derive(Debug, Clone, Copy, Default)]
@@ -36,12 +36,11 @@ impl Oracle for UdtOracle {
         "udt"
     }
 
-    fn check(&self, events: &[Event], facts: &RunFacts, cfg: &OracleConfig) -> Vec<Violation> {
+    fn check(&self, events: &[Event], facts: &RunFacts, _cfg: &OracleConfig) -> Vec<Violation> {
         let mut out = Vec::new();
         if trace_truncated(events, facts) {
             return out;
         }
-        let tol = cfg.rel_tol;
         let mut last_period: std::collections::BTreeMap<u64, f64> =
             std::collections::BTreeMap::new();
         for ev in events {
@@ -54,7 +53,7 @@ impl Oracle for UdtOracle {
             else {
                 continue;
             };
-            if *period_us < PERIOD_FLOOR_US * (1.0 - tol) {
+            if *period_us < PERIOD_FLOOR_US * (1.0 - REL_TOL) {
                 out.push(Violation {
                     oracle: "udt",
                     rule: "period_floor",
@@ -79,7 +78,7 @@ impl Oracle for UdtOracle {
             }
             if let Some(prev) = last_period.get(conn) {
                 match *cause {
-                    "syn_increase" if *period_us > prev * (1.0 + tol) => {
+                    "syn_increase" if *period_us > prev * (1.0 + REL_TOL) => {
                         out.push(Violation {
                             oracle: "udt",
                             rule: "increase_monotone",
