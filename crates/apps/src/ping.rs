@@ -10,7 +10,7 @@ use parking_lot::Mutex;
 
 use kmsg_component::prelude::*;
 use kmsg_core::prelude::*;
-use kmsg_netsim::stats::OnlineStats;
+use kmsg_telemetry::metrics::OnlineStats;
 use kmsg_netsim::time::SimTime;
 
 use crate::msgs::{PingMsg, PongMsg};

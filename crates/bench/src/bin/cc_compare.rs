@@ -107,7 +107,7 @@ fn main() {
     let last = last_result.expect("at least one controller ran");
     let rec = &last.recorder;
     for &(cc, goodput) in &rows {
-        rec.gauge(&format!("cc/{}/goodput_mbps", cc.label())).set(goodput);
+        rec.set_gauge(&format!("cc/{}/goodput_mbps", cc.label()), goodput);
     }
     rec.publish_overflow_gauges();
 

@@ -175,22 +175,21 @@ fn main() {
     kmsg_telemetry::log_info!("{:<28} {:>12}", "duplicate chunks (deduped)", result.duplicates);
 
     let rec = &result.recorder;
-    rec.gauge("chaos/goodput_bps").set(goodput);
-    rec.gauge("chaos/transfer_time_s").set(time.as_secs_f64());
+    rec.set_gauge("chaos/goodput_bps", goodput);
+    rec.set_gauge("chaos/transfer_time_s", time.as_secs_f64());
     if let Some(d) = recovery {
-        rec.gauge("chaos/recovery_latency_s").set(d.as_secs_f64());
+        rec.set_gauge("chaos/recovery_latency_s", d.as_secs_f64());
     }
-    rec.gauge("chaos/faults_applied").set(result.faults_applied as f64);
-    rec.gauge("chaos/duplicates").set(result.duplicates as f64);
-    rec.gauge("chaos/reconnect_attempts").set(s.reconnect_attempts as f64);
-    rec.gauge("chaos/reconnects").set(s.reconnects as f64);
-    rec.gauge("chaos/channels_dropped").set(s.channels_dropped as f64);
-    rec.gauge("chaos/failovers").set(s.failovers as f64);
+    rec.set_gauge("chaos/faults_applied", result.faults_applied as f64);
+    rec.set_gauge("chaos/duplicates", result.duplicates as f64);
+    rec.set_gauge("chaos/reconnect_attempts", s.reconnect_attempts as f64);
+    rec.set_gauge("chaos/reconnects", s.reconnects as f64);
+    rec.set_gauge("chaos/channels_dropped", s.channels_dropped as f64);
+    rec.set_gauge("chaos/failovers", s.failovers as f64);
     for kind in SendError::ALL {
         let n = s.send_failures_of(kind);
         if n > 0 {
-            rec.gauge(&format!("chaos/send_failures/{}", kind.label()))
-                .set(n as f64);
+            rec.set_gauge(&format!("chaos/send_failures/{}", kind.label()), n as f64);
         }
     }
 
@@ -198,8 +197,8 @@ fn main() {
     kmsg_bench::rule(50);
     for (reason, packets, bytes) in drops_by_reason(&result) {
         kmsg_telemetry::log_info!("{reason:<28} {packets:>8} {bytes:>12}");
-        rec.gauge(&format!("chaos/drops/{reason}/packets")).set(packets as f64);
-        rec.gauge(&format!("chaos/drops/{reason}/bytes")).set(bytes as f64);
+        rec.set_gauge(&format!("chaos/drops/{reason}/packets"), packets as f64);
+        rec.set_gauge(&format!("chaos/drops/{reason}/bytes"), bytes as f64);
     }
 
     // Causal-span attribution: decompose the measured recovery window into
@@ -234,7 +233,7 @@ fn main() {
     kmsg_bench::rule(41);
     for (label, ns) in &att.components {
         kmsg_telemetry::log_info!("{label:<28} {:>10.2}", ms(*ns));
-        rec.gauge(&format!("chaos/recovery/{label}_ms")).set(ms(*ns));
+        rec.set_gauge(&format!("chaos/recovery/{label}_ms"), ms(*ns));
     }
     kmsg_telemetry::log_info!("{:<28} {:>10.2}", "total", ms(att.total_ns));
 

@@ -223,16 +223,15 @@ fn main() {
     let rec = &overlay.recorder;
     for (label, ns) in &att.components {
         kmsg_telemetry::log_info!("{label:<28} {:>10.2}", ms(*ns));
-        rec.gauge(&format!("reroute/attribution/{label}_ms")).set(ms(*ns));
+        rec.set_gauge(&format!("reroute/attribution/{label}_ms"), ms(*ns));
     }
 
-    rec.gauge("reroute/overlay_gap_ms").set(ms(overlay_gap));
-    rec.gauge("reroute/reconnect_gap_ms").set(ms(baseline_gap));
-    rec.gauge("reroute/speedup")
-        .set(baseline_gap as f64 / overlay_gap as f64);
-    rec.gauge("reroute/reroutes").set(reroutes as f64);
-    rec.gauge("reroute/overlay_delivered").set(overlay.facts.delivered as f64);
-    rec.gauge("reroute/baseline_delivered").set(baseline.facts.delivered as f64);
+    rec.set_gauge("reroute/overlay_gap_ms", ms(overlay_gap));
+    rec.set_gauge("reroute/reconnect_gap_ms", ms(baseline_gap));
+    rec.set_gauge("reroute/speedup", baseline_gap as f64 / overlay_gap as f64);
+    rec.set_gauge("reroute/reroutes", reroutes as f64);
+    rec.set_gauge("reroute/overlay_delivered", overlay.facts.delivered as f64);
+    rec.set_gauge("reroute/baseline_delivered", baseline.facts.delivered as f64);
     rec.publish_overflow_gauges();
 
     // Row file for the perf gate's baseline diff. Gap metrics are virtual

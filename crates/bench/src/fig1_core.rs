@@ -12,7 +12,7 @@ use kmsg_core::data::{
 };
 use kmsg_core::Transport;
 use kmsg_netsim::rng::SeedSource;
-use kmsg_netsim::stats::Summary;
+use kmsg_telemetry::metrics::Summary;
 use kmsg_telemetry::json::Json;
 
 /// Sliding window matching one 1 s learning episode (~1600 messages).

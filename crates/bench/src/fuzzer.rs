@@ -41,12 +41,6 @@ pub fn check_overlay_spec(spec: &OverlaySpec) -> (OverlayReport, Vec<Violation>)
     (report, violations)
 }
 
-/// Generates and checks one overlay seed, returning only the violations.
-#[must_use]
-pub fn check_overlay_seed(seed: u64) -> Vec<Violation> {
-    check_overlay_spec(&OverlaySpec::generate(seed)).1
-}
-
 /// Outcome of a first-failure sweep over a seed range.
 #[derive(Debug)]
 pub struct SweepOutcome<R> {

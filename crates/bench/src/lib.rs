@@ -26,7 +26,7 @@ pub mod fuzzer;
 pub mod paper;
 pub mod sweep;
 
-use kmsg_netsim::stats::OnlineStats;
+use kmsg_telemetry::metrics::OnlineStats;
 
 /// Parsed common command-line options.
 #[derive(Debug, Clone)]

@@ -302,7 +302,7 @@ mod tests {
 
     use super::*;
     use crate::fig1_core::{Cell, EPISODE_WINDOW, WIRE_WINDOW};
-    use kmsg_netsim::stats::Summary;
+    use kmsg_telemetry::metrics::Summary;
     use std::collections::BTreeSet;
 
     const DOC: &str = include_str!("../../../EXPERIMENTS.md");

@@ -348,7 +348,7 @@ impl ComponentContext {
         self.core
             .system
             .upgrade()
-            .map_or(SimTime::ZERO, |s| s.clock.now())
+            .map_or(SimTime::ZERO, |s| s.timer.now())
     }
 
     /// Schedules a one-shot timeout; `on_timeout` fires after `delay`.

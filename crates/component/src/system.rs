@@ -14,12 +14,11 @@ use crate::component::{
 };
 use crate::port::{ChannelToProvider, ChannelToRequirer, Port, Selector, SelfPort, SelfRef};
 use crate::scheduler::{Scheduler, SimulationScheduler, ThreadPoolScheduler};
-use crate::timer::{Clock, SimTimer, TimerSource, WallTimer};
+use crate::timer::{SimTimer, TimerSource, WallTimer};
 
 pub(crate) struct SystemInner {
     pub(crate) scheduler: Box<dyn Scheduler>,
     pub(crate) timer: Box<dyn TimerSource>,
-    pub(crate) clock: Box<dyn Clock>,
     pub(crate) max_events_per_scheduling: usize,
     pub(crate) components: Mutex<Vec<Arc<dyn AbstractComponent>>>,
     next_component: AtomicU64,
@@ -93,12 +92,10 @@ impl ComponentSystem {
     /// Creates a deterministic system driven by a simulation's virtual time.
     #[must_use]
     pub fn simulation(sim: &Sim, config: SystemConfig) -> Self {
-        let timer = SimTimer::new(sim);
         ComponentSystem {
             inner: Arc::new(SystemInner {
                 scheduler: Box::new(SimulationScheduler::new(sim)),
-                timer: Box::new(timer.clone()),
-                clock: Box::new(timer),
+                timer: Box::new(SimTimer::new(sim)),
                 max_events_per_scheduling: config.max_events_per_scheduling,
                 components: Mutex::new(Vec::new()),
                 next_component: AtomicU64::new(0),
@@ -110,13 +107,10 @@ impl ComponentSystem {
     /// Creates a multi-threaded system with wall-clock timers.
     #[must_use]
     pub fn threaded(config: SystemConfig) -> Self {
-        let timer = WallTimer::new();
-        let clock = WallTimer::new();
         ComponentSystem {
             inner: Arc::new(SystemInner {
                 scheduler: Box::new(ThreadPoolScheduler::new(config.threads)),
-                timer: Box::new(timer),
-                clock: Box::new(clock),
+                timer: Box::new(WallTimer::new()),
                 max_events_per_scheduling: config.max_events_per_scheduling,
                 components: Mutex::new(Vec::new()),
                 next_component: AtomicU64::new(0),
@@ -224,7 +218,7 @@ impl ComponentSystem {
     /// The system clock.
     #[must_use]
     pub fn now(&self) -> SimTime {
-        self.inner.clock.now()
+        self.inner.timer.now()
     }
 
     /// Number of components created in this system.

@@ -14,8 +14,11 @@ use crate::component::ComponentCore;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TimeoutId(pub u64);
 
-/// Source of timer expirations.
+/// Source of timer expirations, and the clock they are scheduled on.
 pub trait TimerSource: Send + Sync {
+    /// The current time (virtual or wall, depending on the system mode).
+    fn now(&self) -> SimTime;
+
     /// Delivers `id` to `target` once, after `delay`.
     fn schedule_once(&self, delay: Duration, target: Arc<ComponentCore>, id: TimeoutId);
 
@@ -28,12 +31,6 @@ pub trait TimerSource: Send + Sync {
         target: Arc<ComponentCore>,
         id: TimeoutId,
     );
-}
-
-/// A clock readable by components.
-pub trait Clock: Send + Sync {
-    /// The current time (virtual or wall, depending on the system mode).
-    fn now(&self) -> SimTime;
 }
 
 /// Virtual-time timers and clock driven by a [`Sim`].
@@ -51,6 +48,10 @@ impl SimTimer {
 }
 
 impl TimerSource for SimTimer {
+    fn now(&self) -> SimTime {
+        self.sim.now()
+    }
+
     fn schedule_once(&self, delay: Duration, target: Arc<ComponentCore>, id: TimeoutId) {
         // The per-core timeout sink is created once and reused for every
         // one-shot; the timeout id rides in the event token, so scheduling
@@ -114,12 +115,6 @@ impl EventTarget for PeriodicSink {
         core.push_timeout(self.id);
         let (period, token) = (self.period, self.id.0);
         sim.schedule_target_in(period, self, token);
-    }
-}
-
-impl Clock for SimTimer {
-    fn now(&self) -> SimTime {
-        self.sim.now()
     }
 }
 
@@ -261,6 +256,12 @@ impl Default for WallTimer {
 }
 
 impl TimerSource for WallTimer {
+    fn now(&self) -> SimTime {
+        SimTime::from_nanos(
+            u64::try_from(self.inner.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX),
+        )
+    }
+
     fn schedule_once(&self, delay: Duration, target: Arc<ComponentCore>, id: TimeoutId) {
         self.push(std::time::Instant::now() + delay, target, id, None);
     }
@@ -273,14 +274,6 @@ impl TimerSource for WallTimer {
         id: TimeoutId,
     ) {
         self.push(std::time::Instant::now() + delay, target, id, Some(period));
-    }
-}
-
-impl Clock for WallTimer {
-    fn now(&self) -> SimTime {
-        SimTime::from_nanos(
-            u64::try_from(self.inner.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        )
     }
 }
 

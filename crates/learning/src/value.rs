@@ -172,12 +172,6 @@ impl ApproxV {
             }
         }
     }
-
-    /// The learned (non-approximated) `V(s)` entries.
-    #[must_use]
-    pub fn learned_values(&self) -> &[Option<f64>] {
-        self.inner.values()
-    }
 }
 
 impl ActionValue for ApproxV {

@@ -47,7 +47,6 @@ pub mod packet;
 pub mod pool;
 pub mod rng;
 pub mod slab;
-pub mod stats;
 pub mod tcp;
 pub mod testutil;
 pub mod time;

@@ -657,12 +657,6 @@ impl Network {
         (pool.total_allocated(), pool.high_water())
     }
 
-    /// Retained packet-pool slot storage in bytes (scaling-probe RSS term).
-    #[must_use]
-    pub fn packet_pool_mem_bytes(&self) -> usize {
-        self.0.lock().net.pool.mem_bytes()
-    }
-
     /// Snapshot of fabric-wide counters.
     #[must_use]
     pub fn stats(&self) -> NetworkStats {

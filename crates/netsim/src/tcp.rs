@@ -122,16 +122,6 @@ pub struct TcpSegment {
     pub payload: Bytes,
 }
 
-impl TcpSegment {
-    /// Sequence space consumed by this segment (payload + SYN/FIN flags).
-    #[must_use]
-    pub fn seq_len(&self) -> u64 {
-        self.payload.len() as u64
-            + u64::from(self.flags.syn)
-            + u64::from(self.flags.fin)
-    }
-}
-
 /// Per-connection counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TcpConnStats {
@@ -1199,15 +1189,10 @@ fn maybe_close(flow: &mut Flow, rec: &Recorder, now: SimTime, out: &mut Vec<Acti
         return;
     }
     let local_done = !flow.fin_queued || flow.fin_acked;
-    if flow.fin_received && local_done {
-        flow.state = State::Closed;
-        flow.hdr.closed_notified = true;
-        close_all_seg_spans(flow, rec, now);
-        disarm_rto(flow);
-        out.push(Action::Closed(CloseReason::Normal));
-    } else if flow.fin_queued && flow.fin_acked && !flow.fin_received {
-        // We initiated and the peer acknowledged; linger until the peer's
-        // FIN or just report closure (simplified half-close).
+    // Closed once the peer's FIN is in and ours (if any) is acknowledged,
+    // or once we initiated and the peer acknowledged: linger until the
+    // peer's FIN or just report closure (simplified half-close).
+    if (flow.fin_received && local_done) || (flow.fin_queued && flow.fin_acked) {
         flow.state = State::Closed;
         flow.hdr.closed_notified = true;
         close_all_seg_spans(flow, rec, now);

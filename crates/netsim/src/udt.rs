@@ -165,6 +165,8 @@ pub struct UdtConnStats {
     pub rate_decreases: u64,
     /// Packets dropped by the receive-processing queue.
     pub rx_proc_drops: u64,
+    /// Packets dropped because the receive buffer (`rcv_buf`) was full.
+    pub rcv_buf_drops: u64,
     /// Expiration events (no feedback while data in flight).
     pub expirations: u64,
 }
@@ -883,7 +885,7 @@ fn store_incoming(flow: &mut Flow, cfg: &UdtConfig, seq: u64, payload: Bytes) {
         return; // duplicate
     }
     if flow.ooo_bytes + payload.len() > cfg.rcv_buf {
-        flow.stats.rx_proc_drops += 1;
+        flow.stats.rcv_buf_drops += 1;
         return; // receive buffer overflow: packet is effectively lost
     }
     flow.ooo_bytes += payload.len();
@@ -1334,6 +1336,32 @@ mod tests {
             })
             .collect();
         assert_eq!(losses, [5]);
+    }
+
+    #[test]
+    fn a_full_receive_buffer_counts_its_own_drops() {
+        let (sim, net, a, b) = setup(LinkConfig::new(10e6, Duration::from_millis(5)));
+        let server = Arc::new(Recorder::default());
+        let _l = listen(&net, b, &server, UdtConfig::default());
+        let small = UdtConfig {
+            rcv_buf: 2_000,
+            ..UdtConfig::default()
+        };
+        let client = Arc::new(Recorder::default());
+        let conn = UdtConn::connect(&net, a, Endpoint::new(b, 90), small, client).unwrap();
+        sim.run_for(Duration::from_secs(1));
+        assert!(conn.is_established());
+        // Packet 0 never arrives, so 1 and 2 wait behind the hole and fill
+        // the 2 000-byte buffer; 3 does not fit.
+        conn.process(|flow, cfg, rec, now, out| {
+            for seq in 1..=3 {
+                let payload = Bytes::from(vec![0; 1_000]);
+                let data = UdtPacket::Data { seq, probe: false, payload };
+                UdtConfig::on_wire(flow, cfg, rec, now, out, data);
+            }
+        });
+        let stats = conn.stats();
+        assert_eq!((stats.rcv_buf_drops, stats.rx_proc_drops), (1, 0));
     }
 
     #[test]

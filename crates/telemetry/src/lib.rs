@@ -1,16 +1,16 @@
 //! # kmsg-telemetry — deterministic sim-time telemetry
 //!
-//! Observability substrate for the KompicsMessaging reproduction: a
-//! metrics registry (counters, gauges, log-linear histograms), a **flight
-//! recorder** capturing structured protocol events to a bounded in-memory
-//! ring, JSON/JSONL exporters over the workspace's one JSON module
-//! ([`json`]), and leveled logging for binaries.
+//! Observability substrate for the KompicsMessaging reproduction: named
+//! gauges, summary statistics ([`metrics`]), a **flight recorder**
+//! capturing structured protocol events to a bounded in-memory ring,
+//! JSON/JSONL exporters over the workspace's one JSON module ([`json`]),
+//! and leveled logging for binaries.
 //!
 //! Three properties drive the design:
 //!
 //! * **Near-zero cost when off.** A [`Recorder`] starts disabled; every
-//!   instrument and [`Recorder::record`] call first checks one shared
-//!   atomic flag, so instrumented hot paths pay a relaxed load and a
+//!   [`Recorder::record`] and [`Recorder::set_gauge`] call first checks
+//!   one atomic flag, so instrumented hot paths pay a relaxed load and a
 //!   predictable branch until someone calls [`Recorder::enable`]. Call
 //!   sites whose event payload is expensive to build (formatting,
 //!   sampling a queue) use [`Recorder::record_with`], which defers the
@@ -36,7 +36,7 @@
 //! let rec = Recorder::new();
 //! rec.record(0, EventKind::Mark { id: 1, value: 7 }); // no-op: disabled
 //! rec.enable();
-//! rec.counter("packets_sent").inc();
+//! rec.set_gauge("goodput_bps", 1.5e6);
 //! rec.record(1_000, EventKind::Mark { id: 1, value: 8 });
 //! assert_eq!(rec.event_count(), 1);
 //! let jsonl = rec.to_jsonl();
@@ -62,11 +62,9 @@ use std::sync::{Arc, Mutex};
 
 pub use event::{Event, EventKind, KIND_COUNT, KIND_LABELS};
 pub use log::Level;
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use trace::{SpanId, SpanKind, Tracer};
 
 use export::push_event_json;
-use metrics::HistogramCells;
 
 /// Default flight-recorder capacity (events retained before the oldest are
 /// evicted).
@@ -77,15 +75,8 @@ struct Ring {
     cap: usize,
 }
 
-#[derive(Default)]
-struct Registry {
-    counters: BTreeMap<String, Arc<AtomicU64>>,
-    gauges: BTreeMap<String, Arc<AtomicU64>>,
-    histograms: BTreeMap<String, Arc<HistogramCells>>,
-}
-
 struct RecorderInner {
-    enabled: Arc<AtomicBool>,
+    enabled: AtomicBool,
     recorded: AtomicU64,
     evicted: AtomicU64,
     /// Ring-full drops tallied per [`EventKind::index`] — truncated runs
@@ -104,7 +95,8 @@ struct RecorderInner {
     ring_claim: AtomicBool,
     /// The flight-recorder ring, guarded exclusively by `ring_claim`.
     ring: UnsafeCell<Ring>,
-    registry: Mutex<Registry>,
+    /// Named gauges, last value wins, exported in name order.
+    gauges: Mutex<BTreeMap<String, f64>>,
 }
 
 // SAFETY: `ring` is only ever touched through `RingGuard`, which takes
@@ -154,8 +146,7 @@ impl Drop for RingGuard<'_> {
     }
 }
 
-/// Handle to a telemetry recorder: metrics registry + flight-recorder
-/// ring.
+/// Handle to a telemetry recorder: named gauges + flight-recorder ring.
 ///
 /// Cloning is cheap and every clone shares the same state, so a recorder
 /// can be threaded through all layers of a simulation and enabled once,
@@ -194,7 +185,7 @@ impl Recorder {
     pub fn with_capacity(capacity: usize) -> Self {
         Recorder {
             inner: Arc::new(RecorderInner {
-                enabled: Arc::new(AtomicBool::new(false)),
+                enabled: AtomicBool::new(false),
                 recorded: AtomicU64::new(0),
                 evicted: AtomicU64::new(0),
                 evicted_by_kind: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -204,7 +195,7 @@ impl Recorder {
                     buf: VecDeque::with_capacity(capacity.min(1024)),
                     cap: capacity.max(1),
                 }),
-                registry: Mutex::new(Registry::default()),
+                gauges: Mutex::new(BTreeMap::new()),
             }),
         }
     }
@@ -349,7 +340,7 @@ impl Recorder {
     /// metrics snapshot says *what* the ring dropped, not just how much.
     pub fn publish_overflow_gauges(&self) {
         for (label, n) in self.evicted_by_kind() {
-            self.gauge(&format!("recorder/dropped/{label}")).set(n as f64);
+            self.set_gauge(&format!("recorder/dropped/{label}"), n as f64);
         }
     }
 
@@ -357,11 +348,6 @@ impl Recorder {
     #[must_use]
     pub fn tracer(&self) -> Tracer {
         Tracer::new(self.clone())
-    }
-
-    /// Drops all retained events (counters and metrics are kept).
-    pub fn clear_events(&self) {
-        self.inner.claim().ring().buf.clear();
     }
 
     /// Resizes the flight-recorder ring. Long chaos runs overflow the
@@ -397,48 +383,12 @@ impl Recorder {
         });
     }
 
-    /// Registers (or fetches) the counter `name`.
-    #[must_use]
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut reg = self.inner.registry.lock().expect("telemetry registry poisoned");
-        let cell = reg
-            .counters
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-            .clone();
-        Counter {
-            enabled: self.inner.enabled.clone(),
-            cell,
-        }
-    }
-
-    /// Registers (or fetches) the gauge `name`.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut reg = self.inner.registry.lock().expect("telemetry registry poisoned");
-        let cell = reg
-            .gauges
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-            .clone();
-        Gauge {
-            enabled: self.inner.enabled.clone(),
-            cell,
-        }
-    }
-
-    /// Registers (or fetches) the histogram `name`.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Histogram {
-        let mut reg = self.inner.registry.lock().expect("telemetry registry poisoned");
-        let cells = reg
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(HistogramCells::new()))
-            .clone();
-        Histogram {
-            enabled: self.inner.enabled.clone(),
-            cells,
+    /// Sets the gauge `name` to `value`, replacing any earlier value
+    /// (no-op while the recorder is disabled).
+    pub fn set_gauge(&self, name: &str, value: f64) {
+        if self.is_enabled() {
+            let mut gauges = self.inner.gauges.lock().expect("telemetry gauges poisoned");
+            gauges.insert(name.to_string(), value);
         }
     }
 
@@ -456,15 +406,15 @@ impl Recorder {
         out
     }
 
-    /// Serialises a metrics + event-count snapshot as pretty-printed JSON
-    /// (the `telemetry.json` format).
+    /// Serialises an event-count + gauge snapshot as pretty-printed JSON
+    /// (the `telemetry.json` format, version 2).
     ///
-    /// Metric maps are emitted in name order and per-kind event counts in
+    /// Gauges are emitted in name order and per-kind event counts in
     /// label order, so equal recorded data yields byte-identical text.
     #[must_use]
     pub fn snapshot_json(&self) -> String {
         let mut out = String::with_capacity(1024);
-        out.push_str("{\n  \"version\": 1,\n");
+        out.push_str("{\n  \"version\": 2,\n");
 
         // Event section.
         let mut by_kind: BTreeMap<&'static str, u64> = BTreeMap::new();
@@ -489,27 +439,8 @@ impl Recorder {
         push_map(&mut out, "    ", "evicted_by_kind", self.evicted_by_kind(), count);
         out.push_str("\n  },\n");
 
-        let reg = self.inner.registry.lock().expect("telemetry registry poisoned");
-        push_map(&mut out, "  ", "counters", &reg.counters, |out, cell| {
-            count(out, cell.load(Ordering::Relaxed));
-        });
-        out.push_str(",\n");
-        push_map(&mut out, "  ", "gauges", &reg.gauges, |out, cell| {
-            json::push_f64(out, f64::from_bits(cell.load(Ordering::Relaxed)));
-        });
-        out.push_str(",\n");
-        push_map(&mut out, "  ", "histograms", &reg.histograms, |out, cells| {
-            let s = Histogram {
-                enabled: self.inner.enabled.clone(),
-                cells: cells.clone(),
-            }
-            .snapshot();
-            out.push_str(&format!(
-                "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-                 \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
-                s.count, s.sum, s.min, s.max, s.p50, s.p90, s.p99
-            ));
-        });
+        let gauges = self.inner.gauges.lock().expect("telemetry gauges poisoned");
+        push_map(&mut out, "  ", "gauges", gauges.iter(), |out, v| json::push_f64(out, *v));
         out.push_str("\n}\n");
         out
     }
@@ -730,10 +661,20 @@ mod tests {
         assert!(rec.is_enabled());
         rec.record(5, EventKind::Mark { id: 1, value: 2 });
         assert_eq!(clone.event_count(), 1);
-        let c1 = rec.counter("x");
-        let c2 = clone.counter("x");
-        c1.add(4);
-        assert_eq!(c2.value(), 4);
+        rec.set_gauge("x", 4.0);
+        assert!(clone.snapshot_json().contains("\"x\": 4"));
+    }
+
+    #[test]
+    fn set_gauge_while_disabled_is_a_noop() {
+        let rec = Recorder::new();
+        rec.set_gauge("g", 3.5);
+        assert!(rec.snapshot_json().contains("\"gauges\": {}"));
+        rec.enable();
+        rec.set_gauge("g", 3.5);
+        rec.disable();
+        rec.set_gauge("g", 7.0);
+        assert!(rec.snapshot_json().contains("\"g\": 3.5"));
     }
 
     #[test]
@@ -741,10 +682,8 @@ mod tests {
         let run = || {
             let rec = Recorder::new();
             rec.enable();
-            rec.counter("sent").add(3);
-            rec.gauge("ratio").set(-0.25);
-            rec.histogram("lat_us").record(150);
-            rec.histogram("lat_us").record(4000);
+            rec.set_gauge("sent", 3.0);
+            rec.set_gauge("ratio", -0.25);
             rec.record(10, EventKind::SchedulerQueue { depth: 2 });
             rec.record(
                 20,
@@ -777,7 +716,7 @@ mod tests {
         assert_eq!(
             Recorder::new().snapshot_json(),
             r#"{
-  "version": 1,
+  "version": 2,
   "events": {
     "recorded": 0,
     "retained": 0,
@@ -785,24 +724,21 @@ mod tests {
     "by_kind": {},
     "evicted_by_kind": {}
   },
-  "counters": {},
-  "gauges": {},
-  "histograms": {}
+  "gauges": {}
 }
 "#
         );
         let rec = Recorder::with_capacity(1);
         rec.enable();
-        rec.counter("c\"x").add(3);
-        let _ = rec.counter("d");
-        rec.gauge("g").set(-0.25);
-        rec.histogram("h").record(150);
+        rec.set_gauge("c\"x", 3.0);
+        rec.set_gauge("d", 0.0);
+        rec.set_gauge("g", -0.25);
         rec.record(1, EventKind::SchedulerQueue { depth: 1 });
         rec.record(2, EventKind::Mark { id: 0, value: 0 });
         assert_eq!(
             rec.snapshot_json(),
             r#"{
-  "version": 1,
+  "version": 2,
   "events": {
     "recorded": 2,
     "retained": 1,
@@ -814,15 +750,10 @@ mod tests {
       "scheduler_queue": 1
     }
   },
-  "counters": {
-    "c\"x": 3,
-    "d": 0
-  },
   "gauges": {
+    "c\"x": 3,
+    "d": 0,
     "g": -0.25
-  },
-  "histograms": {
-    "h": {"count": 1, "sum": 150, "min": 150, "max": 150, "p50": 144, "p90": 144, "p99": 144}
   }
 }
 "#

@@ -29,17 +29,6 @@ pub fn set_level(level: Level) {
     LEVEL.store(level as u8, Ordering::Relaxed);
 }
 
-/// Current maximum level.
-#[must_use]
-pub fn max_level() -> Level {
-    match LEVEL.load(Ordering::Relaxed) {
-        0 => Level::Error,
-        1 => Level::Warn,
-        2 => Level::Info,
-        _ => Level::Debug,
-    }
-}
-
 /// Whether a message at `level` would currently be emitted.
 #[must_use]
 pub fn enabled(level: Level) -> bool {

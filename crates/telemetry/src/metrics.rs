@@ -1,213 +1,240 @@
-//! Low-overhead metric instruments: counters, gauges and log-linear
-//! histograms.
+//! A run's numbers: summary statistics over samples.
 //!
-//! Instruments are cheap cloneable handles around atomics. Every mutation
-//! first checks the owning recorder's `enabled` flag with one relaxed
-//! atomic load, so a disabled recorder reduces each instrumented call site
-//! to a load-and-branch — the property the engine overhead-guard bench
-//! pins down.
+//! Provides Welford online mean/variance ([`OnlineStats`]), five-number
+//! summaries with percentiles ([`Summary`], [`percentile_sorted`]) and 95%
+//! confidence intervals for the sample mean (as used for the paper's
+//! Figure 9 error bars). A value a run publishes by name goes to
+//! [`Recorder::set_gauge`](crate::Recorder::set_gauge) instead, and from
+//! there into the snapshot's `gauges` section.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// A monotonically increasing counter.
-#[derive(Debug, Clone)]
-pub struct Counter {
-    pub(crate) enabled: Arc<AtomicBool>,
-    pub(crate) cell: Arc<AtomicU64>,
+/// Online mean / variance accumulator (Welford's algorithm).
+///
+/// # Examples
+///
+/// ```
+/// use kmsg_telemetry::metrics::OnlineStats;
+///
+/// let mut s = OnlineStats::new();
+/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
+///     s.push(x);
+/// }
+/// assert_eq!(s.mean(), 5.0);
+/// assert!((s.stddev() - 2.138).abs() < 0.01);
+/// ```
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct OnlineStats {
+    n: u64,
+    mean: f64,
+    m2: f64,
+    min: f64,
+    max: f64,
 }
 
-impl Counter {
-    /// Adds `n` to the counter (no-op while the recorder is disabled).
-    #[inline]
-    pub fn add(&self, n: u64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.cell.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Adds one (no-op while the recorder is disabled).
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
+impl OnlineStats {
+    /// Creates an empty accumulator.
     #[must_use]
-    pub fn value(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-value-wins gauge holding an `f64`.
-#[derive(Debug, Clone)]
-pub struct Gauge {
-    pub(crate) enabled: Arc<AtomicBool>,
-    pub(crate) cell: Arc<AtomicU64>,
-}
-
-impl Gauge {
-    /// Sets the gauge (no-op while the recorder is disabled).
-    #[inline]
-    pub fn set(&self, v: f64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.cell.store(v.to_bits(), Ordering::Relaxed);
+    pub fn new() -> Self {
+        OnlineStats {
+            n: 0,
+            mean: 0.0,
+            m2: 0.0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
         }
     }
 
-    /// Current value (0.0 until first set).
-    #[must_use]
-    pub fn value(&self) -> f64 {
-        f64::from_bits(self.cell.load(Ordering::Relaxed))
-    }
-}
-
-/// Values below this threshold get their own exact bucket.
-const LINEAR_MAX: u64 = 16;
-/// Sub-buckets per power of two above the linear range.
-const SUB: usize = 16;
-/// Total bucket count covering the full `u64` range.
-const BUCKETS: usize = LINEAR_MAX as usize + 60 * SUB;
-
-/// Shared storage behind [`Histogram`] handles.
-pub(crate) struct HistogramCells {
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-}
-
-impl HistogramCells {
-    pub(crate) fn new() -> Self {
-        HistogramCells {
-            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
-    }
-}
-
-impl std::fmt::Debug for HistogramCells {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HistogramCells")
-            .field("count", &self.count.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
-/// Bucket index for a value: exact below [`LINEAR_MAX`], then 16 linear
-/// sub-buckets per power of two (log-linear, HdrHistogram-style).
-fn bucket_index(v: u64) -> usize {
-    if v < LINEAR_MAX {
-        v as usize
-    } else {
-        let msb = 63 - v.leading_zeros() as usize;
-        let sub = ((v >> (msb - 4)) & 0xF) as usize;
-        LINEAR_MAX as usize + (msb - 4) * SUB + sub
-    }
-}
-
-/// Lowest value that lands in bucket `i` (inverse of [`bucket_index`]).
-fn bucket_floor(i: usize) -> u64 {
-    if i < LINEAR_MAX as usize {
-        i as u64
-    } else {
-        let oct = (i - LINEAR_MAX as usize) / SUB + 4;
-        let sub = ((i - LINEAR_MAX as usize) % SUB) as u64;
-        (LINEAR_MAX + sub) << (oct - 4)
-    }
-}
-
-/// Point-in-time view of a histogram, with approximate percentiles
-/// (resolved to the floor of the containing log-linear bucket, i.e. within
-/// ~6.25% of the true value).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistogramSnapshot {
-    /// Number of recorded values.
-    pub count: u64,
-    /// Sum of recorded values (wrapping).
-    pub sum: u64,
-    /// Smallest recorded value (0 when empty).
-    pub min: u64,
-    /// Largest recorded value (0 when empty).
-    pub max: u64,
-    /// Approximate median.
-    pub p50: u64,
-    /// Approximate 90th percentile.
-    pub p90: u64,
-    /// Approximate 99th percentile.
-    pub p99: u64,
-}
-
-/// A log-linear histogram of `u64` samples (16 sub-buckets per power of
-/// two), with exact count/sum/min/max.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    pub(crate) enabled: Arc<AtomicBool>,
-    pub(crate) cells: Arc<HistogramCells>,
-}
-
-impl Histogram {
-    /// Records one sample (no-op while the recorder is disabled).
-    #[inline]
-    pub fn record(&self, v: u64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
-        let c = &self.cells;
-        c.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        c.count.fetch_add(1, Ordering::Relaxed);
-        c.sum.fetch_add(v, Ordering::Relaxed);
-        c.min.fetch_min(v, Ordering::Relaxed);
-        c.max.fetch_max(v, Ordering::Relaxed);
+    /// Adds a sample.
+    pub fn push(&mut self, x: f64) {
+        self.n += 1;
+        let delta = x - self.mean;
+        self.mean += delta / self.n as f64;
+        self.m2 += delta * (x - self.mean);
+        self.min = self.min.min(x);
+        self.max = self.max.max(x);
     }
 
-    /// Number of recorded samples.
+    /// Number of samples seen.
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.cells.count.load(Ordering::Relaxed)
+        self.n
     }
 
-    /// Takes a consistent-enough snapshot for reporting. (Individual cells
-    /// are read independently; in the single-threaded simulator the view
-    /// is exact.)
+    /// Sample mean (0 if empty).
     #[must_use]
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let c = &self.cells;
-        let count = c.count.load(Ordering::Relaxed);
-        if count == 0 {
-            return HistogramSnapshot {
-                count: 0,
-                sum: 0,
-                min: 0,
-                max: 0,
-                p50: 0,
-                p90: 0,
-                p99: 0,
-            };
+    pub fn mean(&self) -> f64 {
+        if self.n == 0 {
+            0.0
+        } else {
+            self.mean
         }
-        let percentile = |p: f64| -> u64 {
-            let rank = ((p * count as f64).ceil() as u64).max(1);
-            let mut seen = 0u64;
-            for (i, b) in c.buckets.iter().enumerate() {
-                seen += b.load(Ordering::Relaxed);
-                if seen >= rank {
-                    return bucket_floor(i);
-                }
-            }
-            c.max.load(Ordering::Relaxed)
-        };
-        HistogramSnapshot {
-            count,
-            sum: c.sum.load(Ordering::Relaxed),
-            min: c.min.load(Ordering::Relaxed),
-            max: c.max.load(Ordering::Relaxed),
-            p50: percentile(0.50),
-            p90: percentile(0.90),
-            p99: percentile(0.99),
+    }
+
+    /// Unbiased sample variance (0 with fewer than two samples).
+    #[must_use]
+    pub fn variance(&self) -> f64 {
+        if self.n < 2 {
+            0.0
+        } else {
+            self.m2 / (self.n - 1) as f64
+        }
+    }
+
+    /// Sample standard deviation.
+    #[must_use]
+    pub fn stddev(&self) -> f64 {
+        self.variance().sqrt()
+    }
+
+    /// Standard error of the mean.
+    #[must_use]
+    pub fn stderr(&self) -> f64 {
+        if self.n == 0 {
+            0.0
+        } else {
+            self.stddev() / (self.n as f64).sqrt()
+        }
+    }
+
+    /// Relative standard error (stderr / |mean|); infinite for a zero mean.
+    ///
+    /// The paper repeats runs "until the relative standard error dropped
+    /// below 10% of the sample mean".
+    #[must_use]
+    pub fn relative_stderr(&self) -> f64 {
+        let m = self.mean();
+        if m == 0.0 {
+            f64::INFINITY
+        } else {
+            self.stderr() / m.abs()
+        }
+    }
+
+    /// Half-width of the 95% confidence interval for the mean, using
+    /// Student's t critical value for the sample size.
+    #[must_use]
+    pub fn ci95_half_width(&self) -> f64 {
+        if self.n < 2 {
+            return 0.0;
+        }
+        t_critical_95((self.n - 1) as usize) * self.stderr()
+    }
+
+    /// Smallest sample seen (NaN-free; +inf if empty).
+    #[must_use]
+    pub fn min(&self) -> f64 {
+        self.min
+    }
+
+    /// Largest sample seen (-inf if empty).
+    #[must_use]
+    pub fn max(&self) -> f64 {
+        self.max
+    }
+
+    /// Merges another accumulator into this one (parallel Welford).
+    pub fn merge(&mut self, other: &OnlineStats) {
+        if other.n == 0 {
+            return;
+        }
+        if self.n == 0 {
+            *self = *other;
+            return;
+        }
+        let n1 = self.n as f64;
+        let n2 = other.n as f64;
+        let delta = other.mean - self.mean;
+        let total = n1 + n2;
+        self.mean += delta * n2 / total;
+        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
+        self.n += other.n;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
+}
+
+/// Two-sided 95% Student-t critical value for `df` degrees of freedom.
+fn t_critical_95(df: usize) -> f64 {
+    const TABLE: [f64; 30] = [
+        12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179,
+        2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064,
+        2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
+    ];
+    match df {
+        0 => f64::INFINITY,
+        n if n <= 30 => TABLE[n - 1],
+        n if n <= 60 => 2.02,
+        n if n <= 120 => 1.98,
+        _ => 1.96,
+    }
+}
+
+/// Five-number summary (min / p25 / median / p75 / max) plus mean, over a
+/// batch of samples. Used for the paper's Figure 1 box plots.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Summary {
+    /// Number of samples.
+    pub count: usize,
+    /// Minimum.
+    pub min: f64,
+    /// 25th percentile.
+    pub p25: f64,
+    /// Median.
+    pub median: f64,
+    /// 75th percentile.
+    pub p75: f64,
+    /// Maximum.
+    pub max: f64,
+    /// Arithmetic mean.
+    pub mean: f64,
+}
+
+impl Summary {
+    /// Computes the summary of `samples`, or `None` when `samples` is
+    /// empty (there is no meaningful five-number summary of nothing).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` contains NaN.
+    #[must_use]
+    pub fn of(samples: &[f64]) -> Option<Summary> {
+        if samples.is_empty() {
+            return None;
+        }
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
+        let mean = sorted.iter().sum::<f64>() / sorted.len() as f64;
+        Some(Summary {
+            count: sorted.len(),
+            min: sorted[0],
+            p25: percentile_sorted(&sorted, 0.25),
+            median: percentile_sorted(&sorted, 0.5),
+            p75: percentile_sorted(&sorted, 0.75),
+            max: sorted[sorted.len() - 1],
+            mean,
+        })
+    }
+}
+
+/// Linear-interpolated percentile of an ascending-sorted slice, `q` in
+/// `[0, 1]`. Returns 0.0 for an empty slice (documented sentinel, so
+/// report-generation code never panics on a dataset that produced no
+/// samples).
+///
+/// # Panics
+///
+/// Panics if `q` is outside `[0, 1]`.
+#[must_use]
+pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
+    assert!((0.0..=1.0).contains(&q), "percentile rank out of range");
+    match sorted.len() {
+        0 => 0.0,
+        1 => sorted[0],
+        n => {
+            let pos = q * (n - 1) as f64;
+            let lo = pos.floor() as usize;
+            let hi = pos.ceil() as usize;
+            let frac = pos - lo as f64;
+            sorted[lo] + (sorted[hi] - sorted[lo]) * frac
         }
     }
 }
@@ -217,59 +244,109 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bucket_roundtrip_floor() {
-        for v in [0u64, 1, 15, 16, 17, 31, 32, 100, 1023, 1024, 1 << 40, u64::MAX] {
-            let i = bucket_index(v);
-            let floor = bucket_floor(i);
-            assert!(floor <= v, "floor({i}) = {floor} > {v}");
-            // Next bucket starts above v.
-            if i + 1 < BUCKETS {
-                assert!(bucket_floor(i + 1) > v, "v {v} not below next bucket");
-            }
+    fn online_stats_basic() {
+        let mut s = OnlineStats::new();
+        assert_eq!(s.mean(), 0.0);
+        assert_eq!(s.variance(), 0.0);
+        for x in [1.0, 2.0, 3.0, 4.0] {
+            s.push(x);
         }
+        assert_eq!(s.count(), 4);
+        assert!((s.mean() - 2.5).abs() < 1e-12);
+        assert!((s.variance() - 5.0 / 3.0).abs() < 1e-12);
+        assert_eq!(s.min(), 1.0);
+        assert_eq!(s.max(), 4.0);
     }
 
     #[test]
-    fn histogram_percentiles_are_bucket_floors() {
-        let enabled = Arc::new(AtomicBool::new(true));
-        let h = Histogram {
-            enabled,
-            cells: Arc::new(HistogramCells::new()),
-        };
-        for v in 1..=1000u64 {
-            h.record(v);
+    fn online_stats_merge_matches_sequential() {
+        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
+        let mut all = OnlineStats::new();
+        for &x in &xs {
+            all.push(x);
         }
-        let s = h.snapshot();
-        assert_eq!(s.count, 1000);
-        assert_eq!(s.min, 1);
-        assert_eq!(s.max, 1000);
-        assert_eq!(s.sum, 500_500);
-        // log-linear resolution: within one sub-bucket (6.25%) below truth
-        assert!(s.p50 <= 500 && s.p50 >= 468, "p50 = {}", s.p50);
-        assert!(s.p90 <= 900 && s.p90 >= 843, "p90 = {}", s.p90);
-        assert!(s.p99 <= 990 && s.p99 >= 927, "p99 = {}", s.p99);
+        let mut a = OnlineStats::new();
+        let mut b = OnlineStats::new();
+        for &x in &xs[..37] {
+            a.push(x);
+        }
+        for &x in &xs[37..] {
+            b.push(x);
+        }
+        a.merge(&b);
+        assert!((a.mean() - all.mean()).abs() < 1e-9);
+        assert!((a.variance() - all.variance()).abs() < 1e-9);
+        assert_eq!(a.count(), 100);
     }
 
     #[test]
-    fn disabled_instruments_are_noops() {
-        let enabled = Arc::new(AtomicBool::new(false));
-        let c = Counter {
-            enabled: enabled.clone(),
-            cell: Arc::new(AtomicU64::new(0)),
-        };
-        let g = Gauge {
-            enabled: enabled.clone(),
-            cell: Arc::new(AtomicU64::new(0)),
-        };
-        let h = Histogram {
-            enabled,
-            cells: Arc::new(HistogramCells::new()),
-        };
-        c.inc();
-        g.set(3.5);
-        h.record(9);
-        assert_eq!(c.value(), 0);
-        assert_eq!(g.value(), 0.0);
-        assert_eq!(h.count(), 0);
+    fn merge_with_empty_is_identity() {
+        let mut a = OnlineStats::new();
+        a.push(1.0);
+        let before = a;
+        a.merge(&OnlineStats::new());
+        assert_eq!(a, before);
+        let mut e = OnlineStats::new();
+        e.merge(&before);
+        assert_eq!(e, before);
+    }
+
+    #[test]
+    fn ci95_small_sample() {
+        let mut s = OnlineStats::new();
+        for x in [10.0, 12.0, 11.0, 13.0, 9.0] {
+            s.push(x);
+        }
+        // df = 4 -> t = 2.776
+        let expected = 2.776 * s.stderr();
+        assert!((s.ci95_half_width() - expected).abs() < 1e-12);
+    }
+
+    #[test]
+    fn ci95_large_sample_uses_normal() {
+        let mut s = OnlineStats::new();
+        for i in 0..1000 {
+            s.push(i as f64);
+        }
+        assert!((s.ci95_half_width() - 1.96 * s.stderr()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn relative_stderr_shrinks() {
+        let mut s = OnlineStats::new();
+        s.push(100.0);
+        s.push(110.0);
+        let r2 = s.relative_stderr();
+        for _ in 0..20 {
+            s.push(105.0);
+        }
+        assert!(s.relative_stderr() < r2);
+    }
+
+    #[test]
+    fn summary_quartiles() {
+        let s = Summary::of(&[1.0, 2.0, 3.0, 4.0, 5.0]).expect("non-empty");
+        assert_eq!(s.min, 1.0);
+        assert_eq!(s.median, 3.0);
+        assert_eq!(s.max, 5.0);
+        assert_eq!(s.p25, 2.0);
+        assert_eq!(s.p75, 4.0);
+        assert_eq!(s.mean, 3.0);
+        assert_eq!(s.count, 5);
+    }
+
+    #[test]
+    fn summary_of_empty_is_none() {
+        assert_eq!(Summary::of(&[]), None);
+    }
+
+    #[test]
+    fn percentile_interpolates() {
+        let v = [0.0, 10.0];
+        assert_eq!(percentile_sorted(&v, 0.5), 5.0);
+        assert_eq!(percentile_sorted(&v, 0.0), 0.0);
+        assert_eq!(percentile_sorted(&v, 1.0), 10.0);
+        assert_eq!(percentile_sorted(&[7.0], 0.3), 7.0);
+        assert_eq!(percentile_sorted(&[], 0.9), 0.0, "empty-slice sentinel");
     }
 }
