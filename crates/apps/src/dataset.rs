@@ -175,9 +175,8 @@ const GUARD: f64 = 1e-12;
 /// they differ the record takes libm's `sin`.
 fn climate_records(first: usize, bias: f64, out: &mut [u8]) {
     static TABLE: OnceLock<[(f64, f64, f64); ANCHOR]> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        std::array::from_fn(|k| k as f64 * 0.01).map(|x| (x.sin(), x.cos(), x))
-    });
+    let table = TABLE
+        .get_or_init(|| std::array::from_fn(|k| k as f64 * 0.01).map(|x| (x.sin(), x.cos(), x)));
     let field = |s: f64| (s * 120.0 + bias) as f32;
     let (mut lo, mut hi) = ([0f32; ANCHOR], [0f32; ANCHOR]);
     let mut tag = (first % 1_000_000) as u32;
@@ -196,7 +195,11 @@ fn climate_records(first: usize, bias: f64, out: &mut [u8]) {
         }
         for (k, slot) in slots.chunks_exact_mut(REC).enumerate() {
             let exact = lo[k].to_bits() == hi[k].to_bits();
-            let f = if exact { lo[k] } else { field(((rec + k) as f64 * 0.01).sin()) };
+            let f = if exact {
+                lo[k]
+            } else {
+                field(((rec + k) as f64 * 0.01).sin())
+            };
             slot[0..4].copy_from_slice(b"CAM5");
             slot[4..8].copy_from_slice(&tag.to_le_bytes());
             slot[8..12].copy_from_slice(&f.to_le_bytes());
@@ -392,9 +395,9 @@ mod tests {
 
     /// `Dataset::checksum`-style accumulation over explicit pieces.
     fn accumulate<'a>(pieces: impl IntoIterator<Item = (usize, &'a [u8])>) -> u64 {
-        pieces
-            .into_iter()
-            .fold(0u64, |acc, (off, data)| acc.wrapping_add(chunk_hash(off as u64, data)))
+        pieces.into_iter().fold(0u64, |acc, (off, data)| {
+            acc.wrapping_add(chunk_hash(off as u64, data))
+        })
     }
 
     fn gen_chunks(rng: &mut RngStream) -> (Dataset, usize) {
@@ -423,7 +426,12 @@ mod tests {
         PropRunner::new("chunk-hash-byte-change").cases(64).run(
             |rng| {
                 let (ds, chunk) = gen_chunks(rng);
-                (ds, chunk, rng.gen_range(0..ds.size), rng.gen_range(1u8..=255))
+                (
+                    ds,
+                    chunk,
+                    rng.gen_range(0..ds.size),
+                    rng.gen_range(1u8..=255),
+                )
             },
             |&(ds, chunk, at, flip)| {
                 let mut parts = pieces(&ds, chunk);
@@ -466,7 +474,11 @@ mod tests {
                 flipped[at] ^= 0x80;
                 assert_ne!(chunk_hash(5, &flipped), h, "len {len}, byte {at}");
             }
-            assert_ne!(chunk_hash(5, &[&data[..], &[0]].concat()), h, "len {len} + a zero");
+            assert_ne!(
+                chunk_hash(5, &[&data[..], &[0]].concat()),
+                h,
+                "len {len} + a zero"
+            );
             assert_ne!(chunk_hash(6, &data), h, "len {len} at another offset");
         }
     }
@@ -514,7 +526,12 @@ mod tests {
                     size,
                     seed: rng.gen(),
                 };
-                (ds, rec * REC, rng.gen_range(1usize..REC), rng.gen_range(0usize..3_000))
+                (
+                    ds,
+                    rec * REC,
+                    rng.gen_range(1usize..REC),
+                    rng.gen_range(0usize..3_000),
+                )
             },
             |&(ds, base, short, long)| {
                 for offset in base..base + REC {
@@ -569,7 +586,10 @@ mod tests {
         let ds = Dataset::climate(1 << 30, 14);
         let offset = 33_418_366 * REC;
         assert_eq!(ds.chunk(offset, REC), reference::chunk(&ds, offset, REC));
-        assert_eq!(ds.chunk(offset - 40, 100), reference::chunk(&ds, offset - 40, 100));
+        assert_eq!(
+            ds.chunk(offset - 40, 100),
+            reference::chunk(&ds, offset - 40, 100)
+        );
     }
 
     #[test]

@@ -17,9 +17,7 @@ use kmsg_netsim::{FaultController, FaultPlan, Recorder, RecorderTracer};
 use crate::dataset::Dataset;
 use crate::ping::{PingStats, Pinger, PingerConfig, Ponger};
 use crate::scenario::{two_host_world, Setup, TwoHostWorld};
-use crate::transfer::{
-    FileReceiver, FileSender, ReceiverConfig, ReceiverSample, SenderConfig,
-};
+use crate::transfer::{FileReceiver, FileSender, ReceiverConfig, ReceiverSample, SenderConfig};
 
 /// Ports used by the harness.
 const SENDER_PORT: u16 = 7000;
@@ -350,9 +348,10 @@ pub fn run_in_world(world: &TwoHostWorld, cfg: &ExperimentConfig) -> ExperimentR
             // Report the LAST round: earlier rounds warm the middleware.
             let time = match stats.round_done_at.len() {
                 0 => None,
-                1 => stats.round_done_at.first().map(|t| t.duration_since(
-                    kmsg_netsim::time::SimTime::ZERO,
-                )),
+                1 => stats
+                    .round_done_at
+                    .first()
+                    .map(|t| t.duration_since(kmsg_netsim::time::SimTime::ZERO)),
                 n => Some(stats.round_done_at[n - 1].duration_since(stats.round_done_at[n - 2])),
             };
             let complete = stats.done_at.is_some();
@@ -466,7 +465,10 @@ mod tests {
             "a DATA transfer should produce a rich event stream, got {}",
             jsonl_a.lines().count()
         );
-        assert_eq!(jsonl_a, jsonl_b, "flight-recorder JSONL must be reproducible");
+        assert_eq!(
+            jsonl_a, jsonl_b,
+            "flight-recorder JSONL must be reproducible"
+        );
         assert_eq!(snap_a, snap_b, "snapshot JSON must be reproducible");
     }
 

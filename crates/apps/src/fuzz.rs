@@ -312,8 +312,9 @@ impl ScenarioSpec {
         // Lenient on the controller dimension: artifacts that predate it
         // decode as plain Reno with no swap.
         let cc = match doc.get("cc").and_then(Json::as_str) {
-            Some(label) => CcAlgorithm::from_label(label)
-                .ok_or_else(|| format!("bad controller {label:?}"))?,
+            Some(label) => {
+                CcAlgorithm::from_label(label).ok_or_else(|| format!("bad controller {label:?}"))?
+            }
             None => CcAlgorithm::Reno,
         };
         let swap = match doc.get("swap_ms") {
@@ -456,13 +457,7 @@ pub fn oracle_config(spec: &ScenarioSpec) -> OracleConfig {
     let tpl = fuzz_net_template();
     let bw = spec.bandwidth_mbps as f64 * 1e6;
     let queue_s = (bw * spec.delay_ms as f64 / 1e3).max(256.0 * 1024.0) / bw;
-    let spike_s = spec
-        .faults
-        .iter()
-        .map(|f| f.spike_ms)
-        .max()
-        .unwrap_or(0) as f64
-        / 1e3;
+    let spike_s = spec.faults.iter().map(|f| f.spike_ms).max().unwrap_or(0) as f64 / 1e3;
     let per_hop_s = queue_s + spec.delay_ms as f64 / 1e3 + spec.jitter_us as f64 / 1e6 + spike_s;
     let hops = f64::from(spec.relays + 1);
     let grace_s = per_hop_s * hops * 2.0 + 1.0;
@@ -609,7 +604,10 @@ mod tests {
             assert!(a.faults.len() <= 2);
             for f in &a.faults {
                 assert!(f.to_ms > f.from_ms || f.to_ms == FAULT_DEADLINE_MS);
-                assert!(f.to_ms <= FAULT_DEADLINE_MS, "faults heal before the deadline");
+                assert!(
+                    f.to_ms <= FAULT_DEADLINE_MS,
+                    "faults heal before the deadline"
+                );
                 assert!(f.hop <= a.relays);
             }
             assert!(a.horizon_ms > 2 * FAULT_DEADLINE_MS);
@@ -628,7 +626,11 @@ mod tests {
             controllers.insert(spec.cc.label());
             swaps += usize::from(spec.swap.is_some());
         }
-        assert_eq!(controllers.len(), 3, "all controllers generated: {controllers:?}");
+        assert_eq!(
+            controllers.len(),
+            3,
+            "all controllers generated: {controllers:?}"
+        );
         assert!(
             (20..180).contains(&swaps),
             "roughly a third of scenarios carry a swap, got {swaps}/200"

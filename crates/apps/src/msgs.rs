@@ -45,7 +45,9 @@ impl Deserialiser<ChunkMsg> for ChunkMsg {
 
     fn deserialise(buf: &mut Bytes) -> Result<ChunkMsg, SerError> {
         if buf.remaining() < 8 {
-            return Err(SerError::Truncated { context: "ChunkMsg" });
+            return Err(SerError::Truncated {
+                context: "ChunkMsg",
+            });
         }
         let offset = buf.get_u64();
         let data = get_bytes(buf, "ChunkMsg")?;

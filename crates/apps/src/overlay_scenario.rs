@@ -273,15 +273,26 @@ impl OverlayReport {
         out.push_str(&format!(
             "nodes={} published={} expected={} delivered={} dup={} no_route={} \
              converged={}\n",
-            f.nodes, f.published, f.expected_deliveries, f.delivered, f.duplicates, f.no_route,
+            f.nodes,
+            f.published,
+            f.expected_deliveries,
+            f.delivered,
+            f.duplicates,
+            f.no_route,
             f.converged
         ));
         for (i, n) in self.per_node.iter().enumerate() {
             out.push_str(&format!(
                 "node{i}: pub={} del={} dup={} no_route={} reroutes={} resends={} \
                  ttl_drops={} digest={:016x}\n",
-                n.published, n.delivered, n.dup_drops, n.no_route, n.reroutes, n.resends,
-                n.ttl_drops, self.digests[i]
+                n.published,
+                n.delivered,
+                n.dup_drops,
+                n.no_route,
+                n.reroutes,
+                n.resends,
+                n.ttl_drops,
+                self.digests[i]
             ));
         }
         out.push_str(&format!(
@@ -307,7 +318,9 @@ pub fn run_overlay_spec(spec: &OverlaySpec) -> OverlayReport {
     let net = Network::new(&sim);
     net.set_tracer(RecorderTracer::new(recorder.clone()));
     let link = LinkConfig::new(20e6, Duration::from_millis(5));
-    let nodes: Vec<NodeId> = (0..spec.nodes).map(|i| net.add_node(format!("n{i}"))).collect();
+    let nodes: Vec<NodeId> = (0..spec.nodes)
+        .map(|i| net.add_node(format!("n{i}")))
+        .collect();
     for (a, b) in spec.edges() {
         for (x, y) in [(a, b), (b, a)] {
             let l = net.add_link(link.clone());
@@ -397,7 +410,9 @@ pub fn run_overlay_spec(spec: &OverlaySpec) -> OverlayReport {
             );
         }
     }
-    let _ctl = Some(plan).filter(|p| !p.is_empty()).map(|p| FaultController::install(&net, p));
+    let _ctl = Some(plan)
+        .filter(|p| !p.is_empty())
+        .map(|p| FaultController::install(&net, p));
 
     for p in &spec.publishes {
         let at = SimTime::from_millis(p.at_ms);
@@ -557,7 +572,10 @@ mod tests {
                     }
                 }
             }
-            assert!(seen.iter().all(|&s| s), "cut edge {skip} disconnected the mesh");
+            assert!(
+                seen.iter().all(|&s| s),
+                "cut edge {skip} disconnected the mesh"
+            );
         }
     }
 }

@@ -10,8 +10,8 @@ use parking_lot::Mutex;
 
 use kmsg_component::prelude::*;
 use kmsg_core::prelude::*;
-use kmsg_telemetry::metrics::OnlineStats;
 use kmsg_netsim::time::SimTime;
+use kmsg_telemetry::metrics::OnlineStats;
 
 use crate::msgs::{PingMsg, PongMsg};
 
@@ -81,7 +81,9 @@ pub struct Pinger {
 
 impl std::fmt::Debug for Pinger {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pinger").field("next_seq", &self.next_seq).finish()
+        f.debug_struct("Pinger")
+            .field("next_seq", &self.next_seq)
+            .finish()
     }
 }
 
@@ -169,7 +171,9 @@ pub struct Ponger {
 
 impl std::fmt::Debug for Ponger {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Ponger").field("answered", &self.answered).finish()
+        f.debug_struct("Ponger")
+            .field("answered", &self.answered)
+            .finish()
     }
 }
 

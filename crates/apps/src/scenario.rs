@@ -83,9 +83,7 @@ impl Setup {
         let one_way = self.rtt() / 2;
         match self {
             Setup::Local => LinkConfig::new(crate::disk::MEMORY_RATE, one_way),
-            Setup::EuVpc => {
-                LinkConfig::new(125e6, one_way).udp_policer(PolicerConfig::ec2_udp())
-            }
+            Setup::EuVpc => LinkConfig::new(125e6, one_way).udp_policer(PolicerConfig::ec2_udp()),
             Setup::Eu2Us | Setup::Eu2Au => LinkConfig::new(125e6, one_way)
                 .random_loss(5e-5)
                 .udp_policer(PolicerConfig::ec2_udp()),
@@ -169,7 +167,10 @@ mod tests {
         let setups = Setup::paper_setups();
         assert_eq!(setups.len(), 4);
         let rtts: Vec<f64> = setups.iter().map(|s| s.rtt().as_secs_f64()).collect();
-        assert!(rtts.windows(2).all(|w| w[0] < w[1]), "RTTs increase: {rtts:?}");
+        assert!(
+            rtts.windows(2).all(|w| w[0] < w[1]),
+            "RTTs increase: {rtts:?}"
+        );
     }
 
     #[test]

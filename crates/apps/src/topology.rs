@@ -143,7 +143,10 @@ pub fn star_fanin(net: &Network, senders: usize) -> Topology {
 /// Panics if `k` is odd or less than 2.
 #[must_use]
 pub fn fat_tree(net: &Network, k: usize) -> Topology {
-    assert!(k >= 2 && k.is_multiple_of(2), "fat-tree arity must be even, got {k}");
+    assert!(
+        k >= 2 && k.is_multiple_of(2),
+        "fat-tree arity must be even, got {k}"
+    );
     let half = k / 2;
 
     // Switch fabric.
@@ -471,7 +474,8 @@ struct SinkEvents {
 
 impl StreamEvents for SinkEvents {
     fn on_data(&self, _conn: &Connection, data: Bytes) {
-        self.delivered.fetch_add(data.len() as u64, Ordering::Relaxed);
+        self.delivered
+            .fetch_add(data.len() as u64, Ordering::Relaxed);
     }
 }
 
@@ -670,7 +674,10 @@ mod tests {
         }
         t.check_loop_free().expect("fat-tree paths are loop-free");
         // Cross-pod paths traverse exactly 7 nodes, same-pod at most 5.
-        assert!(t.paths.iter().all(|p| p.len() == 3 || p.len() == 5 || p.len() == 7));
+        assert!(t
+            .paths
+            .iter()
+            .all(|p| p.len() == 3 || p.len() == 5 || p.len() == 7));
         assert!(t.paths.iter().any(|p| p.len() == 7), "some cross-pod path");
 
         // Same seed ⇒ identical structure.

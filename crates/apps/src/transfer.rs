@@ -171,15 +171,18 @@ impl FileSender {
                     return;
                 }
             }
-            let len = self.cfg.chunk_size.min(self.cfg.dataset.size - self.next_offset);
+            let len = self
+                .cfg
+                .chunk_size
+                .min(self.cfg.dataset.size - self.next_offset);
             if let Some(disk) = &mut self.disk {
                 let _ready = disk.access(now, len);
             }
             let data = self.cfg.dataset.chunk(self.next_offset, len);
             // Offsets are globally unique across rounds so the receiver can
             // de-duplicate and attribute bytes to rounds.
-            let global = u64::from(self.round) * self.cfg.dataset.size as u64
-                + self.next_offset as u64;
+            let global =
+                u64::from(self.round) * self.cfg.dataset.size as u64 + self.next_offset as u64;
             let msg = self.build_message(global, data);
             let token = NotifyToken::new(self.next_token);
             self.next_token += 1;
@@ -478,8 +481,7 @@ impl Require<NetworkPort> for FileReceiver {
             None => now,
         };
         let total = self.cfg.dataset.size as u64 * u64::from(self.cfg.rounds.max(1));
-        let next_round_edge =
-            self.cfg.dataset.size as u64 * (stats.round_done_at.len() as u64 + 1);
+        let next_round_edge = self.cfg.dataset.size as u64 * (stats.round_done_at.len() as u64 + 1);
         if stats.bytes_received >= next_round_edge {
             stats.round_done_at.push(write_done);
         }

@@ -67,7 +67,9 @@ fn chaos_config(seed: u64) -> ExperimentConfig {
 fn data_transfer_rides_out_a_two_second_partition() {
     let result = run_experiment(&chaos_config(11));
     assert!(result.verified, "content must verify after the partition");
-    let thr = result.throughput.expect("transfer must complete after the heal");
+    let thr = result
+        .throughput
+        .expect("transfer must complete after the heal");
     assert!(thr > 0.0, "goodput after heal, got {thr}");
     assert_eq!(result.faults_applied, 4, "2 links severed + 2 healed");
     assert!(
@@ -83,8 +85,14 @@ fn data_transfer_rides_out_a_two_second_partition() {
         jsonl.contains("\"conn_status\""),
         "supervision transitions must reach the flight recorder"
     );
-    assert!(jsonl.contains("\"lost\""), "ConnectionLost must be recorded");
-    assert!(jsonl.contains("\"restored\""), "ConnectionRestored must be recorded");
+    assert!(
+        jsonl.contains("\"lost\""),
+        "ConnectionLost must be recorded"
+    );
+    assert!(
+        jsonl.contains("\"restored\""),
+        "ConnectionRestored must be recorded"
+    );
 }
 
 #[test]
@@ -104,6 +112,12 @@ fn same_seed_chaos_runs_are_byte_identical() {
     assert_eq!(faults_1, faults_2);
     assert_eq!(reconnects_1, reconnects_2);
     assert_eq!(dups_1, dups_2);
-    assert!(jsonl_1.contains("\"fault\""), "injections must be in the stream");
-    assert_eq!(jsonl_1, jsonl_2, "chaos telemetry must replay byte-for-byte");
+    assert!(
+        jsonl_1.contains("\"fault\""),
+        "injections must be in the stream"
+    );
+    assert_eq!(
+        jsonl_1, jsonl_2,
+        "chaos telemetry must replay byte-for-byte"
+    );
 }

@@ -92,7 +92,11 @@ fn delivered_payload(cc: CcAlgorithm, total: usize) -> Vec<u8> {
     let pump = PatternSender::new(&sim, total);
     let _conn = TcpConn::connect(&net, a, Endpoint::new(b, 80), cfg, pump).expect("connect");
     sim.run_for(Duration::from_secs(60));
-    assert!(server.in_order(), "{} delivery must be in order", cc.label());
+    assert!(
+        server.in_order(),
+        "{} delivery must be in order",
+        cc.label()
+    );
     server.data()
 }
 

@@ -35,7 +35,11 @@ fn oracle_suite_is_clean_over_seed_range() {
             kmsg_oracle::render_verdict(&violations),
             report.render()
         );
-        assert!(facts.completed, "seed {seed}: lost deliveries\n{}", report.render());
+        assert!(
+            facts.completed,
+            "seed {seed}: lost deliveries\n{}",
+            report.render()
+        );
         assert!(report.facts.converged, "seed {seed}: tables diverged");
         // The scenario-sized ring must never evict supervision events.
         assert_eq!(
@@ -70,7 +74,8 @@ fn partitioned_run_reroutes_and_stays_at_most_once() {
         .expect("some seed publishes into a partition window");
     let report = run_overlay_spec(&spec);
     assert_eq!(
-        report.facts.delivered, report.facts.expected_deliveries,
+        report.facts.delivered,
+        report.facts.expected_deliveries,
         "all deliveries must arrive despite the partition\n{}",
         report.render()
     );
@@ -78,5 +83,8 @@ fn partitioned_run_reroutes_and_stays_at_most_once() {
     for (i, n) in report.per_node.iter().enumerate() {
         assert_eq!(n.ttl_drops, 0, "node {i} dropped frames on TTL");
     }
-    assert_eq!(report.channels_dropped, 0, "supervision must not exhaust its budget");
+    assert_eq!(
+        report.channels_dropped, 0,
+        "supervision must not exhaust its budget"
+    );
 }

@@ -46,7 +46,9 @@ fn zero_capacity_queue_is_a_black_hole_not_a_panic() {
     let net = Network::new(&sim);
     let a = net.add_node("a");
     let b = net.add_node("b");
-    net.set_tracer(kmsg_netsim::trace::RecorderTracer::new(sim.recorder().clone()));
+    net.set_tracer(kmsg_netsim::trace::RecorderTracer::new(
+        sim.recorder().clone(),
+    ));
     net.connect_duplex(
         a,
         b,
@@ -74,7 +76,11 @@ fn zero_capacity_queue_is_a_black_hole_not_a_panic() {
     )
     .expect("conn");
     sim.run_for(Duration::from_secs(120));
-    assert_eq!(server.data_len(), 0, "nothing can cross a zero-capacity queue");
+    assert_eq!(
+        server.data_len(),
+        0,
+        "nothing can cross a zero-capacity queue"
+    );
     assert_eq!(server.connected(), 0);
     assert_eq!(client.closed(), 1, "the client must give up, not hang");
     assert_oracle_clean(
@@ -101,7 +107,9 @@ fn full_loss_window_heals_and_transfer_completes() {
     let net = Network::new(&sim);
     let a = net.add_node("a");
     let b = net.add_node("b");
-    net.set_tracer(kmsg_netsim::trace::RecorderTracer::new(sim.recorder().clone()));
+    net.set_tracer(kmsg_netsim::trace::RecorderTracer::new(
+        sim.recorder().clone(),
+    ));
     let (ab, ba) = net.connect_duplex(a, b, LinkConfig::new(10e6, Duration::from_millis(5)));
     let blackout = GeConfig {
         p_enter_bad: 1.0,
@@ -110,8 +118,18 @@ fn full_loss_window_heals_and_transfer_completes() {
         loss_bad: 1.0,
     };
     let plan = FaultPlan::new()
-        .loss_burst(ab, SimTime::from_millis(200), SimTime::from_millis(1_200), blackout)
-        .loss_burst(ba, SimTime::from_millis(200), SimTime::from_millis(1_200), blackout);
+        .loss_burst(
+            ab,
+            SimTime::from_millis(200),
+            SimTime::from_millis(1_200),
+            blackout,
+        )
+        .loss_burst(
+            ba,
+            SimTime::from_millis(200),
+            SimTime::from_millis(1_200),
+            blackout,
+        );
     FaultController::install(&net, plan);
     let server = Arc::new(Recorder::default());
     let _l = TcpListener::bind(
@@ -127,7 +145,11 @@ fn full_loss_window_heals_and_transfer_completes() {
     let _conn =
         TcpConn::connect(&net, a, Endpoint::new(b, 80), TcpConfig::default(), pump).expect("conn");
     sim.run_for(Duration::from_secs(300));
-    assert_eq!(server.data_len(), total, "transfer must finish after the heal");
+    assert_eq!(
+        server.data_len(),
+        total,
+        "transfer must finish after the heal"
+    );
     assert!(server.in_order());
     assert_oracle_clean(
         &sim,
@@ -170,7 +192,11 @@ fn single_byte_bandwidth_makes_no_progress_but_stays_legal() {
     let _conn =
         TcpConn::connect(&net, a, Endpoint::new(b, 80), TcpConfig::default(), pump).expect("conn");
     sim.run_for(Duration::from_secs(120));
-    assert_eq!(server.data_len(), 0, "no payload fits through 1 B/s in 2 min");
+    assert_eq!(
+        server.data_len(),
+        0,
+        "no payload fits through 1 B/s in 2 min"
+    );
     assert_oracle_clean(
         &sim,
         &kmsg_oracle::RunFacts {

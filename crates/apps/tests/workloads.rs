@@ -75,9 +75,12 @@ fn sender_stats_track_confirmations() {
         })
     });
     world.system.connect::<NetworkPort, _, _>(&na, &sender);
-    let receiver = world
-        .system
-        .create(|| FileReceiver::new(ReceiverConfig { disk_rate: None, ..ReceiverConfig::new(dataset) }));
+    let receiver = world.system.create(|| {
+        FileReceiver::new(ReceiverConfig {
+            disk_rate: None,
+            ..ReceiverConfig::new(dataset)
+        })
+    });
     world.system.connect::<NetworkPort, _, _>(&nb, &receiver);
     let tx = sender.on_definition(|s| s.stats());
     world.system.start(&receiver);
@@ -151,7 +154,9 @@ fn receiver_samples_capture_wire_ratio() {
             ..SenderConfig::new(dataset, a, b, Transport::Data)
         })
     });
-    world.system.connect::<NetworkPort, _, _>(&dn.interceptor, &sender);
+    world
+        .system
+        .connect::<NetworkPort, _, _>(&dn.interceptor, &sender);
     let receiver = world.system.create(|| {
         FileReceiver::new(ReceiverConfig {
             disk_rate: None,
@@ -176,5 +181,9 @@ fn receiver_samples_capture_wire_ratio() {
         .filter_map(ReceiverSample::wire_ratio)
         .filter(|r| r.abs() < 0.5)
         .count();
-    assert!(mixed > 0, "windows must show the balanced mix: {:?}", stats.samples);
+    assert!(
+        mixed > 0,
+        "windows must show the balanced mix: {:?}",
+        stats.samples
+    );
 }

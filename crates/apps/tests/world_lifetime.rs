@@ -92,15 +92,23 @@ fn dropping_a_world_with_packets_in_flight_frees_it() {
         let dst = Endpoint::new(b, 80);
         let (listener, conn): (Box<dyn std::any::Any>, Connection) = match transport {
             WireProtocol::Tcp => (
-                Box::new(TcpListener::bind(net, b, 80, TcpConfig::default(), Arc::new(Accept)).expect("bind")),
+                Box::new(
+                    TcpListener::bind(net, b, 80, TcpConfig::default(), Arc::new(Accept))
+                        .expect("bind"),
+                ),
                 Connection::Tcp(
-                    TcpConn::connect(net, a, dst, TcpConfig::default(), Arc::new(SinkEvents)).expect("dial"),
+                    TcpConn::connect(net, a, dst, TcpConfig::default(), Arc::new(SinkEvents))
+                        .expect("dial"),
                 ),
             ),
             _ => (
-                Box::new(UdtListener::bind(net, b, 80, UdtConfig::default(), Arc::new(Accept)).expect("bind")),
+                Box::new(
+                    UdtListener::bind(net, b, 80, UdtConfig::default(), Arc::new(Accept))
+                        .expect("bind"),
+                ),
                 Connection::Udt(
-                    UdtConn::connect(net, a, dst, UdtConfig::default(), Arc::new(SinkEvents)).expect("dial"),
+                    UdtConn::connect(net, a, dst, UdtConfig::default(), Arc::new(SinkEvents))
+                        .expect("dial"),
                 ),
             ),
         };

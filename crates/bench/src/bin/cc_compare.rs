@@ -60,17 +60,20 @@ fn main() {
     // Each controller runs twice (independent worlds) through the sweep
     // runner; the second run is the byte-identity replay.
     let controllers = CcAlgorithm::all();
-    let jobs: Vec<CcAlgorithm> = controllers
-        .iter()
-        .flat_map(|&cc| [cc, cc])
-        .collect();
+    let jobs: Vec<CcAlgorithm> = controllers.iter().flat_map(|&cc| [cc, cc]).collect();
     let mut runs = kmsg_bench::sweep::map(args.jobs, jobs, |_idx, cc| {
         run_experiment(&cc_config(args.seed, cc))
     });
 
     let mut rows = Vec::new();
     let mut last_result = None;
-    kmsg_telemetry::log_info!("{:<10} {:>14} {:>12} {:>12}", "controller", "goodput MB/s", "xfer s", "wire MB");
+    kmsg_telemetry::log_info!(
+        "{:<10} {:>14} {:>12} {:>12}",
+        "controller",
+        "goodput MB/s",
+        "xfer s",
+        "wire MB"
+    );
     kmsg_bench::rule(52);
     for &cc in &controllers {
         let result = runs.remove(0);
@@ -114,7 +117,10 @@ fn main() {
     // Row file for the perf gate's baseline diff.
     let doc = Json::obj(vec![
         ("benchmark", Json::Str("cc_compare".to_string())),
-        ("setup", Json::Str("eu2us-125MBs-155ms-5e-5loss".to_string())),
+        (
+            "setup",
+            Json::Str("eu2us-125MBs-155ms-5e-5loss".to_string()),
+        ),
         ("transfer_bytes", Json::Num(TRANSFER_BYTES as f64)),
         (
             "rows",

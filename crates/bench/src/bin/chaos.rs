@@ -135,7 +135,10 @@ fn main() {
     });
     let replay = runs.pop().expect("two runs");
     let result = runs.pop().expect("two runs");
-    assert!(result.verified, "transfer must complete and verify after the heal");
+    assert!(
+        result.verified,
+        "transfer must complete and verify after the heal"
+    );
     assert!(
         result.sender_net.reconnects >= 1,
         "supervision must have reconnected at least one channel"
@@ -167,12 +170,20 @@ fn main() {
         "recovery latency",
         recovery.map_or(f64::NAN, |d| d.as_secs_f64())
     );
-    kmsg_telemetry::log_info!("{:<28} {:>12}", "fault actions applied", result.faults_applied);
+    kmsg_telemetry::log_info!(
+        "{:<28} {:>12}",
+        "fault actions applied",
+        result.faults_applied
+    );
     kmsg_telemetry::log_info!("{:<28} {:>12}", "reconnect attempts", s.reconnect_attempts);
     kmsg_telemetry::log_info!("{:<28} {:>12}", "reconnects", s.reconnects);
     kmsg_telemetry::log_info!("{:<28} {:>12}", "channels dropped", s.channels_dropped);
     kmsg_telemetry::log_info!("{:<28} {:>12}", "DATA failovers", s.failovers);
-    kmsg_telemetry::log_info!("{:<28} {:>12}", "duplicate chunks (deduped)", result.duplicates);
+    kmsg_telemetry::log_info!(
+        "{:<28} {:>12}",
+        "duplicate chunks (deduped)",
+        result.duplicates
+    );
 
     let rec = &result.recorder;
     rec.set_gauge("chaos/goodput_bps", goodput);
@@ -193,7 +204,12 @@ fn main() {
         }
     }
 
-    kmsg_telemetry::log_info!("\n{:<28} {:>8} {:>12}", "link drops by reason", "packets", "bytes");
+    kmsg_telemetry::log_info!(
+        "\n{:<28} {:>8} {:>12}",
+        "link drops by reason",
+        "packets",
+        "bytes"
+    );
     kmsg_bench::rule(50);
     for (reason, packets, bytes) in drops_by_reason(&result) {
         kmsg_telemetry::log_info!("{reason:<28} {packets:>8} {bytes:>12}");
@@ -240,7 +256,10 @@ fn main() {
     // Per-kind self-time profile of the whole run (flame-graph totals).
     kmsg_telemetry::log_info!(
         "\n{:<14} {:>8} {:>14} {:>14}",
-        "span kind", "count", "total ms", "self ms"
+        "span kind",
+        "count",
+        "total ms",
+        "self ms"
     );
     kmsg_bench::rule(54);
     for row in self_profile(&forest) {

@@ -121,19 +121,14 @@ fn still_fails(spec: &ScenarioSpec, oracle: &str, rule: &str) -> bool {
 
 /// Shrinks a failing spec and writes the replayable artifacts. Returns the
 /// rendered `failing_seed.json` document.
-fn minimize_and_write(
-    original: &ScenarioSpec,
-    violations: &[Violation],
-    out_dir: &str,
-) -> String {
+fn minimize_and_write(original: &ScenarioSpec, violations: &[Violation], out_dir: &str) -> String {
     let first = violations.first().expect("at least one violation");
     let (oracle, rule) = (first.oracle, first.rule);
     kmsg_telemetry::log_info!(
         "seed {}: minimizing against [{oracle}/{rule}] …",
         original.seed
     );
-    let (minimized, tested) =
-        minimize(original.clone(), |s| still_fails(s, oracle, rule));
+    let (minimized, tested) = minimize(original.clone(), |s| still_fails(s, oracle, rule));
     kmsg_telemetry::log_info!(
         "minimized after {tested} candidate runs: complexity {} -> {}",
         kmsg_oracle::Shrinkable::complexity(original),
@@ -152,8 +147,7 @@ fn minimize_and_write(
     let seed_path = format!("{out_dir}/failing_seed.json");
     let trace_path = format!("{out_dir}/failing_trace.jsonl");
     std::fs::write(&seed_path, &rendered).expect("write failing_seed.json");
-    std::fs::write(&trace_path, run.result.recorder.to_jsonl())
-        .expect("write failing_trace.jsonl");
+    std::fs::write(&trace_path, run.result.recorder.to_jsonl()).expect("write failing_trace.jsonl");
     kmsg_telemetry::log_info!("wrote {seed_path} and {trace_path}");
     rendered
 }

@@ -70,7 +70,9 @@ pub fn row(args: &kmsg_bench::BenchArgs) -> RowOutput {
     );
     kmsg_telemetry::log_info!(
         "{:<34} {:>12} {:>18}",
-        "variant", "final |err|", "episodes to peak"
+        "variant",
+        "final |err|",
+        "episodes to peak"
     );
     kmsg_bench::rule(66);
     let variants: Vec<(&str, SarsaConfig, ValueBackend)> = vec![
@@ -138,7 +140,12 @@ pub fn row(args: &kmsg_bench::BenchArgs) -> RowOutput {
         let hit_str = if hits == 0 {
             "never".to_string()
         } else {
-            format!("{:.0} ({}/{} seeds)", hit_sum as f64 / hits as f64, hits, SEEDS)
+            format!(
+                "{:.0} ({}/{} seeds)",
+                hit_sum as f64 / hits as f64,
+                hits,
+                SEEDS
+            )
         };
         kmsg_telemetry::log_info!("{name:<34} {mean_err:>12.3} {hit_str:>18}");
     }

@@ -14,10 +14,20 @@ use crate::RowOutput;
 
 pub fn row(args: &kmsg_bench::BenchArgs) -> RowOutput {
     let seeds = SeedSource::new(3);
-    kmsg_telemetry::log_info!("Ablation B — pattern construction (deviation = worst prefix |achieved - target|)\n");
+    kmsg_telemetry::log_info!(
+        "Ablation B — pattern construction (deviation = worst prefix |achieved - target|)\n"
+    );
     kmsg_telemetry::log_info!(
         "{:>7} {:>5} {:>5} | {:>6} {:>6} | {:>8} {:>8} {:>8} {:>8}",
-        "target", "p", "q", "c(p)", "c(p+1)", "dev(p)", "dev(p+1)", "dev(min)", "dev(rand)"
+        "target",
+        "p",
+        "q",
+        "c(p)",
+        "c(p+1)",
+        "dev(p)",
+        "dev(p+1)",
+        "dev(min)",
+        "dev(rand)"
     );
     kmsg_bench::rule(84);
     let probs = vec![0.03, 0.1, 0.125, 0.2, 0.25, 1.0 / 3.0, 0.4, 0.45, 0.5];

@@ -16,7 +16,12 @@ pub fn row(args: &kmsg_bench::BenchArgs) -> RowOutput {
     kmsg_telemetry::log_info!(
         "Ablation A — UDT throughput at EU2AU (320 ms RTT) vs protocol buffer size\n"
     );
-    kmsg_telemetry::log_info!("{:>10} {:>14} {:>16}", "buffers", "window/RTT cap", "throughput");
+    kmsg_telemetry::log_info!(
+        "{:>10} {:>14} {:>16}",
+        "buffers",
+        "window/RTT cap",
+        "throughput"
+    );
     kmsg_bench::rule(44);
     let rows = kmsg_bench::sweep::map(
         args.jobs,

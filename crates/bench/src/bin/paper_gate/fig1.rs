@@ -26,7 +26,15 @@ pub fn row(args: &kmsg_bench::BenchArgs) -> RowOutput {
     kmsg_telemetry::log_info!("(signed form: -1.0 = 100% TCP, +1.0 = 100% UDT)\n");
     kmsg_telemetry::log_info!(
         "{:>7} {:>8} {:<16} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
-        "target", "(signed)", "dataset", "min", "p25", "median", "p75", "max", "mean"
+        "target",
+        "(signed)",
+        "dataset",
+        "min",
+        "p25",
+        "median",
+        "p75",
+        "max",
+        "mean"
     );
     kmsg_bench::rule(96);
 

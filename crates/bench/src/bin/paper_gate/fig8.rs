@@ -52,7 +52,12 @@ pub fn row(args: &kmsg_bench::BenchArgs) -> RowOutput {
     );
     kmsg_telemetry::log_info!(
         "\n{:<8} {:>12} {:>12} {:>16} {:>16} {:>17}",
-        "setup", "TCP pings", "UDP pings", "TCP ping+TCPdata", "TCP ping+UDTdata", "TCP ping+DATAdata"
+        "setup",
+        "TCP pings",
+        "UDP pings",
+        "TCP ping+TCPdata",
+        "TCP ping+UDTdata",
+        "TCP ping+DATAdata"
     );
     kmsg_bench::rule(88);
     let worlds: Vec<(Setup, usize)> = Setup::paper_setups()

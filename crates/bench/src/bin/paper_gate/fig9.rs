@@ -25,7 +25,11 @@ pub fn row(args: &kmsg_bench::BenchArgs) -> RowOutput {
     );
     kmsg_telemetry::log_info!(
         "\n{:<8} {:>8} | {:>22} {:>22} {:>22}",
-        "setup", "RTT", "TCP (MB/s ± CI95)", "UDT (MB/s ± CI95)", "DATA (MB/s ± CI95)"
+        "setup",
+        "RTT",
+        "TCP (MB/s ± CI95)",
+        "UDT (MB/s ± CI95)",
+        "DATA (MB/s ± CI95)"
     );
     kmsg_bench::rule(92);
     let mut rows = Vec::new();

@@ -26,7 +26,10 @@ pub fn fig2(args: &BenchArgs) -> RowOutput {
     let udt_ref = learner_env::reference_throughput(Transport::Udt, secs.min(20), args.seed);
 
     for (label, psp) in [
-        ("Pattern selection", PspKind::Pattern(PatternKind::MinimalRest)),
+        (
+            "Pattern selection",
+            PspKind::Pattern(PatternKind::MinimalRest),
+        ),
         ("Probabilistic selection", PspKind::Random),
     ] {
         let cfg = learner_env::td_data_cfg(ValueBackend::Approx, 0.3, psp, args.seed);

@@ -97,7 +97,10 @@ fn main() {
 
     let doc = Json::obj(vec![
         ("benchmark", Json::Str("paper_gate".into())),
-        ("rows", Json::Arr(verdicts.iter().map(Verdict::to_json).collect())),
+        (
+            "rows",
+            Json::Arr(verdicts.iter().map(Verdict::to_json).collect()),
+        ),
         ("cells", Json::Arr(cells)),
     ]);
     std::fs::write(OUT, doc.render() + "\n").unwrap_or_else(|e| panic!("write {OUT}: {e}"));
@@ -112,4 +115,3 @@ fn main() {
     }
     kmsg_telemetry::log_info!("{} predicates hold; wrote {OUT}", verdicts.len());
 }
-

@@ -119,7 +119,11 @@ const GATES: [Gate; 4] = [
         what: "scale",
         rows: "rows",
         key: "hosts",
-        fields: &[("events_per_sec", true), ("bytes_per_flow", false), ("allocs_per_event", false)],
+        fields: &[
+            ("events_per_sec", true),
+            ("bytes_per_flow", false),
+            ("allocs_per_event", false),
+        ],
     },
     Gate {
         what: "reroute",
@@ -139,14 +143,21 @@ const GATES: [Gate; 4] = [
 /// the gate's fields. A row is labelled by its key: a name as it stands, a
 /// number with the key's name (`1000-hosts`).
 fn row_checks(gate: &Gate, baseline: &Json, fresh: &Json, out: &mut Vec<Check>) {
-    let rows = |doc| Json::get(doc, gate.rows).and_then(Json::as_arr).unwrap_or(&[]);
+    let rows = |doc| {
+        Json::get(doc, gate.rows)
+            .and_then(Json::as_arr)
+            .unwrap_or(&[])
+    };
     for b in rows(baseline) {
         let id = match b.get(gate.key) {
             Some(Json::Str(name)) => name.clone(),
             Some(Json::Num(n)) => format!("{n}-{}", gate.key),
             _ => continue,
         };
-        let Some(f) = rows(fresh).iter().find(|r| r.get(gate.key) == b.get(gate.key)) else {
+        let Some(f) = rows(fresh)
+            .iter()
+            .find(|r| r.get(gate.key) == b.get(gate.key))
+        else {
             kmsg_telemetry::log_info!(
                 "perf_gate: note: {} '{id}' absent from fresh run",
                 gate.what
@@ -220,7 +231,10 @@ fn run(baseline_dir: &str, fresh_dir: &str, tolerance: f64) -> Result<usize, Str
     );
     kmsg_telemetry::log_info!(
         "{:<36} {:>14} {:>14} {:>9}  verdict",
-        "metric", "baseline", "fresh", "change"
+        "metric",
+        "baseline",
+        "fresh",
+        "change"
     );
     kmsg_bench::rule(88);
 
@@ -271,7 +285,9 @@ fn main() -> ExitCode {
 
     match run(&baseline_dir, &fresh_dir, tolerance) {
         Ok(0) => {
-            kmsg_telemetry::log_info!("\nperf gate passed: no metric regressed beyond the tolerance");
+            kmsg_telemetry::log_info!(
+                "\nperf gate passed: no metric regressed beyond the tolerance"
+            );
             ExitCode::SUCCESS
         }
         Ok(regressed) => {
@@ -298,9 +314,15 @@ mod tests {
         let baseline = Json::parse(baseline).expect("baseline parses");
         let fresh = Json::parse(fresh).expect("fresh parses");
         let mut checks = Vec::new();
-        let gate = GATES.iter().find(|g| g.what == what).expect("a gate of that name");
+        let gate = GATES
+            .iter()
+            .find(|g| g.what == what)
+            .expect("a gate of that name");
         row_checks(gate, &baseline, &fresh, &mut checks);
-        checks.iter().map(|c| (c.label.clone(), c.regression() > 0.1)).collect()
+        checks
+            .iter()
+            .map(|c| (c.label.clone(), c.regression() > 0.1))
+            .collect()
     }
 
     /// Rows `worse` and `better` move 20 % each way; `gone` is missing from
@@ -324,13 +346,19 @@ mod tests {
             );
             assert_eq!(
                 verdicts(what, &baseline, &fresh),
-                [(format!("{what}/worse/{field}"), true), (format!("{what}/better/{field}"), false)]
+                [
+                    (format!("{what}/worse/{field}"), true),
+                    (format!("{what}/better/{field}"), false)
+                ]
             );
             // Read the other way round, the rows keep their names and trade
             // their fates; order follows the baseline document.
             assert_eq!(
                 verdicts(what, &fresh, &baseline),
-                [(format!("{what}/better/{field}"), true), (format!("{what}/worse/{field}"), false)]
+                [
+                    (format!("{what}/better/{field}"), true),
+                    (format!("{what}/worse/{field}"), false)
+                ]
             );
         }
     }

@@ -26,8 +26,8 @@
 //! ```
 
 use kmsg_apps::{run_overlay_spec, OverlayReport, OverlaySpec, PartitionWindow, PublishSpec};
-use kmsg_telemetry::json::Json;
 use kmsg_telemetry::critical_path::{reroute_attribution, SpanForest};
+use kmsg_telemetry::json::Json;
 use kmsg_telemetry::EventKind;
 
 /// The partition window (simulated milliseconds), as in the chaos bench.
@@ -151,7 +151,8 @@ fn main() {
     assert!(overlay.facts.converged, "overlay tables must reconverge");
     assert!(baseline.facts.converged, "baseline tables must reconverge");
     assert_eq!(
-        overlay.facts.delivered, overlay.facts.expected_deliveries,
+        overlay.facts.delivered,
+        overlay.facts.expected_deliveries,
         "rerouting must deliver the full stream:\n{}",
         overlay.render()
     );
@@ -231,7 +232,10 @@ fn main() {
     rec.set_gauge("reroute/speedup", baseline_gap as f64 / overlay_gap as f64);
     rec.set_gauge("reroute/reroutes", reroutes as f64);
     rec.set_gauge("reroute/overlay_delivered", overlay.facts.delivered as f64);
-    rec.set_gauge("reroute/baseline_delivered", baseline.facts.delivered as f64);
+    rec.set_gauge(
+        "reroute/baseline_delivered",
+        baseline.facts.delivered as f64,
+    );
     rec.publish_overflow_gauges();
 
     // Row file for the perf gate's baseline diff. Gap metrics are virtual
@@ -256,8 +260,10 @@ fn main() {
     std::fs::write("BENCH_reroute.json", doc.render() + "\n").expect("write BENCH_reroute.json");
 
     kmsg_bench::write_trace_out(&args, rec);
-    rec.write_snapshot("reroute.json").expect("write reroute.json");
-    rec.write_jsonl("reroute.jsonl").expect("write reroute.jsonl");
+    rec.write_snapshot("reroute.json")
+        .expect("write reroute.json");
+    rec.write_jsonl("reroute.jsonl")
+        .expect("write reroute.jsonl");
     kmsg_telemetry::log_info!(
         "\nspeedup: {:.1}x — wrote BENCH_reroute.json, reroute.json and reroute.jsonl",
         baseline_gap as f64 / overlay_gap as f64

@@ -321,7 +321,10 @@ fn scale_probes(host_counts: &[usize], seed: u64) -> Vec<ScaleRow> {
             r.flows as u64 * 64 * 1024,
             "scale run at {hosts} hosts must deliver everything"
         );
-        assert_eq!(r.closed_flows, r.flows, "all flows must close at {hosts} hosts");
+        assert_eq!(
+            r.closed_flows, r.flows,
+            "all flows must close at {hosts} hosts"
+        );
         let allocs_by_scope: [u64; memscope::N_SCOPES] =
             std::array::from_fn(|i| after[i] - before[i]);
         let total_allocs: u64 = allocs_by_scope.iter().sum();
@@ -391,14 +394,20 @@ fn main() {
     kmsg_telemetry::log_info!("Engine throughput probe ({engine_events} events per run):\n");
     kmsg_telemetry::log_info!(
         "{:<26} {:>12} {:>10} {:>16}",
-        "engine/workload", "events", "wall", "events/sec"
+        "engine/workload",
+        "events",
+        "wall",
+        "events/sec"
     );
     kmsg_bench::rule(68);
     let engines = engine_probes(engine_events);
     for p in &engines {
         kmsg_telemetry::log_info!(
             "{:<26} {:>12} {:>8.3} s {:>16.0}",
-            p.name, p.events, p.wall_secs, p.events_per_sec
+            p.name,
+            p.events,
+            p.wall_secs,
+            p.events_per_sec
         );
     }
 
@@ -413,7 +422,12 @@ fn main() {
     );
     kmsg_telemetry::log_info!(
         "{:<8} {:<5} {:>10} {:>12} {:>12} {:>9}",
-        "setup", "proto", "sim time", "throughput", "events", "wall"
+        "setup",
+        "proto",
+        "sim time",
+        "throughput",
+        "events",
+        "wall"
     );
     kmsg_bench::rule(62);
     let mut transfers = Vec::new();
@@ -471,7 +485,10 @@ fn main() {
     );
     kmsg_telemetry::log_info!(
         "{:<8} {:>10} {:>16} {:>10}",
-        "jobs", "wall", "worlds/sec", "speedup"
+        "jobs",
+        "wall",
+        "worlds/sec",
+        "speedup"
     );
     kmsg_bench::rule(48);
     let sweeps = sweep_probes(sweep_worlds);
@@ -501,7 +518,13 @@ fn main() {
     );
     kmsg_telemetry::log_info!(
         "{:<8} {:>10} {:>12} {:>14} {:>12} {:>10} {:>10}",
-        "hosts", "setup", "events", "events/sec", "B/flow", "vs base", "allocs/ev"
+        "hosts",
+        "setup",
+        "events",
+        "events/sec",
+        "B/flow",
+        "vs base",
+        "allocs/ev"
     );
     kmsg_bench::rule(84);
     let scale_rows = scale_probes(host_counts, args.seed);

@@ -12,8 +12,8 @@ use kmsg_core::data::{
 };
 use kmsg_core::Transport;
 use kmsg_netsim::rng::SeedSource;
-use kmsg_telemetry::metrics::Summary;
 use kmsg_telemetry::json::Json;
+use kmsg_telemetry::metrics::Summary;
 
 /// Sliding window matching one 1 s learning episode (~1600 messages).
 pub const EPISODE_WINDOW: usize = 1600;
@@ -23,8 +23,12 @@ pub const WIRE_WINDOW: usize = 16;
 pub const ENTRIES: usize = 160_000;
 
 /// The paper's x-axis: target ratios as the probability of UDT.
-pub const TARGETS: [(f64, &str); 4] =
-    [(0.0, "0"), (0.03, "3/100"), (1.0 / 3.0, "1/3"), (0.8, "4/5")];
+pub const TARGETS: [(f64, &str); 4] = [
+    (0.0, "0"),
+    (0.03, "3/100"),
+    (1.0 / 3.0, "1/3"),
+    (0.8, "4/5"),
+];
 
 /// One cell of the figure: a (target, window, policy) combination.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -10,7 +10,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use kmsg_apps::fuzz::{oracle_config, run_scenario, FuzzRun, ScenarioSpec};
-use kmsg_apps::{overlay_oracle_config, overlay_run_facts, run_overlay_spec, OverlayReport, OverlaySpec};
+use kmsg_apps::{
+    overlay_oracle_config, overlay_run_facts, run_overlay_spec, OverlayReport, OverlaySpec,
+};
 use kmsg_oracle::{check_all, Violation};
 
 use crate::sweep;
@@ -37,7 +39,11 @@ pub fn check_seed(seed: u64) -> Vec<Violation> {
 pub fn check_overlay_spec(spec: &OverlaySpec) -> (OverlayReport, Vec<Violation>) {
     let report = run_overlay_spec(spec);
     let events = report.recorder.events();
-    let violations = check_all(&events, &overlay_run_facts(&report), &overlay_oracle_config());
+    let violations = check_all(
+        &events,
+        &overlay_run_facts(&report),
+        &overlay_oracle_config(),
+    );
     (report, violations)
 }
 

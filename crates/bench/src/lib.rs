@@ -299,7 +299,10 @@ pub mod learner_env {
         );
         kmsg_telemetry::log_info!(
             "{:>5} {:>14} {:>12} {:>12}",
-            "t", "throughput", "target r", "wire r"
+            "t",
+            "throughput",
+            "target r",
+            "wire r"
         );
         let mut flow = result.flow_points.iter().peekable();
         for s in &result.receiver_samples {
@@ -346,7 +349,12 @@ pub mod learner_env {
         let udt_ref = reference_throughput(Transport::Udt, 20, args.seed);
         let run = |seed| {
             let psp = PspKind::Pattern(PatternKind::MinimalRest);
-            run_timed(Transport::Data, Some(td_data_cfg(backend, eps_max, psp, seed)), secs, seed)
+            run_timed(
+                Transport::Data,
+                Some(td_data_cfg(backend, eps_max, psp, seed)),
+                secs,
+                seed,
+            )
         };
         print_learner_table(label, &run(args.seed), (tcp_ref, udt_ref));
         // Single traces are seed-noisy; summarise a few seeds for context.

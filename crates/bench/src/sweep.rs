@@ -63,7 +63,8 @@ impl SweepCtl {
 
     /// Requests that indices strictly greater than `idx` be skipped.
     pub fn cancel_after(&self, idx: usize) {
-        self.cutoff.fetch_min(idx.saturating_add(1), Ordering::SeqCst);
+        self.cutoff
+            .fetch_min(idx.saturating_add(1), Ordering::SeqCst);
     }
 
     /// Whether `idx` is still required to run.
@@ -119,7 +120,8 @@ where
     // Task and result slots, keyed by submission index. A worker claims
     // an index from a deque, takes the task out of its slot, runs it on
     // this thread, and parks the result in the matching result slot.
-    let task_slots: Vec<Mutex<Option<T>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let task_slots: Vec<Mutex<Option<T>>> =
+        tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let result_slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
 
     // Round-robin pre-shard: worker w owns indices w, w+jobs, w+2*jobs…

@@ -204,12 +204,16 @@ fn bulk_chunk_stays_under_allocation_budget() {
     // and receive through all of it.
     let chunks = WARM_UP_CHUNKS + MEASURED_CHUNKS + 200;
     let dataset = Dataset::climate(chunks as usize * PAPER_CHUNK_SIZE, 1);
-    let a_net = create_network(&world.system, &world.net, NetworkConfig::new(a_addr)).expect("bind");
-    let b_net = create_network(&world.system, &world.net, NetworkConfig::new(b_addr)).expect("bind");
+    let a_net =
+        create_network(&world.system, &world.net, NetworkConfig::new(a_addr)).expect("bind");
+    let b_net =
+        create_network(&world.system, &world.net, NetworkConfig::new(b_addr)).expect("bind");
     let sender = world
         .system
         .create(|| FileSender::new(SenderConfig::new(dataset, a_addr, b_addr, Transport::Tcp)));
-    let receiver = world.system.create(|| FileReceiver::new(ReceiverConfig::new(dataset)));
+    let receiver = world
+        .system
+        .create(|| FileReceiver::new(ReceiverConfig::new(dataset)));
     world.system.connect::<NetworkPort, _, _>(&a_net, &sender);
     world.system.connect::<NetworkPort, _, _>(&b_net, &receiver);
     let received = receiver.on_definition(|r| r.stats());
@@ -221,7 +225,10 @@ fn bulk_chunk_stays_under_allocation_budget() {
     // A chunk reaches the receiver's disk every ~0.6 ms.
     let run_until = |target: u64| {
         while received.lock().chunks < target {
-            assert!(world.sim.now().as_nanos() < 60_000_000_000, "the transfer stalled");
+            assert!(
+                world.sim.now().as_nanos() < 60_000_000_000,
+                "the transfer stalled"
+            );
             world.sim.run_for(Duration::from_millis(1));
         }
         (received.lock().chunks, calls())
@@ -341,11 +348,25 @@ fn a_shared_buffer_is_one_allocator_call() {
         buf.put_slice(&data);
         buf.freeze()
     });
-    assert_eq!((n, frozen.len()), (1, data.len() + 4), "written, then frozen");
-    let (n, _) = counted(|| (frozen.clone(), frozen.slice(4..), copied.clone().split_to(9)));
+    assert_eq!(
+        (n, frozen.len()),
+        (1, data.len() + 4),
+        "written, then frozen"
+    );
+    let (n, _) = counted(|| {
+        (
+            frozen.clone(),
+            frozen.slice(4..),
+            copied.clone().split_to(9),
+        )
+    });
     assert_eq!(n, 0, "clone, slice and split_to share the buffer");
     let (n, zeroed) = counted(|| std::iter::repeat_n(0u8, 65_000).collect::<Arc<[u8]>>());
-    assert_eq!((n, zeroed.len()), (1, 65_000), "repeat_n collected into an Arc");
+    assert_eq!(
+        (n, zeroed.len()),
+        (1, 65_000),
+        "repeat_n collected into an Arc"
+    );
     let (n, _) = counted(|| (Bytes::new(), Bytes::copy_from_slice(&[]), BytesMut::new()));
     assert_eq!(n, 0, "the empty buffer");
 }
@@ -369,7 +390,11 @@ fn the_writers_of_a_bulk_chunk_are_one_allocator_call_each() {
         let warm = encode_frame(&msg, compression).expect("encode");
         drop(decode_frame_body(warm.slice(4..)).expect("decode"));
         let (n, frame) = counted(|| encode_frame(&msg, compression).expect("encode"));
-        assert_eq!((n, frame.len()), (1, warm.len()), "encode_frame, {compression:?}");
+        assert_eq!(
+            (n, frame.len()),
+            (1, warm.len()),
+            "encode_frame, {compression:?}"
+        );
         let (n, out) = counted(|| decode_frame_body(frame.slice(4..)).expect("decode"));
         let payload = out.try_deserialise::<Bytes, Bytes>().expect("payload");
         assert_eq!(payload, chunk);
@@ -402,7 +427,9 @@ fn a_hostile_claimed_length_leaves_scratch_sized_to_what_was_decoded() {
         let (_, raw) = msg.payload_to_bytes().expect("serialise");
         let block = codec::compress(&raw);
         assert!(block.len() <= 16, "a tiny block: {} B", block.len());
-        let mut frame = encode_frame(&msg, Compression::Threshold(1)).expect("encode").to_vec();
+        let mut frame = encode_frame(&msg, Compression::Threshold(1))
+            .expect("encode")
+            .to_vec();
         let claim = frame.len() - block.len() - 4;
         assert_eq!(frame[claim..claim + 4], (raw.len() as u32).to_be_bytes());
         frame[claim..claim + 4].copy_from_slice(&(MAX_FRAME as u32).to_be_bytes());

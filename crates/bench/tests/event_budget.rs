@@ -110,9 +110,8 @@ fn small_round_trips_stay_under_event_and_heap_budgets() {
     let a_addr = NetAddress::new(world.host_a, 7000);
     let b_addr = NetAddress::new(world.host_b, 7001);
     let round_trips = Arc::new(AtomicU64::new(0));
-    let bind = |addr| {
-        create_network(&world.system, &world.net, NetworkConfig::new(addr)).expect("bind")
-    };
+    let bind =
+        |addr| create_network(&world.system, &world.net, NetworkConfig::new(addr)).expect("bind");
     let (a_net, b_net) = (bind(a_addr), bind(b_addr));
     let peer = |addr, to| Peer {
         net: RequiredPort::new(),
@@ -125,7 +124,9 @@ fn small_round_trips_stay_under_event_and_heap_budgets() {
     let requesters: Vec<_> = (1..=REQUESTERS)
         .map(|i| {
             let vnode = VnodeId(i);
-            let req = world.system.create(|| peer(a_addr.with_vnode(vnode), Some(b_addr)));
+            let req = world
+                .system
+                .create(|| peer(a_addr.with_vnode(vnode), Some(b_addr)));
             connect_vnode(&world.system, &a_net, &req, vnode);
             req
         })
@@ -140,10 +141,17 @@ fn small_round_trips_stay_under_event_and_heap_budgets() {
     // 64 round trips take 3 ms of simulated time.
     let run_until = |target: u64| {
         while round_trips.load(Relaxed) < target {
-            assert!(world.sim.now().as_nanos() < 60_000_000_000, "the exchange stalled");
+            assert!(
+                world.sim.now().as_nanos() < 60_000_000_000,
+                "the exchange stalled"
+            );
             world.sim.run_for(Duration::from_millis(3));
         }
-        (round_trips.load(Relaxed), world.sim.events_executed(), LIVE_BYTES.load(Relaxed))
+        (
+            round_trips.load(Relaxed),
+            world.sim.events_executed(),
+            LIVE_BYTES.load(Relaxed),
+        )
     };
     let (trips_early, events_early, heap_early) = run_until(EARLY);
     let (trips_late, events_late, heap_late) = run_until(LATE);

@@ -21,10 +21,7 @@ fn fuzz_artifacts(jobs: usize, seeds: std::ops::Range<u64>) -> Vec<(String, Stri
     sweep::map(jobs, seeds.collect(), |_idx, seed: u64| {
         let spec = ScenarioSpec::generate(seed);
         let (run, violations) = check_spec(&spec);
-        (
-            render_verdict(&violations),
-            run.result.recorder.to_jsonl(),
-        )
+        (render_verdict(&violations), run.result.recorder.to_jsonl())
     })
 }
 

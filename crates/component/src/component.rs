@@ -270,7 +270,9 @@ pub struct Component<C: ComponentDefinition> {
 
 impl<C: ComponentDefinition> std::fmt::Debug for Component<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Component").field("core", &self.core).finish()
+        f.debug_struct("Component")
+            .field("core", &self.core)
+            .finish()
     }
 }
 
@@ -316,7 +318,6 @@ impl<C: ComponentDefinition> AbstractComponent for Component<C> {
         }
         handled
     }
-
 }
 
 /// Execution context handed to every handler invocation.
@@ -330,7 +331,9 @@ pub struct ComponentContext {
 
 impl std::fmt::Debug for ComponentContext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ComponentContext").field("id", &self.core.id).finish()
+        f.debug_struct("ComponentContext")
+            .field("id", &self.core.id)
+            .finish()
     }
 }
 

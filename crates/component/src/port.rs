@@ -180,7 +180,13 @@ impl<P: Port> RequiredPort<P> {
 fn fan_out<C, Ev: Clone>(
     channels: &[C],
     event: Ev,
-    parts: impl Fn(&C) -> (&Arc<SegQueue<Ev>>, &Arc<ComponentCore>, &Option<Selector<Ev>>),
+    parts: impl Fn(
+        &C,
+    ) -> (
+        &Arc<SegQueue<Ev>>,
+        &Arc<ComponentCore>,
+        &Option<Selector<Ev>>,
+    ),
 ) {
     // Deliver a clone on every accepting channel. The last accepting channel
     // could take the original, but uniform cloning keeps the code simple and

@@ -205,8 +205,7 @@ impl WallTimer {
                     }
                     t.target.push_timeout(t.id);
                     if let Some(period) = t.period {
-                        let seq =
-                            inner.seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        let seq = inner.seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                         inner.heap.lock().push(PendingTimer {
                             at: now + period,
                             seq,
@@ -233,7 +232,13 @@ impl WallTimer {
         WallTimer { inner }
     }
 
-    fn push(&self, at: std::time::Instant, target: Arc<ComponentCore>, id: TimeoutId, period: Option<Duration>) {
+    fn push(
+        &self,
+        at: std::time::Instant,
+        target: Arc<ComponentCore>,
+        id: TimeoutId,
+        period: Option<Duration>,
+    ) {
         let seq = self
             .inner
             .seq
@@ -324,7 +329,10 @@ mod tests {
         // effect, but the chain must stop.
         sim.run_for(Duration::from_millis(5));
         let residual = core.timeout_q.len();
-        assert!(residual <= 1, "periodic chain must stop, residual {residual}");
+        assert!(
+            residual <= 1,
+            "periodic chain must stop, residual {residual}"
+        );
     }
 
     #[test]

@@ -147,8 +147,14 @@ fn channel_selectors_route_indications() {
     system.start(&even);
     system.start(&odd);
     sim.run_for(Duration::from_secs(1));
-    assert_eq!(even.on_definition(|c| c.received.clone()), vec![0, 2, 4, 6, 8]);
-    assert_eq!(odd.on_definition(|c| c.received.clone()), vec![1, 3, 5, 7, 9]);
+    assert_eq!(
+        even.on_definition(|c| c.received.clone()),
+        vec![0, 2, 4, 6, 8]
+    );
+    assert_eq!(
+        odd.on_definition(|c| c.received.clone()),
+        vec![1, 3, 5, 7, 9]
+    );
 }
 
 #[test]
@@ -162,7 +168,11 @@ fn passive_components_queue_until_started() {
     system.connect::<NumPort, _, _>(&echo, &client);
     system.start(&client); // echo stays passive
     sim.run_for(Duration::from_secs(1));
-    assert_eq!(echo.on_definition(|e| e.seen.len()), 0, "passive: must not run");
+    assert_eq!(
+        echo.on_definition(|e| e.seen.len()),
+        0,
+        "passive: must not run"
+    );
     assert_eq!(echo.lifecycle_state(), LifecycleState::Passive);
     system.start(&echo);
     sim.run_for(Duration::from_secs(1));
@@ -254,7 +264,10 @@ fn self_port_injection_from_outside() {
     handle.push("hello".to_string());
     handle.push("world".to_string());
     sim.run_for(Duration::from_secs(1));
-    assert_eq!(comp.on_definition(|c| c.log.clone()), vec!["hello", "world"]);
+    assert_eq!(
+        comp.on_definition(|c| c.log.clone()),
+        vec!["hello", "world"]
+    );
 }
 
 /// An echo variant that records how many events each `execute` batch
@@ -311,8 +324,15 @@ fn max_events_per_scheduling_bounds_batches() {
     sim.run_for(Duration::from_secs(1));
     let (batches, total) = echo.on_definition(|e| (e.batches.clone(), e.total));
     assert_eq!(total, 1000);
-    assert!(batches.iter().all(|&b| b <= 10), "batch exceeded limit: {batches:?}");
-    assert!(batches.len() >= 100, "expected >= 100 batches, got {}", batches.len());
+    assert!(
+        batches.iter().all(|&b| b <= 10),
+        "batch exceeded limit: {batches:?}"
+    );
+    assert!(
+        batches.len() >= 100,
+        "expected >= 100 batches, got {}",
+        batches.len()
+    );
     assert_eq!(client.on_definition(|c| c.received.len()), 1000);
 }
 
@@ -357,7 +377,10 @@ fn threaded_timer_delivery() {
     system.start(&ticker);
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while ticker.on_definition(|t| t.ticks) < 5 {
-        assert!(std::time::Instant::now() < deadline, "timer ticks timed out");
+        assert!(
+            std::time::Instant::now() < deadline,
+            "timer ticks timed out"
+        );
         std::thread::sleep(Duration::from_millis(10));
     }
     assert_eq!(ticker.on_definition(|t| t.ticks), 5);
@@ -410,8 +433,14 @@ fn channel_selectors_route_requests() {
     system.start(&odd_echo);
     system.start(&client);
     sim.run_for(Duration::from_secs(1));
-    assert_eq!(even_echo.on_definition(|e| e.seen.clone()), vec![0, 2, 4, 6, 8]);
-    assert_eq!(odd_echo.on_definition(|e| e.seen.clone()), vec![1, 3, 5, 7, 9]);
+    assert_eq!(
+        even_echo.on_definition(|e| e.seen.clone()),
+        vec![0, 2, 4, 6, 8]
+    );
+    assert_eq!(
+        odd_echo.on_definition(|e| e.seen.clone()),
+        vec![1, 3, 5, 7, 9]
+    );
     // The client hears every echo twice? No: each request went to exactly
     // one provider, and each provider broadcasts its indication to its own
     // channel back to the client.
@@ -443,7 +472,11 @@ fn stop_and_restart_retains_events() {
         }
     });
     sim.run_for(Duration::from_secs(1));
-    assert_eq!(echo.on_definition(|e| e.seen.len()), 3, "paused: nothing handled");
+    assert_eq!(
+        echo.on_definition(|e| e.seen.len()),
+        3,
+        "paused: nothing handled"
+    );
     system.start(&echo);
     sim.run_for(Duration::from_secs(1));
     assert_eq!(

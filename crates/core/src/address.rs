@@ -52,7 +52,10 @@ impl NetAddress {
     /// Builds an address from an existing socket endpoint.
     #[must_use]
     pub fn from_socket(socket: Endpoint) -> Self {
-        NetAddress { socket, vnode: None }
+        NetAddress {
+            socket,
+            vnode: None,
+        }
     }
 
     /// A copy of this address scoped to the given virtual node.

@@ -61,7 +61,11 @@ fn common_prefix(a: &[u8], b: &[u8]) -> usize {
         }
         n += 8;
     }
-    n + a[n..].iter().zip(&b[n..]).take_while(|(x, y)| x == y).count()
+    n + a[n..]
+        .iter()
+        .zip(&b[n..])
+        .take_while(|(x, y)| x == y)
+        .count()
 }
 
 /// Writes `v` as a varint at `out[at..]`; returns the position after it,
@@ -119,7 +123,10 @@ fn max_compressed_len(len: usize) -> usize {
 ///
 /// Panics if `input` is 4 GiB or longer.
 pub fn compress_into(input: &[u8], out: &mut [u8]) -> Option<usize> {
-    assert!(u32::try_from(input.len()).is_ok(), "block codec input must be under 4 GiB");
+    assert!(
+        u32::try_from(input.len()).is_ok(),
+        "block codec input must be under 4 GiB"
+    );
     // Positions that fit a `u16` halve the table: ×1.10 on a bulk frame.
     if input.len() <= 1 << 16 {
         compress_with(input, out, &mut [0u16; 1 << HASH_BITS], |p| p as u16)
@@ -275,7 +282,8 @@ fn make_room(out: &mut Vec<u8>, need: usize, max_len: usize) {
 /// `max_len` (or `max_len` itself cannot be reserved).
 pub fn decompress(data: &[u8], max_len: usize) -> Result<Vec<u8>, CodecError> {
     let mut out = Vec::new();
-    out.try_reserve_exact(max_len).map_err(|_| CodecError::TooLarge)?;
+    out.try_reserve_exact(max_len)
+        .map_err(|_| CodecError::TooLarge)?;
     let len = decompress_into(data, max_len, &mut out)?;
     out.truncate(len);
     Ok(out)
@@ -366,7 +374,8 @@ mod reference {
     /// `max_len` (or `max_len` itself cannot be reserved).
     pub fn decompress(data: &[u8], max_len: usize) -> Result<Vec<u8>, CodecError> {
         let mut out = Vec::new();
-        out.try_reserve_exact(max_len).map_err(|_| CodecError::TooLarge)?;
+        out.try_reserve_exact(max_len)
+            .map_err(|_| CodecError::TooLarge)?;
         let mut pos = 0;
         loop {
             let lit_len = get_varint(data, &mut pos)? as usize;
@@ -441,18 +450,22 @@ mod reference {
             if is_match {
                 // Extend the match.
                 let mut len = MIN_MATCH;
-                while pos + len < input.len()
-                    && input[candidate + len] == input[pos + len]
-                {
+                while pos + len < input.len() && input[candidate + len] == input[pos + len] {
                     len += 1;
                 }
                 // Emit: literals since literal_start, then the match.
                 let lits = &input[literal_start..pos];
-                put_varint(&mut out, u32::try_from(lits.len()).expect("literal run too long"));
+                put_varint(
+                    &mut out,
+                    u32::try_from(lits.len()).expect("literal run too long"),
+                );
                 out.extend_from_slice(lits);
                 let offset = u16::try_from(pos - candidate).expect("offset fits window");
                 out.extend_from_slice(&offset.to_le_bytes());
-                put_varint(&mut out, u32::try_from(len - MIN_MATCH).expect("match too long"));
+                put_varint(
+                    &mut out,
+                    u32::try_from(len - MIN_MATCH).expect("match too long"),
+                );
                 // Index a few positions inside the match to keep finding
                 // repeats (cheap approximation of full indexing).
                 let end = pos + len;
@@ -469,7 +482,10 @@ mod reference {
         }
         // Final literal-only sequence (offset 0 terminator).
         let lits = &input[literal_start..];
-        put_varint(&mut out, u32::try_from(lits.len()).expect("literal run too long"));
+        put_varint(
+            &mut out,
+            u32::try_from(lits.len()).expect("literal run too long"),
+        );
         out.extend_from_slice(lits);
         out.extend_from_slice(&0u16.to_le_bytes());
         out
@@ -514,7 +530,11 @@ mod tests {
     fn overlapping_match_rle() {
         let data = vec![7u8; 10_000];
         let c = compress(&data);
-        assert!(c.len() < 100, "RLE-like data must collapse, got {}", c.len());
+        assert!(
+            c.len() < 100,
+            "RLE-like data must collapse, got {}",
+            c.len()
+        );
         round_trip(&data);
     }
 
@@ -658,7 +678,11 @@ mod tests {
     /// length, at it, and with room to spare.
     fn check(input: &[u8]) -> Vec<u8> {
         let packed = compress(input);
-        assert!(packed == reference::compress(input), "differs from reference, len {}", input.len());
+        assert!(
+            packed == reference::compress(input),
+            "differs from reference, len {}",
+            input.len()
+        );
         assert!(packed.len() <= max_compressed_len(input.len()));
         assert!(decompress(&packed, input.len()).expect("decompress") == input);
         for limit in [input.len().wrapping_sub(1), input.len(), input.len() + 17] {
@@ -669,9 +693,11 @@ mod tests {
 
     #[test]
     fn matches_reference_on_sampled_inputs() {
-        PropRunner::new("codec-differential").cases(160).run(gen_input, |input| {
-            check(input);
-        });
+        PropRunner::new("codec-differential")
+            .cases(160)
+            .run(gen_input, |input| {
+                check(input);
+            });
     }
 
     #[test]
@@ -679,7 +705,14 @@ mod tests {
         for len in 0..=80 {
             check(&climate_like(7, len));
             check(&vec![9u8; len]);
-            check(&b"abcab".iter().copied().cycle().take(len).collect::<Vec<u8>>());
+            check(
+                &b"abcab"
+                    .iter()
+                    .copied()
+                    .cycle()
+                    .take(len)
+                    .collect::<Vec<u8>>(),
+            );
             check(&(0..len).map(|i| (i * 37 % 251) as u8).collect::<Vec<u8>>());
         }
     }
@@ -868,7 +901,10 @@ mod tests {
 
     #[test]
     fn unreservable_limit_is_an_error() {
-        assert_eq!(decompress(&compress(b"abc"), usize::MAX), Err(CodecError::TooLarge));
+        assert_eq!(
+            decompress(&compress(b"abc"), usize::MAX),
+            Err(CodecError::TooLarge)
+        );
         same_as_reference(&compress(b"abc"), usize::MAX);
     }
 

@@ -28,10 +28,10 @@ use kmsg_netsim::time::SimTime;
 use kmsg_telemetry::Recorder;
 
 use crate::address::Address;
-use crate::data::psp::{PatternKind, PatternSelection, ProtocolSelectionPolicy, RandomSelection};
 use crate::data::prp::{
     EpisodeObservation, ProtocolRatioPolicy, StaticRatio, TdConfig, TdRatioLearner,
 };
+use crate::data::psp::{PatternKind, PatternSelection, ProtocolSelectionPolicy, RandomSelection};
 use crate::data::ratio::Ratio;
 use crate::header::NetHeader;
 use crate::msg::{NetIndication, NetMessage, NetRequest, NetworkPort, NotifyToken};
@@ -126,10 +126,8 @@ impl DataNetworkConfig {
         match &self.prp {
             PrpKind::Static(r) => Box::new(StaticRatio(*r)),
             PrpKind::Td(cfg) => {
-                let mut learner = TdRatioLearner::new(
-                    cfg.clone(),
-                    self.seeds.stream(&format!("data-prp-{dst}")),
-                );
+                let mut learner =
+                    TdRatioLearner::new(cfg.clone(), self.seeds.stream(&format!("data-prp-{dst}")));
                 learner.attach_recorder(self.recorder.clone(), flow_label(dst));
                 Box::new(learner)
             }
@@ -352,7 +350,8 @@ impl DataNetworkComponent {
             flow.episode_msgs += 1;
             let internal = self.next_internal;
             self.next_internal += 1;
-            self.inflight.insert(internal, (dst, len, token, now, proto));
+            self.inflight
+                .insert(internal, (dst, len, token, now, proto));
             to_send.push((internal, msg));
         }
         for (internal, msg) in to_send {
@@ -380,22 +379,23 @@ impl DataNetworkComponent {
                             win.outstanding = win.outstanding.saturating_sub(len);
                             if status.is_success() {
                                 win.episode_bytes += len as u64;
-                                win.rtt_min =
-                                    Some(win.rtt_min.map_or(latency, |m| m.min(latency)));
+                                win.rtt_min = Some(win.rtt_min.map_or(latency, |m| m.min(latency)));
                                 flow.episode_bytes += len as u64;
                                 flow.latency_sum += latency;
                                 flow.latency_count += 1;
                             }
                         }
                         if let Some(orig) = orig {
-                            self.app_port.trigger(NetIndication::NotifyResp(orig, status));
+                            self.app_port
+                                .trigger(NetIndication::NotifyResp(orig, status));
                         }
                         self.release(now, dst);
                         return;
                     }
                 }
                 // Pass-through notification for a bypassed message.
-                self.app_port.trigger(NetIndication::NotifyResp(token, status));
+                self.app_port
+                    .trigger(NetIndication::NotifyResp(token, status));
             }
         }
     }
@@ -534,7 +534,10 @@ mod tests {
     fn default_config_is_papers() {
         let cfg = DataNetworkConfig::default();
         assert_eq!(EPISODE, Duration::from_secs(1));
-        assert!(matches!(cfg.psp, PspKind::Pattern(PatternKind::MinimalRest)));
+        assert!(matches!(
+            cfg.psp,
+            PspKind::Pattern(PatternKind::MinimalRest)
+        ));
         assert!(matches!(cfg.prp, PrpKind::Td(_)));
         assert_eq!(WARMUP_EPISODES, 2);
     }

@@ -157,28 +157,29 @@ impl TdRatioLearner {
     pub fn attach_recorder(&mut self, rec: Recorder, flow: u64) {
         let now_ns = self.now_ns.clone();
         let tracer = rec.tracer();
-        self.sarsa.set_probe(Some(Box::new(move |d: DecisionRecord| {
-            let t = now_ns.load(Ordering::Relaxed);
-            tracer.instant(
-                t,
-                kmsg_telemetry::SpanKind::Decide,
-                kmsg_telemetry::SpanId::NONE,
-                kmsg_telemetry::SpanId::NONE,
-                flow,
-            );
-            rec.record(
-                t,
-                EventKind::Decision {
+        self.sarsa
+            .set_probe(Some(Box::new(move |d: DecisionRecord| {
+                let t = now_ns.load(Ordering::Relaxed);
+                tracer.instant(
+                    t,
+                    kmsg_telemetry::SpanKind::Decide,
+                    kmsg_telemetry::SpanId::NONE,
+                    kmsg_telemetry::SpanId::NONE,
                     flow,
-                    step: d.step,
-                    state: d.state as u64,
-                    action: d.action as u64,
-                    reward: d.reward,
-                    epsilon: d.epsilon,
-                    greedy: d.greedy,
-                },
-            );
-        })));
+                );
+                rec.record(
+                    t,
+                    EventKind::Decision {
+                        flow,
+                        step: d.step,
+                        state: d.state as u64,
+                        action: d.action as u64,
+                        reward: d.reward,
+                        epsilon: d.epsilon,
+                        greedy: d.greedy,
+                    },
+                );
+            })));
     }
 
     fn reward(&self, obs: &EpisodeObservation) -> f64 {

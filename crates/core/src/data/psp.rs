@@ -118,10 +118,16 @@ pub fn p_pattern(f: &ProtocolFraction) -> Vec<Transport> {
     let c = f.q - f.p * b;
     let mut out = Vec::with_capacity(usize::try_from(f.p + f.q).expect("pattern fits"));
     for _ in 0..f.p {
-        out.extend(std::iter::repeat_n(f.majority, usize::try_from(b).expect("fits")));
+        out.extend(std::iter::repeat_n(
+            f.majority,
+            usize::try_from(b).expect("fits"),
+        ));
         out.push(f.minority);
     }
-    out.extend(std::iter::repeat_n(f.majority, usize::try_from(c).expect("fits")));
+    out.extend(std::iter::repeat_n(
+        f.majority,
+        usize::try_from(c).expect("fits"),
+    ));
     out
 }
 
@@ -135,10 +141,16 @@ pub fn p_plus_one_pattern(f: &ProtocolFraction) -> Vec<Transport> {
     let c = f.q - (f.p + 1) * b;
     let mut out = Vec::with_capacity(usize::try_from(f.p + f.q).expect("pattern fits"));
     for _ in 0..f.p {
-        out.extend(std::iter::repeat_n(f.majority, usize::try_from(b).expect("fits")));
+        out.extend(std::iter::repeat_n(
+            f.majority,
+            usize::try_from(b).expect("fits"),
+        ));
         out.push(f.minority);
     }
-    out.extend(std::iter::repeat_n(f.majority, usize::try_from(b + c).expect("fits")));
+    out.extend(std::iter::repeat_n(
+        f.majority,
+        usize::try_from(b + c).expect("fits"),
+    ));
     out
 }
 
@@ -291,7 +303,11 @@ mod tests {
     fn patterns_have_exact_ratio_over_full_run() {
         for prob in [0.03, 0.2, 1.0 / 3.0, 0.5, 0.8, 0.97] {
             let f = frac(prob);
-            for kind in [PatternKind::P, PatternKind::PPlusOne, PatternKind::MinimalRest] {
+            for kind in [
+                PatternKind::P,
+                PatternKind::PPlusOne,
+                PatternKind::MinimalRest,
+            ] {
                 let pat = build_pattern(&f, kind);
                 let udt = count(&pat, Transport::Udt) as f64;
                 let total = pat.len() as f64;
@@ -350,11 +366,8 @@ mod tests {
 
     #[test]
     fn pattern_selection_cycles() {
-        let mut psp = PatternSelection::new(
-            Ratio::from_prob_udt(0.5),
-            PatternKind::MinimalRest,
-            100,
-        );
+        let mut psp =
+            PatternSelection::new(Ratio::from_prob_udt(0.5), PatternKind::MinimalRest, 100);
         let first: Vec<Transport> = (0..4).map(|_| psp.select()).collect();
         assert_eq!(first[0], first[2]);
         assert_eq!(first[1], first[3]);
@@ -364,19 +377,14 @@ mod tests {
 
     #[test]
     fn peek_matches_select_for_both_policies() {
-        let mut pat = PatternSelection::new(
-            Ratio::from_prob_udt(0.3),
-            PatternKind::MinimalRest,
-            100,
-        );
+        let mut pat =
+            PatternSelection::new(Ratio::from_prob_udt(0.3), PatternKind::MinimalRest, 100);
         for _ in 0..50 {
             let peeked = pat.peek();
             assert_eq!(pat.select(), peeked);
         }
-        let mut rnd = RandomSelection::new(
-            Ratio::from_prob_udt(0.3),
-            SeedSource::new(4).stream("peek"),
-        );
+        let mut rnd =
+            RandomSelection::new(Ratio::from_prob_udt(0.3), SeedSource::new(4).stream("peek"));
         for _ in 0..50 {
             let peeked = rnd.peek();
             assert_eq!(rnd.select(), peeked);
@@ -385,8 +393,7 @@ mod tests {
 
     #[test]
     fn update_ratio_rebuilds_pattern() {
-        let mut psp =
-            PatternSelection::new(Ratio::TCP_ONLY, PatternKind::MinimalRest, 100);
+        let mut psp = PatternSelection::new(Ratio::TCP_ONLY, PatternKind::MinimalRest, 100);
         assert_eq!(psp.select(), Transport::Tcp);
         psp.update_ratio(Ratio::UDT_ONLY);
         assert_eq!(psp.ratio(), Ratio::UDT_ONLY);

@@ -344,8 +344,7 @@ impl NetHeader {
         if buf.remaining() < 1 {
             return Err(SerError::Truncated { context: CTX });
         }
-        let proto =
-            Transport::from_byte(buf.get_u8()).ok_or(SerError::Invalid { context: CTX })?;
+        let proto = Transport::from_byte(buf.get_u8()).ok_or(SerError::Invalid { context: CTX })?;
         match kind {
             0 => Ok(NetHeader::Basic(BasicHeader::new(src, dst, proto))),
             1 => {
@@ -436,10 +435,8 @@ mod tests {
         let src = NetAddress::new(a, 1);
         let dst = NetAddress::new(c, 3);
         let mid = NetAddress::new(b, 2);
-        let mut h = RoutingHeader::with_route(
-            BasicHeader::new(src, dst, Transport::Tcp),
-            vec![mid],
-        );
+        let mut h =
+            RoutingHeader::with_route(BasicHeader::new(src, dst, Transport::Tcp), vec![mid]);
         assert_eq!(*h.destination(), mid, "route active: next hop");
         assert_eq!(*h.source(), src);
         assert!(h.advance());

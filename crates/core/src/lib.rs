@@ -87,8 +87,8 @@ pub use msg::{
     NetworkPort, NotifyToken, SendError,
 };
 pub use net::{
-    create_network, MiddlewareStats, NetworkComponent, NetworkConfig, ReconnectConfig,
-    StatsHandle, SupervisionSummary,
+    create_network, MiddlewareStats, NetworkComponent, NetworkConfig, ReconnectConfig, StatsHandle,
+    SupervisionSummary,
 };
 pub use overlay::{
     OverlayComponent, OverlayConfig, OverlayDelivery, OverlayPort, OverlayRequest, OverlayStats,
@@ -104,7 +104,9 @@ pub mod prelude {
         create_data_network, DataNetwork, DataNetworkComponent, DataNetworkConfig, PatternKind,
         PrpKind, PspKind, Ratio, TdConfig, ValueBackend,
     };
-    pub use crate::header::{BasicHeader, DataHeader, Header, NetHeader, Route, RoutingHeader, DEFAULT_TTL};
+    pub use crate::header::{
+        BasicHeader, DataHeader, Header, NetHeader, Route, RoutingHeader, DEFAULT_TTL,
+    };
     pub use crate::msg::{
         ChannelStatus, ConnStatus, DeliveryStatus, Msg, NetIndication, NetMessage, NetRequest,
         NetworkPort, NotifyToken, SendError,

@@ -409,10 +409,7 @@ mod tests {
         let s: String = m.try_deserialise::<String, String>().expect("downcast");
         assert_eq!(s, "payload");
         // Wrong type is an error, not a panic.
-        assert_eq!(
-            m.try_deserialise::<u64, u64>(),
-            Err(SerError::WrongType)
-        );
+        assert_eq!(m.try_deserialise::<u64, u64>(), Err(SerError::WrongType));
     }
 
     #[test]

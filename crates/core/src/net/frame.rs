@@ -38,7 +38,9 @@ const FLAG_COMPRESSED: u8 = 0b0000_0001;
 /// Maximum frame size accepted by the decoder (defensive bound).
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
-const TOO_LONG: SerError = SerError::Invalid { context: "frame length" };
+const TOO_LONG: SerError = SerError::Invalid {
+    context: "frame length",
+};
 
 thread_local! {
     /// Where [`encode_frame`] writes a frame before it knows what goes on
@@ -245,7 +247,9 @@ impl FrameDecoder {
             .map(|prefix| u32::from_be_bytes(*prefix) as usize);
         if len.is_some_and(|len| len > MAX_FRAME) {
             *self = FrameDecoder::new();
-            return Err(SerError::Invalid { context: "frame length" });
+            return Err(SerError::Invalid {
+                context: "frame length",
+            });
         }
         let len = len.filter(|len| held.len() >= 4 + len);
         if len.is_none() {
@@ -377,7 +381,10 @@ mod tests {
         // flags byte must say uncompressed (offset 4 after the length) —
         // the frame is what `Compression::Off` would have produced.
         assert_eq!(framed[4] & FLAG_COMPRESSED, 0);
-        assert_eq!(framed, encode_frame(&msg, Compression::Off).expect("encode"));
+        assert_eq!(
+            framed,
+            encode_frame(&msg, Compression::Off).expect("encode")
+        );
         let mut dec = FrameDecoder::new();
         dec.feed(&framed);
         let out = decode_frame_body(dec.next_frame().expect("ok").expect("frame")).expect("decode");
@@ -483,8 +490,14 @@ mod tests {
         assert_eq!(dec.buffered(), 0);
         let out1 = decode_frame_body(frames[0].clone()).expect("decode");
         let out2 = decode_frame_body(frames[1].clone()).expect("decode");
-        assert_eq!(out1.try_deserialise::<String, String>().expect("p"), "first");
-        assert_eq!(out2.try_deserialise::<String, String>().expect("p"), "second");
+        assert_eq!(
+            out1.try_deserialise::<String, String>().expect("p"),
+            "first"
+        );
+        assert_eq!(
+            out2.try_deserialise::<String, String>().expect("p"),
+            "second"
+        );
     }
 
     #[test]
@@ -493,7 +506,11 @@ mod tests {
         dec.feed(&u32::try_from(MAX_FRAME + 1).expect("fits").to_be_bytes());
         dec.feed(&[0u8; 16]);
         assert!(dec.next_frame().is_err());
-        assert_eq!(dec.buffered(), 0, "a poisoned stream must not stay buffered");
+        assert_eq!(
+            dec.buffered(),
+            0,
+            "a poisoned stream must not stay buffered"
+        );
         // Likewise held as the chunk it arrived in, behind a good frame.
         let good = encode_frame(&sample_msg(7u64), Compression::Off).expect("encode");
         let bad = u32::try_from(MAX_FRAME + 1).expect("fits").to_be_bytes();
@@ -708,7 +725,9 @@ mod tests {
         for compression in [Compression::Off, Compression::default()] {
             assert_eq!(
                 encode_frame(&msg, compression).expect_err("too long"),
-                SerError::Invalid { context: "frame length" }
+                SerError::Invalid {
+                    context: "frame length"
+                }
             );
         }
     }

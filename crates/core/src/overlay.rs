@@ -771,8 +771,7 @@ impl OverlayComponent {
     }
 
     fn my_subjects(&self) -> &BTreeSet<String> {
-        &self.subs[&self.me]
-            .subjects
+        &self.subs[&self.me].subjects
     }
 
     fn handle_publish(&mut self, time_ns: u64, subject: String, payload: Bytes) {
@@ -948,7 +947,13 @@ impl OverlayComponent {
         let tracer = self.recorder.tracer();
         let span = tracer.open_root(time_ns, SpanKind::Reroute, cause);
         for (id, target) in stale {
-            let rc = tracer.open(time_ns, SpanKind::RouteCompute, span, span, u64::from(target));
+            let rc = tracer.open(
+                time_ns,
+                SpanKind::RouteCompute,
+                span,
+                span,
+                u64::from(target),
+            );
             let new_path = self.route_to(target);
             tracer.close(time_ns, rc);
             self.stats.lock().reroutes += 1;
@@ -1261,7 +1266,11 @@ mod tests {
                 vec![],
             );
         }
-        assert_eq!(o.route_to(3).expect("route"), vec![0, 1, 3], "shortest, lowest id");
+        assert_eq!(
+            o.route_to(3).expect("route"),
+            vec![0, 1, 3],
+            "shortest, lowest id"
+        );
         // Kill the local links to 1 and 2: forced through the chain.
         let row = o.links.get_mut(&0).expect("own row");
         row.up.remove(&1);
@@ -1320,12 +1329,14 @@ mod tests {
             up: vec![1],
         };
         assert!(a.merge_digest(vec![fresh.clone()], vec![]));
-        assert!(!a.merge_digest(vec![stale.clone()], vec![]), "stale row loses");
+        assert!(
+            !a.merge_digest(vec![stale.clone()], vec![]),
+            "stale row loses"
+        );
         assert!(b.merge_digest(vec![stale], vec![]));
         assert!(b.merge_digest(vec![fresh], vec![]), "fresh row wins");
         assert_eq!(
-            a.links[&5].up,
-            b.links[&5].up,
+            a.links[&5].up, b.links[&5].up,
             "same rows regardless of arrival order"
         );
     }

@@ -55,7 +55,11 @@ impl std::fmt::Display for SerError {
         match self {
             SerError::Truncated { context } => write!(f, "truncated input while reading {context}"),
             SerError::WrongSerId { found, expected } => {
-                write!(f, "serialiser id mismatch: found {}, expected {}", found.0, expected.0)
+                write!(
+                    f,
+                    "serialiser id mismatch: found {}, expected {}",
+                    found.0, expected.0
+                )
             }
             SerError::Invalid { context } => write!(f, "invalid bytes while reading {context}"),
             SerError::WrongType => write!(f, "locally delivered value has a different type"),
@@ -354,7 +358,9 @@ impl SerRegistry {
     {
         let prev = self.entries.insert(
             D::SER_ID,
-            Box::new(|buf| D::deserialise(buf).map(|v| Box::new(v) as Box<dyn std::any::Any + Send>)),
+            Box::new(|buf| {
+                D::deserialise(buf).map(|v| Box::new(v) as Box<dyn std::any::Any + Send>)
+            }),
         );
         assert!(prev.is_none(), "duplicate serialiser id {:?}", D::SER_ID);
     }

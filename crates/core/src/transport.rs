@@ -96,7 +96,12 @@ mod tests {
 
     #[test]
     fn byte_round_trip() {
-        for t in [Transport::Udp, Transport::Tcp, Transport::Udt, Transport::Data] {
+        for t in [
+            Transport::Udp,
+            Transport::Tcp,
+            Transport::Udt,
+            Transport::Data,
+        ] {
             assert_eq!(Transport::from_byte(t.to_byte()), Some(t));
         }
         assert_eq!(Transport::from_byte(99), None);

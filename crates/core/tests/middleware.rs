@@ -84,7 +84,9 @@ struct World {
 fn world(link: LinkConfig, n_nodes: usize) -> (World, Vec<NodeId>) {
     let sim = Sim::new(77);
     let net = Network::new(&sim);
-    let nodes: Vec<NodeId> = (0..n_nodes).map(|i| net.add_node(format!("h{i}"))).collect();
+    let nodes: Vec<NodeId> = (0..n_nodes)
+        .map(|i| net.add_node(format!("h{i}")))
+        .collect();
     for i in 0..n_nodes {
         for j in 0..n_nodes {
             if i != j {
@@ -220,7 +222,10 @@ fn oversized_payload_fails_the_send_not_the_world() {
     assert_eq!(
         notifies,
         vec![
-            (NotifyToken::new(1), DeliveryStatus::Failed(SendError::Serialisation)),
+            (
+                NotifyToken::new(1),
+                DeliveryStatus::Failed(SendError::Serialisation)
+            ),
             (NotifyToken::new(2), DeliveryStatus::Sent),
         ]
     );
@@ -349,7 +354,11 @@ fn same_host_vnodes_reflect_locally() {
         "vnode-to-vnode".to_string(),
     )));
     w.sim.run_for(Duration::from_secs(1));
-    assert_eq!(v1.on_definition(|h| h.received.len()), 0, "selector filters v1");
+    assert_eq!(
+        v1.on_definition(|h| h.received.len()),
+        0,
+        "selector filters v1"
+    );
     let got = v2.on_definition(|h| h.received.clone());
     assert_eq!(got.len(), 1);
     assert!(!got[0].is_from_wire(), "same-host vnodes never serialise");
@@ -372,7 +381,11 @@ fn multi_hop_routing_forwards() {
         "through the middle".to_string(),
     )));
     w.sim.run_for(Duration::from_secs(3));
-    assert_eq!(b.app.on_definition(|h| h.received.len()), 0, "b only forwards");
+    assert_eq!(
+        b.app.on_definition(|h| h.received.len()),
+        0,
+        "b only forwards"
+    );
     assert_eq!(b.stats.lock().forwarded, 1);
     let got = c.app.on_definition(|h| h.received.clone());
     assert_eq!(got.len(), 1);
@@ -408,7 +421,11 @@ fn reply_reuses_inbound_channel() {
     assert_eq!(a.app.on_definition(|h| h.received.len()), 1);
     // A opened one channel; B reused the accepted one (one open each).
     assert_eq!(a.stats.lock().channels_opened, 1);
-    assert_eq!(b.stats.lock().channels_opened, 1, "reply must reuse the channel");
+    assert_eq!(
+        b.stats.lock().channels_opened,
+        1,
+        "reply must reuse the channel"
+    );
 }
 
 #[test]
@@ -424,7 +441,11 @@ fn unresolved_data_falls_back_to_tcp() {
     w.sim.run_for(Duration::from_secs(2));
     let got = b.app.on_definition(|h| h.received.clone());
     assert_eq!(got.len(), 1);
-    assert_eq!(got[0].header().protocol(), Transport::Tcp, "fallback applied");
+    assert_eq!(
+        got[0].header().protocol(),
+        Transport::Tcp,
+        "fallback applied"
+    );
     assert_eq!(a.stats.lock().unresolved_data, 1);
 }
 
@@ -440,7 +461,8 @@ fn per_message_transport_mixing_on_one_destination() {
             1 => Transport::Udt,
             _ => Transport::Udp,
         };
-        a.send.push(NetRequest::Msg(NetMessage::new(a.addr, b.addr, proto, i)));
+        a.send
+            .push(NetRequest::Msg(NetMessage::new(a.addr, b.addr, proto, i)));
     }
     w.sim.run_for(Duration::from_secs(5));
     let by_proto = b.app.on_definition(|h| {
@@ -469,13 +491,8 @@ fn data_network_resolves_protocols() {
         seeds: kmsg_netsim::rng::SeedSource::new(1),
         ..DataNetworkConfig::default()
     };
-    let dn = create_data_network(
-        &w.system,
-        &w.net,
-        NetworkConfig::new(a_addr),
-        data_cfg,
-    )
-    .expect("bind");
+    let dn =
+        create_data_network(&w.system, &w.net, NetworkConfig::new(a_addr), data_cfg).expect("bind");
     let app = w.system.create(Harness::new);
     w.system.connect::<NetworkPort, _, _>(&dn.interceptor, &app);
     let send = app.self_ref(|h| &mut h.commands);
@@ -484,10 +501,7 @@ fn data_network_resolves_protocols() {
 
     let b = stack(&w, nodes[1], 7000);
     for i in 0..20u64 {
-        let msg = NetMessage::with_header(
-            NetHeader::Data(DataHeader::new(a_addr, b.addr)),
-            i,
-        );
+        let msg = NetMessage::with_header(NetHeader::Data(DataHeader::new(a_addr, b.addr)), i);
         send.push(NetRequest::Msg(msg));
     }
     w.sim.run_for(Duration::from_secs(5));
@@ -542,13 +556,23 @@ fn short_outage_is_survived_by_tcp_retransmission() {
     let a = stack(&w, nodes[0], 7000);
     let b = stack(&w, nodes[1], 7000);
     // Establish the channel.
-    a.send.push(NetRequest::Msg(NetMessage::new(a.addr, b.addr, Transport::Tcp, 0u64)));
+    a.send.push(NetRequest::Msg(NetMessage::new(
+        a.addr,
+        b.addr,
+        Transport::Tcp,
+        0u64,
+    )));
     w.sim.run_for(Duration::from_millis(200));
     // 300 ms outage on the a->b direction.
     let ab = w.net.route(nodes[0], nodes[1]).expect("route")[0];
     w.net.link(ab).set_up(false);
     for i in 1..=20u64 {
-        a.send.push(NetRequest::Msg(NetMessage::new(a.addr, b.addr, Transport::Tcp, i)));
+        a.send.push(NetRequest::Msg(NetMessage::new(
+            a.addr,
+            b.addr,
+            Transport::Tcp,
+            i,
+        )));
     }
     w.sim.run_for(Duration::from_millis(300));
     w.net.link(ab).set_up(true);
@@ -559,7 +583,11 @@ fn short_outage_is_survived_by_tcp_retransmission() {
             .map(|m| m.try_deserialise::<u64, u64>().expect("u64"))
             .collect()
     });
-    assert_eq!(got, (0..=20).collect::<Vec<_>>(), "RTO must recover the burst");
+    assert_eq!(
+        got,
+        (0..=20).collect::<Vec<_>>(),
+        "RTO must recover the burst"
+    );
 }
 
 #[test]
@@ -605,7 +633,11 @@ fn permanent_outage_fails_notifies_at_most_once() {
     // Each token fails once; the order is the component's as it stands —
     // frames still waiting to be written first, written-but-unacknowledged
     // ones after — pinned so that changing it is a decision.
-    assert_eq!(failed, vec![4, 5, 2, 3], "queued messages fail on channel death");
+    assert_eq!(
+        failed,
+        vec![4, 5, 2, 3],
+        "queued messages fail on channel death"
+    );
     assert_eq!(
         b.app.on_definition(|h| h.received.len()),
         1,
@@ -651,7 +683,10 @@ fn vnode_reflection_under_thread_pool_scheduler() {
         if n == 50 {
             break;
         }
-        assert!(std::time::Instant::now() < deadline, "threaded reflection stalled at {n}/50");
+        assert!(
+            std::time::Instant::now() < deadline,
+            "threaded reflection stalled at {n}/50"
+        );
         std::thread::sleep(Duration::from_millis(5));
     }
     let got: Vec<u64> = v2.on_definition(|h| {
@@ -660,7 +695,11 @@ fn vnode_reflection_under_thread_pool_scheduler() {
             .map(|m| m.try_deserialise::<u64, u64>().expect("u64"))
             .collect()
     });
-    assert_eq!(got, (0..50).collect::<Vec<_>>(), "FIFO reflection under threads");
+    assert_eq!(
+        got,
+        (0..50).collect::<Vec<_>>(),
+        "FIFO reflection under threads"
+    );
     assert!(got.iter().all(|_| true));
     system.shutdown();
 }
@@ -771,8 +810,12 @@ fn multiple_network_instances_per_host() {
             .collect()
     });
     assert_eq!(got.len(), 2);
-    assert!(got.iter().any(|(s, src)| s == "from-7000" && *src == a1.addr));
-    assert!(got.iter().any(|(s, src)| s == "from-7100" && *src == a2.addr));
+    assert!(got
+        .iter()
+        .any(|(s, src)| s == "from-7000" && *src == a1.addr));
+    assert!(got
+        .iter()
+        .any(|(s, src)| s == "from-7100" && *src == a2.addr));
     // Each instance keeps its own channels and stats.
     assert_eq!(a1.stats.lock().total_sent(), 1);
     assert_eq!(a2.stats.lock().total_sent(), 1);
@@ -895,7 +938,10 @@ fn supervision_reconnects_and_redelivers_after_outage() {
             .collect()
     });
     for i in 1..=6u64 {
-        assert!(got.contains(&i), "message {i} must survive the outage, got {got:?}");
+        assert!(
+            got.contains(&i),
+            "message {i} must survive the outage, got {got:?}"
+        );
     }
     let notifies = a.app.on_definition(|h| h.notifies.clone());
     assert!(
@@ -904,7 +950,10 @@ fn supervision_reconnects_and_redelivers_after_outage() {
     );
     let stats = a.stats.lock();
     assert!(stats.reconnect_attempts >= 1);
-    assert!(stats.reconnects >= 1, "supervision must re-establish the channel");
+    assert!(
+        stats.reconnects >= 1,
+        "supervision must re-establish the channel"
+    );
     assert_eq!(stats.channels_dropped, 0, "budget must not be exhausted");
 }
 
@@ -969,7 +1018,11 @@ fn part_written_frame_survives(interrupt: impl FnOnce(&World, &[NodeId], &Stack,
     w.sim.run_for(Duration::from_millis(30));
     {
         let stats = a.stats.lock();
-        assert_eq!(stats.sent[Transport::Tcp.to_byte() as usize], 1, "only the first frame is fully written");
+        assert_eq!(
+            stats.sent[Transport::Tcp.to_byte() as usize],
+            1,
+            "only the first frame is fully written"
+        );
         assert!(
             (1024..70_000).contains(&stats.bytes_out),
             "the second frame must be part-written, {} bytes out",
@@ -977,7 +1030,11 @@ fn part_written_frame_survives(interrupt: impl FnOnce(&World, &[NodeId], &Stack,
         );
     }
     interrupt(&w, &nodes, &a, &b);
-    assert_eq!(b.stats.lock().decode_failures, 0, "no torn frame may reach the receiver");
+    assert_eq!(
+        b.stats.lock().decode_failures,
+        0,
+        "no torn frame may reach the receiver"
+    );
     let mut first_arrivals: Vec<Bytes> = Vec::new();
     for payload in b.app.on_definition(|h| {
         h.received
@@ -1012,7 +1069,10 @@ fn outage_in_the_middle_of_a_frame() {
     part_written_frame_survives(|w, nodes, a, _b| {
         two_way_outage(w, nodes);
         let stats = a.stats.lock();
-        assert!(stats.reconnects >= 1, "supervision must re-establish the channel");
+        assert!(
+            stats.reconnects >= 1,
+            "supervision must re-establish the channel"
+        );
         assert_eq!(stats.channels_dropped, 0, "budget must not be exhausted");
     });
 }
@@ -1105,7 +1165,12 @@ fn idle_sweep_spares_channels_with_unacked_frames() {
     cfg.idle_timeout = Some(Duration::from_secs(2));
     let a = stack_cfg(&w, cfg);
     let b = stack(&w, nodes[1], 7000);
-    a.send.push(NetRequest::Msg(NetMessage::new(a.addr, b.addr, Transport::Tcp, 0u64)));
+    a.send.push(NetRequest::Msg(NetMessage::new(
+        a.addr,
+        b.addr,
+        Transport::Tcp,
+        0u64,
+    )));
     w.sim.run_for(Duration::from_millis(500));
     // Cut the data direction only: the next frame is written to the
     // transport but can never be acknowledged.
@@ -1127,7 +1192,9 @@ fn idle_sweep_spares_channels_with_unacked_frames() {
     assert_eq!(b.app.on_definition(|h| h.received.len()), 2);
     let notifies = a.app.on_definition(|h| h.notifies.clone());
     assert!(
-        notifies.iter().any(|(t, s)| t.id == 7 && *s == DeliveryStatus::Sent),
+        notifies
+            .iter()
+            .any(|(t, s)| t.id == 7 && *s == DeliveryStatus::Sent),
         "the retransmitted frame must eventually confirm, got {notifies:?}"
     );
 }
@@ -1158,7 +1225,12 @@ fn data_fails_over_to_surviving_transport() {
         NetHeader::Data(DataHeader::new(a.addr, b.addr)),
         0u64,
     )));
-    a.send.push(NetRequest::Msg(NetMessage::new(a.addr, b.addr, Transport::Tcp, 100u64)));
+    a.send.push(NetRequest::Msg(NetMessage::new(
+        a.addr,
+        b.addr,
+        Transport::Tcp,
+        100u64,
+    )));
     w.sim.run_for(Duration::from_secs(1));
     assert_eq!(b.app.on_definition(|h| h.received.len()), 2);
     let links: Vec<_> = [(nodes[0], nodes[1]), (nodes[1], nodes[0])]
@@ -1234,7 +1306,11 @@ fn cyclic_route_is_killed_by_ttl() {
         "doomed".to_string(),
     )));
     w.sim.run_for(Duration::from_secs(3));
-    assert_eq!(c.app.on_definition(|h| h.received.len()), 0, "never reaches c");
+    assert_eq!(
+        c.app.on_definition(|h| h.received.len()),
+        0,
+        "never reaches c"
+    );
     // b forwards at ttl 3 and 1; a forwards at ttl 2 and drops at 0.
     assert_eq!(b.stats.lock().forwarded, 2);
     assert_eq!(a.stats.lock().forwarded, 1);
@@ -1261,7 +1337,12 @@ fn runtime_controller_swap_recycles_the_live_channel() {
     let a = stack(&w, nodes[0], 7000);
     let b = stack(&w, nodes[1], 7000);
     for i in 0..10u64 {
-        a.send.push(NetRequest::Msg(NetMessage::new(a.addr, b.addr, Transport::Tcp, i)));
+        a.send.push(NetRequest::Msg(NetMessage::new(
+            a.addr,
+            b.addr,
+            Transport::Tcp,
+            i,
+        )));
     }
     w.sim.run_for(Duration::from_secs(2));
     assert_eq!(b.app.on_definition(|h| h.received.len()), 10);
@@ -1273,11 +1354,19 @@ fn runtime_controller_swap_recycles_the_live_channel() {
     {
         let stats = a.stats.lock();
         assert_eq!(stats.controller_swaps, 1);
-        assert_eq!(stats.channels_opened, 2, "the recycle dials a fresh connection");
+        assert_eq!(
+            stats.channels_opened, 2,
+            "the recycle dials a fresh connection"
+        );
         assert_eq!(stats.channels_closed, 1);
     }
     for i in 10..20u64 {
-        a.send.push(NetRequest::Msg(NetMessage::new(a.addr, b.addr, Transport::Tcp, i)));
+        a.send.push(NetRequest::Msg(NetMessage::new(
+            a.addr,
+            b.addr,
+            Transport::Tcp,
+            i,
+        )));
     }
     w.sim.run_for(Duration::from_secs(2));
     let got: Vec<u64> = b.app.on_definition(|h| {
@@ -1286,11 +1375,17 @@ fn runtime_controller_swap_recycles_the_live_channel() {
             .map(|m| m.try_deserialise::<u64, u64>().expect("u64"))
             .collect()
     });
-    assert_eq!(got, (0..20).collect::<Vec<_>>(), "no traffic lost across the swap");
+    assert_eq!(
+        got,
+        (0..20).collect::<Vec<_>>(),
+        "no traffic lost across the swap"
+    );
     // The deliberate recycle must not masquerade as an outage.
     let statuses = a.app.on_definition(|h| h.statuses.clone());
     assert!(
-        !statuses.iter().any(|s| s.status == ConnStatus::ConnectionLost),
+        !statuses
+            .iter()
+            .any(|s| s.status == ConnStatus::ConnectionLost),
         "a swap is not an outage, got {statuses:?}"
     );
     // Re-selecting the same controller is a no-op.
@@ -1298,7 +1393,11 @@ fn runtime_controller_swap_recycles_the_live_channel() {
         .network
         .on_definition(|n| n.swap_controller(b.addr.as_socket(), CcAlgorithm::Cubic));
     assert!(!changed);
-    assert_eq!(a.stats.lock().controller_swaps, 1, "no-op swaps do not recycle");
+    assert_eq!(
+        a.stats.lock().controller_swaps,
+        1,
+        "no-op swaps do not recycle"
+    );
     // The decision is on the flight recorder, once.
     let swaps: Vec<(&'static str, bool)> = w
         .sim
@@ -1332,7 +1431,12 @@ fn controller_swap_before_dial_applies_on_first_connect() {
     assert!(changed, "a policy change with no live channel still counts");
     assert_eq!(a.stats.lock().controller_swaps, 0, "nothing to recycle yet");
     for i in 0..40u64 {
-        a.send.push(NetRequest::Msg(NetMessage::new(a.addr, b.addr, Transport::Tcp, i)));
+        a.send.push(NetRequest::Msg(NetMessage::new(
+            a.addr,
+            b.addr,
+            Transport::Tcp,
+            i,
+        )));
     }
     w.sim.run_for(Duration::from_secs(3));
     assert_eq!(b.app.on_definition(|h| h.received.len()), 40);
@@ -1369,13 +1473,7 @@ fn garbage_datagrams_are_counted_not_fatal() {
     // A rogue UDP socket spews non-frame bytes at B's middleware port.
     struct Mute;
     impl kmsg_netsim::udp::UdpEvents for Mute {
-        fn on_datagram(
-            &self,
-            _s: &UdpSocket,
-            _src: kmsg_netsim::packet::Endpoint,
-            _d: Bytes,
-        ) {
-        }
+        fn on_datagram(&self, _s: &UdpSocket, _src: kmsg_netsim::packet::Endpoint, _d: Bytes) {}
     }
     let rogue = UdpSocket::bind(&w.net, nodes[0], 9999, Arc::new(Mute)).expect("bind");
     for junk in [&b"not a frame"[..], &[0xff; 64][..], &[0, 0, 0, 200, 1][..]] {
@@ -1419,7 +1517,12 @@ fn poisoned_stream_is_closed_not_buffered() {
     let b = stack(&w, nodes[1], 7000);
     let mut next = 0u64;
     let mut well_formed = |settle: Duration| {
-        a.send.push(NetRequest::Msg(NetMessage::new(a.addr, b.addr, Transport::Tcp, next)));
+        a.send.push(NetRequest::Msg(NetMessage::new(
+            a.addr,
+            b.addr,
+            Transport::Tcp,
+            next,
+        )));
         next += 1;
         w.sim.run_for(settle);
     };
@@ -1445,15 +1548,26 @@ fn poisoned_stream_is_closed_not_buffered() {
     well_formed(Duration::from_secs(2));
     {
         let stats = b.stats.lock();
-        assert_eq!(stats.decode_failures, 1, "one poisoned stream is one failure");
+        assert_eq!(
+            stats.decode_failures, 1,
+            "one poisoned stream is one failure"
+        );
         assert_eq!(stats.channels_closed, 1, "the poisoned channel is closed");
     }
-    assert_eq!(closes.0.load(Ordering::SeqCst), 1, "the dialler sees the close");
+    assert_eq!(
+        closes.0.load(Ordering::SeqCst),
+        1,
+        "the dialler sees the close"
+    );
     let got: Vec<u64> = b.app.on_definition(|h| {
         h.received
             .iter()
             .map(|m| m.try_deserialise::<u64, u64>().expect("u64"))
             .collect()
     });
-    assert_eq!(got, (0..10).collect::<Vec<_>>(), "the well-formed peer is served throughout");
+    assert_eq!(
+        got,
+        (0..10).collect::<Vec<_>>(),
+        "the well-formed peer is served throughout"
+    );
 }

@@ -78,7 +78,9 @@ fn world(n_nodes: usize) -> (World, Vec<NodeId>) {
     let sim = Sim::new(77);
     let net = Network::new(&sim);
     let link = LinkConfig::new(10e6, Duration::from_millis(5));
-    let nodes: Vec<NodeId> = (0..n_nodes).map(|i| net.add_node(format!("h{i}"))).collect();
+    let nodes: Vec<NodeId> = (0..n_nodes)
+        .map(|i| net.add_node(format!("h{i}")))
+        .collect();
     for i in 0..n_nodes {
         for j in 0..n_nodes {
             if i != j {
@@ -187,7 +189,9 @@ fn overlay_reroutes_around_partition_before_reconnect() {
     w.sim.run_for(Duration::from_millis(1_500));
     // Still partitioned: m2 must have arrived via b, and no reconnect
     // can have succeeded yet (the direct link is still down).
-    let seqs: Vec<u64> = c.app.on_definition(|h| h.deliveries.iter().map(|d| d.seq).collect());
+    let seqs: Vec<u64> = c
+        .app
+        .on_definition(|h| h.deliveries.iter().map(|d| d.seq).collect());
     assert!(
         seqs.contains(&2),
         "m2 must be rerouted around the partition, got seqs {seqs:?}"
@@ -210,7 +214,9 @@ fn overlay_reroutes_around_partition_before_reconnect() {
     // the receiver-side dedup window absorbs those duplicates.
     cut(&w, &nodes, 0, 2, true);
     w.sim.run_for(Duration::from_secs(6));
-    let seqs: Vec<u64> = c.app.on_definition(|h| h.deliveries.iter().map(|d| d.seq).collect());
+    let seqs: Vec<u64> = c
+        .app
+        .on_definition(|h| h.deliveries.iter().map(|d| d.seq).collect());
     assert_eq!(seqs.len(), 2, "at-most-once per subscriber, got {seqs:?}");
     assert!(seqs.contains(&1) && seqs.contains(&2));
     assert!(

@@ -61,8 +61,9 @@ fn gen_header(rng: &mut RngStream) -> NetHeader {
         )),
         1 => {
             let basic = BasicHeader::new(gen_addr(rng), gen_addr(rng), gen_transport(rng));
-            let hops: Vec<NetAddress> =
-                (0..rng.gen_range(0usize..5)).map(|_| gen_addr(rng)).collect();
+            let hops: Vec<NetAddress> = (0..rng.gen_range(0usize..5))
+                .map(|_| gen_addr(rng))
+                .collect();
             NetHeader::Routing(RoutingHeader::with_route(basic, hops))
         }
         _ => NetHeader::Data(kmsg_core::header::DataHeader::new(
@@ -74,11 +75,13 @@ fn gen_header(rng: &mut RngStream) -> NetHeader {
 
 #[test]
 fn codec_round_trips() {
-    PropRunner::new("codec-round-trip").cases(96).run(gen_payload, |payload| {
-        let compressed = codec::compress(payload);
-        let restored = codec::decompress(&compressed, payload.len()).expect("decompress");
-        assert_eq!(&restored, payload);
-    });
+    PropRunner::new("codec-round-trip")
+        .cases(96)
+        .run(gen_payload, |payload| {
+            let compressed = codec::compress(payload);
+            let restored = codec::decompress(&compressed, payload.len()).expect("decompress");
+            assert_eq!(&restored, payload);
+        });
 }
 
 #[test]
@@ -113,18 +116,20 @@ fn codec_rejects_truncation_or_differs() {
 
 #[test]
 fn header_round_trips() {
-    PropRunner::new("header-round-trip").cases(96).run(gen_header, |header| {
-        let mut buf = kmsg_telemetry::bytes::BytesMut::new();
-        header.serialise(&mut buf);
-        let mut wire = buf.freeze();
-        let out = NetHeader::deserialise(&mut wire).expect("header");
-        // DATA headers normalise `selected` on the wire; everything else
-        // is exact.
-        assert_eq!(out.protocol(), header.protocol());
-        assert_eq!(out.source(), header.source());
-        assert_eq!(out.destination(), header.destination());
-        assert_eq!(out.final_destination(), header.final_destination());
-    });
+    PropRunner::new("header-round-trip")
+        .cases(96)
+        .run(gen_header, |header| {
+            let mut buf = kmsg_telemetry::bytes::BytesMut::new();
+            header.serialise(&mut buf);
+            let mut wire = buf.freeze();
+            let out = NetHeader::deserialise(&mut wire).expect("header");
+            // DATA headers normalise `selected` on the wire; everything else
+            // is exact.
+            assert_eq!(out.protocol(), header.protocol());
+            assert_eq!(out.source(), header.source());
+            assert_eq!(out.destination(), header.destination());
+            assert_eq!(out.final_destination(), header.final_destination());
+        });
 }
 
 #[test]
@@ -188,24 +193,26 @@ fn frames_survive_arbitrary_stream_chunking() {
 
 #[test]
 fn ratio_conversions_are_consistent() {
-    PropRunner::new("ratio-conversion-consistency").cases(96).run(
-        |rng| rng.gen_range(-1.0f64..=1.0),
-        |&signed| {
-            let r = Ratio::from_signed(signed);
-            assert!((r.prob_udt() - (signed + 1.0) / 2.0).abs() < 1e-12);
-            let back = Ratio::from_prob_udt(r.prob_udt());
-            assert!((back.signed() - signed).abs() < 1e-12);
-            // Fraction approximates the probability within the resolution
-            // bound.
-            let f = r.fraction(100);
-            assert!(
-                (f.prob_udt() - r.prob_udt()).abs() <= 0.5 / 100.0 + 1e-9,
-                "fraction {:?} too far from prob {}",
-                f,
-                r.prob_udt()
-            );
-        },
-    );
+    PropRunner::new("ratio-conversion-consistency")
+        .cases(96)
+        .run(
+            |rng| rng.gen_range(-1.0f64..=1.0),
+            |&signed| {
+                let r = Ratio::from_signed(signed);
+                assert!((r.prob_udt() - (signed + 1.0) / 2.0).abs() < 1e-12);
+                let back = Ratio::from_prob_udt(r.prob_udt());
+                assert!((back.signed() - signed).abs() < 1e-12);
+                // Fraction approximates the probability within the resolution
+                // bound.
+                let f = r.fraction(100);
+                assert!(
+                    (f.prob_udt() - r.prob_udt()).abs() <= 0.5 / 100.0 + 1e-9,
+                    "fraction {:?} too far from prob {}",
+                    f,
+                    r.prob_udt()
+                );
+            },
+        );
 }
 
 #[test]
@@ -215,7 +222,11 @@ fn patterns_hit_ratio_exactly_and_bound_deviation() {
         |&prob| {
             let r = Ratio::from_prob_udt(prob);
             let f = r.fraction(100);
-            for kind in [PatternKind::P, PatternKind::PPlusOne, PatternKind::MinimalRest] {
+            for kind in [
+                PatternKind::P,
+                PatternKind::PPlusOne,
+                PatternKind::MinimalRest,
+            ] {
                 let pattern = build_pattern(&f, kind);
                 assert!(!pattern.is_empty());
                 let udt = pattern.iter().filter(|&&t| t == Transport::Udt).count() as f64;

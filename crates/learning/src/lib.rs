@@ -58,7 +58,9 @@ pub use value::{ActionValue, ApproxV, MatrixQ, ModelV};
 /// Common imports for learner users.
 pub mod prelude {
     pub use crate::policy::{EpsilonGreedy, EpsilonGreedyConfig};
-    pub use crate::sarsa::{ControlAlgo, DecisionProbe, DecisionRecord, Sarsa, SarsaConfig, TraceKind};
+    pub use crate::sarsa::{
+        ControlAlgo, DecisionProbe, DecisionRecord, Sarsa, SarsaConfig, TraceKind,
+    };
     pub use crate::space::{ActionIdx, RatioSpace, StateIdx};
     pub use crate::value::{ActionValue, ApproxV, MatrixQ, ModelV};
 }

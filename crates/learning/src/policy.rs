@@ -121,7 +121,10 @@ mod tests {
         for _ in 0..100 {
             seen.insert(p.select(&q).0);
         }
-        assert!(seen.len() > 1, "uninitialised values must give random picks");
+        assert!(
+            seen.len() > 1,
+            "uninitialised values must give random picks"
+        );
     }
 
     #[test]
@@ -152,6 +155,9 @@ mod tests {
                 non_greedy += 1;
             }
         }
-        assert!(non_greedy > 100, "always-explore must pick non-greedy often");
+        assert!(
+            non_greedy > 100,
+            "always-explore must pick non-greedy often"
+        );
     }
 }

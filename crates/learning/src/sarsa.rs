@@ -223,9 +223,7 @@ impl<V: ActionValue, R: Rng> Sarsa<V, R> {
 
         // Watkins: an exploratory (non-greedy) next action invalidates the
         // eligibility of the past trajectory.
-        if self.cfg.algo == ControlAlgo::WatkinsQ
-            && greedy_next.is_some_and(|g| g != a_next)
-        {
+        if self.cfg.algo == ControlAlgo::WatkinsQ && greedy_next.is_some_and(|g| g != a_next) {
             self.traces.iter_mut().for_each(|e| *e = 0.0);
         }
 
@@ -412,7 +410,10 @@ mod tests {
             .iter()
             .filter(|v| v.is_some())
             .count();
-        assert!(known >= 2, "trace should update multiple states, got {known}");
+        assert!(
+            known >= 2,
+            "trace should update multiple states, got {known}"
+        );
     }
 
     #[test]
@@ -489,7 +490,12 @@ mod tests {
             },
             ..SarsaConfig::default()
         };
-        let mut l = Sarsa::new(space, cfg, ModelV::new(space), ChaCha12Rng::seed_from_u64(4));
+        let mut l = Sarsa::new(
+            space,
+            cfg,
+            ModelV::new(space),
+            ChaCha12Rng::seed_from_u64(4),
+        );
         let mut s = space.nearest_state(0.0);
         let mut a = l.begin(s);
         for _ in 0..30 {

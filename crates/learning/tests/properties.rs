@@ -153,8 +153,7 @@ fn alpha_zero_never_changes_initialised_values() {
                 lambda,
                 ..SarsaConfig::default()
             };
-            let mut learner =
-                Sarsa::new(space, cfg, backend, ChaCha12Rng::seed_from_u64(seed));
+            let mut learner = Sarsa::new(space, cfg, backend, ChaCha12Rng::seed_from_u64(seed));
             let mut s = space.nearest_state(0.0);
             let mut a = learner.begin(s);
             for _ in 0..steps {

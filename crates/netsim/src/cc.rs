@@ -561,7 +561,11 @@ impl CongestionController for Bbr {
         // "instantaneously", and the spike would poison the windowed max;
         // the min-RTT span averages such jumps over a full round trip.
         let round_dt = now.duration_since(self.round_start).as_secs_f64();
-        let min_span = if self.min_rtt.is_finite() { self.min_rtt } else { 0.0 };
+        let min_span = if self.min_rtt.is_finite() {
+            self.min_rtt
+        } else {
+            0.0
+        };
         if self.delivered >= self.round_end_delivered && round_dt >= min_span {
             let dt = round_dt;
             if dt > 0.0 {
@@ -677,8 +681,7 @@ impl CongestionController for Bbr {
     fn on_recovery_exit(&mut self, _ctx: &mut CcCtx<'_>, _now: SimTime) {}
 
     fn on_rtt_sample(&mut self, rtt_s: f64, now: SimTime) {
-        let expired =
-            now.duration_since(self.min_rtt_stamp).as_secs_f64() > MIN_RTT_WINDOW_S;
+        let expired = now.duration_since(self.min_rtt_stamp).as_secs_f64() > MIN_RTT_WINDOW_S;
         if rtt_s < self.min_rtt || expired {
             self.min_rtt = rtt_s;
             self.min_rtt_stamp = now;
@@ -700,11 +703,7 @@ impl CongestionController for Bbr {
 mod tests {
     use super::*;
 
-    fn ctx<'a>(
-        cwnd: &'a mut f64,
-        ssthresh: &'a mut f64,
-        rec: &'a Recorder,
-    ) -> CcCtx<'a> {
+    fn ctx<'a>(cwnd: &'a mut f64, ssthresh: &'a mut f64, rec: &'a Recorder) -> CcCtx<'a> {
         CcCtx {
             cwnd,
             ssthresh,

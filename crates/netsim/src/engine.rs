@@ -172,7 +172,14 @@ impl World {
     /// Schedules a packet-hop event: at `at`, the packet continues at hop
     /// `idx` of `route` (delivery once past the last hop). `now` is the
     /// clock as read with the lock held.
-    pub(crate) fn schedule_hop(&mut self, now: SimTime, at: SimTime, pkt: PacketHandle, route: RouteRef, idx: u32) {
+    pub(crate) fn schedule_hop(
+        &mut self,
+        now: SimTime,
+        at: SimTime,
+        pkt: PacketHandle,
+        route: RouteRef,
+        idx: u32,
+    ) {
         self.schedule(now, at, None, EventKind::PacketHop { pkt, route, idx });
     }
 
@@ -303,8 +310,17 @@ impl Sim {
     /// `at`, under `seq` if given: a number [taken](World::next_seq) earlier,
     /// of which none is consumed. Such an `at` must lie ahead, for the now
     /// lane is ordered by arrival, not by number.
-    pub(crate) fn schedule_flow_timer(&self, at: SimTime, seq: Option<u64>, wire: WireProtocol, token: u64) {
-        debug_assert!(seq.is_none() || at > self.now(), "a reserved number filed for now");
+    pub(crate) fn schedule_flow_timer(
+        &self,
+        at: SimTime,
+        seq: Option<u64>,
+        wire: WireProtocol,
+        token: u64,
+    ) {
+        debug_assert!(
+            seq.is_none() || at > self.now(),
+            "a reserved number filed for now"
+        );
         self.schedule_event(at, seq, EventKind::FlowTimer { wire, token });
     }
 
@@ -349,7 +365,9 @@ impl Sim {
         match event {
             EventKind::Closure(f) => f(self),
             EventKind::Target { target, token } => target.fire(self, token),
-            EventKind::PacketHop { pkt, route, idx } => Network::new(self).packet_hop(pkt, route, idx),
+            EventKind::PacketHop { pkt, route, idx } => {
+                Network::new(self).packet_hop(pkt, route, idx)
+            }
             EventKind::FlowTimer { wire, token } => Network::new(self).flow_timer(wire, token),
         }
     }
@@ -559,7 +577,9 @@ pub(crate) mod tests {
         assert_eq!(*seen.lock(), stamps);
         assert_eq!(sim.now(), horizon);
         let clone = sim.clone();
-        let elsewhere = std::thread::spawn(move || clone.now()).join().expect("reader thread");
+        let elsewhere = std::thread::spawn(move || clone.now())
+            .join()
+            .expect("reader thread");
         assert_eq!(elsewhere, horizon);
     }
 
@@ -731,7 +751,11 @@ pub(crate) mod tests {
             (beyond, SimTime::ZERO, false),
         ] {
             let got = reserved_and_later(at, midway, filed_first);
-            assert_eq!(got, [(at, 1), (at, 2)], "at {at:?}, filed first: {filed_first}");
+            assert_eq!(
+                got,
+                [(at, 1), (at, 2)],
+                "at {at:?}, filed first: {filed_first}"
+            );
         }
     }
 
@@ -761,9 +785,18 @@ pub(crate) mod tests {
         let net = crate::network::Network::new(&sim);
         let a = net.add_node("a");
         let log = Arc::new(Arrivals::default());
-        net.bind(a, WireProtocol::Udp, 9, log.clone()).expect("bind");
+        net.bind(a, WireProtocol::Udp, 9, log.clone())
+            .expect("bind");
         let here = Endpoint::new(a, 9);
-        let probe = || Packet::new(here, here, WireProtocol::Udp, 1, PacketBody::Udp(Bytes::new()));
+        let probe = || {
+            Packet::new(
+                here,
+                here,
+                WireProtocol::Udp,
+                1,
+                PacketBody::Udp(Bytes::new()),
+            )
+        };
         net.send_packet(probe());
         sim.run_for(Duration::from_secs(1));
         let (arrived, _) = log.0.lock().pop().expect("loop-back delivery");

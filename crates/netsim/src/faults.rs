@@ -117,7 +117,10 @@ impl FaultPlan {
         period: Duration,
         duty: f64,
     ) -> Self {
-        assert!((0.0..1.0).contains(&duty) && duty > 0.0, "duty out of (0, 1)");
+        assert!(
+            (0.0..1.0).contains(&duty) && duty > 0.0,
+            "duty out of (0, 1)"
+        );
         assert!(!period.is_zero(), "flap period is zero");
         let down = Duration::from_secs_f64(period.as_secs_f64() * duty);
         let mut start = from;
@@ -136,13 +139,7 @@ impl FaultPlan {
     ///
     /// Panics if `to <= from`.
     #[must_use]
-    pub fn partition_between(
-        self,
-        from: SimTime,
-        to: SimTime,
-        a: &[NodeId],
-        b: &[NodeId],
-    ) -> Self {
+    pub fn partition_between(self, from: SimTime, to: SimTime, a: &[NodeId], b: &[NodeId]) -> Self {
         assert!(to > from, "partition window is empty");
         self.at(
             from,
@@ -178,13 +175,7 @@ impl FaultPlan {
     ///
     /// Panics if `to <= from`.
     #[must_use]
-    pub fn latency_spike(
-        self,
-        link: LinkId,
-        from: SimTime,
-        to: SimTime,
-        extra: Duration,
-    ) -> Self {
+    pub fn latency_spike(self, link: LinkId, from: SimTime, to: SimTime, extra: Duration) -> Self {
         assert!(to > from, "latency_spike window is empty");
         self.at(from, FaultAction::LatencySpike(link, extra))
             .at(to, FaultAction::LatencyClear(link))

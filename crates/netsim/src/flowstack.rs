@@ -78,7 +78,13 @@ pub(crate) trait Protocol: PartialEq + Send + Sized + 'static {
     /// listener for a passive open (anything else is a stray and ignored).
     fn opens(wire: &Self::Wire) -> bool;
     /// Starts an active open on a freshly registered flow.
-    fn start_active(flow: &mut Self::Flow, cfg: &Self, rec: &Recorder, now: SimTime, out: &mut Out<Self>);
+    fn start_active(
+        flow: &mut Self::Flow,
+        cfg: &Self,
+        rec: &Recorder,
+        now: SimTime,
+        out: &mut Out<Self>,
+    );
     /// Starts a passive open with the packet that asked for it.
     fn start_passive(
         flow: &mut Self::Flow,
@@ -225,12 +231,23 @@ pub(crate) enum Action<W> {
     Writable,
     Closed(CloseReason),
     /// Arm the flow's timer of `kind` to come due after `delay`: one event.
-    Arm { kind: u64, delay: Duration, aux: u32 },
+    Arm {
+        kind: u64,
+        delay: Duration,
+        aux: u32,
+    },
     /// A [`FlowTimer`] moved its deadline to `at` behind a pending event:
     /// take the number an `Arm` would have taken, and report it.
-    Reserve { kind: u64, at: SimTime },
+    Reserve {
+        kind: u64,
+        at: SimTime,
+    },
     /// File a [`FlowTimer`]'s event at `at` under `seq`, reserved earlier.
-    Refile { kind: u64, at: SimTime, seq: u64 },
+    Refile {
+        kind: u64,
+        at: SimTime,
+        seq: u64,
+    },
 }
 
 /// A per-flow timer that keeps one pending engine event however often it is
@@ -251,7 +268,10 @@ const COVERED: u64 = u64::MAX;
 const UNREPORTED: u64 = u64::MAX - 1;
 
 impl FlowTimer {
-    pub(crate) const IDLE: FlowTimer = FlowTimer { deadline: SimTime::ZERO, seq: COVERED };
+    pub(crate) const IDLE: FlowTimer = FlowTimer {
+        deadline: SimTime::ZERO,
+        seq: COVERED,
+    };
 
     /// Arms the timer of `kind` for `delay` after `now`: the action to perform.
     pub(crate) fn arm<W>(&mut self, kind: u64, now: SimTime, delay: Duration) -> Action<W> {
@@ -263,7 +283,11 @@ impl FlowTimer {
         }
         if file {
             self.seq = COVERED;
-            Action::Arm { kind, delay, aux: 0 }
+            Action::Arm {
+                kind,
+                delay,
+                aux: 0,
+            }
         } else {
             Action::Reserve { kind, at }
         }
@@ -280,8 +304,15 @@ impl FlowTimer {
     /// reached. An early one files the deadline's event if none is there.
     pub(crate) fn fired<W>(&mut self, kind: u64, now: SimTime, out: &mut Vec<Action<W>>) -> bool {
         if now < self.deadline && self.seq != COVERED {
-            debug_assert!(self.seq != UNREPORTED, "the deadline's number was never reported");
-            out.push(Action::Refile { kind, at: self.deadline, seq: self.seq });
+            debug_assert!(
+                self.seq != UNREPORTED,
+                "the deadline's number was never reported"
+            );
+            out.push(Action::Refile {
+                kind,
+                at: self.deadline,
+                seq: self.seq,
+            });
             self.seq = COVERED;
         }
         now >= self.deadline
@@ -403,7 +434,13 @@ where
     let Some(flow) = table.flows.get_mut(h) else {
         return;
     };
-    f(flow, &table.configs[P::hdr(flow).cfg_id as usize], rec, now, &mut table.actions);
+    f(
+        flow,
+        &table.configs[P::hdr(flow).cfg_id as usize],
+        rec,
+        now,
+        &mut table.actions,
+    );
     P::after_step(flow, rec, now);
     if !table.actions.is_empty() {
         perform::<P>(net, h, world);
@@ -420,7 +457,10 @@ fn perform<P: Protocol>(net: &Network, h: Handle<P::Flow>, mut world: MutexGuard
     // Only clone the handler out when an action will actually notify the
     // application.
     let needs_events = actions.iter().any(|a| {
-        matches!(a, Action::Deliver(_) | Action::Connected | Action::Writable | Action::Closed(_))
+        matches!(
+            a,
+            Action::Deliver(_) | Action::Connected | Action::Writable | Action::Closed(_)
+        )
     });
     let mut few: [Option<Action<P::Wire>>; INLINE_ACTIONS] = [const { None }; INLINE_ACTIONS];
     let mut many = Vec::new();
@@ -439,13 +479,28 @@ fn perform<P: Protocol>(net: &Network, h: Handle<P::Flow>, mut world: MutexGuard
     }
     let hdr = P::hdr_mut(table.flows.get_mut(h).expect("flow looked up by the step"));
     let (local, peer, id) = (hdr.local, hdr.peer, ConnectionId::from_raw(hdr.conn_id));
-    let events = if needs_events { hdr.events.clone() } else { None };
+    let events = if needs_events {
+        hdr.events.clone()
+    } else {
+        None
+    };
     // The wrapper exists only for callback scope: counted here, under the
     // lock already held, and dropped outside it (its Drop re-enters the
     // world).
     hdr.app_handles += u32::from(events.is_some());
     drop(world);
-    let app = events.as_ref().map(|ev| (ev, P::connection(Conn { net: net.clone(), h, id, local, peer })));
+    let app = events.as_ref().map(|ev| {
+        (
+            ev,
+            P::connection(Conn {
+                net: net.clone(),
+                h,
+                id,
+                local,
+                peer,
+            }),
+        )
+    });
     let sim = net.sim();
     for action in few.iter_mut().map_while(Option::take).chain(many.drain(..)) {
         match (action, &app) {
@@ -459,7 +514,10 @@ fn perform<P: Protocol>(net: &Network, h: Handle<P::Flow>, mut world: MutexGuard
             (Action::Reserve { kind, at }, _) => {
                 let mut world = sim.lock();
                 let seq = world.next_seq();
-                let flow = P::table(&mut world.net).flows.get_mut(h).expect("flow slots are never removed");
+                let flow = P::table(&mut world.net)
+                    .flows
+                    .get_mut(h)
+                    .expect("flow slots are never removed");
                 P::timer(flow, kind).reserved(at, seq);
             }
             (Action::Refile { kind, at, seq }, _) => {
@@ -486,7 +544,11 @@ fn perform<P: Protocol>(net: &Network, h: Handle<P::Flow>, mut world: MutexGuard
 /// pair is stepped in that scope, otherwise a listener performs a passive
 /// open, registered in that scope. `on_accept`, and the drop of the handler
 /// of a flow a new dial supersedes, run with the lock released.
-pub(crate) fn dispatch<'a, P: Protocol>(net: &'a Network, mut world: MutexGuard<'a, World>, pkt: Packet) {
+pub(crate) fn dispatch<'a, P: Protocol>(
+    net: &'a Network,
+    mut world: MutexGuard<'a, World>,
+    pkt: Packet,
+) {
     let _scope = memscope::enter(P::SCOPE);
     let (src, dst) = (pkt.src, pkt.dst);
     let Some(wire) = P::from_body(pkt.body) else {
@@ -495,7 +557,9 @@ pub(crate) fn dispatch<'a, P: Protocol>(net: &'a Network, mut world: MutexGuard<
     let table = P::table(&mut world.net);
     match table.conn_index.get(&pair_key(dst, src)).copied() {
         Some(h) if !(P::opens(&wire) && table.superseded(h, src, dst)) => {
-            return step(net, world, h, |flow, cfg, rec, now, out| P::on_wire(flow, cfg, rec, now, out, wire));
+            return step(net, world, h, |flow, cfg, rec, now, out| {
+                P::on_wire(flow, cfg, rec, now, out, wire)
+            });
         }
         Some(h) => {
             // A new dial from a reused port: the old flow dies in place, and
@@ -508,8 +572,10 @@ pub(crate) fn dispatch<'a, P: Protocol>(net: &'a Network, mut world: MutexGuard<
                     out.push(Action::Closed(CloseReason::Reset));
                 }
             });
-            let events =
-                P::table(&mut net.sim().lock().net).flows.get_mut(h).and_then(|f| P::hdr_mut(f).events.take());
+            let events = P::table(&mut net.sim().lock().net)
+                .flows
+                .get_mut(h)
+                .and_then(|f| P::hdr_mut(f).events.take());
             drop(events);
             world = net.sim().lock();
         }
@@ -527,16 +593,27 @@ pub(crate) fn dispatch<'a, P: Protocol>(net: &'a Network, mut world: MutexGuard<
     let id = ConnectionId::fresh(&mut world);
     let table = P::table(&mut world.net);
     let h = table.insert_flow(cfg_id, (dst, src), id.raw(), None, net.now());
-    let entry = table.listeners.get_mut(&ep_key(dst)).expect("listener entry just looked up");
+    let entry = table
+        .listeners
+        .get_mut(&ep_key(dst))
+        .expect("listener entry just looked up");
     entry.conns.insert(ep_key(src), h);
     drop(world);
-    let conn = P::connection(Conn { net: net.clone(), h, id, local: dst, peer: src });
+    let conn = P::connection(Conn {
+        net: net.clone(),
+        h,
+        id,
+        local: dst,
+        peer: src,
+    });
     let events = handler.on_accept(&conn);
     let mut world = net.sim().lock();
     if let Some(flow) = P::table(&mut world.net).flows.get_mut(h) {
         P::hdr_mut(flow).events = Some(events);
     }
-    step(net, world, h, |flow, cfg, rec, now, out| P::start_passive(flow, cfg, rec, now, out, wire));
+    step(net, world, h, |flow, cfg, rec, now, out| {
+        P::start_passive(flow, cfg, rec, now, out, wire)
+    });
 }
 
 /// Services one per-flow timer token: finds its slot and steps it under one
@@ -548,7 +625,9 @@ pub(crate) fn service_timer<P: Protocol>(net: &Network, token: u64) {
     let mut world = net.sim().lock();
     let idx = ((token >> TOKEN_IDX_SHIFT) & TOKEN_IDX_MASK) as u32;
     if let Some(h) = P::table(&mut world.net).flows.handle_at(idx) {
-        step(net, world, h, |flow, cfg, rec, now, out| P::on_timer(flow, cfg, rec, now, out, kind, aux));
+        step(net, world, h, |flow, cfg, rec, now, out| {
+            P::on_timer(flow, cfg, rec, now, out, kind, aux)
+        });
     }
 }
 
@@ -568,10 +647,16 @@ pub struct Conn<P: Protocol> {
 
 impl<P: Protocol> Clone for Conn<P> {
     fn clone(&self) -> Self {
-        if let Some(flow) = P::table(&mut self.net.sim().lock().net).flows.get_mut(self.h) {
+        if let Some(flow) = P::table(&mut self.net.sim().lock().net)
+            .flows
+            .get_mut(self.h)
+        {
             P::hdr_mut(flow).app_handles += 1;
         }
-        Conn { net: self.net.clone(), ..*self }
+        Conn {
+            net: self.net.clone(),
+            ..*self
+        }
     }
 }
 
@@ -613,7 +698,10 @@ impl<P: Protocol> fmt::Debug for Conn<P> {
         out.field("id", &self.id)
             .field("local", &self.local)
             .field("peer", &self.peer);
-        P::debug_state(P::table(&mut self.net.sim().lock().net).flows.get(self.h), &mut out);
+        P::debug_state(
+            P::table(&mut self.net.sim().lock().net).flows.get(self.h),
+            &mut out,
+        );
         out.finish()
     }
 }
@@ -650,7 +738,13 @@ impl<P: Protocol> Conn<P> {
         let h = table.insert_flow(cfg_id, (local, dst), id.raw(), Some(events), net.now());
         let _scope = memscope::enter(P::SCOPE);
         step(net, world, h, P::start_active);
-        Ok(Conn { net: net.clone(), h, id, local, peer: dst })
+        Ok(Conn {
+            net: net.clone(),
+            h,
+            id,
+            local,
+            peer: dst,
+        })
     }
 
     /// The connection id.
@@ -799,9 +893,17 @@ impl<P: Protocol> Listener<P> {
         world.net.bind(node, P::WIRE, port, Binding::Flows)?;
         let table = P::table(&mut world.net);
         let cfg_id = table.intern(cfg);
-        let entry = ListenerEntry { cfg_id, handler, conns: FxHashMap::default() };
+        let entry = ListenerEntry {
+            cfg_id,
+            handler,
+            conns: FxHashMap::default(),
+        };
         table.listeners.insert(ep_key(local), entry);
-        Ok(Listener { net: net.clone(), local, protocol: PhantomData })
+        Ok(Listener {
+            net: net.clone(),
+            local,
+            protocol: PhantomData,
+        })
     }
 
     /// The listening endpoint.
@@ -854,8 +956,14 @@ mod tests {
     }
     impl StreamAccept for ProbedAccept {
         fn on_accept(&self, _conn: &Connection) -> Arc<dyn StreamEvents> {
-            let probe = DropProbe { world: self.world.clone(), drops: self.drops.clone() };
-            Arc::new(Probed { rec: self.rec.clone(), _probe: probe })
+            let probe = DropProbe {
+                world: self.world.clone(),
+                drops: self.drops.clone(),
+            };
+            Arc::new(Probed {
+                rec: self.rec.clone(),
+                _probe: probe,
+            })
         }
     }
 
@@ -912,13 +1020,29 @@ mod tests {
                 world: sim.downgrade(),
                 drops: server_drops.clone(),
             };
-            let listener = Listener::bind(&net, b, LISTEN, P::default(), Arc::new(accept)).expect("bind");
-            World { sim, net, a, b, tracer, server, server_drops, listener }
+            let listener =
+                Listener::bind(&net, b, LISTEN, P::default(), Arc::new(accept)).expect("bind");
+            World {
+                sim,
+                net,
+                a,
+                b,
+                tracer,
+                server,
+                server_drops,
+                listener,
+            }
         }
 
         fn dial(&self, port: u16, events: Arc<dyn StreamEvents>) -> Conn<P> {
-            Conn::connect(&self.net, self.a, Endpoint::new(self.b, port), P::default(), events)
-                .expect("dial")
+            Conn::connect(
+                &self.net,
+                self.a,
+                Endpoint::new(self.b, port),
+                P::default(),
+                events,
+            )
+            .expect("dial")
         }
 
         /// What a no-op must leave unchanged: packets sent, events (so
@@ -937,7 +1061,10 @@ mod tests {
     }
     impl Drops {
         fn counts(&self) -> (usize, usize) {
-            (self.total.load(Ordering::SeqCst), self.locked.load(Ordering::SeqCst))
+            (
+                self.total.load(Ordering::SeqCst),
+                self.locked.load(Ordering::SeqCst),
+            )
         }
     }
 
@@ -950,9 +1077,14 @@ mod tests {
     impl StreamEvents for DropProbe {}
     impl Drop for DropProbe {
         fn drop(&mut self) {
-            let locked = self.world.upgrade().is_some_and(|sim| sim.try_lock().is_none());
+            let locked = self
+                .world
+                .upgrade()
+                .is_some_and(|sim| sim.try_lock().is_none());
             self.drops.total.fetch_add(1, Ordering::SeqCst);
-            self.drops.locked.fetch_add(usize::from(locked), Ordering::SeqCst);
+            self.drops
+                .locked
+                .fetch_add(usize::from(locked), Ordering::SeqCst);
         }
     }
 
@@ -967,7 +1099,10 @@ mod tests {
         /// it would deadlock), re-enters it by scheduling an event. Whether
         /// it was free.
         fn note(&self, name: &'static str) -> bool {
-            let sim = self.world.upgrade().expect("the world outlives its call-outs");
+            let sim = self
+                .world
+                .upgrade()
+                .expect("the world outlives its call-outs");
             let locked = sim.try_lock().is_none();
             self.seen.lock().push((name, locked));
             if !locked {
@@ -1015,18 +1150,31 @@ mod tests {
     fn call_outs_run_with_the_world_unlocked<P: Protocol + Default>() {
         const CHECKED: u16 = 82;
         let w = World::<P>::new();
-        let calls = Arc::new(CallOuts { world: w.sim.downgrade(), seen: parking_lot::Mutex::default() });
+        let calls = Arc::new(CallOuts {
+            world: w.sim.downgrade(),
+            seen: parking_lot::Mutex::default(),
+        });
         let checked = || Arc::new(Checked(calls.clone()));
-        let _listener = Listener::<P>::bind(&w.net, w.b, CHECKED, P::default(), checked()).expect("bind");
-        w.net.bind(w.b, WireProtocol::Udp, CHECKED, checked()).expect("bind");
+        let _listener =
+            Listener::<P>::bind(&w.net, w.b, CHECKED, P::default(), checked()).expect("bind");
+        w.net
+            .bind(w.b, WireProtocol::Udp, CHECKED, checked())
+            .expect("bind");
         let conn = P::connection(w.dial(CHECKED, checked()));
         let (from, to) = (Endpoint::new(w.a, CHECKED), Endpoint::new(w.b, CHECKED));
-        w.net.send_packet(Packet::new(from, to, WireProtocol::Udp, 1, PacketBody::Udp(Bytes::new())));
+        w.net.send_packet(Packet::new(
+            from,
+            to,
+            WireProtocol::Udp,
+            1,
+            PacketBody::Udp(Bytes::new()),
+        ));
         let in_closure = calls.clone();
         w.sim.schedule_in(Duration::from_millis(1), move |_| {
             in_closure.note("closure");
         });
-        w.sim.schedule_target_in(Duration::from_millis(1), checked(), 0);
+        w.sim
+            .schedule_target_in(Duration::from_millis(1), checked(), 0);
         w.sim.run_for(Duration::from_secs(1));
         // One byte more than the send buffer takes, so that it asks for more.
         let offered = conn.free_send_buffer() + 1;
@@ -1039,19 +1187,39 @@ mod tests {
         let mut names: Vec<_> = seen.iter().map(|&(name, _)| name).collect();
         names.sort_unstable();
         names.dedup();
-        let expected =
-            ["closure", "fire", "on_accept", "on_closed", "on_connected", "on_data", "on_packet", "on_writable"];
+        let expected = [
+            "closure",
+            "fire",
+            "on_accept",
+            "on_closed",
+            "on_connected",
+            "on_data",
+            "on_packet",
+            "on_writable",
+        ];
         assert_eq!(names, expected);
         let locked: Vec<_> = seen.iter().filter(|&&(_, locked)| locked).collect();
-        assert!(locked.is_empty(), "called out with the world locked: {locked:?}");
+        assert!(
+            locked.is_empty(),
+            "called out with the world locked: {locked:?}"
+        );
     }
 
     fn last_handle_drop_kills_flow_in_place<P: Protocol + Default>(is_dead: fn(&P::Flow) -> bool) {
         let w = World::<P>::new();
         let drops = Arc::new(Drops::default());
-        let conn = w.dial(LISTEN, Arc::new(DropProbe { world: w.sim.downgrade(), drops: drops.clone() }));
+        let conn = w.dial(
+            LISTEN,
+            Arc::new(DropProbe {
+                world: w.sim.downgrade(),
+                drops: drops.clone(),
+            }),
+        );
         w.sim.run_for(Duration::from_secs(1));
-        assert!(format!("{conn:?}").contains("state: Some(Established)"), "{conn:?}");
+        assert!(
+            format!("{conn:?}").contains("state: Some(Established)"),
+            "{conn:?}"
+        );
         let (h, key) = (conn.h, pair_key(conn.local, conn.peer));
 
         let clone = conn.clone();
@@ -1072,7 +1240,11 @@ mod tests {
         assert_eq!(P::hdr(flow).app_handles, 0);
         assert!(P::hdr(flow).events.is_none());
         assert!(!table.conn_index.contains_key(&key));
-        assert_eq!(drops.counts(), (1, 0), "the handler is released, and outside the world lock");
+        assert_eq!(
+            drops.counts(),
+            (1, 0),
+            "the handler is released, and outside the world lock"
+        );
     }
 
     fn accepted_flow_outlives_its_callback_wrapper<P: Protocol + Default>() {
@@ -1159,7 +1331,13 @@ mod tests {
         assert!(!P::opens(&stray));
         let before = w.activity();
         let (len, body) = P::into_body(stray);
-        let pkt = Packet::new(Endpoint::new(w.a, 50_000), w.listener.local(), P::WIRE, len, body);
+        let pkt = Packet::new(
+            Endpoint::new(w.a, 50_000),
+            w.listener.local(),
+            P::WIRE,
+            len,
+            body,
+        );
         dispatch::<P>(&w.net, w.sim.lock(), pkt);
         assert_eq!(w.activity(), before);
         assert_eq!(w.listener.connection_count(), 0);
@@ -1205,7 +1383,11 @@ mod tests {
             (1, 0),
             "the superseded flow's handler is released, and outside the lock"
         );
-        assert_eq!(w.listener.connection_count(), 1, "the old flow is forgotten");
+        assert_eq!(
+            w.listener.connection_count(),
+            1,
+            "the old flow is forgotten"
+        );
         P::connection(again.clone()).send(pattern_bytes(1_000, 5_000));
         w.sim.run_for(Duration::from_secs(2));
         assert_eq!(w.server.data_len(), 6_000);
@@ -1232,7 +1414,12 @@ mod tests {
     fn only_a_kill_unbinds_and_only_the_dialled_port<P: Protocol + Default>() {
         let w = World::<P>::new();
         let bound = |node, port| {
-            let taken = w.sim.lock().net.bind(node, P::WIRE, port, Binding::Flows).is_err();
+            let taken = w
+                .sim
+                .lock()
+                .net
+                .bind(node, P::WIRE, port, Binding::Flows)
+                .is_err();
             if !taken {
                 w.net.unbind(node, P::WIRE, port);
             }
@@ -1248,7 +1435,10 @@ mod tests {
         assert!(bound(w.a, port), "an orderly close keeps the port");
         drop(conn);
         assert!(!bound(w.a, port), "the kill releases it");
-        assert!(bound(w.b, LISTEN), "the accepted flow's port is its listener's");
+        assert!(
+            bound(w.b, LISTEN),
+            "the accepted flow's port is its listener's"
+        );
         let _again = w.dial(LISTEN, Arc::new(SinkEvents));
         w.sim.run_for(Duration::from_secs(1));
         assert_eq!(w.listener.connection_count(), 2);
@@ -1297,16 +1487,30 @@ mod tests {
             let mut world = w.sim.lock();
             let table = P::table(&mut world.net);
             let window = |h| unacked(table.flows.get(h).expect("live flow"));
-            (window(conn.h), window(accepted), client.connected(), w.server.connected())
+            (
+                window(conn.h),
+                window(accepted),
+                client.connected(),
+                w.server.connected(),
+            )
         };
         let before = (snapshot(), w.activity());
         assert_eq!(before.0 .2, 0, "the dialler is still opening");
 
         conn.process(|flow, cfg, rec, now, out| P::on_wire(flow, cfg, rec, now, out, to_dialler));
-        step::<P, _>(&w.net, w.sim.lock(), accepted, |flow, cfg, rec, now, out| {
-            P::on_wire(flow, cfg, rec, now, out, to_acceptor);
-        });
-        assert_eq!((snapshot(), w.activity()), before, "nothing adopted, nothing sent, nobody told");
+        step::<P, _>(
+            &w.net,
+            w.sim.lock(),
+            accepted,
+            |flow, cfg, rec, now, out| {
+                P::on_wire(flow, cfg, rec, now, out, to_acceptor);
+            },
+        );
+        assert_eq!(
+            (snapshot(), w.activity()),
+            before,
+            "nothing adopted, nothing sent, nobody told"
+        );
 
         w.sim.run_for(Duration::from_secs(1));
         assert_eq!((client.connected(), w.server.connected()), (1, 1));
@@ -1333,9 +1537,11 @@ mod tests {
         let b = net.add_node("b");
         let (ab, _) = net.connect_duplex(a, b, LinkConfig::new(10e6, Duration::from_millis(5)));
         let accept = Arc::new(Accept(Arc::new(Recorder::default())));
-        let _listener = Listener::bind(&net, b, LISTEN, TcpConfig::default(), accept).expect("bind");
+        let _listener =
+            Listener::bind(&net, b, LISTEN, TcpConfig::default(), accept).expect("bind");
         let dst = Endpoint::new(b, LISTEN);
-        let conn = Conn::connect(&net, a, dst, TcpConfig::default(), Arc::new(SinkEvents)).expect("dial");
+        let conn =
+            Conn::connect(&net, a, dst, TcpConfig::default(), Arc::new(SinkEvents)).expect("dial");
         sim.run_for(Duration::from_millis(100));
         assert!(conn.is_established());
         // The first transmission and the first retransmission (one RTO of
@@ -1360,14 +1566,25 @@ mod tests {
         let arrived = events
             .iter()
             .rev()
-            .find(|e| matches!(&e.kind, EventKind::Packet { outcome, .. } if outcome == "delivered"))
+            .find(
+                |e| matches!(&e.kind, EventKind::Packet { outcome, .. } if outcome == "delivered"),
+            )
             .expect("a delivery")
             .time_ns;
-        let at_arrival: Vec<String> =
-            events.iter().filter(|e| e.time_ns == arrived).map(|e| label(&e.kind)).collect();
+        let at_arrival: Vec<String> = events
+            .iter()
+            .filter(|e| e.time_ns == arrived)
+            .map(|e| label(&e.kind))
+            .collect();
         assert_eq!(
             at_arrival,
-            ["close hop 0", "close flight 0", "packet delivered", "close seg 1", "cwnd recovery_exit"]
+            [
+                "close hop 0",
+                "close flight 0",
+                "packet delivered",
+                "close seg 1",
+                "cwnd recovery_exit"
+            ]
         );
     }
 

@@ -392,7 +392,11 @@ impl LinkState {
             } else if flip < ge.p_enter_bad {
                 self.ge_bad = true;
             }
-            let loss = if self.ge_bad { ge.loss_bad } else { ge.loss_good };
+            let loss = if self.ge_bad {
+                ge.loss_bad
+            } else {
+                ge.loss_good
+            };
             if loss > 0.0 {
                 let roll: f64 = self.rng.gen();
                 if roll < loss {
@@ -594,8 +598,14 @@ mod tests {
     #[test]
     fn queue_overflow_drops() {
         let mut link = mk(LinkConfig::new(1e6, Duration::ZERO).queue_capacity(2500));
-        assert!(matches!(link.transmit(T0, 1000, false), Verdict::DeliverAt(_)));
-        assert!(matches!(link.transmit(T0, 1000, false), Verdict::DeliverAt(_)));
+        assert!(matches!(
+            link.transmit(T0, 1000, false),
+            Verdict::DeliverAt(_)
+        ));
+        assert!(matches!(
+            link.transmit(T0, 1000, false),
+            Verdict::DeliverAt(_)
+        ));
         // Third packet exceeds the 2500 B queue.
         assert_eq!(
             link.transmit(T0, 1000, false),
@@ -608,13 +618,19 @@ mod tests {
     #[test]
     fn queue_drains_over_time() {
         let mut link = mk(LinkConfig::new(1e6, Duration::ZERO).queue_capacity(1500));
-        assert!(matches!(link.transmit(T0, 1000, false), Verdict::DeliverAt(_)));
+        assert!(matches!(
+            link.transmit(T0, 1000, false),
+            Verdict::DeliverAt(_)
+        ));
         assert!(matches!(
             link.transmit(T0, 1000, false),
             Verdict::Dropped(DropReason::QueueOverflow)
         ));
         // A second later the queue has emptied.
-        assert!(matches!(link.transmit(SimTime::from_secs(1), 1000, false), Verdict::DeliverAt(_)));
+        assert!(matches!(
+            link.transmit(SimTime::from_secs(1), 1000, false),
+            Verdict::DeliverAt(_)
+        ));
     }
 
     #[test]
@@ -641,13 +657,19 @@ mod tests {
             });
         let mut link = mk(cfg);
         // Two 600 B UDP packets: first drains the bucket, second is policed.
-        assert!(matches!(link.transmit(T0, 600, true), Verdict::DeliverAt(_)));
+        assert!(matches!(
+            link.transmit(T0, 600, true),
+            Verdict::DeliverAt(_)
+        ));
         assert_eq!(
             link.transmit(T0, 600, true),
             Verdict::Dropped(DropReason::Policed)
         );
         // TCP is unaffected.
-        assert!(matches!(link.transmit(T0, 600, false), Verdict::DeliverAt(_)));
+        assert!(matches!(
+            link.transmit(T0, 600, false),
+            Verdict::DeliverAt(_)
+        ));
         assert_eq!(link.stats.dropped_policer, 1);
     }
 
@@ -660,9 +682,15 @@ mod tests {
                 burst: 1000.0,
             });
         let mut link = mk(cfg);
-        assert!(matches!(link.transmit(T0, 1000, true), Verdict::DeliverAt(_)));
+        assert!(matches!(
+            link.transmit(T0, 1000, true),
+            Verdict::DeliverAt(_)
+        ));
         assert!(matches!(link.transmit(T0, 1000, true), Verdict::Dropped(_)));
-        assert!(matches!(link.transmit(SimTime::from_secs(2), 1000, true), Verdict::DeliverAt(_)));
+        assert!(matches!(
+            link.transmit(SimTime::from_secs(2), 1000, true),
+            Verdict::DeliverAt(_)
+        ));
     }
 
     #[test]
@@ -681,8 +709,8 @@ mod tests {
 
     #[test]
     fn jitter_spreads_arrivals() {
-        let mut link = mk(LinkConfig::new(1e9, Duration::from_millis(10))
-            .jitter(Duration::from_millis(5)));
+        let mut link =
+            mk(LinkConfig::new(1e9, Duration::from_millis(10)).jitter(Duration::from_millis(5)));
         let mut times = Vec::new();
         for _ in 0..50 {
             match link.transmit(T0, 100, true) {
@@ -712,13 +740,19 @@ mod tests {
         }
         assert_eq!(link.stats.dropped_down, 5);
         link.up = true;
-        assert!(matches!(link.transmit(T0, 100, false), Verdict::DeliverAt(_)));
+        assert!(matches!(
+            link.transmit(T0, 100, false),
+            Verdict::DeliverAt(_)
+        ));
     }
 
     #[test]
     fn sever_clears_backlog_and_bumps_epoch() {
         let mut link = mk(LinkConfig::new(1e6, Duration::ZERO).queue_capacity(10_000));
-        assert!(matches!(link.transmit(T0, 5000, false), Verdict::DeliverAt(_)));
+        assert!(matches!(
+            link.transmit(T0, 5000, false),
+            Verdict::DeliverAt(_)
+        ));
         assert!(link.backlog_bytes(T0) > 0.0);
         let before = link.epoch();
         link.sever();
@@ -763,7 +797,10 @@ mod tests {
         assert_eq!(link.stats.dropped_burst as usize, dropped);
         // Clearing resets to the good state.
         link.set_burst_loss(None);
-        assert!(matches!(link.transmit(T0, 100, false), Verdict::DeliverAt(_)));
+        assert!(matches!(
+            link.transmit(T0, 100, false),
+            Verdict::DeliverAt(_)
+        ));
     }
 
     #[test]

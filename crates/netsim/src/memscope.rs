@@ -49,7 +49,9 @@ pub fn current() -> usize {
 #[must_use]
 pub fn enter(scope: usize) -> ScopeGuard {
     debug_assert!(scope < N_SCOPES);
-    let prev = CURRENT.try_with(|c| c.replace(scope)).unwrap_or(SCOPE_OTHER);
+    let prev = CURRENT
+        .try_with(|c| c.replace(scope))
+        .unwrap_or(SCOPE_OTHER);
     ScopeGuard { prev }
 }
 

@@ -222,7 +222,11 @@ impl NetInner {
     /// range and ports already bound for `protocol` are skipped, so
     /// long-lived worlds with connection churn keep allocating successfully.
     /// `None` when every port in the range is bound.
-    pub(crate) fn alloc_ephemeral_port(&mut self, node: NodeId, protocol: WireProtocol) -> Option<u16> {
+    pub(crate) fn alloc_ephemeral_port(
+        &mut self,
+        node: NodeId,
+        protocol: WireProtocol,
+    ) -> Option<u16> {
         let start = *self.next_ephemeral.get(&node).unwrap_or(&EPHEMERAL_LO);
         for i in 0..EPHEMERAL_SPAN {
             let off = (u32::from(start - EPHEMERAL_LO) + i) % EPHEMERAL_SPAN;
@@ -362,7 +366,9 @@ impl Network {
         let off = u32::try_from(inner.route_arena.len()).expect("route arena overflow");
         let len = u32::try_from(links.len()).expect("route too long");
         inner.route_arena.extend_from_slice(&links);
-        inner.routes.insert(route_key(src, dst), RouteRef { off, len });
+        inner
+            .routes
+            .insert(route_key(src, dst), RouteRef { off, len });
     }
 
     /// Returns the currently installed route, if any.
@@ -398,7 +404,10 @@ impl Network {
         port: u16,
         sink: Arc<dyn PacketSink>,
     ) -> Result<(), BindError> {
-        self.0.lock().net.bind(node, protocol, port, Binding::Foreign(sink))
+        self.0
+            .lock()
+            .net
+            .bind(node, protocol, port, Binding::Foreign(sink))
     }
 
     /// Removes a binding if present.
@@ -414,7 +423,10 @@ impl Network {
     ///
     /// Panics if the network already has a tracer.
     pub fn set_tracer(&self, tracer: Arc<dyn PacketTracer>) {
-        assert!(self.0.tracer().set(tracer).is_ok(), "the network already has a tracer");
+        assert!(
+            self.0.tracer().set(tracer).is_ok(),
+            "the network already has a tracer"
+        );
     }
 
     fn trace(&self, pkt: &Packet, event: PacketEvent, now: SimTime) {
@@ -457,7 +469,10 @@ impl Network {
         let rec = sim.recorder();
         if rec.is_enabled() {
             let key = flight_key(pkt.src, pkt.dst);
-            pkt.span = rec.tracer().open_root(now.as_nanos(), SpanKind::Flight, key).raw();
+            pkt.span = rec
+                .tracer()
+                .open_root(now.as_nanos(), SpanKind::Flight, key)
+                .raw();
         }
         self.trace(&pkt, PacketEvent::Sent, now);
         // One lock for the stats bump, the route lookup, the pool claim, the
@@ -465,7 +480,12 @@ impl Network {
         // further.
         let mut world = sim.lock();
         world.net.stats.sent += 1;
-        let ended = match world.net.routes.get(&route_key(pkt.src.node, pkt.dst.node)).copied() {
+        let ended = match world
+            .net
+            .routes
+            .get(&route_key(pkt.src.node, pkt.dst.node))
+            .copied()
+        {
             Some(route) if route.len > 0 => {
                 let h = world.net.pool.alloc(pkt);
                 self.transmit(&mut world, h, route, 0, now)
@@ -504,7 +524,10 @@ impl Network {
         let inner = &mut world.net;
         let link_id = inner.route_arena[route.off as usize + idx as usize];
         let link = &mut inner.links[link_id.index() as usize];
-        let pkt = inner.pool.get_mut(h).expect("in-flight packet vanished from pool");
+        let pkt = inner
+            .pool
+            .get_mut(h)
+            .expect("in-flight packet vanished from pool");
         match link.transmit(now, pkt.wire_size, pkt.protocol.is_udp_family()) {
             Verdict::DeliverAt(at) => {
                 // Stamp the sever epoch: if the link is severed before the
@@ -535,7 +558,10 @@ impl Network {
             }
             Verdict::Dropped(reason) => {
                 inner.stats.dropped_link += 1;
-                let pkt = inner.pool.free(h).expect("dropped packet vanished from pool");
+                let pkt = inner
+                    .pool
+                    .free(h)
+                    .expect("dropped packet vanished from pool");
                 Some(Ended::Dropped(link_id, reason, pkt))
             }
         }
@@ -578,11 +604,17 @@ impl Network {
         if idx >= 1 {
             let link_id = inner.route_arena[route.off as usize + idx as usize - 1];
             let link = &mut inner.links[link_id.index() as usize];
-            let pkt = inner.pool.get_mut(h).expect("in-flight packet vanished from pool");
+            let pkt = inner
+                .pool
+                .get_mut(h)
+                .expect("in-flight packet vanished from pool");
             if link.epoch() != pkt.sever_epoch {
                 link.note_severed();
                 inner.stats.dropped_link += 1;
-                let pkt = inner.pool.free(h).expect("severed packet vanished from pool");
+                let pkt = inner
+                    .pool
+                    .free(h)
+                    .expect("severed packet vanished from pool");
                 return Some(Ended::Dropped(link_id, DropReason::Severed, pkt));
             }
             self.close_hop(pkt, 0, now);
@@ -591,8 +623,14 @@ impl Network {
             return self.transmit(world, h, route, idx, now);
         }
         // Past the last hop: whoever is bound gets the packet by value.
-        let pkt = inner.pool.free(h).expect("delivered packet vanished from pool");
-        let binding = inner.sinks.get(&sink_key(pkt.dst.node, pkt.protocol, pkt.dst.port)).cloned();
+        let pkt = inner
+            .pool
+            .free(h)
+            .expect("delivered packet vanished from pool");
+        let binding = inner
+            .sinks
+            .get(&sink_key(pkt.dst.node, pkt.protocol, pkt.dst.port))
+            .cloned();
         match binding {
             Some(_) => inner.stats.delivered += 1,
             None => inner.stats.dropped_no_sink += 1,
@@ -616,7 +654,11 @@ impl Network {
                 // Still open only if the packet died mid-hop, to a sever.
                 self.close_hop(&mut pkt, HOP_SEVERED, now);
                 let severed = reason == DropReason::Severed;
-                let key = if severed { FLIGHT_SEVERED } else { FLIGHT_DROPPED };
+                let key = if severed {
+                    FLIGHT_SEVERED
+                } else {
+                    FLIGHT_DROPPED
+                };
                 (pkt, key, PacketEvent::Dropped(reason), None)
             }
             Ended::Arrived(pkt, Some(binding)) => {
@@ -627,7 +669,13 @@ impl Network {
         };
         // The `flight` span was never opened if tracing was off at injection.
         if pkt.span != 0 {
-            rec.record(now.as_nanos(), EventKind::SpanClose { span: pkt.span, key });
+            rec.record(
+                now.as_nanos(),
+                EventKind::SpanClose {
+                    span: pkt.span,
+                    key,
+                },
+            );
         }
         self.trace(&pkt, event, now);
         match (binding, pkt.protocol) {
@@ -635,8 +683,12 @@ impl Network {
                 drop(guard);
                 sink.on_packet(self, pkt);
             }
-            (Some(Binding::Flows), WireProtocol::Tcp) => flowstack::dispatch::<TcpConfig>(self, guard, pkt),
-            (Some(Binding::Flows), WireProtocol::Udt) => flowstack::dispatch::<UdtConfig>(self, guard, pkt),
+            (Some(Binding::Flows), WireProtocol::Tcp) => {
+                flowstack::dispatch::<TcpConfig>(self, guard, pkt)
+            }
+            (Some(Binding::Flows), WireProtocol::Udt) => {
+                flowstack::dispatch::<UdtConfig>(self, guard, pkt)
+            }
             // No flow table serves UDP.
             (Some(Binding::Flows), WireProtocol::Udp) | (None, _) => {}
         }
@@ -686,7 +738,13 @@ mod tests {
     }
 
     fn udp_packet(src: Endpoint, dst: Endpoint) -> Packet {
-        Packet::new(src, dst, WireProtocol::Udp, 100, PacketBody::Udp(Bytes::from_static(b"x")))
+        Packet::new(
+            src,
+            dst,
+            WireProtocol::Udp,
+            100,
+            PacketBody::Udp(Bytes::from_static(b"x")),
+        )
     }
 
     fn two_nodes() -> (Sim, Network, NodeId, NodeId) {
@@ -766,7 +824,9 @@ mod tests {
         let (_sim, net, _a, b) = two_nodes();
         let sink = Arc::new(Counter(AtomicUsize::new(0)));
         net.bind(b, WireProtocol::Udp, 80, sink.clone()).unwrap();
-        let err = net.bind(b, WireProtocol::Udp, 80, sink.clone()).unwrap_err();
+        let err = net
+            .bind(b, WireProtocol::Udp, 80, sink.clone())
+            .unwrap_err();
         assert_eq!(err.endpoint.port, 80);
         assert!(err.to_string().contains("already bound"));
         // Different protocol on the same port is fine.
@@ -785,9 +845,24 @@ mod tests {
     #[test]
     fn ephemeral_ports_unique_per_node() {
         let (_sim, net, a, b) = two_nodes();
-        let p1 = net.0.lock().net.alloc_ephemeral_port(a, WireProtocol::Tcp).unwrap();
-        let p2 = net.0.lock().net.alloc_ephemeral_port(a, WireProtocol::Tcp).unwrap();
-        let p3 = net.0.lock().net.alloc_ephemeral_port(b, WireProtocol::Tcp).unwrap();
+        let p1 = net
+            .0
+            .lock()
+            .net
+            .alloc_ephemeral_port(a, WireProtocol::Tcp)
+            .unwrap();
+        let p2 = net
+            .0
+            .lock()
+            .net
+            .alloc_ephemeral_port(a, WireProtocol::Tcp)
+            .unwrap();
+        let p3 = net
+            .0
+            .lock()
+            .net
+            .alloc_ephemeral_port(b, WireProtocol::Tcp)
+            .unwrap();
         assert_ne!(p1, p2);
         assert_eq!(p1, 49152);
         assert_eq!(p3, 49152);
@@ -803,13 +878,23 @@ mod tests {
         net.bind(a, WireProtocol::Tcp, 65535, sink.clone()).unwrap();
         net.0.lock().net.next_ephemeral.insert(a, 65534);
         // Bound ports are skipped and the cursor wraps to the bottom.
-        let p = net.0.lock().net.alloc_ephemeral_port(a, WireProtocol::Tcp).unwrap();
+        let p = net
+            .0
+            .lock()
+            .net
+            .alloc_ephemeral_port(a, WireProtocol::Tcp)
+            .unwrap();
         assert_eq!(p, 49152);
         // A different protocol has its own namespace: 65534 is free there.
         let q = net.0.lock().net.alloc_ephemeral_port(a, WireProtocol::Udt);
         assert_eq!(q, Some(49153));
         net.0.lock().net.next_ephemeral.insert(a, 65534);
-        let q = net.0.lock().net.alloc_ephemeral_port(a, WireProtocol::Udt).unwrap();
+        let q = net
+            .0
+            .lock()
+            .net
+            .alloc_ephemeral_port(a, WireProtocol::Udt)
+            .unwrap();
         assert_eq!(q, 65534);
     }
 
@@ -820,10 +905,16 @@ mod tests {
         for port in 49152..=u16::MAX {
             net.bind(a, WireProtocol::Tcp, port, sink.clone()).unwrap();
         }
-        assert_eq!(net.0.lock().net.alloc_ephemeral_port(a, WireProtocol::Tcp), None);
+        assert_eq!(
+            net.0.lock().net.alloc_ephemeral_port(a, WireProtocol::Tcp),
+            None
+        );
         // Freeing one port makes allocation succeed again.
         net.unbind(a, WireProtocol::Tcp, 50_000);
-        assert_eq!(net.0.lock().net.alloc_ephemeral_port(a, WireProtocol::Tcp), Some(50_000));
+        assert_eq!(
+            net.0.lock().net.alloc_ephemeral_port(a, WireProtocol::Tcp),
+            Some(50_000)
+        );
     }
 
     #[test]
@@ -867,7 +958,11 @@ mod tests {
                 }
             });
             sim.run_until(SimTime::from_secs(1));
-            assert_eq!(sink.0.load(Ordering::SeqCst), expect_delivered, "severed={severed}");
+            assert_eq!(
+                sink.0.load(Ordering::SeqCst),
+                expect_delivered,
+                "severed={severed}"
+            );
             if severed {
                 let link = net.route(NodeId(0), NodeId(1)).unwrap()[0];
                 assert_eq!(net.link(link).stats().dropped_severed, 1);
@@ -921,9 +1016,17 @@ mod tests {
 
         let (hop_sev, dropped, severed) = (HOP_SEVERED, FLIGHT_DROPPED, FLIGHT_SEVERED);
         let flight = flight_key(Endpoint::new(a, 1000), Endpoint::new(b, 80));
-        let inject =
-            [format!("open flight {flight}"), "packet sent".into(), "queue 0".into(), "open hop 0".into()];
-        let second_hop = ["close hop 0".to_string(), "queue 1".into(), "open hop 1".into()];
+        let inject = [
+            format!("open flight {flight}"),
+            "packet sent".into(),
+            "queue 0".into(),
+            "open hop 0".into(),
+        ];
+        let second_hop = [
+            "close hop 0".to_string(),
+            "queue 1".into(),
+            "open hop 1".into(),
+        ];
         let mut expected = Vec::new();
         expected.extend(inject.clone());
         expected.extend(inject.clone());
@@ -945,7 +1048,12 @@ mod tests {
             format!("close flight {severed}"),
             "packet dropped:severed".into(),
         ]);
-        let recorded: Vec<String> = sim.recorder().events().iter().map(|e| label(&e.kind)).collect();
+        let recorded: Vec<String> = sim
+            .recorder()
+            .events()
+            .iter()
+            .map(|e| label(&e.kind))
+            .collect();
         assert_eq!(recorded, expected);
         assert_eq!(sink.0.load(Ordering::SeqCst), 1);
         assert_eq!(net.packets_in_flight(), 0);
@@ -958,7 +1066,10 @@ mod tests {
         // Taken before anything happens, and read only afterwards.
         let early = net.link(ab);
         assert!(early.is_up());
-        assert_eq!((early.epoch(), early.stats()), (0, crate::link::LinkStats::default()));
+        assert_eq!(
+            (early.epoch(), early.stats()),
+            (0, crate::link::LinkStats::default())
+        );
 
         net.link(ab).sever();
         assert!(!early.is_up());
@@ -975,23 +1086,35 @@ mod tests {
 
         let unknown = LinkId::from_index(99);
         let lookup = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.link(unknown)));
-        assert!(lookup.is_err(), "an unknown id is refused at `Network::link`");
+        assert!(
+            lookup.is_err(),
+            "an unknown id is refused at `Network::link`"
+        );
     }
 
     #[test]
     fn every_network_of_a_world_is_its_one_fabric() {
         let (sim, first, a, b) = two_nodes();
         let second = Network::new(&sim);
-        assert_eq!((second.node_name(a), second.node_name(b)), ("a".into(), "b".into()));
+        assert_eq!(
+            (second.node_name(a), second.node_name(b)),
+            ("a".into(), "b".into())
+        );
         let ab = second.route(a, b).expect("the first handle's route")[0];
         assert_eq!(ab, first.route(a, b).unwrap()[0]);
         let sink = Arc::new(Counter(AtomicUsize::new(0)));
         second.bind(b, WireProtocol::Udp, 80, sink.clone()).unwrap();
-        assert!(first.bind(b, WireProtocol::Udp, 80, sink.clone()).is_err(), "the binding is seen by both");
+        assert!(
+            first.bind(b, WireProtocol::Udp, 80, sink.clone()).is_err(),
+            "the binding is seen by both"
+        );
         first.send_packet(udp_packet(Endpoint::new(a, 1000), Endpoint::new(b, 80)));
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(sink.0.load(Ordering::SeqCst), 1);
-        assert_eq!((first.stats(), second.link(ab).stats().delivered), (second.stats(), 1));
+        assert_eq!(
+            (first.stats(), second.link(ab).stats().delivered),
+            (second.stats(), 1)
+        );
     }
 
     #[test]

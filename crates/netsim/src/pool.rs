@@ -174,11 +174,7 @@ mod tests {
         pool.free(a);
         let b = pool.alloc(pkt(2));
         // Same slot, new generation: the old handle must not resolve.
-        assert_eq!(
-            a.index(),
-            b.index(),
-            "LIFO recycling should reuse the slot"
-        );
+        assert_eq!(a.index(), b.index(), "LIFO recycling should reuse the slot");
         assert!(pool.get(a).is_none());
         assert!(!pool.contains(a));
         assert_eq!(pool.get(b).unwrap().src.port, 2);

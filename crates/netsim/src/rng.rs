@@ -94,8 +94,16 @@ mod tests {
 
     #[test]
     fn same_seed_same_stream() {
-        let a: Vec<u32> = SeedSource::new(7).stream("x").sample_iter(rand::distributions::Standard).take(16).collect();
-        let b: Vec<u32> = SeedSource::new(7).stream("x").sample_iter(rand::distributions::Standard).take(16).collect();
+        let a: Vec<u32> = SeedSource::new(7)
+            .stream("x")
+            .sample_iter(rand::distributions::Standard)
+            .take(16)
+            .collect();
+        let b: Vec<u32> = SeedSource::new(7)
+            .stream("x")
+            .sample_iter(rand::distributions::Standard)
+            .take(16)
+            .collect();
         assert_eq!(a, b);
     }
 

@@ -32,7 +32,9 @@ use kmsg_telemetry::bytes::Bytes;
 use kmsg_telemetry::{EventKind, Recorder, SpanKind};
 
 use crate::cc::{self, CcConfig, CcCtx, CongestionController};
-use crate::flowstack::{self, release_drained, Conn, FlowHeader, FlowTable, Listener, Protocol, SendSide};
+use crate::flowstack::{
+    self, release_drained, Conn, FlowHeader, FlowTable, Listener, Protocol, SendSide,
+};
 use crate::iface::{CloseReason, Connection};
 use crate::memscope;
 use crate::network::NetInner;
@@ -340,7 +342,13 @@ fn my_wnd(flow: &Flow, cfg: &TcpConfig) -> u64 {
 
 type Action = flowstack::Action<TcpSegment>;
 
-fn on_rto_fired(flow: &mut Flow, cfg: &TcpConfig, rec: &Recorder, now: SimTime, out: &mut Vec<Action>) {
+fn on_rto_fired(
+    flow: &mut Flow,
+    cfg: &TcpConfig,
+    rec: &Recorder,
+    now: SimTime,
+    out: &mut Vec<Action>,
+) {
     // Deadline check replaces the old generation counter: every re-arm
     // moves the deadline and the timer keeps an event pending at or before
     // it, so an early firing is always stale.
@@ -400,7 +408,13 @@ fn on_rto_fired(flow: &mut Flow, cfg: &TcpConfig, rec: &Recorder, now: SimTime, 
     arm_rto(flow, now, out);
 }
 
-fn on_pacer_fired(flow: &mut Flow, cfg: &TcpConfig, rec: &Recorder, now: SimTime, out: &mut Vec<Action>) {
+fn on_pacer_fired(
+    flow: &mut Flow,
+    cfg: &TcpConfig,
+    rec: &Recorder,
+    now: SimTime,
+    out: &mut Vec<Action>,
+) {
     if !flow.pacer_armed || now < flow.pacer_deadline || flow.state == State::Closed {
         return;
     }
@@ -432,7 +446,15 @@ impl Protocol for TcpConfig {
     }
 
     fn new_flow(hdr: FlowHeader, cfg: &TcpConfig, _now: SimTime, active: bool) -> Flow {
-        Flow::new(hdr, cfg, if active { State::SynSent } else { State::SynRcvd })
+        Flow::new(
+            hdr,
+            cfg,
+            if active {
+                State::SynSent
+            } else {
+                State::SynRcvd
+            },
+        )
     }
 
     fn hdr(flow: &Flow) -> &FlowHeader {
@@ -463,7 +485,13 @@ impl Protocol for TcpConfig {
     }
 
     /// Sends the SYN.
-    fn start_active(flow: &mut Flow, cfg: &TcpConfig, _rec: &Recorder, now: SimTime, out: &mut Vec<Action>) {
+    fn start_active(
+        flow: &mut Flow,
+        cfg: &TcpConfig,
+        _rec: &Recorder,
+        now: SimTime,
+        out: &mut Vec<Action>,
+    ) {
         let seg = TcpSegment {
             seq: 0,
             ack: 0,
@@ -698,7 +726,9 @@ fn with_cc(
 ) {
     let flight = flow.flight() as f64;
     let conn = flow.hdr.conn_id;
-    let Flow { cwnd, ssthresh, cc, .. } = flow;
+    let Flow {
+        cwnd, ssthresh, cc, ..
+    } = flow;
     let mut ctx = CcCtx {
         cwnd,
         ssthresh,
@@ -784,7 +814,11 @@ fn arm_pacer(flow: &mut Flow, now: SimTime, out: &mut Vec<Action>) {
     flow.pacer_armed = true;
     flow.pacer_deadline = flow.pacer_next;
     let delay = flow.pacer_next.duration_since(now);
-    out.push(Action::Arm { kind: KIND_PACER, delay, aux: 0 });
+    out.push(Action::Arm {
+        kind: KIND_PACER,
+        delay,
+        aux: 0,
+    });
 }
 
 fn disarm_rto(flow: &mut Flow) {
@@ -861,7 +895,11 @@ fn process_ack(
                 break;
             }
             acked += s.payload.len() as u64;
-            let key = if s.retransmitted { SEG_REXMIT } else { SEG_ACKED };
+            let key = if s.retransmitted {
+                SEG_REXMIT
+            } else {
+                SEG_ACKED
+            };
             close_seg_span(rec, now, s.span, key);
             flow.sent.pop_front();
         }
@@ -1074,13 +1112,7 @@ fn schedule_ack(
     }
 }
 
-fn try_send(
-    flow: &mut Flow,
-    cfg: &TcpConfig,
-    rec: &Recorder,
-    now: SimTime,
-    out: &mut Vec<Action>,
-) {
+fn try_send(flow: &mut Flow, cfg: &TcpConfig, rec: &Recorder, now: SimTime, out: &mut Vec<Action>) {
     if flow.state != State::Established {
         return;
     }
@@ -1292,9 +1324,9 @@ mod tests {
     use super::*;
     use crate::engine::Sim;
     use crate::iface::{StreamAccept, StreamEvents};
+    use crate::link::LinkConfig;
     use crate::network::Network;
     use crate::packet::{Endpoint, NodeId};
-    use crate::link::LinkConfig;
     use crate::testutil::{CollectingTracer, PatternSender, Recorder, SinkEvents};
     use crate::trace::PacketEvent;
 
@@ -1325,7 +1357,9 @@ mod tests {
             b,
             80,
             TcpConfig::default(),
-            Arc::new(AcceptRecorder { rec: server.clone() }),
+            Arc::new(AcceptRecorder {
+                rec: server.clone(),
+            }),
         )
         .unwrap();
         let client = Arc::new(Recorder::default());
@@ -1353,18 +1387,14 @@ mod tests {
             b,
             80,
             TcpConfig::default(),
-            Arc::new(AcceptRecorder { rec: server.clone() }),
+            Arc::new(AcceptRecorder {
+                rec: server.clone(),
+            }),
         )
         .unwrap();
         let client = Arc::new(Recorder::default());
-        let conn = TcpConn::connect(
-            &net,
-            a,
-            Endpoint::new(b, 80),
-            TcpConfig::default(),
-            client,
-        )
-        .unwrap();
+        let conn =
+            TcpConn::connect(&net, a, Endpoint::new(b, 80), TcpConfig::default(), client).unwrap();
         let msg: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
         let accepted = conn.send(Bytes::from(msg.clone()));
         assert_eq!(accepted, msg.len());
@@ -1382,13 +1412,15 @@ mod tests {
             b,
             80,
             TcpConfig::default(),
-            Arc::new(AcceptRecorder { rec: server.clone() }),
+            Arc::new(AcceptRecorder {
+                rec: server.clone(),
+            }),
         )
         .unwrap();
         let total = 20_000_000usize; // 20 MB over a 10 MB/s link: ~2 s
         let pump = PatternSender::new(&sim, total);
-        let conn = TcpConn::connect(&net, a, Endpoint::new(b, 80), TcpConfig::default(), pump)
-            .unwrap();
+        let conn =
+            TcpConn::connect(&net, a, Endpoint::new(b, 80), TcpConfig::default(), pump).unwrap();
         let _ = conn;
         sim.run_for(Duration::from_secs(10));
         assert_eq!(server.data_len(), total, "all bytes must arrive");
@@ -1401,16 +1433,17 @@ mod tests {
 
     #[test]
     fn recovers_from_random_loss() {
-        let (sim, net, a, b) = setup(
-            LinkConfig::new(10e6, Duration::from_millis(10)).random_loss(0.01),
-        );
+        let (sim, net, a, b) =
+            setup(LinkConfig::new(10e6, Duration::from_millis(10)).random_loss(0.01));
         let server = Arc::new(Recorder::default());
         let _l = TcpListener::bind(
             &net,
             b,
             80,
             TcpConfig::default(),
-            Arc::new(AcceptRecorder { rec: server.clone() }),
+            Arc::new(AcceptRecorder {
+                rec: server.clone(),
+            }),
         )
         .unwrap();
         let total = 2_000_000usize;
@@ -1419,7 +1452,10 @@ mod tests {
             TcpConn::connect(&net, a, Endpoint::new(b, 80), TcpConfig::default(), pump).unwrap();
         sim.run_for(Duration::from_secs(60));
         assert_eq!(server.data_len(), total, "reliable despite 1% loss");
-        assert!(conn.stats().retransmits > 0, "loss must trigger retransmits");
+        assert!(
+            conn.stats().retransmits > 0,
+            "loss must trigger retransmits"
+        );
         assert!(server.in_order(), "delivery must stay in order");
     }
 
@@ -1438,7 +1474,9 @@ mod tests {
             b,
             80,
             cfg.clone(),
-            Arc::new(AcceptRecorder { rec: server.clone() }),
+            Arc::new(AcceptRecorder {
+                rec: server.clone(),
+            }),
         )
         .unwrap();
         let total = 10_000_000usize;
@@ -1467,7 +1505,9 @@ mod tests {
             b,
             80,
             TcpConfig::default(),
-            Arc::new(AcceptRecorder { rec: server.clone() }),
+            Arc::new(AcceptRecorder {
+                rec: server.clone(),
+            }),
         )
         .unwrap();
         let client = Arc::new(Recorder::default());
@@ -1490,7 +1530,9 @@ mod tests {
             b,
             80,
             TcpConfig::default(),
-            Arc::new(AcceptRecorder { rec: server.clone() }),
+            Arc::new(AcceptRecorder {
+                rec: server.clone(),
+            }),
         )
         .unwrap();
         let client = Arc::new(Recorder::default());
@@ -1537,14 +1579,8 @@ mod tests {
         )
         .unwrap();
         let client = Arc::new(Recorder::default());
-        let conn = TcpConn::connect(
-            &net,
-            a,
-            Endpoint::new(b, 80),
-            TcpConfig::default(),
-            client,
-        )
-        .unwrap();
+        let conn =
+            TcpConn::connect(&net, a, Endpoint::new(b, 80), TcpConfig::default(), client).unwrap();
         conn.send(Bytes::from(vec![1u8; 100_000]));
         sim.run_for(Duration::from_secs(3));
         let rtt = conn.rtt_estimate().expect("rtt sampled").as_secs_f64();
@@ -1673,7 +1709,11 @@ mod tests {
             flow.rto = Duration::from_millis(50);
             arm_rto(flow, now, out);
         });
-        assert_eq!(sim.events_pending(), before + 1, "an earlier deadline files one event");
+        assert_eq!(
+            sim.events_pending(),
+            before + 1,
+            "an earlier deadline files one event"
+        );
         sim.run_for(Duration::from_millis(50));
         assert_eq!(conn.stats().timeouts, 1);
     }
@@ -1730,7 +1770,11 @@ mod tests {
             sim.run_until(d);
             assert_eq!(conn.stats().timeouts, 1, "away: {away}");
             let at_probe = seen.load(std::sync::atomic::Ordering::SeqCst);
-            assert_eq!(at_probe, u64::from(!away), "timeouts when the probe ran, away: {away}");
+            assert_eq!(
+                at_probe,
+                u64::from(!away),
+                "timeouts when the probe ran, away: {away}"
+            );
         }
     }
 
@@ -1744,7 +1788,11 @@ mod tests {
         let sent = net.stats().sent;
         arrive(&conn, data(1));
         sim.run_for(Duration::from_millis(100));
-        assert_eq!(net.stats().sent, sent + 1, "the delayed ACK of a lone segment");
+        assert_eq!(
+            net.stats().sent,
+            sent + 1,
+            "the delayed ACK of a lone segment"
+        );
         // The second segment is acknowledged at once, cancelling the
         // delayed ACK the first armed.
         arrive(&conn, data(11));
@@ -1763,7 +1811,9 @@ mod tests {
         let (ab, ba) = net.connect_duplex(a, b, LinkConfig::new(10e6, Duration::from_millis(5)));
         let tracer = Arc::new(CollectingTracer::default());
         net.set_tracer(tracer.clone());
-        let accept = Arc::new(AcceptRecorder { rec: Arc::new(Recorder::default()) });
+        let accept = Arc::new(AcceptRecorder {
+            rec: Arc::new(Recorder::default()),
+        });
         let _listener = TcpListener::bind(&net, b, 80, TcpConfig::default(), accept).unwrap();
         let dial = || {
             let events = Arc::new(SinkEvents);
@@ -1777,7 +1827,10 @@ mod tests {
         // Both RTOs armed at one instant with one RTO, `x`'s first; then
         // re-armed at the same instants, `y`'s first.
         for conn in [&x, &y] {
-            assert_eq!(conn.send(Bytes::from(vec![7u8; MSS as usize])), MSS as usize);
+            assert_eq!(
+                conn.send(Bytes::from(vec![7u8; MSS as usize])),
+                MSS as usize
+            );
         }
         for _ in 0..3 {
             sim.run_for(Duration::from_millis(30));

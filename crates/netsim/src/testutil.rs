@@ -194,7 +194,11 @@ pub fn pattern_byte(i: usize) -> u8 {
 /// Builds the pattern slice for stream offsets `[offset, offset + len)`.
 #[must_use]
 pub fn pattern_bytes(offset: usize, len: usize) -> Bytes {
-    Bytes::from((offset..offset + len).map(pattern_byte).collect::<Vec<u8>>())
+    Bytes::from(
+        (offset..offset + len)
+            .map(pattern_byte)
+            .collect::<Vec<u8>>(),
+    )
 }
 
 struct PatternSenderInner {
@@ -507,7 +511,10 @@ mod tests {
         let a = sample();
         let b = sample();
         assert_eq!(a.len(), 8, "one input per case");
-        assert_eq!(a, b, "same property and case must regenerate the same input");
+        assert_eq!(
+            a, b,
+            "same property and case must regenerate the same input"
+        );
     }
 
     #[test]

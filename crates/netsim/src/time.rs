@@ -222,6 +222,9 @@ mod tests {
 
     #[test]
     fn saturating_add_caps() {
-        assert_eq!(SimTime::MAX.saturating_add(Duration::from_secs(1)), SimTime::MAX);
+        assert_eq!(
+            SimTime::MAX.saturating_add(Duration::from_secs(1)),
+            SimTime::MAX
+        );
     }
 }

@@ -51,7 +51,9 @@ impl PacketSink for UdpSink {
             return;
         };
         if let PacketBody::Udp(data) = pkt.body {
-            let socket = UdpSocket { shared: shared.clone() };
+            let socket = UdpSocket {
+                shared: shared.clone(),
+            };
             shared.events.on_datagram(&socket, pkt.src, data);
         }
     }
@@ -71,7 +73,10 @@ impl fmt::Display for UdpSendError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             UdpSendError::TooLarge { size } => {
-                write!(f, "datagram of {size} bytes exceeds the {MAX_DATAGRAM} byte limit")
+                write!(
+                    f,
+                    "datagram of {size} bytes exceeds the {MAX_DATAGRAM} byte limit"
+                )
             }
         }
     }
@@ -133,9 +138,11 @@ impl UdpSocket {
 
     /// Unbinds the socket. Datagrams arriving afterwards are dropped.
     pub fn unbind(&self) {
-        self.shared
-            .net
-            .unbind(self.shared.local.node, WireProtocol::Udp, self.shared.local.port);
+        self.shared.net.unbind(
+            self.shared.local.node,
+            WireProtocol::Udp,
+            self.shared.local.port,
+        );
     }
 }
 
@@ -169,7 +176,8 @@ mod tests {
         let (sim, net, a, b) = setup();
         let rx = Arc::new(Collect(Mutex::new(Vec::new())));
         let _sock_b = UdpSocket::bind(&net, b, 9000, rx.clone()).unwrap();
-        let sock_a = UdpSocket::bind(&net, a, 9001, Arc::new(Collect(Mutex::new(Vec::new())))).unwrap();
+        let sock_a =
+            UdpSocket::bind(&net, a, 9001, Arc::new(Collect(Mutex::new(Vec::new())))).unwrap();
         sock_a
             .send_to(Endpoint::new(b, 9000), Bytes::from_static(b"hello"))
             .unwrap();
@@ -183,7 +191,8 @@ mod tests {
     #[test]
     fn oversized_datagram_rejected() {
         let (_sim, net, a, _b) = setup();
-        let sock = UdpSocket::bind(&net, a, 9000, Arc::new(Collect(Mutex::new(Vec::new())))).unwrap();
+        let sock =
+            UdpSocket::bind(&net, a, 9000, Arc::new(Collect(Mutex::new(Vec::new())))).unwrap();
         let big = Bytes::from(vec![0u8; MAX_DATAGRAM + 1]);
         let err = sock.send_to(Endpoint::new(a, 9000), big).unwrap_err();
         assert!(matches!(err, UdpSendError::TooLarge { .. }));
@@ -203,7 +212,8 @@ mod tests {
         );
         let rx = Arc::new(Collect(Mutex::new(Vec::new())));
         let _sock_b = UdpSocket::bind(&net, b, 9000, rx.clone()).unwrap();
-        let sock_a = UdpSocket::bind(&net, a, 9001, Arc::new(Collect(Mutex::new(Vec::new())))).unwrap();
+        let sock_a =
+            UdpSocket::bind(&net, a, 9001, Arc::new(Collect(Mutex::new(Vec::new())))).unwrap();
         for _ in 0..200 {
             sock_a
                 .send_to(Endpoint::new(b, 9000), Bytes::from_static(b"x"))
@@ -219,7 +229,8 @@ mod tests {
         let (sim, net, a, b) = setup();
         let rx = Arc::new(Collect(Mutex::new(Vec::new())));
         let sock_b = UdpSocket::bind(&net, b, 9000, rx.clone()).unwrap();
-        let sock_a = UdpSocket::bind(&net, a, 9001, Arc::new(Collect(Mutex::new(Vec::new())))).unwrap();
+        let sock_a =
+            UdpSocket::bind(&net, a, 9001, Arc::new(Collect(Mutex::new(Vec::new())))).unwrap();
         sock_b.unbind();
         sock_a
             .send_to(Endpoint::new(b, 9000), Bytes::from_static(b"x"))

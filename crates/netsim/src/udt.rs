@@ -38,7 +38,9 @@ use std::time::Duration;
 use kmsg_telemetry::bytes::Bytes;
 use kmsg_telemetry::{EventKind, Recorder, SpanKind};
 
-use crate::flowstack::{self, release_drained, Conn, FlowHeader, FlowTable, Listener, Protocol, SendSide};
+use crate::flowstack::{
+    self, release_drained, Conn, FlowHeader, FlowTable, Listener, Protocol, SendSide,
+};
 use crate::iface::{CloseReason, Connection};
 use crate::memscope;
 use crate::network::NetInner;
@@ -350,7 +352,13 @@ fn arm(kind: u64, delay: Duration, aux: u32) -> Action {
 
 /// Rate control + receiver-side ACK emission, every `SYN`. The tick chain
 /// re-arms itself until the flow closes.
-fn on_syn_tick(flow: &mut Flow, cfg: &UdtConfig, rec: &Recorder, now: SimTime, out: &mut Vec<Action>) {
+fn on_syn_tick(
+    flow: &mut Flow,
+    cfg: &UdtConfig,
+    rec: &Recorder,
+    now: SimTime,
+    out: &mut Vec<Action>,
+) {
     if flow.state == State::Closed {
         return;
     }
@@ -596,7 +604,13 @@ impl Protocol for UdtConfig {
 
     /// Starts the periodic tick chains, sends the first handshake and arms
     /// its retry.
-    fn start_active(_flow: &mut Flow, cfg: &UdtConfig, _rec: &Recorder, _now: SimTime, out: &mut Vec<Action>) {
+    fn start_active(
+        _flow: &mut Flow,
+        cfg: &UdtConfig,
+        _rec: &Recorder,
+        _now: SimTime,
+        out: &mut Vec<Action>,
+    ) {
         out.push(arm(KIND_SYN_TICK, cfg.syn, 0));
         out.push(arm(KIND_EXP_TICK, cfg.exp_timeout, 0));
         out.push(Action::Send(UdtPacket::Handshake {
@@ -646,8 +660,7 @@ impl Protocol for UdtConfig {
                 if flow.state == State::Connecting {
                     flow.peer_flow_window = flow_window;
                     flow.state = State::Established;
-                    flow.rtt =
-                        Some(now.duration_since(flow.handshake_sent_at).as_secs_f64());
+                    flow.rtt = Some(now.duration_since(flow.handshake_sent_at).as_secs_f64());
                     if !flow.connected_notified {
                         flow.connected_notified = true;
                         out.push(Action::Connected);
@@ -655,7 +668,11 @@ impl Protocol for UdtConfig {
                     restart_pacer(flow, cfg, out);
                 }
             }
-            UdtPacket::Data { seq, probe, payload } => {
+            UdtPacket::Data {
+                seq,
+                probe,
+                payload,
+            } => {
                 if flow.state != State::Established {
                     return;
                 }
@@ -748,8 +765,7 @@ impl Protocol for UdtConfig {
                 // roughly one RTT of wall time.
                 if first_lost != u64::MAX {
                     let rtt = flow.rtt.unwrap_or(0.1);
-                    let epoch =
-                        Duration::from_secs_f64(rtt.max(4.0 * cfg.syn.as_secs_f64()));
+                    let epoch = Duration::from_secs_f64(rtt.max(4.0 * cfg.syn.as_secs_f64()));
                     let new_epoch = first_lost > flow.last_dec_seq
                         || now.duration_since(flow.last_dec_at) > epoch;
                     if new_epoch {
@@ -870,7 +886,13 @@ impl Protocol for UdtConfig {
         }
     }
 
-    fn kick(flow: &mut Flow, cfg: &UdtConfig, _rec: &Recorder, _now: SimTime, out: &mut Vec<Action>) {
+    fn kick(
+        flow: &mut Flow,
+        cfg: &UdtConfig,
+        _rec: &Recorder,
+        _now: SimTime,
+        out: &mut Vec<Action>,
+    ) {
         restart_pacer(flow, cfg, out);
     }
 
@@ -1115,9 +1137,9 @@ mod tests {
     use super::*;
     use crate::engine::Sim;
     use crate::iface::{StreamAccept, StreamEvents};
+    use crate::link::{LinkConfig, PolicerConfig};
     use crate::network::Network;
     use crate::packet::{Endpoint, NodeId};
-    use crate::link::{LinkConfig, PolicerConfig};
     use crate::testutil::{PatternSender, Recorder};
 
     struct AcceptRecorder {
@@ -1139,8 +1161,14 @@ mod tests {
     }
 
     fn listen(net: &Network, b: NodeId, rec: &Arc<Recorder>, cfg: UdtConfig) -> UdtListener {
-        UdtListener::bind(net, b, 90, cfg, Arc::new(AcceptRecorder { rec: rec.clone() }))
-            .expect("bind")
+        UdtListener::bind(
+            net,
+            b,
+            90,
+            cfg,
+            Arc::new(AcceptRecorder { rec: rec.clone() }),
+        )
+        .expect("bind")
     }
 
     #[test]
@@ -1171,8 +1199,8 @@ mod tests {
         let server = Arc::new(Recorder::default());
         let _l = listen(&net, b, &server, UdtConfig::default());
         let pump = PatternSender::new(&sim, 100_000);
-        let _conn = UdtConn::connect(&net, a, Endpoint::new(b, 90), UdtConfig::default(), pump)
-            .unwrap();
+        let _conn =
+            UdtConn::connect(&net, a, Endpoint::new(b, 90), UdtConfig::default(), pump).unwrap();
         sim.run_for(Duration::from_secs(5));
         assert_eq!(server.data_len(), 100_000);
         assert!(server.in_order());
@@ -1209,8 +1237,8 @@ mod tests {
 
     #[test]
     fn policer_pins_rate_near_10mbps() {
-        let link = LinkConfig::new(125e6, Duration::from_millis(77))
-            .udp_policer(PolicerConfig::ec2_udp());
+        let link =
+            LinkConfig::new(125e6, Duration::from_millis(77)).udp_policer(PolicerConfig::ec2_udp());
         let (sim, net, a, b) = setup(link);
         let server = Arc::new(Recorder::with_sim(&sim));
         let _l = listen(&net, b, &server, UdtConfig::tuned_buffers());
@@ -1231,7 +1259,10 @@ mod tests {
             (4e6..11e6).contains(&rate),
             "policed UDT should sit below the 10 MB/s policer, got {rate:.0}"
         );
-        assert!(conn.stats().naks_received > 0, "policer drops must cause NAKs");
+        assert!(
+            conn.stats().naks_received > 0,
+            "policer drops must cause NAKs"
+        );
         assert!(conn.stats().rate_decreases > 0);
     }
 
@@ -1262,15 +1293,14 @@ mod tests {
 
     #[test]
     fn recovers_from_random_loss_in_order() {
-        let (sim, net, a, b) = setup(
-            LinkConfig::new(20e6, Duration::from_millis(20)).random_loss(0.01),
-        );
+        let (sim, net, a, b) =
+            setup(LinkConfig::new(20e6, Duration::from_millis(20)).random_loss(0.01));
         let server = Arc::new(Recorder::default());
         let _l = listen(&net, b, &server, UdtConfig::default());
         let total = 3_000_000usize;
         let pump = PatternSender::new(&sim, total);
-        let conn = UdtConn::connect(&net, a, Endpoint::new(b, 90), UdtConfig::default(), pump)
-            .unwrap();
+        let conn =
+            UdtConn::connect(&net, a, Endpoint::new(b, 90), UdtConfig::default(), pump).unwrap();
         sim.run_for(Duration::from_secs(60));
         assert_eq!(server.data_len(), total, "reliable despite 1% loss");
         assert!(server.in_order());
@@ -1284,9 +1314,14 @@ mod tests {
         let _l = listen(&net, b, &server, UdtConfig::default());
         let pump = PatternSender::closing(&sim, 50_000);
         let client_events = pump.clone();
-        let _conn =
-            UdtConn::connect(&net, a, Endpoint::new(b, 90), UdtConfig::default(), client_events)
-                .unwrap();
+        let _conn = UdtConn::connect(
+            &net,
+            a,
+            Endpoint::new(b, 90),
+            UdtConfig::default(),
+            client_events,
+        )
+        .unwrap();
         sim.run_for(Duration::from_secs(10));
         assert_eq!(server.data_len(), 50_000);
         assert_eq!(server.closed(), 1, "receiver must see Normal close");
@@ -1297,9 +1332,14 @@ mod tests {
     fn connect_to_black_hole_times_out() {
         let (sim, net, a, b) = setup(LinkConfig::new(10e6, Duration::from_millis(5)));
         let client = Arc::new(Recorder::default());
-        let conn =
-            UdtConn::connect(&net, a, Endpoint::new(b, 91), UdtConfig::default(), client.clone())
-                .unwrap();
+        let conn = UdtConn::connect(
+            &net,
+            a,
+            Endpoint::new(b, 91),
+            UdtConfig::default(),
+            client.clone(),
+        )
+        .unwrap();
         sim.run_for(Duration::from_secs(30));
         assert!(!conn.is_established());
         assert_eq!(client.closed(), 1);
@@ -1356,7 +1396,11 @@ mod tests {
         conn.process(|flow, cfg, rec, now, out| {
             for seq in 1..=3 {
                 let payload = Bytes::from(vec![0; 1_000]);
-                let data = UdtPacket::Data { seq, probe: false, payload };
+                let data = UdtPacket::Data {
+                    seq,
+                    probe: false,
+                    payload,
+                };
                 UdtConfig::on_wire(flow, cfg, rec, now, out, data);
             }
         });

@@ -394,12 +394,20 @@ mod tests {
             (1 << 30) + 17,
             (1 << 38) + 5,
         ];
-        let mut items: Vec<(u64, u64)> = times.iter().enumerate().map(|(i, &t)| (t, i as u64)).collect();
+        let mut items: Vec<(u64, u64)> = times
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (t, i as u64))
+            .collect();
         items.reverse();
         for &(t, s) in &items {
             w.insert(SimTime::from_nanos(t), s, ());
         }
-        let mut expect: Vec<(u64, u64)> = times.iter().enumerate().map(|(i, &t)| (t, i as u64)).collect();
+        let mut expect: Vec<(u64, u64)> = times
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (t, i as u64))
+            .collect();
         expect.sort_unstable();
         assert_eq!(drain(&mut w), expect);
     }
@@ -524,8 +532,11 @@ mod tests {
                 model.sort_unstable();
                 let t_ns = t.as_nanos();
                 assert_eq!(t_ns, model[0].0, "wheel min disagrees with model");
-                let expect: Vec<(u64, u64)> =
-                    model.iter().take_while(|&&(at, _)| at == t_ns).copied().collect();
+                let expect: Vec<(u64, u64)> = model
+                    .iter()
+                    .take_while(|&&(at, _)| at == t_ns)
+                    .copied()
+                    .collect();
                 let got: Vec<(u64, u64)> =
                     cohort.iter().map(|e| (e.at.as_nanos(), e.seq)).collect();
                 assert_eq!(got, expect);

@@ -50,8 +50,7 @@ impl Duplex {
 
     fn verify(&self) -> bool {
         let recv = self.received.lock();
-        recv.len() == self.total
-            && recv.iter().enumerate().all(|(i, &b)| b == pattern_byte(i))
+        recv.len() == self.total && recv.iter().enumerate().all(|(i, &b)| b == pattern_byte(i))
     }
 }
 
@@ -78,7 +77,14 @@ impl StreamAccept for AcceptDuplex {
     }
 }
 
-fn setup(loss: f64) -> (Sim, Network, kmsg_netsim::packet::NodeId, kmsg_netsim::packet::NodeId) {
+fn setup(
+    loss: f64,
+) -> (
+    Sim,
+    Network,
+    kmsg_netsim::packet::NodeId,
+    kmsg_netsim::packet::NodeId,
+) {
     let sim = Sim::new(31);
     let net = Network::new(&sim);
     let a = net.add_node("a");
@@ -111,8 +117,14 @@ fn tcp_full_duplex_with_loss() {
     )
     .expect("connect");
     sim.run_for(Duration::from_secs(120));
-    assert!(client.verify(), "client must receive the full server stream");
-    assert!(server.verify(), "server must receive the full client stream");
+    assert!(
+        client.verify(),
+        "client must receive the full server stream"
+    );
+    assert!(
+        server.verify(),
+        "server must receive the full client stream"
+    );
 }
 
 #[test]
@@ -138,8 +150,14 @@ fn udt_full_duplex_with_loss() {
     )
     .expect("connect");
     sim.run_for(Duration::from_secs(120));
-    assert!(client.verify(), "client must receive the full server stream");
-    assert!(server.verify(), "server must receive the full client stream");
+    assert!(
+        client.verify(),
+        "client must receive the full server stream"
+    );
+    assert!(
+        server.verify(),
+        "server must receive the full client stream"
+    );
 }
 
 #[test]
@@ -155,14 +173,8 @@ fn zero_length_send_is_harmless() {
     )
     .expect("bind");
     let client = Duplex::new(0);
-    let conn = TcpConn::connect(
-        &net,
-        a,
-        Endpoint::new(b, 80),
-        TcpConfig::default(),
-        client,
-    )
-    .expect("connect");
+    let conn = TcpConn::connect(&net, a, Endpoint::new(b, 80), TcpConfig::default(), client)
+        .expect("connect");
     sim.run_for(Duration::from_millis(200));
     assert_eq!(conn.send(Bytes::new()), 0);
     sim.run_for(Duration::from_secs(1));
@@ -182,14 +194,8 @@ fn send_after_close_is_rejected() {
     )
     .expect("bind");
     let client = Duplex::new(0);
-    let conn = TcpConn::connect(
-        &net,
-        a,
-        Endpoint::new(b, 80),
-        TcpConfig::default(),
-        client,
-    )
-    .expect("connect");
+    let conn = TcpConn::connect(&net, a, Endpoint::new(b, 80), TcpConfig::default(), client)
+        .expect("connect");
     sim.run_for(Duration::from_millis(200));
     conn.close();
     assert_eq!(
@@ -222,10 +228,22 @@ fn two_tcp_flows_share_the_bottleneck() {
 
     let r1 = Arc::new(Recorder::with_sim(&sim));
     let r2 = Arc::new(Recorder::with_sim(&sim));
-    let _l1 = TcpListener::bind(&net, b, 81, TcpConfig::default(), Arc::new(AcceptRec(r1.clone())))
-        .expect("bind");
-    let _l2 = TcpListener::bind(&net, b, 82, TcpConfig::default(), Arc::new(AcceptRec(r2.clone())))
-        .expect("bind");
+    let _l1 = TcpListener::bind(
+        &net,
+        b,
+        81,
+        TcpConfig::default(),
+        Arc::new(AcceptRec(r1.clone())),
+    )
+    .expect("bind");
+    let _l2 = TcpListener::bind(
+        &net,
+        b,
+        82,
+        TcpConfig::default(),
+        Arc::new(AcceptRec(r2.clone())),
+    )
+    .expect("bind");
     // More than either flow can finish within the measurement window.
     let big = 100_000_000;
     let _c1 = TcpConn::connect(

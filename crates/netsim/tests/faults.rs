@@ -70,7 +70,11 @@ fn tcp_transfer_survives_scripted_outage() {
     let total = 6_000_000;
     let (server, _listener, _conn) = start_transfer(&sim, &net, a, b, total);
     sim.run_for(Duration::from_secs(60));
-    assert_eq!(server.data_len(), total, "retransmission must ride out a 2 s cut");
+    assert_eq!(
+        server.data_len(),
+        total,
+        "retransmission must ride out a 2 s cut"
+    );
     assert!(server.in_order(), "the stream arrives intact and in order");
     assert_eq!(ctl.applied(), 2, "sever + restore");
     // The sever at 1 s lands mid-transfer: serialized backlog and in-flight
@@ -96,7 +100,11 @@ fn tcp_transfer_survives_link_flapping() {
     let total = 6_000_000;
     let (server, _listener, _conn) = start_transfer(&sim, &net, a, b, total);
     sim.run_for(Duration::from_secs(90));
-    assert_eq!(server.data_len(), total, "the flapping window must be survivable");
+    assert_eq!(
+        server.data_len(),
+        total,
+        "the flapping window must be survivable"
+    );
     assert!(server.in_order());
     assert_eq!(ctl.applied(), 8, "4 severs + 4 restores");
 }
@@ -150,11 +158,17 @@ fn same_seed_chaos_telemetry_is_byte_identical() {
     };
     let (applied_1, jsonl_1) = run();
     let (applied_2, jsonl_2) = run();
-    assert_eq!(applied_1, 6, "partition (2 severs + 2 heals) + spike + clear");
+    assert_eq!(
+        applied_1, 6,
+        "partition (2 severs + 2 heals) + spike + clear"
+    );
     assert_eq!(applied_1, applied_2);
     assert!(
         jsonl_1.contains("\"fault\""),
         "injections must appear in the flight-recorder stream"
     );
-    assert_eq!(jsonl_1, jsonl_2, "chaos telemetry must replay byte-for-byte");
+    assert_eq!(
+        jsonl_1, jsonl_2,
+        "chaos telemetry must replay byte-for-byte"
+    );
 }

@@ -185,9 +185,8 @@ fn pool_drains_to_zero_after_partition() {
                     Arc::new(AcceptRecorder(server.clone())),
                 )
                 .expect("bind");
-                let c =
-                    UdtConn::connect(&net, a, Endpoint::new(b, 90), UdtConfig::default(), pump)
-                        .expect("conn");
+                let c = UdtConn::connect(&net, a, Endpoint::new(b, 90), UdtConfig::default(), pump)
+                    .expect("conn");
                 udt = Some((l, c));
             } else {
                 let l = TcpListener::bind(
@@ -251,8 +250,8 @@ fn pool_holds_nothing_after_unhealed_sever() {
     .expect("bind");
     let total = 5_000_000;
     let pump = PatternSender::new(&sim, total);
-    let conn = TcpConn::connect(&net, a, Endpoint::new(b, 80), TcpConfig::default(), pump)
-        .expect("conn");
+    let conn =
+        TcpConn::connect(&net, a, Endpoint::new(b, 80), TcpConfig::default(), pump).expect("conn");
     // Let the transfer get going, then cut both directions forever.
     let cut_net = net.clone();
     sim.schedule_in(Duration::from_millis(100), move |_| {

@@ -40,7 +40,11 @@ struct NetParams {
 
 fn gen_params(rng: &mut RngStream) -> NetParams {
     // Unoptimized builds shrink the workload so the suite stays fast.
-    let max_total = if cfg!(debug_assertions) { 80_000 } else { 400_000 };
+    let max_total = if cfg!(debug_assertions) {
+        80_000
+    } else {
+        400_000
+    };
     NetParams {
         seed: rng.gen_range(0u64..1000),
         total: rng.gen_range(1usize..max_total),
@@ -133,20 +137,22 @@ fn udt_delivers_exactly_in_order() {
 
 #[test]
 fn pattern_bytes_consistent() {
-    PropRunner::new("pattern-bytes-concatenation").cases(64).run(
-        |rng| (rng.gen_range(0usize..10_000), rng.gen_range(0usize..5_000)),
-        |&(offset, len)| {
-            let a = pattern_bytes(offset, len);
-            // Concatenation property: pattern(o, n1) ++ pattern(o+n1, n2)
-            // is pattern(o, n1+n2).
-            let n1 = len / 2;
-            let b = pattern_bytes(offset, n1);
-            let c = pattern_bytes(offset + n1, len - n1);
-            let mut joined = b.to_vec();
-            joined.extend_from_slice(&c);
-            assert_eq!(a.to_vec(), joined);
-        },
-    );
+    PropRunner::new("pattern-bytes-concatenation")
+        .cases(64)
+        .run(
+            |rng| (rng.gen_range(0usize..10_000), rng.gen_range(0usize..5_000)),
+            |&(offset, len)| {
+                let a = pattern_bytes(offset, len);
+                // Concatenation property: pattern(o, n1) ++ pattern(o+n1, n2)
+                // is pattern(o, n1+n2).
+                let n1 = len / 2;
+                let b = pattern_bytes(offset, n1);
+                let c = pattern_bytes(offset + n1, len - n1);
+                let mut joined = b.to_vec();
+                joined.extend_from_slice(&c);
+                assert_eq!(a.to_vec(), joined);
+            },
+        );
 }
 
 #[test]
@@ -204,7 +210,11 @@ fn tracer_observes_policer_drops() {
     assert_eq!(stats.sent, 20);
     assert!(policed > 0, "the policer must drop some");
     assert!(stats.delivered > 0);
-    assert_eq!(stats.delivered + policed, 20, "every packet is accounted for");
+    assert_eq!(
+        stats.delivered + policed,
+        20,
+        "every packet is accounted for"
+    );
     let records = tracer.records();
     let traced = |event| records.iter().filter(|r| r.event == event).count() as u64;
     assert_eq!(traced(PacketEvent::Sent), stats.sent);
@@ -235,7 +245,8 @@ fn jitter_reorders_udp_but_not_tcp() {
     // UDP: arrival order may differ from send order.
     let order = Arc::new(Order(PMutex::new(Vec::new())));
     let _b_sock = UdpSocket::bind(&net, b, 9, order.clone()).expect("bind");
-    let a_sock = UdpSocket::bind(&net, a, 8, Arc::new(Order(PMutex::new(Vec::new())))).expect("bind");
+    let a_sock =
+        UdpSocket::bind(&net, a, 8, Arc::new(Order(PMutex::new(Vec::new())))).expect("bind");
     for i in 0..50u8 {
         a_sock
             .send_to(Endpoint::new(b, 9), Bytes::from(vec![i]))
@@ -263,7 +274,10 @@ fn jitter_reorders_udp_but_not_tcp() {
         TcpConn::connect(&net, a, Endpoint::new(b, 80), TcpConfig::default(), pump).expect("conn");
     sim.run_for(Duration::from_secs(30));
     assert_eq!(server.data_len(), 200_000);
-    assert!(server.in_order(), "TCP must repair jitter-induced reordering");
+    assert!(
+        server.in_order(),
+        "TCP must repair jitter-induced reordering"
+    );
 }
 
 /// The engine executes events in (time, insertion) order regardless of
@@ -273,7 +287,9 @@ fn engine_ordering_invariant() {
     PropRunner::new("engine-event-ordering").cases(32).run(
         |rng| {
             let n = rng.gen_range(1usize..200);
-            (0..n).map(|_| rng.gen_range(0u64..1000)).collect::<Vec<u64>>()
+            (0..n)
+                .map(|_| rng.gen_range(0u64..1000))
+                .collect::<Vec<u64>>()
         },
         |delays| {
             use parking_lot::Mutex as PMutex;

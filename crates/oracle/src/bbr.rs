@@ -96,8 +96,7 @@ impl Oracle for BbrOracle {
                             });
                         }
                         Some(prev) => {
-                            let prev_rank =
-                                phase_rank(prev).expect("stored phases are known");
+                            let prev_rank = phase_rank(prev).expect("stored phases are known");
                             // Forward by at most one step, or stay put.
                             if rank != prev_rank && rank != prev_rank + 1 {
                                 out.push(Violation {

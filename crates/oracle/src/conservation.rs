@@ -60,9 +60,7 @@ impl Oracle for ConservationOracle {
             else {
                 continue;
             };
-            let ledger = flows
-                .entry((src.clone(), dst.clone(), proto))
-                .or_default();
+            let ledger = flows.entry((src.clone(), dst.clone(), proto)).or_default();
             if outcome == "sent" {
                 ledger.sent_at.push(ev.time_ns);
             } else {

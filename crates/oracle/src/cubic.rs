@@ -307,7 +307,14 @@ mod tests {
 
     #[test]
     fn growth_without_epoch_fires() {
-        let events = vec![cc(1_000, "growth", 10.0 * MSS, 11.0 * MSS, 5.0 * MSS, 20.0 * MSS)];
+        let events = vec![cc(
+            1_000,
+            "growth",
+            10.0 * MSS,
+            11.0 * MSS,
+            5.0 * MSS,
+            20.0 * MSS,
+        )];
         let v = check(&events);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "growth_outside_epoch");
@@ -325,7 +332,14 @@ mod tests {
     fn truncated_trace_is_skipped() {
         let events = vec![
             ev(0, EventKind::Overflow { evicted: 5 }),
-            cc(1_000, "growth", 10.0 * MSS, 11.0 * MSS, 5.0 * MSS, 20.0 * MSS),
+            cc(
+                1_000,
+                "growth",
+                10.0 * MSS,
+                11.0 * MSS,
+                5.0 * MSS,
+                20.0 * MSS,
+            ),
         ];
         assert!(check(&events).is_empty());
     }

@@ -236,9 +236,9 @@ impl Oracle for SpanOracle {
                 // Control segments (SYN/FIN) retransmit without a span.
                 continue;
             }
-            let inside = covering.iter().any(|(_, s)| {
-                time_ns >= s.open_ns && s.close_ns.is_none_or(|c| time_ns <= c)
-            });
+            let inside = covering
+                .iter()
+                .any(|(_, s)| time_ns >= s.open_ns && s.close_ns.is_none_or(|c| time_ns <= c));
             if !inside {
                 out.push(Violation {
                     oracle: "spans",
@@ -257,9 +257,7 @@ impl Oracle for SpanOracle {
             }
             let close = info.close_ns.unwrap_or(u64::MAX);
             let witnessed = retransmits.iter().any(|&(t, conn, seq)| {
-                (conn << 32) | (seq & 0xffff_ffff) == info.key
-                    && t >= info.open_ns
-                    && t <= close
+                (conn << 32) | (seq & 0xffff_ffff) == info.key && t >= info.open_ns && t <= close
             });
             if !witnessed {
                 out.push(Violation {
@@ -418,13 +416,23 @@ mod tests {
         let v = check(&events);
         assert!(v.is_empty(), "{v:?}");
         // Retransmit outside the covering span's window.
-        let events = vec![open(10, 0x1, 0, 0, "seg", key), close(15, 0x1, 0), rexmit(20)];
+        let events = vec![
+            open(10, 0x1, 0, 0, "seg", key),
+            close(15, 0x1, 0),
+            rexmit(20),
+        ];
         let v = check(&events);
         assert!(v.iter().any(|v| v.rule == "rexmit_outside_span"), "{v:?}");
         // SEG_REXMIT close with no witnessing retransmit event.
-        let events = vec![open(10, 0x1, 0, 0, "seg", key), close(30, 0x1, SEG_REXMIT_KEY)];
+        let events = vec![
+            open(10, 0x1, 0, 0, "seg", key),
+            close(30, 0x1, SEG_REXMIT_KEY),
+        ];
         let v = check(&events);
-        assert!(v.iter().any(|v| v.rule == "rexmit_key_unwitnessed"), "{v:?}");
+        assert!(
+            v.iter().any(|v| v.rule == "rexmit_key_unwitnessed"),
+            "{v:?}"
+        );
         // A SYN retransmit with no recorded span is legal.
         let v = check(&[rexmit(20)]);
         assert!(v.is_empty(), "{v:?}");

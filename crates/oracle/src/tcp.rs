@@ -48,7 +48,8 @@ impl Oracle for TcpOracle {
             // relies on; checking a torn stream would false-fail.
             return out;
         }
-        let mut conns: std::collections::BTreeMap<u64, ConnState> = std::collections::BTreeMap::new();
+        let mut conns: std::collections::BTreeMap<u64, ConnState> =
+            std::collections::BTreeMap::new();
         let mss = cfg.mss as f64;
         for ev in events {
             match &ev.kind {
@@ -153,8 +154,7 @@ impl Oracle for TcpOracle {
                             // No ACK progress between the two timeouts, so
                             // nothing recomputed the RTO: it must be the
                             // previous value doubled, capped at max_rto.
-                            let expect =
-                                (2.0 * prev_rto as f64).min(cfg.max_rto_us as f64);
+                            let expect = (2.0 * prev_rto as f64).min(cfg.max_rto_us as f64);
                             // The model doubles the RTO in nanoseconds but
                             // the event records truncated microseconds, so
                             // doubling the truncated value can undershoot
@@ -221,8 +221,7 @@ impl Oracle for TcpOracle {
                         // RTO that fired at this very instant. (seq 0 is
                         // the SYN/SYN-ACK, which may also be resent in
                         // reply to a duplicate SYN.)
-                        let fired_now =
-                            matches!(st.last_rto, Some((_, _, t)) if t == ev.time_ns);
+                        let fired_now = matches!(st.last_rto, Some((_, _, t)) if t == ev.time_ns);
                         if !fired_now {
                             out.push(Violation {
                                 oracle: "tcp",

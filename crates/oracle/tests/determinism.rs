@@ -56,8 +56,7 @@ impl Scenario {
         )
         .expect("bind");
         let pump = PatternSender::new(&sim, self.total);
-        let _conn =
-            TcpConn::connect(&net, a, Endpoint::new(b, 80), cfg, pump).expect("connect");
+        let _conn = TcpConn::connect(&net, a, Endpoint::new(b, 80), cfg, pump).expect("connect");
         sim.run_for(Duration::from_secs(600));
         let completed = server.data_len() == self.total;
         let facts = RunFacts {

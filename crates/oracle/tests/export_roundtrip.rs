@@ -81,7 +81,11 @@ fn jsonl_lines_parse_with_values_intact() {
     let rec = sample_recorder();
     let jsonl = rec.to_jsonl();
     let lines: Vec<&str> = jsonl.lines().collect();
-    assert!(lines.len() >= 10, "spans + events recorded: {}", lines.len());
+    assert!(
+        lines.len() >= 10,
+        "spans + events recorded: {}",
+        lines.len()
+    );
 
     for line in &lines {
         let v = Json::parse(line).unwrap_or_else(|e| panic!("bad JSONL line {line:?}: {e}"));
@@ -167,8 +171,14 @@ fn snapshot_json_parses_with_escaped_metric_names() {
     let v = Json::parse(&snap).unwrap_or_else(|e| panic!("bad snapshot: {e}\n{snap}"));
 
     let events = v.get("events").expect("events section");
-    let recorded = events.get("recorded").and_then(Json::as_u64).expect("recorded");
-    let retained = events.get("retained").and_then(Json::as_u64).expect("retained");
+    let recorded = events
+        .get("recorded")
+        .and_then(Json::as_u64)
+        .expect("recorded");
+    let retained = events
+        .get("retained")
+        .and_then(Json::as_u64)
+        .expect("retained");
     assert_eq!(recorded, retained, "nothing evicted in this small run");
     assert_eq!(events.get("evicted").and_then(Json::as_u64), Some(0));
     let by_kind = events.get("by_kind").expect("by_kind map");
@@ -193,7 +203,9 @@ fn snapshot_json_parses_with_escaped_metric_names() {
         Some(101.5)
     );
     assert_eq!(
-        gauges.get("tab\there\nnewline\u{1}ctl").and_then(Json::as_f64),
+        gauges
+            .get("tab\there\nnewline\u{1}ctl")
+            .and_then(Json::as_f64),
         Some(-0.5),
         "control characters in metric names must round-trip"
     );

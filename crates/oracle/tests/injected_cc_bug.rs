@@ -55,7 +55,11 @@ impl CcScenario {
             // BBR's injected bug sits at the startup exit, reached only
             // after a couple of megabytes of delivery on this link; the
             // loss-driven CUBIC bug trips almost immediately.
-            total: if cc == CcAlgorithm::Bbr { 4_000_000 } else { 400_000 },
+            total: if cc == CcAlgorithm::Bbr {
+                4_000_000
+            } else {
+                400_000
+            },
             loss_ppm: 20_000,
             delay_ms: 5,
             cc,
@@ -89,8 +93,7 @@ impl CcScenario {
         )
         .expect("bind");
         let pump = PatternSender::new(&sim, self.total);
-        let _conn =
-            TcpConn::connect(&net, a, Endpoint::new(b, 80), cfg, pump).expect("connect");
+        let _conn = TcpConn::connect(&net, a, Endpoint::new(b, 80), cfg, pump).expect("connect");
         sim.run_for(Duration::from_secs(600));
         let completed = server.data_len() == self.total;
         let facts = RunFacts {

@@ -49,8 +49,7 @@ impl Span {
     /// Duration in ns; open spans count as zero-length.
     #[must_use]
     pub fn dur_ns(&self) -> u64 {
-        self.close_ns
-            .map_or(0, |c| c.saturating_sub(self.open_ns))
+        self.close_ns.map_or(0, |c| c.saturating_sub(self.open_ns))
     }
 
     /// The `[open, close)` interval (open spans collapse to a point).
@@ -225,7 +224,11 @@ pub struct MsgBreakdown {
 /// reconnect > retransmit > wire > queue > serialize.
 #[must_use]
 pub fn message_breakdowns(forest: &SpanForest) -> Vec<MsgBreakdown> {
-    let outages: Vec<(u64, u64)> = forest.of_kind("outage").iter().map(|s| s.interval()).collect();
+    let outages: Vec<(u64, u64)> = forest
+        .of_kind("outage")
+        .iter()
+        .map(|s| s.interval())
+        .collect();
     let rexmit_segs: Vec<(u64, u64)> = forest
         .of_kind("seg")
         .iter()
@@ -407,10 +410,7 @@ pub fn reroute_attribution(
     let episode = forest
         .of_kind("reroute")
         .into_iter()
-        .filter(|s| {
-            s.open_ns >= window_from_ns
-                && s.close_ns.is_some_and(|c| c <= window_to_ns)
-        })
+        .filter(|s| s.open_ns >= window_from_ns && s.close_ns.is_some_and(|c| c <= window_to_ns))
         .min_by_key(|s| (s.open_ns, s.id))?;
     let close_ns = episode.close_ns.expect("filtered");
     let compute: Vec<(u64, u64)> = forest
@@ -485,10 +485,7 @@ mod tests {
     #[test]
     fn partition_is_exact_and_prioritised() {
         // window [0,100): class A covers [10,40), class B covers [30,60).
-        let parts = partition(
-            (0, 100),
-            &[vec![(10, 40)], vec![(30, 60)]],
-        );
+        let parts = partition((0, 100), &[vec![(10, 40)], vec![(30, 60)]]);
         assert_eq!(parts, vec![30, 20, 50]); // A, B-minus-A, idle
         assert_eq!(parts.iter().sum::<u64>(), 100);
     }
@@ -603,8 +600,8 @@ mod tests {
             ev_close(1_420, 11, 0),
             ev_close(1_450, 10, 0),
         ];
-        let att = reroute_attribution(&SpanForest::build(&events), 1_000, 1_500)
-            .expect("attribution");
+        let att =
+            reroute_attribution(&SpanForest::build(&events), 1_000, 1_500).expect("attribution");
         assert_eq!(att.total_ns, 500);
         assert_eq!(att.channel_key, 7);
         let get = |k: &str| {

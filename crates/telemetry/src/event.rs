@@ -374,17 +374,37 @@ pub(crate) mod tests {
                 ssthresh: f64::INFINITY,
                 cause: "r\"t\\o",
             },
-            EventKind::TcpRto { conn: 1, rto_us: u64::MAX, consecutive: 0 },
-            EventKind::TcpRetransmit { conn: 2, seq: 3, fast: true },
+            EventKind::TcpRto {
+                conn: 1,
+                rto_us: u64::MAX,
+                consecutive: 0,
+            },
+            EventKind::TcpRetransmit {
+                conn: 2,
+                seq: 3,
+                fast: true,
+            },
             EventKind::UdtRate {
                 conn: 4,
                 period_us: -0.0,
                 rate_pps: 1e21,
                 cause: "syn\nincrease",
             },
-            EventKind::UdtNak { conn: 5, sent: false, losses: 6 },
-            EventKind::LinkQueue { link: 7, backlog_bytes: 0, capacity_bytes: u64::MAX },
-            EventKind::LinkDrop { link: 8, reason: "queue\u{1}overflow", wire_size: 1500 },
+            EventKind::UdtNak {
+                conn: 5,
+                sent: false,
+                losses: 6,
+            },
+            EventKind::LinkQueue {
+                link: 7,
+                backlog_bytes: 0,
+                capacity_bytes: u64::MAX,
+            },
+            EventKind::LinkDrop {
+                link: 8,
+                reason: "queue\u{1}overflow",
+                wire_size: 1500,
+            },
             EventKind::Packet {
                 src: "a\"0\":1".to_string(),
                 dst: "b\\1:2".to_string(),
@@ -393,7 +413,10 @@ pub(crate) mod tests {
                 outcome: "dropped:\tpoliced\r".to_string(),
             },
             EventKind::SchedulerQueue { depth: 10 },
-            EventKind::ComponentExec { component: 11, handled: 12 },
+            EventKind::ComponentExec {
+                component: 11,
+                handled: 12,
+            },
             EventKind::Decision {
                 flow: 13,
                 step: 14,
@@ -403,14 +426,37 @@ pub(crate) mod tests {
                 epsilon: 1e-7,
                 greedy: false,
             },
-            EventKind::Fault { action: "sever", link: 17 },
-            EventKind::ConnStatus { peer: 18, transport: "tcp", status: "lost", attempts: 19 },
+            EventKind::Fault {
+                action: "sever",
+                link: 17,
+            },
+            EventKind::ConnStatus {
+                peer: 18,
+                transport: "tcp",
+                status: "lost",
+                attempts: 19,
+            },
             EventKind::Overflow { evicted: 20 },
             EventKind::Mark { id: 21, value: 22 },
-            EventKind::SpanOpen { span: 23, parent: 0, trace: 23, kind: "seg", key: u64::MAX },
+            EventKind::SpanOpen {
+                span: 23,
+                parent: 0,
+                trace: 23,
+                kind: "seg",
+                key: u64::MAX,
+            },
             EventKind::SpanClose { span: 23, key: 1 },
-            EventKind::Overlay { action: "route", msg: 24, node: 25, aux: u64::MAX },
-            EventKind::Gossip { node: 26, peer: 27, entries: 28 },
+            EventKind::Overlay {
+                action: "route",
+                msg: 24,
+                node: 25,
+                aux: u64::MAX,
+            },
+            EventKind::Gossip {
+                node: 26,
+                peer: 27,
+                entries: 28,
+            },
             EventKind::CcWindow {
                 conn: 29,
                 controller: "cubic",
@@ -428,7 +474,11 @@ pub(crate) mod tests {
                 min_rtt_us: 31,
                 cwnd: 0.0,
             },
-            EventKind::CcSwap { peer: 32, controller: "bbr", recycled: true },
+            EventKind::CcSwap {
+                peer: 32,
+                controller: "bbr",
+                recycled: true,
+            },
         ]
     }
 
@@ -437,7 +487,11 @@ pub(crate) mod tests {
         let mut labels = KIND_LABELS.to_vec();
         labels.sort_unstable();
         labels.dedup();
-        assert_eq!(labels.len(), KIND_COUNT, "duplicate label in {KIND_LABELS:?}");
+        assert_eq!(
+            labels.len(),
+            KIND_COUNT,
+            "duplicate label in {KIND_LABELS:?}"
+        );
 
         let kinds = one_of_every_kind();
         let indices: Vec<usize> = kinds.iter().map(EventKind::index).collect();
@@ -452,10 +506,15 @@ pub(crate) mod tests {
     #[test]
     fn design_doc_catalogues_every_kind() {
         let design = include_str!("../../../DESIGN.md");
-        let section = design.split("\n## ").find(|s| s.starts_with("8. Telemetry"));
+        let section = design
+            .split("\n## ")
+            .find(|s| s.starts_with("8. Telemetry"));
         let section = section.expect("DESIGN.md has a section 8, Telemetry");
         for label in KIND_LABELS {
-            assert!(section.contains(&format!("`{label}`")), "DESIGN.md §8 does not list `{label}`");
+            assert!(
+                section.contains(&format!("`{label}`")),
+                "DESIGN.md §8 does not list `{label}`"
+            );
         }
     }
 }

@@ -113,7 +113,14 @@ pub fn to_chrome_trace(events: &[Event]) -> String {
     // is the member that ends its `args`.
     let span_entry = |open_idx: usize, dur_ns: u64, last: &str| {
         let open_ev = &events[open_idx];
-        let EventKind::SpanOpen { span, parent, trace, kind, key } = &open_ev.kind else {
+        let EventKind::SpanOpen {
+            span,
+            parent,
+            trace,
+            kind,
+            key,
+        } = &open_ev.kind
+        else {
             return None;
         };
         let tid = tracks.get(*kind).copied().unwrap_or(0);
@@ -138,7 +145,11 @@ pub fn to_chrome_trace(events: &[Event]) -> String {
                     continue;
                 };
                 let dur_ns = ev.time_ns.saturating_sub(events[open_idx].time_ns);
-                entries.extend(span_entry(open_idx, dur_ns, &format!("\"close_key\":{key}")));
+                entries.extend(span_entry(
+                    open_idx,
+                    dur_ns,
+                    &format!("\"close_key\":{key}"),
+                ));
             }
             other => {
                 let label = format!("ev:{}", other.label());
@@ -213,7 +224,13 @@ mod tests {
         assert_eq!(kinds.len(), golden.len());
         for (i, (kind, want)) in kinds.into_iter().zip(golden).enumerate() {
             let mut out = String::new();
-            push_event_json(&mut out, &Event { time_ns: i as u64, kind });
+            push_event_json(
+                &mut out,
+                &Event {
+                    time_ns: i as u64,
+                    kind,
+                },
+            );
             assert_eq!(out, want, "line {i}");
         }
     }

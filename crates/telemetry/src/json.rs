@@ -66,7 +66,12 @@ impl Json {
     /// Convenience constructor for an object field list.
     #[must_use]
     pub fn obj(fields: Vec<(&str, Json)>) -> Json {
-        Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
     }
 
     /// Looks up `key` in an object; `None` for other variants.
@@ -82,9 +87,7 @@ impl Json {
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= 2f64.powi(53) => {
-                Some(*v as u64)
-            }
+            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= 2f64.powi(53) => Some(*v as u64),
             _ => None,
         }
     }
@@ -276,7 +279,10 @@ fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Js
 
 fn parse_number(text: &str, pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
-    while matches!(text.as_bytes().get(*pos), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
+    while matches!(
+        text.as_bytes().get(*pos),
+        Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+    ) {
         *pos += 1;
     }
     let digits = &text[start..*pos];
@@ -288,7 +294,9 @@ fn parse_number(text: &str, pos: &mut usize) -> Result<Json, String> {
 
 /// The four hex digits of a `\u` escape, as their code unit.
 fn parse_hex4(text: &str, pos: &mut usize) -> Result<u32, String> {
-    let hex = text.get(*pos..*pos + 4).filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()));
+    let hex = text
+        .get(*pos..*pos + 4)
+        .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()));
     let hex = hex.ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
     *pos += 4;
     Ok(u32::from_str_radix(hex, 16).expect("four hex digits"))
@@ -436,16 +444,31 @@ mod tests {
         let started = std::time::Instant::now();
         assert_eq!(Json::parse(&big.render()).expect("parses"), big);
         let took = started.elapsed();
-        assert!(took.as_secs() < 5, "{took:?}: quadratic again? (linear is tens of ms)");
+        assert!(
+            took.as_secs() < 5,
+            "{took:?}: quadratic again? (linear is tens of ms)"
+        );
     }
 
     #[test]
     fn escaped_surrogate_pairs_decode_to_one_scalar() {
         let parsed = |text: &str| Json::parse(text).map(|v| v.as_str().map(str::to_string));
         assert_eq!(parsed(r#""\ud83d\ude00""#), Ok(Some("😀".to_string())));
-        assert_eq!(parsed(r#""\ud83dx""#), Ok(Some("\u{fffd}x".to_string())), "lone high");
-        assert_eq!(parsed(r#""\ude00""#), Ok(Some("\u{fffd}".to_string())), "lone low");
-        assert_eq!(parsed(r#""\ud83d\u0041""#), Ok(Some("\u{fffd}A".to_string())), "high, then a scalar");
+        assert_eq!(
+            parsed(r#""\ud83dx""#),
+            Ok(Some("\u{fffd}x".to_string())),
+            "lone high"
+        );
+        assert_eq!(
+            parsed(r#""\ude00""#),
+            Ok(Some("\u{fffd}".to_string())),
+            "lone low"
+        );
+        assert_eq!(
+            parsed(r#""\ud83d\u0041""#),
+            Ok(Some("\u{fffd}A".to_string())),
+            "high, then a scalar"
+        );
         assert!(parsed(r#""\u+041""#).is_err(), "a sign is not a hex digit");
         assert!(parsed(r#""\u00é""#).is_err(), "nor is half a character");
     }

@@ -373,7 +373,9 @@ impl Recorder {
                 self.inner.evicted_by_kind[old.kind.index()].fetch_add(1, Ordering::Relaxed);
             }
         }
-        self.inner.evicted.fetch_add(evict as u64, Ordering::Relaxed);
+        self.inner
+            .evicted
+            .fetch_add(evict as u64, Ordering::Relaxed);
         let time_ns = ring.buf.front().map_or(0, |e| e.time_ns);
         ring.buf.push_front(Event {
             time_ns,
@@ -436,11 +438,19 @@ impl Recorder {
         let count = |out: &mut String, n: u64| out.push_str(&n.to_string());
         push_map(&mut out, "    ", "by_kind", by_kind, count);
         out.push_str(",\n");
-        push_map(&mut out, "    ", "evicted_by_kind", self.evicted_by_kind(), count);
+        push_map(
+            &mut out,
+            "    ",
+            "evicted_by_kind",
+            self.evicted_by_kind(),
+            count,
+        );
         out.push_str("\n  },\n");
 
         let gauges = self.inner.gauges.lock().expect("telemetry gauges poisoned");
-        push_map(&mut out, "  ", "gauges", gauges.iter(), |out, v| json::push_f64(out, *v));
+        push_map(&mut out, "  ", "gauges", gauges.iter(), |out, v| {
+            json::push_f64(out, *v)
+        });
         out.push_str("\n}\n");
         out
     }
@@ -609,7 +619,10 @@ mod tests {
         // Shrink-evictions count too (capacity 1 evicts both retained
         // marks: one for the new cap, one for the marker's slot).
         rec.set_capacity(1);
-        assert_eq!(rec.evicted_by_kind(), vec![("mark", 3), ("scheduler_queue", 1)]);
+        assert_eq!(
+            rec.evicted_by_kind(),
+            vec![("mark", 3), ("scheduler_queue", 1)]
+        );
     }
 
     #[test]

@@ -14,12 +14,18 @@ fn main() {
     // towards UDT (+1).
     let dataset = Dataset::climate(48 * 1024 * 1024, 3);
     let cfg = ExperimentConfig::transfer(Setup::Eu2Au, Transport::Data, dataset, 11);
-    println!("adaptive DATA stream on {} ({} ms RTT):\n",
-        cfg.setup.label(), cfg.setup.rtt().as_millis());
+    println!(
+        "adaptive DATA stream on {} ({} ms RTT):\n",
+        cfg.setup.label(),
+        cfg.setup.rtt().as_millis()
+    );
     let result = run_experiment(&cfg);
     assert!(result.verified, "content must verify");
 
-    println!("{:>6} {:>14} {:>9} {:>9}", "t", "throughput", "target", "achieved");
+    println!(
+        "{:>6} {:>14} {:>9} {:>9}",
+        "t", "throughput", "target", "achieved"
+    );
     for p in &result.flow_points {
         println!(
             "{:>5.0}s {:>11.2} MB/s {:>+9.2} {:>+9.2}",

@@ -122,7 +122,9 @@ fn main() {
     let net_a = create_network(&world.system, &world.net, NetworkConfig::new(a)).expect("bind");
     let net_b = create_network(&world.system, &world.net, NetworkConfig::new(b)).expect("bind");
     let collector = world.system.create(Collector::new);
-    world.system.connect::<NetworkPort, _, _>(&net_b, &collector);
+    world
+        .system
+        .connect::<NetworkPort, _, _>(&net_b, &collector);
     world.system.start(&net_a);
     world.system.start(&net_b);
     world.system.start(&collector);
@@ -134,7 +136,11 @@ fn main() {
     world.system.start(&sender);
     sender.on_definition(|s| {
         for seq in 0..6u64 {
-            let proto = if seq % 2 == 0 { Transport::Tcp } else { Transport::Udt };
+            let proto = if seq % 2 == 0 {
+                Transport::Tcp
+            } else {
+                Transport::Udt
+            };
             s.net.trigger(NetRequest::Msg(NetMessage::new(
                 a,
                 b,

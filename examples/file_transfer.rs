@@ -12,7 +12,10 @@ fn main() {
     // binaries run the full 395 MB.
     let dataset = Dataset::climate(24 * 1024 * 1024, 7);
 
-    println!("transferring {} MB, disk-to-disk:\n", dataset.size / (1024 * 1024));
+    println!(
+        "transferring {} MB, disk-to-disk:\n",
+        dataset.size / (1024 * 1024)
+    );
     println!("{:<8} {:>10} {:>14} {:>14}", "setup", "RTT", "TCP", "UDT");
     for setup in Setup::paper_setups() {
         let mut row = format!(

@@ -86,10 +86,10 @@ fn main() {
     let addr_a = NetAddress::new(world.host_a, 7000);
     let addr_b = NetAddress::new(world.host_b, 7000);
 
-    let net_a = create_network(&world.system, &world.net, NetworkConfig::new(addr_a))
-        .expect("bind host A");
-    let net_b = create_network(&world.system, &world.net, NetworkConfig::new(addr_b))
-        .expect("bind host B");
+    let net_a =
+        create_network(&world.system, &world.net, NetworkConfig::new(addr_a)).expect("bind host A");
+    let net_b =
+        create_network(&world.system, &world.net, NetworkConfig::new(addr_b)).expect("bind host B");
 
     let greeter = world.system.create(|| Greeter {
         net: RequiredPort::new(),
@@ -114,7 +114,11 @@ fn main() {
     let stats = net_a.on_definition(|n| n.stats());
     let stats = stats.lock();
     println!("\nhost-a middleware stats:");
-    println!("  messages sent:   {} (per transport UDP/TCP/UDT/DATA: {:?})", stats.total_sent(), stats.sent);
+    println!(
+        "  messages sent:   {} (per transport UDP/TCP/UDT/DATA: {:?})",
+        stats.total_sent(),
+        stats.sent
+    );
     println!("  bytes on wire:   {}", stats.bytes_out);
     println!("  channels opened: {}", stats.channels_opened);
 }

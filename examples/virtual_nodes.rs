@@ -37,9 +37,7 @@ impl ComponentDefinition for Worker {
 impl Require<NetworkPort> for Worker {
     fn handle(&mut self, _ctx: &mut ComponentContext, ev: NetIndication) {
         if let NetIndication::Msg(msg) = ev {
-            let text = msg
-                .try_deserialise::<String, String>()
-                .unwrap_or_default();
+            let text = msg.try_deserialise::<String, String>().unwrap_or_default();
             println!(
                 "  vnode {:?} got {:?} (crossed the wire: {})",
                 self.me.vnode().expect("vnode address").0,
@@ -68,14 +66,20 @@ impl RequireRef<NetworkPort> for Worker {
 fn main() {
     let world = two_host_world(1, &Setup::EuVpc);
     let host = NetAddress::new(world.host_a, 9000);
-    let network = create_network(&world.system, &world.net, NetworkConfig::new(host))
-        .expect("bind");
+    let network =
+        create_network(&world.system, &world.net, NetworkConfig::new(host)).expect("bind");
     let stats = network.on_definition(|n| n.stats());
 
     // Three vnodes behind ONE socket, routed by channel selectors.
-    let v1 = world.system.create(|| Worker::new(host.with_vnode(VnodeId(1))));
-    let v2 = world.system.create(|| Worker::new(host.with_vnode(VnodeId(2))));
-    let v3 = world.system.create(|| Worker::new(host.with_vnode(VnodeId(3))));
+    let v1 = world
+        .system
+        .create(|| Worker::new(host.with_vnode(VnodeId(1))));
+    let v2 = world
+        .system
+        .create(|| Worker::new(host.with_vnode(VnodeId(2))));
+    let v3 = world
+        .system
+        .create(|| Worker::new(host.with_vnode(VnodeId(3))));
     connect_vnode(&world.system, &network, &v1, VnodeId(1));
     connect_vnode(&world.system, &network, &v2, VnodeId(2));
     connect_vnode(&world.system, &network, &v3, VnodeId(3));
@@ -103,5 +107,9 @@ fn main() {
     let s = stats.lock();
     println!("\nlocal reflections: {}", s.local_reflections);
     println!("messages serialised onto the wire: {}", s.total_sent());
-    assert_eq!(s.total_sent(), 0, "same-host vnode traffic stays off the wire");
+    assert_eq!(
+        s.total_sent(),
+        0,
+        "same-host vnode traffic stays off the wire"
+    );
 }

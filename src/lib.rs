@@ -52,9 +52,9 @@ pub use kmsg_netsim as netsim;
 /// One-stop imports for building applications on the middleware.
 pub mod prelude {
     pub use kmsg_apps::{
-        run_experiment, two_host_world, Dataset, ExperimentConfig, ExperimentResult,
-        FileReceiver, FileSender, PingSettings, Pinger, PingerConfig, Ponger, ReceiverConfig,
-        SenderConfig, Setup, TwoHostWorld,
+        run_experiment, two_host_world, Dataset, ExperimentConfig, ExperimentResult, FileReceiver,
+        FileSender, PingSettings, Pinger, PingerConfig, Ponger, ReceiverConfig, SenderConfig,
+        Setup, TwoHostWorld,
     };
     pub use kmsg_component::prelude::*;
     pub use kmsg_core::prelude::*;

@@ -22,7 +22,11 @@ fn transfer_verifies_on_every_setup_and_transport() {
                 "checksum must hold for {transport} on {}",
                 setup.label()
             );
-            assert!(result.throughput.is_some(), "{transport} on {}", setup.label());
+            assert!(
+                result.throughput.is_some(),
+                "{transport} on {}",
+                setup.label()
+            );
         }
     }
 }
@@ -73,15 +77,10 @@ fn adaptive_data_converges_towards_tcp_on_fast_path() {
     let result = {
         use kmsg_core::data::{DataNetworkConfig, PrpKind};
         let dataset = Dataset::climate(4 * 1024 * 1024 * 1024, 2);
-        let mut cfg = ExperimentConfig::transfer(
-            Setup::analysis_link(),
-            Transport::Data,
-            dataset,
-            6,
-        );
+        let mut cfg =
+            ExperimentConfig::transfer(Setup::analysis_link(), Transport::Data, dataset, 6);
         cfg.use_disk = false;
-        cfg.max_sim_time =
-            Duration::from_secs(if cfg!(debug_assertions) { 30 } else { 45 });
+        cfg.max_sim_time = Duration::from_secs(if cfg!(debug_assertions) { 30 } else { 45 });
         // Default TD config with the Fig. 6 backend is already in place;
         // just make sure we really are using a learner.
         assert!(matches!(cfg.data_cfg.prp, PrpKind::Td(_)));
@@ -170,12 +169,7 @@ fn different_seeds_vary_lossy_runs() {
 
 #[test]
 fn udp_pings_work_alongside_transfers() {
-    let mut cfg = ExperimentConfig::transfer(
-        Setup::EuVpc,
-        Transport::Tcp,
-        small_climate(1),
-        9,
-    );
+    let mut cfg = ExperimentConfig::transfer(Setup::EuVpc, Transport::Tcp, small_climate(1), 9);
     cfg.ping = Some(PingSettings {
         transport: Transport::Udp,
         interval: Duration::from_millis(100),
@@ -193,8 +187,15 @@ fn middleware_stats_surface_in_results() {
     assert!(result.verified);
     let tx = &result.sender_net;
     let rx = &result.receiver_net;
-    assert!(tx.sent[Transport::Udt.to_byte() as usize] > 0, "UDT messages counted");
-    assert_eq!(tx.total_sent(), rx.total_received(), "no loss on the clean VPC");
+    assert!(
+        tx.sent[Transport::Udt.to_byte() as usize] > 0,
+        "UDT messages counted"
+    );
+    assert_eq!(
+        tx.total_sent(),
+        rx.total_received(),
+        "no loss on the clean VPC"
+    );
     assert!(tx.bytes_out > 0);
     // The climate dataset compresses ~10%: wire bytes < payload bytes.
     assert!(
