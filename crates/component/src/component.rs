@@ -5,11 +5,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
-use crossbeam::queue::SegQueue;
 use parking_lot::Mutex;
 
 use kmsg_netsim::time::SimTime;
 
+use crate::queue::EventQueue;
 use crate::system::SystemInner;
 use crate::timer::TimeoutId;
 
@@ -105,8 +105,8 @@ pub struct ComponentCore {
     pub(crate) state: AtomicU8,
     pub(crate) dirty: AtomicBool,
     pub(crate) scheduled: AtomicBool,
-    pub(crate) control_q: SegQueue<ControlEvent>,
-    pub(crate) timeout_q: SegQueue<TimeoutId>,
+    pub(crate) control_q: EventQueue<ControlEvent>,
+    pub(crate) timeout_q: EventQueue<TimeoutId>,
     pub(crate) cancelled_timeouts: Mutex<HashSet<TimeoutId>>,
     pub(crate) runner: OnceLock<Weak<dyn AbstractComponent>>,
     /// Lazily-created shared receiver for one-shot timeouts, so scheduling
@@ -135,8 +135,8 @@ impl ComponentCore {
             state: AtomicU8::new(STATE_PASSIVE),
             dirty: AtomicBool::new(false),
             scheduled: AtomicBool::new(false),
-            control_q: SegQueue::new(),
-            timeout_q: SegQueue::new(),
+            control_q: EventQueue::new(),
+            timeout_q: EventQueue::new(),
             cancelled_timeouts: Mutex::new(HashSet::new()),
             runner: OnceLock::new(),
             timeout_sink: OnceLock::new(),
@@ -221,9 +221,14 @@ impl ComponentCore {
             .system
             .upgrade()
             .map_or(usize::MAX, |s| s.max_events_per_scheduling);
-        self.dirty.store(false, Ordering::Release);
+        // Both resets are read-modify-writes, so a concurrent `notify` is
+        // ordered against each (DESIGN.md §2): if it set `dirty` first, this
+        // swap makes its push visible to the batch's polls; if its
+        // `scheduled` swap comes first, the one below makes its `dirty`
+        // visible to the load after it.
+        self.dirty.swap(false, Ordering::AcqRel);
         let handled = runner.execute_batch(max_events);
-        self.scheduled.store(false, Ordering::Release);
+        self.scheduled.swap(false, Ordering::AcqRel);
         if self.state.load(Ordering::Acquire) == STATE_DESTROYED {
             return handled;
         }

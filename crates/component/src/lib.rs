@@ -101,6 +101,7 @@
 
 pub mod component;
 pub mod port;
+mod queue;
 pub mod scheduler;
 pub mod system;
 pub mod timer;

@@ -13,9 +13,8 @@
 
 use std::sync::Arc;
 
-use crossbeam::queue::SegQueue;
-
 use crate::component::ComponentCore;
+use crate::queue::EventQueue;
 
 /// A port type: the "service specification" naming the event types that
 /// travel in each direction.
@@ -53,13 +52,13 @@ pub enum Never {}
 pub type Selector<Ev> = Arc<dyn Fn(&Ev) -> bool + Send + Sync>;
 
 pub(crate) struct ChannelToRequirer<P: Port> {
-    pub(crate) queue: Arc<SegQueue<P::Indication>>,
+    pub(crate) queue: Arc<EventQueue<P::Indication>>,
     pub(crate) cell: Arc<ComponentCore>,
     pub(crate) filter: Option<Selector<P::Indication>>,
 }
 
 pub(crate) struct ChannelToProvider<P: Port> {
-    pub(crate) queue: Arc<SegQueue<P::Request>>,
+    pub(crate) queue: Arc<EventQueue<P::Request>>,
     pub(crate) cell: Arc<ComponentCore>,
     pub(crate) filter: Option<Selector<P::Request>>,
 }
@@ -69,7 +68,7 @@ pub(crate) struct ChannelToProvider<P: Port> {
 /// Owned as a field by a component definition; see the
 /// [crate documentation](crate) for a complete example.
 pub struct ProvidedPort<P: Port> {
-    pub(crate) inbound: Arc<SegQueue<P::Request>>,
+    pub(crate) inbound: Arc<EventQueue<P::Request>>,
     pub(crate) outbound: Vec<ChannelToRequirer<P>>,
 }
 
@@ -93,7 +92,7 @@ impl<P: Port> ProvidedPort<P> {
     #[must_use]
     pub fn new() -> Self {
         ProvidedPort {
-            inbound: Arc::new(SegQueue::new()),
+            inbound: Arc::new(EventQueue::new()),
             outbound: Vec::new(),
         }
     }
@@ -124,7 +123,7 @@ impl<P: Port> ProvidedPort<P> {
 
 /// The requiring side of a port: receives indications, triggers requests.
 pub struct RequiredPort<P: Port> {
-    pub(crate) inbound: Arc<SegQueue<P::Indication>>,
+    pub(crate) inbound: Arc<EventQueue<P::Indication>>,
     pub(crate) outbound: Vec<ChannelToProvider<P>>,
 }
 
@@ -148,7 +147,7 @@ impl<P: Port> RequiredPort<P> {
     #[must_use]
     pub fn new() -> Self {
         RequiredPort {
-            inbound: Arc::new(SegQueue::new()),
+            inbound: Arc::new(EventQueue::new()),
             outbound: Vec::new(),
         }
     }
@@ -183,7 +182,7 @@ fn fan_out<C, Ev: Clone>(
     parts: impl Fn(
         &C,
     ) -> (
-        &Arc<SegQueue<Ev>>,
+        &Arc<EventQueue<Ev>>,
         &Arc<ComponentCore>,
         &Option<Selector<Ev>>,
     ),
@@ -203,7 +202,7 @@ fn fan_out<C, Ev: Clone>(
 /// A queue feeding a component from *outside* the component system (e.g.
 /// network callbacks). Drained inside the component's `execute` like a port.
 pub struct SelfPort<Ev> {
-    pub(crate) queue: Arc<SegQueue<Ev>>,
+    pub(crate) queue: Arc<EventQueue<Ev>>,
     pub(crate) cell: std::sync::OnceLock<Arc<ComponentCore>>,
 }
 
@@ -226,7 +225,7 @@ impl<Ev> SelfPort<Ev> {
     #[must_use]
     pub fn new() -> Self {
         SelfPort {
-            queue: Arc::new(SegQueue::new()),
+            queue: Arc::new(EventQueue::new()),
             cell: std::sync::OnceLock::new(),
         }
     }
@@ -247,7 +246,7 @@ impl<Ev> SelfPort<Ev> {
 /// [`SelfPort`]. Obtained via
 /// [`ComponentRef::self_ref`](crate::system::ComponentRef::self_ref).
 pub struct SelfRef<Ev> {
-    pub(crate) queue: Arc<SegQueue<Ev>>,
+    pub(crate) queue: Arc<EventQueue<Ev>>,
     pub(crate) cell: Arc<ComponentCore>,
 }
 

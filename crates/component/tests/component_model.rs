@@ -2,6 +2,7 @@
 //! (broadcast, FIFO, exactly-once, selectors), lifecycle, timers, self
 //! ports, fairness, and the threaded scheduler.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -365,6 +366,82 @@ fn threaded_system_round_trip() {
     let received = client.on_definition(|c| c.received.clone());
     assert_eq!(received, (0..500).collect::<Vec<_>>(), "FIFO under threads");
     system.shutdown();
+}
+
+/// Counts self-port events per producer, checking each producer's order.
+#[derive(Default)]
+struct Tally {
+    inbox: SelfPort<(usize, u64)>,
+    /// Events handled per producer, read by the producers' flow control.
+    done: Arc<[AtomicU64; 4]>,
+}
+
+impl ComponentDefinition for Tally {
+    fn execute(&mut self, ctx: &mut ComponentContext, max: usize) -> usize {
+        execute_ports!(self, ctx, max, [selfport inbox: (usize, u64)])
+    }
+}
+impl HandleSelf<(usize, u64)> for Tally {
+    fn handle_self(&mut self, _ctx: &mut ComponentContext, (producer, seq): (usize, u64)) {
+        let done = &self.done[producer];
+        assert_eq!(
+            seq,
+            done.load(Ordering::Relaxed),
+            "producer {producer} out of order"
+        );
+        done.store(seq + 1, Ordering::Release);
+    }
+}
+
+/// Four threads push into one component while the pool drains it. Each
+/// keeps at most two events unhandled, so a push often lands while the
+/// component is finishing a batch that found its queue empty; a lost
+/// wake-up then stalls its producer instead of hiding behind later pushes.
+#[test]
+fn threaded_producers_are_each_handled_once() {
+    const PER_PRODUCER: u64 = 10_000;
+    const WINDOW: u64 = 2;
+    let system = ComponentSystem::threaded(SystemConfig {
+        threads: 2,
+        ..SystemConfig::default()
+    });
+    let tally = system.create(Tally::default);
+    let inbox = tally.self_ref(|t| &mut t.inbox);
+    let done = tally.on_definition(|t| t.done.clone());
+    system.start(&tally);
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    let wait_until = move |done: &AtomicU64, target: u64| {
+        while done.load(Ordering::Acquire) < target {
+            let n = done.load(Ordering::Acquire);
+            assert!(
+                std::time::Instant::now() < deadline,
+                "stalled at {n}/{target}"
+            );
+            std::thread::yield_now();
+        }
+    };
+    let producers: Vec<_> = (0..4)
+        .map(|producer| {
+            let (inbox, done) = (inbox.clone(), done.clone());
+            std::thread::spawn(move || {
+                for seq in 0..PER_PRODUCER {
+                    wait_until(&done[producer], (seq + 1).saturating_sub(WINDOW));
+                    inbox.push((producer, seq));
+                }
+                wait_until(&done[producer], PER_PRODUCER);
+            })
+        })
+        .collect();
+    for p in producers {
+        p.join().expect("producer thread");
+    }
+    system.shutdown();
+    let (handled, pending) = tally.on_definition(|t| {
+        let handled: Vec<u64> = t.done.iter().map(|d| d.load(Ordering::Acquire)).collect();
+        (handled, t.inbox.pending())
+    });
+    assert_eq!(handled, [PER_PRODUCER; 4]);
+    assert_eq!(pending, 0);
 }
 
 #[test]

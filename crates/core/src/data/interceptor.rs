@@ -24,6 +24,7 @@ use parking_lot::Mutex;
 use kmsg_component::prelude::*;
 use kmsg_netsim::packet::Endpoint;
 use kmsg_netsim::rng::SeedSource;
+use kmsg_netsim::slab::FxHashMap;
 use kmsg_netsim::time::SimTime;
 use kmsg_telemetry::Recorder;
 
@@ -224,7 +225,7 @@ pub struct DataNetworkComponent {
     /// Ordered by destination, so an episode end updates and releases its
     /// flows in the same order on every run of a seed.
     flows: BTreeMap<Endpoint, Flow>,
-    inflight: HashMap<u64, (Endpoint, usize, Option<NotifyToken>, SimTime, Transport)>,
+    inflight: FxHashMap<u64, (Endpoint, usize, Option<NotifyToken>, SimTime, Transport)>,
     next_internal: u64,
     stats: DataStatsHandle,
     episode_timer: Option<TimeoutId>,
@@ -248,7 +249,7 @@ impl DataNetworkComponent {
             net_port: RequiredPort::new(),
             cfg,
             flows: BTreeMap::new(),
-            inflight: HashMap::new(),
+            inflight: FxHashMap::default(),
             next_internal: INTERNAL_NOTIFY_BASE,
             stats: Arc::new(Mutex::new(HashMap::new())),
             episode_timer: None,

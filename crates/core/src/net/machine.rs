@@ -10,7 +10,6 @@
 //! shell (`net/mod.rs`) runs it over netsim's connections; the tests below
 //! over a scripted fake [`Wire`].
 
-use std::collections::HashMap;
 use std::hash::Hash;
 use std::time::Duration;
 
@@ -18,6 +17,7 @@ use kmsg_component::prelude::TimeoutId;
 use kmsg_netsim::network::BindError;
 use kmsg_netsim::packet::Endpoint;
 use kmsg_netsim::rng::RngStream;
+use kmsg_netsim::slab::FxHashMap;
 use kmsg_netsim::time::SimTime;
 use kmsg_telemetry::bytes::Bytes;
 use kmsg_telemetry::{SpanId, SpanKind, Tracer};
@@ -159,10 +159,10 @@ pub(super) struct Machine<W: Wire> {
     reconnect: Option<ReconnectConfig>,
     /// Close channels idle this long on a [`sweep`](Machine::sweep).
     idle_timeout: Option<Duration>,
-    channels: HashMap<ChannelKey, ChannelState<W>>,
-    conn_index: HashMap<W::Id, ChannelKey>,
+    channels: FxHashMap<ChannelKey, ChannelState<W>>,
+    conn_index: FxHashMap<W::Id, ChannelKey>,
     /// Pending supervision redial timers, mapped back to their channel.
-    retry_timers: HashMap<TimeoutId, ChannelKey>,
+    retry_timers: FxHashMap<TimeoutId, ChannelKey>,
     /// Seeded stream for deterministic backoff jitter.
     jitter_rng: RngStream,
     /// The component's counters, shared with its `stats()` handle.
@@ -182,9 +182,9 @@ impl<W: Wire> Machine<W> {
         Machine {
             reconnect,
             idle_timeout,
-            channels: HashMap::new(),
-            conn_index: HashMap::new(),
-            retry_timers: HashMap::new(),
+            channels: FxHashMap::default(),
+            conn_index: FxHashMap::default(),
+            retry_timers: FxHashMap::default(),
             jitter_rng,
             stats: StatsHandle::default(),
             tracer,

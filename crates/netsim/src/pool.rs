@@ -113,12 +113,6 @@ impl PacketPool {
     pub fn high_water(&self) -> usize {
         self.high_water
     }
-
-    /// Retained slot storage in bytes (the scaling probe's RSS proxy).
-    #[must_use]
-    pub fn mem_bytes(&self) -> usize {
-        self.slab.mem_bytes()
-    }
 }
 
 impl std::fmt::Debug for PacketPool {
@@ -194,6 +188,5 @@ mod tests {
         pool.alloc(pkt(0));
         assert_eq!(pool.high_water(), 10);
         assert_eq!(pool.total_allocated(), 11);
-        assert!(pool.mem_bytes() > 0);
     }
 }

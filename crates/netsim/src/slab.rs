@@ -21,8 +21,7 @@
 //!   simulator uses, and the simulator is not an open network service.
 //!
 //! Memory accounting: [`Slab::mem_bytes`] reports the retained capacity in
-//! bytes, which is what the scaling benchmark and the memory-regression
-//! test use as an RSS proxy for bytes/flow.
+//! bytes; the growth-policy test reads the slab's capacity through it.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -153,8 +152,7 @@ impl<T> Slab<T> {
         self.live == 0
     }
 
-    /// Retained capacity in bytes — the RSS proxy used by the scaling
-    /// benchmark (slot storage plus generation table).
+    /// Retained capacity in bytes: slot storage plus generation table.
     #[must_use]
     pub fn mem_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<Slot<T>>()
@@ -364,22 +362,12 @@ impl Hasher for FxHasher {
     }
 }
 
-/// `HashMap` keyed with [`FxHasher`]. Nothing in this crate iterates one, so
-/// no simulated outcome depends on the hash; where an order is needed, sort.
+/// `HashMap` keyed with [`FxHasher`]. Nothing in this crate iterates one,
+/// so no simulated outcome depends on the hash; where an order is needed
+/// (`kmsg-core`'s idle sweep over its channel table), sort.
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// `HashSet` keyed with [`FxHasher`].
 pub type FxHashSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
-
-/// Retained bytes of an `FxHashMap`/`HashMap`: a conservative capacity-based
-/// estimate (hashbrown stores one control byte plus one `(K, V)` pair per
-/// bucket). Used by the memory accounting in the scaling probe.
-#[must_use]
-pub fn map_mem_bytes<K, V, S>(map: &HashMap<K, V, S>) -> usize {
-    // hashbrown allocates buckets = capacity / 7 * 8 rounded to a power of
-    // two; capacity() already reflects the usable size, so this slightly
-    // underestimates. Good enough for a regression *budget*.
-    map.capacity() * (std::mem::size_of::<(K, V)>() + 1)
-}
 
 #[cfg(test)]
 mod tests {
@@ -587,7 +575,6 @@ mod tests {
         }
         assert_eq!(m.len(), 100);
         assert_eq!(m[&(42, 42)], 126);
-        assert!(map_mem_bytes(&m) > 0);
     }
 
     #[test]

@@ -21,13 +21,19 @@
 /// assert_eq!(s.mean(), 5.0);
 /// assert!((s.stddev() - 2.138).abs() < 0.01);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
+}
+
+impl Default for OnlineStats {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl OnlineStats {
@@ -256,6 +262,16 @@ mod tests {
         assert!((s.variance() - 5.0 / 3.0).abs() < 1e-12);
         assert_eq!(s.min(), 1.0);
         assert_eq!(s.max(), 4.0);
+    }
+
+    #[test]
+    fn default_starts_min_and_max_at_the_infinities() {
+        let mut s = OnlineStats::default();
+        assert_eq!(s, OnlineStats::new());
+        s.push(2.0);
+        s.push(3.0);
+        assert_eq!(s.min(), 2.0);
+        assert_eq!(s.max(), 3.0);
     }
 
     #[test]
