@@ -547,13 +547,9 @@ mod tests {
     }
 
     /// Every record of the first 2²⁵ (512 MiB: `adaptive_wan`'s file and
-    /// the paper's) in each of the 17 `seed % 17` classes. Minutes in a
-    /// debug build, seconds in release.
+    /// the paper's) in each of the 17 `seed % 17` classes. About half a
+    /// minute in the debug build, seconds in release.
     #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "run in release: cargo test --release -p kmsg-apps --lib dataset"
-    )]
     fn every_record_below_2_pow_25_is_libms() {
         const SPAN: usize = 1 << 16;
         let mut sins = vec![0f64; SPAN];

@@ -112,10 +112,11 @@ pub struct ComponentCore {
     /// Lazily-created shared receiver for one-shot timeouts, so scheduling
     /// a timer never allocates per event.
     timeout_sink: OnceLock<Arc<crate::timer::TimeoutSink>>,
-    /// The queue-depth gauge of the first
-    /// [`SimulationScheduler`](crate::scheduler::SimulationScheduler) that
-    /// schedules this core; absent under the thread-pool scheduler.
-    pub(crate) depth: OnceLock<Arc<AtomicU64>>,
+    /// The queue-depth gauge of the system's
+    /// [`SimulationScheduler`](crate::scheduler::SimulationScheduler).
+    depth: Arc<AtomicU64>,
+    /// The system's `max_events_per_scheduling`, fixed at creation.
+    max_events: usize,
 }
 
 impl std::fmt::Debug for ComponentCore {
@@ -128,10 +129,17 @@ impl std::fmt::Debug for ComponentCore {
 }
 
 impl ComponentCore {
-    pub(crate) fn new(id: ComponentId, system: Weak<SystemInner>) -> Arc<Self> {
+    pub(crate) fn new(
+        id: ComponentId,
+        system: Weak<SystemInner>,
+        depth: Arc<AtomicU64>,
+        max_events: usize,
+    ) -> Arc<Self> {
         Arc::new(ComponentCore {
             id,
             system,
+            depth,
+            max_events,
             state: AtomicU8::new(STATE_PASSIVE),
             dirty: AtomicBool::new(false),
             scheduled: AtomicBool::new(false),
@@ -140,7 +148,6 @@ impl ComponentCore {
             cancelled_timeouts: Mutex::new(HashSet::new()),
             runner: OnceLock::new(),
             timeout_sink: OnceLock::new(),
-            depth: OnceLock::new(),
         })
     }
 
@@ -203,12 +210,10 @@ impl ComponentCore {
     /// the system's `max_events` port events. Re-schedules itself if new
     /// work arrived during execution or the batch limit was hit. Returns
     /// how many events the batch handled.
-    pub fn run(self: &Arc<Self>) -> usize {
-        if let Some(depth) = self.depth.get() {
-            // The engine has dequeued this execution; a reschedule below
-            // counts as a fresh queue entry.
-            let _ = depth.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| d.checked_sub(1));
-        }
+    pub(crate) fn run(self: &Arc<Self>) -> usize {
+        // The engine has dequeued this execution; a reschedule below counts
+        // as a fresh queue entry.
+        self.depth.fetch_sub(1, Ordering::Relaxed);
         self.run_batch()
     }
 
@@ -217,22 +222,18 @@ impl ComponentCore {
             self.scheduled.store(false, Ordering::Release);
             return 0;
         };
-        let max_events = self
-            .system
-            .upgrade()
-            .map_or(usize::MAX, |s| s.max_events_per_scheduling);
         // Both resets are read-modify-writes, so a concurrent `notify` is
         // ordered against each (DESIGN.md §2): if it set `dirty` first, this
         // swap makes its push visible to the batch's polls; if its
         // `scheduled` swap comes first, the one below makes its `dirty`
         // visible to the load after it.
         self.dirty.swap(false, Ordering::AcqRel);
-        let handled = runner.execute_batch(max_events);
+        let handled = runner.execute_batch(self.max_events);
         self.scheduled.swap(false, Ordering::AcqRel);
         if self.state.load(Ordering::Acquire) == STATE_DESTROYED {
             return handled;
         }
-        if (self.dirty.load(Ordering::Acquire) || handled >= max_events)
+        if (self.dirty.load(Ordering::Acquire) || handled >= self.max_events)
             && !self.scheduled.swap(true, Ordering::AcqRel)
         {
             if let Some(system) = self.system.upgrade() {
@@ -349,8 +350,7 @@ impl ComponentContext {
         self.core.id
     }
 
-    /// The system clock (virtual time under simulation, wall time since
-    /// system start otherwise).
+    /// The simulation's virtual time.
     #[must_use]
     pub fn now(&self) -> SimTime {
         self.core
@@ -400,7 +400,7 @@ mod tests {
 
     #[test]
     fn lifecycle_states_map() {
-        let core = ComponentCore::new(ComponentId(1), Weak::new());
+        let core = ComponentCore::new(ComponentId(1), Weak::new(), Arc::default(), 50);
         assert_eq!(core.lifecycle_state(), LifecycleState::Passive);
         core.state.store(STATE_ACTIVE, Ordering::Release);
         assert_eq!(core.lifecycle_state(), LifecycleState::Active);
@@ -411,7 +411,7 @@ mod tests {
 
     #[test]
     fn notify_without_system_is_safe() {
-        let core = ComponentCore::new(ComponentId(2), Weak::new());
+        let core = ComponentCore::new(ComponentId(2), Weak::new(), Arc::default(), 50);
         core.notify(); // system is gone: no panic
         assert!(core.dirty.load(Ordering::Acquire));
     }

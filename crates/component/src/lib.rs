@@ -10,12 +10,11 @@
 //! configurable number of events per scheduling — the throughput vs.
 //! fairness knob described in the paper.
 //!
-//! Two execution modes share all component code:
-//!
-//! * **simulation** — components run as events on a
-//!   [`kmsg_netsim::engine::Sim`] virtual-time loop (deterministic;
-//!   used by every experiment in the reproduction), and
-//! * **threaded** — a work-pool scheduler with wall-clock timers.
+//! Components run as events on a [`kmsg_netsim::engine::Sim`] virtual-time
+//! loop, so every run is deterministic; timers fire in virtual time too.
+//! Events may still be pushed into a component from any thread (a
+//! [`SelfRef`] is `Send + Sync`), and a whole system can run on a worker
+//! thread of its own.
 //!
 //! # Example
 //!

@@ -13,14 +13,14 @@ use crate::component::{
     ProvideRef, RequireRef,
 };
 use crate::port::{ChannelToProvider, ChannelToRequirer, Port, Selector, SelfPort, SelfRef};
-use crate::scheduler::{Scheduler, SimulationScheduler, ThreadPoolScheduler};
-use crate::timer::{SimTimer, TimerSource, WallTimer};
+use crate::scheduler::SimulationScheduler;
+use crate::timer::SimTimer;
 
 pub(crate) struct SystemInner {
-    pub(crate) scheduler: Box<dyn Scheduler>,
-    pub(crate) timer: Box<dyn TimerSource>,
-    pub(crate) max_events_per_scheduling: usize,
-    pub(crate) components: Mutex<Vec<Arc<dyn AbstractComponent>>>,
+    pub(crate) scheduler: SimulationScheduler,
+    pub(crate) timer: SimTimer,
+    max_events_per_scheduling: usize,
+    components: Mutex<Vec<Arc<dyn AbstractComponent>>>,
     next_component: AtomicU64,
     next_timeout: AtomicU64,
 }
@@ -37,15 +37,12 @@ pub struct SystemConfig {
     /// Maximum events a component handles per scheduling before yielding —
     /// the Kompics throughput/fairness trade-off knob (§II-A of the paper).
     pub max_events_per_scheduling: usize,
-    /// Worker threads (threaded mode only).
-    pub threads: usize,
 }
 
 impl Default for SystemConfig {
     fn default() -> Self {
         SystemConfig {
             max_events_per_scheduling: 50,
-            threads: std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get),
         }
     }
 }
@@ -94,23 +91,8 @@ impl ComponentSystem {
     pub fn simulation(sim: &Sim, config: SystemConfig) -> Self {
         ComponentSystem {
             inner: Arc::new(SystemInner {
-                scheduler: Box::new(SimulationScheduler::new(sim)),
-                timer: Box::new(SimTimer::new(sim)),
-                max_events_per_scheduling: config.max_events_per_scheduling,
-                components: Mutex::new(Vec::new()),
-                next_component: AtomicU64::new(0),
-                next_timeout: AtomicU64::new(0),
-            }),
-        }
-    }
-
-    /// Creates a multi-threaded system with wall-clock timers.
-    #[must_use]
-    pub fn threaded(config: SystemConfig) -> Self {
-        ComponentSystem {
-            inner: Arc::new(SystemInner {
-                scheduler: Box::new(ThreadPoolScheduler::new(config.threads)),
-                timer: Box::new(WallTimer::new()),
+                scheduler: SimulationScheduler::new(sim),
+                timer: SimTimer::new(sim),
                 max_events_per_scheduling: config.max_events_per_scheduling,
                 components: Mutex::new(Vec::new()),
                 next_component: AtomicU64::new(0),
@@ -126,8 +108,14 @@ impl ComponentSystem {
         C: ComponentDefinition,
         F: FnOnce() -> C,
     {
-        let id = ComponentId(self.inner.next_component.fetch_add(1, Ordering::Relaxed));
-        let core = ComponentCore::new(id, Arc::downgrade(&self.inner));
+        let inner = &self.inner;
+        let id = ComponentId(inner.next_component.fetch_add(1, Ordering::Relaxed));
+        let core = ComponentCore::new(
+            id,
+            Arc::downgrade(inner),
+            inner.scheduler.depth.clone(),
+            inner.max_events_per_scheduling,
+        );
         let component = Arc::new(Component {
             core: core.clone(),
             definition: Mutex::new(f()),
@@ -136,7 +124,7 @@ impl ComponentSystem {
         core.runner
             .set(Arc::downgrade(&abstract_ref))
             .unwrap_or_else(|_| unreachable!("runner set twice"));
-        self.inner.components.lock().push(abstract_ref);
+        inner.components.lock().push(abstract_ref);
         ComponentRef { component }
     }
 
@@ -227,10 +215,10 @@ impl ComponentSystem {
         self.inner.components.lock().len()
     }
 
-    /// Shuts down the scheduler (threaded mode: joins workers).
-    pub fn shutdown(&self) {
-        self.inner.scheduler.shutdown();
-    }
+    /// Does nothing: a simulated system holds no threads, and its
+    /// components stop running when the [`Sim`] does. Kept for callers
+    /// that end a run with it.
+    pub fn shutdown(&self) {}
 }
 
 impl<C: ComponentDefinition> ComponentRef<C> {

@@ -1,6 +1,6 @@
 //! Integration tests for the component model: Kompics semantics
 //! (broadcast, FIFO, exactly-once, selectors), lifecycle, timers, self
-//! ports, fairness, and the threaded scheduler.
+//! ports, fairness, and pushes from other threads.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -311,7 +311,6 @@ fn max_events_per_scheduling_bounds_batches() {
         &sim,
         SystemConfig {
             max_events_per_scheduling: 10,
-            ..SystemConfig::default()
         },
     );
     let echo = system.create(BatchEcho::default);
@@ -335,37 +334,6 @@ fn max_events_per_scheduling_bounds_batches() {
         batches.len()
     );
     assert_eq!(client.on_definition(|c| c.received.len()), 1000);
-}
-
-#[test]
-fn threaded_system_round_trip() {
-    let system = ComponentSystem::threaded(SystemConfig {
-        threads: 2,
-        ..SystemConfig::default()
-    });
-    let echo = system.create(Echo::default);
-    let client = system.create(|| Client {
-        burst: 500,
-        ..Client::default()
-    });
-    system.connect::<NumPort, _, _>(&echo, &client);
-    system.start(&echo);
-    system.start(&client);
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        let n = client.on_definition(|c| c.received.len());
-        if n == 500 {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "threaded round trip timed out at {n}/500"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let received = client.on_definition(|c| c.received.clone());
-    assert_eq!(received, (0..500).collect::<Vec<_>>(), "FIFO under threads");
-    system.shutdown();
 }
 
 /// Counts self-port events per producer, checking each producer's order.
@@ -393,18 +361,17 @@ impl HandleSelf<(usize, u64)> for Tally {
     }
 }
 
-/// Four threads push into one component while the pool drains it. Each
-/// keeps at most two events unhandled, so a push often lands while the
-/// component is finishing a batch that found its queue empty; a lost
-/// wake-up then stalls its producer instead of hiding behind later pushes.
+/// Four threads push into one component while the test thread runs the
+/// simulation in short slices. Each keeps at most two events unhandled, so
+/// a push often lands while the component is finishing a batch that found
+/// its queue empty; a lost wake-up then stalls its producer instead of
+/// hiding behind later pushes. A push mid-run is safe: the engine clamps
+/// an event scheduled in its past to `now`.
 #[test]
-fn threaded_producers_are_each_handled_once() {
+fn concurrent_producers_are_each_handled_once() {
     const PER_PRODUCER: u64 = 10_000;
     const WINDOW: u64 = 2;
-    let system = ComponentSystem::threaded(SystemConfig {
-        threads: 2,
-        ..SystemConfig::default()
-    });
+    let (sim, system) = sim_system();
     let tally = system.create(Tally::default);
     let inbox = tally.self_ref(|t| &mut t.inbox);
     let done = tally.on_definition(|t| t.done.clone());
@@ -432,36 +399,18 @@ fn threaded_producers_are_each_handled_once() {
             })
         })
         .collect();
+    while !producers.iter().all(std::thread::JoinHandle::is_finished) {
+        sim.run_for(Duration::from_micros(1));
+    }
     for p in producers {
         p.join().expect("producer thread");
     }
-    system.shutdown();
     let (handled, pending) = tally.on_definition(|t| {
         let handled: Vec<u64> = t.done.iter().map(|d| d.load(Ordering::Acquire)).collect();
         (handled, t.inbox.pending())
     });
     assert_eq!(handled, [PER_PRODUCER; 4]);
     assert_eq!(pending, 0);
-}
-
-#[test]
-fn threaded_timer_delivery() {
-    let system = ComponentSystem::threaded(SystemConfig {
-        threads: 2,
-        ..SystemConfig::default()
-    });
-    let ticker = system.create(Ticker::default);
-    system.start(&ticker);
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while ticker.on_definition(|t| t.ticks) < 5 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "timer ticks timed out"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert_eq!(ticker.on_definition(|t| t.ticks), 5);
-    system.shutdown();
 }
 
 #[test]

@@ -347,12 +347,14 @@ fn same_host_vnodes_reflect_locally() {
     w.system.start(&v1);
     w.system.start(&v2);
 
-    send1.push(NetRequest::Msg(NetMessage::new(
-        addr.with_vnode(VnodeId(1)),
-        addr.with_vnode(VnodeId(2)),
-        Transport::Tcp,
-        "vnode-to-vnode".to_string(),
-    )));
+    for i in 0..50u64 {
+        send1.push(NetRequest::Msg(NetMessage::new(
+            addr.with_vnode(VnodeId(1)),
+            addr.with_vnode(VnodeId(2)),
+            Transport::Tcp,
+            i,
+        )));
+    }
     w.sim.run_for(Duration::from_secs(1));
     assert_eq!(
         v1.on_definition(|h| h.received.len()),
@@ -360,9 +362,16 @@ fn same_host_vnodes_reflect_locally() {
         "selector filters v1"
     );
     let got = v2.on_definition(|h| h.received.clone());
-    assert_eq!(got.len(), 1);
-    assert!(!got[0].is_from_wire(), "same-host vnodes never serialise");
-    assert_eq!(stats.lock().local_reflections, 1);
+    assert!(
+        got.iter().all(|m| !m.is_from_wire()),
+        "same-host vnodes never serialise"
+    );
+    let seq: Vec<u64> = got
+        .iter()
+        .map(|m| m.try_deserialise::<u64, u64>().expect("u64"))
+        .collect();
+    assert_eq!(seq, (0..50).collect::<Vec<_>>(), "FIFO reflection");
+    assert_eq!(stats.lock().local_reflections, 50);
 }
 
 #[test]
@@ -644,64 +653,6 @@ fn permanent_outage_fails_notifies_at_most_once() {
         "at-most-once: messages 2..=5 are lost, not retried by the middleware"
     );
     assert_eq!(a.stats.lock().channels_closed, 1);
-}
-
-/// The middleware is executor-agnostic: the same components run under the
-/// thread-pool scheduler. Same-host vnode traffic needs no virtual time
-/// (reflection does not touch the simulated wire), so this exercises the
-/// real-threads path end to end.
-#[test]
-fn vnode_reflection_under_thread_pool_scheduler() {
-    let sim = Sim::new(1);
-    let net = Network::new(&sim);
-    let node = net.add_node("host");
-    let system = ComponentSystem::threaded(SystemConfig {
-        threads: 2,
-        ..SystemConfig::default()
-    });
-    let addr = NetAddress::new(node, 7000);
-    let net_comp = create_network(&system, &net, NetworkConfig::new(addr)).expect("bind");
-    let v1 = system.create(Harness::new);
-    let v2 = system.create(Harness::new);
-    connect_vnode(&system, &net_comp, &v1, VnodeId(1));
-    connect_vnode(&system, &net_comp, &v2, VnodeId(2));
-    let send = v1.self_ref(|h| &mut h.commands);
-    system.start(&net_comp);
-    system.start(&v1);
-    system.start(&v2);
-    for i in 0..50u64 {
-        send.push(NetRequest::Msg(NetMessage::new(
-            addr.with_vnode(VnodeId(1)),
-            addr.with_vnode(VnodeId(2)),
-            Transport::Tcp,
-            i,
-        )));
-    }
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        let n = v2.on_definition(|h| h.received.len());
-        if n == 50 {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "threaded reflection stalled at {n}/50"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let got: Vec<u64> = v2.on_definition(|h| {
-        h.received
-            .iter()
-            .map(|m| m.try_deserialise::<u64, u64>().expect("u64"))
-            .collect()
-    });
-    assert_eq!(
-        got,
-        (0..50).collect::<Vec<_>>(),
-        "FIFO reflection under threads"
-    );
-    assert!(got.iter().all(|_| true));
-    system.shutdown();
 }
 
 #[test]

@@ -262,7 +262,7 @@ fn two_tcp_flows_share_the_bottleneck() {
         PatternSender::new(&sim, big),
     )
     .expect("conn");
-    let window_secs = if cfg!(debug_assertions) { 10.0 } else { 30.0 };
+    let window_secs = 30.0;
     sim.run_for(Duration::from_secs_f64(window_secs));
     let b1 = r1.data_len() as f64;
     let b2 = r2.data_len() as f64;

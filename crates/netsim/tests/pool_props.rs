@@ -143,8 +143,7 @@ struct FaultParams {
 /// the heal (a UDT flow may legally give up during a long blackout).
 #[test]
 fn pool_drains_to_zero_after_partition() {
-    let cases = if cfg!(debug_assertions) { 6 } else { 16 };
-    PropRunner::new("pool-partition-leak").cases(cases).run(
+    PropRunner::new("pool-partition-leak").cases(16).run(
         |rng| FaultParams {
             seed: rng.gen_range(0u64..1000),
             total: rng.gen_range(30_000usize..200_000),

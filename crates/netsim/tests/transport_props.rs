@@ -19,8 +19,7 @@ use kmsg_netsim::tcp::{TcpConfig, TcpConn, TcpListener};
 use kmsg_netsim::testutil::{pattern_bytes, PatternSender, PropRunner, Recorder};
 use kmsg_netsim::udt::{UdtConfig, UdtConn, UdtListener};
 
-/// Unoptimized builds run fewer cases so the suite stays fast.
-const TRANSFER_CASES: u64 = if cfg!(debug_assertions) { 8 } else { 24 };
+const TRANSFER_CASES: u64 = 24;
 
 struct AcceptRecorder(Arc<Recorder>);
 impl StreamAccept for AcceptRecorder {
@@ -39,15 +38,9 @@ struct NetParams {
 }
 
 fn gen_params(rng: &mut RngStream) -> NetParams {
-    // Unoptimized builds shrink the workload so the suite stays fast.
-    let max_total = if cfg!(debug_assertions) {
-        80_000
-    } else {
-        400_000
-    };
     NetParams {
         seed: rng.gen_range(0u64..1000),
-        total: rng.gen_range(1usize..max_total),
+        total: rng.gen_range(1usize..400_000),
         loss: if rng.gen_bool(0.5) {
             0.0
         } else {

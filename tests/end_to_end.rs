@@ -7,8 +7,7 @@ use std::time::Duration;
 use kompics_messaging::prelude::*;
 
 fn small_climate(seed: u64) -> Dataset {
-    let mb = if cfg!(debug_assertions) { 4 } else { 8 };
-    Dataset::climate(mb * 1024 * 1024, seed)
+    Dataset::climate(8 * 1024 * 1024, seed)
 }
 
 #[test]
@@ -35,24 +34,9 @@ fn transfer_verifies_on_every_setup_and_transport() {
 fn adaptive_data_converges_towards_udt_on_lossy_wan() {
     // After TCP's slow-start honeymoon decays, its AIMD equilibrium is far
     // below UDT's policer-capped ~8-10 MB/s; over a long enough horizon the
-    // learner's target must sit on the UDT side. Unoptimized builds run a
-    // 10x-lossier variant so the honeymoon (and the test) is 10x shorter;
-    // the release build exercises the paper's EU2AU setup.
-    let (setup, size) = if cfg!(debug_assertions) {
-        (
-            Setup::Custom {
-                label: "lossy-wan",
-                link: LinkConfig::new(125e6, Duration::from_millis(160))
-                    .random_loss(5e-4)
-                    .udp_policer(PolicerConfig::ec2_udp()),
-            },
-            64 * 1024 * 1024,
-        )
-    } else {
-        (Setup::Eu2Au, 256 * 1024 * 1024)
-    };
-    let dataset = Dataset::climate(size, 2);
-    let mut cfg = ExperimentConfig::transfer(setup, Transport::Data, dataset, 5);
+    // learner's target must sit on the UDT side: the paper's EU2AU setup.
+    let dataset = Dataset::climate(256 * 1024 * 1024, 2);
+    let mut cfg = ExperimentConfig::transfer(Setup::Eu2Au, Transport::Data, dataset, 5);
     cfg.max_sim_time = Duration::from_secs(500);
     let result = run_experiment(&cfg);
     assert!(result.verified);
@@ -80,7 +64,7 @@ fn adaptive_data_converges_towards_tcp_on_fast_path() {
         let mut cfg =
             ExperimentConfig::transfer(Setup::analysis_link(), Transport::Data, dataset, 6);
         cfg.use_disk = false;
-        cfg.max_sim_time = Duration::from_secs(if cfg!(debug_assertions) { 30 } else { 45 });
+        cfg.max_sim_time = Duration::from_secs(45);
         // Default TD config with the Fig. 6 backend is already in place;
         // just make sure we really are using a learner.
         assert!(matches!(cfg.data_cfg.prp, PrpKind::Td(_)));
@@ -119,8 +103,7 @@ fn control_latency_ordering_matches_figure_8() {
             ExperimentConfig::ping_only(setup.clone(), ping.clone(), 7, Duration::from_secs(8));
         mean_ms(&cfg)
     };
-    let mb = if cfg!(debug_assertions) { 8 } else { 24 };
-    let dataset = Dataset::climate(mb * 1024 * 1024, 1);
+    let dataset = Dataset::climate(24 * 1024 * 1024, 1);
     let with = |transport: Transport| {
         let mut cfg = ExperimentConfig::transfer(setup.clone(), transport, dataset, 7);
         cfg.ping = Some(ping.clone());

@@ -18,8 +18,7 @@ struct RunSnapshot {
 }
 
 fn run_once(transport: Transport, seed: u64) -> RunSnapshot {
-    let mb = if cfg!(debug_assertions) { 2 } else { 6 };
-    let dataset = Dataset::climate(mb * 1024 * 1024, seed);
+    let dataset = Dataset::climate(6 * 1024 * 1024, seed);
     let setup = Setup::paper_setups()
         .into_iter()
         .next()

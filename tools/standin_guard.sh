@@ -5,14 +5,14 @@
 # drifting back onto them meanwhile:
 #
 #   the `bytes` crate    -> kmsg_telemetry::bytes
-#   `crossbeam::queue`   -> the component crate's own queue (queue.rs);
-#                           `crossbeam::channel` stays, for the thread pool
+#   `crossbeam`          -> the component crate's own queue (queue.rs);
+#                           nothing else of it is in use
 #
 #   tools/standin_guard.sh [repo-root]
 #
 # A `bytes::` path not preceded by a word character or `::` is the crate's:
 # inside a grouped import, write `kmsg_telemetry::bytes::` in full. A
-# `SegQueue` anywhere counts as `crossbeam::queue`, grouped imports included.
+# `SegQueue` anywhere counts as `crossbeam`, grouped imports included.
 set -u
 
 cd "${1:-$(dirname "$0")/..}" || exit 2
@@ -34,7 +34,7 @@ check() {
 
 check "use kmsg_telemetry::bytes, not the bytes crate" \
     '(?<![\w:])bytes::|\bextern\s+crate\s+bytes\b|\buse\s+bytes\s*(;|as\b)'
-check "use the component crate's queue, not crossbeam::queue" \
-    '\bcrossbeam::queue\b|\bSegQueue\b'
-[ "$status" -eq 0 ] && echo "standin_guard: no Rust file names the bytes crate or crossbeam::queue"
+check "use the component crate's queue, not crossbeam" \
+    '\bcrossbeam\b|\bSegQueue\b'
+[ "$status" -eq 0 ] && echo "standin_guard: no Rust file names the bytes crate or crossbeam"
 exit "$status"
