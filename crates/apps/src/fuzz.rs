@@ -419,12 +419,12 @@ pub fn fuzz_net_template() -> NetworkConfig {
     cfg.tcp.syn_retries = 3;
     cfg.udt.exp_timeout = Duration::from_millis(300);
     cfg.udt.max_expirations = 8;
-    cfg.reconnect = Some(ReconnectConfig {
+    cfg.reconnect = ReconnectConfig {
         max_retries: 50,
         base_backoff: Duration::from_millis(100),
         max_backoff: Duration::from_secs(1),
-        probe_interval: Some(Duration::from_secs(2)),
-    });
+        probe_interval: Duration::from_secs(2),
+    };
     cfg
 }
 

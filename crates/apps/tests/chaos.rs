@@ -34,12 +34,12 @@ fn impatient_template() -> NetworkConfig {
     cfg.tcp.syn_retries = 1;
     cfg.udt.exp_timeout = Duration::from_millis(100);
     cfg.udt.max_expirations = 5;
-    cfg.reconnect = Some(ReconnectConfig {
+    cfg.reconnect = ReconnectConfig {
         max_retries: 30,
         base_backoff: Duration::from_millis(100),
         max_backoff: Duration::from_millis(400),
-        probe_interval: Some(Duration::from_secs(2)),
-    });
+        probe_interval: Duration::from_secs(2),
+    };
     cfg
 }
 

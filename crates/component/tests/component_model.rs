@@ -413,6 +413,46 @@ fn concurrent_producers_are_each_handled_once() {
     assert_eq!(pending, 0);
 }
 
+/// Records its self-port events and, once it has handled one, pushes one
+/// more through its own `SelfRef` after the batch's last poll.
+#[derive(Default)]
+struct LatePusher {
+    inbox: SelfPort<u64>,
+    me: Option<SelfRef<u64>>,
+    handled: Vec<u64>,
+}
+
+impl ComponentDefinition for LatePusher {
+    fn execute(&mut self, ctx: &mut ComponentContext, max: usize) -> usize {
+        let handled = execute_ports!(self, ctx, max, [selfport inbox: u64]);
+        if let Some(me) = self.me.take_if(|_| !self.handled.is_empty()) {
+            me.push(2);
+        }
+        handled
+    }
+}
+impl HandleSelf<u64> for LatePusher {
+    fn handle_self(&mut self, _ctx: &mut ComponentContext, event: u64) {
+        self.handled.push(event);
+    }
+}
+
+/// The lost wake-up the threaded test above races for, on every run: the
+/// push lands while the component is still marked scheduled and its queue
+/// has been polled for the last time, so only the batch's `dirty` test
+/// reschedules it.
+#[test]
+fn a_push_after_the_last_poll_of_a_batch_is_handled() {
+    let (sim, system) = sim_system();
+    let pusher = system.create(LatePusher::default);
+    let me = pusher.self_ref(|p| &mut p.inbox);
+    pusher.on_definition(|p| p.me = Some(me.clone()));
+    system.start(&pusher);
+    me.push(1);
+    sim.run_for(Duration::from_secs(1));
+    assert_eq!(pusher.on_definition(|p| p.handled.clone()), [1, 2]);
+}
+
 #[test]
 fn system_clock_advances_with_sim() {
     let (sim, system) = sim_system();

@@ -197,10 +197,6 @@ struct Flow {
     episode_msgs: u64,
     sent_tcp: u64,
     sent_udt: u64,
-    /// Sum and count of notify latencies this episode (mean feeds the
-    /// ratio policy's optional latency penalty).
-    latency_sum: f64,
-    latency_count: u64,
     episodes_seen: u32,
 }
 
@@ -303,8 +299,6 @@ impl DataNetworkComponent {
                     episode_msgs: 0,
                     sent_tcp: 0,
                     sent_udt: 0,
-                    latency_sum: 0.0,
-                    latency_count: 0,
                     episodes_seen: 0,
                 },
             );
@@ -382,8 +376,6 @@ impl DataNetworkComponent {
                                 win.episode_bytes += len as u64;
                                 win.rtt_min = Some(win.rtt_min.map_or(latency, |m| m.min(latency)));
                                 flow.episode_bytes += len as u64;
-                                flow.latency_sum += latency;
-                                flow.latency_count += 1;
                             }
                         }
                         if let Some(orig) = orig {
@@ -416,17 +408,9 @@ impl DataNetworkComponent {
                 // Transport ramp-up: keep the initial target, learn nothing.
                 flow.target
             } else {
-                let mean_latency = if flow.latency_count > 0 {
-                    Some(Duration::from_secs_f64(
-                        flow.latency_sum / flow.latency_count as f64,
-                    ))
-                } else {
-                    None
-                };
                 let obs = EpisodeObservation {
                     time: now,
                     throughput,
-                    mean_latency,
                     achieved_ratio: achieved,
                 };
                 flow.prp.episode_update(&obs)
@@ -465,8 +449,6 @@ impl DataNetworkComponent {
             flow.episode_msgs = 0;
             flow.sent_tcp = 0;
             flow.sent_udt = 0;
-            flow.latency_sum = 0.0;
-            flow.latency_count = 0;
         }
         // Window growth may allow more releases.
         let dsts: Vec<Endpoint> = self.flows.keys().copied().collect();

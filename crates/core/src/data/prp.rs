@@ -8,7 +8,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use kmsg_learning::prelude::*;
 use kmsg_learning::DecisionRecord;
@@ -26,9 +25,6 @@ pub struct EpisodeObservation {
     pub time: SimTime,
     /// Delivered throughput over the episode, bytes/second.
     pub throughput: f64,
-    /// Mean control-message latency observed during the episode, if the
-    /// application reported any.
-    pub mean_latency: Option<Duration>,
     /// The ratio actually achieved on the wire during the episode.
     pub achieved_ratio: Ratio,
 }
@@ -84,8 +80,6 @@ pub struct TdConfig {
     pub sarsa: SarsaConfig,
     /// Discretised ratio space (the paper: κ=1/5, two-step actions).
     pub space: RatioSpace,
-    /// Additional reward penalty per second of mean control latency.
-    pub latency_weight: f64,
 }
 
 impl Default for TdConfig {
@@ -94,7 +88,6 @@ impl Default for TdConfig {
             backend: ValueBackend::Approx,
             sarsa: SarsaConfig::default(),
             space: RatioSpace::default(),
-            latency_weight: 0.0,
         }
     }
 }
@@ -182,13 +175,6 @@ impl TdRatioLearner {
             })));
     }
 
-    fn reward(&self, obs: &EpisodeObservation) -> f64 {
-        let latency_penalty = obs
-            .mean_latency
-            .map_or(0.0, |l| l.as_secs_f64() * self.cfg.latency_weight);
-        obs.throughput / REWARD_SCALE - latency_penalty
-    }
-
     /// Current exploration probability (diagnostics).
     #[must_use]
     pub fn epsilon(&self) -> f64 {
@@ -218,7 +204,7 @@ impl ProtocolRatioPolicy for TdRatioLearner {
         }
         self.now_ns.store(obs.time.as_nanos(), Ordering::Relaxed);
         let space = self.cfg.space;
-        let reward = self.reward(obs);
+        let reward = obs.throughput / REWARD_SCALE;
         // We are *at* `current` (the result of the last action); feed the
         // reward, get the next action, move.
         let action = self.sarsa.step(reward, self.current);
@@ -240,7 +226,6 @@ mod tests {
         EpisodeObservation {
             time: SimTime::ZERO,
             throughput,
-            mean_latency: None,
             achieved_ratio: achieved,
         }
     }
@@ -363,24 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_penalty_reduces_reward() {
-        let cfg = TdConfig {
-            latency_weight: 10.0,
-            ..TdConfig::default()
-        };
-        let learner = TdRatioLearner::new(cfg, SeedSource::new(1).stream("prp"));
-        let quiet = learner.reward(&obs(10e6, Ratio::BALANCED));
-        let laggy = learner.reward(&EpisodeObservation {
-            time: SimTime::ZERO,
-            throughput: 10e6,
-            mean_latency: Some(Duration::from_millis(100)),
-            achieved_ratio: Ratio::BALANCED,
-        });
-        assert!(laggy < quiet);
-        assert!((quiet - 1.0).abs() < 1e-9, "10 MB/s scales to reward 1");
-    }
-
-    #[test]
     fn update_before_init_initialises() {
         let mut learner =
             TdRatioLearner::new(TdConfig::default(), SeedSource::new(2).stream("prp"));
@@ -398,7 +365,7 @@ mod tests {
         learner.attach_recorder(rec.clone(), 7);
         let mut ratio = learner.initial_ratio();
         for ep in 1..=5u64 {
-            let mut o = obs(env_throughput(ratio, 1.0), ratio);
+            let mut o = obs(10e6, ratio);
             o.time = SimTime::from_nanos(ep * 1_000_000_000);
             ratio = learner.episode_update(&o);
         }
@@ -410,8 +377,11 @@ mod tests {
         let mut decisions = Vec::new();
         for e in &events {
             match e.kind {
-                EventKind::Decision { flow, step, .. } => {
+                EventKind::Decision {
+                    flow, step, reward, ..
+                } => {
                     assert_eq!(flow, 7);
+                    assert!((reward - 1.0).abs() < 1e-9, "10 MB/s scales to reward 1");
                     decisions.push((e.time_ns, step));
                 }
                 EventKind::SpanOpen { kind, key, .. } => {

@@ -227,9 +227,6 @@ pub enum SendError {
     Unreachable,
     /// The payload failed to serialise.
     Serialisation,
-    /// `Transport::Data` reached the network component without an
-    /// interceptor having resolved it.
-    UnresolvedDataProtocol,
     /// Channel supervision exhausted its reconnect budget with this
     /// message still queued or unacknowledged.
     RetryBudgetExhausted,
@@ -237,7 +234,7 @@ pub enum SendError {
 
 impl SendError {
     /// Number of variants (sizes per-kind counter arrays).
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 5;
 
     /// Stable snake_case label for stats/telemetry output.
     #[must_use]
@@ -247,7 +244,6 @@ impl SendError {
             SendError::ChannelClosed => "channel_closed",
             SendError::Unreachable => "unreachable",
             SendError::Serialisation => "serialisation",
-            SendError::UnresolvedDataProtocol => "unresolved_data_protocol",
             SendError::RetryBudgetExhausted => "retry_budget_exhausted",
         }
     }
@@ -260,8 +256,7 @@ impl SendError {
             SendError::ChannelClosed => 1,
             SendError::Unreachable => 2,
             SendError::Serialisation => 3,
-            SendError::UnresolvedDataProtocol => 4,
-            SendError::RetryBudgetExhausted => 5,
+            SendError::RetryBudgetExhausted => 4,
         }
     }
 
@@ -271,7 +266,6 @@ impl SendError {
         SendError::ChannelClosed,
         SendError::Unreachable,
         SendError::Serialisation,
-        SendError::UnresolvedDataProtocol,
         SendError::RetryBudgetExhausted,
     ];
 }

@@ -60,11 +60,6 @@ pub(super) struct SendQueue {
 }
 
 impl SendQueue {
-    /// Nothing waiting to be written and nothing awaiting acknowledgement.
-    pub(super) fn is_empty(&self) -> bool {
-        self.frames.is_empty()
-    }
-
     /// Queues a frame under a fresh `enqueue` span, which covers its wait
     /// until its last byte is handed to the transport.
     pub(super) fn push(
@@ -227,7 +222,7 @@ mod tests {
             q.pop_acked(u64::MAX).is_none(),
             "frame 3 is still being written"
         );
-        assert!(!q.is_empty());
+        assert!(!q.frames.is_empty());
     }
 
     #[test]
@@ -237,6 +232,6 @@ mod tests {
         // 1 and 2 written, 3 part-written, 4 waiting.
         assert_eq!(q.drain(&tr, 0, transport(&mut wire, 25)), (25, 2));
         assert_eq!(tokens(q.take_all()), [3, 4, 1, 2]);
-        assert!(q.is_empty());
+        assert!(q.frames.is_empty());
     }
 }

@@ -3,8 +3,9 @@
 //! [`Machine`] owns each channel's phase, queue and decoder, the connection
 //! index, the supervision timers and the jitter stream. It takes one method
 //! per input (send, connected, accepted, data, writable, closed, timeout,
-//! sweep, swap), each given the time and an [`Io`] context for its effects
-//! (a [`Timers`] for the two that can arm a timer, `closed` and `timeout`)
+//! swap); each one with effects on the world is given the time and an
+//! [`Io`] context for them (a [`Timers`] for the two that can arm a timer,
+//! `closed` and `timeout`)
 //! — a context, not a list of outputs, since draining needs each `send`'s
 //! byte count mid-loop and a redial branches on its dial's result. The
 //! shell (`net/mod.rs`) runs it over netsim's connections; the tests below
@@ -104,7 +105,7 @@ enum Phase {
     /// (1-based once the first is due).
     Reconnecting { attempts: u32 },
     /// Retry budget exhausted; queued frames were failed. Probe redials
-    /// may still restore the channel.
+    /// restore the channel once the peer answers.
     Dropped,
 }
 
@@ -117,7 +118,6 @@ struct ChannelState<W> {
     originated: bool,
     queue: SendQueue,
     decoder: FrameDecoder,
-    last_activity: SimTime,
     /// The open `outage` span (`NONE` while healthy): `ConnectionLost` to
     /// `ConnectionRestored` (key 0) or `ConnectionDropped` (key 1), at the
     /// status events' code points and timestamps, so its window is the
@@ -130,14 +130,13 @@ struct ChannelState<W> {
 }
 
 impl<W> ChannelState<W> {
-    fn new(conn: W, phase: Phase, originated: bool, now: SimTime) -> Self {
+    fn new(conn: W, phase: Phase, originated: bool) -> Self {
         ChannelState {
             conn: Some(conn),
             phase,
             originated,
             queue: SendQueue::default(),
             decoder: FrameDecoder::new(),
-            last_activity: now,
             outage_span: SpanId::NONE,
             backoff_span: SpanId::NONE,
             redial_span: SpanId::NONE,
@@ -155,10 +154,8 @@ impl<W> ChannelState<W> {
 
 /// The channel table and the policy over it.
 pub(super) struct Machine<W: Wire> {
-    /// Supervision tuning; `None` fails a dead channel's frames at once.
-    reconnect: Option<ReconnectConfig>,
-    /// Close channels idle this long on a [`sweep`](Machine::sweep).
-    idle_timeout: Option<Duration>,
+    /// Supervision tuning of the channels this side dialled.
+    reconnect: ReconnectConfig,
     channels: FxHashMap<ChannelKey, ChannelState<W>>,
     conn_index: FxHashMap<W::Id, ChannelKey>,
     /// Pending supervision redial timers, mapped back to their channel.
@@ -173,15 +170,9 @@ pub(super) struct Machine<W: Wire> {
 }
 
 impl<W: Wire> Machine<W> {
-    pub(super) fn new(
-        reconnect: Option<ReconnectConfig>,
-        idle_timeout: Option<Duration>,
-        jitter_rng: RngStream,
-        tracer: Tracer,
-    ) -> Self {
+    pub(super) fn new(reconnect: ReconnectConfig, jitter_rng: RngStream, tracer: Tracer) -> Self {
         Machine {
             reconnect,
-            idle_timeout,
             channels: FxHashMap::default(),
             conn_index: FxHashMap::default(),
             retry_timers: FxHashMap::default(),
@@ -236,7 +227,7 @@ impl<W: Wire> Machine<W> {
             Some(_) => {}
             None => {
                 let conn = self.dial(io, key).map_err(|_| SendError::Unreachable)?;
-                self.open(key, ChannelState::new(conn, Phase::Connecting, true, now));
+                self.open(key, ChannelState::new(conn, Phase::Connecting, true));
             }
         }
         let channel = self.channels.get_mut(&key).expect("channel just ensured");
@@ -248,7 +239,6 @@ impl<W: Wire> Machine<W> {
             token,
             msg_span,
         );
-        channel.last_activity = now;
         if channel.phase == Phase::Established {
             self.drain(now, io, key);
         }
@@ -287,11 +277,11 @@ impl<W: Wire> Machine<W> {
 
     /// An inbound connection was accepted; `key` names its peer's socket
     /// until [`rekey`](Machine::rekey) learns the peer's listen address.
-    pub(super) fn accepted(&mut self, now: SimTime, key: ChannelKey, conn: W) {
+    pub(super) fn accepted(&mut self, key: ChannelKey, conn: W) {
         self.conn_index.insert(conn.id(), key);
         // The dialling side supervises; if this channel dies we fall back
         // to failing its queued replies.
-        self.open(key, ChannelState::new(conn, Phase::Established, false, now));
+        self.open(key, ChannelState::new(conn, Phase::Established, false));
     }
 
     /// Stream bytes arrived on `id`: decodes the frames they complete into
@@ -301,7 +291,6 @@ impl<W: Wire> Machine<W> {
     /// [`closed`](Machine::closed) once the frames before it are handled.
     pub(super) fn data(
         &mut self,
-        now: SimTime,
         id: W::Id,
         data: Bytes,
         frames: &mut Vec<Result<NetMessage, SerError>>,
@@ -310,7 +299,6 @@ impl<W: Wire> Machine<W> {
         let &key = self.conn_index.get(&id)?;
         let channel = self.channels.get_mut(&key)?;
         channel.decoder.push(data);
-        channel.last_activity = now;
         let poisoned = loop {
             match channel.decoder.next_message() {
                 Ok(Some(frame)) => frames.push(frame),
@@ -372,37 +360,6 @@ impl<W: Wire> Machine<W> {
         };
         self.redial(now, io, key);
         true
-    }
-
-    /// Closes the channels idle for the configured timeout, in key order,
-    /// so their FINs leave in the same order on every run of a seed.
-    pub(super) fn sweep(&mut self, now: SimTime) {
-        let Some(idle) = self.idle_timeout else {
-            return;
-        };
-        // Idle eligibility requires an empty queue — nothing waiting *and*
-        // nothing awaiting transport acknowledgement: tearing down a
-        // channel with unacked frames would lose them. Only established
-        // channels are swept; reconnecting ones own retry timers that must
-        // stay valid.
-        let mut expired: Vec<ChannelKey> = self
-            .channels
-            .iter()
-            .filter(|(_, c)| {
-                c.phase == Phase::Established
-                    && c.queue.is_empty()
-                    && now.duration_since(c.last_activity) >= idle
-            })
-            .map(|(&key, _)| key)
-            .collect();
-        expired.sort_unstable_by_key(|key| (key.remote, key.transport.to_byte()));
-        for key in expired {
-            if let Some(conn) = self.channels.remove(&key).and_then(|c| c.conn) {
-                self.conn_index.remove(&conn.id());
-                conn.close();
-            }
-            self.stats.lock().channels_closed += 1;
-        }
     }
 
     /// The controller for `key` changed: replaces a live channel's
@@ -470,7 +427,6 @@ impl<W: Wire> Machine<W> {
             return;
         };
         let (bytes_out, msgs_out) = channel.queue.drain(&self.tracer, now_ns, |b| conn.send(b));
-        channel.last_activity = now;
         let mut stats = self.stats.lock();
         stats.bytes_out += bytes_out;
         stats.sent[key.transport.to_byte() as usize] += msgs_out;
@@ -518,15 +474,15 @@ impl<W: Wire> Machine<W> {
 
     // --- supervision ----------------------------------------------------
 
-    /// Reacts to an unexpected connection loss on a known channel: either
-    /// supervises (rewind + backoff redial) or, when supervision is off or
-    /// the channel was accepted rather than dialled, fails everything
-    /// (at-most-once).
+    /// Reacts to an unexpected connection loss on a known channel: a
+    /// channel this side dialled is supervised (rewind + backoff redial,
+    /// then probes once the budget is spent); an accepted one, which its
+    /// peer's supervisor redials, fails everything (at-most-once).
     fn channel_down(&mut self, now: SimTime, io: &mut impl Timers<W>, key: ChannelKey) {
         let now_ns = now.as_nanos();
-        let tr = &self.tracer;
-        let (rc, channel) = match (&self.reconnect, self.channels.get_mut(&key)) {
-            (Some(rc), Some(channel)) if channel.originated => (rc, channel),
+        let (tr, rc) = (&self.tracer, &self.reconnect);
+        let channel = match self.channels.get_mut(&key) {
+            Some(channel) if channel.originated => channel,
             _ => return self.remove_and_fail(now_ns, io, key),
         };
         channel.conn = None;
@@ -589,9 +545,8 @@ impl<W: Wire> Machine<W> {
 
     /// After the budget is spent, a slow probe keeps testing the peer.
     fn schedule_probe(&mut self, io: &mut impl Timers<W>, key: ChannelKey) {
-        if let Some(interval) = self.reconnect.as_ref().and_then(|rc| rc.probe_interval) {
-            self.retry_timers.insert(io.schedule(interval), key);
-        }
+        let probe = io.schedule(self.reconnect.probe_interval);
+        self.retry_timers.insert(probe, key);
     }
 
     /// Dials the channel again (retry-timer and probe-timer handler).
@@ -648,8 +603,7 @@ mod tests {
     use crate::data::stack::StackPolicy;
 
     /// A scripted connection: takes at most `room` bytes in all, keeps what
-    /// it took, reports `acked` as the peer's acknowledgement, and logs its
-    /// close into the script's `closes`.
+    /// it took and reports `acked` as the peer's acknowledgement.
     #[derive(Clone)]
     struct Fake(Rc<FakeConn>);
 
@@ -658,7 +612,6 @@ mod tests {
         room: Cell<usize>,
         wire: RefCell<Vec<u8>>,
         acked: Cell<u64>,
-        closes: Rc<RefCell<Vec<u64>>>,
     }
 
     impl Wire for Fake {
@@ -679,9 +632,7 @@ mod tests {
             self.0.acked.get()
         }
 
-        fn close(&self) {
-            self.0.closes.borrow_mut().push(self.0.id);
-        }
+        fn close(&self) {}
     }
 
     impl Fake {
@@ -700,22 +651,24 @@ mod tests {
         timers: Vec<(TimeoutId, Duration)>,
         statuses: Vec<ConnStatus>,
         notifies: Vec<(u64, DeliveryStatus)>,
-        /// Ids of the connections closed, in close order.
-        closes: Rc<RefCell<Vec<u64>>>,
     }
 
-    impl Io<Fake> for Script {
-        fn dial(&mut self, key: ChannelKey) -> Result<Fake, BindError> {
-            let id = self.dials.len() as u64 + 1;
+    impl Script {
+        /// A fresh connection `id` with `room` bytes of send buffer.
+        fn fake(&self, id: u64) -> Fake {
             let (room, wire, acked) = (Cell::new(self.room), RefCell::default(), Cell::new(0));
-            let closes = self.closes.clone();
-            let conn = Fake(Rc::new(FakeConn {
+            Fake(Rc::new(FakeConn {
                 id,
                 room,
                 wire,
                 acked,
-                closes,
-            }));
+            }))
+        }
+    }
+
+    impl Io<Fake> for Script {
+        fn dial(&mut self, key: ChannelKey) -> Result<Fake, BindError> {
+            let conn = self.fake(self.dials.len() as u64 + 1);
             self.dials
                 .push((conn.clone(), self.stack.lookup(key.remote)));
             Ok(conn)
@@ -764,20 +717,19 @@ mod tests {
     }
 
     impl Rig {
-        /// Supervision with a 100 ms → 400 ms backoff; dials get `room`
-        /// bytes of send buffer.
-        fn new(max_retries: u32, probe_interval: Option<Duration>, room: usize) -> Rig {
-            let (base_backoff, max_backoff) = (ms(100), ms(400));
+        /// Supervision with a 100 ms → 400 ms backoff and 5 s probes;
+        /// dials get `room` bytes of send buffer.
+        fn new(max_retries: u32, room: usize) -> Rig {
             let rc = ReconnectConfig {
                 max_retries,
-                base_backoff,
-                max_backoff,
-                probe_interval,
+                base_backoff: ms(100),
+                max_backoff: ms(400),
+                probe_interval: Duration::from_secs(5),
             };
             let rng = SeedSource::new(7).stream("net-supervisor");
-            let m = Machine::new(Some(rc), None, rng, Recorder::new().tracer());
+            let m = Machine::new(rc, rng, Recorder::new().tracer());
             let stats = m.stats.clone();
-            let (dials, timers, statuses, notifies, closes) = Default::default();
+            let (dials, timers, statuses, notifies) = Default::default();
             let io = Script {
                 stack: StackPolicy::new(),
                 room,
@@ -785,7 +737,6 @@ mod tests {
                 timers,
                 statuses,
                 notifies,
-                closes,
             };
             Rig { m, io, stats }
         }
@@ -831,7 +782,7 @@ mod tests {
 
     #[test]
     fn swap_while_reconnecting_redials_once_on_the_new_controller() {
-        let mut r = Rig::new(8, None, 4);
+        let mut r = Rig::new(8, 4);
         r.send(0, 1).unwrap();
         r.connected(1);
         let first = r.conn();
@@ -880,7 +831,7 @@ mod tests {
     /// The backoff delays of `attempts` failed redials, read off the
     /// script's timers.
     fn backoff_schedule(attempts: u64) -> Vec<Duration> {
-        let mut r = Rig::new(100, None, usize::MAX);
+        let mut r = Rig::new(100, usize::MAX);
         r.send(0, 1).unwrap();
         r.connected(1);
         for i in 0..attempts {
@@ -917,7 +868,7 @@ mod tests {
 
     #[test]
     fn flaps_while_reconnecting_alternate_lost_and_restored() {
-        let mut r = Rig::new(60, None, usize::MAX);
+        let mut r = Rig::new(60, usize::MAX);
         r.send(0, 1).unwrap();
         r.connected(1);
         for flap in 0..3 {
@@ -947,39 +898,36 @@ mod tests {
     }
 
     #[test]
-    fn idle_sweep_closes_channels_in_key_order() {
-        let key = |node, port, transport| ChannelKey {
-            remote: Endpoint {
-                node: NodeId::from_index(node),
-                port,
-            },
-            transport,
-        };
-        // Dialled out of order: connection ids 1..=5 in this order.
-        let keys = [
-            key(3, 7000, Transport::Tcp),
-            key(1, 7001, Transport::Udt),
-            key(1, 7000, Transport::Udt),
-            key(2, 7000, Transport::Tcp),
-            key(1, 7000, Transport::Tcp),
-        ];
-        let mut r = Rig::new(8, None, usize::MAX);
-        r.m.idle_timeout = Some(ms(500));
-        for (i, &key) in keys.iter().enumerate() {
-            let frame = Bytes::from(vec![i as u8; 10]);
-            r.m.send(at(0), &mut r.io, key, frame, None, SpanId::NONE)
-                .unwrap();
-            r.connected(1);
-            r.acked(2);
+    fn an_accepted_channel_fails_its_frames_once_when_its_connection_dies() {
+        let mut r = Rig::new(8, 25);
+        let peer = r.io.fake(100);
+        r.m.accepted(KEY, peer.clone());
+        for token in 1..=4 {
+            r.send(0, token).unwrap();
         }
-        r.m.sweep(at(502));
-        assert_eq!(*r.io.closes.borrow(), [5, 3, 2, 4, 1], "key order");
-        assert_eq!(r.stats.lock().channels_closed, 5);
+        assert_eq!(
+            peer.wire().len(),
+            25,
+            "1 and 2 written, 3 part-written, 4 waiting"
+        );
+        r.m.closed(at(1), &mut r.io, peer.id());
+        let closed = DeliveryStatus::Failed(SendError::ChannelClosed);
+        assert_eq!(
+            r.io.notifies,
+            [3, 4, 1, 2].map(|token| (token, closed)),
+            "each frame fails once: the waiting ones first, then the unacknowledged"
+        );
+        assert!(
+            r.io.dials.is_empty() && r.io.timers.is_empty() && r.io.statuses.is_empty(),
+            "the peer's supervisor redials an accepted channel, not this side"
+        );
+        r.send(2, 5).unwrap();
+        assert_eq!(r.io.dials.len(), 1, "the next send dials afresh");
     }
 
     #[test]
     fn exhausted_budget_drops_then_a_probe_restores_with_zero_attempts() {
-        let mut r = Rig::new(2, Some(Duration::from_secs(5)), usize::MAX);
+        let mut r = Rig::new(2, usize::MAX);
         r.send(0, 1).unwrap();
         r.connected(1);
         r.closed(2);

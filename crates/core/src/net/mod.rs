@@ -10,10 +10,10 @@
 //!   upstream by the interceptor);
 //! * lazy channel establishment: the first message to a `(peer, protocol)`
 //!   pair opens the channel and is queued until it is up;
-//! * conservative channel teardown: channels stay open unless an idle
-//!   timeout is explicitly configured ("channel establishment might be
-//!   expensive … generally channels will be kept open as long as
-//!   possible");
+//! * conservative channel teardown: channels stay open for the lifetime of
+//!   the component ("channel establishment might be expensive … generally
+//!   channels will be kept open as long as possible"), and one this side
+//!   dialled is redialled when its connection dies;
 //! * same-host reflection: messages whose destination shares this
 //!   component's socket (virtual nodes) are delivered back up the port
 //!   without ever being serialised;
@@ -25,10 +25,10 @@
 //! format ([`frame`]), each channel's send queue with its write cursor
 //! (`channel.rs`) and the counters (`stats.rs`). The policy: the channel
 //! table (`machine.rs`), a world-free machine that decides establishment,
-//! supervision, `DATA` failover, re-keying, the idle sweep and the swap's
-//! recycle. This file is the shell: ports, transport callbacks, sockets,
-//! frame routing and the machine's `Io` over the network, the component
-//! context and the port.
+//! supervision, `DATA` failover, re-keying and the swap's recycle. This
+//! file is the shell: ports, transport callbacks, sockets, frame routing
+//! and the machine's `Io` over the network, the component context and the
+//! port.
 
 mod channel;
 pub mod frame;
@@ -76,9 +76,8 @@ pub struct ReconnectConfig {
     /// Backoff ceiling.
     pub max_backoff: std::time::Duration,
     /// After the budget is exhausted, keep probing the peer at this
-    /// interval so the channel can recover; `None` leaves the channel
-    /// dropped until the component restarts.
-    pub probe_interval: Option<std::time::Duration>,
+    /// interval so the channel can recover.
+    pub probe_interval: std::time::Duration,
 }
 
 impl Default for ReconnectConfig {
@@ -87,7 +86,7 @@ impl Default for ReconnectConfig {
             max_retries: 8,
             base_backoff: std::time::Duration::from_millis(200),
             max_backoff: std::time::Duration::from_secs(10),
-            probe_interval: Some(std::time::Duration::from_secs(5)),
+            probe_interval: std::time::Duration::from_secs(5),
         }
     }
 }
@@ -102,20 +101,12 @@ pub struct NetworkConfig {
     pub tcp: TcpConfig,
     /// UDT tuning (the paper raises the protocol buffers to 100 MB).
     pub udt: UdtConfig,
-    /// Outbound payload compression (Snappy stand-in).
-    pub compression: Compression,
-    /// What to do when a message still marked [`Transport::Data`] reaches
-    /// the network layer (i.e. no interceptor resolved it): fall back to
-    /// this transport, or fail the send if `None`.
-    pub data_fallback: Option<Transport>,
-    /// Close channels idle for this long; `None` (default) keeps channels
-    /// open for the lifetime of the component.
-    pub idle_timeout: Option<std::time::Duration>,
-    /// Channel supervision: on an unexpected close, keep the channel entry,
-    /// requeue unacknowledged frames and redial with backoff. `None`
-    /// restores the legacy at-most-once behaviour (queued and unacked
-    /// frames fail immediately with [`SendError::ChannelClosed`]).
-    pub reconnect: Option<ReconnectConfig>,
+    /// Channel supervision: on an unexpected close of a channel this side
+    /// dialled, keep the channel entry, requeue unacknowledged frames and
+    /// redial with backoff. An accepted channel's peer supervises it; here
+    /// its queued and unacknowledged frames fail at once with
+    /// [`SendError::ChannelClosed`].
+    pub reconnect: ReconnectConfig,
     /// Per-destination congestion-controller overrides, consulted on
     /// every TCP dial (and redial). Shared: the experiment driver holds
     /// the same [`StackPolicy`](crate::data::StackPolicy) and steers
@@ -131,10 +122,7 @@ impl NetworkConfig {
             addr,
             tcp: TcpConfig::default(),
             udt: UdtConfig::default(),
-            compression: Compression::default(),
-            data_fallback: Some(Transport::Tcp),
-            idle_timeout: None,
-            reconnect: Some(ReconnectConfig::default()),
+            reconnect: ReconnectConfig::default(),
             stack: Arc::new(crate::data::stack::StackPolicy::new()),
         }
     }
@@ -306,8 +294,6 @@ pub struct NetworkComponent {
     udp: Option<UdpSocket>,
     /// Held for their bindings.
     _listeners: Option<(TcpListener, UdtListener)>,
-    /// The periodic idle-sweep timer, if idle teardown is configured.
-    idle_timer: Option<TimeoutId>,
     /// The frames of the `Data` event in hand, decoded and not yet
     /// handled; empty otherwise, kept for its capacity.
     inbound: Vec<Result<NetMessage, SerError>>,
@@ -330,7 +316,7 @@ impl NetworkComponent {
             .sim()
             .rng(&format!("net-supervisor-{}", cfg.addr.as_socket()));
         let tracer = net.sim().recorder().tracer();
-        let machine = Machine::new(cfg.reconnect.clone(), cfg.idle_timeout, jitter_rng, tracer);
+        let machine = Machine::new(cfg.reconnect.clone(), jitter_rng, tracer);
         NetworkComponent {
             port: ProvidedPort::new(),
             events: SelfPort::new(),
@@ -340,7 +326,6 @@ impl NetworkComponent {
             machine,
             udp: None,
             _listeners: None,
-            idle_timer: None,
             inbound: Vec::new(),
         }
     }
@@ -429,12 +414,10 @@ impl NetworkComponent {
     ) -> Result<(), SendError> {
         let now_ns = self.now_ns();
         let mut proto = msg.header().protocol();
+        // No interceptor resolved this `DATA` message: it goes over TCP.
         if proto == Transport::Data {
             self.machine.stats.lock().unresolved_data += 1;
-            proto = self
-                .cfg
-                .data_fallback
-                .ok_or(SendError::UnresolvedDataProtocol)?;
+            proto = Transport::Tcp;
         }
         // Graceful degradation: DATA-addressed traffic whose selected
         // stream transport has exhausted its reconnect budget fails over to
@@ -466,7 +449,7 @@ impl NetworkComponent {
             u64::from(proto.to_byte()),
         );
         let frame =
-            encode_frame(&msg, self.cfg.compression).map_err(|_| SendError::Serialisation)?;
+            encode_frame(&msg, Compression::default()).map_err(|_| SendError::Serialisation)?;
         match proto {
             Transport::Udp => self.send_udp(token, dst, frame, msg_span),
             Transport::Tcp | Transport::Udt => {
@@ -524,11 +507,11 @@ impl NetworkComponent {
                         Connection::Udt(_) => Transport::Udt,
                     },
                 };
-                machine.accepted(now, key, conn);
+                machine.accepted(key, conn);
             }
             NetEvent::Data(id, data) => {
                 let mut frames = std::mem::take(&mut self.inbound);
-                let decoded = self.machine.data(now, id, data, &mut frames);
+                let decoded = self.machine.data(id, data, &mut frames);
                 if let Some((key, poisoned)) = decoded {
                     for frame in frames.drain(..) {
                         self.handle_frame(frame, Some((id, key)));
@@ -686,23 +669,10 @@ impl ComponentDefinition for NetworkComponent {
         ])
     }
 
-    fn handle_control(&mut self, ctx: &mut ComponentContext, event: ControlEvent) {
-        if event == ControlEvent::Start && self.cfg.idle_timeout.is_some() {
-            self.idle_timer = Some(ctx.schedule_periodic(
-                std::time::Duration::from_secs(1),
-                std::time::Duration::from_secs(1),
-            ));
-        }
-    }
-
     fn on_timeout(&mut self, ctx: &mut ComponentContext, id: TimeoutId) {
         let now = self.net.now();
-        if self.idle_timer == Some(id) {
-            self.machine.sweep(now);
-        } else {
-            let (machine, mut io) = self.split(ctx);
-            machine.timeout(now, &mut io, id);
-        }
+        let (machine, mut io) = self.split(ctx);
+        machine.timeout(now, &mut io, id);
     }
 }
 

@@ -600,100 +600,6 @@ fn short_outage_is_survived_by_tcp_retransmission() {
 }
 
 #[test]
-fn permanent_outage_fails_notifies_at_most_once() {
-    let (w, nodes) = world(default_link(), 2);
-    // Supervision off: this pins the legacy at-most-once contract.
-    let mut cfg = NetworkConfig::new(NetAddress::new(nodes[0], 7000));
-    cfg.reconnect = None;
-    cfg.tcp.send_buf = 16 * 1024;
-    let a = stack_cfg(&w, cfg);
-    let b = stack(&w, nodes[1], 7000);
-    a.send.push(NetRequest::NotifyReq(
-        NotifyToken::new(1),
-        NetMessage::new(a.addr, b.addr, Transport::Tcp, 1u64),
-    ));
-    w.sim.run_for(Duration::from_millis(500));
-    assert_eq!(b.app.on_definition(|h| h.received.len()), 1);
-    // Cut both directions permanently.
-    for (x, y) in [(nodes[0], nodes[1]), (nodes[1], nodes[0])] {
-        let l = w.net.route(x, y).expect("route")[0];
-        w.net.link(l).set_up(false);
-    }
-    // 2 and 3 fit the send buffer (written, never acknowledged); 4 is
-    // longer than it and incompressible, so it stays part-written with 5
-    // waiting behind it.
-    for i in 2..=5u64 {
-        let msg = if i == 4 {
-            NetMessage::new(a.addr, b.addr, Transport::Tcp, incompressible(4, 40_000))
-        } else {
-            NetMessage::new(a.addr, b.addr, Transport::Tcp, i)
-        };
-        a.send.push(NetRequest::NotifyReq(NotifyToken::new(i), msg));
-    }
-    // Long enough for TCP to give up (15 backoffs capped at 60 s would be
-    // huge; consecutive-timeout abort kicks in much earlier with min RTO).
-    w.sim.run_for(Duration::from_secs(900));
-    let notifies = a.app.on_definition(|h| h.notifies.clone());
-    let failed: Vec<u64> = notifies
-        .iter()
-        .filter(|(_, s)| matches!(s, DeliveryStatus::Failed(SendError::ChannelClosed)))
-        .map(|(t, _)| t.id)
-        .collect();
-    // Each token fails once; the order is the component's as it stands —
-    // frames still waiting to be written first, written-but-unacknowledged
-    // ones after — pinned so that changing it is a decision.
-    assert_eq!(
-        failed,
-        vec![4, 5, 2, 3],
-        "queued messages fail on channel death"
-    );
-    assert_eq!(
-        b.app.on_definition(|h| h.received.len()),
-        1,
-        "at-most-once: messages 2..=5 are lost, not retried by the middleware"
-    );
-    assert_eq!(a.stats.lock().channels_closed, 1);
-}
-
-#[test]
-fn idle_channels_are_torn_down_when_configured() {
-    let (w, nodes) = world(default_link(), 2);
-    let a_addr = NetAddress::new(nodes[0], 7000);
-    let mut cfg = NetworkConfig::new(a_addr);
-    cfg.idle_timeout = Some(Duration::from_secs(3));
-    let a_net = create_network(&w.system, &w.net, cfg).expect("bind");
-    let a_stats = a_net.on_definition(|n| n.stats());
-    let a_app = w.system.create(Harness::new);
-    w.system.connect::<NetworkPort, _, _>(&a_net, &a_app);
-    let send = a_app.self_ref(|h| &mut h.commands);
-    w.system.start(&a_net);
-    w.system.start(&a_app);
-    let b = stack(&w, nodes[1], 7000);
-    send.push(NetRequest::Msg(NetMessage::new(
-        a_addr,
-        b.addr,
-        Transport::Tcp,
-        "hi".to_string(),
-    )));
-    w.sim.run_for(Duration::from_secs(1));
-    assert_eq!(a_stats.lock().channels_opened, 1);
-    assert_eq!(a_stats.lock().channels_closed, 0);
-    // Idle past the timeout: the sweeper closes the channel.
-    w.sim.run_for(Duration::from_secs(10));
-    assert_eq!(a_stats.lock().channels_closed, 1, "idle sweep must close");
-    // A new message transparently re-opens it.
-    send.push(NetRequest::Msg(NetMessage::new(
-        a_addr,
-        b.addr,
-        Transport::Tcp,
-        "again".to_string(),
-    )));
-    w.sim.run_for(Duration::from_secs(2));
-    assert_eq!(a_stats.lock().channels_opened, 2);
-    assert_eq!(b.app.on_definition(|h| h.received.len()), 2);
-}
-
-#[test]
 fn compression_reduces_wire_bytes_for_compressible_payloads() {
     let (w, nodes) = world(default_link(), 2);
     let a = stack(&w, nodes[0], 7000);
@@ -833,12 +739,12 @@ fn supervision_reconnects_and_redelivers_after_outage() {
     cfg.tcp.max_rto = Duration::from_millis(400);
     cfg.tcp.max_consecutive_timeouts = 2;
     cfg.tcp.syn_retries = 1;
-    cfg.reconnect = Some(ReconnectConfig {
+    cfg.reconnect = ReconnectConfig {
         max_retries: 30,
         base_backoff: Duration::from_millis(100),
         max_backoff: Duration::from_millis(400),
-        probe_interval: Some(Duration::from_secs(2)),
-    });
+        probe_interval: Duration::from_secs(2),
+    };
     let a = stack_cfg(&w, cfg);
     let b = stack(&w, nodes[1], 7000);
     a.send.push(NetRequest::NotifyReq(
@@ -917,12 +823,12 @@ fn impatient(node: NodeId) -> NetworkConfig {
     cfg.tcp.max_rto = Duration::from_millis(400);
     cfg.tcp.max_consecutive_timeouts = 2;
     cfg.tcp.syn_retries = 1;
-    cfg.reconnect = Some(ReconnectConfig {
+    cfg.reconnect = ReconnectConfig {
         max_retries: 30,
         base_backoff: Duration::from_millis(100),
         max_backoff: Duration::from_millis(400),
-        probe_interval: Some(Duration::from_secs(2)),
-    });
+        probe_interval: Duration::from_secs(2),
+    };
     cfg
 }
 
@@ -1105,51 +1011,6 @@ fn outage_in_the_middle_of_an_inbound_frame() {
     assert_eq!(received(&a), [&b"fresh reply"[..]]);
 }
 
-/// Regression: the idle sweeper must not tear down a channel that still
-/// has frames awaiting transport acknowledgement — the quiet period while
-/// TCP retransmits into an outage is not "idle", and closing there would
-/// lose the frames.
-#[test]
-fn idle_sweep_spares_channels_with_unacked_frames() {
-    let (w, nodes) = world(default_link(), 2);
-    let mut cfg = NetworkConfig::new(NetAddress::new(nodes[0], 7000));
-    cfg.idle_timeout = Some(Duration::from_secs(2));
-    let a = stack_cfg(&w, cfg);
-    let b = stack(&w, nodes[1], 7000);
-    a.send.push(NetRequest::Msg(NetMessage::new(
-        a.addr,
-        b.addr,
-        Transport::Tcp,
-        0u64,
-    )));
-    w.sim.run_for(Duration::from_millis(500));
-    // Cut the data direction only: the next frame is written to the
-    // transport but can never be acknowledged.
-    let ab = w.net.route(nodes[0], nodes[1]).expect("route")[0];
-    w.net.link(ab).set_up(false);
-    a.send.push(NetRequest::NotifyReq(
-        NotifyToken::new(7),
-        NetMessage::new(a.addr, b.addr, Transport::Tcp, 1u64),
-    ));
-    // Well past the idle timeout; TCP keeps retransmitting underneath.
-    w.sim.run_for(Duration::from_secs(6));
-    assert_eq!(
-        a.stats.lock().channels_closed,
-        0,
-        "a channel with unacked frames is not idle"
-    );
-    w.net.link(ab).set_up(true);
-    w.sim.run_for(Duration::from_secs(5));
-    assert_eq!(b.app.on_definition(|h| h.received.len()), 2);
-    let notifies = a.app.on_definition(|h| h.notifies.clone());
-    assert!(
-        notifies
-            .iter()
-            .any(|(t, s)| t.id == 7 && *s == DeliveryStatus::Sent),
-        "the retransmitted frame must eventually confirm, got {notifies:?}"
-    );
-}
-
 /// Graceful degradation: when the UDT channel exhausts its reconnect
 /// budget mid-outage while the (more patient) TCP channel survives, new
 /// DATA traffic fails over to TCP.
@@ -1157,25 +1018,28 @@ fn idle_sweep_spares_channels_with_unacked_frames() {
 fn data_fails_over_to_surviving_transport() {
     let (w, nodes) = world(default_link(), 2);
     let mut cfg = NetworkConfig::new(NetAddress::new(nodes[0], 7000));
-    // DATA resolves to UDT by default; UDT gives up fast and has a tiny
-    // retry budget, while TCP (default 15 consecutive timeouts) rides out
-    // the whole outage.
-    cfg.data_fallback = Some(Transport::Udt);
+    // DATA resolves to UDT, as the interceptor would; UDT gives up fast
+    // and has a tiny retry budget, while TCP (default 15 consecutive
+    // timeouts) rides out the whole outage.
     cfg.udt.exp_timeout = Duration::from_millis(100);
     cfg.udt.max_expirations = 3;
-    cfg.reconnect = Some(ReconnectConfig {
+    cfg.reconnect = ReconnectConfig {
         max_retries: 1,
         base_backoff: Duration::from_millis(100),
         max_backoff: Duration::from_millis(200),
-        probe_interval: None,
-    });
+        ..ReconnectConfig::default()
+    };
     let a = stack_cfg(&w, cfg);
     let b = stack(&w, nodes[1], 7000);
+    let data = |value: u64| {
+        let header = DataHeader {
+            selected: Some(Transport::Udt),
+            ..DataHeader::new(a.addr, b.addr)
+        };
+        NetRequest::Msg(NetMessage::with_header(NetHeader::Data(header), value))
+    };
     // Establish both stream channels.
-    a.send.push(NetRequest::Msg(NetMessage::with_header(
-        NetHeader::Data(DataHeader::new(a.addr, b.addr)),
-        0u64,
-    )));
+    a.send.push(data(0));
     a.send.push(NetRequest::Msg(NetMessage::new(
         a.addr,
         b.addr,
@@ -1193,10 +1057,7 @@ fn data_fails_over_to_surviving_transport() {
     }
     // In-flight data makes UDT's expiration timer fire: the channel dies,
     // one redial fails (handshake gives up after ~3 s), budget exhausted.
-    a.send.push(NetRequest::Msg(NetMessage::with_header(
-        NetHeader::Data(DataHeader::new(a.addr, b.addr)),
-        1u64,
-    )));
+    a.send.push(data(1));
     w.sim.run_for(Duration::from_secs(8));
     let statuses = a.app.on_definition(|h| h.statuses.clone());
     assert!(
@@ -1207,10 +1068,7 @@ fn data_fails_over_to_surviving_transport() {
     );
     // New DATA traffic now reroutes to the surviving TCP channel.
     for i in 2..=4u64 {
-        a.send.push(NetRequest::Msg(NetMessage::with_header(
-            NetHeader::Data(DataHeader::new(a.addr, b.addr)),
-            i,
-        )));
+        a.send.push(data(i));
     }
     for &l in &links {
         w.net.link(l).set_up(true);

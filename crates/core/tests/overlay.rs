@@ -109,12 +109,12 @@ fn impatient(addr: NetAddress) -> NetworkConfig {
     cfg.tcp.max_rto = Duration::from_millis(400);
     cfg.tcp.max_consecutive_timeouts = 2;
     cfg.tcp.syn_retries = 1;
-    cfg.reconnect = Some(ReconnectConfig {
+    cfg.reconnect = ReconnectConfig {
         max_retries: 30,
         base_backoff: Duration::from_millis(100),
         max_backoff: Duration::from_millis(400),
-        probe_interval: Some(Duration::from_secs(2)),
-    });
+        probe_interval: Duration::from_secs(2),
+    };
     cfg
 }
 
