@@ -15,12 +15,11 @@
 #                      that more than one file has (lib.rs, main.rs, ...)
 #                      must be written with enough of its path to name one.
 #
-# CHANGES.md is history and is not checked, nor is any Markdown file that
-# REFS_SKIP names (paths from the repo root, separated by spaces), such as
-# a request that names the items it asks to delete; `file.rs::name` is the
+# CHANGES.md is history and ISSUE.md a request that names the items it
+# asks to delete, so neither is checked; `file.rs::name` is the
 # placeholder the docs use for the form itself.
 #
-#   [REFS_SKIP="a.md b.md"] tools/check_refs.sh [repo-root]
+#   tools/check_refs.sh [repo-root]
 set -u
 
 cd "${1:-$(dirname "$0")/..}" || exit 2
@@ -31,8 +30,7 @@ sources="crates src tests examples benchmark/src"
 # Markdown file, the text after the first `//` of a Rust line.
 refs=$( {
     find . \( -name target -o -name .git \) -prune -o -name '*.md' \
-        ! -path ./CHANGES.md -print |
-        awk -v skip=" ${REFS_SKIP-} " 'index(skip, " " substr($0, 3) " ") == 0'
+        ! -path ./CHANGES.md ! -path ./ISSUE.md -print
     # shellcheck disable=SC2086
     find $sources -name target -prune -o -name '*.rs' -print
 } | sort | while read -r file; do
