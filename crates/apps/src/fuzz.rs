@@ -7,7 +7,7 @@
 //! Specs are *generated* deterministically from a seed
 //! ([`ScenarioSpec::generate`]), *run* with [`run_scenario`] (which also
 //! derives the [`RunFacts`] and the matching
-//! [`OracleConfig`](kmsg_oracle::OracleConfig) for the oracle suite),
+//! [`OracleConfig`] for the oracle suite),
 //! *serialized* to the replayable `failing_seed.json` artifact
 //! ([`ScenarioSpec::to_json`] / [`ScenarioSpec::from_json`]) and *shrunk*
 //! via the [`Shrinkable`] implementation when an oracle fires.
@@ -115,7 +115,7 @@ pub struct ScenarioSpec {
     /// re-selects the sender→receiver TCP stack at `at_ms` and recycles
     /// the live channel.
     pub swap: Option<(u64, CcAlgorithm)>,
-    /// Scripted fault windows (all heal before [`FAULT_DEADLINE_MS`]).
+    /// Scripted fault windows (all heal before `FAULT_DEADLINE_MS`).
     pub faults: Vec<FaultSpec>,
     /// Hard wall on simulated time, ms.
     pub horizon_ms: u64,

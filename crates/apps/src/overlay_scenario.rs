@@ -4,7 +4,7 @@
 //! chorded) mesh of middleware stacks, a static subscription table, a
 //! timed publish schedule and scripted partition windows that sever mesh
 //! edges and heal them again. [`run_overlay_spec`] builds the world —
-//! one [`NetworkComponent`](kmsg_core::net::NetworkComponent) with the
+//! one [`NetworkComponent`] with the
 //! impatient supervision template plus one
 //! [`OverlayComponent`] per node — drives the schedule, lets gossip
 //! resettle, and returns an [`OverlayReport`] whose

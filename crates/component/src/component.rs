@@ -382,16 +382,6 @@ impl ComponentContext {
     pub fn cancel_timer(&mut self, id: TimeoutId) {
         self.core.cancelled_timeouts.lock().insert(id);
     }
-
-    /// Stops this component (it can be started again).
-    pub fn stop_self(&mut self) {
-        self.core.push_control(ControlEvent::Stop);
-    }
-
-    /// Destroys this component.
-    pub fn kill_self(&mut self) {
-        self.core.push_control(ControlEvent::Kill);
-    }
 }
 
 #[cfg(test)]

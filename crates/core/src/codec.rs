@@ -271,7 +271,7 @@ fn make_room(out: &mut Vec<u8>, need: usize, max_len: usize) {
 /// known.
 ///
 /// The output is written by index. A literal run or a match of up to
-/// [`WIDE`] bytes is copied [`WIDE`] bytes at a time wherever source and
+/// `WIDE` bytes is copied `WIDE` bytes at a time wherever source and
 /// destination both have that much room — the match only if it does not
 /// overlap itself — and the bytes beyond its end are overwritten by what
 /// follows, or cut off at the end.

@@ -1,6 +1,6 @@
 //! The discrete-event simulation engine.
 //!
-//! [`Sim`] owns a virtual clock and a [`World`]: the pending-event store and
+//! [`Sim`] owns a virtual clock and a `World`: the pending-event store and
 //! the network fabric's state, side by side behind the world's one mutex.
 //! Events execute in `(timestamp, insertion order)` sequence, which makes
 //! runs fully deterministic.
@@ -46,7 +46,7 @@
 //!   `u64` token;
 //! * the fabric's own: packet hops, which advance a packet along its route,
 //!   and flow timers (scheduled internally by
-//!   [`Network`](crate::network::Network) and its flows).
+//!   [`Network`] and its flows).
 //!
 //! Event payloads live inline in the lane/wheel vectors, whose allocations
 //! are recycled across batches, so steady-state dispatch is allocation-free.

@@ -11,18 +11,21 @@
 //! event's lock scope ([`dispatch`]), a timer event — which carries only its
 //! protocol and token — finds its slot and steps under one acquisition, and
 //! what a step asks for — packets, timers, callbacks — is carried out in
-//! order once the lock is released. A [`Protocol`] supplies the rest:
-//! config, wire type, the flow state machine as step functions that see one
-//! flow and never a lock, its timer kinds, how an open starts and what dying
-//! clears. Besides `network.rs` and `engine.rs`, this is the one netsim file
-//! that locks. See `DESIGN.md` §12.
+//! order once the lock is released. Every flow's application-facing half —
+//! send queue, writable rule, reorder buffer — is one [`Stream`]. A
+//! [`Protocol`] supplies the rest: config, wire type, the flow state
+//! machine as step functions that see one flow and never a lock, its timer
+//! kinds, how an open starts and what dying clears. Besides `network.rs`
+//! and `engine.rs`, this is the one netsim file that locks. See
+//! `DESIGN.md` §12.
 
 // `Conn` and `Listener` are public through the `TcpConn`/`UdtConn` aliases
 // while `Protocol` stays crate-private: outside the crate the type parameter
 // can only ever be one of our own config types.
 #![allow(private_bounds)]
 
-use std::collections::VecDeque;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -129,8 +132,9 @@ pub(crate) trait Protocol: PartialEq + Send + Sized + 'static {
     /// Appends the protocol's fields to a connection handle's `Debug`.
     fn debug_state(flow: Option<&Self::Flow>, out: &mut fmt::DebugStruct<'_, '_>);
 
-    /// The send side the handle methods of [`Conn`] read and write.
-    fn send_side<'a>(flow: &'a mut Self::Flow, cfg: &Self) -> SendSide<'a>;
+    /// What the handle methods of [`Conn`] read and write: the flow's
+    /// [`Stream`], where its open stands, and its send buffer's size.
+    fn stream<'a>(flow: &'a mut Self::Flow, cfg: &Self) -> (&'a mut Stream, Phase, usize);
     /// Moves bytes or a FIN just queued along (TCP tries to send, UDT
     /// restarts its pacer).
     fn kick(flow: &mut Self::Flow, cfg: &Self, rec: &Recorder, now: SimTime, out: &mut Out<Self>);
@@ -138,28 +142,149 @@ pub(crate) trait Protocol: PartialEq + Send + Sized + 'static {
     fn rtt(flow: &Self::Flow) -> Option<f64>;
 }
 
-/// A stream flow's send side: the application's queue and its accounting.
-pub(crate) struct SendSide<'a> {
-    /// The send buffer's size in bytes.
-    pub(crate) send_buf: usize,
-    /// The handshake is complete and the flow not closed.
-    pub(crate) established: bool,
-    pub(crate) closed: bool,
-    pub(crate) fin_queued: &'a mut bool,
-    /// The application was refused bytes; it is told when room frees up.
-    pub(crate) app_blocked: &'a mut bool,
-    pub(crate) send_q: &'a mut VecDeque<Bytes>,
-    pub(crate) send_q_bytes: &'a mut usize,
-    /// Accepted and not yet acknowledged (queued + in flight).
-    pub(crate) unacked_bytes: &'a mut usize,
-    pub(crate) bytes_sent: &'a mut u64,
-    pub(crate) bytes_acked: u64,
+/// Where a flow's open stands: UDT's states, and TCP's with its two
+/// handshake states as one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Phase {
+    Connecting,
+    Established,
+    Closed,
 }
 
-impl SendSide<'_> {
-    /// Free space in the send buffer.
-    fn free(&self) -> usize {
-        self.send_buf.saturating_sub(*self.unacked_bytes)
+/// The application-facing half of a reliable byte stream, which TCP and UDT
+/// keep alike: the bytes the application handed over and the peer has not
+/// acknowledged, and the payloads that arrived ahead of a hole. A protocol
+/// keeps its own sequence space (bytes or packets), congestion control, loss
+/// reports, handshake and close, and passes the sizes from its config.
+#[derive(Default)]
+pub(crate) struct Stream {
+    /// Accepted bytes not yet sent, oldest first.
+    send_q: VecDeque<Bytes>,
+    /// The application was refused bytes; it is told when room frees up.
+    app_blocked: bool,
+    /// The application closed: a FIN follows the last queued byte.
+    pub(crate) fin_queued: bool,
+    /// Payloads held until they are next in order, by sequence number, and
+    /// their total length.
+    ooo: BTreeMap<u64, Bytes>,
+    ooo_bytes: usize,
+    /// Payload bytes accepted from the application, acknowledged by the
+    /// peer (their difference is the occupied send buffer), and delivered
+    /// to the application.
+    pub(crate) bytes_sent: u64,
+    pub(crate) bytes_acked: u64,
+    pub(crate) bytes_delivered: u64,
+}
+
+impl Stream {
+    /// Accepted and not yet acknowledged bytes (queued + in flight).
+    fn unacked(&self) -> usize {
+        (self.bytes_sent - self.bytes_acked) as usize
+    }
+
+    /// Free space in a send buffer of `send_buf` bytes.
+    fn free(&self, send_buf: usize) -> usize {
+        send_buf.saturating_sub(self.unacked())
+    }
+
+    /// Queues as much of `data` as the send buffer has room for, nothing
+    /// once a FIN is queued; how much. A writer refused any is owed an
+    /// `on_writable`.
+    fn accept(&mut self, data: &Bytes, send_buf: usize) -> usize {
+        if self.fin_queued {
+            return 0;
+        }
+        let take = self.free(send_buf).min(data.len());
+        if take < data.len() {
+            self.app_blocked = true;
+        }
+        if take > 0 {
+            self.send_q.push_back(data.slice(0..take));
+            self.bytes_sent += take as u64;
+        }
+        take
+    }
+
+    /// Whether accepted bytes wait to be sent.
+    pub(crate) fn has_queued(&self) -> bool {
+        !self.send_q.is_empty()
+    }
+
+    /// Takes the next payload, at most `mss` bytes, off the send queue.
+    pub(crate) fn next_payload(&mut self, mss: usize) -> Option<Bytes> {
+        let head = self.send_q.front_mut()?;
+        let payload = head.split_to(head.len().min(mss));
+        if head.is_empty() {
+            self.send_q.pop_front();
+            release_drained(&mut self.send_q);
+        }
+        Some(payload)
+    }
+
+    /// Counts `n` payload bytes the peer acknowledged. Any fire `on_writable`,
+    /// so the middleware can track delivery progress; with none, a refused
+    /// writer hears once `mss` bytes of room are free.
+    pub(crate) fn acked<W>(
+        &mut self,
+        n: usize,
+        send_buf: usize,
+        mss: usize,
+        out: &mut Vec<Action<W>>,
+    ) {
+        self.bytes_acked += n as u64;
+        if n > 0 || (self.app_blocked && self.free(send_buf) >= mss) {
+            self.app_blocked = false;
+            out.push(Action::Writable);
+        }
+    }
+
+    /// Holds `payload`, which arrived ahead of its turn at `seq`, unless one
+    /// is held there already; false, holding nothing, if it would overflow
+    /// a receive buffer of `recv_buf` bytes.
+    pub(crate) fn hold(&mut self, seq: u64, payload: Bytes, recv_buf: usize) -> bool {
+        match self.ooo.entry(seq) {
+            Entry::Occupied(_) => true,
+            Entry::Vacant(_) if self.ooo_bytes + payload.len() > recv_buf => false,
+            Entry::Vacant(slot) => {
+                self.ooo_bytes += payload.len();
+                slot.insert(payload);
+                true
+            }
+        }
+    }
+
+    /// The held payloads by sequence number.
+    pub(crate) fn held(&self) -> &BTreeMap<u64, Bytes> {
+        &self.ooo
+    }
+
+    /// The held payloads' total length.
+    pub(crate) fn held_bytes(&self) -> usize {
+        self.ooo_bytes
+    }
+
+    /// Delivers `data`, next in order, to the application.
+    pub(crate) fn deliver<W>(&mut self, data: Bytes, out: &mut Vec<Action<W>>) {
+        self.bytes_delivered += data.len() as u64;
+        out.push(Action::Deliver(data));
+    }
+
+    /// Delivers the payload held at `next`, if there is one; its length.
+    pub(crate) fn deliver_held<W>(&mut self, next: u64, out: &mut Vec<Action<W>>) -> Option<usize> {
+        let entry = self.ooo.first_entry().filter(|e| *e.key() == next)?;
+        let data = entry.remove();
+        let len = data.len();
+        self.ooo_bytes -= len;
+        self.deliver(data, out);
+        Some(len)
+    }
+
+    /// Frees the buffers of a killed flow: fresh containers, as
+    /// `VecDeque::clear` keeps its ring allocated.
+    pub(crate) fn free_buffers(&mut self) {
+        self.send_q = VecDeque::new();
+        self.ooo = BTreeMap::new();
+        self.ooo_bytes = 0;
     }
 }
 
@@ -220,7 +345,16 @@ pub(crate) struct FlowHeader {
     /// Live [`Conn`] wrappers referring to this slot.
     app_handles: u32,
     /// The owner has been told the flow closed (at most once per flow).
-    pub(crate) closed_notified: bool,
+    closed_notified: bool,
+}
+
+impl FlowHeader {
+    /// Tells the owner the flow closed, unless it has been told already.
+    pub(crate) fn notify_closed<W>(&mut self, reason: CloseReason, out: &mut Vec<Action<W>>) {
+        if !std::mem::replace(&mut self.closed_notified, true) {
+            out.push(Action::Closed(reason));
+        }
+    }
 }
 
 /// What a step asks the core to do once the world lock is released.
@@ -568,9 +702,7 @@ pub(crate) fn dispatch<'a, P: Protocol>(
             // accepted afresh.
             step::<P, _>(net, world, h, |flow, _cfg, rec, now, out| {
                 P::kill(flow, rec, now);
-                if !std::mem::replace(&mut P::hdr_mut(flow).closed_notified, true) {
-                    out.push(Action::Closed(CloseReason::Reset));
-                }
+                P::hdr_mut(flow).notify_closed(CloseReason::Reset, out);
             });
             let events = P::table(&mut net.sim().lock().net)
                 .flows
@@ -775,8 +907,8 @@ impl<P: Protocol> Conn<P> {
     }
 
     /// Reads the flow and its config under the world lock (the flow
-    /// mutably, as [`Protocol::send_side`] borrows it); `None` once the
-    /// slot is gone.
+    /// mutably, as [`Protocol::stream`] borrows it); `None` once the slot
+    /// is gone.
     pub(crate) fn peek<R>(&self, f: impl FnOnce(&mut P::Flow, &P) -> R) -> Option<R> {
         let mut world = self.net.sim().lock();
         let table = P::table(&mut world.net);
@@ -788,7 +920,7 @@ impl<P: Protocol> Conn<P> {
     /// Whether the handshake completed and the connection is open.
     #[must_use]
     pub fn is_established(&self) -> bool {
-        self.peek(|f, cfg| P::send_side(f, cfg).established)
+        self.peek(|f, cfg| P::stream(f, cfg).1 == Phase::Established)
             .unwrap_or(false)
     }
 
@@ -796,22 +928,13 @@ impl<P: Protocol> Conn<P> {
     pub fn send(&self, data: Bytes) -> usize {
         let mut accepted = 0;
         self.process(|flow, cfg, rec, now, out| {
-            let side = P::send_side(flow, cfg);
-            if side.closed || *side.fin_queued {
-                return;
+            let (stream, phase, send_buf) = P::stream(flow, cfg);
+            if phase != Phase::Closed {
+                accepted = stream.accept(&data, send_buf);
             }
-            let take = side.free().min(data.len());
-            if take < data.len() {
-                *side.app_blocked = true;
-            }
-            if take > 0 {
-                side.send_q.push_back(data.slice(0..take));
-                *side.send_q_bytes += take;
-                *side.unacked_bytes += take;
-                *side.bytes_sent += take as u64;
+            if accepted > 0 {
                 P::kick(flow, cfg, rec, now, out);
             }
-            accepted = take;
         });
         accepted
     }
@@ -819,21 +942,25 @@ impl<P: Protocol> Conn<P> {
     /// Free space in the send buffer.
     #[must_use]
     pub fn free_send_buffer(&self) -> usize {
-        self.peek(|f, cfg| P::send_side(f, cfg).free()).unwrap_or(0)
+        self.peek(|f, cfg| {
+            let (stream, _, send_buf) = P::stream(f, cfg);
+            stream.free(send_buf)
+        })
+        .unwrap_or(0)
     }
 
     /// Bytes accepted but not yet acknowledged by the peer (queued + in
     /// flight).
     #[must_use]
     pub fn unacked_bytes(&self) -> usize {
-        self.peek(|f, cfg| *P::send_side(f, cfg).unacked_bytes)
+        self.peek(|f, cfg| P::stream(f, cfg).0.unacked())
             .unwrap_or(0)
     }
 
     /// Cumulative payload bytes acknowledged by the peer.
     #[must_use]
     pub fn acked_bytes(&self) -> u64 {
-        self.peek(|f, cfg| P::send_side(f, cfg).bytes_acked)
+        self.peek(|f, cfg| P::stream(f, cfg).0.bytes_acked)
             .unwrap_or(0)
     }
 
@@ -847,11 +974,11 @@ impl<P: Protocol> Conn<P> {
     /// Orderly close: a FIN follows the last buffered byte.
     pub fn close(&self) {
         self.process(|flow, cfg, rec, now, out| {
-            let side = P::send_side(flow, cfg);
-            if *side.fin_queued || side.closed {
+            let (stream, phase, _) = P::stream(flow, cfg);
+            if stream.fin_queued || phase == Phase::Closed {
                 return;
             }
-            *side.fin_queued = true;
+            stream.fin_queued = true;
             P::kick(flow, cfg, rec, now, out);
         });
     }
@@ -933,13 +1060,20 @@ mod tests {
     use crate::engine::{EventTarget, Sim};
     use crate::link::LinkConfig;
     use crate::network::EPHEMERAL_SPAN;
-    use crate::testutil::{pattern_bytes, CollectingTracer, Recorder, SinkEvents};
+    use crate::testutil::{pattern_bytes, CollectingTracer, PatternSender, Recorder, SinkEvents};
     use crate::trace::PacketEvent;
 
     /// Port the world's listener is bound to on `b`.
     const LISTEN: u16 = 80;
     /// A port on `b` nobody listens on.
     const BLACK_HOLE: u16 = 81;
+
+    impl Stream {
+        /// Every buffer released, as a kill leaves it.
+        pub(crate) fn is_freed(&self) -> bool {
+            self.send_q.capacity() == 0 && self.ooo.is_empty() && self.ooo_bytes == 0
+        }
+    }
 
     struct Accept(Arc<Recorder>);
     impl StreamAccept for Accept {
@@ -1006,11 +1140,16 @@ mod tests {
         }
 
         fn with_delay(one_way: Duration) -> Self {
-            let sim = Sim::new(31);
+            Self::on(31, LinkConfig::new(10e6, one_way))
+        }
+
+        /// The world with its own seed and link.
+        fn on(seed: u64, link: LinkConfig) -> Self {
+            let sim = Sim::new(seed);
             let net = Network::new(&sim);
             let a = net.add_node("a");
             let b = net.add_node("b");
-            net.connect_duplex(a, b, LinkConfig::new(10e6, one_way));
+            net.connect_duplex(a, b, link);
             let tracer = Arc::new(CollectingTracer::default());
             net.set_tracer(tracer.clone());
             let server = Arc::new(Recorder::default());
@@ -1520,6 +1659,113 @@ mod tests {
         assert!(w.server.in_order());
     }
 
+    /// A protocol's own seed, links and sizes for the stream cases below.
+    struct Cases<P> {
+        seed: u64,
+        /// One-way delay of the close and black-hole cases' link (the
+        /// handshake and the small transfer run on 5 ms).
+        short_delay: Duration,
+        /// Bytes of the small transfer, and of the one that closes.
+        small: usize,
+        closing: usize,
+        /// A link with 1 % random loss, and the bytes pumped over it.
+        lossy: LinkConfig,
+        lossy_total: usize,
+        /// The dialler's config against a port nobody listens on.
+        black_hole: P,
+        /// A config with a 64 KiB send buffer.
+        tight: P,
+    }
+
+    /// A 10 MB/s link of 5 ms each way.
+    fn clean_link() -> LinkConfig {
+        LinkConfig::new(10e6, Duration::from_millis(5))
+    }
+
+    fn handshake_completes<P: Protocol + Default>(c: Cases<P>) {
+        let w = World::<P>::on(c.seed, clean_link());
+        let client = Arc::new(Recorder::default());
+        let conn = w.dial(LISTEN, client.clone());
+        assert!(!conn.is_established());
+        w.sim.run_for(Duration::from_secs(1));
+        assert!(conn.is_established());
+        assert_eq!((client.connected(), w.server.connected()), (1, 1));
+        let rtt = conn.rtt_estimate().expect("handshake RTT").as_secs_f64();
+        assert!((0.009..0.02).contains(&rtt), "rtt {rtt}");
+    }
+
+    fn small_transfer_delivers_in_order<P: Protocol + Default>(
+        c: Cases<P>,
+        retransmits: fn(&Conn<P>) -> u64,
+    ) {
+        let w = World::<P>::on(c.seed, clean_link());
+        let conn = w.dial(LISTEN, Arc::new(SinkEvents));
+        assert_eq!(conn.send(pattern_bytes(0, c.small)), c.small);
+        w.sim.run_for(Duration::from_secs(5));
+        assert_eq!(w.server.data_len(), c.small);
+        assert!(w.server.in_order());
+        assert_eq!(retransmits(&conn), 0);
+    }
+
+    fn recovers_from_random_loss<P: Protocol + Default>(
+        c: Cases<P>,
+        retransmits: fn(&Conn<P>) -> u64,
+    ) {
+        let w = World::<P>::on(c.seed, c.lossy);
+        let conn = w.dial(LISTEN, PatternSender::new(&w.sim, c.lossy_total));
+        w.sim.run_for(Duration::from_secs(60));
+        assert_eq!(
+            w.server.data_len(),
+            c.lossy_total,
+            "reliable despite 1% loss"
+        );
+        assert!(w.server.in_order(), "delivery must stay in order");
+        assert!(retransmits(&conn) > 0, "loss must trigger retransmits");
+    }
+
+    fn close_notifies_both_sides<P: Protocol + Default>(c: Cases<P>) {
+        let w = World::<P>::on(c.seed, LinkConfig::new(10e6, c.short_delay));
+        let client = Arc::new(Recorder::default());
+        let conn = w.dial(LISTEN, client.clone());
+        assert_eq!(conn.send(pattern_bytes(0, c.closing)), c.closing);
+        conn.close();
+        w.sim.run_for(Duration::from_secs(10));
+        assert_eq!(w.server.data_len(), c.closing);
+        assert!(w.server.in_order());
+        assert_eq!(w.server.close_reasons(), [CloseReason::Normal]);
+        assert!(
+            client.closed() >= 1,
+            "the client should see its FIN answered"
+        );
+    }
+
+    fn connect_to_black_hole_times_out<P: Protocol + Default>(c: Cases<P>) {
+        let w = World::<P>::on(c.seed, LinkConfig::new(10e6, c.short_delay));
+        let client = Arc::new(Recorder::default());
+        let dst = Endpoint::new(w.b, BLACK_HOLE);
+        let conn = Conn::connect(&w.net, w.a, dst, c.black_hole, client.clone()).expect("dial");
+        w.sim.run_for(Duration::from_secs(120));
+        assert!(!conn.is_established());
+        assert_eq!(
+            client.close_reasons(),
+            [CloseReason::Timeout],
+            "connect failure reported as close"
+        );
+    }
+
+    fn send_buffer_backpressure_and_writable<P: Protocol + Default>(c: Cases<P>) {
+        let w = World::<P>::on(c.seed, LinkConfig::new(1e6, Duration::from_millis(5)));
+        let client = Arc::new(Recorder::default());
+        let dst = Endpoint::new(w.b, LISTEN);
+        let conn = Conn::connect(&w.net, w.a, dst, c.tight, client.clone()).expect("dial");
+        w.sim.run_for(Duration::from_millis(100));
+        let accepted = conn.send(Bytes::from(vec![7u8; 200 * 1024]));
+        assert!(accepted < 200 * 1024, "send buffer must refuse the excess");
+        assert!(accepted >= 63 * 1024);
+        w.sim.run_for(Duration::from_secs(5));
+        assert!(client.writable() > 0, "writable notification expected");
+    }
+
     #[test]
     fn an_arriving_segment_is_recorded_before_the_step_it_causes() {
         use crate::tcp::TcpConfig;
@@ -1592,9 +1838,39 @@ mod tests {
         (
             $name:ident, $proto:ty,
             is_dead: $is_dead:expr, stale: $stale:expr, stray: $stray:expr, forged_ack: $forged:expr,
-            forged_open_answer: $forged_answer:expr
+            forged_open_answer: $forged_answer:expr, cases: $cases:expr
         ) => {
             mod $name {
+                use super::*;
+
+                fn retransmits(conn: &Conn<$proto>) -> u64 {
+                    conn.stats().retransmits
+                }
+
+                #[test]
+                fn handshake_completes() {
+                    super::handshake_completes::<$proto>($cases);
+                }
+                #[test]
+                fn small_transfer_delivers_in_order() {
+                    super::small_transfer_delivers_in_order::<$proto>($cases, retransmits);
+                }
+                #[test]
+                fn recovers_from_random_loss() {
+                    super::recovers_from_random_loss::<$proto>($cases, retransmits);
+                }
+                #[test]
+                fn close_notifies_both_sides() {
+                    super::close_notifies_both_sides::<$proto>($cases);
+                }
+                #[test]
+                fn connect_to_black_hole_times_out() {
+                    super::connect_to_black_hole_times_out::<$proto>($cases);
+                }
+                #[test]
+                fn send_buffer_backpressure_and_writable() {
+                    super::send_buffer_backpressure_and_writable::<$proto>($cases);
+                }
                 #[test]
                 fn call_outs_run_with_the_world_unlocked() {
                     super::call_outs_run_with_the_world_unlocked::<$proto>();
@@ -1661,6 +1937,16 @@ mod tests {
             ack: 1_000,
             flags: crate::tcp::SegFlags { syn: true, ack: true, fin: false },
             ..crate::tcp::stray_segment()
+        },
+        cases: Cases {
+            seed: 11,
+            short_delay: Duration::from_millis(2),
+            small: 10_000,
+            closing: 3,
+            lossy: LinkConfig::new(10e6, Duration::from_millis(10)).random_loss(0.01),
+            lossy_total: 2_000_000,
+            black_hole: crate::tcp::TcpConfig { syn_retries: 2, ..Default::default() },
+            tight: crate::tcp::TcpConfig { send_buf: 64 * 1024, ..Default::default() },
         }
     );
     protocol_suite!(
@@ -1672,6 +1958,16 @@ mod tests {
         forged_ack: crate::udt::UdtPacket::Ack { ack_seq: 1 << 40, rcv_rate_pps: 0.0, capacity_pps: 0.0 },
         // UDT's handshake carries no acknowledgement number; a `Connecting`
         // flow takes no `Ack` at all.
-        forged_open_answer: crate::udt::UdtPacket::Ack { ack_seq: 1_000, rcv_rate_pps: 0.0, capacity_pps: 0.0 }
+        forged_open_answer: crate::udt::UdtPacket::Ack { ack_seq: 1_000, rcv_rate_pps: 0.0, capacity_pps: 0.0 },
+        cases: Cases {
+            seed: 21,
+            short_delay: Duration::from_millis(5),
+            small: 100_000,
+            closing: 50_000,
+            lossy: LinkConfig::new(20e6, Duration::from_millis(20)).random_loss(0.01),
+            lossy_total: 3_000_000,
+            black_hole: crate::udt::UdtConfig::default(),
+            tight: crate::udt::UdtConfig { snd_buf: 64 * 1024, ..Default::default() },
+        }
     );
 }

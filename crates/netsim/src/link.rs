@@ -175,7 +175,7 @@ impl LinkConfig {
     }
 }
 
-/// Identifies a link within a [`Network`](crate::network::Network).
+/// Identifies a link within a [`Network`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LinkId(pub(crate) u32);
 
@@ -189,7 +189,7 @@ impl LinkId {
     /// Reconstructs a `LinkId` from [`LinkId::index`] — for scripting fault
     /// plans against a known topology. The caller is responsible for the
     /// index referring to a link that exists in the target
-    /// [`Network`](crate::network::Network).
+    /// [`Network`].
     #[must_use]
     pub const fn from_index(index: u32) -> LinkId {
         LinkId(index)

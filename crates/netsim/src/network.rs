@@ -13,7 +13,7 @@
 //!
 //! Sized for datacenter-scale worlds (10⁴ hosts, 10⁴ flows): routes live
 //! flattened in one append-only link arena and per-hop events carry an
-//! 8-byte [`RouteRef`] span handle instead of a refcounted `Arc<Vec<_>>`;
+//! 8-byte `RouteRef` span handle instead of a refcounted `Arc<Vec<_>>`;
 //! the hot-path lookups (route table, sink demux) use packed `u64` keys in
 //! [`FxHashMap`]s rather than tuple keys under SipHash (both keys differ
 //! between hosts in their *high* half only, which [`crate::slab::FxHasher`]
@@ -22,9 +22,9 @@
 //!
 //! # One lock per world
 //!
-//! All of it, and every TCP and UDT flow ([`crate::flowstack`]), is
-//! [`NetInner`], which sits beside the event store in the engine's
-//! [`World`] behind the world's one mutex. [`Network::send_packet`] and
+//! All of it, and every TCP and UDT flow (`crate::flowstack`), is
+//! `NetInner`, which sits beside the event store in the engine's
+//! `World` behind the world's one mutex. [`Network::send_packet`] and
 //! every hop event take it exactly once: route, pool slot, sever check,
 //! transmit, the next hop's scheduling, the binding lookup, the recorder
 //! and [`PacketTracer`] calls for the packet's outcome and — for a port

@@ -25,13 +25,14 @@
 //!
 //! # Flow storage
 //!
-//! Slab, demux, listeners, timer arming and handle lifetime are the shared
-//! [`crate::flowstack`] core; this file is what is actually UDT: config,
-//! packet format, the [`Flow`] state machine — steps of one flow, which
-//! never see a lock — and its five timers (pacer, `SYN` tick, expiration
-//! tick, receive-processing completion, handshake retry).
+//! Slab, demux, listeners, timer arming, handle lifetime and the stream
+//! buffer are the shared `crate::flowstack` core; this file is what is
+//! actually UDT: config, packet format, sequence space, the `Flow` state
+//! machine — steps of one flow, which never see a lock — and its five
+//! timers (pacer, `SYN` tick, expiration tick, receive-processing
+//! completion, handshake retry).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::time::Duration;
 
@@ -39,7 +40,7 @@ use kmsg_telemetry::bytes::Bytes;
 use kmsg_telemetry::{EventKind, Recorder, SpanKind};
 
 use crate::flowstack::{
-    self, release_drained, Conn, FlowHeader, FlowTable, Listener, Protocol, SendSide,
+    self, release_drained, Conn, FlowHeader, FlowTable, Listener, Phase, Protocol, Stream,
 };
 use crate::iface::{CloseReason, Connection};
 use crate::memscope;
@@ -173,13 +174,6 @@ pub struct UdtConnStats {
     pub expirations: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    Connecting,
-    Established,
-    Closed,
-}
-
 /// Per-flow timer kinds (see the token layout in [`crate::flowstack`]).
 ///
 /// The token's `aux` word carries the pacer generation (truncated to 32
@@ -199,16 +193,14 @@ const PAIR_SAMPLES: usize = 16;
 /// Full per-flow UDT state: one slab slot, no interior `Arc`s.
 pub(crate) struct Flow {
     hdr: FlowHeader,
-    state: State,
+    stream: Stream,
+    state: Phase,
     /// Whether this side sent the initial handshake (diagnostics / Debug).
     is_initiator: bool,
     handshake_sent_at: SimTime,
     rtt: Option<f64>,
 
     // --- sender side ---
-    send_q: VecDeque<Bytes>,
-    send_q_bytes: usize,
-    unacked_bytes: usize,
     /// The send buffer: packet `snd_una + i` at index `i`. Sequence numbers
     /// are consecutive, so a packet is appended at `snd_nxt` and released
     /// from the front.
@@ -229,7 +221,6 @@ pub(crate) struct Flow {
     peer_flow_window: u64,
     pacer_active: bool,
     pacer_gen: u64,
-    fin_queued: bool,
     fin_sent: bool,
     fin_acked: bool,
     last_feedback_at: SimTime,
@@ -239,8 +230,6 @@ pub(crate) struct Flow {
     // --- receiver side ---
     rcv_nxt: u64,
     expected_max: u64,
-    ooo: BTreeMap<u64, Bytes>,
-    ooo_bytes: usize,
     missing: BTreeSet<u64>,
     pkts_since_ack: u64,
     rate_ewma_pps: f64,
@@ -253,11 +242,14 @@ pub(crate) struct Flow {
     proc_fifo: VecDeque<(u64, bool)>,
     peer_fin_seq: Option<u64>,
 
-    // --- notifications ---
-    app_blocked: bool,
-    connected_notified: bool,
-
-    stats: UdtConnStats,
+    // --- counters (the byte counts are the stream's) ---
+    packets_sent: u64,
+    retransmits: u64,
+    naks_received: u64,
+    rate_decreases: u64,
+    rx_proc_drops: u64,
+    rcv_buf_drops: u64,
+    expirations: u64,
 }
 
 /// Initial sending rate in packets per second.
@@ -268,13 +260,11 @@ impl Flow {
         let snd_period_us = 1e6 / INITIAL_RATE_PPS;
         Flow {
             hdr,
-            state: State::Connecting,
+            stream: Stream::default(),
+            state: Phase::Connecting,
             is_initiator,
             handshake_sent_at: now,
             rtt: None,
-            send_q: VecDeque::new(),
-            send_q_bytes: 0,
-            unacked_bytes: 0,
             packets: VecDeque::new(),
             snd_nxt: 0,
             snd_una: 0,
@@ -289,7 +279,6 @@ impl Flow {
             peer_flow_window: cfg.rcv_buf as u64,
             pacer_active: false,
             pacer_gen: 0,
-            fin_queued: false,
             fin_sent: false,
             fin_acked: false,
             last_feedback_at: now,
@@ -297,8 +286,6 @@ impl Flow {
             expirations_in_row: 0,
             rcv_nxt: 0,
             expected_max: 0,
-            ooo: BTreeMap::new(),
-            ooo_bytes: 0,
             missing: BTreeSet::new(),
             pkts_since_ack: 0,
             rate_ewma_pps: 0.0,
@@ -307,9 +294,13 @@ impl Flow {
             proc_busy_until: now,
             proc_fifo: VecDeque::new(),
             peer_fin_seq: None,
-            app_blocked: false,
-            connected_notified: false,
-            stats: UdtConnStats::default(),
+            packets_sent: 0,
+            retransmits: 0,
+            naks_received: 0,
+            rate_decreases: 0,
+            rx_proc_drops: 0,
+            rcv_buf_drops: 0,
+            expirations: 0,
         }
     }
 
@@ -359,10 +350,10 @@ fn on_syn_tick(
     now: SimTime,
     out: &mut Vec<Action>,
 ) {
-    if flow.state == State::Closed {
+    if flow.state == Phase::Closed {
         return;
     }
-    if flow.state != State::Established {
+    if flow.state != Phase::Established {
         out.push(arm(KIND_SYN_TICK, cfg.syn, 0));
         return;
     }
@@ -451,10 +442,10 @@ fn on_syn_tick(
 /// Expiration: no feedback while data is in flight. Re-arms itself until
 /// the flow closes.
 fn on_exp_tick(flow: &mut Flow, cfg: &UdtConfig, now: SimTime, out: &mut Vec<Action>) {
-    if flow.state == State::Closed {
+    if flow.state == Phase::Closed {
         return;
     }
-    if flow.state != State::Established {
+    if flow.state != Phase::Established {
         out.push(arm(KIND_EXP_TICK, cfg.exp_timeout, 0));
         return;
     }
@@ -474,14 +465,11 @@ fn on_exp_tick(flow: &mut Flow, cfg: &UdtConfig, now: SimTime, out: &mut Vec<Act
         out.push(arm(KIND_EXP_TICK, cfg.exp_timeout, 0));
         return;
     }
-    flow.stats.expirations += 1;
+    flow.expirations += 1;
     flow.expirations_in_row += 1;
     if flow.expirations_in_row > cfg.max_expirations {
-        flow.state = State::Closed;
-        if !flow.hdr.closed_notified {
-            flow.hdr.closed_notified = true;
-            out.push(Action::Closed(CloseReason::Timeout));
-        }
+        flow.state = Phase::Closed;
+        flow.hdr.notify_closed(CloseReason::Timeout, out);
         return;
     }
     // Schedule all in-flight packets for retransmission.
@@ -497,7 +485,7 @@ fn on_exp_tick(flow: &mut Flow, cfg: &UdtConfig, now: SimTime, out: &mut Vec<Act
 
 /// The pacing clock: transmit one packet, reschedule.
 fn on_pacer(flow: &mut Flow, cfg: &UdtConfig, now: SimTime, out: &mut Vec<Action>, gen: u32) {
-    if gen != flow.pacer_gen as u32 || flow.state != State::Established {
+    if gen != flow.pacer_gen as u32 || flow.state != Phase::Established {
         return;
     }
     match send_one(flow, cfg, now, out) {
@@ -526,7 +514,7 @@ fn on_data_processed(flow: &mut Flow, rec: &Recorder, now: SimTime, out: &mut Ve
         return;
     };
     release_drained(&mut flow.proc_fifo);
-    if flow.state == State::Closed {
+    if flow.state == Phase::Closed {
         return;
     }
     receive_data_packet(flow, rec, seq, probe, now, out);
@@ -534,15 +522,12 @@ fn on_data_processed(flow: &mut Flow, rec: &Recorder, now: SimTime, out: &mut Ve
 
 /// Handshake (re)transmission. `attempt` rides the timer token.
 fn on_hs_retry(flow: &mut Flow, cfg: &UdtConfig, out: &mut Vec<Action>, attempt: u32) {
-    if flow.state != State::Connecting {
+    if flow.state != Phase::Connecting {
         return;
     }
     if attempt > 12 {
-        if !flow.hdr.closed_notified {
-            flow.state = State::Closed;
-            flow.hdr.closed_notified = true;
-            out.push(Action::Closed(CloseReason::Timeout));
-        }
+        flow.state = Phase::Closed;
+        flow.hdr.notify_closed(CloseReason::Timeout, out);
         return;
     }
     out.push(Action::Send(UdtPacket::Handshake {
@@ -648,23 +633,17 @@ impl Protocol for UdtConfig {
                 out.push(Action::Send(UdtPacket::HandshakeAck {
                     flow_window: cfg.rcv_buf as u64,
                 }));
-                if flow.state == State::Connecting {
-                    flow.state = State::Established;
-                    if !flow.connected_notified {
-                        flow.connected_notified = true;
-                        out.push(Action::Connected);
-                    }
+                if flow.state == Phase::Connecting {
+                    flow.state = Phase::Established;
+                    out.push(Action::Connected);
                 }
             }
             UdtPacket::HandshakeAck { flow_window } => {
-                if flow.state == State::Connecting {
+                if flow.state == Phase::Connecting {
                     flow.peer_flow_window = flow_window;
-                    flow.state = State::Established;
+                    flow.state = Phase::Established;
                     flow.rtt = Some(now.duration_since(flow.handshake_sent_at).as_secs_f64());
-                    if !flow.connected_notified {
-                        flow.connected_notified = true;
-                        out.push(Action::Connected);
-                    }
+                    out.push(Action::Connected);
                     restart_pacer(flow, cfg, out);
                 }
             }
@@ -673,17 +652,20 @@ impl Protocol for UdtConfig {
                 probe,
                 payload,
             } => {
-                if flow.state != State::Established {
+                if flow.state != Phase::Established {
                     return;
                 }
                 flow.pkts_since_ack += 1;
                 let backlog = flow.proc_busy_until.duration_since(now).as_secs_f64()
                     / RX_PROC_DELAY.as_secs_f64();
                 if backlog as usize >= RX_PROC_BACKLOG {
-                    flow.stats.rx_proc_drops += 1;
+                    flow.rx_proc_drops += 1;
                     return; // overload drop: will be NAKed
                 }
-                store_incoming(flow, cfg, seq, payload);
+                // What overflows the receive buffer is effectively lost.
+                if seq >= flow.rcv_nxt && !flow.stream.hold(seq, payload, cfg.rcv_buf) {
+                    flow.rcv_buf_drops += 1;
+                }
                 flow.proc_busy_until = flow.proc_busy_until.max(now) + RX_PROC_DELAY;
                 flow.proc_fifo.push_back((seq, probe));
                 // The matching `(seq, probe)` rides `proc_fifo`.
@@ -696,7 +678,7 @@ impl Protocol for UdtConfig {
                 capacity_pps,
             } => {
                 // Nor does an acknowledgement of what was never sent count.
-                if flow.state != State::Established || ack_seq > flow.snd_nxt {
+                if flow.state != Phase::Established || ack_seq > flow.snd_nxt {
                     return;
                 }
                 flow.last_feedback_at = now;
@@ -708,33 +690,21 @@ impl Protocol for UdtConfig {
                     let acked = (ack_seq - flow.snd_una) as usize;
                     let acked_bytes: usize = flow.packets.drain(..acked).map(|p| p.len()).sum();
                     release_drained(&mut flow.packets);
-                    flow.unacked_bytes = flow.unacked_bytes.saturating_sub(acked_bytes);
-                    flow.stats.bytes_acked += acked_bytes as u64;
                     flow.snd_una = ack_seq;
                     flow.last_progress_at = now;
-                    // Every acknowledgement that frees send-buffer space
-                    // fires `on_writable` (delivery-progress tracking for
-                    // middleware).
-                    if acked_bytes > 0 {
-                        flow.app_blocked = false;
-                        out.push(Action::Writable);
-                    }
                     while flow.loss_list.first().is_some_and(|&s| s < ack_seq) {
                         flow.loss_list.pop_first();
                     }
-                    maybe_writable(flow, cfg, out);
+                    flow.stream.acked(acked_bytes, cfg.snd_buf, cfg.mss, out);
                     restart_pacer(flow, cfg, out);
-                }
-                if flow.fin_sent && !flow.fin_acked && flow.snd_una >= flow.snd_nxt {
-                    // All data acknowledged; FIN outcome decided by FinAck.
                 }
             }
             UdtPacket::Nak { ranges } => {
-                if flow.state != State::Established {
+                if flow.state != Phase::Established {
                     return;
                 }
                 flow.last_feedback_at = now;
-                flow.stats.naks_received += 1;
+                flow.naks_received += 1;
                 flow.nak_in_syn = true;
                 let mut first_lost = u64::MAX;
                 let mut reported = 0u64;
@@ -772,7 +742,7 @@ impl Protocol for UdtConfig {
                         flow.snd_period_us *= 1.125;
                         flow.last_dec_seq = flow.snd_nxt;
                         flow.last_dec_at = now;
-                        flow.stats.rate_decreases += 1;
+                        flow.rate_decreases += 1;
                         rec.record(
                             now.as_nanos(),
                             EventKind::UdtRate {
@@ -792,11 +762,8 @@ impl Protocol for UdtConfig {
             }
             UdtPacket::FinAck => {
                 flow.fin_acked = true;
-                if !flow.hdr.closed_notified {
-                    flow.hdr.closed_notified = true;
-                    flow.state = State::Closed;
-                    out.push(Action::Closed(CloseReason::Normal));
-                }
+                flow.state = Phase::Closed;
+                flow.hdr.notify_closed(CloseReason::Normal, out);
             }
         }
     }
@@ -821,18 +788,15 @@ impl Protocol for UdtConfig {
     }
 
     fn kill(flow: &mut Flow, rec: &Recorder, now: SimTime) {
-        flow.state = State::Closed;
+        flow.state = Phase::Closed;
         flow.pacer_active = false;
         // Fresh containers rather than clear(): a killed flow's slot
         // lingers in the slab, and VecDeque::clear keeps its ring
         // buffer allocated (the B-tree containers free on clear).
-        flow.send_q = VecDeque::new();
-        flow.send_q_bytes = 0;
+        flow.stream.free_buffers();
         flow.packets = VecDeque::new();
         flow.loss_list.clear();
         Self::after_step(flow, rec, now);
-        flow.ooo.clear();
-        flow.ooo_bytes = 0;
         flow.missing.clear();
         flow.proc_fifo = VecDeque::new();
         flow.pair_samples = VecDeque::new();
@@ -843,7 +807,7 @@ impl Protocol for UdtConfig {
     /// all observable here — open on the first loss of an episode, close
     /// when recovery drains it (or the flow dies).
     fn after_step(flow: &mut Flow, rec: &Recorder, now: SimTime) {
-        let in_loss = !flow.loss_list.is_empty() && flow.state != State::Closed;
+        let in_loss = !flow.loss_list.is_empty() && flow.state != Phase::Closed;
         if flow.nak_span == 0 && in_loss && rec.is_enabled() {
             flow.nak_span = rec
                 .tracer()
@@ -854,7 +818,7 @@ impl Protocol for UdtConfig {
                 now.as_nanos(),
                 EventKind::SpanClose {
                     span: flow.nak_span,
-                    key: u64::from(flow.state == State::Closed),
+                    key: u64::from(flow.state == Phase::Closed),
                 },
             );
             flow.nak_span = 0;
@@ -871,19 +835,8 @@ impl Protocol for UdtConfig {
             .field("rate_pps", &rate);
     }
 
-    fn send_side<'a>(flow: &'a mut Flow, cfg: &UdtConfig) -> SendSide<'a> {
-        SendSide {
-            send_buf: cfg.snd_buf,
-            established: flow.state == State::Established,
-            closed: flow.state == State::Closed,
-            fin_queued: &mut flow.fin_queued,
-            app_blocked: &mut flow.app_blocked,
-            send_q: &mut flow.send_q,
-            send_q_bytes: &mut flow.send_q_bytes,
-            unacked_bytes: &mut flow.unacked_bytes,
-            bytes_sent: &mut flow.stats.bytes_sent,
-            bytes_acked: flow.stats.bytes_acked,
-        }
+    fn stream<'a>(flow: &'a mut Flow, cfg: &UdtConfig) -> (&'a mut Stream, Phase, usize) {
+        (&mut flow.stream, flow.state, cfg.snd_buf)
     }
 
     fn kick(
@@ -899,19 +852,6 @@ impl Protocol for UdtConfig {
     fn rtt(flow: &Flow) -> Option<f64> {
         flow.rtt
     }
-}
-
-/// Stores an arriving payload for ordered delivery (bounded by `rcv_buf`).
-fn store_incoming(flow: &mut Flow, cfg: &UdtConfig, seq: u64, payload: Bytes) {
-    if seq < flow.rcv_nxt || flow.ooo.contains_key(&seq) {
-        return; // duplicate
-    }
-    if flow.ooo_bytes + payload.len() > cfg.rcv_buf {
-        flow.stats.rcv_buf_drops += 1;
-        return; // receive buffer overflow: packet is effectively lost
-    }
-    flow.ooo_bytes += payload.len();
-    flow.ooo.insert(seq, payload);
 }
 
 /// Loss detection + in-order delivery once a packet has been "processed".
@@ -964,15 +904,8 @@ fn receive_data_packet(
     }
     flow.missing.remove(&seq);
     // Deliver contiguous data.
-    while let Some(entry) = flow.ooo.first_entry() {
-        if *entry.key() != flow.rcv_nxt {
-            break;
-        }
-        let data = entry.remove();
-        flow.ooo_bytes -= data.len();
+    while flow.stream.deliver_held(flow.rcv_nxt, out).is_some() {
         flow.rcv_nxt += 1;
-        flow.stats.bytes_delivered += data.len() as u64;
-        out.push(Action::Deliver(data));
     }
     try_finish_receive(flow, out);
 }
@@ -981,11 +914,8 @@ fn try_finish_receive(flow: &mut Flow, out: &mut Vec<Action>) {
     if let Some(final_seq) = flow.peer_fin_seq {
         if flow.rcv_nxt >= final_seq {
             out.push(Action::Send(UdtPacket::FinAck));
-            if !flow.hdr.closed_notified {
-                flow.hdr.closed_notified = true;
-                flow.state = State::Closed;
-                out.push(Action::Closed(CloseReason::Normal));
-            }
+            flow.state = Phase::Closed;
+            flow.hdr.notify_closed(CloseReason::Normal, out);
         }
     }
 }
@@ -1016,8 +946,8 @@ fn send_one(flow: &mut Flow, cfg: &UdtConfig, _now: SimTime, out: &mut Vec<Actio
     while let Some(seq) = flow.loss_list.pop_first() {
         // A marker the cumulative ACK has since passed names no packet.
         if let Some(payload) = flow.packet(seq).cloned() {
-            flow.stats.retransmits += 1;
-            flow.stats.packets_sent += 1;
+            flow.retransmits += 1;
+            flow.packets_sent += 1;
             flow.sent_in_syn += 1;
             out.push(Action::Send(UdtPacket::Data {
                 seq,
@@ -1028,19 +958,12 @@ fn send_one(flow: &mut Flow, cfg: &UdtConfig, _now: SimTime, out: &mut Vec<Actio
         }
     }
     // 2. New data, if the flow window allows.
-    if !flow.send_q.is_empty() && flow.flight_pkts() < flow_window_pkts(flow, cfg) {
-        let head = flow.send_q.front_mut().expect("non-empty send queue");
-        let take = head.len().min(cfg.mss);
-        let payload = head.split_to(take);
-        if head.is_empty() {
-            flow.send_q.pop_front();
-            release_drained(&mut flow.send_q);
-        }
-        flow.send_q_bytes -= take;
+    if flow.stream.has_queued() && flow.flight_pkts() < flow_window_pkts(flow, cfg) {
+        let payload = flow.stream.next_payload(cfg.mss).expect("bytes queued");
         let seq = flow.snd_nxt;
         flow.snd_nxt += 1;
         flow.packets.push_back(payload.clone());
-        flow.stats.packets_sent += 1;
+        flow.packets_sent += 1;
         flow.sent_in_syn += 1;
         out.push(Action::Send(UdtPacket::Data {
             seq,
@@ -1050,7 +973,7 @@ fn send_one(flow: &mut Flow, cfg: &UdtConfig, _now: SimTime, out: &mut Vec<Actio
         return Some(seq);
     }
     // 3. FIN once everything is out.
-    if flow.fin_queued && !flow.fin_sent && flow.send_q.is_empty() {
+    if flow.stream.fin_queued && !flow.fin_sent && !flow.stream.has_queued() {
         flow.fin_sent = true;
         out.push(Action::Send(UdtPacket::Fin {
             final_seq: flow.snd_nxt,
@@ -1060,23 +983,16 @@ fn send_one(flow: &mut Flow, cfg: &UdtConfig, _now: SimTime, out: &mut Vec<Actio
 }
 
 fn restart_pacer(flow: &mut Flow, cfg: &UdtConfig, out: &mut Vec<Action>) {
-    if flow.pacer_active || flow.state != State::Established {
+    if flow.pacer_active || flow.state != Phase::Established {
         return;
     }
     let work = !flow.loss_list.is_empty()
-        || (!flow.send_q.is_empty() && flow.flight_pkts() < flow_window_pkts(flow, cfg))
-        || (flow.fin_queued && !flow.fin_sent);
+        || (flow.stream.has_queued() && flow.flight_pkts() < flow_window_pkts(flow, cfg))
+        || (flow.stream.fin_queued && !flow.fin_sent);
     if work {
         flow.pacer_active = true;
         flow.pacer_gen += 1;
         out.push(arm(KIND_PACER, Duration::ZERO, flow.pacer_gen as u32));
-    }
-}
-
-fn maybe_writable(flow: &mut Flow, cfg: &UdtConfig, out: &mut Vec<Action>) {
-    if flow.app_blocked && cfg.snd_buf.saturating_sub(flow.unacked_bytes) >= cfg.mss {
-        flow.app_blocked = false;
-        out.push(Action::Writable);
     }
 }
 
@@ -1087,7 +1003,19 @@ impl UdtConn {
     /// Per-connection counters.
     #[must_use]
     pub fn stats(&self) -> UdtConnStats {
-        self.peek(|f, _| f.stats).unwrap_or_default()
+        self.peek(|f, _| UdtConnStats {
+            bytes_sent: f.stream.bytes_sent,
+            bytes_acked: f.stream.bytes_acked,
+            bytes_delivered: f.stream.bytes_delivered,
+            packets_sent: f.packets_sent,
+            retransmits: f.retransmits,
+            naks_received: f.naks_received,
+            rate_decreases: f.rate_decreases,
+            rx_proc_drops: f.rx_proc_drops,
+            rcv_buf_drops: f.rcv_buf_drops,
+            expirations: f.expirations,
+        })
+        .unwrap_or_default()
     }
 
     /// Current pacing rate in packets per second (diagnostics).
@@ -1106,15 +1034,12 @@ pub type UdtListener = Listener<UdtConfig>;
 impl Flow {
     /// Killed in place: closed, pacer stopped, every buffer released.
     pub(crate) fn is_dead(&self) -> bool {
-        self.state == State::Closed
+        self.state == Phase::Closed
             && !self.pacer_active
             && self.nak_span == 0
-            && self.send_q.capacity() == 0
-            && self.send_q_bytes == 0
+            && self.stream.is_freed()
             && self.packets.capacity() == 0
             && self.loss_list.is_empty()
-            && self.ooo.is_empty()
-            && self.ooo_bytes == 0
             && self.missing.is_empty()
             && self.proc_fifo.capacity() == 0
             && self.pair_samples.capacity() == 0
@@ -1169,41 +1094,6 @@ mod tests {
             Arc::new(AcceptRecorder { rec: rec.clone() }),
         )
         .expect("bind")
-    }
-
-    #[test]
-    fn handshake_completes() {
-        let (sim, net, a, b) = setup(LinkConfig::new(10e6, Duration::from_millis(5)));
-        let server = Arc::new(Recorder::default());
-        let _l = listen(&net, b, &server, UdtConfig::default());
-        let client = Arc::new(Recorder::default());
-        let conn = UdtConn::connect(
-            &net,
-            a,
-            Endpoint::new(b, 90),
-            UdtConfig::default(),
-            client.clone(),
-        )
-        .unwrap();
-        sim.run_for(Duration::from_secs(1));
-        assert!(conn.is_established());
-        assert_eq!(client.connected(), 1);
-        assert_eq!(server.connected(), 1);
-        let rtt = conn.rtt_estimate().expect("handshake RTT").as_secs_f64();
-        assert!((0.009..0.02).contains(&rtt), "rtt {rtt}");
-    }
-
-    #[test]
-    fn small_transfer_in_order() {
-        let (sim, net, a, b) = setup(LinkConfig::new(10e6, Duration::from_millis(5)));
-        let server = Arc::new(Recorder::default());
-        let _l = listen(&net, b, &server, UdtConfig::default());
-        let pump = PatternSender::new(&sim, 100_000);
-        let _conn =
-            UdtConn::connect(&net, a, Endpoint::new(b, 90), UdtConfig::default(), pump).unwrap();
-        sim.run_for(Duration::from_secs(5));
-        assert_eq!(server.data_len(), 100_000);
-        assert!(server.in_order());
     }
 
     #[test]
@@ -1289,61 +1179,6 @@ mod tests {
             rate < 2.5e6,
             "window-limited UDT must stay near window/RTT, got {rate:.0}"
         );
-    }
-
-    #[test]
-    fn recovers_from_random_loss_in_order() {
-        let (sim, net, a, b) =
-            setup(LinkConfig::new(20e6, Duration::from_millis(20)).random_loss(0.01));
-        let server = Arc::new(Recorder::default());
-        let _l = listen(&net, b, &server, UdtConfig::default());
-        let total = 3_000_000usize;
-        let pump = PatternSender::new(&sim, total);
-        let conn =
-            UdtConn::connect(&net, a, Endpoint::new(b, 90), UdtConfig::default(), pump).unwrap();
-        sim.run_for(Duration::from_secs(60));
-        assert_eq!(server.data_len(), total, "reliable despite 1% loss");
-        assert!(server.in_order());
-        assert!(conn.stats().retransmits > 0);
-    }
-
-    #[test]
-    fn close_handshake_notifies_both_sides() {
-        let (sim, net, a, b) = setup(LinkConfig::new(10e6, Duration::from_millis(5)));
-        let server = Arc::new(Recorder::default());
-        let _l = listen(&net, b, &server, UdtConfig::default());
-        let pump = PatternSender::closing(&sim, 50_000);
-        let client_events = pump.clone();
-        let _conn = UdtConn::connect(
-            &net,
-            a,
-            Endpoint::new(b, 90),
-            UdtConfig::default(),
-            client_events,
-        )
-        .unwrap();
-        sim.run_for(Duration::from_secs(10));
-        assert_eq!(server.data_len(), 50_000);
-        assert_eq!(server.closed(), 1, "receiver must see Normal close");
-        assert_eq!(server.close_reasons(), vec![CloseReason::Normal]);
-    }
-
-    #[test]
-    fn connect_to_black_hole_times_out() {
-        let (sim, net, a, b) = setup(LinkConfig::new(10e6, Duration::from_millis(5)));
-        let client = Arc::new(Recorder::default());
-        let conn = UdtConn::connect(
-            &net,
-            a,
-            Endpoint::new(b, 91),
-            UdtConfig::default(),
-            client.clone(),
-        )
-        .unwrap();
-        sim.run_for(Duration::from_secs(30));
-        assert!(!conn.is_established());
-        assert_eq!(client.closed(), 1);
-        assert_eq!(client.close_reasons(), vec![CloseReason::Timeout]);
     }
 
     #[test]
