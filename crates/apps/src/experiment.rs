@@ -10,7 +10,6 @@ use std::time::Duration;
 
 use kmsg_core::data::FlowPoint;
 use kmsg_core::prelude::*;
-use kmsg_netsim::cc::CcAlgorithm;
 use kmsg_netsim::rng::SeedSource;
 use kmsg_netsim::{FaultController, FaultPlan, Recorder, RecorderTracer};
 
@@ -39,18 +38,6 @@ impl Default for PingSettings {
             interval: Duration::from_millis(250),
         }
     }
-}
-
-/// A scripted mid-run congestion-controller swap: at `at` (simulated
-/// time from the run start) the sender's stack policy re-selects `algo`
-/// for the receiver and recycles the live TCP channel onto it (the DATA
-/// stack-policy surface, driven by the harness instead of a learner).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CcSwap {
-    /// When to apply the swap.
-    pub at: Duration,
-    /// The controller to swap the sender→receiver TCP stack onto.
-    pub algo: CcAlgorithm,
 }
 
 /// A complete experiment description.
@@ -85,9 +72,6 @@ pub struct ExperimentConfig {
     /// Scripted fault injections applied to the world (chaos runs);
     /// `None` leaves the network healthy.
     pub faults: Option<FaultPlan>,
-    /// Scripted mid-run congestion-controller swap; `None` keeps the
-    /// configured controller for the whole run.
-    pub cc_swap: Option<CcSwap>,
     /// Enable the flight recorder: every layer's telemetry events (TCP
     /// cwnd transitions, UDT rate updates, link drops, scheduler depth,
     /// learner decisions, per-packet traces) are captured in the sim's
@@ -119,7 +103,6 @@ impl ExperimentConfig {
             max_sim_time: Duration::from_secs(1200),
             sample_every: Duration::from_secs(1),
             faults: None,
-            cc_swap: None,
             telemetry: false,
             telemetry_capacity: None,
         }
@@ -144,7 +127,6 @@ impl ExperimentConfig {
             max_sim_time: duration,
             sample_every: Duration::from_secs(1),
             faults: None,
-            cc_swap: None,
             telemetry: false,
             telemetry_capacity: None,
         }
@@ -322,17 +304,9 @@ pub fn run_in_world(world: &TwoHostWorld, cfg: &ExperimentConfig) -> ExperimentR
     // Drive the simulation until the transfer completes (or the wall).
     let step = Duration::from_millis(200);
     let mut elapsed = Duration::ZERO;
-    let mut swap_pending = cfg.cc_swap;
     while elapsed < cfg.max_sim_time {
         world.sim.run_for(step);
         elapsed += step;
-        if let Some(swap) = swap_pending {
-            if elapsed >= swap.at {
-                dn.network
-                    .on_definition(|n| n.swap_controller(b_addr.as_socket(), swap.algo));
-                swap_pending = None;
-            }
-        }
         if let Some((_, _, rx_stats, _)) = &transfer_parts {
             if rx_stats.lock().done_at.is_some() {
                 // Small grace period so trailing notifies and pongs land.
@@ -470,24 +444,6 @@ mod tests {
             "flight-recorder JSONL must be reproducible"
         );
         assert_eq!(snap_a, snap_b, "snapshot JSON must be reproducible");
-    }
-
-    #[test]
-    fn mid_run_controller_swap_is_counted_and_harmless() {
-        let dataset = Dataset::random(2_000_000, 5);
-        let mut cfg = ExperimentConfig::transfer(Setup::Eu2Us, Transport::Tcp, dataset, 9);
-        cfg.max_sim_time = Duration::from_secs(60);
-        cfg.cc_swap = Some(CcSwap {
-            at: Duration::from_millis(400),
-            algo: CcAlgorithm::Cubic,
-        });
-        let result = run_experiment(&cfg);
-        assert!(result.verified, "the swap must not corrupt the transfer");
-        assert!(result.transfer_time.is_some(), "the swap must not stall it");
-        assert_eq!(
-            result.sender_net.controller_swaps, 1,
-            "the scripted swap must recycle the live channel exactly once"
-        );
     }
 
     #[test]

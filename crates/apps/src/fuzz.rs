@@ -29,7 +29,7 @@ use rand::Rng;
 use kmsg_netsim::cc::CcAlgorithm;
 
 use crate::dataset::Dataset;
-use crate::experiment::{run_in_world, CcSwap, ExperimentConfig, ExperimentResult, PingSettings};
+use crate::experiment::{run_in_world, ExperimentConfig, ExperimentResult, PingSettings};
 use crate::scenario::{Setup, TwoHostWorld};
 
 /// Latest time (ms) a generated fault window may heal; the horizon stays
@@ -109,12 +109,8 @@ pub struct ScenarioSpec {
     pub transport: Transport,
     /// Run parallel ping/pong control traffic.
     pub pings: bool,
-    /// Initial congestion controller for TCP channels (both stacks).
+    /// Congestion controller of every TCP channel (both stacks).
     pub cc: CcAlgorithm,
-    /// Optional scripted mid-run controller swap: `(at_ms, controller)`
-    /// re-selects the sender→receiver TCP stack at `at_ms` and recycles
-    /// the live channel.
-    pub swap: Option<(u64, CcAlgorithm)>,
     /// Scripted fault windows (all heal before `FAULT_DEADLINE_MS`).
     pub faults: Vec<FaultSpec>,
     /// Hard wall on simulated time, ms.
@@ -142,13 +138,7 @@ impl ScenarioSpec {
             _ => Transport::Data,
         };
         let pings = rng.gen_bool(0.5);
-        let pick_cc = |r: &mut kmsg_netsim::rng::RngStream| {
-            CcAlgorithm::all()[r.gen_range(0..CcAlgorithm::all().len())]
-        };
-        let cc = pick_cc(&mut rng);
-        let swap = rng
-            .gen_bool(1.0 / 3.0)
-            .then(|| (rng.gen_range(500..10_000u64), pick_cc(&mut rng)));
+        let cc = CcAlgorithm::all()[rng.gen_range(0..CcAlgorithm::all().len())];
         let n_faults = rng.gen_range(0..=2u64);
         let faults = (0..n_faults)
             .map(|_| {
@@ -180,7 +170,6 @@ impl ScenarioSpec {
             transport,
             pings,
             cc,
-            swap,
             faults,
             horizon_ms: 120_000,
         }
@@ -243,7 +232,7 @@ impl ScenarioSpec {
                 ])
             })
             .collect();
-        let mut fields = vec![
+        Json::obj(vec![
             ("seed", Json::Num(self.seed as f64)),
             ("relays", Json::Num(f64::from(self.relays))),
             ("bandwidth_mbps", Json::Num(self.bandwidth_mbps as f64)),
@@ -256,20 +245,26 @@ impl ScenarioSpec {
             ("cc", Json::Str(self.cc.label().to_string())),
             ("faults", Json::Arr(faults)),
             ("horizon_ms", Json::Num(self.horizon_ms as f64)),
-        ];
-        if let Some((at_ms, algo)) = self.swap {
-            fields.push(("swap_ms", Json::Num(at_ms as f64)));
-            fields.push(("swap_cc", Json::Str(algo.label().to_string())));
-        }
-        Json::obj(fields)
+        ])
     }
 
     /// Parses a spec back out of an artifact document.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first missing or ill-typed field.
+    /// Returns a description of the first missing or ill-typed field. A
+    /// document that scripts a mid-run controller swap (`swap_ms`,
+    /// `swap_cc`: scenarios no longer have one) is refused rather than
+    /// replayed as a different run.
     pub fn from_json(doc: &Json) -> Result<ScenarioSpec, String> {
+        if let Some(key) = ["swap_ms", "swap_cc"]
+            .into_iter()
+            .find(|&k| doc.get(k).is_some())
+        {
+            return Err(format!(
+                "field '{key}' scripts a mid-run controller swap, which scenarios no longer have"
+            ));
+        }
         let num = |key: &str| {
             doc.get(key)
                 .and_then(Json::as_u64)
@@ -310,22 +305,12 @@ impl ScenarioSpec {
             })
             .collect::<Result<Vec<_>, String>>()?;
         // Lenient on the controller dimension: artifacts that predate it
-        // decode as plain Reno with no swap.
+        // decode as plain Reno.
         let cc = match doc.get("cc").and_then(Json::as_str) {
             Some(label) => {
                 CcAlgorithm::from_label(label).ok_or_else(|| format!("bad controller {label:?}"))?
             }
             None => CcAlgorithm::Reno,
-        };
-        let swap = match doc.get("swap_ms") {
-            Some(_) => Some((
-                num("swap_ms")?,
-                doc.get("swap_cc")
-                    .and_then(Json::as_str)
-                    .and_then(CcAlgorithm::from_label)
-                    .ok_or("swap with bad controller")?,
-            )),
-            None => None,
         };
         Ok(ScenarioSpec {
             seed: num("seed")?,
@@ -341,7 +326,6 @@ impl ScenarioSpec {
                 .and_then(Json::as_bool)
                 .ok_or("missing field 'pings'")?,
             cc,
-            swap,
             faults,
             horizon_ms: num("horizon_ms")?,
         })
@@ -437,10 +421,6 @@ pub fn experiment_config(spec: &ScenarioSpec) -> ExperimentConfig {
     let mut tpl = fuzz_net_template();
     tpl.tcp.cc.algorithm = spec.cc;
     cfg.net_template = Some(tpl);
-    cfg.cc_swap = spec.swap.map(|(at_ms, algo)| CcSwap {
-        at: Duration::from_millis(at_ms),
-        algo,
-    });
     cfg.max_sim_time = Duration::from_millis(spec.horizon_ms);
     cfg.use_disk = false;
     cfg.ping = spec.pings.then(PingSettings::default);
@@ -514,7 +494,6 @@ pub fn run_scenario(spec: &ScenarioSpec) -> FuzzRun {
         reconnect_attempts: sup_a.reconnect_attempts + sup_b.reconnect_attempts,
         channels_dropped: sup_a.channels_dropped + sup_b.channels_dropped,
         failovers: sup_a.failovers + sup_b.failovers,
-        controller_swaps: sup_a.controller_swaps + sup_b.controller_swaps,
         fifo_expected: matches!(spec.transport, Transport::Tcp | Transport::Udt),
         evicted_events: result.recorder.evicted(),
         overlay: None,
@@ -558,11 +537,6 @@ impl Shrinkable for ScenarioSpec {
             s.jitter_us = 0;
             out.push(s);
         }
-        if self.swap.is_some() {
-            let mut s = self.clone();
-            s.swap = None;
-            out.push(s);
-        }
         if self.pings {
             let mut s = self.clone();
             s.pings = false;
@@ -580,7 +554,6 @@ impl Shrinkable for ScenarioSpec {
         self.faults.len() as u64 * 10_000
             + u64::from(self.relays) * 1_000
             + self.size_kb
-            + u64::from(self.swap.is_some()) * 300
             + u64::from(self.loss_ppm > 0) * 200
             + u64::from(self.jitter_us > 0) * 100
             + u64::from(self.pings) * 50
@@ -611,29 +584,18 @@ mod tests {
                 assert!(f.hop <= a.relays);
             }
             assert!(a.horizon_ms > 2 * FAULT_DEADLINE_MS);
-            if let Some((at_ms, _)) = a.swap {
-                assert!((500..10_000).contains(&at_ms), "swap inside the fault era");
-            }
         }
     }
 
     #[test]
     fn generation_covers_the_controller_dimension() {
-        let mut controllers = std::collections::BTreeSet::new();
-        let mut swaps = 0;
-        for seed in 0..200 {
-            let spec = ScenarioSpec::generate(seed);
-            controllers.insert(spec.cc.label());
-            swaps += usize::from(spec.swap.is_some());
-        }
+        let controllers: std::collections::BTreeSet<_> = (0..200)
+            .map(|seed| ScenarioSpec::generate(seed).cc.label())
+            .collect();
         assert_eq!(
             controllers.len(),
             3,
             "all controllers generated: {controllers:?}"
-        );
-        assert!(
-            (20..180).contains(&swaps),
-            "roughly a third of scenarios carry a swap, got {swaps}/200"
         );
     }
 
@@ -642,11 +604,26 @@ mod tests {
         let spec = ScenarioSpec::generate(3);
         let mut doc = spec.to_json();
         if let Json::Obj(fields) = &mut doc {
-            fields.retain(|(k, _)| k != "cc" && k != "swap_ms" && k != "swap_cc");
+            fields.retain(|(k, _)| k != "cc");
         }
         let back = ScenarioSpec::from_json(&doc).expect("lenient decode");
         assert_eq!(back.cc, CcAlgorithm::Reno);
-        assert_eq!(back.swap, None);
+    }
+
+    #[test]
+    fn artifacts_scripting_a_controller_swap_are_refused() {
+        let doc = ScenarioSpec::generate(3).to_json();
+        for (key, value) in [
+            ("swap_ms", Json::Num(4_000.0)),
+            ("swap_cc", Json::Str("cubic".to_string())),
+        ] {
+            let mut doc = doc.clone();
+            if let Json::Obj(fields) = &mut doc {
+                fields.push((key.to_string(), value));
+            }
+            let err = ScenarioSpec::from_json(&doc).expect_err("a swap must not replay silently");
+            assert!(err.contains(key) && err.contains("swap"), "{err}");
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod transfer;
 pub use dataset::{Dataset, DatasetKind, PAPER_CHUNK_SIZE, PAPER_DATASET_SIZE};
 pub use disk::{DiskModel, DISK_RATE, MEMORY_RATE};
 pub use experiment::{
-    run_experiment, run_in_world, CcSwap, ExperimentConfig, ExperimentResult, PingSettings,
+    run_experiment, run_in_world, ExperimentConfig, ExperimentResult, PingSettings,
 };
 pub use fuzz::{
     build_chain_world, run_scenario, ChainWorld, FaultKind, FaultSpec, FuzzRun, ScenarioSpec,
@@ -39,8 +39,8 @@ pub use overlay_scenario::{
 pub use ping::{PingStats, PingStatsHandle, Pinger, PingerConfig, Ponger};
 pub use scenario::{two_host_world, Setup, TwoHostWorld};
 pub use topology::{
-    build_converge_world, fat_tree, run_converging_senders, star_fanin, wan_mesh, ConvergeReport,
-    ConvergeSpec, ConvergeWorld, ScaleShape, Topology, CONVERGE_PORT,
+    build_converge_world, run_converging_senders, star_fanin, ConvergeReport, ConvergeSpec,
+    ConvergeWorld, Topology, CONVERGE_PORT,
 };
 pub use transfer::{
     FileReceiver, FileSender, ReceiverConfig, ReceiverSample, ReceiverStats, SenderConfig,

@@ -512,7 +512,6 @@ pub fn overlay_run_facts(report: &OverlayReport) -> kmsg_oracle::RunFacts {
         reconnect_attempts: report.reconnects,
         channels_dropped: report.channels_dropped,
         failovers: 0,
-        controller_swaps: 0,
         fifo_expected: false,
         evicted_events: report.evicted_events,
         overlay: Some(report.facts.clone()),

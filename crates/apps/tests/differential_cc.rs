@@ -34,7 +34,6 @@ fn differential_spec(cc: CcAlgorithm) -> ScenarioSpec {
         transport: Transport::Tcp,
         pings: false,
         cc,
-        swap: None,
         faults: Vec::new(),
         horizon_ms: 60_000,
     }

@@ -3,7 +3,6 @@
 //! * [`ratio`] — the target TCP/UDT mix and its representations;
 //! * [`psp`] — per-message protocol selection policies (random, pattern);
 //! * [`prp`] — per-episode protocol ratio policies (static, TD(λ) learner);
-//! * [`stack`] — per-destination congestion-controller selection;
 //! * [`interceptor`] — the `data-network-interceptor` component wiring the
 //!   policies into the message path.
 
@@ -11,7 +10,6 @@ pub mod interceptor;
 pub mod prp;
 pub mod psp;
 pub mod ratio;
-pub mod stack;
 
 pub use interceptor::{
     DataNetworkComponent, DataNetworkConfig, DataStatsHandle, FlowPoint, PrpKind, PspKind,
@@ -26,7 +24,6 @@ pub use psp::{
     RandomSelection,
 };
 pub use ratio::{ProtocolFraction, Ratio};
-pub use stack::StackPolicy;
 
 use kmsg_component::prelude::*;
 use kmsg_netsim::network::{BindError, Network};

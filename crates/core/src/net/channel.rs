@@ -7,8 +7,8 @@
 //! transport (`frames[..sent]`, retained so a fresh connection can carry
 //! them again), the frame being written (`frames[sent]`, `written` bytes
 //! taken so far) and the frames waiting behind it. Everything that moves
-//! the cursor lives here; *when* to redial, fail or swap is the channel
-//! table's policy (`net/machine.rs`).
+//! the cursor lives here; *when* to redial or fail is the channel table's
+//! policy (`net/machine.rs`).
 
 use std::collections::VecDeque;
 

@@ -2,14 +2,13 @@
 //!
 //! [`Machine`] owns each channel's phase, queue and decoder, the connection
 //! index, the supervision timers and the jitter stream. It takes one method
-//! per input (send, connected, accepted, data, writable, closed, timeout,
-//! swap); each one with effects on the world is given the time and an
-//! [`Io`] context for them (a [`Timers`] for the two that can arm a timer,
-//! `closed` and `timeout`)
-//! — a context, not a list of outputs, since draining needs each `send`'s
-//! byte count mid-loop and a redial branches on its dial's result. The
-//! shell (`net/mod.rs`) runs it over netsim's connections; the tests below
-//! over a scripted fake [`Wire`].
+//! per input (send, connected, accepted, data, writable, closed, timeout);
+//! each one with effects on the world is given the time and an [`Io`]
+//! context for them — a context, not a list of outputs, since draining
+//! needs each `send`'s byte count mid-loop and a redial branches on its
+//! dial's result. Every input arrives inside a component handler, so one
+//! context serves them all. The shell (`net/mod.rs`) runs it over netsim's
+//! connections; the tests below over a scripted fake [`Wire`].
 
 use std::hash::Hash;
 use std::time::Duration;
@@ -52,12 +51,6 @@ pub(super) trait Io<W> {
     fn status(&mut self, key: ChannelKey, status: ConnStatus);
     /// Tells a requester how its send ended.
     fn notify(&mut self, token: NotifyToken, status: DeliveryStatus);
-}
-
-/// An [`Io`] that also arms timers. Only a lost connection arms one, so
-/// only [`Machine::closed`] and [`Machine::timeout`] take it: a swap,
-/// which runs outside any handler, cannot.
-pub(super) trait Timers<W>: Io<W> {
     /// Arms a one-shot timer whose expiry comes back as
     /// [`Machine::timeout`].
     fn schedule(&mut self, delay: Duration) -> TimeoutId;
@@ -142,14 +135,6 @@ impl<W> ChannelState<W> {
             redial_span: SpanId::NONE,
         }
     }
-
-    /// Gives the channel the connection that replaces the one it lost. The
-    /// new stream starts at a frame boundary: whatever part of a frame the
-    /// old one left behind ended with it.
-    fn attach(&mut self, conn: W) {
-        self.conn = Some(conn);
-        self.decoder = FrameDecoder::new();
-    }
 }
 
 /// The channel table and the policy over it.
@@ -180,11 +165,6 @@ impl<W: Wire> Machine<W> {
             stats: StatsHandle::default(),
             tracer,
         }
-    }
-
-    /// Whether `key`'s channel has a connection (a swap recycles it).
-    pub(super) fn is_live(&self, key: ChannelKey) -> bool {
-        self.channels.get(&key).is_some_and(|c| c.conn.is_some())
     }
 
     /// The stream transport `DATA` traffic for `remote` fails over to:
@@ -343,7 +323,7 @@ impl<W: Wire> Machine<W> {
 
     /// A connection ended under its channel — the transport said so, or
     /// the inbound path gave up on it.
-    pub(super) fn closed(&mut self, now: SimTime, io: &mut impl Timers<W>, id: W::Id) {
+    pub(super) fn closed(&mut self, now: SimTime, io: &mut impl Io<W>, id: W::Id) {
         if let Some(key) = self.conn_index.remove(&id) {
             if self.channels.contains_key(&key) {
                 self.stats.lock().channels_closed += 1;
@@ -354,53 +334,12 @@ impl<W: Wire> Machine<W> {
 
     /// A timer fired: a supervision timer redials its channel. Returns
     /// `false` for a timer the machine did not arm.
-    pub(super) fn timeout(&mut self, now: SimTime, io: &mut impl Timers<W>, id: TimeoutId) -> bool {
+    pub(super) fn timeout(&mut self, now: SimTime, io: &mut impl Io<W>, id: TimeoutId) -> bool {
         let Some(key) = self.retry_timers.remove(&id) else {
             return false;
         };
         self.redial(now, io, key);
         true
-    }
-
-    /// The controller for `key` changed: replaces a live channel's
-    /// connection with a fresh dial, carrying the send queue over. The old
-    /// one is unlinked before it closes, so its Closed event is no outage.
-    /// A channel without a connection picks the change up on its redial.
-    pub(super) fn swap(&mut self, now: SimTime, io: &mut impl Io<W>, key: ChannelKey) {
-        let now_ns = now.as_nanos();
-        let Some(channel) = self.channels.get_mut(&key) else {
-            return;
-        };
-        // Held to the end: its port is not free for the replacement.
-        let Some(old_conn) = channel.conn.take() else {
-            return;
-        };
-        self.conn_index.remove(&old_conn.id());
-        old_conn.close();
-        channel.phase = Phase::Connecting;
-        // We dial the replacement, so this side supervises it from now on.
-        channel.originated = true;
-        // At-least-once carry-over, exactly like supervision.
-        channel
-            .queue
-            .rewind(&self.tracer, now_ns, channel_span_key(key));
-        let mut stats = self.stats.lock();
-        stats.controller_swaps += 1;
-        stats.channels_closed += 1;
-        drop(stats);
-        match self.dial(io, key) {
-            Ok(conn) => {
-                self.channels
-                    .get_mut(&key)
-                    .expect("swapped above")
-                    .attach(conn);
-                self.stats.lock().channels_opened += 1;
-                // The handshake's Connected event drains the queue.
-            }
-            // Local dial failure (port space exhausted): the at-most-once
-            // fallback.
-            Err(_) => self.remove_and_fail(now_ns, io, key),
-        }
     }
 
     /// Dials `key` through `io` and indexes the connection.
@@ -478,7 +417,7 @@ impl<W: Wire> Machine<W> {
     /// channel this side dialled is supervised (rewind + backoff redial,
     /// then probes once the budget is spent); an accepted one, which its
     /// peer's supervisor redials, fails everything (at-most-once).
-    fn channel_down(&mut self, now: SimTime, io: &mut impl Timers<W>, key: ChannelKey) {
+    fn channel_down(&mut self, now: SimTime, io: &mut impl Io<W>, key: ChannelKey) {
         let now_ns = now.as_nanos();
         let (tr, rc) = (&self.tracer, &self.reconnect);
         let channel = match self.channels.get_mut(&key) {
@@ -544,13 +483,13 @@ impl<W: Wire> Machine<W> {
     }
 
     /// After the budget is spent, a slow probe keeps testing the peer.
-    fn schedule_probe(&mut self, io: &mut impl Timers<W>, key: ChannelKey) {
+    fn schedule_probe(&mut self, io: &mut impl Io<W>, key: ChannelKey) {
         let probe = io.schedule(self.reconnect.probe_interval);
         self.retry_timers.insert(probe, key);
     }
 
     /// Dials the channel again (retry-timer and probe-timer handler).
-    fn redial(&mut self, now: SimTime, io: &mut impl Timers<W>, key: ChannelKey) {
+    fn redial(&mut self, now: SimTime, io: &mut impl Io<W>, key: ChannelKey) {
         let now_ns = now.as_nanos();
         let outage = match self.channels.get_mut(&key) {
             Some(channel) if channel.conn.is_none() => {
@@ -576,7 +515,10 @@ impl<W: Wire> Machine<W> {
                     channel_span_key(key),
                 );
                 let channel = self.channels.get_mut(&key).expect("checked above");
-                channel.attach(conn);
+                channel.conn = Some(conn);
+                // The new stream starts at a frame boundary: whatever part
+                // of a frame the old one left behind ended with it.
+                channel.decoder = FrameDecoder::new();
                 channel.redial_span = redial;
             }
             // Local dial failure (port space exhausted): treat it like a
@@ -594,13 +536,11 @@ mod tests {
     use std::cell::{Cell, RefCell};
     use std::rc::Rc;
 
-    use kmsg_netsim::cc::CcAlgorithm;
     use kmsg_netsim::packet::NodeId;
     use kmsg_netsim::rng::SeedSource;
     use kmsg_telemetry::Recorder;
 
     use super::*;
-    use crate::data::stack::StackPolicy;
 
     /// A scripted connection: takes at most `room` bytes in all, keeps what
     /// it took and reports `acked` as the peer's acknowledgement.
@@ -642,12 +582,10 @@ mod tests {
     }
 
     /// The world as the machine sees it: every dial succeeds with a fresh
-    /// fake of `room` bytes, under the stack policy's controller for the
-    /// peer, and every effect is kept in order.
+    /// fake of `room` bytes, and every effect is kept in order.
     struct Script {
-        stack: StackPolicy,
         room: usize,
-        dials: Vec<(Fake, Option<CcAlgorithm>)>,
+        dials: Vec<Fake>,
         timers: Vec<(TimeoutId, Duration)>,
         statuses: Vec<ConnStatus>,
         notifies: Vec<(u64, DeliveryStatus)>,
@@ -667,10 +605,9 @@ mod tests {
     }
 
     impl Io<Fake> for Script {
-        fn dial(&mut self, key: ChannelKey) -> Result<Fake, BindError> {
+        fn dial(&mut self, _key: ChannelKey) -> Result<Fake, BindError> {
             let conn = self.fake(self.dials.len() as u64 + 1);
-            self.dials
-                .push((conn.clone(), self.stack.lookup(key.remote)));
+            self.dials.push(conn.clone());
             Ok(conn)
         }
 
@@ -681,9 +618,7 @@ mod tests {
         fn notify(&mut self, token: NotifyToken, status: DeliveryStatus) {
             self.notifies.push((token.id, status));
         }
-    }
 
-    impl Timers<Fake> for Script {
         fn schedule(&mut self, delay: Duration) -> TimeoutId {
             let id = TimeoutId(self.timers.len() as u64 + 1);
             self.timers.push((id, delay));
@@ -731,7 +666,6 @@ mod tests {
             let stats = m.stats.clone();
             let (dials, timers, statuses, notifies) = Default::default();
             let io = Script {
-                stack: StackPolicy::new(),
                 room,
                 dials,
                 timers,
@@ -742,7 +676,7 @@ mod tests {
         }
 
         fn conn(&self) -> Fake {
-            self.io.dials.last().expect("dialled").0.clone()
+            self.io.dials.last().expect("dialled").clone()
         }
 
         /// Queues frame `token`: ten bytes of `token`.
@@ -778,54 +712,6 @@ mod tests {
                 "the machine's timer"
             );
         }
-    }
-
-    #[test]
-    fn swap_while_reconnecting_redials_once_on_the_new_controller() {
-        let mut r = Rig::new(8, 4);
-        r.send(0, 1).unwrap();
-        r.connected(1);
-        let first = r.conn();
-        assert_eq!(
-            first.wire(),
-            [1; 4],
-            "the first connection takes four bytes of ten"
-        );
-        r.closed(2);
-        assert_eq!(r.io.statuses, [ConnStatus::ConnectionLost]);
-
-        // The controller changes while there is no connection to recycle.
-        assert!(r.io.stack.set(KEY.remote, CcAlgorithm::Cubic));
-        assert!(!r.m.is_live(KEY));
-        r.m.swap(at(3), &mut r.io, KEY);
-        assert_eq!(r.io.dials.len(), 1, "no recycle without a connection");
-        assert_eq!(r.stats.lock().controller_swaps, 0);
-
-        r.io.room = usize::MAX;
-        r.fire(200);
-        assert_eq!(r.io.dials.len(), 2);
-        assert_eq!(
-            r.io.dials[1].1,
-            Some(CcAlgorithm::Cubic),
-            "the redial uses the new controller"
-        );
-        r.connected(201);
-        let restored = ConnStatus::ConnectionRestored { attempts: 1 };
-        assert_eq!(r.io.statuses, [ConnStatus::ConnectionLost, restored]);
-        assert_eq!(
-            r.conn().wire(),
-            [1; 10],
-            "the part-written frame again, from its first byte"
-        );
-        assert_eq!(first.wire(), [1; 4], "nothing more on the dead connection");
-        assert!(r.io.notifies.is_empty(), "nothing acknowledged yet");
-        r.acked(202);
-        r.acked(203);
-        assert_eq!(
-            r.io.notifies,
-            [(1, DeliveryStatus::Sent)],
-            "one notify, at the ack"
-        );
     }
 
     /// The backoff delays of `attempts` failed redials, read off the

@@ -25,10 +25,9 @@
 //! format ([`frame`]), each channel's send queue with its write cursor
 //! (`channel.rs`) and the counters (`stats.rs`). The policy: the channel
 //! table (`machine.rs`), a world-free machine that decides establishment,
-//! supervision, `DATA` failover, re-keying and the swap's recycle. This
-//! file is the shell: ports, transport callbacks, sockets, frame routing
-//! and the machine's `Io` over the network, the component context and the
-//! port.
+//! supervision, `DATA` failover and re-keying. This file is the shell:
+//! ports, transport callbacks, sockets, frame routing and the machine's
+//! `Io` over the network, the handler's component context and the port.
 
 mod channel;
 pub mod frame;
@@ -42,7 +41,6 @@ use std::sync::Arc;
 use kmsg_telemetry::bytes::Bytes;
 
 use kmsg_component::prelude::*;
-use kmsg_netsim::cc::CcAlgorithm;
 use kmsg_netsim::iface::{CloseReason, Connection, ConnectionId, StreamAccept, StreamEvents};
 use kmsg_netsim::network::{BindError, Network};
 use kmsg_netsim::packet::Endpoint;
@@ -62,7 +60,7 @@ use crate::ser::SerError;
 use crate::transport::Transport;
 use channel::SPAN_FAILED;
 use frame::{encode_frame, Compression, FrameDecoder};
-use machine::{peer_key, ChannelKey, Io, Machine, Timers, Wire};
+use machine::{peer_key, ChannelKey, Io, Machine, Wire};
 
 /// Channel supervision tuning: reconnect with exponential backoff and
 /// deterministic jitter, within a bounded retry budget (DESIGN.md §9).
@@ -107,11 +105,6 @@ pub struct NetworkConfig {
     /// its queued and unacknowledged frames fail at once with
     /// [`SendError::ChannelClosed`].
     pub reconnect: ReconnectConfig,
-    /// Per-destination congestion-controller overrides, consulted on
-    /// every TCP dial (and redial). Shared: the experiment driver holds
-    /// the same [`StackPolicy`](crate::data::StackPolicy) and steers
-    /// controllers at runtime via [`NetworkComponent::swap_controller`].
-    pub stack: Arc<crate::data::stack::StackPolicy>,
 }
 
 impl NetworkConfig {
@@ -123,7 +116,6 @@ impl NetworkConfig {
             tcp: TcpConfig::default(),
             udt: UdtConfig::default(),
             reconnect: ReconnectConfig::default(),
-            stack: Arc::new(crate::data::stack::StackPolicy::new()),
         }
     }
 }
@@ -204,17 +196,17 @@ impl Wire for Connection {
     }
 }
 
-/// The machine's [`Io`] over the network and the port; with `ctx` a handler's
-/// [`ComponentContext`], also its [`Timers`].
-struct WorldIo<'a, C> {
+/// The machine's [`Io`] over the network, the port and the running
+/// handler's [`ComponentContext`].
+struct WorldIo<'a> {
     net: &'a Network,
     cfg: &'a NetworkConfig,
     events: Option<&'a SelfRef<NetEvent>>,
     port: &'a ProvidedPort<NetworkPort>,
-    ctx: C,
+    ctx: &'a mut ComponentContext,
 }
 
-impl<C> Io<Connection> for WorldIo<'_, C> {
+impl Io<Connection> for WorldIo<'_> {
     fn dial(&mut self, key: ChannelKey) -> Result<Connection, BindError> {
         let events = self
             .events
@@ -225,13 +217,7 @@ impl<C> Io<Connection> for WorldIo<'_, C> {
         let node = self.cfg.addr.node();
         Ok(match key.transport {
             Transport::Tcp => {
-                // The stack policy's per-destination controller override
-                // is consulted at dial time, so a swap takes effect on the
-                // next (re)connect even without an explicit recycle.
-                let mut cfg = self.cfg.tcp.clone();
-                if let Some(algo) = self.cfg.stack.lookup(key.remote) {
-                    cfg.cc.algorithm = algo;
-                }
+                let cfg = self.cfg.tcp.clone();
                 Connection::Tcp(TcpConn::connect(self.net, node, key.remote, cfg, handler)?)
             }
             Transport::Udt => {
@@ -273,9 +259,7 @@ impl<C> Io<Connection> for WorldIo<'_, C> {
     fn notify(&mut self, token: NotifyToken, status: DeliveryStatus) {
         self.port.trigger(NetIndication::NotifyResp(token, status));
     }
-}
 
-impl Timers<Connection> for WorldIo<'_, &mut ComponentContext> {
     fn schedule(&mut self, delay: std::time::Duration) -> TimeoutId {
         self.ctx.schedule_once(delay)
     }
@@ -343,7 +327,10 @@ impl NetworkComponent {
     }
 
     /// The machine, and the [`Io`] over the rest of the component.
-    fn split<C>(&mut self, ctx: C) -> (&mut Machine<Connection>, WorldIo<'_, C>) {
+    fn split<'a>(
+        &'a mut self,
+        ctx: &'a mut ComponentContext,
+    ) -> (&'a mut Machine<Connection>, WorldIo<'a>) {
         let io = WorldIo {
             net: &self.net,
             cfg: &self.cfg,
@@ -367,7 +354,12 @@ impl NetworkComponent {
 
     // --- outbound -------------------------------------------------------
 
-    fn handle_send(&mut self, token: Option<NotifyToken>, msg: NetMessage) {
+    fn handle_send(
+        &mut self,
+        ctx: &mut ComponentContext,
+        token: Option<NotifyToken>,
+        msg: NetMessage,
+    ) {
         let dst = *msg.header().destination();
         // Every message gets a `msg` root span at the send edge; its id
         // doubles as the trace id for all downstream spans (enqueue, xmit,
@@ -392,7 +384,7 @@ impl NetworkComponent {
             self.machine.tracer.close(now_ns, msg_span);
             self.port.trigger(NetIndication::Msg(msg));
             self.notify(token, DeliveryStatus::DeliveredLocally);
-        } else if let Err(error) = self.send_remote(token, dst, msg, msg_span) {
+        } else if let Err(error) = self.send_remote(ctx, token, dst, msg, msg_span) {
             self.machine
                 .tracer
                 .close_with(now_ns, msg_span, SPAN_FAILED);
@@ -407,6 +399,7 @@ impl NetworkComponent {
     /// sent and both are still the caller's to end.
     fn send_remote(
         &mut self,
+        ctx: &mut ComponentContext,
         token: Option<NotifyToken>,
         dst: NetAddress,
         mut msg: NetMessage,
@@ -458,7 +451,7 @@ impl NetworkComponent {
                     transport: proto,
                 };
                 let now = self.net.now();
-                let (machine, mut io) = self.split(());
+                let (machine, mut io) = self.split(ctx);
                 machine.send(now, &mut io, key, frame, token, msg_span)
             }
             Transport::Data => unreachable!("resolved above"),
@@ -494,7 +487,7 @@ impl NetworkComponent {
 
     fn handle_event(&mut self, ctx: &mut ComponentContext, event: NetEvent) {
         let now = self.net.now();
-        let (machine, mut io) = self.split(&mut *ctx);
+        let (machine, mut io) = self.split(ctx);
         match event {
             NetEvent::Connected(id) => machine.connected(now, &mut io, id),
             NetEvent::Writable(id) => machine.writable(now, &mut io, id),
@@ -514,7 +507,7 @@ impl NetworkComponent {
                 let decoded = self.machine.data(id, data, &mut frames);
                 if let Some((key, poisoned)) = decoded {
                     for frame in frames.drain(..) {
-                        self.handle_frame(frame, Some((id, key)));
+                        self.handle_frame(ctx, frame, Some((id, key)));
                     }
                     if poisoned {
                         let (machine, mut io) = self.split(ctx);
@@ -529,7 +522,7 @@ impl NetworkComponent {
                 let mut dec = FrameDecoder::new();
                 dec.push(data);
                 match dec.next_message() {
-                    Ok(Some(frame)) => self.handle_frame(frame, None),
+                    Ok(Some(frame)) => self.handle_frame(ctx, frame, None),
                     Ok(None) | Err(_) => {
                         self.machine.stats.lock().decode_failures += 1;
                     }
@@ -540,6 +533,7 @@ impl NetworkComponent {
 
     fn handle_frame(
         &mut self,
+        ctx: &mut ComponentContext,
         frame: Result<NetMessage, SerError>,
         via: Option<(ConnectionId, ChannelKey)>,
     ) {
@@ -563,7 +557,7 @@ impl NetworkComponent {
                 {
                     rh.advance();
                     if msg.header().destination().as_socket() != my_socket {
-                        self.forward_or_drop(msg);
+                        self.forward_or_drop(ctx, msg);
                         return;
                     }
                 }
@@ -585,7 +579,7 @@ impl NetworkComponent {
         } else {
             // Addressed elsewhere (e.g. source routing without an explicit
             // hop entry for us): forward along.
-            self.forward_or_drop(msg);
+            self.forward_or_drop(ctx, msg);
         }
     }
 
@@ -593,7 +587,7 @@ impl NetworkComponent {
     /// A routed message whose budget is exhausted is dropped with a
     /// recorded reason instead — the backstop that keeps a malformed or
     /// stale (e.g. cyclic) route from circulating forever.
-    fn forward_or_drop(&mut self, mut msg: NetMessage) {
+    fn forward_or_drop(&mut self, ctx: &mut ComponentContext, mut msg: NetMessage) {
         if let NetHeader::Routing(rh) = msg.header_mut() {
             if rh.ttl == 0 {
                 let dst_node = u64::from(Header::destination(&*rh).as_socket().node.index());
@@ -616,48 +610,7 @@ impl NetworkComponent {
             rh.ttl -= 1;
         }
         self.machine.stats.lock().forwarded += 1;
-        self.handle_send(None, msg);
-    }
-
-    // --- controller stack policy ----------------------------------------
-
-    /// Re-selects the congestion controller for TCP traffic to `remote`
-    /// (the DATA stack-policy surface): records the decision in the
-    /// shared [`StackPolicy`](crate::data::stack::StackPolicy) — so every
-    /// future dial and redial picks it up — and, when a live TCP channel
-    /// to the peer exists, recycles it onto the new controller
-    /// immediately. Returns `true` if the effective selection changed.
-    ///
-    /// Recycling is at-least-once, like supervision: frames the old
-    /// transport had not acknowledged are written again on the fresh
-    /// connection, ahead of the waiting ones, and the swap counts as a
-    /// supervision episode ([`MiddlewareStats::controller_swaps`]) for the
-    /// delivery oracle's duplicate budget.
-    pub fn swap_controller(&mut self, remote: Endpoint, algo: CcAlgorithm) -> bool {
-        let changed = self.cfg.stack.set(remote, algo);
-        let key = ChannelKey {
-            remote,
-            transport: Transport::Tcp,
-        };
-        let recycled = changed && self.machine.is_live(key);
-        let sim = self.net.sim();
-        let rec = sim.recorder();
-        if rec.is_enabled() && changed {
-            rec.record(
-                sim.now().as_nanos(),
-                EventKind::CcSwap {
-                    peer: peer_key(remote),
-                    controller: algo.label(),
-                    recycled,
-                },
-            );
-        }
-        if recycled {
-            let now = self.net.now();
-            let (machine, mut io) = self.split(());
-            machine.swap(now, &mut io, key);
-        }
-        changed
+        self.handle_send(ctx, None, msg);
     }
 }
 
@@ -677,10 +630,10 @@ impl ComponentDefinition for NetworkComponent {
 }
 
 impl Provide<NetworkPort> for NetworkComponent {
-    fn handle(&mut self, _ctx: &mut ComponentContext, event: NetRequest) {
+    fn handle(&mut self, ctx: &mut ComponentContext, event: NetRequest) {
         match event {
-            NetRequest::Msg(msg) => self.handle_send(None, msg),
-            NetRequest::NotifyReq(token, msg) => self.handle_send(Some(token), msg),
+            NetRequest::Msg(msg) => self.handle_send(ctx, None, msg),
+            NetRequest::NotifyReq(token, msg) => self.handle_send(ctx, Some(token), msg),
         }
     }
 }

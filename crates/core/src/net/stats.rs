@@ -49,11 +49,6 @@ pub struct MiddlewareStats {
     /// `DATA` messages rerouted to the surviving transport because the
     /// selected transport's channel was dropped.
     pub failovers: u64,
-    /// Live TCP channels recycled onto a different congestion controller
-    /// by [`NetworkComponent::swap_controller`].
-    ///
-    /// [`NetworkComponent::swap_controller`]: super::NetworkComponent::swap_controller
-    pub controller_swaps: u64,
 }
 
 impl MiddlewareStats {
@@ -92,7 +87,6 @@ impl MiddlewareStats {
             reconnects: self.reconnects,
             channels_dropped: self.channels_dropped,
             failovers: self.failovers,
-            controller_swaps: self.controller_swaps,
         }
     }
 }
@@ -112,15 +106,13 @@ pub struct SupervisionSummary {
     pub channels_dropped: u64,
     /// `DATA` messages rerouted to the surviving transport.
     pub failovers: u64,
-    /// Live channels recycled onto a different congestion controller.
-    pub controller_swaps: u64,
 }
 
 impl SupervisionSummary {
     /// Supervision episodes that may each re-deliver in-flight frames.
     #[must_use]
     pub fn episodes(&self) -> u64 {
-        self.reconnects + self.channels_dropped + self.failovers + self.controller_swaps
+        self.reconnects + self.channels_dropped + self.failovers
     }
 
     /// Whether the run saw any supervision activity at all.

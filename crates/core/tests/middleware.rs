@@ -8,7 +8,6 @@ use std::time::Duration;
 
 use kmsg_component::prelude::*;
 use kmsg_core::prelude::*;
-use kmsg_netsim::cc::CcAlgorithm;
 use kmsg_netsim::engine::Sim;
 use kmsg_netsim::link::LinkConfig;
 use kmsg_netsim::network::Network;
@@ -850,12 +849,14 @@ fn two_way_outage(w: &World, nodes: &[NodeId]) {
 }
 
 /// Three notified TCP sends, the second an incompressible payload several
-/// send buffers long, driven until that frame is part-written; `interrupt`
-/// then takes the connection from under it and runs the world until the
-/// channel is back. However the connection was replaced, the receiver must
-/// never see a torn frame: every message decodes, first arrivals are in
-/// send order with byte-equal payloads, and each token gets one `Sent`.
-fn part_written_frame_survives(interrupt: impl FnOnce(&World, &[NodeId], &Stack, &Stack)) {
+/// send buffers long, driven until that frame is part-written; then both
+/// link directions go down, the transport gives up, supervision redials
+/// after the heal and the frame restarts at byte 0 on the fresh connection.
+/// The receiver must never see a torn frame: every message decodes, first
+/// arrivals are in send order with byte-equal payloads, and each token gets
+/// one `Sent`.
+#[test]
+fn outage_in_the_middle_of_a_frame() {
     let (w, nodes) = world(default_link(), 2);
     let mut cfg = impatient(nodes[0]);
     cfg.tcp.send_buf = 16 * 1024;
@@ -886,7 +887,15 @@ fn part_written_frame_survives(interrupt: impl FnOnce(&World, &[NodeId], &Stack,
             stats.bytes_out
         );
     }
-    interrupt(&w, &nodes, &a, &b);
+    two_way_outage(&w, &nodes);
+    {
+        let stats = a.stats.lock();
+        assert!(
+            stats.reconnects >= 1,
+            "supervision must re-establish the channel"
+        );
+        assert_eq!(stats.channels_dropped, 0, "budget must not be exhausted");
+    }
     assert_eq!(
         b.stats.lock().decode_failures,
         0,
@@ -916,38 +925,6 @@ fn part_written_frame_survives(interrupt: impl FnOnce(&World, &[NodeId], &Stack,
             .collect::<Vec<_>>(),
         "one Sent per token, in send order"
     );
-}
-
-/// The first rewind site: both link directions go down while a frame is
-/// part-written, the transport gives up, supervision redials after the heal
-/// and the frame restarts at byte 0 on the fresh connection.
-#[test]
-fn outage_in_the_middle_of_a_frame() {
-    part_written_frame_survives(|w, nodes, a, _b| {
-        two_way_outage(w, nodes);
-        let stats = a.stats.lock();
-        assert!(
-            stats.reconnects >= 1,
-            "supervision must re-establish the channel"
-        );
-        assert_eq!(stats.channels_dropped, 0, "budget must not be exhausted");
-    });
-}
-
-/// The second rewind site: a controller swap recycles the connection while
-/// a frame is part-written.
-#[test]
-fn controller_swap_in_the_middle_of_a_frame() {
-    part_written_frame_survives(|w, _nodes, a, b| {
-        let changed = a
-            .network
-            .on_definition(|n| n.swap_controller(b.addr.as_socket(), CcAlgorithm::Cubic));
-        assert!(changed, "reno -> cubic is an effective change");
-        w.sim.run_for(Duration::from_secs(5));
-        let stats = a.stats.lock();
-        assert_eq!(stats.controller_swaps, 1);
-        assert_eq!(stats.reconnect_attempts, 0, "a swap is not an outage");
-    });
 }
 
 /// The inbound direction of the same outage: A's dialled connection dies
@@ -1133,141 +1110,6 @@ fn cyclic_route_is_killed_by_ttl() {
         .filter(|e| e.kind.label() == "overlay")
         .count();
     assert_eq!(drops, 1, "the drop is recorded with a reason");
-}
-
-/// Runtime controller swap (the DATA stack-policy surface): swapping a
-/// live TCP channel onto CUBIC recycles the connection in place — no
-/// ConnectionLost surfaces, traffic keeps flowing, the swap is counted
-/// as a supervision episode and recorded on the flight recorder.
-#[test]
-fn runtime_controller_swap_recycles_the_live_channel() {
-    let (w, nodes) = world(default_link(), 2);
-    w.sim.recorder().enable();
-    let a = stack(&w, nodes[0], 7000);
-    let b = stack(&w, nodes[1], 7000);
-    for i in 0..10u64 {
-        a.send.push(NetRequest::Msg(NetMessage::new(
-            a.addr,
-            b.addr,
-            Transport::Tcp,
-            i,
-        )));
-    }
-    w.sim.run_for(Duration::from_secs(2));
-    assert_eq!(b.app.on_definition(|h| h.received.len()), 10);
-    let changed = a
-        .network
-        .on_definition(|n| n.swap_controller(b.addr.as_socket(), CcAlgorithm::Cubic));
-    assert!(changed, "reno -> cubic is an effective change");
-    w.sim.run_for(Duration::from_secs(1));
-    {
-        let stats = a.stats.lock();
-        assert_eq!(stats.controller_swaps, 1);
-        assert_eq!(
-            stats.channels_opened, 2,
-            "the recycle dials a fresh connection"
-        );
-        assert_eq!(stats.channels_closed, 1);
-    }
-    for i in 10..20u64 {
-        a.send.push(NetRequest::Msg(NetMessage::new(
-            a.addr,
-            b.addr,
-            Transport::Tcp,
-            i,
-        )));
-    }
-    w.sim.run_for(Duration::from_secs(2));
-    let got: Vec<u64> = b.app.on_definition(|h| {
-        h.received
-            .iter()
-            .map(|m| m.try_deserialise::<u64, u64>().expect("u64"))
-            .collect()
-    });
-    assert_eq!(
-        got,
-        (0..20).collect::<Vec<_>>(),
-        "no traffic lost across the swap"
-    );
-    // The deliberate recycle must not masquerade as an outage.
-    let statuses = a.app.on_definition(|h| h.statuses.clone());
-    assert!(
-        !statuses
-            .iter()
-            .any(|s| s.status == ConnStatus::ConnectionLost),
-        "a swap is not an outage, got {statuses:?}"
-    );
-    // Re-selecting the same controller is a no-op.
-    let changed = a
-        .network
-        .on_definition(|n| n.swap_controller(b.addr.as_socket(), CcAlgorithm::Cubic));
-    assert!(!changed);
-    assert_eq!(
-        a.stats.lock().controller_swaps,
-        1,
-        "no-op swaps do not recycle"
-    );
-    // The decision is on the flight recorder, once.
-    let swaps: Vec<(&'static str, bool)> = w
-        .sim
-        .recorder()
-        .events()
-        .iter()
-        .filter_map(|e| match e.kind {
-            kmsg_telemetry::EventKind::CcSwap {
-                controller,
-                recycled,
-                ..
-            } => Some((controller, recycled)),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(swaps, vec![("cubic", true)]);
-}
-
-/// A controller override installed before any traffic applies on the
-/// first dial: the policy changes, nothing is recycled, and the fresh
-/// connection runs the selected controller (visible as BBR telemetry).
-#[test]
-fn controller_swap_before_dial_applies_on_first_connect() {
-    let (w, nodes) = world(default_link(), 2);
-    w.sim.recorder().enable();
-    let a = stack(&w, nodes[0], 7000);
-    let b = stack(&w, nodes[1], 7000);
-    let changed = a
-        .network
-        .on_definition(|n| n.swap_controller(b.addr.as_socket(), CcAlgorithm::Bbr));
-    assert!(changed, "a policy change with no live channel still counts");
-    assert_eq!(a.stats.lock().controller_swaps, 0, "nothing to recycle yet");
-    for i in 0..40u64 {
-        a.send.push(NetRequest::Msg(NetMessage::new(
-            a.addr,
-            b.addr,
-            Transport::Tcp,
-            i,
-        )));
-    }
-    w.sim.run_for(Duration::from_secs(3));
-    assert_eq!(b.app.on_definition(|h| h.received.len()), 40);
-    assert_eq!(a.stats.lock().channels_opened, 1);
-    let events = w.sim.recorder().events();
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e.kind, kmsg_telemetry::EventKind::BbrState { .. })),
-        "the first dial must pick BBR up from the stack policy"
-    );
-    assert!(
-        events.iter().any(|e| matches!(
-            e.kind,
-            kmsg_telemetry::EventKind::CcSwap {
-                controller: "bbr",
-                recycled: false,
-                ..
-            }
-        )),
-        "the pre-dial swap is recorded as not recycled"
-    );
 }
 
 /// Garbage on the wire must never take the middleware down — it is

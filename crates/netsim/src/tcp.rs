@@ -1636,11 +1636,4 @@ mod tests {
             assert_eq!(ports, [y.local().port, x.local().port], "at {at:?}");
         }
     }
-
-    #[test]
-    fn sinkevents_trait_object_compiles() {
-        // Connection enum works through the shared StreamEvents trait.
-        let ev: Arc<dyn StreamEvents> = Arc::new(SinkEvents);
-        let _ = ev;
-    }
 }

@@ -50,8 +50,7 @@ impl Oracle for DeliveryOracle {
             });
         }
 
-        let episodes =
-            facts.reconnects + facts.failovers + facts.channels_dropped + facts.controller_swaps;
+        let episodes = facts.reconnects + facts.failovers + facts.channels_dropped;
         if episodes == 0 {
             if facts.duplicates > 0 {
                 out.push(Violation {

@@ -175,10 +175,6 @@ pub struct RunFacts {
     pub channels_dropped: u64,
     /// DATA frames rerouted to a surviving transport.
     pub failovers: u64,
-    /// Live channels recycled onto a different congestion controller by
-    /// the stack policy (each is an at-least-once redelivery episode,
-    /// like a reconnect).
-    pub controller_swaps: u64,
     /// The workload used a single FIFO channel, so in-order delivery is
     /// expected when no supervision episode occurred. (DATA stripes over
     /// two transports, where reordering is by design.)

@@ -344,19 +344,6 @@ event_kinds! {
         /// Congestion window (inflight cap), bytes.
         cwnd: f64,
     }
-    /// A per-destination congestion-controller swap decision on the DATA
-    /// policy surface: the stack policy re-selected the controller for a
-    /// peer, optionally recycling the live TCP channel so the change takes
-    /// effect immediately.
-    CcSwap = "cc_swap" {
-        /// Peer key (`node_index << 16 | port`, the `ConnStatus` encoding).
-        peer: u64,
-        /// The controller now selected (`"reno"`, `"cubic"`, `"bbr"`).
-        controller: &'static str,
-        /// Whether a live channel was recycled onto the new controller
-        /// (`false` when the swap only affects future dials).
-        recycled: bool,
-    }
 }
 
 #[cfg(test)]
@@ -473,11 +460,6 @@ pub(crate) mod tests {
                 btl_bw_bps: f64::NAN,
                 min_rtt_us: 31,
                 cwnd: 0.0,
-            },
-            EventKind::CcSwap {
-                peer: 32,
-                controller: "bbr",
-                recycled: true,
             },
         ]
     }

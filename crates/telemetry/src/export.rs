@@ -218,7 +218,6 @@ mod tests {
             r#"{"t":18,"kind":"gossip","node":26,"peer":27,"entries":28}"#,
             r#"{"t":19,"kind":"cc_window","conn":29,"controller":"cubic","cause":"loss","prev_cwnd":2920,"cwnd":0.5,"ssthresh":-1.25,"w_max":10000000000000000}"#,
             r#"{"t":20,"kind":"bbr_state","conn":30,"phase":"probe_bw","pacing_rate_bps":1500000,"btl_bw_bps":null,"min_rtt_us":31,"cwnd":0}"#,
-            r#"{"t":21,"kind":"cc_swap","peer":32,"controller":"bbr","recycled":true}"#,
         ];
         let kinds = crate::event::tests::one_of_every_kind();
         assert_eq!(kinds.len(), golden.len());
