@@ -179,50 +179,6 @@ impl OverlaySpec {
     }
 }
 
-/// Subscriber application: counts deliveries, forwards queued commands.
-struct OverlayCounter {
-    overlay: RequiredPort<OverlayPort>,
-    commands: SelfPort<OverlayRequest>,
-    delivered: u64,
-}
-
-impl OverlayCounter {
-    fn new() -> Self {
-        OverlayCounter {
-            overlay: RequiredPort::new(),
-            commands: SelfPort::new(),
-            delivered: 0,
-        }
-    }
-}
-
-impl ComponentDefinition for OverlayCounter {
-    fn execute(&mut self, ctx: &mut ComponentContext, max: usize) -> usize {
-        kmsg_component::execute_ports!(self, ctx, max, [
-            required overlay: OverlayPort,
-            selfport commands: OverlayRequest,
-        ])
-    }
-}
-
-impl Require<OverlayPort> for OverlayCounter {
-    fn handle(&mut self, _ctx: &mut ComponentContext, _ev: OverlayDelivery) {
-        self.delivered += 1;
-    }
-}
-
-impl HandleSelf<OverlayRequest> for OverlayCounter {
-    fn handle_self(&mut self, _ctx: &mut ComponentContext, req: OverlayRequest) {
-        self.overlay.trigger(req);
-    }
-}
-
-impl RequireRef<OverlayPort> for OverlayCounter {
-    fn required_port(&mut self) -> &mut RequiredPort<OverlayPort> {
-        &mut self.overlay
-    }
-}
-
 /// Per-node end-of-run counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OverlayNodeSummary {
@@ -368,7 +324,6 @@ pub fn run_overlay_spec(spec: &OverlaySpec) -> OverlayReport {
     let mut net_stats = Vec::new();
     let mut overlays = Vec::new();
     let mut overlay_stats = Vec::new();
-    let mut apps = Vec::new();
     let mut senders = Vec::new();
     for i in 0..spec.nodes {
         let addr = NetAddress::new(nodes[i as usize], OVERLAY_PORT);
@@ -387,14 +342,13 @@ pub fn run_overlay_spec(spec: &OverlaySpec) -> OverlayReport {
         let overlay = system.create(move || OverlayComponent::new(cfg, rng, rec));
         overlay_stats.push(overlay.on_definition(|o| o.stats()));
         system.connect::<NetworkPort, _, _>(&network, &overlay);
-        let app = system.create(OverlayCounter::new);
+        let app = system.create(PortSink::<OverlayPort>::default);
         system.connect::<OverlayPort, _, _>(&overlay, &app);
-        senders.push(app.self_ref(|h| &mut h.commands));
+        senders.push(app.self_ref(|s| &mut s.requests));
         system.start(&network);
         system.start(&overlay);
         system.start(&app);
         overlays.push(overlay);
-        apps.push(app);
     }
 
     let mut plan = FaultPlan::new();

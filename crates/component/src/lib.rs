@@ -102,6 +102,7 @@ pub mod component;
 pub mod port;
 mod queue;
 pub mod scheduler;
+pub mod sink;
 pub mod system;
 pub mod timer;
 
@@ -110,6 +111,7 @@ pub use component::{
     Provide, ProvideRef, Require, RequireRef,
 };
 pub use port::{Never, Port, ProvidedPort, RequiredPort, Selector, SelfPort, SelfRef};
+pub use sink::PortSink;
 pub use system::{ComponentRef, ComponentSystem, SystemConfig};
 pub use timer::TimeoutId;
 
@@ -121,6 +123,7 @@ pub mod prelude {
     };
     pub use crate::execute_ports;
     pub use crate::port::{Never, Port, ProvidedPort, RequiredPort, Selector, SelfPort, SelfRef};
+    pub use crate::sink::PortSink;
     pub use crate::system::{ComponentRef, ComponentSystem, SystemConfig};
     pub use crate::timer::TimeoutId;
 }

@@ -1,6 +1,6 @@
 //! Integration tests for the component model: Kompics semantics
 //! (broadcast, FIFO, exactly-once, selectors), lifecycle, timers, self
-//! ports, fairness, and pushes from other threads.
+//! ports, fairness, pushes from other threads, and the `PortSink`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -451,6 +451,46 @@ fn a_push_after_the_last_poll_of_a_batch_is_handled() {
     me.push(1);
     sim.run_for(Duration::from_secs(1));
     assert_eq!(pusher.on_definition(|p| p.handled.clone()), [1, 2]);
+}
+
+/// A `PortSink` records indications in arrival order: here a burst the
+/// echo broadcasts in answer to another client's requests.
+#[test]
+fn port_sink_records_indications_in_arrival_order() {
+    let (sim, system) = sim_system();
+    let echo = system.create(Echo::default);
+    let client = system.create(|| Client {
+        burst: 20,
+        ..Client::default()
+    });
+    let sink = system.create(PortSink::<NumPort>::default);
+    system.connect::<NumPort, _, _>(&echo, &client);
+    system.connect::<NumPort, _, _>(&echo, &sink);
+    system.start(&echo);
+    system.start(&client);
+    system.start(&sink);
+    sim.run_for(Duration::from_secs(1));
+    let got: Vec<u64> = sink.on_definition(|s| s.received.iter().map(|n| n.0).collect());
+    assert_eq!(got, (0..20).collect::<Vec<_>>());
+}
+
+/// A request pushed into a `PortSink` from a thread other than the
+/// simulation's is triggered on the sink's port once.
+#[test]
+fn port_sink_forwards_a_request_from_another_thread_once() {
+    let (sim, system) = sim_system();
+    let echo = system.create(Echo::default);
+    let sink = system.create(PortSink::<NumPort>::default);
+    system.connect::<NumPort, _, _>(&echo, &sink);
+    let requests = sink.self_ref(|s| &mut s.requests);
+    system.start(&echo);
+    system.start(&sink);
+    std::thread::spawn(move || requests.push(Num(7)))
+        .join()
+        .expect("pusher thread");
+    sim.run_for(Duration::from_secs(1));
+    assert_eq!(echo.on_definition(|e| e.seen.clone()), [7]);
+    assert_eq!(sink.on_definition(|s| s.received.clone()), [Num(7)]);
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! Self-healing pub/sub routing overlay (ROADMAP item 4).
+//! Self-healing pub/sub routing overlay (DESIGN.md §14).
 //!
 //! Sits on top of a [`NetworkComponent`](crate::net::NetworkComponent) and
 //! turns the middleware's point-to-point channels into a subject-based

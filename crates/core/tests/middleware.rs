@@ -1,76 +1,80 @@
-//! End-to-end middleware tests: two simulated hosts exchanging messages
-//! through full KompicsMessaging stacks (component system + network
-//! component + transports).
+//! Middleware tests at two levels.
+//!
+//! World cases run two or three linked hosts through full stacks
+//! (component system + network component + transports): round trips,
+//! acknowledgement-driven `Sent` notifies, supervision, outages, failover,
+//! compression on the wire and FIFO order.
+//!
+//! Scripted cases run one stack on a node that no link reaches
+//! ([`scripted`]) and hand it its transport inputs as `NetEvent`s pushed on
+//! the component's `events` self-port: how the shell routes, decodes and
+//! reflects the frames it is given, read off its sink and its stats.
 
 use std::sync::Arc;
 
 use std::time::Duration;
 
 use kmsg_component::prelude::*;
+use kmsg_core::net::frame::{encode_frame, Compression};
+use kmsg_core::net::NetEvent;
 use kmsg_core::prelude::*;
 use kmsg_netsim::engine::Sim;
+use kmsg_netsim::iface::{Connection, StreamEvents};
 use kmsg_netsim::link::LinkConfig;
 use kmsg_netsim::network::Network;
-use kmsg_netsim::packet::NodeId;
+use kmsg_netsim::packet::{Endpoint, NodeId};
+use kmsg_netsim::tcp::{TcpConfig, TcpConn};
 use kmsg_telemetry::bytes::Bytes;
 
-/// Test application: records everything, sends on command.
-struct Harness {
-    net: RequiredPort<NetworkPort>,
-    commands: SelfPort<NetRequest>,
-    received: Vec<NetMessage>,
-    notifies: Vec<(NotifyToken, DeliveryStatus)>,
-    statuses: Vec<ChannelStatus>,
+type Sink = ComponentRef<PortSink<NetworkPort>>;
+
+/// The messages `sink` received, in order.
+fn msgs(sink: &Sink) -> Vec<NetMessage> {
+    sink.on_definition(|s| {
+        let msgs = s.received.iter().filter_map(|ind| match ind {
+            NetIndication::Msg(m) => Some(m.clone()),
+            _ => None,
+        });
+        msgs.collect()
+    })
 }
 
-impl Harness {
-    fn new() -> Self {
-        Harness {
-            net: RequiredPort::new(),
-            commands: SelfPort::new(),
-            received: Vec::new(),
-            notifies: Vec::new(),
-            statuses: Vec::new(),
-        }
-    }
+/// The payloads of the messages `sink` received, in order.
+fn payloads<T: Clone + Deserialiser<T> + 'static>(sink: &Sink) -> Vec<T> {
+    let msgs = msgs(sink).into_iter();
+    msgs.map(|m| m.try_deserialise::<T, T>().expect("payload"))
+        .collect()
 }
 
-impl ComponentDefinition for Harness {
-    fn execute(&mut self, ctx: &mut ComponentContext, max: usize) -> usize {
-        kmsg_component::execute_ports!(self, ctx, max, [
-            required net: NetworkPort,
-            selfport commands: NetRequest,
-        ])
-    }
+/// The notification responses `sink` received, in order.
+fn notifies(sink: &Sink) -> Vec<(NotifyToken, DeliveryStatus)> {
+    sink.on_definition(|s| {
+        let notifies = s.received.iter().filter_map(|ind| match *ind {
+            NetIndication::NotifyResp(token, status) => Some((token, status)),
+            _ => None,
+        });
+        notifies.collect()
+    })
 }
 
-impl Require<NetworkPort> for Harness {
-    fn handle(&mut self, _ctx: &mut ComponentContext, ev: NetIndication) {
-        match ev {
-            NetIndication::Msg(m) => self.received.push(m),
-            NetIndication::NotifyResp(t, s) => self.notifies.push((t, s)),
-            NetIndication::Status(s) => self.statuses.push(s),
-        }
-    }
-}
-
-impl HandleSelf<NetRequest> for Harness {
-    fn handle_self(&mut self, _ctx: &mut ComponentContext, req: NetRequest) {
-        self.net.trigger(req);
-    }
-}
-
-impl RequireRef<NetworkPort> for Harness {
-    fn required_port(&mut self) -> &mut RequiredPort<NetworkPort> {
-        &mut self.net
-    }
+/// The channel statuses `sink` received, in order.
+fn statuses(sink: &Sink) -> Vec<ChannelStatus> {
+    sink.on_definition(|s| {
+        let statuses = s.received.iter().filter_map(|ind| match *ind {
+            NetIndication::Status(status) => Some(status),
+            _ => None,
+        });
+        statuses.collect()
+    })
 }
 
 struct Stack {
     addr: NetAddress,
     network: ComponentRef<NetworkComponent>,
-    app: ComponentRef<Harness>,
+    app: Sink,
     send: SelfRef<NetRequest>,
+    /// The network component's transport inputs.
+    events: SelfRef<NetEvent>,
     stats: StatsHandle,
 }
 
@@ -80,22 +84,29 @@ struct World {
     system: ComponentSystem,
 }
 
-fn world(link: LinkConfig, n_nodes: usize) -> (World, Vec<NodeId>) {
+/// `n_nodes` hosts and no link.
+fn world(n_nodes: usize) -> (World, Vec<NodeId>) {
     let sim = Sim::new(77);
     let net = Network::new(&sim);
     let nodes: Vec<NodeId> = (0..n_nodes)
         .map(|i| net.add_node(format!("h{i}")))
         .collect();
-    for i in 0..n_nodes {
-        for j in 0..n_nodes {
-            if i != j {
-                let l = net.add_link(link.clone());
-                net.set_route(nodes[i], nodes[j], vec![l]);
+    let system = ComponentSystem::simulation(&sim, SystemConfig::default());
+    (World { sim, net, system }, nodes)
+}
+
+/// `n_nodes` hosts, a `link` of its own from each to each other.
+fn linked(link: LinkConfig, n_nodes: usize) -> (World, Vec<NodeId>) {
+    let (w, nodes) = world(n_nodes);
+    for &from in &nodes {
+        for &to in &nodes {
+            if from != to {
+                let l = w.net.add_link(link.clone());
+                w.net.set_route(from, to, vec![l]);
             }
         }
     }
-    let system = ComponentSystem::simulation(&sim, SystemConfig::default());
-    (World { sim, net, system }, nodes)
+    (w, nodes)
 }
 
 fn stack(w: &World, node: NodeId, port: u16) -> Stack {
@@ -106,9 +117,10 @@ fn stack_cfg(w: &World, cfg: NetworkConfig) -> Stack {
     let addr = cfg.addr;
     let network = create_network(&w.system, &w.net, cfg).expect("bind");
     let stats = network.on_definition(|n| n.stats());
-    let app = w.system.create(Harness::new);
+    let events = network.self_ref(|n| &mut n.events);
+    let app = w.system.create(PortSink::default);
     w.system.connect::<NetworkPort, _, _>(&network, &app);
-    let send = app.self_ref(|h| &mut h.commands);
+    let send = app.self_ref(|s| &mut s.requests);
     w.system.start(&network);
     w.system.start(&app);
     Stack {
@@ -116,8 +128,19 @@ fn stack_cfg(w: &World, cfg: NetworkConfig) -> Stack {
         network,
         app,
         send,
+        events,
         stats,
     }
+}
+
+/// Two sinks on `network`'s port, for vnodes 1 and 2.
+fn vnodes(w: &World, network: &ComponentRef<NetworkComponent>) -> [Sink; 2] {
+    [1, 2].map(|id| {
+        let sink = w.system.create(PortSink::default);
+        connect_vnode(&w.system, network, &sink, VnodeId(id));
+        w.system.start(&sink);
+        sink
+    })
 }
 
 fn default_link() -> LinkConfig {
@@ -131,9 +154,283 @@ fn incompressible(seed: u64, len: usize) -> Bytes {
     (0..len).map(|_| rng.gen::<u8>()).collect()
 }
 
+// --- scripted cases -----------------------------------------------------
+
+/// The scripted fixture: a stack on a node that no link reaches, and a
+/// second such node for the cases to name as its peer. Nothing arrives
+/// from the fabric; a case pushes the transport's side on `events`.
+fn scripted() -> (World, Stack, NodeId) {
+    let (w, nodes) = world(2);
+    let s = stack(&w, nodes[0], 7000);
+    (w, s, nodes[1])
+}
+
+/// Lets the scripted stack handle what was pushed.
+fn settle(w: &World) {
+    w.sim.run_for(Duration::from_millis(1));
+}
+
+/// `msg` as a stack writes it on the wire.
+fn frame(msg: NetMessage) -> Bytes {
+    encode_frame(&msg, Compression::default()).expect("frame")
+}
+
+/// Hears nothing: the handler of the connections handed to a stack.
+struct Mute;
+impl StreamEvents for Mute {}
+
+/// Hands `s` a TCP connection as if accepted from `peer`. It is dialled
+/// from `s`'s node towards `peer`, whose node no link reaches, so its
+/// handshake goes nowhere and `s` hears only what a case pushes.
+fn accept(w: &World, s: &Stack, peer: Endpoint) -> TcpConn {
+    let node = s.addr.node();
+    let cfg = TcpConfig::default();
+    let conn = TcpConn::connect(&w.net, node, peer, cfg, Arc::new(Mute)).expect("dial");
+    s.events
+        .push(NetEvent::Accepted(Connection::Tcp(conn.clone())));
+    conn
+}
+
+/// Messages between vnodes of one host are reflected up the port without
+/// serialisation and in send order, each notified `DeliveredLocally`.
+/// Only the addressed vnode sees a message, and nothing reaches the wire.
+#[test]
+fn same_host_vnodes_reflect_locally() {
+    let (w, s, _) = scripted();
+    let v = vnodes(&w, &s.network);
+    let send1 = v[0].self_ref(|s| &mut s.requests);
+    let token = |i| NotifyToken::for_vnode(VnodeId(1), i);
+    let (src, dst) = (s.addr.with_vnode(VnodeId(1)), s.addr.with_vnode(VnodeId(2)));
+    for i in 0..50u64 {
+        let msg = NetMessage::new(src, dst, Transport::Tcp, i);
+        send1.push(NetRequest::NotifyReq(token(i), msg));
+    }
+    settle(&w);
+    assert!(msgs(&v[0]).is_empty(), "selector filters v1");
+    assert!(
+        msgs(&v[1]).iter().all(|m| !m.is_from_wire()),
+        "same-host vnodes never serialise"
+    );
+    let seq = payloads::<u64>(&v[1]);
+    assert_eq!(seq, (0..50).collect::<Vec<_>>(), "FIFO reflection");
+    assert_eq!(
+        notifies(&v[0]),
+        (0..50)
+            .map(|i| (token(i), DeliveryStatus::DeliveredLocally))
+            .collect::<Vec<_>>()
+    );
+    assert!(notifies(&v[1]).is_empty());
+    let stats = s.stats.lock();
+    assert_eq!(stats.local_reflections, 50);
+    assert_eq!(stats.total_sent(), 0, "nothing hit the wire");
+}
+
+/// An inbound message reaches only the vnode its destination names.
+#[test]
+fn vnode_channels_route_by_id() {
+    let (w, s, peer) = scripted();
+    let v = vnodes(&w, &s.network);
+    let from = NetAddress::new(peer, 7000);
+    for id in [1, 2] {
+        let to = s.addr.with_vnode(VnodeId(id));
+        let msg = NetMessage::new(from, to, Transport::Udp, format!("to-v{id}"));
+        s.events
+            .push(NetEvent::Datagram(from.as_socket(), frame(msg)));
+    }
+    settle(&w);
+    assert_eq!(payloads::<String>(&v[0]), ["to-v1"]);
+    assert_eq!(payloads::<String>(&v[1]), ["to-v2"]);
+}
+
+/// Once a message on an accepted connection names its sender's listen
+/// address, replies to that address reuse the connection instead of
+/// dialling one: a TCP reply, and a `DATA` message that no interceptor
+/// resolved, which falls back to TCP.
+#[test]
+fn reply_reuses_inbound_channel() {
+    let (w, s, peer) = scripted();
+    let from = NetAddress::new(peer, 7000);
+    let conn = accept(&w, &s, Endpoint::new(peer, 40_000));
+    let ping = NetMessage::new(from, s.addr, Transport::Tcp, "ping".to_string());
+    s.events.push(NetEvent::Data(conn.id(), frame(ping)));
+    settle(&w);
+    assert_eq!(payloads::<String>(&s.app), ["ping"]);
+    let pong = NetMessage::new(s.addr, from, Transport::Tcp, "pong".to_string());
+    let data = NetHeader::Data(DataHeader::new(s.addr, from));
+    s.send.push(NetRequest::Msg(pong));
+    s.send
+        .push(NetRequest::Msg(NetMessage::with_header(data, 7u64)));
+    settle(&w);
+    let stats = s.stats.lock();
+    assert_eq!(stats.channels_opened, 1, "replies must reuse the channel");
+    assert_eq!(stats.unresolved_data, 1);
+    assert_eq!(
+        stats.sent[Transport::Tcp.to_byte() as usize],
+        2,
+        "DATA fell back to TCP"
+    );
+    assert_eq!(
+        conn.unacked_bytes() as u64,
+        stats.bytes_out,
+        "both went into the accepted connection"
+    );
+}
+
+/// A routed message's TTL is its forwarding budget. A host that a message
+/// names as the next hop forwards it while budget is left, charging one
+/// unit, and drops it with a recorded reason at zero, so a cyclic route
+/// dies instead of circulating.
+#[test]
+fn cyclic_route_is_killed_by_ttl() {
+    let (w, s, peer) = scripted();
+    w.sim.recorder().enable();
+    let other = NetAddress::new(peer, 7000);
+    for ttl in [1, 0] {
+        // From `other`, on a route that bounces between the two hosts.
+        let base = BasicHeader::new(other, NetAddress::new(peer, 7100), Transport::Tcp);
+        let mut rh = RoutingHeader::with_route(base, vec![s.addr, other, s.addr]);
+        rh.ttl = ttl;
+        let msg = NetMessage::with_header(NetHeader::Routing(rh), "doomed".to_string());
+        s.events
+            .push(NetEvent::Datagram(other.as_socket(), frame(msg)));
+    }
+    settle(&w);
+    assert!(msgs(&s.app).is_empty(), "delivered nowhere");
+    {
+        let stats = s.stats.lock();
+        assert_eq!(stats.forwarded, 1, "forwarded while budget is left");
+        assert_eq!(stats.ttl_drops, 1, "dropped at zero");
+    }
+    let drops = w
+        .sim
+        .recorder()
+        .events()
+        .iter()
+        .filter(|e| e.kind.label() == "overlay")
+        .count();
+    assert_eq!(drops, 1, "the drop is recorded with a reason");
+}
+
+/// Garbage datagrams never take the middleware down: each is counted and
+/// dropped, and the next frame is delivered.
+#[test]
+fn garbage_datagrams_are_counted_not_fatal() {
+    let (w, s, peer) = scripted();
+    let from = NetAddress::new(peer, 7000);
+    for junk in [&b"not a frame"[..], &[0xff; 64][..], &[0, 0, 0, 200, 1][..]] {
+        let junk = Bytes::copy_from_slice(junk);
+        s.events.push(NetEvent::Datagram(from.as_socket(), junk));
+    }
+    let alive = NetMessage::new(from, s.addr, Transport::Udp, "still alive".to_string());
+    s.events
+        .push(NetEvent::Datagram(from.as_socket(), frame(alive)));
+    settle(&w);
+    assert_eq!(s.stats.lock().decode_failures, 3, "junk counted");
+    assert_eq!(payloads::<String>(&s.app), ["still alive"]);
+}
+
+/// Stream bytes are framed wherever the transport cuts them: one frame
+/// split at every byte offset across two `Data` events is delivered
+/// exactly once each time.
+#[test]
+fn a_frame_cut_at_any_byte_is_delivered_once() {
+    let (w, s, peer) = scripted();
+    let from = NetAddress::new(peer, 7000);
+    let conn = accept(&w, &s, Endpoint::new(peer, 40_000));
+    let text = "cut anywhere".to_string();
+    let bytes = frame(NetMessage::new(from, s.addr, Transport::Tcp, text.clone()));
+    for cut in 0..=bytes.len() {
+        for part in [bytes.slice(..cut), bytes.slice(cut..)] {
+            s.events.push(NetEvent::Data(conn.id(), part));
+        }
+        settle(&w);
+        let got = payloads::<String>(&s.app);
+        assert_eq!(got.len(), cut + 1, "cut at byte {cut}");
+        assert_eq!(got[cut], text);
+    }
+    assert_eq!(s.stats.lock().decode_failures, 0);
+}
+
+/// A bad length prefix cannot be resynchronised past. Behind two whole
+/// frames in one `Data` event, the two are delivered first; then one
+/// decode failure is counted and the connection closed, which fails the
+/// reply queued on its channel. Later writes are neither buffered nor
+/// counted again, and another connection is served throughout.
+#[test]
+fn poisoned_stream_is_closed_not_buffered() {
+    let (w, s, peer) = scripted();
+    let (rogue_addr, good_addr) = (NetAddress::new(peer, 7000), NetAddress::new(peer, 7100));
+    let rogue = accept(&w, &s, Endpoint::new(peer, 40_000));
+    let good = accept(&w, &s, Endpoint::new(peer, 40_001));
+    let msg = |from: NetAddress, i: u64| frame(NetMessage::new(from, s.addr, Transport::Tcp, i));
+    s.events.push(NetEvent::Data(good.id(), msg(good_addr, 0)));
+    s.events
+        .push(NetEvent::Data(rogue.id(), msg(rogue_addr, 100)));
+    settle(&w);
+    let reply = NetMessage::new(s.addr, rogue_addr, Transport::Tcp, 1u64);
+    s.send
+        .push(NetRequest::NotifyReq(NotifyToken::new(1), reply));
+    settle(&w);
+    let mut poisoned = Vec::new();
+    for i in [101, 102] {
+        poisoned.extend_from_slice(&msg(rogue_addr, i));
+    }
+    poisoned.extend_from_slice(&[0xff; 4]);
+    s.events
+        .push(NetEvent::Data(rogue.id(), Bytes::from(poisoned)));
+    settle(&w);
+    let log: Vec<String> = s.app.on_definition(|s| {
+        let log = s.received.iter().map(|ind| match ind {
+            NetIndication::Msg(m) => format!("msg {}", m.try_deserialise::<u64, u64>().unwrap()),
+            NetIndication::NotifyResp(token, status) => format!("notify {} {status:?}", token.id),
+            NetIndication::Status(status) => format!("{status:?}"),
+        });
+        log.collect()
+    });
+    assert_eq!(
+        log,
+        [
+            "msg 0",
+            "msg 100",
+            "msg 101",
+            "msg 102",
+            "notify 1 Failed(ChannelClosed)",
+        ],
+        "the frames ahead of the poison are handled before the close"
+    );
+    for i in 1..=8 {
+        let write = Bytes::from(vec![0u8; 128 * 1024]);
+        s.events.push(NetEvent::Data(rogue.id(), write));
+        s.events.push(NetEvent::Data(good.id(), msg(good_addr, i)));
+        settle(&w);
+    }
+    {
+        let stats = s.stats.lock();
+        assert_eq!(
+            stats.decode_failures, 1,
+            "one poisoned stream is one failure"
+        );
+        assert_eq!(stats.channels_closed, 1, "the poisoned channel is closed");
+    }
+    let one = || Bytes::from_static(b"x");
+    assert_eq!(
+        rogue.send(one()),
+        0,
+        "the stack closed the rogue connection"
+    );
+    assert_eq!(good.send(one()), 1, "and only that one");
+    assert_eq!(
+        payloads::<u64>(&s.app),
+        [0, 100, 101, 102, 1, 2, 3, 4, 5, 6, 7, 8],
+        "the well-formed connection is served throughout"
+    );
+}
+
+// --- world cases --------------------------------------------------------
+
 #[test]
 fn tcp_message_round_trip() {
-    let (w, nodes) = world(default_link(), 2);
+    let (w, nodes) = linked(default_link(), 2);
     let a = stack(&w, nodes[0], 7000);
     let b = stack(&w, nodes[1], 7000);
     a.send.push(NetRequest::Msg(NetMessage::new(
@@ -143,7 +440,7 @@ fn tcp_message_round_trip() {
         "hello over tcp".to_string(),
     )));
     w.sim.run_for(Duration::from_secs(2));
-    let got = b.app.on_definition(|h| h.received.clone());
+    let got = msgs(&b.app);
     assert_eq!(got.len(), 1);
     assert!(got[0].is_from_wire());
     assert_eq!(
@@ -156,7 +453,7 @@ fn tcp_message_round_trip() {
 
 #[test]
 fn udt_message_round_trip() {
-    let (w, nodes) = world(default_link(), 2);
+    let (w, nodes) = linked(default_link(), 2);
     let a = stack(&w, nodes[0], 7000);
     let b = stack(&w, nodes[1], 7000);
     a.send.push(NetRequest::Msg(NetMessage::new(
@@ -166,7 +463,7 @@ fn udt_message_round_trip() {
         Bytes::from_static(b"udt payload"),
     )));
     w.sim.run_for(Duration::from_secs(2));
-    let got = b.app.on_definition(|h| h.received.clone());
+    let got = msgs(&b.app);
     assert_eq!(got.len(), 1);
     assert_eq!(
         got[0].try_deserialise::<Bytes, Bytes>().expect("payload"),
@@ -177,7 +474,7 @@ fn udt_message_round_trip() {
 
 #[test]
 fn udp_message_round_trip_and_size_limit() {
-    let (w, nodes) = world(default_link(), 2);
+    let (w, nodes) = linked(default_link(), 2);
     let a = stack(&w, nodes[0], 7000);
     let b = stack(&w, nodes[1], 7000);
     a.send.push(NetRequest::NotifyReq(
@@ -191,9 +488,8 @@ fn udp_message_round_trip_and_size_limit() {
         NetMessage::new(a.addr, b.addr, Transport::Udp, incompressible(3, 70_000)),
     ));
     w.sim.run_for(Duration::from_secs(2));
-    let got = b.app.on_definition(|h| h.received.len());
-    assert_eq!(got, 1, "only the small datagram arrives");
-    let notifies = a.app.on_definition(|h| h.notifies.clone());
+    assert_eq!(msgs(&b.app).len(), 1, "only the small datagram arrives");
+    let notifies = notifies(&a.app);
     assert_eq!(notifies.len(), 2);
     assert_eq!(notifies[0].1, DeliveryStatus::Sent);
     assert_eq!(
@@ -204,7 +500,7 @@ fn udp_message_round_trip_and_size_limit() {
 
 #[test]
 fn oversized_payload_fails_the_send_not_the_world() {
-    let (w, nodes) = world(default_link(), 2);
+    let (w, nodes) = linked(default_link(), 2);
     let a = stack(&w, nodes[0], 7000);
     let b = stack(&w, nodes[1], 7000);
     let too_long = Bytes::from(vec![0u8; kmsg_core::net::frame::MAX_FRAME + 1]);
@@ -217,9 +513,8 @@ fn oversized_payload_fails_the_send_not_the_world() {
         NetMessage::new(a.addr, b.addr, Transport::Tcp, "after".to_string()),
     ));
     w.sim.run_for(Duration::from_secs(2));
-    let notifies = a.app.on_definition(|h| h.notifies.clone());
     assert_eq!(
-        notifies,
+        notifies(&a.app),
         vec![
             (
                 NotifyToken::new(1),
@@ -228,12 +523,12 @@ fn oversized_payload_fails_the_send_not_the_world() {
             (NotifyToken::new(2), DeliveryStatus::Sent),
         ]
     );
-    assert_eq!(b.app.on_definition(|h| h.received.len()), 1);
+    assert_eq!(msgs(&b.app).len(), 1);
 }
 
 #[test]
 fn notify_sent_for_stream_transports() {
-    let (w, nodes) = world(default_link(), 2);
+    let (w, nodes) = linked(default_link(), 2);
     let a = stack(&w, nodes[0], 7000);
     let b = stack(&w, nodes[1], 7000);
     for (id, proto) in [(1u64, Transport::Tcp), (2, Transport::Udt)] {
@@ -243,15 +538,15 @@ fn notify_sent_for_stream_transports() {
         ));
     }
     w.sim.run_for(Duration::from_secs(3));
-    let notifies = a.app.on_definition(|h| h.notifies.clone());
+    let notifies = notifies(&a.app);
     assert_eq!(notifies.len(), 2);
     assert!(notifies.iter().all(|(_, s)| *s == DeliveryStatus::Sent));
-    assert_eq!(b.app.on_definition(|h| h.received.len()), 2);
+    assert_eq!(msgs(&b.app).len(), 2);
 }
 
 #[test]
 fn fifo_order_per_transport() {
-    let (w, nodes) = world(default_link(), 2);
+    let (w, nodes) = linked(default_link(), 2);
     let a = stack(&w, nodes[0], 7000);
     let b = stack(&w, nodes[1], 7000);
     for i in 0..50u64 {
@@ -263,119 +558,13 @@ fn fifo_order_per_transport() {
         )));
     }
     w.sim.run_for(Duration::from_secs(3));
-    let got: Vec<u64> = b.app.on_definition(|h| {
-        h.received
-            .iter()
-            .map(|m| m.try_deserialise::<u64, u64>().expect("u64"))
-            .collect()
-    });
+    let got = payloads::<u64>(&b.app);
     assert_eq!(got, (0..50).collect::<Vec<_>>(), "TCP preserves FIFO");
 }
 
 #[test]
-fn local_reflection_skips_serialisation() {
-    let (w, nodes) = world(default_link(), 1);
-    let a = stack(&w, nodes[0], 7000);
-    // Send to our own address (e.g. between vnodes of the same host).
-    a.send.push(NetRequest::NotifyReq(
-        NotifyToken::new(9),
-        NetMessage::new(a.addr, a.addr, Transport::Tcp, "loop".to_string()),
-    ));
-    w.sim.run_for(Duration::from_secs(1));
-    let got = a.app.on_definition(|h| h.received.clone());
-    assert_eq!(got.len(), 1);
-    assert!(!got[0].is_from_wire(), "reflected without serialisation");
-    assert_eq!(
-        a.app.on_definition(|h| h.notifies.clone())[0].1,
-        DeliveryStatus::DeliveredLocally
-    );
-    assert_eq!(a.stats.lock().local_reflections, 1);
-    assert_eq!(a.stats.lock().total_sent(), 0, "nothing hit the wire");
-}
-
-#[test]
-fn vnode_channels_route_by_id() {
-    let (w, nodes) = world(default_link(), 2);
-    let a = stack(&w, nodes[0], 7000);
-    // Host B: one network component, two vnode clients.
-    let b_addr = NetAddress::new(nodes[1], 7000);
-    let b_net = create_network(&w.system, &w.net, NetworkConfig::new(b_addr)).expect("bind");
-    let v1 = w.system.create(Harness::new);
-    let v2 = w.system.create(Harness::new);
-    connect_vnode(&w.system, &b_net, &v1, VnodeId(1));
-    connect_vnode(&w.system, &b_net, &v2, VnodeId(2));
-    w.system.start(&b_net);
-    w.system.start(&v1);
-    w.system.start(&v2);
-
-    for (vnode, text) in [(VnodeId(1), "to-v1"), (VnodeId(2), "to-v2")] {
-        a.send.push(NetRequest::Msg(NetMessage::new(
-            a.addr,
-            b_addr.with_vnode(vnode),
-            Transport::Tcp,
-            text.to_string(),
-        )));
-    }
-    w.sim.run_for(Duration::from_secs(2));
-    let got1 = v1.on_definition(|h| h.received.clone());
-    let got2 = v2.on_definition(|h| h.received.clone());
-    assert_eq!(got1.len(), 1);
-    assert_eq!(got2.len(), 1);
-    assert_eq!(
-        got1[0].try_deserialise::<String, String>().expect("p"),
-        "to-v1"
-    );
-    assert_eq!(
-        got2[0].try_deserialise::<String, String>().expect("p"),
-        "to-v2"
-    );
-}
-
-#[test]
-fn same_host_vnodes_reflect_locally() {
-    let (w, nodes) = world(default_link(), 1);
-    let addr = NetAddress::new(nodes[0], 7000);
-    let net_comp = create_network(&w.system, &w.net, NetworkConfig::new(addr)).expect("bind");
-    let stats = net_comp.on_definition(|n| n.stats());
-    let v1 = w.system.create(Harness::new);
-    let v2 = w.system.create(Harness::new);
-    connect_vnode(&w.system, &net_comp, &v1, VnodeId(1));
-    connect_vnode(&w.system, &net_comp, &v2, VnodeId(2));
-    let send1 = v1.self_ref(|h| &mut h.commands);
-    w.system.start(&net_comp);
-    w.system.start(&v1);
-    w.system.start(&v2);
-
-    for i in 0..50u64 {
-        send1.push(NetRequest::Msg(NetMessage::new(
-            addr.with_vnode(VnodeId(1)),
-            addr.with_vnode(VnodeId(2)),
-            Transport::Tcp,
-            i,
-        )));
-    }
-    w.sim.run_for(Duration::from_secs(1));
-    assert_eq!(
-        v1.on_definition(|h| h.received.len()),
-        0,
-        "selector filters v1"
-    );
-    let got = v2.on_definition(|h| h.received.clone());
-    assert!(
-        got.iter().all(|m| !m.is_from_wire()),
-        "same-host vnodes never serialise"
-    );
-    let seq: Vec<u64> = got
-        .iter()
-        .map(|m| m.try_deserialise::<u64, u64>().expect("u64"))
-        .collect();
-    assert_eq!(seq, (0..50).collect::<Vec<_>>(), "FIFO reflection");
-    assert_eq!(stats.lock().local_reflections, 50);
-}
-
-#[test]
 fn multi_hop_routing_forwards() {
-    let (w, nodes) = world(default_link(), 3);
+    let (w, nodes) = linked(default_link(), 3);
     let a = stack(&w, nodes[0], 7000);
     let b = stack(&w, nodes[1], 7000);
     let c = stack(&w, nodes[2], 7000);
@@ -389,13 +578,9 @@ fn multi_hop_routing_forwards() {
         "through the middle".to_string(),
     )));
     w.sim.run_for(Duration::from_secs(3));
-    assert_eq!(
-        b.app.on_definition(|h| h.received.len()),
-        0,
-        "b only forwards"
-    );
+    assert_eq!(msgs(&b.app).len(), 0, "b only forwards");
     assert_eq!(b.stats.lock().forwarded, 1);
-    let got = c.app.on_definition(|h| h.received.clone());
+    let got = msgs(&c.app);
     assert_eq!(got.len(), 1);
     assert_eq!(
         got[0].try_deserialise::<String, String>().expect("p"),
@@ -407,59 +592,8 @@ fn multi_hop_routing_forwards() {
 }
 
 #[test]
-fn reply_reuses_inbound_channel() {
-    let (w, nodes) = world(default_link(), 2);
-    let a = stack(&w, nodes[0], 7000);
-    let b = stack(&w, nodes[1], 7000);
-    a.send.push(NetRequest::Msg(NetMessage::new(
-        a.addr,
-        b.addr,
-        Transport::Tcp,
-        "ping".to_string(),
-    )));
-    w.sim.run_for(Duration::from_secs(1));
-    // B replies.
-    b.send.push(NetRequest::Msg(NetMessage::new(
-        b.addr,
-        a.addr,
-        Transport::Tcp,
-        "pong".to_string(),
-    )));
-    w.sim.run_for(Duration::from_secs(2));
-    assert_eq!(a.app.on_definition(|h| h.received.len()), 1);
-    // A opened one channel; B reused the accepted one (one open each).
-    assert_eq!(a.stats.lock().channels_opened, 1);
-    assert_eq!(
-        b.stats.lock().channels_opened,
-        1,
-        "reply must reuse the channel"
-    );
-}
-
-#[test]
-fn unresolved_data_falls_back_to_tcp() {
-    let (w, nodes) = world(default_link(), 2);
-    let a = stack(&w, nodes[0], 7000);
-    let b = stack(&w, nodes[1], 7000);
-    let msg = NetMessage::with_header(
-        NetHeader::Data(DataHeader::new(a.addr, b.addr)),
-        "raw data msg".to_string(),
-    );
-    a.send.push(NetRequest::Msg(msg));
-    w.sim.run_for(Duration::from_secs(2));
-    let got = b.app.on_definition(|h| h.received.clone());
-    assert_eq!(got.len(), 1);
-    assert_eq!(
-        got[0].header().protocol(),
-        Transport::Tcp,
-        "fallback applied"
-    );
-    assert_eq!(a.stats.lock().unresolved_data, 1);
-}
-
-#[test]
 fn per_message_transport_mixing_on_one_destination() {
-    let (w, nodes) = world(default_link(), 2);
+    let (w, nodes) = linked(default_link(), 2);
     let a = stack(&w, nodes[0], 7000);
     let b = stack(&w, nodes[1], 7000);
     // Alternate transports message by message — the paper's core ability.
@@ -473,13 +607,10 @@ fn per_message_transport_mixing_on_one_destination() {
             .push(NetRequest::Msg(NetMessage::new(a.addr, b.addr, proto, i)));
     }
     w.sim.run_for(Duration::from_secs(5));
-    let by_proto = b.app.on_definition(|h| {
-        let mut counts = [0u32; 4];
-        for m in &h.received {
-            counts[m.header().protocol().to_byte() as usize] += 1;
-        }
-        counts
-    });
+    let mut by_proto = [0u32; 4];
+    for m in msgs(&b.app) {
+        by_proto[m.header().protocol().to_byte() as usize] += 1;
+    }
     assert_eq!(by_proto[Transport::Tcp.to_byte() as usize], 10);
     assert_eq!(by_proto[Transport::Udt.to_byte() as usize], 10);
     assert_eq!(by_proto[Transport::Udp.to_byte() as usize], 10);
@@ -490,7 +621,7 @@ fn per_message_transport_mixing_on_one_destination() {
 
 #[test]
 fn data_network_resolves_protocols() {
-    let (w, nodes) = world(default_link(), 2);
+    let (w, nodes) = linked(default_link(), 2);
     // Host A gets the full DataNetwork wrapper.
     let a_addr = NetAddress::new(nodes[0], 7000);
     let data_cfg = DataNetworkConfig {
@@ -501,9 +632,9 @@ fn data_network_resolves_protocols() {
     };
     let dn =
         create_data_network(&w.system, &w.net, NetworkConfig::new(a_addr), data_cfg).expect("bind");
-    let app = w.system.create(Harness::new);
+    let app = w.system.create(PortSink::<NetworkPort>::default);
     w.system.connect::<NetworkPort, _, _>(&dn.interceptor, &app);
-    let send = app.self_ref(|h| &mut h.commands);
+    let send = app.self_ref(|s| &mut s.requests);
     dn.start(&w.system);
     w.system.start(&app);
 
@@ -513,19 +644,13 @@ fn data_network_resolves_protocols() {
         send.push(NetRequest::Msg(msg));
     }
     w.sim.run_for(Duration::from_secs(5));
-    let (tcp, udt) = b.app.on_definition(|h| {
-        let tcp = h
-            .received
-            .iter()
-            .filter(|m| m.header().protocol() == Transport::Tcp)
-            .count();
-        let udt = h
-            .received
-            .iter()
-            .filter(|m| m.header().protocol() == Transport::Udt)
-            .count();
-        (tcp, udt)
-    });
+    let got = msgs(&b.app);
+    let count = |proto| {
+        got.iter()
+            .filter(|m| m.header().protocol() == proto)
+            .count()
+    };
+    let (tcp, udt) = (count(Transport::Tcp), count(Transport::Udt));
     assert_eq!(tcp + udt, 20, "all messages resolved and delivered");
     assert_eq!(tcp, 10, "50-50 pattern splits evenly");
     assert_eq!(udt, 10);
@@ -534,7 +659,7 @@ fn data_network_resolves_protocols() {
 #[test]
 fn deterministic_replay() {
     let run = || {
-        let (w, nodes) = world(default_link().random_loss(0.01), 2);
+        let (w, nodes) = linked(default_link().random_loss(0.01), 2);
         let a = stack(&w, nodes[0], 7000);
         let b = stack(&w, nodes[1], 7000);
         for i in 0..100u64 {
@@ -547,7 +672,7 @@ fn deterministic_replay() {
         }
         w.sim.run_for(Duration::from_secs(5));
         (
-            b.app.on_definition(|h| h.received.len()),
+            msgs(&b.app).len(),
             w.sim.events_executed(),
             a.network.on_definition(|n| n.stats().lock().bytes_out),
         )
@@ -560,7 +685,7 @@ fn deterministic_replay() {
 
 #[test]
 fn short_outage_is_survived_by_tcp_retransmission() {
-    let (w, nodes) = world(default_link(), 2);
+    let (w, nodes) = linked(default_link(), 2);
     let a = stack(&w, nodes[0], 7000);
     let b = stack(&w, nodes[1], 7000);
     // Establish the channel.
@@ -585,14 +710,8 @@ fn short_outage_is_survived_by_tcp_retransmission() {
     w.sim.run_for(Duration::from_millis(300));
     w.net.link(ab).set_up(true);
     w.sim.run_for(Duration::from_secs(10));
-    let got: Vec<u64> = b.app.on_definition(|h| {
-        h.received
-            .iter()
-            .map(|m| m.try_deserialise::<u64, u64>().expect("u64"))
-            .collect()
-    });
     assert_eq!(
-        got,
+        payloads::<u64>(&b.app),
         (0..=20).collect::<Vec<_>>(),
         "RTO must recover the burst"
     );
@@ -600,7 +719,7 @@ fn short_outage_is_survived_by_tcp_retransmission() {
 
 #[test]
 fn compression_reduces_wire_bytes_for_compressible_payloads() {
-    let (w, nodes) = world(default_link(), 2);
+    let (w, nodes) = linked(default_link(), 2);
     let a = stack(&w, nodes[0], 7000);
     let b = stack(&w, nodes[1], 7000);
     let compressible = Bytes::from(vec![9u8; 50_000]);
@@ -617,11 +736,7 @@ fn compression_reduces_wire_bytes_for_compressible_payloads() {
         "constant payload should compress away on the wire, got {wire}"
     );
     // The receiver still sees the original bytes.
-    let got = b.app.on_definition(|h| h.received.clone());
-    assert_eq!(
-        got[0].try_deserialise::<Bytes, Bytes>().expect("payload"),
-        compressible
-    );
+    assert_eq!(payloads::<Bytes>(&b.app)[0], compressible);
 }
 
 /// §III-A: "A single instance of the component only allows one port to
@@ -629,7 +744,7 @@ fn compression_reduces_wire_bytes_for_compressible_payloads() {
 /// a different configuration can simply be started."
 #[test]
 fn multiple_network_instances_per_host() {
-    let (w, nodes) = world(default_link(), 2);
+    let (w, nodes) = linked(default_link(), 2);
     // Two independent middleware instances on host 0, ports 7000 and 7100.
     let a1 = stack(&w, nodes[0], 7000);
     let a2 = stack(&w, nodes[0], 7100);
@@ -654,17 +769,15 @@ fn multiple_network_instances_per_host() {
         "from-7100".to_string(),
     )));
     w.sim.run_for(Duration::from_secs(2));
-    let got: Vec<(String, NetAddress)> = b.app.on_definition(|h| {
-        h.received
-            .iter()
-            .map(|m| {
-                (
-                    m.try_deserialise::<String, String>().expect("p"),
-                    *m.header().source(),
-                )
-            })
-            .collect()
-    });
+    let got: Vec<(String, NetAddress)> = msgs(&b.app)
+        .iter()
+        .map(|m| {
+            (
+                m.try_deserialise::<String, String>().expect("p"),
+                *m.header().source(),
+            )
+        })
+        .collect();
     assert_eq!(got.len(), 2);
     assert!(got
         .iter()
@@ -683,26 +796,21 @@ fn multiple_network_instances_per_host() {
         "to-7100".to_string(),
     )));
     w.sim.run_for(Duration::from_secs(2));
-    assert_eq!(a2.app.on_definition(|h| h.received.len()), 1);
-    assert_eq!(a1.app.on_definition(|h| h.received.len()), 0);
+    assert_eq!(msgs(&a2.app).len(), 1);
+    assert_eq!(msgs(&a1.app).len(), 0);
 }
 
 /// Notification responses carry the requesting vnode in their token, so
 /// vnode channels deliver them only to the requesting subtree.
 #[test]
 fn vnode_scoped_notify_routing() {
-    let (w, nodes) = world(default_link(), 2);
+    let (w, nodes) = linked(default_link(), 2);
     let b = stack(&w, nodes[1], 7000);
     let a_addr = NetAddress::new(nodes[0], 7000);
     let a_net = create_network(&w.system, &w.net, NetworkConfig::new(a_addr)).expect("bind");
-    let v1 = w.system.create(Harness::new);
-    let v2 = w.system.create(Harness::new);
-    connect_vnode(&w.system, &a_net, &v1, VnodeId(1));
-    connect_vnode(&w.system, &a_net, &v2, VnodeId(2));
-    let send1 = v1.self_ref(|h| &mut h.commands);
     w.system.start(&a_net);
-    w.system.start(&v1);
-    w.system.start(&v2);
+    let [v1, v2] = vnodes(&w, &a_net);
+    let send1 = v1.self_ref(|s| &mut s.requests);
 
     send1.push(NetRequest::NotifyReq(
         NotifyToken::for_vnode(VnodeId(1), 42),
@@ -714,103 +822,12 @@ fn vnode_scoped_notify_routing() {
         ),
     ));
     w.sim.run_for(Duration::from_secs(2));
-    assert_eq!(b.app.on_definition(|h| h.received.len()), 1);
-    let n1 = v1.on_definition(|h| h.notifies.clone());
+    assert_eq!(msgs(&b.app).len(), 1);
+    let n1 = notifies(&v1);
     assert_eq!(n1.len(), 1, "requesting vnode gets the response");
     assert_eq!(n1[0].0, NotifyToken::for_vnode(VnodeId(1), 42));
     assert_eq!(n1[0].1, DeliveryStatus::Sent);
-    assert!(
-        v2.on_definition(|h| h.notifies.is_empty()),
-        "other vnodes must not see it"
-    );
-}
-
-/// Channel supervision: a multi-second outage kills the TCP channel, the
-/// supervisor redials with backoff, and every queued message — including
-/// frames that were in flight when the connection died — is delivered
-/// after the heal (at-least-once within the retry budget).
-#[test]
-fn supervision_reconnects_and_redelivers_after_outage() {
-    let (w, nodes) = world(default_link(), 2);
-    let mut cfg = NetworkConfig::new(NetAddress::new(nodes[0], 7000));
-    // Impatient TCP so the channel death is observable within the outage.
-    cfg.tcp.min_rto = Duration::from_millis(100);
-    cfg.tcp.max_rto = Duration::from_millis(400);
-    cfg.tcp.max_consecutive_timeouts = 2;
-    cfg.tcp.syn_retries = 1;
-    cfg.reconnect = ReconnectConfig {
-        max_retries: 30,
-        base_backoff: Duration::from_millis(100),
-        max_backoff: Duration::from_millis(400),
-        probe_interval: Duration::from_secs(2),
-    };
-    let a = stack_cfg(&w, cfg);
-    let b = stack(&w, nodes[1], 7000);
-    a.send.push(NetRequest::NotifyReq(
-        NotifyToken::new(1),
-        NetMessage::new(a.addr, b.addr, Transport::Tcp, 1u64),
-    ));
-    w.sim.run_for(Duration::from_millis(500));
-    assert_eq!(b.app.on_definition(|h| h.received.len()), 1);
-    // Cut both directions for four seconds.
-    let links: Vec<_> = [(nodes[0], nodes[1]), (nodes[1], nodes[0])]
-        .iter()
-        .map(|&(x, y)| w.net.route(x, y).expect("route")[0])
-        .collect();
-    for &l in &links {
-        w.net.link(l).set_up(false);
-    }
-    for i in 2..=6u64 {
-        a.send.push(NetRequest::NotifyReq(
-            NotifyToken::new(i),
-            NetMessage::new(a.addr, b.addr, Transport::Tcp, i),
-        ));
-    }
-    w.sim.run_for(Duration::from_secs(4));
-    let statuses = a.app.on_definition(|h| h.statuses.clone());
-    assert!(
-        statuses
-            .iter()
-            .any(|s| s.status == ConnStatus::ConnectionLost && s.transport == Transport::Tcp),
-        "the outage must surface as ConnectionLost, got {statuses:?}"
-    );
-    for &l in &links {
-        w.net.link(l).set_up(true);
-    }
-    w.sim.run_for(Duration::from_secs(15));
-    let statuses = a.app.on_definition(|h| h.statuses.clone());
-    assert!(
-        statuses.iter().any(|s| matches!(
-            s.status,
-            ConnStatus::ConnectionRestored { attempts } if attempts >= 1
-        )),
-        "the heal must surface as ConnectionRestored, got {statuses:?}"
-    );
-    // At-least-once: everything queued during the outage arrives.
-    let got: Vec<u64> = b.app.on_definition(|h| {
-        h.received
-            .iter()
-            .map(|m| m.try_deserialise::<u64, u64>().expect("u64"))
-            .collect()
-    });
-    for i in 1..=6u64 {
-        assert!(
-            got.contains(&i),
-            "message {i} must survive the outage, got {got:?}"
-        );
-    }
-    let notifies = a.app.on_definition(|h| h.notifies.clone());
-    assert!(
-        notifies.iter().all(|(_, s)| *s == DeliveryStatus::Sent),
-        "no send may fail within the retry budget, got {notifies:?}"
-    );
-    let stats = a.stats.lock();
-    assert!(stats.reconnect_attempts >= 1);
-    assert!(
-        stats.reconnects >= 1,
-        "supervision must re-establish the channel"
-    );
-    assert_eq!(stats.channels_dropped, 0, "budget must not be exhausted");
+    assert!(notifies(&v2).is_empty(), "other vnodes must not see it");
 }
 
 /// The configuration of a stack whose TCP gives up on a silent peer within
@@ -831,21 +848,84 @@ fn impatient(node: NodeId) -> NetworkConfig {
     cfg
 }
 
+/// Takes both directions between the first two nodes down, or back up.
+fn set_links(w: &World, nodes: &[NodeId], up: bool) {
+    for (x, y) in [(nodes[0], nodes[1]), (nodes[1], nodes[0])] {
+        let l = w.net.route(x, y).expect("route")[0];
+        w.net.link(l).set_up(up);
+    }
+}
+
 /// Both directions between the first two nodes go down for four seconds;
 /// the world then gets fifteen to recover.
 fn two_way_outage(w: &World, nodes: &[NodeId]) {
-    let links: Vec<_> = [(nodes[0], nodes[1]), (nodes[1], nodes[0])]
-        .iter()
-        .map(|&(x, y)| w.net.route(x, y).expect("route")[0])
-        .collect();
-    for &l in &links {
-        w.net.link(l).set_up(false);
+    set_links(w, nodes, false);
+    w.sim.run_for(Duration::from_secs(4));
+    set_links(w, nodes, true);
+    w.sim.run_for(Duration::from_secs(15));
+}
+
+/// Channel supervision: a multi-second outage kills the TCP channel, the
+/// supervisor redials with backoff, and every queued message — including
+/// frames that were in flight when the connection died — is delivered
+/// after the heal (at-least-once within the retry budget).
+#[test]
+fn supervision_reconnects_and_redelivers_after_outage() {
+    let (w, nodes) = linked(default_link(), 2);
+    let a = stack_cfg(&w, impatient(nodes[0]));
+    let b = stack(&w, nodes[1], 7000);
+    a.send.push(NetRequest::NotifyReq(
+        NotifyToken::new(1),
+        NetMessage::new(a.addr, b.addr, Transport::Tcp, 1u64),
+    ));
+    w.sim.run_for(Duration::from_millis(500));
+    assert_eq!(msgs(&b.app).len(), 1);
+    // Cut both directions for four seconds.
+    set_links(&w, &nodes, false);
+    for i in 2..=6u64 {
+        a.send.push(NetRequest::NotifyReq(
+            NotifyToken::new(i),
+            NetMessage::new(a.addr, b.addr, Transport::Tcp, i),
+        ));
     }
     w.sim.run_for(Duration::from_secs(4));
-    for &l in &links {
-        w.net.link(l).set_up(true);
-    }
+    let statuses = statuses(&a.app);
+    assert!(
+        statuses
+            .iter()
+            .any(|s| s.status == ConnStatus::ConnectionLost && s.transport == Transport::Tcp),
+        "the outage must surface as ConnectionLost, got {statuses:?}"
+    );
+    set_links(&w, &nodes, true);
     w.sim.run_for(Duration::from_secs(15));
+    let statuses = self::statuses(&a.app);
+    assert!(
+        statuses.iter().any(|s| matches!(
+            s.status,
+            ConnStatus::ConnectionRestored { attempts } if attempts >= 1
+        )),
+        "the heal must surface as ConnectionRestored, got {statuses:?}"
+    );
+    // At-least-once: everything queued during the outage arrives.
+    let got = payloads::<u64>(&b.app);
+    for i in 1..=6u64 {
+        assert!(
+            got.contains(&i),
+            "message {i} must survive the outage, got {got:?}"
+        );
+    }
+    let notifies = notifies(&a.app);
+    assert!(
+        notifies.iter().all(|(_, s)| *s == DeliveryStatus::Sent),
+        "no send may fail within the retry budget, got {notifies:?}"
+    );
+    let stats = a.stats.lock();
+    assert!(stats.reconnect_attempts >= 1);
+    assert!(
+        stats.reconnects >= 1,
+        "supervision must re-establish the channel"
+    );
+    assert_eq!(stats.channels_dropped, 0, "budget must not be exhausted");
 }
 
 /// Three notified TCP sends, the second an incompressible payload several
@@ -857,7 +937,7 @@ fn two_way_outage(w: &World, nodes: &[NodeId]) {
 /// one `Sent`.
 #[test]
 fn outage_in_the_middle_of_a_frame() {
-    let (w, nodes) = world(default_link(), 2);
+    let (w, nodes) = linked(default_link(), 2);
     let mut cfg = impatient(nodes[0]);
     cfg.tcp.send_buf = 16 * 1024;
     let a = stack_cfg(&w, cfg);
@@ -902,12 +982,7 @@ fn outage_in_the_middle_of_a_frame() {
         "no torn frame may reach the receiver"
     );
     let mut first_arrivals: Vec<Bytes> = Vec::new();
-    for payload in b.app.on_definition(|h| {
-        h.received
-            .iter()
-            .map(|m| m.try_deserialise::<Bytes, Bytes>().expect("bytes"))
-            .collect::<Vec<_>>()
-    }) {
+    for payload in self::payloads::<Bytes>(&b.app) {
         if !first_arrivals.contains(&payload) {
             first_arrivals.push(payload);
         }
@@ -917,9 +992,8 @@ fn outage_in_the_middle_of_a_frame() {
         "every message arrives intact and in send order, got lengths {:?}",
         first_arrivals.iter().map(Bytes::len).collect::<Vec<_>>()
     );
-    let notifies = a.app.on_definition(|h| h.notifies.clone());
     assert_eq!(
-        notifies,
+        notifies(&a.app),
         (1..=3)
             .map(|t| (NotifyToken::new(t), DeliveryStatus::Sent))
             .collect::<Vec<_>>(),
@@ -935,7 +1009,7 @@ fn outage_in_the_middle_of_a_frame() {
 /// it misframed.
 #[test]
 fn outage_in_the_middle_of_an_inbound_frame() {
-    let (w, nodes) = world(default_link(), 2);
+    let (w, nodes) = linked(default_link(), 2);
     // Impatient on both sides: each gives up on the connection within the
     // outage, so B's next reply travels over the one A dials afterwards.
     let a = stack_cfg(&w, impatient(nodes[0]));
@@ -944,14 +1018,7 @@ fn outage_in_the_middle_of_an_inbound_frame() {
         let msg = NetMessage::new(from.addr, to.addr, Transport::Tcp, payload);
         from.send.push(NetRequest::Msg(msg));
     };
-    let received = |at: &Stack| {
-        at.app.on_definition(|h| {
-            let payloads = h.received.iter();
-            payloads
-                .map(|m| m.try_deserialise::<Bytes, Bytes>().expect("bytes"))
-                .collect::<Vec<_>>()
-        })
-    };
+    let received = |at: &Stack| payloads::<Bytes>(&at.app);
 
     say(&a, &b, Bytes::from(&b"request"[..]));
     w.sim.run_for(Duration::from_millis(50));
@@ -993,7 +1060,7 @@ fn outage_in_the_middle_of_an_inbound_frame() {
 /// DATA traffic fails over to TCP.
 #[test]
 fn data_fails_over_to_surviving_transport() {
-    let (w, nodes) = world(default_link(), 2);
+    let (w, nodes) = linked(default_link(), 2);
     let mut cfg = NetworkConfig::new(NetAddress::new(nodes[0], 7000));
     // DATA resolves to UDT, as the interceptor would; UDT gives up fast
     // and has a tiny retry budget, while TCP (default 15 consecutive
@@ -1024,19 +1091,13 @@ fn data_fails_over_to_surviving_transport() {
         100u64,
     )));
     w.sim.run_for(Duration::from_secs(1));
-    assert_eq!(b.app.on_definition(|h| h.received.len()), 2);
-    let links: Vec<_> = [(nodes[0], nodes[1]), (nodes[1], nodes[0])]
-        .iter()
-        .map(|&(x, y)| w.net.route(x, y).expect("route")[0])
-        .collect();
-    for &l in &links {
-        w.net.link(l).set_up(false);
-    }
+    assert_eq!(msgs(&b.app).len(), 2);
+    set_links(&w, &nodes, false);
     // In-flight data makes UDT's expiration timer fire: the channel dies,
     // one redial fails (handshake gives up after ~3 s), budget exhausted.
     a.send.push(data(1));
     w.sim.run_for(Duration::from_secs(8));
-    let statuses = a.app.on_definition(|h| h.statuses.clone());
+    let statuses = statuses(&a.app);
     assert!(
         statuses
             .iter()
@@ -1047,178 +1108,22 @@ fn data_fails_over_to_surviving_transport() {
     for i in 2..=4u64 {
         a.send.push(data(i));
     }
-    for &l in &links {
-        w.net.link(l).set_up(true);
-    }
+    set_links(&w, &nodes, true);
     w.sim.run_for(Duration::from_secs(10));
     assert!(a.stats.lock().failovers >= 3, "DATA sends must fail over");
-    let got: Vec<(u64, Transport)> = b.app.on_definition(|h| {
-        h.received
-            .iter()
-            .map(|m| {
-                (
-                    m.try_deserialise::<u64, u64>().expect("u64"),
-                    m.header().protocol(),
-                )
-            })
-            .collect()
-    });
+    let got: Vec<(u64, Transport)> = msgs(&b.app)
+        .iter()
+        .map(|m| {
+            (
+                m.try_deserialise::<u64, u64>().expect("u64"),
+                m.header().protocol(),
+            )
+        })
+        .collect();
     for i in 2..=4u64 {
         assert!(
             got.iter().any(|&(v, t)| v == i && t == Transport::Tcp),
             "message {i} must arrive over TCP, got {got:?}"
         );
     }
-}
-
-/// Regression: a deliberately cyclic route must die at the TTL, not
-/// circulate forever. Each forwarding host charges one unit of budget;
-/// the host that would forward at zero drops with a recorded reason.
-#[test]
-fn cyclic_route_is_killed_by_ttl() {
-    let (w, nodes) = world(default_link(), 3);
-    w.sim.recorder().enable();
-    let a = stack(&w, nodes[0], 7000);
-    let b = stack(&w, nodes[1], 7000);
-    let c = stack(&w, nodes[2], 7000);
-    // a -> b -> a -> b -> a -> b -> ... never reaching c.
-    let mut rh = RoutingHeader::with_route(
-        BasicHeader::new(a.addr, c.addr, Transport::Tcp),
-        vec![b.addr, a.addr, b.addr, a.addr, b.addr],
-    );
-    rh.ttl = 3;
-    a.send.push(NetRequest::Msg(NetMessage::with_header(
-        NetHeader::Routing(rh),
-        "doomed".to_string(),
-    )));
-    w.sim.run_for(Duration::from_secs(3));
-    assert_eq!(
-        c.app.on_definition(|h| h.received.len()),
-        0,
-        "never reaches c"
-    );
-    // b forwards at ttl 3 and 1; a forwards at ttl 2 and drops at 0.
-    assert_eq!(b.stats.lock().forwarded, 2);
-    assert_eq!(a.stats.lock().forwarded, 1);
-    assert_eq!(a.stats.lock().ttl_drops, 1, "the cycle dies at the TTL");
-    assert_eq!(b.stats.lock().ttl_drops, 0);
-    let drops = w
-        .sim
-        .recorder()
-        .events()
-        .iter()
-        .filter(|e| e.kind.label() == "overlay")
-        .count();
-    assert_eq!(drops, 1, "the drop is recorded with a reason");
-}
-
-/// Garbage on the wire must never take the middleware down — it is
-/// counted and dropped.
-#[test]
-fn garbage_datagrams_are_counted_not_fatal() {
-    use kmsg_netsim::udp::UdpSocket;
-
-    let (w, nodes) = world(default_link(), 2);
-    let a = stack(&w, nodes[0], 7000);
-    let b = stack(&w, nodes[1], 7000);
-    // A rogue UDP socket spews non-frame bytes at B's middleware port.
-    struct Mute;
-    impl kmsg_netsim::udp::UdpEvents for Mute {
-        fn on_datagram(&self, _s: &UdpSocket, _src: kmsg_netsim::packet::Endpoint, _d: Bytes) {}
-    }
-    let rogue = UdpSocket::bind(&w.net, nodes[0], 9999, Arc::new(Mute)).expect("bind");
-    for junk in [&b"not a frame"[..], &[0xff; 64][..], &[0, 0, 0, 200, 1][..]] {
-        rogue
-            .send_to(b.addr.as_socket(), Bytes::copy_from_slice(junk))
-            .expect("send");
-    }
-    w.sim.run_for(Duration::from_secs(1));
-    assert!(b.stats.lock().decode_failures >= 3, "junk counted");
-    // The stack still works afterwards.
-    a.send.push(NetRequest::Msg(NetMessage::new(
-        a.addr,
-        b.addr,
-        Transport::Udp,
-        "still alive".to_string(),
-    )));
-    w.sim.run_for(Duration::from_secs(1));
-    assert_eq!(b.app.on_definition(|h| h.received.len()), 1);
-}
-
-/// A stream that announces an oversized frame cannot be resynchronised: the
-/// failure is counted once and the connection closed, rather than every
-/// later write being buffered and counted again. Other connections are
-/// served throughout.
-#[test]
-fn poisoned_stream_is_closed_not_buffered() {
-    use kmsg_netsim::iface::{CloseReason, Connection, StreamEvents};
-    use kmsg_netsim::tcp::{TcpConfig, TcpConn};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[derive(Default)]
-    struct Closes(AtomicUsize);
-    impl StreamEvents for Closes {
-        fn on_closed(&self, _conn: &Connection, _reason: CloseReason) {
-            self.0.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    let (w, nodes) = world(default_link(), 2);
-    let a = stack(&w, nodes[0], 7000);
-    let b = stack(&w, nodes[1], 7000);
-    let mut next = 0u64;
-    let mut well_formed = |settle: Duration| {
-        a.send.push(NetRequest::Msg(NetMessage::new(
-            a.addr,
-            b.addr,
-            Transport::Tcp,
-            next,
-        )));
-        next += 1;
-        w.sim.run_for(settle);
-    };
-    well_formed(Duration::from_millis(200));
-    // A raw connection to B's middleware port: a length prefix above
-    // `MAX_FRAME`, then 1 MiB in eight writes.
-    let closes = Arc::new(Closes::default());
-    let rogue = TcpConn::connect(
-        &w.net,
-        nodes[0],
-        b.addr.as_socket(),
-        TcpConfig::default(),
-        closes.clone(),
-    )
-    .expect("dial");
-    w.sim.run_for(Duration::from_millis(100));
-    assert_eq!(rogue.send(Bytes::from(vec![0xff; 4])), 4);
-    for _ in 0..8 {
-        // Accepted while the connection is open, refused once B closed it.
-        rogue.send(Bytes::from(vec![0u8; 128 * 1024]));
-        well_formed(Duration::from_millis(200));
-    }
-    well_formed(Duration::from_secs(2));
-    {
-        let stats = b.stats.lock();
-        assert_eq!(
-            stats.decode_failures, 1,
-            "one poisoned stream is one failure"
-        );
-        assert_eq!(stats.channels_closed, 1, "the poisoned channel is closed");
-    }
-    assert_eq!(
-        closes.0.load(Ordering::SeqCst),
-        1,
-        "the dialler sees the close"
-    );
-    let got: Vec<u64> = b.app.on_definition(|h| {
-        h.received
-            .iter()
-            .map(|m| m.try_deserialise::<u64, u64>().expect("u64"))
-            .collect()
-    });
-    assert_eq!(
-        got,
-        (0..10).collect::<Vec<_>>(),
-        "the well-formed peer is served throughout"
-    );
 }

@@ -13,55 +13,11 @@ use kmsg_netsim::packet::NodeId;
 use kmsg_netsim::rng::SeedSource;
 use kmsg_telemetry::bytes::Bytes;
 
-/// Test subscriber: records deliveries, publishes on command.
-struct SubApp {
-    overlay: RequiredPort<OverlayPort>,
-    commands: SelfPort<OverlayRequest>,
-    deliveries: Vec<OverlayDelivery>,
-}
-
-impl SubApp {
-    fn new() -> Self {
-        SubApp {
-            overlay: RequiredPort::new(),
-            commands: SelfPort::new(),
-            deliveries: Vec::new(),
-        }
-    }
-}
-
-impl ComponentDefinition for SubApp {
-    fn execute(&mut self, ctx: &mut ComponentContext, max: usize) -> usize {
-        kmsg_component::execute_ports!(self, ctx, max, [
-            required overlay: OverlayPort,
-            selfport commands: OverlayRequest,
-        ])
-    }
-}
-
-impl Require<OverlayPort> for SubApp {
-    fn handle(&mut self, _ctx: &mut ComponentContext, ev: OverlayDelivery) {
-        self.deliveries.push(ev);
-    }
-}
-
-impl HandleSelf<OverlayRequest> for SubApp {
-    fn handle_self(&mut self, _ctx: &mut ComponentContext, req: OverlayRequest) {
-        self.overlay.trigger(req);
-    }
-}
-
-impl RequireRef<OverlayPort> for SubApp {
-    fn required_port(&mut self) -> &mut RequiredPort<OverlayPort> {
-        &mut self.overlay
-    }
-}
-
 struct Node {
     net_stats: StatsHandle,
     overlay: ComponentRef<OverlayComponent>,
     overlay_stats: OverlayStatsHandle,
-    app: ComponentRef<SubApp>,
+    app: ComponentRef<PortSink<OverlayPort>>,
     send: SelfRef<OverlayRequest>,
 }
 
@@ -135,9 +91,9 @@ fn build_node(w: &World, node: NodeId, peers: &[NodeId], subjects: &[&str]) -> N
         .create(move || OverlayComponent::new(cfg, rng, recorder));
     let overlay_stats = overlay.on_definition(|o| o.stats());
     w.system.connect::<NetworkPort, _, _>(&network, &overlay);
-    let app = w.system.create(SubApp::new);
+    let app = w.system.create(PortSink::default);
     w.system.connect::<OverlayPort, _, _>(&overlay, &app);
-    let send = app.self_ref(|h| &mut h.commands);
+    let send = app.self_ref(|s| &mut s.requests);
     w.system.start(&network);
     w.system.start(&overlay);
     w.system.start(&app);
@@ -179,7 +135,7 @@ fn overlay_reroutes_around_partition_before_reconnect() {
     publish(&a, "t", b"m1");
     w.sim.run_for(Duration::from_millis(500));
     assert_eq!(
-        c.app.on_definition(|h| h.deliveries.len()),
+        c.app.on_definition(|s| s.received.len()),
         1,
         "direct delivery before the partition"
     );
@@ -191,7 +147,7 @@ fn overlay_reroutes_around_partition_before_reconnect() {
     // can have succeeded yet (the direct link is still down).
     let seqs: Vec<u64> = c
         .app
-        .on_definition(|h| h.deliveries.iter().map(|d| d.seq).collect());
+        .on_definition(|s| s.received.iter().map(|d| d.seq).collect());
     assert!(
         seqs.contains(&2),
         "m2 must be rerouted around the partition, got seqs {seqs:?}"
@@ -216,7 +172,7 @@ fn overlay_reroutes_around_partition_before_reconnect() {
     w.sim.run_for(Duration::from_secs(6));
     let seqs: Vec<u64> = c
         .app
-        .on_definition(|h| h.deliveries.iter().map(|d| d.seq).collect());
+        .on_definition(|s| s.received.iter().map(|d| d.seq).collect());
     assert_eq!(seqs.len(), 2, "at-most-once per subscriber, got {seqs:?}");
     assert!(seqs.contains(&1) && seqs.contains(&2));
     assert!(
@@ -252,8 +208,8 @@ fn dynamic_subscriptions_propagate_by_gossip() {
     // Nobody is subscribed: the publish goes nowhere.
     publish(&a, "news", b"x0");
     w.sim.run_for(Duration::from_millis(500));
-    assert_eq!(b.app.on_definition(|h| h.deliveries.len()), 0);
-    assert_eq!(c.app.on_definition(|h| h.deliveries.len()), 0);
+    assert_eq!(b.app.on_definition(|s| s.received.len()), 0);
+    assert_eq!(c.app.on_definition(|s| s.received.len()), 0);
     // b subscribes at runtime; the subscription gossips out.
     b.send.push(OverlayRequest::Subscribe {
         subject: "news".to_string(),
@@ -262,11 +218,11 @@ fn dynamic_subscriptions_propagate_by_gossip() {
     publish(&a, "news", b"x1");
     w.sim.run_for(Duration::from_millis(500));
     assert_eq!(
-        b.app.on_definition(|h| h.deliveries.len()),
+        b.app.on_definition(|s| s.received.len()),
         1,
         "runtime subscription must attract the publish"
     );
-    assert_eq!(c.app.on_definition(|h| h.deliveries.len()), 0);
+    assert_eq!(c.app.on_definition(|s| s.received.len()), 0);
     // Unsubscribe: no further deliveries.
     b.send.push(OverlayRequest::Unsubscribe {
         subject: "news".to_string(),
@@ -275,7 +231,7 @@ fn dynamic_subscriptions_propagate_by_gossip() {
     publish(&a, "news", b"x2");
     w.sim.run_for(Duration::from_millis(500));
     assert_eq!(
-        b.app.on_definition(|h| h.deliveries.len()),
+        b.app.on_definition(|s| s.received.len()),
         1,
         "unsubscribe must stop deliveries"
     );

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Line ledger: non-test lines under crates/*/src, per crate and in total
-# (each file counted up to its first `#[cfg(test)]`), then every line of
-# Rust outside benchmark/ and build output (tests included), then the lines
-# of each prose document a builder reads before touching code, and their
-# total.
+# (each file counted up to its first `#[cfg(test)]`), and beside them the
+# test lines (every line of Rust under crates/<c>/ minus the non-test
+# figure); then every line of Rust outside benchmark/ and build output
+# (tests included), then the lines of each prose document a builder reads
+# before touching code, and their total.
 #
 # Each Rust figure is given twice: `raw` counts the files as committed, and
 # `rustfmt` counts a copy of them run through rustfmt with its default
@@ -47,6 +48,17 @@ non_test() {
         END { print n + 0 }'
 }
 
+# test_lines <crate dir>...: every line of every .rs under the crates,
+# minus their non-test lines.
+test_lines() {
+    all=$(find "$@" -name '*.rs' -print0 | xargs -0 cat | wc -l)
+    for crate; do
+        shift
+        set -- "$@" "$crate/src"
+    done
+    echo $((all - $(non_test "$@")))
+}
+
 # both <command> <arg>...: the command's figure in this tree, then in the
 # rustfmt copy (`-` without one).
 both() {
@@ -62,12 +74,14 @@ all_lines() {
 # Counted in full before anything is printed, so a reader that stops
 # early (`| head`) cannot leave the copy behind.
 rust=$(
-    printf '%-12s %6s %8s\n' '' raw rustfmt
+    printf '%-12s %6s %8s %6s %8s\n' '' raw rustfmt test rustfmt
     for src in crates/*/src; do
-        crate=${src#crates/}
-        printf '%-12s %s\n' "${crate%/src}" "$(both non_test "$src")"
+        crate=${src%/src}
+        printf '%-12s %s %s\n' "${crate#crates/}" "$(both non_test "$src")" \
+            "$(both test_lines "$crate")"
     done
-    printf '%-12s %s  non-test lines under crates/*/src\n' total "$(both non_test crates/*/src)"
+    printf '%-12s %s %s  non-test and test lines under crates/\n' total \
+        "$(both non_test crates/*/src)" "$(both test_lines crates/*)"
     printf '%-12s %s  lines of Rust outside benchmark/\n' all "$(both all_lines)"
 )
 [ -z "$norm" ] || rm -rf "$norm"
