@@ -28,14 +28,16 @@ use kmsg_telemetry::bytes::Bytes;
 
 type Sink = ComponentRef<PortSink<NetworkPort>>;
 
+/// What `sink` received that `pick` keeps, in arrival order.
+fn seen<T>(sink: &Sink, pick: impl FnMut(&NetIndication) -> Option<T>) -> Vec<T> {
+    sink.on_definition(|s| s.received.iter().filter_map(pick).collect())
+}
+
 /// The messages `sink` received, in order.
 fn msgs(sink: &Sink) -> Vec<NetMessage> {
-    sink.on_definition(|s| {
-        let msgs = s.received.iter().filter_map(|ind| match ind {
-            NetIndication::Msg(m) => Some(m.clone()),
-            _ => None,
-        });
-        msgs.collect()
+    seen(sink, |ind| match ind {
+        NetIndication::Msg(m) => Some(m.clone()),
+        _ => None,
     })
 }
 
@@ -48,23 +50,17 @@ fn payloads<T: Clone + Deserialiser<T> + 'static>(sink: &Sink) -> Vec<T> {
 
 /// The notification responses `sink` received, in order.
 fn notifies(sink: &Sink) -> Vec<(NotifyToken, DeliveryStatus)> {
-    sink.on_definition(|s| {
-        let notifies = s.received.iter().filter_map(|ind| match *ind {
-            NetIndication::NotifyResp(token, status) => Some((token, status)),
-            _ => None,
-        });
-        notifies.collect()
+    seen(sink, |ind| match *ind {
+        NetIndication::NotifyResp(token, status) => Some((token, status)),
+        _ => None,
     })
 }
 
 /// The channel statuses `sink` received, in order.
 fn statuses(sink: &Sink) -> Vec<ChannelStatus> {
-    sink.on_definition(|s| {
-        let statuses = s.received.iter().filter_map(|ind| match *ind {
-            NetIndication::Status(status) => Some(status),
-            _ => None,
-        });
-        statuses.collect()
+    seen(sink, |ind| match *ind {
+        NetIndication::Status(status) => Some(status),
+        _ => None,
     })
 }
 
@@ -279,7 +275,8 @@ fn reply_reuses_inbound_channel() {
 /// A routed message's TTL is its forwarding budget. A host that a message
 /// names as the next hop forwards it while budget is left, charging one
 /// unit, and drops it with a recorded reason at zero, so a cyclic route
-/// dies instead of circulating.
+/// dies instead of circulating. `multi_hop_routing_forwards` reads the
+/// charged unit off the header the next host receives.
 #[test]
 fn cyclic_route_is_killed_by_ttl() {
     let (w, s, peer) = scripted();
@@ -589,6 +586,11 @@ fn multi_hop_routing_forwards() {
     // The source presented to c is the original sender: c can reply
     // directly (the paper's replyTo motivation).
     assert_eq!(*got[0].header().source(), a.addr);
+    // b charged the routing budget one unit for its hop.
+    match got[0].header() {
+        NetHeader::Routing(rh) => assert_eq!(rh.ttl, DEFAULT_TTL - 1, "one hop, one unit"),
+        other => panic!("the routing header is lost: {other:?}"),
+    }
 }
 
 #[test]
