@@ -310,12 +310,11 @@ impl DataNetworkComponent {
     }
 
     /// Releases queued messages while the next message's protocol window
-    /// allows.
+    /// allows, each sent as it is released.
     fn release(&mut self, now: SimTime, dst: Endpoint) {
         let Some(flow) = self.flows.get_mut(&dst) else {
             return;
         };
-        let mut to_send = Vec::new();
         loop {
             if flow.queue.is_empty() {
                 break;
@@ -347,9 +346,6 @@ impl DataNetworkComponent {
             self.next_internal += 1;
             self.inflight
                 .insert(internal, (dst, len, token, now, proto));
-            to_send.push((internal, msg));
-        }
-        for (internal, msg) in to_send {
             self.net_port
                 .trigger(NetRequest::NotifyReq(NotifyToken::new(internal), msg));
         }

@@ -311,6 +311,79 @@ pub(crate) fn release_drained<T>(q: &mut VecDeque<T>) {
     }
 }
 
+/// An entry of a send queue ordered by sequence number: TCP's segments,
+/// UDT's packets. Loss is a mark on the entry it names, so a mark leaves
+/// the queue with its entry.
+pub(crate) trait LossMark {
+    fn lost(&mut self) -> &mut bool;
+}
+
+/// The index of the lowest marked entry of a send queue (`u32::MAX` when
+/// none is) and the number of marked entries. Retransmission takes the
+/// marks in ascending order from here; a scan for the next mark stops at
+/// it, since the count says one is left, so a whole recovery scans the
+/// queue at most once.
+#[derive(Clone, Copy)]
+pub(crate) struct FirstLost {
+    at: u32,
+    count: u32,
+}
+
+impl FirstLost {
+    pub(crate) const NONE: FirstLost = FirstLost {
+        at: u32::MAX,
+        count: 0,
+    };
+
+    /// Whether any entry is marked.
+    pub(crate) fn any(self) -> bool {
+        self.count > 0
+    }
+
+    /// Marks entry `at` lost.
+    pub(crate) fn mark<T: LossMark>(&mut self, q: &mut VecDeque<T>, at: usize) {
+        let lost = q[at].lost();
+        if !*lost {
+            *lost = true;
+            self.count += 1;
+            self.at = self.at.min(at as u32);
+        }
+    }
+
+    /// Clears the lowest mark and returns its entry's index.
+    pub(crate) fn take<T: LossMark>(&mut self, q: &mut VecDeque<T>) -> Option<usize> {
+        let at = self.any().then_some(self.at as usize)?;
+        *q[at].lost() = false;
+        self.count -= 1;
+        self.seek(q, at + 1);
+        Some(at)
+    }
+
+    /// The first `n` entries of `q` are about to leave it, their marks
+    /// with them. Called before they are drained.
+    pub(crate) fn release<T: LossMark>(&mut self, q: &mut VecDeque<T>, n: usize) {
+        let at = self.at as usize;
+        if self.any() && at < n {
+            let gone: u32 = q.range_mut(at..n).map(|e| u32::from(*e.lost())).sum();
+            self.count -= gone;
+            self.seek(q, n);
+        }
+        if self.any() {
+            self.at -= n as u32;
+        }
+    }
+
+    fn seek<T: LossMark>(&mut self, q: &mut VecDeque<T>, from: usize) {
+        self.at = match self.count {
+            0 => u32::MAX,
+            _ => {
+                let next = q.range_mut(from..).position(|e| *e.lost());
+                (from + next.expect("a mark is left")) as u32
+            }
+        };
+    }
+}
+
 /// Timer-token layout: `kind(3) | slot-index(29) | aux(32)`. The kinds and
 /// the meaning of `aux` belong to the protocol; the slot index alone names
 /// the flow, because flow slots are never removed. A pending timer is an
@@ -1970,4 +2043,59 @@ mod tests {
             tight: crate::udt::UdtConfig { snd_buf: 64 * 1024, ..Default::default() },
         }
     );
+
+    /// A send-queue entry that counts how often its mark is read.
+    #[derive(Default)]
+    struct Counted {
+        lost: bool,
+        reads: u32,
+    }
+    impl LossMark for Counted {
+        fn lost(&mut self) -> &mut bool {
+            self.reads += 1;
+            &mut self.lost
+        }
+    }
+
+    /// Entries read at or past `from`.
+    fn reads_from(q: &VecDeque<Counted>, from: usize) -> u32 {
+        q.range(from..).map(|e| e.reads).sum()
+    }
+
+    #[test]
+    fn sparse_marks_are_taken_in_order_without_scanning_past_the_last() {
+        let mut q: VecDeque<Counted> = (0..10_000).map(|_| Counted::default()).collect();
+        let mut first = FirstLost::NONE;
+        for at in [7_000, 5, 20, 20] {
+            first.mark(&mut q, at);
+        }
+        let taken: Vec<_> = std::iter::from_fn(|| first.take(&mut q)).collect();
+        assert_eq!(taken, [5, 20, 7_000]);
+        assert!(!first.any());
+        // The scan for the next mark stops at it, and none follows the last.
+        assert_eq!(reads_from(&q, 7_001), 0);
+
+        // A cumulative ACK releases a mark; the cursor moves to the next one
+        // without reading the queue beyond it.
+        let mut q: VecDeque<Counted> = (0..10_000).map(|_| Counted::default()).collect();
+        let mut first = FirstLost::NONE;
+        for at in [3, 50, 9] {
+            first.mark(&mut q, at);
+        }
+        first.release(&mut q, 10);
+        q.drain(..10);
+        assert_eq!(reads_from(&q, 41), 0);
+        assert_eq!(first.take(&mut q), Some(40));
+        assert_eq!(first.take(&mut q), None);
+        // A release that passes every mark leaves none, and one below the
+        // cursor only shifts it.
+        first.mark(&mut q, 5);
+        first.release(&mut q, 6);
+        q.drain(..6);
+        assert!(!first.any());
+        first.mark(&mut q, 100);
+        first.release(&mut q, 10);
+        q.drain(..10);
+        assert_eq!(first.take(&mut q), Some(90));
+    }
 }

@@ -108,6 +108,16 @@ impl SeqRanges {
     pub const fn one(from: u64, to: u64) -> Self {
         SeqRanges(Ranges::One([(from, to)]))
     }
+
+    /// Makes `ranges` the last report sent, in place of `self`, and returns
+    /// a copy to send: an unchanged report shares the last one's block, so
+    /// repeating a report allocates nothing.
+    pub(crate) fn update(&mut self, ranges: &[(u64, u64)]) -> SeqRanges {
+        if **self != *ranges {
+            *self = SeqRanges::from(ranges);
+        }
+        self.clone()
+    }
 }
 
 impl From<&[(u64, u64)]> for SeqRanges {
@@ -247,6 +257,15 @@ mod tests {
         // The sizes while loss reports were `Vec<(u64, u64)>`s.
         assert!(size_of::<crate::tcp::TcpSegment>() <= 112);
         assert!(size_of::<crate::udt::UdtPacket>() <= 48);
+    }
+
+    #[test]
+    fn loss_marks_do_not_grow_flows() {
+        use std::mem::size_of;
+        // The sizes while each flow kept its loss set in a `BTreeSet`.
+        assert!(size_of::<crate::tcp::Flow>() <= 440);
+        assert!(size_of::<crate::tcp::SentSeg>() <= 72);
+        assert!(size_of::<crate::udt::Flow>() <= 560);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! machine — steps of one flow, which never see a lock — and its three
 //! timers.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::time::Duration;
 
@@ -34,7 +34,8 @@ use kmsg_telemetry::{EventKind, Recorder, SpanKind};
 
 use crate::cc::{self, CcConfig, CcCtx, CongestionController};
 use crate::flowstack::{
-    self, release_drained, Conn, FlowHeader, FlowTable, Listener, Phase, Protocol, Stream,
+    self, release_drained, Conn, FirstLost, FlowHeader, FlowTable, Listener, LossMark, Phase,
+    Protocol, Stream,
 };
 use crate::iface::{CloseReason, Connection};
 use crate::memscope;
@@ -151,17 +152,26 @@ enum State {
 }
 
 #[derive(Debug)]
-struct SentSeg {
+pub(crate) struct SentSeg {
     /// First sequence number the segment covers.
     seq: u64,
     payload: Bytes,
     syn: bool,
     fin: bool,
     retransmitted: bool,
+    /// Marked lost: a receiver-reported hole or the RTO's go-back-N, not
+    /// yet retransmitted.
+    lost: bool,
     last_rexmit: Option<SimTime>,
     /// Raw `seg` causal-span id covering first transmission to cumulative
     /// ack (0 for control segments or while tracing is off).
     span: u64,
+}
+
+impl LossMark for SentSeg {
+    fn lost(&mut self) -> &mut bool {
+        &mut self.lost
+    }
 }
 
 /// `seg` span closed clean: acknowledged without any retransmission.
@@ -224,7 +234,8 @@ pub(crate) struct Flow {
     /// ordered by `seq` by construction — a segment is only ever appended,
     /// at `snd_nxt`, and only ever released from the front.
     sent: VecDeque<SentSeg>,
-    lost: BTreeSet<u64>,
+    /// The lowest segment of `sent` marked lost.
+    first_lost: FirstLost,
     cwnd: f64,
     ssthresh: f64,
     peer_wnd: u64,
@@ -258,8 +269,11 @@ pub(crate) struct Flow {
 
     // --- receive side ---
     rcv_nxt: u64,
+    /// The hole report last sent, which an unchanged one shares.
+    last_report: SeqRanges,
     ts_recent: Option<SimTime>,
-    delack_pending: u32,
+    /// An in-order segment waits for its delayed ACK.
+    delack_pending: bool,
     delack_timer: flowstack::FlowTimer,
     /// Where the peer's FIN sits in its sequence space; `u64::MAX` until one
     /// arrives.
@@ -285,7 +299,7 @@ impl Flow {
             snd_una: 0,
             snd_nxt: 0,
             sent: VecDeque::new(),
-            lost: BTreeSet::new(),
+            first_lost: FirstLost::NONE,
             cwnd,
             ssthresh: f64::INFINITY,
             peer_wnd: cfg.recv_buf as u64,
@@ -306,8 +320,9 @@ impl Flow {
             fin_seq: 0,
             fin_acked: false,
             rcv_nxt: 0,
+            last_report: SeqRanges::default(),
             ts_recent: None,
-            delack_pending: 0,
+            delack_pending: false,
             delack_timer: flowstack::FlowTimer::IDLE,
             peer_fin_seq: u64::MAX,
             fin_received: false,
@@ -384,7 +399,9 @@ fn on_rto_fired(
     if flow.state == State::Established {
         // Go-back-N style: everything unacknowledged is presumed lost;
         // retransmission is paced by returning ACKs.
-        flow.lost.extend(flow.sent.iter().map(|s| s.seq));
+        for at in 0..flow.sent.len() {
+            flow.first_lost.mark(&mut flow.sent, at);
+        }
         resend_lost(flow, cfg, rec, now, out);
     } else {
         retransmit_first(flow, cfg, rec, now, out);
@@ -408,10 +425,10 @@ fn on_pacer_fired(
 
 fn on_delack_fired(flow: &mut Flow, cfg: &TcpConfig, now: SimTime, out: &mut Vec<Action>) {
     let due = flow.state != State::Closed && flow.delack_timer.fired(KIND_DELACK, now, out);
-    if !due || flow.delack_pending == 0 {
+    if !due || !flow.delack_pending {
         return;
     }
-    flow.delack_pending = 0;
+    flow.delack_pending = false;
     out.push(Action::Send(pure_ack(flow, cfg, now)));
 }
 
@@ -476,21 +493,7 @@ impl Protocol for TcpConfig {
         now: SimTime,
         out: &mut Vec<Action>,
     ) {
-        let seg = TcpSegment {
-            seq: 0,
-            ack: 0,
-            flags: SegFlags {
-                syn: true,
-                ack: false,
-                fin: false,
-            },
-            wnd: my_wnd(flow, cfg),
-            ts: now,
-            ts_echo: None,
-            holes: SeqRanges::default(),
-            payload: Bytes::new(),
-        };
-        queue_syn(flow, seg, now, out);
+        queue_syn(flow, cfg, now, out);
     }
 
     /// Answers the SYN with a SYN-ACK.
@@ -505,21 +508,7 @@ impl Protocol for TcpConfig {
         flow.rcv_nxt = seg.seq + 1;
         flow.ts_recent = Some(seg.ts);
         flow.peer_wnd = seg.wnd;
-        let synack = TcpSegment {
-            seq: 0,
-            ack: flow.rcv_nxt,
-            flags: SegFlags {
-                syn: true,
-                ack: true,
-                fin: false,
-            },
-            wnd: my_wnd(flow, cfg),
-            ts: now,
-            ts_echo: flow.ts_recent,
-            holes: SeqRanges::default(),
-            payload: Bytes::new(),
-        };
-        queue_syn(flow, synack, now, out);
+        queue_syn(flow, cfg, now, out);
     }
 
     fn on_wire(
@@ -611,14 +600,15 @@ impl Protocol for TcpConfig {
         flow.state = State::Closed;
         flow.rto_armed = false;
         flow.pacer_armed = false;
-        flow.delack_pending = 0;
+        flow.delack_pending = false;
         // Fresh containers rather than clear(): a killed flow's slot
         // lingers in the slab, and VecDeque::clear keeps its ring
-        // buffer allocated (the B-tree containers free on clear).
+        // buffer allocated.
         flow.stream.free_buffers();
         close_all_seg_spans(flow, rec, now);
         flow.sent = VecDeque::new();
-        flow.lost.clear();
+        flow.first_lost = FirstLost::NONE;
+        flow.last_report = SeqRanges::default();
     }
 
     fn debug_state(flow: Option<&Flow>, out: &mut fmt::DebugStruct<'_, '_>) {
@@ -645,13 +635,15 @@ impl Protocol for TcpConfig {
 
 /// Puts the opening SYN or SYN-ACK in flight: sequence number 0, covered by
 /// the retransmission timer like any other unacknowledged segment.
-fn queue_syn(flow: &mut Flow, seg: TcpSegment, now: SimTime, out: &mut Vec<Action>) {
+fn queue_syn(flow: &mut Flow, cfg: &TcpConfig, now: SimTime, out: &mut Vec<Action>) {
+    let seg = segment(flow, cfg, now, 0, true, false, Bytes::new());
     flow.sent.push_back(SentSeg {
         seq: 0,
         payload: Bytes::new(),
         syn: true,
         fin: false,
         retransmitted: false,
+        lost: false,
         last_rexmit: None,
         span: 0,
     });
@@ -731,34 +723,49 @@ fn update_rtt(flow: &mut Flow, cfg: &TcpConfig, now: SimTime, echo: SimTime) {
     flow.cc.on_rtt_sample(sample, now);
 }
 
-fn pure_ack(flow: &Flow, cfg: &TcpConfig, now: SimTime) -> TcpSegment {
+/// A segment of this flow from `seq`, which acknowledges what has arrived
+/// (every segment but the opening SYN).
+fn segment(
+    flow: &Flow,
+    cfg: &TcpConfig,
+    now: SimTime,
+    seq: u64,
+    syn: bool,
+    fin: bool,
+    payload: Bytes,
+) -> TcpSegment {
     TcpSegment {
-        seq: flow.snd_nxt,
+        seq,
         ack: flow.rcv_nxt,
         flags: SegFlags {
-            syn: false,
-            ack: true,
-            fin: false,
+            syn,
+            ack: flow.state != State::SynSent,
+            fin,
         },
         wnd: my_wnd(flow, cfg),
         ts: now,
         ts_echo: flow.ts_recent,
-        holes: compute_holes(flow),
-        payload: Bytes::new(),
+        holes: SeqRanges::default(),
+        payload,
+    }
+}
+
+fn pure_ack(flow: &mut Flow, cfg: &TcpConfig, now: SimTime) -> TcpSegment {
+    let holes = compute_holes(flow);
+    let seq = flow.snd_nxt;
+    TcpSegment {
+        holes,
+        ..segment(flow, cfg, now, seq, false, false, Bytes::new())
     }
 }
 
 /// The receiver's missing `[from, to)` byte ranges below its highest
-/// buffered out-of-order segment (capped at 16).
-fn compute_holes(flow: &Flow) -> SeqRanges {
-    let held = flow.stream.held();
-    if held.is_empty() {
-        return SeqRanges::default();
-    }
+/// buffered out-of-order segment (capped at 16), kept as the last report.
+fn compute_holes(flow: &mut Flow) -> SeqRanges {
     let mut holes = [(0, 0); 16];
     let mut n = 0;
     let mut expect = flow.rcv_nxt;
-    for (&seq, data) in held {
+    for (&seq, data) in flow.stream.held() {
         if seq > expect {
             holes[n] = (expect, seq);
             n += 1;
@@ -768,7 +775,7 @@ fn compute_holes(flow: &Flow) -> SeqRanges {
         }
         expect = expect.max(seq + data.len() as u64);
     }
-    SeqRanges::from(&holes[..n])
+    flow.last_report.update(&holes[..n])
 }
 
 fn arm_rto(flow: &mut Flow, now: SimTime, out: &mut Vec<Action>) {
@@ -804,40 +811,30 @@ fn retransmit_first(
     now: SimTime,
     out: &mut Vec<Action>,
 ) {
-    let wnd = my_wnd(flow, cfg);
-    let rcv_nxt = flow.rcv_nxt;
-    let ts_echo = flow.ts_recent;
-    let is_syn_sent = flow.state == State::SynSent;
-    let conn_id = flow.hdr.conn_id;
-    let Some(seg) = flow.sent.front_mut() else {
-        return;
-    };
-    seg.retransmitted = true;
-    let seq = seg.seq;
-    let segment = TcpSegment {
-        seq,
-        ack: rcv_nxt,
-        flags: SegFlags {
-            syn: seg.syn,
-            ack: !is_syn_sent,
-            fin: seg.fin,
-        },
-        wnd,
-        ts: now,
-        ts_echo,
-        holes: SeqRanges::default(),
-        payload: seg.payload.clone(),
-    };
+    if !flow.sent.is_empty() {
+        retransmit(flow, cfg, rec, now, 0, false, out);
+    }
+}
+
+/// Resends the segment at index `at` of the retransmission queue, `fast`
+/// (loss-driven) or not (the RTO's resend of the oldest).
+fn retransmit(
+    flow: &mut Flow,
+    cfg: &TcpConfig,
+    rec: &Recorder,
+    now: SimTime,
+    at: usize,
+    fast: bool,
+    out: &mut Vec<Action>,
+) {
+    let s = &mut flow.sent[at];
+    s.retransmitted = true;
+    let (seq, syn, fin, payload) = (s.seq, s.syn, s.fin, s.payload.clone());
+    let seg = segment(flow, cfg, now, seq, syn, fin, payload);
     flow.retransmits += 1;
-    rec.record(
-        now.as_nanos(),
-        EventKind::TcpRetransmit {
-            conn: conn_id,
-            seq,
-            fast: false,
-        },
-    );
-    out.push(Action::Send(segment));
+    let conn = flow.hdr.conn_id;
+    rec.record(now.as_nanos(), EventKind::TcpRetransmit { conn, seq, fast });
+    out.push(Action::Send(seg));
 }
 
 fn process_ack(
@@ -860,12 +857,12 @@ fn process_ack(
         flow.consecutive_timeouts = 0;
         // Release every segment that starts below the acknowledgement,
         // closing their `seg` spans in sequence order (close key records
-        // whether the segment needed retransmission).
+        // whether the segment needed retransmission); their loss marks
+        // leave with them.
+        let released = flow.sent.partition_point(|s| s.seq < seg.ack);
+        flow.first_lost.release(&mut flow.sent, released);
         let mut acked = 0;
-        while let Some(s) = flow.sent.front() {
-            if s.seq >= seg.ack {
-                break;
-            }
+        for s in flow.sent.drain(..released) {
             acked += s.payload.len();
             let key = if s.retransmitted {
                 SEG_REXMIT
@@ -873,7 +870,6 @@ fn process_ack(
                 SEG_ACKED
             };
             close_seg_span(rec, now, s.span, key);
-            flow.sent.pop_front();
         }
         release_drained(&mut flow.sent);
         if let Some(echo) = seg.ts_echo {
@@ -881,10 +877,6 @@ fn process_ack(
         }
         if flow.fin_sent && seg.ack > flow.fin_seq {
             flow.fin_acked = true;
-        }
-        // Drop stale loss markers.
-        while flow.lost.first().is_some_and(|&s| s < seg.ack) {
-            flow.lost.pop_first();
         }
         if flow.in_recovery && flow.snd_una >= flow.recover {
             flow.in_recovery = false;
@@ -919,19 +911,14 @@ fn note_holes(
         // The segments that start in `[from, to)`.
         let starts = flow.sent.partition_point(|s| s.seq < from);
         let ends = flow.sent.partition_point(|s| s.seq < to);
-        for i in starts..ends {
-            let seg = &flow.sent[i];
-            if seg.seq < flow.snd_una || flow.lost.contains(&seg.seq) {
-                continue;
-            }
+        for at in starts..ends {
+            let seg = &flow.sent[at];
             let eligible = seg
                 .last_rexmit
                 .is_none_or(|t| now.duration_since(t) >= reinsert_after);
-            if eligible {
-                flow.lost.insert(seg.seq);
-                if seg.last_rexmit.is_none() {
-                    fresh_loss = true;
-                }
+            if !seg.lost && eligible {
+                fresh_loss |= seg.last_rexmit.is_none();
+                flow.first_lost.mark(&mut flow.sent, at);
             }
         }
     }
@@ -956,46 +943,11 @@ fn resend_lost(
     let budget = ((flow.cwnd / cfg.mss as f64 / 4.0) as usize).max(1);
     let mut sent = 0;
     while sent < budget {
-        let Some(seq) = flow.lost.pop_first() else {
+        let Some(at) = flow.first_lost.take(&mut flow.sent) else {
             break;
         };
-        if seq < flow.snd_una {
-            continue;
-        }
-        let wnd = my_wnd(flow, cfg);
-        let rcv_nxt = flow.rcv_nxt;
-        let ts_echo = flow.ts_recent;
-        let conn_id = flow.hdr.conn_id;
-        let Ok(at) = flow.sent.binary_search_by_key(&seq, |s| s.seq) else {
-            continue;
-        };
-        let seg = &mut flow.sent[at];
-        seg.retransmitted = true;
-        seg.last_rexmit = Some(now);
-        let segment = TcpSegment {
-            seq,
-            ack: rcv_nxt,
-            flags: SegFlags {
-                syn: seg.syn,
-                ack: true,
-                fin: seg.fin,
-            },
-            wnd,
-            ts: now,
-            ts_echo,
-            holes: SeqRanges::default(),
-            payload: seg.payload.clone(),
-        };
-        flow.retransmits += 1;
-        rec.record(
-            now.as_nanos(),
-            EventKind::TcpRetransmit {
-                conn: conn_id,
-                seq,
-                fast: true,
-            },
-        );
-        out.push(Action::Send(segment));
+        flow.sent[at].last_rexmit = Some(now);
+        retransmit(flow, cfg, rec, now, at, true, out);
         sent += 1;
     }
 }
@@ -1051,13 +1003,13 @@ fn schedule_ack(
     out: &mut Vec<Action>,
     immediate: bool,
 ) {
-    if immediate || flow.delack_pending >= 1 {
-        // Clearing the pending count cancels any outstanding delack timer:
-        // it fires, sees `delack_pending == 0`, and no-ops.
-        flow.delack_pending = 0;
+    if immediate || flow.delack_pending {
+        // Clearing the pending flag cancels any outstanding delack timer:
+        // it fires, sees `delack_pending` false, and no-ops.
+        flow.delack_pending = false;
         out.push(Action::Send(pure_ack(flow, cfg, now)));
     } else {
-        flow.delack_pending += 1;
+        flow.delack_pending = true;
         out.push(flow.delack_timer.arm(KIND_DELACK, now, DELACK_TIMEOUT));
     }
 }
@@ -1073,20 +1025,7 @@ fn try_send(flow: &mut Flow, cfg: &TcpConfig, rec: &Recorder, now: SimTime, out:
         }
         if !flow.stream.has_queued() {
             if flow.stream.fin_queued && !flow.fin_sent {
-                let seg = TcpSegment {
-                    seq: flow.snd_nxt,
-                    ack: flow.rcv_nxt,
-                    flags: SegFlags {
-                        syn: false,
-                        ack: true,
-                        fin: true,
-                    },
-                    wnd: my_wnd(flow, cfg),
-                    ts: now,
-                    ts_echo: flow.ts_recent,
-                    holes: SeqRanges::default(),
-                    payload: Bytes::new(),
-                };
+                let seg = segment(flow, cfg, now, flow.snd_nxt, false, true, Bytes::new());
                 flow.fin_seq = flow.snd_nxt;
                 flow.fin_sent = true;
                 flow.sent.push_back(SentSeg {
@@ -1095,6 +1034,7 @@ fn try_send(flow: &mut Flow, cfg: &TcpConfig, rec: &Recorder, now: SimTime, out:
                     syn: false,
                     fin: true,
                     retransmitted: false,
+                    lost: false,
                     last_rexmit: None,
                     span: 0,
                 });
@@ -1112,26 +1052,14 @@ fn try_send(flow: &mut Flow, cfg: &TcpConfig, rec: &Recorder, now: SimTime, out:
         }
         let payload = flow.stream.next_payload(cfg.mss).expect("bytes queued");
         let take = payload.len();
-        let seg = TcpSegment {
-            seq: flow.snd_nxt,
-            ack: flow.rcv_nxt,
-            flags: SegFlags {
-                syn: false,
-                ack: true,
-                fin: false,
-            },
-            wnd: my_wnd(flow, cfg),
-            ts: now,
-            ts_echo: flow.ts_recent,
-            holes: SeqRanges::default(),
-            payload: payload.clone(),
-        };
+        let seg = segment(flow, cfg, now, flow.snd_nxt, false, false, payload.clone());
         flow.sent.push_back(SentSeg {
             seq: flow.snd_nxt,
             payload,
             syn: false,
             fin: false,
             retransmitted: false,
+            lost: false,
             last_rexmit: None,
             span: open_seg_span(rec, now, flow.hdr.conn_id, flow.snd_nxt),
         });
@@ -1204,10 +1132,11 @@ impl Flow {
         self.state == State::Closed
             && !self.rto_armed
             && !self.pacer_armed
-            && self.delack_pending == 0
+            && !self.delack_pending
             && self.stream.is_freed()
             && self.sent.capacity() == 0
-            && self.lost.is_empty()
+            && !self.first_lost.any()
+            && self.last_report.is_empty()
     }
 
     /// `(snd_una, snd_nxt)`.
@@ -1227,9 +1156,9 @@ impl Flow {
         rexmit.map(|s| s.seq).collect()
     }
 
-    /// The loss markers, ascending.
+    /// The segments marked lost, ascending.
     fn lost_seqs(&self) -> Vec<u64> {
-        self.lost.iter().copied().collect()
+        self.sent.iter().filter(|s| s.lost).map(|s| s.seq).collect()
     }
 }
 
@@ -1473,6 +1402,38 @@ mod tests {
             conn.peek(|f, _| f.lost_seqs()),
             Some(vec![1 + 2 * MSS, 1 + 3 * MSS])
         );
+    }
+
+    #[test]
+    fn an_unchanged_hole_report_shares_its_block_and_a_changed_one_does_not() {
+        let (_sim, _net, conn) = dark_flow(0);
+        // Ten bytes at each `seq`, ahead of the next expected byte, 1.
+        let ahead = |seq| {
+            let payload = Bytes::from_static(&[1; 10]);
+            arrive(
+                &conn,
+                TcpSegment {
+                    seq,
+                    payload,
+                    ..forged_ack(1)
+                },
+            );
+        };
+        let report = || {
+            conn.peek(|f, cfg| pure_ack(f, cfg, SimTime::ZERO).holes)
+                .unwrap()
+        };
+        ahead(11);
+        ahead(31);
+        let first = report();
+        assert_eq!(*first, [(1, 11), (21, 31)]);
+        let again = report();
+        assert_eq!(again.as_ptr(), first.as_ptr(), "the same block");
+        ahead(51);
+        let changed = report();
+        assert_eq!(*changed, [(1, 11), (21, 31), (41, 51)]);
+        assert_ne!(changed.as_ptr(), first.as_ptr(), "a block of its own");
+        assert_eq!(report().as_ptr(), changed.as_ptr(), "and it is kept");
     }
 
     /// Re-arms the RTO from now, as an acknowledgement of new data would.

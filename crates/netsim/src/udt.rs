@@ -40,7 +40,8 @@ use kmsg_telemetry::bytes::Bytes;
 use kmsg_telemetry::{EventKind, Recorder, SpanKind};
 
 use crate::flowstack::{
-    self, release_drained, Conn, FlowHeader, FlowTable, Listener, Phase, Protocol, Stream,
+    self, release_drained, Conn, FirstLost, FlowHeader, FlowTable, Listener, LossMark, Phase,
+    Protocol, Stream,
 };
 use crate::iface::{CloseReason, Connection};
 use crate::memscope;
@@ -190,6 +191,19 @@ const KIND_HS_RETRY: u64 = 4;
 /// Packet-pair capacity samples kept for the median.
 const PAIR_SAMPLES: usize = 16;
 
+/// An unacknowledged packet of the send buffer.
+struct Unacked {
+    payload: Bytes,
+    /// Reported lost (NAK, tail-loss probe, expiration), not yet resent.
+    lost: bool,
+}
+
+impl LossMark for Unacked {
+    fn lost(&mut self) -> &mut bool {
+        &mut self.lost
+    }
+}
+
 /// Full per-flow UDT state: one slab slot, no interior `Arc`s.
 pub(crate) struct Flow {
     hdr: FlowHeader,
@@ -204,19 +218,21 @@ pub(crate) struct Flow {
     /// The send buffer: packet `snd_una + i` at index `i`. Sequence numbers
     /// are consecutive, so a packet is appended at `snd_nxt` and released
     /// from the front.
-    packets: VecDeque<Bytes>,
+    packets: VecDeque<Unacked>,
     snd_nxt: u64,
     snd_una: u64,
-    loss_list: BTreeSet<u64>,
+    /// The lowest packet of `packets` marked lost.
+    first_lost: FirstLost,
     /// Raw `nak_recovery` causal-span id covering the window from the
-    /// first loss-listed sequence to the loss list draining (0 outside a
-    /// recovery episode or while tracing is off).
+    /// first loss mark until no packet is marked (0 outside a recovery
+    /// episode or while tracing is off).
     nak_span: u64,
     snd_period_us: f64,
     last_dec_seq: u64,
     last_dec_at: SimTime,
     nak_in_syn: bool,
-    sent_in_syn: u64,
+    /// A packet went out since the last SYN tick.
+    sent_in_syn: bool,
     capacity_est_pps: f64,
     peer_flow_window: u64,
     pacer_active: bool,
@@ -231,6 +247,9 @@ pub(crate) struct Flow {
     rcv_nxt: u64,
     expected_max: u64,
     missing: BTreeSet<u64>,
+    /// The periodic NAK last built from `missing`, which an unchanged one
+    /// shares.
+    last_nak: SeqRanges,
     pkts_since_ack: u64,
     rate_ewma_pps: f64,
     prev_arrival: Option<(u64, SimTime)>,
@@ -268,13 +287,13 @@ impl Flow {
             packets: VecDeque::new(),
             snd_nxt: 0,
             snd_una: 0,
-            loss_list: BTreeSet::new(),
+            first_lost: FirstLost::NONE,
             nak_span: 0,
             snd_period_us,
             last_dec_seq: 0,
             last_dec_at: SimTime::ZERO,
             nak_in_syn: false,
-            sent_in_syn: 0,
+            sent_in_syn: false,
             capacity_est_pps: 0.0,
             peer_flow_window: cfg.rcv_buf as u64,
             pacer_active: false,
@@ -287,6 +306,7 @@ impl Flow {
             rcv_nxt: 0,
             expected_max: 0,
             missing: BTreeSet::new(),
+            last_nak: SeqRanges::default(),
             pkts_since_ack: 0,
             rate_ewma_pps: 0.0,
             prev_arrival: None,
@@ -306,12 +326,6 @@ impl Flow {
 
     fn flight_pkts(&self) -> u64 {
         self.snd_nxt - self.snd_una
-    }
-
-    /// The payload of packet `seq`, while it is unacknowledged.
-    fn packet(&self, seq: u64) -> Option<&Bytes> {
-        let at = seq.checked_sub(self.snd_una)?;
-        self.packets.get(usize::try_from(at).ok()?)
     }
 
     fn current_rate_pps(&self) -> f64 {
@@ -372,8 +386,8 @@ fn on_syn_tick(
         capacity_pps: flow.capacity_median_pps(),
     }));
     // Re-request persistently missing packets.
-    if !flow.missing.is_empty() {
-        let ranges = collect_ranges(&flow.missing, 64);
+    let ranges = collect_ranges(&flow.missing, 64, &mut flow.last_nak);
+    if !ranges.is_empty() {
         let losses = ranges.iter().map(|(f, t)| t - f + 1).sum();
         rec.record(
             now.as_nanos(),
@@ -387,7 +401,7 @@ fn on_syn_tick(
     }
 
     // --- sender duties: DAIMD rate increase (UDT4 formula).
-    if !flow.nak_in_syn && flow.sent_in_syn > 0 {
+    if !flow.nak_in_syn && flow.sent_in_syn {
         let mss = cfg.mss as f64;
         let c_pps = flow.current_rate_pps();
         let l_pps = flow.capacity_est_pps;
@@ -412,7 +426,7 @@ fn on_syn_tick(
         );
     }
     flow.nak_in_syn = false;
-    flow.sent_in_syn = 0;
+    flow.sent_in_syn = false;
     // Tail-loss probe: the receiver cannot NAK a loss at the very end of
     // the stream (no later packet exposes the gap), and its periodic ACKs
     // keep resetting the expiration timer. If the cumulative ACK has not
@@ -422,7 +436,7 @@ fn on_syn_tick(
         let rtt = flow.rtt.unwrap_or(0.1);
         let stale = Duration::from_secs_f64((2.5 * rtt).max(0.05));
         if now.duration_since(flow.last_progress_at) > stale {
-            flow.loss_list.insert(flow.snd_una);
+            flow.first_lost.mark(&mut flow.packets, 0);
             flow.last_progress_at = now;
         }
     } else if flow.fin_sent && !flow.fin_acked {
@@ -473,8 +487,9 @@ fn on_exp_tick(flow: &mut Flow, cfg: &UdtConfig, now: SimTime, out: &mut Vec<Act
         return;
     }
     // Schedule all in-flight packets for retransmission.
-    let in_flight = flow.snd_una..flow.snd_una + flow.packets.len() as u64;
-    flow.loss_list.extend(in_flight);
+    for at in 0..flow.packets.len() {
+        flow.first_lost.mark(&mut flow.packets, at);
+    }
     if flow.fin_sent && !flow.fin_acked {
         let final_seq = flow.snd_nxt;
         out.push(Action::Send(UdtPacket::Fin { final_seq }));
@@ -688,13 +703,12 @@ impl Protocol for UdtConfig {
                 }
                 if ack_seq > flow.snd_una {
                     let acked = (ack_seq - flow.snd_una) as usize;
-                    let acked_bytes: usize = flow.packets.drain(..acked).map(|p| p.len()).sum();
+                    flow.first_lost.release(&mut flow.packets, acked);
+                    let drained = flow.packets.drain(..acked);
+                    let acked_bytes: usize = drained.map(|p| p.payload.len()).sum();
                     release_drained(&mut flow.packets);
                     flow.snd_una = ack_seq;
                     flow.last_progress_at = now;
-                    while flow.loss_list.first().is_some_and(|&s| s < ack_seq) {
-                        flow.loss_list.pop_first();
-                    }
                     flow.stream.acked(acked_bytes, cfg.snd_buf, cfg.mss, out);
                     restart_pacer(flow, cfg, out);
                 }
@@ -706,16 +720,17 @@ impl Protocol for UdtConfig {
                 flow.last_feedback_at = now;
                 flow.naks_received += 1;
                 flow.nak_in_syn = true;
-                let mut first_lost = u64::MAX;
+                let mut first_reported = u64::MAX;
                 let mut reported = 0u64;
                 for &(from, to) in ranges.iter() {
                     // Nothing below `snd_una` is resent: a forged range
                     // costs the window, not the sequence space below it.
                     let to = to.min(flow.snd_nxt.saturating_sub(1));
                     for seq in from.max(flow.snd_una)..=to {
-                        if flow.packet(seq).is_some() {
-                            flow.loss_list.insert(seq);
-                            first_lost = first_lost.min(seq);
+                        let at = (seq - flow.snd_una) as usize;
+                        if at < flow.packets.len() {
+                            flow.first_lost.mark(&mut flow.packets, at);
+                            first_reported = first_reported.min(seq);
                             reported += 1;
                         }
                     }
@@ -733,10 +748,10 @@ impl Protocol for UdtConfig {
                 // point, or — when retransmissions themselves are being
                 // dropped and sequence numbers stop advancing — after
                 // roughly one RTT of wall time.
-                if first_lost != u64::MAX {
+                if first_reported != u64::MAX {
                     let rtt = flow.rtt.unwrap_or(0.1);
                     let epoch = Duration::from_secs_f64(rtt.max(4.0 * cfg.syn.as_secs_f64()));
-                    let new_epoch = first_lost > flow.last_dec_seq
+                    let new_epoch = first_reported > flow.last_dec_seq
                         || now.duration_since(flow.last_dec_at) > epoch;
                     if new_epoch {
                         flow.snd_period_us *= 1.125;
@@ -792,22 +807,23 @@ impl Protocol for UdtConfig {
         flow.pacer_active = false;
         // Fresh containers rather than clear(): a killed flow's slot
         // lingers in the slab, and VecDeque::clear keeps its ring
-        // buffer allocated (the B-tree containers free on clear).
+        // buffer allocated (the B-tree container frees on clear).
         flow.stream.free_buffers();
         flow.packets = VecDeque::new();
-        flow.loss_list.clear();
+        flow.first_lost = FirstLost::NONE;
         Self::after_step(flow, rec, now);
         flow.missing.clear();
+        flow.last_nak = SeqRanges::default();
         flow.proc_fifo = VecDeque::new();
         flow.pair_samples = VecDeque::new();
     }
 
     /// `nak_recovery` span maintenance: every state transition runs through
-    /// a step of the core, so the loss list's empty/non-empty edges are
-    /// all observable here — open on the first loss of an episode, close
-    /// when recovery drains it (or the flow dies).
+    /// a step of the core, so the edges between no packet marked lost and
+    /// some are all observable here — open on the first loss of an
+    /// episode, close when recovery has resent the last (or the flow dies).
     fn after_step(flow: &mut Flow, rec: &Recorder, now: SimTime) {
-        let in_loss = !flow.loss_list.is_empty() && flow.state != Phase::Closed;
+        let in_loss = flow.first_lost.any() && flow.state != Phase::Closed;
         if flow.nak_span == 0 && in_loss && rec.is_enabled() {
             flow.nak_span = rec
                 .tracer()
@@ -920,8 +936,9 @@ fn try_finish_receive(flow: &mut Flow, out: &mut Vec<Action>) {
     }
 }
 
-/// Collects up to `cap` (at most 64) inclusive ranges from a sorted set.
-fn collect_ranges(set: &BTreeSet<u64>, cap: usize) -> SeqRanges {
+/// Collects up to `cap` (at most 64) inclusive ranges from a sorted set,
+/// kept as the `last` report.
+fn collect_ranges(set: &BTreeSet<u64>, cap: usize, last: &mut SeqRanges) -> SeqRanges {
     let mut ranges = [(0, 0); 64];
     let mut n = 0;
     for &s in set {
@@ -936,35 +953,36 @@ fn collect_ranges(set: &BTreeSet<u64>, cap: usize) -> SeqRanges {
             }
         }
     }
-    SeqRanges::from(&ranges[..n])
+    last.update(&ranges[..n])
 }
 
 /// Transmits one packet if allowed: retransmissions first, then new data,
 /// then a pending FIN. Returns the sequence sent (for pair scheduling).
 fn send_one(flow: &mut Flow, cfg: &UdtConfig, _now: SimTime, out: &mut Vec<Action>) -> Option<u64> {
     // 1. Retransmission.
-    while let Some(seq) = flow.loss_list.pop_first() {
-        // A marker the cumulative ACK has since passed names no packet.
-        if let Some(payload) = flow.packet(seq).cloned() {
-            flow.retransmits += 1;
-            flow.packets_sent += 1;
-            flow.sent_in_syn += 1;
-            out.push(Action::Send(UdtPacket::Data {
-                seq,
-                probe: false,
-                payload,
-            }));
-            return Some(seq);
-        }
+    if let Some(at) = flow.first_lost.take(&mut flow.packets) {
+        let seq = flow.snd_una + at as u64;
+        flow.retransmits += 1;
+        flow.packets_sent += 1;
+        flow.sent_in_syn = true;
+        out.push(Action::Send(UdtPacket::Data {
+            seq,
+            probe: false,
+            payload: flow.packets[at].payload.clone(),
+        }));
+        return Some(seq);
     }
     // 2. New data, if the flow window allows.
     if flow.stream.has_queued() && flow.flight_pkts() < flow_window_pkts(flow, cfg) {
         let payload = flow.stream.next_payload(cfg.mss).expect("bytes queued");
         let seq = flow.snd_nxt;
         flow.snd_nxt += 1;
-        flow.packets.push_back(payload.clone());
+        flow.packets.push_back(Unacked {
+            payload: payload.clone(),
+            lost: false,
+        });
         flow.packets_sent += 1;
-        flow.sent_in_syn += 1;
+        flow.sent_in_syn = true;
         out.push(Action::Send(UdtPacket::Data {
             seq,
             probe: seq.is_multiple_of(16) && seq > 0,
@@ -986,7 +1004,7 @@ fn restart_pacer(flow: &mut Flow, cfg: &UdtConfig, out: &mut Vec<Action>) {
     if flow.pacer_active || flow.state != Phase::Established {
         return;
     }
-    let work = !flow.loss_list.is_empty()
+    let work = flow.first_lost.any()
         || (flow.stream.has_queued() && flow.flight_pkts() < flow_window_pkts(flow, cfg))
         || (flow.stream.fin_queued && !flow.fin_sent);
     if work {
@@ -1039,8 +1057,9 @@ impl Flow {
             && self.nak_span == 0
             && self.stream.is_freed()
             && self.packets.capacity() == 0
-            && self.loss_list.is_empty()
+            && !self.first_lost.any()
             && self.missing.is_empty()
+            && self.last_nak.is_empty()
             && self.proc_fifo.capacity() == 0
             && self.pair_samples.capacity() == 0
     }
@@ -1048,6 +1067,12 @@ impl Flow {
     /// `(snd_una, snd_nxt)`.
     pub(crate) fn unacked(&self) -> (u64, u64) {
         (self.snd_una, self.snd_nxt)
+    }
+
+    /// The packets marked lost, ascending.
+    fn lost_seqs(&self) -> Vec<u64> {
+        let marked = self.packets.iter().enumerate().filter(|(_, p)| p.lost);
+        marked.map(|(i, _)| self.snd_una + i as u64).collect()
     }
 }
 
@@ -1198,11 +1223,11 @@ mod tests {
         conn.process(|flow, cfg, rec, now, out| {
             flow.snd_una = una;
             flow.snd_nxt = una + 8;
-            flow.packets = (0..8).map(|_| Bytes::from_static(b"x")).collect();
+            flow.packets = (0..8).map(|_| unacked(b"x")).collect();
             let ranges = SeqRanges::from(&[(0, una + 1), (una + 5, u64::MAX)][..]);
             UdtConfig::on_wire(flow, cfg, rec, now, out, UdtPacket::Nak { ranges });
         });
-        let lost = conn.peek(|f, _| f.loss_list.iter().copied().collect::<Vec<_>>());
+        let lost = conn.peek(|f, _| f.lost_seqs());
         assert_eq!(lost.unwrap(), [una, una + 1, una + 5, una + 6, una + 7]);
         let losses: Vec<u64> = (sim.recorder().events().iter())
             .filter_map(|e| match e.kind {
@@ -1211,6 +1236,66 @@ mod tests {
             })
             .collect();
         assert_eq!(losses, [5]);
+    }
+
+    fn unacked(payload: &'static [u8]) -> Unacked {
+        let payload = Bytes::from_static(payload);
+        Unacked {
+            payload,
+            lost: false,
+        }
+    }
+
+    #[test]
+    fn a_nak_marks_its_packets_an_ack_clears_them_and_the_pacer_resends_in_order() {
+        let (sim, net, a, b) = setup(LinkConfig::new(10e6, Duration::from_millis(5)));
+        let _l = listen(
+            &net,
+            b,
+            &Arc::new(Recorder::default()),
+            UdtConfig::default(),
+        );
+        let client = Arc::new(Recorder::default());
+        let conn =
+            UdtConn::connect(&net, a, Endpoint::new(b, 90), UdtConfig::default(), client).unwrap();
+        sim.run_for(Duration::from_secs(1));
+        assert!(conn.is_established());
+        // Ten packets in flight from 100.
+        let una = 100;
+        let lost = || conn.peek(|f, _| f.lost_seqs()).unwrap();
+        let arrive = |pkt: UdtPacket| {
+            conn.process(|flow, cfg, rec, now, out| {
+                UdtConfig::on_wire(flow, cfg, rec, now, out, pkt)
+            });
+        };
+        conn.process(|flow, _cfg, _rec, _now, _out| {
+            flow.snd_una = una;
+            flow.snd_nxt = una + 10;
+            flow.packets = (0..10).map(|_| unacked(b"x")).collect();
+        });
+        let nak = |ranges: &[(u64, u64)]| UdtPacket::Nak {
+            ranges: SeqRanges::from(ranges),
+        };
+        arrive(nak(&[(una + 7, una + 8), (una + 1, una + 3)]));
+        assert_eq!(lost(), [una + 1, una + 2, una + 3, una + 7, una + 8]);
+        arrive(UdtPacket::Ack {
+            ack_seq: una + 2,
+            rcv_rate_pps: 0.0,
+            capacity_pps: 0.0,
+        });
+        assert_eq!(lost(), [una + 2, una + 3, una + 7, una + 8]);
+        // A mark below the next one to resend comes first.
+        arrive(nak(&[(una + 5, una + 5)]));
+        let resent = conn.peek(|flow, cfg| {
+            let mut out = Vec::new();
+            std::iter::from_fn(|| send_one(flow, cfg, SimTime::ZERO, &mut out)).collect::<Vec<_>>()
+        });
+        assert_eq!(
+            resent.unwrap(),
+            [una + 2, una + 3, una + 5, una + 7, una + 8]
+        );
+        assert_eq!(lost(), [], "each resend clears its mark");
+        assert!(!conn.peek(|f, _| f.first_lost.any()).unwrap());
     }
 
     #[test]
@@ -1246,8 +1331,14 @@ mod tests {
     #[test]
     fn collect_ranges_merges_runs() {
         let set: BTreeSet<u64> = [1, 2, 3, 7, 9, 10].into_iter().collect();
-        assert_eq!(*collect_ranges(&set, 64), [(1, 3), (7, 7), (9, 10)]);
-        assert_eq!(*collect_ranges(&set, 2), [(1, 3), (7, 7)]);
-        assert!(collect_ranges(&BTreeSet::new(), 4).is_empty());
+        let mut last = SeqRanges::default();
+        assert_eq!(
+            *collect_ranges(&set, 64, &mut last),
+            [(1, 3), (7, 7), (9, 10)]
+        );
+        assert_eq!(*collect_ranges(&set, 2, &mut last), [(1, 3), (7, 7)]);
+        assert_eq!(*last, [(1, 3), (7, 7)], "the last report is kept");
+        assert!(collect_ranges(&BTreeSet::new(), 4, &mut last).is_empty());
+        assert!(last.is_empty(), "an empty report is kept too");
     }
 }
