@@ -496,7 +496,6 @@ pub fn run_scenario(spec: &ScenarioSpec) -> FuzzRun {
         failovers: sup_a.failovers + sup_b.failovers,
         fifo_expected: matches!(spec.transport, Transport::Tcp | Transport::Udt),
         evicted_events: result.recorder.evicted(),
-        overlay: None,
         pool_live_at_end: Some(pool_live),
     };
     FuzzRun { result, facts }

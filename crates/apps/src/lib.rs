@@ -6,9 +6,7 @@
 //! synthetic datasets with controllable compressibility ([`dataset`]),
 //! sequential-disk models ([`disk`]), the calibrated EC2-like environments
 //! ([`scenario`]), a one-call experiment harness ([`experiment`]), the
-//! seeded scenario generator behind the simulation fuzzer ([`fuzz`]) and
-//! mesh pub/sub scenarios for the self-healing routing overlay
-//! ([`overlay_scenario`]).
+//! seeded scenario generator behind the simulation fuzzer ([`fuzz`]).
 
 #![warn(missing_docs)]
 
@@ -17,7 +15,6 @@ pub mod disk;
 pub mod experiment;
 pub mod fuzz;
 pub mod msgs;
-pub mod overlay_scenario;
 pub mod ping;
 pub mod scenario;
 pub mod topology;
@@ -32,10 +29,6 @@ pub use fuzz::{
     build_chain_world, run_scenario, ChainWorld, FaultKind, FaultSpec, FuzzRun, ScenarioSpec,
 };
 pub use msgs::{ChunkMsg, PingMsg, PongMsg};
-pub use overlay_scenario::{
-    overlay_oracle_config, overlay_run_facts, run_overlay_spec, OverlayNodeSummary, OverlayReport,
-    OverlaySpec, PartitionWindow, PublishSpec, OVERLAY_PORT,
-};
 pub use ping::{PingStats, PingStatsHandle, Pinger, PingerConfig, Ponger};
 pub use scenario::{two_host_world, Setup, TwoHostWorld};
 pub use topology::{

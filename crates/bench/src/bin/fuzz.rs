@@ -28,18 +28,12 @@
 //!   unless trace and verdict are byte-identical.
 //! * `--replay FILE` — run one scenario from an artifact (either a bare
 //!   spec document or a `failing_seed.json`) instead of fuzzing.
-//! * `--overlay-seeds A..B` — additionally sweep the mesh pub/sub overlay
-//!   scenario family ([`OverlaySpec`]) over its own seed range after the
-//!   chain sweep: gossip-maintained routing tables, scripted partitions
-//!   and rerouting, judged by the same oracle suite (which then includes
-//!   the overlay rules). Disabled by default.
 //! * `--quick` — shorthand for `--seeds 0..25`.
 
 use std::time::{Duration, Instant};
 
 use kmsg_apps::fuzz::ScenarioSpec;
-use kmsg_apps::OverlaySpec;
-use kmsg_bench::fuzzer::{check_overlay_spec, check_spec, sweep_seeds};
+use kmsg_bench::fuzzer::{check_spec, sweep_seeds};
 use kmsg_oracle::{minimize, render_verdict, Violation};
 use kmsg_telemetry::json::Json;
 
@@ -52,7 +46,6 @@ struct FuzzArgs {
     out_dir: String,
     selftest: bool,
     replay: Option<String>,
-    overlay_seeds: Option<(u64, u64)>,
 }
 
 fn parse_args() -> FuzzArgs {
@@ -64,7 +57,6 @@ fn parse_args() -> FuzzArgs {
         out_dir: "fuzz_artifacts".to_string(),
         selftest: false,
         replay: None,
-        overlay_seeds: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -88,14 +80,6 @@ fn parse_args() -> FuzzArgs {
                         .and_then(|s| s.parse().ok())
                         .expect("--budget-secs takes a number"),
                 );
-            }
-            "--overlay-seeds" => {
-                let v = args.next().expect("--overlay-seeds takes A..B");
-                let (a, b) = v.split_once("..").expect("--overlay-seeds takes A..B");
-                let from = a.parse().expect("--overlay-seeds lower bound");
-                let to = b.parse().expect("--overlay-seeds upper bound");
-                assert!(to > from, "--overlay-seeds range is empty");
-                out.overlay_seeds = Some((from, to));
             }
             "--out" => out.out_dir = args.next().expect("--out takes a directory"),
             "--selftest" => out.selftest = true,
@@ -236,51 +220,4 @@ fn main() {
         args.seed_from,
         args.seed_from + outcome.ran
     );
-
-    if let Some((from, to)) = args.overlay_seeds {
-        let overlay_started = Instant::now();
-        let outcome = sweep_seeds(from, to, args.jobs, deadline, |seed| {
-            let spec = OverlaySpec::generate(seed);
-            let violations = check_overlay_spec(&spec).1;
-            (!violations.is_empty()).then_some((spec, violations))
-        });
-        if outcome.budget_hit {
-            kmsg_telemetry::log_info!(
-                "budget exhausted after {} overlay scenarios; stopping early",
-                outcome.ran
-            );
-        }
-        if let Some((seed, (spec, violations))) = outcome.failure {
-            kmsg_telemetry::log_info!(
-                "overlay seed {seed} VIOLATES {} invariant(s):\n{}",
-                violations.len(),
-                render_verdict(&violations).trim_end()
-            );
-            // Overlay specs replay from the seed alone, so the artifact
-            // records the seed, verdict and trace rather than a shrunk
-            // spec document.
-            let (report, _) = check_overlay_spec(&spec);
-            std::fs::create_dir_all(&args.out_dir).expect("create artifact directory");
-            let doc = Json::obj(vec![
-                ("overlay_seed", Json::Num(seed as f64)),
-                ("verdict", Json::Str(render_verdict(&violations))),
-                ("report", Json::Str(report.render())),
-            ]);
-            let seed_path = format!("{}/overlay_failing_seed.json", args.out_dir);
-            let trace_path = format!("{}/overlay_failing_trace.jsonl", args.out_dir);
-            std::fs::write(&seed_path, doc.render()).expect("write overlay_failing_seed.json");
-            std::fs::write(&trace_path, report.recorder.to_jsonl())
-                .expect("write overlay_failing_trace.jsonl");
-            kmsg_telemetry::log_info!("wrote {seed_path} and {trace_path}");
-            std::process::exit(1);
-        }
-        kmsg_telemetry::log_info!(
-            "fuzz: {}/{} overlay scenarios oracle-clean in {:.1}s (seeds {}..{})",
-            outcome.clean,
-            outcome.ran,
-            overlay_started.elapsed().as_secs_f64(),
-            from,
-            from + outcome.ran
-        );
-    }
 }

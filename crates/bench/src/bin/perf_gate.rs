@@ -1,14 +1,13 @@
 //! **perf_gate** — CI guard against engine performance regressions.
 //!
 //! Compares a freshly produced `BENCH_engine.json` / `BENCH_scale.json`
-//! (written by the `timing_probe` binary), `BENCH_reroute.json` (the
-//! `reroute` binary) and `BENCH_cc.json` (the `cc_compare` binary) against
-//! the committed baselines at the repository root and exits nonzero when
-//! any tracked metric regressed beyond the tolerance, or when one of the
-//! eight files cannot be read (the message names it). Rows are matched by
-//! key (engine name, host count, reroute variant, controller), so a
-//! `--quick` probe that covers only a subset of the committed rows gates
-//! exactly that subset.
+//! (written by the `timing_probe` binary) and `BENCH_cc.json` (the
+//! `cc_compare` binary) against the committed baselines at the repository
+//! root and exits nonzero when any tracked metric regressed beyond the
+//! tolerance, or when one of the six files cannot be read (the message
+//! names it). Rows are matched by key (engine name, host count,
+//! controller), so a `--quick` probe that covers only a subset of the
+//! committed rows gates exactly that subset.
 //!
 //! ```text
 //! cargo run --release -p kmsg-bench --bin perf_gate -- \
@@ -36,8 +35,6 @@
 //! * scale shape: inside the fresh file alone, set-up time per host and run
 //!   time per event at the largest row against the 10³-host row — a cost
 //!   that grows with the world cannot hide behind a faster runner;
-//! * reroute: `gap_ms` per variant row (lower is better — virtual-time
-//!   outage gaps, deterministic per seed);
 //! * cc: `goodput_mbps` per controller row on the fixed lossy-WAN scenario
 //!   (higher is better — virtual time again).
 
@@ -103,12 +100,12 @@ struct Gate {
     fields: &'static [(&'static str, bool)],
 }
 
-/// The four gates, in the order their rows print. `events_per_sec` is a
+/// The three gates, in the order their rows print. `events_per_sec` is a
 /// wall-clock rate; everything else is deterministic per seed — virtual-time
-/// outage gaps and goodput, allocator accounting — so a move past the
-/// tolerance there is a behaviour change, not runner noise. A row written
-/// before a field existed lacks it and skips that check (`num` logs a note).
-const GATES: [Gate; 4] = [
+/// goodput, allocator accounting — so a move past the tolerance there is a
+/// behaviour change, not runner noise. A row written before a field existed
+/// lacks it and skips that check (`num` logs a note).
+const GATES: [Gate; 3] = [
     Gate {
         what: "engine",
         rows: "engines",
@@ -124,12 +121,6 @@ const GATES: [Gate; 4] = [
             ("bytes_per_flow", false),
             ("allocs_per_event", false),
         ],
-    },
-    Gate {
-        what: "reroute",
-        rows: "rows",
-        key: "name",
-        fields: &[("gap_ms", false)],
     },
     Gate {
         what: "cc",
@@ -211,7 +202,7 @@ fn scale_shape_failures(fresh: &Json) -> usize {
     failures
 }
 
-/// Runs the four gates and the shape check and prints the table. `Ok` is
+/// Runs the three gates and the shape check and prints the table. `Ok` is
 /// the number of metrics that regressed; `Err` names what could not be read.
 fn run(baseline_dir: &str, fresh_dir: &str, tolerance: f64) -> Result<usize, String> {
     let mut checks = Vec::new();
@@ -332,7 +323,6 @@ mod tests {
     fn name_keyed_gates_compare_matching_rows_in_their_direction() {
         for (what, rows, field, worse, better) in [
             ("engine", "engines", "events_per_sec", 80, 120),
-            ("reroute", "rows", "gap_ms", 120, 80),
             ("cc", "rows", "goodput_mbps", 80, 120),
         ] {
             let baseline = format!(

@@ -10,9 +10,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use kmsg_apps::fuzz::{oracle_config, run_scenario, FuzzRun, ScenarioSpec};
-use kmsg_apps::{
-    overlay_oracle_config, overlay_run_facts, run_overlay_spec, OverlayReport, OverlaySpec,
-};
 use kmsg_oracle::{check_all, Violation};
 
 use crate::sweep;
@@ -30,21 +27,6 @@ pub fn check_spec(spec: &ScenarioSpec) -> (FuzzRun, Vec<Violation>) {
 #[must_use]
 pub fn check_seed(seed: u64) -> Vec<Violation> {
     check_spec(&ScenarioSpec::generate(seed)).1
-}
-
-/// Runs a mesh overlay spec and applies the full oracle suite (including
-/// the [`OverlayOracle`](kmsg_oracle::OverlayOracle) fact rules) to its
-/// trace.
-#[must_use]
-pub fn check_overlay_spec(spec: &OverlaySpec) -> (OverlayReport, Vec<Violation>) {
-    let report = run_overlay_spec(spec);
-    let events = report.recorder.events();
-    let violations = check_all(
-        &events,
-        &overlay_run_facts(&report),
-        &overlay_oracle_config(),
-    );
-    (report, violations)
 }
 
 /// Outcome of a first-failure sweep over a seed range.

@@ -103,7 +103,7 @@ pub struct RoutingHeader {
 }
 
 /// Default forwarding budget for new routes — generous against any sane
-/// overlay diameter, small enough to kill a loop quickly.
+/// route length, small enough to kill a loop quickly.
 pub const DEFAULT_TTL: u8 = 32;
 
 impl RoutingHeader {

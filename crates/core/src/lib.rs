@@ -74,7 +74,6 @@ pub mod data;
 pub mod header;
 pub mod msg;
 pub mod net;
-pub mod overlay;
 pub mod ser;
 pub mod transport;
 pub mod vnet;
@@ -89,10 +88,6 @@ pub use msg::{
 pub use net::{
     create_network, MiddlewareStats, NetworkComponent, NetworkConfig, ReconnectConfig, StatsHandle,
     SupervisionSummary,
-};
-pub use overlay::{
-    OverlayComponent, OverlayConfig, OverlayDelivery, OverlayPort, OverlayRequest, OverlayStats,
-    OverlayStatsHandle, OverlayWire,
 };
 pub use ser::{Deserialiser, SerError, SerId, SerRegistry, Serialisable};
 pub use transport::Transport;
@@ -114,10 +109,6 @@ pub mod prelude {
     pub use crate::net::{
         create_network, MiddlewareStats, NetworkComponent, NetworkConfig, ReconnectConfig,
         StatsHandle, SupervisionSummary,
-    };
-    pub use crate::overlay::{
-        OverlayComponent, OverlayConfig, OverlayDelivery, OverlayPort, OverlayRequest,
-        OverlayStats, OverlayStatsHandle, OverlayWire,
     };
     pub use crate::ser::{Deserialiser, SerError, SerId, SerRegistry, Serialisable};
     pub use crate::transport::Transport;

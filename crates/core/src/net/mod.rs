@@ -597,11 +597,9 @@ impl NetworkComponent {
                 if rec.is_enabled() {
                     rec.record(
                         sim.now().as_nanos(),
-                        EventKind::Overlay {
-                            action: "ttl_drop",
-                            msg: 0,
+                        EventKind::TtlDrop {
                             node: u64::from(self.cfg.addr.as_socket().node.index()),
-                            aux: dst_node,
+                            dst: dst_node,
                         },
                     );
                 }

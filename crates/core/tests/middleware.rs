@@ -25,6 +25,7 @@ use kmsg_netsim::network::Network;
 use kmsg_netsim::packet::{Endpoint, NodeId};
 use kmsg_netsim::tcp::{TcpConfig, TcpConn};
 use kmsg_telemetry::bytes::Bytes;
+use kmsg_telemetry::EventKind;
 
 type Sink = ComponentRef<PortSink<NetworkPort>>;
 
@@ -298,14 +299,21 @@ fn cyclic_route_is_killed_by_ttl() {
         assert_eq!(stats.forwarded, 1, "forwarded while budget is left");
         assert_eq!(stats.ttl_drops, 1, "dropped at zero");
     }
-    let drops = w
+    let drops: Vec<EventKind> = w
         .sim
         .recorder()
         .events()
-        .iter()
-        .filter(|e| e.kind.label() == "overlay")
-        .count();
-    assert_eq!(drops, 1, "the drop is recorded with a reason");
+        .into_iter()
+        .map(|e| e.kind)
+        .filter(|k| matches!(k, EventKind::TtlDrop { .. }))
+        .collect();
+    let here = u64::from(s.addr.node().index());
+    let dst = u64::from(peer.index());
+    assert_eq!(
+        drops,
+        [EventKind::TtlDrop { node: here, dst }],
+        "one drop, recorded by the host that dropped it, naming the destination"
+    );
 }
 
 /// Garbage datagrams never take the middleware down: each is counted and

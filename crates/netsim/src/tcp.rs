@@ -1524,9 +1524,11 @@ mod tests {
     #[test]
     fn a_cancelled_delayed_ack_stays_silent() {
         let (sim, net, conn) = dark_flow(0);
+        // Ten bytes at `seq`, each segment the next one expected.
         let data = |seq| TcpSegment {
+            seq,
             payload: Bytes::from_static(&[1; 10]),
-            ..forged_ack(seq)
+            ..forged_ack(1)
         };
         let sent = net.stats().sent;
         arrive(&conn, data(1));
@@ -1536,10 +1538,15 @@ mod tests {
             sent + 1,
             "the delayed ACK of a lone segment"
         );
-        // The second segment is acknowledged at once, cancelling the
-        // delayed ACK the first armed.
+        // The first of the next two arms a delayed ACK; the second is
+        // acknowledged at once, cancelling it.
         arrive(&conn, data(11));
         arrive(&conn, data(21));
+        assert_eq!(
+            conn.peek(|f, _| (f.rcv_nxt, f.stream.bytes_delivered)),
+            Some((31, 30)),
+            "all 30 bytes taken in order"
+        );
         let sent = net.stats().sent;
         sim.run_for(Duration::from_millis(100));
         assert_eq!(net.stats().sent, sent);

@@ -31,12 +31,6 @@
 //!   balance, children nest inside their parents on the same trace,
 //!   instants close at their open time, and TCP retransmits join back to
 //!   the `seg` span of the segment's first transmission.
-//! * [`OverlayOracle`] — pub/sub overlay routing: relay paths are
-//!   loop-free (no `ttl_drop`, no revisited node in a packed path),
-//!   delivery is at-most-once per subscriber under reroute/requeue races,
-//!   nothing is delivered that was never published, and the gossiped
-//!   link-state tables reconverge after every heal
-//!   ([`OverlayFacts`]).
 //! * [`CubicOracle`] — CUBIC controller legality over `CcWindow` events:
 //!   β-bounded multiplicative decrease, fast-convergence `W_max`
 //!   accounting, and epoch growth that stays monotone on or under the
@@ -62,7 +56,6 @@ pub mod conservation;
 pub mod cubic;
 pub mod delivery;
 pub mod faults;
-pub mod overlay;
 pub mod shrink;
 pub mod spans;
 pub mod tcp;
@@ -73,7 +66,6 @@ pub use conservation::ConservationOracle;
 pub use cubic::CubicOracle;
 pub use delivery::DeliveryOracle;
 pub use faults::FaultOracle;
-pub use overlay::OverlayOracle;
 pub use shrink::{minimize, Shrinkable};
 pub use spans::SpanOracle;
 pub use tcp::TcpOracle;
@@ -182,37 +174,12 @@ pub struct RunFacts {
     /// `Recorder::evicted()` after the run: nonzero means the trace lost
     /// its oldest events and stream-shape oracles must skip.
     pub evicted_events: u64,
-    /// End-of-run facts from a pub/sub overlay run, `None` when the
-    /// scenario ran no overlay (the [`OverlayOracle`] fact rules then
-    /// stay silent; its stream rules always apply).
-    pub overlay: Option<OverlayFacts>,
     /// Live slots in the fabric's in-flight packet pool when the run was
     /// sampled (`None` when the runner didn't measure it). The
     /// conservation oracle cross-checks this against the trace's own
     /// in-flight count: every extra slot is a leak, every missing one a
     /// double free.
     pub pool_live_at_end: Option<u64>,
-}
-
-/// End-of-run summary of a pub/sub overlay run, captured by the scenario
-/// runner after its settle window.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OverlayFacts {
-    /// Overlay nodes in the mesh.
-    pub nodes: u64,
-    /// Messages published across all nodes.
-    pub published: u64,
-    /// Deliveries the subscription tables called for (per-subscriber).
-    pub expected_deliveries: u64,
-    /// Deliveries that actually reached subscriber applications.
-    pub delivered: u64,
-    /// Duplicate copies absorbed by receiver-side dedup.
-    pub duplicates: u64,
-    /// Publishes that found no usable route for some subscriber.
-    pub no_route: u64,
-    /// All nodes reported the same link-state/subscription table digest
-    /// at the end of the settle window.
-    pub converged: bool,
 }
 
 /// Whether the event stream is incomplete (ring evicted events mid-run or
@@ -243,7 +210,6 @@ pub fn suite() -> Vec<Box<dyn Oracle>> {
         Box::new(DeliveryOracle),
         Box::new(FaultOracle),
         Box::new(SpanOracle),
-        Box::new(OverlayOracle),
         Box::new(CubicOracle),
         Box::new(BbrOracle),
     ]

@@ -384,60 +384,6 @@ pub fn recovery_attribution(forest: &SpanForest) -> Option<RecoveryAttribution> 
     })
 }
 
-/// Decomposes one overlay rerouting episode the way
-/// [`recovery_attribution`] decomposes a supervision recovery: the caller
-/// supplies the measured delivery-gap window (`window_from_ns` = the
-/// fault hitting the wire, `window_to_ns` = the first delivery over the
-/// surviving path) and the components partition it exactly:
-///
-/// * `detect` — fault applied until the overlay observed the channel
-///   death (`reroute` span open; transport timeout territory);
-/// * `route_compute` — link-state BFS time inside the reroute span;
-/// * `flush` — the rest of the reroute span (re-sending buffered frames
-///   onto the surviving path);
-/// * `transit` — reroute span close until the rerouted frame was
-///   delivered (connect + wire time on the alternate path).
-///
-/// Uses the **earliest** reroute span that closed inside the window.
-/// Returns `None` when no reroute span closed in the window, or the
-/// window does not contain the span.
-#[must_use]
-pub fn reroute_attribution(
-    forest: &SpanForest,
-    window_from_ns: u64,
-    window_to_ns: u64,
-) -> Option<RecoveryAttribution> {
-    let episode = forest
-        .of_kind("reroute")
-        .into_iter()
-        .filter(|s| s.open_ns >= window_from_ns && s.close_ns.is_some_and(|c| c <= window_to_ns))
-        .min_by_key(|s| (s.open_ns, s.id))?;
-    let close_ns = episode.close_ns.expect("filtered");
-    let compute: Vec<(u64, u64)> = forest
-        .children_of(episode.id)
-        .into_iter()
-        .filter(|c| c.kind == "route_compute")
-        .map(Span::interval)
-        .collect();
-    let compute_ns: u64 = compute
-        .iter()
-        .map(|(a, b)| b - a)
-        .sum::<u64>()
-        .min(close_ns - episode.open_ns);
-    Some(RecoveryAttribution {
-        channel_key: episode.key,
-        from_ns: window_from_ns,
-        to_ns: window_to_ns,
-        total_ns: window_to_ns - window_from_ns,
-        components: vec![
-            ("detect", episode.open_ns - window_from_ns),
-            ("route_compute", compute_ns),
-            ("flush", (close_ns - episode.open_ns) - compute_ns),
-            ("transit", window_to_ns - close_ns),
-        ],
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -583,38 +529,6 @@ mod tests {
         assert_eq!(get("redial"), 100);
         assert_eq!(get("requeue"), 0);
         assert_eq!(get("idle"), 0);
-        assert_eq!(
-            att.components.iter().map(|(_, v)| v).sum::<u64>(),
-            att.total_ns
-        );
-    }
-
-    #[test]
-    fn reroute_attribution_sums_exactly() {
-        // Fault at 1_000, reroute span opens at detection (1_400) with one
-        // route_compute child, closes after flush (1_450); first rerouted
-        // delivery at 1_500.
-        let events = vec![
-            ev_open(1_400, 10, 0, 0, "reroute", 7),
-            ev_open(1_400, 11, 10, 0, "route_compute", 7),
-            ev_close(1_420, 11, 0),
-            ev_close(1_450, 10, 0),
-        ];
-        let att =
-            reroute_attribution(&SpanForest::build(&events), 1_000, 1_500).expect("attribution");
-        assert_eq!(att.total_ns, 500);
-        assert_eq!(att.channel_key, 7);
-        let get = |k: &str| {
-            att.components
-                .iter()
-                .find(|(l, _)| *l == k)
-                .map(|(_, v)| *v)
-                .expect("component")
-        };
-        assert_eq!(get("detect"), 400);
-        assert_eq!(get("route_compute"), 20);
-        assert_eq!(get("flush"), 30);
-        assert_eq!(get("transit"), 50);
         assert_eq!(
             att.components.iter().map(|(_, v)| v).sum::<u64>(),
             att.total_ns

@@ -275,35 +275,13 @@ event_kinds! {
         /// span that was retransmitted, drop-reason index on a `hop`).
         key: u64,
     }
-    /// One pub/sub overlay action (publish, route selection, reroute,
-    /// delivery, or a drop). All fields are plain numbers so recording
-    /// never allocates; the overlay oracle reconstructs loop-freedom and
-    /// at-most-once delivery from these.
-    Overlay = "overlay" {
-        /// Action label (`"publish"`, `"route"`, `"reroute"`, `"deliver"`,
-        /// `"dup_drop"`, `"no_route"`, `"stale_drop"`, `"ttl_drop"`,
-        /// `"link_down"`, `"link_up"`).
-        action: &'static str,
-        /// Overlay message id (`origin_node << 32 | seq`), `0` when the
-        /// action is not tied to one message.
-        msg: u64,
-        /// Node index where the action happened.
+    /// A routed message dropped because its forwarding budget
+    /// (`RoutingHeader::ttl` in `kmsg-core`) ran out at this host.
+    TtlDrop = "ttl_drop" {
+        /// Node index of the host that dropped the message.
         node: u64,
-        /// Action-specific payload: the packed relay path on
-        /// `route`/`reroute` (one node index + 1 per byte, low byte first,
-        /// `u64::MAX` = unencodable), the subject hash on
-        /// `publish`/`deliver`, the peer node on `link_down`/`link_up`.
-        aux: u64,
-    }
-    /// One gossip digest sent to a peer (periodic anti-entropy round or
-    /// an event-driven flood after a local table change).
-    Gossip = "gossip" {
-        /// Sending node index.
-        node: u64,
-        /// Receiving peer node index.
-        peer: u64,
-        /// Link-state plus subscription entries carried in the digest.
-        entries: u64,
+        /// Node index of the message's destination.
+        dst: u64,
     }
     /// Congestion-window transition of a pluggable (non-Reno) congestion
     /// controller. Reno keeps emitting [`EventKind::TcpCwnd`] (byte-stable
@@ -433,16 +411,9 @@ pub(crate) mod tests {
                 key: u64::MAX,
             },
             EventKind::SpanClose { span: 23, key: 1 },
-            EventKind::Overlay {
-                action: "route",
-                msg: 24,
-                node: 25,
-                aux: u64::MAX,
-            },
-            EventKind::Gossip {
-                node: 26,
-                peer: 27,
-                entries: 28,
+            EventKind::TtlDrop {
+                node: 24,
+                dst: u64::MAX,
             },
             EventKind::CcWindow {
                 conn: 29,

@@ -214,10 +214,9 @@ mod tests {
             r#"{"t":14,"kind":"mark","id":21,"value":22}"#,
             r#"{"t":15,"kind":"span_open","span":23,"parent":0,"trace":23,"span_kind":"seg","key":18446744073709551615}"#,
             r#"{"t":16,"kind":"span_close","span":23,"key":1}"#,
-            r#"{"t":17,"kind":"overlay","action":"route","msg":24,"node":25,"aux":18446744073709551615}"#,
-            r#"{"t":18,"kind":"gossip","node":26,"peer":27,"entries":28}"#,
-            r#"{"t":19,"kind":"cc_window","conn":29,"controller":"cubic","cause":"loss","prev_cwnd":2920,"cwnd":0.5,"ssthresh":-1.25,"w_max":10000000000000000}"#,
-            r#"{"t":20,"kind":"bbr_state","conn":30,"phase":"probe_bw","pacing_rate_bps":1500000,"btl_bw_bps":null,"min_rtt_us":31,"cwnd":0}"#,
+            r#"{"t":17,"kind":"ttl_drop","node":24,"dst":18446744073709551615}"#,
+            r#"{"t":18,"kind":"cc_window","conn":29,"controller":"cubic","cause":"loss","prev_cwnd":2920,"cwnd":0.5,"ssthresh":-1.25,"w_max":10000000000000000}"#,
+            r#"{"t":19,"kind":"bbr_state","conn":30,"phase":"probe_bw","pacing_rate_bps":1500000,"btl_bw_bps":null,"min_rtt_us":31,"cwnd":0}"#,
         ];
         let kinds = crate::event::tests::one_of_every_kind();
         assert_eq!(kinds.len(), golden.len());

@@ -61,11 +61,6 @@ pub enum SpanKind {
     Hop = 15,
     /// One learner decision (Sarsa step) — instant.
     Decide = 16,
-    /// Overlay rerouting episode: link loss observed to rerouted frames
-    /// flushed onto the surviving path.
-    Reroute = 17,
-    /// One overlay route computation (link-state BFS) — instant.
-    RouteCompute = 18,
 }
 
 impl SpanKind {
@@ -89,8 +84,6 @@ impl SpanKind {
             SpanKind::Flight => "flight",
             SpanKind::Hop => "hop",
             SpanKind::Decide => "decide",
-            SpanKind::Reroute => "reroute",
-            SpanKind::RouteCompute => "route_compute",
         }
     }
 
@@ -114,8 +107,6 @@ impl SpanKind {
             14 => SpanKind::Flight,
             15 => SpanKind::Hop,
             16 => SpanKind::Decide,
-            17 => SpanKind::Reroute,
-            18 => SpanKind::RouteCompute,
             _ => return None,
         })
     }

@@ -5,8 +5,8 @@
 #   tools/referee.sh <parent-target-dir> <change-target-dir> [work-dir \
 #       [parent-kmsg-benchmark change-kmsg-benchmark]]
 #
-# Each target dir is a CARGO_TARGET_DIR holding release/{chaos,reroute,
-# cc_compare,timing_probe,fuzz} (cargo build --release --workspace). The
+# Each target dir is a CARGO_TARGET_DIR holding release/{chaos,cc_compare,
+# timing_probe,fuzz} (cargo build --release --workspace). The
 # binaries write into their working directory, so each side runs in its own
 # directory under work-dir (default: a fresh directory under $TMPDIR) —
 # nothing else is written. Given the two sides' kmsg-benchmark binaries
@@ -38,8 +38,8 @@ work=$(cd "$work" && pwd) || exit 2
 # output kept per binary.
 run() {
     cd "$work/$1" || exit 2
-    for cmd in "chaos" "reroute" "cc_compare" "timing_probe --quick" \
-        "fuzz --selftest --seeds 0..200 --overlay-seeds 0..12"; do
+    for cmd in "chaos" "cc_compare" "timing_probe --quick" \
+        "fuzz --selftest --seeds 0..200"; do
         name=${cmd%% *}
         # $cmd is split into the binary's arguments on purpose.
         # shellcheck disable=SC2086
@@ -82,8 +82,8 @@ run parent "$parent_bin" "${parent_bench:-}"
 run change "$change_bin" "${change_bench:-}"
 
 cd "$work" || exit 2
-for f in chaos.json chaos.jsonl reroute.json reroute.jsonl BENCH_reroute.json \
-    BENCH_cc.json telemetry.json telemetry.jsonl fuzz.summary \
+for f in chaos.json chaos.jsonl BENCH_cc.json telemetry.json telemetry.jsonl \
+    fuzz.summary \
     ${parent_bench:+benchmark.sim benchmark.fingerprints}; do
     if [ ! -f "parent/$f" ] || [ ! -f "change/$f" ]; then
         echo "MISSING   $f"
