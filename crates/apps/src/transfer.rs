@@ -9,7 +9,6 @@
 //! transfer time is taken at the receiver when the last byte hits its
 //! disk.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -17,6 +16,7 @@ use parking_lot::Mutex;
 
 use kmsg_component::prelude::*;
 use kmsg_core::prelude::*;
+use kmsg_netsim::slab::FxHashMap;
 use kmsg_netsim::time::SimTime;
 
 use crate::dataset::{chunk_hash, Dataset};
@@ -90,7 +90,9 @@ pub struct FileSender {
     cfg: SenderConfig,
     round: u32,
     next_offset: usize,
-    outstanding: HashMap<u64, usize>,
+    /// Chunk lengths by token. Fx-hashed: a `std` map's per-process seed
+    /// decided whether its churn grew the table, so allocations varied.
+    outstanding: FxHashMap<u64, usize>,
     next_token: u64,
     disk: Option<DiskModel>,
     waiting_for_disk: bool,
@@ -121,7 +123,7 @@ impl FileSender {
             cfg,
             round: 0,
             next_offset: 0,
-            outstanding: HashMap::new(),
+            outstanding: FxHashMap::default(),
             next_token: 1,
             disk,
             waiting_for_disk: false,

@@ -179,8 +179,8 @@ fn small_round_trip_stays_under_allocation_budget() {
     assert!(
         per_trip <= CALLS_PER_ROUND_TRIP_BUDGET,
         "a 64-byte round trip costs {per_trip:.2} allocator calls \
-         (budget {CALLS_PER_ROUND_TRIP_BUDGET}, measured 4.03; 6.03 while a shared buffer was \
-         a box around a `Vec`, 18.12 before the retransmission queue became a deque and frames \
+         (budget {CALLS_PER_ROUND_TRIP_BUDGET}, measured 4.00; 4.03 while timing-wheel slots \
+         kept growing, 6.03 while a shared buffer was a box around a `Vec`, 18.12 before the retransmission queue became a deque and frames \
          were written and sliced in place)"
     );
     world.system.shutdown();
@@ -188,8 +188,8 @@ fn small_round_trip_stays_under_allocation_budget() {
 
 /// The floor is four calls per chunk — the dataset's chunk,
 /// `NetMessage::new`'s `Arc`, the frame and the decompressed payload, each
-/// one shared buffer — plus the timing wheel's slots still growing (0.32):
-/// measured 4.32. It was 7.31 while a shared buffer was a box around a
+/// one shared buffer: measured 3.99. It was 4.32 while the timing wheel's
+/// slots kept growing, 7.31 while a shared buffer was a box around a
 /// `Vec`, and 9.31 while a frame that straddled segments was copied out of
 /// the reassembly buffer and boxed before it was decompressed.
 const CALLS_PER_CHUNK_BUDGET: f64 = 4.8;
@@ -257,14 +257,15 @@ fn bulk_chunk_stays_under_allocation_budget() {
     assert!(
         per_chunk <= CALLS_PER_CHUNK_BUDGET,
         "a compressed 65 kB chunk costs {per_chunk:.2} allocator calls \
-         (budget {CALLS_PER_CHUNK_BUDGET}, measured 4.32; 7.31 while a shared buffer was a box \
-         around a `Vec`, 9.31 before a straddling frame was decoded where it lay)"
+         (budget {CALLS_PER_CHUNK_BUDGET}, measured 3.99; 4.32 while timing-wheel slots kept \
+         growing, 7.31 while a shared buffer was a box around a `Vec`, 9.31 before a straddling frame was decoded where it lay)"
     );
 }
 
 /// The same chunks sent over `DATA`, whose interceptor sends each message
-/// as it releases it: measured 5.25. It was 5.85 while every release
-/// gathered its messages in a `Vec` of its own before sending them.
+/// as it releases it: measured 5.01. It was 5.25 while the timing wheel's
+/// slots kept growing, and 5.85 while every release gathered its messages
+/// in a `Vec` of its own before sending them.
 const CALLS_PER_DATA_CHUNK_BUDGET: f64 = 5.55;
 
 #[test]
@@ -273,16 +274,16 @@ fn data_chunk_stays_under_allocation_budget() {
     assert!(
         per_chunk <= CALLS_PER_DATA_CHUNK_BUDGET,
         "a compressed 65 kB chunk over DATA costs {per_chunk:.2} allocator calls \
-         (budget {CALLS_PER_DATA_CHUNK_BUDGET}, measured 5.25; 5.85 while a release gathered \
-         its messages in a `Vec`)"
+         (budget {CALLS_PER_DATA_CHUNK_BUDGET}, measured 5.01; 5.25 while timing-wheel slots \
+         kept growing, 5.85 while a release gathered its messages in a `Vec`)"
     );
 }
 
-/// Measured 11.11 calls per flow. It was 13.82 while the sender kept its
-/// lost segments in a `BTreeSet` and every multi-hole report had a block of
-/// its own, unchanged or not (budget 15.0 then), and 22.48 while every
-/// hole-bearing ACK built its report in a `Vec` of its own (four in five
-/// carry one hole).
+/// Measured 9.61 calls per flow. It was 11.11 while the timing wheel's
+/// slots kept growing, 13.82 while the sender kept its lost segments in a
+/// `BTreeSet` and every multi-hole report had a block of its own, unchanged
+/// or not (budget 15.0 then), and 22.48 while every hole-bearing ACK
+/// built its report in a `Vec` of its own (four in five carry one hole).
 const CALLS_PER_INCAST_FLOW_BUDGET: f64 = 12.1;
 const INCAST_FLOWS: usize = 400;
 const INCAST_BYTES_PER_FLOW: usize = 96 * 1024;
@@ -360,8 +361,8 @@ fn incast_flow_stays_under_allocation_budget() {
     assert!(
         per_flow <= CALLS_PER_INCAST_FLOW_BUDGET,
         "an incast flow of {INCAST_BYTES_PER_FLOW} B costs {per_flow:.2} allocator calls \
-         (budget {CALLS_PER_INCAST_FLOW_BUDGET}, measured 11.11; 13.82 while the lost segments \
-         were a `BTreeSet`, 22.48 while a loss report was a `Vec`)"
+         (budget {CALLS_PER_INCAST_FLOW_BUDGET}, measured 9.61; 11.11 while timing-wheel slots \
+         kept growing, 13.82 while the lost segments were a `BTreeSet`, 22.48 while a loss report was a `Vec`)"
     );
 }
 

@@ -17,9 +17,11 @@
 //! "find the next deadline" a handful of bit operations; entries in slots
 //! that become current *cascade* down to finer levels.
 //!
-//! Slot storage is plain `Vec`s, each keeping its own allocation (a
-//! cascade drains a slot in place), so steady-state operation performs no
-//! allocation and no slot inherits another's peak capacity.
+//! Level 0's slots, scanned on every event, are `Vec`s. Levels 1 and up
+//! share one node pool with a free list, each slot heading a linked list
+//! of 8-byte links kept apart from the entries: a cascade relinks nodes and
+//! moves out only entries bound for level 0, so the pool holds the most
+//! entries ever pending above level 0, not every slot's peak.
 //!
 //! # Ordering contract
 //!
@@ -100,18 +102,16 @@ impl<T> Ord for OverflowEntry<T> {
     }
 }
 
-struct Level<T> {
-    occupied: u64,
-    slots: [Vec<WheelEntry<T>>; SLOTS],
-}
+/// Ends a slot's list and the free list.
+const NIL: u32 = u32::MAX;
 
-impl<T> Level<T> {
-    fn new() -> Self {
-        Level {
-            occupied: 0,
-            slots: std::array::from_fn(|_| Vec::new()),
-        }
-    }
+/// A pool node's next index (in its slot's list or the free list) and the
+/// low 32 bits of its entry's tick: a level-`L` slot's entries share every
+/// tick bit from `6·L` (at most 30) up with the slot's start.
+#[derive(Clone, Copy)]
+struct Link {
+    tick: u32,
+    next: u32,
 }
 
 /// A hierarchical timing wheel; see the [module documentation](self).
@@ -126,7 +126,16 @@ impl<T> Level<T> {
 ///   of its level, and all entries of one exact timestamp are extracted
 ///   together by `pop_cohort`.
 pub struct TimingWheel<T> {
-    levels: Vec<Level<T>>,
+    /// Level 0's slots, one tick each.
+    near: [Vec<WheelEntry<T>>; SLOTS],
+    /// Each level's occupied-slot bitmask.
+    occupied: [u64; LEVELS],
+    /// Each level-1+ slot's list head, `NIL` when empty.
+    heads: [[u32; SLOTS]; LEVELS - 1],
+    /// The pool: entries (`None` once freed), their links, the free list.
+    nodes: Vec<Option<WheelEntry<T>>>,
+    links: Vec<Link>,
+    free: u32,
     overflow: BinaryHeap<OverflowEntry<T>>,
     /// Current position, in ticks.
     elapsed: u64,
@@ -166,7 +175,12 @@ impl<T> TimingWheel<T> {
     #[must_use]
     pub fn new() -> Self {
         TimingWheel {
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
+            near: std::array::from_fn(|_| Vec::new()),
+            occupied: [0; LEVELS],
+            heads: [[NIL; SLOTS]; LEVELS - 1],
+            nodes: Vec::new(),
+            links: Vec::new(),
+            free: NIL,
             overflow: BinaryHeap::new(),
             elapsed: 0,
             len: 0,
@@ -198,20 +212,47 @@ impl<T> TimingWheel<T> {
     }
 
     /// Places an entry into the correct level/slot (or overflow heap)
-    /// without touching `len`. Shared by insert, cascade and migration.
+    /// without touching `len`. Shared by insert and migration.
     fn place(&mut self, entry: WheelEntry<T>) {
-        let tick = tick_of(entry.at).max(self.elapsed);
+        let tick = tick_of(entry.at);
+        match self.slot_for(tick) {
+            None => self.overflow.push(OverflowEntry(entry)),
+            Some((0, slot)) => {
+                self.occupied[0] |= 1 << slot;
+                self.near[slot].push(entry);
+            }
+            Some((level, slot)) => {
+                let (tick, head) = (tick as u32, &mut self.heads[level - 1][slot]);
+                let link = Link { tick, next: *head };
+                *head = match self.links.get_mut(self.free as usize) {
+                    Some(free) => {
+                        let i = std::mem::replace(&mut self.free, free.next);
+                        *free = link;
+                        self.nodes[i as usize] = Some(entry);
+                        i
+                    }
+                    None => {
+                        self.links.push(link);
+                        self.nodes.push(Some(entry));
+                        u32::try_from(self.nodes.len() - 1).expect("under 2^32 pending entries")
+                    }
+                };
+                self.occupied[level] |= 1 << slot;
+            }
+        }
+    }
+
+    /// The `(level, slot)` an entry due at `tick` belongs in from the
+    /// current position, or `None` if it lies beyond the wheel's span.
+    fn slot_for(&self, tick: u64) -> Option<(usize, usize)> {
+        let tick = tick.max(self.elapsed);
         let masked = tick ^ self.elapsed;
         if masked >> WHEEL_BITS != 0 {
-            self.overflow.push(OverflowEntry(entry));
-            return;
+            return None;
         }
         let level = level_for(masked);
         let shift = SLOT_BITS * level as u32;
-        let slot = ((tick >> shift) & SLOT_MASK) as usize;
-        let lv = &mut self.levels[level];
-        lv.occupied |= 1 << slot;
-        lv.slots[slot].push(entry);
+        Some((level, ((tick >> shift) & SLOT_MASK) as usize))
     }
 
     /// The exact due time of the earliest pending entry, or `None` if the
@@ -233,13 +274,13 @@ impl<T> TimingWheel<T> {
             // starts at K while a later-inserted entry for the same tick
             // already sits at level 0.)
             let mut best: Option<(usize, usize, u64)> = None;
-            for (level, lv) in self.levels.iter().enumerate() {
-                if lv.occupied == 0 {
+            for (level, &occupied) in self.occupied.iter().enumerate() {
+                if occupied == 0 {
                     continue;
                 }
                 let shift = SLOT_BITS * level as u32;
                 let cur = (self.elapsed >> shift) & SLOT_MASK;
-                let dist = u64::from(lv.occupied.rotate_right(cur as u32).trailing_zeros());
+                let dist = u64::from(occupied.rotate_right(cur as u32).trailing_zeros());
                 debug_assert!(
                     cur + dist < SLOTS as u64,
                     "occupied slot behind current position at level {level}"
@@ -272,7 +313,7 @@ impl<T> TimingWheel<T> {
                     // Level-0 slots span one tick: any coarser slot with a
                     // later start holds strictly later entries, so the slot
                     // minimum is the global minimum.
-                    let min = self.levels[0].slots[slot]
+                    let min = self.near[slot]
                         .iter()
                         .map(|e| e.at)
                         .min()
@@ -289,17 +330,31 @@ impl<T> TimingWheel<T> {
         }
     }
 
-    /// Redistributes one coarse slot's entries to finer levels, then gives
-    /// the slot its emptied buffer back. Strictly decreases each entry's
-    /// level, so cascading terminates.
+    /// Relinks one coarse slot's nodes into finer slots, moving entries
+    /// bound for level 0 out and freeing their nodes. Strictly decreases
+    /// each entry's level, so cascading terminates.
     fn cascade(&mut self, level: usize, slot: usize) {
-        let lv = &mut self.levels[level];
-        lv.occupied &= !(1 << slot);
-        let mut buf = std::mem::take(&mut lv.slots[slot]);
-        for entry in buf.drain(..) {
-            self.place(entry);
+        self.occupied[level] &= !(1 << slot);
+        let low = (1 << (SLOT_BITS * level as u32)) - 1;
+        let mut i = std::mem::replace(&mut self.heads[level - 1][slot], NIL);
+        while i != NIL {
+            let Link { tick, next } = self.links[i as usize];
+            match self.slot_for(self.elapsed & !low | u64::from(tick) & low) {
+                Some((0, s)) => {
+                    let entry = self.nodes[i as usize].take().expect("node in use");
+                    self.links[i as usize].next = std::mem::replace(&mut self.free, i);
+                    self.occupied[0] |= 1 << s;
+                    self.near[s].push(entry);
+                }
+                Some((finer, s)) => {
+                    let head = &mut self.heads[finer - 1][s];
+                    self.links[i as usize].next = std::mem::replace(head, i);
+                    self.occupied[finer] |= 1 << s;
+                }
+                None => unreachable!("a cascaded entry moves to a finer level"),
+            }
+            i = next;
         }
-        self.levels[level].slots[slot] = buf;
     }
 
     /// Removes every entry due exactly at `at` and appends them to `out` in
@@ -312,12 +367,11 @@ impl<T> TimingWheel<T> {
         let tick = tick_of(at).max(self.elapsed);
         self.elapsed = tick;
         let slot = (tick & SLOT_MASK) as usize;
-        let lv = &mut self.levels[0];
-        if lv.occupied & (1 << slot) == 0 {
+        if self.occupied[0] & (1 << slot) == 0 {
             return;
         }
         let start = out.len();
-        let slot_vec = &mut lv.slots[slot];
+        let slot_vec = &mut self.near[slot];
         // In-place partition: matching entries swap-remove into `out`;
         // same-tick later-nanosecond entries keep their slot (their level-0
         // placement cannot change, so re-placing them would be pure churn).
@@ -330,7 +384,7 @@ impl<T> TimingWheel<T> {
             }
         }
         if slot_vec.is_empty() {
-            lv.occupied &= !(1 << slot);
+            self.occupied[0] &= !(1 << slot);
         }
         self.len -= out.len() - start;
         // Entries may arrive out of seq order when a cascade interleaved
@@ -551,6 +605,57 @@ mod tests {
         model.sort_unstable();
         let rest = drain(&mut w);
         assert_eq!(rest, model);
+    }
+
+    impl<T> TimingWheel<T> {
+        /// Entry slots held in all, and by level 0's slots.
+        fn entry_slots_held(&self) -> (usize, usize) {
+            let near = self.near.iter().map(Vec::capacity).sum::<usize>();
+            (near + self.nodes.capacity(), near)
+        }
+    }
+
+    #[test]
+    fn storage_follows_pending_entries_not_slot_peaks() {
+        // A rolling window of K pending entries, gaps drawn from
+        // [1, 2 * GAP] ticks: each step pops the earliest and inserts one
+        // past the latest. The window reaches past 2^18 ticks (level 3) and
+        // the run spans two level-3 rotations (2^25 ticks), so entries sit
+        // in every slot of levels 0-3. Storage that kept each slot's peak
+        // would hold dozens of entries per slot; the pool holds what is
+        // pending.
+        const K: usize = 128;
+        const GAP: u64 = 3_000;
+        let mut rng = crate::rng::SeedSource::new(0x9001).stream("wheel-pool");
+        let mut w = TimingWheel::new();
+        let (mut last, mut seq) = (0u64, 0u64);
+        let mut push = |w: &mut TimingWheel<()>| {
+            last += rng.gen_range(1..=2 * GAP);
+            seq += 1;
+            w.insert(SimTime::from_nanos(last << TICK_SHIFT), seq, ());
+        };
+        for _ in 0..K {
+            push(&mut w);
+        }
+        let (mut seen, mut cohort, mut popped) = ([0u64; 4], Vec::new(), 0);
+        while let Some(t) = w.next_at().filter(|t| t.as_nanos() >> TICK_SHIFT < 2 << 24) {
+            let cascaded = w.occupied;
+            cohort.clear();
+            w.pop_cohort(t, &mut cohort);
+            popped += 1;
+            assert_eq!((cohort.len(), cohort[0].seq), (1, popped));
+            push(&mut w);
+            for (level, seen) in seen.iter_mut().enumerate() {
+                *seen |= cascaded[level] | w.occupied[level];
+            }
+            let (held, near) = w.entry_slots_held();
+            assert!(
+                held <= 2 * K + near,
+                "{held} entry slots held ({near} at level 0) for {K} pending"
+            );
+        }
+        // A coarse level's slot 0 is never ahead of the position.
+        assert_eq!(seen, [u64::MAX, !1, !1, !1], "every slot was used");
     }
 
     #[test]
