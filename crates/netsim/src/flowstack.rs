@@ -12,7 +12,7 @@
 //! protocol and token — finds its slot and steps under one acquisition, and
 //! what a step asks for — packets, timers, callbacks — is carried out in
 //! order once the lock is released. Every flow's application-facing half —
-//! send queue, writable rule, reorder buffer — is one [`Stream`]. A
+//! send buffer, writable rule, reorder buffer — is one [`Stream`]. A
 //! [`Protocol`] supplies the rest: config, wire type, the flow state
 //! machine as step functions that see one flow and never a lock, its timer
 //! kinds, how an open starts and what dying clears. Besides `network.rs`
@@ -31,7 +31,7 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Duration;
 
-use kmsg_telemetry::bytes::Bytes;
+use kmsg_telemetry::bytes::{Buf, Bytes};
 use kmsg_telemetry::Recorder;
 use parking_lot::MutexGuard;
 
@@ -152,14 +152,23 @@ pub(crate) enum Phase {
 }
 
 /// The application-facing half of a reliable byte stream, which TCP and UDT
-/// keep alike: the bytes the application handed over and the peer has not
-/// acknowledged, and the payloads that arrived ahead of a hole. A protocol
-/// keeps its own sequence space (bytes or packets), congestion control, loss
-/// reports, handshake and close, and passes the sizes from its config.
+/// keep alike: the send buffer, and the payloads that arrived ahead of a
+/// hole. The send buffer holds each accepted byte once, until the peer
+/// acknowledges it; a protocol's send queue records only where each of its
+/// segments lies in it, and a resend slices the bytes back out. A protocol
+/// keeps its own sequence space (bytes or packets), congestion control,
+/// loss reports, handshake and close, and passes the sizes from its config.
 #[derive(Default)]
 pub(crate) struct Stream {
-    /// Accepted bytes not yet sent, oldest first.
-    send_q: VecDeque<Bytes>,
+    /// Accepted bytes not yet acknowledged, one entry per application
+    /// write with the stream offset of its first byte, oldest first; the
+    /// oldest is trimmed to the first unacknowledged byte.
+    send_q: VecDeque<(u64, Bytes)>,
+    /// Stream offset of the next byte to send (the bytes below it are in
+    /// flight, those from it on wait), and the index in `send_q` of the
+    /// write that holds it.
+    bytes_out: u64,
+    next_write: u32,
     /// The application was refused bytes; it is told when room frees up.
     app_blocked: bool,
     /// The application closed: a FIN follows the last queued byte.
@@ -199,7 +208,8 @@ impl Stream {
             self.app_blocked = true;
         }
         if take > 0 {
-            self.send_q.push_back(data.slice(0..take));
+            self.send_q
+                .push_back((self.bytes_sent, data.slice(0..take)));
             self.bytes_sent += take as u64;
         }
         take
@@ -207,23 +217,38 @@ impl Stream {
 
     /// Whether accepted bytes wait to be sent.
     pub(crate) fn has_queued(&self) -> bool {
-        !self.send_q.is_empty()
+        self.bytes_out < self.bytes_sent
     }
 
-    /// Takes the next payload, at most `mss` bytes, off the send queue.
-    pub(crate) fn next_payload(&mut self, mss: usize) -> Option<Bytes> {
-        let head = self.send_q.front_mut()?;
-        let payload = head.split_to(head.len().min(mss));
-        if head.is_empty() {
-            self.send_q.pop_front();
-            release_drained(&mut self.send_q);
+    /// The stream offset and bytes of the next payload: at most `mss`
+    /// bytes, never from two writes.
+    pub(crate) fn next_payload(&mut self, mss: usize) -> Option<(u64, Bytes)> {
+        let (start, data) = self.send_q.get(self.next_write as usize)?;
+        let at = self.bytes_out;
+        let from = (at - start) as usize;
+        let end = data.len().min(from + mss);
+        let payload = data.slice(from..end);
+        if end == data.len() {
+            self.next_write += 1;
         }
-        Some(payload)
+        self.bytes_out += payload.len() as u64;
+        Some((at, payload))
     }
 
-    /// Counts `n` payload bytes the peer acknowledged. Any fire `on_writable`,
-    /// so the middleware can track delivery progress; with none, a refused
-    /// writer hears once `mss` bytes of room are free.
+    /// The `len` bytes at stream offset `at`, a payload handed out before
+    /// and not yet acknowledged, for a resend: a binary search over the
+    /// writes' offsets, then one slice of one write.
+    pub(crate) fn resend(&self, at: u64, len: usize) -> Bytes {
+        let write = self.send_q.partition_point(|&(start, _)| start <= at) - 1;
+        let (start, data) = &self.send_q[write];
+        let from = (at - start) as usize;
+        data.slice(from..from + len)
+    }
+
+    /// Counts `n` payload bytes the peer acknowledged and drops them from
+    /// the front of the send buffer. Any fire `on_writable`, so the
+    /// middleware can track delivery progress; with none, a refused writer
+    /// hears once `mss` bytes of room are free.
     pub(crate) fn acked<W>(
         &mut self,
         n: usize,
@@ -232,6 +257,17 @@ impl Stream {
         out: &mut Vec<Action<W>>,
     ) {
         self.bytes_acked += n as u64;
+        while let Some((start, data)) = self.send_q.front_mut() {
+            let done = (self.bytes_acked - *start) as usize;
+            if done < data.len() {
+                data.advance(done);
+                *start = self.bytes_acked;
+                break;
+            }
+            self.send_q.pop_front();
+            self.next_write -= 1;
+        }
+        release_drained(&mut self.send_q);
         if n > 0 || (self.app_blocked && self.free(send_buf) >= mss) {
             self.app_blocked = false;
             out.push(Action::Writable);
@@ -283,6 +319,7 @@ impl Stream {
     /// `VecDeque::clear` keeps its ring allocated.
     pub(crate) fn free_buffers(&mut self) {
         self.send_q = VecDeque::new();
+        self.next_write = 0;
         self.ooo = BTreeMap::new();
         self.ooo_bytes = 0;
     }
@@ -1133,7 +1170,9 @@ mod tests {
     use crate::engine::{EventTarget, Sim};
     use crate::link::LinkConfig;
     use crate::network::EPHEMERAL_SPAN;
-    use crate::testutil::{pattern_bytes, CollectingTracer, PatternSender, Recorder, SinkEvents};
+    use crate::testutil::{
+        pattern_bytes, CollectingTracer, PatternSender, PropRunner, Recorder, SinkEvents,
+    };
     use crate::trace::PacketEvent;
 
     /// Port the world's listener is bound to on `b`.
@@ -1146,6 +1185,96 @@ mod tests {
         pub(crate) fn is_freed(&self) -> bool {
             self.send_q.capacity() == 0 && self.ooo.is_empty() && self.ooo_bytes == 0
         }
+    }
+
+    /// One step of the send buffer's property: the application writes
+    /// `len` bytes, the protocol takes a payload of at most `mss`, the peer
+    /// acknowledges the oldest `segments` outstanding, or the protocol
+    /// resends the outstanding segment `pick` (modulo their number).
+    #[derive(Debug)]
+    enum BufOp {
+        Write { len: usize },
+        Take { mss: usize },
+        Ack { segments: usize },
+        Resend { pick: usize },
+    }
+
+    #[test]
+    fn the_send_buffer_resends_what_it_handed_out_and_keeps_only_what_is_unacked() {
+        use rand::Rng;
+        const SEND_BUF: usize = 16_384;
+        PropRunner::new("stream-send-buffer").cases(64).run(
+            |rng| {
+                let ops = rng.gen_range(1..400);
+                (0..ops)
+                    .map(|_| match rng.gen_range(0..8) {
+                        0 => BufOp::Write {
+                            len: rng.gen_range(1..6_000),
+                        },
+                        1..=3 => BufOp::Take {
+                            mss: rng.gen_range(1..2_000),
+                        },
+                        4 | 5 => BufOp::Ack {
+                            segments: rng.gen_range(0..4),
+                        },
+                        _ => BufOp::Resend { pick: rng.gen() },
+                    })
+                    .collect::<Vec<_>>()
+            },
+            |ops| {
+                let mut stream = Stream::default();
+                let mut out: Vec<Action<()>> = Vec::new();
+                // Where each accepted write starts, and each outstanding
+                // payload's offset and bytes as first handed out.
+                let mut writes = vec![0];
+                let mut outstanding: VecDeque<(u64, Bytes)> = VecDeque::new();
+                for op in ops {
+                    match *op {
+                        BufOp::Write { len } => {
+                            let free = SEND_BUF - stream.unacked();
+                            let data = pattern_bytes(stream.bytes_sent as usize, len);
+                            assert_eq!(stream.accept(&data, SEND_BUF), len.min(free));
+                            writes.push(stream.bytes_sent);
+                        }
+                        BufOp::Take { mss } => match stream.next_payload(mss) {
+                            Some((at, payload)) => {
+                                let end = at + payload.len() as u64;
+                                assert!(!payload.is_empty() && payload.len() <= mss);
+                                assert_eq!(payload, pattern_bytes(at as usize, payload.len()));
+                                assert!(
+                                    !writes.iter().any(|&w| at < w && w < end),
+                                    "a payload never spans two writes"
+                                );
+                                outstanding.push_back((at, payload));
+                            }
+                            None => assert!(!stream.has_queued()),
+                        },
+                        BufOp::Ack { segments } => {
+                            let segments = segments.min(outstanding.len());
+                            let n = outstanding.drain(..segments).map(|(_, p)| p.len()).sum();
+                            stream.acked(n, SEND_BUF, 1, &mut out);
+                        }
+                        BufOp::Resend { pick } => {
+                            if let Some((at, first)) =
+                                outstanding.get(pick % outstanding.len().max(1))
+                            {
+                                assert_eq!(stream.resend(*at, first.len()), *first);
+                            }
+                        }
+                    }
+                    // The buffer holds each unacknowledged byte once: its
+                    // writes, trimmed at the front to the first of them.
+                    let held: usize = stream.send_q.iter().map(|(_, d)| d.len()).sum();
+                    assert_eq!(held, stream.unacked());
+                    assert!(stream.send_q.iter().all(|(_, d)| !d.is_empty()));
+                    if let Some(&(start, _)) = stream.send_q.front() {
+                        assert_eq!(start, stream.bytes_acked);
+                    }
+                }
+                stream.free_buffers();
+                assert!(stream.is_freed());
+            },
+        );
     }
 
     struct Accept(Arc<Recorder>);

@@ -264,8 +264,10 @@ mod tests {
         use std::mem::size_of;
         // The sizes while each flow kept its loss set in a `BTreeSet`.
         assert!(size_of::<crate::tcp::Flow>() <= 440);
-        assert!(size_of::<crate::tcp::SentSeg>() <= 72);
         assert!(size_of::<crate::udt::Flow>() <= 560);
+        // A send queue's entry records where its payload lies in the stream.
+        assert!(size_of::<crate::tcp::SentSeg>() <= 32);
+        assert!(size_of::<crate::udt::Unacked>() <= 16);
     }
 
     #[test]

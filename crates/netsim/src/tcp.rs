@@ -151,18 +151,21 @@ enum State {
     Closed,
 }
 
+/// A data segment or the FIN in flight: where it lies in the sequence
+/// space. A data segment's bytes are the stream's, at offset `seq - 1`.
 #[derive(Debug)]
 pub(crate) struct SentSeg {
     /// First sequence number the segment covers.
     seq: u64,
-    payload: Bytes,
-    syn: bool,
+    /// Payload length (0 for the FIN).
+    len: u32,
     fin: bool,
+    /// Resent at least once, last at `last_rexmit`.
     retransmitted: bool,
     /// Marked lost: a receiver-reported hole or the RTO's go-back-N, not
     /// yet retransmitted.
     lost: bool,
-    last_rexmit: Option<SimTime>,
+    last_rexmit: SimTime,
     /// Raw `seg` causal-span id covering first transmission to cumulative
     /// ack (0 for control segments or while tracing is off).
     span: u64,
@@ -230,9 +233,11 @@ pub(crate) struct Flow {
     // --- send side ---
     snd_una: u64,
     snd_nxt: u64,
-    /// The retransmission queue: every segment in `[snd_una, snd_nxt)`,
-    /// ordered by `seq` by construction — a segment is only ever appended,
-    /// at `snd_nxt`, and only ever released from the front.
+    /// The retransmission queue: every data segment and FIN in
+    /// `[snd_una, snd_nxt)`, ordered by `seq` by construction — a segment
+    /// is only ever appended, at `snd_nxt`, and only ever released from the
+    /// front. The opening SYN is no entry: the handshake states resend it
+    /// from flow state, so a flow that sends nothing allocates no queue.
     sent: VecDeque<SentSeg>,
     /// The lowest segment of `sent` marked lost.
     first_lost: FirstLost,
@@ -263,8 +268,8 @@ pub(crate) struct Flow {
     pacer_next: SimTime,
     consecutive_timeouts: u32,
     syn_retries_left: u32,
+    /// The FIN went out, at the sequence number past the last data byte.
     fin_sent: bool,
-    fin_seq: u64,
     fin_acked: bool,
 
     // --- receive side ---
@@ -317,7 +322,6 @@ impl Flow {
             consecutive_timeouts: 0,
             syn_retries_left: cfg.syn_retries,
             fin_sent: false,
-            fin_seq: 0,
             fin_acked: false,
             rcv_nxt: 0,
             last_report: SeqRanges::default(),
@@ -404,7 +408,7 @@ fn on_rto_fired(
         }
         resend_lost(flow, cfg, rec, now, out);
     } else {
-        retransmit_first(flow, cfg, rec, now, out);
+        resend_syn(flow, cfg, rec, now, out);
     }
     arm_rto(flow, now, out);
 }
@@ -493,7 +497,7 @@ impl Protocol for TcpConfig {
         now: SimTime,
         out: &mut Vec<Action>,
     ) {
-        queue_syn(flow, cfg, now, out);
+        send_syn(flow, cfg, now, out);
     }
 
     /// Answers the SYN with a SYN-ACK.
@@ -508,7 +512,7 @@ impl Protocol for TcpConfig {
         flow.rcv_nxt = seg.seq + 1;
         flow.ts_recent = Some(seg.ts);
         flow.peer_wnd = seg.wnd;
-        queue_syn(flow, cfg, now, out);
+        send_syn(flow, cfg, now, out);
     }
 
     fn on_wire(
@@ -537,7 +541,6 @@ impl Protocol for TcpConfig {
                 if seg.flags.ack && (1..=flow.snd_nxt).contains(&seg.ack) {
                     flow.state = State::Established;
                     flow.snd_una = seg.ack.max(flow.snd_una);
-                    flow.sent.retain(|s| s.seq >= flow.snd_una);
                     flow.peer_wnd = seg.wnd;
                     // A completed handshake breaks any SYN timeout streak;
                     // without this reset the first post-handshake RTO would
@@ -554,7 +557,7 @@ impl Protocol for TcpConfig {
                     try_send(flow, cfg, rec, now, out);
                 } else if seg.flags.syn && !seg.flags.ack {
                     // Duplicate SYN: retransmit SYN-ACK.
-                    retransmit_first(flow, cfg, rec, now, out);
+                    resend_syn(flow, cfg, rec, now, out);
                 }
             }
             State::Established => {
@@ -635,18 +638,8 @@ impl Protocol for TcpConfig {
 
 /// Puts the opening SYN or SYN-ACK in flight: sequence number 0, covered by
 /// the retransmission timer like any other unacknowledged segment.
-fn queue_syn(flow: &mut Flow, cfg: &TcpConfig, now: SimTime, out: &mut Vec<Action>) {
+fn send_syn(flow: &mut Flow, cfg: &TcpConfig, now: SimTime, out: &mut Vec<Action>) {
     let seg = segment(flow, cfg, now, 0, true, false, Bytes::new());
-    flow.sent.push_back(SentSeg {
-        seq: 0,
-        payload: Bytes::new(),
-        syn: true,
-        fin: false,
-        retransmitted: false,
-        lost: false,
-        last_rexmit: None,
-        span: 0,
-    });
     flow.snd_nxt = 1;
     out.push(Action::Send(seg));
     arm_rto(flow, now, out);
@@ -662,7 +655,6 @@ fn complete_handshake_active(
 ) {
     flow.state = State::Established;
     flow.snd_una = seg.ack;
-    flow.sent.clear();
     flow.rcv_nxt = seg.seq + 1;
     flow.peer_wnd = seg.wnd;
     // SYN timeout streaks do not carry into the established connection
@@ -804,35 +796,30 @@ fn disarm_rto(flow: &mut Flow) {
     flow.rto_armed = false;
 }
 
-fn retransmit_first(
+/// Resends the opening SYN or SYN-ACK (the handshake's timeout, or a
+/// duplicate SYN).
+fn resend_syn(
     flow: &mut Flow,
     cfg: &TcpConfig,
     rec: &Recorder,
     now: SimTime,
     out: &mut Vec<Action>,
 ) {
-    if !flow.sent.is_empty() {
-        retransmit(flow, cfg, rec, now, 0, false, out);
-    }
+    let seg = segment(flow, cfg, now, 0, true, false, Bytes::new());
+    retransmit(flow, rec, now, seg, false, out);
 }
 
-/// Resends the segment at index `at` of the retransmission queue, `fast`
-/// (loss-driven) or not (the RTO's resend of the oldest).
+/// Sends `seg` again, `fast` (loss-driven) or not (the SYN's timeout).
 fn retransmit(
     flow: &mut Flow,
-    cfg: &TcpConfig,
     rec: &Recorder,
     now: SimTime,
-    at: usize,
+    seg: TcpSegment,
     fast: bool,
     out: &mut Vec<Action>,
 ) {
-    let s = &mut flow.sent[at];
-    s.retransmitted = true;
-    let (seq, syn, fin, payload) = (s.seq, s.syn, s.fin, s.payload.clone());
-    let seg = segment(flow, cfg, now, seq, syn, fin, payload);
     flow.retransmits += 1;
-    let conn = flow.hdr.conn_id;
+    let (conn, seq) = (flow.hdr.conn_id, seg.seq);
     rec.record(now.as_nanos(), EventKind::TcpRetransmit { conn, seq, fast });
     out.push(Action::Send(seg));
 }
@@ -863,7 +850,7 @@ fn process_ack(
         flow.first_lost.release(&mut flow.sent, released);
         let mut acked = 0;
         for s in flow.sent.drain(..released) {
-            acked += s.payload.len();
+            acked += s.len as usize;
             let key = if s.retransmitted {
                 SEG_REXMIT
             } else {
@@ -875,7 +862,7 @@ fn process_ack(
         if let Some(echo) = seg.ts_echo {
             update_rtt(flow, cfg, now, echo);
         }
-        if flow.fin_sent && seg.ack > flow.fin_seq {
+        if flow.fin_sent && seg.ack > 1 + flow.stream.bytes_sent {
             flow.fin_acked = true;
         }
         if flow.in_recovery && flow.snd_una >= flow.recover {
@@ -913,11 +900,10 @@ fn note_holes(
         let ends = flow.sent.partition_point(|s| s.seq < to);
         for at in starts..ends {
             let seg = &flow.sent[at];
-            let eligible = seg
-                .last_rexmit
-                .is_none_or(|t| now.duration_since(t) >= reinsert_after);
+            let eligible =
+                !seg.retransmitted || now.duration_since(seg.last_rexmit) >= reinsert_after;
             if !seg.lost && eligible {
-                fresh_loss |= seg.last_rexmit.is_none();
+                fresh_loss |= !seg.retransmitted;
                 flow.first_lost.mark(&mut flow.sent, at);
             }
         }
@@ -946,8 +932,17 @@ fn resend_lost(
         let Some(at) = flow.first_lost.take(&mut flow.sent) else {
             break;
         };
-        flow.sent[at].last_rexmit = Some(now);
-        retransmit(flow, cfg, rec, now, at, true, out);
+        let s = &mut flow.sent[at];
+        s.retransmitted = true;
+        s.last_rexmit = now;
+        let (seq, len, fin) = (s.seq, s.len as usize, s.fin);
+        let payload = if fin {
+            Bytes::new()
+        } else {
+            flow.stream.resend(seq - 1, len)
+        };
+        let seg = segment(flow, cfg, now, seq, false, fin, payload);
+        retransmit(flow, rec, now, seg, true, out);
         sent += 1;
     }
 }
@@ -1026,16 +1021,14 @@ fn try_send(flow: &mut Flow, cfg: &TcpConfig, rec: &Recorder, now: SimTime, out:
         if !flow.stream.has_queued() {
             if flow.stream.fin_queued && !flow.fin_sent {
                 let seg = segment(flow, cfg, now, flow.snd_nxt, false, true, Bytes::new());
-                flow.fin_seq = flow.snd_nxt;
                 flow.fin_sent = true;
                 flow.sent.push_back(SentSeg {
                     seq: flow.snd_nxt,
-                    payload: Bytes::new(),
-                    syn: false,
+                    len: 0,
                     fin: true,
                     retransmitted: false,
                     lost: false,
-                    last_rexmit: None,
+                    last_rexmit: SimTime::ZERO,
                     span: 0,
                 });
                 flow.snd_nxt += 1;
@@ -1050,17 +1043,16 @@ fn try_send(flow: &mut Flow, cfg: &TcpConfig, rec: &Recorder, now: SimTime, out:
             arm_pacer(flow, now, out);
             break;
         }
-        let payload = flow.stream.next_payload(cfg.mss).expect("bytes queued");
+        let (_, payload) = flow.stream.next_payload(cfg.mss).expect("bytes queued");
         let take = payload.len();
-        let seg = segment(flow, cfg, now, flow.snd_nxt, false, false, payload.clone());
+        let seg = segment(flow, cfg, now, flow.snd_nxt, false, false, payload);
         flow.sent.push_back(SentSeg {
             seq: flow.snd_nxt,
-            payload,
-            syn: false,
+            len: take as u32,
             fin: false,
             retransmitted: false,
             lost: false,
-            last_rexmit: None,
+            last_rexmit: SimTime::ZERO,
             span: open_seg_span(rec, now, flow.hdr.conn_id, flow.snd_nxt),
         });
         flow.snd_nxt += take as u64;
@@ -1195,7 +1187,7 @@ mod tests {
     use crate::link::LinkConfig;
     use crate::network::Network;
     use crate::packet::{Endpoint, NodeId};
-    use crate::testutil::{CollectingTracer, PatternSender, Recorder, SinkEvents};
+    use crate::testutil::{pattern_bytes, CollectingTracer, PatternSender, Recorder, SinkEvents};
     use crate::trace::PacketEvent;
 
     fn setup(link: LinkConfig) -> (Sim, Network, NodeId, NodeId) {
@@ -1550,6 +1542,187 @@ mod tests {
         let sent = net.stats().sent;
         sim.run_for(Duration::from_millis(100));
         assert_eq!(net.stats().sent, sent);
+    }
+
+    /// Keeps the connection it accepts; its events go to `rec`.
+    #[derive(Default)]
+    struct Keep {
+        conn: std::sync::Mutex<Option<TcpConn>>,
+        rec: Arc<Recorder>,
+    }
+    impl StreamAccept for Keep {
+        fn on_accept(&self, conn: &Connection) -> Arc<dyn StreamEvents> {
+            if let Connection::Tcp(conn) = conn {
+                *self.conn.lock().unwrap() = Some(conn.clone());
+            }
+            self.rec.clone()
+        }
+    }
+    impl Keep {
+        fn conn(&self) -> Option<TcpConn> {
+            self.conn.lock().unwrap().clone()
+        }
+    }
+
+    /// The send queue's capacity, and whether the flow is established.
+    fn queue_of(conn: &TcpConn) -> (usize, bool) {
+        (
+            conn.peek(|f, _| f.sent.capacity()).unwrap(),
+            conn.is_established(),
+        )
+    }
+
+    #[test]
+    fn a_flow_that_only_receives_allocates_no_send_queue() {
+        let (sim, net, a, b) = setup(LinkConfig::new(10e6, Duration::from_millis(5)));
+        let keep = Arc::new(Keep::default());
+        let _l = TcpListener::bind(&net, b, 80, TcpConfig::default(), keep.clone()).unwrap();
+        let client = TcpConn::connect(
+            &net,
+            a,
+            Endpoint::new(b, 80),
+            TcpConfig::default(),
+            Arc::new(SinkEvents),
+        )
+        .unwrap();
+        let len = 100_000;
+        let mut written = false;
+        for _ in 0..500 {
+            sim.run_for(Duration::from_millis(1));
+            if let Some(server) = keep.conn() {
+                assert_eq!(queue_of(&server).0, 0, "at {:?}", sim.now());
+            }
+            if client.is_established() && !written {
+                assert_eq!(client.send(pattern_bytes(0, len)), len);
+                client.close();
+                written = true;
+            }
+        }
+        let server = keep.conn().expect("accepted");
+        assert_eq!(keep.rec.data_len(), len);
+        assert!(keep.rec.in_order());
+        assert_eq!(server.peek(|f, _| f.fin_received), Some(true));
+        assert_eq!(queue_of(&server).0, 0);
+    }
+
+    /// Steps `conn`'s flow with `step` in the world; what it sends.
+    fn sends_of(
+        conn: &TcpConn,
+        step: impl FnOnce(&mut Flow, &TcpConfig, &kmsg_telemetry::Recorder, SimTime, &mut Vec<Action>),
+    ) -> Vec<TcpSegment> {
+        let mut sent = Vec::new();
+        conn.process(|flow, cfg, rec, now, out| {
+            let from = out.len();
+            step(flow, cfg, rec, now, out);
+            for action in &out[from..] {
+                if let Action::Send(seg) = action {
+                    sent.push(seg.clone());
+                }
+            }
+        });
+        sent
+    }
+
+    /// The flow's RTO comes due now.
+    fn time_out(
+        flow: &mut Flow,
+        cfg: &TcpConfig,
+        rec: &kmsg_telemetry::Recorder,
+        now: SimTime,
+        out: &mut Vec<Action>,
+    ) {
+        out.push(flow.rto_timer.arm(KIND_RTO, now, Duration::ZERO));
+        TcpConfig::on_timer(flow, cfg, rec, now, out, KIND_RTO, 0);
+    }
+
+    /// `seg` with its timestamp cleared, printed: what a resend repeats.
+    fn untimed(seg: &TcpSegment) -> String {
+        format!(
+            "{:?}",
+            TcpSegment {
+                ts: SimTime::ZERO,
+                ..seg.clone()
+            }
+        )
+    }
+
+    #[test]
+    fn a_lost_syn_and_a_lost_syn_ack_are_resent_from_flow_state() {
+        let sim = Sim::new(11);
+        let net = Network::new(&sim);
+        let a = net.add_node("a");
+        let b = net.add_node("b");
+        let (_, ba) = net.connect_duplex(a, b, LinkConfig::new(10e6, Duration::from_millis(5)));
+        sim.recorder().enable();
+        // Every SYN-ACK dies on the way back.
+        net.link(ba).set_up(false);
+        let keep = Arc::new(Keep::default());
+        let _l = TcpListener::bind(&net, b, 80, TcpConfig::default(), keep.clone()).unwrap();
+        let client = TcpConn::connect(
+            &net,
+            a,
+            Endpoint::new(b, 80),
+            TcpConfig::default(),
+            Arc::new(SinkEvents),
+        )
+        .unwrap();
+        sim.run_for(Duration::from_millis(20));
+        let server = keep.conn().expect("the SYN arrived");
+        // Each handshake state resends its open from flow state: the SYN
+        // on a timeout, the SYN-ACK on a timeout and on a duplicate SYN.
+        let syn = sends_of(&client, time_out);
+        let flags = SegFlags {
+            syn: true,
+            ack: false,
+            fin: false,
+        };
+        assert_eq!(syn.len(), 1);
+        assert_eq!((syn[0].seq, syn[0].ack, syn[0].flags), (0, 0, flags));
+        assert!(syn[0].payload.is_empty() && syn[0].ts_echo.is_none());
+        let syn_ack = sends_of(&server, time_out);
+        let dup = TcpSegment {
+            seq: 0,
+            ack: 0,
+            flags,
+            ..stray_segment()
+        };
+        let again = sends_of(&server, |f, cfg, rec, now, out| {
+            TcpConfig::on_wire(f, cfg, rec, now, out, dup);
+        });
+        let flags = SegFlags { ack: true, ..flags };
+        assert_eq!(syn_ack.len(), 1);
+        assert_eq!(
+            (syn_ack[0].seq, syn_ack[0].ack, syn_ack[0].flags),
+            (0, 1, flags)
+        );
+        assert_eq!(syn_ack[0].ts_echo, Some(SimTime::ZERO));
+        assert_eq!(again.len(), 1);
+        assert_eq!(untimed(&again[0]), untimed(&syn_ack[0]));
+        // One `TcpRetransmit { seq: 0 }` per resend, none of them fast.
+        let resends = |conn: &TcpConn| {
+            let id = conn.id().raw();
+            let events = sim.recorder().events();
+            let of_conn = events.iter().filter(|e| match e.kind {
+                EventKind::TcpRetransmit { conn, seq, fast } => {
+                    assert_eq!((seq, fast), (0, false));
+                    conn == id
+                }
+                _ => false,
+            });
+            of_conn.count() as u64
+        };
+        assert_eq!((resends(&client), resends(&server)), (1, 2));
+        assert_eq!(queue_of(&client), (0, false));
+        assert_eq!(queue_of(&server), (0, false));
+        // Back in the world: the timeouts resend until the path heals.
+        sim.run_for(Duration::from_secs(2));
+        net.link(ba).set_up(true);
+        sim.run_for(Duration::from_secs(10));
+        assert_eq!(queue_of(&client), (0, true));
+        assert_eq!(queue_of(&server), (0, true));
+        assert_eq!(resends(&client), client.stats().retransmits);
+        assert_eq!(resends(&server), server.stats().retransmits);
+        assert!(resends(&client) > 1 && resends(&server) > 2);
     }
 
     #[test]

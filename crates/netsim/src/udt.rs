@@ -191,9 +191,11 @@ const KIND_HS_RETRY: u64 = 4;
 /// Packet-pair capacity samples kept for the median.
 const PAIR_SAMPLES: usize = 16;
 
-/// An unacknowledged packet of the send buffer.
-struct Unacked {
-    payload: Bytes,
+/// An unacknowledged packet: where its payload lies in the stream.
+pub(crate) struct Unacked {
+    /// Stream offset of the payload's first byte.
+    offset: u64,
+    len: u32,
     /// Reported lost (NAK, tail-loss probe, expiration), not yet resent.
     lost: bool,
 }
@@ -215,7 +217,7 @@ pub(crate) struct Flow {
     rtt: Option<f64>,
 
     // --- sender side ---
-    /// The send buffer: packet `snd_una + i` at index `i`. Sequence numbers
+    /// The send queue: packet `snd_una + i` at index `i`. Sequence numbers
     /// are consecutive, so a packet is appended at `snd_nxt` and released
     /// from the front.
     packets: VecDeque<Unacked>,
@@ -259,7 +261,8 @@ pub(crate) struct Flow {
     /// completion order. `proc_busy_until` is monotone, so completion
     /// events fire in push order and each pops the front.
     proc_fifo: VecDeque<(u64, bool)>,
-    peer_fin_seq: Option<u64>,
+    /// The peer's packet count from its FIN; `u64::MAX` until one arrives.
+    peer_fin_seq: u64,
 
     // --- counters (the byte counts are the stream's) ---
     packets_sent: u64,
@@ -313,7 +316,7 @@ impl Flow {
             pair_samples: VecDeque::with_capacity(PAIR_SAMPLES),
             proc_busy_until: now,
             proc_fifo: VecDeque::new(),
-            peer_fin_seq: None,
+            peer_fin_seq: u64::MAX,
             packets_sent: 0,
             retransmits: 0,
             naks_received: 0,
@@ -705,7 +708,7 @@ impl Protocol for UdtConfig {
                     let acked = (ack_seq - flow.snd_una) as usize;
                     flow.first_lost.release(&mut flow.packets, acked);
                     let drained = flow.packets.drain(..acked);
-                    let acked_bytes: usize = drained.map(|p| p.payload.len()).sum();
+                    let acked_bytes: usize = drained.map(|p| p.len as usize).sum();
                     release_drained(&mut flow.packets);
                     flow.snd_una = ack_seq;
                     flow.last_progress_at = now;
@@ -772,7 +775,7 @@ impl Protocol for UdtConfig {
                 restart_pacer(flow, cfg, out);
             }
             UdtPacket::Fin { final_seq } => {
-                flow.peer_fin_seq = Some(final_seq);
+                flow.peer_fin_seq = final_seq;
                 try_finish_receive(flow, out);
             }
             UdtPacket::FinAck => {
@@ -927,12 +930,10 @@ fn receive_data_packet(
 }
 
 fn try_finish_receive(flow: &mut Flow, out: &mut Vec<Action>) {
-    if let Some(final_seq) = flow.peer_fin_seq {
-        if flow.rcv_nxt >= final_seq {
-            out.push(Action::Send(UdtPacket::FinAck));
-            flow.state = Phase::Closed;
-            flow.hdr.notify_closed(CloseReason::Normal, out);
-        }
+    if flow.rcv_nxt >= flow.peer_fin_seq {
+        out.push(Action::Send(UdtPacket::FinAck));
+        flow.state = Phase::Closed;
+        flow.hdr.notify_closed(CloseReason::Normal, out);
     }
 }
 
@@ -962,23 +963,25 @@ fn send_one(flow: &mut Flow, cfg: &UdtConfig, _now: SimTime, out: &mut Vec<Actio
     // 1. Retransmission.
     if let Some(at) = flow.first_lost.take(&mut flow.packets) {
         let seq = flow.snd_una + at as u64;
+        let Unacked { offset, len, .. } = flow.packets[at];
         flow.retransmits += 1;
         flow.packets_sent += 1;
         flow.sent_in_syn = true;
         out.push(Action::Send(UdtPacket::Data {
             seq,
             probe: false,
-            payload: flow.packets[at].payload.clone(),
+            payload: flow.stream.resend(offset, len as usize),
         }));
         return Some(seq);
     }
     // 2. New data, if the flow window allows.
     if flow.stream.has_queued() && flow.flight_pkts() < flow_window_pkts(flow, cfg) {
-        let payload = flow.stream.next_payload(cfg.mss).expect("bytes queued");
+        let (offset, payload) = flow.stream.next_payload(cfg.mss).expect("bytes queued");
         let seq = flow.snd_nxt;
         flow.snd_nxt += 1;
         flow.packets.push_back(Unacked {
-            payload: payload.clone(),
+            offset,
+            len: payload.len() as u32,
             lost: false,
         });
         flow.packets_sent += 1;
@@ -1090,7 +1093,7 @@ mod tests {
     use crate::link::{LinkConfig, PolicerConfig};
     use crate::network::Network;
     use crate::packet::{Endpoint, NodeId};
-    use crate::testutil::{PatternSender, Recorder};
+    use crate::testutil::{pattern_bytes, PatternSender, Recorder};
 
     struct AcceptRecorder {
         rec: Arc<Recorder>,
@@ -1220,15 +1223,17 @@ mod tests {
         // Far into a long transfer, eight packets unacknowledged; the NAK
         // claims everything from 0 up to the second, and from the sixth on.
         let una = 1 << 40;
+        in_flight(&conn, una, 8);
         conn.process(|flow, cfg, rec, now, out| {
-            flow.snd_una = una;
-            flow.snd_nxt = una + 8;
-            flow.packets = (0..8).map(|_| unacked(b"x")).collect();
             let ranges = SeqRanges::from(&[(0, una + 1), (una + 5, u64::MAX)][..]);
             UdtConfig::on_wire(flow, cfg, rec, now, out, UdtPacket::Nak { ranges });
         });
         let lost = conn.peek(|f, _| f.lost_seqs());
         assert_eq!(lost.unwrap(), [una, una + 1, una + 5, una + 6, una + 7]);
+        assert_eq!(
+            resend_all(&conn, una),
+            [una, una + 1, una + 5, una + 6, una + 7]
+        );
         let losses: Vec<u64> = (sim.recorder().events().iter())
             .filter_map(|e| match e.kind {
                 EventKind::UdtNak { sent, losses, .. } if !sent => Some(losses),
@@ -1238,12 +1243,39 @@ mod tests {
         assert_eq!(losses, [5]);
     }
 
-    fn unacked(payload: &'static [u8]) -> Unacked {
-        let payload = Bytes::from_static(payload);
-        Unacked {
-            payload,
-            lost: false,
+    const MSS: usize = 1448;
+
+    /// Writes `packets` full packets of pattern bytes into the established
+    /// `conn` and sends them as packets `una..una + packets`: in flight,
+    /// none acknowledged, their bytes in the stream.
+    fn in_flight(conn: &UdtConn, una: u64, packets: u64) {
+        let len = packets as usize * MSS;
+        assert_eq!(conn.send(pattern_bytes(0, len)), len);
+        conn.process(|flow, cfg, _rec, now, out| {
+            (flow.snd_una, flow.snd_nxt) = (una, una);
+            for _ in 0..packets {
+                send_one(flow, cfg, now, out);
+            }
+            assert_eq!(flow.packets.len() as u64, packets);
+        });
+    }
+
+    /// Lets the pacer resend every packet marked lost; their sequence
+    /// numbers, in sending order. Each carries the bytes first sent as
+    /// packet `seq` of [`in_flight`]'s.
+    fn resend_all(conn: &UdtConn, una: u64) -> Vec<u64> {
+        let mut out = Vec::new();
+        let resent = conn.peek(|flow, cfg| {
+            std::iter::from_fn(|| send_one(flow, cfg, SimTime::ZERO, &mut out)).collect()
+        });
+        for action in out {
+            let flowstack::Action::Send(UdtPacket::Data { seq, payload, .. }) = action else {
+                panic!("only data is resent");
+            };
+            let at = (seq - una) as usize * MSS;
+            assert_eq!(payload, pattern_bytes(at, MSS), "packet {seq}");
         }
+        resent.unwrap()
     }
 
     #[test]
@@ -1268,11 +1300,7 @@ mod tests {
                 UdtConfig::on_wire(flow, cfg, rec, now, out, pkt)
             });
         };
-        conn.process(|flow, _cfg, _rec, _now, _out| {
-            flow.snd_una = una;
-            flow.snd_nxt = una + 10;
-            flow.packets = (0..10).map(|_| unacked(b"x")).collect();
-        });
+        in_flight(&conn, una, 10);
         let nak = |ranges: &[(u64, u64)]| UdtPacket::Nak {
             ranges: SeqRanges::from(ranges),
         };
@@ -1284,14 +1312,11 @@ mod tests {
             capacity_pps: 0.0,
         });
         assert_eq!(lost(), [una + 2, una + 3, una + 7, una + 8]);
-        // A mark below the next one to resend comes first.
+        // A mark below the next one to resend comes first; the resends
+        // slice the stream the acknowledgement trimmed.
         arrive(nak(&[(una + 5, una + 5)]));
-        let resent = conn.peek(|flow, cfg| {
-            let mut out = Vec::new();
-            std::iter::from_fn(|| send_one(flow, cfg, SimTime::ZERO, &mut out)).collect::<Vec<_>>()
-        });
         assert_eq!(
-            resent.unwrap(),
+            resend_all(&conn, una),
             [una + 2, una + 3, una + 5, una + 7, una + 8]
         );
         assert_eq!(lost(), [], "each resend clears its mark");
