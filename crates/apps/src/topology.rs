@@ -1,7 +1,7 @@
 //! The incast topology and the converging-senders scenario family.
 //!
 //! The paper's evaluation uses two-host worlds; the scaling experiments
-//! (`BENCH_scale.json`, EXPERIMENTS.md "Scaling") need worlds with
+//! (`BENCH_scale.json`, docs/lab/PR-15.md "Scaling") need worlds with
 //! hundreds to tens of thousands of hosts. [`star_fanin`] generates one
 //! directly into a [`Network`]: N senders behind a hub, one fat link to
 //! the sink (the incast shape of the memory and scaling benchmarks).

@@ -88,7 +88,7 @@ fn delivered_payload(cc: CcAlgorithm, total: usize) -> Vec<u8> {
         Arc::new(AcceptRecorder(server.clone())),
     )
     .expect("bind");
-    let pump = PatternSender::new(&sim, total);
+    let pump = PatternSender::new(total);
     let _conn = TcpConn::connect(&net, a, Endpoint::new(b, 80), cfg, pump).expect("connect");
     sim.run_for(Duration::from_secs(60));
     assert!(

@@ -141,7 +141,7 @@ fn full_loss_window_heals_and_transfer_completes() {
     )
     .expect("bind");
     let total = 300_000;
-    let pump = PatternSender::new(&sim, total);
+    let pump = PatternSender::new(total);
     let _conn =
         TcpConn::connect(&net, a, Endpoint::new(b, 80), TcpConfig::default(), pump).expect("conn");
     sim.run_for(Duration::from_secs(300));
@@ -188,7 +188,7 @@ fn single_byte_bandwidth_makes_no_progress_but_stays_legal() {
         Arc::new(AcceptRecorder(server.clone())),
     )
     .expect("bind");
-    let pump = PatternSender::new(&sim, 10_000);
+    let pump = PatternSender::new(10_000);
     let _conn =
         TcpConn::connect(&net, a, Endpoint::new(b, 80), TcpConfig::default(), pump).expect("conn");
     sim.run_for(Duration::from_secs(120));
@@ -238,8 +238,8 @@ fn simultaneous_bidirectional_open_completes_both_ways() {
     )
     .expect("bind a");
     let total = 200_000;
-    let pump_ab = PatternSender::new(&sim, total);
-    let pump_ba = PatternSender::new(&sim, total);
+    let pump_ab = PatternSender::new(total);
+    let pump_ba = PatternSender::new(total);
     let _c_ab = TcpConn::connect(&net, a, Endpoint::new(b, 80), TcpConfig::default(), pump_ab)
         .expect("conn a->b");
     let _c_ba = TcpConn::connect(&net, b, Endpoint::new(a, 80), TcpConfig::default(), pump_ba)

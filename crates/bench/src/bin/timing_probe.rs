@@ -34,7 +34,7 @@ use kmsg_netsim::time::SimTime;
 use kmsg_telemetry::json::Json;
 
 /// Counting allocator so the scaling section can report live heap bytes
-/// per flow (the same measurement the pre-slab baseline in EXPERIMENTS.md
+/// per flow (the same measurement the pre-slab baseline in docs/lab/PR-15.md
 /// "Scaling" was taken with) and allocation calls per subsystem (tagged
 /// through `memscope`, so a regression in `allocs_per_event` names its
 /// offender).
@@ -229,7 +229,7 @@ fn sweep_probes(worlds: u64) -> Vec<SweepProbe> {
 
 /// The pre-slab per-flow heap cost (bytes) measured with this same idle
 /// fan-in probe at 1000 flows — the reference the scaling rows compare
-/// against (EXPERIMENTS.md "Scaling").
+/// against (docs/lab/PR-15.md "Scaling").
 const BASELINE_BYTES_PER_FLOW: f64 = 6169.4;
 
 struct ScaleRow {

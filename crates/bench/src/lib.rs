@@ -191,38 +191,6 @@ pub fn fmt_mbps(bps: f64) -> String {
     format!("{:.2}", bps / 1e6)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn repeat_stops_when_stable() {
-        let mut calls = 0;
-        let stats = repeat_until_stable(3, 100, |_seed| {
-            calls += 1;
-            10.0 // zero variance: stable immediately after min reps
-        });
-        assert_eq!(calls, 3);
-        assert_eq!(stats.count(), 3);
-    }
-
-    #[test]
-    fn repeat_caps_at_max() {
-        let mut x = 0.0;
-        let stats = repeat_until_stable(2, 5, |_| {
-            x += 100.0; // diverging: never stable
-            x
-        });
-        assert_eq!(stats.count(), 5);
-    }
-
-    #[test]
-    fn formatting() {
-        assert_eq!(fmt_ratio(-1.0), "-1.00");
-        assert_eq!(fmt_mbps(10e6), "10.00");
-    }
-}
-
 /// Shared environment for the learner experiments (Figures 2 and 4–6):
 /// the §IV-B2 analysis link (100 MB/s, 10 ms delay) where plain TCP
 /// reaches ~100 MB/s and UDT is capped near ~11 MB/s by its
@@ -464,5 +432,37 @@ mod summary_tests {
         let (thr, ratio) = crate::learner_summary::tail(&result);
         assert_eq!(thr, 100.0, "tail = last quarter only");
         assert_eq!(ratio, -1.0);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn repeat_stops_when_stable() {
+        let mut calls = 0;
+        let stats = repeat_until_stable(3, 100, |_seed| {
+            calls += 1;
+            10.0 // zero variance: stable immediately after min reps
+        });
+        assert_eq!(calls, 3);
+        assert_eq!(stats.count(), 3);
+    }
+
+    #[test]
+    fn repeat_caps_at_max() {
+        let mut x = 0.0;
+        let stats = repeat_until_stable(2, 5, |_| {
+            x += 100.0; // diverging: never stable
+            x
+        });
+        assert_eq!(stats.count(), 5);
+    }
+
+    #[test]
+    fn formatting() {
+        assert_eq!(fmt_ratio(-1.0), "-1.00");
+        assert_eq!(fmt_mbps(10e6), "10.00");
     }
 }

@@ -1,7 +1,7 @@
 //! Per-message allocation regression guards.
 //!
 //! A 64-byte round trip through two full middleware stacks used to make
-//! eighteen allocator calls of the stacks' own (EXPERIMENTS.md
+//! eighteen allocator calls of the stacks' own (docs/lab/PR-19.md
 //! "Allocations per message"). What is left is four: per direction, the
 //! frame, written in one shared buffer, and the `Arc` inside
 //! `NetMessage::new`. The first test re-counts them with a counting
@@ -11,11 +11,12 @@
 //!
 //! The second counts a bulk transfer's 65 kB chunks: compressed, so every
 //! frame straddles some 45 segments and is reassembled before it is
-//! decoded (EXPERIMENTS.md "A bulk chunk received in place"). The third
+//! decoded (docs/lab/PR-27.md "A bulk chunk received in place"). The third
 //! sends the same chunks over `DATA`.
 //!
 //! The fourth counts a raw-simulator incast, whose ACKs report holes
-//! (EXPERIMENTS.md "A loss report is a value", "Loss as a mark").
+//! (docs/lab/PR-29.md "A loss report is a value", PR-47.md "Loss as a
+//! mark").
 //!
 //! The rest hold the pieces to one allocator call each: a shared buffer
 //! (`kmsg_telemetry::bytes`), and the three writers that make one per

@@ -6,7 +6,7 @@
 //! TCP timer firings that did nothing — every re-arm of the RTO and every
 //! delayed ACK was an event of its own — and those stale events, parked in
 //! the timing wheel's slots, grew the heap by ~145 B per message
-//! (EXPERIMENTS.md "Timers that cannot fire"). A flow timer now keeps one
+//! (docs/lab/PR-25.md "Timers that cannot fire"). A flow timer now keeps one
 //! pending event however often it is re-armed; this test fails if either
 //! figure creeps back.
 //!
@@ -14,7 +14,7 @@
 //! so the live heap must stay flat: the wheel's coarse levels hold entries
 //! in one pool bounded by the most ever pending, not in slots that each
 //! keep their own peak (those grew it 183 552 B here as the wheel's
-//! position reached slots it had not used yet; EXPERIMENTS.md "A wheel
+//! position reached slots it had not used yet; docs/lab/PR-49.md "A wheel
 //! that holds what is pending"). The heap budget is the allowance for any
 //! such growth, a few kilobytes.
 

@@ -8,7 +8,7 @@
 //! allocates a send queue, to ~2.1 KB. This test re-measures that cost
 //! with a counting allocator on a 1000-flow star fan-in world and fails if
 //! it creeps back over budget. The budget sits ~5% above the measured
-//! value, so a SYN back in the send queue (2691.5 B, EXPERIMENTS.md "Each
+//! value, so a SYN back in the send queue (2691.5 B, docs/lab/PR-50.md "Each
 //! byte held once") fails here before it reaches a benchmark run.
 
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -51,7 +51,7 @@ impl NetAddress {
 
     /// Builds an address from an existing socket endpoint.
     #[must_use]
-    pub fn from_socket(socket: Endpoint) -> Self {
+    pub(crate) fn from_socket(socket: Endpoint) -> Self {
         NetAddress {
             socket,
             vnode: None,
@@ -64,15 +64,6 @@ impl NetAddress {
         NetAddress {
             socket: self.socket,
             vnode: Some(id),
-        }
-    }
-
-    /// A copy of this address with the virtual-node id cleared.
-    #[must_use]
-    pub fn without_vnode(self) -> Self {
-        NetAddress {
-            socket: self.socket,
-            vnode: None,
         }
     }
 
@@ -137,7 +128,6 @@ mod tests {
         let (a, _) = nodes();
         let addr = NetAddress::new(a, 8080).with_vnode(VnodeId(9));
         assert_eq!(addr.vnode(), Some(VnodeId(9)));
-        assert_eq!(addr.without_vnode().vnode(), None);
         assert_eq!(addr.port(), 8080);
         assert_eq!(addr.as_socket(), Endpoint::new(a, 8080));
     }

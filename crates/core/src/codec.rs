@@ -122,7 +122,7 @@ fn max_compressed_len(len: usize) -> usize {
 /// # Panics
 ///
 /// Panics if `input` is 4 GiB or longer.
-pub fn compress_into(input: &[u8], out: &mut [u8]) -> Option<usize> {
+pub(crate) fn compress_into(input: &[u8], out: &mut [u8]) -> Option<usize> {
     assert!(
         u32::try_from(input.len()).is_ok(),
         "block codec input must be under 4 GiB"

@@ -10,7 +10,7 @@
 //! behind the paper's Figure 8). Each released message is stamped with a
 //! concrete protocol (TCP or UDT) by the flow's
 //! [`ProtocolSelectionPolicy`]; once per episode the flow's
-//! [`ProtocolRatioPolicy`] consumes the observed throughput (and mean
+//! `ProtocolRatioPolicy` consumes the observed throughput (and mean
 //! notify latency) and prescribes the next target ratio.
 //!
 //! All other messages pass through unchanged, in both directions.
@@ -40,7 +40,7 @@ use crate::transport::Transport;
 
 /// Notify-token ids at or above this value are reserved for the
 /// interceptor's internal bookkeeping; applications must stay below.
-pub const INTERNAL_NOTIFY_BASE: u64 = 1 << 63;
+pub(crate) const INTERNAL_NOTIFY_BASE: u64 = 1 << 63;
 
 /// Which protocol selection policy a flow uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,7 +153,7 @@ pub struct FlowPoint {
 }
 
 /// Telemetry of all flows, keyed by destination.
-pub type DataStatsHandle = Arc<Mutex<HashMap<Endpoint, Vec<FlowPoint>>>>;
+pub(crate) type DataStatsHandle = Arc<Mutex<HashMap<Endpoint, Vec<FlowPoint>>>>;
 
 /// Per-protocol flow-control state: each of TCP and UDT gets its own
 /// outstanding-bytes window so that a slow protocol's backlog can neither
@@ -532,7 +532,7 @@ mod tests {
     #[test]
     fn episode_end_releases_flows_in_destination_order() {
         let cfg = DataNetworkConfig {
-            prp: PrpKind::Static(Ratio::TCP_ONLY),
+            prp: PrpKind::Static(Ratio::from_signed(-1.0)),
             ..DataNetworkConfig::default()
         };
         let mut c = DataNetworkComponent::new(cfg);

@@ -11,19 +11,13 @@ pub mod prp;
 pub mod psp;
 pub mod ratio;
 
-pub use interceptor::{
-    DataNetworkComponent, DataNetworkConfig, DataStatsHandle, FlowPoint, PrpKind, PspKind,
-    INTERNAL_NOTIFY_BASE,
-};
-pub use prp::{
-    EpisodeObservation, ProtocolRatioPolicy, StaticRatio, TdConfig, TdRatioLearner, ValueBackend,
-};
+pub use interceptor::{DataNetworkComponent, DataNetworkConfig, FlowPoint, PrpKind, PspKind};
+pub use prp::{TdConfig, ValueBackend};
 pub use psp::{
-    build_pattern, max_prefix_deviation, p_pattern, p_pattern_rest, p_plus_one_pattern,
-    p_plus_one_pattern_rest, PatternKind, PatternSelection, ProtocolSelectionPolicy,
-    RandomSelection,
+    build_pattern, max_prefix_deviation, p_pattern_rest, p_plus_one_pattern_rest, PatternKind,
+    PatternSelection, ProtocolSelectionPolicy, RandomSelection,
 };
-pub use ratio::{ProtocolFraction, Ratio};
+pub use ratio::Ratio;
 
 use kmsg_component::prelude::*;
 use kmsg_netsim::network::{BindError, Network};

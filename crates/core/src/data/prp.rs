@@ -1,8 +1,8 @@
 //! Protocol ratio policies (§IV-C): decide the *target* TCP/UDT mix for a
 //! `DATA` stream, once per learning episode.
 //!
-//! * [`StaticRatio`] — fixed mix, set at startup (testing & baselines);
-//! * [`TdRatioLearner`] — the paper's TD(λ)/Sarsa(λ) learner over the
+//! * `StaticRatio` — fixed mix, set at startup (testing & baselines);
+//! * `TdRatioLearner` — the paper's TD(λ)/Sarsa(λ) learner over the
 //!   discretised ratio space, with a pluggable value-function backend
 //!   ([`ValueBackend`]) reproducing Figures 4–6.
 
@@ -19,7 +19,7 @@ use crate::data::ratio::Ratio;
 
 /// What a flow observed during one learning episode.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EpisodeObservation {
+pub(crate) struct EpisodeObservation {
     /// Simulation time at the end of the episode (timestamps any
     /// telemetry the ratio policy emits).
     pub time: SimTime,
@@ -30,20 +30,17 @@ pub struct EpisodeObservation {
 }
 
 /// Chooses the target protocol ratio, episode by episode.
-pub trait ProtocolRatioPolicy: Send {
+pub(crate) trait ProtocolRatioPolicy: Send {
     /// The ratio to start with (also re-initialises internal state).
     fn initial_ratio(&mut self) -> Ratio;
 
     /// Consumes one episode's observation, returns the next target ratio.
     fn episode_update(&mut self, obs: &EpisodeObservation) -> Ratio;
-
-    /// Short name for reports.
-    fn name(&self) -> &'static str;
 }
 
 /// A fixed target ratio (§IV-C1).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StaticRatio(pub Ratio);
+pub(crate) struct StaticRatio(pub Ratio);
 
 impl ProtocolRatioPolicy for StaticRatio {
     fn initial_ratio(&mut self) -> Ratio {
@@ -53,13 +50,9 @@ impl ProtocolRatioPolicy for StaticRatio {
     fn episode_update(&mut self, _obs: &EpisodeObservation) -> Ratio {
         self.0
     }
-
-    fn name(&self) -> &'static str {
-        "static"
-    }
 }
 
-/// The value-function backend for [`TdRatioLearner`].
+/// The value-function backend for `TdRatioLearner`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ValueBackend {
     /// Dense `Q(s,a)` matrix (Figure 4: converges too slowly).
@@ -71,7 +64,7 @@ pub enum ValueBackend {
     Approx,
 }
 
-/// Configuration for [`TdRatioLearner`].
+/// Configuration for `TdRatioLearner`.
 #[derive(Debug, Clone)]
 pub struct TdConfig {
     /// Value-function backend.
@@ -99,7 +92,7 @@ const REWARD_SCALE: f64 = 10e6;
 const INITIAL_RATIO: Ratio = Ratio::BALANCED;
 
 /// The TD(λ) ratio learner (§IV-C2).
-pub struct TdRatioLearner {
+pub(crate) struct TdRatioLearner {
     cfg: TdConfig,
     sarsa: Sarsa<Box<dyn ActionValue>, RngStream>,
     /// The state currently in effect (the ratio the flow is running at).
@@ -124,7 +117,7 @@ impl std::fmt::Debug for TdRatioLearner {
 impl TdRatioLearner {
     /// Creates the learner with its own deterministic random stream.
     #[must_use]
-    pub fn new(cfg: TdConfig, rng: RngStream) -> Self {
+    pub(crate) fn new(cfg: TdConfig, rng: RngStream) -> Self {
         let space = cfg.space;
         let value: Box<dyn ActionValue> = match cfg.backend {
             ValueBackend::Matrix => Box::new(MatrixQ::new(space)),
@@ -147,7 +140,7 @@ impl TdRatioLearner {
     /// so two same-seed runs emit identical streams. Each decision also
     /// leaves a root `decide` instant span keyed by the flow, so traces
     /// show when the learner adjusted the split ratio.
-    pub fn attach_recorder(&mut self, rec: Recorder, flow: u64) {
+    pub(crate) fn attach_recorder(&mut self, rec: Recorder, flow: u64) {
         let now_ns = self.now_ns.clone();
         let tracer = rec.tracer();
         self.sarsa
@@ -174,18 +167,6 @@ impl TdRatioLearner {
                 );
             })));
     }
-
-    /// Current exploration probability (diagnostics).
-    #[must_use]
-    pub fn epsilon(&self) -> f64 {
-        self.sarsa.epsilon()
-    }
-
-    /// Episodes consumed so far.
-    #[must_use]
-    pub fn episodes(&self) -> u64 {
-        self.sarsa.steps()
-    }
 }
 
 impl ProtocolRatioPolicy for TdRatioLearner {
@@ -210,10 +191,6 @@ impl ProtocolRatioPolicy for TdRatioLearner {
         let action = self.sarsa.step(reward, self.current);
         self.current = space.transition(self.current, action);
         Ratio::from_signed(space.state_value(self.current))
-    }
-
-    fn name(&self) -> &'static str {
-        "td-learner"
     }
 }
 
@@ -262,7 +239,6 @@ mod tests {
             p.episode_update(&obs(1e6, Ratio::BALANCED)),
             Ratio::from_signed(-0.4)
         );
-        assert_eq!(p.name(), "static");
     }
 
     #[test]
@@ -353,7 +329,6 @@ mod tests {
             TdRatioLearner::new(TdConfig::default(), SeedSource::new(2).stream("prp"));
         let r = learner.episode_update(&obs(1e6, Ratio::BALANCED));
         assert!((-1.0..=1.0).contains(&r.signed()));
-        assert_eq!(learner.name(), "td-learner");
     }
 
     #[test]

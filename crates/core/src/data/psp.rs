@@ -110,7 +110,7 @@ pub enum PatternKind {
 
 /// Builds the `p`-pattern for a fraction.
 #[must_use]
-pub fn p_pattern(f: &ProtocolFraction) -> Vec<Transport> {
+pub(crate) fn p_pattern(f: &ProtocolFraction) -> Vec<Transport> {
     if f.p == 0 {
         return vec![f.majority; usize::try_from(f.q.max(1)).expect("pattern fits")];
     }
@@ -133,7 +133,7 @@ pub fn p_pattern(f: &ProtocolFraction) -> Vec<Transport> {
 
 /// Builds the `p+1`-pattern for a fraction.
 #[must_use]
-pub fn p_plus_one_pattern(f: &ProtocolFraction) -> Vec<Transport> {
+pub(crate) fn p_plus_one_pattern(f: &ProtocolFraction) -> Vec<Transport> {
     if f.p == 0 {
         return vec![f.majority; usize::try_from(f.q.max(1)).expect("pattern fits")];
     }
@@ -393,10 +393,11 @@ mod tests {
 
     #[test]
     fn update_ratio_rebuilds_pattern() {
-        let mut psp = PatternSelection::new(Ratio::TCP_ONLY, PatternKind::MinimalRest, 100);
+        let mut psp =
+            PatternSelection::new(Ratio::from_signed(-1.0), PatternKind::MinimalRest, 100);
         assert_eq!(psp.select(), Transport::Tcp);
-        psp.update_ratio(Ratio::UDT_ONLY);
-        assert_eq!(psp.ratio(), Ratio::UDT_ONLY);
+        psp.update_ratio(Ratio::from_signed(1.0));
+        assert_eq!(psp.ratio(), Ratio::from_signed(1.0));
         assert_eq!(psp.select(), Transport::Udt);
     }
 

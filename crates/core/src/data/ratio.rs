@@ -19,10 +19,6 @@ use crate::transport::Transport;
 pub struct Ratio(f64);
 
 impl Ratio {
-    /// 100% TCP.
-    pub const TCP_ONLY: Ratio = Ratio(-1.0);
-    /// 100% UDT.
-    pub const UDT_ONLY: Ratio = Ratio(1.0);
     /// A 50-50 mix.
     pub const BALANCED: Ratio = Ratio(0.0);
 
@@ -54,7 +50,7 @@ impl Ratio {
 
     /// The majority protocol at this ratio (ties go to TCP).
     #[must_use]
-    pub fn majority(self) -> Transport {
+    pub(crate) fn majority(self) -> Transport {
         if self.0 > 0.0 {
             Transport::Udt
         } else {
@@ -64,7 +60,7 @@ impl Ratio {
 
     /// The minority protocol at this ratio.
     #[must_use]
-    pub fn minority(self) -> Transport {
+    pub(crate) fn minority(self) -> Transport {
         match self.majority() {
             Transport::Udt => Transport::Tcp,
             _ => Transport::Udt,
@@ -110,7 +106,7 @@ pub struct ProtocolFraction {
 impl ProtocolFraction {
     /// The minority fraction `p / (p + q)`.
     #[must_use]
-    pub fn minority_fraction(&self) -> f64 {
+    pub(crate) fn minority_fraction(&self) -> f64 {
         if self.p + self.q == 0 {
             0.0
         } else {
@@ -200,10 +196,10 @@ mod tests {
 
     #[test]
     fn fraction_of_pure_protocols() {
-        let tcp = Ratio::TCP_ONLY.fraction(100);
+        let tcp = Ratio::from_signed(-1.0).fraction(100);
         assert_eq!(tcp.p, 0);
         assert!((tcp.prob_udt() - 0.0).abs() < 1e-12);
-        let udt = Ratio::UDT_ONLY.fraction(100);
+        let udt = Ratio::from_signed(1.0).fraction(100);
         assert_eq!(udt.p, 0);
         assert!((udt.prob_udt() - 1.0).abs() < 1e-12);
     }

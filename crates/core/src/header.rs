@@ -82,7 +82,7 @@ impl Route {
 
     /// Whether an intermediate hop remains.
     #[must_use]
-    pub fn has_next(&self) -> bool {
+    pub(crate) fn has_next(&self) -> bool {
         !self.hops.is_empty()
     }
 }
@@ -233,19 +233,6 @@ impl NetHeader {
             NetHeader::Basic(h) => h.destination(),
             NetHeader::Routing(h) => h.destination(),
             NetHeader::Data(h) => h.destination(),
-        }
-    }
-
-    /// Serialised size upper bound.
-    #[must_use]
-    pub fn encoded_len(&self) -> usize {
-        let addr = 15; // node(4) + port(2) + vnode flag(1) + vnode(8)
-        match self {
-            NetHeader::Basic(_) | NetHeader::Data(_) => 2 + 2 * addr,
-            NetHeader::Routing(h) => {
-                let hops = h.route.as_ref().map_or(0, |r| r.hops.len());
-                3 + (3 + hops) * addr + 4
-            }
         }
     }
 }
@@ -484,26 +471,6 @@ mod tests {
         for cut in [0, 1, 5, full.len() - 1] {
             let mut short = full.slice(0..cut);
             assert!(NetHeader::deserialise(&mut short).is_err(), "cut at {cut}");
-        }
-    }
-
-    #[test]
-    fn encoded_len_is_an_upper_bound() {
-        let (a, b, c) = nodes();
-        for h in [
-            NetHeader::Basic(BasicHeader::new(
-                NetAddress::new(a, 1).with_vnode(VnodeId(1)),
-                NetAddress::new(b, 2).with_vnode(VnodeId(2)),
-                Transport::Tcp,
-            )),
-            NetHeader::Routing(RoutingHeader::with_route(
-                BasicHeader::new(NetAddress::new(a, 1), NetAddress::new(c, 3), Transport::Udp),
-                vec![NetAddress::new(b, 2)],
-            )),
-        ] {
-            let mut buf = BytesMut::new();
-            h.serialise(&mut buf);
-            assert!(buf.len() <= h.encoded_len(), "{h:?}");
         }
     }
 }

@@ -30,7 +30,7 @@
 //! the requested [`transport::Transport`]; the network component ensures
 //! the needed channels exist, queues messages until they do, and keeps
 //! them open ("conservative teardown"). Messages between virtual nodes of
-//! the same host are *reflected* without serialisation ([`vnet`]).
+//! the same host are *reflected* without serialisation (`vnet`).
 //!
 //! # Example: a message envelope, end to end through the wire format
 //!
@@ -76,7 +76,7 @@ pub mod msg;
 pub mod net;
 pub mod ser;
 pub mod transport;
-pub mod vnet;
+pub(crate) mod vnet;
 
 pub use address::{Address, NetAddress, VnodeId};
 pub use data::{DataNetwork, DataNetworkComponent, DataNetworkConfig, Ratio};

@@ -82,7 +82,7 @@ impl NetMessage {
 
     /// Rebuilds a message from wire bytes (network layer use).
     #[must_use]
-    pub fn from_wire(header: NetHeader, ser_id: SerId, payload: Bytes) -> Self {
+    pub(crate) fn from_wire(header: NetHeader, ser_id: SerId, payload: Bytes) -> Self {
         NetMessage {
             header,
             data: MsgData::Ser(ser_id, payload),
@@ -97,7 +97,7 @@ impl NetMessage {
 
     /// Mutable header access (interceptors rewrite the protocol; routers
     /// advance the route).
-    pub fn header_mut(&mut self) -> &mut NetHeader {
+    pub(crate) fn header_mut(&mut self) -> &mut NetHeader {
         &mut self.header
     }
 
@@ -181,7 +181,7 @@ impl NetMessage {
     /// Approximate payload size in bytes (for queue accounting before
     /// serialisation happens).
     #[must_use]
-    pub fn payload_size_estimate(&self) -> usize {
+    pub(crate) fn payload_size_estimate(&self) -> usize {
         match &self.data {
             MsgData::Typed(v) => v.size_hint().unwrap_or(64),
             MsgData::Ser(_, bytes) => bytes.len(),
@@ -195,7 +195,8 @@ pub struct NotifyToken {
     /// The requesting virtual node, if any (lets vnode channels route the
     /// response back to the right subtree).
     pub vnode: Option<VnodeId>,
-    /// Caller-chosen correlation id.
+    /// Caller-chosen correlation id, below 2⁶³ for vnode-less tokens: the
+    /// `DATA` interceptor keeps the ids from 2⁶³ up for its own use.
     pub id: u64,
 }
 
@@ -234,7 +235,7 @@ pub enum SendError {
 
 impl SendError {
     /// Number of variants (sizes per-kind counter arrays).
-    pub const COUNT: usize = 5;
+    pub(crate) const COUNT: usize = 5;
 
     /// Stable snake_case label for stats/telemetry output.
     #[must_use]

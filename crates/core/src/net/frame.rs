@@ -194,7 +194,7 @@ impl Buf for InPlace<'_> {
 /// arrived in, out of which whole frames are sliced without a copy, or —
 /// from the moment a frame turns out to straddle chunks until the bytes
 /// copied for it are used up — a reassembly buffer, in which
-/// [`FrameDecoder::next_message`] decodes a frame where it lies.
+/// `FrameDecoder::next_message` decodes a frame where it lies.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     chunk: Bytes,
@@ -263,7 +263,7 @@ impl FrameDecoder {
     ///
     /// # Errors
     ///
-    /// As [`FrameDecoder::next_message`]'s outer error.
+    /// As `FrameDecoder::next_message`'s outer error.
     pub fn next_frame(&mut self) -> Result<Option<Bytes>, SerError> {
         let Some(len) = self.whole_frame()? else {
             return Ok(None);
@@ -291,7 +291,9 @@ impl FrameDecoder {
     /// the caller should close the stream. The inner error: this one frame
     /// is malformed, and it has been passed over; the frames after it
     /// decode as usual.
-    pub fn next_message(&mut self) -> Result<Option<Result<NetMessage, SerError>>, SerError> {
+    pub(crate) fn next_message(
+        &mut self,
+    ) -> Result<Option<Result<NetMessage, SerError>>, SerError> {
         let Some(len) = self.whole_frame()? else {
             return Ok(None);
         };

@@ -114,12 +114,6 @@ impl SupervisionSummary {
     pub fn episodes(&self) -> u64 {
         self.reconnects + self.channels_dropped + self.failovers
     }
-
-    /// Whether the run saw any supervision activity at all.
-    #[must_use]
-    pub fn calm(&self) -> bool {
-        self.episodes() == 0 && self.reconnect_attempts == 0
-    }
 }
 
 /// A cloneable handle to a component's live statistics.

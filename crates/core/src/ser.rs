@@ -234,72 +234,6 @@ impl Deserialiser<u64> for u64 {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn round_trip<T>(value: &T) -> T
-    where
-        T: Serialisable + Deserialiser<T>,
-    {
-        let mut buf = BytesMut::new();
-        value.serialise(&mut buf).expect("serialise");
-        let mut bytes = buf.freeze();
-        T::deserialise(&mut bytes).expect("deserialise")
-    }
-
-    #[test]
-    fn bytes_round_trip() {
-        let v = Bytes::from_static(b"hello world");
-        assert_eq!(round_trip(&v), v);
-        assert_eq!(v.ser_id(), SerId(1));
-        assert_eq!(v.size_hint(), Some(15));
-    }
-
-    #[test]
-    fn string_round_trip() {
-        let v = "grüße".to_string();
-        assert_eq!(round_trip(&v), v);
-    }
-
-    #[test]
-    fn u64_round_trip() {
-        assert_eq!(round_trip(&0xdead_beef_u64), 0xdead_beef_u64);
-    }
-
-    #[test]
-    fn truncation_detected() {
-        let mut short = Bytes::from_static(&[0, 0, 0, 10, 1, 2]);
-        assert_eq!(
-            Bytes::deserialise(&mut short),
-            Err(SerError::Truncated { context: "Bytes" })
-        );
-        let mut tiny = Bytes::from_static(&[1]);
-        assert!(u64::deserialise(&mut tiny).is_err());
-    }
-
-    #[test]
-    fn invalid_utf8_detected() {
-        let mut buf = BytesMut::new();
-        put_bytes(&mut buf, &[0xff, 0xfe]);
-        let mut bytes = buf.freeze();
-        assert_eq!(
-            String::deserialise(&mut bytes),
-            Err(SerError::Invalid { context: "String" })
-        );
-    }
-
-    #[test]
-    fn error_display() {
-        let e = SerError::WrongSerId {
-            found: SerId(5),
-            expected: SerId(7),
-        };
-        assert!(e.to_string().contains("mismatch"));
-        assert!(SerError::WrongType.to_string().contains("different type"));
-    }
-}
-
 /// A boxed deserialiser stored in the registry.
 type RegisteredDeserialiser =
     Box<dyn Fn(&mut Bytes) -> Result<Box<dyn std::any::Any + Send>, SerError> + Send + Sync>;
@@ -388,6 +322,72 @@ impl SerRegistry {
         })?;
         let mut cursor = buf.clone();
         entry(&mut cursor)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn round_trip<T>(value: &T) -> T
+    where
+        T: Serialisable + Deserialiser<T>,
+    {
+        let mut buf = BytesMut::new();
+        value.serialise(&mut buf).expect("serialise");
+        let mut bytes = buf.freeze();
+        T::deserialise(&mut bytes).expect("deserialise")
+    }
+
+    #[test]
+    fn bytes_round_trip() {
+        let v = Bytes::from_static(b"hello world");
+        assert_eq!(round_trip(&v), v);
+        assert_eq!(v.ser_id(), SerId(1));
+        assert_eq!(v.size_hint(), Some(15));
+    }
+
+    #[test]
+    fn string_round_trip() {
+        let v = "grüße".to_string();
+        assert_eq!(round_trip(&v), v);
+    }
+
+    #[test]
+    fn u64_round_trip() {
+        assert_eq!(round_trip(&0xdead_beef_u64), 0xdead_beef_u64);
+    }
+
+    #[test]
+    fn truncation_detected() {
+        let mut short = Bytes::from_static(&[0, 0, 0, 10, 1, 2]);
+        assert_eq!(
+            Bytes::deserialise(&mut short),
+            Err(SerError::Truncated { context: "Bytes" })
+        );
+        let mut tiny = Bytes::from_static(&[1]);
+        assert!(u64::deserialise(&mut tiny).is_err());
+    }
+
+    #[test]
+    fn invalid_utf8_detected() {
+        let mut buf = BytesMut::new();
+        put_bytes(&mut buf, &[0xff, 0xfe]);
+        let mut bytes = buf.freeze();
+        assert_eq!(
+            String::deserialise(&mut bytes),
+            Err(SerError::Invalid { context: "String" })
+        );
+    }
+
+    #[test]
+    fn error_display() {
+        let e = SerError::WrongSerId {
+            found: SerId(5),
+            expected: SerId(7),
+        };
+        assert!(e.to_string().contains("mismatch"));
+        assert!(SerError::WrongType.to_string().contains("different type"));
     }
 }
 

@@ -1,7 +1,5 @@
 //! Transport protocol selection, per message.
 
-use kmsg_netsim::packet::WireProtocol;
-
 /// The transport protocol a message should travel over — chosen **per
 /// message** at runtime, the paper's central mechanism.
 ///
@@ -25,24 +23,6 @@ pub enum Transport {
 }
 
 impl Transport {
-    /// The wire protocol this transport maps to, or `None` for the
-    /// unresolved `Data` pseudo-protocol.
-    #[must_use]
-    pub fn wire_protocol(self) -> Option<WireProtocol> {
-        match self {
-            Transport::Udp => Some(WireProtocol::Udp),
-            Transport::Tcp => Some(WireProtocol::Tcp),
-            Transport::Udt => Some(WireProtocol::Udt),
-            Transport::Data => None,
-        }
-    }
-
-    /// Whether this transport gives reliable, ordered (stream) delivery.
-    #[must_use]
-    pub fn is_reliable(self) -> bool {
-        matches!(self, Transport::Tcp | Transport::Udt | Transport::Data)
-    }
-
     /// Stable snake_case label for telemetry output.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -105,22 +85,6 @@ mod tests {
             assert_eq!(Transport::from_byte(t.to_byte()), Some(t));
         }
         assert_eq!(Transport::from_byte(99), None);
-    }
-
-    #[test]
-    fn wire_protocol_mapping() {
-        assert_eq!(Transport::Udp.wire_protocol(), Some(WireProtocol::Udp));
-        assert_eq!(Transport::Tcp.wire_protocol(), Some(WireProtocol::Tcp));
-        assert_eq!(Transport::Udt.wire_protocol(), Some(WireProtocol::Udt));
-        assert_eq!(Transport::Data.wire_protocol(), None);
-    }
-
-    #[test]
-    fn reliability_classes() {
-        assert!(!Transport::Udp.is_reliable());
-        assert!(Transport::Tcp.is_reliable());
-        assert!(Transport::Udt.is_reliable());
-        assert!(Transport::Data.is_reliable());
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! Pluggable congestion control for the simulated TCP stack.
 //!
 //! The Reno logic that used to be baked into [`crate::tcp`] now lives
-//! behind the [`CongestionController`] trait, next to two alternative
+//! behind the `CongestionController` trait, next to two alternative
 //! controllers:
 //!
-//! * [`Reno`] — the original slow-start/AIMD/fast-recovery behaviour,
+//! * `Reno` — the original slow-start/AIMD/fast-recovery behaviour,
 //!   byte-for-byte identical in telemetry to the pre-trait stack;
-//! * [`Cubic`] — a CUBIC-style window controller: the cubic growth
+//! * `Cubic` — a CUBIC-style window controller: the cubic growth
 //!   function `W(t) = C·(t−K)³ + W_max` replaces AIMD in congestion
 //!   avoidance, with multiplicative decrease `β = 0.7` and fast
 //!   convergence on repeated losses below `W_max`;
-//! * [`Bbr`] — a BBR-style rate controller: windowed-max bottleneck
+//! * `Bbr` — a BBR-style rate controller: windowed-max bottleneck
 //!   bandwidth and windowed-min RTT estimators drive a paced sending rate
 //!   through startup (gain 2.885) → drain → probe-bandwidth phases, with
 //!   the congestion window acting only as an inflight cap of
@@ -118,7 +118,7 @@ impl CcConfig {
 /// immutable inputs it may consult. Borrowed piecewise out of the flow so
 /// the controller (also a flow field) can be invoked without cloning.
 #[derive(Debug)]
-pub struct CcCtx<'a> {
+pub(crate) struct CcCtx<'a> {
     /// Congestion window, bytes (shared with the flow's send path).
     pub cwnd: &'a mut f64,
     /// Slow-start threshold, bytes.
@@ -139,9 +139,7 @@ pub struct CcCtx<'a> {
 /// backoff and recovery-episode bookkeeping; the controller only evolves
 /// `cwnd`/`ssthresh`, optionally paces via [`Self::pacing_rate`], and
 /// stamps its decisions into the flight recorder.
-pub trait CongestionController: Send {
-    /// Stable controller label (matches [`CcAlgorithm::label`]).
-    fn name(&self) -> &'static str;
+pub(crate) trait CongestionController: Send {
     /// A cumulative ACK advanced `snd_una` by `newly` bytes.
     fn on_ack(&mut self, ctx: &mut CcCtx<'_>, newly: u64, now: SimTime);
     /// A fresh loss episode began (receiver-reported holes outside any
@@ -163,7 +161,7 @@ pub trait CongestionController: Send {
 
 /// Builds the controller instance a config calls for.
 #[must_use]
-pub fn build(cfg: &CcConfig) -> Box<dyn CongestionController> {
+pub(crate) fn build(cfg: &CcConfig) -> Box<dyn CongestionController> {
     match cfg.algorithm {
         CcAlgorithm::Reno => Box::new(Reno),
         CcAlgorithm::Cubic => Box::new(Cubic::new(cfg)),
@@ -175,13 +173,9 @@ pub fn build(cfg: &CcConfig) -> Box<dyn CongestionController> {
 /// on loss, collapse to one MSS on RTO. Stateless — all window state
 /// lives in the flow — and telemetry-identical to the pre-trait stack.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Reno;
+pub(crate) struct Reno;
 
 impl CongestionController for Reno {
-    fn name(&self) -> &'static str {
-        "reno"
-    }
-
     fn on_ack(&mut self, ctx: &mut CcCtx<'_>, newly: u64, _now: SimTime) {
         if *ctx.cwnd < *ctx.ssthresh {
             // Slow start with appropriate byte counting.
@@ -251,7 +245,7 @@ pub const CUBIC_BETA: f64 = 0.7;
 /// grow monotonically), `"loss"` applies `β` with fast convergence, and
 /// `"rto"` collapses to one MSS.
 #[derive(Debug, Clone)]
-pub struct Cubic {
+pub(crate) struct Cubic {
     buggy_no_fast_convergence: bool,
     /// Window size before the last reduction, bytes.
     w_max: f64,
@@ -266,7 +260,7 @@ pub struct Cubic {
 impl Cubic {
     /// New CUBIC instance from config knobs.
     #[must_use]
-    pub fn new(cfg: &CcConfig) -> Cubic {
+    pub(crate) fn new(cfg: &CcConfig) -> Cubic {
         Cubic {
             buggy_no_fast_convergence: cfg.buggy_no_fast_convergence,
             w_max: 0.0,
@@ -310,10 +304,6 @@ impl Cubic {
 }
 
 impl CongestionController for Cubic {
-    fn name(&self) -> &'static str {
-        "cubic"
-    }
-
     fn on_ack(&mut self, ctx: &mut CcCtx<'_>, newly: u64, now: SimTime) {
         if *ctx.cwnd < *ctx.ssthresh {
             // Slow start, same as Reno; the cubic clock starts in
@@ -390,7 +380,7 @@ impl CongestionController for Cubic {
 
 /// BBR probe-bandwidth pacing-gain cycle (RFC draft: one 1.25 probe, one
 /// 0.75 drain, six cruise phases, advanced once per min-RTT).
-pub const BBR_GAIN_CYCLE: [f64; 8] = [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
+pub(crate) const BBR_GAIN_CYCLE: [f64; 8] = [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
 
 /// Rounds of bandwidth history kept for the windowed-max filter.
 const BW_WINDOW_ROUNDS: usize = 10;
@@ -437,7 +427,7 @@ pub const BBR_CWND_GAIN: f64 = 2.0;
 /// checks phase-sequence legality and the pacing/cwnd bounds against the
 /// estimates carried in those events.
 #[derive(Debug, Clone)]
-pub struct Bbr {
+pub(crate) struct Bbr {
     skip_drain: bool,
     phase: BbrPhase,
     started: bool,
@@ -467,7 +457,7 @@ pub struct Bbr {
 impl Bbr {
     /// New BBR instance from config knobs.
     #[must_use]
-    pub fn new(cfg: &CcConfig) -> Bbr {
+    pub(crate) fn new(cfg: &CcConfig) -> Bbr {
         Bbr {
             skip_drain: cfg.buggy_skip_drain,
             phase: BbrPhase::Startup,
@@ -535,10 +525,6 @@ impl Bbr {
 }
 
 impl CongestionController for Bbr {
-    fn name(&self) -> &'static str {
-        "bbr"
-    }
-
     fn on_ack(&mut self, ctx: &mut CcCtx<'_>, newly: u64, now: SimTime) {
         let mut checkpoint = false;
         if !self.started {

@@ -91,7 +91,7 @@ use crate::trace::PacketTracer;
 use crate::wheel::{TimingWheel, WheelEntry};
 
 /// A scheduled simulation event: a one-shot closure run at its timestamp.
-pub type EventFn = Box<dyn FnOnce(&Sim) + Send>;
+pub(crate) type EventFn = Box<dyn FnOnce(&Sim) + Send>;
 
 /// A reusable event receiver for allocation-free scheduling.
 ///

@@ -25,9 +25,7 @@ use crate::time::SimTime;
 
 /// One scripted fault action.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FaultAction {
-    /// Take a link down, keeping the serialized backlog (unplugged uplink).
-    LinkDown(LinkId),
+pub(crate) enum FaultAction {
     /// Bring a link back up.
     LinkUp(LinkId),
     /// Sever a link: down + backlog cleared + in-flight packets killed.
@@ -61,9 +59,9 @@ pub enum FaultAction {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultEvent {
     /// When the action fires.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// What happens.
-    pub action: FaultAction,
+    pub(crate) action: FaultAction,
 }
 
 /// A scripted, deterministic schedule of fault injections.
@@ -85,7 +83,7 @@ impl FaultPlan {
 
     /// Adds a raw action at an absolute simulation time.
     #[must_use]
-    pub fn at(mut self, at: SimTime, action: FaultAction) -> Self {
+    pub(crate) fn at(mut self, at: SimTime, action: FaultAction) -> Self {
         self.events.push(FaultEvent { at, action });
         self
     }
@@ -261,10 +259,6 @@ fn record_fault(net: &Network, action: &'static str, link: LinkId, applied: &Ato
 
 fn apply(net: &Network, action: &FaultAction, applied: &AtomicU64) {
     match action {
-        FaultAction::LinkDown(id) => {
-            net.link(*id).set_up(false);
-            record_fault(net, "link_down", *id, applied);
-        }
         FaultAction::LinkUp(id) => {
             net.link(*id).set_up(true);
             record_fault(net, "link_up", *id, applied);

@@ -138,8 +138,6 @@ pub(crate) trait Protocol: PartialEq + Send + Sized + 'static {
     /// Moves bytes or a FIN just queued along (TCP tries to send, UDT
     /// restarts its pacer).
     fn kick(flow: &mut Self::Flow, cfg: &Self, rec: &Recorder, now: SimTime, out: &mut Out<Self>);
-    /// The RTT estimate in seconds, if there is one yet.
-    fn rtt(flow: &Self::Flow) -> Option<f64>;
 }
 
 /// Where a flow's open stands: UDT's states, and TCP's with its two
@@ -1074,13 +1072,6 @@ impl<P: Protocol> Conn<P> {
             .unwrap_or(0)
     }
 
-    /// The RTT estimate: TCP's smoothed RTT once an ACK has echoed a
-    /// timestamp, UDT's handshake RTT (initiator side only).
-    #[must_use]
-    pub fn rtt_estimate(&self) -> Option<Duration> {
-        self.peek(|f, _| P::rtt(f))?.map(Duration::from_secs_f64)
-    }
-
     /// Orderly close: a FIN follows the last buffered byte.
     pub fn close(&self) {
         self.process(|flow, cfg, rec, now, out| {
@@ -1098,7 +1089,6 @@ impl<P: Protocol> Conn<P> {
 /// ([`crate::tcp::TcpListener`], [`crate::udt::UdtListener`]).
 #[derive(Clone)]
 pub struct Listener<P: Protocol> {
-    net: Network,
     local: Endpoint,
     protocol: PhantomData<fn() -> P>,
 }
@@ -1137,7 +1127,6 @@ impl<P: Protocol> Listener<P> {
         };
         table.listeners.insert(ep_key(local), entry);
         Ok(Listener {
-            net: net.clone(),
             local,
             protocol: PhantomData,
         })
@@ -1147,15 +1136,6 @@ impl<P: Protocol> Listener<P> {
     #[must_use]
     pub fn local(&self) -> Endpoint {
         self.local
-    }
-
-    /// Number of connections this listener has accepted (and not forgotten).
-    #[must_use]
-    pub fn connection_count(&self) -> usize {
-        P::table(&mut self.net.sim().lock().net)
-            .listeners
-            .get(&ep_key(self.local))
-            .map_or(0, |e| e.conns.len())
     }
 }
 
@@ -1375,6 +1355,15 @@ mod tests {
             }
         }
 
+        /// Number of connections the listener has accepted (and not
+        /// forgotten).
+        fn connection_count(&self) -> usize {
+            P::table(&mut self.net.sim().lock().net)
+                .listeners
+                .get(&ep_key(self.listener.local()))
+                .map_or(0, |e| e.conns.len())
+        }
+
         fn dial(&self, port: u16, events: Arc<dyn StreamEvents>) -> Conn<P> {
             Conn::connect(
                 &self.net,
@@ -1592,7 +1581,7 @@ mod tests {
         let w = World::<P>::new();
         let conn = w.dial(LISTEN, Arc::new(SinkEvents));
         w.sim.run_for(Duration::from_secs(1));
-        assert_eq!(w.listener.connection_count(), 1);
+        assert_eq!(w.connection_count(), 1);
         assert_eq!(w.server.connected(), 1);
         {
             // Every wrapper built for a server-side callback is gone by now.
@@ -1681,8 +1670,8 @@ mod tests {
         );
         dispatch::<P>(&w.net, w.sim.lock(), pkt);
         assert_eq!(w.activity(), before);
-        assert_eq!(w.listener.connection_count(), 0);
-        assert!(P::table(&mut w.sim.lock().net).flows.is_empty());
+        assert_eq!(w.connection_count(), 0);
+        assert_eq!(P::table(&mut w.sim.lock().net).flows.len(), 0);
     }
 
     fn killed_flows_give_their_ports_back_and_redials_work<P: Protocol + Default>() {
@@ -1724,11 +1713,7 @@ mod tests {
             (1, 0),
             "the superseded flow's handler is released, and outside the lock"
         );
-        assert_eq!(
-            w.listener.connection_count(),
-            1,
-            "the old flow is forgotten"
-        );
+        assert_eq!(w.connection_count(), 1, "the old flow is forgotten");
         P::connection(again.clone()).send(pattern_bytes(1_000, 5_000));
         w.sim.run_for(Duration::from_secs(2));
         assert_eq!(w.server.data_len(), 6_000);
@@ -1745,7 +1730,7 @@ mod tests {
         w.sim.run_for(Duration::from_secs(5));
         assert!(w.net.stats().sent > 3, "no open was repeated");
         assert_eq!((client.connected(), w.server.connected()), (1, 1));
-        assert_eq!((w.server.closed(), w.listener.connection_count()), (0, 1));
+        assert_eq!((w.server.closed(), w.connection_count()), (0, 1));
         P::connection(conn.clone()).send(pattern_bytes(0, 5_000));
         w.sim.run_for(Duration::from_secs(5));
         assert_eq!(w.server.data_len(), 5_000);
@@ -1762,7 +1747,7 @@ mod tests {
                 .bind(node, P::WIRE, port, Binding::Flows)
                 .is_err();
             if !taken {
-                w.net.unbind(node, P::WIRE, port);
+                w.sim.lock().net.unbind(node, P::WIRE, port);
             }
             taken
         };
@@ -1782,7 +1767,7 @@ mod tests {
         );
         let _again = w.dial(LISTEN, Arc::new(SinkEvents));
         w.sim.run_for(Duration::from_secs(1));
-        assert_eq!(w.listener.connection_count(), 2);
+        assert_eq!(w.connection_count(), 2);
     }
 
     /// `forged` acknowledges far more than any test here sends.
@@ -1884,7 +1869,7 @@ mod tests {
         LinkConfig::new(10e6, Duration::from_millis(5))
     }
 
-    fn handshake_completes<P: Protocol + Default>(c: Cases<P>) {
+    fn handshake_completes<P: Protocol + Default>(c: Cases<P>, rtt: fn(&P::Flow) -> Option<f64>) {
         let w = World::<P>::on(c.seed, clean_link());
         let client = Arc::new(Recorder::default());
         let conn = w.dial(LISTEN, client.clone());
@@ -1892,7 +1877,7 @@ mod tests {
         w.sim.run_for(Duration::from_secs(1));
         assert!(conn.is_established());
         assert_eq!((client.connected(), w.server.connected()), (1, 1));
-        let rtt = conn.rtt_estimate().expect("handshake RTT").as_secs_f64();
+        let rtt = conn.peek(|f, _| rtt(f)).flatten().expect("handshake RTT");
         assert!((0.009..0.02).contains(&rtt), "rtt {rtt}");
     }
 
@@ -1914,7 +1899,7 @@ mod tests {
         retransmits: fn(&Conn<P>) -> u64,
     ) {
         let w = World::<P>::on(c.seed, c.lossy);
-        let conn = w.dial(LISTEN, PatternSender::new(&w.sim, c.lossy_total));
+        let conn = w.dial(LISTEN, PatternSender::new(c.lossy_total));
         w.sim.run_for(Duration::from_secs(60));
         assert_eq!(
             w.server.data_len(),
@@ -2039,7 +2024,7 @@ mod tests {
     macro_rules! protocol_suite {
         (
             $name:ident, $proto:ty,
-            is_dead: $is_dead:expr, stale: $stale:expr, stray: $stray:expr, forged_ack: $forged:expr,
+            is_dead: $is_dead:expr, rtt: $rtt:expr, stale: $stale:expr, stray: $stray:expr, forged_ack: $forged:expr,
             forged_open_answer: $forged_answer:expr, cases: $cases:expr
         ) => {
             mod $name {
@@ -2051,7 +2036,7 @@ mod tests {
 
                 #[test]
                 fn handshake_completes() {
-                    super::handshake_completes::<$proto>($cases);
+                    super::handshake_completes::<$proto>($cases, $rtt);
                 }
                 #[test]
                 fn small_transfer_delivers_in_order() {
@@ -2132,6 +2117,7 @@ mod tests {
         tcp,
         crate::tcp::TcpConfig,
         is_dead: crate::tcp::Flow::is_dead,
+        rtt: crate::tcp::Flow::rtt,
         stale: crate::tcp::STALE_TIMER,
         stray: crate::tcp::stray_segment(),
         forged_ack: crate::tcp::TcpSegment { ack: 1 << 40, ..crate::tcp::stray_segment() },
@@ -2155,6 +2141,7 @@ mod tests {
         udt,
         crate::udt::UdtConfig,
         is_dead: crate::udt::Flow::is_dead,
+        rtt: crate::udt::Flow::rtt,
         stale: crate::udt::STALE_TIMER,
         stray: crate::udt::UdtPacket::FinAck,
         forged_ack: crate::udt::UdtPacket::Ack { ack_seq: 1 << 40, rcv_rate_pps: 0.0, capacity_pps: 0.0 },

@@ -174,12 +174,6 @@ impl Connection {
     pub fn is_established(&self) -> bool {
         on_handle!(self, c => c.is_established())
     }
-
-    /// The transport's current smoothed RTT estimate, if one exists.
-    #[must_use]
-    pub fn rtt_estimate(&self) -> Option<std::time::Duration> {
-        on_handle!(self, c => c.rtt_estimate())
-    }
 }
 
 #[cfg(test)]

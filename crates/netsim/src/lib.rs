@@ -55,15 +55,15 @@ pub mod udp;
 pub mod udt;
 pub mod wheel;
 
-pub use cc::{CcAlgorithm, CcConfig, CongestionController};
+pub use cc::{CcAlgorithm, CcConfig};
 pub use engine::{EventTarget, Sim};
-pub use faults::{FaultAction, FaultController, FaultEvent, FaultPlan};
+pub use faults::{FaultController, FaultPlan};
 pub use iface::{CloseReason, Connection, ConnectionId, StreamAccept, StreamEvents};
 pub use link::{DropReason, GeConfig, LinkConfig, LinkId, PolicerConfig};
-pub use network::{BindError, Network, NetworkStats, PacketSink};
+pub use network::{BindError, Network, PacketSink};
 pub use packet::{Endpoint, NodeId, WireProtocol};
 pub use pool::{PacketHandle, PacketPool};
-pub use slab::{FxHashMap, FxHashSet, FxHasher, Handle, Slab};
+pub use slab::FxHashMap;
 pub use time::SimTime;
 pub use trace::{PacketEvent, PacketRecord, PacketTracer, RecorderTracer};
 

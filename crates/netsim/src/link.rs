@@ -161,18 +161,6 @@ impl LinkConfig {
         self.udp_policer = Some(cfg);
         self
     }
-
-    /// Installs a Gilbert–Elliott burst-loss model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any probability is outside `[0, 1]`.
-    #[must_use]
-    pub fn burst_loss(mut self, cfg: GeConfig) -> Self {
-        cfg.validate();
-        self.burst_loss = Some(cfg);
-        self
-    }
 }
 
 /// Identifies a link within a [`Network`].
@@ -531,7 +519,7 @@ impl Link {
 
     /// Installs or clears a transient extra propagation delay (latency
     /// spike). Applies to packets transmitted from now on.
-    pub fn set_extra_delay(&self, extra: Duration) {
+    pub(crate) fn set_extra_delay(&self, extra: Duration) {
         self.with(|l| l.extra_delay = extra);
     }
 
@@ -541,7 +529,7 @@ impl Link {
     /// # Panics
     ///
     /// Panics if any probability is outside `[0, 1]`.
-    pub fn set_burst_loss(&self, cfg: Option<GeConfig>) {
+    pub(crate) fn set_burst_loss(&self, cfg: Option<GeConfig>) {
         if let Some(ge) = cfg {
             ge.validate();
         }
@@ -769,14 +757,15 @@ mod tests {
 
     #[test]
     fn burst_loss_drops_in_bursts() {
-        let mut link = mk(LinkConfig::new(1e12, Duration::ZERO)
-            .queue_capacity(usize::MAX / 2)
-            .burst_loss(GeConfig {
+        let mut link = mk(LinkConfig {
+            burst_loss: Some(GeConfig {
                 p_enter_bad: 0.02,
                 p_exit_bad: 0.2,
                 loss_good: 0.0,
                 loss_bad: 1.0,
-            }));
+            }),
+            ..LinkConfig::new(1e12, Duration::ZERO).queue_capacity(usize::MAX / 2)
+        });
         let mut outcomes = Vec::new();
         for _ in 0..20_000 {
             outcomes.push(matches!(

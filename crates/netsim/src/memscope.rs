@@ -4,7 +4,7 @@
 //! report not just *how many* allocations each event costs but *which
 //! subsystem* made them, so a regression names its offender. The hot-path
 //! entry points (engine scheduling, fabric dispatch, the TCP/UDT stacks)
-//! tag their extent with a scope id via [`enter`]; an instrumenting
+//! tag their extent with a scope id via `enter`; an instrumenting
 //! allocator reads [`current`] — which never allocates and is safe from
 //! inside `GlobalAlloc` — and attributes the allocation.
 //!
@@ -21,9 +21,9 @@ pub const SCOPE_ENGINE: usize = 1;
 /// The network fabric: routes, links, the packet pool.
 pub const SCOPE_FABRIC: usize = 2;
 /// The TCP stack: flows, segment buffers, timer buckets.
-pub const SCOPE_TCP: usize = 3;
+pub(crate) const SCOPE_TCP: usize = 3;
 /// The UDT stack.
-pub const SCOPE_UDT: usize = 4;
+pub(crate) const SCOPE_UDT: usize = 4;
 /// Number of distinct scopes.
 pub const N_SCOPES: usize = 5;
 /// Stable snake_case labels, indexed by scope id.
@@ -47,7 +47,7 @@ pub fn current() -> usize {
 /// the previous tag (scopes nest; the innermost wins).
 #[inline]
 #[must_use]
-pub fn enter(scope: usize) -> ScopeGuard {
+pub(crate) fn enter(scope: usize) -> ScopeGuard {
     debug_assert!(scope < N_SCOPES);
     let prev = CURRENT
         .try_with(|c| c.replace(scope))
@@ -57,7 +57,7 @@ pub fn enter(scope: usize) -> ScopeGuard {
 
 /// Restores the previous scope tag on drop (see [`enter`]).
 #[derive(Debug)]
-pub struct ScopeGuard {
+pub(crate) struct ScopeGuard {
     prev: usize,
 }
 

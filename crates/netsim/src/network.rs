@@ -82,17 +82,17 @@ pub(crate) fn route_key(src: NodeId, dst: NodeId) -> u64 {
 
 /// `flight` span close keys: how the packet's journey through the fabric
 /// ended (`key` of the span's [`EventKind::SpanClose`]).
-pub const FLIGHT_DELIVERED: u64 = 0;
+pub(crate) const FLIGHT_DELIVERED: u64 = 0;
 /// Dropped at a link (queue overflow, random loss, policing, link down).
-pub const FLIGHT_DROPPED: u64 = 1;
+pub(crate) const FLIGHT_DROPPED: u64 = 1;
 /// Reached the destination node but no sink was bound to the port.
-pub const FLIGHT_NO_SINK: u64 = 2;
+pub(crate) const FLIGHT_NO_SINK: u64 = 2;
 /// No route installed between the endpoints.
-pub const FLIGHT_NO_ROUTE: u64 = 3;
+pub(crate) const FLIGHT_NO_ROUTE: u64 = 3;
 /// Died mid-flight because the link it was crossing was severed.
-pub const FLIGHT_SEVERED: u64 = 4;
+pub(crate) const FLIGHT_SEVERED: u64 = 4;
 /// `hop` span close key when the packet died to a sever on that hop.
-pub const HOP_SEVERED: u64 = 1;
+pub(crate) const HOP_SEVERED: u64 = 1;
 
 /// Packs a `(src, dst)` endpoint pair into a `flight`-span correlation key
 /// (16 bits each of src node, src port, dst node, dst port — node indices
@@ -313,16 +313,6 @@ impl Network {
         id
     }
 
-    /// The name a node was registered with.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node does not exist.
-    #[must_use]
-    pub fn node_name(&self, node: NodeId) -> String {
-        self.0.lock().net.node_names[node.0 as usize].clone()
-    }
-
     /// Adds a directed link and returns its id.
     pub fn add_link(&self, cfg: LinkConfig) -> LinkId {
         let inner = &mut self.0.lock().net;
@@ -408,11 +398,6 @@ impl Network {
             .lock()
             .net
             .bind(node, protocol, port, Binding::Foreign(sink))
-    }
-
-    /// Removes a binding if present.
-    pub fn unbind(&self, node: NodeId, protocol: WireProtocol, port: u16) {
-        self.0.lock().net.unbind(node, protocol, port);
     }
 
     /// Installs the packet tracer, which observes every send, drop and
@@ -730,6 +715,13 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
+    impl Network {
+        /// The name a node was added under.
+        fn node_name(&self, node: NodeId) -> String {
+            self.0.lock().net.node_names[node.0 as usize].clone()
+        }
+    }
+
     struct Counter(AtomicUsize);
     impl PacketSink for Counter {
         fn on_packet(&self, _net: &Network, _pkt: Packet) {
@@ -838,7 +830,7 @@ mod tests {
         let (_sim, net, _a, b) = two_nodes();
         let sink = Arc::new(Counter(AtomicUsize::new(0)));
         net.bind(b, WireProtocol::Udp, 80, sink.clone()).unwrap();
-        net.unbind(b, WireProtocol::Udp, 80);
+        net.0.lock().net.unbind(b, WireProtocol::Udp, 80);
         net.bind(b, WireProtocol::Udp, 80, sink).unwrap();
     }
 
@@ -910,7 +902,7 @@ mod tests {
             None
         );
         // Freeing one port makes allocation succeed again.
-        net.unbind(a, WireProtocol::Tcp, 50_000);
+        net.0.lock().net.unbind(a, WireProtocol::Tcp, 50_000);
         assert_eq!(
             net.0.lock().net.alloc_ephemeral_port(a, WireProtocol::Tcp),
             Some(50_000)

@@ -83,7 +83,7 @@ impl WireProtocol {
 
     /// Whether this packet is part of the UDP family for policing purposes.
     #[must_use]
-    pub const fn is_udp_family(self) -> bool {
+    pub(crate) const fn is_udp_family(self) -> bool {
         matches!(self, WireProtocol::Udp | WireProtocol::Udt)
     }
 }

@@ -6,7 +6,7 @@
 //! round-trip per packet — the single largest allocation term in the
 //! per-event cost profile of large worlds.
 //!
-//! [`PacketPool`] replaces the box with a slot in a [`Slab<Packet>`]: hop
+//! [`PacketPool`] replaces the box with a slot in a `Slab<Packet>`: hop
 //! events and in-flight sets carry an 8-byte generation-checked
 //! [`PacketHandle`] instead of an owning pointer, and the slot storage is
 //! recycled across packets (LIFO, so the hot slots stay cache-warm). The

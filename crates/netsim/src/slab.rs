@@ -6,7 +6,7 @@
 //! callback boxes a closure capturing a `Weak`, and every packet hop clones
 //! refcounted pointers. This module provides the compact alternative:
 //!
-//! * [`Slab<T>`] — a dense arena with an intrusive free list. Slots are
+//! * `Slab<T>` — a dense arena with an intrusive free list. Slots are
 //!   addressed by [`Handle`]s: a packed `(index, generation)` pair that fits
 //!   in 8 bytes and is `Copy`, so packet hops and timer tokens can carry it
 //!   by value instead of bumping refcounts.
@@ -19,15 +19,12 @@
 //!   flow demux, listener connection tables). The default `SipHash` is
 //!   DoS-resistant but ~4x slower for the short fixed-width keys the
 //!   simulator uses, and the simulator is not an open network service.
-//!
-//! Memory accounting: [`Slab::mem_bytes`] reports the retained capacity in
-//! bytes; the growth-policy test reads the slab's capacity through it.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::marker::PhantomData;
 
-/// A generation-checked index into a [`Slab<T>`].
+/// A generation-checked index into a `Slab<T>`.
 ///
 /// 8 bytes, `Copy`, and typed by the slot it refers to, so a flow handle
 /// cannot be confused with a link handle at compile time. The generation
@@ -55,18 +52,8 @@ impl<T> Handle<T> {
     /// Packs the handle into a `u64` (`index << 32 | generation`) so it can
     /// ride in an event token without any allocation.
     #[must_use]
-    pub fn pack(self) -> u64 {
+    pub(crate) fn pack(self) -> u64 {
         (u64::from(self.idx) << 32) | u64::from(self.gen)
-    }
-
-    /// Reverses [`Handle::pack`].
-    #[must_use]
-    pub fn from_packed(bits: u64) -> Self {
-        Handle {
-            idx: (bits >> 32) as u32,
-            gen: bits as u32,
-            _marker: PhantomData,
-        }
     }
 }
 
@@ -104,7 +91,7 @@ enum Slot<T> {
 /// A dense arena of `T` with O(1) insert/remove and generation-checked
 /// handles. Slots are reused LIFO so long-running worlds with connection
 /// churn stay compact.
-pub struct Slab<T> {
+pub(crate) struct Slab<T> {
     slots: Vec<Slot<T>>,
     gens: Vec<u32>,
     free_head: u32,
@@ -120,7 +107,7 @@ impl<T> Default for Slab<T> {
 impl<T> Slab<T> {
     /// An empty slab (no allocation until the first insert).
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Slab {
             slots: Vec::new(),
             gens: Vec::new(),
@@ -129,38 +116,14 @@ impl<T> Slab<T> {
         }
     }
 
-    /// An empty slab with room for `cap` slots.
-    #[must_use]
-    pub fn with_capacity(cap: usize) -> Self {
-        Slab {
-            slots: Vec::with_capacity(cap),
-            gens: Vec::with_capacity(cap),
-            free_head: u32::MAX,
-            live: 0,
-        }
-    }
-
     /// Number of live (occupied) slots.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.live
     }
 
-    /// True when no slot is occupied.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Retained capacity in bytes: slot storage plus generation table.
-    #[must_use]
-    pub fn mem_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<Slot<T>>()
-            + self.gens.capacity() * std::mem::size_of::<u32>()
-    }
-
     /// Inserts a value, reusing a free slot if one exists.
-    pub fn insert(&mut self, value: T) -> Handle<T> {
+    pub(crate) fn insert(&mut self, value: T) -> Handle<T> {
         self.live += 1;
         if self.free_head != u32::MAX {
             let idx = self.free_head;
@@ -201,13 +164,13 @@ impl<T> Slab<T> {
 
     /// True if the handle still refers to a live slot.
     #[must_use]
-    pub fn contains(&self, h: Handle<T>) -> bool {
+    pub(crate) fn contains(&self, h: Handle<T>) -> bool {
         self.check(h) && matches!(self.slots[h.idx as usize], Slot::Occupied(_))
     }
 
     /// Resolves a handle, or `None` if it is stale or out of range.
     #[must_use]
-    pub fn get(&self, h: Handle<T>) -> Option<&T> {
+    pub(crate) fn get(&self, h: Handle<T>) -> Option<&T> {
         if !self.check(h) {
             return None;
         }
@@ -219,7 +182,7 @@ impl<T> Slab<T> {
 
     /// Mutable variant of [`Slab::get`].
     #[must_use]
-    pub fn get_mut(&mut self, h: Handle<T>) -> Option<&mut T> {
+    pub(crate) fn get_mut(&mut self, h: Handle<T>) -> Option<&mut T> {
         if !self.check(h) {
             return None;
         }
@@ -234,7 +197,7 @@ impl<T> Slab<T> {
     /// event tokens (which carry the index and the generation they were
     /// issued for) back into checked handles.
     #[must_use]
-    pub fn handle_at(&self, index: u32) -> Option<Handle<T>> {
+    pub(crate) fn handle_at(&self, index: u32) -> Option<Handle<T>> {
         match self.slots.get(index as usize) {
             Some(Slot::Occupied(_)) => Some(Handle {
                 idx: index,
@@ -247,7 +210,7 @@ impl<T> Slab<T> {
 
     /// Removes the value behind `h`, bumping the slot generation so every
     /// outstanding copy of the handle goes stale.
-    pub fn remove(&mut self, h: Handle<T>) -> Option<T> {
+    pub(crate) fn remove(&mut self, h: Handle<T>) -> Option<T> {
         if !self.contains(h) {
             return None;
         }
@@ -260,24 +223,6 @@ impl<T> Slab<T> {
             Slot::Occupied(v) => Some(v),
             Slot::Vacant(_) => unreachable!("contains() said occupied"),
         }
-    }
-
-    /// Iterates live slots in index order (deterministic).
-    pub fn iter(&self) -> impl Iterator<Item = (Handle<T>, &T)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, s)| match s {
-                Slot::Occupied(v) => Some((
-                    Handle {
-                        idx: i as u32,
-                        gen: self.gens[i],
-                        _marker: PhantomData,
-                    },
-                    v,
-                )),
-                Slot::Vacant(_) => None,
-            })
     }
 }
 
@@ -366,12 +311,18 @@ impl Hasher for FxHasher {
 /// so no simulated outcome depends on the hash; where an order is needed
 /// (`kmsg-core`'s idle sweep over its channel table), sort.
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-/// `HashSet` keyed with [`FxHasher`].
-pub type FxHashSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T> Slab<T> {
+        /// Retained capacity in bytes: slot storage plus generation table.
+        fn mem_bytes(&self) -> usize {
+            self.slots.capacity() * std::mem::size_of::<Slot<T>>()
+                + self.gens.capacity() * std::mem::size_of::<u32>()
+        }
+    }
 
     #[test]
     fn insert_get_remove_roundtrip() {
@@ -403,18 +354,17 @@ mod tests {
     }
 
     #[test]
-    fn pack_roundtrip() {
+    fn pack_is_index_then_generation() {
         let mut slab: Slab<u8> = Slab::new();
+        let _first = slab.insert(0);
         let h = {
             let a = slab.insert(0);
             slab.remove(a);
             slab.insert(7) // generation 1
         };
-        assert_eq!(h.generation(), 1);
-        let packed = h.pack();
-        let back: Handle<u8> = Handle::from_packed(packed);
-        assert_eq!(back, h);
-        assert_eq!(*slab.get(back).unwrap(), 7);
+        assert_eq!((h.index(), h.generation()), (1, 1));
+        assert_eq!(h.pack(), 1 << 32 | 1);
+        assert_eq!(*slab.get(h).unwrap(), 7);
     }
 
     #[test]
@@ -429,31 +379,6 @@ mod tests {
         assert_eq!(x.index(), 7);
         assert_eq!(y.index(), 3);
         assert_eq!(slab.len(), 10);
-    }
-
-    #[test]
-    fn iter_is_index_ordered() {
-        let mut slab: Slab<u32> = Slab::new();
-        let a = slab.insert(10);
-        let _b = slab.insert(20);
-        let _c = slab.insert(30);
-        slab.remove(a);
-        let vals: Vec<u32> = slab.iter().map(|(_, v)| *v).collect();
-        assert_eq!(vals, vec![20, 30]);
-        let idxs: Vec<usize> = slab.iter().map(|(h, _)| h.index()).collect();
-        assert_eq!(idxs, vec![1, 2]);
-    }
-
-    #[test]
-    fn mem_bytes_tracks_capacity() {
-        let mut slab: Slab<[u64; 8]> = Slab::with_capacity(16);
-        let base = slab.mem_bytes();
-        assert!(base >= 16 * std::mem::size_of::<[u64; 8]>());
-        for _ in 0..16 {
-            slab.insert([0; 8]);
-        }
-        // No growth within reserved capacity.
-        assert_eq!(slab.mem_bytes(), base);
     }
 
     #[test]

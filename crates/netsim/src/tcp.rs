@@ -8,7 +8,7 @@
 //! timeouts with exponential backoff (RFC 6298-style RTT estimation via
 //! timestamp echo), receiver flow control (advertised window bounded by the
 //! receive buffer), and delayed ACKs. Window/rate evolution is delegated to
-//! the flow's [`CongestionController`] ([`TcpConfig::cc`] selects it);
+//! the flow's `CongestionController` ([`TcpConfig::cc`] selects it);
 //! rate-based controllers pace data segments on a per-flow virtual-time
 //! pacer timer.
 //!
@@ -95,7 +95,7 @@ impl Default for TcpConfig {
 
 /// TCP segment control flags.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SegFlags {
+pub(crate) struct SegFlags {
     /// Synchronize: part of the connection handshake.
     pub syn: bool,
     /// The `ack` field is valid.
@@ -108,22 +108,22 @@ pub struct SegFlags {
 #[derive(Debug, Clone)]
 pub struct TcpSegment {
     /// First sequence number covered by this segment.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Cumulative acknowledgement (next expected byte).
-    pub ack: u64,
+    pub(crate) ack: u64,
     /// Control flags.
-    pub flags: SegFlags,
+    pub(crate) flags: SegFlags,
     /// Advertised receive window in bytes.
-    pub wnd: u64,
+    pub(crate) wnd: u64,
     /// Sender timestamp (for RTT estimation via echo).
-    pub ts: SimTime,
+    pub(crate) ts: SimTime,
     /// Echoed peer timestamp.
-    pub ts_echo: Option<SimTime>,
+    pub(crate) ts_echo: Option<SimTime>,
     /// SACK-style hole report: `[from, to)` byte ranges the receiver is
     /// missing below its highest out-of-order data (capped at 16 ranges).
-    pub holes: SeqRanges,
+    pub(crate) holes: SeqRanges,
     /// Payload bytes.
-    pub payload: Bytes,
+    pub(crate) payload: Bytes,
 }
 
 /// Per-connection counters.
@@ -630,10 +630,6 @@ impl Protocol for TcpConfig {
     fn kick(flow: &mut Flow, cfg: &TcpConfig, rec: &Recorder, now: SimTime, out: &mut Vec<Action>) {
         try_send(flow, cfg, rec, now, out);
     }
-
-    fn rtt(flow: &Flow) -> Option<f64> {
-        flow.srtt
-    }
 }
 
 /// Puts the opening SYN or SYN-ACK in flight: sequence number 0, covered by
@@ -1136,6 +1132,11 @@ impl Flow {
         (self.snd_una, self.snd_nxt)
     }
 
+    /// The smoothed RTT in seconds, once an ACK has echoed a timestamp.
+    pub(crate) fn rtt(&self) -> Option<f64> {
+        self.srtt
+    }
+
     /// First sequence number of every segment in the retransmission queue,
     /// in queue order.
     fn sent_seqs(&self) -> Vec<u64> {
@@ -1223,7 +1224,7 @@ mod tests {
         )
         .unwrap();
         let total = 20_000_000usize; // 20 MB over a 10 MB/s link: ~2 s
-        let pump = PatternSender::new(&sim, total);
+        let pump = PatternSender::new(total);
         let conn =
             TcpConn::connect(&net, a, Endpoint::new(b, 80), TcpConfig::default(), pump).unwrap();
         let _ = conn;
@@ -1257,7 +1258,7 @@ mod tests {
         )
         .unwrap();
         let total = 10_000_000usize;
-        let pump = PatternSender::new(&sim, total);
+        let pump = PatternSender::new(total);
         let conn = TcpConn::connect(&net, a, Endpoint::new(b, 80), cfg, pump).unwrap();
         let _ = conn;
         sim.run_for(Duration::from_secs(30));
@@ -1286,7 +1287,7 @@ mod tests {
             TcpConn::connect(&net, a, Endpoint::new(b, 80), TcpConfig::default(), client).unwrap();
         conn.send(Bytes::from(vec![1u8; 100_000]));
         sim.run_for(Duration::from_secs(3));
-        let rtt = conn.rtt_estimate().expect("rtt sampled").as_secs_f64();
+        let rtt = conn.peek(|f, _| f.rtt()).flatten().expect("rtt sampled");
         assert!(
             (0.04..0.2).contains(&rtt),
             "srtt should be near 50 ms (+delack), got {rtt}"

@@ -4,7 +4,6 @@
 //! can drive simulated connections without re-implementing boilerplate.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use kmsg_telemetry::bytes::Bytes;
 use parking_lot::Mutex;
@@ -43,10 +42,8 @@ struct RecorderInner {
     data: Vec<u8>,
     connected: usize,
     writable: usize,
-    closed: usize,
     close_reasons: Vec<CloseReason>,
     last_data_at: Option<SimTime>,
-    first_data_at: Option<SimTime>,
 }
 
 /// Records everything a connection delivers; used to assert on transfer
@@ -71,7 +68,7 @@ impl std::fmt::Debug for Recorder {
         f.debug_struct("Recorder")
             .field("data_len", &inner.data.len())
             .field("connected", &inner.connected)
-            .field("closed", &inner.closed)
+            .field("closed", &inner.close_reasons.len())
             .finish()
     }
 }
@@ -113,13 +110,7 @@ impl Recorder {
     /// How many times `on_closed` fired.
     #[must_use]
     pub fn closed(&self) -> usize {
-        self.inner.lock().closed
-    }
-
-    /// Close reasons observed, in order.
-    #[must_use]
-    pub fn close_reasons(&self) -> Vec<CloseReason> {
-        self.inner.lock().close_reasons.clone()
+        self.inner.lock().close_reasons.len()
     }
 
     /// Whether the delivered bytes follow the [`pattern_byte`] sequence,
@@ -132,18 +123,6 @@ impl Recorder {
             .iter()
             .enumerate()
             .all(|(i, &b)| b == pattern_byte(i))
-    }
-
-    /// Time of the last data delivery (requires [`Recorder::with_sim`]).
-    #[must_use]
-    pub fn last_data_at(&self) -> Option<SimTime> {
-        self.inner.lock().last_data_at
-    }
-
-    /// Time of the first data delivery (requires [`Recorder::with_sim`]).
-    #[must_use]
-    pub fn first_data_at(&self) -> Option<SimTime> {
-        self.inner.lock().first_data_at
     }
 
     /// Average goodput from simulation start to the last delivery, B/s.
@@ -170,7 +149,6 @@ impl StreamEvents for Recorder {
         if let Some(sim) = &self.sim {
             let now = sim.now();
             inner.last_data_at = Some(now);
-            inner.first_data_at.get_or_insert(now);
         }
     }
 
@@ -180,7 +158,6 @@ impl StreamEvents for Recorder {
 
     fn on_closed(&self, _conn: &Connection, reason: CloseReason) {
         let mut inner = self.inner.lock();
-        inner.closed += 1;
         inner.close_reasons.push(reason);
     }
 }
@@ -204,13 +181,11 @@ pub fn pattern_bytes(offset: usize, len: usize) -> Bytes {
 struct PatternSenderInner {
     sent: usize,
     total: usize,
-    done_sending_at: Option<SimTime>,
 }
 
 /// Pumps a deterministic byte pattern of `total` bytes into a connection,
 /// refilling the send buffer from `on_connected` / `on_writable` callbacks.
 pub struct PatternSender {
-    sim: Sim,
     chunk: usize,
     close_when_done: bool,
     inner: Mutex<PatternSenderInner>,
@@ -229,32 +204,22 @@ impl std::fmt::Debug for PatternSender {
 impl PatternSender {
     /// Creates a sender for `total` pattern bytes.
     #[must_use]
-    pub fn new(sim: &Sim, total: usize) -> Arc<Self> {
+    pub fn new(total: usize) -> Arc<Self> {
         Arc::new(PatternSender {
-            sim: sim.clone(),
             chunk: 64 * 1024,
             close_when_done: false,
-            inner: Mutex::new(PatternSenderInner {
-                sent: 0,
-                total,
-                done_sending_at: None,
-            }),
+            inner: Mutex::new(PatternSenderInner { sent: 0, total }),
         })
     }
 
     /// Like [`PatternSender::new`] but closes the connection after the last
     /// byte is buffered.
     #[must_use]
-    pub fn closing(sim: &Sim, total: usize) -> Arc<Self> {
+    pub fn closing(total: usize) -> Arc<Self> {
         Arc::new(PatternSender {
-            sim: sim.clone(),
             chunk: 64 * 1024,
             close_when_done: true,
-            inner: Mutex::new(PatternSenderInner {
-                sent: 0,
-                total,
-                done_sending_at: None,
-            }),
+            inner: Mutex::new(PatternSenderInner { sent: 0, total }),
         })
     }
 
@@ -270,15 +235,6 @@ impl PatternSender {
         self.inner.lock().sent
     }
 
-    /// When the final byte was accepted into the send buffer.
-    #[must_use]
-    pub fn done_sending_at(&self) -> Option<Duration> {
-        self.inner
-            .lock()
-            .done_sending_at
-            .map(|t| Duration::from_nanos(t.as_nanos()))
-    }
-
     fn pump(&self, conn: &Connection) {
         loop {
             let (offset, want) = {
@@ -292,7 +248,6 @@ impl PatternSender {
             let mut inner = self.inner.lock();
             inner.sent += accepted;
             if inner.sent >= inner.total {
-                inner.done_sending_at = Some(self.sim.now());
                 drop(inner);
                 if self.close_when_done {
                     conn.close();
@@ -483,6 +438,14 @@ impl PropRunner {
             check(&input);
             report.armed = false;
         }
+    }
+}
+
+#[cfg(test)]
+impl Recorder {
+    /// Close reasons observed, in order.
+    pub(crate) fn close_reasons(&self) -> Vec<CloseReason> {
+        self.inner.lock().close_reasons.clone()
     }
 }
 

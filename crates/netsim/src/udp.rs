@@ -135,15 +135,6 @@ impl UdpSocket {
         self.shared.net.send_packet(pkt);
         Ok(())
     }
-
-    /// Unbinds the socket. Datagrams arriving afterwards are dropped.
-    pub fn unbind(&self) {
-        self.shared.net.unbind(
-            self.shared.local.node,
-            WireProtocol::Udp,
-            self.shared.local.port,
-        );
-    }
 }
 
 #[cfg(test)]
@@ -228,10 +219,10 @@ mod tests {
     fn unbind_stops_delivery() {
         let (sim, net, a, b) = setup();
         let rx = Arc::new(Collect(Mutex::new(Vec::new())));
-        let sock_b = UdpSocket::bind(&net, b, 9000, rx.clone()).unwrap();
+        let _sock_b = UdpSocket::bind(&net, b, 9000, rx.clone()).unwrap();
         let sock_a =
             UdpSocket::bind(&net, a, 9001, Arc::new(Collect(Mutex::new(Vec::new())))).unwrap();
-        sock_b.unbind();
+        net.sim().lock().net.unbind(b, WireProtocol::Udp, 9000);
         sock_a
             .send_to(Endpoint::new(b, 9000), Bytes::from_static(b"x"))
             .unwrap();

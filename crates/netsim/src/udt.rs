@@ -82,18 +82,6 @@ impl Default for UdtConfig {
     }
 }
 
-impl UdtConfig {
-    /// The paper's tuned configuration: 100 MB protocol buffers.
-    #[must_use]
-    pub fn tuned_buffers() -> Self {
-        UdtConfig {
-            snd_buf: 100 * 1024 * 1024,
-            rcv_buf: 100 * 1024 * 1024,
-            ..UdtConfig::default()
-        }
-    }
-}
-
 /// UDT control & data packets.
 #[derive(Debug, Clone)]
 pub enum UdtPacket {
@@ -867,10 +855,6 @@ impl Protocol for UdtConfig {
     ) {
         restart_pacer(flow, cfg, out);
     }
-
-    fn rtt(flow: &Flow) -> Option<f64> {
-        flow.rtt
-    }
 }
 
 /// Loss detection + in-order delivery once a packet has been "processed".
@@ -1072,6 +1056,11 @@ impl Flow {
         (self.snd_una, self.snd_nxt)
     }
 
+    /// The handshake RTT in seconds (initiator side only).
+    pub(crate) fn rtt(&self) -> Option<f64> {
+        self.rtt
+    }
+
     /// The packets marked lost, ascending.
     fn lost_seqs(&self) -> Vec<u64> {
         let marked = self.packets.iter().enumerate().filter(|(_, p)| p.lost);
@@ -1094,6 +1083,15 @@ mod tests {
     use crate::network::Network;
     use crate::packet::{Endpoint, NodeId};
     use crate::testutil::{pattern_bytes, PatternSender, Recorder};
+
+    /// The paper's tuned configuration: 100 MB protocol buffers.
+    fn tuned_buffers() -> UdtConfig {
+        UdtConfig {
+            snd_buf: 100 * 1024 * 1024,
+            rcv_buf: 100 * 1024 * 1024,
+            ..UdtConfig::default()
+        }
+    }
 
     struct AcceptRecorder {
         rec: Arc<Recorder>,
@@ -1131,17 +1129,10 @@ mod tests {
         // the huge BDP.
         let (sim, net, a, b) = setup(LinkConfig::new(125e6, Duration::from_millis(160)));
         let server = Arc::new(Recorder::with_sim(&sim));
-        let _l = listen(&net, b, &server, UdtConfig::tuned_buffers());
+        let _l = listen(&net, b, &server, tuned_buffers());
         let total = 40_000_000usize;
-        let pump = PatternSender::new(&sim, total);
-        let conn = UdtConn::connect(
-            &net,
-            a,
-            Endpoint::new(b, 90),
-            UdtConfig::tuned_buffers(),
-            pump,
-        )
-        .unwrap();
+        let pump = PatternSender::new(total);
+        let conn = UdtConn::connect(&net, a, Endpoint::new(b, 90), tuned_buffers(), pump).unwrap();
         sim.run_for(Duration::from_secs(60));
         assert_eq!(server.data_len(), total, "all bytes must arrive");
         assert!(server.in_order());
@@ -1159,17 +1150,10 @@ mod tests {
             LinkConfig::new(125e6, Duration::from_millis(77)).udp_policer(PolicerConfig::ec2_udp());
         let (sim, net, a, b) = setup(link);
         let server = Arc::new(Recorder::with_sim(&sim));
-        let _l = listen(&net, b, &server, UdtConfig::tuned_buffers());
+        let _l = listen(&net, b, &server, tuned_buffers());
         let total = 60_000_000usize;
-        let pump = PatternSender::new(&sim, total);
-        let conn = UdtConn::connect(
-            &net,
-            a,
-            Endpoint::new(b, 90),
-            UdtConfig::tuned_buffers(),
-            pump,
-        )
-        .unwrap();
+        let pump = PatternSender::new(total);
+        let conn = UdtConn::connect(&net, a, Endpoint::new(b, 90), tuned_buffers(), pump).unwrap();
         sim.run_for(Duration::from_secs(120));
         assert_eq!(server.data_len(), total);
         let rate = server.goodput();
@@ -1197,7 +1181,7 @@ mod tests {
         let server = Arc::new(Recorder::with_sim(&sim));
         let _l = listen(&net, b, &server, small.clone());
         let total = 10_000_000usize;
-        let pump = PatternSender::new(&sim, total);
+        let pump = PatternSender::new(total);
         let _conn = UdtConn::connect(&net, a, Endpoint::new(b, 90), small, pump).unwrap();
         sim.run_for(Duration::from_secs(60));
         assert_eq!(server.data_len(), total);

@@ -8,9 +8,9 @@
 //!
 //! # Structure
 //!
-//! The wheel is the tokio/Kompact design: [`LEVELS`] levels of [`SLOTS`]
-//! slots each, with a tick of 2^[`TICK_SHIFT`] nanoseconds (1.024 µs). Level
-//! 0 resolves single ticks; each higher level covers [`SLOTS`]× the span of
+//! The wheel is the tokio/Kompact design: `LEVELS` levels of `SLOTS`
+//! slots each, with a tick of 2^`TICK_SHIFT` nanoseconds (1.024 µs). Level
+//! 0 resolves single ticks; each higher level covers `SLOTS`× the span of
 //! the one below, so the wheel spans 2^36 ticks (≈ 19.5 hours) ahead of the
 //! current position. Entries beyond that land in a fallback binary heap and
 //! migrate into the wheel when it drains. Per-level occupancy bitmasks make
@@ -58,13 +58,13 @@ use std::fmt;
 use crate::time::SimTime;
 
 /// Nanoseconds per tick, as a shift: one tick is 2^10 ns = 1.024 µs.
-pub const TICK_SHIFT: u32 = 10;
+pub(crate) const TICK_SHIFT: u32 = 10;
 /// Slots per level, as a shift: 2^6 = 64 slots.
-pub const SLOT_BITS: u32 = 6;
+pub(crate) const SLOT_BITS: u32 = 6;
 /// Slots per level.
-pub const SLOTS: usize = 1 << SLOT_BITS;
+pub(crate) const SLOTS: usize = 1 << SLOT_BITS;
 /// Number of wheel levels.
-pub const LEVELS: usize = 6;
+pub(crate) const LEVELS: usize = 6;
 
 const SLOT_MASK: u64 = (SLOTS as u64) - 1;
 /// Total tick bits the wheel resolves; beyond this entries overflow to a heap.
@@ -121,7 +121,7 @@ struct Link {
 /// * `elapsed` (the wheel's internal tick position) never passes a pending
 ///   entry: it only advances to the tick of the minimum pending entry
 ///   ([`next_at`](Self::next_at) / [`pop_cohort`](Self::pop_cohort)) or to a
-///   caller-certified event-free time ([`advance_to`](Self::advance_to)).
+///   caller-certified event-free time (`advance_to`).
 /// * Consequently every occupied slot sits at or ahead of the current slot
 ///   of its level, and all entries of one exact timestamp are extracted
 ///   together by `pop_cohort`.
@@ -399,7 +399,7 @@ impl<T> TimingWheel<T> {
     /// (i.e. [`next_at`](Self::next_at) returned `None` or a later time);
     /// the engine uses this when a `run_until` horizon falls short of the
     /// next event.
-    pub fn advance_to(&mut self, to: SimTime) {
+    pub(crate) fn advance_to(&mut self, to: SimTime) {
         self.elapsed = self.elapsed.max(tick_of(to));
     }
 }

@@ -251,7 +251,7 @@ fn two_tcp_flows_share_the_bottleneck() {
         a,
         Endpoint::new(b, 81),
         TcpConfig::default(),
-        PatternSender::new(&sim, big),
+        PatternSender::new(big),
     )
     .expect("conn");
     let _c2 = TcpConn::connect(
@@ -259,7 +259,7 @@ fn two_tcp_flows_share_the_bottleneck() {
         a,
         Endpoint::new(b, 82),
         TcpConfig::default(),
-        PatternSender::new(&sim, big),
+        PatternSender::new(big),
     )
     .expect("conn");
     let window_secs = 30.0;

@@ -56,7 +56,7 @@ fn start_transfer(
         a,
         Endpoint::new(b, 80),
         TcpConfig::default(),
-        PatternSender::new(sim, total),
+        PatternSender::new(total),
     )
     .expect("connect");
     (server, listener, conn)

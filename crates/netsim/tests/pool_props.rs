@@ -171,7 +171,7 @@ fn pool_drains_to_zero_after_partition() {
             );
             FaultController::install(&net, plan);
             let server = Arc::new(Recorder::default());
-            let pump = PatternSender::closing(&sim, p.total);
+            let pump = PatternSender::closing(p.total);
             // Listeners/connections only need to stay alive for the run.
             let mut udt = None;
             let mut tcp = None;
@@ -248,7 +248,7 @@ fn pool_holds_nothing_after_unhealed_sever() {
     )
     .expect("bind");
     let total = 5_000_000;
-    let pump = PatternSender::new(&sim, total);
+    let pump = PatternSender::new(total);
     let conn =
         TcpConn::connect(&net, a, Endpoint::new(b, 80), TcpConfig::default(), pump).expect("conn");
     // Let the transfer get going, then cut both directions forever.

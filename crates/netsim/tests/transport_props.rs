@@ -71,7 +71,7 @@ fn run_tcp(p: &NetParams) -> (usize, bool) {
         Arc::new(AcceptRecorder(server.clone())),
     )
     .expect("bind");
-    let pump = PatternSender::new(&sim, p.total);
+    let pump = PatternSender::new(p.total);
     let _conn =
         TcpConn::connect(&net, a, Endpoint::new(b, 80), TcpConfig::default(), pump).expect("conn");
     // Generous horizon: lossy slow links with tiny windows are slow.
@@ -99,7 +99,7 @@ fn run_udt(p: &NetParams) -> (usize, bool) {
         Arc::new(AcceptRecorder(server.clone())),
     )
     .expect("bind");
-    let pump = PatternSender::new(&sim, p.total);
+    let pump = PatternSender::new(p.total);
     let _conn =
         UdtConn::connect(&net, a, Endpoint::new(b, 90), UdtConfig::default(), pump).expect("conn");
     sim.run_for(Duration::from_secs(600));
@@ -262,7 +262,7 @@ fn jitter_reorders_udp_but_not_tcp() {
         Arc::new(AcceptRecorder(server.clone())),
     )
     .expect("bind");
-    let pump = PatternSender::new(&sim, 200_000);
+    let pump = PatternSender::new(200_000);
     let _conn =
         TcpConn::connect(&net, a, Endpoint::new(b, 80), TcpConfig::default(), pump).expect("conn");
     sim.run_for(Duration::from_secs(30));

@@ -1,7 +1,7 @@
 //! Fault-plan pairing oracle.
 //!
 //! Fuzz scenarios script every fault with its heal inside the horizon:
-//! `sever`/`link_down` pair with `link_up`, `burst_on` with `burst_off`,
+//! `sever` pairs with `link_up`, `burst_on` with `burst_off`,
 //! `latency_spike` with `latency_clear`. With
 //! [`crate::OracleConfig::faults_must_heal`] set, any link still degraded
 //! when the trace ends means the fault controller lost an action — or the
@@ -45,7 +45,7 @@ impl Oracle for FaultOracle {
             let st = links.entry(*link).or_default();
             st.last_ns = ev.time_ns;
             match *action {
-                "sever" | "link_down" => st.down = true,
+                "sever" => st.down = true,
                 "link_up" => st.down = false,
                 "burst_on" => st.burst = true,
                 "burst_off" => st.burst = false,

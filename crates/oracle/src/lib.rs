@@ -24,7 +24,7 @@
 //!   duplicates stay bounded by the at-least-once redelivery budget, FIFO
 //!   order holds per channel, and `ConnStatus` transitions are legal.
 //! * [`FaultOracle`] — scripted fault plans that promise to heal actually
-//!   do: every `sever`/`link_down`/`burst_on`/`latency_spike` is paired
+//!   do: every `sever`/`burst_on`/`latency_spike` is paired
 //!   with its heal on the same link (opt-in via
 //!   [`OracleConfig::faults_must_heal`]).
 //! * [`SpanOracle`] — causal-span lifecycle legality: opens and closes

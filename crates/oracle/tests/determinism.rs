@@ -55,7 +55,7 @@ impl Scenario {
             Arc::new(AcceptRecorder(server.clone())),
         )
         .expect("bind");
-        let pump = PatternSender::new(&sim, self.total);
+        let pump = PatternSender::new(self.total);
         let _conn = TcpConn::connect(&net, a, Endpoint::new(b, 80), cfg, pump).expect("connect");
         sim.run_for(Duration::from_secs(600));
         let completed = server.data_len() == self.total;

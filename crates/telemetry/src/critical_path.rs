@@ -6,9 +6,6 @@
 //!
 //! * [`SpanForest`] — every recorded span with its parent/trace links and
 //!   open/close stamps, in stream order;
-//! * [`message_breakdowns`] — per application message (one `msg` root
-//!   span each), an exact partition of its latency into
-//!   queue / serialize / wire / retransmit / reconnect / idle;
 //! * [`self_profile`] — per span kind, exclusive ("self") sim-time with
 //!   child spans subtracted — the flame-graph view of a component;
 //! * [`recovery_attribution`] — the chaos ride-out table: one supervision
@@ -192,92 +189,6 @@ fn partition(window: (u64, u64), classes: &[Vec<(u64, u64)>]) -> Vec<u64> {
     out
 }
 
-/// Latency breakdown of one application message (its `msg` root span).
-/// The six components sum exactly to `total_ns`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MsgBreakdown {
-    /// Trace id (the `msg` span id).
-    pub trace: u64,
-    /// Correlation key of the root span (packed destination).
-    pub key: u64,
-    /// Send-to-acked-delivery latency, ns (0 for unclosed messages).
-    pub total_ns: u64,
-    /// Time spent queued behind other frames (enqueue spans).
-    pub queue_ns: u64,
-    /// Middleware processing at the edges (deliver spans).
-    pub serialize_ns: u64,
-    /// Time on the wire making first-transmission progress.
-    pub wire_ns: u64,
-    /// Wire time overlapping retransmitted transport segments.
-    pub retransmit_ns: u64,
-    /// Time overlapping a supervision outage (reconnect episode).
-    pub reconnect_ns: u64,
-    /// Remainder: covered by no recorded activity.
-    pub idle_ns: u64,
-}
-
-/// Per-message breakdowns, one per **closed** `msg` root span, in open
-/// order. Reconnect time is any overlap with an `outage` span;
-/// retransmit time is wire time overlapping a transport segment that was
-/// retransmitted (`seg` spans closed with key 1); queue/wire come from
-/// the message's own `enqueue`/`xmit` children. Priority on overlap:
-/// reconnect > retransmit > wire > queue > serialize.
-#[must_use]
-pub fn message_breakdowns(forest: &SpanForest) -> Vec<MsgBreakdown> {
-    let outages: Vec<(u64, u64)> = forest
-        .of_kind("outage")
-        .iter()
-        .map(|s| s.interval())
-        .collect();
-    let rexmit_segs: Vec<(u64, u64)> = forest
-        .of_kind("seg")
-        .iter()
-        .filter(|s| s.close_key == 1)
-        .map(|s| s.interval())
-        .collect();
-    let mut out = Vec::new();
-    for msg in forest.of_kind("msg") {
-        let Some(close) = msg.close_ns else { continue };
-        let window = (msg.open_ns, close);
-        let mut queue = Vec::new();
-        let mut xmit = Vec::new();
-        let mut deliver = Vec::new();
-        for s in forest.spans() {
-            if s.trace != msg.id {
-                continue;
-            }
-            match s.kind {
-                "enqueue" => queue.push(s.interval()),
-                "xmit" => xmit.push(s.interval()),
-                "deliver" => deliver.push(s.interval()),
-                _ => {}
-            }
-        }
-        // Retransmit overlap only counts where the message was actually
-        // on the wire, so pre-intersect segs with the xmit intervals.
-        let rexmit: Vec<(u64, u64)> = rexmit_segs
-            .iter()
-            .flat_map(|&r| xmit.iter().filter_map(move |&x| clip(r, x)))
-            .collect();
-        let parts = partition(
-            window,
-            &[outages.clone(), rexmit, xmit.clone(), queue, deliver],
-        );
-        out.push(MsgBreakdown {
-            trace: msg.id,
-            key: msg.key,
-            total_ns: close - msg.open_ns,
-            reconnect_ns: parts[0],
-            retransmit_ns: parts[1],
-            wire_ns: parts[2],
-            queue_ns: parts[3],
-            serialize_ns: parts[4],
-            idle_ns: parts[5],
-        });
-    }
-    out
-}
-
 /// One row of the per-kind self-time profile.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProfileRow {
@@ -437,53 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn message_breakdown_components_sum_to_total() {
-        let events = vec![
-            ev_open(0, 1, 0, 1, "msg", 9),
-            ev_open(0, 2, 1, 1, "enqueue", 0),
-            ev_close(40, 2, 0),
-            ev_open(40, 3, 1, 1, "xmit", 0),
-            // An outage overlaps the tail of the transmission.
-            ev_open(70, 4, 0, 0, "outage", 7),
-            ev_close(90, 4, 0),
-            ev_close(100, 3, 0),
-            ev_close(120, 1, 0),
-        ];
-        let f = SpanForest::build(&events);
-        let b = message_breakdowns(&f);
-        assert_eq!(b.len(), 1);
-        let m = &b[0];
-        assert_eq!(m.total_ns, 120);
-        assert_eq!(m.queue_ns, 40);
-        assert_eq!(m.wire_ns, 40); // [40,70) + [90,100)
-        assert_eq!(m.reconnect_ns, 20); // [70,90)
-        assert_eq!(m.idle_ns, 20); // [100,120)
-        assert_eq!(
-            m.queue_ns + m.serialize_ns + m.wire_ns + m.retransmit_ns + m.reconnect_ns + m.idle_ns,
-            m.total_ns
-        );
-    }
-
-    #[test]
-    fn retransmit_overlap_charged_within_xmit_only() {
-        let events = vec![
-            ev_open(0, 1, 0, 1, "msg", 0),
-            ev_open(10, 2, 1, 1, "xmit", 0),
-            ev_close(50, 2, 0),
-            // Retransmitted segment overlapping [30,80): only [30,50)
-            // falls inside the xmit window.
-            ev_open(30, 3, 0, 0, "seg", 77),
-            ev_close(80, 3, 1),
-            ev_close(90, 1, 0),
-        ];
-        let f = SpanForest::build(&events);
-        let m = &message_breakdowns(&f)[0];
-        assert_eq!(m.retransmit_ns, 20);
-        assert_eq!(m.wire_ns, 20); // [10,30)
-        assert_eq!(m.idle_ns, 90 - 20 - 20);
-    }
-
-    #[test]
     fn self_profile_subtracts_children() {
         let events = vec![
             ev_open(0, 1, 0, 1, "msg", 0),
@@ -567,11 +431,11 @@ mod tests {
         let x = tr.open(25, SpanKind::Xmit, msg, msg, 0);
         tr.close(75, x);
         tr.close(80, msg);
-        let f = SpanForest::build(&rec.events());
-        let b = message_breakdowns(&f);
-        assert_eq!(b.len(), 1);
-        assert_eq!(b[0].queue_ns, 25);
-        assert_eq!(b[0].wire_ns, 50);
-        assert_eq!(b[0].idle_ns, 5);
+        let rows = self_profile(&SpanForest::build(&rec.events()));
+        let self_ns = |k: &str| rows.iter().find(|r| r.kind == k).expect("row").self_ns;
+        assert_eq!(
+            (self_ns("enqueue"), self_ns("xmit"), self_ns("msg")),
+            (25, 50, 5)
+        );
     }
 }

@@ -210,9 +210,8 @@ event_kinds! {
     /// A scripted fault injection or heal applied to a link (one event per
     /// affected link, in plan order — chaos runs replay byte-for-byte).
     Fault = "fault" {
-        /// Action label (`"sever"`, `"link_down"`, `"link_up"`,
-        /// `"burst_on"`, `"burst_off"`, `"latency_spike"`,
-        /// `"latency_clear"`).
+        /// Action label (`"sever"`, `"link_up"`, `"burst_on"`,
+        /// `"burst_off"`, `"latency_spike"`, `"latency_clear"`).
         action: &'static str,
         /// Link id the action was applied to.
         link: u64,
