@@ -243,7 +243,7 @@ mod reference {
     use rand_chacha::ChaCha12Rng;
 
     /// The bytes at `[offset, offset + len)`, clamped to the dataset end.
-    pub fn chunk(ds: &Dataset, offset: usize, len: usize) -> Bytes {
+    pub(crate) fn chunk(ds: &Dataset, offset: usize, len: usize) -> Bytes {
         let end = ds.size.min(offset + len);
         if offset >= end {
             return Bytes::new();
@@ -288,7 +288,7 @@ mod reference {
 
     /// 16 bytes of climate-like record `rec`: a repeating variable tag plus
     /// two smoothly-varying float fields.
-    pub fn climate_record(seed: u64, rec: usize) -> [u8; 16] {
+    pub(crate) fn climate_record(seed: u64, rec: usize) -> [u8; 16] {
         let t = rec as f64 * 0.01;
         let field = (t.sin() * 120.0 + (seed % 17) as f64) as f32;
         let mut out = [0u8; 16];

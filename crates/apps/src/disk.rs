@@ -15,7 +15,7 @@ pub const DISK_RATE: f64 = 110e6;
 
 /// Memory-to-memory rate observed in the paper ("memory to memory we
 /// reached even higher throughput of around 150 MB/s").
-pub const MEMORY_RATE: f64 = 150e6;
+pub(crate) const MEMORY_RATE: f64 = 150e6;
 
 /// An analytic sequential disk.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,14 +48,8 @@ impl DiskModel {
 
     /// When the disk becomes idle.
     #[must_use]
-    pub fn busy_until(&self) -> SimTime {
+    pub(crate) fn busy_until(&self) -> SimTime {
         self.busy_until
-    }
-
-    /// The configured rate in bytes/second.
-    #[must_use]
-    pub fn rate(&self) -> f64 {
-        self.rate
     }
 }
 

@@ -48,10 +48,10 @@ pub struct ExperimentConfig {
     /// Root seed (vary per repetition).
     pub seed: u64,
     /// Transport for the bulk data: `Tcp`, `Udt` or `Data`.
-    pub data_transport: Transport,
+    pub(crate) data_transport: Transport,
     /// The dataset to transfer; `None` disables the bulk transfer
     /// (ping-only runs).
-    pub transfer: Option<Dataset>,
+    pub(crate) transfer: Option<Dataset>,
     /// Parallel control traffic, if any.
     pub ping: Option<PingSettings>,
     /// Interceptor configuration (used when `data_transport` is `Data`).
@@ -68,7 +68,7 @@ pub struct ExperimentConfig {
     /// Hard wall on simulated time.
     pub max_sim_time: Duration,
     /// Receiver sampling window (throughput / wire-ratio series).
-    pub sample_every: Duration,
+    pub(crate) sample_every: Duration,
     /// Scripted fault injections applied to the world (chaos runs);
     /// `None` leaves the network healthy.
     pub faults: Option<FaultPlan>,

@@ -38,7 +38,7 @@ const FAULT_DEADLINE_MS: u64 = 30_000;
 
 /// Kinds of scripted link fault a scenario can carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
+pub(crate) enum FaultKind {
     /// Sever the link, restore it at the end of the window.
     Down,
     /// A Gilbert–Elliott burst-loss episode ([`GeConfig::bursty`]).
@@ -50,7 +50,7 @@ pub enum FaultKind {
 impl FaultKind {
     /// Stable label used in artifacts.
     #[must_use]
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             FaultKind::Down => "down",
             FaultKind::Burst => "burst",
@@ -60,7 +60,7 @@ impl FaultKind {
 
     /// Parses an artifact label.
     #[must_use]
-    pub fn from_label(label: &str) -> Option<FaultKind> {
+    pub(crate) fn from_label(label: &str) -> Option<FaultKind> {
         match label {
             "down" => Some(FaultKind::Down),
             "burst" => Some(FaultKind::Burst),
@@ -74,17 +74,17 @@ impl FaultKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultSpec {
     /// What happens.
-    pub kind: FaultKind,
+    pub(crate) kind: FaultKind,
     /// Which hop of the chain (clamped to the chain length at install).
-    pub hop: u32,
+    pub(crate) hop: u32,
     /// `true` targets the a→b direction of the hop, `false` the reverse.
-    pub forward: bool,
+    pub(crate) forward: bool,
     /// Window start, simulated milliseconds.
-    pub from_ms: u64,
+    pub(crate) from_ms: u64,
     /// Window end (heal), simulated milliseconds; always `> from_ms`.
-    pub to_ms: u64,
+    pub(crate) to_ms: u64,
     /// Extra delay for [`FaultKind::Spike`] (ms); ignored otherwise.
-    pub spike_ms: u64,
+    pub(crate) spike_ms: u64,
 }
 
 /// A fully explicit fuzz scenario.
@@ -177,7 +177,7 @@ impl ScenarioSpec {
 
     /// The per-hop directed link configuration.
     #[must_use]
-    pub fn link_config(&self) -> LinkConfig {
+    pub(crate) fn link_config(&self) -> LinkConfig {
         let mut link = LinkConfig::new(
             self.bandwidth_mbps as f64 * 1e6,
             Duration::from_millis(self.delay_ms),
@@ -193,7 +193,7 @@ impl ScenarioSpec {
 
     /// Builds the scripted fault plan against a built chain.
     #[must_use]
-    pub fn fault_plan(&self, chain: &ChainWorld) -> FaultPlan {
+    pub(crate) fn fault_plan(&self, chain: &ChainWorld) -> FaultPlan {
         let mut plan = FaultPlan::new();
         for f in &self.faults {
             let hop = (f.hop as usize).min(chain.forward.len() - 1);
@@ -334,20 +334,20 @@ impl ScenarioSpec {
 
 /// A built relay-chain world plus the directed link ids of every hop.
 #[derive(Debug, Clone)]
-pub struct ChainWorld {
+pub(crate) struct ChainWorld {
     /// The two endpoints and shared simulation fabric (relays are routed
     /// through, not bound to).
-    pub world: TwoHostWorld,
+    pub(crate) world: TwoHostWorld,
     /// Hop links in the a→b direction, endpoint-a side first.
-    pub forward: Vec<LinkId>,
+    pub(crate) forward: Vec<LinkId>,
     /// Hop links in the b→a direction, endpoint-a side first.
-    pub reverse: Vec<LinkId>,
+    pub(crate) reverse: Vec<LinkId>,
 }
 
 /// Builds the relay-chain world for a spec: `host-a ↔ relay… ↔ host-b`
 /// with identical per-hop links and end-to-end routes through the chain.
 #[must_use]
-pub fn build_chain_world(spec: &ScenarioSpec) -> ChainWorld {
+pub(crate) fn build_chain_world(spec: &ScenarioSpec) -> ChainWorld {
     let sim = Sim::new(spec.seed);
     let net = Network::new(&sim);
     let system = ComponentSystem::simulation(&sim, SystemConfig::default());
@@ -379,8 +379,6 @@ pub fn build_chain_world(spec: &ScenarioSpec) -> ChainWorld {
             system,
             host_a,
             host_b,
-            link_ab: forward[0],
-            link_ba: reverse[0],
         },
         forward,
         reverse,
@@ -391,7 +389,7 @@ pub fn build_chain_world(spec: &ScenarioSpec) -> ChainWorld {
 /// (so fault windows surface as observable supervision episodes inside the
 /// horizon) with reconnect supervision on.
 #[must_use]
-pub fn fuzz_net_template() -> NetworkConfig {
+pub(crate) fn fuzz_net_template() -> NetworkConfig {
     // The harness overwrites the address per host.
     let mut cfg = NetworkConfig::new(NetAddress::new(
         kmsg_netsim::packet::NodeId::from_index(0),
@@ -414,7 +412,7 @@ pub fn fuzz_net_template() -> NetworkConfig {
 
 /// The experiment configuration a spec runs under.
 #[must_use]
-pub fn experiment_config(spec: &ScenarioSpec) -> ExperimentConfig {
+pub(crate) fn experiment_config(spec: &ScenarioSpec) -> ExperimentConfig {
     // The setup is ignored: `run_in_world` takes the chain world directly.
     let dataset = Dataset::random(usize::try_from(spec.size_kb).expect("size fits") * 1024, 5);
     let mut cfg = ExperimentConfig::transfer(Setup::Local, spec.transport, dataset, spec.seed);

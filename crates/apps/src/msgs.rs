@@ -5,11 +5,11 @@ use kmsg_telemetry::bytes::{Buf, BufMut, Bytes, BytesMut};
 use kmsg_core::ser::{get_bytes, Deserialiser, SerError, SerId, Serialisable};
 
 /// Serialiser id of [`ChunkMsg`].
-pub const CHUNK_SER_ID: SerId = SerId(100);
+pub(crate) const CHUNK_SER_ID: SerId = SerId(100);
 /// Serialiser id of [`PingMsg`].
-pub const PING_SER_ID: SerId = SerId(101);
+pub(crate) const PING_SER_ID: SerId = SerId(101);
 /// Serialiser id of [`PongMsg`].
-pub const PONG_SER_ID: SerId = SerId(102);
+pub(crate) const PONG_SER_ID: SerId = SerId(102);
 
 /// One piece of a file transfer: the byte range starting at `offset`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,9 +57,9 @@ impl Deserialiser<ChunkMsg> for ChunkMsg {
 
 /// A timing-sensitive control request ("ping").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PingMsg {
+pub(crate) struct PingMsg {
     /// Sequence number, echoed by the pong.
-    pub seq: u64,
+    pub(crate) seq: u64,
 }
 
 impl Serialisable for PingMsg {
@@ -94,9 +94,9 @@ impl Deserialiser<PingMsg> for PingMsg {
 
 /// The reply to a [`PingMsg`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PongMsg {
+pub(crate) struct PongMsg {
     /// The ping's sequence number.
-    pub seq: u64,
+    pub(crate) seq: u64,
 }
 
 impl Serialisable for PongMsg {

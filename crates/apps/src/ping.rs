@@ -47,9 +47,9 @@ pub struct PingStats {
     /// All RTT samples in order.
     pub rtts: Vec<Duration>,
     /// Online summary of the samples (seconds).
-    pub summary: OnlineStats,
+    pub(crate) summary: OnlineStats,
     /// Pings sent.
-    pub sent: u64,
+    pub(crate) sent: u64,
     /// Pongs received.
     pub received: u64,
 }
@@ -67,12 +67,12 @@ impl PingStats {
 }
 
 /// Shared handle to ping statistics.
-pub type PingStatsHandle = Arc<Mutex<PingStats>>;
+pub(crate) type PingStatsHandle = Arc<Mutex<PingStats>>;
 
 /// Sends pings on a timer; measures RTTs from the matching pongs.
 pub struct Pinger {
     /// Network port.
-    pub net: RequiredPort<NetworkPort>,
+    pub(crate) net: RequiredPort<NetworkPort>,
     cfg: PingerConfig,
     next_seq: u64,
     in_flight: HashMap<u64, SimTime>,
@@ -164,7 +164,7 @@ impl RequireRef<NetworkPort> for Pinger {
 /// message's source address.
 pub struct Ponger {
     /// Network port.
-    pub net: RequiredPort<NetworkPort>,
+    pub(crate) net: RequiredPort<NetworkPort>,
     addr: NetAddress,
     answered: u64,
 }

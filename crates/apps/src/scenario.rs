@@ -73,7 +73,7 @@ impl Setup {
 
     /// Whether both endpoints live on the same machine.
     #[must_use]
-    pub fn is_local(&self) -> bool {
+    pub(crate) fn is_local(&self) -> bool {
         matches!(self, Setup::Local)
     }
 
@@ -114,11 +114,6 @@ pub struct TwoHostWorld {
     pub host_a: NodeId,
     /// The receiver-side host (equals `host_a` for [`Setup::Local`]).
     pub host_b: NodeId,
-    /// The a→b link (loopback for [`Setup::Local`]); handy for targeting
-    /// fault plans at the world.
-    pub link_ab: kmsg_netsim::link::LinkId,
-    /// The b→a link (equals `link_ab` for [`Setup::Local`]).
-    pub link_ba: kmsg_netsim::link::LinkId,
 }
 
 /// Builds the world for a setup. For non-local setups the two hosts are
@@ -139,21 +134,17 @@ pub fn two_host_world(seed: u64, setup: &Setup) -> TwoHostWorld {
             system,
             host_a: host,
             host_b: host,
-            link_ab: lo,
-            link_ba: lo,
         }
     } else {
         let a = net.add_node("host-a");
         let b = net.add_node("host-b");
-        let (link_ab, link_ba) = net.connect_duplex(a, b, setup.link());
+        net.connect_duplex(a, b, setup.link());
         TwoHostWorld {
             sim,
             net,
             system,
             host_a: a,
             host_b: b,
-            link_ab,
-            link_ba,
         }
     }
 }

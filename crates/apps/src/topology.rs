@@ -35,24 +35,12 @@ const HOP_DELAY: Duration = Duration::from_micros(50);
 /// A generated topology: the sink and the senders.
 #[derive(Debug, Clone)]
 pub struct Topology {
-    /// Human-readable shape label (e.g. `star-1000`).
-    pub label: String,
     /// The single traffic sink all senders converge on.
     pub sink: NodeId,
     /// The sending hosts.
     pub senders: Vec<NodeId>,
-    /// Total nodes created (hosts + the hub).
-    pub node_count: usize,
     /// Total directed links created.
     pub link_count: usize,
-}
-
-impl Topology {
-    /// All hosts including the sink.
-    #[must_use]
-    pub fn hosts(&self) -> usize {
-        self.senders.len() + 1
-    }
 }
 
 /// N senders fan in through a hub to one sink: `sender → hub → sink`,
@@ -73,10 +61,8 @@ pub fn star_fanin(net: &Network, senders: usize) -> Topology {
         nodes.push(s);
     }
     Topology {
-        label: format!("star-{senders}"),
         sink,
         senders: nodes,
-        node_count: senders + 2,
         link_count: 2 * senders + 2,
     }
 }
@@ -89,15 +75,15 @@ pub fn star_fanin(net: &Network, senders: usize) -> Topology {
 #[derive(Debug, Clone)]
 pub struct ConvergeSpec {
     /// World seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Sending hosts of the [`star_fanin`] world.
-    pub senders: usize,
+    pub(crate) senders: usize,
     /// Payload bytes each sender pushes to the sink before closing.
-    pub bytes_per_sender: usize,
+    pub(crate) bytes_per_sender: usize,
     /// Gap between successive connection starts (spreads the SYN storm).
-    pub stagger: Duration,
+    pub(crate) stagger: Duration,
     /// Simulated-time budget; the run stops early once every flow closes.
-    pub sim_budget: Duration,
+    pub(crate) sim_budget: Duration,
 }
 
 impl ConvergeSpec {
@@ -118,10 +104,6 @@ impl ConvergeSpec {
 /// Outcome of a converging-senders run.
 #[derive(Debug, Clone)]
 pub struct ConvergeReport {
-    /// Topology label.
-    pub label: String,
-    /// Hosts in the world (senders + sink).
-    pub hosts: usize,
     /// Flows opened (= senders).
     pub flows: usize,
     /// Payload bytes the sink received.
@@ -205,24 +187,24 @@ pub const CONVERGE_PORT: u16 = 7001;
 /// Builds the world for `spec` and returns it with the sink's delivered
 /// counter installed — used by benchmarks that want to interleave their
 /// own measurements (e.g. heap probes) between setup, connect, and run.
-pub struct ConvergeWorld {
+pub(crate) struct ConvergeWorld {
     /// The simulation engine.
-    pub sim: Sim,
+    pub(crate) sim: Sim,
     /// The network fabric.
-    pub net: Network,
+    pub(crate) net: Network,
     /// The generated topology.
-    pub topo: Topology,
+    pub(crate) topo: Topology,
     /// Payload bytes delivered to the sink so far.
-    pub delivered: Arc<AtomicU64>,
+    pub(crate) delivered: Arc<AtomicU64>,
     /// Client flows that closed normally so far.
-    pub closed: Arc<AtomicUsize>,
+    pub(crate) closed: Arc<AtomicUsize>,
     /// Keeps the listener (and its accepted flows) alive.
     _listener: TcpListener,
 }
 
 /// Builds the simulation world and binds the sink listener (no flows yet).
 #[must_use]
-pub fn build_converge_world(spec: &ConvergeSpec) -> ConvergeWorld {
+pub(crate) fn build_converge_world(spec: &ConvergeSpec) -> ConvergeWorld {
     let sim = Sim::new(spec.seed);
     let net = Network::new(&sim);
     let topo = star_fanin(&net, spec.senders);
@@ -256,7 +238,7 @@ impl ConvergeWorld {
     /// connects execute — the caller must keep it alive until the run
     /// finishes, because dropping a client handle tears its flow down.
     #[must_use]
-    pub fn start_senders(
+    pub(crate) fn start_senders(
         &self,
         bytes_per_sender: usize,
         stagger: Duration,
@@ -285,7 +267,7 @@ impl ConvergeWorld {
 
     /// Runs until every sender delivered and closed, or the budget runs
     /// out. Returns simulated seconds consumed.
-    pub fn run_until_drained(
+    pub(crate) fn run_until_drained(
         &self,
         expected_bytes: u64,
         expected_closes: usize,
@@ -320,8 +302,6 @@ pub fn run_converging_senders(spec: &ConvergeSpec) -> ConvergeReport {
     let run_secs = run_wall.elapsed().as_secs_f64();
     drop(conns);
     ConvergeReport {
-        label: world.topo.label.clone(),
-        hosts: world.topo.hosts(),
         flows,
         delivered_bytes: world.delivered.load(Ordering::Relaxed),
         closed_flows: world.closed.load(Ordering::Relaxed),
@@ -335,6 +315,13 @@ pub fn run_converging_senders(spec: &ConvergeSpec) -> ConvergeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Topology {
+        /// All hosts including the sink.
+        fn hosts(&self) -> usize {
+            self.senders.len() + 1
+        }
+    }
 
     fn fresh_net(seed: u64) -> (Sim, Network) {
         let sim = Sim::new(seed);
@@ -359,7 +346,6 @@ mod tests {
         let (_sim, net) = fresh_net(7);
         let t = star_fanin(&net, 1);
         assert_eq!(t.senders.len(), 1);
-        assert_eq!(t.node_count, 3);
         assert_eq!(t.link_count, 4);
         assert!(net.route(t.senders[0], t.sink).is_some());
     }

@@ -81,12 +81,12 @@ pub struct SenderStats {
 }
 
 /// Shared handle to a sender's stats.
-pub type SenderStatsHandle = Arc<Mutex<SenderStats>>;
+pub(crate) type SenderStatsHandle = Arc<Mutex<SenderStats>>;
 
 /// The sending component.
 pub struct FileSender {
     /// Network port.
-    pub net: RequiredPort<NetworkPort>,
+    pub(crate) net: RequiredPort<NetworkPort>,
     cfg: SenderConfig,
     round: u32,
     next_offset: usize,
@@ -308,11 +308,11 @@ pub struct ReceiverStats {
     /// Chunks that arrived below the highest offset seen so far without
     /// being duplicates. Zero on a calm single-channel run (FIFO); DATA
     /// runs and supervised reconnects legitimately reorder.
-    pub out_of_order: u64,
+    pub(crate) out_of_order: u64,
     /// Accumulated order-independent checksum.
     pub checksum: u64,
     /// Completion time: the last byte of the final round written to disk.
-    pub done_at: Option<SimTime>,
+    pub(crate) done_at: Option<SimTime>,
     /// Completion time of each round.
     pub round_done_at: Vec<SimTime>,
     /// Per-window samples.
@@ -322,12 +322,12 @@ pub struct ReceiverStats {
 }
 
 /// Shared handle to a receiver's stats.
-pub type ReceiverStatsHandle = Arc<Mutex<ReceiverStats>>;
+pub(crate) type ReceiverStatsHandle = Arc<Mutex<ReceiverStats>>;
 
 /// The receiving component.
 pub struct FileReceiver {
     /// Network port.
-    pub net: RequiredPort<NetworkPort>,
+    pub(crate) net: RequiredPort<NetworkPort>,
     cfg: ReceiverConfig,
     disk: Option<DiskModel>,
     seen_offsets: std::collections::HashSet<u64>,

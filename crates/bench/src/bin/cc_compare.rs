@@ -19,6 +19,8 @@
 //! cargo run --release -p kmsg-bench --bin cc_compare [-- --seed N] [--jobs N]
 //! ```
 
+#![warn(unreachable_pub)]
+
 use kmsg_apps::{run_experiment, Dataset, ExperimentConfig, ExperimentResult, Setup};
 use kmsg_core::prelude::*;
 use kmsg_netsim::cc::CcAlgorithm;

@@ -17,6 +17,8 @@
 //! The run executes twice with the same seed and fails if the two
 //! flight-recorder streams are not byte-identical.
 
+#![warn(unreachable_pub)]
+
 use std::time::Duration;
 
 use kmsg_apps::{run_experiment, Dataset, ExperimentConfig, ExperimentResult, Setup};

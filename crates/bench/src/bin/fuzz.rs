@@ -30,6 +30,8 @@
 //!   spec document or a `failing_seed.json`) instead of fuzzing.
 //! * `--quick` — shorthand for `--seeds 0..25`.
 
+#![warn(unreachable_pub)]
+
 use std::time::{Duration, Instant};
 
 use kmsg_apps::fuzz::ScenarioSpec;

@@ -63,7 +63,7 @@ fn run(cfg: SarsaConfig, backend: ValueBackend, peak: f64, seed: u64) -> Outcome
     }
 }
 
-pub fn row(args: &kmsg_bench::BenchArgs) -> RowOutput {
+pub(crate) fn row(args: &kmsg_bench::BenchArgs) -> RowOutput {
     kmsg_telemetry::log_info!(
         "Ablation C — learner variants on the synthetic quadratic environment \
          (peak at -0.8, {EPISODES} episodes, {SEEDS} seeds)\n"

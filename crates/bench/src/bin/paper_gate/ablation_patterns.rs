@@ -12,7 +12,7 @@ use kmsg_netsim::rng::SeedSource;
 
 use crate::RowOutput;
 
-pub fn row(args: &kmsg_bench::BenchArgs) -> RowOutput {
+pub(crate) fn row(args: &kmsg_bench::BenchArgs) -> RowOutput {
     let seeds = SeedSource::new(3);
     kmsg_telemetry::log_info!(
         "Ablation B — pattern construction (deviation = worst prefix |achieved - target|)\n"

@@ -10,7 +10,7 @@ use kmsg_netsim::udt::UdtConfig;
 
 use crate::RowOutput;
 
-pub fn row(args: &kmsg_bench::BenchArgs) -> RowOutput {
+pub(crate) fn row(args: &kmsg_bench::BenchArgs) -> RowOutput {
     let size = 64 * 1024 * 1024;
     let dataset = Dataset::climate(size, args.seed);
     kmsg_telemetry::log_info!(

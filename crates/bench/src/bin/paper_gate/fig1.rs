@@ -21,7 +21,7 @@ use crate::RowOutput;
 /// Seeds the predicates run on, `--seed` first.
 const SEEDS: u64 = 5;
 
-pub fn row(args: &kmsg_bench::BenchArgs) -> RowOutput {
+pub(crate) fn row(args: &kmsg_bench::BenchArgs) -> RowOutput {
     kmsg_telemetry::log_info!("Figure 1 — observed selection ratio distributions");
     kmsg_telemetry::log_info!("(signed form: -1.0 = 100% TCP, +1.0 = 100% UDT)\n");
     kmsg_telemetry::log_info!(

@@ -32,7 +32,7 @@ fn mean_rtt_ms(cfg: &ExperimentConfig) -> Pings {
     }
 }
 
-pub fn row(args: &kmsg_bench::BenchArgs) -> RowOutput {
+pub(crate) fn row(args: &kmsg_bench::BenchArgs) -> RowOutput {
     // The transfer must run long enough for pings to sample the congested
     // state; the full dataset does that everywhere.
     let dataset = Dataset::climate(args.size, args.seed);

@@ -15,7 +15,7 @@ use kmsg_core::Transport;
 
 use crate::RowOutput;
 
-pub fn row(args: &kmsg_bench::BenchArgs) -> RowOutput {
+pub(crate) fn row(args: &kmsg_bench::BenchArgs) -> RowOutput {
     let dataset = Dataset::climate(args.size, args.seed);
     kmsg_telemetry::log_info!(
         "Figure 9 — disk-to-disk transfer throughput vs RTT ({} MB dataset, \

@@ -16,7 +16,7 @@ use crate::RowOutput;
 /// The paper's observation: probabilistic ratio selection is less
 /// accurate (smoother wire ratio) and converges slightly more slowly in
 /// throughput; both eventually reach the same performance.
-pub fn fig2(args: &BenchArgs) -> RowOutput {
+pub(crate) fn fig2(args: &BenchArgs) -> RowOutput {
     let secs = 60;
     kmsg_telemetry::log_info!(
         "Figure 2 — PSP impact on throughput and true protocol ratio ({secs} s, analysis link)"
@@ -48,7 +48,7 @@ pub fn fig2(args: &BenchArgs) -> RowOutput {
 /// implementation (11 states × 5 actions = 55 entries), ε: 0.8 → 0.1,
 /// Δε = 0.01: for large state-action spaces the model converges too
 /// slowly to be useful within a transfer.
-pub fn fig4(args: &BenchArgs) -> RowOutput {
+pub(crate) fn fig4(args: &BenchArgs) -> RowOutput {
     learner_env::figure(
         args,
         "Figure 4 — TD learner, dense matrix Q(s,a)",
@@ -69,7 +69,7 @@ pub fn fig4(args: &BenchArgs) -> RowOutput {
 /// vector `V(s)` through the environment model `M(s, a) → s'`: the space
 /// shrinks from 55 to 11 entries and the learner converges in ~20 s
 /// (ε_max lowered to 0.3 to avoid over-exploration after convergence).
-pub fn fig5(args: &BenchArgs) -> RowOutput {
+pub(crate) fn fig5(args: &BenchArgs) -> RowOutput {
     learner_env::figure(
         args,
         "Figure 5 — TD learner, model-collapsed V(s)",
@@ -87,7 +87,7 @@ pub fn fig5(args: &BenchArgs) -> RowOutput {
 /// overriding learned ones), so the policy can act greedily after only a
 /// couple of observations — converging within seconds and avoiding late
 /// backtracking.
-pub fn fig6(args: &BenchArgs) -> RowOutput {
+pub(crate) fn fig6(args: &BenchArgs) -> RowOutput {
     learner_env::figure(
         args,
         "Figure 6 — TD learner, V(s) + quadratic approximation",

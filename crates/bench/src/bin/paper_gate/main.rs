@@ -17,6 +17,8 @@
 //! mean and IQR. `--quick` is refused (Fig. 9 loses its shape at its
 //! 24 MB), and so is `--trace-out` (no row records a trace).
 
+#![warn(unreachable_pub)]
+
 mod ablation_learners;
 mod ablation_patterns;
 mod ablation_udt_buffers;
@@ -32,7 +34,7 @@ use kmsg_telemetry::json::Json;
 /// What a row hands the gate: its predicates' checks (one per predicate
 /// per seed) and any per-cell figures for `BENCH_paper.json`.
 #[derive(Default)]
-pub struct RowOutput {
+struct RowOutput {
     checks: Vec<Check>,
     cells: Vec<Json>,
 }

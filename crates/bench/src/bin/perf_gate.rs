@@ -38,6 +38,8 @@
 //! * cc: `goodput_mbps` per controller row on the fixed lossy-WAN scenario
 //!   (higher is better — virtual time again).
 
+#![warn(unreachable_pub)]
+
 use std::process::ExitCode;
 
 use kmsg_telemetry::json::Json;

@@ -14,6 +14,8 @@
 //! cargo run --release -p kmsg-bench --bin timing_probe [--quick]
 //! ```
 
+#![warn(unreachable_pub)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;

@@ -16,14 +16,14 @@ use kmsg_telemetry::json::Json;
 use kmsg_telemetry::metrics::Summary;
 
 /// Sliding window matching one 1 s learning episode (~1600 messages).
-pub const EPISODE_WINDOW: usize = 1600;
+pub(crate) const EPISODE_WINDOW: usize = 1600;
 /// Sliding window matching the ~16 messages concurrently on the wire.
-pub const WIRE_WINDOW: usize = 16;
+pub(crate) const WIRE_WINDOW: usize = 16;
 /// Observed-ratio entries per dataset at paper scale.
 pub const ENTRIES: usize = 160_000;
 
 /// The paper's x-axis: target ratios as the probability of UDT.
-pub const TARGETS: [(f64, &str); 4] = [
+pub(crate) const TARGETS: [(f64, &str); 4] = [
     (0.0, "0"),
     (0.03, "3/100"),
     (1.0 / 3.0, "1/3"),
@@ -34,24 +34,24 @@ pub const TARGETS: [(f64, &str); 4] = [
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cell {
     /// Probability of selecting UDT.
-    pub prob: f64,
+    pub(crate) prob: f64,
     /// Target-ratio label, e.g. `"1/3"`.
-    pub label: &'static str,
+    pub(crate) label: &'static str,
     /// Sliding-window length in messages.
-    pub window: usize,
+    pub(crate) window: usize,
     /// `"Episode"` or `"Wire"`.
-    pub window_label: &'static str,
+    pub(crate) window_label: &'static str,
     /// `true` = Pattern policy, `false` = Random.
-    pub pattern: bool,
+    pub(crate) pattern: bool,
 }
 
 /// A computed cell: its box-plot summary plus the rendered table row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellResult {
     /// The cell computed.
-    pub cell: Cell,
+    pub(crate) cell: Cell,
     /// Summary of the observed signed ratios.
-    pub summary: Summary,
+    pub(crate) summary: Summary,
     /// The formatted table row.
     pub row: String,
 }
@@ -59,7 +59,7 @@ pub struct CellResult {
 impl Cell {
     /// The table's dataset column, e.g. `"Wire/Random"`.
     #[must_use]
-    pub fn dataset(&self) -> String {
+    pub(crate) fn dataset(&self) -> String {
         let policy = if self.pattern { "Pattern" } else { "Random" };
         format!("{}/{policy}", self.window_label)
     }
@@ -108,7 +108,7 @@ pub fn cells() -> Vec<Cell> {
 ///
 /// Panics if the stream is not longer than the window.
 #[must_use]
-pub fn windowed_ratios(stream: &[Transport], window: usize) -> Vec<f64> {
+pub(crate) fn windowed_ratios(stream: &[Transport], window: usize) -> Vec<f64> {
     assert!(stream.len() > window);
     let mut udt_in_window = stream[..window]
         .iter()

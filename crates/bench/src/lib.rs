@@ -20,6 +20,7 @@
 //! * `--verbose` — raise the log level to `Debug` (extra diagnostics).
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod fig1_core;
 pub mod fuzzer;
@@ -45,7 +46,7 @@ pub struct BenchArgs {
     /// Quick mode (CI-scale).
     pub quick: bool,
     /// Verbose mode: `--verbose` raises logging to `Debug`.
-    pub verbose: bool,
+    pub(crate) verbose: bool,
     /// `--trace-out FILE`: write the run's causal spans as a Chrome
     /// trace-event JSON file (open in Perfetto / `chrome://tracing`).
     pub trace_out: Option<String>,
@@ -181,7 +182,7 @@ pub fn rule(width: usize) {
 
 /// Formats a `[-1, 1]` signed ratio.
 #[must_use]
-pub fn fmt_ratio(r: f64) -> String {
+fn fmt_ratio(r: f64) -> String {
     format!("{r:+.2}")
 }
 
@@ -361,12 +362,12 @@ pub mod learner_env {
 
 /// Compact per-run summary for the learner figures: mean throughput and
 /// mean target ratio over the final quarter of the run.
-pub mod learner_summary {
+mod learner_summary {
     use kmsg_apps::ExperimentResult;
 
     /// `(mean tail throughput B/s, mean tail target ratio)`.
     #[must_use]
-    pub fn tail(result: &ExperimentResult) -> (f64, f64) {
+    pub(crate) fn tail(result: &ExperimentResult) -> (f64, f64) {
         let n = result.receiver_samples.len();
         let thr: Vec<f64> = result.receiver_samples[n - n / 4..]
             .iter()

@@ -23,7 +23,7 @@
 //!   Thread scheduling affects only wall-clock time, never output.
 //!
 //! For early-exit sweeps (the fuzzer stops at the first failing seed)
-//! use [`map_cancel`] with a [`SweepCtl`]: `cancel_after(i)` guarantees
+//! use `map_cancel` with a `SweepCtl`: `cancel_after(i)` guarantees
 //! every index `<= i` still runs to completion while indices `> i` may
 //! be skipped — so the *smallest* failing index is found exactly as the
 //! sequential loop would find it, regardless of which thread saw a
@@ -49,7 +49,7 @@ pub fn default_jobs() -> usize {
 /// smallest one that requested cancellation — matching a sequential
 /// early-exit loop.
 #[derive(Debug)]
-pub struct SweepCtl {
+pub(crate) struct SweepCtl {
     /// Exclusive upper bound of indices that must still run.
     cutoff: AtomicUsize,
 }
@@ -62,14 +62,14 @@ impl SweepCtl {
     }
 
     /// Requests that indices strictly greater than `idx` be skipped.
-    pub fn cancel_after(&self, idx: usize) {
+    pub(crate) fn cancel_after(&self, idx: usize) {
         self.cutoff
             .fetch_min(idx.saturating_add(1), Ordering::SeqCst);
     }
 
     /// Whether `idx` is still required to run.
     #[must_use]
-    pub fn wanted(&self, idx: usize) -> bool {
+    pub(crate) fn wanted(&self, idx: usize) -> bool {
         idx < self.cutoff.load(Ordering::SeqCst)
     }
 }
@@ -95,7 +95,7 @@ where
 
 /// [`map`] with cooperative early exit. Skipped tasks yield `None`; the
 /// prefix of indices below the final cutoff is always fully `Some`.
-pub fn map_cancel<T, R, F>(jobs: usize, tasks: Vec<T>, f: F) -> Vec<Option<R>>
+pub(crate) fn map_cancel<T, R, F>(jobs: usize, tasks: Vec<T>, f: F) -> Vec<Option<R>>
 where
     T: Send,
     R: Send,

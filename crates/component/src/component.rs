@@ -96,10 +96,10 @@ pub trait RequireRef<P: crate::port::Port>: ComponentDefinition {
 
 /// Unique component id within a system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ComponentId(pub(crate) u64);
+pub(crate) struct ComponentId(pub(crate) u64);
 
 /// The scheduling core shared by all handles to one component.
-pub struct ComponentCore {
+pub(crate) struct ComponentCore {
     pub(crate) id: ComponentId,
     pub(crate) system: Weak<SystemInner>,
     pub(crate) state: AtomicU8,
@@ -162,15 +162,9 @@ impl ComponentCore {
             .clone()
     }
 
-    /// This component's id.
-    #[must_use]
-    pub fn id(&self) -> ComponentId {
-        self.id
-    }
-
     /// Current lifecycle state.
     #[must_use]
-    pub fn lifecycle_state(&self) -> LifecycleState {
+    pub(crate) fn lifecycle_state(&self) -> LifecycleState {
         match self.state.load(Ordering::Acquire) {
             STATE_PASSIVE => LifecycleState::Passive,
             STATE_ACTIVE => LifecycleState::Active,
@@ -180,7 +174,7 @@ impl ComponentCore {
 
     /// Marks the component as having pending work and schedules it if it is
     /// not already queued for execution.
-    pub fn notify(self: &Arc<Self>) {
+    pub(crate) fn notify(self: &Arc<Self>) {
         self.dirty.store(true, Ordering::Release);
         if self.state.load(Ordering::Acquire) == STATE_DESTROYED {
             return;
@@ -269,7 +263,7 @@ pub(crate) trait AbstractComponent: Send + Sync {
 }
 
 /// A typed component: its definition plus its scheduling core.
-pub struct Component<C: ComponentDefinition> {
+pub(crate) struct Component<C: ComponentDefinition> {
     pub(crate) core: Arc<ComponentCore>,
     pub(crate) definition: Mutex<C>,
 }
@@ -344,12 +338,6 @@ impl std::fmt::Debug for ComponentContext {
 }
 
 impl ComponentContext {
-    /// The id of the executing component.
-    #[must_use]
-    pub fn id(&self) -> ComponentId {
-        self.core.id
-    }
-
     /// The simulation's virtual time.
     #[must_use]
     pub fn now(&self) -> SimTime {
@@ -387,6 +375,13 @@ impl ComponentContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ComponentCore {
+        /// This component's id.
+        fn id(&self) -> ComponentId {
+            self.id
+        }
+    }
 
     #[test]
     fn lifecycle_states_map() {

@@ -13,7 +13,7 @@
 //! Components run as events on a [`kmsg_netsim::engine::Sim`] virtual-time
 //! loop, so every run is deterministic; timers fire in virtual time too.
 //! Events may still be pushed into a component from any thread (a
-//! [`SelfRef`] is `Send + Sync`), and a whole system can run on a worker
+//! [`SelfRef`](prelude::SelfRef) is `Send + Sync`), and a whole system can run on a worker
 //! thread of its own.
 //!
 //! # Example
@@ -97,32 +97,24 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod component;
 pub mod port;
 mod queue;
-pub mod scheduler;
-pub mod sink;
+mod scheduler;
+mod sink;
 pub mod system;
-pub mod timer;
-
-pub use component::{
-    ComponentContext, ComponentDefinition, ComponentId, ControlEvent, HandleSelf, LifecycleState,
-    Provide, ProvideRef, Require, RequireRef,
-};
-pub use port::{Never, Port, ProvidedPort, RequiredPort, Selector, SelfPort, SelfRef};
-pub use sink::PortSink;
-pub use system::{ComponentRef, ComponentSystem, SystemConfig};
-pub use timer::TimeoutId;
+mod timer;
 
 /// Everything needed to define and wire components.
 pub mod prelude {
     pub use crate::component::{
-        ComponentContext, ComponentDefinition, ComponentId, ControlEvent, HandleSelf,
-        LifecycleState, Provide, ProvideRef, Require, RequireRef,
+        ComponentContext, ComponentDefinition, ControlEvent, HandleSelf, LifecycleState, Provide,
+        ProvideRef, Require, RequireRef,
     };
     pub use crate::execute_ports;
-    pub use crate::port::{Never, Port, ProvidedPort, RequiredPort, Selector, SelfPort, SelfRef};
+    pub use crate::port::{Port, ProvidedPort, RequiredPort, SelfPort, SelfRef};
     pub use crate::sink::PortSink;
     pub use crate::system::{ComponentRef, ComponentSystem, SystemConfig};
     pub use crate::timer::TimeoutId;

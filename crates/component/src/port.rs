@@ -43,13 +43,9 @@ pub trait Port: 'static {
     type Indication: Clone + Send + std::fmt::Debug + 'static;
 }
 
-/// An event type for port directions that carry no events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Never {}
-
 /// Predicate deciding whether a channel carries a given event
 /// (Kompics' `ChannelSelector`).
-pub type Selector<Ev> = Arc<dyn Fn(&Ev) -> bool + Send + Sync>;
+pub(crate) type Selector<Ev> = Arc<dyn Fn(&Ev) -> bool + Send + Sync>;
 
 pub(crate) struct ChannelToRequirer<P: Port> {
     pub(crate) queue: Arc<EventQueue<P::Indication>>,
@@ -107,18 +103,6 @@ impl<P: Port> ProvidedPort<P> {
     pub fn take(&mut self) -> Option<P::Request> {
         self.inbound.pop()
     }
-
-    /// Number of requests currently queued.
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.inbound.len()
-    }
-
-    /// Number of connected channels.
-    #[must_use]
-    pub fn channel_count(&self) -> usize {
-        self.outbound.len()
-    }
 }
 
 /// The requiring side of a port: receives indications, triggers requests.
@@ -161,18 +145,6 @@ impl<P: Port> RequiredPort<P> {
     /// Takes the next queued indication, if any.
     pub fn take(&mut self) -> Option<P::Indication> {
         self.inbound.pop()
-    }
-
-    /// Number of indications currently queued.
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.inbound.len()
-    }
-
-    /// Number of connected channels.
-    #[must_use]
-    pub fn channel_count(&self) -> usize {
-        self.outbound.len()
     }
 }
 
@@ -276,6 +248,20 @@ impl<Ev: Send + 'static> SelfRef<Ev> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<P: Port> ProvidedPort<P> {
+        /// Number of connected channels.
+        fn channel_count(&self) -> usize {
+            self.outbound.len()
+        }
+    }
+
+    impl<P: Port> RequiredPort<P> {
+        /// Number of indications currently queued.
+        fn pending(&self) -> usize {
+            self.inbound.len()
+        }
+    }
 
     #[derive(Debug, Clone, PartialEq)]
     struct Ping(u64);

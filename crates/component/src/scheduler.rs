@@ -12,7 +12,7 @@ use crate::component::ComponentCore;
 
 /// Executes components as simulation events (deterministic virtual time).
 #[derive(Debug, Clone)]
-pub struct SimulationScheduler {
+pub(crate) struct SimulationScheduler {
     sim: Sim,
     /// Component executions scheduled on the engine but not yet run — the
     /// component-layer queue depth reported to telemetry. Every core of the
@@ -23,7 +23,7 @@ pub struct SimulationScheduler {
 impl SimulationScheduler {
     /// Creates a scheduler driving components on `sim`'s event loop.
     #[must_use]
-    pub fn new(sim: &Sim) -> Self {
+    pub(crate) fn new(sim: &Sim) -> Self {
         SimulationScheduler {
             sim: sim.clone(),
             depth: Arc::new(AtomicU64::new(0)),

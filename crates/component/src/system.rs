@@ -222,12 +222,6 @@ impl ComponentSystem {
 }
 
 impl<C: ComponentDefinition> ComponentRef<C> {
-    /// The component's id.
-    #[must_use]
-    pub fn id(&self) -> ComponentId {
-        self.component.core.id
-    }
-
     /// Runs `f` with exclusive access to the definition (setup or
     /// inspection). Blocks if the component is currently executing.
     pub fn on_definition<R>(&self, f: impl FnOnce(&mut C) -> R) -> R {

@@ -16,25 +16,25 @@ pub struct TimeoutId(pub u64);
 
 /// Virtual-time timers and clock driven by a [`Sim`].
 #[derive(Debug, Clone)]
-pub struct SimTimer {
+pub(crate) struct SimTimer {
     sim: Sim,
 }
 
 impl SimTimer {
     /// Creates a timer source on `sim`'s event loop.
     #[must_use]
-    pub fn new(sim: &Sim) -> Self {
+    pub(crate) fn new(sim: &Sim) -> Self {
         SimTimer { sim: sim.clone() }
     }
 
     /// The current virtual time.
     #[must_use]
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.sim.now()
     }
 
     /// Delivers `id` to `target` once, after `delay`.
-    pub fn schedule_once(&self, delay: Duration, target: Arc<ComponentCore>, id: TimeoutId) {
+    pub(crate) fn schedule_once(&self, delay: Duration, target: Arc<ComponentCore>, id: TimeoutId) {
         // The per-core timeout sink is created once and reused for every
         // one-shot; the timeout id rides in the event token, so scheduling
         // a timer allocates nothing.
@@ -44,7 +44,7 @@ impl SimTimer {
 
     /// Delivers `id` to `target` after `delay` and then every `period`,
     /// until cancelled through the component's context.
-    pub fn schedule_periodic(
+    pub(crate) fn schedule_periodic(
         &self,
         delay: Duration,
         period: Duration,

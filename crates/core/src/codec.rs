@@ -372,7 +372,7 @@ mod reference {
     ///
     /// Returns [`CodecError`] on malformed input or if the output would exceed
     /// `max_len` (or `max_len` itself cannot be reserved).
-    pub fn decompress(data: &[u8], max_len: usize) -> Result<Vec<u8>, CodecError> {
+    pub(crate) fn decompress(data: &[u8], max_len: usize) -> Result<Vec<u8>, CodecError> {
         let mut out = Vec::new();
         out.try_reserve_exact(max_len)
             .map_err(|_| CodecError::TooLarge)?;
@@ -434,7 +434,7 @@ mod reference {
     /// (incompressible data) — callers should keep the raw form when that
     /// happens.
     #[must_use]
-    pub fn compress(input: &[u8]) -> Vec<u8> {
+    pub(crate) fn compress(input: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(input.len() / 2 + 16);
         let mut table = vec![usize::MAX; 1 << HASH_BITS];
         let mut pos = 0;

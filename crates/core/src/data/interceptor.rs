@@ -214,9 +214,9 @@ impl Flow {
 /// manually between an application and a network component.
 pub struct DataNetworkComponent {
     /// Application-facing network port.
-    pub app_port: ProvidedPort<NetworkPort>,
+    pub(crate) app_port: ProvidedPort<NetworkPort>,
     /// Network-facing port.
-    pub net_port: RequiredPort<NetworkPort>,
+    pub(crate) net_port: RequiredPort<NetworkPort>,
     cfg: DataNetworkConfig,
     /// Ordered by destination, so an episode end updates and releases its
     /// flows in the same order on every run of a seed.
@@ -239,7 +239,7 @@ impl std::fmt::Debug for DataNetworkComponent {
 impl DataNetworkComponent {
     /// Builds the component.
     #[must_use]
-    pub fn new(cfg: DataNetworkConfig) -> Self {
+    pub(crate) fn new(cfg: DataNetworkConfig) -> Self {
         DataNetworkComponent {
             app_port: ProvidedPort::new(),
             net_port: RequiredPort::new(),

@@ -1,15 +1,15 @@
 //! Adaptive transport selection (§IV): the `DATA` meta-protocol.
 //!
-//! * [`ratio`] — the target TCP/UDT mix and its representations;
-//! * [`psp`] — per-message protocol selection policies (random, pattern);
-//! * [`prp`] — per-episode protocol ratio policies (static, TD(λ) learner);
-//! * [`interceptor`] — the `data-network-interceptor` component wiring the
+//! * `ratio` — the target TCP/UDT mix and its representations;
+//! * `psp` — per-message protocol selection policies (random, pattern);
+//! * `prp` — per-episode protocol ratio policies (static, TD(λ) learner);
+//! * `interceptor` — the `data-network-interceptor` component wiring the
 //!   policies into the message path.
 
-pub mod interceptor;
-pub mod prp;
-pub mod psp;
-pub mod ratio;
+pub(crate) mod interceptor;
+pub(crate) mod prp;
+pub(crate) mod psp;
+pub(crate) mod ratio;
 
 pub use interceptor::{DataNetworkComponent, DataNetworkConfig, FlowPoint, PrpKind, PspKind};
 pub use prp::{TdConfig, ValueBackend};

@@ -22,11 +22,11 @@ use crate::data::ratio::Ratio;
 pub(crate) struct EpisodeObservation {
     /// Simulation time at the end of the episode (timestamps any
     /// telemetry the ratio policy emits).
-    pub time: SimTime,
+    pub(crate) time: SimTime,
     /// Delivered throughput over the episode, bytes/second.
-    pub throughput: f64,
+    pub(crate) throughput: f64,
     /// The ratio actually achieved on the wire during the episode.
-    pub achieved_ratio: Ratio,
+    pub(crate) achieved_ratio: Ratio,
 }
 
 /// Chooses the target protocol ratio, episode by episode.
@@ -40,7 +40,7 @@ pub(crate) trait ProtocolRatioPolicy: Send {
 
 /// A fixed target ratio (§IV-C1).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct StaticRatio(pub Ratio);
+pub(crate) struct StaticRatio(pub(crate) Ratio);
 
 impl ProtocolRatioPolicy for StaticRatio {
     fn initial_ratio(&mut self) -> Ratio {

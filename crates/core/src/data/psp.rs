@@ -232,12 +232,6 @@ impl PatternSelection {
             pos: 0,
         }
     }
-
-    /// The active pattern (diagnostics).
-    #[must_use]
-    pub fn pattern(&self) -> &[Transport] {
-        &self.pattern
-    }
 }
 
 impl ProtocolSelectionPolicy for PatternSelection {

@@ -94,9 +94,9 @@ impl std::fmt::Display for Ratio {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProtocolFraction {
     /// The protocol occurring `p` times per pattern.
-    pub minority: Transport,
+    pub(crate) minority: Transport,
     /// The protocol occurring `q` times per pattern.
-    pub majority: Transport,
+    pub(crate) majority: Transport,
     /// Minority count per pattern.
     pub p: u64,
     /// Majority count per pattern.

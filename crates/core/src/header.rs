@@ -3,7 +3,7 @@
 //! Mirrors the paper's `Header` interface (listing 3) and its two notable
 //! implementations: the plain [`BasicHeader`] and the multi-hop
 //! [`RoutingHeader`] (listing 5), which overrides source/destination while
-//! a [`Route`] is present. [`DataHeader`] marks messages for the adaptive
+//! a `Route` is present. [`DataHeader`] marks messages for the adaptive
 //! `DATA` interceptor (§IV-A).
 
 use std::collections::VecDeque;
@@ -29,11 +29,11 @@ pub trait Header<A: Address> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BasicHeader {
     /// Originator.
-    pub src: NetAddress,
+    pub(crate) src: NetAddress,
     /// Final destination.
-    pub dst: NetAddress,
+    pub(crate) dst: NetAddress,
     /// Requested transport.
-    pub proto: Transport,
+    pub(crate) proto: Transport,
 }
 
 impl BasicHeader {
@@ -62,18 +62,18 @@ impl Header<NetAddress> for BasicHeader {
 /// address to present as `source` while the route is active (the paper's
 /// "Forwardable Trait").
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Route {
+pub(crate) struct Route {
     /// Source presented while forwarding (e.g. the original sender, so the
     /// final receiver can reply directly).
-    pub source: NetAddress,
+    pub(crate) source: NetAddress,
     /// Remaining intermediate hops, in order.
-    pub hops: VecDeque<NetAddress>,
+    pub(crate) hops: VecDeque<NetAddress>,
 }
 
 impl Route {
     /// A route through the given hops, presenting `source`.
     #[must_use]
-    pub fn new(source: NetAddress, hops: impl IntoIterator<Item = NetAddress>) -> Self {
+    pub(crate) fn new(source: NetAddress, hops: impl IntoIterator<Item = NetAddress>) -> Self {
         Route {
             source,
             hops: hops.into_iter().collect(),
@@ -92,9 +92,9 @@ impl Route {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutingHeader {
     /// The underlying header (final destination, reply source).
-    pub base: BasicHeader,
+    pub(crate) base: BasicHeader,
     /// The active route, if any.
-    pub route: Option<Route>,
+    pub(crate) route: Option<Route>,
     /// Remaining forwarding budget. Decremented by every host that forwards
     /// the message; a host that would forward at `0` drops it instead
     /// (counted in `MiddlewareStats::ttl_drops`), so a malformed or stale
@@ -120,7 +120,7 @@ impl RoutingHeader {
 
     /// Consumes the next hop; returns whether a hop was consumed. Called by
     /// the forwarding host after receiving the message.
-    pub fn advance(&mut self) -> bool {
+    pub(crate) fn advance(&mut self) -> bool {
         match self.route.as_mut() {
             Some(route) => route.hops.pop_front().is_some(),
             None => false,

@@ -67,40 +67,33 @@
 //! runnable end-to-end scenarios.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod address;
+mod address;
 pub mod codec;
 pub mod data;
 pub mod header;
-pub mod msg;
+mod msg;
 pub mod net;
 pub mod ser;
-pub mod transport;
-pub(crate) mod vnet;
+mod transport;
+mod vnet;
 
-pub use address::{Address, NetAddress, VnodeId};
-pub use data::{DataNetwork, DataNetworkComponent, DataNetworkConfig, Ratio};
-pub use header::{BasicHeader, DataHeader, Header, NetHeader, Route, RoutingHeader, DEFAULT_TTL};
-pub use msg::{
-    ChannelStatus, ConnStatus, DeliveryStatus, Msg, NetIndication, NetMessage, NetRequest,
-    NetworkPort, NotifyToken, SendError,
-};
-pub use net::{
-    create_network, MiddlewareStats, NetworkComponent, NetworkConfig, ReconnectConfig, StatsHandle,
-    SupervisionSummary,
-};
-pub use ser::{Deserialiser, SerError, SerId, SerRegistry, Serialisable};
+pub use address::NetAddress;
+pub use msg::NetMessage;
+pub use net::{MiddlewareStats, NetworkConfig};
+pub use ser::{SerError, SerRegistry};
 pub use transport::Transport;
 
 /// Common imports for middleware users.
 pub mod prelude {
     pub use crate::address::{Address, NetAddress, VnodeId};
     pub use crate::data::{
-        create_data_network, DataNetwork, DataNetworkComponent, DataNetworkConfig, PatternKind,
-        PrpKind, PspKind, Ratio, TdConfig, ValueBackend,
+        create_data_network, DataNetworkComponent, DataNetworkConfig, PatternKind, PrpKind,
+        PspKind, Ratio,
     };
     pub use crate::header::{
-        BasicHeader, DataHeader, Header, NetHeader, Route, RoutingHeader, DEFAULT_TTL,
+        BasicHeader, DataHeader, Header, NetHeader, RoutingHeader, DEFAULT_TTL,
     };
     pub use crate::msg::{
         ChannelStatus, ConnStatus, DeliveryStatus, Msg, NetIndication, NetMessage, NetRequest,
@@ -108,9 +101,9 @@ pub mod prelude {
     };
     pub use crate::net::{
         create_network, MiddlewareStats, NetworkComponent, NetworkConfig, ReconnectConfig,
-        StatsHandle, SupervisionSummary,
+        StatsHandle,
     };
     pub use crate::ser::{Deserialiser, SerError, SerId, SerRegistry, Serialisable};
     pub use crate::transport::Transport;
-    pub use crate::vnet::{connect_default, connect_vnode};
+    pub use crate::vnet::connect_vnode;
 }

@@ -91,7 +91,7 @@ impl NetMessage {
 
     /// The header.
     #[must_use]
-    pub fn header(&self) -> &NetHeader {
+    pub(crate) fn header(&self) -> &NetHeader {
         &self.header
     }
 
@@ -194,7 +194,7 @@ impl NetMessage {
 pub struct NotifyToken {
     /// The requesting virtual node, if any (lets vnode channels route the
     /// response back to the right subtree).
-    pub vnode: Option<VnodeId>,
+    pub(crate) vnode: Option<VnodeId>,
     /// Caller-chosen correlation id, below 2⁶³ for vnode-less tokens: the
     /// `DATA` interceptor keeps the ids from 2⁶³ up for its own use.
     pub id: u64,
@@ -251,7 +251,7 @@ impl SendError {
 
     /// Stable index into per-kind counter arrays (declaration order).
     #[must_use]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             SendError::TooLargeForUdp => 0,
             SendError::ChannelClosed => 1,
@@ -331,7 +331,7 @@ pub enum ConnStatus {
 impl ConnStatus {
     /// Stable snake_case label for telemetry output.
     #[must_use]
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ConnStatus::ConnectionLost => "lost",
             ConnStatus::ConnectionRestored { .. } => "restored",
@@ -344,7 +344,7 @@ impl ConnStatus {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChannelStatus {
     /// The remote peer of the supervised channel.
-    pub peer: NetAddress,
+    pub(crate) peer: NetAddress,
     /// The channel's transport.
     pub transport: Transport,
     /// What happened.

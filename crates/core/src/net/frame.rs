@@ -210,7 +210,7 @@ impl FrameDecoder {
 
     /// Takes the next chunk of the stream as it arrived: a frame that lies
     /// whole inside it will share its allocation.
-    pub fn push(&mut self, data: Bytes) {
+    pub(crate) fn push(&mut self, data: Bytes) {
         if self.buffered() == 0 {
             self.chunk = data;
         } else {

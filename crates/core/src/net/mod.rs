@@ -34,7 +34,7 @@ pub mod frame;
 mod machine;
 mod stats;
 
-pub use stats::{MiddlewareStats, StatsHandle, SupervisionSummary};
+pub use stats::{MiddlewareStats, StatsHandle};
 
 use std::sync::Arc;
 
@@ -268,7 +268,7 @@ impl Io<Connection> for WorldIo<'_> {
 /// The network component. Create with [`create_network`].
 pub struct NetworkComponent {
     /// Kompics' network port.
-    pub port: ProvidedPort<NetworkPort>,
+    pub(crate) port: ProvidedPort<NetworkPort>,
     /// Transport callback events.
     pub events: SelfPort<NetEvent>,
     net: Network,
@@ -295,7 +295,7 @@ impl NetworkComponent {
     /// Builds the component state; prefer [`create_network`], which also
     /// binds the listeners.
     #[must_use]
-    pub fn new(net: Network, cfg: NetworkConfig) -> Self {
+    pub(crate) fn new(net: Network, cfg: NetworkConfig) -> Self {
         let jitter_rng = net
             .sim()
             .rng(&format!("net-supervisor-{}", cfg.addr.as_socket()));
@@ -318,12 +318,6 @@ impl NetworkComponent {
     #[must_use]
     pub fn stats(&self) -> StatsHandle {
         self.machine.stats.clone()
-    }
-
-    /// The listen address.
-    #[must_use]
-    pub fn address(&self) -> NetAddress {
-        self.cfg.addr
     }
 
     /// The machine, and the [`Io`] over the rest of the component.

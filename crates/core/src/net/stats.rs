@@ -14,7 +14,7 @@ pub struct MiddlewareStats {
     /// Messages sent per transport (indexed by `Transport::to_byte`).
     pub sent: [u64; 4],
     /// Messages received from the wire per transport.
-    pub received: [u64; 4],
+    pub(crate) received: [u64; 4],
     /// Messages delivered locally without serialisation (vnode reflection).
     pub local_reflections: u64,
     /// Multi-hop messages forwarded through this host.
@@ -30,7 +30,7 @@ pub struct MiddlewareStats {
     pub send_failures: u64,
     /// Failed sends broken out by [`SendError`] kind (indexed by
     /// [`SendError::index`]).
-    pub send_failures_by: [u64; SendError::COUNT],
+    pub(crate) send_failures_by: [u64; SendError::COUNT],
     /// Frames that failed to decode.
     pub decode_failures: u64,
     /// Messages that reached the network layer with an unresolved `DATA`
@@ -106,14 +106,6 @@ pub struct SupervisionSummary {
     pub channels_dropped: u64,
     /// `DATA` messages rerouted to the surviving transport.
     pub failovers: u64,
-}
-
-impl SupervisionSummary {
-    /// Supervision episodes that may each re-deliver in-flight frames.
-    #[must_use]
-    pub fn episodes(&self) -> u64 {
-        self.reconnects + self.channels_dropped + self.failovers
-    }
 }
 
 /// A cloneable handle to a component's live statistics.

@@ -47,7 +47,7 @@ impl Transport {
 
     /// Decodes [`Transport::to_byte`].
     #[must_use]
-    pub fn from_byte(b: u8) -> Option<Transport> {
+    pub(crate) fn from_byte(b: u8) -> Option<Transport> {
         match b {
             0 => Some(Transport::Udp),
             1 => Some(Transport::Tcp),

@@ -45,25 +45,3 @@ pub fn connect_vnode<P, C>(
         })),
     );
 }
-
-/// Connects `client` as the *default* receiver: it sees messages without a
-/// vnode id and unscoped notification responses.
-pub fn connect_default<P, C>(
-    system: &ComponentSystem,
-    provider: &ComponentRef<P>,
-    client: &ComponentRef<C>,
-) where
-    P: ComponentDefinition + ProvideRef<NetworkPort>,
-    C: ComponentDefinition + RequireRef<NetworkPort>,
-{
-    system.connect_filtered::<NetworkPort, _, _>(
-        provider,
-        client,
-        None,
-        Some(Arc::new(|ind: &NetIndication| match ind {
-            NetIndication::Msg(msg) => msg.header().destination().vnode().is_none(),
-            NetIndication::NotifyResp(token, _) => token.vnode.is_none(),
-            NetIndication::Status(_) => true,
-        })),
-    );
-}

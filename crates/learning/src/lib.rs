@@ -44,23 +44,21 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 pub mod policy;
 pub mod sarsa;
 pub mod space;
 pub mod value;
 
-pub use policy::{EpsilonGreedy, EpsilonGreedyConfig};
-pub use sarsa::{ControlAlgo, DecisionProbe, DecisionRecord, Sarsa, SarsaConfig, TraceKind};
-pub use space::{ActionIdx, RatioSpace, StateIdx};
-pub use value::{ActionValue, ApproxV, MatrixQ, ModelV};
+pub use policy::EpsilonGreedyConfig;
+pub use sarsa::{DecisionRecord, Sarsa, SarsaConfig};
+pub use space::RatioSpace;
+pub use value::ApproxV;
 
 /// Common imports for learner users.
 pub mod prelude {
-    pub use crate::policy::{EpsilonGreedy, EpsilonGreedyConfig};
-    pub use crate::sarsa::{
-        ControlAlgo, DecisionProbe, DecisionRecord, Sarsa, SarsaConfig, TraceKind,
-    };
-    pub use crate::space::{ActionIdx, RatioSpace, StateIdx};
+    pub use crate::sarsa::{ControlAlgo, DecisionRecord, Sarsa, SarsaConfig, TraceKind};
+    pub use crate::space::{RatioSpace, StateIdx};
     pub use crate::value::{ActionValue, ApproxV, MatrixQ, ModelV};
 }

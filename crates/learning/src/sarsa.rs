@@ -91,7 +91,7 @@ pub struct DecisionRecord {
 }
 
 /// Observer invoked once per [`Sarsa::step`] with the decision taken.
-pub type DecisionProbe = Box<dyn FnMut(DecisionRecord) + Send>;
+pub(crate) type DecisionProbe = Box<dyn FnMut(DecisionRecord) + Send>;
 
 /// The Sarsa(λ) learner over the paper's [`RatioSpace`], generic over the
 /// value-function backend.
@@ -266,7 +266,7 @@ impl<V: ActionValue, R: Rng> Sarsa<V, R> {
     /// The greedy action at `s` (ignoring exploration); `None` if every
     /// action value is uninitialised.
     #[must_use]
-    pub fn greedy_action(&self, s: StateIdx) -> Option<ActionIdx> {
+    pub(crate) fn greedy_action(&self, s: StateIdx) -> Option<ActionIdx> {
         self.q_row(s)
             .iter()
             .enumerate()

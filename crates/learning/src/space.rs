@@ -46,7 +46,7 @@ impl RatioSpace {
     ///
     /// Panics if `steps_per_side` is zero or `max_step` is zero.
     #[must_use]
-    pub fn new(steps_per_side: usize, max_step: usize) -> Self {
+    pub(crate) fn new(steps_per_side: usize, max_step: usize) -> Self {
         assert!(steps_per_side > 0, "steps_per_side must be positive");
         assert!(max_step > 0, "max_step must be positive");
         RatioSpace {
@@ -57,20 +57,14 @@ impl RatioSpace {
 
     /// Number of states (`2·steps_per_side + 1`).
     #[must_use]
-    pub fn num_states(&self) -> usize {
+    pub(crate) fn num_states(&self) -> usize {
         2 * self.steps_per_side + 1
     }
 
     /// Number of actions (`2·max_step + 1`).
     #[must_use]
-    pub fn num_actions(&self) -> usize {
+    pub(crate) fn num_actions(&self) -> usize {
         2 * self.max_step + 1
-    }
-
-    /// The discretisation step κ.
-    #[must_use]
-    pub fn kappa(&self) -> f64 {
-        1.0 / self.steps_per_side as f64
     }
 
     /// The ratio value in `[-1, 1]` of a state.
@@ -90,15 +84,9 @@ impl RatioSpace {
     ///
     /// Panics if the index is out of range.
     #[must_use]
-    pub fn action_steps(&self, a: ActionIdx) -> isize {
+    pub(crate) fn action_steps(&self, a: ActionIdx) -> isize {
         assert!(a.0 < self.num_actions(), "action index out of range");
         a.0 as isize - self.max_step as isize
-    }
-
-    /// The ratio delta of an action (e.g. -2/5..=2/5).
-    #[must_use]
-    pub fn action_value(&self, a: ActionIdx) -> f64 {
-        self.action_steps(a) as f64 / self.steps_per_side as f64
     }
 
     /// The state whose value is nearest to `ratio ∈ [-1, 1]`.
@@ -117,12 +105,6 @@ impl RatioSpace {
         StateIdx(next.clamp(0, self.num_states() as isize - 1) as usize)
     }
 
-    /// The index of the "do nothing" action.
-    #[must_use]
-    pub fn noop_action(&self) -> ActionIdx {
-        ActionIdx(self.max_step)
-    }
-
     /// Iterates over all states.
     pub fn states(&self) -> impl Iterator<Item = StateIdx> {
         (0..self.num_states()).map(StateIdx)
@@ -137,6 +119,26 @@ impl RatioSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RatioSpace {
+        /// The discretisation step κ.
+        #[must_use]
+        fn kappa(&self) -> f64 {
+            1.0 / self.steps_per_side as f64
+        }
+
+        /// The ratio delta of an action (e.g. -2/5..=2/5).
+        #[must_use]
+        fn action_value(&self, a: ActionIdx) -> f64 {
+            self.action_steps(a) as f64 / self.steps_per_side as f64
+        }
+
+        /// The index of the "do nothing" action.
+        #[must_use]
+        pub(crate) fn noop_action(&self) -> ActionIdx {
+            ActionIdx(self.max_step)
+        }
+    }
 
     #[test]
     fn paper_dimensions() {

@@ -63,12 +63,6 @@ impl MatrixQ {
     fn idx(&self, s: StateIdx, a: ActionIdx) -> usize {
         s.0 * self.space.num_actions() + a.0
     }
-
-    /// Number of initialised entries (diagnostics: exploration coverage).
-    #[must_use]
-    pub fn initialized_entries(&self) -> usize {
-        self.q.iter().filter(|v| v.is_some()).count()
-    }
 }
 
 impl ActionValue for MatrixQ {
@@ -107,7 +101,7 @@ impl ModelV {
 
     /// The learned `V(s)` entries (diagnostics).
     #[must_use]
-    pub fn values(&self) -> &[Option<f64>] {
+    pub(crate) fn values(&self) -> &[Option<f64>] {
         &self.v
     }
 }
@@ -150,7 +144,7 @@ impl ApproxV {
 
     /// The fitted value at ratio `x`, if enough observations exist.
     #[must_use]
-    pub fn fitted(&self, x: f64) -> Option<f64> {
+    pub(crate) fn fitted(&self, x: f64) -> Option<f64> {
         let pts: Vec<(f64, f64)> = self
             .inner
             .values()
@@ -202,7 +196,7 @@ impl ActionValue for ApproxV {
 /// (normal equations, Gaussian elimination). Returns `None` if the system
 /// is singular (e.g. all x identical).
 #[must_use]
-pub fn fit_quadratic(pts: &[(f64, f64)]) -> Option<(f64, f64, f64)> {
+pub(crate) fn fit_quadratic(pts: &[(f64, f64)]) -> Option<(f64, f64, f64)> {
     if pts.len() < 3 {
         return None;
     }
@@ -245,6 +239,14 @@ pub fn fit_quadratic(pts: &[(f64, f64)]) -> Option<(f64, f64, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MatrixQ {
+        /// Number of initialised entries (diagnostics: exploration coverage).
+        #[must_use]
+        pub(crate) fn initialized_entries(&self) -> usize {
+            self.q.iter().filter(|v| v.is_some()).count()
+        }
+    }
 
     fn space() -> RatioSpace {
         RatioSpace::default()

@@ -120,17 +120,17 @@ impl CcConfig {
 #[derive(Debug)]
 pub(crate) struct CcCtx<'a> {
     /// Congestion window, bytes (shared with the flow's send path).
-    pub cwnd: &'a mut f64,
+    pub(crate) cwnd: &'a mut f64,
     /// Slow-start threshold, bytes.
-    pub ssthresh: &'a mut f64,
+    pub(crate) ssthresh: &'a mut f64,
     /// Maximum segment size, bytes.
-    pub mss: f64,
+    pub(crate) mss: f64,
     /// Bytes currently in flight (`snd_nxt − snd_una`).
-    pub flight: f64,
+    pub(crate) flight: f64,
     /// Connection id for telemetry.
-    pub conn: u64,
+    pub(crate) conn: u64,
     /// The flight recorder.
-    pub rec: &'a Recorder,
+    pub(crate) rec: &'a Recorder,
 }
 
 /// One congestion-control algorithm instance (per flow).

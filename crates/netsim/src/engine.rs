@@ -289,7 +289,7 @@ impl Sim {
 
     /// The seed source for deriving named deterministic random streams.
     #[must_use]
-    pub fn seeds(&self) -> SeedSource {
+    pub(crate) fn seeds(&self) -> SeedSource {
         self.0.seeds
     }
 

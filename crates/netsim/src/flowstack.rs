@@ -993,12 +993,6 @@ impl<P: Protocol> Conn<P> {
         self.id
     }
 
-    /// Local endpoint.
-    #[must_use]
-    pub fn local(&self) -> Endpoint {
-        self.local
-    }
-
     /// Remote endpoint.
     #[must_use]
     pub fn peer(&self) -> Endpoint {
@@ -1049,7 +1043,7 @@ impl<P: Protocol> Conn<P> {
 
     /// Free space in the send buffer.
     #[must_use]
-    pub fn free_send_buffer(&self) -> usize {
+    pub(crate) fn free_send_buffer(&self) -> usize {
         self.peek(|f, cfg| {
             let (stream, _, send_buf) = P::stream(f, cfg);
             stream.free(send_buf)
@@ -1131,12 +1125,6 @@ impl<P: Protocol> Listener<P> {
             protocol: PhantomData,
         })
     }
-
-    /// The listening endpoint.
-    #[must_use]
-    pub fn local(&self) -> Endpoint {
-        self.local
-    }
 }
 
 /// One body per behaviour of the core, instantiated for every protocol at
@@ -1154,6 +1142,22 @@ mod tests {
         pattern_bytes, CollectingTracer, PatternSender, PropRunner, Recorder, SinkEvents,
     };
     use crate::trace::PacketEvent;
+
+    impl<P: Protocol> Conn<P> {
+        /// Local endpoint.
+        #[must_use]
+        pub(crate) fn local(&self) -> Endpoint {
+            self.local
+        }
+    }
+
+    impl<P: Protocol> Listener<P> {
+        /// The listening endpoint.
+        #[must_use]
+        fn local(&self) -> Endpoint {
+            self.local
+        }
+    }
 
     /// Port the world's listener is bound to on `b`.
     const LISTEN: u16 = 80;
@@ -2144,10 +2148,10 @@ mod tests {
         rtt: crate::udt::Flow::rtt,
         stale: crate::udt::STALE_TIMER,
         stray: crate::udt::UdtPacket::FinAck,
-        forged_ack: crate::udt::UdtPacket::Ack { ack_seq: 1 << 40, rcv_rate_pps: 0.0, capacity_pps: 0.0 },
+        forged_ack: crate::udt::UdtPacket::Ack { ack_seq: 1 << 40, capacity_pps: 0.0 },
         // UDT's handshake carries no acknowledgement number; a `Connecting`
         // flow takes no `Ack` at all.
-        forged_open_answer: crate::udt::UdtPacket::Ack { ack_seq: 1_000, rcv_rate_pps: 0.0, capacity_pps: 0.0 },
+        forged_open_answer: crate::udt::UdtPacket::Ack { ack_seq: 1_000, capacity_pps: 0.0 },
         cases: Cases {
             seed: 21,
             short_delay: Duration::from_millis(5),

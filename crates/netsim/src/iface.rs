@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use kmsg_telemetry::bytes::Bytes;
 
-use crate::packet::{Endpoint, WireProtocol};
+use crate::packet::Endpoint;
 
 /// Identifier of a simulated connection, unique within one [`Sim`]'s world.
 ///
@@ -35,7 +35,7 @@ impl ConnectionId {
 
     /// Raw numeric value (diagnostics only).
     #[must_use]
-    pub const fn raw(self) -> u64 {
+    pub(crate) const fn raw(self) -> u64 {
         self.0
     }
 }
@@ -116,21 +116,6 @@ impl Connection {
         on_handle!(self, c => c.id())
     }
 
-    /// The wire protocol of this connection.
-    #[must_use]
-    pub fn protocol(&self) -> WireProtocol {
-        match self {
-            Connection::Tcp(_) => WireProtocol::Tcp,
-            Connection::Udt(_) => WireProtocol::Udt,
-        }
-    }
-
-    /// The local endpoint.
-    #[must_use]
-    pub fn local(&self) -> Endpoint {
-        on_handle!(self, c => c.local())
-    }
-
     /// The remote endpoint.
     #[must_use]
     pub fn peer(&self) -> Endpoint {
@@ -149,13 +134,6 @@ impl Connection {
     #[must_use]
     pub fn free_send_buffer(&self) -> usize {
         on_handle!(self, c => c.free_send_buffer())
-    }
-
-    /// Bytes accepted into the send buffer but not yet acknowledged by the
-    /// peer (buffered + in flight).
-    #[must_use]
-    pub fn unacked_bytes(&self) -> usize {
-        on_handle!(self, c => c.unacked_bytes())
     }
 
     /// Cumulative payload bytes acknowledged by the peer.

@@ -34,11 +34,12 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 pub mod cc;
 pub mod engine;
 pub mod faults;
-pub(crate) mod flowstack;
+mod flowstack;
 pub mod iface;
 pub mod link;
 pub mod memscope;
@@ -55,18 +56,17 @@ pub mod udp;
 pub mod udt;
 pub mod wheel;
 
-pub use cc::{CcAlgorithm, CcConfig};
 pub use engine::{EventTarget, Sim};
 pub use faults::{FaultController, FaultPlan};
-pub use iface::{CloseReason, Connection, ConnectionId, StreamAccept, StreamEvents};
-pub use link::{DropReason, GeConfig, LinkConfig, LinkId, PolicerConfig};
-pub use network::{BindError, Network, PacketSink};
-pub use packet::{Endpoint, NodeId, WireProtocol};
-pub use pool::{PacketHandle, PacketPool};
-pub use slab::FxHashMap;
+/// The stream connection and listener TCP and UDT share: `TcpConn`,
+/// `UdtConn`, `TcpListener` and `UdtListener` are aliases of these two, so
+/// the methods they have in common are documented here.
+pub use flowstack::{Conn, Listener};
+pub use iface::{Connection, StreamAccept, StreamEvents};
+pub use packet::NodeId;
 pub use time::SimTime;
-pub use trace::{PacketEvent, PacketRecord, PacketTracer, RecorderTracer};
+pub use trace::RecorderTracer;
 
 // Telemetry is part of the simulator's public surface: `Sim::recorder()`
 // returns a handle and instrumented code records `EventKind` values.
-pub use kmsg_telemetry::{Event, EventKind, Recorder};
+pub use kmsg_telemetry::Recorder;

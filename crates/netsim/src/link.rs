@@ -96,18 +96,18 @@ pub struct LinkConfig {
     /// One-way propagation delay.
     pub delay: Duration,
     /// Drop-tail queue capacity in bytes.
-    pub queue_capacity: usize,
+    pub(crate) queue_capacity: usize,
     /// Independent per-packet random loss probability in `[0, 1)`.
     pub random_loss: f64,
     /// Uniform random extra propagation delay in `[0, jitter]` per packet.
     /// Non-zero jitter lets packets overtake each other (reordering), which
     /// UDP exposes to the application while TCP/UDT repair it.
-    pub jitter: Duration,
+    pub(crate) jitter: Duration,
     /// Optional policer applied to UDP-family packets only.
     pub udp_policer: Option<PolicerConfig>,
     /// Optional Gilbert–Elliott burst-loss model, applied in addition to
     /// (and independently of) `random_loss`.
-    pub burst_loss: Option<GeConfig>,
+    pub(crate) burst_loss: Option<GeConfig>,
 }
 
 impl LinkConfig {
@@ -170,11 +170,11 @@ pub struct LinkId(pub(crate) u32);
 impl LinkId {
     /// The raw index of this link — stable for telemetry labelling.
     #[must_use]
-    pub const fn index(self) -> u32 {
+    pub(crate) const fn index(self) -> u32 {
         self.0
     }
 
-    /// Reconstructs a `LinkId` from [`LinkId::index`] — for scripting fault
+    /// Reconstructs a `LinkId` from `LinkId::index` — for scripting fault
     /// plans against a known topology. The caller is responsible for the
     /// index referring to a link that exists in the target
     /// [`Network`].
@@ -205,7 +205,7 @@ pub enum DropReason {
 impl DropReason {
     /// Stable snake_case label for telemetry output.
     #[must_use]
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             DropReason::QueueOverflow => "queue_overflow",
             DropReason::RandomLoss => "random_loss",
@@ -215,21 +215,11 @@ impl DropReason {
             DropReason::BurstLoss => "burst_loss",
         }
     }
-
-    /// All reasons, in a stable order — used to export per-reason counters.
-    pub const ALL: [DropReason; 6] = [
-        DropReason::QueueOverflow,
-        DropReason::RandomLoss,
-        DropReason::Policed,
-        DropReason::LinkDown,
-        DropReason::Severed,
-        DropReason::BurstLoss,
-    ];
 }
 
 /// Outcome of offering a packet to a link.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Verdict {
+pub(crate) enum Verdict {
     /// The packet will arrive at the far end at this instant.
     DeliverAt(SimTime),
     /// The packet was dropped.
@@ -474,19 +464,6 @@ impl Link {
         self.with(|l| l.stats)
     }
 
-    /// The link's configuration.
-    #[must_use]
-    pub fn config(&self) -> LinkConfig {
-        self.with(|l| l.cfg.clone())
-    }
-
-    /// The configured queue capacity in bytes, without cloning the whole
-    /// [`LinkConfig`].
-    #[must_use]
-    pub fn queue_capacity(&self) -> usize {
-        self.with(|l| l.queue_capacity())
-    }
-
     /// Injects or clears an outage: while down, every offered packet is
     /// dropped. Packets already serialized onto the wire still arrive
     /// (the failure is at the link entry, like an unplugged uplink).
@@ -511,12 +488,6 @@ impl Link {
         self.with(LinkState::sever);
     }
 
-    /// The current sever epoch (see [`Link::sever`]).
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.with(|l| l.epoch())
-    }
-
     /// Installs or clears a transient extra propagation delay (latency
     /// spike). Applies to packets transmitted from now on.
     pub(crate) fn set_extra_delay(&self, extra: Duration) {
@@ -535,18 +506,20 @@ impl Link {
         }
         self.with(|l| l.set_burst_loss(cfg));
     }
-
-    /// Current queue backlog in bytes (bytes not yet serialized).
-    #[must_use]
-    pub fn backlog_bytes(&self, now: SimTime) -> f64 {
-        self.with(|l| l.backlog_bytes(now))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::SeedSource;
+
+    impl Link {
+        /// The current sever epoch (see [`Link::sever`]).
+        #[must_use]
+        pub(crate) fn epoch(&self) -> u64 {
+            self.with(|l| l.epoch())
+        }
+    }
 
     /// Where every test starts its clock.
     const T0: SimTime = SimTime::ZERO;

@@ -260,9 +260,9 @@ impl fmt::Debug for Network {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BindError {
     /// The conflicting binding.
-    pub endpoint: Endpoint,
+    pub(crate) endpoint: Endpoint,
     /// The protocol of the attempted binding.
-    pub protocol: WireProtocol,
+    pub(crate) protocol: WireProtocol,
 }
 
 impl fmt::Display for BindError {

@@ -85,7 +85,7 @@ impl PacketPool {
 
     /// Mutable variant of [`PacketPool::get`].
     #[must_use]
-    pub fn get_mut(&mut self, h: PacketHandle) -> Option<&mut Packet> {
+    pub(crate) fn get_mut(&mut self, h: PacketHandle) -> Option<&mut Packet> {
         self.slab.get_mut(h)
     }
 

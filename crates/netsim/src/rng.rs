@@ -48,7 +48,7 @@ impl SeedSource {
 
     /// The root seed this source was created with.
     #[must_use]
-    pub const fn root(&self) -> u64 {
+    pub(crate) const fn root(&self) -> u64 {
         self.root
     }
 

@@ -39,14 +39,8 @@ pub struct Handle<T> {
 impl<T> Handle<T> {
     /// The raw slot index (for dense side tables indexed the same way).
     #[must_use]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.idx as usize
-    }
-
-    /// The slot generation this handle was issued for.
-    #[must_use]
-    pub fn generation(self) -> u32 {
-        self.gen
     }
 
     /// Packs the handle into a `u64` (`index << 32 | generation`) so it can
@@ -315,6 +309,14 @@ pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T> Handle<T> {
+        /// The slot generation this handle was issued for.
+        #[must_use]
+        fn generation(self) -> u32 {
+            self.gen
+        }
+    }
 
     impl<T> Slab<T> {
         /// Retained capacity in bytes: slot storage plus generation table.

@@ -97,11 +97,11 @@ impl Default for TcpConfig {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct SegFlags {
     /// Synchronize: part of the connection handshake.
-    pub syn: bool,
+    pub(crate) syn: bool,
     /// The `ack` field is valid.
-    pub ack: bool,
+    pub(crate) ack: bool,
     /// Sender has no more data.
-    pub fin: bool,
+    pub(crate) fin: bool,
 }
 
 /// A TCP segment on the wire.
@@ -130,9 +130,9 @@ pub struct TcpSegment {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TcpConnStats {
     /// Payload bytes accepted from the application.
-    pub bytes_sent: u64,
+    pub(crate) bytes_sent: u64,
     /// Payload bytes acknowledged by the peer.
-    pub bytes_acked: u64,
+    pub(crate) bytes_acked: u64,
     /// Payload bytes delivered to the application.
     pub bytes_delivered: u64,
     /// Segments retransmitted (fast retransmit or timeout).
@@ -1099,12 +1099,6 @@ impl TcpConn {
             fast_recoveries: f.fast_recoveries,
         })
         .unwrap_or_default()
-    }
-
-    /// Current congestion window in bytes (diagnostics).
-    #[must_use]
-    pub fn cwnd(&self) -> f64 {
-        self.peek(|f, _| f.cwnd).unwrap_or(0.0)
     }
 }
 

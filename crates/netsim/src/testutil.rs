@@ -101,12 +101,6 @@ impl Recorder {
         self.inner.lock().connected
     }
 
-    /// How many times `on_writable` fired.
-    #[must_use]
-    pub fn writable(&self) -> usize {
-        self.inner.lock().writable
-    }
-
     /// How many times `on_closed` fired.
     #[must_use]
     pub fn closed(&self) -> usize {
@@ -123,18 +117,6 @@ impl Recorder {
             .iter()
             .enumerate()
             .all(|(i, &b)| b == pattern_byte(i))
-    }
-
-    /// Average goodput from simulation start to the last delivery, B/s.
-    ///
-    /// # Panics
-    ///
-    /// Panics if nothing was delivered or the recorder has no clock.
-    #[must_use]
-    pub fn goodput(&self) -> f64 {
-        let inner = self.inner.lock();
-        let last = inner.last_data_at.expect("no data recorded");
-        inner.data.len() as f64 / last.as_secs_f64()
     }
 }
 
@@ -221,18 +203,6 @@ impl PatternSender {
             close_when_done: true,
             inner: Mutex::new(PatternSenderInner { sent: 0, total }),
         })
-    }
-
-    /// Starts pumping into an already-created connection (useful when the
-    /// connection was opened before the sender existed).
-    pub fn start(&self, conn: &Connection) {
-        self.pump(conn);
-    }
-
-    /// Bytes accepted by the connection so far.
-    #[must_use]
-    pub fn sent(&self) -> usize {
-        self.inner.lock().sent
     }
 
     fn pump(&self, conn: &Connection) {
@@ -446,6 +416,24 @@ impl Recorder {
     /// Close reasons observed, in order.
     pub(crate) fn close_reasons(&self) -> Vec<CloseReason> {
         self.inner.lock().close_reasons.clone()
+    }
+
+    /// How many times `on_writable` fired.
+    #[must_use]
+    pub(crate) fn writable(&self) -> usize {
+        self.inner.lock().writable
+    }
+
+    /// Average goodput from simulation start to the last delivery, B/s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if nothing was delivered or the recorder has no clock.
+    #[must_use]
+    pub(crate) fn goodput(&self) -> f64 {
+        let inner = self.inner.lock();
+        let last = inner.last_data_at.expect("no data recorded");
+        inner.data.len() as f64 / last.as_secs_f64()
     }
 }
 

@@ -54,12 +54,6 @@ impl SimTime {
         SimTime(millis * 1_000_000)
     }
 
-    /// Creates a `SimTime` from whole microseconds since simulation start.
-    #[must_use]
-    pub const fn from_micros(micros: u64) -> Self {
-        SimTime(micros * 1_000)
-    }
-
     /// Creates a `SimTime` from fractional seconds since simulation start.
     ///
     /// # Panics
@@ -91,15 +85,9 @@ impl SimTime {
         Duration::from_nanos(self.0.saturating_sub(earlier.0))
     }
 
-    /// Saturating addition of a duration.
-    #[must_use]
-    pub fn saturating_add(self, d: Duration) -> SimTime {
-        SimTime(self.0.saturating_add(duration_to_nanos(d)))
-    }
-
     /// The later of two instants.
     #[must_use]
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         if self >= other {
             self
         } else {
@@ -109,7 +97,7 @@ impl SimTime {
 
     /// The earlier of two instants.
     #[must_use]
-    pub fn min(self, other: SimTime) -> SimTime {
+    pub(crate) fn min(self, other: SimTime) -> SimTime {
         if self <= other {
             self
         } else {
@@ -157,6 +145,20 @@ impl fmt::Display for SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SimTime {
+        /// Creates a `SimTime` from whole microseconds since simulation start.
+        #[must_use]
+        pub(crate) const fn from_micros(micros: u64) -> Self {
+            SimTime(micros * 1_000)
+        }
+
+        /// Saturating addition of a duration.
+        #[must_use]
+        fn saturating_add(self, d: Duration) -> SimTime {
+            SimTime(self.0.saturating_add(duration_to_nanos(d)))
+        }
+    }
 
     #[test]
     fn zero_is_default() {

@@ -36,7 +36,7 @@ impl PacketEvent {
     /// Stable snake_case outcome label for telemetry output
     /// (`"dropped:<reason>"` for drops).
     #[must_use]
-    pub fn label(self) -> String {
+    pub(crate) fn label(self) -> String {
         match self {
             PacketEvent::Sent => "sent".to_string(),
             PacketEvent::Dropped(reason) => format!("dropped:{}", reason.label()),
@@ -51,11 +51,11 @@ impl PacketEvent {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketRecord {
     /// When the event happened.
-    pub time: SimTime,
+    pub(crate) time: SimTime,
     /// Source endpoint.
-    pub src: Endpoint,
+    pub(crate) src: Endpoint,
     /// Destination endpoint.
-    pub dst: Endpoint,
+    pub(crate) dst: Endpoint,
     /// Wire protocol family.
     pub protocol: WireProtocol,
     /// Size on the wire.

@@ -108,12 +108,6 @@ impl UdpSocket {
         Ok(UdpSocket { shared })
     }
 
-    /// The local endpoint.
-    #[must_use]
-    pub fn local(&self) -> Endpoint {
-        self.shared.local
-    }
-
     /// Sends a datagram to `dst`. Fire and forget: delivery is not
     /// guaranteed and datagrams may be reordered across routes.
     ///

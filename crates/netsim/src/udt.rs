@@ -109,8 +109,6 @@ pub enum UdtPacket {
     Ack {
         /// Next expected in-order packet sequence.
         ack_seq: u64,
-        /// Receiver's observed arrival rate, packets/s.
-        rcv_rate_pps: f64,
         /// Receiver's packet-pair link capacity estimate, packets/s.
         capacity_pps: f64,
     },
@@ -142,25 +140,25 @@ impl UdtPacket {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UdtConnStats {
     /// Payload bytes accepted from the application.
-    pub bytes_sent: u64,
+    pub(crate) bytes_sent: u64,
     /// Payload bytes acknowledged by the receiver.
-    pub bytes_acked: u64,
+    pub(crate) bytes_acked: u64,
     /// Payload bytes delivered to the application.
     pub bytes_delivered: u64,
     /// Data packets transmitted (including retransmissions).
-    pub packets_sent: u64,
+    pub(crate) packets_sent: u64,
     /// Data packets retransmitted.
-    pub retransmits: u64,
+    pub(crate) retransmits: u64,
     /// NAKs received (sender side).
-    pub naks_received: u64,
+    pub(crate) naks_received: u64,
     /// Multiplicative rate decreases performed.
-    pub rate_decreases: u64,
+    pub(crate) rate_decreases: u64,
     /// Packets dropped by the receive-processing queue.
-    pub rx_proc_drops: u64,
+    pub(crate) rx_proc_drops: u64,
     /// Packets dropped because the receive buffer (`rcv_buf`) was full.
-    pub rcv_buf_drops: u64,
+    pub(crate) rcv_buf_drops: u64,
     /// Expiration events (no feedback while data in flight).
-    pub expirations: u64,
+    pub(crate) expirations: u64,
 }
 
 /// Per-flow timer kinds (see the token layout in [`crate::flowstack`]).
@@ -240,8 +238,6 @@ pub(crate) struct Flow {
     /// The periodic NAK last built from `missing`, which an unchanged one
     /// shares.
     last_nak: SeqRanges,
-    pkts_since_ack: u64,
-    rate_ewma_pps: f64,
     prev_arrival: Option<(u64, SimTime)>,
     pair_samples: VecDeque<f64>,
     proc_busy_until: SimTime,
@@ -298,8 +294,6 @@ impl Flow {
             expected_max: 0,
             missing: BTreeSet::new(),
             last_nak: SeqRanges::default(),
-            pkts_since_ack: 0,
-            rate_ewma_pps: 0.0,
             prev_arrival: None,
             pair_samples: VecDeque::with_capacity(PAIR_SAMPLES),
             proc_busy_until: now,
@@ -362,18 +356,9 @@ fn on_syn_tick(
         out.push(arm(KIND_SYN_TICK, cfg.syn, 0));
         return;
     }
-    // --- receiver duties: emit cumulative ACK with rate estimates.
-    let interval = cfg.syn.as_secs_f64();
-    let cur_rate = flow.pkts_since_ack as f64 / interval;
-    flow.rate_ewma_pps = if flow.rate_ewma_pps == 0.0 {
-        cur_rate
-    } else {
-        0.875 * flow.rate_ewma_pps + 0.125 * cur_rate
-    };
-    flow.pkts_since_ack = 0;
+    // --- receiver duties: emit cumulative ACK with the capacity estimate.
     out.push(Action::Send(UdtPacket::Ack {
         ack_seq: flow.rcv_nxt,
-        rcv_rate_pps: flow.rate_ewma_pps,
         capacity_pps: flow.capacity_median_pps(),
     }));
     // Re-request persistently missing packets.
@@ -661,7 +646,6 @@ impl Protocol for UdtConfig {
                 if flow.state != Phase::Established {
                     return;
                 }
-                flow.pkts_since_ack += 1;
                 let backlog = flow.proc_busy_until.duration_since(now).as_secs_f64()
                     / RX_PROC_DELAY.as_secs_f64();
                 if backlog as usize >= RX_PROC_BACKLOG {
@@ -680,7 +664,6 @@ impl Protocol for UdtConfig {
             }
             UdtPacket::Ack {
                 ack_seq,
-                rcv_rate_pps: _,
                 capacity_pps,
             } => {
                 // Nor does an acknowledgement of what was never sent count.
@@ -1022,12 +1005,6 @@ impl UdtConn {
         })
         .unwrap_or_default()
     }
-
-    /// Current pacing rate in packets per second (diagnostics).
-    #[must_use]
-    pub fn rate_pps(&self) -> f64 {
-        self.peek(|f, _| f.current_rate_pps()).unwrap_or(0.0)
-    }
 }
 
 /// A UDT listening socket that accepts incoming connections.
@@ -1292,7 +1269,6 @@ mod tests {
         assert_eq!(lost(), [una + 1, una + 2, una + 3, una + 7, una + 8]);
         arrive(UdtPacket::Ack {
             ack_seq: una + 2,
-            rcv_rate_pps: 0.0,
             capacity_pps: 0.0,
         });
         assert_eq!(lost(), [una + 2, una + 3, una + 7, una + 8]);

@@ -74,9 +74,9 @@ const WHEEL_BITS: u32 = SLOT_BITS * LEVELS as u32;
 #[derive(Debug, Clone)]
 pub struct WheelEntry<T> {
     /// Absolute due time.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// Insertion sequence number; ties on `at` resolve in `seq` order.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// The caller's payload.
     pub value: T,
 }
@@ -189,14 +189,8 @@ impl<T> TimingWheel<T> {
 
     /// Number of pending entries.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Whether the wheel holds no pending entries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Inserts an entry due at `at`.
@@ -408,6 +402,14 @@ impl<T> TimingWheel<T> {
 mod tests {
     use super::*;
     use rand::Rng;
+
+    impl<T> TimingWheel<T> {
+        /// Whether the wheel holds no pending entries.
+        #[must_use]
+        fn is_empty(&self) -> bool {
+            self.len == 0
+        }
+    }
 
     /// Drains the wheel completely, returning `(at, seq)` pairs in pop order.
     fn drain<T>(wheel: &mut TimingWheel<T>) -> Vec<(u64, u64)> {

@@ -34,7 +34,7 @@ const BBR_CWND_GAIN: f64 = 2.0;
 
 /// See the [module docs](self).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct BbrOracle;
+pub(crate) struct BbrOracle;
 
 /// The highest pacing gain BBR's probe-bandwidth cycle uses.
 const PROBE_BW_MAX_GAIN: f64 = 1.25;
@@ -51,10 +51,6 @@ fn phase_rank(phase: &str) -> Option<u8> {
 }
 
 impl Oracle for BbrOracle {
-    fn name(&self) -> &'static str {
-        "bbr"
-    }
-
     fn check(&self, events: &[Event], facts: &RunFacts, cfg: &OracleConfig) -> Vec<Violation> {
         let mut out = Vec::new();
         if trace_truncated(events, facts) {

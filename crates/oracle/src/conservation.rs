@@ -27,7 +27,7 @@ use crate::{trace_truncated, Oracle, OracleConfig, RunFacts, Violation};
 
 /// See the [module docs](self).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ConservationOracle;
+pub(crate) struct ConservationOracle;
 
 #[derive(Default)]
 struct FlowLedger {
@@ -37,10 +37,6 @@ struct FlowLedger {
 }
 
 impl Oracle for ConservationOracle {
-    fn name(&self) -> &'static str {
-        "conservation"
-    }
-
     fn check(&self, events: &[Event], facts: &RunFacts, cfg: &OracleConfig) -> Vec<Violation> {
         let mut out = Vec::new();
         if trace_truncated(events, facts) {

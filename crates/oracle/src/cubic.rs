@@ -33,7 +33,7 @@ const CUBIC_BETA: f64 = 0.7;
 
 /// See the [module docs](self).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct CubicOracle;
+pub(crate) struct CubicOracle;
 
 #[derive(Default)]
 struct ConnState {
@@ -46,10 +46,6 @@ struct ConnState {
 }
 
 impl Oracle for CubicOracle {
-    fn name(&self) -> &'static str {
-        "cubic"
-    }
-
     fn check(&self, events: &[Event], facts: &RunFacts, cfg: &OracleConfig) -> Vec<Violation> {
         let mut out = Vec::new();
         if trace_truncated(events, facts) {

@@ -29,13 +29,9 @@ use crate::{trace_truncated, Oracle, OracleConfig, RunFacts, Violation};
 
 /// See the [module docs](self).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct DeliveryOracle;
+pub(crate) struct DeliveryOracle;
 
 impl Oracle for DeliveryOracle {
-    fn name(&self) -> &'static str {
-        "delivery"
-    }
-
     fn check(&self, events: &[Event], facts: &RunFacts, cfg: &OracleConfig) -> Vec<Violation> {
         let mut out = Vec::new();
 

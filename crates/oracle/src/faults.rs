@@ -17,7 +17,7 @@ use crate::{trace_truncated, Oracle, OracleConfig, RunFacts, Violation};
 
 /// See the [module docs](self).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FaultOracle;
+pub(crate) struct FaultOracle;
 
 #[derive(Default)]
 struct LinkFaults {
@@ -28,10 +28,6 @@ struct LinkFaults {
 }
 
 impl Oracle for FaultOracle {
-    fn name(&self) -> &'static str {
-        "faults"
-    }
-
     fn check(&self, events: &[Event], facts: &RunFacts, cfg: &OracleConfig) -> Vec<Violation> {
         let mut out = Vec::new();
         if !cfg.faults_must_heal || trace_truncated(events, facts) {

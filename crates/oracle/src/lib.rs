@@ -11,38 +11,37 @@
 //!
 //! The oracles:
 //!
-//! * [`TcpOracle`] — Reno state-machine legality: cwnd/ssthresh
+//! * `TcpOracle` — Reno state-machine legality: cwnd/ssthresh
 //!   transitions, no retransmit without a recorded timeout or dup-ACK
 //!   cause, RTO backoff doubles monotonically up to the cap.
-//! * [`UdtOracle`] — DAIMD rate bounds: the sending period never drops
+//! * `UdtOracle` — DAIMD rate bounds: the sending period never drops
 //!   below the 1 µs floor, increases only shrink it, each NAK-driven
 //!   decrease multiplies it by exactly 1.125.
-//! * [`ConservationOracle`] — link conservation: every packet the tracer
+//! * `ConservationOracle` — link conservation: every packet the tracer
 //!   saw sent is eventually delivered, dropped with a reason, or still
 //!   plausibly in flight at the end of the trace — none vanish.
-//! * [`DeliveryOracle`] — channel supervision: completed transfers verify,
+//! * `DeliveryOracle` — channel supervision: completed transfers verify,
 //!   duplicates stay bounded by the at-least-once redelivery budget, FIFO
 //!   order holds per channel, and `ConnStatus` transitions are legal.
-//! * [`FaultOracle`] — scripted fault plans that promise to heal actually
+//! * `FaultOracle` — scripted fault plans that promise to heal actually
 //!   do: every `sever`/`burst_on`/`latency_spike` is paired
 //!   with its heal on the same link (opt-in via
 //!   [`OracleConfig::faults_must_heal`]).
-//! * [`SpanOracle`] — causal-span lifecycle legality: opens and closes
+//! * `SpanOracle` — causal-span lifecycle legality: opens and closes
 //!   balance, children nest inside their parents on the same trace,
 //!   instants close at their open time, and TCP retransmits join back to
 //!   the `seg` span of the segment's first transmission.
-//! * [`CubicOracle`] — CUBIC controller legality over `CcWindow` events:
+//! * `CubicOracle` — CUBIC controller legality over `CcWindow` events:
 //!   β-bounded multiplicative decrease, fast-convergence `W_max`
 //!   accounting, and epoch growth that stays monotone on or under the
 //!   cubic curve `C·(t−K)³ + W_max`.
-//! * [`BbrOracle`] — BBR controller legality over `BbrState`/`CcWindow`
+//! * `BbrOracle` — BBR controller legality over `BbrState`/`CcWindow`
 //!   events: the startup → drain → probe-bandwidth phase machine never
 //!   skips drain, pacing rate stays within the phase gain × estimated
 //!   bottleneck bandwidth, and cwnd within the inflight-cap gain × BDP.
 //!
 //! Oracles consume the **typed** event stream
-//! ([`kmsg_telemetry::Recorder::events`] /
-//! [`kmsg_telemetry::Recorder::for_each_event`]) plus a small set of
+//! ([`kmsg_telemetry::Recorder::events`]) plus a small set of
 //! end-of-run [`RunFacts`] that the trace alone cannot show (delivery
 //! verification, dedup counters). Traces truncated by ring eviction carry
 //! an [`EventKind::Overflow`] marker; stream-shape oracles skip those
@@ -50,26 +49,27 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
-pub mod bbr;
-pub mod conservation;
-pub mod cubic;
-pub mod delivery;
-pub mod faults;
-pub mod shrink;
-pub mod spans;
-pub mod tcp;
-pub mod udt;
+mod bbr;
+mod conservation;
+mod cubic;
+mod delivery;
+mod faults;
+mod shrink;
+mod spans;
+mod tcp;
+mod udt;
 
-pub use bbr::BbrOracle;
-pub use conservation::ConservationOracle;
-pub use cubic::CubicOracle;
-pub use delivery::DeliveryOracle;
-pub use faults::FaultOracle;
+use bbr::BbrOracle;
+use conservation::ConservationOracle;
+use cubic::CubicOracle;
+use delivery::DeliveryOracle;
+use faults::FaultOracle;
 pub use shrink::{minimize, Shrinkable};
-pub use spans::SpanOracle;
-pub use tcp::TcpOracle;
-pub use udt::UdtOracle;
+use spans::SpanOracle;
+use tcp::TcpOracle;
+use udt::UdtOracle;
 
 use kmsg_telemetry::{Event, EventKind};
 
@@ -81,9 +81,9 @@ pub struct Violation {
     /// Stable rule identifier within the oracle.
     pub rule: &'static str,
     /// Virtual time of the offending event (ns), 0 for end-of-run facts.
-    pub time_ns: u64,
+    pub(crate) time_ns: u64,
     /// Human-readable description with the offending values.
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 impl std::fmt::Display for Violation {
@@ -185,7 +185,7 @@ pub struct RunFacts {
 /// Whether the event stream is incomplete (ring evicted events mid-run or
 /// a shrink left an [`EventKind::Overflow`] marker).
 #[must_use]
-pub fn trace_truncated(events: &[Event], facts: &RunFacts) -> bool {
+fn trace_truncated(events: &[Event], facts: &RunFacts) -> bool {
     facts.evicted_events > 0
         || events
             .iter()
@@ -193,16 +193,14 @@ pub fn trace_truncated(events: &[Event], facts: &RunFacts) -> bool {
 }
 
 /// An invariant checker over a recorded run.
-pub trait Oracle {
-    /// Stable oracle name (used in verdicts and artifacts).
-    fn name(&self) -> &'static str;
+trait Oracle {
     /// Returns every violation found; empty means the trace is clean.
     fn check(&self, events: &[Event], facts: &RunFacts, cfg: &OracleConfig) -> Vec<Violation>;
 }
 
 /// The full oracle suite in a fixed, deterministic order.
 #[must_use]
-pub fn suite() -> Vec<Box<dyn Oracle>> {
+fn suite() -> Vec<Box<dyn Oracle>> {
     vec![
         Box::new(TcpOracle),
         Box::new(UdtOracle),
@@ -215,7 +213,7 @@ pub fn suite() -> Vec<Box<dyn Oracle>> {
     ]
 }
 
-/// Runs every oracle in [`suite`] over the trace and returns all
+/// Runs every oracle in `suite` over the trace and returns all
 /// violations, in suite order then trace order.
 #[must_use]
 pub fn check_all(events: &[Event], facts: &RunFacts, cfg: &OracleConfig) -> Vec<Violation> {

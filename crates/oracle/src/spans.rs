@@ -50,7 +50,7 @@ const INSTANT_KINDS: [&str; 6] = [
 
 /// See the [module docs](self).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SpanOracle;
+pub(crate) struct SpanOracle;
 
 struct SpanInfo {
     open_ns: u64,
@@ -63,10 +63,6 @@ struct SpanInfo {
 }
 
 impl Oracle for SpanOracle {
-    fn name(&self) -> &'static str {
-        "spans"
-    }
-
     fn check(&self, events: &[Event], facts: &RunFacts, _cfg: &OracleConfig) -> Vec<Violation> {
         let mut out = Vec::new();
         let truncated = trace_truncated(events, facts);

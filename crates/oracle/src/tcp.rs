@@ -25,7 +25,7 @@ use crate::{
 
 /// See the [module docs](self).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct TcpOracle;
+pub(crate) struct TcpOracle;
 
 #[derive(Default)]
 struct ConnState {
@@ -37,10 +37,6 @@ struct ConnState {
 }
 
 impl Oracle for TcpOracle {
-    fn name(&self) -> &'static str {
-        "tcp"
-    }
-
     fn check(&self, events: &[Event], facts: &RunFacts, cfg: &OracleConfig) -> Vec<Violation> {
         let mut out = Vec::new();
         if trace_truncated(events, facts) {

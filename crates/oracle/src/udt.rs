@@ -23,19 +23,15 @@ use crate::{trace_truncated, Oracle, OracleConfig, RunFacts, Violation, REL_TOL}
 
 /// See the [module docs](self).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct UdtOracle;
+pub(crate) struct UdtOracle;
 
 /// NAK-driven multiplicative decrease factor (UDT's 1/0.8888... ≈ 1.125).
-pub const NAK_DECREASE_FACTOR: f64 = 1.125;
+pub(crate) const NAK_DECREASE_FACTOR: f64 = 1.125;
 
 /// Lower bound on the inter-packet sending period, microseconds.
-pub const PERIOD_FLOOR_US: f64 = 1.0;
+pub(crate) const PERIOD_FLOOR_US: f64 = 1.0;
 
 impl Oracle for UdtOracle {
-    fn name(&self) -> &'static str {
-        "udt"
-    }
-
     fn check(&self, events: &[Event], facts: &RunFacts, _cfg: &OracleConfig) -> Vec<Violation> {
         let mut out = Vec::new();
         if trace_truncated(events, facts) {

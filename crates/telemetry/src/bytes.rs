@@ -230,14 +230,8 @@ impl BytesMut {
 
     /// Readable bytes.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len
-    }
-
-    /// Whether no readable bytes remain.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.len == 0
     }
 
     fn capacity(&self) -> usize {

@@ -23,35 +23,35 @@ use crate::event::{Event, EventKind};
 
 /// One reconstructed span.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Span {
+pub(crate) struct Span {
     /// Packed span id (see [`crate::trace::SpanId`]).
-    pub id: u64,
+    pub(crate) id: u64,
     /// Parent span id, 0 for roots.
-    pub parent: u64,
+    pub(crate) parent: u64,
     /// Trace (root-span) id, 0 for unattributed work.
-    pub trace: u64,
+    pub(crate) trace: u64,
     /// Kind label from the open event.
-    pub kind: &'static str,
+    pub(crate) kind: &'static str,
     /// Correlation key from the open event.
-    pub key: u64,
+    pub(crate) key: u64,
     /// Open timestamp, virtual ns.
-    pub open_ns: u64,
+    pub(crate) open_ns: u64,
     /// Close timestamp, `None` if the stream ended with the span open.
-    pub close_ns: Option<u64>,
+    pub(crate) close_ns: Option<u64>,
     /// Outcome key from the close event (0 while open).
-    pub close_key: u64,
+    pub(crate) close_key: u64,
 }
 
 impl Span {
     /// Duration in ns; open spans count as zero-length.
     #[must_use]
-    pub fn dur_ns(&self) -> u64 {
+    pub(crate) fn dur_ns(&self) -> u64 {
         self.close_ns.map_or(0, |c| c.saturating_sub(self.open_ns))
     }
 
     /// The `[open, close)` interval (open spans collapse to a point).
     #[must_use]
-    pub fn interval(&self) -> (u64, u64) {
+    pub(crate) fn interval(&self) -> (u64, u64) {
         (self.open_ns, self.close_ns.unwrap_or(self.open_ns))
     }
 }
@@ -104,25 +104,19 @@ impl SpanForest {
 
     /// Spans in open order.
     #[must_use]
-    pub fn spans(&self) -> &[Span] {
+    pub(crate) fn spans(&self) -> &[Span] {
         &self.spans
-    }
-
-    /// Looks a span up by id.
-    #[must_use]
-    pub fn get(&self, id: u64) -> Option<&Span> {
-        self.by_id.get(&id).map(|&i| &self.spans[i])
     }
 
     /// Direct children of `id`, in open order.
     #[must_use]
-    pub fn children_of(&self, id: u64) -> Vec<&Span> {
+    pub(crate) fn children_of(&self, id: u64) -> Vec<&Span> {
         self.spans.iter().filter(|s| s.parent == id).collect()
     }
 
     /// Spans of one kind, in open order.
     #[must_use]
-    pub fn of_kind(&self, kind: &str) -> Vec<&Span> {
+    pub(crate) fn of_kind(&self, kind: &str) -> Vec<&Span> {
         self.spans.iter().filter(|s| s.kind == kind).collect()
     }
 }
@@ -242,11 +236,11 @@ pub fn self_profile(forest: &SpanForest) -> Vec<ProfileRow> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryAttribution {
     /// Channel key of the outage span that restored first.
-    pub channel_key: u64,
+    pub(crate) channel_key: u64,
     /// Window start: the earliest outage open (first `ConnectionLost`).
-    pub from_ns: u64,
+    pub(crate) from_ns: u64,
     /// Window end: the earliest outage close (first restore/drop).
-    pub to_ns: u64,
+    pub(crate) to_ns: u64,
     /// `to_ns - from_ns`; always equals the sum of all component values.
     pub total_ns: u64,
     /// `(label, ns)` components: `backoff`, `redial`, `requeue`, `idle`.
@@ -300,6 +294,14 @@ mod tests {
     use super::*;
     use crate::trace::SpanKind;
     use crate::Recorder;
+
+    impl SpanForest {
+        /// Looks a span up by id.
+        #[must_use]
+        fn get(&self, id: u64) -> Option<&Span> {
+            self.by_id.get(&id).map(|&i| &self.spans[i])
+        }
+    }
 
     fn ev_open(t: u64, span: u64, parent: u64, trace: u64, kind: &'static str, key: u64) -> Event {
         Event {

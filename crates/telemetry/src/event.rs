@@ -45,10 +45,10 @@ macro_rules! event_kinds {
         }
 
         /// Stable snake_case labels, indexed by [`EventKind::index`].
-        pub const KIND_LABELS: [&str; KIND_COUNT] = [$($label),+];
+        pub(crate) const KIND_LABELS: [&str; KIND_COUNT] = [$($label),+];
 
         /// Number of [`EventKind`] variants — sizes per-kind tally arrays.
-        pub const KIND_COUNT: usize = [$($label),+].len();
+        pub(crate) const KIND_COUNT: usize = [$($label),+].len();
 
         /// The variants without their fields: a discriminant is an index.
         enum Slot {
@@ -58,7 +58,7 @@ macro_rules! event_kinds {
         impl EventKind {
             /// Dense variant index into [`KIND_LABELS`] and per-kind tallies.
             #[must_use]
-            pub fn index(&self) -> usize {
+            pub(crate) fn index(&self) -> usize {
                 match self {
                     $( EventKind::$variant { .. } => Slot::$variant as usize, )+
                 }
@@ -245,7 +245,7 @@ event_kinds! {
         /// Caller-defined value.
         value: u64,
     }
-    /// A causal span opened (see [`crate::trace`]). Spans form a forest
+    /// A causal span opened (see `crate::trace`). Spans form a forest
     /// per trace: `parent == 0` marks a root. All fields are plain
     /// numbers or static labels so the record path never allocates.
     SpanOpen = "span_open" {

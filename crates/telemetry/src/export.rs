@@ -2,7 +2,7 @@
 //!
 //! Both build their output with plain string pushes over [`crate::json`]'s
 //! two primitives. Key order is fixed per event kind (the order of the
-//! schema table in [`crate::event`]) and tracks are numbered in label order,
+//! schema table in `crate::event`) and tracks are numbered in label order,
 //! so two runs that record the same data emit byte-identical text — the
 //! property the determinism tests assert.
 

@@ -3,8 +3,8 @@
 //! The workspace carries no JSON dependency, so everything that emits
 //! JSON — the flight recorder's JSONL and snapshot, the Chrome trace, the
 //! `BENCH_*.json` baselines, the fuzz artifacts (`failing_seed.json` and
-//! friends) — builds on the two append primitives here, [`push_str`] and
-//! [`push_f64`], and everything that reads it back on the order-preserving
+//! friends) — builds on the two append primitives here, `push_str` and
+//! `push_f64`, and everything that reads it back on the order-preserving
 //! [`Json`] value. Rendering is deterministic: object keys keep insertion
 //! order and numbers use Rust's shortest round-trip `Display` (integral
 //! values render without a fraction), so the same data always serializes
@@ -14,7 +14,7 @@
 
 /// Appends `s` as a JSON string literal (quotes + backslash escaping, plus
 /// control-character escapes).
-pub fn push_str(out: &mut String, s: &str) {
+pub(crate) fn push_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -37,7 +37,7 @@ pub fn push_str(out: &mut String, s: &str) {
 /// Uses Rust's shortest-round-trip `Display`, which is a pure function of
 /// the bits — deterministic across runs. Non-finite values (which JSON
 /// cannot represent) encode as `null`.
-pub fn push_f64(out: &mut String, v: f64) {
+pub(crate) fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         out.push_str(&format!("{v}"));
     } else {

@@ -45,30 +45,30 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 pub mod bytes;
 pub mod critical_path;
-pub mod event;
+mod event;
 pub mod export;
 pub mod json;
 pub mod log;
 pub mod metrics;
-pub mod trace;
+mod trace;
 
 use std::cell::UnsafeCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-pub use event::{Event, EventKind, KIND_COUNT, KIND_LABELS};
-pub use log::Level;
+pub use event::{Event, EventKind};
 pub use trace::{SpanId, SpanKind, Tracer};
 
 use export::push_event_json;
 
 /// Default flight-recorder capacity (events retained before the oldest are
 /// evicted).
-pub const DEFAULT_RING_CAPACITY: usize = 65_536;
+const DEFAULT_RING_CAPACITY: usize = 65_536;
 
 struct Ring {
     buf: VecDeque<Event>,
@@ -173,7 +173,7 @@ impl std::fmt::Debug for Recorder {
 }
 
 impl Recorder {
-    /// A disabled recorder with the [`DEFAULT_RING_CAPACITY`].
+    /// A disabled recorder with the `DEFAULT_RING_CAPACITY`.
     #[must_use]
     pub fn new() -> Self {
         Recorder::with_capacity(DEFAULT_RING_CAPACITY)
@@ -182,7 +182,7 @@ impl Recorder {
     /// A disabled recorder retaining at most `capacity` flight-recorder
     /// events (oldest evicted first).
     #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         Recorder {
             inner: Arc::new(RecorderInner {
                 enabled: AtomicBool::new(false),
@@ -210,11 +210,6 @@ impl Recorder {
     /// Turns recording on for this recorder and every clone of it.
     pub fn enable(&self) {
         self.inner.enabled.store(true, Ordering::Relaxed);
-    }
-
-    /// Turns recording off again.
-    pub fn disable(&self) {
-        self.inner.enabled.store(false, Ordering::Relaxed);
     }
 
     /// Records a flight-recorder event at virtual time `time_ns`
@@ -276,28 +271,6 @@ impl Recorder {
         guard.ring().buf.iter().cloned().collect()
     }
 
-    /// Visits every retained event in order, oldest first, without
-    /// cloning the ring.
-    ///
-    /// This is the typed iteration path for trace consumers (the invariant
-    /// oracles in `kmsg-oracle`): they match on [`EventKind`] directly
-    /// instead of re-parsing the JSONL export.
-    pub fn for_each_event<F: FnMut(&Event)>(&self, mut f: F) {
-        let mut guard = self.inner.claim();
-        for ev in &guard.ring().buf {
-            f(ev);
-        }
-    }
-
-    /// Runs `f` over the retained events as contiguous slices (oldest
-    /// first) and returns its result. Zero-copy companion to
-    /// [`Recorder::events`] for consumers that want to fold the stream.
-    pub fn with_events<R, F: FnOnce(&[Event], &[Event]) -> R>(&self, f: F) -> R {
-        let mut guard = self.inner.claim();
-        let (a, b) = guard.ring().buf.as_slices();
-        f(a, b)
-    }
-
     /// Number of events currently retained.
     #[must_use]
     pub fn event_count(&self) -> usize {
@@ -320,7 +293,7 @@ impl Recorder {
     /// that lost at least one event, sorted by label (the same order the
     /// snapshot's `by_kind` section uses).
     #[must_use]
-    pub fn evicted_by_kind(&self) -> Vec<(&'static str, u64)> {
+    pub(crate) fn evicted_by_kind(&self) -> Vec<(&'static str, u64)> {
         let mut out: Vec<(&'static str, u64)> = self
             .inner
             .evicted_by_kind
@@ -502,6 +475,31 @@ fn push_map<K: AsRef<str>, V>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Recorder {
+        /// Turns recording off again.
+        fn disable(&self) {
+            self.inner.enabled.store(false, Ordering::Relaxed);
+        }
+
+        /// Visits every retained event in order, oldest first, without
+        /// cloning the ring.
+        fn for_each_event<F: FnMut(&Event)>(&self, mut f: F) {
+            let mut guard = self.inner.claim();
+            for ev in &guard.ring().buf {
+                f(ev);
+            }
+        }
+
+        /// Runs `f` over the retained events as contiguous slices (oldest
+        /// first) and returns its result. Zero-copy companion to
+        /// [`Recorder::events`] for consumers that want to fold the stream.
+        fn with_events<R, F: FnOnce(&[Event], &[Event]) -> R>(&self, f: F) -> R {
+            let mut guard = self.inner.claim();
+            let (a, b) = guard.ring().buf.as_slices();
+            f(a, b)
+        }
+    }
 
     #[test]
     fn disabled_recorder_drops_everything() {

@@ -25,7 +25,7 @@ pub enum Level {
 static LEVEL: AtomicU8 = AtomicU8::new(Level::Info as u8);
 
 /// Sets the global maximum level that will be emitted.
-pub fn set_level(level: Level) {
+pub(crate) fn set_level(level: Level) {
     LEVEL.store(level as u8, Ordering::Relaxed);
 }
 

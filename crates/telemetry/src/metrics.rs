@@ -1,7 +1,7 @@
 //! A run's numbers: summary statistics over samples.
 //!
 //! Provides Welford online mean/variance ([`OnlineStats`]), five-number
-//! summaries with percentiles ([`Summary`], [`percentile_sorted`]) and 95%
+//! summaries with percentiles ([`Summary`], `percentile_sorted`) and 95%
 //! confidence intervals for the sample mean (as used for the paper's
 //! Figure 9 error bars). A value a run publishes by name goes to
 //! [`Recorder::set_gauge`](crate::Recorder::set_gauge) instead, and from
@@ -77,7 +77,7 @@ impl OnlineStats {
 
     /// Unbiased sample variance (0 with fewer than two samples).
     #[must_use]
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
@@ -93,7 +93,7 @@ impl OnlineStats {
 
     /// Standard error of the mean.
     #[must_use]
-    pub fn stderr(&self) -> f64 {
+    pub(crate) fn stderr(&self) -> f64 {
         if self.n == 0 {
             0.0
         } else {
@@ -123,38 +123,6 @@ impl OnlineStats {
             return 0.0;
         }
         t_critical_95((self.n - 1) as usize) * self.stderr()
-    }
-
-    /// Smallest sample seen (NaN-free; +inf if empty).
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest sample seen (-inf if empty).
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -230,7 +198,7 @@ impl Summary {
 ///
 /// Panics if `q` is outside `[0, 1]`.
 #[must_use]
-pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
+pub(crate) fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     assert!((0.0..=1.0).contains(&q), "percentile rank out of range");
     match sorted.len() {
         0 => 0.0,
@@ -248,6 +216,40 @@ pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl OnlineStats {
+        /// Smallest sample seen (NaN-free; +inf if empty).
+        #[must_use]
+        fn min(&self) -> f64 {
+            self.min
+        }
+
+        /// Largest sample seen (-inf if empty).
+        #[must_use]
+        fn max(&self) -> f64 {
+            self.max
+        }
+
+        /// Merges another accumulator into this one (parallel Welford).
+        fn merge(&mut self, other: &OnlineStats) {
+            if other.n == 0 {
+                return;
+            }
+            if self.n == 0 {
+                *self = *other;
+                return;
+            }
+            let n1 = self.n as f64;
+            let n2 = other.n as f64;
+            let delta = other.mean - self.mean;
+            let total = n1 + n2;
+            self.mean += delta * n2 / total;
+            self.m2 += other.m2 + delta * delta * n1 * n2 / total;
+            self.n += other.n;
+            self.min = self.min.min(other.min);
+            self.max = self.max.max(other.max);
+        }
+    }
 
     #[test]
     fn online_stats_basic() {

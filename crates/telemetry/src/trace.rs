@@ -89,7 +89,7 @@ impl SpanKind {
 
     /// Recovers the kind from a packed id's top byte.
     #[must_use]
-    pub fn from_byte(b: u8) -> Option<SpanKind> {
+    pub(crate) fn from_byte(b: u8) -> Option<SpanKind> {
         Some(match b {
             1 => SpanKind::Msg,
             2 => SpanKind::Enqueue,
@@ -148,12 +148,6 @@ impl SpanId {
     pub fn kind(self) -> Option<SpanKind> {
         SpanKind::from_byte((self.0 >> 56) as u8)
     }
-
-    /// The low 56-bit allocation sequence number.
-    #[must_use]
-    pub fn seq(self) -> u64 {
-        self.0 & ((1 << 56) - 1)
-    }
 }
 
 /// Span recording front-end: a thin, cloneable wrapper over a
@@ -166,21 +160,8 @@ pub struct Tracer {
 impl Tracer {
     /// A tracer recording into `rec`.
     #[must_use]
-    pub fn new(rec: Recorder) -> Tracer {
+    pub(crate) fn new(rec: Recorder) -> Tracer {
         Tracer { rec }
-    }
-
-    /// Whether spans are currently being recorded (one relaxed load).
-    #[inline]
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.rec.is_enabled()
-    }
-
-    /// The recorder this tracer stamps into.
-    #[must_use]
-    pub fn recorder(&self) -> &Recorder {
-        &self.rec
     }
 
     /// Opens a span at virtual time `time_ns`. Returns [`SpanId::NONE`]
@@ -263,6 +244,14 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SpanId {
+        /// The low 56-bit allocation sequence number.
+        #[must_use]
+        fn seq(self) -> u64 {
+            self.0 & ((1 << 56) - 1)
+        }
+    }
 
     #[test]
     fn disabled_tracer_is_free_and_returns_none() {

@@ -43,6 +43,8 @@
 //! `paper_gate` binary, whose rows regenerate every figure of the paper's
 //! evaluation and check its claims.
 
+#![warn(unreachable_pub)]
+
 pub use kmsg_apps as apps;
 pub use kmsg_component as component;
 pub use kmsg_core as core;

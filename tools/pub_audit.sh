@@ -1,9 +1,11 @@
 #!/bin/sh
 # Public-surface audit: for each crate under crates/, the `pub` items (fn,
-# struct, enum, trait, type, const, static, mod) declared in its src/ whose
-# names appear in none of:
+# struct, enum, trait, type, const, static, mod) declared in its library
+# (src/ without src/bin/) whose names appear in none of:
 #
 #   another crate (any of its files);
+#   the crate's own binaries (src/bin/: each is a crate of its own, which
+#   can use only the library's `pub` items);
 #   any crate's tests/, the crate's own included;
 #   the root src/, tests/ or examples/;
 #   benchmark/src;
@@ -22,9 +24,15 @@
 # longer declared, or that something outside now names, is stale and
 # fails the audit, so the list stays true.
 #
-# Each crate's count is compared with its ceiling in CEILING: the audit
-# fails when a crate goes above it. Lower a ceiling when a crate's count
-# falls.
+# Every crate's count must be 0: the audit fails on any counted item.
+#
+# The grep cannot see methods and fields. It never reads a field, and a
+# method counts as named whenever its name appears outside: names such as
+# `id`, `local` or `config` recur across crates by coincidence. The
+# compiler can tell: the sweep in docs/lab/PR-52.md ("The sweep") narrows
+# every `pub` to `pub(crate)`, widens back what the workspace, the
+# benchmark and the doc tests reject, and deletes what rustc's dead-code
+# lint then names.
 #
 #   tools/pub_audit.sh [--list] [repo-root]
 #
@@ -40,14 +48,20 @@ cd "${1:-$(dirname "$0")/..}" || exit 2
 
 # crate name — the public signature or re-export that needs the item.
 KEEP='
+apps ConvergeReport — pub fn run_converging_senders(spec: &ConvergeSpec) -> ConvergeReport (topology.rs)
+apps FaultSpec — pub field ScenarioSpec::faults: Vec<FaultSpec> (fuzz.rs)
+apps PingStats — pub field ExperimentResult::ping: Option<PingStats> (experiment.rs); pub fn Pinger::stats(&self) -> PingStatsHandle (ping.rs)
+apps ReceiverStats — pub fn FileReceiver::stats(&self) -> ReceiverStatsHandle (transfer.rs)
+apps SenderStats — pub fn FileSender::stats(&self) -> SenderStatsHandle (transfer.rs)
+apps Topology — pub fn star_fanin(net: &Network, senders: usize) -> Topology (topology.rs)
+bench SweepOutcome — pub fn sweep_seeds(..) -> SweepOutcome<R> (fuzzer.rs)
 core Address — pub trait Header<A: Address> (header.rs)
 core CodecError — pub fn decompress(..) -> Result<Vec<u8>, CodecError> (codec.rs)
 core DataNetwork — pub fn create_data_network(..) -> Result<DataNetwork, BindError> (data/mod.rs)
 core Header — pub use in prelude: NetHeader accessors are its methods, called through the glob import (lib.rs doc test)
 core ProtocolFraction — pub fn Ratio::fraction(self, max_total: u64) -> ProtocolFraction (data/ratio.rs)
-core Route — pub field RoutingHeader::route: Option<Route> (header.rs)
 core SupervisionSummary — pub fn MiddlewareStats::supervision(&self) -> SupervisionSummary (net/stats.rs)
-core connect_default — pub use crate::vnet::{connect_default, connect_vnode} in prelude (lib.rs)
+learning ActionIdx — pub fn RatioSpace::transition(&self, s: StateIdx, a: ActionIdx) -> StateIdx (space.rs)
 netsim Conn — pub type TcpConn = Conn<TcpConfig> (tcp.rs), pub type UdtConn = Conn<UdtConfig> (udt.rs)
 netsim FaultEvent — pub fn FaultPlan::events(&self) -> &[FaultEvent] (faults.rs)
 netsim FxHasher — pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>> (slab.rs)
@@ -63,28 +77,18 @@ netsim UdpSendError — pub fn UdpSocket::send_to(..) -> Result<(), UdpSendError
 netsim UdtConnStats — pub fn UdtConn::stats(&self) -> UdtConnStats (udt.rs)
 netsim UdtPacket — pub enum PacketBody { Udt(UdtPacket), .. } (packet.rs)
 netsim WheelEntry — pub fn TimingWheel::pop_cohort(&mut self, at: SimTime, out: &mut Vec<WheelEntry<T>>) (wheel.rs)
-'
-
-# crate ceiling
-CEILING='
-apps 28
-bench 35
-component 10
-core 0
-learning 11
-netsim 0
-oracle 14
-telemetry 17
+telemetry Level — the log_*! macros expand to $crate::log::Level (log.rs)
+telemetry RecoveryAttribution — pub fn recovery_attribution(forest: &SpanForest) -> Option<RecoveryAttribution> (critical_path.rs)
 '
 
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/pub_audit.XXXXXX") || exit 2
 trap 'rm -rf "$tmp"' EXIT
 trap 'exit 1' HUP INT TERM
 
-# decls <src dir>: "file:line kind name" for each `pub` item declared
-# before its file's first `#[cfg(test)]`.
+# decls <src dir>: "file:line kind name" for each `pub` item of the library
+# (src/bin/ left out) declared before its file's first `#[cfg(test)]`.
 decls() {
-    find "$1" -name '*.rs' | sort | xargs awk '
+    find "$1" -path "$1/bin" -prune -o -name '*.rs' -print | sort | xargs awk '
         FNR == 1 { skip = 0 }
         /#\[cfg\(test\)\]/ { skip = 1 }
         skip { next }
@@ -136,8 +140,11 @@ for src in crates/*/src; do
     crate=${src%/src}
     crate=${crate#crates/}
     # shellcheck disable=SC2046
-    find $(for o in crates/*/src; do [ "$o" = "$src" ] || echo "$o"; done) \
-        -name '*.rs' -print0 | xargs -0 cat | rust_lines all |
+    {
+        find $(for o in crates/*/src; do [ "$o" = "$src" ] || echo "$o"; done) \
+            -name '*.rs' -print0
+        [ ! -d "$src/bin" ] || find "$src/bin" -name '*.rs' -print0
+    } | xargs -0 cat | rust_lines all |
         idents | sort -u -m - "$tmp/shared" >"$tmp/outside"
     decls "$src" >"$tmp/decls"
     total=$(wc -l <"$tmp/decls")
@@ -147,17 +154,13 @@ for src in crates/*/src; do
          FILENAME == ARGV[2] { keep[$1] = 1; next }
          !($3 in out) && !($3 in keep)' "$tmp/outside" "$tmp/keep" "$tmp/decls" >"$tmp/unnamed"
     count=$(wc -l <"$tmp/unnamed")
-    ceiling=$(printf '%s\n' "$CEILING" | awk -v c="$crate" '$1 == c { print $2 }')
     verdict=ok
-    if [ -z "$ceiling" ]; then
-        verdict="FAIL: no ceiling"
-        status=1
-    elif [ "$count" -gt "$ceiling" ]; then
-        verdict="FAIL: above ceiling $ceiling"
+    if [ "$count" -gt 0 ]; then
+        verdict=FAIL
         status=1
     fi
-    printf '%-10s %4d of %4d pub items named nowhere outside (ceiling %s) %s\n' \
-        "$crate" "$count" "$total" "${ceiling:--}" "$verdict"
+    printf '%-10s %4d of %4d pub items named nowhere outside %s\n' \
+        "$crate" "$count" "$total" "$verdict"
     [ "$list" = 0 ] || sed 's/^/    /' "$tmp/unnamed"
     # Stale KEEP entries: not declared `pub` here, or named outside.
     while read -r name; do
