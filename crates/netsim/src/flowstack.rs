@@ -218,6 +218,11 @@ impl Stream {
         self.bytes_out < self.bytes_sent
     }
 
+    /// Accepted bytes waiting to be sent.
+    pub(crate) fn queued(&self) -> u64 {
+        self.bytes_sent - self.bytes_out
+    }
+
     /// The stream offset and bytes of the next payload: at most `mss`
     /// bytes, never from two writes.
     pub(crate) fn next_payload(&mut self, mss: usize) -> Option<(u64, Bytes)> {

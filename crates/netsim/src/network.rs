@@ -144,7 +144,8 @@ pub struct NetworkStats {
 
 /// The fabric's part of a [`World`].
 pub(crate) struct NetInner {
-    node_names: Vec<String>,
+    /// Nodes added so far; the next `NodeId`.
+    nodes: u32,
     /// Dense link table. Append-only: a `LinkId` is a plain index with an
     /// implicit generation of zero.
     links: Vec<LinkState>,
@@ -173,7 +174,7 @@ impl NetInner {
     /// An empty fabric; allocates nothing.
     pub(crate) fn new() -> Self {
         NetInner {
-            node_names: Vec::new(),
+            nodes: 0,
             links: Vec::new(),
             routes: FxHashMap::default(),
             route_arena: Vec::new(),
@@ -249,7 +250,7 @@ impl fmt::Debug for Network {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let inner = &self.0.lock().net;
         f.debug_struct("Network")
-            .field("nodes", &inner.node_names.len())
+            .field("nodes", &inner.nodes)
             .field("links", &inner.links.len())
             .field("stats", &inner.stats)
             .finish()
@@ -305,11 +306,12 @@ impl Network {
         &self.0
     }
 
-    /// Adds a named host.
-    pub fn add_node(&self, name: impl Into<String>) -> NodeId {
+    /// Adds a host. Ids are dense from 0 in the order of the calls; the
+    /// name labels the call site only and is not kept.
+    pub fn add_node(&self, _name: impl Into<String>) -> NodeId {
         let inner = &mut self.0.lock().net;
-        let id = NodeId(u32::try_from(inner.node_names.len()).expect("too many nodes"));
-        inner.node_names.push(name.into());
+        let id = NodeId(inner.nodes);
+        inner.nodes = inner.nodes.checked_add(1).expect("too many nodes");
         id
     }
 
@@ -715,13 +717,6 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
-    impl Network {
-        /// The name a node was added under.
-        fn node_name(&self, node: NodeId) -> String {
-            self.0.lock().net.node_names[node.0 as usize].clone()
-        }
-    }
-
     struct Counter(AtomicUsize);
     impl PacketSink for Counter {
         fn on_packet(&self, _net: &Network, _pkt: Packet) {
@@ -1089,8 +1084,9 @@ mod tests {
         let (sim, first, a, b) = two_nodes();
         let second = Network::new(&sim);
         assert_eq!(
-            (second.node_name(a), second.node_name(b)),
-            ("a".into(), "b".into())
+            second.add_node("c").index(),
+            b.index() + 1,
+            "the nodes are shared"
         );
         let ab = second.route(a, b).expect("the first handle's route")[0];
         assert_eq!(ab, first.route(a, b).unwrap()[0]);
@@ -1110,11 +1106,13 @@ mod tests {
     }
 
     #[test]
-    fn node_names_round_trip() {
+    fn node_ids_are_dense_from_zero() {
         let sim = Sim::new(1);
         let net = Network::new(&sim);
-        let a = net.add_node("alpha");
-        assert_eq!(net.node_name(a), "alpha");
-        assert_eq!(a.index(), 0);
+        let ids: Vec<u32> = ["alpha", "beta", "alpha"]
+            .into_iter()
+            .map(|name| net.add_node(name).index())
+            .collect();
+        assert_eq!(ids, [0, 1, 2], "a repeated name is a new node");
     }
 }

@@ -1009,6 +1009,16 @@ fn try_send(flow: &mut Flow, cfg: &TcpConfig, rec: &Recorder, now: SimTime, out:
     if flow.state != State::Established {
         return;
     }
+    if flow.sent.capacity() == 0 {
+        // A ring with no storage (a fresh flow's, or one `release_drained`
+        // freed) gets one block for what this flush can send: a whole
+        // initial window at once, not 4 → 8 → 16 under it.
+        let room = flow.send_window().saturating_sub(flow.flight());
+        let queued = flow.stream.queued();
+        let fin = flow.stream.fin_queued && !flow.fin_sent && queued < room;
+        let segs = room.min(queued).div_ceil(cfg.mss as u64) as usize;
+        flow.sent.reserve_exact(segs + usize::from(fin));
+    }
     loop {
         let wnd = flow.send_window();
         if flow.flight() >= wnd {
@@ -1598,6 +1608,32 @@ mod tests {
         assert!(keep.rec.in_order());
         assert_eq!(server.peek(|f, _| f.fin_received), Some(true));
         assert_eq!(queue_of(&server).0, 0);
+    }
+
+    #[test]
+    fn the_first_flush_sizes_the_send_queue_to_the_initial_window() {
+        let (sim, net, a, b) = setup(LinkConfig::new(10e6, Duration::from_millis(5)));
+        let keep = Arc::new(Keep::default());
+        let _l = TcpListener::bind(&net, b, 80, TcpConfig::default(), keep.clone()).unwrap();
+        let client = TcpConn::connect(
+            &net,
+            a,
+            Endpoint::new(b, 80),
+            TcpConfig::default(),
+            Arc::new(SinkEvents),
+        )
+        .unwrap();
+        while !client.is_established() {
+            sim.run_for(Duration::from_millis(1));
+        }
+        assert_eq!(queue_of(&client).0, 0, "no queue before the first write");
+        let len = 20 * TcpConfig::default().mss;
+        assert_eq!(client.send(pattern_bytes(0, len)), len);
+        assert_eq!(
+            client.peek(|f, _| (f.sent.len(), f.sent.capacity())),
+            Some((INITIAL_CWND, INITIAL_CWND)),
+            "the initial window in flight, in one block, not VecDeque's 4 → 8 → 16"
+        );
     }
 
     /// Steps `conn`'s flow with `step` in the world; what it sends.
