@@ -10,6 +10,7 @@
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
+#![deny(unconditional_recursion)]
 
 pub mod dataset;
 pub mod disk;

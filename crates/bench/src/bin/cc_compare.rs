@@ -20,6 +20,7 @@
 //! ```
 
 #![warn(unreachable_pub)]
+#![deny(unconditional_recursion)]
 
 use kmsg_apps::{run_experiment, Dataset, ExperimentConfig, ExperimentResult, Setup};
 use kmsg_core::prelude::*;

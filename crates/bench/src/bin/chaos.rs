@@ -18,6 +18,7 @@
 //! flight-recorder streams are not byte-identical.
 
 #![warn(unreachable_pub)]
+#![deny(unconditional_recursion)]
 
 use std::time::Duration;
 

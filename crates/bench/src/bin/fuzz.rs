@@ -31,6 +31,7 @@
 //! * `--quick` — shorthand for `--seeds 0..25`.
 
 #![warn(unreachable_pub)]
+#![deny(unconditional_recursion)]
 
 use std::time::{Duration, Instant};
 

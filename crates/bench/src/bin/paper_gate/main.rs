@@ -18,6 +18,7 @@
 //! 24 MB), and so is `--trace-out` (no row records a trace).
 
 #![warn(unreachable_pub)]
+#![deny(unconditional_recursion)]
 
 mod ablation_learners;
 mod ablation_patterns;

@@ -7,7 +7,9 @@
 //! tolerance, or when one of the six files cannot be read (the message
 //! names it). Rows are matched by key (engine name, host count,
 //! controller), so a `--quick` probe that covers only a subset of the
-//! committed rows gates exactly that subset.
+//! committed rows gates exactly that subset. Engine rows compare only runs
+//! of one length: a fresh `BENCH_engine.json` whose `events_per_run`
+//! differs from the baseline's fails the gate, naming the file.
 //!
 //! ```text
 //! cargo run --release -p kmsg-bench --bin perf_gate -- \
@@ -39,6 +41,7 @@
 //!   (higher is better — virtual time again).
 
 #![warn(unreachable_pub)]
+#![deny(unconditional_recursion)]
 
 use std::process::ExitCode;
 
@@ -132,6 +135,27 @@ const GATES: [Gate; 3] = [
     },
 ];
 
+/// The length of the runs a file's rows measure, where it has one
+/// (`BENCH_engine.json`): a rate over 2·10⁵ events is not one over 10⁶,
+/// since what an event costs grows with the events the engine holds.
+const RUN_LENGTH: &str = "events_per_run";
+
+/// Whether `baseline` and `fresh` measured runs of one length; the error
+/// names `file` and both lengths.
+fn same_run(file: &str, baseline: &Json, fresh: &Json) -> Result<(), String> {
+    let (b, f) = (baseline.get(RUN_LENGTH), fresh.get(RUN_LENGTH));
+    if b == f {
+        return Ok(());
+    }
+    let show = |v: Option<&Json>| v.map_or("none".to_string(), Json::render);
+    Err(format!(
+        "{file}: {RUN_LENGTH} is {} in the baseline and {} in the fresh run; \
+         its rows do not compare",
+        show(b),
+        show(f)
+    ))
+}
+
 /// Pairs each baseline row with the fresh row of the same key and compares
 /// the gate's fields. A row is labelled by its key: a name as it stands, a
 /// number with the key's name (`1000-hosts`).
@@ -211,6 +235,7 @@ fn run(baseline_dir: &str, fresh_dir: &str, tolerance: f64) -> Result<usize, Str
     for gate in &GATES {
         let file = format!("BENCH_{}.json", gate.what);
         let (baseline, fresh) = (load(baseline_dir, &file)?, load(fresh_dir, &file)?);
+        same_run(&file, &baseline, &fresh)?;
         row_checks(gate, &baseline, &fresh, &mut checks);
     }
     if checks.is_empty() {
@@ -353,6 +378,27 @@ mod tests {
                 ]
             );
         }
+    }
+
+    #[test]
+    fn engine_rows_of_runs_of_different_lengths_fail_naming_the_file() {
+        let doc = |events: &str| {
+            let rows = r#""engines":[{"name":"wheel/jittered","events_per_sec":100}]"#;
+            Json::parse(&format!(r#"{{"benchmark":"engine",{events}{rows}}}"#)).unwrap()
+        };
+        let full = doc(r#""events_per_run":1000000,"#);
+        assert_eq!(same_run("BENCH_engine.json", &full, &full), Ok(()));
+        let quick = doc(r#""events_per_run":200000,"#);
+        let err = same_run("BENCH_engine.json", &full, &quick).unwrap_err();
+        assert!(
+            err.starts_with("BENCH_engine.json: events_per_run"),
+            "{err}"
+        );
+        assert!(err.contains("1000000") && err.contains("200000"), "{err}");
+        // A file without a run length does not compare with one that has
+        // it; two without one (the scale and cc files) do.
+        assert!(same_run("BENCH_engine.json", &full, &doc("")).is_err());
+        assert_eq!(same_run("BENCH_cc.json", &doc(""), &doc("")), Ok(()));
     }
 
     #[test]

@@ -21,6 +21,7 @@
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
+#![deny(unconditional_recursion)]
 
 pub mod fig1_core;
 pub mod fuzzer;

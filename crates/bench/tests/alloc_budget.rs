@@ -280,15 +280,18 @@ fn data_chunk_stays_under_allocation_budget() {
     );
 }
 
-/// Measured 6.91 calls per flow. It was 8.61 while the sender's
-/// retransmission ring grew 4 → 8 → 16 under its first window, 9.61 while
-/// each side queued its SYN (the passive side's queue lived only to hold
-/// the SYN-ACK), 11.11 while the timing wheel's slots kept growing,
-/// 13.82 while the sender kept its lost segments in a `BTreeSet` and
-/// every multi-hole report had a block of its own, unchanged or not
-/// (budget 15.0 then), and 22.48 while every hole-bearing ACK built its
-/// report in a `Vec` of its own (four in five carry one hole).
-const CALLS_PER_INCAST_FLOW_BUDGET: f64 = 7.25;
+/// Measured 4.55 calls per flow. It was 6.91 while each stream kept its
+/// writes in a `VecDeque` and its held payloads in a `BTreeMap` of its own
+/// (a ring per sending flow, a B-tree leaf per receiver with a hole), 8.61
+/// while the sender's retransmission ring grew 4 → 8 → 16 under its first
+/// window, 9.61 while each side queued its SYN (the passive side's queue
+/// lived only to hold the SYN-ACK), 11.11 while the timing wheel's slots
+/// kept growing, 13.82 while the sender kept its lost segments in a
+/// `BTreeSet` and every multi-hole report had a block of its own,
+/// unchanged or not (budget 15.0 then), and 22.48 while every hole-bearing
+/// ACK built its report in a `Vec` of its own (four in five carry one
+/// hole).
+const CALLS_PER_INCAST_FLOW_BUDGET: f64 = 4.8;
 const INCAST_FLOWS: usize = 400;
 const INCAST_BYTES_PER_FLOW: usize = 96 * 1024;
 const INCAST_STAGGER: Duration = Duration::from_micros(20);
@@ -365,8 +368,8 @@ fn incast_flow_stays_under_allocation_budget() {
     assert!(
         per_flow <= CALLS_PER_INCAST_FLOW_BUDGET,
         "an incast flow of {INCAST_BYTES_PER_FLOW} B costs {per_flow:.2} allocator calls \
-         (budget {CALLS_PER_INCAST_FLOW_BUDGET}, measured 6.91; 8.61 while the first window \
-         grew the ring 4 → 8 → 16, 9.61 while each side queued its SYN, 11.11 while timing-wheel slots kept growing, 13.82 while the lost segments were a `BTreeSet`, 22.48 while a loss report was a `Vec`)"
+         (budget {CALLS_PER_INCAST_FLOW_BUDGET}, measured 4.55; 6.91 while each stream kept its \
+         own `VecDeque` and `BTreeMap`, 8.61 while the first window grew the ring 4 → 8 → 16, 9.61 while each side queued its SYN, 11.11 while timing-wheel slots kept growing, 13.82 while the lost segments were a `BTreeSet`, 22.48 while a loss report was a `Vec`)"
     );
 }
 

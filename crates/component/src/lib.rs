@@ -98,6 +98,7 @@
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
+#![deny(unconditional_recursion)]
 
 pub mod component;
 pub mod port;

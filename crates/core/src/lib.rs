@@ -68,6 +68,7 @@
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
+#![deny(unconditional_recursion)]
 
 mod address;
 pub mod codec;

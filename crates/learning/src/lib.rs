@@ -45,6 +45,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![warn(unreachable_pub)]
+#![deny(unconditional_recursion)]
 
 pub mod policy;
 pub mod sarsa;

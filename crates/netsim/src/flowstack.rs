@@ -12,22 +12,23 @@
 //! protocol and token — finds its slot and steps under one acquisition, and
 //! what a step asks for — packets, timers, callbacks — is carried out in
 //! order once the lock is released. Every flow's application-facing half —
-//! send buffer, writable rule, reorder buffer — is one [`Stream`]. A
-//! [`Protocol`] supplies the rest: config, wire type, the flow state
-//! machine as step functions that see one flow and never a lock, its timer
-//! kinds, how an open starts and what dying clears. Besides `network.rs`
-//! and `engine.rs`, this is the one netsim file that locks. See
-//! `DESIGN.md` §12.
+//! send buffer, writable rule, reorder buffer — is one [`Stream`], whose
+//! buffers are lists in the table's one [`NodePool`]. A [`Protocol`]
+//! supplies the rest: config, wire type, the flow state machine as step
+//! functions that see one flow and never a lock, its timer kinds, how an
+//! open starts and what dying clears. Besides `network.rs` and
+//! `engine.rs`, this is the one netsim file that locks. See `DESIGN.md`
+//! §12.
 
 // `Conn` and `Listener` are public through the `TcpConn`/`UdtConn` aliases
 // while `Protocol` stays crate-private: outside the crate the type parameter
 // can only ever be one of our own config types.
 #![allow(private_bounds)]
 
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::marker::PhantomData;
+use std::num::NonZeroU32;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -50,8 +51,9 @@ use crate::time::SimTime;
 /// of the core.
 ///
 /// The steps — `start_active`, `start_passive`, `on_wire`, `on_timer` — see
-/// one flow, its config, the recorder and the clock, and push what is to
-/// happen next onto `out`.
+/// one flow, its config, the recorder and the clock, and write to `out`:
+/// they push what is to happen next, and keep their stream's bytes in its
+/// node pool.
 pub(crate) trait Protocol: PartialEq + Send + Sized + 'static {
     /// Full per-flow state: one slab slot embedding a [`FlowHeader`].
     type Flow: Send;
@@ -86,7 +88,7 @@ pub(crate) trait Protocol: PartialEq + Send + Sized + 'static {
         cfg: &Self,
         rec: &Recorder,
         now: SimTime,
-        out: &mut Out<Self>,
+        out: &mut Out<Self::Wire>,
     );
     /// Starts a passive open with the packet that asked for it.
     fn start_passive(
@@ -94,7 +96,7 @@ pub(crate) trait Protocol: PartialEq + Send + Sized + 'static {
         cfg: &Self,
         rec: &Recorder,
         now: SimTime,
-        out: &mut Out<Self>,
+        out: &mut Out<Self::Wire>,
         wire: Self::Wire,
     );
     /// A packet for an existing flow.
@@ -103,7 +105,7 @@ pub(crate) trait Protocol: PartialEq + Send + Sized + 'static {
         cfg: &Self,
         rec: &Recorder,
         now: SimTime,
-        out: &mut Out<Self>,
+        out: &mut Out<Self::Wire>,
         wire: Self::Wire,
     );
     /// A per-flow timer of `kind` (with the `aux` word it was armed with)
@@ -115,7 +117,7 @@ pub(crate) trait Protocol: PartialEq + Send + Sized + 'static {
         cfg: &Self,
         rec: &Recorder,
         now: SimTime,
-        out: &mut Out<Self>,
+        out: &mut Out<Self::Wire>,
         kind: u64,
         aux: u32,
     );
@@ -124,9 +126,9 @@ pub(crate) trait Protocol: PartialEq + Send + Sized + 'static {
         unreachable!("no timer of this protocol reserves")
     }
     /// The flow is abandoned (its last application handle dropped, or its
-    /// peer dialled again): close it in place and free its buffers (the
-    /// slot itself lingers in the slab).
-    fn kill(flow: &mut Self::Flow, rec: &Recorder, now: SimTime);
+    /// peer dialled again): close it in place and free its buffers, its
+    /// stream's nodes back to `pool` (the slot itself lingers in the slab).
+    fn kill(flow: &mut Self::Flow, pool: &mut NodePool, rec: &Recorder, now: SimTime);
     /// Runs under the lock after every step.
     fn after_step(_flow: &mut Self::Flow, _rec: &Recorder, _now: SimTime) {}
     /// Appends the protocol's fields to a connection handle's `Debug`.
@@ -137,7 +139,13 @@ pub(crate) trait Protocol: PartialEq + Send + Sized + 'static {
     fn stream<'a>(flow: &'a mut Self::Flow, cfg: &Self) -> (&'a mut Stream, Phase, usize);
     /// Moves bytes or a FIN just queued along (TCP tries to send, UDT
     /// restarts its pacer).
-    fn kick(flow: &mut Self::Flow, cfg: &Self, rec: &Recorder, now: SimTime, out: &mut Out<Self>);
+    fn kick(
+        flow: &mut Self::Flow,
+        cfg: &Self,
+        rec: &Recorder,
+        now: SimTime,
+        out: &mut Out<Self::Wire>,
+    );
 }
 
 /// Where a flow's open stands: UDT's states, and TCP's with its two
@@ -156,25 +164,30 @@ pub(crate) enum Phase {
 /// segments lies in it, and a resend slices the bytes back out. A protocol
 /// keeps its own sequence space (bytes or packets), congestion control,
 /// loss reports, handshake and close, and passes the sizes from its config.
+///
+/// Both buffers are lists in the table's [`NodePool`], which every call
+/// that reads or writes them is handed: a flow allocates nothing of its
+/// own.
 #[derive(Default)]
 pub(crate) struct Stream {
-    /// Accepted bytes not yet acknowledged, one entry per application
-    /// write with the stream offset of its first byte, oldest first; the
+    /// Accepted bytes not yet acknowledged, one node per application write
+    /// keyed by the stream offset of its first byte, oldest first; the
     /// oldest is trimmed to the first unacknowledged byte.
-    send_q: VecDeque<(u64, Bytes)>,
-    /// Stream offset of the next byte to send (the bytes below it are in
-    /// flight, those from it on wait), and the index in `send_q` of the
-    /// write that holds it.
+    writes: List,
+    /// The write that holds `bytes_out` (none once every accepted byte is
+    /// out).
+    next_write: Link,
+    /// Stream offset of the next byte to send: the bytes below it are in
+    /// flight, those from it on wait.
     bytes_out: u64,
-    next_write: u32,
     /// The application was refused bytes; it is told when room frees up.
     app_blocked: bool,
     /// The application closed: a FIN follows the last queued byte.
     pub(crate) fin_queued: bool,
-    /// Payloads held until they are next in order, by sequence number, and
-    /// their total length.
-    ooo: BTreeMap<u64, Bytes>,
-    ooo_bytes: usize,
+    /// Payloads held until they are next in order, one node each keyed by
+    /// its sequence number, ascending, and their total length.
+    held: List,
+    held_bytes: usize,
     /// Payload bytes accepted from the application, acknowledged by the
     /// peer (their difference is the occupied send buffer), and delivered
     /// to the application.
@@ -197,7 +210,7 @@ impl Stream {
     /// Queues as much of `data` as the send buffer has room for, nothing
     /// once a FIN is queued; how much. A writer refused any is owed an
     /// `on_writable`.
-    fn accept(&mut self, data: &Bytes, send_buf: usize) -> usize {
+    fn accept(&mut self, data: &Bytes, send_buf: usize, pool: &mut NodePool) -> usize {
         if self.fin_queued {
             return 0;
         }
@@ -206,8 +219,8 @@ impl Stream {
             self.app_blocked = true;
         }
         if take > 0 {
-            self.send_q
-                .push_back((self.bytes_sent, data.slice(0..take)));
+            let at = pool.push_back(&mut self.writes, self.bytes_sent, data.slice(0..take));
+            self.next_write = self.next_write.or(at);
             self.bytes_sent += take as u64;
         }
         take
@@ -225,52 +238,46 @@ impl Stream {
 
     /// The stream offset and bytes of the next payload: at most `mss`
     /// bytes, never from two writes.
-    pub(crate) fn next_payload(&mut self, mss: usize) -> Option<(u64, Bytes)> {
-        let (start, data) = self.send_q.get(self.next_write as usize)?;
+    pub(crate) fn next_payload(&mut self, mss: usize, pool: &NodePool) -> Option<(u64, Bytes)> {
+        let write = pool.get(self.next_write)?;
         let at = self.bytes_out;
-        let from = (at - start) as usize;
-        let end = data.len().min(from + mss);
-        let payload = data.slice(from..end);
-        if end == data.len() {
-            self.next_write += 1;
+        let from = (at - write.key) as usize;
+        let end = write.data.len().min(from + mss);
+        let payload = write.data.slice(from..end);
+        if end == write.data.len() {
+            self.next_write = write.next;
         }
         self.bytes_out += payload.len() as u64;
         Some((at, payload))
     }
 
     /// The `len` bytes at stream offset `at`, a payload handed out before
-    /// and not yet acknowledged, for a resend: a binary search over the
-    /// writes' offsets, then one slice of one write.
-    pub(crate) fn resend(&self, at: u64, len: usize) -> Bytes {
-        let write = self.send_q.partition_point(|&(start, _)| start <= at) - 1;
-        let (start, data) = &self.send_q[write];
-        let from = (at - start) as usize;
-        data.slice(from..from + len)
+    /// and not yet acknowledged, for a resend: a walk from the oldest write
+    /// to the one that holds `at`, then one slice of it.
+    pub(crate) fn resend(&self, at: u64, len: usize, pool: &NodePool) -> Bytes {
+        let (_, write) = pool
+            .iter(self.writes)
+            .find(|(_, w)| at < w.key + w.data.len() as u64)
+            .expect("a resend is of unacknowledged bytes");
+        let from = (at - write.key) as usize;
+        write.data.slice(from..from + len)
     }
 
     /// Counts `n` payload bytes the peer acknowledged and drops them from
     /// the front of the send buffer. Any fire `on_writable`, so the
     /// middleware can track delivery progress; with none, a refused writer
     /// hears once `mss` bytes of room are free.
-    pub(crate) fn acked<W>(
-        &mut self,
-        n: usize,
-        send_buf: usize,
-        mss: usize,
-        out: &mut Vec<Action<W>>,
-    ) {
+    pub(crate) fn acked<W>(&mut self, n: usize, send_buf: usize, mss: usize, out: &mut Out<W>) {
         self.bytes_acked += n as u64;
-        while let Some((start, data)) = self.send_q.front_mut() {
-            let done = (self.bytes_acked - *start) as usize;
-            if done < data.len() {
-                data.advance(done);
-                *start = self.bytes_acked;
+        while let Some(oldest) = out.pool.get_mut(self.writes.head) {
+            let done = (self.bytes_acked - oldest.key) as usize;
+            if done < oldest.data.len() {
+                oldest.data.advance(done);
+                oldest.key = self.bytes_acked;
                 break;
             }
-            self.send_q.pop_front();
-            self.next_write -= 1;
+            out.pool.pop_front(&mut self.writes);
         }
-        release_drained(&mut self.send_q);
         if n > 0 || (self.app_blocked && self.free(send_buf) >= mss) {
             self.app_blocked = false;
             out.push(Action::Writable);
@@ -279,57 +286,207 @@ impl Stream {
 
     /// Holds `payload`, which arrived ahead of its turn at `seq`, unless one
     /// is held there already; false, holding nothing, if it would overflow
-    /// a receive buffer of `recv_buf` bytes.
-    pub(crate) fn hold(&mut self, seq: u64, payload: Bytes, recv_buf: usize) -> bool {
-        match self.ooo.entry(seq) {
-            Entry::Occupied(_) => true,
-            Entry::Vacant(_) if self.ooo_bytes + payload.len() > recv_buf => false,
-            Entry::Vacant(slot) => {
-                self.ooo_bytes += payload.len();
-                slot.insert(payload);
-                true
+    /// a receive buffer of `recv_buf` bytes. A payload past every held one
+    /// (most are) goes at the tail; another is placed by a walk from the
+    /// head.
+    pub(crate) fn hold(
+        &mut self,
+        seq: u64,
+        payload: Bytes,
+        recv_buf: usize,
+        pool: &mut NodePool,
+    ) -> bool {
+        let mut after = self.held.tail;
+        if pool.get(after).is_some_and(|last| last.key >= seq) {
+            after = None;
+            for (at, held) in pool.iter(self.held) {
+                if held.key == seq {
+                    return true;
+                }
+                if held.key > seq {
+                    break;
+                }
+                after = at;
             }
         }
+        if self.held_bytes + payload.len() > recv_buf {
+            return false;
+        }
+        self.held_bytes += payload.len();
+        pool.insert_after(&mut self.held, after, seq, payload);
+        true
     }
 
-    /// The held payloads by sequence number.
-    pub(crate) fn held(&self) -> &BTreeMap<u64, Bytes> {
-        &self.ooo
+    /// The held payloads, by ascending sequence number.
+    pub(crate) fn held<'a>(&self, pool: &'a NodePool) -> impl Iterator<Item = (u64, &'a Bytes)> {
+        pool.iter(self.held).map(|(_, held)| (held.key, &held.data))
     }
 
     /// The held payloads' total length.
     pub(crate) fn held_bytes(&self) -> usize {
-        self.ooo_bytes
+        self.held_bytes
     }
 
     /// Delivers `data`, next in order, to the application.
-    pub(crate) fn deliver<W>(&mut self, data: Bytes, out: &mut Vec<Action<W>>) {
+    pub(crate) fn deliver<W>(&mut self, data: Bytes, out: &mut Out<W>) {
         self.bytes_delivered += data.len() as u64;
         out.push(Action::Deliver(data));
     }
 
     /// Delivers the payload held at `next`, if there is one; its length.
-    pub(crate) fn deliver_held<W>(&mut self, next: u64, out: &mut Vec<Action<W>>) -> Option<usize> {
-        let entry = self.ooo.first_entry().filter(|e| *e.key() == next)?;
-        let data = entry.remove();
+    pub(crate) fn deliver_held<W>(&mut self, next: u64, out: &mut Out<W>) -> Option<usize> {
+        if out.pool.get(self.held.head)?.key != next {
+            return None;
+        }
+        let data = out.pool.pop_front(&mut self.held)?;
         let len = data.len();
-        self.ooo_bytes -= len;
+        self.held_bytes -= len;
         self.deliver(data, out);
         Some(len)
     }
 
-    /// Frees the buffers of a killed flow: fresh containers, as
-    /// `VecDeque::clear` keeps its ring allocated.
-    pub(crate) fn free_buffers(&mut self) {
-        self.send_q = VecDeque::new();
-        self.next_write = 0;
-        self.ooo = BTreeMap::new();
-        self.ooo_bytes = 0;
+    /// Gives a killed flow's nodes back to the pool.
+    pub(crate) fn free_buffers(&mut self, pool: &mut NodePool) {
+        pool.clear(&mut self.writes);
+        self.next_write = None;
+        pool.clear(&mut self.held);
+        self.held_bytes = 0;
     }
 }
 
-/// Where a step of a `P` flow pushes its actions.
-pub(crate) type Out<P> = Vec<Action<<P as Protocol>::Wire>>;
+/// A [`NodePool`] node's index plus one, or none: past the end of a list,
+/// an empty list's ends, a send cursor with nothing left to send.
+type Link = Option<NonZeroU32>;
+
+/// A [`NodePool`] node: an accepted write under the stream offset of its
+/// first byte, or a held payload under its sequence number.
+struct Node {
+    key: u64,
+    data: Bytes,
+    /// The next node of its list, or of the free list.
+    next: Link,
+}
+
+/// A singly linked list of [`NodePool`] nodes, first to last.
+#[derive(Default, Clone, Copy)]
+struct List {
+    head: Link,
+    tail: Link,
+}
+
+/// Fewest nodes a [`NodePool`] grows by.
+const MIN_GROWTH: usize = 64;
+
+/// The nodes of every [`Stream`] list of one [`FlowTable`], in one `Vec`.
+/// A freed node, its payload dropped, heads a free list and is the next
+/// one taken. The `Vec` grows by an eighth at a time, not by doubling, so
+/// what it keeps stays close to the most nodes the table ever held at
+/// once.
+#[derive(Default)]
+pub(crate) struct NodePool {
+    nodes: Vec<Node>,
+    /// The most recently freed node; the free ones are linked by `next`.
+    free: Link,
+}
+
+impl NodePool {
+    fn get(&self, at: Link) -> Option<&Node> {
+        Some(&self.nodes[at?.get() as usize - 1])
+    }
+
+    fn get_mut(&mut self, at: Link) -> Option<&mut Node> {
+        Some(&mut self.nodes[at?.get() as usize - 1])
+    }
+
+    /// The nodes of `list` and their links, first to last.
+    fn iter(&self, list: List) -> impl Iterator<Item = (Link, &Node)> {
+        let mut at = list.head;
+        std::iter::from_fn(move || {
+            let node = self.get(at)?;
+            let this = std::mem::replace(&mut at, node.next);
+            Some((this, node))
+        })
+    }
+
+    /// Links a node of `key` and `data` into `list` after node `after`
+    /// (none: at the head); its link.
+    fn insert_after(&mut self, list: &mut List, after: Link, key: u64, data: Bytes) -> Link {
+        let next = match self.get_mut(after) {
+            Some(prev) => prev.next,
+            None => list.head,
+        };
+        let node = Node { key, data, next };
+        let at = match self.free {
+            Some(at) => {
+                let slot = &mut self.nodes[at.get() as usize - 1];
+                self.free = std::mem::replace(slot, node).next;
+                at
+            }
+            None => {
+                if self.nodes.len() == self.nodes.capacity() {
+                    let grow = (self.nodes.len() / 8).max(MIN_GROWTH);
+                    self.nodes.reserve_exact(grow);
+                }
+                self.nodes.push(node);
+                let len = u32::try_from(self.nodes.len()).ok();
+                len.and_then(NonZeroU32::new).expect("node index overflow")
+            }
+        };
+        let at = Some(at);
+        match self.get_mut(after) {
+            Some(prev) => prev.next = at,
+            None => list.head = at,
+        }
+        if next.is_none() {
+            list.tail = at;
+        }
+        at
+    }
+
+    /// Appends a node of `key` and `data` to `list`; its link.
+    fn push_back(&mut self, list: &mut List, key: u64, data: Bytes) -> Link {
+        self.insert_after(list, list.tail, key, data)
+    }
+
+    /// Unlinks `list`'s first node and frees it: its payload.
+    fn pop_front(&mut self, list: &mut List) -> Option<Bytes> {
+        let at = list.head;
+        let free = self.free;
+        let node = self.get_mut(at)?;
+        list.head = std::mem::replace(&mut node.next, free);
+        let data = std::mem::take(&mut node.data);
+        self.free = at;
+        if list.head.is_none() {
+            list.tail = None;
+        }
+        Some(data)
+    }
+
+    /// Frees every node of `list`.
+    fn clear(&mut self, list: &mut List) {
+        while self.pop_front(list).is_some() {}
+    }
+}
+
+/// What a step of a flow writes to: the actions it asks the core to carry
+/// out, and the table's [`NodePool`], where its [`Stream`] keeps its bytes.
+pub(crate) struct Out<W> {
+    actions: Vec<Action<W>>,
+    pub(crate) pool: NodePool,
+}
+
+impl<W> Out<W> {
+    fn new() -> Self {
+        Out {
+            actions: Vec::new(),
+            pool: NodePool::default(),
+        }
+    }
+
+    pub(crate) fn push(&mut self, action: Action<W>) {
+        self.actions.push(action);
+    }
+}
 
 /// Packs an endpoint into a dense map key: node index in the high bits,
 /// port in the low 16.
@@ -463,7 +620,7 @@ pub(crate) struct FlowHeader {
 
 impl FlowHeader {
     /// Tells the owner the flow closed, unless it has been told already.
-    pub(crate) fn notify_closed<W>(&mut self, reason: CloseReason, out: &mut Vec<Action<W>>) {
+    pub(crate) fn notify_closed<W>(&mut self, reason: CloseReason, out: &mut Out<W>) {
         if !std::mem::replace(&mut self.closed_notified, true) {
             out.push(Action::Closed(reason));
         }
@@ -549,7 +706,7 @@ impl FlowTimer {
 
     /// An event of this timer fired at `now`: whether the deadline is
     /// reached. An early one files the deadline's event if none is there.
-    pub(crate) fn fired<W>(&mut self, kind: u64, now: SimTime, out: &mut Vec<Action<W>>) -> bool {
+    pub(crate) fn fired<W>(&mut self, kind: u64, now: SimTime, out: &mut Out<W>) -> bool {
         if now < self.deadline && self.seq != COVERED {
             debug_assert!(
                 self.seq != UNREPORTED,
@@ -585,12 +742,13 @@ pub(crate) struct FlowTable<P: Protocol> {
     conn_index: FxHashMap<u128, Handle<P::Flow>>,
     /// Listening ports keyed by [`ep_key`].
     listeners: FxHashMap<u64, ListenerEntry<P>>,
-    /// Where a step pushes its actions: kept for its capacity, and empty
-    /// whenever the lock is free.
-    actions: Out<P>,
-    /// An empty buffer that takes `actions`' place when a burst leaves
-    /// with it, given back by the burst before.
-    spare: Out<P>,
+    /// What a step writes to: its actions, a buffer kept for its capacity
+    /// and empty whenever the lock is free, and the pool of every flow's
+    /// stream nodes.
+    out: Out<P::Wire>,
+    /// An empty buffer that takes the actions' place when a burst leaves
+    /// with them, given back by the burst before.
+    spare: Vec<Action<P::Wire>>,
 }
 
 /// Up to this many actions leave the lock in an array on the stack: every
@@ -608,7 +766,7 @@ impl<P: Protocol> FlowTable<P> {
             configs: Vec::new(),
             conn_index: FxHashMap::default(),
             listeners: FxHashMap::default(),
-            actions: Vec::new(),
+            out: Out::new(),
             spare: Vec::new(),
         }
     }
@@ -674,7 +832,7 @@ impl<P: Protocol> FlowTable<P> {
 /// step pushed, in order, so a callback may step this flow or any other.
 fn step<P: Protocol, F>(net: &Network, mut world: MutexGuard<'_, World>, h: Handle<P::Flow>, f: F)
 where
-    F: FnOnce(&mut P::Flow, &P, &Recorder, SimTime, &mut Out<P>),
+    F: FnOnce(&mut P::Flow, &P, &Recorder, SimTime, &mut Out<P::Wire>),
 {
     let (rec, now) = (net.sim().recorder(), net.now());
     let table = P::table(&mut world.net);
@@ -686,21 +844,21 @@ where
         &table.configs[P::hdr(flow).cfg_id as usize],
         rec,
         now,
-        &mut table.actions,
+        &mut table.out,
     );
     P::after_step(flow, rec, now);
-    if !table.actions.is_empty() {
+    if !table.out.actions.is_empty() {
         perform::<P>(net, h, world);
     }
 }
 
 /// The half of [`step`] that does not depend on the step, kept out of line
 /// so it exists once per protocol, not once per call site: empties
-/// `actions`, unlocks, and carries the actions out.
+/// the actions, unlocks, and carries them out.
 #[inline(never)]
 fn perform<P: Protocol>(net: &Network, h: Handle<P::Flow>, mut world: MutexGuard<'_, World>) {
     let table = P::table(&mut world.net);
-    let actions = &mut table.actions;
+    let actions = &mut table.out.actions;
     // Only clone the handler out when an action will actually notify the
     // application.
     let needs_events = actions.iter().any(|a| {
@@ -814,7 +972,7 @@ pub(crate) fn dispatch<'a, P: Protocol>(
             // outside the lock, as in `Conn::drop`) before the dial is
             // accepted afresh.
             step::<P, _>(net, world, h, |flow, _cfg, rec, now, out| {
-                P::kill(flow, rec, now);
+                P::kill(flow, &mut out.pool, rec, now);
                 P::hdr_mut(flow).notify_closed(CloseReason::Reset, out);
             });
             let events = P::table(&mut net.sim().lock().net)
@@ -926,7 +1084,8 @@ impl<P: Protocol> Drop for Conn<P> {
             if hdr.app_handles > 0 || !hdr.app_owned {
                 return;
             }
-            P::kill(flow, self.net.sim().recorder(), self.net.now());
+            let pool = &mut table.out.pool;
+            P::kill(flow, pool, self.net.sim().recorder(), self.net.now());
             let hdr = P::hdr_mut(flow);
             let (local, peer) = (hdr.local, hdr.peer);
             let events = hdr.events.take();
@@ -1007,7 +1166,7 @@ impl<P: Protocol> Conn<P> {
     /// Runs `f` as one [`step`] of this flow.
     pub(crate) fn process<F>(&self, f: F)
     where
-        F: FnOnce(&mut P::Flow, &P, &Recorder, SimTime, &mut Out<P>),
+        F: FnOnce(&mut P::Flow, &P, &Recorder, SimTime, &mut Out<P::Wire>),
     {
         let _scope = memscope::enter(P::SCOPE);
         step(&self.net, self.net.sim().lock(), self.h, f);
@@ -1037,7 +1196,7 @@ impl<P: Protocol> Conn<P> {
         self.process(|flow, cfg, rec, now, out| {
             let (stream, phase, send_buf) = P::stream(flow, cfg);
             if phase != Phase::Closed {
-                accepted = stream.accept(&data, send_buf);
+                accepted = stream.accept(&data, send_buf, &mut out.pool);
             }
             if accepted > 0 {
                 P::kick(flow, cfg, rec, now, out);
@@ -1169,10 +1328,59 @@ mod tests {
     /// A port on `b` nobody listens on.
     const BLACK_HOLE: u16 = 81;
 
+    impl<P: Protocol> Conn<P> {
+        /// As [`Conn::peek`], with the table's `out`: what `f` pushes there
+        /// is dropped, not carried out.
+        pub(crate) fn peek_out<R>(
+            &self,
+            f: impl FnOnce(&mut P::Flow, &P, &mut Out<P::Wire>) -> R,
+        ) -> Option<R> {
+            let mut world = self.net.sim().lock();
+            let table = P::table(&mut world.net);
+            let flow = table.flows.get_mut(self.h)?;
+            let cfg = &table.configs[P::hdr(flow).cfg_id as usize];
+            let r = f(flow, cfg, &mut table.out);
+            table.out.actions.clear();
+            Some(r)
+        }
+    }
+
+    impl<W> Out<W> {
+        /// The actions pushed so far.
+        pub(crate) fn actions(&self) -> &[Action<W>] {
+            &self.actions
+        }
+    }
+
     impl Stream {
         /// Every buffer released, as a kill leaves it.
         pub(crate) fn is_freed(&self) -> bool {
-            self.send_q.capacity() == 0 && self.ooo.is_empty() && self.ooo_bytes == 0
+            self.writes.head.is_none()
+                && self.next_write.is_none()
+                && self.held.head.is_none()
+                && self.held_bytes == 0
+        }
+
+        /// The send buffer's writes: offset and bytes, oldest first.
+        fn writes(&self, pool: &NodePool) -> Vec<(u64, Bytes)> {
+            let writes = pool.iter(self.writes);
+            writes.map(|(_, w)| (w.key, w.data.clone())).collect()
+        }
+
+        /// The nodes of both lists.
+        fn nodes(&self, pool: &NodePool) -> usize {
+            pool.iter(self.writes).count() + pool.iter(self.held).count()
+        }
+    }
+
+    impl NodePool {
+        /// Nodes in some list: every node but the free ones.
+        fn live(&self) -> usize {
+            let free = List {
+                head: self.free,
+                tail: None,
+            };
+            self.nodes.len() - self.iter(free).count()
         }
     }
 
@@ -1212,7 +1420,7 @@ mod tests {
             },
             |ops| {
                 let mut stream = Stream::default();
-                let mut out: Vec<Action<()>> = Vec::new();
+                let mut out: Out<()> = Out::new();
                 // Where each accepted write starts, and each outstanding
                 // payload's offset and bytes as first handed out.
                 let mut writes = vec![0];
@@ -1222,10 +1430,11 @@ mod tests {
                         BufOp::Write { len } => {
                             let free = SEND_BUF - stream.unacked();
                             let data = pattern_bytes(stream.bytes_sent as usize, len);
-                            assert_eq!(stream.accept(&data, SEND_BUF), len.min(free));
+                            let accepted = stream.accept(&data, SEND_BUF, &mut out.pool);
+                            assert_eq!(accepted, len.min(free));
                             writes.push(stream.bytes_sent);
                         }
-                        BufOp::Take { mss } => match stream.next_payload(mss) {
+                        BufOp::Take { mss } => match stream.next_payload(mss, &out.pool) {
                             Some((at, payload)) => {
                                 let end = at + payload.len() as u64;
                                 assert!(!payload.is_empty() && payload.len() <= mss);
@@ -1247,21 +1456,244 @@ mod tests {
                             if let Some((at, first)) =
                                 outstanding.get(pick % outstanding.len().max(1))
                             {
-                                assert_eq!(stream.resend(*at, first.len()), *first);
+                                assert_eq!(stream.resend(*at, first.len(), &out.pool), *first);
                             }
                         }
                     }
                     // The buffer holds each unacknowledged byte once: its
                     // writes, trimmed at the front to the first of them.
-                    let held: usize = stream.send_q.iter().map(|(_, d)| d.len()).sum();
+                    let writes = stream.writes(&out.pool);
+                    let held: usize = writes.iter().map(|(_, d)| d.len()).sum();
                     assert_eq!(held, stream.unacked());
-                    assert!(stream.send_q.iter().all(|(_, d)| !d.is_empty()));
-                    if let Some(&(start, _)) = stream.send_q.front() {
+                    assert!(writes.iter().all(|(_, d)| !d.is_empty()));
+                    if let Some(&(start, _)) = writes.first() {
                         assert_eq!(start, stream.bytes_acked);
                     }
                 }
-                stream.free_buffers();
+                stream.free_buffers(&mut out.pool);
                 assert!(stream.is_freed());
+                assert_eq!(out.pool.live(), 0);
+            },
+        );
+    }
+
+    /// A stream's buffers as they were before they moved into the table's
+    /// pool: its own `VecDeque` of writes and `BTreeMap` of held payloads.
+    #[derive(Default)]
+    struct Model {
+        send_q: VecDeque<(u64, Bytes)>,
+        next_write: usize,
+        bytes_out: u64,
+        bytes_sent: u64,
+        bytes_acked: u64,
+        app_blocked: bool,
+        ooo: std::collections::BTreeMap<u64, Bytes>,
+        ooo_bytes: usize,
+    }
+
+    impl Model {
+        fn accept(&mut self, data: &Bytes, send_buf: usize) -> usize {
+            let free = send_buf.saturating_sub((self.bytes_sent - self.bytes_acked) as usize);
+            let take = free.min(data.len());
+            self.app_blocked |= take < data.len();
+            if take > 0 {
+                self.send_q
+                    .push_back((self.bytes_sent, data.slice(0..take)));
+                self.bytes_sent += take as u64;
+            }
+            take
+        }
+
+        fn next_payload(&mut self, mss: usize) -> Option<(u64, Bytes)> {
+            let (start, data) = self.send_q.get(self.next_write)?;
+            let from = (self.bytes_out - start) as usize;
+            let end = data.len().min(from + mss);
+            self.next_write += usize::from(end == data.len());
+            let at = self.bytes_out;
+            self.bytes_out += (end - from) as u64;
+            Some((at, data.slice(from..end)))
+        }
+
+        fn resend(&self, at: u64, len: usize) -> Bytes {
+            let write = self.send_q.partition_point(|&(start, _)| start <= at) - 1;
+            let (start, data) = &self.send_q[write];
+            data.slice((at - start) as usize..(at - start) as usize + len)
+        }
+
+        /// Whether the application is told it may write.
+        fn acked(&mut self, n: usize, send_buf: usize, mss: usize) -> bool {
+            self.bytes_acked += n as u64;
+            while let Some((start, data)) = self.send_q.front_mut() {
+                let done = (self.bytes_acked - *start) as usize;
+                if done < data.len() {
+                    data.advance(done);
+                    *start = self.bytes_acked;
+                    break;
+                }
+                self.send_q.pop_front();
+                self.next_write -= 1;
+            }
+            let free = send_buf.saturating_sub((self.bytes_sent - self.bytes_acked) as usize);
+            let writable = n > 0 || (self.app_blocked && free >= mss);
+            self.app_blocked &= !writable;
+            writable
+        }
+
+        fn hold(&mut self, seq: u64, payload: Bytes, recv_buf: usize) -> bool {
+            if self.ooo.contains_key(&seq) {
+                return true;
+            }
+            if self.ooo_bytes + payload.len() > recv_buf {
+                return false;
+            }
+            self.ooo_bytes += payload.len();
+            self.ooo.insert(seq, payload);
+            true
+        }
+
+        fn deliver_held(&mut self, next: u64) -> Option<Bytes> {
+            let entry = self.ooo.first_entry().filter(|e| *e.key() == next)?;
+            let data = entry.remove();
+            self.ooo_bytes -= data.len();
+            Some(data)
+        }
+    }
+
+    /// One call on stream `s` of those sharing a pool: `Take`, `Resend`
+    /// and `Ack` as in [`BufOp`]; `Hold` a payload at `ahead` past the
+    /// stream's next expected sequence number; `Deliver` what is held there;
+    /// `Kill` frees the stream's buffers and puts a fresh stream in its place.
+    #[derive(Debug)]
+    enum PoolOp {
+        Write { s: usize, len: usize },
+        Take { s: usize, mss: usize },
+        Resend { s: usize, pick: usize },
+        Ack { s: usize, segments: usize },
+        Hold { s: usize, ahead: u64, len: usize },
+        Deliver { s: usize },
+        Kill { s: usize },
+    }
+
+    #[test]
+    fn pooled_streams_keep_what_their_own_containers_kept() {
+        use rand::Rng;
+        const STREAMS: usize = 4;
+        const SEND_BUF: usize = 16_384;
+        const RECV_BUF: usize = 12_000;
+        PropRunner::new("pooled-streams").cases(64).run(
+            |rng| {
+                let ops = rng.gen_range(1..600);
+                (0..ops)
+                    .map(|_| {
+                        let s = rng.gen_range(0..STREAMS);
+                        match rng.gen_range(0..20) {
+                            0..=2 => PoolOp::Write {
+                                s,
+                                len: rng.gen_range(1..6_000),
+                            },
+                            3..=5 => PoolOp::Take {
+                                s,
+                                mss: rng.gen_range(1..2_000),
+                            },
+                            6 => PoolOp::Resend { s, pick: rng.gen() },
+                            7 | 8 => PoolOp::Ack {
+                                s,
+                                segments: rng.gen_range(0..4),
+                            },
+                            9..=14 => PoolOp::Hold {
+                                s,
+                                ahead: rng.gen_range(0..12),
+                                len: rng.gen_range(1..3_000),
+                            },
+                            15..=18 => PoolOp::Deliver { s },
+                            _ => PoolOp::Kill { s },
+                        }
+                    })
+                    .collect::<Vec<_>>()
+            },
+            |ops| {
+                let mut out: Out<()> = Out::new();
+                let mut streams: Vec<Stream> = (0..STREAMS).map(|_| Stream::default()).collect();
+                let mut models: Vec<Model> = (0..STREAMS).map(|_| Model::default()).collect();
+                // Per stream: payloads handed out and not yet acknowledged,
+                // and the next sequence number expected (UDT's numbering:
+                // one per payload).
+                let mut outstanding = vec![VecDeque::<(u64, usize)>::new(); STREAMS];
+                let mut next = [0u64; STREAMS];
+                for op in ops {
+                    match *op {
+                        PoolOp::Write { s, len } => {
+                            let data = pattern_bytes(models[s].bytes_sent as usize, len);
+                            let accepted = streams[s].accept(&data, SEND_BUF, &mut out.pool);
+                            assert_eq!(accepted, models[s].accept(&data, SEND_BUF));
+                        }
+                        PoolOp::Take { s, mss } => {
+                            let payload = streams[s].next_payload(mss, &out.pool);
+                            assert_eq!(payload, models[s].next_payload(mss));
+                            if let Some((at, data)) = payload {
+                                outstanding[s].push_back((at, data.len()));
+                            }
+                        }
+                        PoolOp::Resend { s, pick } => {
+                            let n = outstanding[s].len().max(1);
+                            if let Some(&(at, len)) = outstanding[s].get(pick % n) {
+                                let bytes = streams[s].resend(at, len, &out.pool);
+                                assert_eq!(bytes, models[s].resend(at, len));
+                            }
+                        }
+                        PoolOp::Ack { s, segments } => {
+                            let segments = segments.min(outstanding[s].len());
+                            let n = outstanding[s].drain(..segments).map(|(_, len)| len).sum();
+                            let before = out.actions.len();
+                            streams[s].acked(n, SEND_BUF, 1, &mut out);
+                            let writable = out.actions.len() > before;
+                            assert_eq!(writable, models[s].acked(n, SEND_BUF, 1));
+                        }
+                        PoolOp::Hold { s, ahead, len } => {
+                            let seq = next[s] + ahead;
+                            let payload = pattern_bytes(seq as usize, len);
+                            let held =
+                                streams[s].hold(seq, payload.clone(), RECV_BUF, &mut out.pool);
+                            assert_eq!(held, models[s].hold(seq, payload, RECV_BUF));
+                        }
+                        PoolOp::Deliver { s } => {
+                            let before = out.actions.len();
+                            let len = streams[s].deliver_held(next[s], &mut out);
+                            let delivered = models[s].deliver_held(next[s]);
+                            assert_eq!(len, delivered.as_ref().map(Bytes::len));
+                            if let Some(data) = delivered {
+                                assert!(matches!(
+                                    &out.actions[before..],
+                                    [Action::Deliver(d)] if *d == data
+                                ));
+                                next[s] += 1;
+                            }
+                        }
+                        PoolOp::Kill { s } => {
+                            streams[s].free_buffers(&mut out.pool);
+                            assert!(streams[s].is_freed());
+                            streams[s] = Stream::default();
+                            models[s] = Model::default();
+                            outstanding[s].clear();
+                            next[s] = 0;
+                        }
+                    }
+                    out.actions.clear();
+                    for (stream, model) in streams.iter().zip(&models) {
+                        assert_eq!(stream.writes(&out.pool), Vec::from(model.send_q.clone()));
+                        let held = stream.held(&out.pool).map(|(k, d)| (k, d.clone()));
+                        let model_held = model.ooo.iter().map(|(&k, d)| (k, d.clone()));
+                        assert!(held.eq(model_held));
+                        assert_eq!(stream.held_bytes(), model.ooo_bytes);
+                        assert_eq!(stream.queued(), model.bytes_sent - model.bytes_out);
+                    }
+                    let listed: usize = streams.iter().map(|st| st.nodes(&out.pool)).sum();
+                    assert_eq!(
+                        out.pool.live(),
+                        listed,
+                        "a node is in exactly one list or free"
+                    );
+                }
             },
         );
     }

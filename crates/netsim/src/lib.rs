@@ -35,6 +35,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![warn(unreachable_pub)]
+#![deny(unconditional_recursion)]
 
 pub mod cc;
 pub mod engine;

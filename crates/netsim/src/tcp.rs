@@ -34,8 +34,8 @@ use kmsg_telemetry::{EventKind, Recorder, SpanKind};
 
 use crate::cc::{self, CcConfig, CcCtx, CongestionController};
 use crate::flowstack::{
-    self, release_drained, Conn, FirstLost, FlowHeader, FlowTable, Listener, LossMark, Phase,
-    Protocol, Stream,
+    self, release_drained, Conn, FirstLost, FlowHeader, FlowTable, Listener, LossMark, NodePool,
+    Phase, Protocol, Stream,
 };
 use crate::iface::{CloseReason, Connection};
 use crate::memscope;
@@ -350,14 +350,9 @@ fn my_wnd(flow: &Flow, cfg: &TcpConfig) -> u64 {
 }
 
 type Action = flowstack::Action<TcpSegment>;
+type Out = flowstack::Out<TcpSegment>;
 
-fn on_rto_fired(
-    flow: &mut Flow,
-    cfg: &TcpConfig,
-    rec: &Recorder,
-    now: SimTime,
-    out: &mut Vec<Action>,
-) {
+fn on_rto_fired(flow: &mut Flow, cfg: &TcpConfig, rec: &Recorder, now: SimTime, out: &mut Out) {
     // Deadline check replaces the old generation counter: every re-arm
     // moves the deadline and the timer keeps an event pending at or before
     // it, so an early firing is always stale.
@@ -413,13 +408,7 @@ fn on_rto_fired(
     arm_rto(flow, now, out);
 }
 
-fn on_pacer_fired(
-    flow: &mut Flow,
-    cfg: &TcpConfig,
-    rec: &Recorder,
-    now: SimTime,
-    out: &mut Vec<Action>,
-) {
+fn on_pacer_fired(flow: &mut Flow, cfg: &TcpConfig, rec: &Recorder, now: SimTime, out: &mut Out) {
     if !flow.pacer_armed || now < flow.pacer_deadline || flow.state == State::Closed {
         return;
     }
@@ -427,13 +416,13 @@ fn on_pacer_fired(
     try_send(flow, cfg, rec, now, out);
 }
 
-fn on_delack_fired(flow: &mut Flow, cfg: &TcpConfig, now: SimTime, out: &mut Vec<Action>) {
+fn on_delack_fired(flow: &mut Flow, cfg: &TcpConfig, now: SimTime, out: &mut Out) {
     let due = flow.state != State::Closed && flow.delack_timer.fired(KIND_DELACK, now, out);
     if !due || !flow.delack_pending {
         return;
     }
     flow.delack_pending = false;
-    out.push(Action::Send(pure_ack(flow, cfg, now)));
+    out.push(Action::Send(pure_ack(flow, cfg, now, &out.pool)));
 }
 
 /// What is TCP about the flow core; the config type names the protocol.
@@ -495,7 +484,7 @@ impl Protocol for TcpConfig {
         cfg: &TcpConfig,
         _rec: &Recorder,
         now: SimTime,
-        out: &mut Vec<Action>,
+        out: &mut Out,
     ) {
         send_syn(flow, cfg, now, out);
     }
@@ -506,7 +495,7 @@ impl Protocol for TcpConfig {
         cfg: &TcpConfig,
         _rec: &Recorder,
         now: SimTime,
-        out: &mut Vec<Action>,
+        out: &mut Out,
         seg: TcpSegment,
     ) {
         flow.rcv_nxt = seg.seq + 1;
@@ -520,14 +509,14 @@ impl Protocol for TcpConfig {
         cfg: &TcpConfig,
         rec: &Recorder,
         now: SimTime,
-        out: &mut Vec<Action>,
+        out: &mut Out,
         seg: TcpSegment,
     ) {
         match flow.state {
             State::Closed => {
                 // Re-acknowledge a retransmitted FIN so the peer can finish.
                 if seg.flags.fin {
-                    out.push(Action::Send(pure_ack(flow, cfg, now)));
+                    out.push(Action::Send(pure_ack(flow, cfg, now, &out.pool)));
                 }
             }
             // Either handshake state drops an acknowledgement of anything
@@ -579,7 +568,7 @@ impl Protocol for TcpConfig {
         cfg: &TcpConfig,
         rec: &Recorder,
         now: SimTime,
-        out: &mut Vec<Action>,
+        out: &mut Out,
         kind: u64,
         _aux: u32,
     ) {
@@ -599,16 +588,15 @@ impl Protocol for TcpConfig {
         }
     }
 
-    fn kill(flow: &mut Flow, rec: &Recorder, now: SimTime) {
+    fn kill(flow: &mut Flow, pool: &mut NodePool, rec: &Recorder, now: SimTime) {
         flow.state = State::Closed;
         flow.rto_armed = false;
         flow.pacer_armed = false;
         flow.delack_pending = false;
-        // Fresh containers rather than clear(): a killed flow's slot
-        // lingers in the slab, and VecDeque::clear keeps its ring
-        // buffer allocated.
-        flow.stream.free_buffers();
+        flow.stream.free_buffers(pool);
         close_all_seg_spans(flow, rec, now);
+        // A fresh ring rather than clear(): a killed flow's slot lingers in
+        // the slab, and VecDeque::clear keeps its ring buffer allocated.
         flow.sent = VecDeque::new();
         flow.first_lost = FirstLost::NONE;
         flow.last_report = SeqRanges::default();
@@ -627,14 +615,14 @@ impl Protocol for TcpConfig {
         (&mut flow.stream, phase, cfg.send_buf)
     }
 
-    fn kick(flow: &mut Flow, cfg: &TcpConfig, rec: &Recorder, now: SimTime, out: &mut Vec<Action>) {
+    fn kick(flow: &mut Flow, cfg: &TcpConfig, rec: &Recorder, now: SimTime, out: &mut Out) {
         try_send(flow, cfg, rec, now, out);
     }
 }
 
 /// Puts the opening SYN or SYN-ACK in flight: sequence number 0, covered by
 /// the retransmission timer like any other unacknowledged segment.
-fn send_syn(flow: &mut Flow, cfg: &TcpConfig, now: SimTime, out: &mut Vec<Action>) {
+fn send_syn(flow: &mut Flow, cfg: &TcpConfig, now: SimTime, out: &mut Out) {
     let seg = segment(flow, cfg, now, 0, true, false, Bytes::new());
     flow.snd_nxt = 1;
     out.push(Action::Send(seg));
@@ -647,7 +635,7 @@ fn complete_handshake_active(
     rec: &Recorder,
     seg: &TcpSegment,
     now: SimTime,
-    out: &mut Vec<Action>,
+    out: &mut Out,
 ) {
     flow.state = State::Established;
     flow.snd_una = seg.ack;
@@ -663,7 +651,7 @@ fn complete_handshake_active(
     disarm_rto(flow);
     out.push(Action::Connected);
     // Pure ACK completes the handshake; data may follow immediately.
-    out.push(Action::Send(pure_ack(flow, cfg, now)));
+    out.push(Action::Send(pure_ack(flow, cfg, now, &out.pool)));
     try_send(flow, cfg, rec, now, out);
 }
 
@@ -738,8 +726,8 @@ fn segment(
     }
 }
 
-fn pure_ack(flow: &mut Flow, cfg: &TcpConfig, now: SimTime) -> TcpSegment {
-    let holes = compute_holes(flow);
+fn pure_ack(flow: &mut Flow, cfg: &TcpConfig, now: SimTime, pool: &NodePool) -> TcpSegment {
+    let holes = compute_holes(flow, pool);
     let seq = flow.snd_nxt;
     TcpSegment {
         holes,
@@ -749,11 +737,11 @@ fn pure_ack(flow: &mut Flow, cfg: &TcpConfig, now: SimTime) -> TcpSegment {
 
 /// The receiver's missing `[from, to)` byte ranges below its highest
 /// buffered out-of-order segment (capped at 16), kept as the last report.
-fn compute_holes(flow: &mut Flow) -> SeqRanges {
+fn compute_holes(flow: &mut Flow, pool: &NodePool) -> SeqRanges {
     let mut holes = [(0, 0); 16];
     let mut n = 0;
     let mut expect = flow.rcv_nxt;
-    for (&seq, data) in flow.stream.held() {
+    for (seq, data) in flow.stream.held(pool) {
         if seq > expect {
             holes[n] = (expect, seq);
             n += 1;
@@ -766,7 +754,7 @@ fn compute_holes(flow: &mut Flow) -> SeqRanges {
     flow.last_report.update(&holes[..n])
 }
 
-fn arm_rto(flow: &mut Flow, now: SimTime, out: &mut Vec<Action>) {
+fn arm_rto(flow: &mut Flow, now: SimTime, out: &mut Out) {
     flow.rto_armed = true;
     out.push(flow.rto_timer.arm(KIND_RTO, now, flow.rto));
 }
@@ -774,7 +762,7 @@ fn arm_rto(flow: &mut Flow, now: SimTime, out: &mut Vec<Action>) {
 /// Schedules a pacer wake-up at the flow's next pacing gate (rate-based
 /// controllers only). Idempotent per gate: re-arming moves the deadline and
 /// earlier firings go stale.
-fn arm_pacer(flow: &mut Flow, now: SimTime, out: &mut Vec<Action>) {
+fn arm_pacer(flow: &mut Flow, now: SimTime, out: &mut Out) {
     if flow.pacer_armed && flow.pacer_deadline == flow.pacer_next {
         return;
     }
@@ -794,13 +782,7 @@ fn disarm_rto(flow: &mut Flow) {
 
 /// Resends the opening SYN or SYN-ACK (the handshake's timeout, or a
 /// duplicate SYN).
-fn resend_syn(
-    flow: &mut Flow,
-    cfg: &TcpConfig,
-    rec: &Recorder,
-    now: SimTime,
-    out: &mut Vec<Action>,
-) {
+fn resend_syn(flow: &mut Flow, cfg: &TcpConfig, rec: &Recorder, now: SimTime, out: &mut Out) {
     let seg = segment(flow, cfg, now, 0, true, false, Bytes::new());
     retransmit(flow, rec, now, seg, false, out);
 }
@@ -812,7 +794,7 @@ fn retransmit(
     now: SimTime,
     seg: TcpSegment,
     fast: bool,
-    out: &mut Vec<Action>,
+    out: &mut Out,
 ) {
     flow.retransmits += 1;
     let (conn, seq) = (flow.hdr.conn_id, seg.seq);
@@ -826,7 +808,7 @@ fn process_ack(
     rec: &Recorder,
     seg: &TcpSegment,
     now: SimTime,
-    out: &mut Vec<Action>,
+    out: &mut Out,
 ) {
     // An acknowledgement of what was never sent is not acceptable (RFC 793).
     if seg.ack > flow.snd_nxt {
@@ -915,13 +897,7 @@ fn note_holes(
 /// Retransmits queued-lost segments, paced by the congestion window: each
 /// invocation (i.e. each returning ACK) may resend up to `cwnd/4` worth of
 /// segments, so recovery self-clocks and ramps with slow start after an RTO.
-fn resend_lost(
-    flow: &mut Flow,
-    cfg: &TcpConfig,
-    rec: &Recorder,
-    now: SimTime,
-    out: &mut Vec<Action>,
-) {
+fn resend_lost(flow: &mut Flow, cfg: &TcpConfig, rec: &Recorder, now: SimTime, out: &mut Out) {
     let budget = ((flow.cwnd / cfg.mss as f64 / 4.0) as usize).max(1);
     let mut sent = 0;
     while sent < budget {
@@ -935,7 +911,7 @@ fn resend_lost(
         let payload = if fin {
             Bytes::new()
         } else {
-            flow.stream.resend(seq - 1, len)
+            flow.stream.resend(seq - 1, len, &out.pool)
         };
         let seg = segment(flow, cfg, now, seq, false, fin, payload);
         retransmit(flow, rec, now, seg, true, out);
@@ -943,13 +919,7 @@ fn resend_lost(
     }
 }
 
-fn receive_data(
-    flow: &mut Flow,
-    cfg: &TcpConfig,
-    seg: TcpSegment,
-    now: SimTime,
-    out: &mut Vec<Action>,
-) {
+fn receive_data(flow: &mut Flow, cfg: &TcpConfig, seg: TcpSegment, now: SimTime, out: &mut Out) {
     let plen = seg.payload.len();
     if seg.flags.fin {
         flow.peer_fin_seq = seg.seq + plen as u64;
@@ -970,7 +940,8 @@ fn receive_data(
         } else if seq > flow.rcv_nxt {
             // Out of order: buffer if the receive buffer allows, dup-ACK
             // immediately either way.
-            flow.stream.hold(seq, seg.payload, cfg.recv_buf);
+            flow.stream
+                .hold(seq, seg.payload, cfg.recv_buf, &mut out.pool);
             schedule_ack(flow, cfg, now, out, true);
         } else {
             // Duplicate of already-delivered data.
@@ -987,25 +958,19 @@ fn receive_data(
 /// Delayed-ACK timer.
 const DELACK_TIMEOUT: Duration = Duration::from_millis(40);
 
-fn schedule_ack(
-    flow: &mut Flow,
-    cfg: &TcpConfig,
-    now: SimTime,
-    out: &mut Vec<Action>,
-    immediate: bool,
-) {
+fn schedule_ack(flow: &mut Flow, cfg: &TcpConfig, now: SimTime, out: &mut Out, immediate: bool) {
     if immediate || flow.delack_pending {
         // Clearing the pending flag cancels any outstanding delack timer:
         // it fires, sees `delack_pending` false, and no-ops.
         flow.delack_pending = false;
-        out.push(Action::Send(pure_ack(flow, cfg, now)));
+        out.push(Action::Send(pure_ack(flow, cfg, now, &out.pool)));
     } else {
         flow.delack_pending = true;
         out.push(flow.delack_timer.arm(KIND_DELACK, now, DELACK_TIMEOUT));
     }
 }
 
-fn try_send(flow: &mut Flow, cfg: &TcpConfig, rec: &Recorder, now: SimTime, out: &mut Vec<Action>) {
+fn try_send(flow: &mut Flow, cfg: &TcpConfig, rec: &Recorder, now: SimTime, out: &mut Out) {
     if flow.state != State::Established {
         return;
     }
@@ -1049,7 +1014,10 @@ fn try_send(flow: &mut Flow, cfg: &TcpConfig, rec: &Recorder, now: SimTime, out:
             arm_pacer(flow, now, out);
             break;
         }
-        let (_, payload) = flow.stream.next_payload(cfg.mss).expect("bytes queued");
+        let (_, payload) = flow
+            .stream
+            .next_payload(cfg.mss, &out.pool)
+            .expect("bytes queued");
         let take = payload.len();
         let seg = segment(flow, cfg, now, flow.snd_nxt, false, false, payload);
         flow.sent.push_back(SentSeg {
@@ -1077,7 +1045,7 @@ fn try_send(flow: &mut Flow, cfg: &TcpConfig, rec: &Recorder, now: SimTime, out:
     }
 }
 
-fn maybe_close(flow: &mut Flow, rec: &Recorder, now: SimTime, out: &mut Vec<Action>) {
+fn maybe_close(flow: &mut Flow, rec: &Recorder, now: SimTime, out: &mut Out) {
     if flow.state == State::Closed {
         return;
     }
@@ -1417,7 +1385,7 @@ mod tests {
             );
         };
         let report = || {
-            conn.peek(|f, cfg| pure_ack(f, cfg, SimTime::ZERO).holes)
+            conn.peek_out(|f, cfg, out| pure_ack(f, cfg, SimTime::ZERO, &out.pool).holes)
                 .unwrap()
         };
         ahead(11);
@@ -1639,13 +1607,13 @@ mod tests {
     /// Steps `conn`'s flow with `step` in the world; what it sends.
     fn sends_of(
         conn: &TcpConn,
-        step: impl FnOnce(&mut Flow, &TcpConfig, &kmsg_telemetry::Recorder, SimTime, &mut Vec<Action>),
+        step: impl FnOnce(&mut Flow, &TcpConfig, &kmsg_telemetry::Recorder, SimTime, &mut Out),
     ) -> Vec<TcpSegment> {
         let mut sent = Vec::new();
         conn.process(|flow, cfg, rec, now, out| {
-            let from = out.len();
+            let from = out.actions().len();
             step(flow, cfg, rec, now, out);
-            for action in &out[from..] {
+            for action in &out.actions()[from..] {
                 if let Action::Send(seg) = action {
                     sent.push(seg.clone());
                 }
@@ -1660,7 +1628,7 @@ mod tests {
         cfg: &TcpConfig,
         rec: &kmsg_telemetry::Recorder,
         now: SimTime,
-        out: &mut Vec<Action>,
+        out: &mut Out,
     ) {
         out.push(flow.rto_timer.arm(KIND_RTO, now, Duration::ZERO));
         TcpConfig::on_timer(flow, cfg, rec, now, out, KIND_RTO, 0);

@@ -40,8 +40,8 @@ use kmsg_telemetry::bytes::Bytes;
 use kmsg_telemetry::{EventKind, Recorder, SpanKind};
 
 use crate::flowstack::{
-    self, release_drained, Conn, FirstLost, FlowHeader, FlowTable, Listener, LossMark, Phase,
-    Protocol, Stream,
+    self, release_drained, Conn, FirstLost, FlowHeader, FlowTable, Listener, LossMark, NodePool,
+    Phase, Protocol, Stream,
 };
 use crate::iface::{CloseReason, Connection};
 use crate::memscope;
@@ -335,6 +335,7 @@ fn flow_window_pkts(flow: &Flow, cfg: &UdtConfig) -> u64 {
 }
 
 type Action = flowstack::Action<UdtPacket>;
+type Out = flowstack::Out<UdtPacket>;
 
 fn arm(kind: u64, delay: Duration, aux: u32) -> Action {
     Action::Arm { kind, delay, aux }
@@ -342,13 +343,7 @@ fn arm(kind: u64, delay: Duration, aux: u32) -> Action {
 
 /// Rate control + receiver-side ACK emission, every `SYN`. The tick chain
 /// re-arms itself until the flow closes.
-fn on_syn_tick(
-    flow: &mut Flow,
-    cfg: &UdtConfig,
-    rec: &Recorder,
-    now: SimTime,
-    out: &mut Vec<Action>,
-) {
+fn on_syn_tick(flow: &mut Flow, cfg: &UdtConfig, rec: &Recorder, now: SimTime, out: &mut Out) {
     if flow.state == Phase::Closed {
         return;
     }
@@ -431,7 +426,7 @@ fn on_syn_tick(
 
 /// Expiration: no feedback while data is in flight. Re-arms itself until
 /// the flow closes.
-fn on_exp_tick(flow: &mut Flow, cfg: &UdtConfig, now: SimTime, out: &mut Vec<Action>) {
+fn on_exp_tick(flow: &mut Flow, cfg: &UdtConfig, now: SimTime, out: &mut Out) {
     if flow.state == Phase::Closed {
         return;
     }
@@ -475,7 +470,7 @@ fn on_exp_tick(flow: &mut Flow, cfg: &UdtConfig, now: SimTime, out: &mut Vec<Act
 }
 
 /// The pacing clock: transmit one packet, reschedule.
-fn on_pacer(flow: &mut Flow, cfg: &UdtConfig, now: SimTime, out: &mut Vec<Action>, gen: u32) {
+fn on_pacer(flow: &mut Flow, cfg: &UdtConfig, now: SimTime, out: &mut Out, gen: u32) {
     if gen != flow.pacer_gen as u32 || flow.state != Phase::Established {
         return;
     }
@@ -498,7 +493,7 @@ fn on_pacer(flow: &mut Flow, cfg: &UdtConfig, now: SimTime, out: &mut Vec<Action
 }
 
 /// A data packet cleared the receive-processing queue.
-fn on_data_processed(flow: &mut Flow, rec: &Recorder, now: SimTime, out: &mut Vec<Action>) {
+fn on_data_processed(flow: &mut Flow, rec: &Recorder, now: SimTime, out: &mut Out) {
     // Pop unconditionally: the completion event consumed its queue entry
     // even if the flow died in the meantime.
     let Some((seq, probe)) = flow.proc_fifo.pop_front() else {
@@ -512,7 +507,7 @@ fn on_data_processed(flow: &mut Flow, rec: &Recorder, now: SimTime, out: &mut Ve
 }
 
 /// Handshake (re)transmission. `attempt` rides the timer token.
-fn on_hs_retry(flow: &mut Flow, cfg: &UdtConfig, out: &mut Vec<Action>, attempt: u32) {
+fn on_hs_retry(flow: &mut Flow, cfg: &UdtConfig, out: &mut Out, attempt: u32) {
     if flow.state != Phase::Connecting {
         return;
     }
@@ -585,7 +580,7 @@ impl Protocol for UdtConfig {
         cfg: &UdtConfig,
         _rec: &Recorder,
         _now: SimTime,
-        out: &mut Vec<Action>,
+        out: &mut Out,
     ) {
         out.push(arm(KIND_SYN_TICK, cfg.syn, 0));
         out.push(arm(KIND_EXP_TICK, cfg.exp_timeout, 0));
@@ -602,7 +597,7 @@ impl Protocol for UdtConfig {
         cfg: &UdtConfig,
         rec: &Recorder,
         now: SimTime,
-        out: &mut Vec<Action>,
+        out: &mut Out,
         pkt: UdtPacket,
     ) {
         out.push(arm(KIND_SYN_TICK, cfg.syn, 0));
@@ -615,7 +610,7 @@ impl Protocol for UdtConfig {
         cfg: &UdtConfig,
         rec: &Recorder,
         now: SimTime,
-        out: &mut Vec<Action>,
+        out: &mut Out,
         pkt: UdtPacket,
     ) {
         match pkt {
@@ -653,7 +648,9 @@ impl Protocol for UdtConfig {
                     return; // overload drop: will be NAKed
                 }
                 // What overflows the receive buffer is effectively lost.
-                if seq >= flow.rcv_nxt && !flow.stream.hold(seq, payload, cfg.rcv_buf) {
+                if seq >= flow.rcv_nxt
+                    && !flow.stream.hold(seq, payload, cfg.rcv_buf, &mut out.pool)
+                {
                     flow.rcv_buf_drops += 1;
                 }
                 flow.proc_busy_until = flow.proc_busy_until.max(now) + RX_PROC_DELAY;
@@ -762,7 +759,7 @@ impl Protocol for UdtConfig {
         cfg: &UdtConfig,
         rec: &Recorder,
         now: SimTime,
-        out: &mut Vec<Action>,
+        out: &mut Out,
         kind: u64,
         aux: u32,
     ) {
@@ -776,13 +773,13 @@ impl Protocol for UdtConfig {
         }
     }
 
-    fn kill(flow: &mut Flow, rec: &Recorder, now: SimTime) {
+    fn kill(flow: &mut Flow, pool: &mut NodePool, rec: &Recorder, now: SimTime) {
         flow.state = Phase::Closed;
         flow.pacer_active = false;
+        flow.stream.free_buffers(pool);
         // Fresh containers rather than clear(): a killed flow's slot
         // lingers in the slab, and VecDeque::clear keeps its ring
         // buffer allocated (the B-tree container frees on clear).
-        flow.stream.free_buffers();
         flow.packets = VecDeque::new();
         flow.first_lost = FirstLost::NONE;
         Self::after_step(flow, rec, now);
@@ -829,13 +826,7 @@ impl Protocol for UdtConfig {
         (&mut flow.stream, flow.state, cfg.snd_buf)
     }
 
-    fn kick(
-        flow: &mut Flow,
-        cfg: &UdtConfig,
-        _rec: &Recorder,
-        _now: SimTime,
-        out: &mut Vec<Action>,
-    ) {
+    fn kick(flow: &mut Flow, cfg: &UdtConfig, _rec: &Recorder, _now: SimTime, out: &mut Out) {
         restart_pacer(flow, cfg, out);
     }
 }
@@ -851,7 +842,7 @@ fn receive_data_packet(
     seq: u64,
     probe: bool,
     now: SimTime,
-    out: &mut Vec<Action>,
+    out: &mut Out,
 ) {
     if let Some((prev_seq, prev_at)) = flow.prev_arrival {
         if probe && prev_seq + 1 == seq {
@@ -896,7 +887,7 @@ fn receive_data_packet(
     try_finish_receive(flow, out);
 }
 
-fn try_finish_receive(flow: &mut Flow, out: &mut Vec<Action>) {
+fn try_finish_receive(flow: &mut Flow, out: &mut Out) {
     if flow.rcv_nxt >= flow.peer_fin_seq {
         out.push(Action::Send(UdtPacket::FinAck));
         flow.state = Phase::Closed;
@@ -926,7 +917,7 @@ fn collect_ranges(set: &BTreeSet<u64>, cap: usize, last: &mut SeqRanges) -> SeqR
 
 /// Transmits one packet if allowed: retransmissions first, then new data,
 /// then a pending FIN. Returns the sequence sent (for pair scheduling).
-fn send_one(flow: &mut Flow, cfg: &UdtConfig, _now: SimTime, out: &mut Vec<Action>) -> Option<u64> {
+fn send_one(flow: &mut Flow, cfg: &UdtConfig, _now: SimTime, out: &mut Out) -> Option<u64> {
     // 1. Retransmission.
     if let Some(at) = flow.first_lost.take(&mut flow.packets) {
         let seq = flow.snd_una + at as u64;
@@ -937,13 +928,16 @@ fn send_one(flow: &mut Flow, cfg: &UdtConfig, _now: SimTime, out: &mut Vec<Actio
         out.push(Action::Send(UdtPacket::Data {
             seq,
             probe: false,
-            payload: flow.stream.resend(offset, len as usize),
+            payload: flow.stream.resend(offset, len as usize, &out.pool),
         }));
         return Some(seq);
     }
     // 2. New data, if the flow window allows.
     if flow.stream.has_queued() && flow.flight_pkts() < flow_window_pkts(flow, cfg) {
-        let (offset, payload) = flow.stream.next_payload(cfg.mss).expect("bytes queued");
+        let (offset, payload) = flow
+            .stream
+            .next_payload(cfg.mss, &out.pool)
+            .expect("bytes queued");
         let seq = flow.snd_nxt;
         flow.snd_nxt += 1;
         flow.packets.push_back(Unacked {
@@ -970,7 +964,7 @@ fn send_one(flow: &mut Flow, cfg: &UdtConfig, _now: SimTime, out: &mut Vec<Actio
     None
 }
 
-fn restart_pacer(flow: &mut Flow, cfg: &UdtConfig, out: &mut Vec<Action>) {
+fn restart_pacer(flow: &mut Flow, cfg: &UdtConfig, out: &mut Out) {
     if flow.pacer_active || flow.state != Phase::Established {
         return;
     }
@@ -1225,18 +1219,18 @@ mod tests {
     /// numbers, in sending order. Each carries the bytes first sent as
     /// packet `seq` of [`in_flight`]'s.
     fn resend_all(conn: &UdtConn, una: u64) -> Vec<u64> {
-        let mut out = Vec::new();
-        let resent = conn.peek(|flow, cfg| {
-            std::iter::from_fn(|| send_one(flow, cfg, SimTime::ZERO, &mut out)).collect()
-        });
-        for action in out {
-            let flowstack::Action::Send(UdtPacket::Data { seq, payload, .. }) = action else {
-                panic!("only data is resent");
-            };
-            let at = (seq - una) as usize * MSS;
-            assert_eq!(payload, pattern_bytes(at, MSS), "packet {seq}");
-        }
-        resent.unwrap()
+        conn.peek_out(|flow, cfg, out| {
+            let resent = std::iter::from_fn(|| send_one(flow, cfg, SimTime::ZERO, out)).collect();
+            for action in out.actions() {
+                let flowstack::Action::Send(UdtPacket::Data { seq, payload, .. }) = action else {
+                    panic!("only data is resent");
+                };
+                let at = (seq - una) as usize * MSS;
+                assert_eq!(*payload, pattern_bytes(at, MSS), "packet {seq}");
+            }
+            resent
+        })
+        .unwrap()
     }
 
     #[test]

@@ -50,6 +50,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![warn(unreachable_pub)]
+#![deny(unconditional_recursion)]
 
 mod bbr;
 mod conservation;

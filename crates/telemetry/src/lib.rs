@@ -46,6 +46,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![warn(unreachable_pub)]
+#![deny(unconditional_recursion)]
 
 pub mod bytes;
 pub mod critical_path;

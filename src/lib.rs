@@ -44,6 +44,7 @@
 //! evaluation and check its claims.
 
 #![warn(unreachable_pub)]
+#![deny(unconditional_recursion)]
 
 pub use kmsg_apps as apps;
 pub use kmsg_component as component;
