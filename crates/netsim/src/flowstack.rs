@@ -13,7 +13,8 @@
 //! what a step asks for — packets, timers, callbacks — is carried out in
 //! order once the lock is released. Every flow's application-facing half —
 //! send buffer, writable rule, reorder buffer — is one [`Stream`], whose
-//! buffers are lists in the table's one [`NodePool`]. A [`Protocol`]
+//! buffers are lists in the table's [`NodePool`] of [`Chunk`]s; its send
+//! queue is a [`SendQueue`] in the table's pool of its entries. A [`Protocol`]
 //! supplies the rest: config, wire type, the flow state machine as step
 //! functions that see one flow and never a lock, its timer kinds, how an
 //! open starts and what dying clears. Besides `network.rs` and
@@ -59,6 +60,8 @@ pub(crate) trait Protocol: PartialEq + Send + Sized + 'static {
     type Flow: Send;
     /// The packet body this protocol puts on the wire.
     type Wire: Send;
+    /// An entry of a flow's [`SendQueue`], kept in the table's pool.
+    type Sent: LossMark + Default + Send;
 
     /// Wire protocol of every packet and port binding of this protocol.
     const WIRE: WireProtocol;
@@ -88,7 +91,7 @@ pub(crate) trait Protocol: PartialEq + Send + Sized + 'static {
         cfg: &Self,
         rec: &Recorder,
         now: SimTime,
-        out: &mut Out<Self::Wire>,
+        out: &mut Out<Self>,
     );
     /// Starts a passive open with the packet that asked for it.
     fn start_passive(
@@ -96,7 +99,7 @@ pub(crate) trait Protocol: PartialEq + Send + Sized + 'static {
         cfg: &Self,
         rec: &Recorder,
         now: SimTime,
-        out: &mut Out<Self::Wire>,
+        out: &mut Out<Self>,
         wire: Self::Wire,
     );
     /// A packet for an existing flow.
@@ -105,7 +108,7 @@ pub(crate) trait Protocol: PartialEq + Send + Sized + 'static {
         cfg: &Self,
         rec: &Recorder,
         now: SimTime,
-        out: &mut Out<Self::Wire>,
+        out: &mut Out<Self>,
         wire: Self::Wire,
     );
     /// A per-flow timer of `kind` (with the `aux` word it was armed with)
@@ -117,7 +120,7 @@ pub(crate) trait Protocol: PartialEq + Send + Sized + 'static {
         cfg: &Self,
         rec: &Recorder,
         now: SimTime,
-        out: &mut Out<Self::Wire>,
+        out: &mut Out<Self>,
         kind: u64,
         aux: u32,
     );
@@ -127,8 +130,8 @@ pub(crate) trait Protocol: PartialEq + Send + Sized + 'static {
     }
     /// The flow is abandoned (its last application handle dropped, or its
     /// peer dialled again): close it in place and free its buffers, its
-    /// stream's nodes back to `pool` (the slot itself lingers in the slab).
-    fn kill(flow: &mut Self::Flow, pool: &mut NodePool, rec: &Recorder, now: SimTime);
+    /// nodes back to `out`'s pools (the slot itself lingers in the slab).
+    fn kill(flow: &mut Self::Flow, out: &mut Out<Self>, rec: &Recorder, now: SimTime);
     /// Runs under the lock after every step.
     fn after_step(_flow: &mut Self::Flow, _rec: &Recorder, _now: SimTime) {}
     /// Appends the protocol's fields to a connection handle's `Debug`.
@@ -139,13 +142,7 @@ pub(crate) trait Protocol: PartialEq + Send + Sized + 'static {
     fn stream<'a>(flow: &'a mut Self::Flow, cfg: &Self) -> (&'a mut Stream, Phase, usize);
     /// Moves bytes or a FIN just queued along (TCP tries to send, UDT
     /// restarts its pacer).
-    fn kick(
-        flow: &mut Self::Flow,
-        cfg: &Self,
-        rec: &Recorder,
-        now: SimTime,
-        out: &mut Out<Self::Wire>,
-    );
+    fn kick(flow: &mut Self::Flow, cfg: &Self, rec: &Recorder, now: SimTime, out: &mut Out<Self>);
 }
 
 /// Where a flow's open stands: UDT's states, and TCP's with its two
@@ -165,9 +162,9 @@ pub(crate) enum Phase {
 /// keeps its own sequence space (bytes or packets), congestion control,
 /// loss reports, handshake and close, and passes the sizes from its config.
 ///
-/// Both buffers are lists in the table's [`NodePool`], which every call
-/// that reads or writes them is handed: a flow allocates nothing of its
-/// own.
+/// Both buffers are lists in the table's [`NodePool`] of [`Chunk`]s, which
+/// every call that reads or writes them is handed: a flow allocates nothing
+/// of its own.
 #[derive(Default)]
 pub(crate) struct Stream {
     /// Accepted bytes not yet acknowledged, one node per application write
@@ -210,7 +207,7 @@ impl Stream {
     /// Queues as much of `data` as the send buffer has room for, nothing
     /// once a FIN is queued; how much. A writer refused any is owed an
     /// `on_writable`.
-    fn accept(&mut self, data: &Bytes, send_buf: usize, pool: &mut NodePool) -> usize {
+    fn accept(&mut self, data: &Bytes, send_buf: usize, pool: &mut NodePool<Chunk>) -> usize {
         if self.fin_queued {
             return 0;
         }
@@ -219,7 +216,11 @@ impl Stream {
             self.app_blocked = true;
         }
         if take > 0 {
-            let at = pool.push_back(&mut self.writes, self.bytes_sent, data.slice(0..take));
+            let write = Chunk {
+                key: self.bytes_sent,
+                data: data.slice(0..take),
+            };
+            let at = pool.push_back(&mut self.writes, write);
             self.next_write = self.next_write.or(at);
             self.bytes_sent += take as u64;
         }
@@ -231,21 +232,20 @@ impl Stream {
         self.bytes_out < self.bytes_sent
     }
 
-    /// Accepted bytes waiting to be sent.
-    pub(crate) fn queued(&self) -> u64 {
-        self.bytes_sent - self.bytes_out
-    }
-
     /// The stream offset and bytes of the next payload: at most `mss`
     /// bytes, never from two writes.
-    pub(crate) fn next_payload(&mut self, mss: usize, pool: &NodePool) -> Option<(u64, Bytes)> {
+    pub(crate) fn next_payload(
+        &mut self,
+        mss: usize,
+        pool: &NodePool<Chunk>,
+    ) -> Option<(u64, Bytes)> {
         let write = pool.get(self.next_write)?;
         let at = self.bytes_out;
         let from = (at - write.key) as usize;
         let end = write.data.len().min(from + mss);
         let payload = write.data.slice(from..end);
         if end == write.data.len() {
-            self.next_write = write.next;
+            self.next_write = pool.next(self.next_write);
         }
         self.bytes_out += payload.len() as u64;
         Some((at, payload))
@@ -254,7 +254,7 @@ impl Stream {
     /// The `len` bytes at stream offset `at`, a payload handed out before
     /// and not yet acknowledged, for a resend: a walk from the oldest write
     /// to the one that holds `at`, then one slice of it.
-    pub(crate) fn resend(&self, at: u64, len: usize, pool: &NodePool) -> Bytes {
+    pub(crate) fn resend(&self, at: u64, len: usize, pool: &NodePool<Chunk>) -> Bytes {
         let (_, write) = pool
             .iter(self.writes)
             .find(|(_, w)| at < w.key + w.data.len() as u64)
@@ -267,7 +267,13 @@ impl Stream {
     /// the front of the send buffer. Any fire `on_writable`, so the
     /// middleware can track delivery progress; with none, a refused writer
     /// hears once `mss` bytes of room are free.
-    pub(crate) fn acked<W>(&mut self, n: usize, send_buf: usize, mss: usize, out: &mut Out<W>) {
+    pub(crate) fn acked<P: Protocol>(
+        &mut self,
+        n: usize,
+        send_buf: usize,
+        mss: usize,
+        out: &mut Out<P>,
+    ) {
         self.bytes_acked += n as u64;
         while let Some(oldest) = out.pool.get_mut(self.writes.head) {
             let done = (self.bytes_acked - oldest.key) as usize;
@@ -294,7 +300,7 @@ impl Stream {
         seq: u64,
         payload: Bytes,
         recv_buf: usize,
-        pool: &mut NodePool,
+        pool: &mut NodePool<Chunk>,
     ) -> bool {
         let mut after = self.held.tail;
         if pool.get(after).is_some_and(|last| last.key >= seq) {
@@ -313,12 +319,19 @@ impl Stream {
             return false;
         }
         self.held_bytes += payload.len();
-        pool.insert_after(&mut self.held, after, seq, payload);
+        let held = Chunk {
+            key: seq,
+            data: payload,
+        };
+        pool.insert_after(&mut self.held, after, held);
         true
     }
 
     /// The held payloads, by ascending sequence number.
-    pub(crate) fn held<'a>(&self, pool: &'a NodePool) -> impl Iterator<Item = (u64, &'a Bytes)> {
+    pub(crate) fn held<'a>(
+        &self,
+        pool: &'a NodePool<Chunk>,
+    ) -> impl Iterator<Item = (u64, &'a Bytes)> {
         pool.iter(self.held).map(|(_, held)| (held.key, &held.data))
     }
 
@@ -328,17 +341,21 @@ impl Stream {
     }
 
     /// Delivers `data`, next in order, to the application.
-    pub(crate) fn deliver<W>(&mut self, data: Bytes, out: &mut Out<W>) {
+    pub(crate) fn deliver<P: Protocol>(&mut self, data: Bytes, out: &mut Out<P>) {
         self.bytes_delivered += data.len() as u64;
         out.push(Action::Deliver(data));
     }
 
     /// Delivers the payload held at `next`, if there is one; its length.
-    pub(crate) fn deliver_held<W>(&mut self, next: u64, out: &mut Out<W>) -> Option<usize> {
+    pub(crate) fn deliver_held<P: Protocol>(
+        &mut self,
+        next: u64,
+        out: &mut Out<P>,
+    ) -> Option<usize> {
         if out.pool.get(self.held.head)?.key != next {
             return None;
         }
-        let data = out.pool.pop_front(&mut self.held)?;
+        let data = out.pool.pop_front(&mut self.held)?.data;
         let len = data.len();
         self.held_bytes -= len;
         self.deliver(data, out);
@@ -346,7 +363,7 @@ impl Stream {
     }
 
     /// Gives a killed flow's nodes back to the pool.
-    pub(crate) fn free_buffers(&mut self, pool: &mut NodePool) {
+    pub(crate) fn free_buffers(&mut self, pool: &mut NodePool<Chunk>) {
         pool.clear(&mut self.writes);
         self.next_write = None;
         pool.clear(&mut self.held);
@@ -358,12 +375,19 @@ impl Stream {
 /// an empty list's ends, a send cursor with nothing left to send.
 type Link = Option<NonZeroU32>;
 
-/// A [`NodePool`] node: an accepted write under the stream offset of its
-/// first byte, or a held payload under its sequence number.
-struct Node {
+/// What a [`Stream`] keeps in its table's node pool: an accepted write
+/// under the stream offset of its first byte, or a held payload under its
+/// sequence number.
+#[derive(Default)]
+pub(crate) struct Chunk {
     key: u64,
     data: Bytes,
-    /// The next node of its list, or of the free list.
+}
+
+/// A [`NodePool`] node: what it holds, and the next node of its list or of
+/// the free list.
+struct Node<T> {
+    value: T,
     next: Link,
 }
 
@@ -377,45 +401,66 @@ struct List {
 /// Fewest nodes a [`NodePool`] grows by.
 const MIN_GROWTH: usize = 64;
 
-/// The nodes of every [`Stream`] list of one [`FlowTable`], in one `Vec`.
-/// A freed node, its payload dropped, heads a free list and is the next
-/// one taken. The `Vec` grows by an eighth at a time, not by doubling, so
-/// what it keeps stays close to the most nodes the table ever held at
-/// once.
-#[derive(Default)]
-pub(crate) struct NodePool {
-    nodes: Vec<Node>,
+/// The nodes of every list of one kind in one [`FlowTable`] — every
+/// stream's [`Chunk`]s, or every flow's send queue entries — in one `Vec`.
+/// A freed node, its value dropped, heads a free list and is the next one
+/// taken. The `Vec` grows by an eighth at a time, not by doubling, so what
+/// it keeps stays close to the most nodes the table ever held at once.
+pub(crate) struct NodePool<T> {
+    nodes: Vec<Node<T>>,
     /// The most recently freed node; the free ones are linked by `next`.
     free: Link,
 }
 
-impl NodePool {
-    fn get(&self, at: Link) -> Option<&Node> {
+impl<T> Default for NodePool<T> {
+    fn default() -> Self {
+        NodePool {
+            nodes: Vec::new(),
+            free: None,
+        }
+    }
+}
+
+impl<T> NodePool<T> {
+    fn node(&self, at: Link) -> Option<&Node<T>> {
         Some(&self.nodes[at?.get() as usize - 1])
     }
 
-    fn get_mut(&mut self, at: Link) -> Option<&mut Node> {
+    fn node_mut(&mut self, at: Link) -> Option<&mut Node<T>> {
         Some(&mut self.nodes[at?.get() as usize - 1])
     }
 
-    /// The nodes of `list` and their links, first to last.
-    fn iter(&self, list: List) -> impl Iterator<Item = (Link, &Node)> {
+    fn get(&self, at: Link) -> Option<&T> {
+        self.node(at).map(|node| &node.value)
+    }
+
+    fn get_mut(&mut self, at: Link) -> Option<&mut T> {
+        self.node_mut(at).map(|node| &mut node.value)
+    }
+
+    /// The node after `at` in its list.
+    fn next(&self, at: Link) -> Link {
+        self.node(at)?.next
+    }
+
+    /// The values of `list` and their links, first to last.
+    fn iter(&self, list: List) -> impl Iterator<Item = (Link, &T)> {
         let mut at = list.head;
         std::iter::from_fn(move || {
-            let node = self.get(at)?;
+            let node = self.node(at)?;
             let this = std::mem::replace(&mut at, node.next);
-            Some((this, node))
+            Some((this, &node.value))
         })
     }
 
-    /// Links a node of `key` and `data` into `list` after node `after`
-    /// (none: at the head); its link.
-    fn insert_after(&mut self, list: &mut List, after: Link, key: u64, data: Bytes) -> Link {
-        let next = match self.get_mut(after) {
+    /// Links a node holding `value` into `list` after node `after` (none:
+    /// at the head); its link.
+    fn insert_after(&mut self, list: &mut List, after: Link, value: T) -> Link {
+        let next = match self.node(after) {
             Some(prev) => prev.next,
             None => list.head,
         };
-        let node = Node { key, data, next };
+        let node = Node { value, next };
         let at = match self.free {
             Some(at) => {
                 let slot = &mut self.nodes[at.get() as usize - 1];
@@ -433,7 +478,7 @@ impl NodePool {
             }
         };
         let at = Some(at);
-        match self.get_mut(after) {
+        match self.node_mut(after) {
             Some(prev) => prev.next = at,
             None => list.head = at,
         }
@@ -443,23 +488,25 @@ impl NodePool {
         at
     }
 
-    /// Appends a node of `key` and `data` to `list`; its link.
-    fn push_back(&mut self, list: &mut List, key: u64, data: Bytes) -> Link {
-        self.insert_after(list, list.tail, key, data)
+    /// Appends a node holding `value` to `list`; its link.
+    fn push_back(&mut self, list: &mut List, value: T) -> Link {
+        self.insert_after(list, list.tail, value)
     }
+}
 
-    /// Unlinks `list`'s first node and frees it: its payload.
-    fn pop_front(&mut self, list: &mut List) -> Option<Bytes> {
+impl<T: Default> NodePool<T> {
+    /// Unlinks `list`'s first node and frees it: its value.
+    fn pop_front(&mut self, list: &mut List) -> Option<T> {
         let at = list.head;
         let free = self.free;
-        let node = self.get_mut(at)?;
+        let node = self.node_mut(at)?;
         list.head = std::mem::replace(&mut node.next, free);
-        let data = std::mem::take(&mut node.data);
+        let value = std::mem::take(&mut node.value);
         self.free = at;
         if list.head.is_none() {
             list.tail = None;
         }
-        Some(data)
+        Some(value)
     }
 
     /// Frees every node of `list`.
@@ -469,21 +516,24 @@ impl NodePool {
 }
 
 /// What a step of a flow writes to: the actions it asks the core to carry
-/// out, and the table's [`NodePool`], where its [`Stream`] keeps its bytes.
-pub(crate) struct Out<W> {
-    actions: Vec<Action<W>>,
-    pub(crate) pool: NodePool,
+/// out, and the table's two node pools, where its [`Stream`] keeps its
+/// bytes and its [`SendQueue`] its entries.
+pub(crate) struct Out<P: Protocol> {
+    actions: Vec<Action<P::Wire>>,
+    pub(crate) pool: NodePool<Chunk>,
+    pub(crate) sent: NodePool<P::Sent>,
 }
 
-impl<W> Out<W> {
+impl<P: Protocol> Out<P> {
     fn new() -> Self {
         Out {
             actions: Vec::new(),
             pool: NodePool::default(),
+            sent: NodePool::default(),
         }
     }
 
-    pub(crate) fn push(&mut self, action: Action<W>) {
+    pub(crate) fn push(&mut self, action: Action<P::Wire>) {
         self.actions.push(action);
     }
 }
@@ -508,76 +558,177 @@ pub(crate) fn release_drained<T>(q: &mut VecDeque<T>) {
     }
 }
 
-/// An entry of a send queue ordered by sequence number: TCP's segments,
-/// UDT's packets. Loss is a mark on the entry it names, so a mark leaves
-/// the queue with its entry.
+/// An entry of a send queue: TCP's segments, UDT's packets. Loss is a mark
+/// on the entry it names, so a mark leaves the queue with its entry.
 pub(crate) trait LossMark {
     fn lost(&mut self) -> &mut bool;
 }
 
-/// The index of the lowest marked entry of a send queue (`u32::MAX` when
-/// none is) and the number of marked entries. Retransmission takes the
-/// marks in ascending order from here; a scan for the next mark stops at
-/// it, since the count says one is left, so a whole recovery scans the
-/// queue at most once.
-#[derive(Clone, Copy)]
-pub(crate) struct FirstLost {
-    at: u32,
+/// A flow's send queue — TCP's segments, UDT's packets — as a list in its
+/// table's pool ([`Out::sent`]), oldest first, with its loss marks. An
+/// entry is appended at the tail and released from the head, so the list
+/// is in sequence order without anyone sorting it, and a flow allocates
+/// nothing of its own for it.
+#[derive(Default)]
+pub(crate) struct SendQueue {
+    list: List,
+    first_lost: FirstLost,
+}
+
+/// The lowest marked entry of a [`SendQueue`] — its link, and its place
+/// from the head — and the number of marked entries (none, 0 and 0 when
+/// nothing is marked). Retransmission takes the marks in ascending order
+/// from here; a seek for the next mark stops at it, since the count says
+/// one is left, so a whole recovery scans the queue at most once.
+#[derive(Default, Clone, Copy)]
+struct FirstLost {
+    at: Link,
+    index: u32,
     count: u32,
 }
 
 impl FirstLost {
-    pub(crate) const NONE: FirstLost = FirstLost {
-        at: u32::MAX,
-        count: 0,
-    };
-
-    /// Whether any entry is marked.
-    pub(crate) fn any(self) -> bool {
-        self.count > 0
-    }
-
-    /// Marks entry `at` lost.
-    pub(crate) fn mark<T: LossMark>(&mut self, q: &mut VecDeque<T>, at: usize) {
-        let lost = q[at].lost();
-        if !*lost {
-            *lost = true;
-            self.count += 1;
-            self.at = self.at.min(at as u32);
+    /// Moves to the first marked entry from `at`, the `index`th of its
+    /// queue, on; to none once no mark is left.
+    fn seek<T: LossMark>(&mut self, pool: &mut NodePool<T>, mut at: Link, mut index: u32) {
+        if self.count == 0 {
+            *self = FirstLost::default();
+            return;
         }
-    }
-
-    /// Clears the lowest mark and returns its entry's index.
-    pub(crate) fn take<T: LossMark>(&mut self, q: &mut VecDeque<T>) -> Option<usize> {
-        let at = self.any().then_some(self.at as usize)?;
-        *q[at].lost() = false;
-        self.count -= 1;
-        self.seek(q, at + 1);
-        Some(at)
-    }
-
-    /// The first `n` entries of `q` are about to leave it, their marks
-    /// with them. Called before they are drained.
-    pub(crate) fn release<T: LossMark>(&mut self, q: &mut VecDeque<T>, n: usize) {
-        let at = self.at as usize;
-        if self.any() && at < n {
-            let gone: u32 = q.range_mut(at..n).map(|e| u32::from(*e.lost())).sum();
-            self.count -= gone;
-            self.seek(q, n);
-        }
-        if self.any() {
-            self.at -= n as u32;
-        }
-    }
-
-    fn seek<T: LossMark>(&mut self, q: &mut VecDeque<T>, from: usize) {
-        self.at = match self.count {
-            0 => u32::MAX,
-            _ => {
-                let next = q.range_mut(from..).position(|e| *e.lost());
-                (from + next.expect("a mark is left")) as u32
+        loop {
+            let node = pool.node_mut(at).expect("a mark is left");
+            if *node.value.lost() {
+                break;
             }
-        };
+            at = node.next;
+            index += 1;
+        }
+        (self.at, self.index) = (at, index);
+    }
+}
+
+impl SendQueue {
+    /// Appends `entry`, the newest.
+    pub(crate) fn push_back<T>(&mut self, pool: &mut NodePool<T>, entry: T) {
+        pool.push_back(&mut self.list, entry);
+    }
+
+    /// Whether any entry is marked lost.
+    pub(crate) fn any_lost(&self) -> bool {
+        self.first_lost.count > 0
+    }
+
+    /// Unlinks the oldest entry and returns it, if `release` says so; its
+    /// mark leaves with it.
+    pub(crate) fn pop_front_if<T: LossMark + Default>(
+        &mut self,
+        pool: &mut NodePool<T>,
+        release: impl FnOnce(&T) -> bool,
+    ) -> Option<T> {
+        let head = self.list.head;
+        if !release(pool.get(head)?) {
+            return None;
+        }
+        let mut entry = pool.pop_front(&mut self.list)?;
+        let first = &mut self.first_lost;
+        first.count -= u32::from(*entry.lost());
+        if first.at == head {
+            first.seek(pool, self.list.head, 0);
+        } else if first.count > 0 {
+            first.index -= 1;
+        }
+        Some(entry)
+    }
+
+    /// Marks every entry lost (an RTO's or an expiration's go-back-N).
+    pub(crate) fn mark_all<T: LossMark>(&mut self, pool: &mut NodePool<T>) {
+        let mut at = self.list.head;
+        while let Some(node) = pool.node_mut(at) {
+            let lost = node.value.lost();
+            self.first_lost.count += u32::from(!*lost);
+            *lost = true;
+            at = node.next;
+        }
+        self.first_lost.seek(pool, self.list.head, 0);
+    }
+
+    /// Marks lost every entry whose key lies in one of the half-open
+    /// `ranges` and that `pick` (handed the key) takes, in walks from the
+    /// head: `key` reads an entry's key off the entry and its place from the
+    /// head, ascending along the queue. Ascending ranges — every loss report
+    /// a peer of ours sends — are one walk, which stops at the last range's
+    /// end; a range that starts below an earlier one's end walks from the
+    /// head again.
+    pub(crate) fn mark_ranges<T: LossMark>(
+        &mut self,
+        pool: &mut NodePool<T>,
+        ranges: impl IntoIterator<Item = (u64, u64)>,
+        key: impl Fn(u32, &T) -> u64,
+        mut pick: impl FnMut(u64, &T) -> bool,
+    ) {
+        let first = &mut self.first_lost;
+        // Where the walk stands, that node's place, whether it has reached
+        // the lowest mark, and a key every node it has passed lies below.
+        let (mut at, mut index, mut reached, mut below) = (self.list.head, 0, false, 0);
+        for (from, to) in ranges {
+            if from < below {
+                (at, index, reached, below) = (self.list.head, 0, false, 0);
+            }
+            below = below.max(to);
+            while let Some(node) = pool.node_mut(at) {
+                let k = key(index, &node.value);
+                if k >= to {
+                    break;
+                }
+                if k >= from && pick(k, &node.value) {
+                    let lost = node.value.lost();
+                    if !*lost {
+                        *lost = true;
+                        first.count += 1;
+                        // Short of the lowest mark, this one is lower.
+                        if !reached {
+                            (first.at, first.index) = (at, index);
+                        }
+                    }
+                }
+                reached |= at == first.at;
+                at = node.next;
+                index += 1;
+            }
+        }
+    }
+
+    /// Clears the lowest mark: its entry's place from the head, and the
+    /// entry, for a resend.
+    pub(crate) fn take<'a, T: LossMark>(
+        &mut self,
+        pool: &'a mut NodePool<T>,
+    ) -> Option<(u32, &'a mut T)> {
+        let FirstLost { at, index, count } = self.first_lost;
+        if count == 0 {
+            return None;
+        }
+        let node = pool.node_mut(at).expect("the lowest mark is queued");
+        *node.value.lost() = false;
+        let next = node.next;
+        self.first_lost.count -= 1;
+        self.first_lost.seek(pool, next, index + 1);
+        Some((index, pool.get_mut(at).expect("the lowest mark is queued")))
+    }
+
+    /// Every entry, oldest first, to change in place.
+    pub(crate) fn for_each_mut<T>(&self, pool: &mut NodePool<T>, mut f: impl FnMut(&mut T)) {
+        let mut at = self.list.head;
+        while let Some(node) = pool.node_mut(at) {
+            f(&mut node.value);
+            at = node.next;
+        }
+    }
+
+    /// Frees every entry (a kill).
+    pub(crate) fn clear<T: Default>(&mut self, pool: &mut NodePool<T>) {
+        pool.clear(&mut self.list);
+        self.first_lost = FirstLost::default();
     }
 }
 
@@ -620,7 +771,7 @@ pub(crate) struct FlowHeader {
 
 impl FlowHeader {
     /// Tells the owner the flow closed, unless it has been told already.
-    pub(crate) fn notify_closed<W>(&mut self, reason: CloseReason, out: &mut Out<W>) {
+    pub(crate) fn notify_closed<P: Protocol>(&mut self, reason: CloseReason, out: &mut Out<P>) {
         if !std::mem::replace(&mut self.closed_notified, true) {
             out.push(Action::Closed(reason));
         }
@@ -706,7 +857,7 @@ impl FlowTimer {
 
     /// An event of this timer fired at `now`: whether the deadline is
     /// reached. An early one files the deadline's event if none is there.
-    pub(crate) fn fired<W>(&mut self, kind: u64, now: SimTime, out: &mut Out<W>) -> bool {
+    pub(crate) fn fired<P: Protocol>(&mut self, kind: u64, now: SimTime, out: &mut Out<P>) -> bool {
         if now < self.deadline && self.seq != COVERED {
             debug_assert!(
                 self.seq != UNREPORTED,
@@ -745,7 +896,7 @@ pub(crate) struct FlowTable<P: Protocol> {
     /// What a step writes to: its actions, a buffer kept for its capacity
     /// and empty whenever the lock is free, and the pool of every flow's
     /// stream nodes.
-    out: Out<P::Wire>,
+    out: Out<P>,
     /// An empty buffer that takes the actions' place when a burst leaves
     /// with them, given back by the burst before.
     spare: Vec<Action<P::Wire>>,
@@ -832,7 +983,7 @@ impl<P: Protocol> FlowTable<P> {
 /// step pushed, in order, so a callback may step this flow or any other.
 fn step<P: Protocol, F>(net: &Network, mut world: MutexGuard<'_, World>, h: Handle<P::Flow>, f: F)
 where
-    F: FnOnce(&mut P::Flow, &P, &Recorder, SimTime, &mut Out<P::Wire>),
+    F: FnOnce(&mut P::Flow, &P, &Recorder, SimTime, &mut Out<P>),
 {
     let (rec, now) = (net.sim().recorder(), net.now());
     let table = P::table(&mut world.net);
@@ -972,7 +1123,7 @@ pub(crate) fn dispatch<'a, P: Protocol>(
             // outside the lock, as in `Conn::drop`) before the dial is
             // accepted afresh.
             step::<P, _>(net, world, h, |flow, _cfg, rec, now, out| {
-                P::kill(flow, &mut out.pool, rec, now);
+                P::kill(flow, out, rec, now);
                 P::hdr_mut(flow).notify_closed(CloseReason::Reset, out);
             });
             let events = P::table(&mut net.sim().lock().net)
@@ -1084,8 +1235,8 @@ impl<P: Protocol> Drop for Conn<P> {
             if hdr.app_handles > 0 || !hdr.app_owned {
                 return;
             }
-            let pool = &mut table.out.pool;
-            P::kill(flow, pool, self.net.sim().recorder(), self.net.now());
+            let (rec, now) = (self.net.sim().recorder(), self.net.now());
+            P::kill(flow, &mut table.out, rec, now);
             let hdr = P::hdr_mut(flow);
             let (local, peer) = (hdr.local, hdr.peer);
             let events = hdr.events.take();
@@ -1166,7 +1317,7 @@ impl<P: Protocol> Conn<P> {
     /// Runs `f` as one [`step`] of this flow.
     pub(crate) fn process<F>(&self, f: F)
     where
-        F: FnOnce(&mut P::Flow, &P, &Recorder, SimTime, &mut Out<P::Wire>),
+        F: FnOnce(&mut P::Flow, &P, &Recorder, SimTime, &mut Out<P>),
     {
         let _scope = memscope::enter(P::SCOPE);
         step(&self.net, self.net.sim().lock(), self.h, f);
@@ -1333,7 +1484,7 @@ mod tests {
         /// is dropped, not carried out.
         pub(crate) fn peek_out<R>(
             &self,
-            f: impl FnOnce(&mut P::Flow, &P, &mut Out<P::Wire>) -> R,
+            f: impl FnOnce(&mut P::Flow, &P, &mut Out<P>) -> R,
         ) -> Option<R> {
             let mut world = self.net.sim().lock();
             let table = P::table(&mut world.net);
@@ -1345,9 +1496,9 @@ mod tests {
         }
     }
 
-    impl<W> Out<W> {
+    impl<P: Protocol> Out<P> {
         /// The actions pushed so far.
-        pub(crate) fn actions(&self) -> &[Action<W>] {
+        pub(crate) fn actions(&self) -> &[Action<P::Wire>] {
             &self.actions
         }
     }
@@ -1362,18 +1513,40 @@ mod tests {
         }
 
         /// The send buffer's writes: offset and bytes, oldest first.
-        fn writes(&self, pool: &NodePool) -> Vec<(u64, Bytes)> {
+        fn writes(&self, pool: &NodePool<Chunk>) -> Vec<(u64, Bytes)> {
             let writes = pool.iter(self.writes);
             writes.map(|(_, w)| (w.key, w.data.clone())).collect()
         }
 
+        /// Accepted bytes waiting to be sent.
+        fn queued(&self) -> u64 {
+            self.bytes_sent - self.bytes_out
+        }
+
         /// The nodes of both lists.
-        fn nodes(&self, pool: &NodePool) -> usize {
+        fn nodes(&self, pool: &NodePool<Chunk>) -> usize {
             pool.iter(self.writes).count() + pool.iter(self.held).count()
         }
     }
 
-    impl NodePool {
+    impl SendQueue {
+        /// The entries, oldest first.
+        pub(crate) fn iter<'a, T>(&self, pool: &'a NodePool<T>) -> impl Iterator<Item = &'a T> {
+            pool.iter(self.list).map(|(_, entry)| entry)
+        }
+
+        /// Empty and unmarked, as a kill leaves it.
+        pub(crate) fn is_clear(&self) -> bool {
+            self.list.head.is_none() && self.list.tail.is_none() && !self.any_lost()
+        }
+    }
+
+    impl<T> NodePool<T> {
+        /// The size of one node: what it holds and its link.
+        pub(crate) fn node_bytes() -> usize {
+            std::mem::size_of::<Node<T>>()
+        }
+
         /// Nodes in some list: every node but the free ones.
         fn live(&self) -> usize {
             let free = List {
@@ -1420,7 +1593,7 @@ mod tests {
             },
             |ops| {
                 let mut stream = Stream::default();
-                let mut out: Out<()> = Out::new();
+                let mut out: Out<crate::tcp::TcpConfig> = Out::new();
                 // Where each accepted write starts, and each outstanding
                 // payload's offset and bytes as first handed out.
                 let mut writes = vec![0];
@@ -1612,7 +1785,7 @@ mod tests {
                     .collect::<Vec<_>>()
             },
             |ops| {
-                let mut out: Out<()> = Out::new();
+                let mut out: Out<crate::tcp::TcpConfig> = Out::new();
                 let mut streams: Vec<Stream> = (0..STREAMS).map(|_| Stream::default()).collect();
                 let mut models: Vec<Model> = (0..STREAMS).map(|_| Model::default()).collect();
                 // Per stream: payloads handed out and not yet acknowledged,
@@ -2303,6 +2476,10 @@ mod tests {
         black_hole: P,
         /// A config with a 64 KiB send buffer.
         tight: P,
+        /// A full payload's bytes, and the sequence numbers it takes (TCP
+        /// counts bytes, UDT packets).
+        mss: usize,
+        mss_seqs: u64,
     }
 
     /// A 10 MB/s link of 5 ms each way.
@@ -2349,6 +2526,41 @@ mod tests {
         );
         assert!(w.server.in_order(), "delivery must stay in order");
         assert!(retransmits(&conn) > 0, "loss must trigger retransmits");
+    }
+
+    /// Sends 20 full payloads on a clean link: at every step the table's
+    /// send-queue pool holds exactly the payloads in flight, one node each,
+    /// and the last acknowledgement gives every node back.
+    fn the_send_queue_holds_what_is_in_flight<P: Protocol + Default>(
+        c: Cases<P>,
+        unacked: fn(&P::Flow) -> (u64, u64),
+    ) {
+        let w = World::<P>::on(c.seed, clean_link());
+        let conn = w.dial(LISTEN, Arc::new(SinkEvents));
+        w.sim.run_for(Duration::from_secs(1));
+        assert!(conn.is_established());
+        // Live send-queue nodes, and payloads in flight.
+        let nodes_and_flight = || {
+            conn.peek_out(|f, _, out| {
+                let (una, nxt) = unacked(f);
+                (out.sent.live(), (nxt - una).div_ceil(c.mss_seqs) as usize)
+            })
+            .unwrap()
+        };
+        assert_eq!(nodes_and_flight(), (0, 0), "no node before the write");
+        let len = 20 * c.mss;
+        assert_eq!(conn.send(pattern_bytes(0, len)), len);
+        let mut most = 0;
+        while conn.unacked_bytes() > 0 {
+            assert!(w.sim.now().as_nanos() < 10_000_000_000, "the write stalled");
+            let (nodes, flight) = nodes_and_flight();
+            assert_eq!(nodes, flight, "at {:?}", w.sim.now());
+            most = most.max(nodes);
+            w.sim.run_for(Duration::from_micros(100));
+        }
+        assert!(most > 1, "payloads were in flight together");
+        assert_eq!(nodes_and_flight(), (0, 0), "the last ACK frees every node");
+        assert_eq!(w.server.data_len(), len);
     }
 
     fn close_notifies_both_sides<P: Protocol + Default>(c: Cases<P>) {
@@ -2465,7 +2677,7 @@ mod tests {
     macro_rules! protocol_suite {
         (
             $name:ident, $proto:ty,
-            is_dead: $is_dead:expr, rtt: $rtt:expr, stale: $stale:expr, stray: $stray:expr, forged_ack: $forged:expr,
+            is_dead: $is_dead:expr, rtt: $rtt:expr, unacked: $unacked:expr, stale: $stale:expr, stray: $stray:expr, forged_ack: $forged:expr,
             forged_open_answer: $forged_answer:expr, cases: $cases:expr
         ) => {
             mod $name {
@@ -2490,6 +2702,10 @@ mod tests {
                 #[test]
                 fn close_notifies_both_sides() {
                     super::close_notifies_both_sides::<$proto>($cases);
+                }
+                #[test]
+                fn the_send_queue_holds_what_is_in_flight() {
+                    super::the_send_queue_holds_what_is_in_flight::<$proto>($cases, $unacked);
                 }
                 #[test]
                 fn connect_to_black_hole_times_out() {
@@ -2559,6 +2775,7 @@ mod tests {
         crate::tcp::TcpConfig,
         is_dead: crate::tcp::Flow::is_dead,
         rtt: crate::tcp::Flow::rtt,
+        unacked: crate::tcp::Flow::unacked,
         stale: crate::tcp::STALE_TIMER,
         stray: crate::tcp::stray_segment(),
         forged_ack: crate::tcp::TcpSegment { ack: 1 << 40, ..crate::tcp::stray_segment() },
@@ -2576,6 +2793,8 @@ mod tests {
             lossy_total: 2_000_000,
             black_hole: crate::tcp::TcpConfig { syn_retries: 2, ..Default::default() },
             tight: crate::tcp::TcpConfig { send_buf: 64 * 1024, ..Default::default() },
+            mss: 1448,
+            mss_seqs: 1448,
         }
     );
     protocol_suite!(
@@ -2583,6 +2802,7 @@ mod tests {
         crate::udt::UdtConfig,
         is_dead: crate::udt::Flow::is_dead,
         rtt: crate::udt::Flow::rtt,
+        unacked: crate::udt::Flow::unacked,
         stale: crate::udt::STALE_TIMER,
         stray: crate::udt::UdtPacket::FinAck,
         forged_ack: crate::udt::UdtPacket::Ack { ack_seq: 1 << 40, capacity_pps: 0.0 },
@@ -2598,12 +2818,16 @@ mod tests {
             lossy_total: 3_000_000,
             black_hole: crate::udt::UdtConfig::default(),
             tight: crate::udt::UdtConfig { snd_buf: 64 * 1024, ..Default::default() },
+            mss: 1448,
+            mss_seqs: 1,
         }
     );
 
-    /// A send-queue entry that counts how often its mark is read.
+    /// A send-queue entry under `key` that counts how often its mark is
+    /// read.
     #[derive(Default)]
     struct Counted {
+        key: u64,
         lost: bool,
         reads: u32,
     }
@@ -2614,45 +2838,232 @@ mod tests {
         }
     }
 
-    /// Entries read at or past `from`.
-    fn reads_from(q: &VecDeque<Counted>, from: usize) -> u32 {
-        q.range(from..).map(|e| e.reads).sum()
+    /// A queue of `n` entries keyed `0..n`.
+    fn counted_queue(n: u64, pool: &mut NodePool<Counted>) -> SendQueue {
+        let mut q = SendQueue::default();
+        for key in 0..n {
+            q.push_back(
+                pool,
+                Counted {
+                    key,
+                    ..Counted::default()
+                },
+            );
+        }
+        q
+    }
+
+    /// Marks the entry under `key`.
+    fn mark_key(q: &mut SendQueue, pool: &mut NodePool<Counted>, key: u64) {
+        q.mark_ranges(pool, [(key, key + 1)], |_, e| e.key, |_, _| true);
+    }
+
+    /// Clears the lowest mark: its entry's place and key.
+    fn take_key(q: &mut SendQueue, pool: &mut NodePool<Counted>) -> Option<(u32, u64)> {
+        q.take(pool).map(|(at, e)| (at, e.key))
+    }
+
+    /// Marks read at or past `key`.
+    fn reads_from(q: &SendQueue, pool: &NodePool<Counted>, key: u64) -> u32 {
+        q.iter(pool).filter(|e| e.key >= key).map(|e| e.reads).sum()
     }
 
     #[test]
     fn sparse_marks_are_taken_in_order_without_scanning_past_the_last() {
-        let mut q: VecDeque<Counted> = (0..10_000).map(|_| Counted::default()).collect();
-        let mut first = FirstLost::NONE;
-        for at in [7_000, 5, 20, 20] {
-            first.mark(&mut q, at);
+        let mut pool = NodePool::default();
+        let mut q = counted_queue(10_000, &mut pool);
+        for key in [7_000, 5, 20, 20] {
+            mark_key(&mut q, &mut pool, key);
         }
-        let taken: Vec<_> = std::iter::from_fn(|| first.take(&mut q)).collect();
-        assert_eq!(taken, [5, 20, 7_000]);
-        assert!(!first.any());
+        let taken: Vec<_> = std::iter::from_fn(|| take_key(&mut q, &mut pool)).collect();
+        assert_eq!(taken, [(5, 5), (20, 20), (7_000, 7_000)]);
+        assert!(!q.any_lost());
         // The scan for the next mark stops at it, and none follows the last.
-        assert_eq!(reads_from(&q, 7_001), 0);
+        assert_eq!(reads_from(&q, &pool, 7_001), 0);
 
         // A cumulative ACK releases a mark; the cursor moves to the next one
         // without reading the queue beyond it.
-        let mut q: VecDeque<Counted> = (0..10_000).map(|_| Counted::default()).collect();
-        let mut first = FirstLost::NONE;
-        for at in [3, 50, 9] {
-            first.mark(&mut q, at);
+        let mut pool = NodePool::default();
+        let mut q = counted_queue(10_000, &mut pool);
+        for key in [3, 50, 9] {
+            mark_key(&mut q, &mut pool, key);
         }
-        first.release(&mut q, 10);
-        q.drain(..10);
-        assert_eq!(reads_from(&q, 41), 0);
-        assert_eq!(first.take(&mut q), Some(40));
-        assert_eq!(first.take(&mut q), None);
+        while q.pop_front_if(&mut pool, |e| e.key < 10).is_some() {}
+        assert_eq!(reads_from(&q, &pool, 51), 0);
+        assert_eq!(take_key(&mut q, &mut pool), Some((40, 50)));
+        assert_eq!(take_key(&mut q, &mut pool), None);
         // A release that passes every mark leaves none, and one below the
         // cursor only shifts it.
-        first.mark(&mut q, 5);
-        first.release(&mut q, 6);
-        q.drain(..6);
-        assert!(!first.any());
-        first.mark(&mut q, 100);
-        first.release(&mut q, 10);
-        q.drain(..10);
-        assert_eq!(first.take(&mut q), Some(90));
+        mark_key(&mut q, &mut pool, 15);
+        while q.pop_front_if(&mut pool, |e| e.key < 16).is_some() {}
+        assert!(!q.any_lost());
+        mark_key(&mut q, &mut pool, 116);
+        while q.pop_front_if(&mut pool, |e| e.key < 26).is_some() {}
+        assert_eq!(take_key(&mut q, &mut pool), Some((90, 116)));
+    }
+
+    /// One call on send queue `q` of those sharing a pool: append the next
+    /// entry; mark the entries `pick` takes in `ranges` (half-open, by key);
+    /// mark every entry; take the lowest mark; release the entries below
+    /// key `below`; free the queue (a kill).
+    #[derive(Debug)]
+    enum QueueOp {
+        Push {
+            q: usize,
+            step: u64,
+        },
+        Mark {
+            q: usize,
+            ranges: Vec<(u64, u64)>,
+            skip: u64,
+        },
+        MarkAll {
+            q: usize,
+        },
+        Take {
+            q: usize,
+        },
+        Release {
+            q: usize,
+            below: u64,
+        },
+        Clear {
+            q: usize,
+        },
+    }
+
+    #[test]
+    fn pooled_send_queues_keep_what_their_own_deques_kept() {
+        use rand::Rng;
+        const QUEUES: usize = 3;
+        PropRunner::new("pooled-send-queues").cases(64).run(
+            |rng| {
+                let ops = rng.gen_range(1..600);
+                (0..ops)
+                    .map(|_| {
+                        let q = rng.gen_range(0..QUEUES);
+                        match rng.gen_range(0..20) {
+                            0..=6 => QueueOp::Push {
+                                q,
+                                step: rng.gen_range(1..4),
+                            },
+                            7..=10 => {
+                                // Ascending ranges, as a loss report has
+                                // them, or any at all.
+                                let n = rng.gen_range(1..5);
+                                let mut ranges: Vec<(u64, u64)> = (0..n)
+                                    .map(|_| {
+                                        let from = rng.gen_range(0..200);
+                                        (from, from + rng.gen_range(0..12))
+                                    })
+                                    .collect();
+                                if rng.gen_bool(0.7) {
+                                    ranges.sort_unstable();
+                                }
+                                QueueOp::Mark {
+                                    q,
+                                    ranges,
+                                    skip: rng.gen_range(2..6),
+                                }
+                            }
+                            11 => QueueOp::MarkAll { q },
+                            12..=15 => QueueOp::Take { q },
+                            16..=18 => QueueOp::Release {
+                                q,
+                                below: rng.gen_range(0..220),
+                            },
+                            _ => QueueOp::Clear { q },
+                        }
+                    })
+                    .collect::<Vec<_>>()
+            },
+            |ops| {
+                let mut pool: NodePool<Counted> = NodePool::default();
+                let mut queues: Vec<SendQueue> =
+                    (0..QUEUES).map(|_| SendQueue::default()).collect();
+                // The parent's queue: a `VecDeque` of `(key, lost)`, marked
+                // by index, the lowest mark found by a scan.
+                let mut models = vec![VecDeque::<(u64, bool)>::new(); QUEUES];
+                let mut next_key = [0u64; QUEUES];
+                for op in ops {
+                    match *op {
+                        QueueOp::Push { q, step } => {
+                            let key = next_key[q];
+                            next_key[q] += step;
+                            let entry = Counted {
+                                key,
+                                ..Counted::default()
+                            };
+                            queues[q].push_back(&mut pool, entry);
+                            models[q].push_back((key, false));
+                        }
+                        QueueOp::Mark {
+                            q,
+                            ref ranges,
+                            skip,
+                        } => {
+                            let picks = |key: u64| !key.is_multiple_of(skip);
+                            let keyed = |_: u32, e: &Counted| e.key;
+                            let ranges = ranges.iter().copied();
+                            queues[q]
+                                .mark_ranges(&mut pool, ranges.clone(), keyed, |k, _| picks(k));
+                            for (from, to) in ranges {
+                                let model = &mut models[q];
+                                let starts = model.partition_point(|e| e.0 < from);
+                                let ends = model.partition_point(|e| e.0 < to);
+                                for entry in model.range_mut(starts..ends.max(starts)) {
+                                    entry.1 |= picks(entry.0);
+                                }
+                            }
+                        }
+                        QueueOp::MarkAll { q } => {
+                            queues[q].mark_all(&mut pool);
+                            models[q].iter_mut().for_each(|e| e.1 = true);
+                        }
+                        QueueOp::Take { q } => {
+                            let model = &mut models[q];
+                            let lowest = model.iter().position(|e| e.1);
+                            let expected = lowest.map(|at| {
+                                model[at].1 = false;
+                                (at as u32, model[at].0)
+                            });
+                            assert_eq!(take_key(&mut queues[q], &mut pool), expected);
+                        }
+                        QueueOp::Release { q, below } => {
+                            let model = &mut models[q];
+                            let released = model.partition_point(|e| e.0 < below);
+                            for (key, lost) in model.drain(..released) {
+                                let e = queues[q].pop_front_if(&mut pool, |e| e.key < below);
+                                assert_eq!(e.map(|e| (e.key, e.lost)), Some((key, lost)));
+                            }
+                            assert!(queues[q]
+                                .pop_front_if(&mut pool, |e| e.key < below)
+                                .is_none());
+                        }
+                        QueueOp::Clear { q } => {
+                            queues[q].clear(&mut pool);
+                            assert!(queues[q].is_clear());
+                            models[q].clear();
+                        }
+                    }
+                    for (queue, model) in queues.iter().zip(&models) {
+                        let entries = queue.iter(&pool).map(|e| (e.key, e.lost));
+                        assert!(entries.eq(model.iter().copied()), "entries and marks");
+                        // The lowest mark's link, place and the count.
+                        let first = queue.first_lost;
+                        let lowest = model.iter().position(|e| e.1);
+                        let link = lowest
+                            .and_then(|at| pool.iter(queue.list).nth(at))
+                            .map(|(l, _)| l);
+                        assert_eq!(first.at, link.flatten(), "the lowest mark's link");
+                        assert_eq!(first.index as usize, lowest.unwrap_or(0), "its place");
+                        let count = model.iter().filter(|e| e.1).count();
+                        assert_eq!(first.count as usize, count, "the marks counted");
+                    }
+                    let listed: usize = models.iter().map(VecDeque::len).sum();
+                    assert_eq!(pool.live(), listed, "a node is in exactly one list or free");
+                }
+            },
+        );
     }
 }

@@ -262,15 +262,21 @@ mod tests {
     #[test]
     fn loss_marks_do_not_grow_flows() {
         use std::mem::size_of;
-        // Since a stream's writes and held payloads became lists in its
-        // table's node pool (440 and 544 B while the stream kept a
-        // `VecDeque` and a `BTreeMap` of its own).
-        assert!(size_of::<crate::tcp::Flow>() <= 400);
-        assert!(size_of::<crate::udt::Flow>() <= 504);
+
+        use crate::flowstack::NodePool;
+        // Since the send queues became lists in their table's second node
+        // pool (400 and 504 B while each flow kept a `VecDeque` and its
+        // `FirstLost` of its own; 440 and 544 B while a stream also kept a
+        // `VecDeque` and a `BTreeMap`).
+        assert!(size_of::<crate::tcp::Flow>() <= 384);
+        assert!(size_of::<crate::udt::Flow>() <= 480);
         assert!(size_of::<crate::flowstack::Stream>() <= 64);
-        // A send queue's entry records where its payload lies in the stream.
+        // A send queue's entry records where its payload lies in the stream;
+        // its node adds the 4-byte link (a ring slot was the entry alone).
         assert!(size_of::<crate::tcp::SentSeg>() <= 32);
         assert!(size_of::<crate::udt::Unacked>() <= 16);
+        assert!(NodePool::<crate::tcp::SentSeg>::node_bytes() <= 40);
+        assert!(NodePool::<crate::udt::Unacked>::node_bytes() <= 24);
     }
 
     #[test]

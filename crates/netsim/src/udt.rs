@@ -40,8 +40,8 @@ use kmsg_telemetry::bytes::Bytes;
 use kmsg_telemetry::{EventKind, Recorder, SpanKind};
 
 use crate::flowstack::{
-    self, release_drained, Conn, FirstLost, FlowHeader, FlowTable, Listener, LossMark, NodePool,
-    Phase, Protocol, Stream,
+    self, release_drained, Conn, FlowHeader, FlowTable, Listener, LossMark, Phase, Protocol,
+    SendQueue, Stream,
 };
 use crate::iface::{CloseReason, Connection};
 use crate::memscope;
@@ -178,6 +178,7 @@ const KIND_HS_RETRY: u64 = 4;
 const PAIR_SAMPLES: usize = 16;
 
 /// An unacknowledged packet: where its payload lies in the stream.
+#[derive(Default)]
 pub(crate) struct Unacked {
     /// Stream offset of the payload's first byte.
     offset: u64,
@@ -203,14 +204,12 @@ pub(crate) struct Flow {
     rtt: Option<f64>,
 
     // --- sender side ---
-    /// The send queue: packet `snd_una + i` at index `i`. Sequence numbers
-    /// are consecutive, so a packet is appended at `snd_nxt` and released
-    /// from the front.
-    packets: VecDeque<Unacked>,
+    /// The send queue, with its loss marks: packet `snd_una + i` is the
+    /// `i`th from the head. Sequence numbers are consecutive, so a packet
+    /// is appended at `snd_nxt` and released from the front.
+    packets: SendQueue,
     snd_nxt: u64,
     snd_una: u64,
-    /// The lowest packet of `packets` marked lost.
-    first_lost: FirstLost,
     /// Raw `nak_recovery` causal-span id covering the window from the
     /// first loss mark until no packet is marked (0 outside a recovery
     /// episode or while tracing is off).
@@ -271,10 +270,9 @@ impl Flow {
             is_initiator,
             handshake_sent_at: now,
             rtt: None,
-            packets: VecDeque::new(),
+            packets: SendQueue::default(),
             snd_nxt: 0,
             snd_una: 0,
-            first_lost: FirstLost::NONE,
             nak_span: 0,
             snd_period_us,
             last_dec_seq: 0,
@@ -335,7 +333,7 @@ fn flow_window_pkts(flow: &Flow, cfg: &UdtConfig) -> u64 {
 }
 
 type Action = flowstack::Action<UdtPacket>;
-type Out = flowstack::Out<UdtPacket>;
+type Out = flowstack::Out<UdtConfig>;
 
 fn arm(kind: u64, delay: Duration, aux: u32) -> Action {
     Action::Arm { kind, delay, aux }
@@ -407,7 +405,9 @@ fn on_syn_tick(flow: &mut Flow, cfg: &UdtConfig, rec: &Recorder, now: SimTime, o
         let rtt = flow.rtt.unwrap_or(0.1);
         let stale = Duration::from_secs_f64((2.5 * rtt).max(0.05));
         if now.duration_since(flow.last_progress_at) > stale {
-            flow.first_lost.mark(&mut flow.packets, 0);
+            let first = |i: u32, _: &Unacked| u64::from(i);
+            flow.packets
+                .mark_ranges(&mut out.sent, [(0, 1)], first, |_, _| true);
             flow.last_progress_at = now;
         }
     } else if flow.fin_sent && !flow.fin_acked {
@@ -458,9 +458,7 @@ fn on_exp_tick(flow: &mut Flow, cfg: &UdtConfig, now: SimTime, out: &mut Out) {
         return;
     }
     // Schedule all in-flight packets for retransmission.
-    for at in 0..flow.packets.len() {
-        flow.first_lost.mark(&mut flow.packets, at);
-    }
+    flow.packets.mark_all(&mut out.sent);
     if flow.fin_sent && !flow.fin_acked {
         let final_seq = flow.snd_nxt;
         out.push(Action::Send(UdtPacket::Fin { final_seq }));
@@ -532,6 +530,7 @@ const RX_PROC_BACKLOG: usize = 2048;
 impl Protocol for UdtConfig {
     type Flow = Flow;
     type Wire = UdtPacket;
+    type Sent = Unacked;
 
     const WIRE: WireProtocol = WireProtocol::Udt;
     const SCOPE: usize = memscope::SCOPE_UDT;
@@ -673,11 +672,11 @@ impl Protocol for UdtConfig {
                     flow.capacity_est_pps = capacity_pps;
                 }
                 if ack_seq > flow.snd_una {
-                    let acked = (ack_seq - flow.snd_una) as usize;
-                    flow.first_lost.release(&mut flow.packets, acked);
-                    let drained = flow.packets.drain(..acked);
-                    let acked_bytes: usize = drained.map(|p| p.len as usize).sum();
-                    release_drained(&mut flow.packets);
+                    let mut acked_bytes = 0;
+                    for _ in flow.snd_una..ack_seq {
+                        let p = flow.packets.pop_front_if(&mut out.sent, |_| true);
+                        acked_bytes += p.expect("packets below snd_nxt are queued").len as usize;
+                    }
                     flow.snd_una = ack_seq;
                     flow.last_progress_at = now;
                     flow.stream.acked(acked_bytes, cfg.snd_buf, cfg.mss, out);
@@ -693,19 +692,20 @@ impl Protocol for UdtConfig {
                 flow.nak_in_syn = true;
                 let mut first_reported = u64::MAX;
                 let mut reported = 0u64;
-                for &(from, to) in ranges.iter() {
-                    // Nothing below `snd_una` is resent: a forged range
-                    // costs the window, not the sequence space below it.
-                    let to = to.min(flow.snd_nxt.saturating_sub(1));
-                    for seq in from.max(flow.snd_una)..=to {
-                        let at = (seq - flow.snd_una) as usize;
-                        if at < flow.packets.len() {
-                            flow.first_lost.mark(&mut flow.packets, at);
-                            first_reported = first_reported.min(seq);
-                            reported += 1;
-                        }
-                    }
-                }
+                // The queued packets in each inclusive range, in one walk:
+                // nothing outside `[snd_una, snd_nxt)` is resent, so a
+                // forged range costs the window, not the sequence space.
+                let ranges = ranges
+                    .iter()
+                    .map(|&(from, to)| (from, to.saturating_add(1)));
+                let snd_una = flow.snd_una;
+                let seq = |i: u32, _: &Unacked| snd_una + u64::from(i);
+                flow.packets
+                    .mark_ranges(&mut out.sent, ranges, seq, |seq, _| {
+                        first_reported = first_reported.min(seq);
+                        reported += 1;
+                        true
+                    });
                 rec.record(
                     now.as_nanos(),
                     EventKind::UdtNak {
@@ -773,16 +773,15 @@ impl Protocol for UdtConfig {
         }
     }
 
-    fn kill(flow: &mut Flow, pool: &mut NodePool, rec: &Recorder, now: SimTime) {
+    fn kill(flow: &mut Flow, out: &mut Out, rec: &Recorder, now: SimTime) {
         flow.state = Phase::Closed;
         flow.pacer_active = false;
-        flow.stream.free_buffers(pool);
-        // Fresh containers rather than clear(): a killed flow's slot
-        // lingers in the slab, and VecDeque::clear keeps its ring
-        // buffer allocated (the B-tree container frees on clear).
-        flow.packets = VecDeque::new();
-        flow.first_lost = FirstLost::NONE;
+        flow.stream.free_buffers(&mut out.pool);
+        flow.packets.clear(&mut out.sent);
         Self::after_step(flow, rec, now);
+        // Fresh rings rather than clear(): a killed flow's slot lingers in
+        // the slab, and VecDeque::clear keeps its ring buffer allocated
+        // (the B-tree container frees on clear).
         flow.missing.clear();
         flow.last_nak = SeqRanges::default();
         flow.proc_fifo = VecDeque::new();
@@ -794,7 +793,7 @@ impl Protocol for UdtConfig {
     /// some are all observable here — open on the first loss of an
     /// episode, close when recovery has resent the last (or the flow dies).
     fn after_step(flow: &mut Flow, rec: &Recorder, now: SimTime) {
-        let in_loss = flow.first_lost.any() && flow.state != Phase::Closed;
+        let in_loss = flow.packets.any_lost() && flow.state != Phase::Closed;
         if flow.nak_span == 0 && in_loss && rec.is_enabled() {
             flow.nak_span = rec
                 .tracer()
@@ -919,9 +918,9 @@ fn collect_ranges(set: &BTreeSet<u64>, cap: usize, last: &mut SeqRanges) -> SeqR
 /// then a pending FIN. Returns the sequence sent (for pair scheduling).
 fn send_one(flow: &mut Flow, cfg: &UdtConfig, _now: SimTime, out: &mut Out) -> Option<u64> {
     // 1. Retransmission.
-    if let Some(at) = flow.first_lost.take(&mut flow.packets) {
-        let seq = flow.snd_una + at as u64;
-        let Unacked { offset, len, .. } = flow.packets[at];
+    if let Some((at, packet)) = flow.packets.take(&mut out.sent) {
+        let seq = flow.snd_una + u64::from(at);
+        let (offset, len) = (packet.offset, packet.len);
         flow.retransmits += 1;
         flow.packets_sent += 1;
         flow.sent_in_syn = true;
@@ -940,11 +939,12 @@ fn send_one(flow: &mut Flow, cfg: &UdtConfig, _now: SimTime, out: &mut Out) -> O
             .expect("bytes queued");
         let seq = flow.snd_nxt;
         flow.snd_nxt += 1;
-        flow.packets.push_back(Unacked {
+        let packet = Unacked {
             offset,
             len: payload.len() as u32,
             lost: false,
-        });
+        };
+        flow.packets.push_back(&mut out.sent, packet);
         flow.packets_sent += 1;
         flow.sent_in_syn = true;
         out.push(Action::Send(UdtPacket::Data {
@@ -968,7 +968,7 @@ fn restart_pacer(flow: &mut Flow, cfg: &UdtConfig, out: &mut Out) {
     if flow.pacer_active || flow.state != Phase::Established {
         return;
     }
-    let work = flow.first_lost.any()
+    let work = flow.packets.any_lost()
         || (flow.stream.has_queued() && flow.flight_pkts() < flow_window_pkts(flow, cfg))
         || (flow.stream.fin_queued && !flow.fin_sent);
     if work {
@@ -1014,8 +1014,7 @@ impl Flow {
             && !self.pacer_active
             && self.nak_span == 0
             && self.stream.is_freed()
-            && self.packets.capacity() == 0
-            && !self.first_lost.any()
+            && self.packets.is_clear()
             && self.missing.is_empty()
             && self.last_nak.is_empty()
             && self.proc_fifo.capacity() == 0
@@ -1033,8 +1032,8 @@ impl Flow {
     }
 
     /// The packets marked lost, ascending.
-    fn lost_seqs(&self) -> Vec<u64> {
-        let marked = self.packets.iter().enumerate().filter(|(_, p)| p.lost);
+    fn lost_seqs(&self, pool: &flowstack::NodePool<Unacked>) -> Vec<u64> {
+        let marked = self.packets.iter(pool).enumerate().filter(|(_, p)| p.lost);
         marked.map(|(i, _)| self.snd_una + i as u64).collect()
     }
 }
@@ -1183,7 +1182,7 @@ mod tests {
             let ranges = SeqRanges::from(&[(0, una + 1), (una + 5, u64::MAX)][..]);
             UdtConfig::on_wire(flow, cfg, rec, now, out, UdtPacket::Nak { ranges });
         });
-        let lost = conn.peek(|f, _| f.lost_seqs());
+        let lost = conn.peek_out(|f, _, out| f.lost_seqs(&out.sent));
         assert_eq!(lost.unwrap(), [una, una + 1, una + 5, una + 6, una + 7]);
         assert_eq!(
             resend_all(&conn, una),
@@ -1211,7 +1210,7 @@ mod tests {
             for _ in 0..packets {
                 send_one(flow, cfg, now, out);
             }
-            assert_eq!(flow.packets.len() as u64, packets);
+            assert_eq!(flow.packets.iter(&out.sent).count() as u64, packets);
         });
     }
 
@@ -1249,7 +1248,7 @@ mod tests {
         assert!(conn.is_established());
         // Ten packets in flight from 100.
         let una = 100;
-        let lost = || conn.peek(|f, _| f.lost_seqs()).unwrap();
+        let lost = || conn.peek_out(|f, _, out| f.lost_seqs(&out.sent)).unwrap();
         let arrive = |pkt: UdtPacket| {
             conn.process(|flow, cfg, rec, now, out| {
                 UdtConfig::on_wire(flow, cfg, rec, now, out, pkt)
@@ -1274,7 +1273,7 @@ mod tests {
             [una + 2, una + 3, una + 5, una + 7, una + 8]
         );
         assert_eq!(lost(), [], "each resend clears its mark");
-        assert!(!conn.peek(|f, _| f.first_lost.any()).unwrap());
+        assert!(!conn.peek(|f, _| f.packets.any_lost()).unwrap());
     }
 
     #[test]
