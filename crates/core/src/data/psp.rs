@@ -29,12 +29,6 @@ pub trait ProtocolSelectionPolicy: Send {
 
     /// Installs a new target ratio (from the protocol ratio policy).
     fn update_ratio(&mut self, ratio: Ratio);
-
-    /// The current target ratio.
-    fn ratio(&self) -> Ratio;
-
-    /// Short name for reports.
-    fn name(&self) -> &'static str;
 }
 
 /// Bernoulli selection: UDT with probability `prob_udt(r)`.
@@ -85,14 +79,6 @@ impl ProtocolSelectionPolicy for RandomSelection {
         self.ratio = ratio;
         // A pre-drawn choice from the old ratio is discarded.
         self.pending = None;
-    }
-
-    fn ratio(&self) -> Ratio {
-        self.ratio
-    }
-
-    fn name(&self) -> &'static str {
-        "random"
     }
 }
 
@@ -252,14 +238,6 @@ impl ProtocolSelectionPolicy for PatternSelection {
             self.pos = 0;
         }
     }
-
-    fn ratio(&self) -> Ratio {
-        self.ratio
-    }
-
-    fn name(&self) -> &'static str {
-        "pattern"
-    }
 }
 
 #[cfg(test)]
@@ -366,7 +344,6 @@ mod tests {
         assert_eq!(first[0], first[2]);
         assert_eq!(first[1], first[3]);
         assert_ne!(first[0], first[1]);
-        assert_eq!(psp.name(), "pattern");
     }
 
     #[test]
@@ -391,7 +368,6 @@ mod tests {
             PatternSelection::new(Ratio::from_signed(-1.0), PatternKind::MinimalRest, 100);
         assert_eq!(psp.select(), Transport::Tcp);
         psp.update_ratio(Ratio::from_signed(1.0));
-        assert_eq!(psp.ratio(), Ratio::from_signed(1.0));
         assert_eq!(psp.select(), Transport::Udt);
     }
 
@@ -405,7 +381,6 @@ mod tests {
         let udt = (0..n).filter(|_| psp.select() == Transport::Udt).count();
         let frac = udt as f64 / f64::from(n);
         assert!((frac - 0.25).abs() < 0.01, "law of large numbers: {frac}");
-        assert_eq!(psp.name(), "random");
     }
 
     #[test]

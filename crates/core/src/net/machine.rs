@@ -64,8 +64,9 @@ pub(super) struct ChannelKey {
 }
 
 /// Packs an endpoint into a span correlation key — the same
-/// `node_index << 16 | port` encoding `ConnStatus` events use for `peer`.
-pub(super) fn peer_key(ep: Endpoint) -> u64 {
+/// `node_index << 16 | port` encoding `ConnStatus` events use for `peer`,
+/// and the `DATA` learner's decisions for their flow.
+pub(crate) fn peer_key(ep: Endpoint) -> u64 {
     (u64::from(ep.node.index()) << 16) | u64::from(ep.port)
 }
 

@@ -60,7 +60,8 @@ use crate::ser::SerError;
 use crate::transport::Transport;
 use channel::SPAN_FAILED;
 use frame::{encode_frame, Compression, FrameDecoder};
-use machine::{peer_key, ChannelKey, Io, Machine, Wire};
+pub(crate) use machine::peer_key;
+use machine::{ChannelKey, Io, Machine, Wire};
 
 /// Channel supervision tuning: reconnect with exponential backoff and
 /// deterministic jitter, within a bounded retry budget (DESIGN.md §9).

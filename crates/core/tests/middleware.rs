@@ -630,43 +630,6 @@ fn per_message_transport_mixing_on_one_destination() {
 }
 
 #[test]
-fn data_network_resolves_protocols() {
-    let (w, nodes) = linked(default_link(), 2);
-    // Host A gets the full DataNetwork wrapper.
-    let a_addr = NetAddress::new(nodes[0], 7000);
-    let data_cfg = DataNetworkConfig {
-        prp: PrpKind::Static(Ratio::BALANCED),
-        psp: PspKind::Pattern(PatternKind::MinimalRest),
-        seeds: kmsg_netsim::rng::SeedSource::new(1),
-        ..DataNetworkConfig::default()
-    };
-    let dn =
-        create_data_network(&w.system, &w.net, NetworkConfig::new(a_addr), data_cfg).expect("bind");
-    let app = w.system.create(PortSink::<NetworkPort>::default);
-    w.system.connect::<NetworkPort, _, _>(&dn.interceptor, &app);
-    let send = app.self_ref(|s| &mut s.requests);
-    dn.start(&w.system);
-    w.system.start(&app);
-
-    let b = stack(&w, nodes[1], 7000);
-    for i in 0..20u64 {
-        let msg = NetMessage::with_header(NetHeader::Data(DataHeader::new(a_addr, b.addr)), i);
-        send.push(NetRequest::Msg(msg));
-    }
-    w.sim.run_for(Duration::from_secs(5));
-    let got = msgs(&b.app);
-    let count = |proto| {
-        got.iter()
-            .filter(|m| m.header().protocol() == proto)
-            .count()
-    };
-    let (tcp, udt) = (count(Transport::Tcp), count(Transport::Udt));
-    assert_eq!(tcp + udt, 20, "all messages resolved and delivered");
-    assert_eq!(tcp, 10, "50-50 pattern splits evenly");
-    assert_eq!(udt, 10);
-}
-
-#[test]
 fn deterministic_replay() {
     let run = || {
         let (w, nodes) = linked(default_link().random_loss(0.01), 2);

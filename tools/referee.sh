@@ -6,7 +6,9 @@
 #       [parent-kmsg-benchmark change-kmsg-benchmark]]
 #
 # Each target dir is a CARGO_TARGET_DIR holding release/{chaos,cc_compare,
-# timing_probe,fuzz} (cargo build --release --workspace). The
+# timing_probe,fuzz,paper_gate} (cargo build --release --workspace);
+# `paper_gate fig1 fig8` writes BENCH_paper.json, whose Fig. 8 cells are the
+# DATA interceptor's at full size (+25 s a side). The
 # binaries write into their working directory, so each side runs in its own
 # directory under work-dir (default: a fresh directory under $TMPDIR) —
 # nothing else is written. Given the two sides' kmsg-benchmark binaries
@@ -39,7 +41,7 @@ work=$(cd "$work" && pwd) || exit 2
 run() {
     cd "$work/$1" || exit 2
     for cmd in "chaos" "cc_compare" "timing_probe --quick" \
-        "fuzz --selftest --seeds 0..200"; do
+        "fuzz --selftest --seeds 0..200" "paper_gate fig1 fig8"; do
         name=${cmd%% *}
         # $cmd is split into the binary's arguments on purpose.
         # shellcheck disable=SC2086
@@ -83,7 +85,7 @@ run change "$change_bin" "${change_bench:-}"
 
 cd "$work" || exit 2
 for f in chaos.json chaos.jsonl BENCH_cc.json telemetry.json telemetry.jsonl \
-    fuzz.summary \
+    fuzz.summary BENCH_paper.json \
     ${parent_bench:+benchmark.sim benchmark.fingerprints}; do
     if [ ! -f "parent/$f" ] || [ ! -f "change/$f" ]; then
         echo "MISSING   $f"
